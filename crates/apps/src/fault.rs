@@ -15,7 +15,7 @@
 //!   per-iteration latency traces around a worker failure and rejoin, the format of
 //!   Figure 12.
 
-use hoplite_baselines::{Baseline, CollectiveKind};
+use hoplite_baselines::Baseline;
 use hoplite_cluster::scenarios::{
     directory_failover_broadcast, rolling_restart_collectives, ScenarioEnv,
 };
@@ -243,11 +243,6 @@ pub fn async_sgd_failure_timeline(
 /// The comparison shown in Figure 12: Ray vs Ray+Hoplite.
 pub fn figure12_systems() -> Vec<CommSystem> {
     vec![CommSystem::Baseline(Baseline::RayLike), CommSystem::Hoplite]
-}
-
-/// Convenience: the collectives exercised by the timelines (used in reports).
-pub fn figure12_collectives() -> Vec<CollectiveKind> {
-    vec![CollectiveKind::Broadcast, CollectiveKind::Reduce, CollectiveKind::Gather]
 }
 
 #[cfg(test)]

@@ -6,8 +6,7 @@ use hoplite_core::buffer::{Payload, ProgressBuffer};
 use hoplite_core::object::{NodeId, ObjectId};
 use hoplite_core::reduce::ReduceSpec;
 use hoplite_transport::framing::{
-    decode_body, encode_body, encode_frame_vectored, read_frame, write_frame_vectored, Cork,
-    FrameReader,
+    decode_body, encode_frame_vectored, write_frame_vectored, Cork, FrameReader,
 };
 
 fn bench_progress_buffer(c: &mut Criterion) {
@@ -92,10 +91,6 @@ fn bench_reduce_combine(c: &mut Criterion) {
     let b_payload = Payload::from_f32s(&vec![2.0f32; 1 << 20]);
     let mut group = c.benchmark_group("reduce_combine_f32");
     group.throughput(Throughput::Bytes((1 << 20) * 4));
-    // Legacy allocate-per-combine path (kept for the trajectory).
-    group.bench_function("4MB_block", |bench| {
-        bench.iter(|| spec.combine(target, &a, &b_payload).unwrap())
-    });
     // The streaming engines' path: fold into a reusable accumulator in place.
     group.bench_function("4MB_block_inplace", |bench| {
         let mut acc = a.to_owned_vec().unwrap();
@@ -115,21 +110,21 @@ fn bench_framing(c: &mut Criterion) {
         payload: Payload::zeros(4 * 1024 * 1024),
         complete: false,
     };
-    // Decode consumes a shared receive buffer, exactly as `read_frame` hands it over.
-    let encoded = bytes::Bytes::from(encode_body(&msg).unwrap());
+    // Decode consumes a shared receive buffer holding the frame body (the wire bytes
+    // after the length prefix), exactly as `FrameReader` hands it over.
+    let encoded =
+        bytes::Bytes::from(encode_frame_vectored(&msg).unwrap().to_contiguous().split_off(4));
     let mut group = c.benchmark_group("framing_push_block_4MB");
     group.throughput(Throughput::Bytes(4 * 1024 * 1024));
-    group.bench_function("encode", |b| b.iter(|| encode_body(&msg).unwrap()));
     // The send path: header-only work, the payload rides as a shared reference.
     group.bench_function("encode_vectored", |b| {
         b.iter(|| encode_frame_vectored(&msg).unwrap().frame_len())
     });
     group.bench_function("decode", |b| b.iter(|| decode_body(&encoded).unwrap()));
 
-    // The receive path proper: a 64 MiB stream of 4 MiB PushBlock frames, consumed
-    // (a) by the legacy `read_frame` (a fresh zeroed allocation per frame, then an
-    // `Arc` conversion copy) and (b) by the pooled slab reader (frames decode as
-    // views into a reused block-aligned slab; payloads are never copied).
+    // The receive path proper: a 64 MiB stream of 4 MiB PushBlock frames consumed by
+    // the pooled slab reader (frames decode as views into a reused block-aligned slab;
+    // payloads are never copied).
     let mut stream = Vec::new();
     for i in 0..16u64 {
         write_frame_vectored(
@@ -145,17 +140,6 @@ fn bench_framing(c: &mut Criterion) {
         .unwrap();
     }
     group.throughput(Throughput::Bytes(stream.len() as u64));
-    group.bench_function("read_frame_alloc", |b| {
-        b.iter(|| {
-            let mut cursor = std::io::Cursor::new(stream.as_slice());
-            let mut frames = 0u64;
-            while (cursor.position() as usize) < stream.len() {
-                read_frame(&mut cursor).unwrap();
-                frames += 1;
-            }
-            frames
-        })
-    });
     group.bench_function("read_frame_slab", |b| {
         b.iter(|| {
             let mut reader = FrameReader::new(std::io::Cursor::new(stream.as_slice()));
@@ -168,19 +152,10 @@ fn bench_framing(c: &mut Criterion) {
         })
     });
 
-    // The component the pool removes, isolated: what `read_frame` pays per frame to
-    // acquire a receive buffer (a fresh zeroed 4 MiB allocation plus the `Arc`
-    // conversion copy) vs a warm slab checkout (a refcount scan and a pointer swap).
-    // The full-stream rows above are bounded below by the one unavoidable copy out
-    // of the source; this pair shows the allocation machinery itself.
+    // Buffer acquisition, isolated: a warm slab checkout is a refcount scan and a
+    // pointer swap. The full-stream row above is bounded below by the one unavoidable
+    // copy out of the source; this shows the allocation machinery itself.
     use hoplite_transport::framing::{RecvSlabPool, DEFAULT_RECV_SLAB};
-    group.bench_function("recv_buffer_alloc_per_frame", |b| {
-        b.iter(|| {
-            let buf = vec![0u8; DEFAULT_RECV_SLAB];
-            let arc: std::sync::Arc<[u8]> = std::sync::Arc::from(buf);
-            arc.len()
-        })
-    });
     group.bench_function("recv_buffer_slab_checkout", |b| {
         let mut pool = RecvSlabPool::new(DEFAULT_RECV_SLAB);
         let warm = pool.checkout(DEFAULT_RECV_SLAB);

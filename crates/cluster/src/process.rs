@@ -98,38 +98,6 @@ impl ControlClient {
         Err(last.expect("attempts >= 1 recorded an error"))
     }
 
-    /// One request with bounded retry over fresh connections: on a transport error
-    /// (refused, reset, unexpected EOF) the request line is replayed on a new
-    /// connection, up to `attempts` tries with the [`ControlClient::connect_retrying`]
-    /// backoff schedule. An `err ...` *reply* is returned immediately — the daemon
-    /// answered, retrying would not change its mind. Only for idempotent request
-    /// lines (everything in the control vocabulary is).
-    pub fn request_retrying(
-        addr: SocketAddr,
-        line: &str,
-        attempts: u32,
-        base: Duration,
-    ) -> io::Result<String> {
-        assert!(attempts >= 1, "at least one attempt");
-        let mut backoff = base;
-        let mut last = None;
-        for attempt in 0..attempts {
-            match ControlClient::connect(addr, Duration::from_millis(250))
-                .and_then(|mut c| c.request(line))
-            {
-                Ok(reply) => return Ok(reply),
-                // A daemon that parsed the request and said `err` will keep saying it.
-                Err(e) if e.to_string().contains("daemon replied") => return Err(e),
-                Err(e) => last = Some(e),
-            }
-            if attempt + 1 < attempts {
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(Duration::from_secs(1));
-            }
-        }
-        Err(last.expect("attempts >= 1 recorded an error"))
-    }
-
     /// Send one request line, read one reply line. Returns the reply payload after
     /// the `ok ` prefix; an `err ...` reply becomes an `io::Error`.
     pub fn request(&mut self, line: &str) -> io::Result<String> {

@@ -77,12 +77,6 @@ impl SimCluster {
         self.sim.recover_node_at(at, node);
     }
 
-    /// Schedule a node recovery (alias of [`SimCluster::restart_node_at`], kept for
-    /// symmetry with the simulator's vocabulary).
-    pub fn recover_node_at(&mut self, at: SimTime, node: usize) {
-        self.sim.recover_node_at(at, node);
-    }
-
     /// Schedule a transient network partition between `from` and `until`: `side[i]`
     /// assigns node `i` to one half. Cross-cut messages stall until the heal (TCP
     /// retransmits across the cut); no message is lost.
@@ -99,11 +93,6 @@ impl SimCluster {
     /// Whether a node is currently alive.
     pub fn is_alive(&self, node: usize) -> bool {
         self.sim.is_alive(node)
-    }
-
-    /// Whether `node` has finished (or never needed) directory resync.
-    pub fn directory_resync_done(&self, node: usize) -> bool {
-        !self.sim.actor(node).node().directory_is_resyncing()
     }
 
     /// Run until no events remain; returns the final simulated time.

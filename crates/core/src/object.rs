@@ -71,11 +71,6 @@ impl ObjectId {
         ObjectId(bytes)
     }
 
-    /// Generate a random id from the supplied random bytes.
-    pub fn from_random_bytes(bytes: [u8; 16]) -> Self {
-        ObjectId(bytes)
-    }
-
     /// Short hex form used in logs.
     pub fn short_hex(&self) -> String {
         self.0[..4].iter().map(|b| format!("{b:02x}")).collect()

@@ -716,12 +716,6 @@ impl Message {
             _ => CONTROL,
         }
     }
-
-    /// `true` for messages that belong to the bulk data plane (used by the simulator to
-    /// prioritize control traffic the way small RPCs win on a real network).
-    pub fn is_bulk(&self) -> bool {
-        matches!(self, Message::PushBlock { .. } | Message::ReduceBlock { .. })
-    }
 }
 
 /// A client-facing operation submitted to the local Hoplite node (Table 1).
@@ -867,8 +861,6 @@ mod tests {
         };
         assert!(small.wire_size() < 200);
         assert!(big.wire_size() > 4096);
-        assert!(big.is_bulk());
-        assert!(!small.is_bulk());
     }
 
     #[test]

@@ -108,28 +108,6 @@ impl ReduceSpec {
         }
         Ok(())
     }
-
-    /// Combine two payloads element-wise into a fresh payload. Inputs must have equal
-    /// length; synthetic payloads short-circuit to a synthetic result of the same
-    /// length. This is the convenience form — the streaming engines use
-    /// [`ReduceSpec::combine_into`] so only the first input of an accumulation chain
-    /// is ever copied.
-    pub fn combine(&self, target: ObjectId, a: &Payload, b: &Payload) -> Result<Payload> {
-        if a.len() != b.len() {
-            return Err(HopliteError::ReduceShapeMismatch {
-                target,
-                detail: format!("length mismatch: {} vs {}", a.len(), b.len()),
-            });
-        }
-        if a.is_synthetic() || b.is_synthetic() {
-            // Simulator mode: no arithmetic, only sizes.
-            return Ok(Payload::synthetic(a.len()));
-        }
-        self.check_multiple(target, a.len())?;
-        let mut acc = a.to_owned_vec().expect("real payload");
-        self.combine_into(target, &mut acc, b)?;
-        Ok(Payload::from_vec(acc))
-    }
 }
 
 /// Element trait implemented for the supported numeric types.
@@ -249,12 +227,19 @@ mod tests {
         ObjectId::from_name("reduce-target")
     }
 
+    /// `op(a, b)` the way the engines compute it: fold `b` into an owned copy of `a`.
+    fn combined(spec: ReduceSpec, a: &Payload, b: &Payload) -> Result<Payload> {
+        let mut acc = a.to_owned_vec().expect("real payload");
+        spec.combine_into(target(), &mut acc, b)?;
+        Ok(Payload::from_vec(acc))
+    }
+
     #[test]
     fn sum_f32_elementwise() {
         let a = Payload::from_f32s(&[1.0, 2.0, 3.0]);
         let b = Payload::from_f32s(&[0.5, -2.0, 10.0]);
         let spec = ReduceSpec::sum_f32();
-        let out = spec.combine(target(), &a, &b).unwrap();
+        let out = combined(spec, &a, &b).unwrap();
         assert_eq!(out.to_f32s(), vec![1.5, 0.0, 13.0]);
     }
 
@@ -271,8 +256,8 @@ mod tests {
         let b = enc(&[5, -2, 50]);
         let min = ReduceSpec { op: ReduceOp::Min, dtype: DType::I64 };
         let max = ReduceSpec { op: ReduceOp::Max, dtype: DType::I64 };
-        let min_out = min.combine(target(), &a, &b).unwrap();
-        let max_out = max.combine(target(), &a, &b).unwrap();
+        let min_out = combined(min, &a, &b).unwrap();
+        let max_out = combined(max, &a, &b).unwrap();
         let dec = |p: &Payload| {
             p.as_bytes()
                 .unwrap()
@@ -308,10 +293,6 @@ mod tests {
             Err(HopliteError::ReduceShapeMismatch { .. })
         ));
         assert_eq!(acc, vec![0u8; 6], "failed combine must not modify the accumulator");
-        // Same through the payload-level API.
-        assert!(spec
-            .combine(target(), &Payload::zeros(6), &Payload::from_vec(vec![1u8; 6]))
-            .is_err());
     }
 
     #[test]
@@ -404,8 +385,7 @@ mod tests {
         assert!(got[0].is_nan(), "incoming NaN propagates");
         assert_eq!(got[1], 2.0, "accumulated NaN is replaced by the incoming element");
         let max = ReduceSpec { op: ReduceOp::Max, dtype: DType::F32 };
-        let out = max
-            .combine(target(), &Payload::from_f32s(&[5.0]), &Payload::from_f32s(&[f32::NAN]))
+        let out = combined(max, &Payload::from_f32s(&[5.0]), &Payload::from_f32s(&[f32::NAN]))
             .unwrap()
             .to_f32s();
         assert!(out[0].is_nan());
@@ -416,26 +396,9 @@ mod tests {
         let a = Payload::from_f32s(&[1.0, 2.0]);
         let b = Payload::from_f32s(&[1.0]);
         assert!(matches!(
-            ReduceSpec::sum_f32().combine(target(), &a, &b),
+            combined(ReduceSpec::sum_f32(), &a, &b),
             Err(HopliteError::ReduceShapeMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn synthetic_combine_keeps_length() {
-        let a = Payload::synthetic(1024);
-        let b = Payload::synthetic(1024);
-        let out = ReduceSpec::sum_f32().combine(target(), &a, &b).unwrap();
-        assert!(out.is_synthetic());
-        assert_eq!(out.len(), 1024);
-    }
-
-    #[test]
-    fn mixed_real_and_synthetic_degrades_to_synthetic() {
-        let a = Payload::zeros(16);
-        let b = Payload::synthetic(16);
-        let out = ReduceSpec::sum_f32().combine(target(), &a, &b).unwrap();
-        assert!(out.is_synthetic());
     }
 
     #[test]
@@ -452,12 +415,9 @@ mod tests {
         let a = Payload::from_f32s(&[1.0, 2.0]);
         let b = Payload::from_f32s(&[3.0, 4.0]);
         let c = Payload::from_f32s(&[5.0, 6.0]);
-        let ab_c =
-            spec.combine(target(), &spec.combine(target(), &a, &b).unwrap(), &c).unwrap().to_f32s();
-        let a_bc =
-            spec.combine(target(), &a, &spec.combine(target(), &b, &c).unwrap()).unwrap().to_f32s();
-        let ba_c =
-            spec.combine(target(), &spec.combine(target(), &b, &a).unwrap(), &c).unwrap().to_f32s();
+        let ab_c = combined(spec, &combined(spec, &a, &b).unwrap(), &c).unwrap().to_f32s();
+        let a_bc = combined(spec, &a, &combined(spec, &b, &c).unwrap()).unwrap().to_f32s();
+        let ba_c = combined(spec, &combined(spec, &b, &a).unwrap(), &c).unwrap().to_f32s();
         assert_eq!(ab_c, a_bc);
         assert_eq!(ab_c, ba_c);
     }

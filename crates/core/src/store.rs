@@ -21,20 +21,14 @@ use crate::object::ObjectId;
 #[derive(Clone, Debug)]
 struct StoredObject {
     buffer: ProgressBuffer,
-    /// Pin references holding this copy in memory (the local `Put` origin, in-flight
-    /// reduce inputs, …). Only a copy with zero pins is evictable or idle-collectable.
-    pins: u32,
+    /// Held in memory until deleted (the local `Put` origin). Only an unpinned copy is
+    /// evictable or idle-collectable.
+    pinned: bool,
     last_access: u64,
     /// Two-generation idle-GC mark: set by a sweep, cleared by any access. A copy
     /// still marked when the *next* sweep runs has been idle a full generation and
     /// is collected.
     idle: bool,
-}
-
-impl StoredObject {
-    fn pinned(&self) -> bool {
-        self.pins > 0
-    }
 }
 
 /// The local object store of one node.
@@ -108,7 +102,7 @@ impl LocalStore {
             object,
             StoredObject {
                 buffer: ProgressBuffer::complete_from(payload),
-                pins: pinned as u32,
+                pinned,
                 last_access: self.access_counter,
                 idle: false,
             },
@@ -134,7 +128,7 @@ impl LocalStore {
             object,
             StoredObject {
                 buffer: ProgressBuffer::new(total_size, synthetic),
-                pins: 0,
+                pinned: false,
                 last_access: self.access_counter,
                 idle: false,
             },
@@ -179,38 +173,17 @@ impl LocalStore {
         entry.buffer.to_payload()
     }
 
-    /// Pin or unpin an object copy (legacy single-owner pinning: sets the pin count
-    /// to exactly one or zero).
+    /// Pin or unpin an object copy.
     pub fn set_pinned(&mut self, object: ObjectId, pinned: bool) {
         if let Some(entry) = self.objects.get_mut(&object) {
-            entry.pins = pinned as u32;
+            entry.pinned = pinned;
         }
-    }
-
-    /// Take one pin reference on an object copy (refcounted: the copy stays
-    /// unevictable until every pin is released).
-    pub fn pin(&mut self, object: ObjectId) {
-        if let Some(entry) = self.objects.get_mut(&object) {
-            entry.pins += 1;
-        }
-    }
-
-    /// Release one pin reference taken with [`LocalStore::pin`].
-    pub fn unpin(&mut self, object: ObjectId) {
-        if let Some(entry) = self.objects.get_mut(&object) {
-            entry.pins = entry.pins.saturating_sub(1);
-        }
-    }
-
-    /// Current pin count of an object copy (tests and diagnostics).
-    pub fn pin_count(&self, object: ObjectId) -> u32 {
-        self.objects.get(&object).map_or(0, |o| o.pins)
     }
 
     /// Whether any copy is eligible for idle GC — unpinned and complete. Drives the
     /// node facade's lazy arming of the sweep timer.
     pub fn has_idle_candidates(&self) -> bool {
-        self.objects.values().any(|o| !o.pinned() && o.buffer.is_complete())
+        self.objects.values().any(|o| !o.pinned && o.buffer.is_complete())
     }
 
     /// One idle-GC generation: collect every unpinned complete copy that was already
@@ -222,7 +195,7 @@ impl LocalStore {
         let victims: Vec<ObjectId> = self
             .objects
             .iter()
-            .filter(|(_, o)| o.idle && !o.pinned() && o.buffer.is_complete())
+            .filter(|(_, o)| o.idle && !o.pinned && o.buffer.is_complete())
             .map(|(id, _)| *id)
             .collect();
         for id in &victims {
@@ -231,7 +204,7 @@ impl LocalStore {
             self.evictions += 1;
         }
         for entry in self.objects.values_mut() {
-            if !entry.pinned() && entry.buffer.is_complete() {
+            if !entry.pinned && entry.buffer.is_complete() {
                 entry.idle = true;
             }
         }
@@ -248,11 +221,6 @@ impl LocalStore {
         }
     }
 
-    /// All object ids currently stored (tests and diagnostics).
-    pub fn object_ids(&self) -> Vec<ObjectId> {
-        self.objects.keys().copied().collect()
-    }
-
     /// Evict unpinned, complete objects LRU-first until `needed` more bytes fit.
     fn make_room(&mut self, needed: u64) -> Result<()> {
         if needed > self.capacity {
@@ -264,7 +232,7 @@ impl LocalStore {
             let victim = self
                 .objects
                 .iter()
-                .filter(|(_, o)| !o.pinned() && o.buffer.is_complete())
+                .filter(|(_, o)| !o.pinned && o.buffer.is_complete())
                 .min_by_key(|(_, o)| o.last_access)
                 .map(|(id, _)| *id);
             match victim {
@@ -396,18 +364,14 @@ mod tests {
     }
 
     #[test]
-    fn pins_are_refcounted() {
+    fn set_pinned_decides_whether_a_copy_can_be_evicted() {
         let mut s = LocalStore::new(10);
         s.put_complete(obj("a"), Payload::zeros(10), false).unwrap();
-        s.pin(obj("a"));
-        s.pin(obj("a"));
-        assert_eq!(s.pin_count(obj("a")), 2);
-        // Two pins outstanding: the copy cannot be evicted to make room.
+        s.set_pinned(obj("a"), true);
+        // Pinned: the copy cannot be evicted to make room.
         assert!(s.put_complete(obj("b"), Payload::zeros(5), false).is_err());
-        s.unpin(obj("a"));
-        assert!(s.put_complete(obj("b"), Payload::zeros(5), false).is_err(), "one pin left");
-        s.unpin(obj("a"));
-        s.unpin(obj("a")); // extra release is harmless
+        s.set_pinned(obj("a"), false);
+        s.set_pinned(obj("missing"), true); // unknown objects are ignored
         s.put_complete(obj("b"), Payload::zeros(5), false).unwrap();
         assert!(!s.contains(obj("a")));
     }

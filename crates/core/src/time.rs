@@ -75,11 +75,6 @@ impl Duration {
         self.0
     }
 
-    /// Microseconds in this duration (truncating).
-    pub fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Milliseconds in this duration (truncating).
     pub fn as_millis(self) -> u64 {
         self.0 / 1_000_000
@@ -99,11 +94,6 @@ impl Duration {
     #[allow(clippy::should_implement_trait)]
     pub fn mul(self, factor: u64) -> Duration {
         Duration(self.0 * factor)
-    }
-
-    /// Scale by a float factor (used by bandwidth models).
-    pub fn mul_f64(self, factor: f64) -> Duration {
-        Duration((self.0 as f64 * factor) as u64)
     }
 
     /// Convert to a std duration (for real-time drivers).

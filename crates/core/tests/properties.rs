@@ -220,14 +220,11 @@ fn reduce_sum_commutes() {
         let len = rng.usize(1, 256);
         let a: Vec<f32> = (0..len).map(|_| rng.f32(-1e6, 1e6)).collect();
         let b: Vec<f32> = (0..len).map(|_| rng.f32(-1e6, 1e6)).collect();
-        let ab = spec
-            .combine(target, &Payload::from_f32s(&a), &Payload::from_f32s(&b))
-            .unwrap()
-            .to_f32s();
-        let ba = spec
-            .combine(target, &Payload::from_f32s(&b), &Payload::from_f32s(&a))
-            .unwrap()
-            .to_f32s();
+        let (pa, pb) = (Payload::from_f32s(&a), Payload::from_f32s(&b));
+        let mut ab = pa.to_owned_vec().unwrap();
+        spec.combine_into(target, &mut ab, &pb).unwrap();
+        let mut ba = pb.to_owned_vec().unwrap();
+        spec.combine_into(target, &mut ba, &pa).unwrap();
         assert_eq!(ab, ba);
     }
 }
@@ -305,7 +302,8 @@ fn combine_into_segmented_agrees_with_whole_payload_combine() {
         let b: Vec<f32> = (0..elems).map(|_| rng.f32(-1e4, 1e4)).collect();
         let pa = Payload::from_f32s(&a);
         let pb = Payload::from_f32s(&b);
-        let want = spec.combine(target, &pa, &pb).unwrap();
+        let mut want = pa.to_owned_vec().unwrap();
+        spec.combine_into(target, &mut want, &pb).unwrap();
         // Segment `b` at random byte boundaries, elements straddling freely.
         let bb = pb.to_owned_vec().unwrap();
         let mut segments = Vec::new();
@@ -317,7 +315,7 @@ fn combine_into_segmented_agrees_with_whole_payload_combine() {
         }
         let mut acc = pa.to_owned_vec().unwrap();
         spec.combine_into(target, &mut acc, &Payload::from_segments(segments)).unwrap();
-        assert_eq!(Payload::from_vec(acc), want);
+        assert_eq!(acc, want);
     }
 }
 

@@ -3,29 +3,27 @@
 //! The paper's implementation splits traffic into a gRPC control plane and a raw-TCP
 //! data plane (§4). We mirror that split inside a single framed stream: every message
 //! is encoded with a compact fixed binary layout — one tag byte selecting the variant,
-//! followed by the variant's fields in declaration order. Bulk messages (`PushBlock`,
-//! `ReduceBlock`) keep their historical tags so the payload bytes sit at a fixed,
-//! copy-friendly offset. Each frame is length-prefixed.
-//!
-//! Frame layout:
+//! followed by the variant's fields in wire order. Each frame is length-prefixed.
 //!
 //! ```text
 //! +----------------+--------+----------------------------+
 //! | length: u32 BE | tag u8 | body (length - 1 bytes)    |
 //! +----------------+--------+----------------------------+
-//! tag  1 = PushBlock        (bulk)
-//! tag  2 = ReduceBlock      (bulk)
-//! tag  3+ = control messages (one tag per variant, see `tags`)
 //! ```
 //!
 //! Integers are big-endian. Variable-length fields (`Vec`, `String`, payloads) are
-//! length-prefixed. The codec is hand-rolled and dependency-free; the decode side
-//! bounds-checks every read and rejects trailing or truncated bytes.
+//! length-prefixed. The codec is dependency-free and declared once: the `Wire` trait
+//! says how each *field type* rides the wire, and the message table (search for
+//! "message table" below) lists, per tag, the variant, its fields in wire order and
+//! whether its payload may alias the receive buffer. The encoder, the decoder, the
+//! bound on every list length and which frames can pin a receive slab are all
+//! derived from those two; the decode side bounds-checks every read and rejects
+//! trailing or truncated bytes. `tests/golden_frames.txt` pins the bytes peers observe.
 
 use bytes::Bytes;
+use hoplite_core::copytrace;
 use hoplite_core::prelude::*;
 use hoplite_core::protocol::ReduceParent;
-use hoplite_core::reduce::{DType, ReduceOp};
 // The core prelude exports its own single-parameter `Result` alias; framing uses the
 // standard two-parameter form.
 use std::result::Result;
@@ -47,65 +45,27 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
+impl From<FrameError> for std::io::Error {
+    fn from(e: FrameError) -> std::io::Error {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
+    }
+}
+
 fn malformed(what: &str) -> FrameError {
     FrameError::Malformed(what.to_string())
 }
 
-/// Message tags. Bulk tags 1/2 are stable; control tags follow.
-mod tags {
-    pub const PUSH_BLOCK: u8 = 1;
-    pub const REDUCE_BLOCK: u8 = 2;
-    pub const DIR_REGISTER: u8 = 3;
-    pub const DIR_PUT_INLINE: u8 = 4;
-    pub const DIR_UNREGISTER: u8 = 5;
-    pub const DIR_QUERY: u8 = 6;
-    pub const DIR_QUERY_REPLY: u8 = 7;
-    pub const DIR_SUBSCRIBE: u8 = 8;
-    pub const DIR_PUBLISH: u8 = 9;
-    pub const DIR_TRANSFER_DONE: u8 = 10;
-    pub const DIR_DELETE: u8 = 11;
-    pub const STORE_RELEASE: u8 = 12;
-    pub const PULL_REQUEST: u8 = 13;
-    pub const PULL_CANCEL: u8 = 14;
-    pub const PULL_ERROR: u8 = 15;
-    pub const REDUCE_INSTRUCTION: u8 = 16;
-    pub const REDUCE_DONE: u8 = 17;
-    pub const DIR_UNSUBSCRIBE: u8 = 18;
-    pub const DIR_REPLICATE: u8 = 19;
-    pub const REDUCE_RELEASE: u8 = 20;
-    pub const DIR_ACK: u8 = 21;
-    pub const DIR_SNAPSHOT_REQUEST: u8 = 22;
-    pub const DIR_SNAPSHOT: u8 = 23;
-    pub const DIR_RESYNCED: u8 = 24;
-    pub const DIR_CONFIRM: u8 = 25;
-    pub const HELLO: u8 = 26;
-    pub const DIR_SNAPSHOT_CHUNK: u8 = 27;
-    pub const DIR_RESYNC_DELTA: u8 = 28;
-    pub const PEER_FAILURE_NOTICE: u8 = 29;
-    pub const MEMBERSHIP_DIGEST: u8 = 30;
-    pub const PING: u8 = 31;
-    pub const ACK: u8 = 32;
-    pub const PING_REQ: u8 = 33;
+fn oversized(body_len: usize) -> FrameError {
+    FrameError::Malformed(format!("frame body of {body_len} bytes exceeds MAX_FRAME_BODY"))
 }
 
-/// Sub-tags selecting the [`ConfirmKind`] variant inside a `DirConfirm` frame.
-mod confirm_tags {
-    pub const LOCATION: u8 = 0;
-    pub const INLINE: u8 = 1;
-    pub const SUBSCRIPTION: u8 = 2;
-}
-
-/// Sub-tags selecting the [`DirOp`] variant inside a `DirReplicate` frame.
-mod op_tags {
-    pub const REGISTER: u8 = 0;
-    pub const PUT_INLINE: u8 = 1;
-    pub const UNREGISTER: u8 = 2;
-    pub const QUERY: u8 = 3;
-    pub const SUBSCRIBE: u8 = 4;
-    pub const UNSUBSCRIBE: u8 = 5;
-    pub const TRANSFER_DONE: u8 = 6;
-    pub const DELETE: u8 = 7;
-}
+/// Largest frame body either side accepts: sixteen default pipelining blocks, far
+/// above any frame the product builds (a block frame is one block plus ~60 header
+/// bytes; resync chunks are bounded by `snapshot_chunk_bytes`). The length prefix
+/// comes straight off the network, so [`FrameReader`] checks it against this before it
+/// sizes a receive slab, and the encoder refuses to build a longer frame so an honest
+/// sender fails loudly instead of being disconnected by its peer.
+pub const MAX_FRAME_BODY: usize = 64 * 1024 * 1024;
 
 // ---------------------------------------------------------- scatter-gather frames --
 
@@ -121,8 +81,8 @@ pub const GATHER_MIN_SEGMENT: usize = 4 * 1024;
 /// A wire frame encoded as scatter-gather parts: the length-prefixed `header` holds
 /// the tag and every fixed field, and `segments` holds the bulk payload as shared,
 /// zero-copy references (for a forwarded block: the very [`Bytes`] views sitting in
-/// the sender's `ProgressBuffer`, uncoalesced). Flattening `header ++ segments`
-/// yields byte-for-byte the frame [`encode_frame`] produces.
+/// the sender's `ProgressBuffer`, uncoalesced). The wire bytes are `header ++
+/// segments`.
 #[derive(Clone, Debug)]
 pub struct EncodedFrame {
     /// Length prefix, tag, and fixed fields (plus any payload bytes below the
@@ -154,23 +114,20 @@ impl EncodedFrame {
     }
 }
 
-/// Internal encode sink: an ordered list of parts, either owned contiguous runs or
-/// shared payload segments. With `gather` off every byte lands in one owned run (the
-/// legacy contiguous encoding); with `gather` on, payload segments at or above
-/// [`GATHER_MIN_SEGMENT`] are adopted by reference.
+/// Encode sink: an ordered list of parts, either owned contiguous runs or shared
+/// payload segments adopted by reference.
 enum Part {
     Owned(Vec<u8>),
     Shared(Bytes),
 }
 
 struct FrameWriter {
-    gather: bool,
     parts: Vec<Part>,
 }
 
 impl FrameWriter {
-    fn new(gather: bool) -> FrameWriter {
-        FrameWriter { gather, parts: vec![Part::Owned(Vec::new())] }
+    fn new() -> FrameWriter {
+        FrameWriter { parts: vec![Part::Owned(Vec::new())] }
     }
 
     /// The current owned run, extended after any shared segment.
@@ -193,43 +150,32 @@ impl FrameWriter {
     }
 
     /// Adopt a shared payload segment by reference, or copy it into the current run
-    /// when gathering is off / the segment is under the coalesce threshold. The copy
-    /// branch is the *only* place encode touches payload bytes, and it shows up in
-    /// the debug copy tally.
+    /// when it is under the coalesce threshold. The copy branch is the *only* place
+    /// encode touches payload bytes, and it shows up in the debug copy tally.
     fn put_shared(&mut self, segment: &Bytes) {
-        if self.gather && segment.len() >= GATHER_MIN_SEGMENT {
+        if segment.len() >= GATHER_MIN_SEGMENT {
             self.parts.push(Part::Shared(segment.clone()));
         } else {
-            hoplite_core::copytrace::record(segment.len());
+            copytrace::record(segment.len());
             self.put(segment);
         }
     }
 
-    fn body_len(&self) -> usize {
-        self.parts
+    /// Assemble a length-prefixed scatter-gather frame, refusing one whose body the
+    /// receiving [`FrameReader`] would reject.
+    fn into_frame(self) -> Result<EncodedFrame, FrameError> {
+        let body_len: usize = self
+            .parts
             .iter()
             .map(|p| match p {
                 Part::Owned(v) => v.len(),
                 Part::Shared(b) => b.len(),
             })
-            .sum()
-    }
-
-    /// The contiguous body (gather must be off: everything is one owned run).
-    fn into_contiguous(mut self) -> Vec<u8> {
-        debug_assert!(!self.gather);
-        debug_assert_eq!(self.parts.len(), 1);
-        match self.parts.pop() {
-            Some(Part::Owned(v)) => v,
-            _ => unreachable!("contiguous writer holds exactly one owned run"),
-        }
-    }
-
-    /// Assemble a length-prefixed scatter-gather frame.
-    fn into_frame(self) -> Result<EncodedFrame, FrameError> {
-        let body_len = self.body_len();
-        let len32 =
-            u32::try_from(body_len).map_err(|_| malformed("frame body exceeds u32 length"))?;
+            .sum();
+        let len32 = match u32::try_from(body_len) {
+            Ok(len) if body_len <= MAX_FRAME_BODY => len,
+            _ => return Err(oversized(body_len)),
+        };
         let mut iter = self.parts.into_iter();
         let first = match iter.next() {
             Some(Part::Owned(v)) => v,
@@ -248,497 +194,56 @@ impl FrameWriter {
     }
 }
 
-// ------------------------------------------------------------------ write helpers --
-
-fn put_opt_u64(out: &mut FrameWriter, v: Option<u64>) {
-    match v {
-        None => out.put_byte(0),
-        Some(v) => {
-            out.put_byte(1);
-            out.put(&v.to_be_bytes());
-        }
-    }
-}
-
-fn put_opt_node(out: &mut FrameWriter, v: Option<NodeId>) {
-    match v {
-        None => out.put_byte(0),
-        Some(n) => {
-            out.put_byte(1);
-            out.put(&n.0.to_be_bytes());
-        }
-    }
-}
-
-fn put_opt_object(out: &mut FrameWriter, v: Option<ObjectId>) {
-    match v {
-        None => out.put_byte(0),
-        Some(o) => {
-            out.put_byte(1);
-            out.put(&o.0);
-        }
-    }
-}
-
-fn put_digest(out: &mut FrameWriter, entries: &[(NodeId, u64, bool)]) {
-    put_u64(out, entries.len() as u64);
-    for (node, incarnation, alive) in entries {
-        put_node(out, *node);
-        put_u64(out, *incarnation);
-        put_bool(out, *alive);
-    }
-}
-
-fn put_gossip(out: &mut FrameWriter, entries: &[GossipEntry]) {
-    put_u64(out, entries.len() as u64);
-    for (node, incarnation, state) in entries {
-        put_node(out, *node);
-        put_u64(out, *incarnation);
-        put_u8(out, state.to_wire());
-    }
-}
-
-fn put_snapshot(out: &mut FrameWriter, state: &ShardSnapshot) {
-    put_u64(out, state.entries.len() as u64);
-    for e in &state.entries {
-        put_object(out, e.object);
-        put_opt_u64(out, e.size);
-        put_u64(out, e.locations.len() as u64);
-        for (holder, status, leased_to) in &e.locations {
-            put_node(out, *holder);
-            put_status(out, *status);
-            put_opt_node(out, *leased_to);
-        }
-        match &e.inline {
-            None => put_u8(out, 0),
-            Some(p) => {
-                put_u8(out, 1);
-                put_payload(out, p);
-            }
-        }
-        put_u64(out, e.pending.len() as u64);
-        for (requester, query_id, exclude) in &e.pending {
-            put_node(out, *requester);
-            put_u64(out, *query_id);
-            put_nodes(out, exclude);
-        }
-        put_u64(out, e.inline_stamp);
-        put_nodes(out, &e.subscribers);
-        put_u64(out, e.pulls.len() as u64);
-        for (receiver, sender) in &e.pulls {
-            put_node(out, *receiver);
-            put_node(out, *sender);
-        }
-        put_bool(out, e.deleted);
-    }
-}
-
-fn put_u8(out: &mut FrameWriter, v: u8) {
-    out.put_byte(v);
-}
-
-fn put_u32(out: &mut FrameWriter, v: u32) {
-    out.put(&v.to_be_bytes());
-}
-
-fn put_u64(out: &mut FrameWriter, v: u64) {
-    out.put(&v.to_be_bytes());
-}
-
-fn put_bool(out: &mut FrameWriter, v: bool) {
-    out.put_byte(u8::from(v));
-}
-
-fn put_object(out: &mut FrameWriter, object: ObjectId) {
-    out.put(&object.0);
-}
-
-fn put_node(out: &mut FrameWriter, node: NodeId) {
-    put_u32(out, node.0);
-}
-
-fn put_status(out: &mut FrameWriter, status: ObjectStatus) {
-    put_u8(
-        out,
-        match status {
-            ObjectStatus::Partial => 0,
-            ObjectStatus::Complete => 1,
-        },
-    );
-}
-
-fn put_spec(out: &mut FrameWriter, spec: ReduceSpec) {
-    put_u8(
-        out,
-        match spec.op {
-            ReduceOp::Sum => 0,
-            ReduceOp::Min => 1,
-            ReduceOp::Max => 2,
-        },
-    );
-    put_u8(
-        out,
-        match spec.dtype {
-            DType::F32 => 0,
-            DType::F64 => 1,
-            DType::I32 => 2,
-            DType::I64 => 3,
-        },
-    );
-}
-
-fn put_string(out: &mut FrameWriter, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.put(s.as_bytes());
-}
-
-fn put_nodes(out: &mut FrameWriter, nodes: &[NodeId]) {
-    put_u64(out, nodes.len() as u64);
-    for &n in nodes {
-        put_node(out, n);
-    }
-}
-
-/// Encode a payload: a kind byte, the total length, then the bytes. Real payloads —
-/// contiguous or segmented — produce identical wire bytes; under a gathering writer
-/// the segments ride as shared references instead of being copied, which is the whole
-/// point of the scatter-gather send path.
-fn put_payload(out: &mut FrameWriter, payload: &Payload) {
-    if payload.is_synthetic() {
-        put_u8(out, 1);
-        put_u64(out, payload.len());
-        return;
-    }
-    put_u8(out, 0);
-    put_u64(out, payload.len());
-    for segment in payload.segments() {
-        out.put_shared(segment);
-    }
-}
-
-fn put_dir_op(out: &mut FrameWriter, op: &DirOp) {
-    match op {
-        DirOp::Register { object, holder, status, size } => {
-            put_u8(out, op_tags::REGISTER);
-            put_object(out, *object);
-            put_node(out, *holder);
-            put_status(out, *status);
-            put_u64(out, *size);
-        }
-        DirOp::PutInline { object, holder, payload } => {
-            put_u8(out, op_tags::PUT_INLINE);
-            put_object(out, *object);
-            put_node(out, *holder);
-            put_payload(out, payload);
-        }
-        DirOp::Unregister { object, holder } => {
-            put_u8(out, op_tags::UNREGISTER);
-            put_object(out, *object);
-            put_node(out, *holder);
-        }
-        DirOp::Query { object, requester, query_id, exclude } => {
-            put_u8(out, op_tags::QUERY);
-            put_object(out, *object);
-            put_node(out, *requester);
-            put_u64(out, *query_id);
-            put_nodes(out, exclude);
-        }
-        DirOp::Subscribe { object, subscriber } => {
-            put_u8(out, op_tags::SUBSCRIBE);
-            put_object(out, *object);
-            put_node(out, *subscriber);
-        }
-        DirOp::Unsubscribe { object, subscriber } => {
-            put_u8(out, op_tags::UNSUBSCRIBE);
-            put_object(out, *object);
-            put_node(out, *subscriber);
-        }
-        DirOp::TransferDone { object, receiver, sender } => {
-            put_u8(out, op_tags::TRANSFER_DONE);
-            put_object(out, *object);
-            put_node(out, *receiver);
-            put_node(out, *sender);
-        }
-        DirOp::Delete { object } => {
-            put_u8(out, op_tags::DELETE);
-            put_object(out, *object);
-        }
-    }
-}
-
-// ------------------------------------------------------------------- read helpers --
-
 /// Bounds-checked cursor over a received frame body.
 ///
-/// The cursor borrows the frame as a shared [`Bytes`] buffer so payload fields decode
+/// The cursor borrows the frame as a shared [`Bytes`] buffer so block payloads decode
 /// as zero-copy sub-slices of the receive buffer instead of fresh allocations — the
 /// difference between ~1 GiB/s and encode-parity decode throughput on 4 MiB blocks
 /// (see `BENCH_NOTES.md`).
 struct Reader<'a> {
     buf: &'a Bytes,
     at: usize,
+    /// Whether payload bytes decode as shared views of `buf` (pinning it for as long
+    /// as they live) or as right-sized owned copies. Set from the frame's row in the
+    /// message table, never per call site.
+    alias_payloads: bool,
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a Bytes, at: usize) -> Reader<'a> {
-        Reader { buf, at }
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.at
     }
 
-    /// End offset of an `n`-byte read, or an error when it overflows or runs past the
-    /// frame (a corrupt or hostile length field must surface as `Malformed`, never as
-    /// an arithmetic panic — these bytes come straight off the network).
-    fn end_of(&self, n: usize) -> Result<usize, FrameError> {
+    /// The next `n` bytes. A length that overflows or runs past the frame surfaces as
+    /// `Malformed`, never as an arithmetic panic — these bytes come straight off the
+    /// network.
+    fn take(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
         match self.at.checked_add(n) {
-            Some(end) if end <= self.buf.len() => Ok(end),
+            Some(end) if end <= self.buf.len() => {
+                let slice = &self.buf.as_slice()[self.at..end];
+                self.at = end;
+                Ok(slice)
+            }
             _ => Err(malformed("truncated field")),
         }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
-        let end = self.end_of(n)?;
-        let slice = &self.buf.as_slice()[self.at..end];
-        self.at = end;
-        Ok(slice)
-    }
-
-    /// Take `n` bytes as a shared sub-slice of the frame (no copy).
-    fn take_shared(&mut self, n: usize) -> Result<Bytes, FrameError> {
-        let end = self.end_of(n)?;
-        let shared = self.buf.slice(self.at..end);
-        self.at = end;
-        Ok(shared)
-    }
-
-    fn u8(&mut self) -> Result<u8, FrameError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, FrameError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, FrameError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn usize_checked(&mut self) -> Result<usize, FrameError> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| malformed("length overflows usize"))
-    }
-
-    fn bool(&mut self) -> Result<bool, FrameError> {
-        Ok(self.u8()? != 0)
-    }
-
-    fn object(&mut self) -> Result<ObjectId, FrameError> {
-        Ok(ObjectId(self.take(16)?.try_into().expect("16 bytes")))
-    }
-
-    fn node(&mut self) -> Result<NodeId, FrameError> {
-        Ok(NodeId(self.u32()?))
-    }
-
-    fn status(&mut self) -> Result<ObjectStatus, FrameError> {
-        match self.u8()? {
-            0 => Ok(ObjectStatus::Partial),
-            1 => Ok(ObjectStatus::Complete),
-            other => Err(malformed(&format!("unknown object status {other}"))),
-        }
-    }
-
-    fn spec(&mut self) -> Result<ReduceSpec, FrameError> {
-        let op = match self.u8()? {
-            0 => ReduceOp::Sum,
-            1 => ReduceOp::Min,
-            2 => ReduceOp::Max,
-            other => return Err(malformed(&format!("unknown reduce op {other}"))),
-        };
-        let dtype = match self.u8()? {
-            0 => DType::F32,
-            1 => DType::F64,
-            2 => DType::I32,
-            3 => DType::I64,
-            other => return Err(malformed(&format!("unknown dtype {other}"))),
-        };
-        Ok(ReduceSpec { op, dtype })
-    }
-
-    fn string(&mut self) -> Result<String, FrameError> {
-        let len = self.usize_checked()?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| malformed("invalid utf-8 string"))
-    }
-
-    fn nodes(&mut self) -> Result<Vec<NodeId>, FrameError> {
-        let len = self.usize_checked()?;
-        if len > self.buf.len() {
-            return Err(malformed("node list longer than frame"));
-        }
-        (0..len).map(|_| self.node()).collect()
-    }
-
-    fn payload(&mut self) -> Result<Payload, FrameError> {
-        match self.u8()? {
-            0 => {
-                let len = self.usize_checked()?;
-                Ok(Payload::Bytes(self.take_shared(len)?))
-            }
-            1 => Ok(Payload::synthetic(self.u64()?)),
-            other => Err(malformed(&format!("unknown payload kind {other}"))),
-        }
-    }
-
-    fn opt_u64(&mut self) -> Result<Option<u64>, FrameError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            other => Err(malformed(&format!("unknown option flag {other}"))),
-        }
-    }
-
-    fn opt_node(&mut self) -> Result<Option<NodeId>, FrameError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.node()?)),
-            other => Err(malformed(&format!("unknown option flag {other}"))),
-        }
-    }
-
-    fn opt_object(&mut self) -> Result<Option<ObjectId>, FrameError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.object()?)),
-            other => Err(malformed(&format!("unknown option flag {other}"))),
-        }
-    }
-
-    fn digest(&mut self) -> Result<Vec<(NodeId, u64, bool)>, FrameError> {
-        // Minimum per entry: 4 node + 8 incarnation + 1 alive flag.
-        let n = self.count(13)?;
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            entries.push((self.node()?, self.u64()?, self.bool()?));
-        }
-        Ok(entries)
-    }
-
-    fn gossip(&mut self) -> Result<Vec<GossipEntry>, FrameError> {
-        // Minimum per entry: 4 node + 8 incarnation + 1 state byte.
-        let n = self.count(13)?;
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            let node = self.node()?;
-            let incarnation = self.u64()?;
-            let raw = self.u8()?;
-            let state = GossipState::from_wire(raw)
-                .ok_or_else(|| malformed(&format!("unknown gossip state {raw}")))?;
-            entries.push((node, incarnation, state));
-        }
-        Ok(entries)
-    }
-
-    /// Bounds-check a count field against the *remaining* frame bytes, scaled by the
-    /// minimum wire size of one element, before the caller reserves — so a corrupt
-    /// or hostile count cannot drive a huge `Vec::with_capacity` (a count of `n`
-    /// elements that each need at least `min_elem` encoded bytes cannot be honest
-    /// unless `n * min_elem` bytes are actually left in the frame).
-    fn count(&mut self, min_elem: usize) -> Result<usize, FrameError> {
-        let n = self.usize_checked()?;
-        let remaining = self.buf.len() - self.at;
-        match n.checked_mul(min_elem.max(1)) {
-            Some(needed) if needed <= remaining => Ok(n),
-            _ => Err(malformed("list longer than frame")),
-        }
-    }
-
-    fn snapshot(&mut self) -> Result<ShardSnapshot, FrameError> {
-        // Minimum encoded sizes: entry = 16 object + 1 size flag + 3×8 counts +
-        // 1 inline flag + 8 inline stamp + 1 deleted + 8 subscriber count;
-        // location = 4 node + 1 status + 1 lease flag; pending = 4 node + 8 id +
-        // 8 count; pull = 2×4.
-        let num_entries = self.count(59)?;
-        let mut entries = Vec::with_capacity(num_entries);
-        for _ in 0..num_entries {
-            let object = self.object()?;
-            let size = self.opt_u64()?;
-            let num_locations = self.count(6)?;
-            let mut locations = Vec::with_capacity(num_locations);
-            for _ in 0..num_locations {
-                locations.push((self.node()?, self.status()?, self.opt_node()?));
-            }
-            let inline = match self.u8()? {
-                0 => None,
-                1 => Some(self.payload()?),
-                other => return Err(malformed(&format!("unknown inline flag {other}"))),
-            };
-            let num_pending = self.count(20)?;
-            let mut pending = Vec::with_capacity(num_pending);
-            for _ in 0..num_pending {
-                pending.push((self.node()?, self.u64()?, self.nodes()?));
-            }
-            let inline_stamp = self.u64()?;
-            let subscribers = self.nodes()?;
-            let num_pulls = self.count(8)?;
-            let mut pulls = Vec::with_capacity(num_pulls);
-            for _ in 0..num_pulls {
-                pulls.push((self.node()?, self.node()?));
-            }
-            let deleted = self.bool()?;
-            entries.push(SnapshotEntry {
-                object,
-                size,
-                locations,
-                inline,
-                inline_stamp,
-                pending,
-                subscribers,
-                pulls,
-                deleted,
-            });
-        }
-        Ok(ShardSnapshot { entries })
-    }
-
-    fn dir_op(&mut self) -> Result<DirOp, FrameError> {
-        match self.u8()? {
-            op_tags::REGISTER => Ok(DirOp::Register {
-                object: self.object()?,
-                holder: self.node()?,
-                status: self.status()?,
-                size: self.u64()?,
-            }),
-            op_tags::PUT_INLINE => Ok(DirOp::PutInline {
-                object: self.object()?,
-                holder: self.node()?,
-                payload: self.payload()?,
-            }),
-            op_tags::UNREGISTER => {
-                Ok(DirOp::Unregister { object: self.object()?, holder: self.node()? })
-            }
-            op_tags::QUERY => Ok(DirOp::Query {
-                object: self.object()?,
-                requester: self.node()?,
-                query_id: self.u64()?,
-                exclude: self.nodes()?,
-            }),
-            op_tags::SUBSCRIBE => {
-                Ok(DirOp::Subscribe { object: self.object()?, subscriber: self.node()? })
-            }
-            op_tags::UNSUBSCRIBE => {
-                Ok(DirOp::Unsubscribe { object: self.object()?, subscriber: self.node()? })
-            }
-            op_tags::TRANSFER_DONE => Ok(DirOp::TransferDone {
-                object: self.object()?,
-                receiver: self.node()?,
-                sender: self.node()?,
-            }),
-            op_tags::DELETE => Ok(DirOp::Delete { object: self.object()? }),
-            other => Err(malformed(&format!("unknown directory op tag {other}"))),
+    /// The next `n` bytes as payload contents: a shared sub-slice of the frame when
+    /// this frame's payload may alias it (no copy), otherwise an owned copy exactly
+    /// `n` bytes long, recorded in the debug copy tally.
+    fn take_payload(&mut self, n: usize) -> Result<Bytes, FrameError> {
+        let start = self.at;
+        let bytes = self.take(n)?;
+        if self.alias_payloads {
+            Ok(self.buf.slice(start..self.at))
+        } else {
+            copytrace::record(n);
+            Ok(Bytes::copy_from_slice(bytes))
         }
     }
 
     fn finish(self) -> Result<(), FrameError> {
-        if self.at == self.buf.len() {
+        if self.remaining() == 0 {
             Ok(())
         } else {
             Err(malformed("trailing bytes after message"))
@@ -746,502 +251,400 @@ impl<'a> Reader<'a> {
     }
 }
 
-// ------------------------------------------------------------------------- encode --
+// ------------------------------------------------------------------- field types --
 
-/// Encode a message body (without the outer length prefix) as one contiguous buffer.
-/// This is the legacy path — it memcpys bulk payloads into the result; the send path
-/// uses [`encode_frame_vectored`], which does not.
-pub fn encode_body(msg: &Message) -> Result<Vec<u8>, FrameError> {
-    let mut w = FrameWriter::new(false);
-    encode_message(msg, &mut w);
-    Ok(w.into_contiguous())
+/// How one field type rides the wire. Implemented once per type; a message is a tag
+/// plus a sequence of such fields (see `wire_enum!`), so no message has encode or
+/// decode code of its own.
+trait Wire: Sized {
+    /// Fewest bytes any value of this type encodes to. A list announcing `n` elements
+    /// is rejected unless `n * MIN_LEN` bytes are actually left in the frame, so a
+    /// corrupt or hostile count cannot drive a huge `Vec::with_capacity`.
+    const MIN_LEN: usize;
+    /// Append the encoding of `self`.
+    fn put(&self, out: &mut FrameWriter);
+    /// Consume one value from the cursor, or say why the bytes there are not one.
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError>;
 }
 
-/// Write one message into a frame writer (shared by the contiguous and the
-/// scatter-gather entry points, so the two encodings agree byte for byte).
-fn encode_message(msg: &Message, out: &mut FrameWriter) {
-    match msg {
-        Message::PushBlock { object, offset, total_size, payload, complete } => {
-            put_u8(out, tags::PUSH_BLOCK);
-            put_object(out, *object);
-            put_u64(out, *offset);
-            put_u64(out, *total_size);
-            put_bool(out, *complete);
-            put_payload(out, payload);
-        }
-        Message::ReduceBlock {
-            target,
-            to_slot,
-            from_slot,
-            parent_epoch,
-            block_index,
-            object_size,
-            payload,
-        } => {
-            put_u8(out, tags::REDUCE_BLOCK);
-            put_object(out, *target);
-            put_u64(out, *to_slot as u64);
-            put_u64(out, *from_slot as u64);
-            put_u64(out, *parent_epoch);
-            put_u64(out, *block_index);
-            put_u64(out, *object_size);
-            put_payload(out, payload);
-        }
-        Message::DirRegister { object, holder, status, size } => {
-            put_u8(out, tags::DIR_REGISTER);
-            put_object(out, *object);
-            put_node(out, *holder);
-            put_status(out, *status);
-            put_u64(out, *size);
-        }
-        Message::DirPutInline { object, holder, payload } => {
-            put_u8(out, tags::DIR_PUT_INLINE);
-            put_object(out, *object);
-            put_node(out, *holder);
-            put_payload(out, payload);
-        }
-        Message::DirUnregister { object, holder } => {
-            put_u8(out, tags::DIR_UNREGISTER);
-            put_object(out, *object);
-            put_node(out, *holder);
-        }
-        Message::DirQuery { object, requester, query_id, exclude } => {
-            put_u8(out, tags::DIR_QUERY);
-            put_object(out, *object);
-            put_node(out, *requester);
-            put_u64(out, *query_id);
-            put_nodes(out, exclude);
-        }
-        Message::DirQueryReply { object, query_id, result } => {
-            put_u8(out, tags::DIR_QUERY_REPLY);
-            put_object(out, *object);
-            put_u64(out, *query_id);
-            match result {
-                QueryResult::Inline { payload } => {
-                    put_u8(out, 0);
-                    put_payload(out, payload);
-                }
-                QueryResult::Location { node, status, size } => {
-                    put_u8(out, 1);
-                    put_node(out, *node);
-                    put_status(out, *status);
-                    put_u64(out, *size);
-                }
-                QueryResult::Deleted => put_u8(out, 2),
+macro_rules! wire_int {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            const MIN_LEN: usize = std::mem::size_of::<$t>();
+            fn put(&self, out: &mut FrameWriter) {
+                out.put(&self.to_be_bytes());
+            }
+            fn get(r: &mut Reader<'_>) -> Result<$t, FrameError> {
+                let bytes = r.take(Self::MIN_LEN)?.try_into().expect("MIN_LEN bytes were taken");
+                Ok(<$t>::from_be_bytes(bytes))
             }
         }
-        Message::DirSubscribe { object, subscriber } => {
-            put_u8(out, tags::DIR_SUBSCRIBE);
-            put_object(out, *object);
-            put_node(out, *subscriber);
+    )*};
+}
+wire_int!(u8, u32, u64);
+
+/// Counts, slots and lengths travel as `u64` whatever the platform's word size.
+impl Wire for usize {
+    const MIN_LEN: usize = u64::MIN_LEN;
+    fn put(&self, out: &mut FrameWriter) {
+        (*self as u64).put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<usize, FrameError> {
+        usize::try_from(u64::get(r)?).map_err(|_| malformed("length overflows usize"))
+    }
+}
+
+impl Wire for bool {
+    const MIN_LEN: usize = 1;
+    fn put(&self, out: &mut FrameWriter) {
+        out.put_byte(u8::from(*self));
+    }
+    fn get(r: &mut Reader<'_>) -> Result<bool, FrameError> {
+        Ok(u8::get(r)? != 0)
+    }
+}
+
+impl Wire for NodeId {
+    const MIN_LEN: usize = u32::MIN_LEN;
+    fn put(&self, out: &mut FrameWriter) {
+        self.0.put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<NodeId, FrameError> {
+        Ok(NodeId(u32::get(r)?))
+    }
+}
+
+impl Wire for ObjectId {
+    const MIN_LEN: usize = 16;
+    fn put(&self, out: &mut FrameWriter) {
+        out.put(&self.0);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<ObjectId, FrameError> {
+        Ok(ObjectId(r.take(Self::MIN_LEN)?.try_into().expect("MIN_LEN bytes were taken")))
+    }
+}
+
+impl Wire for GossipState {
+    const MIN_LEN: usize = 1;
+    fn put(&self, out: &mut FrameWriter) {
+        out.put_byte(self.to_wire());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<GossipState, FrameError> {
+        let raw = u8::get(r)?;
+        GossipState::from_wire(raw).ok_or_else(|| malformed(&format!("unknown gossip state {raw}")))
+    }
+}
+
+impl Wire for String {
+    const MIN_LEN: usize = usize::MIN_LEN;
+    fn put(&self, out: &mut FrameWriter) {
+        self.len().put(out);
+        out.put(self.as_bytes());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<String, FrameError> {
+        let len = usize::get(r)?;
+        String::from_utf8(r.take(len)?.to_vec()).map_err(|_| malformed("invalid utf-8 string"))
+    }
+}
+
+/// A payload is a kind byte, the total length, then the bytes. Real payloads —
+/// contiguous or segmented — produce identical wire bytes, and their segments ride as
+/// shared references instead of being copied, which is the whole point of the
+/// scatter-gather send path. Whether the decoded bytes alias the frame is the frame's
+/// property, not the field's: see `Reader::take_payload`.
+impl Wire for Payload {
+    const MIN_LEN: usize = 1 + u64::MIN_LEN;
+    fn put(&self, out: &mut FrameWriter) {
+        out.put_byte(u8::from(self.is_synthetic()));
+        self.len().put(out);
+        for segment in self.segments() {
+            out.put_shared(segment);
         }
-        Message::DirUnsubscribe { object, subscriber } => {
-            put_u8(out, tags::DIR_UNSUBSCRIBE);
-            put_object(out, *object);
-            put_node(out, *subscriber);
-        }
-        Message::DirReplicate { shard, epoch, seq, op } => {
-            put_u8(out, tags::DIR_REPLICATE);
-            put_u64(out, *shard);
-            put_u64(out, *epoch);
-            put_u64(out, *seq);
-            put_dir_op(out, op);
-        }
-        Message::DirAck { shard, epoch, seq } => {
-            put_u8(out, tags::DIR_ACK);
-            put_u64(out, *shard);
-            put_u64(out, *epoch);
-            put_u64(out, *seq);
-        }
-        Message::DirSnapshotRequest {
-            shard,
-            requester,
-            restart,
-            after,
-            have_epoch,
-            have_seq,
-            digest,
-        } => {
-            put_u8(out, tags::DIR_SNAPSHOT_REQUEST);
-            put_u64(out, *shard);
-            put_node(out, *requester);
-            put_bool(out, *restart);
-            put_opt_object(out, *after);
-            put_u64(out, *have_epoch);
-            put_u64(out, *have_seq);
-            put_digest(out, digest);
-        }
-        Message::DirSnapshot { shard, epoch, seq, rank, state } => {
-            put_u8(out, tags::DIR_SNAPSHOT);
-            put_u64(out, *shard);
-            put_u64(out, *epoch);
-            put_u64(out, *seq);
-            put_u64(out, *rank);
-            put_snapshot(out, state);
-        }
-        Message::DirSnapshotChunk { shard, epoch, seq, rank, done, state } => {
-            put_u8(out, tags::DIR_SNAPSHOT_CHUNK);
-            put_u64(out, *shard);
-            put_u64(out, *epoch);
-            put_u64(out, *seq);
-            put_u64(out, *rank);
-            put_bool(out, *done);
-            put_snapshot(out, state);
-        }
-        Message::DirResyncDelta { shard, epoch, ops, done } => {
-            put_u8(out, tags::DIR_RESYNC_DELTA);
-            put_u64(out, *shard);
-            put_u64(out, *epoch);
-            put_u64(out, ops.len() as u64);
-            for (seq, op) in ops {
-                put_u64(out, *seq);
-                put_dir_op(out, op);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Payload, FrameError> {
+        match u8::get(r)? {
+            0 => {
+                let len = usize::get(r)?;
+                Ok(Payload::Bytes(r.take_payload(len)?))
             }
-            put_bool(out, *done);
-        }
-        Message::DirResynced { node, incarnation } => {
-            put_u8(out, tags::DIR_RESYNCED);
-            put_node(out, *node);
-            put_u64(out, *incarnation);
-        }
-        Message::DirConfirm { object, kind } => {
-            put_u8(out, tags::DIR_CONFIRM);
-            put_object(out, *object);
-            match kind {
-                ConfirmKind::Location { status } => {
-                    put_u8(out, confirm_tags::LOCATION);
-                    put_status(out, *status);
-                }
-                ConfirmKind::Inline => put_u8(out, confirm_tags::INLINE),
-                ConfirmKind::Subscription => put_u8(out, confirm_tags::SUBSCRIPTION),
-            }
-        }
-        Message::DirPublish { object, holder, status, size } => {
-            put_u8(out, tags::DIR_PUBLISH);
-            put_object(out, *object);
-            put_node(out, *holder);
-            put_status(out, *status);
-            put_u64(out, *size);
-        }
-        Message::DirTransferDone { object, receiver, sender } => {
-            put_u8(out, tags::DIR_TRANSFER_DONE);
-            put_object(out, *object);
-            put_node(out, *receiver);
-            put_node(out, *sender);
-        }
-        Message::DirDelete { object } => {
-            put_u8(out, tags::DIR_DELETE);
-            put_object(out, *object);
-        }
-        Message::StoreRelease { object } => {
-            put_u8(out, tags::STORE_RELEASE);
-            put_object(out, *object);
-        }
-        Message::PullRequest { object, requester, offset } => {
-            put_u8(out, tags::PULL_REQUEST);
-            put_object(out, *object);
-            put_node(out, *requester);
-            put_u64(out, *offset);
-        }
-        Message::PullCancel { object, requester } => {
-            put_u8(out, tags::PULL_CANCEL);
-            put_object(out, *object);
-            put_node(out, *requester);
-        }
-        Message::PullError { object, reason } => {
-            put_u8(out, tags::PULL_ERROR);
-            put_object(out, *object);
-            put_string(out, reason);
-        }
-        Message::ReduceInstruction(instr) => {
-            put_u8(out, tags::REDUCE_INSTRUCTION);
-            put_object(out, instr.target);
-            put_node(out, instr.coordinator);
-            put_u64(out, instr.slot as u64);
-            put_object(out, instr.own_object);
-            put_spec(out, instr.spec);
-            put_u64(out, instr.object_size);
-            put_u64(out, instr.block_size);
-            put_u64(out, instr.num_inputs as u64);
-            put_u64(out, instr.epoch);
-            match &instr.parent {
-                None => put_u8(out, 0),
-                Some(p) => {
-                    put_u8(out, 1);
-                    put_u64(out, p.slot as u64);
-                    put_node(out, p.node);
-                    put_u64(out, p.epoch);
-                }
-            }
-            put_u64(out, instr.children.len() as u64);
-            for (slot, node, object) in &instr.children {
-                put_u64(out, *slot as u64);
-                put_node(out, *node);
-                put_object(out, *object);
-            }
-            put_bool(out, instr.is_root);
-            put_u64(out, instr.total_slots as u64);
-        }
-        Message::ReduceDone { target, root } => {
-            put_u8(out, tags::REDUCE_DONE);
-            put_object(out, *target);
-            put_node(out, *root);
-        }
-        Message::ReduceRelease { target } => {
-            put_u8(out, tags::REDUCE_RELEASE);
-            put_object(out, *target);
-        }
-        Message::PeerFailureNotice { node, incarnation } => {
-            put_u8(out, tags::PEER_FAILURE_NOTICE);
-            put_node(out, *node);
-            put_u64(out, *incarnation);
-        }
-        Message::MembershipDigest { entries } => {
-            put_u8(out, tags::MEMBERSHIP_DIGEST);
-            put_digest(out, entries);
-        }
-        Message::Hello { node, incarnation } => {
-            put_u8(out, tags::HELLO);
-            put_node(out, *node);
-            put_u64(out, *incarnation);
-        }
-        Message::Ping { origin, probe_id, gossip } => {
-            put_u8(out, tags::PING);
-            put_node(out, *origin);
-            put_u64(out, *probe_id);
-            put_gossip(out, gossip);
-        }
-        Message::Ack { probe_id, gossip } => {
-            put_u8(out, tags::ACK);
-            put_u64(out, *probe_id);
-            put_gossip(out, gossip);
-        }
-        Message::PingReq { target, probe_id, gossip } => {
-            put_u8(out, tags::PING_REQ);
-            put_node(out, *target);
-            put_u64(out, *probe_id);
-            put_gossip(out, gossip);
+            1 => Ok(Payload::synthetic(u64::get(r)?)),
+            other => Err(malformed(&format!("unknown payload kind {other}"))),
         }
     }
 }
 
-// ------------------------------------------------------------------------- decode --
+impl<T: Wire> Wire for Option<T> {
+    const MIN_LEN: usize = 1;
+    fn put(&self, out: &mut FrameWriter) {
+        out.put_byte(u8::from(self.is_some()));
+        if let Some(v) = self {
+            v.put(out);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Option<T>, FrameError> {
+        match u8::get(r)? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(r)?)),
+            other => Err(malformed(&format!("unknown option flag {other}"))),
+        }
+    }
+}
 
-/// Decode a message body produced by [`encode_body`].
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_LEN: usize = usize::MIN_LEN;
+    fn put(&self, out: &mut FrameWriter) {
+        self.len().put(out);
+        for item in self {
+            item.put(out);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Vec<T>, FrameError> {
+        let n = usize::get(r)?;
+        // `n` honest elements need at least `n * MIN_LEN` of the bytes still unread;
+        // check before reserving for them.
+        match n.checked_mul(T::MIN_LEN) {
+            Some(needed) if needed <= r.remaining() => {}
+            _ => return Err(malformed("list longer than frame")),
+        }
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(T::get(r)?);
+        }
+        Ok(items)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_LEN: usize = A::MIN_LEN + B::MIN_LEN;
+    fn put(&self, out: &mut FrameWriter) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<(A, B), FrameError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    const MIN_LEN: usize = A::MIN_LEN + B::MIN_LEN + C::MIN_LEN;
+    fn put(&self, out: &mut FrameWriter) {
+        self.0.put(out);
+        self.1.put(out);
+        self.2.put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<(A, B, C), FrameError> {
+        Ok((A::get(r)?, B::get(r)?, C::get(r)?))
+    }
+}
+
+/// A struct rides the wire as its fields in the order listed here (which is the wire
+/// order, not necessarily the declaration order); `MIN_LEN` is the sum of theirs.
+macro_rules! wire_struct {
+    ($ty:ident { $($field:ident: $t:ty),* $(,)? }) => {
+        impl Wire for $ty {
+            const MIN_LEN: usize = 0 $(+ <$t as Wire>::MIN_LEN)*;
+            fn put(&self, out: &mut FrameWriter) {
+                $(self.$field.put(out);)*
+            }
+            fn get(r: &mut Reader<'_>) -> Result<$ty, FrameError> {
+                Ok($ty { $($field: <$t as Wire>::get(r)?),* })
+            }
+        }
+    };
+}
+
+/// An enum rides the wire as one tag byte, then the chosen variant's fields in the
+/// order its row lists them (types come from the variant's declaration). Each variant
+/// is named in exactly one row, and both directions are derived from it. `min` is a
+/// lower bound on the encoded size (the tag plus whatever every variant carries).
 ///
-/// The body is taken as a shared [`Bytes`] buffer so bulk payloads (`PushBlock`,
-/// `ReduceBlock`, inline objects) decode as zero-copy views into it; callers that own
-/// a `Vec<u8>` convert with `Bytes::from(vec)` (free) rather than re-allocating.
+/// The second form is for the message table: a row may end in `aliases_slab`, and the
+/// named function reports that mark per tag.
+macro_rules! wire_enum {
+    ($ty:ident as $what:literal, min $min:expr, {
+        $($tag:literal => $variant:ident $fields:tt),* $(,)?
+    }) => {
+        impl Wire for $ty {
+            const MIN_LEN: usize = $min;
+            fn put(&self, out: &mut FrameWriter) {
+                match self {$(
+                    wire_enum!(@pattern $ty $variant $fields) => {
+                        out.put_byte($tag);
+                        wire_enum!(@put out $fields);
+                    }
+                )*}
+            }
+            fn get(r: &mut Reader<'_>) -> Result<$ty, FrameError> {
+                match u8::get(r)? {
+                    $($tag => Ok(wire_enum!(@get r $ty $variant $fields)),)*
+                    other => {
+                        Err(malformed(&format!(concat!("unknown ", $what, " {}"), other)))
+                    }
+                }
+            }
+        }
+    };
+    ($ty:ident as $what:literal, min $min:expr, marks by $marked:ident, {
+        $($tag:literal => $variant:ident $fields:tt $($mark:ident)?),* $(,)?
+    }) => {
+        wire_enum!($ty as $what, min $min, { $($tag => $variant $fields),* });
+        fn $marked(tag: u8) -> bool {
+            match tag {
+                $($tag => wire_enum!(@marked $($mark)?),)*
+                _ => false,
+            }
+        }
+    };
+    // A row's fields are `{ a, b, .. }` (`{}` for a unit variant) or `(inner)`.
+    (@pattern $ty:ident $variant:ident { $($field:ident),* }) => {
+        $ty::$variant { $($field),* }
+    };
+    (@pattern $ty:ident $variant:ident ($inner:ident)) => { $ty::$variant($inner) };
+    (@put $out:ident { $($field:ident),* }) => { $($field.put($out);)* };
+    (@put $out:ident ($inner:ident)) => { $inner.put($out) };
+    (@get $r:ident $ty:ident $variant:ident { $($field:ident),* }) => {
+        $ty::$variant { $($field: Wire::get($r)?),* }
+    };
+    (@get $r:ident $ty:ident $variant:ident ($inner:ident)) => {
+        $ty::$variant(Wire::get($r)?)
+    };
+    (@marked) => { false };
+    (@marked aliases_slab) => { true };
+}
+
+wire_enum!(ObjectStatus as "object status", min 1, { 0 => Partial {}, 1 => Complete {} });
+wire_enum!(ReduceOp as "reduce op", min 1, { 0 => Sum {}, 1 => Min {}, 2 => Max {} });
+wire_enum!(DType as "dtype", min 1, { 0 => F32 {}, 1 => F64 {}, 2 => I32 {}, 3 => I64 {} });
+wire_struct!(ReduceSpec { op: ReduceOp, dtype: DType });
+
+wire_struct!(ReduceParent { slot: usize, node: NodeId, epoch: u64 });
+wire_struct!(ReduceInstruction {
+    target: ObjectId,
+    coordinator: NodeId,
+    slot: usize,
+    own_object: ObjectId,
+    spec: ReduceSpec,
+    object_size: u64,
+    block_size: u64,
+    num_inputs: usize,
+    epoch: u64,
+    parent: Option<ReduceParent>,
+    children: Vec<(usize, NodeId, ObjectId)>,
+    is_root: bool,
+    total_slots: usize,
+});
+
+wire_struct!(SnapshotEntry {
+    object: ObjectId,
+    size: Option<u64>,
+    locations: Vec<(NodeId, ObjectStatus, Option<NodeId>)>,
+    inline: Option<Payload>,
+    pending: Vec<(NodeId, u64, Vec<NodeId>)>,
+    inline_stamp: u64,
+    subscribers: Vec<NodeId>,
+    pulls: Vec<(NodeId, NodeId)>,
+    deleted: bool,
+});
+wire_struct!(ShardSnapshot { entries: Vec<SnapshotEntry> });
+
+wire_enum!(QueryResult as "query result", min 1, {
+    0 => Inline { payload },
+    1 => Location { node, status, size },
+    2 => Deleted {},
+});
+
+wire_enum!(ConfirmKind as "confirm kind", min 1, {
+    0 => Location { status },
+    1 => Inline {},
+    2 => Subscription {},
+});
+
+// Every op names its object, so that much is always on the wire after the tag.
+wire_enum!(DirOp as "directory op tag", min 1 + ObjectId::MIN_LEN, {
+    0 => Register { object, holder, status, size },
+    1 => PutInline { object, holder, payload },
+    2 => Unregister { object, holder },
+    3 => Query { object, requester, query_id, exclude },
+    4 => Subscribe { object, subscriber },
+    5 => Unsubscribe { object, subscriber },
+    6 => TransferDone { object, receiver, sender },
+    7 => Delete { object },
+});
+
+// ----------------------------------------------------------------- message table --
+//
+// The protocol, one row per message: tag, variant, fields in wire order. Tags are
+// stable (1 and 2 are the bulk blocks; control tags follow in the order they were
+// added). A row marked `aliases_slab` decodes its payload as a view into the receive
+// buffer — zero-copy, but the buffer stays pinned until the consumer drops the view —
+// and is reserved for the block frames, whose payloads are large and go straight into
+// the store. Every other payload (inline objects in directory writes, query replies,
+// replicated ops and resync entries) decodes into a right-sized owned copy, so a
+// small frame can never pin a 4 MiB slab.
+//
+// `payload_aliases_slab(tag)` is that mark, read by `decode_body`.
+wire_enum!(Message as "frame tag", min 1, marks by payload_aliases_slab, {
+    1 => PushBlock { object, offset, total_size, complete, payload } aliases_slab,
+    2 => ReduceBlock {
+        target, to_slot, from_slot, parent_epoch, block_index, object_size, payload
+    } aliases_slab,
+    3 => DirRegister { object, holder, status, size },
+    4 => DirPutInline { object, holder, payload },
+    5 => DirUnregister { object, holder },
+    6 => DirQuery { object, requester, query_id, exclude },
+    7 => DirQueryReply { object, query_id, result },
+    8 => DirSubscribe { object, subscriber },
+    9 => DirPublish { object, holder, status, size },
+    10 => DirTransferDone { object, receiver, sender },
+    11 => DirDelete { object },
+    12 => StoreRelease { object },
+    13 => PullRequest { object, requester, offset },
+    14 => PullCancel { object, requester },
+    15 => PullError { object, reason },
+    16 => ReduceInstruction(instruction),
+    17 => ReduceDone { target, root },
+    18 => DirUnsubscribe { object, subscriber },
+    19 => DirReplicate { shard, epoch, seq, op },
+    20 => ReduceRelease { target },
+    21 => DirAck { shard, epoch, seq },
+    22 => DirSnapshotRequest { shard, requester, restart, after, have_epoch, have_seq, digest },
+    23 => DirSnapshot { shard, epoch, seq, rank, state },
+    24 => DirResynced { node, incarnation },
+    25 => DirConfirm { object, kind },
+    26 => Hello { node, incarnation },
+    27 => DirSnapshotChunk { shard, epoch, seq, rank, done, state },
+    28 => DirResyncDelta { shard, epoch, ops, done },
+    29 => PeerFailureNotice { node, incarnation },
+    30 => MembershipDigest { entries },
+    31 => Ping { origin, probe_id, gossip },
+    32 => Ack { probe_id, gossip },
+    33 => PingReq { target, probe_id, gossip },
+});
+
+// ---------------------------------------------------------------- encode / decode --
+
+/// Decode a frame body (everything after the length prefix).
+///
+/// The body is taken as a shared [`Bytes`] buffer so block payloads (`PushBlock`,
+/// `ReduceBlock`) decode as zero-copy views into it; every other payload is copied
+/// out, so only block frames keep `buf` alive. Callers that own a `Vec<u8>` convert
+/// with `Bytes::from(vec)` rather than re-allocating.
 pub fn decode_body(buf: &Bytes) -> Result<Message, FrameError> {
     let tag = *buf.first().ok_or_else(|| malformed("empty frame"))?;
-    let mut r = Reader::new(buf, 1);
-    let msg = match tag {
-        tags::PUSH_BLOCK => Message::PushBlock {
-            object: r.object()?,
-            offset: r.u64()?,
-            total_size: r.u64()?,
-            complete: r.bool()?,
-            payload: r.payload()?,
-        },
-        tags::REDUCE_BLOCK => Message::ReduceBlock {
-            target: r.object()?,
-            to_slot: r.usize_checked()?,
-            from_slot: r.usize_checked()?,
-            parent_epoch: r.u64()?,
-            block_index: r.u64()?,
-            object_size: r.u64()?,
-            payload: r.payload()?,
-        },
-        tags::DIR_REGISTER => Message::DirRegister {
-            object: r.object()?,
-            holder: r.node()?,
-            status: r.status()?,
-            size: r.u64()?,
-        },
-        tags::DIR_PUT_INLINE => {
-            Message::DirPutInline { object: r.object()?, holder: r.node()?, payload: r.payload()? }
-        }
-        tags::DIR_UNREGISTER => Message::DirUnregister { object: r.object()?, holder: r.node()? },
-        tags::DIR_QUERY => Message::DirQuery {
-            object: r.object()?,
-            requester: r.node()?,
-            query_id: r.u64()?,
-            exclude: r.nodes()?,
-        },
-        tags::DIR_QUERY_REPLY => {
-            let object = r.object()?;
-            let query_id = r.u64()?;
-            let result = match r.u8()? {
-                0 => QueryResult::Inline { payload: r.payload()? },
-                1 => QueryResult::Location { node: r.node()?, status: r.status()?, size: r.u64()? },
-                2 => QueryResult::Deleted,
-                other => return Err(malformed(&format!("unknown query result {other}"))),
-            };
-            Message::DirQueryReply { object, query_id, result }
-        }
-        tags::DIR_SUBSCRIBE => Message::DirSubscribe { object: r.object()?, subscriber: r.node()? },
-        tags::DIR_UNSUBSCRIBE => {
-            Message::DirUnsubscribe { object: r.object()?, subscriber: r.node()? }
-        }
-        tags::DIR_REPLICATE => Message::DirReplicate {
-            shard: r.u64()?,
-            epoch: r.u64()?,
-            seq: r.u64()?,
-            op: r.dir_op()?,
-        },
-        tags::DIR_ACK => Message::DirAck { shard: r.u64()?, epoch: r.u64()?, seq: r.u64()? },
-        tags::DIR_SNAPSHOT_REQUEST => Message::DirSnapshotRequest {
-            shard: r.u64()?,
-            requester: r.node()?,
-            restart: r.bool()?,
-            after: r.opt_object()?,
-            have_epoch: r.u64()?,
-            have_seq: r.u64()?,
-            digest: r.digest()?,
-        },
-        tags::DIR_SNAPSHOT => Message::DirSnapshot {
-            shard: r.u64()?,
-            epoch: r.u64()?,
-            seq: r.u64()?,
-            rank: r.u64()?,
-            state: r.snapshot()?,
-        },
-        tags::DIR_SNAPSHOT_CHUNK => Message::DirSnapshotChunk {
-            shard: r.u64()?,
-            epoch: r.u64()?,
-            seq: r.u64()?,
-            rank: r.u64()?,
-            done: r.bool()?,
-            state: r.snapshot()?,
-        },
-        tags::DIR_RESYNC_DELTA => {
-            let shard = r.u64()?;
-            let epoch = r.u64()?;
-            // Minimum per op: 8 seq + 1 op tag + 16 object.
-            let num_ops = r.count(25)?;
-            let mut ops = Vec::with_capacity(num_ops);
-            for _ in 0..num_ops {
-                ops.push((r.u64()?, r.dir_op()?));
-            }
-            Message::DirResyncDelta { shard, epoch, ops, done: r.bool()? }
-        }
-        tags::DIR_RESYNCED => Message::DirResynced { node: r.node()?, incarnation: r.u64()? },
-        tags::DIR_CONFIRM => {
-            let object = r.object()?;
-            let kind = match r.u8()? {
-                confirm_tags::LOCATION => ConfirmKind::Location { status: r.status()? },
-                confirm_tags::INLINE => ConfirmKind::Inline,
-                confirm_tags::SUBSCRIPTION => ConfirmKind::Subscription,
-                other => return Err(malformed(&format!("unknown confirm kind {other}"))),
-            };
-            Message::DirConfirm { object, kind }
-        }
-        tags::DIR_PUBLISH => Message::DirPublish {
-            object: r.object()?,
-            holder: r.node()?,
-            status: r.status()?,
-            size: r.u64()?,
-        },
-        tags::DIR_TRANSFER_DONE => {
-            Message::DirTransferDone { object: r.object()?, receiver: r.node()?, sender: r.node()? }
-        }
-        tags::DIR_DELETE => Message::DirDelete { object: r.object()? },
-        tags::STORE_RELEASE => Message::StoreRelease { object: r.object()? },
-        tags::PULL_REQUEST => {
-            Message::PullRequest { object: r.object()?, requester: r.node()?, offset: r.u64()? }
-        }
-        tags::PULL_CANCEL => Message::PullCancel { object: r.object()?, requester: r.node()? },
-        tags::PULL_ERROR => Message::PullError { object: r.object()?, reason: r.string()? },
-        tags::REDUCE_INSTRUCTION => {
-            let target = r.object()?;
-            let coordinator = r.node()?;
-            let slot = r.usize_checked()?;
-            let own_object = r.object()?;
-            let spec = r.spec()?;
-            let object_size = r.u64()?;
-            let block_size = r.u64()?;
-            let num_inputs = r.usize_checked()?;
-            let epoch = r.u64()?;
-            let parent = match r.u8()? {
-                0 => None,
-                1 => Some(ReduceParent {
-                    slot: r.usize_checked()?,
-                    node: r.node()?,
-                    epoch: r.u64()?,
-                }),
-                other => return Err(malformed(&format!("unknown parent flag {other}"))),
-            };
-            let num_children = r.usize_checked()?;
-            if num_children > buf.len() {
-                return Err(malformed("child list longer than frame"));
-            }
-            let mut children = Vec::with_capacity(num_children);
-            for _ in 0..num_children {
-                children.push((r.usize_checked()?, r.node()?, r.object()?));
-            }
-            Message::ReduceInstruction(ReduceInstruction {
-                target,
-                coordinator,
-                slot,
-                own_object,
-                spec,
-                object_size,
-                block_size,
-                num_inputs,
-                epoch,
-                parent,
-                children,
-                is_root: r.bool()?,
-                total_slots: r.usize_checked()?,
-            })
-        }
-        tags::REDUCE_DONE => Message::ReduceDone { target: r.object()?, root: r.node()? },
-        tags::REDUCE_RELEASE => Message::ReduceRelease { target: r.object()? },
-        tags::HELLO => Message::Hello { node: r.node()?, incarnation: r.u64()? },
-        tags::PEER_FAILURE_NOTICE => {
-            Message::PeerFailureNotice { node: r.node()?, incarnation: r.u64()? }
-        }
-        tags::MEMBERSHIP_DIGEST => Message::MembershipDigest { entries: r.digest()? },
-        tags::PING => Message::Ping { origin: r.node()?, probe_id: r.u64()?, gossip: r.gossip()? },
-        tags::ACK => Message::Ack { probe_id: r.u64()?, gossip: r.gossip()? },
-        tags::PING_REQ => {
-            Message::PingReq { target: r.node()?, probe_id: r.u64()?, gossip: r.gossip()? }
-        }
-        other => return Err(malformed(&format!("unknown frame tag {other}"))),
-    };
+    let mut r = Reader { buf, at: 0, alias_payloads: payload_aliases_slab(tag) };
+    let msg = Message::get(&mut r)?;
     r.finish()?;
     Ok(msg)
 }
 
-/// Encode a whole frame contiguously: `u32` big-endian length followed by the body.
-/// Legacy path — it copies the payload twice (once into the body, once into the
-/// length-prefixed frame); the send path uses [`encode_frame_vectored`].
-pub fn encode_frame(msg: &Message) -> Result<Vec<u8>, FrameError> {
-    let body = encode_body(msg)?;
-    u32::try_from(body.len()).map_err(|_| malformed("frame body exceeds u32 length"))?;
-    let mut out = Vec::with_capacity(4 + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    // The frame-assembly copy the scatter-gather path exists to avoid.
-    hoplite_core::copytrace::record(body.len());
-    out.extend_from_slice(&body);
-    Ok(out)
-}
-
 /// Encode a whole frame as scatter-gather parts: the header (length prefix + tag +
 /// fixed fields) is built fresh, and bulk payload bytes are **referenced, not
-/// copied** — encoding a 4 MiB `PushBlock` is header-only work. Flattening the result
-/// equals [`encode_frame`]'s output byte for byte.
+/// copied** — encoding a 4 MiB `PushBlock` is header-only work. Fails for a frame
+/// whose body would exceed [`MAX_FRAME_BODY`].
 pub fn encode_frame_vectored(msg: &Message) -> Result<EncodedFrame, FrameError> {
-    let mut w = FrameWriter::new(true);
-    encode_message(msg, &mut w);
+    let mut w = FrameWriter::new();
+    msg.put(&mut w);
     w.into_frame()
-}
-
-/// Write a framed message to a writer as one contiguous buffer (legacy path).
-pub fn write_frame<W: std::io::Write>(w: &mut W, msg: &Message) -> std::io::Result<()> {
-    let frame = encode_frame(msg)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    w.write_all(&frame)
 }
 
 /// Write a framed message with `write_vectored`, never copying bulk payload bytes.
@@ -1251,25 +654,12 @@ pub fn write_frame<W: std::io::Write>(w: &mut W, msg: &Message) -> std::io::Resu
 /// an iovec array of header + shared payload segments, resuming correctly across
 /// short writes.
 pub fn write_frame_vectored<W: std::io::Write>(w: &mut W, msg: &Message) -> std::io::Result<()> {
-    let frame = encode_frame_vectored(msg)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+    let frame = encode_frame_vectored(msg)?;
     if frame.segments.is_empty() {
         return w.write_all(&frame.header);
     }
     let parts: Vec<&[u8]> = frame.parts().map(|p| p.as_slice()).collect();
     write_all_vectored(w, &parts)
-}
-
-/// Read one framed message from a reader. The body buffer is handed to the decoder as
-/// a shared `Bytes`, so the message's payload (if any) aliases it instead of copying.
-pub fn read_frame<R: std::io::Read>(r: &mut R) -> std::io::Result<Message> {
-    let mut len_buf = [0u8; 4];
-    r.read_exact(&mut len_buf)?;
-    let len = u32::from_be_bytes(len_buf) as usize;
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    decode_body(&Bytes::from(body))
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
 }
 
 // --------------------------------------------------------------- pooled slab reader --
@@ -1330,59 +720,22 @@ impl RecvSlabPool {
     }
 }
 
-/// `true` when a frame with this tag can hold payload bytes that decode as shared
-/// views into the receive buffer (`Reader::take_shared`), pinning the slab until the
-/// consumer drops them. Every other tag decodes entirely into owned fields, so the
-/// slab stays writable across it. Unknown tags are treated as pinning (conservative:
-/// the frame will fail to decode anyway, but must not corrupt neighbours first).
-fn tag_may_pin(tag: u8) -> bool {
-    !matches!(
-        tag,
-        tags::DIR_REGISTER
-            | tags::DIR_UNREGISTER
-            | tags::DIR_QUERY
-            | tags::DIR_SUBSCRIBE
-            | tags::DIR_PUBLISH
-            | tags::DIR_TRANSFER_DONE
-            | tags::DIR_DELETE
-            | tags::STORE_RELEASE
-            | tags::PULL_REQUEST
-            | tags::PULL_CANCEL
-            | tags::PULL_ERROR
-            | tags::REDUCE_INSTRUCTION
-            | tags::REDUCE_DONE
-            | tags::DIR_UNSUBSCRIBE
-            | tags::REDUCE_RELEASE
-            | tags::DIR_ACK
-            | tags::DIR_SNAPSHOT_REQUEST
-            | tags::DIR_RESYNCED
-            | tags::DIR_CONFIRM
-            | tags::HELLO
-            | tags::PEER_FAILURE_NOTICE
-            | tags::MEMBERSHIP_DIGEST
-            | tags::PING
-            | tags::ACK
-            | tags::PING_REQ
-    )
-}
-
 /// Zero-copy framed reader: the receive-side twin of [`write_frame_vectored`].
 ///
-/// Where [`read_frame`] allocates a fresh `vec![0u8; len]` per frame (an allocation,
-/// a page-fault walk, and a kernel→user copy into cold memory every time), a
-/// `FrameReader` reads ahead into a pooled slab and decodes each frame **in place**:
-/// the body handed to [`decode_body`] is a [`Bytes`] view of the slab, so a bulk
-/// payload's bytes are written exactly once (by the kernel, into the slab) and then
-/// adopted — `ProgressBuffer`/store append the very same view. Slabs return to the
-/// pool when every view into them drops; a control-heavy stream reuses one warm slab
-/// indefinitely, and bursts of small frames arriving together decode out of a single
-/// `read` syscall.
+/// Instead of a fresh `vec![0u8; len]` per frame (an allocation, a page-fault walk,
+/// and a kernel→user copy into cold memory every time), a `FrameReader` reads ahead
+/// into a pooled slab and decodes each frame **in place**: the body handed to
+/// [`decode_body`] is a [`Bytes`] view of the slab, so a block payload's bytes are
+/// written exactly once (by the kernel, into the slab) and then adopted —
+/// `ProgressBuffer`/store append the very same view. Slabs return to the pool when
+/// every view into them drops. Only block frames leave views behind (the message
+/// table's `aliases_slab` mark); every other frame decodes into owned fields, so a
+/// control-heavy stream — inline objects included — stays in one warm slab.
 ///
 /// Read-ahead is capped so a slab roll never has to move payload bytes: a fill stops
-/// at the next length prefix unless the following frame both fits the current slab
-/// and is known (by its buffered tag byte) not to pin the slab. The carry copied
-/// across a roll is therefore at most 4 length-prefix bytes — header bookkeeping, not
-/// payload, preserving the zero-payload-memcpy invariant end to end.
+/// at the length prefix after the frame being read. The carry copied across a roll
+/// is therefore at most 4 length-prefix bytes — header bookkeeping, not payload,
+/// preserving the zero-payload-memcpy invariant end to end.
 pub struct FrameReader<R> {
     inner: R,
     pool: RecvSlabPool,
@@ -1408,19 +761,20 @@ impl<R: std::io::Read> FrameReader<R> {
         FrameReader { inner, pool, slab, pos: 0, filled: 0 }
     }
 
-    /// Read and decode one framed message, zero-copy for bulk payloads.
+    /// Read and decode one framed message, zero-copy for block payloads. A length
+    /// prefix above [`MAX_FRAME_BODY`] is `InvalidData` before any slab is sized for it.
     pub fn read_message(&mut self) -> std::io::Result<Message> {
         self.need(4)?;
         let len = u32::from_be_bytes(self.slab[self.pos..self.pos + 4].try_into().expect("4 bytes"))
             as usize;
-        let total = 4usize.checked_add(len).ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, "frame length overflow")
-        })?;
+        if len > MAX_FRAME_BODY {
+            return Err(oversized(len).into());
+        }
+        let total = 4 + len;
         self.need(total)?;
         let body = Bytes::from_arc(self.slab.clone(), self.pos + 4, self.pos + total);
         self.pos += total;
-        decode_body(&body)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+        Ok(decode_body(&body)?)
     }
 
     /// Slab checkouts served by reuse since the last call (→ `recv_slab_reuse`).
@@ -1471,41 +825,23 @@ impl<R: std::io::Read> FrameReader<R> {
         self.filled = carry;
     }
 
-    /// Absolute offset a fill may read up to. Walks the buffered length prefixes from
-    /// the current frame forward; stops after any frame that does not fit this slab
-    /// or might pin it (so a roll never strands payload bytes behind the cursor).
+    /// Absolute offset a fill may read up to: the end of the frame at the cursor plus
+    /// the next length prefix, and nothing past that. What follows may be a block
+    /// whose payload will alias this slab, and a roll must never strand payload bytes
+    /// behind the cursor.
     fn fill_limit(&self) -> usize {
         let slab_len = self.slab.len();
-        let mut c = self.pos;
-        let mut first = true;
-        loop {
-            if c + 4 > self.filled {
-                // Header not fully buffered: allow completing it (plus nothing more).
-                return (c + 4).min(slab_len);
-            }
-            let len = u32::from_be_bytes(self.slab[c..c + 4].try_into().expect("4 bytes")) as usize;
-            let end = match c.checked_add(4).and_then(|h| h.checked_add(len)) {
-                Some(end) if end <= slab_len => end,
-                // Frame won't fit this slab (or length is hostile): stop at the
-                // header so the roll carries only length-prefix bytes.
-                _ => return (c + 4).min(slab_len),
-            };
-            if first {
-                first = false;
-                c = end;
-                continue;
-            }
-            match (c + 5 <= self.filled).then(|| self.slab[c + 4]) {
-                // A buffered, provably non-pinning frame: read through it and keep
-                // walking — this is what batches control bursts into one syscall.
-                Some(tag) if !tag_may_pin(tag) => c = end,
-                // Possibly-pinning frame: buffer it fully plus the next length
-                // prefix, but nothing past that (a pinned-slab roll then carries
-                // only those prefix bytes).
-                Some(_) => return (end + 4).min(slab_len),
-                // Tag byte not buffered yet: stop at this header boundary.
-                None => return (c + 4).min(slab_len),
-            }
+        let header_end = self.pos + 4;
+        if header_end > self.filled {
+            // Header not fully buffered: allow completing it (plus nothing more).
+            return header_end.min(slab_len);
+        }
+        let len = u32::from_be_bytes(self.slab[self.pos..header_end].try_into().expect("4 bytes"));
+        match header_end.checked_add(len as usize) {
+            Some(end) if end <= slab_len => (end + 4).min(slab_len),
+            // Frame won't fit this slab (or length is hostile): stop at the header so
+            // the roll carries only length-prefix bytes.
+            _ => header_end.min(slab_len),
         }
     }
 }
@@ -1550,8 +886,7 @@ impl Cork {
     /// frame/byte caps); bulk frames flush anything pending and go out immediately
     /// through the zero-copy vectored path.
     pub fn write<W: std::io::Write>(&mut self, w: &mut W, msg: &Message) -> std::io::Result<()> {
-        let frame = encode_frame_vectored(msg)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+        let frame = encode_frame_vectored(msg)?;
         if !frame.segments.is_empty() {
             self.flush(w)?;
             let parts: Vec<&[u8]> = frame.parts().map(|p| p.as_slice()).collect();
@@ -1643,18 +978,23 @@ fn write_all_vectored<W: std::io::Write>(w: &mut W, parts: &[&[u8]]) -> std::io:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hoplite_core::protocol::ReduceParent;
-    use hoplite_core::reduce::ReduceSpec;
+
+    /// One frame's wire bytes, length prefix included.
+    fn wire(msg: &Message) -> Vec<u8> {
+        encode_frame_vectored(msg).unwrap().to_contiguous()
+    }
+
+    /// One frame's body (tag onwards), as the owned bytes tests corrupt.
+    fn body(msg: &Message) -> Vec<u8> {
+        wire(msg).split_off(4)
+    }
 
     fn roundtrip(msg: Message) {
-        let body = Bytes::from(encode_body(&msg).unwrap());
-        let decoded = decode_body(&body).unwrap();
-        assert_eq!(decoded, msg);
-        // The scatter-gather encoding must flatten to exactly the contiguous frame.
-        let contiguous = encode_frame(&msg).unwrap();
-        let vectored = encode_frame_vectored(&msg).unwrap();
-        assert_eq!(vectored.frame_len(), contiguous.len());
-        assert_eq!(vectored.to_contiguous(), contiguous);
+        let frame = encode_frame_vectored(&msg).unwrap();
+        let mut flat = frame.to_contiguous();
+        assert_eq!(frame.frame_len(), flat.len());
+        assert_eq!(u32::from_be_bytes(flat[..4].try_into().unwrap()) as usize, flat.len() - 4);
+        assert_eq!(decode_body(&Bytes::from(flat.split_off(4))).unwrap(), msg);
     }
 
     #[test]
@@ -1805,11 +1145,11 @@ mod tests {
         ];
         let mut buf = Vec::new();
         for m in &messages {
-            write_frame(&mut buf, m).unwrap();
+            write_frame_vectored(&mut buf, m).unwrap();
         }
-        let mut cursor = std::io::Cursor::new(buf);
+        let mut reader = FrameReader::new(std::io::Cursor::new(buf));
         for m in &messages {
-            assert_eq!(&read_frame(&mut cursor).unwrap(), m);
+            assert_eq!(&reader.read_message().unwrap(), m);
         }
     }
 
@@ -1920,7 +1260,7 @@ mod tests {
 
     #[test]
     fn truncated_snapshot_is_rejected() {
-        let mut body = encode_body(&Message::DirSnapshot {
+        let mut body = body(&Message::DirSnapshot {
             shard: 0,
             epoch: 0,
             seq: 1,
@@ -1933,8 +1273,7 @@ mod tests {
                     ..SnapshotEntry::default()
                 }],
             },
-        })
-        .unwrap();
+        });
         body.truncate(body.len() - 3);
         assert!(decode_body(&Bytes::from(body)).is_err());
     }
@@ -1950,14 +1289,14 @@ mod tests {
             payload: Payload::from_vec((0..64).collect()),
             complete: true,
         };
-        let body = Bytes::from(encode_body(&msg).unwrap());
+        let body = Bytes::from(body(&msg));
         let decoded = decode_body(&body).unwrap();
         let Message::PushBlock { payload: Payload::Bytes(b), .. } = decoded else {
             panic!("decoded wrong variant");
         };
-        // The payload sits at the tail of the frame; identical bytes, shared storage.
-        assert_eq!(b.as_slice(), &body.as_slice()[body.len() - 64..]);
-        assert_eq!(b.slice(..).len(), 64);
+        // The payload sits at the tail of the frame: shared storage, not a copy.
+        assert_eq!(b.as_slice().as_ptr(), body.as_slice()[body.len() - 64..].as_ptr());
+        assert_eq!(b.len(), 64);
     }
 
     /// Deterministic xorshift64* generator — the same in-file seeded-fuzzer style as
@@ -2297,27 +1636,21 @@ mod tests {
         }
     }
 
-    /// Property (seeded fuzzer): for *every* message variant, with payloads in every
-    /// shape, the scatter-gather frame flattens byte-for-byte to the contiguous
-    /// encoding, and the body round-trips through `decode_body`.
+    /// Property (seeded fuzzer): *every* message variant, with payloads in every shape,
+    /// round-trips through the vectored encoder, flattened, and `decode_body`. (The
+    /// name predates the removal of the contiguous encoder; the bytes themselves are
+    /// pinned by `tests/golden_frames.rs`, the independent reference that encoder,
+    /// which shared its code with the vectored one, never was.)
     #[test]
     fn fuzz_vectored_encoding_matches_contiguous_for_every_variant() {
         let mut rng = Rng(0x5CA7_7E2F);
         let mut variants_seen = [false; 33];
         for case in 0..700 {
             let msg = rng.message();
-            let contiguous = encode_frame(&msg).unwrap();
-            let vectored = encode_frame_vectored(&msg).unwrap();
-            assert_eq!(
-                vectored.to_contiguous(),
-                contiguous,
-                "case {case}: vectored != contiguous for {msg:?}"
-            );
-            let body = Bytes::from(encode_body(&msg).unwrap());
-            assert_eq!(&contiguous[4..], body.as_slice(), "case {case}: frame != prefix+body");
-            let decoded = decode_body(&body).unwrap();
+            let body = body(&msg);
+            variants_seen[(body[0] - 1) as usize] = true;
+            let decoded = decode_body(&Bytes::from(body)).unwrap();
             assert_eq!(decoded, msg, "case {case}: decode roundtrip");
-            variants_seen[(contiguous[4] - 1) as usize] = true;
         }
         assert!(
             variants_seen.iter().all(|&seen| seen),
@@ -2360,8 +1693,7 @@ mod tests {
                     done: i == last,
                     state: ShardSnapshot { entries: chunk },
                 };
-                let body = Bytes::from(encode_body(&msg).unwrap());
-                let decoded = decode_body(&body).unwrap();
+                let decoded = decode_body(&Bytes::from(body(&msg))).unwrap();
                 assert_eq!(decoded, msg, "case {case}: chunk {i} roundtrip");
                 let Message::DirSnapshotChunk { state, .. } = decoded else { unreachable!() };
                 reassembled.extend(state.entries);
@@ -2381,8 +1713,7 @@ mod tests {
                     ops: ops[at..cut].to_vec(),
                     done: cut == ops.len(),
                 };
-                let body = Bytes::from(encode_body(&msg).unwrap());
-                let decoded = decode_body(&body).unwrap();
+                let decoded = decode_body(&Bytes::from(body(&msg))).unwrap();
                 assert_eq!(decoded, msg, "case {case}: delta roundtrip");
                 let Message::DirResyncDelta { ops: frame_ops, done, .. } = decoded else {
                     unreachable!()
@@ -2439,16 +1770,13 @@ mod tests {
         let total = 2 * block_len;
         let incoming: Vec<Bytes> = (0..2)
             .map(|i| {
-                Bytes::from(
-                    encode_body(&Message::PushBlock {
-                        object: ObjectId::from_name("fwd"),
-                        offset: i * block_len,
-                        total_size: total,
-                        payload: Payload::from_vec(vec![i as u8 + 1; block_len as usize]),
-                        complete: i == 1,
-                    })
-                    .unwrap(),
-                )
+                Bytes::from(body(&Message::PushBlock {
+                    object: ObjectId::from_name("fwd"),
+                    offset: i * block_len,
+                    total_size: total,
+                    payload: Payload::from_vec(vec![i as u8 + 1; block_len as usize]),
+                    complete: i == 1,
+                }))
             })
             .collect();
         copytrace::reset();
@@ -2481,59 +1809,39 @@ mod tests {
     }
 
     #[test]
-    fn legacy_contiguous_encode_pays_the_two_copies() {
-        // Documents what the vectored path saves: the legacy frame encoding memcpys
-        // the payload into the body and the body into the frame.
-        use hoplite_core::copytrace;
-        let payload_len = 4 * GATHER_MIN_SEGMENT;
-        let msg = Message::PushBlock {
-            object: ObjectId::from_name("legacy"),
-            offset: 0,
-            total_size: payload_len as u64,
-            payload: Payload::zeros(payload_len),
-            complete: true,
-        };
-        copytrace::reset();
-        encode_frame(&msg).unwrap();
-        if cfg!(debug_assertions) {
-            assert!(copytrace::bytes_copied() >= 2 * payload_len as u64);
-        }
-        copytrace::reset();
-        encode_frame_vectored(&msg).unwrap();
-        assert_eq!(copytrace::bytes_copied(), 0);
-    }
-
-    #[test]
     fn corrupt_frames_are_rejected() {
         let decode = |v: &[u8]| decode_body(&Bytes::copy_from_slice(v));
         assert!(decode(&[]).is_err());
         assert!(decode(&[42]).is_err());
-        assert!(decode(&[super::tags::PUSH_BLOCK, 1, 2]).is_err());
+        assert!(decode(&[1, 1, 2]).is_err(), "truncated PushBlock");
         // A valid message with trailing garbage is rejected too.
-        let mut body =
-            encode_body(&Message::DirDelete { object: ObjectId::from_name("x") }).unwrap();
-        body.push(0);
-        assert!(decode(&body).is_err());
-        // Truncated node list length.
-        let mut q = encode_body(&Message::DirQuery {
+        let mut trailing = body(&Message::DirDelete { object: ObjectId::from_name("x") });
+        trailing.push(0);
+        assert!(decode(&trailing).is_err());
+        // Truncated node list.
+        let query = body(&Message::DirQuery {
             object: ObjectId::from_name("q"),
             requester: NodeId(0),
             query_id: 1,
             exclude: vec![NodeId(1)],
-        })
-        .unwrap();
-        q.truncate(q.len() - 2);
-        assert!(decode(&q).is_err());
+        });
+        assert!(decode(&query[..query.len() - 2]).is_err());
+        // A list count the remaining bytes cannot honour is refused before anything
+        // is reserved for it: two 4-byte nodes do not fit the 4 bytes left.
+        let mut overcount = query.clone();
+        let count_at = overcount.len() - 4 - 8; // count u64 sits just before the one node
+        overcount[count_at..count_at + 8].copy_from_slice(&2u64.to_be_bytes());
+        let err = decode(&overcount).unwrap_err().to_string();
+        assert!(err.contains("list longer than frame"), "{err}");
         // A payload length field of u64::MAX must come back Malformed, not panic
         // (checked end-offset arithmetic in the reader).
-        let mut huge = encode_body(&Message::PushBlock {
+        let mut huge = body(&Message::PushBlock {
             object: ObjectId::from_name("huge"),
             offset: 0,
             total_size: 8,
             payload: Payload::from_vec(vec![1; 8]),
             complete: true,
-        })
-        .unwrap();
+        });
         let len_at = huge.len() - 8 - 8; // length u64 sits just before the 8 payload bytes
         huge[len_at..len_at + 8].copy_from_slice(&u64::MAX.to_be_bytes());
         assert!(decode(&huge).is_err());
@@ -2568,22 +1876,16 @@ mod tests {
 
     /// Property (seeded fuzzer): a [`FrameReader`] fed any message mix through any
     /// read chunking — 1-byte reads, short reads mid-header, frames straddling slab
-    /// boundaries (tiny slabs force rolls constantly) — decodes exactly what
-    /// [`read_frame`] decodes from the same byte stream.
+    /// boundaries (tiny slabs force rolls constantly) — decodes exactly the messages
+    /// that were encoded into the byte stream. (The name predates the removal of the
+    /// allocating per-frame reader it used to be compared with.)
     #[test]
     fn fuzz_frame_reader_matches_read_frame_under_adversarial_chunking() {
         let mut rng = Rng(0xF8A3_11D7);
         for round in 0..25u64 {
             let n_msgs = rng.range(1, 12) as usize;
             let msgs: Vec<Message> = (0..n_msgs).map(|_| rng.message()).collect();
-            let mut stream = Vec::new();
-            for m in &msgs {
-                stream.extend_from_slice(&encode_frame(m).unwrap());
-            }
-            let mut cursor = std::io::Cursor::new(stream.clone());
-            let baseline: Vec<Message> =
-                (0..n_msgs).map(|_| read_frame(&mut cursor).unwrap()).collect();
-            assert_eq!(baseline, msgs, "round {round}: read_frame baseline");
+            let stream: Vec<u8> = msgs.iter().flat_map(wire).collect();
             for (slab_len, max_chunk) in
                 [(64usize, 1usize), (97, 3), (1 << 10, 11), (1 << 16, 4096)]
             {
@@ -2618,10 +1920,7 @@ mod tests {
                 complete: i == 7,
             })
             .collect();
-        let mut stream = Vec::new();
-        for m in &msgs {
-            stream.extend_from_slice(&encode_frame(m).unwrap());
-        }
+        let stream: Vec<u8> = msgs.iter().flat_map(wire).collect();
         copytrace::reset();
         let mut reader = FrameReader::with_slab_len(std::io::Cursor::new(stream), 4 * block);
         for want in &msgs {
@@ -2636,6 +1935,155 @@ mod tests {
             0,
             "slab-reader decode must not memcpy payload bytes"
         );
+    }
+
+    #[test]
+    fn inline_replies_never_pin_or_leave_the_first_slab() {
+        // The small-object stream that used to retire one 4 MiB slab per 1 KiB frame:
+        // every decoded reply is kept alive, as the inline cache and the store do.
+        let msgs: Vec<Message> = (0..256)
+            .map(|query_id| Message::DirQueryReply {
+                object: ObjectId::from_name("small"),
+                query_id,
+                result: QueryResult::Inline { payload: Payload::from_vec(vec![0xAB; 1024]) },
+            })
+            .collect();
+        let stream: Vec<u8> = msgs.iter().flat_map(wire).collect();
+        copytrace::reset();
+        let mut reader = FrameReader::new(std::io::Cursor::new(stream));
+        let slab = reader.slab.as_ptr_range();
+        let held: Vec<Message> = msgs.iter().map(|_| reader.read_message().unwrap()).collect();
+        assert_eq!(held, msgs);
+        assert_eq!(reader.slab.as_ptr_range(), slab, "the reader never left its first slab");
+        assert_eq!(reader.take_slab_reuses(), 0);
+        assert_eq!(std::sync::Arc::strong_count(&reader.slab), 1, "no held message pins it");
+        for msg in &held {
+            let Message::DirQueryReply {
+                result: QueryResult::Inline { payload: Payload::Bytes(bytes) },
+                ..
+            } = msg
+            else {
+                panic!("decoded wrong variant");
+            };
+            assert!(!slab.contains(&bytes.as_slice().as_ptr()), "payload is an owned copy");
+        }
+        // The copy that buys this is on the books.
+        if cfg!(debug_assertions) {
+            assert_eq!(copytrace::bytes_copied(), 256 * 1024);
+        }
+    }
+
+    #[test]
+    fn frame_reader_rejects_an_oversized_length_prefix_before_sizing_a_slab() {
+        for len in [u32::MAX, MAX_FRAME_BODY as u32 + 1] {
+            let prefix = len.to_be_bytes().to_vec();
+            let mut reader = FrameReader::with_slab_len(std::io::Cursor::new(prefix), 64);
+            let slab = reader.slab.as_ptr_range();
+            let err = reader.read_message().unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+            assert_eq!(reader.slab.as_ptr_range(), slab, "no slab was checked out for it");
+        }
+    }
+
+    #[test]
+    fn encoder_refuses_a_frame_the_reader_would_reject() {
+        // Views of one 4 MiB buffer: payloads of 60 and 64 MiB that cost 4 MiB to build.
+        let block = Bytes::from(vec![0u8; 4 << 20]);
+        let msg = |blocks: usize| Message::PushBlock {
+            object: ObjectId::from_name("too-big"),
+            offset: 0,
+            total_size: (blocks << 22) as u64,
+            payload: Payload::from_segments(vec![block.clone(); blocks]),
+            complete: true,
+        };
+        assert!(encode_frame_vectored(&msg(15)).unwrap().frame_len() <= 4 + MAX_FRAME_BODY);
+        // 64 MiB of payload plus its header is over the bound.
+        let err = encode_frame_vectored(&msg(16)).unwrap_err().to_string();
+        assert!(err.contains("MAX_FRAME_BODY"), "{err}");
+        let mut sink = Vec::new();
+        let err = write_frame_vectored(&mut sink, &msg(16)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(sink.is_empty(), "nothing of a refused frame reaches the wire");
+    }
+
+    /// The golden frames short enough to be pinned as hex (`tests/golden_frames.rs`).
+    fn golden_frames() -> Vec<Vec<u8>> {
+        include_str!("../tests/golden_frames.txt")
+            .lines()
+            .filter_map(|line| line.split_once(' '))
+            .filter(|(name, value)| *name != "#" && !value.starts_with("len="))
+            .map(|(_, hex)| {
+                (0..hex.len())
+                    .step_by(2)
+                    .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// One piece of a hostile stream: random bytes, or a golden frame that is intact,
+    /// truncated, bit-flipped, or given a different length prefix.
+    fn hostile_piece(rng: &mut Rng, golden: &[Vec<u8>]) -> Vec<u8> {
+        let mut frame = golden[rng.range(0, golden.len() as u64) as usize].clone();
+        match rng.range(0, 5) {
+            0 => {
+                let len = rng.range(0, 200) as usize;
+                return rng.bytes(len);
+            }
+            1 => {}
+            2 => frame.truncate(rng.range(0, frame.len() as u64) as usize),
+            3 => {
+                for _ in 0..rng.range(1, 5) {
+                    let bit = rng.range(0, 8 * frame.len() as u64) as usize;
+                    frame[bit / 8] ^= 1 << (bit % 8);
+                }
+            }
+            _ => {
+                let honest = frame.len() as u32 - 4;
+                let spliced = match rng.range(0, 6) {
+                    0 => 0,
+                    1 => honest.wrapping_sub(rng.range(1, 9) as u32),
+                    2 => honest + rng.range(1, 9) as u32,
+                    3 => MAX_FRAME_BODY as u32 + rng.range(0, 2) as u32,
+                    4 => u32::MAX - rng.range(0, 4) as u32,
+                    _ => rng.next_u64() as u32,
+                };
+                frame[..4].copy_from_slice(&spliced.to_be_bytes());
+            }
+        }
+        frame
+    }
+
+    /// Property (seeded fuzzer): bytes off the wire can never panic a reader or make
+    /// it size a slab past the frame bound. Every read is `Ok` or an `io::Error`.
+    #[test]
+    fn fuzz_arbitrary_bytes_never_panic_or_oversize_a_slab() {
+        let golden = golden_frames();
+        assert!(golden.len() >= 33, "fixture parsed");
+        let mut seeds = Rng(0xBAD_B17E5);
+        for case in 0..2000 {
+            let seed = seeds.next_u64() | 1;
+            let outcome = std::panic::catch_unwind(|| {
+                let mut rng = Rng(seed);
+                let stream: Vec<u8> =
+                    (0..rng.range(1, 4)).flat_map(|_| hostile_piece(&mut rng, &golden)).collect();
+                let slab_len = [64usize, 97, 1 << 10, 1 << 16][rng.range(0, 4) as usize];
+                let max_chunk = [1usize, 3, 11, 4096][rng.range(0, 4) as usize];
+                let chunked =
+                    ChunkedReader { data: &stream, at: 0, rng: Rng(rng.next_u64() | 1), max_chunk };
+                let mut reader = FrameReader::with_slab_len(chunked, slab_len);
+                // Every `Ok` consumes at least a length prefix, so this terminates.
+                for _ in 0..=stream.len() {
+                    let result = reader.read_message();
+                    assert!(reader.slab.len() <= slab_len.max(MAX_FRAME_BODY + 4));
+                    if result.is_err() {
+                        return;
+                    }
+                }
+                panic!("reader produced more messages than the stream has bytes");
+            });
+            assert!(outcome.is_ok(), "case {case} failed: re-run with Rng({seed:#x})");
+        }
     }
 
     /// Counts syscall-shaped write calls and captures the byte stream, with a real

@@ -2,8 +2,8 @@
 //!
 //! Real (non-simulated) transports for the Hoplite sans-IO core:
 //!
-//! * [`framing`] — length-prefixed wire format (binary for bulk blocks, JSON for
-//!   control messages), mirroring the paper's gRPC-control / raw-TCP-data split;
+//! * [`framing`] — length-prefixed binary wire format, declared once as a message
+//!   table, carrying the paper's gRPC-control / raw-TCP-data split in one stream;
 //! * [`fabric::ChannelFabric`] — in-process crossbeam-channel fabric;
 //! * [`tcp::TcpFabric`] — localhost TCP fabric with one connection per peer pair.
 //!
