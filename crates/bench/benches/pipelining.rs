@@ -25,9 +25,9 @@ fn bench_progress_buffer(c: &mut Criterion) {
             buf.is_complete()
         })
     });
-    // Appends are zero-copy segment adoptions; this variant also materializes the
-    // complete payload, which pays the one remaining coalesce copy.
-    group.bench_function("4MB_blocks_coalesced", |b| {
+    // Appends are zero-copy segment adoptions and so is the complete payload `get`
+    // returns; this variant is what a caller who wants one flat buffer pays on top.
+    group.bench_function("4MB_blocks/to_owned_vec", |b| {
         b.iter(|| {
             let mut buf = ProgressBuffer::new(total, false);
             let mut offset = 0;
@@ -35,7 +35,7 @@ fn bench_progress_buffer(c: &mut Criterion) {
                 buf.append_at(offset, &block);
                 offset += block.len();
             }
-            buf.to_payload().unwrap().len()
+            buf.to_payload().unwrap().to_owned_vec().unwrap().len()
         })
     });
     group.finish();
@@ -152,12 +152,13 @@ fn bench_framing(c: &mut Criterion) {
         })
     });
 
-    // Buffer acquisition, isolated: a warm slab checkout is a refcount scan and a
-    // pointer swap. The full-stream row above is bounded below by the one unavoidable
-    // copy out of the source; this shows the allocation machinery itself.
-    use hoplite_transport::framing::{RecvSlabPool, DEFAULT_RECV_SLAB};
+    // Buffer acquisition, isolated: a warm slab checkout is a lock, a refcount scan
+    // and a pointer swap. The full-stream row above is bounded below by the one
+    // unavoidable copy out of the source; this shows the allocation machinery itself.
+    use hoplite_core::buffer::SlabPool;
+    use hoplite_transport::framing::DEFAULT_RECV_SLAB;
     group.bench_function("recv_buffer_slab_checkout", |b| {
-        let mut pool = RecvSlabPool::new(DEFAULT_RECV_SLAB);
+        let pool = SlabPool::new();
         let warm = pool.checkout(DEFAULT_RECV_SLAB);
         pool.retain(warm);
         b.iter(|| {

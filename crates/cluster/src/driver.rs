@@ -248,7 +248,7 @@ mod tests {
                 _ => None,
             })
             .expect("get completed through the runtime");
-        assert_eq!(got.as_bytes().unwrap().as_ref(), data.as_slice());
+        assert_eq!(got, Payload::from_vec(data));
         // Local progress advisories were surfaced to the receiving port.
         assert!(!port1.progress.is_empty());
     }

@@ -96,7 +96,9 @@ impl HopliteClient {
         .map(|_| ())
     }
 
-    /// Fetch an object (Table 1 `Get`): blocks until a complete copy is local.
+    /// Fetch an object (Table 1 `Get`): blocks until a complete copy is local. An
+    /// object larger than one block comes back as [`Payload::Segments`] — the blocks
+    /// as received, not copied; [`Payload::to_owned_vec`] makes one flat buffer.
     pub fn get(&self, object: ObjectId) -> Result<Payload> {
         match Self::wait(self.submit(ClientOp::Get { object }), |r| {
             matches!(r, ClientReply::GetDone { .. })

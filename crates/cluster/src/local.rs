@@ -202,7 +202,7 @@ mod tests {
         let data: Vec<u8> = (0..9000u32).map(|i| (i % 251) as u8).collect();
         cluster.client(0).put(obj, Payload::from_vec(data.clone())).unwrap();
         let got = cluster.client(2).get(obj).unwrap();
-        assert_eq!(got.as_bytes().unwrap().as_ref(), data.as_slice());
+        assert_eq!(got, Payload::from_vec(data));
     }
 
     #[test]
@@ -231,7 +231,7 @@ mod tests {
         let data: Vec<u8> = (0..30_000u32).map(|i| (i % 256) as u8).collect();
         cluster.client(0).put(obj, Payload::from_vec(data.clone())).unwrap();
         let got = cluster.client(1).get(obj).unwrap();
-        assert_eq!(got.as_bytes().unwrap().as_ref(), data.as_slice());
+        assert_eq!(got, Payload::from_vec(data));
     }
 
     #[test]
@@ -301,7 +301,7 @@ mod tests {
         let data: Vec<u8> = (0..20_000u32).map(|i| (i % 241) as u8).collect();
         cluster.client(0).put(w, Payload::from_vec(data.clone())).unwrap();
         for node in 1..n {
-            assert_eq!(cluster.client(node).get(w).unwrap().as_bytes().unwrap(), &data[..]);
+            assert_eq!(cluster.client(node).get(w).unwrap(), Payload::from_vec(data.clone()));
         }
         // Let the replication acks and confirms settle before the first kill.
         std::thread::sleep(std::time::Duration::from_millis(200));
@@ -313,7 +313,7 @@ mod tests {
             let wave: Vec<u8> = (0..8000u32).map(|i| ((i + k as u32) % 239) as u8).collect();
             cluster.client((k + 1) % n).put(wk, Payload::from_vec(wave.clone())).unwrap();
             let got = cluster.client((k + 2) % n).get(wk).unwrap();
-            assert_eq!(got.as_bytes().unwrap(), &wave[..], "wave {k} served during the outage");
+            assert_eq!(got, Payload::from_vec(wave.clone()), "wave {k} served during the outage");
             cluster.restart_node(k);
             // Give the fresh node time to resync (snapshot + catch-up) and everyone
             // time to process the recovery notice and re-admission broadcast.
@@ -321,7 +321,7 @@ mod tests {
             // The restarted node serves traffic again, including re-fetching the
             // long-lived object it lost with its store.
             let refetched = cluster.client(k).get(w).unwrap();
-            assert_eq!(refetched.as_bytes().unwrap(), &data[..], "restart {k} re-fetched W");
+            assert_eq!(refetched, Payload::from_vec(data.clone()), "restart {k} re-fetched W");
         }
         // After the full sweep every node answers for every object.
         for node in 0..n {
@@ -362,7 +362,7 @@ mod tests {
         }
         std::thread::sleep(std::time::Duration::from_millis(200));
         let got = cluster.client(2).get(obj).unwrap();
-        assert_eq!(got.as_bytes().unwrap(), &data[..], "restarted node re-fetched over TCP");
+        assert_eq!(got, Payload::from_vec(data), "restarted node re-fetched over TCP");
     }
 
     #[test]
@@ -384,6 +384,6 @@ mod tests {
         cluster.kill_node(3);
         std::thread::sleep(std::time::Duration::from_millis(200));
         let got = cluster.client(2).get(obj).unwrap();
-        assert_eq!(got.as_bytes().unwrap().as_ref(), data.as_slice());
+        assert_eq!(got, Payload::from_vec(data));
     }
 }

@@ -1,8 +1,9 @@
 //! Minimal offline stand-in for the `bytes` crate.
 //!
 //! Provides [`Bytes`]: an immutable, cheaply cloneable, sliceable byte buffer backed by
-//! an `Arc<[u8]>`. Clones and slices share the same allocation; only construction from
-//! owned or borrowed data copies.
+//! an `Arc<Vec<u8>>`. Clones and slices share the same allocation, and construction
+//! from an owned `Vec<u8>` adopts it in place (one small `Arc` header, no memcpy); only
+//! construction from borrowed data copies.
 
 #![forbid(unsafe_code)]
 
@@ -15,7 +16,7 @@ use std::sync::Arc;
 /// An immutable, reference-counted byte buffer (a view into a shared allocation).
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -23,7 +24,7 @@ pub struct Bytes {
 impl Bytes {
     /// An empty buffer.
     pub fn new() -> Bytes {
-        Bytes { data: Arc::from(&[][..]), start: 0, end: 0 }
+        Bytes { data: Arc::new(Vec::new()), start: 0, end: 0 }
     }
 
     /// Copy a slice into a new buffer.
@@ -75,11 +76,11 @@ impl Bytes {
     }
 
     /// A view over a caller-retained shared allocation (no copy). This is the hook
-    /// slab pools use: the pool keeps its own `Arc` handle to the slab, mints frame
-    /// views with this constructor, and reclaims the slab for rewriting once every
-    /// view has dropped (`Arc::get_mut` on the retained handle succeeds again).
+    /// slab pools use: the pool keeps its own `Arc` handle to the slab, mints views
+    /// with this constructor, and reclaims the slab for rewriting once every view has
+    /// dropped (`Arc::get_mut` on the retained handle succeeds again).
     /// Panics when the range is out of bounds.
-    pub fn from_arc(data: Arc<[u8]>, start: usize, end: usize) -> Bytes {
+    pub fn from_arc(data: Arc<Vec<u8>>, start: usize, end: usize) -> Bytes {
         assert!(start <= end && end <= data.len(), "view {start}..{end} out of bounds");
         Bytes { data, start, end }
     }
@@ -92,9 +93,10 @@ impl Default for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Adopts the vector in place: O(1), and the bytes stay where they are.
     fn from(v: Vec<u8>) -> Bytes {
         let end = v.len();
-        Bytes { data: Arc::from(v), start: 0, end }
+        Bytes { data: Arc::new(v), start: 0, end }
     }
 }
 
@@ -180,6 +182,15 @@ mod tests {
         let b = Bytes::copy_from_slice(&[9, 8]);
         assert_eq!(b, Bytes::from(vec![9, 8]));
         assert_eq!(b.iter().copied().collect::<Vec<_>>(), vec![9, 8]);
+    }
+
+    #[test]
+    fn from_vec_adopts_the_allocation_in_place() {
+        let v = vec![7u8; 4096];
+        let ptr = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_slice().as_ptr(), ptr, "construction from a Vec must not copy");
+        assert_eq!(b.len(), 4096);
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //!   transports and the data-plane correctness tests use this kind, and reduce
 //!   operations perform real arithmetic on it.
 //! * [`Payload::Segments`] carries real data as an ordered list of shared segments
-//!   viewed as one logical byte string. It is what the forward path produces when a
-//!   read spans several received blocks: the segments are passed through the store,
-//!   the node engines, the channels fabric, and the scatter-gather frame encoder
-//!   **without ever being coalesced** — the only full materialization happens at the
-//!   final consumer ([`ProgressBuffer::to_payload`]).
+//!   viewed as one logical byte string. It is what a read spanning several received
+//!   blocks produces — a `get` of an object larger than one block included: the
+//!   segments are passed through the store, the node engines, the channels fabric,
+//!   the scatter-gather frame encoder and on to the caller of `get` **without ever
+//!   being coalesced**. A caller that needs one flat buffer asks for it explicitly
+//!   with [`Payload::to_owned_vec`], the one copy on the path.
 //! * [`Payload::Synthetic`] carries only a length. The discrete-event simulator uses it
 //!   so that cluster-scale experiments (16 nodes × 1 GiB objects) model timing without
 //!   allocating or copying gigabytes of memory.
@@ -18,8 +19,13 @@
 //! Every protocol path treats the kinds identically; only the arithmetic differs, and
 //! two real payloads compare equal when their logical bytes agree regardless of how
 //! they are segmented.
+//!
+//! Bulk memory comes from one place, the [`SlabPool`]: the transport reads block
+//! frames into slabs checked out of it and the reduce engine accumulates into them, so
+//! the buffers of a deleted object are what the next object is written into.
 
 use std::fmt;
+use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 
@@ -87,20 +93,46 @@ impl Payload {
         Payload::from_vec(out)
     }
 
-    /// Decode a real payload as little-endian `f32`s. Panics on synthetic payloads or
-    /// lengths not divisible by four (callers check [`Payload::is_synthetic`] first).
+    /// Decode a real payload as little-endian `f32`s, segment by segment: no staging
+    /// copy however the payload is split. Panics on synthetic payloads or lengths not
+    /// divisible by four (callers check [`Payload::is_synthetic`] first).
     pub fn to_f32s(&self) -> Vec<f32> {
         assert!(!self.is_synthetic(), "cannot decode a synthetic payload");
         assert!(self.len().is_multiple_of(4), "payload length {} not a multiple of 4", self.len());
-        fn decode(b: &[u8]) -> Vec<f32> {
-            b.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect()
+        let mut out = Vec::with_capacity(self.len() as usize / 4);
+        self.for_each_element_run::<4>(|run| {
+            out.extend(run.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])));
+        });
+        out
+    }
+
+    /// Walk the real bytes in order as runs of whole `W`-byte elements, without
+    /// materializing the payload: each segment's aligned middle is passed to `f` as
+    /// is, and an element that straddles segment boundaries is staged through a
+    /// `W`-byte carry (bookkeeping, not a payload copy, so it stays out of the debug
+    /// copy tally). The caller guarantees the length is a multiple of `W`.
+    pub(crate) fn for_each_element_run<const W: usize>(&self, mut f: impl FnMut(&[u8])) {
+        let mut carry = [0u8; W];
+        let mut carried = 0usize;
+        for seg in self.segments() {
+            let mut s = seg.as_slice();
+            if carried > 0 {
+                // Finish the element started by the previous segment(s).
+                let take = (W - carried).min(s.len());
+                carry[carried..carried + take].copy_from_slice(&s[..take]);
+                carried += take;
+                s = &s[take..];
+                if carried < W {
+                    continue;
+                }
+                f(&carry);
+            }
+            let whole = s.len() - s.len() % W;
+            f(&s[..whole]);
+            carried = s.len() - whole;
+            carry[..carried].copy_from_slice(&s[whole..]);
         }
-        match self {
-            // Contiguous payloads decode straight from the borrow — no staging copy,
-            // nothing in the debug copy tally.
-            Payload::Bytes(b) => decode(b),
-            _ => decode(&self.to_owned_vec().expect("real payload")),
-        }
+        debug_assert_eq!(carried, 0, "length is a whole number of elements");
     }
 
     /// Length in (real or modelled) bytes.
@@ -123,9 +155,10 @@ impl Payload {
     }
 
     /// Borrow the real bytes **when they are contiguous**. Returns `None` for
-    /// segmented and synthetic payloads; callers that can consume scattered data
-    /// should iterate [`Payload::segments`] instead, and callers that genuinely need
-    /// one flat buffer pay the coalesce via [`Payload::to_owned_vec`].
+    /// segmented and synthetic payloads — a `get` of a multi-block object is
+    /// segmented; callers that can consume scattered data should iterate
+    /// [`Payload::segments`] instead, and callers that genuinely need one flat buffer
+    /// pay the coalesce via [`Payload::to_owned_vec`].
     pub fn as_bytes(&self) -> Option<&Bytes> {
         match self {
             Payload::Bytes(b) => Some(b),
@@ -273,10 +306,9 @@ impl fmt::Debug for Payload {
 /// frames): an append is a refcount bump, not a memcpy. Every read below the
 /// watermark is zero-copy too — a range inside one segment comes back as a shared
 /// sub-slice, and a range spanning segments comes back as a [`Payload::Segments`]
-/// view, so the forward path (receiver → chained receiver, participant → parent)
-/// never coalesces. The one remaining copy is the single coalesce the first time the
-/// complete payload is materialized for a local consumer
-/// ([`ProgressBuffer::to_payload`]).
+/// view, so neither the forward path (receiver → chained receiver, participant →
+/// parent) nor the complete payload handed to a local consumer
+/// ([`ProgressBuffer::to_payload`]) ever coalesces.
 #[derive(Clone, Debug)]
 pub struct ProgressBuffer {
     total_size: u64,
@@ -310,23 +342,9 @@ impl ProgressBuffer {
     /// Build an already-complete buffer from a payload (the `Put` path). Zero-copy:
     /// the payload's segments become the buffer's segments.
     pub fn complete_from(payload: Payload) -> Self {
-        let total = payload.len();
-        let data = if payload.is_synthetic() {
-            PayloadAccum::Synthetic
-        } else {
-            let mut segments = Vec::new();
-            let mut starts = Vec::new();
-            let mut at = 0u64;
-            for seg in payload.segments() {
-                if !seg.is_empty() {
-                    starts.push(at);
-                    at += seg.len() as u64;
-                    segments.push(seg.clone());
-                }
-            }
-            PayloadAccum::Real { segments, starts }
-        };
-        ProgressBuffer { total_size: total, watermark: total, data }
+        let mut buffer = ProgressBuffer::new(payload.len(), payload.is_synthetic());
+        buffer.append_at(0, &payload);
+        buffer
     }
 
     /// Total object size in bytes.
@@ -428,33 +446,93 @@ impl ProgressBuffer {
         }
     }
 
-    /// The complete payload; `None` until [`ProgressBuffer::is_complete`]. The first
-    /// call on a multi-segment buffer coalesces it into one segment — the **single**
-    /// full materialization of the receive path, paid by the final consumer —
-    /// subsequent calls are zero-copy clones.
-    pub fn to_payload(&mut self) -> Option<Payload> {
+    /// The complete payload; `None` until [`ProgressBuffer::is_complete`]. Zero-copy
+    /// like every other read: the segments the buffer received, one refcount each
+    /// ([`Payload::Bytes`] when there is a single one).
+    pub fn to_payload(&self) -> Option<Payload> {
         if !self.is_complete() {
             return None;
         }
-        Some(match &mut self.data {
-            PayloadAccum::Real { segments, starts } => {
-                if segments.len() > 1 {
-                    let total: usize = segments.iter().map(|s| s.len()).sum();
-                    copytrace::record(total);
-                    let mut v = Vec::with_capacity(total);
-                    for seg in segments.iter() {
-                        v.extend_from_slice(seg);
-                    }
-                    *segments = vec![Bytes::from(v)];
-                    *starts = vec![0];
-                }
-                match segments.first() {
-                    Some(seg) => Payload::Bytes(seg.clone()),
-                    None => Payload::Bytes(Bytes::new()),
-                }
-            }
-            PayloadAccum::Synthetic => Payload::Synthetic { len: self.total_size },
-        })
+        self.read(0, self.total_size)
+    }
+}
+
+/// How many idle slabs a [`SlabPool`] keeps for reuse; the rest are freed when a slab
+/// is next handed back. Sized from the traffic the pool has to absorb between a delete
+/// and the next transfer: a 4-node 64 MiB broadcast frees 48 block slabs process-wide
+/// per round, a 256 MiB failover round 128.
+pub const MAX_IDLE_SLABS: usize = 128;
+
+/// The pool bulk memory comes from: receive slabs for the transport's frame readers
+/// and accumulators for the reduce engine.
+///
+/// Slabs are `Arc<Vec<u8>>` allocations. Whoever checks one out writes it through
+/// `Arc::get_mut`, mints [`Bytes`] views of it with [`Bytes::from_arc`] and hands the
+/// slab back with [`SlabPool::retain`]; the slab stays pinned — `strong_count > 1` —
+/// for exactly as long as any view is alive, and checkout only ever hands out a slab
+/// whose refcount has dropped back to one: no free-lists, no drop hooks, the `Arc`
+/// refcount *is* the in-use bit. The pool keeps its handle on every pinned slab (the
+/// store accounts for those bytes) and on at most [`MAX_IDLE_SLABS`] idle ones, so the
+/// slabs of a deleted object are what the next object lands in — already mapped, no
+/// page faults. Clones share the pool; it is `Send + Sync`.
+#[derive(Clone, Default)]
+pub struct SlabPool {
+    state: Arc<Mutex<PoolState>>,
+}
+
+#[derive(Default)]
+struct PoolState {
+    slabs: Vec<Arc<Vec<u8>>>,
+    reuses: u64,
+}
+
+impl SlabPool {
+    /// An empty pool.
+    pub fn new() -> SlabPool {
+        SlabPool::default()
+    }
+
+    fn state(&self) -> std::sync::MutexGuard<'_, PoolState> {
+        // Every update leaves the slab list valid, so a panicked holder is survivable.
+        self.state.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// Check a writable (uniquely held) slab of at least `min_len` bytes out of the
+    /// pool: an idle slab that fits, or — when none does — a fresh zeroed allocation of
+    /// exactly `min_len` bytes, which costs address space until it is first written
+    /// (the `Vec` is adopted behind the `Arc` in place, never copied).
+    pub fn checkout(&self, min_len: usize) -> Arc<Vec<u8>> {
+        let mut state = self.state();
+        let fits = |slab: &Arc<Vec<u8>>| Arc::strong_count(slab) == 1 && slab.len() >= min_len;
+        if let Some(i) = state.slabs.iter().position(fits) {
+            state.reuses += 1;
+            return state.slabs.swap_remove(i);
+        }
+        drop(state);
+        Arc::new(vec![0u8; min_len])
+    }
+
+    /// Hand a slab back. It becomes reusable once every view into it drops.
+    pub fn retain(&self, slab: Arc<Vec<u8>>) {
+        let mut state = self.state();
+        state.slabs.push(slab);
+        let mut idle = 0;
+        state.slabs.retain(|slab| {
+            let pinned = Arc::strong_count(slab) > 1;
+            idle += usize::from(!pinned);
+            pinned || idle <= MAX_IDLE_SLABS
+        });
+    }
+
+    /// Checkouts served from a pooled slab instead of a fresh allocation, ever (feeds
+    /// the `recv_slab_reuse` metric).
+    pub fn reuses(&self) -> u64 {
+        self.state().reuses
+    }
+
+    /// Slabs the pool holds that no view pins.
+    pub fn idle_slabs(&self) -> usize {
+        self.state().slabs.iter().filter(|slab| Arc::strong_count(slab) == 1).count()
     }
 }
 
@@ -557,8 +635,11 @@ mod tests {
         assert_eq!(b.watermark(), 6);
         assert!(b.append_at(6, &Payload::from_vec(vec![6, 7, 8, 9])));
         assert!(b.is_complete());
+        // Three appends, three segments: the complete payload is those segments,
+        // logically equal to the flat bytes.
         let all = b.to_payload().unwrap();
-        assert_eq!(all.as_bytes().unwrap().as_ref(), &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]);
+        assert_eq!(all.segments().count(), 3);
+        assert_eq!(all, Payload::from_vec(vec![0, 1, 2, 3, 4, 5, 6, 7, 8, 9]));
     }
 
     #[test]
@@ -616,9 +697,66 @@ mod tests {
         // A segmented payload is adopted segment-by-segment, zero-copy.
         let seg = Payload::from_segments(vec![Bytes::from(vec![1, 2]), Bytes::from(vec![3, 4])]);
         copytrace::reset();
-        let mut b = ProgressBuffer::complete_from(seg);
-        assert_eq!(crate::copytrace::bytes_copied(), 0);
+        let b = ProgressBuffer::complete_from(seg);
         assert_eq!(b.read(1, 2).unwrap(), Payload::from_vec(vec![2, 3]));
-        assert_eq!(b.to_payload().unwrap().as_bytes().unwrap().as_ref(), &[1, 2, 3, 4]);
+        assert_eq!(b.to_payload().unwrap(), Payload::from_vec(vec![1, 2, 3, 4]));
+        assert_eq!(crate::copytrace::bytes_copied(), 0, "neither adoption nor to_payload copies");
+    }
+
+    #[test]
+    fn pool_hands_out_only_unpinned_slabs_and_allocates_fresh_ones_in_place() {
+        let pool = SlabPool::new();
+        // Empty pool: one zeroed allocation of exactly the requested size, the `Vec`
+        // adopted behind the `Arc` where it is — views alias it, nothing was copied.
+        let mut slab = pool.checkout(64);
+        assert_eq!(slab.as_slice(), &[0u8; 64]);
+        assert_eq!(pool.reuses(), 0);
+        Arc::get_mut(&mut slab).expect("checked-out slabs are uniquely held")[..2]
+            .copy_from_slice(&[7, 8]);
+        let view = Bytes::from_arc(slab.clone(), 0, 2);
+        assert_eq!(view.as_slice().as_ptr(), slab.as_ptr());
+        let ptr = slab.as_ptr();
+        pool.retain(slab);
+        // Pinned by `view`: the refcount is the in-use bit, so it is not handed out.
+        assert_eq!(pool.idle_slabs(), 0);
+        let other = pool.checkout(64);
+        assert_ne!(other.as_ptr(), ptr);
+        assert_eq!(pool.reuses(), 0);
+        // Unpinned: the same memory comes back, to any clone of the pool — but never
+        // for a request it is too small for.
+        drop(view);
+        assert_eq!(pool.idle_slabs(), 1);
+        assert_ne!(pool.clone().checkout(65).as_ptr(), ptr);
+        assert_eq!(pool.clone().checkout(16).as_ptr(), ptr);
+        assert_eq!(pool.reuses(), 1);
+    }
+
+    #[test]
+    fn idle_slabs_are_bounded() {
+        let pool = SlabPool::new();
+        let extra = 10;
+        let views: Vec<Bytes> = (0..MAX_IDLE_SLABS + extra)
+            .map(|_| {
+                let slab = pool.checkout(16);
+                let view = Bytes::from_arc(slab.clone(), 0, 16);
+                pool.retain(slab);
+                view
+            })
+            .collect();
+        // Pinned slabs are all tracked, however many there are.
+        assert_eq!(pool.idle_slabs(), 0);
+        let freed: Vec<std::sync::Weak<Vec<u8>>> = {
+            let state = pool.state();
+            assert_eq!(state.slabs.len(), MAX_IDLE_SLABS + extra);
+            state.slabs.iter().map(Arc::downgrade).collect()
+        };
+        // Dropped all at once: the next slab handed back finds the pool over its
+        // bound, and exactly the bound is kept, the rest freed.
+        drop(views);
+        assert_eq!(pool.idle_slabs(), MAX_IDLE_SLABS + extra);
+        pool.retain(pool.checkout(16));
+        assert_eq!(pool.idle_slabs(), MAX_IDLE_SLABS);
+        assert_eq!(pool.state().slabs.len(), MAX_IDLE_SLABS);
+        assert_eq!(freed.iter().filter(|w| w.upgrade().is_none()).count(), extra);
     }
 }

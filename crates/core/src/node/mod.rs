@@ -33,7 +33,7 @@ mod tests;
 
 use std::collections::VecDeque;
 
-use crate::buffer::Payload;
+use crate::buffer::{Payload, SlabPool};
 use crate::config::HopliteConfig;
 use crate::detector::{DetectorAction, FailureDetector, GossipEntry, GossipState};
 use crate::directory::{DirectoryClient, DirectoryService};
@@ -124,6 +124,8 @@ pub(crate) struct NodeContext {
     pub(crate) cfg: HopliteConfig,
     pub(crate) opts: NodeOptions,
     pub(crate) store: LocalStore,
+    /// Where this node's engines get bulk buffers (reduce accumulators) from.
+    pub(crate) pool: SlabPool,
     pub(crate) metrics: NodeMetrics,
     /// Every directory interaction of this node goes through this client: it resolves
     /// the shard's current primary and journals what must be re-driven on failover.
@@ -317,6 +319,7 @@ impl ObjectStoreNode {
                 cfg,
                 opts,
                 store,
+                pool: SlabPool::new(),
                 metrics: NodeMetrics::default(),
                 directory: dir_client,
                 membership,

@@ -15,10 +15,11 @@
 //! result (which must abort anyone pulling it).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use bytes::Bytes;
 
-use crate::buffer::Payload;
+use crate::buffer::{Payload, SlabPool};
 use crate::copytrace;
 use crate::object::{ObjectId, ObjectStatus};
 use crate::protocol::{Effect, Message, ReduceInstruction};
@@ -48,72 +49,80 @@ pub(crate) enum ReduceEvent {
 ///
 /// Blocks are combined **as they arrive** (the paper's §3.4.2 pipelined reduce) and
 /// **in place**: the first input is retained as a zero-copy shared view; the second
-/// input pays the single owning copy and every input after that folds into the same
-/// buffer via [`ReduceSpec::combine_into`] — no per-input allocation, no per-input
-/// output copy. Emission freezes the buffer into a shared [`Bytes`] without copying,
-/// so re-sends after a parent change are refcount bumps.
-#[derive(Debug, Clone, Default)]
+/// input pays the single owning copy — into a buffer checked out of the node's
+/// [`SlabPool`], so after warm-up it lands in memory that is already mapped — and
+/// every input after that folds into the same buffer via
+/// [`ReduceSpec::combine_into`]: no per-input allocation, no per-input output copy.
+/// Emission freezes the buffer into a shared view without copying and hands it back to
+/// the pool, which reissues it once the last view (this block, the result object, a
+/// frame in flight) has dropped.
+#[derive(Debug, Default)]
 struct BlockAccum {
     state: BlockState,
     inputs_applied: usize,
 }
 
 /// Accumulation state of one block.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 enum BlockState {
     /// No input yet.
     #[default]
     Empty,
-    /// Exactly one input so far, held as a zero-copy shared view (a leaf that only
-    /// ever sees one input never copies at all). Synthetic inputs stay here.
-    First(Payload),
-    /// Two or more real inputs folded into an owned in-place accumulator.
-    Accum(Vec<u8>),
-    /// Finalized and emitted at least once; shared so re-sends are refcount bumps.
-    Frozen(Bytes),
+    /// One shared view: the only input so far (a leaf that only ever sees one input
+    /// never copies at all; synthetic inputs stay here), or an accumulator frozen at
+    /// emission, so re-sends after a parent change are refcount bumps.
+    Shared(Payload),
+    /// Two or more real inputs folded in place into the first `len` bytes of a pooled
+    /// buffer this block holds the only handle to.
+    Accum { buf: Arc<Vec<u8>>, len: usize },
 }
 
 impl BlockAccum {
     /// Fold one input into the block. Returns `false` — leaving the accumulated state
     /// untouched — when the input is shape-incompatible (the caller discards it).
-    fn fold(&mut self, spec: ReduceSpec, target: ObjectId, block: &Payload) -> bool {
+    fn fold(
+        &mut self,
+        pool: &SlabPool,
+        spec: ReduceSpec,
+        target: ObjectId,
+        block: &Payload,
+    ) -> bool {
         match &mut self.state {
             BlockState::Empty => {
-                self.state = BlockState::First(block.clone());
+                self.state = BlockState::Shared(block.clone());
             }
-            BlockState::First(existing) => {
+            BlockState::Shared(existing) => {
                 if existing.len() != block.len() {
                     return false;
                 }
                 if existing.is_synthetic() || block.is_synthetic() {
                     // Simulator mode (or a driver mixing modes): lengths only.
                     let len = existing.len();
-                    self.state = BlockState::First(Payload::synthetic(len));
+                    self.state = BlockState::Shared(Payload::synthetic(len));
                 } else {
-                    let mut acc = existing.to_owned_vec().expect("real payload");
-                    if spec.combine_into(target, &mut acc, block).is_err() {
+                    // The second input — or a straggler after emission (e.g. a replay
+                    // racing a repair): seed a writable accumulator from the shared
+                    // bytes, which live views may still alias, and keep going.
+                    let len = existing.len() as usize;
+                    let mut buf = pool.checkout(len);
+                    let acc = &mut Arc::get_mut(&mut buf).expect("checked-out buffer")[..len];
+                    copytrace::record(len);
+                    let mut at = 0;
+                    for seg in existing.segments() {
+                        acc[at..at + seg.len()].copy_from_slice(seg);
+                        at += seg.len();
+                    }
+                    if spec.combine_into(target, acc, block).is_err() {
                         return false;
                     }
-                    self.state = BlockState::Accum(acc);
+                    self.state = BlockState::Accum { buf, len };
                 }
             }
-            BlockState::Accum(acc) => {
+            BlockState::Accum { buf, len } => {
+                let acc = &mut Arc::get_mut(buf).expect("unshared until emission")[..*len];
                 if spec.combine_into(target, acc, block).is_err() {
                     return false;
                 }
-            }
-            BlockState::Frozen(frozen) => {
-                // A straggler after emission (e.g. a replay racing a repair): thaw the
-                // frozen bytes back into an accumulator and keep going.
-                if frozen.len() as u64 != block.len() {
-                    return false;
-                }
-                copytrace::record(frozen.len());
-                let mut acc = frozen.to_vec();
-                if spec.combine_into(target, &mut acc, block).is_err() {
-                    return false;
-                }
-                self.state = BlockState::Accum(acc);
             }
         }
         self.inputs_applied += 1;
@@ -126,17 +135,16 @@ impl BlockAccum {
     }
 
     /// The finalized payload for emission. Freezes an in-place accumulator into a
-    /// shared buffer (a zero-copy move), so this and every later call are cheap.
-    fn emit(&mut self) -> Option<Payload> {
-        match &mut self.state {
-            BlockState::Empty => None,
-            BlockState::First(p) => Some(p.clone()),
-            BlockState::Accum(acc) => {
-                let frozen = Bytes::from(std::mem::take(acc));
-                self.state = BlockState::Frozen(frozen.clone());
-                Some(Payload::Bytes(frozen))
-            }
-            BlockState::Frozen(frozen) => Some(Payload::Bytes(frozen.clone())),
+    /// shared view of its buffer (no copy), so this and every later call are cheap.
+    fn emit(&mut self, pool: &SlabPool) -> Option<Payload> {
+        if let BlockState::Accum { buf, len } = &self.state {
+            let frozen = Payload::Bytes(Bytes::from_arc(buf.clone(), 0, *len));
+            pool.retain(buf.clone());
+            self.state = BlockState::Shared(frozen);
+        }
+        match &self.state {
+            BlockState::Shared(p) => Some(p.clone()),
+            BlockState::Empty | BlockState::Accum { .. } => None,
         }
     }
 }
@@ -160,7 +168,7 @@ impl ReduceParticipant {
         let num_blocks = num_blocks(instr.object_size, instr.block_size) as usize;
         ReduceParticipant {
             instr,
-            blocks: vec![BlockAccum::default(); num_blocks.max(1)],
+            blocks: (0..num_blocks.max(1)).map(|_| BlockAccum::default()).collect(),
             own_blocks_ingested: 0,
             next_emit_block: 0,
             root_started: false,
@@ -309,7 +317,7 @@ impl ReduceEngine {
             return;
         }
         let spec = p.instr.spec;
-        p.blocks[idx].fold(spec, target, &block.payload);
+        p.blocks[idx].fold(&ctx.pool, spec, target, &block.payload);
     }
 
     /// A partially-reduced block arrived from a child slot.
@@ -401,7 +409,7 @@ impl ReduceEngine {
         for (block_idx, offset, len) in to_ingest {
             let Some(block) = ctx.store.read(own, offset, len) else { break };
             let p = self.participants.get_mut(&key).expect("participant exists");
-            if !p.blocks[block_idx as usize].fold(spec, target, &block) {
+            if !p.blocks[block_idx as usize].fold(&ctx.pool, spec, target, &block) {
                 break;
             }
             p.own_blocks_ingested = block_idx + 1;
@@ -418,7 +426,7 @@ impl ReduceEngine {
             if !p.blocks[idx as usize].is_ready(num_inputs) {
                 break;
             }
-            let payload = p.blocks[idx as usize].emit().expect("ready block has data");
+            let payload = p.blocks[idx as usize].emit(&ctx.pool).expect("ready block has data");
             let is_root = p.instr.is_root;
             let parent = p.instr.parent;
             let slot = p.instr.slot;

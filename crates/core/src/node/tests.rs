@@ -202,7 +202,7 @@ fn put_then_remote_get_delivers_bytes() {
             _ => None,
         })
         .expect("get completed");
-    assert_eq!(got.as_bytes().unwrap().as_ref(), data.as_slice());
+    assert_eq!(got, Payload::from_vec(data));
     assert!(nodes[2].has_complete(object));
 }
 
@@ -261,6 +261,77 @@ fn forward_transit_never_copies_payload_bytes() {
         let in_ptr = incoming.as_bytes().unwrap().as_slice().as_ptr();
         let out_ptr = outgoing.segments().next().unwrap().as_slice().as_ptr();
         assert_eq!(in_ptr, out_ptr);
+    }
+}
+
+#[test]
+fn get_of_a_multi_block_object_copies_no_payload_bytes() {
+    // A 16-block object pulled node 0 → node 1 → node 2, node 1 relaying while it
+    // receives. No node copies a payload byte — the callers of `get` included: what
+    // they are handed is the blocks their node received, by reference.
+    let (mut nodes, _) = setup(3);
+    let object = ObjectId::from_name("sixteen-blocks");
+    let block_len = 1024usize; // small_for_tests block size
+    let data: Vec<u8> = (0..16 * block_len).map(|i| (i % 251) as u8).collect();
+    let mut out = Vec::new();
+    nodes[0].handle_client(
+        Time::ZERO,
+        OpId(1),
+        ClientOp::Put { object, payload: Payload::from_vec(data.clone()) },
+        &mut out,
+    );
+    run_to_quiescence(&mut nodes, vec![(NodeId(0), out)]);
+
+    crate::copytrace::reset();
+    // Both receivers ask at once: the directory leases node 0 to the first and chains
+    // the second off the first's partial copy (§3.4.1).
+    let mut queue = std::collections::VecDeque::new();
+    for r in [1u32, 2] {
+        let mut out = Vec::new();
+        nodes[r as usize].handle_client(
+            Time::ZERO,
+            OpId(10 + r as u64),
+            ClientOp::Get { object },
+            &mut out,
+        );
+        queue.push_back((NodeId(r), out));
+    }
+    // Per node: the address ranges of the blocks it was handed, and what its Get got.
+    let mut handed: Vec<Vec<std::ops::Range<*const u8>>> = vec![Vec::new(); 3];
+    let mut got: Vec<(NodeId, Payload)> = Vec::new();
+    while let Some((from, batch)) = queue.pop_front() {
+        for effect in batch {
+            match effect {
+                Effect::Send { to, msg } => {
+                    if let Message::PushBlock { payload, .. } = &msg {
+                        handed[to.index()]
+                            .extend(payload.segments().map(|s| s.as_slice().as_ptr_range()));
+                    }
+                    let mut out = Vec::new();
+                    nodes[to.index()].handle_message(Time::ZERO, from, msg, &mut out);
+                    queue.push_back((to, out));
+                }
+                Effect::Reply { reply: ClientReply::GetDone { payload, .. }, .. } => {
+                    got.push((from, payload));
+                }
+                _ => {}
+            }
+        }
+    }
+    assert_eq!(crate::copytrace::bytes_copied(), 0, "no node may memcpy payload bytes");
+    assert_eq!(nodes[0].metrics().pulls_served, 1);
+    assert_eq!(nodes[1].metrics().pulls_served, 1, "node 1 relayed to node 2");
+    assert_eq!(got.len(), 2);
+    for (node, payload) in &got {
+        assert_eq!(payload.segments().count(), 16, "one segment per received block");
+        for seg in payload.segments() {
+            let seg = seg.as_slice().as_ptr_range();
+            assert!(
+                handed[node.index()].iter().any(|b| b.start <= seg.start && seg.end <= b.end),
+                "{node:?} was returned bytes outside the blocks it received"
+            );
+        }
+        assert_eq!(payload, &Payload::from_vec(data.clone()));
     }
 }
 
@@ -530,7 +601,7 @@ fn broadcast_repulls_after_sender_loss() {
     tc.client(2, OpId(4), ClientOp::Get { object });
     tc.run();
     let got = tc.reply_payload(OpId(4)).expect("get completed after failover");
-    assert_eq!(got.as_bytes().unwrap().as_ref(), data.as_slice());
+    assert_eq!(got, Payload::from_vec(data));
     assert!(tc.nodes[2].metrics().broadcast_failovers >= 1, "receiver recorded a failover");
 }
 
@@ -667,7 +738,7 @@ fn get_survives_total_copy_loss_until_recreation() {
     );
     tc.run();
     let got = tc.reply_payload(OpId(2)).expect("parked get completed after recreation");
-    assert_eq!(got.as_bytes().unwrap().as_ref(), data.as_slice());
+    assert_eq!(got, Payload::from_vec(data));
 }
 
 /// Reduce-state GC: once a reduce completes, every node's reduce maps (participants,
@@ -711,6 +782,58 @@ fn reduce_state_is_released_after_completion() {
     }
 }
 
+/// Reduce accumulators recycle through the node's pool: a three-input fold over 8
+/// blocks checks out 8 buffers the first time and, once that reduce is released and
+/// its result deleted, the same 8 the second time — nothing is allocated per block
+/// after warm-up, and a frozen block is never reissued while a view of it is alive.
+#[test]
+fn reduce_accumulators_are_recycled_after_release() {
+    let mut tc = TestCluster::new(4);
+    let len = 8 * 1024 / 4; // 8 blocks of small_for_tests' 1 KiB
+    let pools = |tc: &TestCluster| -> (u64, usize) {
+        let pools = tc.nodes.iter().map(|n| &n.ctx.pool);
+        (pools.clone().map(|p| p.reuses()).sum(), pools.map(|p| p.idle_slabs()).sum())
+    };
+    for run in 0..2u64 {
+        let sources: Vec<ObjectId> =
+            (0..3).map(|i| ObjectId::from_name(&format!("recycle-{run}-{i}"))).collect();
+        let target = ObjectId::from_name(&format!("recycle-{run}-sum"));
+        // Degree 2 over three inputs: a root folding its own object and two child
+        // streams. Sources appear one at a time, so the same node is root both runs.
+        tc.client(
+            0,
+            OpId(100 * run + 1),
+            ClientOp::Reduce {
+                target,
+                sources: sources.clone(),
+                num_objects: None,
+                spec: ReduceSpec::sum_f32(),
+                degree: Some(2),
+            },
+        );
+        tc.run();
+        for (i, &source) in sources.iter().enumerate() {
+            let values: Vec<f32> = (0..len).map(|j| (i + 1) as f32 + j as f32).collect();
+            let put = ClientOp::Put { object: source, payload: Payload::from_f32s(&values) };
+            tc.client(i + 1, OpId(100 * run + 10 + i as u64), put);
+            tc.run();
+        }
+        tc.client(0, OpId(100 * run + 2), ClientOp::Get { object: target });
+        tc.run();
+        let result = tc.reply_payload(OpId(100 * run + 2)).expect("reduce completed").to_f32s();
+        let reference: Vec<f32> = (0..len).map(|j| 6.0 + 3.0 * j as f32).collect();
+        assert_eq!(result, reference, "run {run}");
+        // While the result object is alive its blocks pin all 8 accumulators.
+        assert_eq!(pools(&tc), (8 * run, 0), "run {run}: reuses, idle buffers");
+
+        tc.replies.clear();
+        tc.client(0, OpId(100 * run + 3), ClientOp::Delete { object: target });
+        tc.run();
+        assert!(tc.nodes.iter().all(|n| n.reduce_state_is_empty()));
+        assert_eq!(pools(&tc), (8 * run, 8), "run {run}: every accumulator came back, none new");
+    }
+}
+
 // ------------------------------------------------- directory failover seam tests --
 
 /// §3.5: killing the primary of a directory shard loses no object-location records —
@@ -741,7 +864,7 @@ fn directory_primary_failure_preserves_metadata() {
     tc.client(2, OpId(2), ClientOp::Get { object });
     tc.run();
     let got = tc.reply_payload(OpId(2)).expect("get served after directory failover");
-    assert_eq!(got.as_bytes().unwrap().as_ref(), data.as_slice());
+    assert_eq!(got, Payload::from_vec(data));
 }
 
 /// A location query that parked on the old primary is not lost: the requester
@@ -772,7 +895,7 @@ fn parked_query_survives_primary_failure() {
     tc.client(1, OpId(2), ClientOp::Put { object, payload: Payload::from_vec(data.clone()) });
     tc.run();
     let got = tc.reply_payload(OpId(1)).expect("parked get completed after failover");
-    assert_eq!(got.as_bytes().unwrap().as_ref(), data.as_slice());
+    assert_eq!(got, Payload::from_vec(data));
 }
 
 /// An inline (small) object survives a directory-primary failure: the creator
@@ -793,7 +916,7 @@ fn inline_object_survives_primary_failure() {
     tc.client(2, OpId(2), ClientOp::Get { object });
     tc.run();
     let got = tc.reply_payload(OpId(2)).expect("inline get served by the promoted backup");
-    assert_eq!(got.as_bytes().unwrap().as_ref(), data.as_slice());
+    assert_eq!(got, Payload::from_vec(data));
 }
 
 /// Puts of an object that already exists fail fast with `ObjectAlreadyExists`.

@@ -763,7 +763,9 @@ pub enum ClientReply {
         /// The stored object.
         object: ObjectId,
     },
-    /// `Get` completed; the payload is a complete copy of the object.
+    /// `Get` completed; the payload is a complete copy of the object, shared with the
+    /// local store: [`Payload::Segments`] (one per received block, never coalesced)
+    /// when the object is larger than one block.
     GetDone {
         /// The fetched object.
         object: ObjectId,

@@ -11,7 +11,7 @@
 //! `to_le_bytes` over exact-width chunks compile to plain unaligned loads and stores on
 //! little-endian targets, and the loop autovectorizes). Incoming blocks may be
 //! segmented ([`Payload::Segments`]); segments whose boundaries fall mid-element are
-//! handled by a small carry buffer on a safe fallback path.
+//! handled by the small carry buffer of `Payload::for_each_element_run`.
 
 use crate::buffer::Payload;
 use crate::error::{HopliteError, Result};
@@ -176,45 +176,17 @@ fn combine_slices<T: Element, const W: usize>(acc: &mut [u8], block: &[u8], op: 
     }
 }
 
-/// Dispatch on the block's shape: contiguous blocks take the fast path whole;
-/// segmented blocks take it per aligned segment run, with elements that straddle a
-/// segment boundary staged through a `W`-byte carry buffer (the safe unaligned
-/// fallback).
+/// Combine a block of any shape: contiguous blocks take the fast path whole, segmented
+/// blocks take it per aligned segment run, and an element that straddles a segment
+/// boundary arrives staged through `Payload::for_each_element_run`'s carry buffer
+/// (the safe unaligned fallback).
 fn combine_into_typed<T: Element, const W: usize>(acc: &mut [u8], block: &Payload, op: ReduceOp) {
-    if let Some(b) = block.as_bytes() {
-        combine_slices::<T, W>(acc, b.as_slice(), op);
-        return;
-    }
     let mut at = 0usize; // byte offset into `acc`, always element-aligned
-    let mut carry = [0u8; 8];
-    let mut carry_len = 0usize;
-    for seg in block.segments() {
-        let mut s = seg.as_slice();
-        if carry_len > 0 {
-            // Finish the element started by the previous segment.
-            let take = (W - carry_len).min(s.len());
-            carry[carry_len..carry_len + take].copy_from_slice(&s[..take]);
-            carry_len += take;
-            s = &s[take..];
-            if carry_len == W {
-                let ca = &mut acc[at..at + W];
-                T::from_le(ca).apply(T::from_le(&carry[..W]), op).write_le(ca);
-                at += W;
-                carry_len = 0;
-            }
-        }
-        let bulk = s.len() - s.len() % W;
-        combine_slices::<T, W>(&mut acc[at..at + bulk], &s[..bulk], op);
-        at += bulk;
-        if s.len() > bulk {
-            carry[..s.len() - bulk].copy_from_slice(&s[bulk..]);
-            carry_len = s.len() - bulk;
-        }
-    }
+    block.for_each_element_run::<W>(|run| {
+        combine_slices::<T, W>(&mut acc[at..at + run.len()], run, op);
+        at += run.len();
+    });
     // Total length is a validated multiple of W, so no element can be left dangling.
-    // (The carry buffer stages at most W-1 bytes per boundary: bookkeeping, not a
-    // payload materialization, so it does not hit the debug copy tally.)
-    debug_assert_eq!(carry_len, 0);
     debug_assert_eq!(at, acc.len());
 }
 

@@ -191,7 +191,7 @@ fn progress_buffer_reassembles_any_split() {
         }
         assert!(buf.is_complete());
         let reassembled = buf.to_payload().unwrap();
-        assert_eq!(reassembled.as_bytes().unwrap().as_ref(), data.as_slice());
+        assert_eq!(reassembled, Payload::from_vec(data));
     }
 }
 
@@ -256,6 +256,33 @@ fn segmented_payload_views_agree_with_contiguous() {
         let take = rng.range(0, len as u64 + 10);
         assert_eq!(segmented.slice(off, take), flat.slice(off, take));
         assert_eq!(segmented.to_owned_vec().unwrap(), data);
+    }
+}
+
+/// Any split of the same bytes — including splits at offsets not divisible by four,
+/// where an element straddles two or more segments — decodes to the same `f32`s, and
+/// the decode stages no copy of the payload.
+#[test]
+fn f32_decode_is_segmentation_blind() {
+    use bytes::Bytes;
+    let mut rng = Rng::new(0xF32);
+    for _ in 0..200 {
+        let values: Vec<f32> = (0..rng.usize(1, 300)).map(|_| rng.f32(-1e3, 1e3)).collect();
+        let flat = Payload::from_f32s(&values);
+        let data = flat.to_owned_vec().unwrap();
+        let mut segments = Vec::new();
+        let mut at = 0usize;
+        while at < data.len() {
+            // Mostly 0–3 byte slivers early on, so elements split three ways too.
+            let take = rng.usize(0, if at < 32 { 4 } else { 40 }).min(data.len() - at);
+            segments.push(Bytes::from(data[at..at + take].to_vec()));
+            at += take;
+        }
+        let segmented = Payload::from_segments(segments);
+        hoplite_core::copytrace::reset();
+        assert_eq!(segmented.to_f32s(), values);
+        assert_eq!(flat.to_f32s(), values);
+        assert_eq!(hoplite_core::copytrace::bytes_copied(), 0);
     }
 }
 

@@ -21,6 +21,7 @@
 //! trailing or truncated bytes. `tests/golden_frames.txt` pins the bytes peers observe.
 
 use bytes::Bytes;
+use hoplite_core::buffer::SlabPool;
 use hoplite_core::copytrace;
 use hoplite_core::prelude::*;
 use hoplite_core::protocol::ReduceParent;
@@ -668,58 +669,6 @@ pub fn write_frame_vectored<W: std::io::Write>(w: &mut W, msg: &Message) -> std:
 /// trailing length prefix, so a full 4 MiB `PushBlock` frame always fits in one slab.
 pub const DEFAULT_RECV_SLAB: usize = 4 * 1024 * 1024 + 4096;
 
-/// How many idle slabs a pool retains for reuse. Beyond this, returned slabs are
-/// dropped: a connection only needs enough slabs to cover the consumer's drain lag.
-const MAX_RETAINED_SLABS: usize = 8;
-
-/// A pool of reusable receive slabs ([`FrameReader`]'s allocator).
-///
-/// Slabs are `Arc<[u8]>` allocations. Frame bodies decoded out of a slab alias it as
-/// [`Bytes`] views ([`Bytes::from_arc`]), so a slab stays pinned — `strong_count > 1`
-/// — for exactly as long as any decoded payload is alive. Checkout simply scans the
-/// retained list for a slab whose refcount has dropped back to one: no free-lists, no
-/// drop hooks, the `Arc` refcount *is* the in-use bit.
-pub struct RecvSlabPool {
-    retained: Vec<std::sync::Arc<[u8]>>,
-    slab_len: usize,
-    reuses: u64,
-}
-
-impl RecvSlabPool {
-    /// A pool handing out slabs of at least `slab_len` bytes.
-    pub fn new(slab_len: usize) -> RecvSlabPool {
-        RecvSlabPool { retained: Vec::new(), slab_len: slab_len.max(64), reuses: 0 }
-    }
-
-    /// Check a writable slab of at least `min_len` bytes out of the pool, reusing a
-    /// retained allocation when one is free (refcount back to one) and large enough.
-    pub fn checkout(&mut self, min_len: usize) -> std::sync::Arc<[u8]> {
-        let want = min_len.max(self.slab_len);
-        for i in 0..self.retained.len() {
-            if std::sync::Arc::strong_count(&self.retained[i]) == 1
-                && self.retained[i].len() >= min_len
-            {
-                self.reuses += 1;
-                return self.retained.swap_remove(i);
-            }
-        }
-        std::sync::Arc::from(vec![0u8; want])
-    }
-
-    /// Hand a slab back. It becomes reusable once every payload view into it drops.
-    pub fn retain(&mut self, slab: std::sync::Arc<[u8]>) {
-        if self.retained.len() < MAX_RETAINED_SLABS && slab.len() >= self.slab_len {
-            self.retained.push(slab);
-        }
-    }
-
-    /// Checkouts served from a retained slab instead of a fresh allocation, since the
-    /// last call (drains the counter — feeds the `recv_slab_reuse` metric).
-    pub fn take_reuses(&mut self) -> u64 {
-        std::mem::take(&mut self.reuses)
-    }
-}
-
 /// Zero-copy framed reader: the receive-side twin of [`write_frame_vectored`].
 ///
 /// Instead of a fresh `vec![0u8; len]` per frame (an allocation, a page-fault walk,
@@ -727,10 +676,12 @@ impl RecvSlabPool {
 /// into a pooled slab and decodes each frame **in place**: the body handed to
 /// [`decode_body`] is a [`Bytes`] view of the slab, so a block payload's bytes are
 /// written exactly once (by the kernel, into the slab) and then adopted —
-/// `ProgressBuffer`/store append the very same view. Slabs return to the pool when
-/// every view into them drops. Only block frames leave views behind (the message
-/// table's `aliases_slab` mark); every other frame decodes into owned fields, so a
-/// control-heavy stream — inline objects included — stays in one warm slab.
+/// `ProgressBuffer`/store append the very same view. Slabs come from a
+/// [`SlabPool`] — shared by every reader of a fabric ([`FrameReader::with_pool`]) —
+/// which reissues them once every view into them has dropped. Only block frames leave
+/// views behind (the message table's `aliases_slab` mark); every other frame decodes
+/// into owned fields, so a control-heavy stream — inline objects included — stays in
+/// one warm slab.
 ///
 /// Read-ahead is capped so a slab roll never has to move payload bytes: a fill stops
 /// at the length prefix after the frame being read. The carry copied across a roll
@@ -738,8 +689,11 @@ impl RecvSlabPool {
 /// preserving the zero-payload-memcpy invariant end to end.
 pub struct FrameReader<R> {
     inner: R,
-    pool: RecvSlabPool,
-    slab: std::sync::Arc<[u8]>,
+    pool: SlabPool,
+    /// The pool's reuse count when [`FrameReader::take_slab_reuses`] last read it.
+    reuses_reported: u64,
+    slab_len: usize,
+    slab: std::sync::Arc<Vec<u8>>,
     /// Start of the first unconsumed byte in `slab`.
     pos: usize,
     /// End of valid buffered bytes in `slab`.
@@ -747,18 +701,27 @@ pub struct FrameReader<R> {
 }
 
 impl<R: std::io::Read> FrameReader<R> {
-    /// Wrap `inner` with the default (block-sized) slab pool.
+    /// Wrap `inner` with default (block-sized) slabs from a pool of its own.
     pub fn new(inner: R) -> FrameReader<R> {
-        FrameReader::with_slab_len(inner, DEFAULT_RECV_SLAB)
+        FrameReader::with_pool(inner, SlabPool::new())
+    }
+
+    /// Wrap `inner` with default (block-sized) slabs from `pool`, which other readers
+    /// may share: a slab one of them filled is, once unpinned, read into by any.
+    pub fn with_pool(inner: R, pool: SlabPool) -> FrameReader<R> {
+        FrameReader::build(inner, pool, DEFAULT_RECV_SLAB)
     }
 
     /// Wrap `inner` with slabs of at least `slab_len` bytes (tests use tiny slabs to
     /// force boundary straddles; oversized frames still get a dedicated allocation).
     pub fn with_slab_len(inner: R, slab_len: usize) -> FrameReader<R> {
-        let mut pool = RecvSlabPool::new(slab_len);
+        FrameReader::build(inner, SlabPool::new(), slab_len.max(64))
+    }
+
+    fn build(inner: R, pool: SlabPool, slab_len: usize) -> FrameReader<R> {
+        let reuses_reported = pool.reuses();
         let slab = pool.checkout(slab_len);
-        pool.take_reuses(); // the bootstrap checkout is not a reuse
-        FrameReader { inner, pool, slab, pos: 0, filled: 0 }
+        FrameReader { inner, pool, reuses_reported, slab_len, slab, pos: 0, filled: 0 }
     }
 
     /// Read and decode one framed message, zero-copy for block payloads. A length
@@ -777,9 +740,12 @@ impl<R: std::io::Read> FrameReader<R> {
         Ok(decode_body(&body)?)
     }
 
-    /// Slab checkouts served by reuse since the last call (→ `recv_slab_reuse`).
+    /// Slab checkouts the pool served by reuse since the last call (since
+    /// construction, the first time). The count is the pool's, so it includes the
+    /// checkouts of any reader sharing it.
     pub fn take_slab_reuses(&mut self) -> u64 {
-        self.pool.take_reuses()
+        let total = self.pool.reuses();
+        total - std::mem::replace(&mut self.reuses_reported, total)
     }
 
     /// Ensure the next `n` bytes of the stream are buffered contiguously at `pos`,
@@ -814,7 +780,7 @@ impl<R: std::io::Read> FrameReader<R> {
     fn roll(&mut self, n: usize) {
         let carry = self.filled - self.pos;
         debug_assert!(carry <= 4, "roll carry must be at most a length prefix");
-        let mut fresh = self.pool.checkout(n.max(carry));
+        let mut fresh = self.pool.checkout(n.max(self.slab_len));
         {
             let dst = std::sync::Arc::get_mut(&mut fresh).expect("pool slab is uniquely held");
             dst[..carry].copy_from_slice(&self.slab[self.pos..self.filled]);
@@ -1935,6 +1901,62 @@ mod tests {
             0,
             "slab-reader decode must not memcpy payload bytes"
         );
+    }
+
+    #[test]
+    fn slabs_of_a_deleted_object_are_read_into_again() {
+        // Two 16-block objects through readers sharing one pool, each block kept
+        // alive as the store would. Once the first object is dropped, its slabs —
+        // filled by reader A — are what the second object lands in, whether it
+        // arrives over A again or over a different reader of the same pool.
+        let block = 2 * GATHER_MIN_SEGMENT;
+        let object = |name: &str| -> Vec<u8> {
+            (0..16)
+                .map(|i| Message::PushBlock {
+                    object: ObjectId::from_name(name),
+                    offset: (i * block) as u64,
+                    total_size: (16 * block) as u64,
+                    payload: Payload::from_vec(vec![i as u8 + 1; block]),
+                    complete: i == 15,
+                })
+                .flat_map(|msg| wire(&msg))
+                .collect()
+        };
+        // Default slabs: 4 MiB of address space each, of which a block touches 8 KiB.
+        let pool = SlabPool::new();
+        let reader_over =
+            |stream: Vec<u8>| FrameReader::with_pool(std::io::Cursor::new(stream), pool.clone());
+        // Read one object, returning its blocks (kept alive, as the store would) and
+        // the address of the slab each one landed in.
+        fn read_object<R: std::io::Read>(r: &mut FrameReader<R>) -> (Vec<Message>, Vec<*const u8>) {
+            (0..16)
+                .map(|_| {
+                    let msg = r.read_message().unwrap();
+                    assert!(matches!(msg, Message::PushBlock { .. }));
+                    (msg, r.slab.as_ptr())
+                })
+                .unzip()
+        }
+        let mut a = reader_over([object("first"), object("second")].concat());
+
+        // Every block pins the slab it arrived in; the pool has nothing to offer.
+        let (first, first_slabs) = read_object(&mut a);
+        assert_eq!(a.take_slab_reuses(), 0);
+        drop(first);
+
+        // The first block lands in the slab `a` is still on (unpinned, barely used);
+        // each of the other fifteen rolls to a slab the pool recycles.
+        let (second, second_slabs) = read_object(&mut a);
+        assert_eq!(a.take_slab_reuses(), 15, "the second object allocates nothing");
+        assert!(second_slabs.iter().all(|slab| first_slabs.contains(slab)));
+        drop(second);
+
+        // `a` still holds one of the sixteen slabs as its current one; the other
+        // fifteen serve a different reader of the same pool.
+        let mut b = reader_over(object("third"));
+        let (_third, third_slabs) = read_object(&mut b);
+        assert_eq!(b.take_slab_reuses(), 15, "another reader allocates only the slab `a` kept");
+        assert_eq!(third_slabs.iter().filter(|slab| first_slabs.contains(slab)).count(), 15);
     }
 
     #[test]

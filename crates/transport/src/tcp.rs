@@ -17,7 +17,9 @@
 //!   traffic is idle.
 //! * Receives go through a [`crate::framing::FrameReader`]: frames decode in place
 //!   out of pooled slabs, so a block's payload bytes are written once by the kernel
-//!   and then adopted as shared views all the way into the store.
+//!   and then adopted as shared views all the way into the store. Every reader thread
+//!   of a fabric draws from one [`SlabPool`], so the slabs of a deleted object are
+//!   what the next object is read into, whichever peer sends it.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -27,6 +29,7 @@ use std::thread;
 use std::time::Duration;
 
 use crossbeam_channel::{unbounded, Receiver, Sender, TryRecvError};
+use hoplite_core::buffer::SlabPool;
 use hoplite_core::prelude::*;
 use parking_lot::{Mutex, RwLock};
 
@@ -44,7 +47,8 @@ pub struct TcpFabric {
     ingress: IngressTable,
     receivers: Vec<Option<Receiver<(NodeId, Message)>>>,
     incarnations: Arc<RwLock<Vec<u64>>>,
-    recv_slab_reuses: Arc<AtomicU64>,
+    /// Where every reader thread's receive slabs come from and go back to.
+    recv_pool: SlabPool,
     corked_frames: Arc<AtomicU64>,
     corked_writes: Arc<AtomicU64>,
     _listeners: Vec<thread::JoinHandle<()>>,
@@ -73,7 +77,7 @@ impl TcpFabric {
         let mut ingress = Vec::with_capacity(n);
         let mut receivers = Vec::with_capacity(n);
         let mut accept_threads = Vec::new();
-        let recv_slab_reuses = Arc::new(AtomicU64::new(0));
+        let recv_pool = SlabPool::new();
         for _ in 0..n {
             let listener = TcpListener::bind("127.0.0.1:0")?;
             addrs.push(listener.local_addr()?);
@@ -84,16 +88,16 @@ impl TcpFabric {
         }
         let ingress = Arc::new(RwLock::new(ingress));
         for (slot, listener) in listeners.into_iter().enumerate() {
-            let reuses = recv_slab_reuses.clone();
+            let pool = recv_pool.clone();
             let table = ingress.clone();
-            accept_threads.push(thread::spawn(move || accept_loop(listener, slot, table, reuses)));
+            accept_threads.push(thread::spawn(move || accept_loop(listener, slot, table, pool)));
         }
         Ok(TcpFabric {
             addrs: Arc::new(addrs),
             ingress,
             receivers,
             incarnations: Arc::new(RwLock::new(vec![0; n])),
-            recv_slab_reuses,
+            recv_pool,
             corked_frames: Arc::new(AtomicU64::new(0)),
             corked_writes: Arc::new(AtomicU64::new(0)),
             _listeners: accept_threads,
@@ -120,21 +124,21 @@ impl TcpFabric {
             receivers.push((i == me.index()).then_some(rx));
         }
         let ingress = Arc::new(RwLock::new(ingress));
-        let recv_slab_reuses = Arc::new(AtomicU64::new(0));
+        let recv_pool = SlabPool::new();
         let mut incarnations = vec![0; n];
         incarnations[me.index()] = incarnation;
         let accept = {
             let table = ingress.clone();
-            let reuses = recv_slab_reuses.clone();
+            let pool = recv_pool.clone();
             let slot = me.index();
-            thread::spawn(move || accept_loop(listener, slot, table, reuses))
+            thread::spawn(move || accept_loop(listener, slot, table, pool))
         };
         Ok(TcpFabric {
             addrs: Arc::new(addrs),
             ingress,
             receivers,
             incarnations: Arc::new(RwLock::new(incarnations)),
-            recv_slab_reuses,
+            recv_pool,
             corked_frames: Arc::new(AtomicU64::new(0)),
             corked_writes: Arc::new(AtomicU64::new(0)),
             _listeners: vec![accept],
@@ -157,7 +161,7 @@ impl TcpFabric {
     /// Receive slabs served by pool reuse instead of a fresh allocation, across every
     /// connection accepted by this fabric (→ the `recv_slab_reuse` metric).
     pub fn recv_slab_reuses(&self) -> u64 {
-        self.recv_slab_reuses.load(Ordering::Relaxed)
+        self.recv_pool.reuses()
     }
 }
 
@@ -179,18 +183,13 @@ fn bind_with_retry(addr: SocketAddr) -> std::io::Result<TcpListener> {
     Err(last.expect("retry loop ran at least once"))
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    slot: usize,
-    ingress: IngressTable,
-    slab_reuses: Arc<AtomicU64>,
-) {
+fn accept_loop(listener: TcpListener, slot: usize, ingress: IngressTable, pool: SlabPool) {
     for stream in listener.incoming() {
         let Ok(stream) = stream else { return };
         let ingress = ingress.clone();
-        let slab_reuses = slab_reuses.clone();
+        let pool = pool.clone();
         thread::spawn(move || {
-            let mut reader = FrameReader::new(stream);
+            let mut reader = FrameReader::with_pool(stream, pool);
             // First frame identifies the peer (and its incarnation). The Hello is
             // forwarded to the node like any other frame: a survivor that sees a
             // restarted peer reconnect learns the new incarnation from it.
@@ -206,7 +205,6 @@ fn accept_loop(
             loop {
                 match reader.read_message() {
                     Ok(msg) => {
-                        slab_reuses.fetch_add(reader.take_slab_reuses(), Ordering::Relaxed);
                         // Look the queue up per frame: a restart swaps the slot, and
                         // this connection must start feeding the new incarnation.
                         if ingress.read()[slot].send((from, msg)).is_err() {
@@ -255,7 +253,7 @@ impl Fabric for TcpFabric {
 
     fn transport_metrics(&self) -> NodeMetrics {
         NodeMetrics {
-            recv_slab_reuse: self.recv_slab_reuses.load(Ordering::Relaxed),
+            recv_slab_reuse: self.recv_slab_reuses(),
             corked_frames_per_write: self.corked_frames.load(Ordering::Relaxed),
             ..NodeMetrics::default()
         }

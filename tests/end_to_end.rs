@@ -23,7 +23,7 @@ fn real_cluster_broadcast_delivers_identical_bytes_everywhere() {
     let handles: Vec<std::thread::JoinHandle<Vec<u8>>> = (1..5)
         .map(|i| {
             let client = cluster.client(i);
-            std::thread::spawn(move || client.get(object).unwrap().as_bytes().unwrap().to_vec())
+            std::thread::spawn(move || client.get(object).unwrap().to_owned_vec().unwrap())
         })
         .collect();
     for h in handles {
