@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use hoplite_core::buffer::{Payload, ProgressBuffer};
-use hoplite_core::object::{NodeId, ObjectId};
+use hoplite_core::object::ObjectId;
 use hoplite_core::reduce::ReduceSpec;
 use hoplite_transport::framing::{
     decode_body, encode_frame_vectored, write_frame_vectored, Cork, FrameReader,
@@ -205,57 +205,12 @@ fn bench_control_burst(c: &mut Criterion) {
     group.finish();
 }
 
-/// Shard-primary replication egress at r = 3: the same registration stream applied
-/// through `DirectoryService::handle_op` under star fan-out (two `DirReplicate`s per
-/// op) and chain replication (one, to the chain head). NodeIds 0..2 form the chain.
-fn bench_replication_fanout(c: &mut Criterion) {
-    use hoplite_core::config::HopliteConfig;
-    use hoplite_core::directory::DirectoryService;
-    use hoplite_core::object::ObjectStatus;
-    use hoplite_core::protocol::DirOp;
-
-    const OPS: usize = 256;
-    let nodes: Vec<NodeId> = (0..3).map(NodeId).collect();
-    let base = HopliteConfig { directory_replication: 3, ..HopliteConfig::paper_testbed() };
-    let probe = DirectoryService::new(NodeId(0), &base, &nodes);
-    let objects: Vec<ObjectId> = (0u64..)
-        .map(|k| ObjectId::from_name(&format!("fanout-{k}")))
-        .filter(|&o| probe.placement().shard_of(o) == 0)
-        .take(OPS)
-        .collect();
-    let mut group = c.benchmark_group("directory_replication_fanout");
-    group.throughput(Throughput::Elements(OPS as u64));
-    for (label, chain) in [("r3_star", false), ("r3_chain", true)] {
-        let cfg = HopliteConfig { directory_chain_replication: chain, ..base.clone() };
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let mut svc = DirectoryService::new(NodeId(0), &cfg, &nodes);
-                let mut out = Vec::new();
-                for &o in &objects {
-                    let op = DirOp::Register {
-                        object: o,
-                        holder: NodeId(1),
-                        status: ObjectStatus::Complete,
-                        size: 1 << 20,
-                    };
-                    svc.handle_op(op, &mut out);
-                }
-                let shipped = out.len();
-                out.clear();
-                shipped
-            })
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_progress_buffer,
     bench_forward_path,
     bench_reduce_combine,
     bench_framing,
-    bench_control_burst,
-    bench_replication_fanout
+    bench_control_burst
 );
 criterion_main!(benches);

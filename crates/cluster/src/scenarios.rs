@@ -626,126 +626,59 @@ pub fn directory_fetch_latency(env: &ScenarioEnv, size: u64) -> ScenarioResult {
     result(&cluster, (done - start).as_secs_f64())
 }
 
-/// Outcome of the replication fan-out scenario.
-#[derive(Clone, Debug)]
-pub struct ReplicationFanoutResult {
-    /// `DirReplicate` frames shipped by the measured shard's primary (its
-    /// replication egress).
-    pub primary_replicates: u64,
-    /// Cumulative acks folded and relayed upstream by chain middles, cluster-wide
-    /// (zero under star fan-out).
-    pub chain_ack_depth: u64,
-    /// Objects whose location record is present at the shard primary afterwards.
-    pub recorded: usize,
-}
-
-/// Register a stream of objects into one dedicated directory shard replicated at
-/// `r = 3`, and measure the shard primary's replication egress (§3.5). Under star
-/// fan-out the primary ships every op `r - 1 = 2` times; under chain replication it
-/// ships once to the chain head, which relays — so the primary's egress halves while
-/// the same durability information flows (the tail's cumulative ack walks back up).
-pub fn directory_replication_fanout(
-    env: &ScenarioEnv,
-    n: usize,
-    objects: usize,
-    chain: bool,
-) -> ReplicationFanoutResult {
-    assert!(n >= 5, "need three chain members plus writers");
-    let mut hoplite = env.hoplite.clone();
-    hoplite.directory_replication = 3;
-    hoplite.directory_chain_replication = chain;
-    let mut cluster = SimCluster::new(n, hoplite, env.network.clone());
-    // The last node primaries the measured shard; its chain runs [n-1, 0, 1].
-    let dir_node = n - 1;
-    let view = ClusterView::of_size(n);
-    let objs: Vec<ObjectId> = (0u64..)
-        .map(|k| ObjectId::from_name(&format!("fanout-{k}")))
-        .filter(|&o| view.shard_node(o).index() == dir_node)
-        .take(objects)
-        .collect();
-    // Writers are nodes outside the chain, so the only `DirReplicate` traffic in the
-    // run is the measured shard's. 128 KiB payloads stay above the inline threshold.
-    for (i, &o) in objs.iter().enumerate() {
-        let at = SimTime::from_secs_f64(0.01 * i as f64);
-        let writer = 2 + (i % (n - 3));
-        cluster.submit_at(
-            at,
-            writer,
-            ClientOp::Put { object: o, payload: Payload::synthetic(128 * 1024) },
-        );
-    }
-    cluster.run();
-    let recorded = objs
-        .iter()
-        .filter(|&&o| {
-            cluster.directory_locations(dir_node, o).map(|l| !l.is_empty()).unwrap_or(false)
-        })
-        .count();
-    ReplicationFanoutResult {
-        primary_replicates: cluster.node_metrics(dir_node).directory_replicates_sent,
-        chain_ack_depth: cluster.total_metrics().chain_ack_depth,
-        recorded,
-    }
-}
-
-/// Which member of the three-node replication chain (primary → b1 → b2) a kill
-/// drill takes down mid-replication.
+/// Which member of an `r = 3` replica set (primary, b1, b2) a kill drill takes down
+/// mid-replication.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ChainKill {
+pub enum ReplicaKill {
     /// The primary itself: a surviving member promotes and clients re-drive their
     /// unconfirmed window at it.
-    Head,
-    /// The first backup: the primary re-splices the chain around it and re-ships
-    /// the unacked suffix.
-    Middle,
-    /// The last backup: the new tail re-anchors the cumulative ack flow so stuck
-    /// confirms release.
-    Tail,
+    Primary,
+    /// The first backup — the one that promotes if the primary dies next.
+    FirstBackup,
+    /// The last backup.
+    LastBackup,
 }
 
-/// Outcome of a chain kill drill.
+/// Outcome of a replica-set kill drill.
 #[derive(Clone, Debug)]
-pub struct ChainKillResult {
+pub struct ReplicaKillResult {
     /// Objects whose location record survived at the shard's final primary.
     pub surviving_records: usize,
     /// Objects registered (the zero-loss target).
     pub expected_records: usize,
-    /// Cumulative acks relayed by chain middles over the run.
-    pub chain_ack_depth: u64,
 }
 
-/// Kill one member of an `r = 3` replication chain while a stream of registrations
-/// is in flight through it (§3.5 under chain replication). Whatever the position —
-/// head, middle, or tail — the surviving members must re-splice and converge with
-/// zero lost location records: client re-drive covers the unconfirmed window when
-/// the primary dies, and the primary's unacked-suffix re-ship plus the re-anchored
-/// cumulative ack cover in-flight ops when a relay dies.
-pub fn chain_kill_drill(
+/// Kill one member of an `r = 3` replica set while a stream of registrations is
+/// being shipped to it (§3.5). Whatever the position, the surviving members must
+/// converge with zero lost location records: client re-drive covers the unconfirmed
+/// window when the primary dies, and when a backup dies the primary stops waiting on
+/// its ack, so the confirms it was gating are released.
+pub fn replica_kill_drill(
     env: &ScenarioEnv,
     n: usize,
-    kill: ChainKill,
+    kill: ReplicaKill,
     objects: usize,
     fail_at_s: f64,
-) -> ChainKillResult {
-    assert!(n >= 5, "need three chain members plus writers");
+) -> ReplicaKillResult {
+    assert!(n >= 5, "need three replica-set members plus writers");
     let mut hoplite = env.hoplite.clone();
     hoplite.directory_replication = 3;
-    hoplite.directory_chain_replication = true;
     let mut cluster = SimCluster::new(n, hoplite, env.network.clone());
+    // The last node primaries the measured shard; its replica set is [n-1, 0, 1].
     let dir_node = n - 1;
     let victim = match kill {
-        ChainKill::Head => dir_node,
-        ChainKill::Middle => 0,
-        ChainKill::Tail => 1,
+        ReplicaKill::Primary => dir_node,
+        ReplicaKill::FirstBackup => 0,
+        ReplicaKill::LastBackup => 1,
     };
     let view = ClusterView::of_size(n);
     let objs: Vec<ObjectId> = (0u64..)
-        .map(|k| ObjectId::from_name(&format!("chain-drill-{k}")))
+        .map(|k| ObjectId::from_name(&format!("replica-drill-{k}")))
         .filter(|&o| view.shard_node(o).index() == dir_node)
         .take(objects)
         .collect();
-    // Writers (and therefore holders) are nodes outside the chain, so the victim's
-    // death purges no holder records — any record loss is a replication bug.
+    // Writers (and therefore holders) are nodes outside the replica set, so the
+    // victim's death purges no holder records — any record loss is a replication bug.
     for (i, &o) in objs.iter().enumerate() {
         let at = SimTime::from_secs_f64(0.01 * i as f64);
         let writer = 2 + (i % (n - 3));
@@ -766,30 +699,25 @@ pub fn chain_kill_drill(
             cluster.directory_locations(primary.index(), o).map(|l| !l.is_empty()).unwrap_or(false)
         })
         .count();
-    ChainKillResult {
-        surviving_records,
-        expected_records: objects,
-        chain_ack_depth: cluster.total_metrics().chain_ack_depth,
-    }
+    ReplicaKillResult { surviving_records, expected_records: objects }
 }
 
-/// Outcome of the mid-chain resync drill.
+/// Outcome of the backup-resync-under-load drill.
 #[derive(Clone, Debug)]
-pub struct MidChainResyncResult {
-    /// Objects registered through the chain over the whole drill.
+pub struct BackupResyncResult {
+    /// Objects registered into the shard over the whole drill.
     pub expected_records: usize,
     /// Registrations whose `Put` completed (live traffic was never blocked by the
     /// catch-up — the source keeps serving throughout).
     pub puts_completed: usize,
-    /// Records present at the shard primary / chain tail / restarted middle at the
-    /// end (all three must equal `expected_records` for zero loss + convergence).
+    /// Records present at the shard primary / the backup that stayed up / the
+    /// restarted backup at the end (all three must equal `expected_records` for zero
+    /// loss + convergence).
     pub records_at_primary: usize,
-    /// See [`MidChainResyncResult::records_at_primary`].
-    pub records_at_tail: usize,
-    /// See [`MidChainResyncResult::records_at_primary`].
-    pub records_at_middle: usize,
-    /// Cumulative acks relayed upstream by chain middles (the chain stayed live).
-    pub chain_ack_depth: u64,
+    /// See [`BackupResyncResult::records_at_primary`].
+    pub records_at_live_backup: usize,
+    /// See [`BackupResyncResult::records_at_primary`].
+    pub records_at_restarted: usize,
     /// Directory resyncs completed by the restarted node.
     pub resyncs: u64,
     /// Bounded snapshot chunks shipped by resync sources.
@@ -800,50 +728,49 @@ pub struct MidChainResyncResult {
     pub chunk_budget: u64,
 }
 
-/// Kill **and restart** the middle member of an `r = 3` replication chain while a
-/// stream of registrations flows through it, with a chunk budget and retained-log
-/// window tight enough that the restarted replica must catch up via the cursor-driven
-/// chunk stream — not a single monolithic snapshot and not a log-replay delta. Live
-/// ops keep landing at the primary the whole time (it is never paused to serialize
-/// state), the re-spliced chain keeps acking, and at the end the tail *and* the
-/// re-admitted middle must both hold every record.
-pub fn mid_chain_resync_under_load(
+/// Kill **and restart** the first backup of an `r = 3` replica set while a stream of
+/// registrations is being shipped to it, with a chunk budget and retained-log window
+/// tight enough that the restarted replica must catch up via the cursor-driven chunk
+/// stream — not one O(objects) frame and not a log-replay delta. Live ops keep
+/// landing at the primary the whole time (it is never paused to serialize state),
+/// the other backup keeps acking, and at the end that backup *and* the re-admitted
+/// one must both hold every record.
+pub fn backup_resync_under_load(
     env: &ScenarioEnv,
     n: usize,
     fail_at_s: f64,
     seed: u64,
-) -> MidChainResyncResult {
-    assert!(n >= 5, "need three chain members plus writers");
+) -> BackupResyncResult {
+    assert!(n >= 5, "need three replica-set members plus writers");
     assert!(fail_at_s >= 0.1, "kill must land inside the registration stream");
     let mut hoplite = env.hoplite.clone();
     hoplite.directory_replication = 3;
-    hoplite.directory_chain_replication = true;
     // A tight chunk budget (a handful of entries per frame) and a short retained log
-    // force the restarted middle down the chunked-stream path: by restart time far
+    // force the restarted backup down the chunked-stream path: by restart time far
     // more ops have been acked than the log retains, so the gap is not bridgeable.
     hoplite.snapshot_chunk_bytes = 512;
     hoplite.directory_log_retention = 4;
     let chunk_budget = hoplite.snapshot_chunk_bytes;
     let detection = env.network.failure_detection_delay.as_secs_f64();
     let mut cluster = SimCluster::new(n, hoplite, env.network.clone());
-    // The last node primaries the measured shard; its chain runs [n-1, 0, 1], so
-    // node 0 is the middle relay and node 1 the tail.
+    // The last node primaries the measured shard; its replica set is [n-1, 0, 1], so
+    // node 0 is the backup that restarts and node 1 the one that stays up.
     let dir_node = n - 1;
-    let (middle, tail) = (0usize, 1usize);
+    let (restarted, live_backup) = (0usize, 1usize);
     let restart_at = fail_at_s + detection + 0.3;
     // Registrations every 40 ms from before the kill until well after the restarted
-    // middle has resynced and been re-admitted.
+    // backup has resynced and been re-admitted.
     let spacing = 0.04;
     let objects = ((restart_at + detection + 1.5) / spacing).ceil() as usize;
     let view = ClusterView::of_size(n);
     let objs: Vec<ObjectId> = (0u64..)
-        .map(|k| ObjectId::from_name(&format!("mid-chain-{seed}-{k}")))
+        .map(|k| ObjectId::from_name(&format!("backup-resync-{seed}-{k}")))
         .filter(|&o| view.shard_node(o).index() == dir_node)
         .take(objects)
         .collect();
-    // Writers (and therefore holders) are nodes outside the chain, so the middle's
-    // death purges no holder records — any record loss is a resync bug. The seed
-    // jitters submission times and writer choice without reordering the stream.
+    // Writers (and therefore holders) are nodes outside the replica set, so the
+    // backup's death purges no holder records — any record loss is a resync bug. The
+    // seed jitters submission times and writer choice without reordering the stream.
     let mut lcg = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
     let mut next = move || {
         lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -863,8 +790,8 @@ pub fn mid_chain_resync_under_load(
             )
         })
         .collect();
-    cluster.fail_node_at(SimTime::from_secs_f64(fail_at_s), middle);
-    cluster.restart_node_at(SimTime::from_secs_f64(restart_at), middle);
+    cluster.fail_node_at(SimTime::from_secs_f64(fail_at_s), restarted);
+    cluster.restart_node_at(SimTime::from_secs_f64(restart_at), restarted);
     cluster.run();
     let records_at = |node: usize| {
         objs.iter()
@@ -873,14 +800,13 @@ pub fn mid_chain_resync_under_load(
             })
             .count()
     };
-    MidChainResyncResult {
+    BackupResyncResult {
         expected_records: objects,
         puts_completed: puts.iter().filter(|&&h| cluster.done_time(h).is_some()).count(),
         records_at_primary: records_at(dir_node),
-        records_at_tail: records_at(tail),
-        records_at_middle: records_at(middle),
-        chain_ack_depth: cluster.total_metrics().chain_ack_depth,
-        resyncs: cluster.node_metrics(middle).directory_resyncs,
+        records_at_live_backup: records_at(live_backup),
+        records_at_restarted: records_at(restarted),
+        resyncs: cluster.node_metrics(restarted).directory_resyncs,
         snapshot_chunks_sent: cluster.total_metrics().snapshot_chunks_sent,
         snapshot_bytes: cluster.total_metrics().snapshot_bytes,
         chunk_budget,
@@ -1058,35 +984,10 @@ mod tests {
     }
 
     #[test]
-    fn chain_replication_halves_primary_fanout_and_relays_acks() {
+    fn replica_kill_drills_lose_no_records_at_any_position() {
         let env = ScenarioEnv::paper_testbed();
-        let (n, objects) = (8, 24);
-        let star = directory_replication_fanout(&env, n, objects, false);
-        let chain = directory_replication_fanout(&env, n, objects, true);
-        assert_eq!(star.recorded, objects, "star run registered everything");
-        assert_eq!(chain.recorded, objects, "chain run registered everything");
-        // Star ships every op to both backups; the chain primary ships each op once.
-        assert!(
-            star.primary_replicates >= 2 * objects as u64,
-            "star egress is r-1 per op, got {}",
-            star.primary_replicates
-        );
-        assert!(
-            chain.primary_replicates <= star.primary_replicates / 2,
-            "chain halves the primary's replication egress: {} vs {}",
-            chain.primary_replicates,
-            star.primary_replicates
-        );
-        // The durability signal still flows — as cumulative acks relayed upstream.
-        assert!(chain.chain_ack_depth > 0, "chain middles relayed acks");
-        assert_eq!(star.chain_ack_depth, 0, "no ack relaying under star fan-out");
-    }
-
-    #[test]
-    fn chain_kill_drills_lose_no_records_at_any_position() {
-        let env = ScenarioEnv::paper_testbed();
-        for kill in [ChainKill::Head, ChainKill::Middle, ChainKill::Tail] {
-            let r = chain_kill_drill(&env, 8, kill, 20, 0.1);
+        for kill in [ReplicaKill::Primary, ReplicaKill::FirstBackup, ReplicaKill::LastBackup] {
+            let r = replica_kill_drill(&env, 8, kill, 20, 0.1);
             assert_eq!(
                 r.surviving_records, r.expected_records,
                 "zero lost location records with the {kill:?} killed mid-stream"
@@ -1095,19 +996,17 @@ mod tests {
     }
 
     #[test]
-    fn mid_chain_resync_converges_under_live_traffic() {
+    fn backup_resync_converges_under_live_traffic() {
         let env = ScenarioEnv::paper_testbed();
-        let r = mid_chain_resync_under_load(&env, 8, 0.5, 0);
+        let r = backup_resync_under_load(&env, 8, 0.5, 0);
         // The source was never paused: every registration submitted before, during,
         // and after the outage completed.
         assert_eq!(r.puts_completed, r.expected_records, "live traffic never blocked");
-        // Zero lost records, and both the tail and the restarted middle converged.
+        // Zero lost records, and both the live and the restarted backup converged.
         assert_eq!(r.records_at_primary, r.expected_records, "primary holds every record");
-        assert_eq!(r.records_at_tail, r.expected_records, "tail converged");
-        assert_eq!(r.records_at_middle, r.expected_records, "restarted middle caught up");
-        // The chain kept relaying acks across the outage and the catch-up.
-        assert!(r.chain_ack_depth > 0, "chain acks relayed");
-        assert!(r.resyncs >= 1, "the restarted middle resynced");
+        assert_eq!(r.records_at_live_backup, r.expected_records, "live backup converged");
+        assert_eq!(r.records_at_restarted, r.expected_records, "restarted backup caught up");
+        assert!(r.resyncs >= 1, "the restarted backup resynced");
         // The catch-up really was chunked, and no frame blew the budget: each chunk
         // carries at most `chunk_budget` bytes of entries (no entry here is oversized).
         assert!(r.snapshot_chunks_sent >= 2, "chunked stream, got {}", r.snapshot_chunks_sent);

@@ -16,16 +16,16 @@ use std::thread;
 use std::time::Duration;
 
 use hoplite_cluster::scenarios::{
-    chain_kill_drill, directory_failover_broadcast, mid_chain_resync_under_load,
-    partition_suspicion_refuted, rolling_restart_collectives, ChainKill, ScenarioEnv,
+    backup_resync_under_load, directory_failover_broadcast, partition_suspicion_refuted,
+    replica_kill_drill, rolling_restart_collectives, ReplicaKill, ScenarioEnv,
 };
 use hoplite_core::prelude::NodeId;
 
 const MB: u64 = 1024 * 1024;
 const SEEDS: u64 = 32;
-/// The chain kill drills are light (small cluster, small objects), so they sweep a
-/// wider seed bank.
-const CHAIN_SEEDS: u64 = 64;
+/// The replica-set kill drills are light (small cluster, small objects), so they
+/// sweep a wider seed bank.
+const KILL_DRILL_SEEDS: u64 = 64;
 
 /// Minimal deterministic parameter generator (64-bit LCG, MMIX constants).
 struct Lcg(u64);
@@ -147,29 +147,34 @@ fn soak_rolling_restart_seeds() {
     eprintln!("soak_rolling_restart_seeds: {SEEDS} seeds green");
 }
 
-/// Mid-chain resync drill across seeds: kill and restart the middle chain member
-/// under a continuous registration stream, with chunked catch-up forced. Every seed
-/// must converge — no lost records, no blocked traffic, tail and middle complete —
-/// with the chunk budget respected throughout.
+/// Backup resync drill across seeds (r = 3): kill and restart the first backup under
+/// a continuous registration stream, with chunked catch-up forced. Every seed must
+/// converge — no lost records, no blocked traffic, both backups complete — with the
+/// chunk budget respected throughout.
 #[test]
 #[ignore = "soak lane: run via the CI scenario-soak step or with -- --ignored"]
-fn soak_mid_chain_resync_seeds() {
+fn soak_backup_resync_seeds() {
     for seed in 0..SEEDS {
-        with_seed("mid_chain_resync_under_load", seed, move || {
+        with_seed("backup_resync_under_load", seed, move || {
             let mut lcg = Lcg::new(seed ^ 0x5EED_CAFE);
             let n = lcg.pick(5, 9) as usize;
             let fail_at = 0.3 + lcg.pick(0, 20) as f64 * 0.05;
             let env = ScenarioEnv::paper_testbed();
-            let r = mid_chain_resync_under_load(&env, n, fail_at, seed);
+            let r = backup_resync_under_load(&env, n, fail_at, seed);
             assert_eq!(
                 r.puts_completed, r.expected_records,
                 "seed {seed}: live traffic never blocked (n={n} fail_at={fail_at})"
             );
             assert_eq!(r.records_at_primary, r.expected_records, "seed {seed}: primary complete");
-            assert_eq!(r.records_at_tail, r.expected_records, "seed {seed}: tail converged");
-            assert_eq!(r.records_at_middle, r.expected_records, "seed {seed}: middle caught up");
-            assert!(r.chain_ack_depth > 0, "seed {seed}: chain acks relayed");
-            assert!(r.resyncs >= 1, "seed {seed}: the restarted middle resynced");
+            assert_eq!(
+                r.records_at_live_backup, r.expected_records,
+                "seed {seed}: live backup converged"
+            );
+            assert_eq!(
+                r.records_at_restarted, r.expected_records,
+                "seed {seed}: restarted backup caught up"
+            );
+            assert!(r.resyncs >= 1, "seed {seed}: the restarted backup resynced");
             assert!(r.snapshot_chunks_sent >= 2, "seed {seed}: catch-up was chunked");
             assert!(
                 r.snapshot_bytes <= r.snapshot_chunks_sent * r.chunk_budget,
@@ -180,7 +185,7 @@ fn soak_mid_chain_resync_seeds() {
             );
         });
     }
-    eprintln!("soak_mid_chain_resync_seeds: {SEEDS} seeds green");
+    eprintln!("soak_backup_resync_seeds: {SEEDS} seeds green");
 }
 
 /// SWIM-detector false-positive sweep: at every seed, a transient partition drives
@@ -211,22 +216,22 @@ fn soak_detector_false_positive_seeds() {
     eprintln!("soak_detector_false_positive_seeds: {SEEDS} seeds green");
 }
 
-/// Chain-replication kill drills (r = 3): at every seed, kill the head, the middle,
-/// and the tail of the replication chain mid-stream under varying cluster sizes,
-/// registration counts, and kill times. Whatever dies, the survivors must re-splice
-/// and converge with zero lost location records.
+/// Replica-set kill drills (r = 3): at every seed, kill the primary, the first backup,
+/// and the last backup mid-stream under varying cluster sizes, registration counts,
+/// and kill times. Whatever dies, the survivors must converge with zero lost
+/// location records.
 #[test]
 #[ignore = "soak lane: run via the CI scenario-soak step or with -- --ignored"]
-fn soak_chain_kill_drill_seeds() {
-    for seed in 0..CHAIN_SEEDS {
-        with_seed("chain_kill_drill", seed, move || {
+fn soak_replica_kill_drill_seeds() {
+    for seed in 0..KILL_DRILL_SEEDS {
+        with_seed("replica_kill_drill", seed, move || {
             let mut lcg = Lcg::new(seed ^ 0xC0FFEE);
             let n = lcg.pick(5, 9) as usize;
             let objects = lcg.pick(12, 32) as usize;
             let fail_at = 0.02 + lcg.pick(0, 20) as f64 * 0.01;
             let env = ScenarioEnv::paper_testbed();
-            for kill in [ChainKill::Head, ChainKill::Middle, ChainKill::Tail] {
-                let r = chain_kill_drill(&env, n, kill, objects, fail_at);
+            for kill in [ReplicaKill::Primary, ReplicaKill::FirstBackup, ReplicaKill::LastBackup] {
+                let r = replica_kill_drill(&env, n, kill, objects, fail_at);
                 assert_eq!(
                     r.surviving_records, r.expected_records,
                     "seed {seed}: zero lost records with the {kill:?} killed \
@@ -235,5 +240,5 @@ fn soak_chain_kill_drill_seeds() {
             }
         });
     }
-    eprintln!("soak_chain_kill_drill_seeds: {CHAIN_SEEDS} seeds x 3 positions green");
+    eprintln!("soak_replica_kill_drill_seeds: {KILL_DRILL_SEEDS} seeds x 3 positions green");
 }

@@ -32,28 +32,18 @@ pub struct HopliteConfig {
     /// Memory-copy bandwidth between a worker and its local store in bytes per second
     /// (used by the simulator to model the extra copies that pipelining hides, §3.3).
     pub memcpy_bandwidth: f64,
-    /// How long a node waits for a pull to make progress before it suspects the sender
-    /// has failed and re-queries the directory. Real deployments detect failures via
-    /// socket liveness (the paper measures 0.74 s detection latency); the simulator
-    /// injects explicit failure events and uses this as an upper bound.
-    pub pull_timeout: Duration,
     /// Number of directory shards. Defaults to one shard per node (shard `i` is hosted
     /// by node `i % num_nodes`).
     pub directory_shards: Option<usize>,
     /// Number of replicas (primary + backups) of every directory shard (§3.5: the
     /// paper replicates the object directory so metadata survives node failures).
+    /// The primary ships every op to every live backup (star fan-out).
     /// Clamped to the cluster size at placement time; `1` disables replication.
     pub directory_replication: usize,
-    /// With `directory_replication >= 3`, replicate each shard along a chain
-    /// (primary → b1 → b2 → …, cumulative acks flowing back from the tail) instead of
-    /// star fan-out: the primary's replication egress is one stream regardless of `r`,
-    /// at the cost of one extra relay hop of confirm latency per chain position.
-    /// Ignored for `directory_replication <= 2`, where chain and star coincide.
-    pub directory_chain_replication: bool,
     /// Upper bound, in bytes, on the state carried by one `DirSnapshotChunk` resync
     /// frame. Replica resync streams the shard as a cursor-driven sequence of chunks
     /// no larger than this, interleaved with live op shipments, instead of one
-    /// O(objects) `DirSnapshot` burst. A chunk may exceed the bound only when a
+    /// O(objects) burst. A chunk may exceed the bound only when a
     /// single entry alone is larger than it (entries are indivisible).
     pub snapshot_chunk_bytes: u64,
     /// Byte budget for inline small-object payloads cached in each directory shard.
@@ -90,10 +80,8 @@ impl Default for HopliteConfig {
             estimated_bandwidth: 1.25e9, // 10 Gbps
             store_capacity: 64 * 1024 * 1024 * 1024,
             memcpy_bandwidth: 5.0e9,
-            pull_timeout: Duration::from_millis(750),
             directory_shards: None,
             directory_replication: 2,
-            directory_chain_replication: true,
             snapshot_chunk_bytes: 256 * 1024,
             directory_inline_cache_bytes: 64 * 1024 * 1024,
             directory_log_retention: 1024,

@@ -1,28 +1,27 @@
-//! The failover-aware directory client.
+//! The directory client: this node's journal of durable intent.
 //!
-//! Every node talks to the directory exclusively through a [`DirectoryClient`]: it
-//! resolves the current primary of an object's shard from the same epoch-versioned
-//! [`PlacementView`] the servers use, and it journals the durable *intent* this node
-//! has expressed to the directory — locations it registered, inline objects it
-//! published, subscriptions it opened.
+//! Every node expresses its directory intent — locations it registered, inline
+//! objects it published, subscriptions it opened — through a [`DirectoryClient`],
+//! which journals it and builds the wire message; the node facade routes that
+//! message to the shard's current primary as read from the node's one
+//! [`super::PlacementView`] (owned by its [`super::DirectoryService`]).
 //!
 //! With the acked replication log, the journal tracks **confirmation**: the primary
 //! sends a [`Message::DirConfirm`] once an op's log entry has been acked by every
 //! tracked backup, at which point the op is durable *inside* the replication layer —
 //! a promoted backup is guaranteed to hold it. The loss window that remains is ops
 //! still in flight to (or unconfirmed at) a dying primary, so
-//! [`DirectoryClient::on_peer_failed`] re-drives exactly that genuinely-unacked
-//! window at the new primary, instead of the full journal. All re-drives are
-//! idempotent at the shard.
+//! `DirectoryClient::redrive_for` selects exactly that genuinely-unacked window for
+//! the shards whose primary just changed, instead of the full journal. All re-drives
+//! are idempotent at the shard.
 
 use std::collections::HashMap;
 
 use crate::buffer::Payload;
-use crate::config::HopliteConfig;
 use crate::object::{NodeId, ObjectId, ObjectStatus};
 use crate::protocol::{ConfirmKind, Message};
 
-use super::service::{DirectoryPlacement, PlacementView};
+use super::placement::DirectoryPlacement;
 
 /// The journaled intent of one registration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -41,10 +40,10 @@ pub struct Registration {
 }
 
 /// State to re-drive at the new primaries after a failover, computed by
-/// [`DirectoryClient::on_peer_failed`].
+/// `DirectoryClient::redrive_for`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FailoverRedrive {
-    /// Shards whose primary changed with this failure.
+    /// Shards whose primary changed (failover) or came back (re-admission).
     pub changed_shards: Vec<usize>,
     /// Unconfirmed registrations to re-send (the genuinely-unacked window).
     pub reregister: Vec<(ObjectId, Registration)>,
@@ -52,11 +51,11 @@ pub struct FailoverRedrive {
     pub resubscribe: Vec<ObjectId>,
 }
 
-/// Per-node client of the replicated directory service.
+/// Per-node journal of directory intent. Each intent method records what a failover
+/// must be able to re-drive and returns the message to send to the shard's primary.
 #[derive(Debug)]
 pub struct DirectoryClient {
     me: NodeId,
-    view: PlacementView,
     registrations: HashMap<ObjectId, Registration>,
     /// Open subscriptions, with their confirmation state.
     subscriptions: HashMap<ObjectId, bool>,
@@ -64,31 +63,8 @@ pub struct DirectoryClient {
 
 impl DirectoryClient {
     /// Create the client for node `me`.
-    pub fn new(me: NodeId, cfg: &HopliteConfig, nodes: &[NodeId]) -> Self {
-        DirectoryClient {
-            me,
-            view: PlacementView::new(DirectoryPlacement::from_config(cfg, nodes)),
-            registrations: HashMap::new(),
-            subscriptions: HashMap::new(),
-        }
-    }
-
-    /// The shard responsible for `object`.
-    pub fn shard_of(&self, object: ObjectId) -> usize {
-        self.view.placement().shard_of(object)
-    }
-
-    /// Every node in the cluster (drivers use this to broadcast announcements).
-    pub fn nodes(&self) -> &[NodeId] {
-        self.view.placement().nodes()
-    }
-
-    /// The current primary for `object`'s shard in this client's failure view;
-    /// `None` once every replica of the shard is dead. The believed primary is always
-    /// a replica-set member, so a transiently stale answer is corrected by one
-    /// server-side forward.
-    pub fn primary_for(&self, object: ObjectId) -> Option<NodeId> {
-        self.view.primary_for(object)
+    pub fn new(me: NodeId) -> Self {
+        DirectoryClient { me, registrations: HashMap::new(), subscriptions: HashMap::new() }
     }
 
     /// Number of open subscriptions (GC tests).
@@ -103,24 +79,15 @@ impl DirectoryClient {
             + self.subscriptions.values().filter(|c| !**c).count()
     }
 
-    fn to_primary(&self, object: ObjectId, msg: Message) -> Option<(NodeId, Message)> {
-        self.primary_for(object).map(|primary| (primary, msg))
-    }
-
     /// Register (or refresh) this node as a location of `object`.
-    pub fn register(
-        &mut self,
-        object: ObjectId,
-        status: ObjectStatus,
-        size: u64,
-    ) -> Option<(NodeId, Message)> {
+    pub fn register(&mut self, object: ObjectId, status: ObjectStatus, size: u64) -> Message {
         self.registrations
             .insert(object, Registration { status, size, inline: false, confirmed: false });
-        self.to_primary(object, Message::DirRegister { object, holder: self.me, status, size })
+        Message::DirRegister { object, holder: self.me, status, size }
     }
 
     /// Publish a small object through the inline fast path.
-    pub fn put_inline(&mut self, object: ObjectId, payload: Payload) -> Option<(NodeId, Message)> {
+    pub fn put_inline(&mut self, object: ObjectId, payload: Payload) -> Message {
         self.registrations.insert(
             object,
             Registration {
@@ -130,47 +97,43 @@ impl DirectoryClient {
                 confirmed: false,
             },
         );
-        self.to_primary(object, Message::DirPutInline { object, holder: self.me, payload })
+        Message::DirPutInline { object, holder: self.me, payload }
     }
 
     /// Withdraw this node's location for `object`.
-    pub fn unregister(&mut self, object: ObjectId) -> Option<(NodeId, Message)> {
+    pub fn unregister(&mut self, object: ObjectId) -> Message {
         self.registrations.remove(&object);
-        self.to_primary(object, Message::DirUnregister { object, holder: self.me })
+        Message::DirUnregister { object, holder: self.me }
     }
 
-    /// Issue a synchronous location query.
-    pub fn query(
-        &mut self,
-        object: ObjectId,
-        query_id: u64,
-        exclude: Vec<NodeId>,
-    ) -> Option<(NodeId, Message)> {
-        self.to_primary(object, Message::DirQuery { object, requester: self.me, query_id, exclude })
+    /// Issue a synchronous location query (not journaled: the broadcast engine
+    /// tracks outstanding queries and re-issues them itself).
+    pub fn query(&self, object: ObjectId, query_id: u64, exclude: Vec<NodeId>) -> Message {
+        Message::DirQuery { object, requester: self.me, query_id, exclude }
     }
 
     /// Open a location subscription.
-    pub fn subscribe(&mut self, object: ObjectId) -> Option<(NodeId, Message)> {
+    pub fn subscribe(&mut self, object: ObjectId) -> Message {
         self.subscriptions.insert(object, false);
-        self.to_primary(object, Message::DirSubscribe { object, subscriber: self.me })
+        Message::DirSubscribe { object, subscriber: self.me }
     }
 
     /// Close a location subscription.
-    pub fn unsubscribe(&mut self, object: ObjectId) -> Option<(NodeId, Message)> {
+    pub fn unsubscribe(&mut self, object: ObjectId) -> Message {
         self.subscriptions.remove(&object);
-        self.to_primary(object, Message::DirUnsubscribe { object, subscriber: self.me })
+        Message::DirUnsubscribe { object, subscriber: self.me }
     }
 
     /// Report a finished transfer so the sender's lease is released.
-    pub fn transfer_done(&mut self, object: ObjectId, sender: NodeId) -> Option<(NodeId, Message)> {
-        self.to_primary(object, Message::DirTransferDone { object, receiver: self.me, sender })
+    pub fn transfer_done(&self, object: ObjectId, sender: NodeId) -> Message {
+        Message::DirTransferDone { object, receiver: self.me, sender }
     }
 
     /// Delete every copy of `object` cluster-wide.
-    pub fn delete(&mut self, object: ObjectId) -> Option<(NodeId, Message)> {
+    pub fn delete(&mut self, object: ObjectId) -> Message {
         self.registrations.remove(&object);
         self.subscriptions.remove(&object);
-        self.to_primary(object, Message::DirDelete { object })
+        Message::DirDelete { object }
     }
 
     /// The local copy of `object` is gone (delete fan-out or eviction): drop the
@@ -207,13 +170,19 @@ impl DirectoryClient {
         }
     }
 
-    /// The genuinely-unacked window for `shards`: every journaled-but-unconfirmed
-    /// intent whose shard is in the list.
-    fn redrive_for(&self, changed_shards: Vec<usize>) -> FailoverRedrive {
+    /// The genuinely-unacked window for `shards` — the shards the leadership view
+    /// reported as failed over (their primary died) or regained (a re-admission gave
+    /// a leaderless shard a primary back): every journaled-but-unconfirmed intent
+    /// whose shard is in the list. Confirmed entries are already inside the promoted
+    /// backup's acked prefix and are not re-sent.
+    pub(crate) fn redrive_for(
+        &self,
+        placement: &DirectoryPlacement,
+        changed_shards: Vec<usize>,
+    ) -> FailoverRedrive {
         if changed_shards.is_empty() {
-            return FailoverRedrive { changed_shards, ..FailoverRedrive::default() };
+            return FailoverRedrive::default();
         }
-        let placement = self.view.placement();
         let in_changed = |o: &ObjectId| changed_shards.contains(&placement.shard_of(*o));
         let reregister = self
             .registrations
@@ -229,129 +198,81 @@ impl DirectoryClient {
             .collect();
         FailoverRedrive { changed_shards, reregister, resubscribe }
     }
-
-    /// Digest a peer failure: fold it into the leadership view and return the
-    /// genuinely-unacked state to re-drive at shards whose primary just changed.
-    /// Confirmed entries are already inside the promoted backup's acked prefix and
-    /// are not re-sent.
-    pub fn on_peer_failed(&mut self, peer: NodeId) -> FailoverRedrive {
-        let changed_shards = self.view.on_peer_failed(peer);
-        self.redrive_for(changed_shards)
-    }
-
-    /// Digest a peer recovery notice (alive again, resyncing — not yet routable-to).
-    pub fn on_peer_recovered(&mut self, peer: NodeId) {
-        self.view.on_peer_recovered(peer);
-    }
-
-    /// Digest direct evidence that a peer restarted (its full-resync snapshot
-    /// request arrived) before the failure detector reported anything. If this view
-    /// still considered the peer a healthy primary, the implied failure is folded in
-    /// — returning the usual failover re-drive set — and the peer then enters the
-    /// resyncing state. Idempotent with the detector's later notices.
-    pub fn on_peer_restarted(&mut self, peer: NodeId) -> FailoverRedrive {
-        let redrive = if self.view.is_alive(peer) && !self.view.is_resyncing(peer) {
-            self.on_peer_failed(peer)
-        } else {
-            FailoverRedrive::default()
-        };
-        self.view.on_peer_recovered(peer);
-        redrive
-    }
-
-    /// Digest a peer's catch-up announcement: the peer is a primary candidate again.
-    /// Shards that were leaderless while it was out regain a primary with its
-    /// re-admission, so their unconfirmed window is re-driven exactly as after a
-    /// failover.
-    pub fn on_peer_readmitted(&mut self, peer: NodeId) -> FailoverRedrive {
-        let regained = self.view.on_peer_readmitted(peer);
-        self.redrive_for(regained)
-    }
-
-    /// This node restarted: route directory traffic away from itself until resync
-    /// completes.
-    pub fn begin_self_resync(&mut self) {
-        self.view.begin_self_resync(self.me);
-    }
-
-    /// This node finished resyncing: it may lead shards again. Shards that were
-    /// leaderless and are now led by this node itself get their unconfirmed window
-    /// re-driven (to ourselves, via loopback) exactly like any other regained shard.
-    pub fn finish_self_resync(&mut self) -> FailoverRedrive {
-        let me = self.me;
-        self.on_peer_readmitted(me)
-    }
-
-    /// Adopt an authoritative rank cursor learned from a resync snapshot, so this
-    /// node's own routing agrees with the survivors' (no fail-back to itself).
-    pub fn set_shard_rank(&mut self, shard: usize, rank: usize) {
-        self.view.set_rank(shard, rank);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::HopliteConfig;
+    use crate::directory::PlacementView;
 
-    fn client(n: u32, me: u32) -> DirectoryClient {
+    /// A client beside the leadership view its node would route through.
+    fn client(n: u32, me: u32) -> (DirectoryClient, PlacementView) {
         let nodes: Vec<NodeId> = (0..n).map(NodeId).collect();
-        DirectoryClient::new(NodeId(me), &HopliteConfig::small_for_tests(), &nodes)
+        let placement = DirectoryPlacement::from_config(&HopliteConfig::small_for_tests(), &nodes);
+        (DirectoryClient::new(NodeId(me)), PlacementView::new(placement))
     }
 
-    fn obj_with_primary(c: &DirectoryClient, primary: u32) -> ObjectId {
+    fn obj_with_primary(v: &PlacementView, primary: u32) -> ObjectId {
         (0u64..)
             .map(|k| ObjectId::from_name(&format!("cli-{k}")))
-            .find(|&o| c.primary_for(o) == Some(NodeId(primary)))
+            .find(|&o| v.primary_for(o) == Some(NodeId(primary)))
             .unwrap()
+    }
+
+    /// What the facade does on a peer failure: one view transition, one re-drive set.
+    fn fail(c: &DirectoryClient, v: &mut PlacementView, peer: u32) -> FailoverRedrive {
+        let changed = v.on_peer_failed(NodeId(peer));
+        c.redrive_for(v.placement(), changed)
     }
 
     #[test]
     fn routes_to_the_current_primary() {
-        let mut c = client(4, 2);
-        let o = obj_with_primary(&c, 1);
-        let (to, msg) = c.register(o, ObjectStatus::Complete, 10).unwrap();
-        assert_eq!(to, NodeId(1));
-        assert!(matches!(msg, Message::DirRegister { .. }));
+        let (mut c, mut v) = client(4, 2);
+        let o = obj_with_primary(&v, 1);
+        let msg = c.register(o, ObjectStatus::Complete, 10);
+        assert!(matches!(msg, Message::DirRegister { holder: NodeId(2), .. }));
+        assert_eq!(v.primary_for(o), Some(NodeId(1)));
         // After node 1 dies the same object routes to the next replica (node 2).
-        c.on_peer_failed(NodeId(1));
-        let (to, _) = c.query(o, 1, vec![]).unwrap();
-        assert_eq!(to, NodeId(2));
+        fail(&c, &mut v, 1);
+        assert!(matches!(c.query(o, 1, vec![]), Message::DirQuery { requester: NodeId(2), .. }));
+        assert_eq!(v.primary_for(o), Some(NodeId(2)));
     }
 
     #[test]
     fn failover_redrives_journaled_state_for_changed_shards_only() {
-        let mut c = client(4, 0);
-        let on_dead = obj_with_primary(&c, 3);
-        let elsewhere = obj_with_primary(&c, 1);
-        c.register(on_dead, ObjectStatus::Complete, 10).unwrap();
-        c.register(elsewhere, ObjectStatus::Partial, 20).unwrap();
-        c.subscribe(on_dead).unwrap();
-        c.subscribe(elsewhere).unwrap();
-        let redrive = c.on_peer_failed(NodeId(3));
+        let (mut c, mut v) = client(4, 0);
+        let on_dead = obj_with_primary(&v, 3);
+        let elsewhere = obj_with_primary(&v, 1);
+        c.register(on_dead, ObjectStatus::Complete, 10);
+        c.register(elsewhere, ObjectStatus::Partial, 20);
+        c.subscribe(on_dead);
+        c.subscribe(elsewhere);
+        let redrive = fail(&c, &mut v, 3);
         assert_eq!(redrive.changed_shards, vec![3]);
         assert_eq!(redrive.reregister.len(), 1);
         assert_eq!(redrive.reregister[0].0, on_dead);
         assert_eq!(redrive.resubscribe, vec![on_dead]);
         // A repeated notification is a no-op.
-        assert_eq!(c.on_peer_failed(NodeId(3)), FailoverRedrive::default());
+        assert_eq!(fail(&c, &mut v, 3), FailoverRedrive::default());
     }
 
     #[test]
     fn confirmed_intents_shrink_the_redrive_window() {
-        let mut c = client(4, 0);
-        let confirmed = obj_with_primary(&c, 3);
+        let (mut c, mut v) = client(4, 0);
+        let confirmed = obj_with_primary(&v, 3);
         let unacked = (0u64..)
             .map(|k| ObjectId::from_name(&format!("win-{k}")))
-            .find(|&o| c.primary_for(o) == Some(NodeId(3)) && o != confirmed)
+            .find(|&o| v.primary_for(o) == Some(NodeId(3)) && o != confirmed)
             .unwrap();
-        c.register(confirmed, ObjectStatus::Complete, 10).unwrap();
-        c.register(unacked, ObjectStatus::Complete, 20).unwrap();
-        c.subscribe(confirmed).unwrap();
+        c.register(confirmed, ObjectStatus::Complete, 10);
+        c.register(unacked, ObjectStatus::Complete, 20);
+        c.subscribe(confirmed);
         assert_eq!(c.unconfirmed_count(), 3);
         c.confirm(confirmed, ConfirmKind::Location { status: ObjectStatus::Complete });
         c.confirm(confirmed, ConfirmKind::Subscription);
         assert_eq!(c.unconfirmed_count(), 1);
-        let redrive = c.on_peer_failed(NodeId(3));
+        let redrive = fail(&c, &mut v, 3);
         // Only the genuinely-unacked registration is re-driven; the confirmed
         // registration and subscription live in the promoted backup's acked prefix.
         assert_eq!(redrive.reregister.len(), 1);
@@ -361,37 +282,47 @@ mod tests {
 
     #[test]
     fn stale_confirm_does_not_cover_an_upgraded_registration() {
-        let mut c = client(4, 0);
-        let o = obj_with_primary(&c, 3);
-        c.register(o, ObjectStatus::Partial, 10).unwrap();
+        let (mut c, mut v) = client(4, 0);
+        let o = obj_with_primary(&v, 3);
+        c.register(o, ObjectStatus::Partial, 10);
         // The registration is upgraded before the Partial confirm arrives.
-        c.register(o, ObjectStatus::Complete, 10).unwrap();
+        c.register(o, ObjectStatus::Complete, 10);
         c.confirm(o, ConfirmKind::Location { status: ObjectStatus::Partial });
-        let redrive = c.on_peer_failed(NodeId(3));
+        let redrive = fail(&c, &mut v, 3);
         assert_eq!(redrive.reregister.len(), 1, "the Complete upgrade is still unacked");
         assert_eq!(redrive.reregister[0].1.status, ObjectStatus::Complete);
     }
 
     #[test]
     fn forgotten_and_deleted_objects_are_not_redriven() {
-        let mut c = client(3, 0);
-        let a = obj_with_primary(&c, 2);
-        c.put_inline(a, Payload::zeros(16)).unwrap();
+        let (mut c, mut v) = client(3, 0);
+        let a = obj_with_primary(&v, 2);
+        c.put_inline(a, Payload::zeros(16));
         c.forget(a);
-        let redrive = c.on_peer_failed(NodeId(2));
+        let b = (0u64..)
+            .map(|k| ObjectId::from_name(&format!("del-{k}")))
+            .find(|&o| v.primary_for(o) == Some(NodeId(2)))
+            .unwrap();
+        c.register(b, ObjectStatus::Complete, 10);
+        c.subscribe(b);
+        c.delete(b);
+        let redrive = fail(&c, &mut v, 2);
         assert!(redrive.reregister.is_empty());
+        assert!(redrive.resubscribe.is_empty());
     }
 
     #[test]
     fn exhausted_replica_set_yields_no_target() {
-        let mut c = client(2, 0);
-        let o = obj_with_primary(&c, 1);
-        c.on_peer_failed(NodeId(1));
+        let (mut c, mut v) = client(2, 0);
+        let o = obj_with_primary(&v, 1);
+        c.register(o, ObjectStatus::Complete, 10);
+        fail(&c, &mut v, 1);
         // replication = 2 on a 2-node cluster: replicas are nodes 1 and 0.
-        assert_eq!(c.primary_for(o), Some(NodeId(0)));
-        c.on_peer_failed(NodeId(0));
-        assert_eq!(c.primary_for(o), None);
-        assert!(c.query(o, 9, vec![]).is_none());
+        assert_eq!(v.primary_for(o), Some(NodeId(0)));
+        // The last replica dies: no target, so nothing is re-driven anywhere.
+        let redrive = fail(&c, &mut v, 0);
+        assert_eq!(v.primary_for(o), None);
+        assert_eq!(redrive, FailoverRedrive::default());
     }
 
     #[test]
@@ -401,35 +332,35 @@ mod tests {
         // 1 is readmitted after restarting, the shard regains a primary and the
         // client must re-drive the registration there — the re-admitted replica may
         // have resynced from nothing.
-        let mut c = client(3, 0);
-        let o = obj_with_primary(&c, 1);
-        c.register(o, ObjectStatus::Complete, 10).unwrap();
-        let first = c.on_peer_failed(NodeId(1));
+        let (mut c, mut v) = client(3, 0);
+        let o = obj_with_primary(&v, 1);
+        c.register(o, ObjectStatus::Complete, 10);
+        let first = fail(&c, &mut v, 1);
         assert_eq!(first.reregister.len(), 1, "failover to node 2 re-drives");
-        let second = c.on_peer_failed(NodeId(2));
+        let second = fail(&c, &mut v, 2);
         // Node 2's death also fails over shard 2 ([2, 0]), but the *leaderless*
         // shard of `o` has no target and is not re-driven.
-        assert!(!second.changed_shards.contains(&c.shard_of(o)));
+        assert!(!second.changed_shards.contains(&v.placement().shard_of(o)));
         assert!(second.reregister.is_empty(), "nothing to re-drive at a dead shard");
-        assert_eq!(c.primary_for(o), None);
-        c.on_peer_recovered(NodeId(1));
-        let redrive = c.on_peer_readmitted(NodeId(1));
+        assert_eq!(v.primary_for(o), None);
+        v.on_peer_recovered(NodeId(1));
+        let regained = v.on_peer_readmitted(NodeId(1));
+        let redrive = c.redrive_for(v.placement(), regained);
         assert_eq!(redrive.reregister.len(), 1, "regained shard re-drives the window");
         assert_eq!(redrive.reregister[0].0, o);
-        assert_eq!(c.primary_for(o), Some(NodeId(1)));
+        assert_eq!(v.primary_for(o), Some(NodeId(1)));
     }
 
     #[test]
     fn self_resync_routes_away_until_finished() {
-        let mut c = client(3, 0);
-        let o = obj_with_primary(&c, 0);
-        c.begin_self_resync();
+        let (_, mut v) = client(3, 0);
+        let o = obj_with_primary(&v, 0);
+        v.begin_self_resync(NodeId(0));
         // While resyncing, ops for shards this node owns go to the backup.
-        let (to, _) = c.register(o, ObjectStatus::Complete, 10).unwrap();
-        assert_ne!(to, NodeId(0));
-        c.finish_self_resync();
+        assert_eq!(v.primary_for(o), Some(NodeId(1)));
+        assert!(v.on_peer_readmitted(NodeId(0)).is_empty(), "the shard was never leaderless");
         // The cursor did not move, so once re-admitted the node routes to itself
         // again only where the cursor still points at it.
-        assert_eq!(c.primary_for(o), Some(NodeId(0)));
+        assert_eq!(v.primary_for(o), Some(NodeId(0)));
     }
 }

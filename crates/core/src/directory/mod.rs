@@ -7,29 +7,33 @@
 //!
 //! | Layer | Module | Responsibility |
 //! |---|---|---|
-//! | shard | [`shard`] | One shard as a pure, deterministic state machine (leases, pull-edge cycle avoidance, parked queries, inline cache), plus snapshot capture/restore for state transfer |
-//! | replication | [`replication`] | Primary/backup replicas of a shard: sequenced op-log shipping with cumulative acks, origin confirms once an entry is fully acked, epoch-stamped promotion, and snapshot-based resync for replicas with unbridgeable gaps |
-//! | service | [`service`] | The epoch-versioned placement view (per-shard rank cursor + failover epochs), op routing, snapshot serving, and promotion when a primary dies |
-//! | client | [`client`] | The failover-aware façade every engine calls: resolves the current primary, journals registrations/subscriptions with their confirmation state, and re-drives only the genuinely-unacked window after a failover |
+//! | shard | [`shard`] | One shard as a pure, deterministic state machine (leases, pull-edge cycle avoidance, parked queries, inline cache), plus bounded, cursor-resumable state slices for transfer |
+//! | replication | [`replication`] | Primary/backup replicas of a shard: sequenced op-log shipping with cumulative acks, origin confirms once an entry is acked by every live backup, epoch-stamped promotion, and the two resync sinks — op replay from the retained suffix (delta) or a chunk stream — for replicas with gaps |
+//! | placement | [`placement`] | The static object → shard → replica-set map, and the epoch-versioned leadership view over it (per-shard rank cursor + failover epochs) — **one per node** |
+//! | service | [`service`] | Owns the node's view and replicas: op routing (apply as primary / forward), star log shipping to every live backup, chunk-or-delta resync serving, promotion when a primary dies; every liveness transition is applied here, once, and returns the shards to re-drive |
+//! | client | [`client`] | The journal of this node's durable intent (registrations, subscriptions, their confirmation state): builds each op's message and selects the genuinely-unacked window to re-drive for the shards the service reports changed |
 //!
 //! Shard state flows through the system exactly once on the happy path: a client op
-//! reaches the shard's primary, the primary applies it and log-ships the op (with a
-//! sequence number) to its backups, the backups ack the applied prefix, and the
-//! primary confirms the op to its origin once every tracked backup acked — at which
-//! point the op is durable with no client participation. Because the shard is
-//! deterministic the backups converge to the same state — including leases and
-//! parked queries, so a promoted backup can answer a query that parked on its
-//! predecessor. A restarted replica rejoins through a snapshot + log catch-up and a
-//! cluster-wide `DirResynced` re-admission announcement, so placement is no longer
-//! failure-monotonic: after a rolling restart the original owners lead their shards
-//! again.
+//! is routed (by the node's view) to the shard's primary, the primary applies it and
+//! log-ships the op (with a sequence number) to every live backup, the backups ack the
+//! applied prefix, and the primary confirms the op to its origin once every one of
+//! them acked — at which point the op is durable with no client participation. Because
+//! the shard is deterministic the backups converge to the same state — including
+//! leases and parked queries, so a promoted backup can answer a query that parked on
+//! its predecessor. A restarted replica rejoins through one state-transfer path — a
+//! delta replay when the source's retained log covers its gap, a chunk stream
+//! otherwise — and a cluster-wide `DirResynced` re-admission announcement, so
+//! placement is no longer failure-monotonic: after a rolling restart the original
+//! owners lead their shards again.
 
 pub mod client;
+pub mod placement;
 pub mod replication;
 pub mod service;
 pub mod shard;
 
 pub use client::{DirectoryClient, FailoverRedrive, Registration};
+pub use placement::{DirectoryPlacement, PlacementView};
 pub use replication::{ReplayOutcome, ReplicaRole, ShardReplica};
-pub use service::{DirectoryPlacement, DirectoryService, PlacementView};
+pub use service::DirectoryService;
 pub use shard::DirectoryShard;

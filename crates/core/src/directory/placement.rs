@@ -1,0 +1,252 @@
+//! Shard placement and the per-node leadership view.
+//!
+//! [`DirectoryPlacement`] is the pure, cluster-wide map from objects to shards and
+//! from shards to replica sets: shard `s` lives on nodes `s % n, (s+1) % n, ...`
+//! (`directory_replication` of them).
+//!
+//! [`PlacementView`] is a node's *evolving* view of who leads each shard — one per
+//! node, owned by its [`super::DirectoryService`]; routing reads the same view the
+//! server half mutates. It is **epoch-versioned** rather than failure-monotonic: each
+//! shard carries a primary *rank cursor* that advances (cyclically) when the current
+//! primary fails and never rewinds, plus a *failover epoch* counter bumped on every
+//! failure **and** every re-admission of a replica-set member. A node that recovers is
+//! first marked *resyncing* (alive, shipped to, but not a primary candidate); once it
+//! announces catch-up it is re-admitted and becomes eligible again — so after a
+//! rolling restart the original owners end up leading their shards again, with
+//! strictly increasing epochs protecting against deposed primaries' stragglers.
+//! Because every node folds the same broadcast failure/recovery/re-admission notices
+//! into the same deterministic rules, survivors agree on the current primary without
+//! a coordination round; transient disagreement is absorbed by op forwarding.
+
+use std::collections::HashSet;
+
+use crate::config::HopliteConfig;
+use crate::object::{NodeId, ObjectId};
+
+/// The static map from objects to shards and shards to replica sets.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct DirectoryPlacement {
+    nodes: Vec<NodeId>,
+    num_shards: usize,
+    replication: usize,
+}
+
+impl DirectoryPlacement {
+    /// Build the placement for a cluster. `num_shards` defaults to one shard per node
+    /// and `replication` is clamped to the cluster size.
+    pub fn new(nodes: Vec<NodeId>, num_shards: Option<usize>, replication: usize) -> Self {
+        assert!(!nodes.is_empty(), "placement needs at least one node");
+        let num_shards = num_shards.unwrap_or(nodes.len()).max(1);
+        let replication = replication.clamp(1, nodes.len());
+        DirectoryPlacement { nodes, num_shards, replication }
+    }
+
+    /// Build the placement from a node's configuration.
+    pub fn from_config(cfg: &HopliteConfig, nodes: &[NodeId]) -> Self {
+        DirectoryPlacement::new(nodes.to_vec(), cfg.directory_shards, cfg.directory_replication)
+    }
+
+    /// Every node in the cluster, in index order.
+    pub fn nodes(&self) -> &[NodeId] {
+        &self.nodes
+    }
+
+    /// Number of shards.
+    pub fn num_shards(&self) -> usize {
+        self.num_shards
+    }
+
+    /// Number of replicas per shard.
+    pub fn replication(&self) -> usize {
+        self.replication
+    }
+
+    /// The shard responsible for `object` (same hash the unreplicated seed used, so
+    /// the initial primary of an object's shard is `ClusterView::shard_node`).
+    pub fn shard_of(&self, object: ObjectId) -> usize {
+        let h = u64::from_le_bytes(object.0[..8].try_into().expect("object id width"));
+        (h % self.num_shards as u64) as usize
+    }
+
+    /// The replica set of a shard, initial-candidate order: the node owning the shard
+    /// first, then its successors on the ring.
+    pub fn replica_set(&self, shard: usize) -> Vec<NodeId> {
+        let n = self.nodes.len();
+        (0..self.replication).map(|i| self.nodes[(shard + i) % n]).collect()
+    }
+
+    /// Whether `node` hosts a replica of `shard`.
+    pub fn hosts(&self, node: NodeId, shard: usize) -> bool {
+        self.replica_set(shard).contains(&node)
+    }
+
+    /// Shards for which `node` is a replica.
+    pub fn shards_hosted_by(&self, node: NodeId) -> Vec<usize> {
+        (0..self.num_shards).filter(|&s| self.hosts(node, s)).collect()
+    }
+}
+
+/// A node's evolving, epoch-versioned view of shard leadership (see module docs).
+#[derive(Clone, Debug)]
+pub struct PlacementView {
+    placement: DirectoryPlacement,
+    failed: HashSet<NodeId>,
+    /// Recovered but not yet caught-up nodes: alive (shipped to) but not primary
+    /// candidates. Includes this node itself while it resyncs after a restart.
+    resyncing: HashSet<NodeId>,
+    /// Per-shard primary cursor into the replica set; advances on primary failure,
+    /// never rewinds on re-admission (no automatic fail-back).
+    rank: Vec<usize>,
+    /// Per-shard failover epoch: counts failures and re-admissions of replica-set
+    /// members, raised further by epochs observed on the wire. Promotions stamp
+    /// themselves with this counter.
+    epochs: Vec<u64>,
+}
+
+impl PlacementView {
+    /// A fresh view over a placement: rank cursors at the shard owners, epochs at 0.
+    pub fn new(placement: DirectoryPlacement) -> Self {
+        let shards = placement.num_shards();
+        PlacementView {
+            placement,
+            failed: HashSet::new(),
+            resyncing: HashSet::new(),
+            rank: vec![0; shards],
+            epochs: vec![0; shards],
+        }
+    }
+
+    /// The static placement underneath.
+    pub fn placement(&self) -> &DirectoryPlacement {
+        &self.placement
+    }
+
+    /// Whether `node` is currently a primary candidate.
+    fn eligible(&self, node: NodeId) -> bool {
+        !self.failed.contains(&node) && !self.resyncing.contains(&node)
+    }
+
+    /// Whether `node` should receive log shipments (alive, possibly still resyncing).
+    pub fn is_alive(&self, node: NodeId) -> bool {
+        !self.failed.contains(&node)
+    }
+
+    /// Whether `node` is currently marked as resyncing.
+    pub fn is_resyncing(&self, node: NodeId) -> bool {
+        self.resyncing.contains(&node)
+    }
+
+    /// The current primary of a shard: the first eligible member scanning cyclically
+    /// from the rank cursor. `None` when every replica is dead or resyncing.
+    pub fn primary(&self, shard: usize) -> Option<NodeId> {
+        let members = self.placement.replica_set(shard);
+        let r = members.len();
+        (0..r).map(|i| members[(self.rank[shard] + i) % r]).find(|&n| self.eligible(n))
+    }
+
+    /// The current primary of the shard responsible for `object`.
+    pub fn primary_for(&self, object: ObjectId) -> Option<NodeId> {
+        self.primary(self.placement.shard_of(object))
+    }
+
+    /// The shard's current failover epoch.
+    pub fn epoch(&self, shard: usize) -> u64 {
+        self.epochs[shard]
+    }
+
+    /// Fold an epoch observed on the wire (a shipment, ack, or resync frame) into the
+    /// counter, so a node that missed events can still promote above them.
+    pub fn note_epoch(&mut self, shard: usize, epoch: u64) {
+        if let Some(e) = self.epochs.get_mut(shard) {
+            *e = (*e).max(epoch);
+        }
+    }
+
+    /// Adopt an authoritative rank cursor learned from a completed chunk stream, so
+    /// a restarted node's routing agrees with the survivors' (no fail-back to itself).
+    pub fn set_rank(&mut self, shard: usize, rank: usize) {
+        self.rank[shard] = rank % self.placement.replication();
+    }
+
+    /// This shard's rank cursor.
+    pub fn current_rank(&self, shard: usize) -> usize {
+        self.rank[shard]
+    }
+
+    /// The shards `peer` hosts, each with its current primary (the "before" picture a
+    /// liveness transition compares against).
+    fn primaries_of_shards_hosted_by(&self, peer: NodeId) -> Vec<(usize, Option<NodeId>)> {
+        (0..self.placement.num_shards())
+            .filter(|&s| self.placement.hosts(peer, s))
+            .map(|s| (s, self.primary(s)))
+            .collect()
+    }
+
+    /// Digest a peer failure. Returns the shards whose primary moved off `peer` onto
+    /// a surviving replica (the client's re-drive set).
+    pub fn on_peer_failed(&mut self, peer: NodeId) -> Vec<usize> {
+        if self.failed.contains(&peer) {
+            return Vec::new();
+        }
+        let affected = self.primaries_of_shards_hosted_by(peer);
+        self.failed.insert(peer);
+        self.resyncing.remove(&peer);
+        let mut changed = Vec::new();
+        for (shard, old) in affected {
+            self.epochs[shard] += 1;
+            if old != Some(peer) {
+                continue;
+            }
+            // Advance the cursor past the dead primary so a later re-admission does
+            // not fail back to it.
+            if let Some(new_primary) = self.primary(shard) {
+                let members = self.placement.replica_set(shard);
+                if let Some(pos) = members.iter().position(|&n| n == new_primary) {
+                    self.rank[shard] = pos;
+                }
+                changed.push(shard);
+            }
+        }
+        changed
+    }
+
+    /// Digest a peer recovery notice: the node is alive again but must resync before
+    /// it can lead anything. Returns whether this was news.
+    pub fn on_peer_recovered(&mut self, peer: NodeId) -> bool {
+        if self.failed.remove(&peer) {
+            self.resyncing.insert(peer);
+            true
+        } else {
+            false
+        }
+    }
+
+    /// Digest a catch-up announcement (a peer's, or this node's own resync
+    /// completing): the node is a full replica again. Bumps the failover epoch of
+    /// every shard it hosts (re-admission is a leadership-relevant event, exactly like
+    /// a failure). Returns the shards that regained a primary with this re-admission —
+    /// a shard whose every other replica died while `peer` was out goes
+    /// `None → Some(peer)` here, and clients must re-drive their unconfirmed intents
+    /// at it just as they would after a failover.
+    pub fn on_peer_readmitted(&mut self, peer: NodeId) -> Vec<usize> {
+        if !self.resyncing.contains(&peer) && !self.failed.contains(&peer) {
+            return Vec::new();
+        }
+        let affected = self.primaries_of_shards_hosted_by(peer);
+        self.resyncing.remove(&peer);
+        self.failed.remove(&peer);
+        let mut regained = Vec::new();
+        for (shard, old) in affected {
+            self.epochs[shard] += 1;
+            if old.is_none() && self.primary(shard).is_some() {
+                regained.push(shard);
+            }
+        }
+        regained
+    }
+
+    /// Mark this node itself as resyncing after a restart (all shards).
+    pub fn begin_self_resync(&mut self, me: NodeId) {
+        self.resyncing.insert(me);
+    }
+}

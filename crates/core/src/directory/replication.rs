@@ -1,5 +1,5 @@
 //! Primary/backup replication of one directory shard (§3.5), with a sequenced,
-//! acknowledged op log and snapshot-based state transfer.
+//! acknowledged op log and chunk-or-delta state transfer.
 //!
 //! The paper keeps the object directory available across node failures by
 //! replicating it; this module implements the per-replica half of that design as a
@@ -14,9 +14,11 @@
 //! * a **backup** replays shipped ops in sequence order against its mirror shard with
 //!   replies suppressed, acking the contiguously-applied prefix. A gap in the sequence
 //!   (ops lost while the replica was down or deposed) cannot be bridged from the log
-//!   alone: the replica asks for a **snapshot** ([`DirectoryShard::snapshot`]) from
-//!   the current primary, installs it, replays whatever shipped ops it buffered past
-//!   the snapshot point, and re-enters the replica set;
+//!   alone: the replica asks the current primary for a **resync** — an op replay from
+//!   the retained suffix when that covers the gap ([`ShardReplica::apply_delta`]), a
+//!   cursor-driven stream of bounded state chunks otherwise
+//!   ([`ShardReplica::install_chunk`]) — then replays whatever shipped ops it
+//!   buffered past the stream's consistency point and re-enters the replica set;
 //! * on promotion the new primary bumps its **epoch**; replicated ops stamped with a
 //!   lower epoch (stragglers from a deposed primary) are rejected, and any buffered
 //!   out-of-order suffix beyond the contiguously-applied prefix is discarded —
@@ -28,7 +30,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::object::{NodeId, ObjectId, ObjectStatus};
-use crate::protocol::{DirOp, Message, ShardSnapshot, SnapshotEntry};
+use crate::protocol::{DirOp, Message, SnapshotEntry};
 
 use super::shard::DirectoryShard;
 
@@ -61,8 +63,8 @@ pub enum ReplayOutcome {
 
 /// One retained log entry on the primary: the op at a sequence number, plus the
 /// confirmation to emit once every tracked backup has acked past it. The op itself
-/// is retained so a chain primary can re-ship the unacked suffix to a new chain
-/// head after a re-splice (see [`ShardReplica::unacked_suffix`]).
+/// is retained so it can move into the delta ring when trimmed and be re-shipped to
+/// a re-admitted backup (see [`ShardReplica::delta_ops`]).
 #[derive(Clone, Debug)]
 struct LogEntry {
     seq: u64,
@@ -225,15 +227,6 @@ impl ShardReplica {
         self.applied_seq
     }
 
-    /// The retained ops with sequence numbers strictly greater than `after`, in log
-    /// order. A chain primary re-ships this suffix to the (possibly new) chain head
-    /// after a membership change, so ops that were in flight through a dead or
-    /// restarted chain member are not lost — the head's duplicate detection makes
-    /// re-shipping idempotent.
-    pub fn unacked_suffix(&self, after: u64) -> Vec<(u64, DirOp)> {
-        self.log.iter().filter(|e| e.seq > after).map(|e| (e.seq, e.op.clone())).collect()
-    }
-
     /// Record a backup's cumulative ack and return the confirms whose entries became
     /// fully acked. Acks from an older epoch (a backup that has not yet learned of a
     /// promotion) are still valid — sequence numbers only restart through a snapshot,
@@ -320,39 +313,10 @@ impl ShardReplica {
         ReplayOutcome::NeedsResync
     }
 
-    /// Capture this replica's state for transfer: `(epoch, applied_seq, state)`.
-    pub fn snapshot(&self) -> (u64, u64, ShardSnapshot) {
-        (self.epoch, self.applied_seq, self.shard.snapshot())
-    }
-
-    /// Install a snapshot captured by the current primary, discarding local state
-    /// wholesale (including a deposed primary's unacked suffix), then replay whatever
-    /// buffered shipments extend the snapshot contiguously. Returns the sequence
-    /// number to ack, or `None` when the snapshot is itself a deposed primary's
-    /// straggler (stale epoch) and was discarded.
-    pub fn install_snapshot(&mut self, epoch: u64, seq: u64, state: &ShardSnapshot) -> Option<u64> {
-        if epoch < self.epoch {
-            return None;
-        }
-        self.shard.restore(state);
-        self.role = ReplicaRole::Backup;
-        self.epoch = epoch;
-        self.applied_seq = seq;
-        self.resyncing = false;
-        self.resync_cursor = None;
-        self.log.clear();
-        self.acks.clear();
-        // The re-baselined sequence numbering invalidates the retained delta ring.
-        self.retained.clear();
-        // Everything at or below the snapshot point is already included in it.
-        self.pending = self.pending.split_off(&(seq + 1));
-        self.drain_pending();
-        Some(self.applied_seq)
-    }
-
     /// Install one chunk of a cursor-driven resync stream. The first chunk of a
-    /// stream (no cursor yet) replaces local state wholesale, exactly like
-    /// [`Self::install_snapshot`]; subsequent chunks extend the partial state and
+    /// stream (no cursor yet) discards local state wholesale — including a deposed
+    /// primary's unacked suffix and the retained delta ring, which the re-baselined
+    /// sequence numbering invalidates; subsequent chunks extend the partial state and
     /// advance the cursor. `seq` is the stream's consistency point (the source's
     /// applied prefix when the stream opened, with entries mutated past it re-shipped
     /// as dirty by the source). Returns `None` for a deposed source's stale-epoch
@@ -381,7 +345,8 @@ impl ShardReplica {
         if !done {
             return Some(None);
         }
-        // Final chunk: the assembled state is consistent at (epoch, seq).
+        // Final chunk: the assembled state is consistent at (epoch, seq); buffered
+        // shipments at or below it are already included, later ones replay on top.
         self.role = ReplicaRole::Backup;
         self.epoch = epoch;
         self.applied_seq = seq;
@@ -555,6 +520,13 @@ mod tests {
             status: ObjectStatus::Complete,
             size: 100,
         }
+    }
+
+    /// Transfer `source`'s whole state to `sink` as a one-chunk stream.
+    fn transfer(source: &ShardReplica, sink: &mut ShardReplica) -> Option<Option<u64>> {
+        let (entries, done) = source.shard().snapshot_range(None, u64::MAX);
+        assert!(done, "an unbounded budget covers the shard in one chunk");
+        sink.install_chunk(source.epoch(), source.applied_seq(), &entries, true)
     }
 
     /// Ship one op primary → backup and ack it back, asserting the happy path.
@@ -735,12 +707,10 @@ mod tests {
         let op5 = register("e", 5);
         let seq5 = primary.apply_primary(&op5, None, &mut out);
         assert_eq!(backup.apply_replicated(primary.epoch(), seq5, &op5), ReplayOutcome::Buffered);
-        // The snapshot was captured at seq 4 (after op4); installing it replays the
-        // buffered op5 and the backup is fully caught up.
-        let (epoch, seq, state) = primary.snapshot();
-        assert_eq!(seq, 5, "snapshot captured after op5");
-        let acked = backup.install_snapshot(epoch, seq, &state).expect("fresh snapshot");
-        assert_eq!(acked, 5);
+        // The state is captured at seq 5 (after op5); installing it drops the
+        // buffered duplicate and the backup is fully caught up.
+        assert_eq!(primary.applied_seq(), 5, "state captured after op5");
+        assert_eq!(transfer(&primary, &mut backup), Some(Some(5)));
         for name in ["a", "b", "c", "d", "e"] {
             assert_eq!(backup.locations(obj(name)).len(), 1, "object {name} present");
         }
@@ -776,9 +746,7 @@ mod tests {
         // wholesale by B's acked prefix.
         b.apply_primary(&register("f", 15), None, &mut out); // seq 4 under the new primacy
         p.begin_resync();
-        let (epoch, seq, state) = b.snapshot();
-        let acked = p.install_snapshot(epoch, seq, &state).expect("snapshot installs");
-        assert_eq!(acked, 4);
+        assert_eq!(transfer(&b, &mut p), Some(Some(4)));
         assert_eq!(p.role(), ReplicaRole::Backup);
         assert!(p.locations(obj("d")).is_empty(), "unacked suffix discarded");
         assert!(p.locations(obj("e")).is_empty(), "unacked suffix discarded");
@@ -795,8 +763,8 @@ mod tests {
             seqs.push(primary.apply_primary(op, None, &mut out));
         }
         backup.begin_resync();
-        let (epoch, seq, state) = primary.snapshot();
-        assert_eq!(backup.install_snapshot(epoch, seq, &state), Some(4));
+        let epoch = primary.epoch();
+        assert_eq!(transfer(&primary, &mut backup), Some(Some(4)));
         // Shipments delayed in flight from before the snapshot now arrive: each is a
         // duplicate of the installed prefix and re-acks the same watermark without
         // double-applying.
@@ -831,8 +799,7 @@ mod tests {
             &mut out,
         );
         backup.begin_resync();
-        let (epoch, seq, state) = primary.snapshot();
-        backup.install_snapshot(epoch, seq, &state).expect("snapshot installs");
+        transfer(&primary, &mut backup).expect("fresh stream installs");
         assert_eq!(backup.shard().subscriber_count(obj("keep")), 1);
         assert_eq!(backup.shard().subscriber_count(obj("drop")), 0);
     }
@@ -841,9 +808,8 @@ mod tests {
     fn stale_snapshot_from_deposed_primary_is_rejected() {
         let (mut primary, mut backup) = pair();
         replicate(&mut primary, &mut backup, &register("x", 1));
-        let (old_epoch, old_seq, old_state) = primary.snapshot();
         backup.promote_to(2);
-        assert_eq!(backup.install_snapshot(old_epoch, old_seq, &old_state), None);
+        assert_eq!(transfer(&primary, &mut backup), None);
         assert_eq!(backup.role(), ReplicaRole::Primary, "stale snapshot cannot demote");
     }
 
@@ -907,7 +873,7 @@ mod tests {
             primary.apply_primary(&register(&format!("obj-{i:02}"), i), None, &mut out);
         }
         backup.begin_resync();
-        let (epoch, seq, _) = primary.snapshot();
+        let (epoch, seq) = (primary.epoch(), primary.applied_seq());
         // Stream the shard in bounded chunks, feeding the receiver's cursor back
         // into each range request — the same loop the service runs over the wire.
         let budget = 200;
@@ -950,7 +916,7 @@ mod tests {
         assert_eq!(backup.install_chunk(1, 5, &[], true), None);
         assert_eq!(backup.locations(obj("only-mine")).len(), 1);
 
-        // A fresh stream replaces local state wholesale, like install_snapshot.
+        // A fresh stream replaces local state wholesale.
         backup.begin_resync();
         let (entries, done) = primary.shard().snapshot_range(None, u64::MAX);
         assert!(done);
@@ -968,7 +934,7 @@ mod tests {
             primary.apply_primary(&register(&format!("pre{i}"), i), None, &mut out);
         }
         backup.begin_resync();
-        let (epoch, seq, _) = primary.snapshot();
+        let (epoch, seq) = (primary.epoch(), primary.applied_seq());
         let (first, done) = primary.shard().snapshot_range(None, 100);
         assert!(!done);
         assert_eq!(backup.install_chunk(epoch, seq, &first, false), Some(None));

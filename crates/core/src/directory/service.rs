@@ -1,297 +1,21 @@
-//! Shard placement and the per-node directory service.
-//!
-//! [`DirectoryPlacement`] is the pure, cluster-wide map from objects to shards and
-//! from shards to replica sets: shard `s` lives on nodes `s % n, (s+1) % n, ...`
-//! (`directory_replication` of them).
-//!
-//! [`PlacementView`] is a node's *evolving* view of who leads each shard. It is
-//! **epoch-versioned** rather than failure-monotonic: each shard carries a primary
-//! *rank cursor* that advances (cyclically) when the current primary fails and never
-//! rewinds, plus a *failover epoch* counter bumped on every failure **and** every
-//! re-admission of a replica-set member. A node that recovers is first marked
-//! *resyncing* (alive, shipped to, but not a primary candidate); once it announces
-//! catch-up it is re-admitted and becomes eligible again — so after a rolling restart
-//! the original owners end up leading their shards again, with strictly increasing
-//! epochs protecting against deposed primaries' stragglers. Because every node folds
-//! the same broadcast failure/recovery/re-admission notices into the same
-//! deterministic rules, survivors agree on the current primary without a coordination
-//! round; transient disagreement is absorbed by op forwarding.
+//! The per-node directory service.
 //!
 //! [`DirectoryService`] is the server half living inside each node: the shard
-//! replicas this node hosts, op routing (apply as primary / forward elsewhere),
-//! sequenced log shipping with acks and origin confirms, snapshot serving for
-//! recovering replicas, and epoch-stamped promotion when a primary dies (§3.5).
+//! replicas this node hosts, the node's one [`PlacementView`] (routing reads it,
+//! liveness transitions mutate it, nothing mirrors it), op routing (apply as primary /
+//! forward elsewhere), sequenced log shipping to every live backup with acks and
+//! origin confirms, chunk-or-delta resync serving for recovering replicas, and
+//! epoch-stamped promotion when a primary dies (§3.5).
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::config::HopliteConfig;
 use crate::object::{NodeId, ObjectId, ObjectStatus};
 use crate::protocol::{DirOp, Message, ShardSnapshot};
 
+use super::placement::{DirectoryPlacement, PlacementView};
 use super::replication::{ReplayOutcome, ReplicaRole, ShardReplica};
 use super::shard::DirectoryShard;
-
-/// The static map from objects to shards and shards to replica sets.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DirectoryPlacement {
-    nodes: Vec<NodeId>,
-    num_shards: usize,
-    replication: usize,
-}
-
-impl DirectoryPlacement {
-    /// Build the placement for a cluster. `num_shards` defaults to one shard per node
-    /// and `replication` is clamped to the cluster size.
-    pub fn new(nodes: Vec<NodeId>, num_shards: Option<usize>, replication: usize) -> Self {
-        assert!(!nodes.is_empty(), "placement needs at least one node");
-        let num_shards = num_shards.unwrap_or(nodes.len()).max(1);
-        let replication = replication.clamp(1, nodes.len());
-        DirectoryPlacement { nodes, num_shards, replication }
-    }
-
-    /// Build the placement from a node's configuration.
-    pub fn from_config(cfg: &HopliteConfig, nodes: &[NodeId]) -> Self {
-        DirectoryPlacement::new(nodes.to_vec(), cfg.directory_shards, cfg.directory_replication)
-    }
-
-    /// Every node in the cluster, in index order.
-    pub fn nodes(&self) -> &[NodeId] {
-        &self.nodes
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.num_shards
-    }
-
-    /// Number of replicas per shard.
-    pub fn replication(&self) -> usize {
-        self.replication
-    }
-
-    /// The shard responsible for `object` (same hash the unreplicated seed used, so
-    /// the initial primary of an object's shard is `ClusterView::shard_node`).
-    pub fn shard_of(&self, object: ObjectId) -> usize {
-        let h = u64::from_le_bytes(object.0[..8].try_into().expect("object id width"));
-        (h % self.num_shards as u64) as usize
-    }
-
-    /// The replica set of a shard, initial-candidate order: the node owning the shard
-    /// first, then its successors on the ring.
-    pub fn replica_set(&self, shard: usize) -> Vec<NodeId> {
-        let n = self.nodes.len();
-        (0..self.replication).map(|i| self.nodes[(shard + i) % n]).collect()
-    }
-
-    /// Whether `node` hosts a replica of `shard`.
-    pub fn hosts(&self, node: NodeId, shard: usize) -> bool {
-        self.replica_set(shard).contains(&node)
-    }
-
-    /// The shard's primary under a *failure-monotonic* view — the first replica not in
-    /// `failed`. Kept for placement reasoning in tests; live routing goes through
-    /// [`PlacementView::primary`], which also honours rank cursors and resyncing
-    /// members.
-    pub fn primary(&self, shard: usize, failed: &HashSet<NodeId>) -> Option<NodeId> {
-        self.replica_set(shard).into_iter().find(|n| !failed.contains(n))
-    }
-
-    /// The failure-monotonic primary of the shard responsible for `object`.
-    pub fn primary_for(&self, object: ObjectId, failed: &HashSet<NodeId>) -> Option<NodeId> {
-        self.primary(self.shard_of(object), failed)
-    }
-
-    /// Shards for which `node` is a replica.
-    pub fn shards_hosted_by(&self, node: NodeId) -> Vec<usize> {
-        (0..self.num_shards).filter(|&s| self.hosts(node, s)).collect()
-    }
-}
-
-/// A node's evolving, epoch-versioned view of shard leadership (see module docs).
-#[derive(Clone, Debug)]
-pub struct PlacementView {
-    placement: DirectoryPlacement,
-    failed: HashSet<NodeId>,
-    /// Recovered but not yet caught-up nodes: alive (shipped to) but not primary
-    /// candidates. Includes this node itself while it resyncs after a restart.
-    resyncing: HashSet<NodeId>,
-    /// Per-shard primary cursor into the replica set; advances on primary failure,
-    /// never rewinds on re-admission (no automatic fail-back).
-    rank: Vec<usize>,
-    /// Per-shard failover epoch: counts failures and re-admissions of replica-set
-    /// members, raised further by epochs observed on the wire. Promotions stamp
-    /// themselves with this counter.
-    epochs: Vec<u64>,
-}
-
-impl PlacementView {
-    /// A fresh view over a placement: rank cursors at the shard owners, epochs at 0.
-    pub fn new(placement: DirectoryPlacement) -> Self {
-        let shards = placement.num_shards();
-        PlacementView {
-            placement,
-            failed: HashSet::new(),
-            resyncing: HashSet::new(),
-            rank: vec![0; shards],
-            epochs: vec![0; shards],
-        }
-    }
-
-    /// The static placement underneath.
-    pub fn placement(&self) -> &DirectoryPlacement {
-        &self.placement
-    }
-
-    /// Whether `node` is currently a primary candidate.
-    fn eligible(&self, node: NodeId) -> bool {
-        !self.failed.contains(&node) && !self.resyncing.contains(&node)
-    }
-
-    /// Whether `node` should receive log shipments (alive, possibly still resyncing).
-    pub fn is_alive(&self, node: NodeId) -> bool {
-        !self.failed.contains(&node)
-    }
-
-    /// Whether `node` is currently marked as resyncing.
-    pub fn is_resyncing(&self, node: NodeId) -> bool {
-        self.resyncing.contains(&node)
-    }
-
-    /// The current primary of a shard: the first eligible member scanning cyclically
-    /// from the rank cursor. `None` when every replica is dead or resyncing.
-    pub fn primary(&self, shard: usize) -> Option<NodeId> {
-        let members = self.placement.replica_set(shard);
-        let r = members.len();
-        (0..r).map(|i| members[(self.rank[shard] + i) % r]).find(|&n| self.eligible(n))
-    }
-
-    /// The current primary of the shard responsible for `object`.
-    pub fn primary_for(&self, object: ObjectId) -> Option<NodeId> {
-        self.primary(self.placement.shard_of(object))
-    }
-
-    /// The shard's current failover epoch.
-    pub fn epoch(&self, shard: usize) -> u64 {
-        self.epochs[shard]
-    }
-
-    /// Fold an epoch observed on the wire (a shipment, ack, or snapshot) into the
-    /// counter, so a node that missed events can still promote above them.
-    pub fn note_epoch(&mut self, shard: usize, epoch: u64) {
-        if let Some(e) = self.epochs.get_mut(shard) {
-            *e = (*e).max(epoch);
-        }
-    }
-
-    /// Adopt an authoritative rank cursor learned from a snapshot.
-    pub fn set_rank(&mut self, shard: usize, rank: usize) {
-        if self.placement.replication() > 0 {
-            self.rank[shard] = rank % self.placement.replication();
-        }
-    }
-
-    /// This shard's rank cursor.
-    pub fn current_rank(&self, shard: usize) -> usize {
-        self.rank[shard]
-    }
-
-    /// The shard's replication chain under chain mode: the current primary first,
-    /// then every other live replica-set member (resyncing ones included — they are
-    /// shipped to) in cyclic order from the primary's position. Every node folds the
-    /// same failure/recovery notices into the same rule, so all members compute the
-    /// same chain and can find their own successor/predecessor locally. Empty when
-    /// every replica is dead or resyncing.
-    pub fn chain(&self, shard: usize) -> Vec<NodeId> {
-        let Some(primary) = self.primary(shard) else { return Vec::new() };
-        let members = self.placement.replica_set(shard);
-        let r = members.len();
-        let start = members.iter().position(|&n| n == primary).unwrap_or(0);
-        let mut chain = vec![primary];
-        chain.extend(
-            (1..r).map(|i| members[(start + i) % r]).filter(|&n| n != primary && self.is_alive(n)),
-        );
-        chain
-    }
-
-    /// Digest a peer failure. Returns the shards whose primary moved off `peer` onto
-    /// a surviving replica (the client's re-drive set).
-    pub fn on_peer_failed(&mut self, peer: NodeId) -> Vec<usize> {
-        if self.failed.contains(&peer) {
-            return Vec::new();
-        }
-        let affected: Vec<(usize, Option<NodeId>)> = (0..self.placement.num_shards())
-            .filter(|&s| self.placement.hosts(peer, s))
-            .map(|s| (s, self.primary(s)))
-            .collect();
-        self.failed.insert(peer);
-        self.resyncing.remove(&peer);
-        let mut changed = Vec::new();
-        for (shard, old) in affected {
-            self.epochs[shard] += 1;
-            if old != Some(peer) {
-                continue;
-            }
-            // Advance the cursor past the dead primary so a later re-admission does
-            // not fail back to it.
-            if let Some(new_primary) = self.primary(shard) {
-                let members = self.placement.replica_set(shard);
-                if let Some(pos) = members.iter().position(|&n| n == new_primary) {
-                    self.rank[shard] = pos;
-                }
-                changed.push(shard);
-            }
-        }
-        changed
-    }
-
-    /// Digest a peer recovery notice: the node is alive again but must resync before
-    /// it can lead anything. Returns whether this was news.
-    pub fn on_peer_recovered(&mut self, peer: NodeId) -> bool {
-        if self.failed.remove(&peer) {
-            self.resyncing.insert(peer);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Digest a catch-up announcement: the node is a full replica again. Bumps the
-    /// failover epoch of every shard it hosts (re-admission is a leadership-relevant
-    /// event, exactly like a failure). Returns the shards that regained a primary
-    /// with this re-admission — a shard whose every other replica died while `peer`
-    /// was out goes `None → Some(peer)` here, and clients must re-drive their
-    /// unconfirmed intents at it just as they would after a failover.
-    pub fn on_peer_readmitted(&mut self, peer: NodeId) -> Vec<usize> {
-        if !self.resyncing.contains(&peer) && !self.failed.contains(&peer) {
-            return Vec::new();
-        }
-        let affected: Vec<(usize, Option<NodeId>)> = (0..self.placement.num_shards())
-            .filter(|&s| self.placement.hosts(peer, s))
-            .map(|s| (s, self.primary(s)))
-            .collect();
-        self.resyncing.remove(&peer);
-        self.failed.remove(&peer);
-        let mut regained = Vec::new();
-        for (shard, old) in affected {
-            self.epochs[shard] += 1;
-            if old.is_none() && self.primary(shard).is_some() {
-                regained.push(shard);
-            }
-        }
-        regained
-    }
-
-    /// Mark this node itself as resyncing after a restart (all shards).
-    pub fn begin_self_resync(&mut self, me: NodeId) {
-        self.resyncing.insert(me);
-    }
-
-    /// This node finished resyncing: make it eligible again and bump the epochs of
-    /// its hosted shards (the same bump every peer applies on `DirResynced`).
-    pub fn finish_self_resync(&mut self, me: NodeId) {
-        let _ = self.on_peer_readmitted(me);
-    }
-}
 
 /// The directory server half of one node: every shard replica it hosts, plus the
 /// routing, replication, resync, and promotion logic around them.
@@ -308,16 +32,11 @@ pub struct DirectoryService {
     /// `true` between [`DirectoryService::begin_local_resync`] and the installation
     /// of the last outstanding snapshot.
     local_resync: bool,
-    /// Set when the local resync completes; the facade drains it with
-    /// [`DirectoryService::take_readmission_announcement`] and broadcasts
+    /// Set when the local resync completes, to the shards that regained a primary
+    /// with this node's own re-admission; the facade drains it with
+    /// [`DirectoryService::take_readmission`], re-drives those shards and broadcasts
     /// `DirResynced`.
-    announce_readmission: bool,
-    /// Chain replication enabled by configuration (effective only with
-    /// `directory_replication >= 3`; chain and star coincide below that).
-    chain: bool,
-    /// Cumulative `DirAck`s this node folded and relayed upstream as a chain middle
-    /// member. Drained by the facade into `NodeMetrics::chain_ack_depth`.
-    chain_acks_relayed: u64,
+    readmission: Option<Vec<usize>>,
     /// Source-side state of chunked resync streams this node is serving, keyed by
     /// `(shard, requester)`: the cursor confirmed by the requester's last request
     /// plus the objects mutated behind it since (re-shipped with the next chunk).
@@ -367,9 +86,7 @@ impl DirectoryService {
             replicas,
             resync_sources: BTreeMap::new(),
             local_resync: false,
-            announce_readmission: false,
-            chain: cfg.directory_chain_replication,
-            chain_acks_relayed: 0,
+            readmission: None,
             streams: BTreeMap::new(),
             snapshot_chunks_sent: 0,
             snapshot_bytes: 0,
@@ -415,7 +132,8 @@ impl DirectoryService {
 
     /// The live backups of `shard` in this node's view (replica-set members other
     /// than this node that are not failed — resyncing members included, since they
-    /// are catching up on the same log).
+    /// are catching up on the same log). Every one of them is shipped to, and every
+    /// one's ack gates durability.
     fn live_backups(&self, shard: usize) -> Vec<NodeId> {
         self.view
             .placement()
@@ -423,72 +141,6 @@ impl DirectoryService {
             .into_iter()
             .filter(|&n| n != self.me && self.view.is_alive(n))
             .collect()
-    }
-
-    /// Whether this deployment replicates shards along a chain (primary → b1 → b2,
-    /// cumulative acks flowing back from the tail) instead of star fan-out. With
-    /// fewer than three replicas the two topologies coincide, so star is kept.
-    fn chain_enabled(&self) -> bool {
-        self.chain && self.view.placement().replication() >= 3
-    }
-
-    /// The backups whose acks gate durability when this node is `shard`'s primary:
-    /// just the chain head under chain replication (its cumulative ack, folded back
-    /// hop by hop from the tail, certifies the whole chain), every live backup under
-    /// star fan-out.
-    fn tracked_backups(&self, shard: usize) -> Vec<NodeId> {
-        if self.chain_enabled() {
-            self.view.chain(shard).into_iter().skip(1).take(1).collect()
-        } else {
-            self.live_backups(shard)
-        }
-    }
-
-    /// This node's downstream neighbour on the shard's replication chain (`None` at
-    /// the tail, or when chain mode is off / this node is not on the chain).
-    fn chain_successor(&self, shard: usize) -> Option<NodeId> {
-        if !self.chain_enabled() {
-            return None;
-        }
-        let chain = self.view.chain(shard);
-        let pos = chain.iter().position(|&n| n == self.me)?;
-        chain.get(pos + 1).copied()
-    }
-
-    /// This node's upstream neighbour on the shard's replication chain (`None` at
-    /// the primary, or when chain mode is off / this node is not on the chain).
-    fn chain_predecessor(&self, shard: usize) -> Option<NodeId> {
-        if !self.chain_enabled() {
-            return None;
-        }
-        let chain = self.view.chain(shard);
-        let pos = chain.iter().position(|&n| n == self.me)?;
-        pos.checked_sub(1).map(|p| chain[p])
-    }
-
-    /// Chain mode, primary side: after a membership change (chain member died or was
-    /// re-admitted), re-anchor the tracked head and re-ship the retained unacked
-    /// suffix to it, so ops that were in flight through the old chain are not lost.
-    /// The head's duplicate detection makes the re-ship idempotent; a head that is
-    /// too far behind answers with a snapshot request instead of an ack.
-    fn resplice_chain(&mut self, shard: usize, out: &mut Vec<(NodeId, Message)>) {
-        let tracked = self.tracked_backups(shard);
-        let Some(replica) = self.replicas.get_mut(&shard) else { return };
-        if replica.role() != ReplicaRole::Primary {
-            return;
-        }
-        out.extend(replica.set_tracked_backups(&tracked));
-        let Some(&head) = tracked.first() else { return };
-        let epoch = replica.epoch();
-        for (seq, op) in replica.unacked_suffix(0) {
-            out.push((head, Message::DirReplicate { shard: shard as u64, epoch, seq, op }));
-        }
-    }
-
-    /// Drain the count of cumulative acks this node relayed upstream as a chain
-    /// member (folded into `NodeMetrics::chain_ack_depth` by the node facade).
-    pub fn take_chain_ack_relays(&mut self) -> u64 {
-        std::mem::take(&mut self.chain_acks_relayed)
     }
 
     /// Route one client directory op: apply it if this node is the shard's primary
@@ -507,10 +159,7 @@ impl DirectoryService {
                         stream.dirty.insert(object);
                     }
                 }
-                // Under star fan-out every live backup is shipped to and tracked;
-                // under chain replication only the chain head is — it relays the op
-                // down the chain and its cumulative ack certifies the whole chain.
-                let backups = self.tracked_backups(shard);
+                let backups = self.live_backups(shard);
                 let replica = self.replicas.get_mut(&shard).expect("primary hosts its shard");
                 out.extend(replica.set_tracked_backups(&backups));
                 let confirm = op
@@ -540,12 +189,9 @@ impl DirectoryService {
         }
     }
 
-    /// Replay an op shipped by a shard's primary (or, under chain replication, by
-    /// this node's chain predecessor) into this node's backup replica. Under star
-    /// fan-out an applied op is acked straight back to the shipper; on a chain a
-    /// non-tail member instead relays the op to its successor and stays silent — the
-    /// tail's ack flows back hop by hop through [`DirectoryService::handle_ack`].
-    /// A log gap this replica cannot bridge is answered with a snapshot request.
+    /// Replay an op shipped by a shard's primary into this node's backup replica. An
+    /// applied op is acked straight back to the shipper; a log gap this replica
+    /// cannot bridge is answered with a resync request.
     pub fn handle_replicate(
         &mut self,
         shard: usize,
@@ -556,58 +202,23 @@ impl DirectoryService {
         out: &mut Vec<(NodeId, Message)>,
     ) -> bool {
         self.view.note_epoch(shard, epoch);
-        let successor = self.chain_successor(shard);
         let Some(replica) = self.replicas.get_mut(&shard) else { return false };
         match replica.apply_replicated(epoch, seq, op) {
             ReplayOutcome::Acked(acked) => {
                 let epoch = replica.epoch();
-                if let Some(successor) = successor {
-                    // Chain middle: pass the op downstream (duplicates too — a
-                    // re-shipped suffix after a re-splice must reach the tail, whose
-                    // own duplicate detection re-acks it) and do not ack here; the
-                    // cumulative ack comes back from the tail.
-                    out.push((
-                        successor,
-                        Message::DirReplicate { shard: shard as u64, epoch, seq, op: op.clone() },
-                    ));
-                    return true;
-                }
                 out.push((from, Message::DirAck { shard: shard as u64, epoch, seq: acked }));
                 true
             }
             ReplayOutcome::NeedsResync => {
-                // A mid-chain member that fell behind still relays the op downstream
-                // at its shipped (epoch, seq): the tail keeps converging while this
-                // member catches up, instead of the whole suffix stalling behind one
-                // replica's resync. The stalled ack flow (bounded by this member's
-                // applied prefix) keeps confirms conservative in the meantime.
-                if let Some(successor) = successor {
-                    out.push((
-                        successor,
-                        Message::DirReplicate { shard: shard as u64, epoch, seq, op: op.clone() },
-                    ));
-                }
                 self.request_resync(shard, from, false, out);
                 false
             }
-            ReplayOutcome::Buffered => {
-                if let Some(successor) = successor {
-                    out.push((
-                        successor,
-                        Message::DirReplicate { shard: shard as u64, epoch, seq, op: op.clone() },
-                    ));
-                }
-                false
-            }
-            ReplayOutcome::Rejected => false,
+            ReplayOutcome::Buffered | ReplayOutcome::Rejected => false,
         }
     }
 
     /// Fold a backup's cumulative ack into the shard's log, emitting any confirms
-    /// that became due. On a replication chain an ack arriving at a *backup* is the
-    /// downstream chain's cumulative ack: it is bounded by this member's own applied
-    /// prefix (the chain guarantee is "applied by me *and* everyone below me") and
-    /// relayed one hop upstream toward the primary.
+    /// that became due (acks reaching a non-primary replica are ignored).
     pub fn handle_ack(
         &mut self,
         shard: usize,
@@ -617,15 +228,8 @@ impl DirectoryService {
         out: &mut Vec<(NodeId, Message)>,
     ) {
         self.view.note_epoch(shard, epoch);
-        let predecessor = self.chain_predecessor(shard);
-        let Some(replica) = self.replicas.get_mut(&shard) else { return };
-        if replica.role() == ReplicaRole::Primary {
+        if let Some(replica) = self.replicas.get_mut(&shard) {
             out.extend(replica.record_ack(from, seq));
-        } else if let Some(pred) = predecessor {
-            let seq = seq.min(replica.applied_seq());
-            let epoch = replica.epoch();
-            out.push((pred, Message::DirAck { shard: shard as u64, epoch, seq }));
-            self.chain_acks_relayed += 1;
         }
     }
 
@@ -636,6 +240,8 @@ impl DirectoryService {
     /// so the implied failure (and recovery) is folded in first instead of silently
     /// dropping the request and wedging the restarted node. A gap-catch-up request
     /// (`restart == false`) from a live backup leaves the liveness view untouched.
+    /// Returns the shards that failed over with the implied failure (the re-drive
+    /// set; empty when the request carried no news).
     ///
     /// Serving is **chunked and incremental**: a requester whose gap the retained
     /// log suffix covers gets a [`Message::DirResyncDelta`] op replay; everyone else
@@ -652,13 +258,16 @@ impl DirectoryService {
         have_epoch: u64,
         have_seq: u64,
         out: &mut Vec<(NodeId, Message)>,
-    ) {
-        if restart && self.view.is_alive(requester) && !self.view.is_resyncing(requester) {
-            self.on_peer_failed(requester, out);
-        }
+    ) -> Vec<usize> {
+        let failed_over =
+            if restart && self.view.is_alive(requester) && !self.view.is_resyncing(requester) {
+                self.on_peer_failed(requester, out)
+            } else {
+                Vec::new()
+            };
         self.view.on_peer_recovered(requester);
         if !self.view.placement().hosts(requester, shard) {
-            return;
+            return failed_over;
         }
         match self.view.primary(shard) {
             Some(primary) if primary == self.me => {
@@ -680,6 +289,7 @@ impl DirectoryService {
             }
             _ => {}
         }
+        failed_over
     }
 
     /// Serve one resync round as the shard's primary: a delta replay when the
@@ -704,8 +314,8 @@ impl DirectoryService {
         // covers replays ops instead of shipping state. (Replayed history can
         // transiently resurrect a location registered by a node that has since
         // failed; the receiver re-applies the purges for currently-dead peers on
-        // completion, and any residual staleness heals through the pull-timeout
-        // failover path like every other stale directory hint.)
+        // completion, and any residual staleness heals like every other stale
+        // directory hint: the pull fails and the receiver re-queries.)
         if after.is_none() && replica.delta_covers(have_epoch, have_seq) {
             self.streams.remove(&key);
             let all = replica.delta_ops(have_seq);
@@ -792,40 +402,16 @@ impl DirectoryService {
         ));
     }
 
-    /// Install a snapshot into this node's replica of `shard`. Returns `true` when
-    /// the snapshot was installed. When the installation completes the node's local
-    /// resync, a re-admission announcement becomes pending — the caller checks
-    /// [`DirectoryService::take_readmission_announcement`] after this (and after
-    /// [`DirectoryService::on_peer_failed`], which can also complete a resync by
-    /// abandoning a sourceless shard).
-    #[allow(clippy::too_many_arguments)] // mirrors the DirSnapshot wire fields
-    pub fn handle_snapshot(
-        &mut self,
-        shard: usize,
-        epoch: u64,
-        seq: u64,
-        rank: usize,
-        state: &crate::protocol::ShardSnapshot,
-        from: NodeId,
-        out: &mut Vec<(NodeId, Message)>,
-    ) -> bool {
-        self.view.note_epoch(shard, epoch);
-        let Some(replica) = self.replicas.get_mut(&shard) else { return false };
-        let Some(acked) = replica.install_snapshot(epoch, seq, state) else { return false };
-        self.view.set_rank(shard, rank);
-        self.resync_sources.remove(&shard);
-        out.push((from, Message::DirAck { shard: shard as u64, epoch, seq: acked }));
-        self.maybe_complete_local_resync();
-        true
-    }
-
     /// Install one chunk of a resync stream into this node's replica of `shard`,
     /// then either request the next chunk from the server's cursor or — on the
-    /// final chunk — ack and complete the resync, exactly like
-    /// [`DirectoryService::handle_snapshot`]. Returns `true` when the stream
-    /// completed here. Chunks for a shard with no outstanding resync (a completed
-    /// or re-targeted stream) and chunks from a source this view considers dead
-    /// are dropped: they are stragglers of an abandoned stream.
+    /// final chunk — adopt the source's rank cursor, ack, and complete the resync.
+    /// Returns `true` when the stream completed here; when that also completes the
+    /// node's local resync, a re-admission becomes pending — the caller checks
+    /// [`DirectoryService::take_readmission`] after this (and after
+    /// [`DirectoryService::on_peer_failed`], which can also complete a resync by
+    /// abandoning a sourceless shard). Chunks for a shard with no outstanding resync
+    /// (a completed or re-targeted stream) and chunks from a source this view
+    /// considers dead are dropped: they are stragglers of an abandoned stream.
     #[allow(clippy::too_many_arguments)] // mirrors the DirSnapshotChunk wire fields
     pub fn handle_snapshot_chunk(
         &mut self,
@@ -876,9 +462,10 @@ impl DirectoryService {
     }
 
     /// Replay one frame of a delta resync into this node's replica of `shard`.
-    /// Returns `true` when the final frame completed the resync (acked like a
-    /// snapshot installation). Frames for a shard with no outstanding resync, or
-    /// from a dead source, are dropped.
+    /// Returns `true` when the final frame completed the resync (acked like a final
+    /// chunk; no rank adoption — a delta-served replica's view was never behind).
+    /// Frames for a shard with no outstanding resync, or from a dead source, are
+    /// dropped.
     pub fn handle_resync_delta(
         &mut self,
         shard: usize,
@@ -928,17 +515,18 @@ impl DirectoryService {
         true
     }
 
-    /// If the last outstanding snapshot was just installed or abandoned, finish the
-    /// local resync: become eligible again, promote wherever this node is now the
-    /// shard's leader, and queue the cluster-wide `DirResynced` announcement.
+    /// If the last outstanding stream was just installed or abandoned, finish the
+    /// local resync: become eligible again (the same epoch bump every peer applies on
+    /// `DirResynced`), promote wherever this node is now the shard's leader, and
+    /// queue the cluster-wide `DirResynced` announcement.
     fn maybe_complete_local_resync(&mut self) {
         if !self.local_resync || !self.resync_sources.is_empty() {
             return;
         }
         self.local_resync = false;
-        self.view.finish_self_resync(self.me);
+        let regained = self.view.on_peer_readmitted(self.me);
         self.promote_where_leader();
-        self.announce_readmission = true;
+        self.readmission = Some(regained);
     }
 
     /// Promote any hosted Backup replica for a shard this node's view says it now
@@ -951,7 +539,7 @@ impl DirectoryService {
             if self.view.primary(shard) != Some(self.me) {
                 continue;
             }
-            let backups = self.tracked_backups(shard);
+            let backups = self.live_backups(shard);
             let epoch = self.view.epoch(shard);
             let replica = self.replicas.get_mut(&shard).expect("iterating hosted shards");
             if replica.role() == ReplicaRole::Backup {
@@ -964,67 +552,35 @@ impl DirectoryService {
         }
     }
 
-    /// Take the pending `DirResynced` announcement, if the local resync just
-    /// completed. The facade broadcasts it to every peer exactly once.
-    pub fn take_readmission_announcement(&mut self) -> bool {
-        std::mem::take(&mut self.announce_readmission)
+    /// Take the pending re-admission, if the local resync just completed: the shards
+    /// that regained a primary with it. The facade re-drives those and broadcasts
+    /// `DirResynced` to every peer exactly once.
+    pub fn take_readmission(&mut self) -> Option<Vec<usize>> {
+        self.readmission.take()
     }
 
     /// Digest a peer failure: update the leadership view, purge the dead node from
     /// every hosted replica, release confirms its pending ack was gating, promote
     /// this node's replicas wherever it just became the shard's leader, and
     /// re-target any in-flight resync that was sourced from the dead node. Returns
-    /// the shards promoted here (for tracing and metrics).
+    /// the shards whose primary moved off `peer` onto a survivor (the re-drive set).
     pub fn on_peer_failed(&mut self, peer: NodeId, out: &mut Vec<(NodeId, Message)>) -> Vec<usize> {
-        self.view.on_peer_failed(peer);
+        let changed = self.view.on_peer_failed(peer);
         // Chunk streams this node was serving to the dead peer are abandoned.
         self.streams.retain(|(_, requester), _| *requester != peer);
-        let mut promoted = Vec::new();
         let shards: Vec<usize> = self.replicas.keys().copied().collect();
         for shard in shards {
-            let chain_member_died =
-                self.chain_enabled() && self.view.placement().hosts(peer, shard);
-            let backups = self.tracked_backups(shard);
-            let role = {
-                let replica = self.replicas.get_mut(&shard).expect("iterating hosted shards");
-                replica.node_failed(peer);
-                replica.role()
-            };
-            if role == ReplicaRole::Primary {
-                // The dead node no longer gates durability. On a chain, re-anchor
-                // the tracked head and re-ship the unacked suffix so ops that were
-                // in flight through the dead member are not lost.
-                if chain_member_died {
-                    self.resplice_chain(shard, out);
-                } else {
-                    let replica = self.replicas.get_mut(&shard).expect("iterating hosted shards");
-                    out.extend(replica.set_tracked_backups(&backups));
-                }
-            } else if self.view.primary(shard) == Some(self.me) {
-                let epoch = self.view.epoch(shard);
-                let replica = self.replicas.get_mut(&shard).expect("iterating hosted shards");
+            let backups = self.live_backups(shard);
+            let epoch = self.view.epoch(shard);
+            let leads = self.view.primary(shard) == Some(self.me);
+            let replica = self.replicas.get_mut(&shard).expect("iterating hosted shards");
+            replica.node_failed(peer);
+            if replica.role() == ReplicaRole::Primary {
+                // The dead node no longer gates durability.
+                out.extend(replica.set_tracked_backups(&backups));
+            } else if leads {
                 replica.promote_to(epoch);
                 replica.set_tracked_backups(&backups);
-                promoted.push(shard);
-            } else if chain_member_died {
-                // Surviving chain member below the primary: the dead peer may have
-                // been our downstream (whose acks will never arrive) or our upstream
-                // (who relayed for us). Re-anchor the ack flow immediately by
-                // sending our applied prefix as a cumulative ack to whoever is our
-                // predecessor on the re-formed chain.
-                if let Some(pred) = self.chain_predecessor(shard) {
-                    let replica = self.replicas.get(&shard).expect("iterating hosted shards");
-                    if replica.role() == ReplicaRole::Backup && !replica.is_resyncing() {
-                        out.push((
-                            pred,
-                            Message::DirAck {
-                                shard: shard as u64,
-                                epoch: replica.epoch(),
-                                seq: replica.applied_seq(),
-                            },
-                        ));
-                    }
-                }
             }
         }
         // Re-target interrupted resyncs whose source died.
@@ -1046,68 +602,52 @@ impl DirectoryService {
                 }
             }
         }
-        // Every outstanding snapshot may now be installed or abandoned; if so, finish
+        // Every outstanding stream may now be installed or abandoned; if so, finish
         // the local resync (which also promotes wherever this node became leader and
         // queues the re-admission announcement).
         self.maybe_complete_local_resync();
-        promoted
+        changed
     }
 
-    /// Digest a peer recovery notice (alive again, resyncing).
+    /// Digest a peer recovery notice (alive again, resyncing — shipped to, not yet a
+    /// primary candidate).
     pub fn on_peer_recovered(&mut self, peer: NodeId) {
         self.view.on_peer_recovered(peer);
     }
 
-    /// Digest a peer's catch-up announcement (full replica again). Under chain
-    /// replication the re-admitted member splices back into every chain it belongs
-    /// to: a primary re-anchors its tracked head and re-ships the unacked suffix,
-    /// and a downstream member re-anchors the ack flow at its (possibly new)
-    /// predecessor — `out` carries the resulting shipments and acks.
-    pub fn on_peer_readmitted(&mut self, peer: NodeId, out: &mut Vec<(NodeId, Message)>) {
-        self.view.on_peer_readmitted(peer);
+    /// Digest a peer's catch-up announcement (full replica again). Ops applied after
+    /// the peer's catch-up stream closed but before this announcement were never
+    /// shipped (the peer was not yet tracked), so a primary re-ships its retained
+    /// suffix: a caught-up peer drops the duplicates, a peer missing ops within the
+    /// ring applies them, and a peer behind by more than the ring sees a sequence gap
+    /// and requests a (delta) resync itself. Returns the shards that regained a
+    /// primary with this re-admission (the re-drive set).
+    pub fn on_peer_readmitted(
+        &mut self,
+        peer: NodeId,
+        out: &mut Vec<(NodeId, Message)>,
+    ) -> Vec<usize> {
+        let regained = self.view.on_peer_readmitted(peer);
+        if peer == self.me {
+            return regained;
+        }
         let shards: Vec<usize> = self.replicas.keys().copied().collect();
         for shard in shards {
             if !self.view.placement().hosts(peer, shard) {
                 continue;
             }
-            let role = self.replicas.get(&shard).expect("iterating hosted shards").role();
-            if !self.chain_enabled() {
-                // Star fan-out: ops applied after the peer's catch-up stream closed
-                // but before this announcement were never shipped (the peer was not
-                // yet tracked). Re-ship the retained suffix: a caught-up peer drops
-                // the duplicates, a peer missing ops within the ring applies them,
-                // and a peer behind by more than the ring sees a sequence gap and
-                // requests a (delta) resync itself.
-                if role == ReplicaRole::Primary && peer != self.me {
-                    let backups = self.tracked_backups(shard);
-                    let replica = self.replicas.get_mut(&shard).expect("iterating hosted shards");
-                    out.extend(replica.set_tracked_backups(&backups));
-                    let epoch = replica.epoch();
-                    for (seq, op) in replica.delta_ops(0) {
-                        out.push((
-                            peer,
-                            Message::DirReplicate { shard: shard as u64, epoch, seq, op },
-                        ));
-                    }
-                }
+            let backups = self.live_backups(shard);
+            let replica = self.replicas.get_mut(&shard).expect("iterating hosted shards");
+            if replica.role() != ReplicaRole::Primary {
                 continue;
             }
-            if role == ReplicaRole::Primary {
-                self.resplice_chain(shard, out);
-            } else if let Some(pred) = self.chain_predecessor(shard) {
-                let replica = self.replicas.get(&shard).expect("iterating hosted shards");
-                if !replica.is_resyncing() {
-                    out.push((
-                        pred,
-                        Message::DirAck {
-                            shard: shard as u64,
-                            epoch: replica.epoch(),
-                            seq: replica.applied_seq(),
-                        },
-                    ));
-                }
+            out.extend(replica.set_tracked_backups(&backups));
+            let epoch = replica.epoch();
+            for (seq, op) in replica.delta_ops(0) {
+                out.push((peer, Message::DirReplicate { shard: shard as u64, epoch, seq, op }));
             }
         }
+        regained
     }
 
     /// Start recovery after a restart: demote every hosted replica, mark this node
@@ -1236,7 +776,7 @@ mod tests {
         let p = DirectoryPlacement::new(nodes(7), None, 3);
         let o = obj("some-object");
         let h = u64::from_le_bytes(o.0[..8].try_into().unwrap());
-        assert_eq!(p.primary_for(o, &HashSet::new()), Some(NodeId((h % 7) as u32)));
+        assert_eq!(PlacementView::new(p).primary_for(o), Some(NodeId((h % 7) as u32)));
     }
 
     #[test]
@@ -1335,8 +875,8 @@ mod tests {
             .iter()
             .any(|(to, m)| *to == NodeId(0) && matches!(m, Message::DirAck { seq: 1, .. })));
         out.clear();
-        let promoted = svc.on_peer_failed(NodeId(0), &mut out);
-        assert_eq!(promoted, vec![0]);
+        let changed = svc.on_peer_failed(NodeId(0), &mut out);
+        assert_eq!(changed, vec![0], "shard 0 failed over (shard 2 only lost its backup)");
         assert_eq!(svc.primary_for(o), Some(NodeId(1)));
         assert_eq!(svc.replica(0).unwrap().epoch(), 1, "promotion at the failover epoch");
         // The replicated record survived the failover, and the promoted replica now
@@ -1406,11 +946,12 @@ mod tests {
         let mut out = Vec::new();
         restarted.on_peer_failed(NodeId(1), &mut out); // shard 0's source
         assert!(restarted.is_resyncing(), "shard 2's snapshot still outstanding");
-        assert!(!restarted.take_readmission_announcement());
+        assert!(restarted.take_readmission().is_none());
         restarted.on_peer_failed(NodeId(2), &mut out); // shard 2's source
         assert!(!restarted.is_resyncing(), "no sources left: resync completes");
-        assert!(restarted.take_readmission_announcement(), "DirResynced must be broadcast");
-        assert!(!restarted.take_readmission_announcement(), "announced exactly once");
+        let regained = restarted.take_readmission().expect("DirResynced must be broadcast");
+        assert_eq!(regained, vec![0, 2], "both leaderless shards regained a primary: this node");
+        assert!(restarted.take_readmission().is_none(), "announced exactly once");
         // Both hosted shards are now led — and *servable* — by node 0.
         for shard in [0usize, 2] {
             let replica = restarted.replica(shard).unwrap();
@@ -1449,8 +990,8 @@ mod tests {
         );
         // The detector's own notices, arriving later, are harmless: the failure is
         // a no-op for an already-resyncing peer's shards' leadership.
-        let promoted = survivor.on_peer_failed(NodeId(0), &mut out);
-        assert!(promoted.is_empty(), "already promoted");
+        let changed = survivor.on_peer_failed(NodeId(0), &mut out);
+        assert!(changed.is_empty(), "already failed over");
         // A *gap* catch-up request from a live backup must not depose anyone.
         let mut survivor2 = DirectoryService::new(NodeId(1), &cfg, &ns);
         let mut out2 = Vec::new();
@@ -1568,145 +1109,15 @@ mod tests {
         survivor.on_peer_readmitted(NodeId(0), &mut Vec::new());
         restarted.on_peer_readmitted(NodeId(0), &mut Vec::new());
         let mut out2 = Vec::new();
-        let promoted = restarted.on_peer_failed(NodeId(1), &mut out2);
-        assert!(promoted.contains(&0), "restarted node serves as primary again");
+        let changed = restarted.on_peer_failed(NodeId(1), &mut out2);
+        assert!(changed.contains(&0), "restarted node serves as primary again");
         assert!(restarted.is_primary_for(o));
         assert!(restarted.replica(0).unwrap().epoch() >= 2);
     }
 
-    // ---------------------------------------------------- chain replication ----
-
-    fn chain_cfg() -> HopliteConfig {
-        HopliteConfig { directory_replication: 3, ..HopliteConfig::small_for_tests() }
-    }
-
-    fn chain_svcs() -> Vec<DirectoryService> {
-        let cfg = chain_cfg();
-        let ns = nodes(3);
-        (0..3).map(|i| DirectoryService::new(NodeId(i), &cfg, &ns)).collect()
-    }
-
-    /// Deliver `(from, to, msg)` triples between the services until the cluster goes
-    /// quiet, dropping anything addressed to a `dead` node. Returns the `DirConfirm`s
-    /// that reached their origins.
-    fn pump(
-        svcs: &mut [DirectoryService],
-        queue: &mut Vec<(NodeId, NodeId, Message)>,
-        dead: &[NodeId],
-    ) -> Vec<(NodeId, Message)> {
-        let mut confirms = Vec::new();
-        while let Some((from, to, msg)) = queue.pop() {
-            if dead.contains(&to) {
-                continue;
-            }
-            let svc = &mut svcs[to.0 as usize];
-            let mut out = Vec::new();
-            match msg {
-                Message::DirReplicate { shard, epoch, seq, op } => {
-                    svc.handle_replicate(shard as usize, epoch, seq, &op, from, &mut out);
-                }
-                Message::DirAck { shard, epoch, seq } => {
-                    svc.handle_ack(shard as usize, from, epoch, seq, &mut out);
-                }
-                Message::DirSnapshotRequest {
-                    shard,
-                    requester,
-                    restart,
-                    after,
-                    have_epoch,
-                    have_seq,
-                    ..
-                } => {
-                    svc.handle_snapshot_request(
-                        shard as usize,
-                        requester,
-                        restart,
-                        after,
-                        have_epoch,
-                        have_seq,
-                        &mut out,
-                    );
-                }
-                Message::DirSnapshot { shard, epoch, seq, rank, state } => {
-                    svc.handle_snapshot(
-                        shard as usize,
-                        epoch,
-                        seq,
-                        rank as usize,
-                        &state,
-                        from,
-                        &mut out,
-                    );
-                }
-                Message::DirSnapshotChunk { shard, epoch, seq, rank, done, state } => {
-                    svc.handle_snapshot_chunk(
-                        shard as usize,
-                        epoch,
-                        seq,
-                        rank as usize,
-                        done,
-                        &state,
-                        from,
-                        &mut out,
-                    );
-                }
-                Message::DirResyncDelta { shard, epoch, ops, done } => {
-                    svc.handle_resync_delta(shard as usize, epoch, &ops, done, from, &mut out);
-                }
-                m @ Message::DirConfirm { .. } => {
-                    confirms.push((to, m));
-                    continue;
-                }
-                other => panic!("unroutable message in chain test: {other:?}"),
-            }
-            queue.extend(out.into_iter().map(|(to2, m2)| (to, to2, m2)));
-        }
-        confirms
-    }
-
     #[test]
-    fn view_chain_orders_members_from_the_primary_and_skips_dead() {
-        let mut v = PlacementView::new(DirectoryPlacement::new(nodes(4), None, 3));
-        assert_eq!(v.chain(1), vec![NodeId(1), NodeId(2), NodeId(3)]);
-        v.on_peer_failed(NodeId(2));
-        assert_eq!(v.chain(1), vec![NodeId(1), NodeId(3)]);
-        v.on_peer_failed(NodeId(1));
-        assert_eq!(v.chain(1), vec![NodeId(3)], "cursor advanced past the dead primary");
-        // A recovered-but-resyncing member rejoins the chain (it is shipped to) but
-        // does not lead it.
-        v.on_peer_recovered(NodeId(2));
-        assert_eq!(v.chain(1), vec![NodeId(3), NodeId(2)]);
-    }
-
-    #[test]
-    fn chain_primary_ships_once_and_the_tail_ack_walks_back_up() {
-        let mut svcs = chain_svcs();
-        let o = obj_in_shard(&svcs[0], 0);
-        let mut out = Vec::new();
-        assert!(svcs[0].handle_op(reg(o, 1), &mut out));
-        // Primary egress is a single stream to the chain head, not one per backup.
-        let ships: Vec<&NodeId> = out
-            .iter()
-            .filter_map(|(to, m)| matches!(m, Message::DirReplicate { .. }).then_some(to))
-            .collect();
-        assert_eq!(ships, vec![&NodeId(1)], "one shipment, to the head: {out:?}");
-        let mut queue: Vec<_> = out.drain(..).map(|(to, m)| (NodeId(0), to, m)).collect();
-        let confirms = pump(&mut svcs, &mut queue, &[]);
-        // The op reached both backups through the chain, the tail's ack was folded
-        // upstream by the middle, and the origin got its confirm.
-        assert_eq!(svcs[1].locations(o).map(|l| l.len()), Some(1), "head applied");
-        assert_eq!(svcs[2].locations(o).map(|l| l.len()), Some(1), "tail applied");
-        assert!(
-            confirms.iter().any(|(to, _)| *to == NodeId(1)),
-            "origin confirmed after the cumulative ack: {confirms:?}"
-        );
-        assert_eq!(svcs[1].take_chain_ack_relays(), 1, "middle relayed the tail's ack");
-        assert_eq!(svcs[0].replica(0).unwrap().unacked_len(), 0, "primary log trimmed");
-    }
-
-    #[test]
-    fn chain_disabled_falls_back_to_star_fanout() {
-        let cfg = HopliteConfig { directory_chain_replication: false, ..chain_cfg() };
+    fn r3_primary_ships_every_op_to_every_live_backup() {
+        let cfg = HopliteConfig { directory_replication: 3, ..HopliteConfig::small_for_tests() };
         let ns = nodes(3);
         let mut p = DirectoryService::new(NodeId(0), &cfg, &ns);
         let o = obj_in_shard(&p, 0);
@@ -1718,129 +1129,17 @@ mod tests {
             .collect();
         ships.sort_by_key(|n| n.0);
         assert_eq!(ships, vec![NodeId(1), NodeId(2)], "star ships to every live backup");
-    }
-
-    #[test]
-    fn chain_tail_death_unsticks_the_cumulative_ack() {
-        let mut svcs = chain_svcs();
-        let o = obj_in_shard(&svcs[0], 0);
-        let mut out = Vec::new();
-        assert!(svcs[0].handle_op(reg(o, 1), &mut out));
-        // Deliver the shipment to the head, which relays it to the tail — but the
-        // tail dies before acking (its relay is dropped).
-        let mut queue: Vec<_> = out.drain(..).map(|(to, m)| (NodeId(0), to, m)).collect();
-        let confirms = pump(&mut svcs, &mut queue, &[NodeId(2)]);
-        assert!(confirms.is_empty(), "no cumulative ack: no confirm yet");
-        assert_eq!(svcs[0].replica(0).unwrap().unacked_len(), 1, "op stuck unacked");
-        // Survivors digest the failure: the head (now the tail) re-anchors the ack
-        // flow with its applied prefix, and the primary's re-splice re-ships.
-        let (head, rest) = svcs.split_at_mut(1);
-        let mut q0 = Vec::new();
-        head[0].on_peer_failed(NodeId(2), &mut q0);
-        let mut q1 = Vec::new();
-        rest[0].on_peer_failed(NodeId(2), &mut q1);
-        assert!(
-            q1.iter()
-                .any(|(to, m)| *to == NodeId(0) && matches!(m, Message::DirAck { seq: 1, .. })),
-            "surviving member re-acks its applied prefix upstream: {q1:?}"
-        );
-        let mut queue: Vec<_> = q0
-            .into_iter()
-            .map(|(to, m)| (NodeId(0), to, m))
-            .chain(q1.into_iter().map(|(to, m)| (NodeId(1), to, m)))
-            .collect();
-        let confirms = pump(&mut svcs, &mut queue, &[NodeId(2)]);
-        assert!(!confirms.is_empty(), "confirm released after the re-anchored ack");
-        assert_eq!(svcs[0].replica(0).unwrap().unacked_len(), 0);
-    }
-
-    #[test]
-    fn chain_head_death_resplices_and_reships_the_unacked_suffix() {
-        let mut svcs = chain_svcs();
-        let o = obj_in_shard(&svcs[0], 0);
-        let mut out = Vec::new();
-        // Holder 2: a record held by the dying node itself would be purged with it.
-        assert!(svcs[0].handle_op(reg(o, 2), &mut out));
-        // The head dies with the shipment in flight: nothing reached the tail.
+        // Both acks gate the confirm: one of two is not durable yet.
         out.clear();
-        let mut q0 = Vec::new();
-        svcs[0].on_peer_failed(NodeId(1), &mut q0);
-        assert!(
-            q0.iter().any(
-                |(to, m)| *to == NodeId(2) && matches!(m, Message::DirReplicate { seq: 1, .. })
-            ),
-            "primary re-ships the unacked suffix to the new head: {q0:?}"
-        );
-        let mut q2 = Vec::new();
-        svcs[2].on_peer_failed(NodeId(1), &mut q2);
-        let mut queue: Vec<_> = q0
-            .into_iter()
-            .map(|(to, m)| (NodeId(0), to, m))
-            .chain(q2.into_iter().map(|(to, m)| (NodeId(2), to, m)))
-            .collect();
-        let confirms = pump(&mut svcs, &mut queue, &[NodeId(1)]);
-        // Zero lost location records: the surviving backup holds the op, acked
-        // straight to the primary (the two-member chain has no middle).
-        assert_eq!(svcs[2].locations(o).map(|l| l.len()), Some(1));
-        assert!(!confirms.is_empty(), "op confirmed after the re-splice");
-        assert_eq!(svcs[0].replica(0).unwrap().unacked_len(), 0);
-    }
-
-    #[test]
-    fn chain_readmission_resplices_the_restarted_member_back_in() {
-        let mut svcs = chain_svcs();
-        let o1 = obj_in_shard(&svcs[0], 0);
-        // Op 1 flows through the intact chain (holder 2: a record held by the node
-        // that dies below would be purged with it).
-        let mut out = Vec::new();
-        assert!(svcs[0].handle_op(reg(o1, 2), &mut out));
-        let mut queue: Vec<_> = out.drain(..).map(|(to, m)| (NodeId(0), to, m)).collect();
-        pump(&mut svcs, &mut queue, &[]);
-        // The head dies; op 2 is applied but its re-spliced shipment is lost too
-        // (the network drops everything while the failure settles).
-        let mut scratch = Vec::new();
-        svcs[0].on_peer_failed(NodeId(1), &mut scratch);
-        svcs[2].on_peer_failed(NodeId(1), &mut scratch);
-        scratch.clear();
-        let o2 = (0u64..)
-            .map(|k| obj(&format!("chain-readmit-{k}")))
-            .find(|&o| svcs[0].placement().shard_of(o) == 0)
-            .unwrap();
-        assert!(svcs[0].handle_op(reg(o2, 2), &mut scratch));
-        scratch.clear();
-        assert_eq!(svcs[0].replica(0).unwrap().unacked_len(), 1, "op 2 in flight");
-        // Node 1 comes back (its replica state intact through seq 1) and is
-        // re-admitted: the primary re-splices it in as the head and re-ships the
-        // unacked suffix, which then relays down to the tail and gets acked back.
-        for svc in &mut svcs {
-            svc.on_peer_recovered(NodeId(1));
-        }
-        let mut q0 = Vec::new();
-        svcs[0].on_peer_readmitted(NodeId(1), &mut q0);
-        assert!(
-            q0.iter().any(
-                |(to, m)| *to == NodeId(1) && matches!(m, Message::DirReplicate { seq: 2, .. })
-            ),
-            "suffix re-shipped to the re-admitted head: {q0:?}"
-        );
-        let mut q1 = Vec::new();
-        svcs[1].on_peer_readmitted(NodeId(1), &mut q1);
-        let mut q2 = Vec::new();
-        svcs[2].on_peer_readmitted(NodeId(1), &mut q2);
-        let mut queue: Vec<_> = q0
-            .into_iter()
-            .map(|(to, m)| (NodeId(0), to, m))
-            .chain(q1.into_iter().map(|(to, m)| (NodeId(1), to, m)))
-            .chain(q2.into_iter().map(|(to, m)| (NodeId(2), to, m)))
-            .collect();
-        let confirms = pump(&mut svcs, &mut queue, &[]);
-        // Every member converged on both records; op 2 is confirmed.
-        for svc in &svcs {
-            assert_eq!(svc.locations(o1).map(|l| l.len()), Some(1));
-            assert_eq!(svc.locations(o2).map(|l| l.len()), Some(1));
-        }
-        assert!(confirms.iter().any(|(to, _)| *to == NodeId(2)), "op 2 confirmed: {confirms:?}");
-        assert_eq!(svcs[0].replica(0).unwrap().unacked_len(), 0);
+        p.handle_ack(0, NodeId(1), 0, 1, &mut out);
+        assert!(out.is_empty(), "one of two backups acked: {out:?}");
+        p.handle_ack(0, NodeId(2), 0, 1, &mut out);
+        assert!(out.iter().any(|(_, m)| matches!(m, Message::DirConfirm { .. })), "{out:?}");
+        // A dead backup stops being shipped to.
+        p.on_peer_failed(NodeId(2), &mut Vec::new());
+        out.clear();
+        assert!(p.handle_op(reg(obj_in_shard(&p, 0), 1), &mut out));
+        assert!(!out.iter().any(|(to, _)| *to == NodeId(2)), "dead backup not shipped to");
     }
 
     // --------------------------------------------------- chunked/delta resync ----
@@ -2080,11 +1379,10 @@ mod tests {
 
     #[test]
     fn chunk_stream_resumes_from_the_cursor_when_the_source_dies() {
-        // Three nodes, r = 3 (star fan-out), zero log retention: a restarted node
+        // Three nodes, r = 3, zero log retention: a restarted node
         // can only be served state chunks, never a delta.
         let cfg = HopliteConfig {
             directory_replication: 3,
-            directory_chain_replication: false,
             directory_log_retention: 0,
             snapshot_chunk_bytes: 256,
             ..HopliteConfig::small_for_tests()

@@ -28,7 +28,7 @@ use std::ops::Bound::{Excluded, Unbounded};
 use crate::buffer::Payload;
 use crate::config::HopliteConfig;
 use crate::object::{NodeId, ObjectId, ObjectStatus};
-use crate::protocol::{Message, QueryResult, ShardSnapshot, SnapshotEntry};
+use crate::protocol::{Message, QueryResult, SnapshotEntry};
 
 /// One location entry for an object.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -433,15 +433,8 @@ impl DirectoryShard {
         }
     }
 
-    /// Capture the full shard state for transfer to a recovering replica (§3.5 state
-    /// transfer). Entries come out sorted by object id (the map is ordered).
-    pub fn snapshot(&self) -> ShardSnapshot {
-        ShardSnapshot {
-            entries: self.entries.iter().map(|(o, e)| Self::entry_snapshot(*o, e)).collect(),
-        }
-    }
-
-    /// One bounded, cursor-resumable slice of the shard for chunked resync: entries
+    /// One bounded, cursor-resumable slice of the shard for transfer to a recovering
+    /// replica (§3.5 state transfer): entries in object-id order (the map is ordered)
     /// strictly after `after` (or from the start when `None`), accumulated until the
     /// next entry would push the slice past `max_bytes`. Always returns at least one
     /// entry when any remain — a single entry larger than the budget is shipped
@@ -493,9 +486,8 @@ impl DirectoryShard {
         self.lease_wheel_prev.clear();
     }
 
-    /// Install (upsert) a slice of snapshot entries, maintaining the inline-cache
-    /// accounting and re-arming lease candidates. Used both by whole-snapshot
-    /// restore and by incremental chunk installation.
+    /// Install (upsert) one chunk of snapshot entries, maintaining the inline-cache
+    /// accounting and re-arming lease candidates.
     pub fn install_entries(&mut self, entries: &[SnapshotEntry]) {
         for se in entries {
             if let Some(old) = self.entries.get(&se.object) {
@@ -549,14 +541,6 @@ impl DirectoryShard {
             self.entries.insert(se.object, entry);
         }
         self.enforce_inline_budget();
-    }
-
-    /// Replace this shard's state with a snapshot captured by the current primary.
-    /// Whatever the shard held before — including a deposed primary's unacked suffix —
-    /// is discarded wholesale; the snapshot is the authoritative acked prefix.
-    pub fn restore(&mut self, snapshot: &ShardSnapshot) {
-        self.clear();
-        self.install_entries(&snapshot.entries);
     }
 
     /// Advance the lease expiry wheel one generation: candidates that aged through a
@@ -1077,7 +1061,9 @@ mod tests {
             }
         }
         assert!(rounds > 1, "budget forced multiple chunks");
-        assert_eq!(collected, s.snapshot().entries, "chunk walk covers the exact full state");
+        let (whole, done) = s.snapshot_range(None, u64::MAX);
+        assert!(done);
+        assert_eq!(collected, whole, "chunk walk covers the exact full state");
     }
 
     #[test]

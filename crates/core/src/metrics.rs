@@ -39,13 +39,9 @@ pub struct NodeMetrics {
     pub directory_registrations: u64,
     /// Inline (small-object) directory hits served by the shard hosted on this node.
     pub directory_inline_hits: u64,
-    /// `DirReplicate` frames this node shipped (primary egress; one per backup in star
-    /// fan-out, one per op under chain replication — plus relays at chain members).
+    /// `DirReplicate` frames this node shipped (primary egress: one per live backup
+    /// per op).
     pub directory_replicates_sent: u64,
-    /// Cumulative `DirAck`s this node folded and relayed *upstream* along a
-    /// replication chain (tail → middle → primary). Zero under star fan-out, where
-    /// every ack goes straight to the primary.
-    pub chain_ack_depth: u64,
     /// Receive slabs checked out of a connection's [slab pool] that reused a retained
     /// allocation instead of allocating fresh (transport-level; folded in by harnesses
     /// that run nodes over the TCP fabric).
@@ -55,7 +51,7 @@ pub struct NodeMetrics {
     pub corked_frames_per_write: u64,
     /// `DirSnapshotChunk` frames this node served as a resync source. Chunked resync
     /// streams bounded frames interleaved with live traffic instead of one
-    /// O(objects) `DirSnapshot` burst.
+    /// O(objects) burst.
     pub snapshot_chunks_sent: u64,
     /// Bytes of shard state shipped in resync chunks served by this node.
     pub snapshot_bytes: u64,
@@ -119,7 +115,6 @@ impl NodeMetrics {
             ("directory_registrations", self.directory_registrations),
             ("directory_inline_hits", self.directory_inline_hits),
             ("directory_replicates_sent", self.directory_replicates_sent),
-            ("chain_ack_depth", self.chain_ack_depth),
             ("recv_slab_reuse", self.recv_slab_reuse),
             ("corked_frames_per_write", self.corked_frames_per_write),
             ("snapshot_chunks_sent", self.snapshot_chunks_sent),
@@ -158,7 +153,6 @@ impl NodeMetrics {
         self.directory_registrations += other.directory_registrations;
         self.directory_inline_hits += other.directory_inline_hits;
         self.directory_replicates_sent += other.directory_replicates_sent;
-        self.chain_ack_depth += other.chain_ack_depth;
         self.recv_slab_reuse += other.recv_slab_reuse;
         self.corked_frames_per_write += other.corked_frames_per_write;
         self.snapshot_chunks_sent += other.snapshot_chunks_sent;
@@ -188,7 +182,7 @@ mod tests {
         let b = NodeMetrics {
             messages_sent: 3,
             gets_completed: 1,
-            chain_ack_depth: 4,
+            delta_resyncs: 4,
             recv_slab_reuse: 7,
             ..Default::default()
         };
@@ -196,7 +190,7 @@ mod tests {
         assert_eq!(a.messages_sent, 5);
         assert_eq!(a.data_bytes_sent, 10);
         assert_eq!(a.gets_completed, 1);
-        assert_eq!(a.chain_ack_depth, 4);
+        assert_eq!(a.delta_resyncs, 4);
         assert_eq!(a.recv_slab_reuse, 7);
     }
 }

@@ -21,12 +21,12 @@
 //!   outstanding location queries. Confirmed intents already live in the promoted
 //!   backup's acked prefix.
 //! * **Recovery (§3.5)** — a restarted node rejoins its replica sets through a state
-//!   transfer orchestrated here: demote every hosted replica, request a snapshot of
+//!   transfer orchestrated here: demote every hosted replica, request a resync of
 //!   each shard from the current primary ([`ObjectStoreNode::begin_recovery`]),
-//!   install the snapshots and replay the buffered log tail, then broadcast
-//!   `DirResynced` so the survivors re-admit the node as a primary candidate. An
-//!   interrupted transfer (the source dies mid-resync) is re-targeted at the next
-//!   primary.
+//!   install the chunk stream (or replay the delta) it answers with plus the buffered
+//!   log tail, then broadcast `DirResynced` so the survivors re-admit the node as a
+//!   primary candidate. An interrupted transfer (the source dies mid-resync) is
+//!   re-targeted at the next primary.
 //!
 //! This module hosts the facade-level orchestration plus the failure-specific methods
 //! of the broadcast and reduce engines, so every §3.5 rule lives in one place.
@@ -58,23 +58,19 @@ impl ObjectStoreNode {
         // an interrupted resync sourced from the dead node is re-targeted — all
         // before any client re-drive below can loop back into the service.
         let mut service_msgs = Vec::new();
-        let promoted = self.directory.on_peer_failed(peer, &mut service_msgs);
-        for (to, msg) in service_msgs {
-            self.ctx.send(to, msg, out);
-        }
-        if !promoted.is_empty() {
-            trace!("[n{}] promoted to primary of shards {:?}", self.ctx.id.0, promoted);
+        let failed_over = self.ctx.service.on_peer_failed(peer, &mut service_msgs);
+        self.ctx.send_all(service_msgs, out);
+        if !failed_over.is_empty() {
+            trace!("[n{}] shards {:?} failed over off {:?}", self.ctx.id.0, failed_over, peer);
         }
         // The failure may also have completed this node's own resync (its last
-        // outstanding snapshot source died): announce re-admission if so.
+        // outstanding resync source died): announce re-admission if so.
         self.maybe_announce_readmission(now, out);
-        // Client side: fold the failure into the routing view, then re-drive at the
-        // new primaries the genuinely-unacked window — journaled intents the dead
-        // primary never confirmed as replication-durable. Everything confirmed is
-        // already inside the promoted backup's acked prefix. Every re-driven op is
-        // idempotent at the shard.
-        let redrive = self.ctx.directory.on_peer_failed(peer);
-        self.apply_directory_redrive(now, redrive, out);
+        // Client side: re-drive at the new primaries the genuinely-unacked window —
+        // journaled intents the dead primary never confirmed as replication-durable.
+        // Everything confirmed is already inside the promoted backup's acked prefix.
+        // Every re-driven op is idempotent at the shard.
+        self.redrive_shards(now, failed_over, out);
         // Stop serving transfers destined to the dead node.
         self.broadcast.drop_transfers_to(peer);
         // Broadcast receivers that were pulling from it fail over (§3.5.1).
@@ -86,16 +82,13 @@ impl ObjectStoreNode {
         self.reduce.on_peer_failed(&mut self.ctx, peer, out);
     }
 
-    /// Re-send the genuinely-unacked window at a shard's new primary — after a
-    /// failover, or after a re-admission that gave a leaderless shard a primary
-    /// again. Outstanding location queries for the affected shards are re-issued too
-    /// (same correlation id; the shard deduplicates).
-    pub(crate) fn apply_directory_redrive(
-        &mut self,
-        now: Time,
-        redrive: crate::directory::FailoverRedrive,
-        out: &mut Vec<Effect>,
-    ) {
+    /// Re-send the genuinely-unacked window at the new primaries of `shards` — the
+    /// list a liveness transition of the directory service returned: shards that
+    /// failed over, or that a re-admission gave a primary back. Outstanding location
+    /// queries for those shards are re-issued too (same correlation id; the shard
+    /// deduplicates).
+    pub(crate) fn redrive_shards(&mut self, now: Time, shards: Vec<usize>, out: &mut Vec<Effect>) {
+        let redrive = self.ctx.directory.redrive_for(self.ctx.service.placement(), shards);
         for (object, reg) in redrive.reregister {
             if !self.ctx.store.contains(object) {
                 // The journaled copy is gone (evicted or deleted mid-flight).
@@ -118,80 +111,44 @@ impl ObjectStoreNode {
         self.broadcast.requery_after_failover(&mut self.ctx, now, &redrive.changed_shards, out);
     }
 
-    /// If the directory service just completed this node's resync (last snapshot
-    /// installed, or the last sourceless shard abandoned), make the client eligible
-    /// again, re-drive the unconfirmed window of any shard this node itself just
-    /// gave a primary back to, and broadcast `DirResynced` to every peer.
+    /// If the directory service just completed this node's resync (last stream
+    /// installed, or the last sourceless shard abandoned), re-drive the unconfirmed
+    /// window of any shard this node itself just gave a primary back to (to
+    /// ourselves, via loopback), and broadcast `DirResynced` to every peer.
     pub(crate) fn maybe_announce_readmission(&mut self, now: Time, out: &mut Vec<Effect>) {
-        if !self.directory.take_readmission_announcement() {
-            return;
-        }
+        let Some(regained) = self.ctx.service.take_readmission() else { return };
         trace!("[n{}] resync complete; announcing re-admission", self.ctx.id.0);
-        let redrive = self.ctx.directory.finish_self_resync();
-        self.apply_directory_redrive(now, redrive, out);
+        self.redrive_shards(now, regained, out);
         let me = self.ctx.id;
         let incarnation = self.ctx.membership.self_incarnation();
         let peers: Vec<NodeId> =
-            self.ctx.directory.nodes().iter().copied().filter(|&n| n != me).collect();
+            self.ctx.service.placement().nodes().iter().copied().filter(|&n| n != me).collect();
         for peer in peers {
             self.ctx.send(peer, Message::DirResynced { node: me, incarnation }, out);
         }
     }
 
     /// Begin recovery after a process restart: demote every hosted directory replica,
-    /// route this node's own directory traffic away from itself, and request a state
-    /// snapshot of each hosted shard from the believed current primary. The driver
-    /// calls this exactly once on a node it restarted (never on cold boot). When the
-    /// last snapshot installs, [`ObjectStoreNode::handle_dir_snapshot`] announces
+    /// route this node's own directory traffic away from itself, and request a resync
+    /// of each hosted shard from the believed current primary. The driver calls this
+    /// exactly once on a node it restarted (never on cold boot). When the last stream
+    /// installs, [`ObjectStoreNode::maybe_announce_readmission`] announces
     /// `DirResynced` cluster-wide and the node becomes a primary candidate again.
     pub fn begin_recovery(&mut self, now: Time, out: &mut Vec<Effect>) {
         let mut requests = Vec::new();
-        let any = self.directory.begin_local_resync(&mut requests);
-        if any {
-            self.ctx.directory.begin_self_resync();
-            trace!("[n{}] restarted: requesting {} shard snapshots", self.ctx.id.0, requests.len());
+        if self.ctx.service.begin_local_resync(&mut requests) {
+            trace!("[n{}] restarted: requesting {} shard resyncs", self.ctx.id.0, requests.len());
         }
-        for (to, msg) in requests {
-            self.ctx.send(to, msg, out);
-        }
+        self.ctx.send_all(requests, out);
         self.drain_self_queue(now, out);
         self.finish_turn(out);
     }
 
-    /// Install one resync snapshot: adopt the shard state, log position, and the
-    /// authoritative placement cursor (so this node's routing cannot fail back to
-    /// itself), ack the catch-up point to the shipping primary, and — once every
-    /// hosted shard has installed — broadcast `DirResynced` so the survivors re-admit
-    /// this node.
-    #[allow(clippy::too_many_arguments)] // mirrors the DirSnapshot wire fields
-    pub(crate) fn handle_dir_snapshot(
-        &mut self,
-        now: Time,
-        shard: usize,
-        epoch: u64,
-        seq: u64,
-        rank: usize,
-        state: &ShardSnapshot,
-        from: NodeId,
-        out: &mut Vec<Effect>,
-    ) {
-        let mut replies = Vec::new();
-        let installed =
-            self.directory.handle_snapshot(shard, epoch, seq, rank, state, from, &mut replies);
-        if installed {
-            self.ctx.metrics.directory_resyncs += 1;
-            self.ctx.directory.set_shard_rank(shard, rank);
-        }
-        for (to, msg) in replies {
-            self.ctx.send(to, msg, out);
-        }
-        self.maybe_announce_readmission(now, out);
-    }
-
     /// Install one bounded chunk of a resync stream. Mid-stream chunks answer with a
-    /// continuation request from the installed cursor; the final chunk completes the
-    /// resync exactly like a monolithic snapshot (rank adoption, catch-up ack,
-    /// re-admission announcement).
+    /// continuation request from the installed cursor; the final chunk adopts the
+    /// shard state, log position, and the source's placement cursor (so this node's
+    /// routing cannot fail back to itself), acks the catch-up point, and — once every
+    /// hosted shard has installed — announces re-admission.
     #[allow(clippy::too_many_arguments)] // mirrors the DirSnapshotChunk wire fields
     pub(crate) fn handle_dir_snapshot_chunk(
         &mut self,
@@ -206,7 +163,7 @@ impl ObjectStoreNode {
         out: &mut Vec<Effect>,
     ) {
         let mut replies = Vec::new();
-        let completed = self.directory.handle_snapshot_chunk(
+        let completed = self.ctx.service.handle_snapshot_chunk(
             shard,
             epoch,
             seq,
@@ -218,18 +175,15 @@ impl ObjectStoreNode {
         );
         if completed {
             self.ctx.metrics.directory_resyncs += 1;
-            self.ctx.directory.set_shard_rank(shard, rank);
         }
-        for (to, msg) in replies {
-            self.ctx.send(to, msg, out);
-        }
+        self.ctx.send_all(replies, out);
         self.maybe_announce_readmission(now, out);
     }
 
     /// Replay one frame of a delta resync — the source bridged this replica's gap
     /// from its retained log suffix instead of shipping state. The final frame
-    /// completes the resync like a snapshot installation (no rank adoption: a
-    /// delta-served replica's placement view was never behind).
+    /// completes the resync like a final chunk (no rank adoption: a delta-served
+    /// replica's placement view was never behind).
     #[allow(clippy::too_many_arguments)] // mirrors the DirResyncDelta wire fields
     pub(crate) fn handle_dir_resync_delta(
         &mut self,
@@ -243,13 +197,11 @@ impl ObjectStoreNode {
     ) {
         let mut replies = Vec::new();
         let completed =
-            self.directory.handle_resync_delta(shard, epoch, ops, done, from, &mut replies);
+            self.ctx.service.handle_resync_delta(shard, epoch, ops, done, from, &mut replies);
         if completed {
             self.ctx.metrics.directory_resyncs += 1;
         }
-        for (to, msg) in replies {
-            self.ctx.send(to, msg, out);
-        }
+        self.ctx.send_all(replies, out);
         self.maybe_announce_readmission(now, out);
     }
 }
@@ -295,7 +247,8 @@ impl BroadcastEngine {
             .gets
             .iter()
             .filter(|(object, g)| {
-                g.query_id.is_some() && changed_shards.contains(&ctx.directory.shard_of(**object))
+                g.query_id.is_some()
+                    && changed_shards.contains(&ctx.service.placement().shard_of(**object))
             })
             .map(|(object, g)| (*object, g.query_id.expect("filtered on Some")))
             .collect();

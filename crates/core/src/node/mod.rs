@@ -92,8 +92,8 @@ impl ClusterView {
     /// The node that *initially* hosts the primary of the directory shard responsible
     /// for `object` (§3.2: a sharded hash table, one shard per node by default). With
     /// replication (§3.5) the primary can move to a backup after a failure; live
-    /// routing goes through [`crate::directory::DirectoryClient`], which uses the same
-    /// hash, so this function stays correct for failure-free placement reasoning.
+    /// routing reads the node's [`crate::directory::PlacementView`], which uses the
+    /// same hash, so this function stays correct for failure-free placement reasoning.
     pub fn shard_node(&self, object: ObjectId) -> NodeId {
         let h = u64::from_le_bytes(object.0[..8].try_into().expect("object id width"));
         self.nodes[(h % self.nodes.len() as u64) as usize]
@@ -116,9 +116,9 @@ pub struct NodeOptions {
 }
 
 /// Shared, engine-agnostic node state: identity, configuration, the local object
-/// store, the failover-aware directory client, metrics, and the loopback message
-/// queue. Engines receive `&mut NodeContext` with every call and emit [`Effect`]s
-/// through it.
+/// store, the directory plane (this node's journal of intent and its service half,
+/// which owns the one leadership view), metrics, and the loopback message queue.
+/// Engines receive `&mut NodeContext` with every call and emit [`Effect`]s through it.
 pub(crate) struct NodeContext {
     pub(crate) id: NodeId,
     pub(crate) cfg: HopliteConfig,
@@ -127,9 +127,13 @@ pub(crate) struct NodeContext {
     /// Where this node's engines get bulk buffers (reduce accumulators) from.
     pub(crate) pool: SlabPool,
     pub(crate) metrics: NodeMetrics,
-    /// Every directory interaction of this node goes through this client: it resolves
-    /// the shard's current primary and journals what must be re-driven on failover.
+    /// Every directory intent of this node goes through this client, which journals
+    /// what must be re-driven on failover; the `dir_*` methods route the resulting
+    /// message by `service`'s view.
     pub(crate) directory: DirectoryClient,
+    /// The directory server half: this node's shard replicas and its one leadership
+    /// view. Every liveness transition is applied here, exactly once.
+    pub(crate) service: DirectoryService,
     /// Incarnation-numbered liveness view: arbitrates stale vs. fresh failure and
     /// recovery evidence, and produces the digest carried at rejoin.
     pub(crate) membership: MembershipView,
@@ -157,19 +161,28 @@ impl NodeContext {
         } else {
             self.metrics.messages_sent += 1;
             if matches!(msg, Message::DirReplicate { .. }) {
-                // Replication egress: one per backup under star fan-out, one per op
-                // under chain replication (scenarios assert the halved fan-out).
+                // Replication egress: one per live backup per op.
                 self.metrics.directory_replicates_sent += 1;
             }
             out.push(Effect::Send { to, msg });
         }
     }
 
-    fn dir_send(&mut self, routed: Option<(NodeId, Message)>, out: &mut Vec<Effect>) {
-        // `None` means every replica of the shard is dead; the op has nowhere to go
-        // and is dropped, exactly as a message to a dead node would be.
-        if let Some((to, msg)) = routed {
+    /// Send every `(to, msg)` pair the directory service produced.
+    pub(crate) fn send_all(&mut self, msgs: Vec<(NodeId, Message)>, out: &mut Vec<Effect>) {
+        for (to, msg) in msgs {
             self.send(to, msg, out);
+        }
+    }
+
+    /// Route a directory op to the current primary of `object`'s shard.
+    fn dir_send(&mut self, object: ObjectId, msg: Message, out: &mut Vec<Effect>) {
+        // `None` means every replica of the shard is dead; the op has nowhere to go
+        // and is dropped, exactly as a message to a dead node would be. The believed
+        // primary is always a replica-set member, so a transiently stale answer is
+        // corrected by one server-side forward.
+        if let Some(primary) = self.service.primary_for(object) {
+            self.send(primary, msg, out);
         }
     }
 
@@ -181,8 +194,8 @@ impl NodeContext {
         size: u64,
         out: &mut Vec<Effect>,
     ) {
-        let routed = self.directory.register(object, status, size);
-        self.dir_send(routed, out);
+        let msg = self.directory.register(object, status, size);
+        self.dir_send(object, msg, out);
     }
 
     /// Publish a small object through the directory's inline fast path.
@@ -192,14 +205,14 @@ impl NodeContext {
         payload: Payload,
         out: &mut Vec<Effect>,
     ) {
-        let routed = self.directory.put_inline(object, payload);
-        self.dir_send(routed, out);
+        let msg = self.directory.put_inline(object, payload);
+        self.dir_send(object, msg, out);
     }
 
     /// Withdraw this node's location for `object`.
     pub(crate) fn dir_unregister(&mut self, object: ObjectId, out: &mut Vec<Effect>) {
-        let routed = self.directory.unregister(object);
-        self.dir_send(routed, out);
+        let msg = self.directory.unregister(object);
+        self.dir_send(object, msg, out);
     }
 
     /// Issue a synchronous location query.
@@ -210,20 +223,20 @@ impl NodeContext {
         exclude: Vec<NodeId>,
         out: &mut Vec<Effect>,
     ) {
-        let routed = self.directory.query(object, query_id, exclude);
-        self.dir_send(routed, out);
+        let msg = self.directory.query(object, query_id, exclude);
+        self.dir_send(object, msg, out);
     }
 
     /// Open a location subscription.
     pub(crate) fn dir_subscribe(&mut self, object: ObjectId, out: &mut Vec<Effect>) {
-        let routed = self.directory.subscribe(object);
-        self.dir_send(routed, out);
+        let msg = self.directory.subscribe(object);
+        self.dir_send(object, msg, out);
     }
 
     /// Close a location subscription.
     pub(crate) fn dir_unsubscribe(&mut self, object: ObjectId, out: &mut Vec<Effect>) {
-        let routed = self.directory.unsubscribe(object);
-        self.dir_send(routed, out);
+        let msg = self.directory.unsubscribe(object);
+        self.dir_send(object, msg, out);
     }
 
     /// Report a finished transfer so the sender's lease is released.
@@ -233,14 +246,14 @@ impl NodeContext {
         sender: NodeId,
         out: &mut Vec<Effect>,
     ) {
-        let routed = self.directory.transfer_done(object, sender);
-        self.dir_send(routed, out);
+        let msg = self.directory.transfer_done(object, sender);
+        self.dir_send(object, msg, out);
     }
 
     /// Delete every copy of `object` cluster-wide.
     pub(crate) fn dir_delete(&mut self, object: ObjectId, out: &mut Vec<Effect>) {
-        let routed = self.directory.delete(object);
-        self.dir_send(routed, out);
+        let msg = self.directory.delete(object);
+        self.dir_send(object, msg, out);
     }
 
     /// A fresh directory-query correlation id.
@@ -276,11 +289,10 @@ impl Progress {
     }
 }
 
-/// The Hoplite state machine for one node: the directory service (this node's shard
-/// replicas) + broadcast engine + reduce engines behind one dispatch facade.
+/// The Hoplite state machine for one node: the directory plane (in the shared
+/// context) + broadcast engine + reduce engines behind one dispatch facade.
 pub struct ObjectStoreNode {
     ctx: NodeContext,
-    directory: DirectoryService,
     broadcast: BroadcastEngine,
     reduce: ReduceEngine,
     /// Outstanding bulk-expiry timer for directory leases / store idle GC. Armed
@@ -302,8 +314,7 @@ pub struct ObjectStoreNode {
 impl ObjectStoreNode {
     /// Create a node.
     pub fn new(id: NodeId, cfg: HopliteConfig, cluster: ClusterView, opts: NodeOptions) -> Self {
-        let directory = DirectoryService::new(id, &cfg, &cluster.nodes);
-        let dir_client = DirectoryClient::new(id, &cfg, &cluster.nodes);
+        let service = DirectoryService::new(id, &cfg, &cluster.nodes);
         let store = LocalStore::new(cfg.store_capacity);
         let membership = MembershipView::new(id, cluster.len(), opts.incarnation);
         // Deterministic per (node, incarnation): ring shuffles and relay picks
@@ -321,13 +332,13 @@ impl ObjectStoreNode {
                 store,
                 pool: SlabPool::new(),
                 metrics: NodeMetrics::default(),
-                directory: dir_client,
+                directory: DirectoryClient::new(id),
+                service,
                 membership,
                 next_query_id: 1,
                 next_timer: 1,
                 self_queue: VecDeque::new(),
             },
-            directory,
             broadcast: BroadcastEngine::default(),
             reduce: ReduceEngine::default(),
             lease_timer: None,
@@ -364,19 +375,19 @@ impl ObjectStoreNode {
     /// The node this node currently believes is the primary of `object`'s directory
     /// shard (`None` once every replica of the shard has failed).
     pub fn directory_primary_for(&self, object: ObjectId) -> Option<NodeId> {
-        self.directory.primary_for(object)
+        self.ctx.service.primary_for(object)
     }
 
     /// Whether this node currently acts as the primary for `object`'s shard.
     pub fn is_directory_primary_for(&self, object: ObjectId) -> bool {
-        self.directory.is_primary_for(object)
+        self.ctx.service.is_primary_for(object)
     }
 
     /// Object locations recorded in this node's replica of `object`'s shard; `None`
     /// when this node hosts no replica of that shard. Failover tests use this to
     /// assert that no location record was lost with a primary.
     pub fn directory_locations(&self, object: ObjectId) -> Option<Vec<(NodeId, ObjectStatus)>> {
-        self.directory.locations(object)
+        self.ctx.service.locations(object)
     }
 
     /// `true` when every reduce-related map on this node is empty (participants,
@@ -393,7 +404,7 @@ impl ObjectStoreNode {
 
     /// Whether this node is still resyncing its directory replicas after a restart.
     pub fn directory_is_resyncing(&self) -> bool {
-        self.directory.is_resyncing()
+        self.ctx.service.is_resyncing()
     }
 
     /// This process's incarnation number (0 on cold boot, bumped per restart).
@@ -511,8 +522,7 @@ impl ObjectStoreNode {
         self.ctx.membership.note_driver_recovery(peer);
         let incarnation = self.ctx.membership.incarnation_of(peer);
         self.detector_observe_alive(peer, incarnation);
-        self.directory.on_peer_recovered(peer);
-        self.ctx.directory.on_peer_recovered(peer);
+        self.ctx.service.on_peer_recovered(peer);
         let _ = out;
     }
 
@@ -548,25 +558,14 @@ impl ObjectStoreNode {
             }
             Message::DirReplicate { shard, epoch, seq, op } => {
                 let mut replies = Vec::new();
-                self.directory.handle_replicate(
-                    shard as usize,
-                    epoch,
-                    seq,
-                    &op,
-                    from,
-                    &mut replies,
-                );
-                for (to, msg) in replies {
-                    self.ctx.send(to, msg, out);
-                }
+                let shard = shard as usize;
+                self.ctx.service.handle_replicate(shard, epoch, seq, &op, from, &mut replies);
+                self.ctx.send_all(replies, out);
             }
             Message::DirAck { shard, epoch, seq } => {
                 let mut confirms = Vec::new();
-                self.directory.handle_ack(shard as usize, from, epoch, seq, &mut confirms);
-                self.ctx.metrics.chain_ack_depth += self.directory.take_chain_ack_relays();
-                for (to, msg) in confirms {
-                    self.ctx.send(to, msg, out);
-                }
+                self.ctx.service.handle_ack(shard as usize, from, epoch, seq, &mut confirms);
+                self.ctx.send_all(confirms, out);
             }
             Message::DirSnapshotRequest {
                 shard,
@@ -579,14 +578,20 @@ impl ObjectStoreNode {
             } => {
                 // A snapshot request is implicit evidence about the requester: it is
                 // back up, and — when it marks a restart — that it crashed, even if
-                // the failure detector has not reported either yet. The implied
-                // failure re-drives the unconfirmed window like a detected one.
-                if restart {
-                    let redrive = self.ctx.directory.on_peer_restarted(requester);
-                    self.apply_directory_redrive(now, redrive, out);
-                } else {
-                    self.ctx.directory.on_peer_recovered(requester);
-                }
+                // the failure detector has not reported either yet. The service folds
+                // that in before serving; the implied failure re-drives the
+                // unconfirmed window like a detected one, ahead of the served frames.
+                let mut replies = Vec::new();
+                let failed_over = self.ctx.service.handle_snapshot_request(
+                    shard as usize,
+                    requester,
+                    restart,
+                    after,
+                    have_epoch,
+                    have_seq,
+                    &mut replies,
+                );
+                self.redrive_shards(now, failed_over, out);
                 if !digest.is_empty() {
                     // Learn the requester's incarnation (and anything else it knows
                     // that we do not — nothing, for a fresh restart), then teach it
@@ -605,27 +610,18 @@ impl ObjectStoreNode {
                         self.ctx.send(requester, Message::MembershipDigest { entries: newer }, out);
                     }
                 }
-                let mut replies = Vec::new();
-                self.directory.handle_snapshot_request(
-                    shard as usize,
-                    requester,
-                    restart,
-                    after,
-                    have_epoch,
-                    have_seq,
-                    &mut replies,
-                );
-                for (to, msg) in replies {
-                    self.ctx.send(to, msg, out);
-                }
+                self.ctx.send_all(replies, out);
             }
+            // The retired full-state frame (tag 23, no longer produced) is the
+            // one-chunk degenerate case of the stream.
             Message::DirSnapshot { shard, epoch, seq, rank, state } => {
-                self.handle_dir_snapshot(
+                self.handle_dir_snapshot_chunk(
                     now,
                     shard as usize,
                     epoch,
                     seq,
                     rank as usize,
+                    true,
                     &state,
                     from,
                     out,
@@ -670,26 +666,20 @@ impl ObjectStoreNode {
                         if was_alive {
                             self.peer_failed_impl(now, node, out);
                         }
-                        self.directory.on_peer_recovered(node);
-                        self.ctx.directory.on_peer_recovered(node);
+                        self.ctx.service.on_peer_recovered(node);
                     }
                     AliveVerdict::Known => {}
                 }
                 self.detector_observe_alive(node, incarnation);
                 trace!("[n{}] peer {:?} re-admitted to its replica sets", self.ctx.id.0, node);
-                // Under chain replication the re-admission re-splices the peer into
-                // its chains: the service may emit suffix re-shipments and
-                // re-anchoring acks here.
+                // A primary re-ships its retained log suffix to the re-admitted peer.
                 let mut replies = Vec::new();
-                self.directory.on_peer_readmitted(node, &mut replies);
-                for (to, msg) in replies {
-                    self.ctx.send(to, msg, out);
-                }
+                let regained = self.ctx.service.on_peer_readmitted(node, &mut replies);
+                self.ctx.send_all(replies, out);
                 // A shard that was leaderless while the peer was out regains its
                 // primary with this re-admission: re-drive the unconfirmed window
                 // there just as after a failover.
-                let redrive = self.ctx.directory.on_peer_readmitted(node);
-                self.apply_directory_redrive(now, redrive, out);
+                self.redrive_shards(now, regained, out);
             }
             Message::DirConfirm { object, kind } => {
                 self.ctx.directory.confirm(object, kind);
@@ -814,8 +804,7 @@ impl ObjectStoreNode {
                     self.peer_failed_impl(now, peer, out);
                 }
                 for peer in outcome.revived {
-                    self.directory.on_peer_recovered(peer);
-                    self.ctx.directory.on_peer_recovered(peer);
+                    self.ctx.service.on_peer_recovered(peer);
                 }
             }
             // Transport-level peer identification: consumed by connection readers to
@@ -829,8 +818,7 @@ impl ObjectStoreNode {
                     if was_alive {
                         self.peer_failed_impl(now, node, out);
                     }
-                    self.directory.on_peer_recovered(node);
-                    self.ctx.directory.on_peer_recovered(node);
+                    self.ctx.service.on_peer_recovered(node);
                 }
                 self.detector_observe_alive(node, incarnation);
             }
@@ -881,16 +869,14 @@ impl ObjectStoreNode {
         let is_query = matches!(op, DirOp::Query { .. });
         let is_registration = matches!(op, DirOp::Register { .. } | DirOp::PutInline { .. });
         let mut replies = Vec::new();
-        if self.directory.handle_op(op, &mut replies) {
+        if self.ctx.service.handle_op(op, &mut replies) {
             if is_query {
                 self.ctx.metrics.directory_queries_served += 1;
             } else if is_registration {
                 self.ctx.metrics.directory_registrations += 1;
             }
         }
-        for (to, msg) in replies {
-            self.ctx.send(to, msg, out);
-        }
+        self.ctx.send_all(replies, out);
     }
 
     // ----------------------------------------------------------- progress routing --
@@ -961,11 +947,11 @@ impl ObjectStoreNode {
     /// the metrics block, refresh the store gauge, and lazily (re-)arm the bulk
     /// expiry timer while there is expiry work to do.
     fn finish_turn(&mut self, out: &mut Vec<Effect>) {
-        let (chunks, bytes, deltas) = self.directory.take_resync_counters();
+        let (chunks, bytes, deltas) = self.ctx.service.take_resync_counters();
         self.ctx.metrics.snapshot_chunks_sent += chunks;
         self.ctx.metrics.snapshot_bytes += bytes;
         self.ctx.metrics.delta_resyncs += deltas;
-        self.ctx.metrics.inline_evictions += self.directory.take_inline_evictions();
+        self.ctx.metrics.inline_evictions += self.ctx.service.take_inline_evictions();
         self.ctx.metrics.store_bytes_live = self.ctx.store.used();
         self.maybe_arm_expiry_timer(out);
     }
@@ -978,7 +964,7 @@ impl ObjectStoreNode {
             return;
         }
         let mut delay = None;
-        if self.directory.has_lease_candidates() {
+        if self.ctx.service.has_lease_candidates() {
             delay = Some(self.ctx.cfg.directory_lease_ttl);
         }
         if let Some(ttl) = self.ctx.cfg.store_gc_ttl {
@@ -1000,10 +986,8 @@ impl ObjectStoreNode {
     /// their directory registrations.
     fn expiry_tick(&mut self, out: &mut Vec<Effect>) {
         let mut msgs = Vec::new();
-        self.ctx.metrics.leases_expired += self.directory.expire_leases(&mut msgs);
-        for (to, msg) in msgs {
-            self.ctx.send(to, msg, out);
-        }
+        self.ctx.metrics.leases_expired += self.ctx.service.expire_leases(&mut msgs);
+        self.ctx.send_all(msgs, out);
         if self.ctx.cfg.store_gc_ttl.is_some() {
             for object in self.ctx.store.sweep_idle() {
                 trace!("[n{}] store GC dropped idle copy of {:?}", self.ctx.id.0, object);
@@ -1111,8 +1095,7 @@ impl ObjectStoreNode {
                         // folded. If we believed it dead, it restarted: fold the
                         // recovery into the placement views.
                         if !was_alive {
-                            self.directory.on_peer_recovered(node);
-                            self.ctx.directory.on_peer_recovered(node);
+                            self.ctx.service.on_peer_recovered(node);
                         }
                         det.observe_alive(node, incarnation);
                     }

@@ -60,6 +60,11 @@ impl TestCluster {
 
     /// Deliver until quiescent.
     fn run(&mut self) {
+        self.run_reframing(|msg| msg);
+    }
+
+    /// Deliver until quiescent, passing every message through `reframe` on the wire.
+    fn run_reframing(&mut self, mut reframe: impl FnMut(Message) -> Message) {
         let mut steps = 0;
         while let Some((from, batch)) = self.pending.pop_front() {
             if self.dead.contains(&from.index()) {
@@ -72,6 +77,7 @@ impl TestCluster {
                             continue; // dropped on the floor, like a real network
                         }
                         let mut out = Vec::new();
+                        let msg = reframe(msg);
                         self.nodes[to.index()].handle_message(Time::ZERO, from, msg, &mut out);
                         self.pending.push_back((to, out));
                     }
@@ -1044,4 +1050,136 @@ fn restarted_node_learns_deaths_it_slept_through() {
     // And the sources learned node 1's new incarnation from its digest.
     assert_eq!(tc.nodes[0].membership().incarnation_of(NodeId(1)), 1);
     assert!(tc.nodes[0].membership().is_alive(NodeId(1)));
+}
+
+/// Kill and restart node 1 of a two-node cluster and let it resync from node 0,
+/// optionally re-framing every final state chunk on the wire as the retired tag-23
+/// full-state `DirSnapshot`. Returns `(frames re-framed, DirResynced announcements
+/// seen, node 1's resync count, node 1's location records)`.
+fn resync_of_restarted_node(as_tag_23: bool) -> (usize, usize, u64, Vec<Vec<NodeId>>) {
+    let mut tc = TestCluster::new(2);
+    // A few pull-path objects (above the 64-byte inline threshold), spread over
+    // both shards, all held by node 0.
+    let objects: Vec<ObjectId> =
+        (0..6).map(|i| ObjectId::from_name(&format!("tag23-{i}"))).collect();
+    for (i, &object) in objects.iter().enumerate() {
+        let payload = Payload::from_vec(vec![i as u8; 200]);
+        tc.client(0, OpId(i as u64), ClientOp::Put { object, payload });
+    }
+    tc.run();
+    tc.kill(1);
+    tc.run();
+    tc.restart(1, 1);
+    let (mut reframed, mut announcements) = (0, 0);
+    tc.run_reframing(|msg| match msg {
+        Message::DirSnapshotChunk { shard, epoch, seq, rank, done: true, state } if as_tag_23 => {
+            reframed += 1;
+            Message::DirSnapshot { shard, epoch, seq, rank, state }
+        }
+        Message::DirResynced { node, .. } => {
+            assert_eq!(node, NodeId(1));
+            announcements += 1;
+            msg
+        }
+        other => other,
+    });
+    assert!(!tc.nodes[1].directory_is_resyncing(), "resync completed");
+    let records = objects
+        .iter()
+        .map(|&o| {
+            let mut holders: Vec<NodeId> = tc.nodes[1]
+                .directory_locations(o)
+                .expect("both nodes host every shard")
+                .into_iter()
+                .map(|(n, _)| n)
+                .collect();
+            holders.sort_by_key(|n| n.0);
+            holders
+        })
+        .collect();
+    (reframed, announcements, tc.nodes[1].metrics().directory_resyncs, records)
+}
+
+/// The full-state `DirSnapshot` frame (tag 23) is no longer produced but is still on
+/// the wire format: a restarted node answered with one must complete its resync and
+/// announce `DirResynced` exactly as with the one-chunk `DirSnapshotChunk` stream it
+/// is the degenerate case of — handled, not silently dropped.
+#[test]
+fn tag_23_full_snapshot_frame_completes_a_resync_like_a_one_chunk_stream() {
+    let (reframed, announcements, resyncs, records) = resync_of_restarted_node(true);
+    assert!(reframed >= 1, "the drill put a tag-23 frame on the wire");
+    assert_eq!(announcements, 1, "DirResynced announced to the one peer, once");
+    assert_eq!(resyncs, 2, "both hosted shards resynced");
+    assert!(records.iter().all(|holders| holders == &[NodeId(0)]), "{records:?}");
+    assert_eq!(
+        resync_of_restarted_node(false),
+        (0, announcements, resyncs, records),
+        "same outcome as the chunk stream"
+    );
+}
+
+/// A restart-mode `DirSnapshotRequest` from a peer this node still believes a healthy
+/// primary is the first news of its crash. The implied failure is applied once — to
+/// the node's one leadership view — so it produces exactly one failover re-drive, and
+/// the re-driven op (routed by that view, to this node itself) is applied by the
+/// replica the same view just promoted instead of being forwarded to the old primary.
+#[test]
+fn restart_request_from_a_believed_primary_redrives_once_and_keeps_one_view() {
+    let mut tc = TestCluster::new(3);
+    let cluster = ClusterView::of_size(3);
+    // Shard 2 lives on [2, 0]: node 0 backs it up. Node 0 registers an object there,
+    // and the registration is lost in flight — journaled, never confirmed.
+    let object = object_on_shard(&cluster, NodeId(2));
+    let payload = Payload::from_vec(vec![7; 200]);
+    tc.client(0, OpId(1), ClientOp::Put { object, payload });
+    tc.pending.clear();
+    assert_eq!(tc.nodes[0].directory_unconfirmed_count(), 1);
+    assert_eq!(tc.nodes[0].directory_primary_for(object), Some(NodeId(2)));
+
+    // Node 2 crashed and restarted before any detector told node 0: its restart
+    // request for shard 2 arrives out of the blue.
+    let request = Message::DirSnapshotRequest {
+        shard: 2,
+        requester: NodeId(2),
+        restart: true,
+        after: None,
+        have_epoch: 0,
+        have_seq: 0,
+        digest: Vec::new(),
+    };
+    let mut out = Vec::new();
+    tc.nodes[0].handle_message(Time::ZERO, NodeId(2), request, &mut out);
+
+    assert_eq!(tc.nodes[0].metrics().directory_redrives, 1, "one failover re-drive");
+    assert_eq!(tc.nodes[0].directory_primary_for(object), Some(NodeId(0)), "routing moved");
+    assert!(tc.nodes[0].is_directory_primary_for(object), "and the service leads there");
+    assert_eq!(
+        tc.nodes[0].directory_locations(object),
+        Some(vec![(NodeId(0), ObjectStatus::Complete)]),
+        "the re-driven registration was applied here, not forwarded to the old primary"
+    );
+    let sent_to_2: Vec<&Message> = out
+        .iter()
+        .filter_map(|e| match e {
+            Effect::Send { to: NodeId(2), msg } => Some(msg),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        sent_to_2.iter().any(|m| matches!(
+            m,
+            Message::DirSnapshotChunk { shard: 2, .. } | Message::DirResyncDelta { shard: 2, .. }
+        )),
+        "the restarted node was served: {sent_to_2:?}"
+    );
+    assert!(
+        !sent_to_2.iter().any(|m| matches!(m, Message::DirRegister { .. })),
+        "nothing re-driven at the restarted node: {sent_to_2:?}"
+    );
+
+    // The detector's own verdict, arriving later, finds nothing left to do.
+    let mut late = Vec::new();
+    tc.nodes[0].handle_peer_failed(Time::ZERO, NodeId(2), &mut late);
+    assert_eq!(tc.nodes[0].metrics().directory_redrives, 1, "no second re-drive");
+    assert_eq!(tc.nodes[0].directory_primary_for(object), Some(NodeId(0)));
 }

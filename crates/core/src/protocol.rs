@@ -278,9 +278,10 @@ impl SnapshotEntry {
     }
 }
 
-/// Full state of one directory shard, shipped to a recovering or newly-placed backup
-/// inside [`Message::DirSnapshot`] so it can be re-admitted to the replica set
-/// (§3.5: state transfer + log catch-up instead of failure-monotonic placement).
+/// State of one directory shard — a bounded slice of it per
+/// [`Message::DirSnapshotChunk`] — shipped to a recovering or newly-placed backup so
+/// it can be re-admitted to the replica set (§3.5: state transfer + log catch-up
+/// instead of failure-monotonic placement).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ShardSnapshot {
     /// One entry per tracked object, sorted by object id.
@@ -461,9 +462,11 @@ pub enum Message {
         /// [`Message::MembershipDigest`]. Empty on gap-detected catch-ups.
         digest: Vec<crate::membership::MemberDigestEntry>,
     },
-    /// Primary → recovering replica: full shard state at log position `seq`, epoch
-    /// `epoch`. `rank` is the primary's current placement cursor for the shard, which
-    /// the recovering node adopts so its own view does not fail back to itself.
+    /// Retired: the full shard state in one frame, at log position `seq`, epoch
+    /// `epoch`. Nothing produces it any more; the tag stays on the wire format until
+    /// a protocol version can retire it, and a receiver handles it as the one-chunk
+    /// [`Message::DirSnapshotChunk`] stream (`done = true`) it is the degenerate case
+    /// of.
     DirSnapshot {
         /// Shard index.
         shard: u64,

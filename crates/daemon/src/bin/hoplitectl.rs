@@ -412,8 +412,7 @@ fn cmd_drill(args: &mut Args) -> Result<(), String> {
     let config_path = dir.join("drill-config.toml");
     let mut config_text = "# kill -9 drill: multi-block objects at modest sizes\n\
          block_size = 65536\n\
-         inline_threshold = 1024\n\
-         pull_timeout_ms = 250\n"
+         inline_threshold = 1024\n"
         .to_string();
     if detect {
         // Verdict-free mode: the daemons run the SWIM detector with a tight probe

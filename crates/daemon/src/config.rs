@@ -12,8 +12,7 @@ use hoplite_core::prelude::*;
 ///
 /// `block_size`, `inline_threshold`, `store_capacity`, `snapshot_chunk_bytes`,
 /// `directory_inline_cache_bytes`, `directory_log_retention`,
-/// `directory_replication`, `directory_shards`, `directory_chain_replication`,
-/// `pull_timeout_ms`, `directory_lease_ttl_ms`.
+/// `directory_replication`, `directory_shards`, `directory_lease_ttl_ms`.
 ///
 /// The SWIM failure detector is off unless `detector = true`; with it on, the knobs
 /// `detector_probe_period_ms`, `detector_ack_timeout_ms`,
@@ -46,8 +45,6 @@ pub fn parse(text: &str) -> std::result::Result<HopliteConfig, String> {
             "directory_log_retention" => cfg.directory_log_retention = int()? as usize,
             "directory_replication" => cfg.directory_replication = int()? as usize,
             "directory_shards" => cfg.directory_shards = Some(int()? as usize),
-            "directory_chain_replication" => cfg.directory_chain_replication = boolean()?,
-            "pull_timeout_ms" => cfg.pull_timeout = Duration::from_millis(int()?),
             "directory_lease_ttl_ms" => cfg.directory_lease_ttl = Duration::from_millis(int()?),
             "detector" => {
                 if boolean()? {
@@ -100,15 +97,13 @@ mod tests {
              block_size = 65536\n\
              inline_threshold = 128   # small objects stay inline\n\
              directory_replication = 3\n\
-             directory_chain_replication = false\n\
-             pull_timeout_ms = 250\n",
+             directory_lease_ttl_ms = 250\n",
         )
         .unwrap();
         assert_eq!(cfg.block_size, 65536);
         assert_eq!(cfg.inline_threshold, 128);
         assert_eq!(cfg.directory_replication, 3);
-        assert!(!cfg.directory_chain_replication);
-        assert_eq!(cfg.pull_timeout, Duration::from_millis(250));
+        assert_eq!(cfg.directory_lease_ttl, Duration::from_millis(250));
         // Untouched keys keep their defaults.
         assert_eq!(cfg.store_capacity, HopliteConfig::default().store_capacity);
     }
@@ -118,6 +113,9 @@ mod tests {
         assert!(parse("block_sz = 1").is_err());
         assert!(parse("block_size = banana").is_err());
         assert!(parse("no equals sign").is_err());
+        // The key of a knob that no longer exists is an unknown key, not silently ignored.
+        let err = parse("pull_timeout_ms = 250").unwrap_err();
+        assert!(err.contains("unknown config key"), "{err}");
     }
 
     #[test]
