@@ -1,42 +1,51 @@
-//! One hosted Hoplite node: the event-loop thread every real-byte deployment shares.
+//! One hosted Hoplite node — in a [`crate::local::LocalCluster`] or as the single node
+//! of a `hoplited` daemon: a mailbox, a lock around the node, and who runs it.
 //!
-//! [`NodeHost`] owns a node's unified event queue and its OS thread. The same host
-//! runs a node whether it is one of many inside a [`crate::local::LocalCluster`]
-//! process or the single node of a `hoplited` daemon: fabric messages are forwarded
-//! into the queue by a small pump thread, client commands and failure notices are
-//! enqueued directly, timers live in a local deadline heap serviced with
-//! `recv_timeout`, and status queries ([`NodeStatus`]) are answered inline by the
-//! loop between events.
+//! A node ([`NodeRuntime`]) must see one event at a time. Whoever has an event puts
+//! it in the mailbox and, if the node is free (`try_lock`), runs the mailbox on the
+//! spot instead of waking a thread to do it. A thread that finds the node busy leaves
+//! its event behind; the holder re-checks the mailbox after unlocking, so nothing is
+//! stranded. Who runs how far:
+//!
+//! * a TCP reader thread with a decoded frame ([`Ingress::deliver`]) drains it all;
+//! * a client thread in `put`/`get`/`reduce`/`delete`, or a control thread with a
+//!   status query or a verdict, runs no further than its own event and leaves the
+//!   rest to the node thread, so a caller cannot be captured by a busy node;
+//! * a send issued inside another node's handler ([`Ingress::post`]: the channels
+//!   fabric) only enqueues and wakes the node thread. A handler never blocks and
+//!   never runs another node, so there is no nesting and no lock order;
+//! * the node thread (`hoplite-node-{id}`) does what nobody else did: it sleeps until
+//!   the earliest timer is due or it is woken, then runs what it finds.
+//!
+//! One remote inline `Get`, counted in sleeping threads woken (`→`):
+//!
+//! ```text
+//! before: client → loop → writer → reader → pump → loop → writer → reader → pump → loop → client  (10)
+//! after:  client runs the Get → writer → reader answers the query → writer → reader completes it → client  (5)
+//! ```
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration as StdDuration, Instant};
 
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam_channel::{unbounded, Receiver, Sender};
 use hoplite_core::prelude::*;
-use hoplite_transport::fabric::FabricSender;
+use hoplite_transport::fabric::{FabricSender, Ingress, IngressSink};
 
 use crate::driver::{DriverPort, NodeEvent, NodeRuntime};
 
-/// Commands delivered to a node's event loop besides fabric messages.
-enum NodeCommand {
-    Client { op_id: OpId, op: ClientOp, reply: Sender<ClientReply> },
-    PeerFailed(NodeId),
-    PeerRecovered(NodeId),
-    Status { reply: Sender<NodeStatus> },
-    Shutdown,
-}
-
-/// Everything a node's unified event queue can carry.
+/// Everything a node's mailbox can carry. `Node` is what the runtime takes as is: a
+/// frame, a verdict, a fired timer, the start-up events.
 enum LoopEvent {
-    Fabric(NodeId, Message),
-    Command(NodeCommand),
+    Node(NodeEvent),
+    Client { op_id: OpId, op: ClientOp, reply: Sender<ClientReply> },
+    Status { reply: Sender<NodeStatus> },
 }
 
-/// A point-in-time snapshot of a hosted node, answered by its event loop.
+/// A point-in-time snapshot of a hosted node, answered between two of its events.
 #[derive(Clone, Debug)]
 pub struct NodeStatus {
     /// The node's id.
@@ -52,23 +61,21 @@ pub struct NodeStatus {
 /// Blocking client bound to one hosted node.
 #[derive(Clone)]
 pub struct HopliteClient {
-    node: NodeId,
-    events: Sender<LoopEvent>,
+    host: Arc<Shared>,
     next_op: Arc<AtomicU64>,
 }
 
 impl HopliteClient {
     /// The node this client talks to.
     pub fn node(&self) -> NodeId {
-        self.node
+        self.host.id
     }
 
     fn submit(&self, op: ClientOp) -> Receiver<ClientReply> {
         let (tx, rx) = unbounded();
         let op_id = OpId(self.next_op.fetch_add(1, Ordering::Relaxed));
-        // A send failure means the node was shut down; the disconnected receiver will
-        // surface that as an error to the caller below.
-        let _ = self.events.send(LoopEvent::Command(NodeCommand::Client { op_id, op, reply: tx }));
+        // A stopped node drops the event; `wait` reports the disconnected receiver.
+        self.host.call(LoopEvent::Client { op_id, op, reply: tx });
         rx
     }
 
@@ -134,67 +141,76 @@ impl HopliteClient {
     }
 }
 
-/// One node's event-loop thread plus the handles to talk to it.
+/// One node's mailbox, lock and timer thread, plus the handles to talk to it.
 pub struct NodeHost {
-    id: NodeId,
-    events: Sender<LoopEvent>,
+    shared: Arc<Shared>,
     next_op: Arc<AtomicU64>,
     handle: Option<JoinHandle<()>>,
 }
 
 impl NodeHost {
-    /// Spawn the pump + event-loop threads for `node`. `recovering` selects whether
-    /// the node starts cold or as a restarted process that must resync its directory
-    /// replicas before leading again. `next_op` is the op-id source shared by every
-    /// client of this process (clusters share one across all their hosts).
-    pub fn spawn<S: FabricSender>(
+    /// Host `node`. `recovering` selects whether it starts cold or as a restarted
+    /// process that must resync its directory replicas before leading again.
+    /// `next_op` is the op-id source shared by every client of this process (clusters
+    /// share one across all their hosts). `attach` is handed the node's ingress sink
+    /// before the node handles its first event — pass it to
+    /// [`Fabric::attach`](hoplite_transport::fabric::Fabric::attach) — so no answer to
+    /// what the node says at start-up finds the fabric with nowhere to put it.
+    pub fn spawn(
         node: ObjectStoreNode,
-        rx_fabric: Receiver<(NodeId, Message)>,
-        fabric_tx: S,
+        fabric_tx: Box<dyn FabricSender>,
         recovering: bool,
         next_op: Arc<AtomicU64>,
+        attach: impl FnOnce(IngressSink),
     ) -> NodeHost {
         let id = node.id();
-        let (events_tx, events_rx) = unbounded();
-        // Pump fabric messages into the unified event queue; exits when either the
-        // fabric or the node loop goes away.
-        let pump_tx = events_tx.clone();
-        thread::Builder::new()
-            .name(format!("hoplite-fabric-pump-{}", id.0))
-            .spawn(move || {
-                for (from, msg) in rx_fabric.iter() {
-                    if pump_tx.send(LoopEvent::Fabric(from, msg)).is_err() {
-                        return;
-                    }
-                }
-            })
-            .expect("spawn fabric pump thread");
+        // First in every mailbox, ahead of any traffic: a restarted node requests
+        // directory snapshots so it can be re-admitted to its replica sets, and cold
+        // boot or restart alike arms the self-driven machinery (the SWIM probe timer,
+        // when a detector is configured).
+        let restarted = recovering.then_some(NodeEvent::Restarted);
+        let queue = restarted.into_iter().chain([NodeEvent::Started]).map(LoopEvent::Node);
+        let mailbox = Mailbox { queue: queue.collect(), ..Mailbox::default() };
+        let node = Node {
+            runtime: NodeRuntime::new(node),
+            fabric: fabric_tx,
+            pending_replies: HashMap::new(),
+            epoch: Instant::now(),
+        };
+        let shared = Arc::new(Shared {
+            id,
+            mailbox: Mutex::new(mailbox),
+            wake: Condvar::new(),
+            node: Mutex::new(Some(node)),
+        });
+        attach(shared.clone());
+        let on_thread = shared.clone();
         let handle = thread::Builder::new()
             .name(format!("hoplite-node-{}", id.0))
-            .spawn(move || node_event_loop(node, events_rx, fabric_tx, recovering))
+            .spawn(move || on_thread.node_thread())
             .expect("spawn node thread");
-        NodeHost { id, events: events_tx, next_op, handle: Some(handle) }
+        NodeHost { shared, next_op, handle: Some(handle) }
     }
 
     /// The hosted node's id.
     pub fn id(&self) -> NodeId {
-        self.id
+        self.shared.id
     }
 
-    /// `true` while the event-loop thread is running (not yet shut down).
+    /// `true` until the node is shut down.
     pub fn is_running(&self) -> bool {
         self.handle.is_some()
     }
 
     /// A blocking client bound to this node.
     pub fn client(&self) -> HopliteClient {
-        HopliteClient { node: self.id, events: self.events.clone(), next_op: self.next_op.clone() }
+        HopliteClient { host: self.shared.clone(), next_op: self.next_op.clone() }
     }
 
-    /// Ask the event loop for a status snapshot. `None` if the node shut down.
+    /// A status snapshot of the node. `None` if the node shut down.
     pub fn status(&self) -> Option<NodeStatus> {
         let (tx, rx) = unbounded();
-        self.events.send(LoopEvent::Command(NodeCommand::Status { reply: tx })).ok()?;
+        self.shared.call(LoopEvent::Status { reply: tx });
         rx.recv().ok()
     }
 
@@ -202,22 +218,27 @@ impl NodeHost {
     /// Control servers use this to deliver incarnation-stamped
     /// [`Message::PeerFailureNotice`]s the supervisor relays.
     pub fn inject_message(&self, from: NodeId, msg: Message) {
-        let _ = self.events.send(LoopEvent::Fabric(from, msg));
+        self.shared.call(LoopEvent::Node(NodeEvent::Message { from, msg }));
     }
 
     /// Deliver a failure-detector verdict: `peer` is dead.
     pub fn notify_peer_failed(&self, peer: NodeId) {
-        let _ = self.events.send(LoopEvent::Command(NodeCommand::PeerFailed(peer)));
+        self.shared.call(LoopEvent::Node(NodeEvent::PeerFailed(peer)));
     }
 
     /// Deliver a failure-detector verdict: `peer` is back.
     pub fn notify_peer_recovered(&self, peer: NodeId) {
-        let _ = self.events.send(LoopEvent::Command(NodeCommand::PeerRecovered(peer)));
+        self.shared.call(LoopEvent::Node(NodeEvent::PeerRecovered(peer)));
     }
 
-    /// Stop the event loop and join its thread. Idempotent.
+    /// Stop the node: its runtime (store, slab pool, pending replies) is dropped
+    /// before this returns, and whatever a leaked reader thread or an old client
+    /// delivers afterwards is dropped on arrival. Idempotent.
     pub fn shutdown(&mut self) {
-        let _ = self.events.send(LoopEvent::Command(NodeCommand::Shutdown));
+        *self.shared.mailbox() = Mailbox { stopped: true, ..Mailbox::default() };
+        self.shared.wake.notify_one();
+        // Waits for at most the one handler in flight: a stopped mailbox is empty.
+        drop(self.shared.node.lock().map(|mut node| node.take()));
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
@@ -230,18 +251,198 @@ impl Drop for NodeHost {
     }
 }
 
-/// [`DriverPort`] over a real fabric: messages go out through the fabric sender,
-/// replies to the per-op channels, and timers into the loop's deadline heap.
-struct RealPort<'a, S: FabricSender> {
-    me: NodeId,
-    fabric: &'a S,
-    pending_replies: &'a mut HashMap<OpId, Sender<ClientReply>>,
-    timers: &'a mut BinaryHeap<Reverse<(Instant, TimerToken)>>,
+/// What is waiting for the node: events in arrival order, and its armed timers.
+#[derive(Default)]
+struct Mailbox {
+    queue: VecDeque<LoopEvent>,
+    /// How many events have been taken out: the sequence number of `queue[0]`.
+    head: u64,
+    timers: BinaryHeap<Reverse<(Instant, TimerToken)>>,
+    stopped: bool,
 }
 
-impl<S: FabricSender> DriverPort for RealPort<'_, S> {
+/// What a [`NodeHost`], its clients, its node thread and the fabric's sink share.
+struct Shared {
+    id: NodeId,
+    mailbox: Mutex<Mailbox>,
+    /// Wakes the node thread; paired with `mailbox`.
+    wake: Condvar,
+    /// `None` once shut down. Held only while handlers run, and handlers never block.
+    node: Mutex<Option<Node>>,
+}
+
+impl Shared {
+    fn mailbox(&self) -> MutexGuard<'_, Mailbox> {
+        // No code panics while holding the mailbox, and every update leaves it valid.
+        self.mailbox.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Append `event`; its sequence number, or `None` (event dropped) once stopped.
+    fn enqueue(&self, event: LoopEvent) -> Option<u64> {
+        let mut mailbox = self.mailbox();
+        if mailbox.stopped {
+            return None;
+        }
+        mailbox.queue.push_back(event);
+        Some(mailbox.head + mailbox.queue.len() as u64 - 1)
+    }
+
+    /// What the node handles next: a due timer first, else the oldest event unless
+    /// it was enqueued after number `upto`.
+    fn pop(&self, upto: u64) -> Option<LoopEvent> {
+        let mut mailbox = self.mailbox();
+        if let Some(&Reverse((deadline, token))) = mailbox.timers.peek() {
+            if deadline <= Instant::now() {
+                mailbox.timers.pop();
+                return Some(LoopEvent::Node(NodeEvent::Timer(token)));
+            }
+        }
+        if mailbox.head > upto {
+            return None;
+        }
+        let event = mailbox.queue.pop_front()?;
+        mailbox.head += 1;
+        Some(event)
+    }
+
+    /// Enqueue `event` from a client or control thread and run the node here if it is
+    /// free, but no further than this event.
+    fn call(&self, event: LoopEvent) {
+        if let Some(seq) = self.enqueue(event) {
+            self.drain(seq);
+        }
+    }
+
+    /// Run the mailbox on this thread, up to event number `upto`, if the node is free.
+    /// If it is not, whoever holds it re-checks the mailbox after unlocking — as this
+    /// does — so an event left behind by a thread that lost the `try_lock` is never
+    /// stranded.
+    fn drain(&self, upto: u64) {
+        loop {
+            let mut guard = match self.node.try_lock() {
+                Ok(guard) => guard,
+                Err(TryLockError::WouldBlock) => return,
+                Err(TryLockError::Poisoned(_)) => panic!("a handler of this node panicked"),
+            };
+            let Some(node) = guard.as_mut() else { return };
+            while let Some(event) = self.pop(upto) {
+                node.run(self, event);
+            }
+            drop(guard);
+            let mailbox = self.mailbox();
+            if mailbox.queue.is_empty() {
+                return;
+            }
+            if mailbox.head > upto {
+                drop(mailbox);
+                // Not this caller's to run: hand the backlog to the node thread.
+                return self.wake.notify_one();
+            }
+        }
+    }
+
+    /// The node's own thread: run what nobody else did, sleep until the earliest
+    /// timer is due or someone wakes it, repeat until shut down.
+    fn node_thread(&self) {
+        const IDLE_SLICE: StdDuration = StdDuration::from_secs(3600); // no timer armed
+        loop {
+            {
+                let mut guard = self.node.lock().expect("a handler of this node panicked");
+                let Some(node) = guard.as_mut() else { return };
+                while let Some(event) = self.pop(u64::MAX) {
+                    node.run(self, event);
+                }
+            }
+            let mut mailbox = self.mailbox();
+            while mailbox.queue.is_empty() && !mailbox.stopped {
+                let left = mailbox.timers.peek().map_or(IDLE_SLICE, |&Reverse((deadline, _))| {
+                    deadline.saturating_duration_since(Instant::now())
+                });
+                if left.is_zero() {
+                    break;
+                }
+                mailbox =
+                    self.wake.wait_timeout(mailbox, left).unwrap_or_else(|e| e.into_inner()).0;
+            }
+            if mailbox.stopped {
+                return;
+            }
+        }
+    }
+}
+
+impl Ingress for Shared {
+    fn post(&self, from: NodeId, msg: Message) {
+        self.enqueue(LoopEvent::Node(NodeEvent::Message { from, msg }));
+        self.wake.notify_one();
+    }
+
+    fn deliver(&self, from: NodeId, msg: Message) {
+        self.enqueue(LoopEvent::Node(NodeEvent::Message { from, msg }));
+        self.drain(u64::MAX);
+    }
+}
+
+/// The node and what its handlers answer through, behind [`Shared::node`].
+struct Node {
+    runtime: NodeRuntime,
+    fabric: Box<dyn FabricSender>,
+    pending_replies: HashMap<OpId, Sender<ClientReply>>,
+    epoch: Instant,
+}
+
+impl Node {
+    /// Handle one thing out of `host`'s mailbox.
+    fn run(&mut self, host: &Shared, event: LoopEvent) {
+        let event = match event {
+            LoopEvent::Node(event) => {
+                // A failure notice or verdict names a dead peer: give the transport
+                // its cue to tear down cached connections toward it (writes into a
+                // SIGKILLed process's socket can succeed silently, so the transport
+                // cannot detect this on its own).
+                match &event {
+                    NodeEvent::PeerFailed(dead)
+                    | NodeEvent::Message {
+                        msg: Message::PeerFailureNotice { node: dead, .. },
+                        ..
+                    } => self.fabric.peer_down(*dead),
+                    _ => {}
+                }
+                event
+            }
+            LoopEvent::Client { op_id, op, reply } => {
+                self.pending_replies.insert(op_id, reply);
+                NodeEvent::Client { op: op_id, request: op }
+            }
+            LoopEvent::Status { reply } => {
+                let node = self.runtime.node();
+                let _ = reply.send(NodeStatus {
+                    node: node.id(),
+                    incarnation: node.incarnation(),
+                    resyncing: node.directory_is_resyncing(),
+                    metrics: node.metrics().clone(),
+                });
+                return;
+            }
+        };
+        let now = Time(self.epoch.elapsed().as_nanos() as u64);
+        let mut port =
+            RealPort { host, fabric: &*self.fabric, pending_replies: &mut self.pending_replies };
+        self.runtime.handle(now, event, &mut port);
+    }
+}
+
+/// [`DriverPort`] over a real fabric: messages go out through the fabric sender,
+/// replies to the per-op channels, and timers into the host's mailbox.
+struct RealPort<'a> {
+    host: &'a Shared,
+    fabric: &'a dyn FabricSender,
+    pending_replies: &'a mut HashMap<OpId, Sender<ClientReply>>,
+}
+
+impl DriverPort for RealPort<'_> {
     fn send(&mut self, to: NodeId, msg: Message) {
-        self.fabric.send(self.me, to, msg);
+        self.fabric.send(self.host.id, to, msg);
     }
 
     fn reply(&mut self, op: OpId, reply: ClientReply) {
@@ -259,7 +460,16 @@ impl<S: FabricSender> DriverPort for RealPort<'_, S> {
     }
 
     fn set_timer(&mut self, token: TimerToken, delay: Duration) {
-        self.timers.push(Reverse((Instant::now() + delay.to_std(), token)));
+        let deadline = Instant::now() + delay.to_std();
+        let mut mailbox = self.host.mailbox();
+        let earliest = mailbox.timers.peek().is_none_or(|&Reverse((first, _))| deadline < first);
+        mailbox.timers.push(Reverse((deadline, token)));
+        drop(mailbox);
+        if earliest {
+            // The node thread sleeps on a later deadline (or none): re-arm it. A no-op
+            // when this handler runs on the node thread itself.
+            self.host.wake.notify_one();
+        }
     }
 
     fn peer_down(&mut self, node: NodeId) {
@@ -270,108 +480,200 @@ impl<S: FabricSender> DriverPort for RealPort<'_, S> {
     }
 }
 
-fn node_event_loop<S: FabricSender>(
-    node: ObjectStoreNode,
-    events: Receiver<LoopEvent>,
-    fabric_tx: S,
-    recovering: bool,
-) {
-    let epoch = Instant::now();
-    let me = node.id();
-    let mut runtime = NodeRuntime::new(node);
-    let mut pending_replies: HashMap<OpId, Sender<ClientReply>> = HashMap::new();
-    let mut timers: BinaryHeap<Reverse<(Instant, TimerToken)>> = BinaryHeap::new();
-    // With no timers armed, sleep in generous slices so shutdown stays responsive even
-    // if a sender leaks.
-    const IDLE_SLICE: StdDuration = StdDuration::from_secs(3600);
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
 
-    if recovering {
-        // First order of business for a restarted node: request directory snapshots
-        // so it can be re-admitted to its replica sets.
-        let mut port = RealPort {
-            me,
-            fabric: &fabric_tx,
-            pending_replies: &mut pending_replies,
-            timers: &mut timers,
-        };
-        runtime.handle(Time(0), NodeEvent::Restarted, &mut port);
-    }
-    {
-        // Cold boot or restart alike: the loop is live, so arm self-driven
-        // machinery (the SWIM probe timer, when a detector is configured).
-        let mut port = RealPort {
-            me,
-            fabric: &fabric_tx,
-            pending_replies: &mut pending_replies,
-            timers: &mut timers,
-        };
-        runtime.handle(Time(epoch.elapsed().as_nanos() as u64), NodeEvent::Started, &mut port);
+    /// A fabric sender that records what the node sends and on which thread, and can
+    /// park the handler that sends about `gate` until the test lets it go.
+    #[derive(Clone)]
+    struct Recorder {
+        sent: Arc<Mutex<Vec<(NodeId, Message, String)>>>,
+        gate: ObjectId,
+        entered: Sender<()>,
+        release: Receiver<()>,
     }
 
-    loop {
-        // Fire every due timer first.
-        let now_wall = Instant::now();
-        while let Some(&Reverse((deadline, token))) = timers.peek() {
-            if deadline > now_wall {
-                break;
+    impl FabricSender for Recorder {
+        fn send(&self, _from: NodeId, to: NodeId, msg: Message) {
+            let gated = matches!(&msg, Message::PullError { object, .. } if *object == self.gate);
+            let thread = thread::current().name().unwrap_or("").to_string();
+            self.sent.lock().unwrap().push((to, msg, thread));
+            if gated {
+                self.entered.send(()).unwrap();
+                self.release.recv().unwrap();
             }
-            timers.pop();
-            let now = Time(epoch.elapsed().as_nanos() as u64);
-            let mut port = RealPort {
-                me,
-                fabric: &fabric_tx,
-                pending_replies: &mut pending_replies,
-                timers: &mut timers,
-            };
-            runtime.handle(now, NodeEvent::Timer(token), &mut port);
         }
-        let timeout = timers
-            .peek()
-            .map(|&Reverse((deadline, _))| deadline.saturating_duration_since(Instant::now()))
-            .unwrap_or(IDLE_SLICE);
-        let event = match events.recv_timeout(timeout) {
-            Ok(LoopEvent::Fabric(from, msg)) => {
-                // A failure notice names a dead peer: give the transport its cue to
-                // tear down cached connections toward it (writes into a SIGKILLed
-                // process's socket can succeed silently, so the transport cannot
-                // detect this on its own).
-                if let Message::PeerFailureNotice { node: dead, .. } = &msg {
-                    fabric_tx.peer_down(*dead);
-                }
-                NodeEvent::Message { from, msg }
-            }
-            Ok(LoopEvent::Command(NodeCommand::Client { op_id, op, reply })) => {
-                pending_replies.insert(op_id, reply);
-                NodeEvent::Client { op: op_id, request: op }
-            }
-            Ok(LoopEvent::Command(NodeCommand::PeerFailed(peer))) => {
-                fabric_tx.peer_down(peer);
-                NodeEvent::PeerFailed(peer)
-            }
-            Ok(LoopEvent::Command(NodeCommand::PeerRecovered(peer))) => {
-                NodeEvent::PeerRecovered(peer)
-            }
-            Ok(LoopEvent::Command(NodeCommand::Status { reply })) => {
-                let node = runtime.node();
-                let _ = reply.send(NodeStatus {
-                    node: me,
-                    incarnation: node.incarnation(),
-                    resyncing: node.directory_is_resyncing(),
-                    metrics: node.metrics().clone(),
+    }
+
+    struct Rig {
+        host: NodeHost,
+        sent: Arc<Mutex<Vec<(NodeId, Message, String)>>>,
+        entered: Receiver<()>,
+        release: Sender<()>,
+    }
+
+    /// Node 0 of an `n`-node cluster, hosted over a [`Recorder`] and idle: its
+    /// start-up events are handled and its own thread is (about to be) asleep.
+    fn rig(n: usize, cfg: HopliteConfig, pipelined_put: bool) -> Rig {
+        let (entered_tx, entered) = unbounded();
+        let (release, release_rx) = unbounded();
+        let sent = Arc::new(Mutex::new(Vec::new()));
+        let recorder = Recorder {
+            sent: sent.clone(),
+            gate: ObjectId::from_name("gate"),
+            entered: entered_tx,
+            release: release_rx,
+        };
+        let opts = NodeOptions { synthetic_data: false, pipelined_put, incarnation: 0 };
+        let node = ObjectStoreNode::new(NodeId(0), cfg, ClusterView::of_size(n), opts);
+        let next_op = Arc::new(AtomicU64::new(1));
+        let host = NodeHost::spawn(node, Box::new(recorder), false, next_op, |_| {});
+        // Only the node thread runs a posted frame: once it has, and has let go of
+        // the node, it has noted that no timer is armed and sleeps on no deadline.
+        let (from, msg) = pull(1, ObjectId::from_name("warm-up"));
+        host.shared.post(from, msg);
+        wait_until("the node thread to run the warm-up", || sent.lock().unwrap().len() == 1);
+        drop(host.shared.node.lock().unwrap());
+        assert_eq!(sent.lock().unwrap().pop().unwrap().2, "hoplite-node-0");
+        Rig { host, sent, entered, release }
+    }
+
+    /// Poll `ready` until it holds, for at most ten seconds.
+    pub(crate) fn wait_until(what: &str, mut ready: impl FnMut() -> bool) {
+        let deadline = Instant::now() + StdDuration::from_secs(10);
+        while !ready() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            thread::sleep(StdDuration::from_millis(1));
+        }
+    }
+
+    /// A frame the node answers with exactly one `PullError` about `object` to
+    /// `from`: it holds no objects.
+    fn pull(from: u32, object: ObjectId) -> (NodeId, Message) {
+        (NodeId(from), Message::PullRequest { object, requester: NodeId(from), offset: 0 })
+    }
+
+    #[test]
+    fn concurrent_deliveries_are_handled_exactly_once_in_per_sender_order() {
+        const THREADS: u32 = 8;
+        const EVENTS: usize = 2000;
+        let rig = rig(THREADS as usize + 1, HopliteConfig::small_for_tests(), false);
+        let name = |t: u32, i: usize| ObjectId::from_name(&format!("fifo-{t}-{i}"));
+        thread::scope(|s| {
+            for t in 1..=THREADS {
+                let shared = &rig.host.shared;
+                s.spawn(move || {
+                    for i in 0..EVENTS {
+                        let (from, msg) = pull(t, name(t, i));
+                        shared.deliver(from, msg);
+                    }
                 });
-                continue;
             }
-            Ok(LoopEvent::Command(NodeCommand::Shutdown)) => return,
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => return,
-        };
-        let now = Time(epoch.elapsed().as_nanos() as u64);
-        let mut port = RealPort {
-            me,
-            fabric: &fabric_tx,
-            pending_replies: &mut pending_replies,
-            timers: &mut timers,
-        };
-        runtime.handle(now, event, &mut port);
+        });
+        // The mailbox is FIFO, so the status reply follows every delivery above.
+        rig.host.status().expect("node is up");
+        let sent = rig.sent.lock().unwrap();
+        assert_eq!(sent.len(), THREADS as usize * EVENTS, "each event handled exactly once");
+        let mut next = vec![0usize; THREADS as usize + 1];
+        for (to, msg, _) in sent.iter() {
+            let Message::PullError { object, .. } = msg else { panic!("unexpected {msg:?}") };
+            let i = &mut next[to.index()];
+            assert_eq!(*object, name(to.0, *i), "sender {} out of order at {i}", to.0);
+            *i += 1;
+        }
+    }
+
+    /// Park `first` (a thread named `name`) inside the handler of its own event,
+    /// enqueue three more events behind it from this thread — which finds the node
+    /// busy and must not wait — then let go; the names of the threads that handled
+    /// the three.
+    fn handlers_of_late_events(rig: &Rig, name: &str, first: impl FnOnce() + Send) -> Vec<String> {
+        thread::scope(|s| {
+            thread::Builder::new().name(name.to_string()).spawn_scoped(s, first).unwrap();
+            rig.entered.recv_timeout(StdDuration::from_secs(10)).expect("handler entered");
+            for i in 0..3 {
+                let (from, msg) = pull(1, ObjectId::from_name(&format!("late-{i}")));
+                rig.host.inject_message(from, msg);
+            }
+            rig.release.send(()).unwrap();
+        });
+        rig.host.status().expect("node is up");
+        let sent = rig.sent.lock().unwrap();
+        assert_eq!(sent.len(), 4, "the gate event and the three late ones");
+        assert_eq!(sent[0].2, name, "the first event ran on the thread that brought it");
+        sent[1..].iter().map(|(_, _, thread)| thread.clone()).collect()
+    }
+
+    #[test]
+    fn a_caller_runs_no_further_than_its_own_event() {
+        // The captured-caller rule: events that arrive while a client or control
+        // thread runs its own event are left to the node thread (or to a later
+        // caller whose own event is behind them), never run by that thread.
+        let rig = rig(2, HopliteConfig::small_for_tests(), false);
+        let (from, gate) = pull(1, ObjectId::from_name("gate"));
+        let late = handlers_of_late_events(&rig, "caller", || rig.host.inject_message(from, gate));
+        assert!(late.iter().all(|thread| thread != "caller"), "caller was captured: {late:?}");
+    }
+
+    #[test]
+    fn a_reader_runs_what_arrived_while_it_held_the_node() {
+        // The other half of the hand-off: a thread that found the node busy leaves
+        // its event behind, and the holder — a reader thread drains without bound —
+        // picks it up after unlocking, so nothing is stranded.
+        let rig = rig(2, HopliteConfig::small_for_tests(), false);
+        let (from, gate) = pull(1, ObjectId::from_name("gate"));
+        let late = handlers_of_late_events(&rig, "reader", || rig.host.shared.deliver(from, gate));
+        assert_eq!(late, ["reader"; 3]);
+    }
+
+    #[test]
+    fn a_posted_frame_runs_on_the_node_thread() {
+        // `post` is the door for sends issued inside another node's handler: the
+        // calling thread only enqueues, the node's own thread does the work.
+        let rig = rig(2, HopliteConfig::small_for_tests(), false);
+        let (from, msg) = pull(1, ObjectId::from_name("posted"));
+        rig.host.shared.post(from, msg);
+        wait_until("the posted frame to be handled", || rig.sent.lock().unwrap().len() == 1);
+        assert_eq!(rig.sent.lock().unwrap()[0].2, "hoplite-node-0");
+    }
+
+    #[test]
+    fn a_timer_armed_on_a_caller_thread_wakes_the_sleeping_node_thread() {
+        // A pipelined put arms one copy-step timer per block. The first is armed by
+        // the handler running on this thread while the node thread sleeps with no
+        // deadline at all, so the put can only finish — and on time — if arming a
+        // timer re-arms that thread.
+        const STEP: StdDuration = StdDuration::from_millis(50);
+        let mut cfg = HopliteConfig::small_for_tests();
+        cfg.memcpy_bandwidth = cfg.block_size as f64 / STEP.as_secs_f64();
+        let rig = rig(2, cfg.clone(), true);
+        let object = (0u64..)
+            .map(|k| ObjectId::from_name(&format!("timed-{k}")))
+            .find(|&o| ClusterView::of_size(2).shard_node(o) == NodeId(1))
+            .unwrap();
+        let started = Instant::now();
+        rig.host.client().put(object, Payload::zeros(2 * cfg.block_size as usize)).unwrap();
+        let took = started.elapsed();
+        assert!(2 * STEP <= took && took < 4 * STEP, "two {STEP:?} copy steps took {took:?}");
+        let sent = rig.sent.lock().unwrap();
+        let me = thread::current().name().unwrap_or("").to_string();
+        assert_eq!(sent[0].2, me, "the put's handler ran on the calling thread");
+    }
+
+    #[test]
+    fn a_stopped_node_answers_none_and_errors_without_hanging() {
+        let mut rig = rig(2, HopliteConfig::small_for_tests(), false);
+        let client = rig.host.client();
+        rig.host.shutdown();
+        assert!(!rig.host.is_running());
+        assert!(rig.host.status().is_none());
+        let (from, msg) = pull(1, ObjectId::from_name("after"));
+        rig.host.shared.deliver(from, msg);
+        assert!(rig.sent.lock().unwrap().is_empty(), "a delivery after shutdown is a no-op");
+        match client.put(ObjectId::from_name("x"), Payload::zeros(10)) {
+            Err(HopliteError::Transport(why)) => assert_eq!(why, "node shut down"),
+            other => panic!("expected a transport error, got {other:?}"),
+        }
     }
 }

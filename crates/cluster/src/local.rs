@@ -1,21 +1,21 @@
-//! A real (threaded) Hoplite deployment: one event-loop thread per node, connected by
-//! an in-process channel fabric or by localhost TCP, moving real bytes.
+//! A real (threaded) Hoplite deployment: every node hosted in this process, connected
+//! by an in-process channel fabric or by localhost TCP, moving real bytes.
 //!
 //! `LocalCluster` is what the examples, the task framework and the data-plane
 //! correctness tests use. It exposes a blocking client API
 //! ([`HopliteClient`](crate::host::HopliteClient)) with the paper's four calls:
 //! `Put`, `Get`, `Reduce`, `Delete` (Table 1).
 //!
-//! Each node runs inside a [`NodeHost`](crate::host::NodeHost) — the same event loop
-//! a `hoplited` daemon uses for its single node — driving the shared
-//! [`NodeRuntime`](crate::driver::NodeRuntime) over a unified event queue.
+//! Each node lives in a [`NodeHost`](crate::host::NodeHost) — the same host a
+//! `hoplited` daemon uses for its single node — which runs the shared
+//! [`NodeRuntime`](crate::driver::NodeRuntime) on whichever thread delivers an event:
+//! the calling client thread, a TCP reader thread, or the node's own timer thread.
 
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
-use crossbeam_channel::Receiver;
 use hoplite_core::prelude::*;
-use hoplite_transport::fabric::{ChannelFabric, Fabric, FabricSender};
+use hoplite_transport::fabric::{ChannelFabric, Fabric, FabricSender, IngressSink};
 use hoplite_transport::tcp::TcpFabric;
 
 use crate::host::{HopliteClient, NodeHost, NodeStatus};
@@ -23,19 +23,15 @@ use crate::host::{HopliteClient, NodeHost, NodeStatus};
 /// Object-safe view of a [`Fabric`], so [`LocalCluster`] can keep it around for node
 /// restarts without being generic over the fabric type.
 trait ClusterFabric: Send {
-    fn take_receiver(&mut self, node: NodeId) -> Receiver<(NodeId, Message)>;
-    fn reset_receiver(&mut self, node: NodeId) -> Option<Receiver<(NodeId, Message)>>;
+    fn attach(&mut self, node: NodeId, sink: IngressSink);
     fn note_restart(&mut self, node: NodeId, incarnation: u64);
     fn dyn_sender(&self) -> Box<dyn FabricSender>;
     fn transport_metrics(&self) -> NodeMetrics;
 }
 
 impl<F: Fabric + Send> ClusterFabric for F {
-    fn take_receiver(&mut self, node: NodeId) -> Receiver<(NodeId, Message)> {
-        Fabric::take_receiver(self, node)
-    }
-    fn reset_receiver(&mut self, node: NodeId) -> Option<Receiver<(NodeId, Message)>> {
-        Fabric::reset_receiver(self, node)
+    fn attach(&mut self, node: NodeId, sink: IngressSink) {
+        Fabric::attach(self, node, sink)
     }
     fn note_restart(&mut self, node: NodeId, incarnation: u64) {
         Fabric::note_restart(self, node, incarnation)
@@ -95,22 +91,17 @@ impl LocalCluster {
             fabric: Box::new(fabric),
         };
         for id in cluster_view.nodes {
-            let rx_fabric = cluster.fabric.take_receiver(id);
-            let host = cluster.spawn_node(id, rx_fabric, false);
+            let host = cluster.spawn_node(id, false);
             cluster.nodes.push(host);
         }
         cluster
     }
 
-    /// Spawn the host for one node. `recovering` selects whether the node starts cold
-    /// or as a restarted process that must resync its directory replicas before
-    /// leading again.
-    fn spawn_node(
-        &self,
-        id: NodeId,
-        rx_fabric: Receiver<(NodeId, Message)>,
-        recovering: bool,
-    ) -> NodeHost {
+    /// Spawn the host for one node and make it the fabric's sink for that node
+    /// (replacing a killed predecessor's). `recovering` selects whether the node
+    /// starts cold or as a restarted process that must resync its directory replicas
+    /// before leading again.
+    fn spawn_node(&mut self, id: NodeId, recovering: bool) -> NodeHost {
         let node = ObjectStoreNode::new(
             id,
             self.cfg.clone(),
@@ -121,7 +112,8 @@ impl LocalCluster {
                 incarnation: self.incarnations[id.index()],
             },
         );
-        NodeHost::spawn(node, rx_fabric, self.fabric.dyn_sender(), recovering, self.next_op.clone())
+        let (fabric_tx, next_op) = (self.fabric.dyn_sender(), self.next_op.clone());
+        NodeHost::spawn(node, fabric_tx, recovering, next_op, |sink| self.fabric.attach(id, sink))
     }
 
     /// Number of nodes.
@@ -146,14 +138,15 @@ impl LocalCluster {
         self.nodes[node].client()
     }
 
-    /// A status snapshot of `node` (incarnation, resync state, counters), answered
-    /// by its event loop. `None` for a killed node.
+    /// A status snapshot of `node` (incarnation, resync state, counters). `None` for a
+    /// killed node.
     pub fn status(&self, node: usize) -> Option<NodeStatus> {
         self.nodes[node].status()
     }
 
-    /// Kill a node's event loop and notify every other node, as a real failure detector
-    /// (socket liveness in the paper, §5.5) eventually would.
+    /// Kill a node — its store and every other piece of its state are dropped before
+    /// this returns — and notify every other node, as a real failure detector (socket
+    /// liveness in the paper, §5.5) eventually would.
     pub fn kill_node(&mut self, node: usize) {
         self.nodes[node].shutdown();
         for (i, other) in self.nodes.iter().enumerate() {
@@ -164,15 +157,15 @@ impl LocalCluster {
     }
 
     /// Restart a previously-killed node as a fresh process at the next incarnation:
-    /// a new event loop over a new fabric queue, an empty store, and empty directory
+    /// a new host attached to the fabric, an empty store, and empty directory
     /// replicas. The node immediately begins directory recovery (snapshot requests +
     /// log catch-up) and announces `DirResynced` once caught up; every other node
     /// receives a recovery notice. Clients bound to the old incarnation error out —
     /// call [`LocalCluster::client`] again for a fresh handle.
     ///
-    /// Works over both fabrics: the channels fabric swaps the node's queue, the TCP
-    /// fabric additionally reroutes live connections to the new queue and advertises
-    /// the new incarnation in future `Hello` greetings.
+    /// Works over both fabrics: both swap the node's ingress sink (live TCP connections
+    /// feed the new host from their next frame), and the TCP fabric advertises the new
+    /// incarnation in future `Hello` greetings.
     ///
     /// Panics when the node was not killed first.
     pub fn restart_node(&mut self, node: usize) {
@@ -180,9 +173,7 @@ impl LocalCluster {
         let id = NodeId(node as u32);
         self.incarnations[node] += 1;
         self.fabric.note_restart(id, self.incarnations[node]);
-        let rx_fabric =
-            self.fabric.reset_receiver(id).expect("this fabric does not support node restarts");
-        self.nodes[node] = self.spawn_node(id, rx_fabric, true);
+        self.nodes[node] = self.spawn_node(id, true);
         for (i, other) in self.nodes.iter().enumerate() {
             if i != node {
                 other.notify_peer_recovered(id);
@@ -194,6 +185,27 @@ impl LocalCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::host::tests::wait_until;
+    use std::time::{Duration as StdDuration, Instant};
+
+    /// Wait until no listed node holds object bytes any more: every delete issued so
+    /// far has reached its shard primary and fanned out to the holders.
+    fn wait_until_stores_empty(cluster: &LocalCluster, nodes: &[usize]) {
+        wait_until("deletes to land", || {
+            nodes
+                .iter()
+                .all(|&n| cluster.status(n).is_some_and(|s| s.metrics.store_bytes_live == 0))
+        });
+    }
+
+    /// Kill `node` and wait until every survivor has handled the verdict: a mailbox
+    /// is FIFO, so a status answered after `kill_node` returns follows the verdict.
+    fn kill_and_settle(cluster: &mut LocalCluster, node: usize) {
+        cluster.kill_node(node);
+        for survivor in (0..cluster.len()).filter(|&n| n != node) {
+            cluster.status(survivor).expect("survivor answers");
+        }
+    }
 
     #[test]
     fn put_get_roundtrip_over_channels() {
@@ -251,7 +263,7 @@ mod tests {
             cluster.client(0).delete(obj).unwrap();
             // Deletion fans out asynchronously; the views must drop before the next
             // round's frames arrive for the pool to see the slab as free.
-            std::thread::sleep(std::time::Duration::from_millis(100));
+            wait_until_stores_empty(&cluster, &[0, 1]);
         }
         let metrics = cluster.transport_metrics();
         assert!(
@@ -267,10 +279,10 @@ mod tests {
         let obj = ObjectId::from_name("gone");
         cluster.client(0).put(obj, Payload::zeros(5000)).unwrap();
         cluster.client(0).delete(obj).unwrap();
-        // Deletion fans out asynchronously (DirDelete → StoreRelease); give it a moment
-        // to propagate, then a Get from a node that never held the object must fail
-        // with `ObjectDeleted` instead of hanging.
-        std::thread::sleep(std::time::Duration::from_millis(300));
+        // Deletion fans out asynchronously (DirDelete → StoreRelease); once the holder
+        // has let go, the shard primary has recorded the delete, and a Get from a node
+        // that never held the object must fail with `ObjectDeleted` instead of hanging.
+        wait_until_stores_empty(&cluster, &[0]);
         let err = cluster.client(2).get(obj);
         assert!(err.is_err(), "expected deleted-object error, got {err:?}");
     }
@@ -284,6 +296,101 @@ mod tests {
         // The survivors still serve traffic through the shared runtime.
         let got = cluster.client(1).get(obj).unwrap();
         assert_eq!(got.len(), 3000);
+    }
+
+    #[test]
+    fn kill_node_drops_the_store_while_tcp_connections_stay_open() {
+        // Reader threads of the connections into a killed node outlive it and hold
+        // its sink, so `kill_node` must drop the node's state itself, at once.
+        let mut cluster = LocalCluster::with_fabric(2, HopliteConfig::default(), LocalFabric::Tcp);
+        let slab = Arc::new(vec![7u8; 4 * 1024 * 1024]);
+        let watch = Arc::downgrade(&slab);
+        let len = slab.len();
+        let big = ObjectId::from_name("kill-big");
+        cluster.client(1).put(big, Payload::Bytes(bytes::Bytes::from_arc(slab, 0, len))).unwrap();
+        assert_eq!(cluster.client(0).get(big).unwrap().len(), len as u64);
+        // A second object over the same 1 → 0 edge: its writer thread cannot take this
+        // block off its queue while it still holds one of the first object's.
+        let next = ObjectId::from_name("kill-next");
+        cluster.client(1).put(next, Payload::zeros(100_000)).unwrap();
+        assert_eq!(cluster.client(0).get(next).unwrap().len(), 100_000);
+        assert!(watch.upgrade().is_some(), "node 1's store holds the payload");
+        let stale = cluster.client(1);
+        cluster.kill_node(1);
+        assert!(watch.upgrade().is_none(), "the killed node's store must be gone");
+        assert!(cluster.status(1).is_none());
+        assert!(stale.get(big).is_err(), "a client of the killed node errors, not hangs");
+    }
+
+    #[test]
+    fn clients_and_peers_share_one_tcp_node_without_stalling() {
+        // Four client threads hammer put/get/delete on node 0 while it also fetches a
+        // stream of objects from two peers: client threads, reader threads and the
+        // node thread all run node 0, and every call must come back.
+        let cluster = LocalCluster::with_fabric(3, HopliteConfig::default(), LocalFabric::Tcp);
+        let bulk = |peer: usize, i: usize| vec![(peer * 31 + i) as u8; 256 * 1024];
+        std::thread::scope(|s| {
+            for t in 0..4usize {
+                let client = cluster.client(0);
+                s.spawn(move || {
+                    for i in 0..200usize {
+                        let obj = ObjectId::from_name(&format!("hammer-{t}-{i}"));
+                        let data = vec![(t * 50 + i) as u8; 1024];
+                        client.put(obj, Payload::from_vec(data.clone())).unwrap();
+                        assert_eq!(client.get(obj).unwrap(), Payload::from_vec(data));
+                        client.delete(obj).unwrap();
+                    }
+                });
+            }
+            for peer in 1..3usize {
+                let (from, to) = (cluster.client(peer), cluster.client(0));
+                s.spawn(move || {
+                    for i in 0..20usize {
+                        let obj = ObjectId::from_name(&format!("stream-{peer}-{i}"));
+                        from.put(obj, Payload::from_vec(bulk(peer, i))).unwrap();
+                        assert_eq!(to.get(obj).unwrap(), Payload::from_vec(bulk(peer, i)));
+                        to.delete(obj).unwrap();
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn detector_over_tcp_declares_a_silently_killed_node_dead() {
+        // No verdict is delivered: the survivors' SWIM detectors must notice on their
+        // own. Their ack-timeout and suspicion timers are armed by handlers running
+        // on reader threads (an ack or a gossiped suspicion arriving) as well as on
+        // the node thread, so a missed re-arm shows up here as a death never declared.
+        let detector = DetectorConfig {
+            probe_period: Duration::from_millis(40),
+            ack_timeout: Duration::from_millis(15),
+            suspicion_multiplier: 3,
+            ..DetectorConfig::default()
+        };
+        // A full probe cycle to reach the victim, its timeouts, then the suspicion
+        // window — twice over, for a loaded box.
+        let budget = 2 * (detector.probe_period.mul(3) + detector.suspicion_window()).to_std();
+        let cfg = HopliteConfig { detector: Some(detector), ..HopliteConfig::small_for_tests() };
+        let mut cluster = LocalCluster::with_fabric(3, cfg, LocalFabric::Tcp);
+        let dead = |cluster: &LocalCluster, n: usize| {
+            let m = cluster.status(n).expect("survivor answers").metrics;
+            m.deaths_declared + m.membership_deaths_learned
+        };
+        wait_until("the detectors to probe", || {
+            (0..3).all(|n| cluster.status(n).is_some_and(|s| s.metrics.probes_sent > 0))
+        });
+        assert_eq!(dead(&cluster, 0) + dead(&cluster, 1), 0, "no death while all are up");
+        cluster.nodes[2].shutdown(); // silently: `kill_node` would notify the others
+        let killed = Instant::now();
+        wait_until("both survivors to learn of the death", || {
+            dead(&cluster, 0) > 0 && dead(&cluster, 1) > 0
+        });
+        assert!(killed.elapsed() < budget, "detection took {:?}", killed.elapsed());
+        // The survivors still serve each other.
+        let obj = ObjectId::from_name("after-detect");
+        cluster.client(0).put(obj, Payload::zeros(3000)).unwrap();
+        assert_eq!(cluster.client(1).get(obj).unwrap().len(), 3000);
     }
 
     #[test]
@@ -304,10 +411,9 @@ mod tests {
             assert_eq!(cluster.client(node).get(w).unwrap(), Payload::from_vec(data.clone()));
         }
         // Let the replication acks and confirms settle before the first kill.
-        std::thread::sleep(std::time::Duration::from_millis(200));
+        std::thread::sleep(StdDuration::from_millis(200));
         for k in 0..n {
-            cluster.kill_node(k);
-            std::thread::sleep(std::time::Duration::from_millis(100));
+            kill_and_settle(&mut cluster, k);
             // Live traffic while the node is down.
             let wk = ObjectId::from_name(&format!("rolling-local-{k}"));
             let wave: Vec<u8> = (0..8000u32).map(|i| ((i + k as u32) % 239) as u8).collect();
@@ -315,9 +421,10 @@ mod tests {
             let got = cluster.client((k + 2) % n).get(wk).unwrap();
             assert_eq!(got, Payload::from_vec(wave.clone()), "wave {k} served during the outage");
             cluster.restart_node(k);
-            // Give the fresh node time to resync (snapshot + catch-up) and everyone
-            // time to process the recovery notice and re-admission broadcast.
-            std::thread::sleep(std::time::Duration::from_millis(300));
+            // Let the fresh node resync (snapshot + catch-up) first.
+            wait_until("the restarted node to resync", || {
+                cluster.status(k).is_some_and(|s| !s.resyncing)
+            });
             // The restarted node serves traffic again, including re-fetching the
             // long-lived object it lost with its store.
             let refetched = cluster.client(k).get(w).unwrap();
@@ -340,27 +447,21 @@ mod tests {
         let obj = ObjectId::from_name("tcp-restart-w");
         let data: Vec<u8> = (0..12_000u32).map(|i| (i % 249) as u8).collect();
         cluster.client(0).put(obj, Payload::from_vec(data.clone())).unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(200));
+        std::thread::sleep(StdDuration::from_millis(200));
 
-        cluster.kill_node(2);
-        std::thread::sleep(std::time::Duration::from_millis(100));
+        kill_and_settle(&mut cluster, 2);
         // Traffic during the outage still works.
         let mid = ObjectId::from_name("tcp-restart-mid");
         cluster.client(1).put(mid, Payload::zeros(4000)).unwrap();
         assert_eq!(cluster.client(0).get(mid).unwrap().len(), 4000);
 
         cluster.restart_node(2);
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        loop {
+        wait_until("node 2 to resync", || {
             let status = cluster.status(2).expect("restarted node answers status");
-            if !status.resyncing {
-                assert_eq!(status.incarnation, 1, "restart must bump the incarnation");
-                break;
-            }
-            assert!(std::time::Instant::now() < deadline, "node 2 never finished resyncing");
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-        std::thread::sleep(std::time::Duration::from_millis(200));
+            assert_eq!(status.incarnation, 1, "restart must bump the incarnation");
+            !status.resyncing
+        });
+        std::thread::sleep(StdDuration::from_millis(200));
         let got = cluster.client(2).get(obj).unwrap();
         assert_eq!(got, Payload::from_vec(data), "restarted node re-fetched over TCP");
     }
@@ -380,9 +481,8 @@ mod tests {
         cluster.client(1).put(obj, Payload::from_vec(data.clone())).unwrap();
         // Give the async log shipment a moment to reach the backup, then kill the
         // primary (node 3 holds no copy of the object itself).
-        std::thread::sleep(std::time::Duration::from_millis(200));
-        cluster.kill_node(3);
-        std::thread::sleep(std::time::Duration::from_millis(200));
+        std::thread::sleep(StdDuration::from_millis(200));
+        kill_and_settle(&mut cluster, 3);
         let got = cluster.client(2).get(obj).unwrap();
         assert_eq!(got, Payload::from_vec(data));
     }

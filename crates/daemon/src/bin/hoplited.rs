@@ -1,7 +1,7 @@
 //! `hoplited` — the Hoplite node daemon.
 //!
 //! One OS process hosts one object-store node: a TCP fabric listener bound from a
-//! shared cluster address map, the unified event loop of
+//! shared cluster address map whose reader threads run the node through its
 //! [`hoplite_cluster::host::NodeHost`], and a newline-delimited control socket the
 //! deployment controller (`hoplitectl`) drives workload and failure verdicts
 //! through (the protocol table lives in [`hoplite_cluster::process`]).
@@ -64,20 +64,17 @@ fn run() -> std::result::Result<(), String> {
 
     let mut fabric = TcpFabric::bind_node(me, &addrs, incarnation)
         .map_err(|e| format!("bind fabric {}: {e}", addrs[me.index()]))?;
-    let rx_fabric = fabric.take_receiver(me);
     let node = ObjectStoreNode::new(
         me,
         cfg,
         ClusterView::of_size(addrs.len()),
         NodeOptions { synthetic_data: false, pipelined_put: false, incarnation },
     );
-    let host = Arc::new(NodeHost::spawn(
-        node,
-        rx_fabric,
-        fabric.sender(),
-        recover,
-        Arc::new(AtomicU64::new(1)),
-    ));
+    let fabric_tx = Box::new(fabric.sender());
+    let next_op = Arc::new(AtomicU64::new(1));
+    let host = Arc::new(NodeHost::spawn(node, fabric_tx, recover, next_op, |sink| {
+        fabric.attach(me, sink)
+    }));
 
     let listener =
         TcpListener::bind(control).map_err(|e| format!("bind control {control}: {e}"))?;

@@ -1,15 +1,26 @@
 //! Message fabrics: how Hoplite nodes exchange [`Message`]s in real (non-simulated)
-//! deployments.
+//! deployments, and who runs a node when one arrives.
 //!
-//! Two fabrics are provided:
+//! A fabric owns no queue. Each node attaches an [`Ingress`] sink
+//! ([`Fabric::attach`]) and the fabric hands every frame addressed to that node
+//! straight to it, on whichever thread has the frame:
 //!
-//! * [`ChannelFabric`] — in-process crossbeam channels, one queue per node. Used by the
-//!   integration tests and examples that want real data movement without sockets.
 //! * [`crate::tcp::TcpFabric`] — localhost TCP with the framing of [`crate::framing`],
 //!   one connection per (sender, receiver) pair, mirroring the paper's raw-TCP data
-//!   plane.
+//!   plane. A connection's reader thread has nothing else to do, so it calls
+//!   [`Ingress::deliver`] and the sink may run the node's handlers right there.
+//! * [`ChannelFabric`] — in-process, no sockets and no threads of its own: `send`
+//!   runs on the *sender's* thread, usually inside another node's handler, so it
+//!   calls [`Ingress::post`], which only enqueues and wakes the destination's own
+//!   thread. A handler therefore never runs another node, and there is no lock
+//!   order between nodes to get wrong.
 //!
-//! Both preserve per-sender FIFO ordering, which the Hoplite block protocol relies on.
+//! Attaching again swaps the sink (a node restart); frames for a node with no sink
+//! are dropped like frames for a dead node. [`Fabric::take_receiver`] is the adapter
+//! for callers that want a plain queue: it attaches a channel.
+//!
+//! Both fabrics preserve per-sender FIFO ordering, which the Hoplite block protocol
+//! relies on: one sender's frames reach the sink from one thread, in order.
 //!
 //! Both are also **zero-copy for bulk payloads**: the channels fabric moves [`Message`]
 //! values by ownership, so a segmented payload ([`Payload::Segments`]) arrives at the
@@ -39,34 +50,56 @@ pub trait FabricSender: Send + Sync + 'static {
     fn peer_down(&self, _to: NodeId) {}
 }
 
-impl FabricSender for Box<dyn FabricSender> {
-    fn send(&self, from: NodeId, to: NodeId, msg: Message) {
-        (**self).send(from, to, msg)
-    }
+/// Where a fabric puts the frames addressed to one node. Neither method may block.
+pub trait Ingress: Send + Sync + 'static {
+    /// Hand over a frame from inside another node's handler: the sink only enqueues
+    /// it and wakes the destination's own thread.
+    fn post(&self, from: NodeId, msg: Message);
 
-    fn peer_down(&self, to: NodeId) {
-        (**self).peer_down(to)
+    /// Hand over a frame on a thread that is free to run the node (a connection's
+    /// reader thread): the sink may execute the node's handlers before returning.
+    /// A sink with nothing to run just posts, the default.
+    fn deliver(&self, from: NodeId, msg: Message) {
+        self.post(from, msg)
     }
 }
 
-/// A fabric: per-node receive queues plus a cloneable sender.
+/// A node's sink as a fabric holds it.
+pub type IngressSink = Arc<dyn Ingress>;
+
+/// The queue adapter behind [`Fabric::take_receiver`]. A disconnected receiver means
+/// the destination was shut down; the frame is dropped.
+impl Ingress for Sender<(NodeId, Message)> {
+    fn post(&self, from: NodeId, msg: Message) {
+        let _ = self.send((from, msg));
+    }
+}
+
+/// The shared, swappable table of per-node sinks. Senders and reader threads look
+/// the sink up per frame (a reader clones it out, so no lock is held while it runs),
+/// so swapping a slot (node restart) atomically reroutes every surviving connection
+/// to the new incarnation.
+pub(crate) type IngressTable = Arc<RwLock<Vec<Option<IngressSink>>>>;
+
+/// A fabric: a per-node ingress sink plus a cloneable sender.
 pub trait Fabric {
     /// The sender type handed to node threads.
     type Sender: FabricSender + Clone;
 
-    /// Take the receive queue of `node` (can only be taken once).
-    fn take_receiver(&mut self, node: NodeId) -> Receiver<(NodeId, Message)>;
+    /// From now on hand every frame addressed to `node` to `sink`, replacing the
+    /// sink attached before — the fabric-level half of restarting a node. Frames in
+    /// flight to the previous sink go where it puts them (nowhere, for a stopped node).
+    fn attach(&mut self, node: NodeId, sink: IngressSink);
+
+    /// Attach a fresh queue as `node`'s sink and return its receiving end.
+    fn take_receiver(&mut self, node: NodeId) -> Receiver<(NodeId, Message)> {
+        let (tx, rx) = unbounded();
+        self.attach(node, Arc::new(tx));
+        rx
+    }
 
     /// A sender usable from any node thread.
     fn sender(&self) -> Self::Sender;
-
-    /// Replace `node`'s receive queue with a fresh one and return its receiver —
-    /// the fabric-level half of restarting a node. Messages queued for (or in flight
-    /// to) the previous incarnation are dropped with the old queue. Returns `None`
-    /// when the fabric does not support restarts (the default).
-    fn reset_receiver(&mut self, _node: NodeId) -> Option<Receiver<(NodeId, Message)>> {
-        None
-    }
 
     /// Tell the fabric that `node` restarted and now runs at `incarnation`, so any
     /// identity the wire carries (the TCP fabric's `Hello` greeting) advertises the
@@ -83,63 +116,44 @@ pub trait Fabric {
     }
 }
 
-/// The shared, swappable table of per-node ingress queues.
-type IngressTable = Arc<RwLock<Vec<Sender<(NodeId, Message)>>>>;
-
-/// In-process fabric built from crossbeam channels. The per-node ingress senders live
-/// behind a shared `RwLock`ed table so a node's queue can be swapped out on restart
-/// while every outstanding [`ChannelFabricSender`] clone keeps working.
+/// In-process fabric with no queue and no thread of its own: a send posts the message
+/// into the destination's sink on the sender's thread. The sinks live behind a shared
+/// table so one can be swapped on restart while every outstanding
+/// [`ChannelFabricSender`] clone keeps working.
 pub struct ChannelFabric {
-    senders: IngressTable,
-    receivers: Vec<Option<Receiver<(NodeId, Message)>>>,
+    sinks: IngressTable,
 }
 
 /// Sender half of [`ChannelFabric`].
 #[derive(Clone)]
 pub struct ChannelFabricSender {
-    senders: IngressTable,
+    sinks: IngressTable,
 }
 
 impl ChannelFabric {
     /// Build a fabric for `n` nodes.
     pub fn new(n: usize) -> Self {
-        let mut senders = Vec::with_capacity(n);
-        let mut receivers = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(Some(rx));
-        }
-        ChannelFabric { senders: Arc::new(RwLock::new(senders)), receivers }
+        ChannelFabric { sinks: Arc::new(RwLock::new(vec![None; n])) }
     }
 }
 
 impl Fabric for ChannelFabric {
     type Sender = ChannelFabricSender;
 
-    fn take_receiver(&mut self, node: NodeId) -> Receiver<(NodeId, Message)> {
-        self.receivers[node.index()].take().expect("receiver already taken")
+    fn attach(&mut self, node: NodeId, sink: IngressSink) {
+        self.sinks.write()[node.index()] = Some(sink);
     }
 
     fn sender(&self) -> ChannelFabricSender {
-        ChannelFabricSender { senders: self.senders.clone() }
-    }
-
-    fn reset_receiver(&mut self, node: NodeId) -> Option<Receiver<(NodeId, Message)>> {
-        let (tx, rx) = unbounded();
-        // Swapping the slot drops the old sender; once the dead node's pump thread
-        // drains, the old channel disconnects and the pump exits.
-        self.senders.write()[node.index()] = tx;
-        Some(rx)
+        ChannelFabricSender { sinks: self.sinks.clone() }
     }
 }
 
 impl FabricSender for ChannelFabricSender {
     fn send(&self, from: NodeId, to: NodeId, msg: Message) {
-        if let Some(tx) = self.senders.read().get(to.index()) {
-            // A disconnected receiver means the destination node was shut down; the
-            // failure path is exercised through the explicit failure notifications.
-            let _ = tx.send((from, msg));
+        // `post` only enqueues, so it can run under the table's read lock.
+        if let Some(Some(sink)) = self.sinks.read().get(to.index()) {
+            sink.post(from, msg);
         }
     }
 }
@@ -147,6 +161,7 @@ impl FabricSender for ChannelFabricSender {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn channel_fabric_routes_by_destination() {
@@ -169,6 +184,40 @@ mod tests {
         drop(fabric.take_receiver(NodeId(1)));
         let sender = fabric.sender();
         sender.send(NodeId(0), NodeId(1), Message::DirDelete { object: ObjectId::from_name("x") });
+    }
+
+    #[test]
+    fn a_send_only_posts_and_a_new_sink_replaces_the_old() {
+        // `send` runs on the sender's thread, usually inside a node's handler, so it
+        // must never take the `deliver` door (which may run the destination's
+        // handlers on the calling thread). Attaching again swaps the sink.
+        #[derive(Default)]
+        struct Doors {
+            delivered: AtomicUsize,
+            posted: AtomicUsize,
+        }
+        impl Ingress for Doors {
+            fn deliver(&self, _: NodeId, _: Message) {
+                self.delivered.fetch_add(1, Ordering::SeqCst);
+            }
+            fn post(&self, _: NodeId, _: Message) {
+                self.posted.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let counts =
+            |d: &Doors| (d.delivered.load(Ordering::SeqCst), d.posted.load(Ordering::SeqCst));
+        let mut fabric = ChannelFabric::new(2);
+        let sender = fabric.sender();
+        let msg = || Message::DirDelete { object: ObjectId::from_name("door") };
+        sender.send(NodeId(0), NodeId(1), msg()); // no sink yet: dropped
+        let (first, second) = (Arc::new(Doors::default()), Arc::new(Doors::default()));
+        fabric.attach(NodeId(1), first.clone());
+        sender.send(NodeId(0), NodeId(1), msg());
+        sender.send(NodeId(1), NodeId(1), msg());
+        fabric.attach(NodeId(1), second.clone());
+        sender.send(NodeId(0), NodeId(1), msg());
+        assert_eq!(counts(&first), (0, 2));
+        assert_eq!(counts(&second), (0, 1));
     }
 
     #[test]

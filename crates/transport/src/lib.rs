@@ -4,12 +4,12 @@
 //!
 //! * [`framing`] — length-prefixed binary wire format, declared once as a message
 //!   table, carrying the paper's gRPC-control / raw-TCP-data split in one stream;
-//! * [`fabric::ChannelFabric`] — in-process crossbeam-channel fabric;
+//! * [`fabric::ChannelFabric`] — in-process fabric, a send posts into the receiver's sink;
 //! * [`tcp::TcpFabric`] — localhost TCP fabric with one connection per peer pair.
 //!
-//! The node event loop that drives [`hoplite_core::node::ObjectStoreNode`] over these
-//! fabrics lives in `hoplite-cluster` (`LocalCluster`), so that simulated and real
-//! deployments expose the same user-facing API.
+//! The host that runs [`hoplite_core::node::ObjectStoreNode`] on the threads these
+//! fabrics deliver on lives in `hoplite-cluster` (`NodeHost`), so that simulated and
+//! real deployments expose the same user-facing API.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -18,5 +18,5 @@ pub mod fabric;
 pub mod framing;
 pub mod tcp;
 
-pub use fabric::{ChannelFabric, ChannelFabricSender, Fabric, FabricSender};
+pub use fabric::{ChannelFabric, ChannelFabricSender, Fabric, FabricSender, Ingress};
 pub use tcp::{TcpFabric, TcpFabricSender};

@@ -3,9 +3,12 @@
 //! Each node listens on an ephemeral `127.0.0.1` port. Senders open one TCP connection
 //! per destination edge; the first frame on a connection is a [`Message::Hello`]
 //! carrying the sender's node id, after which framed [`Message`]s flow. A reader
-//! thread per accepted connection decodes frames and pushes them onto the destination
-//! node's receive queue, preserving per-sender FIFO order exactly like the in-process
-//! fabric.
+//! thread per accepted connection decodes frames and hands each to the destination
+//! node's [`Ingress`] sink with [`Ingress::deliver`] — the node's handlers may run on
+//! the reader thread itself — preserving per-sender FIFO order exactly like the
+//! in-process fabric. A node's listener accepts from the moment its first sink is
+//! attached; until then connections wait in the kernel's backlog, so no frame can
+//! arrive with nowhere to go.
 //!
 //! Both directions are **zero-copy** for bulk payloads:
 //!
@@ -33,25 +36,24 @@ use hoplite_core::buffer::SlabPool;
 use hoplite_core::prelude::*;
 use parking_lot::{Mutex, RwLock};
 
-use crate::fabric::{Fabric, FabricSender};
+use crate::fabric::{Fabric, FabricSender, IngressSink, IngressTable};
 use crate::framing::{write_frame_vectored, Cork, FrameReader};
 
-/// The shared, swappable table of per-node ingress queues. Reader threads look the
-/// current queue up per frame, so swapping a slot (node restart) atomically reroutes
-/// every surviving connection to the new incarnation's queue.
-type IngressTable = Arc<RwLock<Vec<Sender<(NodeId, Message)>>>>;
+/// How long an accepted connection may take to introduce itself before it is dropped.
+const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// A TCP-backed fabric for `n` co-hosted (or genuinely remote) nodes.
 pub struct TcpFabric {
     addrs: Arc<Vec<SocketAddr>>,
     ingress: IngressTable,
-    receivers: Vec<Option<Receiver<(NodeId, Message)>>>,
+    /// Bound listeners whose accept loop has not started: it starts with the slot's
+    /// first [`Fabric::attach`].
+    listeners: Vec<Option<TcpListener>>,
     incarnations: Arc<RwLock<Vec<u64>>>,
     /// Where every reader thread's receive slabs come from and go back to.
     recv_pool: SlabPool,
     corked_frames: Arc<AtomicU64>,
     corked_writes: Arc<AtomicU64>,
-    _listeners: Vec<thread::JoinHandle<()>>,
 }
 
 /// Live writer-thread queues, keyed by `(from, to)` edge.
@@ -70,38 +72,16 @@ pub struct TcpFabricSender {
 }
 
 impl TcpFabric {
-    /// Bind `n` listeners on localhost and start their accept loops.
+    /// Bind `n` listeners on localhost.
     pub fn new(n: usize) -> std::io::Result<Self> {
         let mut addrs = Vec::with_capacity(n);
         let mut listeners = Vec::with_capacity(n);
-        let mut ingress = Vec::with_capacity(n);
-        let mut receivers = Vec::with_capacity(n);
-        let mut accept_threads = Vec::new();
-        let recv_pool = SlabPool::new();
         for _ in 0..n {
             let listener = TcpListener::bind("127.0.0.1:0")?;
             addrs.push(listener.local_addr()?);
-            let (tx, rx) = unbounded();
-            ingress.push(tx);
-            receivers.push(Some(rx));
-            listeners.push(listener);
+            listeners.push(Some(listener));
         }
-        let ingress = Arc::new(RwLock::new(ingress));
-        for (slot, listener) in listeners.into_iter().enumerate() {
-            let pool = recv_pool.clone();
-            let table = ingress.clone();
-            accept_threads.push(thread::spawn(move || accept_loop(listener, slot, table, pool)));
-        }
-        Ok(TcpFabric {
-            addrs: Arc::new(addrs),
-            ingress,
-            receivers,
-            incarnations: Arc::new(RwLock::new(vec![0; n])),
-            recv_pool,
-            corked_frames: Arc::new(AtomicU64::new(0)),
-            corked_writes: Arc::new(AtomicU64::new(0)),
-            _listeners: accept_threads,
-        })
+        Ok(Self::over(addrs, listeners, vec![0; n]))
     }
 
     /// Bind only `me`'s listener from a cluster address map — the one-node-per-process
@@ -116,33 +96,27 @@ impl TcpFabric {
         let mut addrs = addrs.to_vec();
         // Resolve a requested port 0 to the port actually bound.
         addrs[me.index()] = listener.local_addr()?;
-        let mut ingress = Vec::with_capacity(n);
-        let mut receivers = Vec::with_capacity(n);
-        for i in 0..n {
-            let (tx, rx) = unbounded();
-            ingress.push(tx);
-            receivers.push((i == me.index()).then_some(rx));
-        }
-        let ingress = Arc::new(RwLock::new(ingress));
-        let recv_pool = SlabPool::new();
+        let mut listeners: Vec<Option<TcpListener>> = (0..n).map(|_| None).collect();
+        listeners[me.index()] = Some(listener);
         let mut incarnations = vec![0; n];
         incarnations[me.index()] = incarnation;
-        let accept = {
-            let table = ingress.clone();
-            let pool = recv_pool.clone();
-            let slot = me.index();
-            thread::spawn(move || accept_loop(listener, slot, table, pool))
-        };
-        Ok(TcpFabric {
+        Ok(Self::over(addrs, listeners, incarnations))
+    }
+
+    fn over(
+        addrs: Vec<SocketAddr>,
+        listeners: Vec<Option<TcpListener>>,
+        incarnations: Vec<u64>,
+    ) -> Self {
+        TcpFabric {
+            ingress: Arc::new(RwLock::new(vec![None; addrs.len()])),
             addrs: Arc::new(addrs),
-            ingress,
-            receivers,
+            listeners,
             incarnations: Arc::new(RwLock::new(incarnations)),
-            recv_pool,
+            recv_pool: SlabPool::new(),
             corked_frames: Arc::new(AtomicU64::new(0)),
             corked_writes: Arc::new(AtomicU64::new(0)),
-            _listeners: vec![accept],
-        })
+        }
     }
 
     /// Addresses of every node's listener (diagnostics).
@@ -183,46 +157,49 @@ fn bind_with_retry(addr: SocketAddr) -> std::io::Result<TcpListener> {
     Err(last.expect("retry loop ran at least once"))
 }
 
+/// Accept connections for node `slot`. Each one must introduce itself with a
+/// [`Message::Hello`] (read here, so its reader thread can carry the edge in its
+/// name) and then gets a reader thread that hands every frame — the Hello first, so a
+/// survivor that sees a restarted peer reconnect learns the new incarnation — to the
+/// slot's sink. The sink is looked up per frame: a restart swaps it, and a surviving
+/// connection must start feeding the new incarnation.
 fn accept_loop(listener: TcpListener, slot: usize, ingress: IngressTable, pool: SlabPool) {
     for stream in listener.incoming() {
         let Ok(stream) = stream else { return };
+        let _ = stream.set_read_timeout(Some(HELLO_TIMEOUT));
+        let Ok(timeouts) = stream.try_clone() else { continue };
+        let mut reader = FrameReader::with_pool(stream, pool.clone());
+        let Ok(hello @ Message::Hello { node: from, .. }) = reader.read_message() else {
+            continue;
+        };
+        let _ = timeouts.set_read_timeout(None);
         let ingress = ingress.clone();
-        let pool = pool.clone();
-        thread::spawn(move || {
-            let mut reader = FrameReader::with_pool(stream, pool);
-            // First frame identifies the peer (and its incarnation). The Hello is
-            // forwarded to the node like any other frame: a survivor that sees a
-            // restarted peer reconnect learns the new incarnation from it.
-            let Ok(Message::Hello { node: from, incarnation }) = reader.read_message() else {
-                return;
-            };
-            if ingress.read()[slot]
-                .send((from, Message::Hello { node: from, incarnation }))
-                .is_err()
-            {
-                return;
-            }
-            loop {
-                match reader.read_message() {
-                    Ok(msg) => {
-                        // Look the queue up per frame: a restart swaps the slot, and
-                        // this connection must start feeding the new incarnation.
-                        if ingress.read()[slot].send((from, msg)).is_err() {
-                            return;
-                        }
-                    }
-                    Err(_) => return,
+        thread::Builder::new()
+            .name(format!("hoplite-reader-{slot}-{}", from.0))
+            .spawn(move || {
+                let mut next = Ok(hello);
+                while let Ok(msg) = next {
+                    let Some(sink) = ingress.read()[slot].clone() else { return };
+                    sink.deliver(from, msg);
+                    next = reader.read_message();
                 }
-            }
-        });
+            })
+            .expect("spawn reader thread");
     }
 }
 
 impl Fabric for TcpFabric {
     type Sender = TcpFabricSender;
 
-    fn take_receiver(&mut self, node: NodeId) -> Receiver<(NodeId, Message)> {
-        self.receivers[node.index()].take().expect("receiver already taken")
+    fn attach(&mut self, node: NodeId, sink: IngressSink) {
+        self.ingress.write()[node.index()] = Some(sink);
+        if let Some(listener) = self.listeners[node.index()].take() {
+            let (slot, table, pool) = (node.index(), self.ingress.clone(), self.recv_pool.clone());
+            thread::Builder::new()
+                .name(format!("hoplite-accept-{slot}"))
+                .spawn(move || accept_loop(listener, slot, table, pool))
+                .expect("spawn accept thread");
+        }
     }
 
     fn sender(&self) -> TcpFabricSender {
@@ -239,16 +216,6 @@ impl Fabric for TcpFabric {
 
     fn note_restart(&mut self, node: NodeId, incarnation: u64) {
         self.set_incarnation(node, incarnation);
-    }
-
-    fn reset_receiver(&mut self, node: NodeId) -> Option<Receiver<(NodeId, Message)>> {
-        let (tx, rx) = unbounded();
-        // Swapping the slot drops the old sender; frames queued for the previous
-        // incarnation go with it, and every live reader thread picks up the new
-        // queue on its next frame.
-        self.ingress.write()[node.index()] = tx;
-        self.receivers[node.index()] = None;
-        Some(rx)
     }
 
     fn transport_metrics(&self) -> NodeMetrics {
@@ -294,7 +261,10 @@ impl TcpFabricSender {
         let (tx, rx) = unbounded();
         let corked_frames = self.corked_frames.clone();
         let corked_writes = self.corked_writes.clone();
-        thread::spawn(move || writer_loop(stream, rx, corked_frames, corked_writes));
+        thread::Builder::new()
+            .name(format!("hoplite-writer-{}-{}", from.0, to.0))
+            .spawn(move || writer_loop(stream, rx, corked_frames, corked_writes))
+            .ok()?;
         self.edges.lock().insert(key, tx.clone());
         Some(tx)
     }
@@ -368,6 +338,7 @@ impl FabricSender for TcpFabricSender {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::Ingress;
     use std::time::Duration as StdDuration;
 
     /// Receive the next non-Hello frame (every edge now leads with a forwarded
@@ -625,6 +596,27 @@ mod tests {
     }
 
     #[test]
+    fn frames_are_delivered_on_a_reader_thread_named_after_its_edge() {
+        struct Names(Sender<Option<String>>);
+        impl Ingress for Names {
+            fn deliver(&self, _: NodeId, _: Message) {
+                let _ = self.0.send(thread::current().name().map(str::to_string));
+            }
+            fn post(&self, _: NodeId, _: Message) {
+                let _ = self.0.send(None); // a reader thread must use `deliver`
+            }
+        }
+        let mut fabric = TcpFabric::new(3).unwrap();
+        let (tx, rx) = unbounded();
+        fabric.attach(NodeId(1), Arc::new(Names(tx)));
+        fabric.sender().send(NodeId(2), NodeId(1), Message::DirAck { shard: 0, epoch: 1, seq: 1 });
+        for _ in 0..2 {
+            let name = rx.recv_timeout(StdDuration::from_secs(5)).unwrap();
+            assert_eq!(name.as_deref(), Some("hoplite-reader-1-2"));
+        }
+    }
+
+    #[test]
     fn reset_receiver_reroutes_live_connections_to_the_new_queue() {
         let mut fabric = TcpFabric::new(2).unwrap();
         let rx = fabric.take_receiver(NodeId(1));
@@ -632,9 +624,9 @@ mod tests {
         sender.send(NodeId(0), NodeId(1), Message::DirAck { shard: 0, epoch: 1, seq: 1 });
         assert!(matches!(recv_data(&rx).1, Message::DirAck { seq: 1, .. }));
 
-        // Restart node 1: swap its queue. The already-established connection from
-        // node 0 must start feeding the new queue without reconnecting.
-        let rx2 = fabric.reset_receiver(NodeId(1)).expect("tcp fabric supports restarts");
+        // Restart node 1: swap its sink. The already-established connection from
+        // node 0 must start feeding the new one without reconnecting.
+        let rx2 = fabric.take_receiver(NodeId(1));
         drop(rx);
         sender.send(NodeId(0), NodeId(1), Message::DirAck { shard: 0, epoch: 1, seq: 2 });
         assert!(matches!(recv_data(&rx2).1, Message::DirAck { seq: 2, .. }));

@@ -1,21 +1,23 @@
 #!/usr/bin/env bash
 # Line counts the ROADMAP tracks ("line count per crate is a tracked number"), as a
 # markdown report: non-test .rs lines per crate and per directory/*.rs file, the
-# workspace total, and the HopliteConfig field count.
+# workspace total, the HopliteConfig field count, and the lifecycle counts of
+# ROADMAP's transport item (unbounded queues, sleeps, thread-spawn sites).
 #
 # "Non-test" = lines of a file before its first top-level `#[cfg(test)]`, skipping
 # `tests.rs` files and `tests/` directories. Run from anywhere: scripts/loc.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-non_test() { # non-test lines of the .rs files given on stdin
-    local total=0 f
+non_test_text() { # the non-test text of the .rs files given on stdin
+    local f
     while read -r f; do
         case "$f" in tests/* | */tests/* | */tests.rs) continue ;; esac
-        total=$((total + $(awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f")))
+        awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$f"
     done
-    echo "$total"
 }
+
+non_test() { non_test_text | wc -l | tr -d ' '; } # non-test lines of the files on stdin
 
 all_lines() { xargs cat | wc -l | tr -d ' '; }
 
@@ -41,3 +43,15 @@ echo "| **total** | $(find crates/core/src/directory -name '*.rs' | non_test) |"
 echo
 fields=$(awk '/^pub struct HopliteConfig \{/ { on = 1; next } on && /^\}/ { exit } on && /^    pub / { n++ } END { print n + 0 }' crates/core/src/config.rs)
 echo "\`HopliteConfig\` fields: $fields"
+
+# Lifecycle counts: occurrences in non-test code outside crates/compat (the stand-ins
+# define `unbounded`, they do not use it).
+occurrences() { # <fixed string>
+    find crates src examples -name '*.rs' -not -path 'crates/compat/*' | sort | non_test_text | grep -oF -- "$1" | wc -l | tr -d ' '
+}
+echo
+echo "| lifecycle count (non-test, outside crates/compat) | sites |"
+echo "|---|---:|"
+echo "| \`unbounded(\` call sites | $(occurrences 'unbounded(') |"
+echo "| \`thread::sleep\` calls | $(occurrences 'thread::sleep') |"
+echo "| thread-spawn sites (\`thread::spawn\`, \`Builder::new()\`, \`spawn_scoped\`) | $(($(occurrences 'thread::spawn') + $(occurrences 'thread::Builder::new()') + $(occurrences 'spawn_scoped'))) |"
