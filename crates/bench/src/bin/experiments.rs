@@ -8,8 +8,10 @@
 //! ```
 //!
 //! Output is a set of aligned text tables (one series per column), mirroring the series
-//! plotted in the corresponding paper figure. `EXPERIMENTS.md` records the
-//! paper-vs-measured comparison for each of them.
+//! plotted in the corresponding paper figure. Every number is **modelled**: the Hoplite
+//! column is the simulator, the comparators are `hoplite-baselines`' analytic cost models
+//! on the same `NetworkModel`, and each table's header says so. Real-bytes numbers come
+//! from `perf/`.
 
 use hoplite_apps::fault::{
     async_sgd_failure_timeline, broadcast_failover_demo, figure12_systems, serving_failure_timeline,
@@ -39,7 +41,7 @@ fn human_size(bytes: u64) -> String {
 
 fn header(title: &str) {
     println!();
-    println!("==== {title} ====");
+    println!("==== {title} [modelled] ====");
 }
 
 fn fig6() {

@@ -59,10 +59,6 @@ pub struct HopliteConfig {
     /// may go unresolved before bulk expiry reclaims it. Expiry runs on a
     /// two-generation timer wheel, so actual lifetime is between one and two TTLs.
     pub directory_lease_ttl: Duration,
-    /// Optional idle TTL for unpinned complete objects in the local store: objects
-    /// untouched for two GC ticks (the tick period is `directory_lease_ttl`) are
-    /// evicted. `None` disables TTL GC; capacity-pressure LRU eviction still runs.
-    pub store_gc_ttl: Option<Duration>,
     /// SWIM-style gossip failure detector. `None` (the default) disables it:
     /// liveness then comes only from driver verdicts (`peer-failed` notices, the
     /// simulator's fault schedule), exactly as before. `Some` arms a per-node
@@ -86,7 +82,6 @@ impl Default for HopliteConfig {
             directory_inline_cache_bytes: 64 * 1024 * 1024,
             directory_log_retention: 1024,
             directory_lease_ttl: Duration::from_secs(30),
-            store_gc_ttl: None,
             detector: None,
         }
     }

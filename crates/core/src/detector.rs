@@ -1,41 +1,36 @@
 //! SWIM-style gossip failure detector (decentralized liveness, §3.5 companion).
 //!
-//! [`MembershipView`](crate::membership::MembershipView) arbitrates *evidence* of
-//! deaths and restarts but is deliberately dumb about *detection*. Until now the
-//! only detectors were drivers with god's-eye views: the simulator's fault
-//! schedule and `hoplitectl`'s explicit `peer-failed` verdicts. This module adds
-//! the missing decentralized detector in the same sans-IO style: a pure,
-//! tick-driven state machine that each node runs against its own clock.
+//! **The detector is a prober.** It owns what detection needs and nothing else: the
+//! shuffled probe ring, the one outstanding probe, the gossip retransmit queue, its
+//! rng and its [`DetectorConfig`]. What is believed about each peer lives in the
+//! node's one liveness table ([`MembershipView`], which also holds the override
+//! policy); the detector *borrows* it — to skip dead peers, to time suspicion
+//! windows, to fill gossip — and never writes it. Its verdicts are
+//! [`DetectorAction`]s, which the node feeds through the same evidence function as a
+//! supervisor notice or a gossiped claim.
 //!
 //! The protocol is SWIM (Das, Gupta, Motivala 2002) with the incarnation
-//! refinement from Lifeguard-era practice:
+//! refinement from Lifeguard-era practice, in the crate's sans-IO style — a pure,
+//! tick-driven state machine that each node runs against its own clock:
 //!
 //! * every probe period the node pings one peer, walking a shuffled ring so
 //!   probing is round-robin-random (every peer probed once per cycle);
 //! * a missed direct ack escalates to `k` indirect **ping-req**s through random
-//!   relays before the peer is moved to **Suspect**;
+//!   relays before the detector asks for the peer to be moved to **Suspect**;
 //! * a Suspect peer that stays silent for the suspicion window is declared
 //!   **Dead** — the verdict feeds the exact same failure path a supervisor
 //!   notice would;
 //! * a suspected-but-alive node *refutes* by bumping its incarnation and
-//!   gossiping the newer liveness claim; `MembershipView::note_alive` already
-//!   arbitrates that correctly because death is sticky per incarnation.
+//!   gossiping the newer liveness claim, which the table arbitrates like any other.
 //!
 //! Dissemination is epidemic: every `Ping`/`Ack`/`PingReq` piggybacks a bounded
-//! digest of recent membership claims (`(node, incarnation, state)` triples),
+//! digest of recently changed table entries (`(node, incarnation, state)` triples),
 //! each retransmitted a logarithmic number of times. Two entries are
 //! prioritized on every message: the sender's own alive claim, and whatever the
 //! sender believes about the *destination* — so a suspected node always learns
 //! of its suspicion from the next message it receives and can refute in time.
-//!
-//! The detector never touches the membership view itself. It emits
-//! [`DetectorAction`]s; the node facade translates them into wire messages and
-//! feeds confirmed verdicts through `MembershipView` + the §3.5 failure rules.
-//! The override rules here mirror the view's arbitration exactly:
-//! `Alive{i}` beats `Suspect{j}`/`Dead{j}` iff `i > j`; `Suspect{i}` beats
-//! `Alive{j}` iff `i >= j`; `Dead{i}` beats anything with `j <= i` and is
-//! sticky within an incarnation.
 
+use crate::membership::MembershipView;
 use crate::object::NodeId;
 use crate::time::{Duration, Time};
 
@@ -170,23 +165,16 @@ struct Outstanding {
 }
 
 #[derive(Clone, Copy, Debug)]
-struct PeerState {
-    incarnation: u64,
-    state: GossipState,
-    /// Valid only while `state == Suspect`.
-    suspect_expires: Time,
-}
-
-#[derive(Clone, Copy, Debug)]
 struct QueuedEntry {
     node: NodeId,
     sends_left: u32,
 }
 
-/// The per-node SWIM failure detector. Pure state machine: the driver calls
+/// The per-node SWIM prober. Pure state machine: the driver calls
 /// [`tick`](FailureDetector::tick) whenever the timer it armed for
-/// [`next_wake`](FailureDetector::next_wake) fires, forwards acks and gossip
-/// observations, and executes the returned [`DetectorAction`]s.
+/// [`next_wake`](FailureDetector::next_wake) fires, forwards acks, applies the
+/// returned [`DetectorAction`]s, and reports every table entry that changed through
+/// [`disseminate`](FailureDetector::disseminate).
 #[derive(Clone, Debug)]
 pub struct FailureDetector {
     me: NodeId,
@@ -197,7 +185,6 @@ pub struct FailureDetector {
     next_probe_at: Time,
     next_probe_id: u64,
     outstanding: Option<Outstanding>,
-    states: Vec<PeerState>,
     queue: Vec<QueuedEntry>,
     retransmit_limit: u32,
 }
@@ -236,14 +223,6 @@ impl FailureDetector {
             ring_pos: 0,
             next_probe_id: 0,
             outstanding: None,
-            states: vec![
-                PeerState {
-                    incarnation: 0,
-                    state: GossipState::Alive,
-                    suspect_expires: Time::ZERO,
-                };
-                n
-            ],
             queue: Vec::new(),
         };
         det.reshuffle();
@@ -257,34 +236,30 @@ impl FailureDetector {
         }
     }
 
-    fn enqueue(&mut self, node: NodeId) {
+    /// Queue `node`'s table entry for gossip: the node calls this whenever a claim
+    /// changed it, whatever the claim's source.
+    pub fn disseminate(&mut self, node: NodeId) {
         self.queue.retain(|q| q.node != node);
         self.queue.push(QueuedEntry { node, sends_left: self.retransmit_limit });
     }
 
-    /// Our current belief about `node`: `(incarnation, state)`.
-    pub fn peer_state(&self, node: NodeId) -> (u64, GossipState) {
-        let s = &self.states[node.0 as usize];
-        (s.incarnation, s.state)
-    }
-
     /// When the driver should next call [`tick`](FailureDetector::tick): the
     /// earliest of the next probe round, the outstanding probe's ack deadline,
-    /// and the nearest suspicion expiry.
-    pub fn next_wake(&self, _now: Time) -> Time {
+    /// and the nearest suspicion expiry in `table`.
+    pub fn next_wake(&self, table: &MembershipView) -> Time {
         let mut wake = self.next_probe_at;
         if let Some(o) = &self.outstanding {
             wake = wake.min(o.deadline);
         }
-        for s in &self.states {
-            if s.state == GossipState::Suspect {
-                wake = wake.min(s.suspect_expires);
-            }
+        for (_, _, since) in table.suspects() {
+            wake = wake.min(since + self.cfg.suspicion_window());
         }
         wake
     }
 
-    fn next_target(&mut self) -> Option<NodeId> {
+    /// The next ring position worth probing: not dead, and not about to be declared
+    /// dead by this very tick.
+    fn next_target(&mut self, table: &MembershipView, expired: &[NodeId]) -> Option<NodeId> {
         for _ in 0..self.ring.len() {
             if self.ring_pos >= self.ring.len() {
                 self.ring_pos = 0;
@@ -292,19 +267,17 @@ impl FailureDetector {
             }
             let cand = self.ring[self.ring_pos];
             self.ring_pos += 1;
-            if self.states[cand.0 as usize].state != GossipState::Dead {
+            if table.is_alive(cand) && !expired.contains(&cand) {
                 return Some(cand);
             }
         }
         None
     }
 
-    fn pick_relays(&mut self, target: NodeId) -> Vec<NodeId> {
-        let mut candidates: Vec<NodeId> = (0..self.states.len() as u32)
+    fn pick_relays(&mut self, table: &MembershipView, target: NodeId) -> Vec<NodeId> {
+        let mut candidates: Vec<NodeId> = (0..table.len() as u32)
             .map(NodeId)
-            .filter(|&p| {
-                p != self.me && p != target && self.states[p.0 as usize].state != GossipState::Dead
-            })
+            .filter(|&p| p != self.me && p != target && table.is_alive(p))
             .collect();
         for i in (1..candidates.len()).rev() {
             let j = (splitmix(&mut self.rng) % (i as u64 + 1)) as usize;
@@ -314,68 +287,55 @@ impl FailureDetector {
         candidates
     }
 
-    fn start_suspicion(&mut self, target: NodeId, now: Time, out: &mut Vec<DetectorAction>) {
-        let window = self.cfg.suspicion_window();
-        let s = &mut self.states[target.0 as usize];
-        if s.state != GossipState::Alive {
-            return;
-        }
-        s.state = GossipState::Suspect;
-        s.suspect_expires = now + window;
-        let incarnation = s.incarnation;
-        self.enqueue(target);
-        out.push(DetectorAction::Suspect { node: target, incarnation });
-    }
-
-    /// Advance the state machine to `now`. Escalates or abandons the
-    /// outstanding probe, expires suspicion windows into death verdicts, and
-    /// starts the next probe round when due.
-    pub fn tick(&mut self, now: Time, out: &mut Vec<DetectorAction>) {
+    /// Advance the state machine to `now` against the node's liveness `table`.
+    /// Escalates or abandons the outstanding probe, turns expired suspicion windows
+    /// into death verdicts, and starts the next probe round when due. The table is
+    /// only read: the caller applies the `Suspect` / `Dead` actions to it — before it
+    /// frames this tick's probes, so their gossip already carries the verdicts.
+    pub fn tick(&mut self, table: &MembershipView, now: Time, out: &mut Vec<DetectorAction>) {
         if let Some(o) = self.outstanding {
             if now >= o.deadline {
-                match o.phase {
-                    ProbePhase::Direct => {
-                        let relays = self.pick_relays(o.target);
-                        if relays.is_empty() {
-                            self.start_suspicion(o.target, now, out);
-                            self.outstanding = None;
-                        } else {
-                            for relay in relays {
-                                out.push(DetectorAction::PingReq {
-                                    relay,
-                                    target: o.target,
-                                    probe_id: o.probe_id,
-                                });
-                            }
-                            self.outstanding = Some(Outstanding {
-                                phase: ProbePhase::Indirect,
-                                deadline: o.deadline + self.cfg.ack_timeout,
-                                ..o
-                            });
-                        }
+                let relays = match o.phase {
+                    ProbePhase::Direct => self.pick_relays(table, o.target),
+                    ProbePhase::Indirect => Vec::new(),
+                };
+                if relays.is_empty() {
+                    // Unanswered directly and through relays: ask for the target to be
+                    // suspected, unless the table already holds worse than alive.
+                    if let Some((incarnation, GossipState::Alive)) = table.get(o.target) {
+                        out.push(DetectorAction::Suspect { node: o.target, incarnation });
                     }
-                    ProbePhase::Indirect => {
-                        self.start_suspicion(o.target, now, out);
-                        self.outstanding = None;
+                    self.outstanding = None;
+                } else {
+                    for relay in relays {
+                        out.push(DetectorAction::PingReq {
+                            relay,
+                            target: o.target,
+                            probe_id: o.probe_id,
+                        });
                     }
+                    self.outstanding = Some(Outstanding {
+                        phase: ProbePhase::Indirect,
+                        deadline: o.deadline + self.cfg.ack_timeout,
+                        ..o
+                    });
                 }
             }
         }
 
-        for idx in 0..self.states.len() {
-            let s = self.states[idx];
-            if s.state == GossipState::Suspect && now >= s.suspect_expires {
-                let node = NodeId(idx as u32);
-                self.states[idx].state = GossipState::Dead;
-                self.enqueue(node);
-                out.push(DetectorAction::Dead { node, incarnation: s.incarnation });
+        let window = self.cfg.suspicion_window();
+        let mut expired = Vec::new();
+        for (node, incarnation, since) in table.suspects() {
+            if now >= since + window {
+                expired.push(node);
+                out.push(DetectorAction::Dead { node, incarnation });
             }
         }
 
         if now >= self.next_probe_at {
             self.next_probe_at = now + self.cfg.probe_period;
             if self.outstanding.is_none() {
-                if let Some(target) = self.next_target() {
+                if let Some(target) = self.next_target(table, &expired) {
                     self.next_probe_id += 1;
                     let probe_id = self.next_probe_id;
                     self.outstanding = Some(Outstanding {
@@ -402,105 +362,20 @@ impl FailureDetector {
         }
     }
 
-    /// Fold in an alive claim for `(node, incarnation)` (from gossip, `Hello`,
-    /// `DirResynced`, or a digest). Clears Suspect/Dead only when the claim
-    /// names a strictly newer incarnation. Returns `true` if the belief
-    /// changed (and was queued for further gossip).
-    pub fn observe_alive(&mut self, node: NodeId, incarnation: u64) -> bool {
-        if node == self.me {
-            return false;
-        }
-        let s = &mut self.states[node.0 as usize];
-        if incarnation > s.incarnation {
-            s.incarnation = incarnation;
-            s.state = GossipState::Alive;
-            self.enqueue(node);
-            return true;
-        }
-        false
-    }
-
-    /// Fold in a gossiped suspicion of `(node, incarnation)`. Suspicion beats
-    /// an alive claim at the *same* incarnation (that is what forces the
-    /// refutation bump) but never un-kills a dead incarnation. Each node runs
-    /// its own suspicion window from when it first learns of the suspicion.
-    /// Returns `true` if `node` newly entered Suspect here.
-    pub fn observe_suspect(&mut self, node: NodeId, incarnation: u64, now: Time) -> bool {
-        if node == self.me {
-            return false;
-        }
-        let window = self.cfg.suspicion_window();
-        let s = &mut self.states[node.0 as usize];
-        match s.state {
-            GossipState::Alive => {
-                if incarnation >= s.incarnation {
-                    s.incarnation = incarnation;
-                    s.state = GossipState::Suspect;
-                    s.suspect_expires = now + window;
-                    self.enqueue(node);
-                    return true;
-                }
-            }
-            GossipState::Suspect => {
-                if incarnation > s.incarnation {
-                    s.incarnation = incarnation;
-                    s.suspect_expires = now + window;
-                    self.enqueue(node);
-                }
-            }
-            GossipState::Dead => {
-                // Death is sticky within an incarnation: only a suspicion of a
-                // strictly newer incarnation (restarted, then went quiet) can
-                // move a Dead entry back to Suspect.
-                if incarnation > s.incarnation {
-                    s.incarnation = incarnation;
-                    s.state = GossipState::Suspect;
-                    s.suspect_expires = now + window;
-                    self.enqueue(node);
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    /// Fold in a death claim for `(node, incarnation)`. Returns `true` if this
-    /// was news (the node was not already Dead at this or a newer
-    /// incarnation).
-    pub fn observe_dead(&mut self, node: NodeId, incarnation: u64) -> bool {
-        if node == self.me {
-            return false;
-        }
-        let s = &mut self.states[node.0 as usize];
-        if s.state == GossipState::Dead {
-            if incarnation > s.incarnation {
-                s.incarnation = incarnation;
-                self.enqueue(node);
-            }
-            return false;
-        }
-        if incarnation >= s.incarnation {
-            s.incarnation = incarnation;
-            s.state = GossipState::Dead;
-            self.enqueue(node);
-            return true;
-        }
-        false
-    }
-
-    /// The bounded gossip digest to piggyback on a message to `dest`. Always
-    /// leads with our own alive claim (`self_incarnation` comes from the
-    /// membership view, the sole authority on it), then whatever we believe
-    /// about `dest` if it is under suspicion or dead — guaranteeing a
-    /// suspected destination hears about it and can refute — then drains the
-    /// retransmit queue round-robin up to the budget.
-    pub fn piggyback(&mut self, dest: NodeId, self_incarnation: u64) -> Vec<GossipEntry> {
+    /// The bounded gossip digest to piggyback on a message to `dest`, read out of
+    /// `table`. Always leads with our own alive claim, then whatever we believe
+    /// about `dest` if it is under suspicion or dead — guaranteeing a suspected
+    /// destination hears about it and can refute — then drains the retransmit
+    /// queue round-robin up to the budget.
+    pub fn piggyback(&mut self, table: &MembershipView, dest: NodeId) -> Vec<GossipEntry> {
         let cap = self.cfg.gossip_budget.max(2);
-        let mut out: Vec<GossipEntry> = vec![(self.me, self_incarnation, GossipState::Alive)];
+        let mut out: Vec<GossipEntry> =
+            vec![(self.me, table.self_incarnation(), GossipState::Alive)];
         if dest != self.me {
-            let d = &self.states[dest.0 as usize];
-            if d.state != GossipState::Alive {
-                out.push((dest, d.incarnation, d.state));
+            if let Some((incarnation, state)) = table.get(dest) {
+                if state != GossipState::Alive {
+                    out.push((dest, incarnation, state));
+                }
             }
         }
         for _ in 0..self.queue.len() {
@@ -512,8 +387,8 @@ impl FailureDetector {
                 self.queue.push(q);
                 continue;
             }
-            let s = &self.states[q.node.0 as usize];
-            out.push((q.node, s.incarnation, s.state));
+            let Some((incarnation, state)) = table.get(q.node) else { continue };
+            out.push((q.node, incarnation, state));
             q.sends_left -= 1;
             if q.sends_left > 0 {
                 self.queue.push(q);
@@ -526,6 +401,8 @@ impl FailureDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::membership::Transition;
+    use GossipState::{Alive, Dead, Suspect};
 
     fn cfg() -> DetectorConfig {
         DetectorConfig {
@@ -537,32 +414,77 @@ mod tests {
         }
     }
 
-    fn det(n: usize) -> FailureDetector {
-        FailureDetector::new(NodeId(0), n, cfg(), 42, Time::ZERO)
+    /// A detector beside the table its node owns, wired the way the node's evidence
+    /// function wires them: every claim goes to the table, every change is queued
+    /// for gossip, and a tick's verdicts are applied as claims.
+    struct Prober {
+        d: FailureDetector,
+        table: MembershipView,
     }
 
-    /// Step to the next wake-up and tick, returning (now, actions).
-    fn step(d: &mut FailureDetector, now: Time) -> (Time, Vec<DetectorAction>) {
-        let now = d.next_wake(now);
-        let mut out = Vec::new();
-        d.tick(now, &mut out);
-        (now, out)
+    impl Prober {
+        fn new(me: u32, n: usize, seed: u64) -> Prober {
+            Prober {
+                d: FailureDetector::new(NodeId(me), n, cfg(), seed, Time::ZERO),
+                table: MembershipView::new(NodeId(me), n, 0),
+            }
+        }
+
+        fn claim(&mut self, node: NodeId, inc: u64, state: GossipState, now: Time) -> Transition {
+            let t = self.table.claim(node, inc, state, now);
+            if t.changed() {
+                self.d.disseminate(node);
+            }
+            t
+        }
+
+        /// Step to the next wake-up and tick, returning (now, actions).
+        fn step(&mut self) -> (Time, Vec<DetectorAction>) {
+            let now = self.d.next_wake(&self.table);
+            (now, self.tick(now))
+        }
+
+        fn tick(&mut self, now: Time) -> Vec<DetectorAction> {
+            let mut out = Vec::new();
+            self.d.tick(&self.table, now, &mut out);
+            for a in &out {
+                match *a {
+                    DetectorAction::Suspect { node, incarnation } => {
+                        assert_eq!(
+                            self.claim(node, incarnation, Suspect, now),
+                            Transition::Suspected
+                        );
+                    }
+                    DetectorAction::Dead { node, incarnation } => {
+                        assert_eq!(self.claim(node, incarnation, Dead, now), Transition::Died);
+                    }
+                    _ => {}
+                }
+            }
+            out
+        }
+
+        fn piggyback(&mut self, dest: NodeId) -> Vec<GossipEntry> {
+            self.d.piggyback(&self.table, dest)
+        }
+    }
+
+    fn det(n: usize) -> Prober {
+        Prober::new(0, n, 42)
     }
 
     #[test]
     fn ring_probes_cover_all_peers_before_repeating() {
         let mut d = det(6);
-        let mut now = Time::ZERO;
         for _cycle in 0..3 {
             let mut seen = Vec::new();
             while seen.len() < 5 {
-                let (t, actions) = step(&mut d, now);
-                now = t;
+                let (_, actions) = d.step();
                 for a in actions {
                     if let DetectorAction::Ping { to, probe_id } = a {
                         assert!(!seen.contains(&to), "peer {to:?} probed twice in one cycle");
                         seen.push(to);
-                        d.on_ack(probe_id);
+                        d.d.on_ack(probe_id);
                     }
                 }
             }
@@ -574,15 +496,13 @@ mod tests {
     #[test]
     fn missed_ack_escalates_then_suspects_then_declares_dead() {
         let mut d = det(4);
-        let mut now = Time::ZERO;
         let mut pings = 0;
         let mut ping_reqs = Vec::new();
         let mut suspected_at = None;
         let mut dead_at = None;
         let mut target = None;
         while dead_at.is_none() {
-            let (t, actions) = step(&mut d, now);
-            now = t;
+            let (now, actions) = d.step();
             for a in actions {
                 match a {
                     DetectorAction::Ping { to, .. } => {
@@ -621,19 +541,17 @@ mod tests {
         assert!(!ping_reqs.contains(&NodeId(0)) && !ping_reqs.contains(&target.unwrap()));
         let window = cfg().suspicion_window();
         assert_eq!(dead_at.unwrap(), suspected_at.unwrap() + window);
-        assert_eq!(d.peer_state(target.unwrap()), (0, GossipState::Dead));
+        assert_eq!(d.table.get(target.unwrap()), Some((0, Dead)));
     }
 
     #[test]
     fn timely_ack_prevents_escalation() {
         let mut d = det(4);
-        let mut now = Time::ZERO;
         for _ in 0..20 {
-            let (t, actions) = step(&mut d, now);
-            now = t;
+            let (_, actions) = d.step();
             for a in actions {
                 match a {
-                    DetectorAction::Ping { probe_id, .. } => d.on_ack(probe_id),
+                    DetectorAction::Ping { probe_id, .. } => d.d.on_ack(probe_id),
                     DetectorAction::PingReq { .. } => panic!("escalated despite timely acks"),
                     DetectorAction::Suspect { .. } | DetectorAction::Dead { .. } => {
                         panic!("suspected despite timely acks")
@@ -652,35 +570,31 @@ mod tests {
             let mut d = det(4);
             let node = NodeId(1 + (splitmix(&mut rng) % 3) as u32);
             let i = splitmix(&mut rng) % 5;
-            d.observe_dead(node, i);
-            assert_eq!(d.peer_state(node), (i, GossipState::Dead));
+            d.claim(node, i, Dead, Time::ZERO);
+            assert_eq!(d.table.get(node), Some((i, Dead)));
             for _op in 0..10 {
                 let j = splitmix(&mut rng) % (i + 1);
-                if splitmix(&mut rng).is_multiple_of(2) {
-                    assert!(!d.observe_suspect(node, j, Time::ZERO));
-                } else {
-                    assert!(!d.observe_alive(node, j));
-                }
-                assert_eq!(d.peer_state(node), (i, GossipState::Dead), "regressed from Dead");
+                let state = if splitmix(&mut rng).is_multiple_of(2) { Suspect } else { Alive };
+                assert_eq!(d.claim(node, j, state, Time::ZERO), Transition::Stale);
+                assert_eq!(d.table.get(node), Some((i, Dead)), "regressed from Dead");
             }
-            assert!(d.observe_alive(node, i + 1));
-            assert_eq!(d.peer_state(node), (i + 1, GossipState::Alive));
+            assert!(d.claim(node, i + 1, Alive, Time::ZERO).changed());
+            assert_eq!(d.table.get(node), Some((i + 1, Alive)));
         }
     }
 
     #[test]
     fn suspicion_beats_same_incarnation_alive_and_is_cleared_by_refutation() {
         let mut d = det(4);
-        assert!(d.observe_suspect(NodeId(2), 0, Time::ZERO));
+        assert_eq!(d.claim(NodeId(2), 0, Suspect, Time::ZERO), Transition::Suspected);
         // An alive claim at the same incarnation is NOT a refutation.
-        assert!(!d.observe_alive(NodeId(2), 0));
-        assert_eq!(d.peer_state(NodeId(2)), (0, GossipState::Suspect));
+        assert!(!d.claim(NodeId(2), 0, Alive, Time::ZERO).changed());
+        assert_eq!(d.table.get(NodeId(2)), Some((0, Suspect)));
         // The incarnation bump is.
-        assert!(d.observe_alive(NodeId(2), 1));
-        assert_eq!(d.peer_state(NodeId(2)), (1, GossipState::Alive));
+        assert!(d.claim(NodeId(2), 1, Alive, Time::ZERO).changed());
+        assert_eq!(d.table.get(NodeId(2)), Some((1, Alive)));
         // With the suspicion refuted, the window never expires into a death.
-        let mut out = Vec::new();
-        d.tick(Time::ZERO + Duration::from_secs(10), &mut out);
+        let out = d.tick(Time::ZERO + Duration::from_secs(10));
         assert!(!out.iter().any(|a| matches!(a, DetectorAction::Dead { .. })));
     }
 
@@ -688,10 +602,9 @@ mod tests {
     fn unrefuted_gossip_suspicion_expires_into_death() {
         let mut d = det(4);
         let t0 = Time::ZERO + Duration::from_millis(7);
-        assert!(d.observe_suspect(NodeId(3), 0, t0));
-        assert!(d.next_wake(t0) <= t0 + cfg().suspicion_window());
-        let mut out = Vec::new();
-        d.tick(t0 + cfg().suspicion_window(), &mut out);
+        assert_eq!(d.claim(NodeId(3), 0, Suspect, t0), Transition::Suspected);
+        assert!(d.d.next_wake(&d.table) <= t0 + cfg().suspicion_window());
+        let out = d.tick(t0 + cfg().suspicion_window());
         assert!(out.contains(&DetectorAction::Dead { node: NodeId(3), incarnation: 0 }));
     }
 
@@ -699,13 +612,14 @@ mod tests {
     fn piggyback_is_bounded_and_prioritizes_self_and_dest() {
         let mut d = det(16);
         for i in 2..12 {
-            d.observe_dead(NodeId(i), 0);
+            d.claim(NodeId(i), 0, Dead, Time::ZERO);
         }
-        d.observe_suspect(NodeId(1), 0, Time::ZERO);
-        let g = d.piggyback(NodeId(1), 9);
+        d.claim(NodeId(1), 0, Suspect, Time::ZERO);
+        d.table.refute(8);
+        let g = d.piggyback(NodeId(1));
         assert!(g.len() <= cfg().gossip_budget, "budget exceeded: {g:?}");
-        assert_eq!(g[0], (NodeId(0), 9, GossipState::Alive), "self claim leads");
-        assert_eq!(g[1], (NodeId(1), 0, GossipState::Suspect), "dest told of its suspicion");
+        assert_eq!(g[0], (NodeId(0), 9, Alive), "self claim leads");
+        assert_eq!(g[1], (NodeId(1), 0, Suspect), "dest told of its suspicion");
         // No duplicates within one digest.
         for (i, &(n, _, _)) in g.iter().enumerate() {
             assert!(!g[i + 1..].iter().any(|&(m, _, _)| m == n));
@@ -715,11 +629,11 @@ mod tests {
     #[test]
     fn gossip_queue_rotates_and_retransmits_a_bounded_number_of_times() {
         let mut d = det(8);
-        d.observe_dead(NodeId(5), 0);
+        d.claim(NodeId(5), 0, Dead, Time::ZERO);
         let mut carried = 0;
         // Drain far past the retransmit limit; the entry must stop appearing.
         for _ in 0..200 {
-            if d.piggyback(NodeId(1), 0).iter().any(|&(n, _, _)| n == NodeId(5)) {
+            if d.piggyback(NodeId(1)).iter().any(|&(n, _, _)| n == NodeId(5)) {
                 carried += 1;
             }
         }
@@ -734,39 +648,24 @@ mod tests {
         // surviving nodes must still converge on the death well within the
         // retransmit budget.
         let n = 8;
-        let mut dets: Vec<FailureDetector> = (0..n)
-            .map(|i| FailureDetector::new(NodeId(i as u32), n, cfg(), 1000 + i as u64, Time::ZERO))
-            .collect();
-        dets[0].observe_dead(NodeId(7), 0);
+        let mut dets: Vec<Prober> =
+            (0..n).map(|i| Prober::new(i as u32, n, 1000 + i as u64)).collect();
+        dets[0].claim(NodeId(7), 0, Dead, Time::ZERO);
         let mut rng = 99u64;
         for _round in 0..40 {
             for i in 0..n - 1 {
                 let dest = NodeId((splitmix(&mut rng) % (n as u64 - 1)) as u32);
-                let digest = dets[i].piggyback(dest, 0);
+                let digest = dets[i].piggyback(dest);
                 if splitmix(&mut rng) % 10 < 3 {
                     continue; // lost
                 }
                 for (node, inc, state) in digest {
-                    match state {
-                        GossipState::Alive => {
-                            dets[dest.0 as usize].observe_alive(node, inc);
-                        }
-                        GossipState::Suspect => {
-                            dets[dest.0 as usize].observe_suspect(node, inc, Time::ZERO);
-                        }
-                        GossipState::Dead => {
-                            dets[dest.0 as usize].observe_dead(node, inc);
-                        }
-                    }
+                    dets[dest.0 as usize].claim(node, inc, state, Time::ZERO);
                 }
             }
         }
         for (i, d) in dets.iter().take(n - 1).enumerate() {
-            assert_eq!(
-                d.peer_state(NodeId(7)).1,
-                GossipState::Dead,
-                "node {i} never learned of the death"
-            );
+            assert!(!d.table.is_alive(NodeId(7)), "node {i} never learned of the death");
         }
     }
 
@@ -774,11 +673,9 @@ mod tests {
     fn two_node_cluster_skips_indirect_phase() {
         // With no possible relays the direct timeout suspects immediately.
         let mut d = det(2);
-        let mut now = Time::ZERO;
         let mut saw_suspect = false;
         for _ in 0..6 {
-            let (t, actions) = step(&mut d, now);
-            now = t;
+            let (_, actions) = d.step();
             for a in &actions {
                 assert!(!matches!(a, DetectorAction::PingReq { .. }));
                 if matches!(a, DetectorAction::Suspect { node: NodeId(1), .. }) {
@@ -795,18 +692,28 @@ mod tests {
     #[test]
     fn dead_peers_are_not_probed() {
         let mut d = det(4);
-        d.observe_dead(NodeId(1), 0);
-        d.observe_dead(NodeId(2), 0);
-        let mut now = Time::ZERO;
+        d.claim(NodeId(1), 0, Dead, Time::ZERO);
+        d.claim(NodeId(2), 0, Dead, Time::ZERO);
         for _ in 0..12 {
-            let (t, actions) = step(&mut d, now);
-            now = t;
+            let (_, actions) = d.step();
             for a in actions {
                 if let DetectorAction::Ping { to, probe_id } = a {
                     assert_eq!(to, NodeId(3), "probed a dead peer");
-                    d.on_ack(probe_id);
+                    d.d.on_ack(probe_id);
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_peer_whose_window_expires_in_a_tick_is_not_that_ticks_probe_target() {
+        // The table still says Suspect while the tick runs (the caller applies the
+        // Dead verdict afterwards); the ring must already treat the peer as gone.
+        let mut d = det(3);
+        d.claim(NodeId(1), 0, Suspect, Time::ZERO);
+        d.claim(NodeId(2), 0, Suspect, Time::ZERO);
+        let out = d.tick(Time::ZERO + cfg().suspicion_window());
+        assert_eq!(out.iter().filter(|a| matches!(a, DetectorAction::Dead { .. })).count(), 2);
+        assert!(!out.iter().any(|a| matches!(a, DetectorAction::Ping { .. })), "{out:?}");
     }
 }

@@ -64,8 +64,13 @@ impl DirectoryPlacement {
     /// The shard responsible for `object` (same hash the unreplicated seed used, so
     /// the initial primary of an object's shard is `ClusterView::shard_node`).
     pub fn shard_of(&self, object: ObjectId) -> usize {
+        DirectoryPlacement::shard_index(object, self.num_shards)
+    }
+
+    /// The one spelling of the object → shard hash, for a given shard count.
+    pub fn shard_index(object: ObjectId, num_shards: usize) -> usize {
         let h = u64::from_le_bytes(object.0[..8].try_into().expect("object id width"));
-        (h % self.num_shards as u64) as usize
+        (h % num_shards as u64) as usize
     }
 
     /// The replica set of a shard, initial-candidate order: the node owning the shard

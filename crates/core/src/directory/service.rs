@@ -233,15 +233,11 @@ impl DirectoryService {
         }
     }
 
-    /// Serve (or forward) a recovering replica's resync request. A request is also
-    /// implicit evidence about the requester's liveness: a *restart* request from a
-    /// node this view still considers a healthy primary means the failure notice has
-    /// not arrived yet — a node asking for its shard's state back cannot lead it —
-    /// so the implied failure (and recovery) is folded in first instead of silently
-    /// dropping the request and wedging the restarted node. A gap-catch-up request
-    /// (`restart == false`) from a live backup leaves the liveness view untouched.
-    /// Returns the shards that failed over with the implied failure (the re-drive
-    /// set; empty when the request carried no news).
+    /// Serve (or forward) a recovering replica's resync request. What the request
+    /// implies about the requester's liveness — it is up, and crashed first if it
+    /// marks a restart — has already been folded into the view by the node's evidence
+    /// function, so a restarted node asking for its shard's state back is never
+    /// mistaken for the shard's leader and left wedged.
     ///
     /// Serving is **chunked and incremental**: a requester whose gap the retained
     /// log suffix covers gets a [`Message::DirResyncDelta`] op replay; everyone else
@@ -258,16 +254,9 @@ impl DirectoryService {
         have_epoch: u64,
         have_seq: u64,
         out: &mut Vec<(NodeId, Message)>,
-    ) -> Vec<usize> {
-        let failed_over =
-            if restart && self.view.is_alive(requester) && !self.view.is_resyncing(requester) {
-                self.on_peer_failed(requester, out)
-            } else {
-                Vec::new()
-            };
-        self.view.on_peer_recovered(requester);
+    ) {
         if !self.view.placement().hosts(requester, shard) {
-            return failed_over;
+            return;
         }
         match self.view.primary(shard) {
             Some(primary) if primary == self.me => {
@@ -289,7 +278,6 @@ impl DirectoryService {
             }
             _ => {}
         }
-        failed_over
     }
 
     /// Serve one resync round as the shard's primary: a delta replay when the
@@ -764,6 +752,26 @@ mod tests {
             .unwrap()
     }
 
+    /// Deliver a resync request the way the node does: its evidence function first
+    /// folds what the request implies about the requester into the view (a restart
+    /// request from a peer held healthy is a failure; any request is a recovery),
+    /// then the service serves it.
+    fn deliver_snapshot_request(
+        svc: &mut DirectoryService,
+        shard: usize,
+        requester: NodeId,
+        restart: bool,
+        after: Option<ObjectId>,
+        have: (u64, u64),
+        out: &mut Vec<(NodeId, Message)>,
+    ) {
+        if restart && svc.view().is_alive(requester) && !svc.view().is_resyncing(requester) {
+            svc.on_peer_failed(requester, out);
+        }
+        svc.on_peer_recovered(requester);
+        svc.handle_snapshot_request(shard, requester, restart, after, have.0, have.1, out);
+    }
+
     #[test]
     fn placement_matches_seed_hash_and_clamps_replication() {
         let p = DirectoryPlacement::new(nodes(4), None, 2);
@@ -967,16 +975,17 @@ mod tests {
     fn restart_request_from_a_believed_primary_is_served_not_dropped() {
         // Node 0 crashes and restarts *before* the failure detector tells node 1.
         // Node 1 still believes node 0 leads shard 0, so node 0's restart snapshot
-        // request must itself carry the news: node 1 folds the implied failure in,
-        // promotes itself, and serves the snapshot — instead of silently dropping
-        // the request and wedging node 0 in resync forever.
+        // request must itself carry the news: with the implied failure folded in
+        // (by the node's evidence function, mirrored by `deliver_snapshot_request`)
+        // node 1 promotes itself and serves the snapshot — instead of silently
+        // dropping the request and wedging node 0 in resync forever.
         let cfg = HopliteConfig::small_for_tests();
         let ns = nodes(3);
         let mut survivor = DirectoryService::new(NodeId(1), &cfg, &ns);
         let o = obj_in_shard(&survivor, 0);
         assert_eq!(survivor.primary_for(o), Some(NodeId(0)), "failure not yet detected");
         let mut out = Vec::new();
-        survivor.handle_snapshot_request(0, NodeId(0), true, None, 0, 0, &mut out);
+        deliver_snapshot_request(&mut survivor, 0, NodeId(0), true, None, (0, 0), &mut out);
         assert_eq!(survivor.primary_for(o), Some(NodeId(1)), "implied failure folded in");
         assert_eq!(survivor.replica(0).unwrap().role(), ReplicaRole::Primary);
         assert!(
@@ -995,7 +1004,7 @@ mod tests {
         // A *gap* catch-up request from a live backup must not depose anyone.
         let mut survivor2 = DirectoryService::new(NodeId(1), &cfg, &ns);
         let mut out2 = Vec::new();
-        survivor2.handle_snapshot_request(1, NodeId(2), false, None, 0, 0, &mut out2);
+        deliver_snapshot_request(&mut survivor2, 1, NodeId(2), false, None, (0, 0), &mut out2);
         assert_eq!(survivor2.view().primary(2), Some(NodeId(2)), "live backup untouched");
     }
 
@@ -1067,13 +1076,13 @@ mod tests {
                     have_seq,
                     ..
                 } => {
-                    svc.handle_snapshot_request(
+                    deliver_snapshot_request(
+                        svc,
                         shard as usize,
                         requester,
                         restart,
                         after,
-                        have_epoch,
-                        have_seq,
+                        (have_epoch, have_seq),
                         &mut out,
                     );
                 }
@@ -1177,13 +1186,13 @@ mod tests {
                 have_seq,
                 ..
             } => {
-                svc.handle_snapshot_request(
+                deliver_snapshot_request(
+                    svc,
                     shard as usize,
                     requester,
                     restart,
                     after,
-                    have_epoch,
-                    have_seq,
+                    (have_epoch, have_seq),
                     &mut out,
                 );
             }
@@ -1257,13 +1266,13 @@ mod tests {
         // The primary's retained suffix covers the gap: it replays ops, ships no
         // state, and the backup converges and acks the full prefix.
         let mut frames = Vec::new();
-        svcs[0].handle_snapshot_request(
+        deliver_snapshot_request(
+            &mut svcs[0],
             0,
             NodeId(1),
             false,
             None,
-            have_epoch,
-            have_seq,
+            (have_epoch, have_seq),
             &mut frames,
         );
         let (chunks, bytes, deltas) = svcs[0].take_resync_counters();

@@ -94,9 +94,7 @@ pub mod prelude {
     };
     pub use crate::directory::{DirectoryPlacement, DirectoryShard};
     pub use crate::error::{HopliteError, Result};
-    pub use crate::membership::{
-        AliveVerdict, DigestOutcome, FailureVerdict, MemberDigestEntry, MembershipView,
-    };
+    pub use crate::membership::{MemberDigestEntry, MembershipView, Transition};
     pub use crate::metrics::NodeMetrics;
     pub use crate::node::{ClusterView, NodeOptions, ObjectStoreNode};
     pub use crate::object::{NodeId, ObjectId, ObjectStatus};

@@ -42,7 +42,8 @@ use super::{trace, NodeContext, ObjectStoreNode};
 impl ObjectStoreNode {
     /// Facade-level handling of a peer failure: promote and purge directory replicas,
     /// re-drive directory client state, stop serving the failed node, fail over
-    /// in-flight pulls, and repair reduce trees.
+    /// in-flight pulls, and repair reduce trees. Called by
+    /// [`ObjectStoreNode::liveness`] only, once the liveness table says so.
     pub(crate) fn peer_failed_impl(&mut self, now: Time, peer: NodeId, out: &mut Vec<Effect>) {
         if peer == self.ctx.id {
             return;
@@ -65,12 +66,12 @@ impl ObjectStoreNode {
         }
         // The failure may also have completed this node's own resync (its last
         // outstanding resync source died): announce re-admission if so.
-        self.maybe_announce_readmission(now, out);
+        self.maybe_announce_readmission(out);
         // Client side: re-drive at the new primaries the genuinely-unacked window —
         // journaled intents the dead primary never confirmed as replication-durable.
         // Everything confirmed is already inside the promoted backup's acked prefix.
         // Every re-driven op is idempotent at the shard.
-        self.redrive_shards(now, failed_over, out);
+        self.redrive_shards(failed_over, out);
         // Stop serving transfers destined to the dead node.
         self.broadcast.drop_transfers_to(peer);
         // Broadcast receivers that were pulling from it fail over (§3.5.1).
@@ -87,7 +88,7 @@ impl ObjectStoreNode {
     /// failed over, or that a re-admission gave a primary back. Outstanding location
     /// queries for those shards are re-issued too (same correlation id; the shard
     /// deduplicates).
-    pub(crate) fn redrive_shards(&mut self, now: Time, shards: Vec<usize>, out: &mut Vec<Effect>) {
+    pub(crate) fn redrive_shards(&mut self, shards: Vec<usize>, out: &mut Vec<Effect>) {
         let redrive = self.ctx.directory.redrive_for(self.ctx.service.placement(), shards);
         for (object, reg) in redrive.reregister {
             if !self.ctx.store.contains(object) {
@@ -108,17 +109,17 @@ impl ObjectStoreNode {
             self.ctx.metrics.directory_redrives += 1;
             self.ctx.dir_subscribe(object, out);
         }
-        self.broadcast.requery_after_failover(&mut self.ctx, now, &redrive.changed_shards, out);
+        self.broadcast.requery_after_failover(&mut self.ctx, &redrive.changed_shards, out);
     }
 
     /// If the directory service just completed this node's resync (last stream
     /// installed, or the last sourceless shard abandoned), re-drive the unconfirmed
     /// window of any shard this node itself just gave a primary back to (to
     /// ourselves, via loopback), and broadcast `DirResynced` to every peer.
-    pub(crate) fn maybe_announce_readmission(&mut self, now: Time, out: &mut Vec<Effect>) {
+    pub(crate) fn maybe_announce_readmission(&mut self, out: &mut Vec<Effect>) {
         let Some(regained) = self.ctx.service.take_readmission() else { return };
         trace!("[n{}] resync complete; announcing re-admission", self.ctx.id.0);
-        self.redrive_shards(now, regained, out);
+        self.redrive_shards(regained, out);
         let me = self.ctx.id;
         let incarnation = self.ctx.membership.self_incarnation();
         let peers: Vec<NodeId> =
@@ -152,7 +153,6 @@ impl ObjectStoreNode {
     #[allow(clippy::too_many_arguments)] // mirrors the DirSnapshotChunk wire fields
     pub(crate) fn handle_dir_snapshot_chunk(
         &mut self,
-        now: Time,
         shard: usize,
         epoch: u64,
         seq: u64,
@@ -177,17 +177,15 @@ impl ObjectStoreNode {
             self.ctx.metrics.directory_resyncs += 1;
         }
         self.ctx.send_all(replies, out);
-        self.maybe_announce_readmission(now, out);
+        self.maybe_announce_readmission(out);
     }
 
     /// Replay one frame of a delta resync — the source bridged this replica's gap
     /// from its retained log suffix instead of shipping state. The final frame
     /// completes the resync like a final chunk (no rank adoption: a delta-served
     /// replica's placement view was never behind).
-    #[allow(clippy::too_many_arguments)] // mirrors the DirResyncDelta wire fields
     pub(crate) fn handle_dir_resync_delta(
         &mut self,
-        now: Time,
         shard: usize,
         epoch: u64,
         ops: &[(u64, crate::protocol::DirOp)],
@@ -202,7 +200,7 @@ impl ObjectStoreNode {
             self.ctx.metrics.directory_resyncs += 1;
         }
         self.ctx.send_all(replies, out);
-        self.maybe_announce_readmission(now, out);
+        self.maybe_announce_readmission(out);
     }
 }
 
@@ -236,7 +234,6 @@ impl BroadcastEngine {
     pub(crate) fn requery_after_failover(
         &mut self,
         ctx: &mut NodeContext,
-        _now: Time,
         changed_shards: &[usize],
         out: &mut Vec<Effect>,
     ) {

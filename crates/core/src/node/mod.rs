@@ -19,6 +19,17 @@
 //! routes cross-engine follow-ups (an object making local progress wakes both the
 //! broadcast forwarding path and any reduce participants consuming it).
 //!
+//! **Liveness has one table and one writer.** What this node believes about each
+//! peer — incarnation, alive / suspect / dead — is `NodeContext::membership`
+//! ([`crate::membership`]) and nothing else. Every piece of evidence, whatever
+//! carried it (a driver verdict, `PeerFailureNotice`, `Hello`, `DirResynced`, a
+//! digest, gossip, the detector's own verdict, a restart-flagged snapshot request),
+//! enters through `ObjectStoreNode::liveness`, which is the only code that writes
+//! the table, runs the §3.5 failure rules, or marks a peer failed / resyncing in the
+//! directory's placement view; its doc comment is the table of *evidence → what
+//! follows*. The SWIM detector ([`crate::detector`]) only probes: it reads the table
+//! and hands its verdicts to the same function.
+//!
 //! The node is entirely sans-IO: the same state machine runs unchanged under the
 //! discrete-event simulator (cluster scale, synthetic payloads) and over the real
 //! in-process / TCP transports (real bytes, real reductions), driven by the shared
@@ -36,8 +47,8 @@ use std::collections::VecDeque;
 use crate::buffer::{Payload, SlabPool};
 use crate::config::HopliteConfig;
 use crate::detector::{DetectorAction, FailureDetector, GossipEntry, GossipState};
-use crate::directory::{DirectoryClient, DirectoryService};
-use crate::membership::{AliveVerdict, FailureVerdict, MembershipView};
+use crate::directory::{DirectoryClient, DirectoryPlacement, DirectoryService};
+use crate::membership::{MemberDigestEntry, MembershipView, Transition};
 use crate::metrics::NodeMetrics;
 use crate::object::{NodeId, ObjectId, ObjectStatus};
 use crate::protocol::{ClientOp, DirOp, Effect, Message, OpId, TimerToken};
@@ -92,11 +103,10 @@ impl ClusterView {
     /// The node that *initially* hosts the primary of the directory shard responsible
     /// for `object` (§3.2: a sharded hash table, one shard per node by default). With
     /// replication (§3.5) the primary can move to a backup after a failure; live
-    /// routing reads the node's [`crate::directory::PlacementView`], which uses the
-    /// same hash, so this function stays correct for failure-free placement reasoning.
+    /// routing reads the node's [`crate::directory::PlacementView`], whose placement
+    /// this asks, so the function stays correct for failure-free placement reasoning.
     pub fn shard_node(&self, object: ObjectId) -> NodeId {
-        let h = u64::from_le_bytes(object.0[..8].try_into().expect("object id width"));
-        self.nodes[(h % self.nodes.len() as u64) as usize]
+        self.nodes[DirectoryPlacement::shard_index(object, self.nodes.len())]
     }
 }
 
@@ -134,8 +144,9 @@ pub(crate) struct NodeContext {
     /// The directory server half: this node's shard replicas and its one leadership
     /// view. Every liveness transition is applied here, exactly once.
     pub(crate) service: DirectoryService,
-    /// Incarnation-numbered liveness view: arbitrates stale vs. fresh failure and
-    /// recovery evidence, and produces the digest carried at rejoin.
+    /// The node's one liveness table: per peer, the highest incarnation heard of and
+    /// whether it is alive, suspected or dead. Written only by
+    /// [`ObjectStoreNode::liveness`]; also produces the digest carried at rejoin.
     pub(crate) membership: MembershipView,
     next_query_id: u64,
     next_timer: u64,
@@ -289,20 +300,51 @@ impl Progress {
     }
 }
 
+/// One piece of liveness evidence, named by what carried it: the carrier decides which
+/// claims it makes and what a transition sets off (the table on
+/// [`ObjectStoreNode::liveness`]).
+enum Evidence<'a> {
+    /// The driver's verdict that a peer failed (no incarnation on the event).
+    DriverFailed(NodeId),
+    /// The driver's verdict that a failed peer is back (no incarnation either).
+    DriverRecovered(NodeId),
+    /// `PeerFailureNotice { node, incarnation }`.
+    FailureNotice(NodeId, u64),
+    /// `Hello { node, incarnation }` from a (re)connecting peer.
+    Hello(NodeId, u64),
+    /// `DirResynced { node, incarnation }`: the peer finished its resync.
+    Resynced(NodeId, u64),
+    /// The entries of a `MembershipDigest`.
+    Digest(&'a [MemberDigestEntry]),
+    /// The gossip piggybacked on a `Ping` / `Ack` / `PingReq`.
+    Gossip(&'a [GossipEntry]),
+    /// Suspicions and deaths this node's own detector just reached.
+    Verdicts(&'a [GossipEntry]),
+    /// A `DirSnapshotRequest`: the requester is up, crashed first if `restart`, and
+    /// `digest` is what it knows (empty on a forwarded or gap-catch-up request).
+    /// Directory-service messages of an implied failure join `replies`, which the
+    /// caller sends behind the re-drive, with the frames that serve the request.
+    SnapshotRequest {
+        requester: NodeId,
+        restart: bool,
+        digest: &'a [MemberDigestEntry],
+        replies: &'a mut Vec<(NodeId, Message)>,
+    },
+}
+
 /// The Hoplite state machine for one node: the directory plane (in the shared
 /// context) + broadcast engine + reduce engines behind one dispatch facade.
 pub struct ObjectStoreNode {
     ctx: NodeContext,
     broadcast: BroadcastEngine,
     reduce: ReduceEngine,
-    /// Outstanding bulk-expiry timer for directory leases / store idle GC. Armed
-    /// lazily — only while a hosted shard has lease candidates or the store has
-    /// idle-GC work — so a quiet node goes fully quiescent (the simulator runs
-    /// until its event queue drains).
+    /// Outstanding bulk-expiry timer for directory leases. Armed lazily — only while
+    /// a hosted shard has lease candidates — so a quiet node goes fully quiescent
+    /// (the simulator runs until its event queue drains).
     lease_timer: Option<TimerToken>,
-    /// The SWIM failure detector, present iff `HopliteConfig::detector` is set.
-    /// Pure state machine; this facade translates its actions into wire messages
-    /// and feeds verdicts through the membership view.
+    /// The SWIM prober, present iff `HopliteConfig::detector` is set. It reads the
+    /// liveness table and owns none of it; this facade turns its probes into wire
+    /// messages and its verdicts into evidence like any other.
     detector: Option<FailureDetector>,
     /// Outstanding probe timer for the detector: a single perpetual chain — each
     /// tick re-arms for the detector's next deadline. Armed by
@@ -431,7 +473,7 @@ impl ObjectStoreNode {
             ClientOp::Put { object, payload } => {
                 let progress =
                     self.broadcast.client_put(&mut self.ctx, now, op_id, object, payload, out);
-                self.route_progress(now, progress, out);
+                self.route_progress(progress, out);
             }
             ClientOp::Get { object } => {
                 self.broadcast.client_get(&mut self.ctx, now, op_id, object, out);
@@ -486,7 +528,7 @@ impl ObjectStoreNode {
             self.detector_tick(now, out);
         } else if let Some(object) = self.broadcast.take_put_timer(token) {
             let progress = self.broadcast.advance_pipelined_put(&mut self.ctx, now, object, out);
-            self.route_progress(now, progress, out);
+            self.route_progress(progress, out);
         }
         self.drain_self_queue(now, out);
         self.finish_turn(out);
@@ -495,35 +537,19 @@ impl ObjectStoreNode {
     /// A peer node failed (detected by the driver: socket liveness in real deployments,
     /// an explicit event in the simulator). The event carries no incarnation, so it
     /// applies to the highest incarnation this node knows; duplicates are absorbed by
-    /// the membership view. See [`failure`] for the adaptation rules.
+    /// the liveness table. See [`failure`] for the adaptation rules.
     pub fn handle_peer_failed(&mut self, now: Time, peer: NodeId, out: &mut Vec<Effect>) {
-        if self.ctx.membership.note_driver_failure(peer) == FailureVerdict::Apply {
-            self.peer_failed_impl(now, peer, out);
-        }
-        let incarnation = self.ctx.membership.incarnation_of(peer);
-        self.detector_observe_dead(peer, incarnation);
+        self.liveness(now, Evidence::DriverFailed(peer), out);
         self.drain_self_queue(now, out);
         self.finish_turn(out);
     }
 
-    /// A previously-failed peer came back. It is folded into the placement views as
+    /// A previously-failed peer came back. It is folded into the placement view as
     /// *resyncing*: alive (log shipments resume to it) but not a primary candidate
     /// until it announces catch-up with [`Message::DirResynced`]. The restarted node
     /// itself drives the state transfer — see [`ObjectStoreNode::begin_recovery`].
-    pub fn handle_peer_recovered(&mut self, _now: Time, peer: NodeId, out: &mut Vec<Effect>) {
-        if peer == self.ctx.id {
-            return;
-        }
-        // Bump the peer's incarnation if this is the first recovery evidence —
-        // mirroring the `+1` the restarting side assigns itself — so stale failure
-        // notices about the dead incarnation are dropped from here on. The
-        // placement updates below stay unconditional: they are idempotent, and the
-        // peer may already have been folded in via its own snapshot request.
-        self.ctx.membership.note_driver_recovery(peer);
-        let incarnation = self.ctx.membership.incarnation_of(peer);
-        self.detector_observe_alive(peer, incarnation);
-        self.ctx.service.on_peer_recovered(peer);
-        let _ = out;
+    pub fn handle_peer_recovered(&mut self, now: Time, peer: NodeId, out: &mut Vec<Effect>) {
+        self.liveness(now, Evidence::DriverRecovered(peer), out);
     }
 
     // ------------------------------------------------------------------ dispatch --
@@ -578,27 +604,22 @@ impl ObjectStoreNode {
             } => {
                 // A snapshot request is implicit evidence about the requester: it is
                 // back up, and — when it marks a restart — that it crashed, even if
-                // the failure detector has not reported either yet. The service folds
-                // that in before serving; the implied failure re-drives the
-                // unconfirmed window like a detected one, ahead of the served frames.
+                // no verdict has said either yet. That is folded in before serving; an
+                // implied failure re-drives the unconfirmed window like a detected
+                // one, ahead of the served frames.
                 let mut replies = Vec::new();
-                let failed_over = self.ctx.service.handle_snapshot_request(
-                    shard as usize,
+                let evidence = Evidence::SnapshotRequest {
                     requester,
                     restart,
-                    after,
-                    have_epoch,
-                    have_seq,
-                    &mut replies,
-                );
-                self.redrive_shards(now, failed_over, out);
+                    digest: &digest,
+                    replies: &mut replies,
+                };
+                self.liveness(now, evidence, out);
                 if !digest.is_empty() {
-                    // Learn the requester's incarnation (and anything else it knows
-                    // that we do not — nothing, for a fresh restart), then teach it
-                    // every entry we know strictly newer: the deaths it slept
-                    // through. After the first round both views converge and the
-                    // reply is skipped.
-                    self.ctx.membership.merge_digest(&digest);
+                    // Having learned the requester's incarnation, teach it every
+                    // entry we know strictly newer: the deaths it slept through.
+                    // After the first round both tables agree and the reply is
+                    // skipped.
                     let newer = self.ctx.membership.newer_than(&digest);
                     if !newer.is_empty() {
                         trace!(
@@ -610,13 +631,21 @@ impl ObjectStoreNode {
                         self.ctx.send(requester, Message::MembershipDigest { entries: newer }, out);
                     }
                 }
+                self.ctx.service.handle_snapshot_request(
+                    shard as usize,
+                    requester,
+                    restart,
+                    after,
+                    have_epoch,
+                    have_seq,
+                    &mut replies,
+                );
                 self.ctx.send_all(replies, out);
             }
             // The retired full-state frame (tag 23, no longer produced) is the
             // one-chunk degenerate case of the stream.
             Message::DirSnapshot { shard, epoch, seq, rank, state } => {
                 self.handle_dir_snapshot_chunk(
-                    now,
                     shard as usize,
                     epoch,
                     seq,
@@ -629,7 +658,6 @@ impl ObjectStoreNode {
             }
             Message::DirSnapshotChunk { shard, epoch, seq, rank, done, state } => {
                 self.handle_dir_snapshot_chunk(
-                    now,
                     shard as usize,
                     epoch,
                     seq,
@@ -641,36 +669,17 @@ impl ObjectStoreNode {
                 );
             }
             Message::DirResyncDelta { shard, epoch, ops, done } => {
-                self.handle_dir_resync_delta(now, shard as usize, epoch, &ops, done, from, out);
+                self.handle_dir_resync_delta(shard as usize, epoch, &ops, done, from, out);
             }
             Message::DirResynced { node, incarnation } => {
-                match self.ctx.membership.note_alive(node, incarnation) {
-                    AliveVerdict::Stale => {
-                        // A late announcement from an incarnation that has already
-                        // died (or older): re-admitting it would hand shards to a
-                        // dead process.
-                        trace!(
-                            "[n{}] dropped stale DirResynced from {:?} inc {}",
-                            self.ctx.id.0,
-                            node,
-                            incarnation
-                        );
-                        self.ctx.metrics.stale_failure_notices_dropped += 1;
-                        return;
-                    }
-                    AliveVerdict::Superseded { was_alive } => {
-                        // First liveness evidence for this incarnation: fold the
-                        // recovery in (and the crash we slept through, if we still
-                        // believed the previous incarnation healthy) before the
-                        // re-admission below.
-                        if was_alive {
-                            self.peer_failed_impl(now, node, out);
-                        }
-                        self.ctx.service.on_peer_recovered(node);
-                    }
-                    AliveVerdict::Known => {}
+                // A late announcement from an incarnation that has already died (or
+                // an older one) is dropped: re-admitting it would hand shards to a
+                // dead process.
+                if self.liveness(now, Evidence::Resynced(node, incarnation), out)
+                    == Transition::Stale
+                {
+                    return;
                 }
-                self.detector_observe_alive(node, incarnation);
                 trace!("[n{}] peer {:?} re-admitted to its replica sets", self.ctx.id.0, node);
                 // A primary re-ships its retained log suffix to the re-admitted peer.
                 let mut replies = Vec::new();
@@ -679,7 +688,7 @@ impl ObjectStoreNode {
                 // A shard that was leaderless while the peer was out regains its
                 // primary with this re-admission: re-drive the unconfirmed window
                 // there just as after a failover.
-                self.redrive_shards(now, regained, out);
+                self.redrive_shards(regained, out);
             }
             Message::DirConfirm { object, kind } => {
                 self.ctx.directory.confirm(object, kind);
@@ -694,7 +703,7 @@ impl ObjectStoreNode {
                     result,
                     out,
                 );
-                self.route_progress(now, progress, out);
+                self.route_progress(progress, out);
             }
             Message::DirPublish { object, holder, status: _, size } => {
                 self.reduce.on_dir_publish(&mut self.ctx, object, holder, size, out);
@@ -719,7 +728,7 @@ impl ObjectStoreNode {
                     payload,
                     out,
                 );
-                self.route_progress(now, progress, out);
+                self.route_progress(progress, out);
             }
             Message::PullError { object, reason: _ } => {
                 self.broadcast.on_pull_error(&mut self.ctx, now, from, object, out);
@@ -727,7 +736,7 @@ impl ObjectStoreNode {
             // Reduce plane.
             Message::ReduceInstruction(instr) => {
                 let events = self.reduce.on_instruction(&mut self.ctx, instr, out);
-                self.route_reduce_events(now, events, out);
+                self.route_reduce_events(events, out);
             }
             Message::ReduceBlock {
                 target,
@@ -749,7 +758,7 @@ impl ObjectStoreNode {
                     payload,
                     out,
                 );
-                self.route_reduce_events(now, events, out);
+                self.route_reduce_events(events, out);
             }
             Message::ReduceDone { target, root: _ } => {
                 self.reduce.on_reduce_done(&mut self.ctx, target, out);
@@ -757,106 +766,43 @@ impl ObjectStoreNode {
             Message::ReduceRelease { target } => {
                 self.reduce.on_release(target);
             }
-            // Membership plane.
+            // Membership plane: each frame is evidence for the one liveness function.
             Message::PeerFailureNotice { node, incarnation } => {
-                match self.ctx.membership.note_failure(node, incarnation) {
-                    FailureVerdict::Apply => {
-                        trace!(
-                            "[n{}] failure notice: {:?} inc {} is dead",
-                            self.ctx.id.0,
-                            node,
-                            incarnation
-                        );
-                        self.detector_observe_dead(node, incarnation);
-                        self.peer_failed_impl(now, node, out);
-                    }
-                    FailureVerdict::AlreadyDead => {
-                        self.detector_observe_dead(node, incarnation);
-                    }
-                    FailureVerdict::Stale => {
-                        trace!(
-                            "[n{}] dropped stale failure notice for {:?} inc {} (know inc {})",
-                            self.ctx.id.0,
-                            node,
-                            incarnation,
-                            self.ctx.membership.incarnation_of(node)
-                        );
-                        self.ctx.metrics.stale_failure_notices_dropped += 1;
-                    }
-                }
+                self.liveness(now, Evidence::FailureNotice(node, incarnation), out);
             }
             Message::MembershipDigest { entries } => {
-                for &(node, incarnation, alive) in &entries {
-                    if alive {
-                        self.detector_observe_alive(node, incarnation);
-                    } else {
-                        self.detector_observe_dead(node, incarnation);
-                    }
-                }
-                let outcome = self.ctx.membership.merge_digest(&entries);
-                for peer in outcome.new_deaths {
-                    trace!(
-                        "[n{}] learned from digest that {:?} died while this node was down",
-                        self.ctx.id.0,
-                        peer
-                    );
-                    self.ctx.metrics.membership_deaths_learned += 1;
-                    self.peer_failed_impl(now, peer, out);
-                }
-                for peer in outcome.revived {
-                    self.ctx.service.on_peer_recovered(peer);
-                }
+                self.liveness(now, Evidence::Digest(&entries), out);
             }
             // Transport-level peer identification: consumed by connection readers to
             // tag the connection, and forwarded here as liveness evidence. A
             // reconnecting restarted peer's Hello may be the first sign of both its
             // crash and its recovery.
             Message::Hello { node, incarnation } => {
-                if let AliveVerdict::Superseded { was_alive } =
-                    self.ctx.membership.note_alive(node, incarnation)
-                {
-                    if was_alive {
-                        self.peer_failed_impl(now, node, out);
-                    }
-                    self.ctx.service.on_peer_recovered(node);
-                }
-                self.detector_observe_alive(node, incarnation);
+                self.liveness(now, Evidence::Hello(node, incarnation), out);
             }
             // SWIM failure-detector plane ([`crate::detector`]). Every frame
             // carries piggybacked gossip; pings are always answered (to the
             // original prober, carried as `origin` so relays stay stateless),
             // even by nodes whose own detector is disabled.
             Message::Ping { origin, probe_id, gossip } => {
-                self.process_gossip(now, &gossip, out);
-                let reply_gossip = match self.detector.take() {
-                    Some(mut det) => {
-                        let self_inc = self.ctx.membership.self_incarnation();
-                        let g = det.piggyback(origin, self_inc);
-                        self.ctx.metrics.gossip_entries_piggybacked += g.len() as u64;
-                        self.detector = Some(det);
-                        g
-                    }
-                    None => Vec::new(),
-                };
-                self.ctx.send(origin, Message::Ack { probe_id, gossip: reply_gossip }, out);
+                self.liveness(now, Evidence::Gossip(&gossip), out);
+                let gossip = self.piggyback(origin);
+                self.ctx.send(origin, Message::Ack { probe_id, gossip }, out);
             }
             Message::Ack { probe_id, gossip } => {
-                self.process_gossip(now, &gossip, out);
+                self.liveness(now, Evidence::Gossip(&gossip), out);
                 if let Some(det) = self.detector.as_mut() {
                     det.on_ack(probe_id);
                 }
             }
             Message::PingReq { target, probe_id, gossip } => {
-                self.process_gossip(now, &gossip, out);
+                self.liveness(now, Evidence::Gossip(&gossip), out);
                 // Forward a probe on the requester's behalf; the target acks the
                 // requester (`from`) directly, so this relay keeps no state.
-                if let Some(mut det) = self.detector.take() {
-                    let self_inc = self.ctx.membership.self_incarnation();
-                    let g = det.piggyback(target, self_inc);
+                if self.detector.is_some() {
+                    let gossip = self.piggyback(target);
                     self.ctx.metrics.probes_sent += 1;
-                    self.ctx.metrics.gossip_entries_piggybacked += g.len() as u64;
-                    self.detector = Some(det);
-                    self.ctx.send(target, Message::Ping { origin: from, probe_id, gossip: g }, out);
+                    self.ctx.send(target, Message::Ping { origin: from, probe_id, gossip }, out);
                 }
             }
         }
@@ -885,12 +831,7 @@ impl ObjectStoreNode {
     /// broadcast receivers, completing parked `Get`s, and feeding reduce participants
     /// whose own input advanced. A reduce root materializing its result produces more
     /// progress, so this loops until no engine has follow-up work.
-    pub(crate) fn route_progress(
-        &mut self,
-        now: Time,
-        progress: Vec<Progress>,
-        out: &mut Vec<Effect>,
-    ) {
+    pub(crate) fn route_progress(&mut self, progress: Vec<Progress>, out: &mut Vec<Effect>) {
         let mut queue: VecDeque<Progress> = progress.into();
         while let Some(p) = queue.pop_front() {
             if p.completed {
@@ -901,19 +842,13 @@ impl ObjectStoreNode {
             let events = self.reduce.pump_for(&mut self.ctx, p.object, out);
             self.enqueue_reduce_events(events, &mut queue, out);
         }
-        let _ = now;
     }
 
     /// Route reduce-engine events produced outside the progress loop.
-    pub(crate) fn route_reduce_events(
-        &mut self,
-        now: Time,
-        events: Vec<ReduceEvent>,
-        out: &mut Vec<Effect>,
-    ) {
+    pub(crate) fn route_reduce_events(&mut self, events: Vec<ReduceEvent>, out: &mut Vec<Effect>) {
         let mut queue = VecDeque::new();
         self.enqueue_reduce_events(events, &mut queue, out);
-        self.route_progress(now, queue.into_iter().collect(), out);
+        self.route_progress(queue.into_iter().collect(), out);
     }
 
     fn enqueue_reduce_events(
@@ -944,7 +879,7 @@ impl ObjectStoreNode {
     // ------------------------------------------------------------ turn epilogue --
 
     /// End-of-handler bookkeeping: fold the directory plane's drained counters into
-    /// the metrics block, refresh the store gauge, and lazily (re-)arm the bulk
+    /// the metrics block, refresh the store gauge, and lazily (re-)arm the lease
     /// expiry timer while there is expiry work to do.
     fn finish_turn(&mut self, out: &mut Vec<Effect>) {
         let (chunks, bytes, deltas) = self.ctx.service.take_resync_counters();
@@ -956,43 +891,158 @@ impl ObjectStoreNode {
         self.maybe_arm_expiry_timer(out);
     }
 
-    /// Arm the shared lease-expiry / store-GC timer if it is not already pending and
-    /// either expiry wheel might hold work. A node with no lease candidates and no
-    /// idle store copies arms nothing and goes quiescent.
+    /// Arm the lease-expiry timer if it is not already pending and a hosted shard
+    /// might hold stale leases. A node with no lease candidates arms nothing and goes
+    /// quiescent.
     fn maybe_arm_expiry_timer(&mut self, out: &mut Vec<Effect>) {
-        if self.lease_timer.is_some() {
-            return;
-        }
-        let mut delay = None;
-        if self.ctx.service.has_lease_candidates() {
-            delay = Some(self.ctx.cfg.directory_lease_ttl);
-        }
-        if let Some(ttl) = self.ctx.cfg.store_gc_ttl {
-            if self.ctx.store.has_idle_candidates() {
-                delay = Some(delay.map_or(ttl, |d| d.min(ttl)));
-            }
-        }
-        if let Some(delay) = delay {
+        if self.lease_timer.is_none() && self.ctx.service.has_lease_candidates() {
             let token = self.ctx.fresh_timer();
             self.lease_timer = Some(token);
-            out.push(Effect::SetTimer { token, delay });
+            out.push(Effect::SetTimer { token, delay: self.ctx.cfg.directory_lease_ttl });
         }
     }
 
     /// One bulk expiry tick: reclaim stale directory leases across every hosted
     /// shard (two-generation lazy wheel — a lease must survive a full generation
-    /// before it is considered stale) and, when store GC is enabled, drop store
-    /// copies that sat unpinned and untouched for two full generations, withdrawing
-    /// their directory registrations.
+    /// before it is considered stale).
     fn expiry_tick(&mut self, out: &mut Vec<Effect>) {
         let mut msgs = Vec::new();
         self.ctx.metrics.leases_expired += self.ctx.service.expire_leases(&mut msgs);
         self.ctx.send_all(msgs, out);
-        if self.ctx.cfg.store_gc_ttl.is_some() {
-            for object in self.ctx.store.sweep_idle() {
-                trace!("[n{}] store GC dropped idle copy of {:?}", self.ctx.id.0, object);
-                self.ctx.dir_unregister(object, out);
+    }
+
+    // ------------------------------------------------------------------ liveness --
+
+    /// The one way liveness evidence enters the node. Each claim the evidence makes
+    /// is arbitrated by the liveness table ([`MembershipView::claim`]); a claim that
+    /// changed the table is queued for gossip (when a detector runs); and the
+    /// [`Transition`] it caused sets off the follow-ups of its row. **fail** is
+    /// [`ObjectStoreNode::peer_failed_impl`] (the §3.5 rules: transport teardown,
+    /// directory failover and re-drive, broadcast re-pull, reduce repair);
+    /// **recover** marks the peer resyncing in the placement view. Nothing else calls
+    /// either, or writes the table. Returns the last claim's transition.
+    ///
+    /// | evidence | claims | what follows |
+    /// |---|---|---|
+    /// | `DriverFailed` | dead, at the incarnation held | `Died` → fail |
+    /// | `DriverRecovered` | alive at held + 1, if held dead (the `+1` the restarting side assigns itself) | recover, always — its own snapshot request may have revived the peer first |
+    /// | `FailureNotice` | dead | `Died` → fail; `Stale` → `stale_failure_notices_dropped` |
+    /// | `Hello` | alive | `Restarted` → recover, after fail if the old incarnation was believed alive: the peer itself says it restarted, so its crash was slept through |
+    /// | `Resynced` | alive | as `Hello`; `Stale` → `stale_failure_notices_dropped`, and the caller drops the announcement |
+    /// | `Digest` | alive / dead per entry | `Died` → `membership_deaths_learned`, fail; `Restarted` of a dead peer → recover, after every fail of the digest; `Restarted` of a peer believed alive → nothing: hearsay of a newer incarnation is a refuted suspicion, not a crash |
+    /// | `Gossip` | as carried; none when no detector runs | as `Digest`, entry by entry; `Suspected` → `suspicions_raised`; a suspect / dead claim about this node at its incarnation or later → it refutes, bumping past the claim (`refutations_sent`) |
+    /// | `Verdicts` | suspect / dead, as the detector decided | `Suspected` → `suspicions_raised`; `Died` → `deaths_declared`, fail |
+    /// | `SnapshotRequest` | alive / dead per digest entry | nothing from the digest (table only). `restart` from a peer the placement view holds healthy → directory-only failover: `service.on_peer_failed`, its messages into the request's `replies`, and the re-drive. Then recover the requester, always |
+    fn liveness(
+        &mut self,
+        now: Time,
+        mut evidence: Evidence<'_>,
+        out: &mut Vec<Effect>,
+    ) -> Transition {
+        use GossipState::{Alive, Dead};
+        let table = &self.ctx.membership;
+        let claims: Vec<GossipEntry> = match evidence {
+            Evidence::DriverFailed(peer) => {
+                table.get(peer).map(|(inc, _)| (peer, inc, Dead)).into_iter().collect()
             }
+            Evidence::DriverRecovered(peer) => match table.get(peer) {
+                Some((inc, Dead)) => vec![(peer, inc + 1, Alive)],
+                _ => Vec::new(),
+            },
+            Evidence::FailureNotice(node, inc) => vec![(node, inc, Dead)],
+            Evidence::Hello(node, inc) | Evidence::Resynced(node, inc) => vec![(node, inc, Alive)],
+            Evidence::Digest(entries) | Evidence::SnapshotRequest { digest: entries, .. } => {
+                entries
+                    .iter()
+                    .map(|&(n, inc, alive)| (n, inc, if alive { Alive } else { Dead }))
+                    .collect()
+            }
+            Evidence::Gossip(entries) if self.detector.is_some() => entries.to_vec(),
+            Evidence::Gossip(_) => Vec::new(),
+            Evidence::Verdicts(entries) => entries.to_vec(),
+        };
+        let slept_through = matches!(evidence, Evidence::Hello(..) | Evidence::Resynced(..));
+        let hearsay = matches!(evidence, Evidence::Digest(_) | Evidence::Gossip(_));
+        let gossip = matches!(evidence, Evidence::Gossip(_));
+        let table_only = matches!(evidence, Evidence::SnapshotRequest { .. });
+
+        if let Evidence::SnapshotRequest { requester, restart: true, replies, .. } = &mut evidence {
+            let view = self.ctx.service.view();
+            if view.is_alive(*requester) && !view.is_resyncing(*requester) {
+                let failed_over = self.ctx.service.on_peer_failed(*requester, replies);
+                self.redrive_shards(failed_over, out);
+            }
+        }
+
+        let mut recovered = Vec::new();
+        let mut last = Transition::Known;
+        for (node, incarnation, state) in claims {
+            if gossip && node == self.ctx.id && state != Alive {
+                if incarnation >= self.ctx.membership.self_incarnation() {
+                    let bumped = self.ctx.membership.refute(incarnation);
+                    self.ctx.metrics.refutations_sent += 1;
+                    trace!(
+                        "[n{}] refuted {state:?} claim about self: now inc {bumped}",
+                        self.ctx.id.0
+                    );
+                }
+                continue;
+            }
+            last = self.ctx.membership.claim(node, incarnation, state, now);
+            if !last.changed() {
+                if last == Transition::Stale
+                    && matches!(evidence, Evidence::FailureNotice(..) | Evidence::Resynced(..))
+                {
+                    self.ctx.metrics.stale_failure_notices_dropped += 1;
+                }
+                continue;
+            }
+            trace!("[n{}] {node:?} inc {incarnation} {state:?}: {last:?}", self.ctx.id.0);
+            if let Some(det) = self.detector.as_mut() {
+                det.disseminate(node);
+            }
+            let (fail, recover) = match last {
+                _ if table_only => (false, false),
+                Transition::Died => (true, false),
+                Transition::Restarted { was_alive } => {
+                    (was_alive && slept_through, !was_alive || slept_through)
+                }
+                _ => (false, false),
+            };
+            match last {
+                Transition::Died if hearsay => self.ctx.metrics.membership_deaths_learned += 1,
+                Transition::Died if matches!(evidence, Evidence::Verdicts(_)) => {
+                    self.ctx.metrics.deaths_declared += 1;
+                }
+                Transition::Suspected => self.ctx.metrics.suspicions_raised += 1,
+                _ => {}
+            }
+            if fail {
+                self.peer_failed_impl(now, node, out);
+            }
+            if recover {
+                recovered.push(node);
+            }
+            if gossip {
+                self.recover(&mut recovered);
+            }
+        }
+        if let Evidence::DriverRecovered(peer) | Evidence::SnapshotRequest { requester: peer, .. } =
+            evidence
+        {
+            if !recovered.contains(&peer) {
+                recovered.push(peer);
+            }
+        }
+        self.recover(&mut recovered);
+        last
+    }
+
+    /// Mark each of `peers` alive-but-resyncing in the placement view (shipped to, not
+    /// yet a primary candidate). Idempotent.
+    fn recover(&mut self, peers: &mut Vec<NodeId>) {
+        for peer in peers.drain(..) {
+            self.ctx.service.on_peer_recovered(peer);
         }
     }
 
@@ -1007,147 +1057,64 @@ impl ObjectStoreNode {
         }
         // Floor of 1ms so a deadline that just passed cannot spin a zero-delay
         // timer loop; the detector's periods are orders of magnitude larger.
-        let delay = det.next_wake(now).duration_since(now).max(Duration::from_millis(1));
+        let wake = det.next_wake(&self.ctx.membership);
+        let delay = wake.duration_since(now).max(Duration::from_millis(1));
         let token = self.ctx.fresh_timer();
         self.probe_timer = Some(token);
         out.push(Effect::SetTimer { token, delay });
     }
 
-    /// One detector wake-up: advance the state machine, turn its actions into
-    /// probes / suspicion bookkeeping / death verdicts, and re-arm the chain.
+    /// One detector wake-up: advance the prober, hand its verdicts to
+    /// [`ObjectStoreNode::liveness`], send its probes, and re-arm the chain. The
+    /// verdicts enter the table before any probe is framed, so the gossip on this
+    /// tick's probes already carries them; the effects keep the order the detector
+    /// decided in (indirect probes for a missed ack, then verdicts, then the next
+    /// direct probe).
     fn detector_tick(&mut self, now: Time, out: &mut Vec<Effect>) {
-        let Some(mut det) = self.detector.take() else { return };
+        let Some(det) = self.detector.as_mut() else { return };
         let mut actions = Vec::new();
-        det.tick(now, &mut actions);
-        let self_inc = self.ctx.membership.self_incarnation();
+        det.tick(&self.ctx.membership, now, &mut actions);
+        let verdicts: Vec<GossipEntry> = actions
+            .iter()
+            .filter_map(|action| match *action {
+                DetectorAction::Suspect { node, incarnation } => {
+                    Some((node, incarnation, GossipState::Suspect))
+                }
+                DetectorAction::Dead { node, incarnation } => {
+                    Some((node, incarnation, GossipState::Dead))
+                }
+                _ => None,
+            })
+            .collect();
+        let mut followups = Vec::new();
+        self.liveness(now, Evidence::Verdicts(&verdicts), &mut followups);
         for action in actions {
             match action {
+                DetectorAction::PingReq { relay, target, probe_id } => {
+                    let gossip = self.piggyback(relay);
+                    self.ctx.metrics.indirect_probes += 1;
+                    self.ctx.send(relay, Message::PingReq { target, probe_id, gossip }, out);
+                }
                 DetectorAction::Ping { to, probe_id } => {
-                    let gossip = det.piggyback(to, self_inc);
+                    out.append(&mut followups);
+                    let gossip = self.piggyback(to);
                     self.ctx.metrics.probes_sent += 1;
-                    self.ctx.metrics.gossip_entries_piggybacked += gossip.len() as u64;
                     let origin = self.ctx.id;
                     self.ctx.send(to, Message::Ping { origin, probe_id, gossip }, out);
                 }
-                DetectorAction::PingReq { relay, target, probe_id } => {
-                    let gossip = det.piggyback(relay, self_inc);
-                    self.ctx.metrics.indirect_probes += 1;
-                    self.ctx.metrics.gossip_entries_piggybacked += gossip.len() as u64;
-                    self.ctx.send(relay, Message::PingReq { target, probe_id, gossip }, out);
-                }
-                DetectorAction::Suspect { node, incarnation } => {
-                    trace!(
-                        "[n{}] detector suspects {:?} inc {} (no ack, direct or relayed)",
-                        self.ctx.id.0,
-                        node,
-                        incarnation
-                    );
-                    self.ctx.metrics.suspicions_raised += 1;
-                }
-                DetectorAction::Dead { node, incarnation } => {
-                    trace!(
-                        "[n{}] detector declares {:?} inc {} dead (suspicion expired)",
-                        self.ctx.id.0,
-                        node,
-                        incarnation
-                    );
-                    self.ctx.metrics.deaths_declared += 1;
-                    if self.ctx.membership.note_failure(node, incarnation) == FailureVerdict::Apply
-                    {
-                        self.peer_failed_impl(now, node, out);
-                    }
-                }
+                DetectorAction::Suspect { .. } | DetectorAction::Dead { .. } => {}
             }
         }
-        self.detector = Some(det);
+        out.append(&mut followups);
         self.arm_detector_timer(now, out);
     }
 
-    /// Fold the piggybacked gossip of an incoming Ping/Ack/PingReq into the
-    /// membership view and the detector's dissemination state. Claims about this
-    /// node itself are where refutation happens: a Suspect/Dead claim naming our
-    /// current (or a newer) incarnation makes us bump past it — the refuted alive
-    /// claim then leads every digest we send from here on.
-    fn process_gossip(&mut self, now: Time, entries: &[GossipEntry], out: &mut Vec<Effect>) {
-        let Some(mut det) = self.detector.take() else { return };
-        for &(node, incarnation, state) in entries {
-            if node == self.ctx.id {
-                if state != GossipState::Alive
-                    && incarnation >= self.ctx.membership.self_incarnation()
-                {
-                    let new_inc = self.ctx.membership.refute(incarnation);
-                    self.ctx.metrics.refutations_sent += 1;
-                    trace!(
-                        "[n{}] refuting gossiped {:?} claim about self: bumped to inc {}",
-                        self.ctx.id.0,
-                        state,
-                        new_inc
-                    );
-                }
-                continue;
-            }
-            match state {
-                GossipState::Alive => match self.ctx.membership.note_alive(node, incarnation) {
-                    AliveVerdict::Superseded { was_alive } => {
-                        // A newer incarnation is alive. If we believed the old one
-                        // alive this is a *refutation* — the node never died, so
-                        // unlike a reconnecting `Hello` no implied failure is
-                        // folded. If we believed it dead, it restarted: fold the
-                        // recovery into the placement views.
-                        if !was_alive {
-                            self.ctx.service.on_peer_recovered(node);
-                        }
-                        det.observe_alive(node, incarnation);
-                    }
-                    AliveVerdict::Known => {
-                        det.observe_alive(node, incarnation);
-                    }
-                    AliveVerdict::Stale => {}
-                },
-                GossipState::Suspect => {
-                    if det.observe_suspect(node, incarnation, now) {
-                        trace!(
-                            "[n{}] adopted gossiped suspicion of {:?} inc {}",
-                            self.ctx.id.0,
-                            node,
-                            incarnation
-                        );
-                        self.ctx.metrics.suspicions_raised += 1;
-                    }
-                }
-                GossipState::Dead => {
-                    det.observe_dead(node, incarnation);
-                    if self.ctx.membership.note_failure(node, incarnation) == FailureVerdict::Apply
-                    {
-                        trace!(
-                            "[n{}] learned from gossip that {:?} inc {} died",
-                            self.ctx.id.0,
-                            node,
-                            incarnation
-                        );
-                        self.ctx.metrics.membership_deaths_learned += 1;
-                        self.peer_failed_impl(now, node, out);
-                    }
-                }
-            }
-        }
-        self.detector = Some(det);
-    }
-
-    /// Keep the detector's per-peer mirror in step with liveness evidence that
-    /// arrived outside the gossip plane (Hello, DirResynced, digests, driver
-    /// verdicts). No-op without a detector.
-    pub(crate) fn detector_observe_alive(&mut self, node: NodeId, incarnation: u64) {
-        if let Some(det) = self.detector.as_mut() {
-            det.observe_alive(node, incarnation);
-        }
-    }
-
-    /// As [`ObjectStoreNode::detector_observe_alive`], for death evidence.
-    pub(crate) fn detector_observe_dead(&mut self, node: NodeId, incarnation: u64) {
-        if let Some(det) = self.detector.as_mut() {
-            det.observe_dead(node, incarnation);
-        }
+    /// The gossip to carry on a probe frame to `dest` (none without a detector).
+    fn piggyback(&mut self, dest: NodeId) -> Vec<GossipEntry> {
+        let Some(det) = self.detector.as_mut() else { return Vec::new() };
+        let gossip = det.piggyback(&self.ctx.membership, dest);
+        self.ctx.metrics.gossip_entries_piggybacked += gossip.len() as u64;
+        gossip
     }
 
     fn drain_self_queue(&mut self, now: Time, out: &mut Vec<Effect>) {

@@ -31,7 +31,18 @@ struct TestCluster {
 
 impl TestCluster {
     fn new(n: usize) -> TestCluster {
-        let (nodes, _) = setup(n);
+        TestCluster::with_config(n, HopliteConfig::small_for_tests())
+    }
+
+    fn with_config(n: usize, cfg: HopliteConfig) -> TestCluster {
+        let cluster = ClusterView::of_size(n);
+        let nodes = cluster
+            .nodes
+            .iter()
+            .map(|&id| {
+                ObjectStoreNode::new(id, cfg.clone(), cluster.clone(), NodeOptions::default())
+            })
+            .collect();
         TestCluster {
             nodes,
             pending: Default::default(),
@@ -1182,4 +1193,55 @@ fn restart_request_from_a_believed_primary_redrives_once_and_keeps_one_view() {
     tc.nodes[0].handle_peer_failed(Time::ZERO, NodeId(2), &mut late);
     assert_eq!(tc.nodes[0].metrics().directory_redrives, 1, "no second re-drive");
     assert_eq!(tc.nodes[0].directory_primary_for(object), Some(NodeId(0)));
+}
+
+/// A node id outside the cluster, in any message that carries liveness evidence, is
+/// dropped where the membership table is read — it must not index past the table
+/// (bytes off the wire cannot panic a node). Each of the seven carriers, with the
+/// detector off and on, leaves the table and the placement view as they were and
+/// produces only what a frame of its kind produces anyway (a `Ping` is acked, a
+/// `PingReq` relayed), never repeating the id.
+#[test]
+fn out_of_range_node_ids_in_liveness_messages_are_dropped() {
+    use crate::detector::DetectorConfig;
+    let cluster = ClusterView::of_size(3);
+    let probes: Vec<ObjectId> = (0..3).map(|i| object_on_shard(&cluster, NodeId(i))).collect();
+    for detector in [None, Some(DetectorConfig::default())] {
+        let relays = detector.is_some();
+        let cfg = HopliteConfig { detector, ..HopliteConfig::small_for_tests() };
+        let mut tc = TestCluster::with_config(3, cfg);
+        for bad in [NodeId(3), NodeId(u32::MAX)] {
+            let gossip = vec![
+                (bad, 1, GossipState::Dead),
+                (bad, 2, GossipState::Suspect),
+                (bad, 3, GossipState::Alive),
+            ];
+            let carriers = [
+                (Message::Hello { node: bad, incarnation: 1 }, 0),
+                (Message::PeerFailureNotice { node: bad, incarnation: 1 }, 0),
+                (Message::DirResynced { node: bad, incarnation: 1 }, 0),
+                (Message::MembershipDigest { entries: vec![(bad, 1, true), (bad, 2, false)] }, 0),
+                (Message::Ping { origin: NodeId(1), probe_id: 9, gossip: gossip.clone() }, 1),
+                (Message::Ack { probe_id: 9, gossip: gossip.clone() }, 0),
+                (Message::PingReq { target: NodeId(2), probe_id: 9, gossip }, usize::from(relays)),
+            ];
+            for (msg, expected_effects) in carriers {
+                let node = &mut tc.nodes[0];
+                let view = |n: &ObjectStoreNode| {
+                    let routes: Vec<_> =
+                        probes.iter().map(|&o| n.directory_primary_for(o)).collect();
+                    (n.membership().digest(), routes, n.directory_is_resyncing())
+                };
+                let before = view(node);
+                let mut out = Vec::new();
+                node.handle_message(Time::ZERO, NodeId(1), msg.clone(), &mut out);
+                assert_eq!(view(node), before, "{msg:?} moved the table or the placement view");
+                assert_eq!(out.len(), expected_effects, "{msg:?} produced {out:?}");
+                assert!(
+                    !format!("{out:?}").contains(&format!("{bad:?}")),
+                    "{out:?} repeats {bad:?}"
+                );
+            }
+        }
+    }
 }

@@ -22,13 +22,9 @@ use crate::object::ObjectId;
 struct StoredObject {
     buffer: ProgressBuffer,
     /// Held in memory until deleted (the local `Put` origin). Only an unpinned copy is
-    /// evictable or idle-collectable.
+    /// evictable.
     pinned: bool,
     last_access: u64,
-    /// Two-generation idle-GC mark: set by a sweep, cleared by any access. A copy
-    /// still marked when the *next* sweep runs has been idle a full generation and
-    /// is collected.
-    idle: bool,
 }
 
 /// The local object store of one node.
@@ -104,7 +100,6 @@ impl LocalStore {
                 buffer: ProgressBuffer::complete_from(payload),
                 pinned,
                 last_access: self.access_counter,
-                idle: false,
             },
         );
         Ok(())
@@ -130,7 +125,6 @@ impl LocalStore {
                 buffer: ProgressBuffer::new(total_size, synthetic),
                 pinned: false,
                 last_access: self.access_counter,
-                idle: false,
             },
         );
         Ok(())
@@ -139,7 +133,6 @@ impl LocalStore {
     /// Append a block to an in-progress object. Returns the new watermark.
     pub fn append(&mut self, object: ObjectId, offset: u64, payload: &Payload) -> Result<u64> {
         let entry = self.objects.get_mut(&object).ok_or(HopliteError::ObjectNotFound(object))?;
-        entry.idle = false;
         if !entry.buffer.append_at(offset, payload) {
             return Err(HopliteError::Protocol(format!(
                 "out-of-order append to {object:?}: offset {offset}, watermark {}",
@@ -157,7 +150,6 @@ impl LocalStore {
         let counter = self.access_counter;
         let entry = self.objects.get_mut(&object)?;
         entry.last_access = counter;
-        entry.idle = false;
         entry.buffer.read(offset, len)
     }
 
@@ -168,7 +160,6 @@ impl LocalStore {
         let counter = self.access_counter;
         let entry = self.objects.get_mut(&object)?;
         entry.last_access = counter;
-        entry.idle = false;
         entry.buffer.to_payload()
     }
 
@@ -177,37 +168,6 @@ impl LocalStore {
         if let Some(entry) = self.objects.get_mut(&object) {
             entry.pinned = pinned;
         }
-    }
-
-    /// Whether any copy is eligible for idle GC — unpinned and complete. Drives the
-    /// node facade's lazy arming of the sweep timer.
-    pub fn has_idle_candidates(&self) -> bool {
-        self.objects.values().any(|o| !o.pinned && o.buffer.is_complete())
-    }
-
-    /// One idle-GC generation: collect every unpinned complete copy that was already
-    /// marked idle by the previous sweep and is still untouched, then mark the
-    /// survivors. Two sweeps a TTL apart therefore drop copies idle for between one
-    /// and two TTLs — without tracking per-object deadlines. Returns the collected
-    /// ids so the caller can withdraw their directory registrations.
-    pub fn sweep_idle(&mut self) -> Vec<ObjectId> {
-        let victims: Vec<ObjectId> = self
-            .objects
-            .iter()
-            .filter(|(_, o)| o.idle && !o.pinned && o.buffer.is_complete())
-            .map(|(id, _)| *id)
-            .collect();
-        for id in &victims {
-            let entry = self.objects.remove(id).expect("victim exists");
-            self.used = self.used.saturating_sub(entry.buffer.total_size());
-            self.evictions += 1;
-        }
-        for entry in self.objects.values_mut() {
-            if !entry.pinned && entry.buffer.is_complete() {
-                entry.idle = true;
-            }
-        }
-        victims
     }
 
     /// Remove an object copy regardless of pinning (used by `Delete`).
@@ -371,27 +331,6 @@ mod tests {
         s.set_pinned(obj("missing"), true); // unknown objects are ignored
         s.put_complete(obj("b"), Payload::zeros(5), false).unwrap();
         assert!(!s.contains(obj("a")));
-    }
-
-    #[test]
-    fn idle_sweep_takes_two_generations_and_spares_touched_copies() {
-        let mut s = LocalStore::new(1024);
-        s.put_complete(obj("idle"), Payload::zeros(10), false).unwrap();
-        s.put_complete(obj("hot"), Payload::zeros(10), false).unwrap();
-        s.put_complete(obj("pinned"), Payload::zeros(10), true).unwrap();
-        s.begin_receive(obj("partial"), 10, false).unwrap();
-        // Generation 1: nothing collected yet, candidates are only marked.
-        assert!(s.sweep_idle().is_empty());
-        assert!(s.has_idle_candidates());
-        // "hot" is touched between sweeps; "idle" is not.
-        assert!(s.read(obj("hot"), 0, 1).is_some());
-        let swept = s.sweep_idle();
-        assert_eq!(swept, vec![obj("idle")]);
-        assert!(!s.contains(obj("idle")));
-        assert!(s.contains(obj("hot")), "touched copy survived");
-        assert!(s.contains(obj("pinned")), "pinned copies are never idle-collected");
-        assert!(s.contains(obj("partial")), "in-progress copies are never idle-collected");
-        assert_eq!(s.used(), 30);
     }
 
     #[test]
