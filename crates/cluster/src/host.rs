@@ -12,16 +12,20 @@
 //!   status query or a verdict, runs no further than its own event and leaves the
 //!   rest to the node thread, so a caller cannot be captured by a busy node;
 //! * a send issued inside another node's handler ([`Ingress::post`]: the channels
-//!   fabric) only enqueues and wakes the node thread. A handler never blocks and
-//!   never runs another node, so there is no nesting and no lock order;
+//!   fabric) only enqueues and wakes the node thread. A handler never runs another
+//!   node, so there is no nesting and no lock order;
 //! * the node thread (`hoplite-node-{id}`) does what nobody else did: it sleeps until
 //!   the earliest timer is due or it is woken, then runs what it finds.
+//!
+//! What a handler sends collects in the node's outbox and goes to the fabric in one
+//! [`FabricSender::send_all`] when the handler returns, still under the node's lock:
+//! the fabric sees one event's burst whole, and over TCP the thread that produced a
+//! small frame is the thread that writes it.
 //!
 //! One remote inline `Get`, counted in sleeping threads woken (`→`):
 //!
 //! ```text
-//! before: client → loop → writer → reader → pump → loop → writer → reader → pump → loop → client  (10)
-//! after:  client runs the Get → writer → reader answers the query → writer → reader completes it → client  (5)
+//! client runs the Get and writes the query → reader answers it and writes the reply → reader completes it → client  (3)
 //! ```
 
 use std::cmp::Reverse;
@@ -174,6 +178,7 @@ impl NodeHost {
         let node = Node {
             runtime: NodeRuntime::new(node),
             fabric: fabric_tx,
+            outbox: Vec::new(),
             pending_replies: HashMap::new(),
             epoch: Instant::now(),
         };
@@ -267,7 +272,9 @@ struct Shared {
     mailbox: Mutex<Mailbox>,
     /// Wakes the node thread; paired with `mailbox`.
     wake: Condvar,
-    /// `None` once shut down. Held only while handlers run, and handlers never block.
+    /// `None` once shut down. Held only while a handler runs and hands over its sends,
+    /// and neither waits on anything but the fabric's bound: one send timeout per
+    /// peer the event sent to (see [`FabricSender`]).
     node: Mutex<Option<Node>>,
 }
 
@@ -387,6 +394,8 @@ impl Ingress for Shared {
 struct Node {
     runtime: NodeRuntime,
     fabric: Box<dyn FabricSender>,
+    /// What the event being handled has sent so far; empty between events.
+    outbox: Vec<(NodeId, Message)>,
     pending_replies: HashMap<OpId, Sender<ClientReply>>,
     epoch: Instant,
 }
@@ -426,23 +435,34 @@ impl Node {
             }
         };
         let now = Time(self.epoch.elapsed().as_nanos() as u64);
-        let mut port =
-            RealPort { host, fabric: &*self.fabric, pending_replies: &mut self.pending_replies };
+        let mut port = RealPort {
+            host,
+            fabric: &*self.fabric,
+            outbox: &mut self.outbox,
+            pending_replies: &mut self.pending_replies,
+        };
         self.runtime.handle(now, event, &mut port);
+        // The event's sends leave together, so the fabric sees which frames belong to
+        // one burst and can put those for one peer on the wire in one write.
+        if !self.outbox.is_empty() {
+            self.fabric.send_all(host.id, &mut self.outbox);
+        }
     }
 }
 
-/// [`DriverPort`] over a real fabric: messages go out through the fabric sender,
-/// replies to the per-op channels, and timers into the host's mailbox.
+/// [`DriverPort`] over a real fabric: messages collect in the node's outbox and go out
+/// through the fabric sender when the handler returns, replies go to the per-op
+/// channels, and timers into the host's mailbox.
 struct RealPort<'a> {
     host: &'a Shared,
     fabric: &'a dyn FabricSender,
+    outbox: &'a mut Vec<(NodeId, Message)>,
     pending_replies: &'a mut HashMap<OpId, Sender<ClientReply>>,
 }
 
 impl DriverPort for RealPort<'_> {
     fn send(&mut self, to: NodeId, msg: Message) {
-        self.fabric.send(self.host.id, to, msg);
+        self.outbox.push((to, msg));
     }
 
     fn reply(&mut self, op: OpId, reply: ClientReply) {
@@ -659,6 +679,85 @@ pub(crate) mod tests {
         let sent = rig.sent.lock().unwrap();
         let me = thread::current().name().unwrap_or("").to_string();
         assert_eq!(sent[0].2, me, "the put's handler ran on the calling thread");
+    }
+
+    #[test]
+    fn one_events_sends_reach_the_fabric_as_one_batch_after_the_handler() {
+        // A fabric that takes batches whole: what it was handed, on which thread, and
+        // whether the event's client reply was already out (the handler had returned).
+        type Batch = (Vec<(NodeId, Message)>, String, bool);
+        struct Batches {
+            batches: Arc<Mutex<Vec<Batch>>>,
+            reply: Receiver<ClientReply>,
+        }
+        impl FabricSender for Batches {
+            fn send(&self, _: NodeId, _: NodeId, msg: Message) {
+                panic!("a hosted node sends by the batch, not {msg:?} alone");
+            }
+            fn send_all(&self, _from: NodeId, batch: &mut Vec<(NodeId, Message)>) {
+                let thread = thread::current().name().unwrap_or("").to_string();
+                let replied = self.reply.try_recv().is_ok();
+                self.batches.lock().unwrap().push((std::mem::take(batch), thread, replied));
+            }
+        }
+        // A reduce subscribes to each source at its directory shard: with three
+        // sources homed on node 1 and one on node 2, accepting it emits three frames
+        // to one peer and one to another, interleaved in source order.
+        let view = ClusterView::of_size(3);
+        let homed = |node: u32| {
+            let view = &view;
+            (0u64..)
+                .map(move |k| ObjectId::from_name(&format!("batch-{node}-{k}")))
+                .filter(move |&o| view.shard_node(o) == NodeId(node))
+        };
+        let (mut on_1, mut on_2) = (homed(1), homed(2));
+        let sources: Vec<ObjectId> = vec![
+            on_1.next().unwrap(),
+            on_2.next().unwrap(),
+            on_1.next().unwrap(),
+            on_1.next().unwrap(),
+        ];
+        let (reply, replies) = unbounded();
+        let batches = Arc::new(Mutex::new(Vec::new()));
+        let fabric = Batches { batches: batches.clone(), reply: replies };
+        let opts = NodeOptions { synthetic_data: false, pipelined_put: false, incarnation: 0 };
+        let node = ObjectStoreNode::new(NodeId(0), HopliteConfig::small_for_tests(), view, opts);
+        let next_op = Arc::new(AtomicU64::new(1));
+        let host = NodeHost::spawn(node, Box::new(fabric), false, next_op, |_| {});
+        // As in `rig`: once the node thread has run a posted frame and let go of the
+        // node it is asleep, and the next caller finds the node free.
+        let (from, msg) = pull(1, ObjectId::from_name("warm-up"));
+        host.shared.post(from, msg);
+        wait_until("the node thread to run the warm-up", || batches.lock().unwrap().len() == 1);
+        drop(host.shared.node.lock().unwrap());
+
+        let op = ClientOp::Reduce {
+            target: ObjectId::from_name("batch-sum"),
+            sources: sources.clone(),
+            num_objects: None,
+            spec: ReduceSpec::sum_f32(),
+            degree: None,
+        };
+        thread::scope(|s| {
+            let call = || host.shared.call(LoopEvent::Client { op_id: OpId(1), op, reply });
+            thread::Builder::new().name("caller".to_string()).spawn_scoped(s, call).unwrap();
+        });
+        let batches = batches.lock().unwrap();
+        let [_warm_up, (batch, thread, replied)] = batches.as_slice() else {
+            panic!("one event, one batch: got {}", batches.len() - 1);
+        };
+        assert_eq!(thread, "caller", "the thread that ran the handler hands over its sends");
+        assert!(replied, "the batch leaves after the handler returned");
+        let emitted: Vec<(NodeId, ObjectId)> = batch
+            .iter()
+            .map(|(to, msg)| match msg {
+                Message::DirSubscribe { object, .. } => (*to, *object),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        let expected: Vec<(NodeId, ObjectId)> =
+            [1, 2, 1, 1].map(NodeId).into_iter().zip(sources).collect();
+        assert_eq!(emitted, expected, "emission order");
     }
 
     #[test]

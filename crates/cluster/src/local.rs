@@ -74,7 +74,9 @@ impl LocalCluster {
         match fabric {
             LocalFabric::Channels => Self::start(n, cfg, ChannelFabric::new(n)),
             LocalFabric::Tcp => {
-                Self::start(n, cfg, TcpFabric::new(n).expect("bind localhost listeners"))
+                let fabric = TcpFabric::new(n).expect("bind localhost listeners");
+                let fabric = fabric.with_block_size(cfg.block_size);
+                Self::start(n, cfg, fabric)
             }
         }
     }

@@ -63,7 +63,8 @@ fn run() -> std::result::Result<(), String> {
     }
 
     let mut fabric = TcpFabric::bind_node(me, &addrs, incarnation)
-        .map_err(|e| format!("bind fabric {}: {e}", addrs[me.index()]))?;
+        .map_err(|e| format!("bind fabric {}: {e}", addrs[me.index()]))?
+        .with_block_size(cfg.block_size);
     let node = ObjectStoreNode::new(
         me,
         cfg,

@@ -8,7 +8,9 @@
 //! * [`crate::tcp::TcpFabric`] — localhost TCP with the framing of [`crate::framing`],
 //!   one connection per (sender, receiver) pair, mirroring the paper's raw-TCP data
 //!   plane. A connection's reader thread has nothing else to do, so it calls
-//!   [`Ingress::deliver`] and the sink may run the node's handlers right there.
+//!   [`Ingress::deliver`] and the sink may run the node's handlers right there; a
+//!   send writes small frames to an idle connection on the sending thread, for at
+//!   most one send timeout, and leaves the rest to the connection's writer thread.
 //! * [`ChannelFabric`] — in-process, no sockets and no threads of its own: `send`
 //!   runs on the *sender's* thread, usually inside another node's handler, so it
 //!   calls [`Ingress::post`], which only enqueues and wakes the destination's own
@@ -36,11 +38,27 @@ use hoplite_core::prelude::*;
 use parking_lot::RwLock;
 
 /// The sending half of a fabric, cloneable and shareable across node threads.
+///
+/// Neither sending method waits for the network beyond a fixed bound: an
+/// implementation may write to a socket on the calling thread — usually a thread
+/// inside a node's handler — for at most one send timeout per peer addressed
+/// ([`crate::tcp`] does, for small frames on an idle connection), and otherwise only
+/// enqueues.
 pub trait FabricSender: Send + Sync + 'static {
     /// Deliver `msg` from `from` to `to`. Delivery is asynchronous and best-effort:
     /// messages to a dead node are silently dropped (the failure detector reports the
-    /// death separately).
+    /// death separately). A call is complete on its own — nothing waits for a later
+    /// call to flush it.
     fn send(&self, from: NodeId, to: NodeId, msg: Message);
+
+    /// Deliver everything `from` sent while handling one event, in emission order,
+    /// leaving `batch` empty. Frames to one peer keep their order; a fabric with a
+    /// wire may put them on it in one write. The default sends them one by one.
+    fn send_all(&self, from: NodeId, batch: &mut Vec<(NodeId, Message)>) {
+        for (to, msg) in batch.drain(..) {
+            self.send(from, to, msg);
+        }
+    }
 
     /// The failure detector declared `to` dead: tear down any cached transport state
     /// toward it, so the next send reconnects from scratch. Connection-oriented

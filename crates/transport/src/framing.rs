@@ -665,9 +665,15 @@ pub fn write_frame_vectored<W: std::io::Write>(w: &mut W, msg: &Message) -> std:
 
 // --------------------------------------------------------------- pooled slab reader --
 
-/// Default receive slab: one pipelining block plus slack for the frame header and a
-/// trailing length prefix, so a full 4 MiB `PushBlock` frame always fits in one slab.
-pub const DEFAULT_RECV_SLAB: usize = 4 * 1024 * 1024 + 4096;
+/// Default receive slab: [`recv_slab_for`] the default 4 MiB pipelining block.
+pub const DEFAULT_RECV_SLAB: usize = recv_slab_for(4 * 1024 * 1024);
+
+/// The receive slab for `block_size`-byte pipelining blocks: one block plus slack for
+/// the frame header and a trailing length prefix, so a full `PushBlock` frame always
+/// fits in one slab — and no more, because an escaped block payload pins its whole slab.
+pub const fn recv_slab_for(block_size: usize) -> usize {
+    block_size + 4096
+}
 
 /// Zero-copy framed reader: the receive-side twin of [`write_frame_vectored`].
 ///
@@ -703,22 +709,19 @@ pub struct FrameReader<R> {
 impl<R: std::io::Read> FrameReader<R> {
     /// Wrap `inner` with default (block-sized) slabs from a pool of its own.
     pub fn new(inner: R) -> FrameReader<R> {
-        FrameReader::with_pool(inner, SlabPool::new())
-    }
-
-    /// Wrap `inner` with default (block-sized) slabs from `pool`, which other readers
-    /// may share: a slab one of them filled is, once unpinned, read into by any.
-    pub fn with_pool(inner: R, pool: SlabPool) -> FrameReader<R> {
-        FrameReader::build(inner, pool, DEFAULT_RECV_SLAB)
+        FrameReader::with_pool(inner, SlabPool::new(), DEFAULT_RECV_SLAB)
     }
 
     /// Wrap `inner` with slabs of at least `slab_len` bytes (tests use tiny slabs to
     /// force boundary straddles; oversized frames still get a dedicated allocation).
     pub fn with_slab_len(inner: R, slab_len: usize) -> FrameReader<R> {
-        FrameReader::build(inner, SlabPool::new(), slab_len.max(64))
+        FrameReader::with_pool(inner, SlabPool::new(), slab_len.max(64))
     }
 
-    fn build(inner: R, pool: SlabPool, slab_len: usize) -> FrameReader<R> {
+    /// Wrap `inner` with slabs of at least `slab_len` bytes (a fabric passes
+    /// [`recv_slab_for`] its block size) from `pool`, which other readers may share: a
+    /// slab one of them filled is, once unpinned, read into by any.
+    pub fn with_pool(inner: R, pool: SlabPool, slab_len: usize) -> FrameReader<R> {
         let reuses_reported = pool.reuses();
         let slab = pool.checkout(slab_len);
         FrameReader { inner, pool, reuses_reported, slab_len, slab, pos: 0, filled: 0 }
@@ -817,8 +820,10 @@ impl<R: std::io::Read> FrameReader<R> {
 /// Cap on frames held back by a [`Cork`] before an implicit flush.
 const MAX_CORKED_FRAMES: usize = 64;
 
-/// Cap on bytes held back by a [`Cork`] before an implicit flush.
-const MAX_CORKED_BYTES: usize = 64 * 1024;
+/// Cap on bytes held back by a [`Cork`] before an implicit flush — and so the most a
+/// single batched write carries, which is what lets a TCP edge bound the time a
+/// calling thread can spend writing one (see [`crate::tcp`]).
+pub(crate) const MAX_CORKED_BYTES: usize = 64 * 1024;
 
 /// Batches bursts of small control frames to one peer into a single vectored write.
 ///
@@ -848,11 +853,19 @@ impl Cork {
         Cork { pending: Vec::new(), pending_bytes: 0, corked_frames: 0, corked_writes: 0 }
     }
 
-    /// Encode and submit `msg`. Control frames are held for batching (up to the
+    /// Encode and submit `msg`: [`Cork::push`] of its frame.
+    pub fn write<W: std::io::Write>(&mut self, w: &mut W, msg: &Message) -> std::io::Result<()> {
+        self.push(w, encode_frame_vectored(msg)?)
+    }
+
+    /// Submit an encoded frame. Control frames are held for batching (up to the
     /// frame/byte caps); bulk frames flush anything pending and go out immediately
     /// through the zero-copy vectored path.
-    pub fn write<W: std::io::Write>(&mut self, w: &mut W, msg: &Message) -> std::io::Result<()> {
-        let frame = encode_frame_vectored(msg)?;
+    pub fn push<W: std::io::Write>(
+        &mut self,
+        w: &mut W,
+        frame: EncodedFrame,
+    ) -> std::io::Result<()> {
         if !frame.segments.is_empty() {
             self.flush(w)?;
             let parts: Vec<&[u8]> = frame.parts().map(|p| p.as_slice()).collect();
@@ -888,15 +901,11 @@ impl Cork {
         !self.pending.is_empty()
     }
 
-    /// Frames that went out batched with at least one other frame, since the last
-    /// call (→ the `corked_frames_per_write` metric's numerator).
-    pub fn take_corked_frames(&mut self) -> u64 {
-        std::mem::take(&mut self.corked_frames)
-    }
-
-    /// Multi-frame vectored writes issued since the last call.
-    pub fn take_corked_writes(&mut self) -> u64 {
-        std::mem::take(&mut self.corked_writes)
+    /// `(frames, writes)` since the last call: frames that went out batched with at
+    /// least one other frame, and the multi-frame vectored writes that carried them
+    /// (→ the `corked_frames_per_write` metric).
+    pub fn take_corked(&mut self) -> (u64, u64) {
+        (std::mem::take(&mut self.corked_frames), std::mem::take(&mut self.corked_writes))
     }
 }
 
@@ -942,7 +951,7 @@ fn write_all_vectored<W: std::io::Write>(w: &mut W, parts: &[&[u8]]) -> std::io:
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// One frame's wire bytes, length prefix included.
@@ -1267,7 +1276,7 @@ mod tests {
 
     /// Deterministic xorshift64* generator — the same in-file seeded-fuzzer style as
     /// `crates/core/tests/properties.rs`, so failures reproduce exactly.
-    struct Rng(u64);
+    pub(crate) struct Rng(pub(crate) u64);
 
     impl Rng {
         fn next_u64(&mut self) -> u64 {
@@ -1279,7 +1288,7 @@ mod tests {
             x.wrapping_mul(0x2545_f491_4f6c_dd1d)
         }
 
-        fn range(&mut self, lo: u64, hi: u64) -> u64 {
+        pub(crate) fn range(&mut self, lo: u64, hi: u64) -> u64 {
             lo + self.next_u64() % (hi - lo)
         }
 
@@ -1924,8 +1933,9 @@ mod tests {
         };
         // Default slabs: 4 MiB of address space each, of which a block touches 8 KiB.
         let pool = SlabPool::new();
-        let reader_over =
-            |stream: Vec<u8>| FrameReader::with_pool(std::io::Cursor::new(stream), pool.clone());
+        let reader_over = |stream: Vec<u8>| {
+            FrameReader::with_pool(std::io::Cursor::new(stream), pool.clone(), DEFAULT_RECV_SLAB)
+        };
         // Read one object, returning its blocks (kept alive, as the store would) and
         // the address of the slab each one landed in.
         fn read_object<R: std::io::Read>(r: &mut FrameReader<R>) -> (Vec<Message>, Vec<*const u8>) {
@@ -2153,8 +2163,7 @@ mod tests {
         cork.flush(&mut w).unwrap();
         assert_eq!(w.calls, 1, "the whole burst goes out as one vectored write");
         assert_eq!(w.out, expected, "corked stream must be byte-exact");
-        assert_eq!(cork.take_corked_frames(), 10);
-        assert_eq!(cork.take_corked_writes(), 1);
+        assert_eq!(cork.take_corked(), (10, 1));
     }
 
     #[test]

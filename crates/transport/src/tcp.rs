@@ -12,35 +12,53 @@
 //!
 //! Both directions are **zero-copy** for bulk payloads:
 //!
-//! * Sends go through a per-edge writer thread owning the stream. Bulk frames are
-//!   written as scatter-gather iovecs into the kernel (no staging copy); bursts of
-//!   small control frames are corked ([`crate::framing::Cork`]) into a single
-//!   `write_vectored` and flushed whenever the edge's queue drains, so directory
-//!   chatter stops costing one syscall per frame without ever being delayed while
-//!   traffic is idle.
+//! * Sends go through the connection's `Edge`: a FIFO of encoded frames, a flag for
+//!   who owns the socket, and a writer thread. A send that finds the edge idle with
+//!   nothing queued, and whose frames for that peer fit the cork's 64 KiB cap, writes
+//!   them itself — one vectored write on the calling thread, so a small request or
+//!   reply wakes nobody. Everything else (bulk, anything behind a backlog or a write
+//!   in progress) is queued for the writer thread, which writes bulk frames as
+//!   scatter-gather iovecs (no staging copy) and corks bursts of small control frames
+//!   ([`crate::framing::Cork`]) into single `write_vectored` calls, flushing whenever
+//!   the queue drains.
 //! * Receives go through a [`crate::framing::FrameReader`]: frames decode in place
 //!   out of pooled slabs, so a block's payload bytes are written once by the kernel
 //!   and then adopted as shared views all the way into the store. Every reader thread
 //!   of a fabric draws from one [`SlabPool`], so the slabs of a deleted object are
 //!   what the next object is read into, whichever peer sends it.
+//!
+//! Callers are usually inside a node's handler, and a stalled peer must not stall the
+//! node that talks to it, so every socket carries a send timeout (`SEND_TIMEOUT`): a
+//! caller's write blocks for at most that long, once — what the kernel did not take
+//! goes to the front of the edge's queue, and while anything is queued later sends
+//! only enqueue. Only the writer thread retries. That also breaks the cycle of two
+//! reader threads each writing to a peer whose reader is busy writing back.
 
-use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::{HashMap, VecDeque};
+use std::io::{ErrorKind, IoSlice, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread;
+use std::sync::{Arc, Condvar, MutexGuard};
+use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use crossbeam_channel::{unbounded, Receiver, Sender, TryRecvError};
 use hoplite_core::buffer::SlabPool;
 use hoplite_core::prelude::*;
 use parking_lot::{Mutex, RwLock};
 
 use crate::fabric::{Fabric, FabricSender, IngressSink, IngressTable};
-use crate::framing::{write_frame_vectored, Cork, FrameReader};
+use crate::framing::{
+    encode_frame_vectored, recv_slab_for, write_frame_vectored, Cork, EncodedFrame, FrameReader,
+    DEFAULT_RECV_SLAB, MAX_CORKED_BYTES,
+};
 
 /// How long an accepted connection may take to introduce itself before it is dropped.
 const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// The longest one write into an edge's socket can block (`SO_SNDTIMEO`): what a send
+/// costs a handler, once, when the peer has stopped reading. Far above a healthy write
+/// of 64 KiB, far below anything a failure detector would notice.
+const SEND_TIMEOUT: Duration = Duration::from_millis(5);
 
 /// A TCP-backed fabric for `n` co-hosted (or genuinely remote) nodes.
 pub struct TcpFabric {
@@ -52,23 +70,39 @@ pub struct TcpFabric {
     incarnations: Arc<RwLock<Vec<u64>>>,
     /// Where every reader thread's receive slabs come from and go back to.
     recv_pool: SlabPool,
-    corked_frames: Arc<AtomicU64>,
-    corked_writes: Arc<AtomicU64>,
+    /// How large those slabs are: [`recv_slab_for`] the deployment's block size.
+    recv_slab: usize,
+    stats: Arc<SendStats>,
 }
 
-/// Live writer-thread queues, keyed by `(from, to)` edge.
-type EdgeMap = Arc<Mutex<HashMap<(u32, u32), Sender<Message>>>>;
+/// A fabric's send-side counters, shared with every sender it hands out.
+#[derive(Default)]
+struct SendStats {
+    corked_frames: AtomicU64,
+    corked_writes: AtomicU64,
+    caller_frames: AtomicU64,
+    writer_frames: AtomicU64,
+}
 
-/// Sender half of [`TcpFabric`]. Each edge `(from, to)` gets a dedicated writer
-/// thread owning its stream; `send` only enqueues, so callers never block on the
-/// network and the writer can see (and cork) whole bursts at once.
+/// The live edges of one sender and its clones, keyed by `(from, to)`. The last clone
+/// to go shuts them, so a stopped node's connections and writer threads go with it.
+#[derive(Default)]
+struct EdgeMap(Mutex<HashMap<(u32, u32), Arc<Edge>>>);
+
+impl Drop for EdgeMap {
+    fn drop(&mut self) {
+        self.0.get_mut().values().for_each(|edge| edge.shut());
+    }
+}
+
+/// Sender half of [`TcpFabric`]: one `Edge` per `(from, to)` pair, dialed on first
+/// use.
 #[derive(Clone)]
 pub struct TcpFabricSender {
     addrs: Arc<Vec<SocketAddr>>,
-    edges: EdgeMap,
+    edges: Arc<EdgeMap>,
     incarnations: Arc<RwLock<Vec<u64>>>,
-    corked_frames: Arc<AtomicU64>,
-    corked_writes: Arc<AtomicU64>,
+    stats: Arc<SendStats>,
 }
 
 impl TcpFabric {
@@ -114,9 +148,16 @@ impl TcpFabric {
             listeners,
             incarnations: Arc::new(RwLock::new(incarnations)),
             recv_pool: SlabPool::new(),
-            corked_frames: Arc::new(AtomicU64::new(0)),
-            corked_writes: Arc::new(AtomicU64::new(0)),
+            recv_slab: DEFAULT_RECV_SLAB,
+            stats: Arc::default(),
         }
+    }
+
+    /// Size receive slabs for the deployment's pipelining block (default: the default
+    /// block, 4 MiB). Call before the first [`Fabric::attach`] starts an accept loop.
+    pub fn with_block_size(mut self, block_size: u64) -> Self {
+        self.recv_slab = recv_slab_for(block_size as usize);
+        self
     }
 
     /// Addresses of every node's listener (diagnostics).
@@ -147,7 +188,7 @@ fn bind_with_retry(addr: SocketAddr) -> std::io::Result<TcpListener> {
     for _ in 0..60 {
         match TcpListener::bind(addr) {
             Ok(listener) => return Ok(listener),
-            Err(e) if e.kind() == std::io::ErrorKind::AddrInUse => {
+            Err(e) if e.kind() == ErrorKind::AddrInUse => {
                 last = Some(e);
                 thread::sleep(Duration::from_millis(50));
             }
@@ -163,12 +204,18 @@ fn bind_with_retry(addr: SocketAddr) -> std::io::Result<TcpListener> {
 /// survivor that sees a restarted peer reconnect learns the new incarnation — to the
 /// slot's sink. The sink is looked up per frame: a restart swaps it, and a surviving
 /// connection must start feeding the new incarnation.
-fn accept_loop(listener: TcpListener, slot: usize, ingress: IngressTable, pool: SlabPool) {
+fn accept_loop(
+    listener: TcpListener,
+    slot: usize,
+    ingress: IngressTable,
+    pool: SlabPool,
+    slab_len: usize,
+) {
     for stream in listener.incoming() {
         let Ok(stream) = stream else { return };
         let _ = stream.set_read_timeout(Some(HELLO_TIMEOUT));
         let Ok(timeouts) = stream.try_clone() else { continue };
-        let mut reader = FrameReader::with_pool(stream, pool.clone());
+        let mut reader = FrameReader::with_pool(stream, pool.clone(), slab_len);
         let Ok(hello @ Message::Hello { node: from, .. }) = reader.read_message() else {
             continue;
         };
@@ -195,9 +242,10 @@ impl Fabric for TcpFabric {
         self.ingress.write()[node.index()] = Some(sink);
         if let Some(listener) = self.listeners[node.index()].take() {
             let (slot, table, pool) = (node.index(), self.ingress.clone(), self.recv_pool.clone());
+            let slab_len = self.recv_slab;
             thread::Builder::new()
                 .name(format!("hoplite-accept-{slot}"))
-                .spawn(move || accept_loop(listener, slot, table, pool))
+                .spawn(move || accept_loop(listener, slot, table, pool, slab_len))
                 .expect("spawn accept thread");
         }
     }
@@ -205,12 +253,9 @@ impl Fabric for TcpFabric {
     fn sender(&self) -> TcpFabricSender {
         TcpFabricSender {
             addrs: self.addrs.clone(),
-            edges: Arc::new(Mutex::new(HashMap::new())),
+            edges: Arc::default(),
             incarnations: self.incarnations.clone(),
-            // Cork counters are shared with the fabric (and every other sender it
-            // hands out), so `transport_metrics` sees fabric-wide totals.
-            corked_frames: self.corked_frames.clone(),
-            corked_writes: self.corked_writes.clone(),
+            stats: self.stats.clone(),
         }
     }
 
@@ -221,106 +266,284 @@ impl Fabric for TcpFabric {
     fn transport_metrics(&self) -> NodeMetrics {
         NodeMetrics {
             recv_slab_reuse: self.recv_slab_reuses(),
-            corked_frames_per_write: self.corked_frames.load(Ordering::Relaxed),
+            corked_frames_per_write: self.stats.corked_frames.load(Ordering::Relaxed),
             ..NodeMetrics::default()
         }
     }
+}
+
+/// One `(from, to)` connection's send side: the socket, the frames waiting for it,
+/// and who is writing to it. The socket has one owner at a time (`busy`), a caller may
+/// take it only when nothing is queued, and whoever gives it up looks at the queue
+/// again under the lock, so nothing is stranded and nothing overtakes.
+struct Edge {
+    stream: TcpStream,
+    state: std::sync::Mutex<EdgeState>,
+    /// Wakes the writer thread; paired with `state`.
+    wake: Condvar,
+    stats: Arc<SendStats>,
+}
+
+#[derive(Default)]
+struct EdgeState {
+    /// Frames no write has taken yet, oldest first. What a caller's write left
+    /// unwritten goes back in at the front, as one "frame" that is just those bytes.
+    queue: VecDeque<EncodedFrame>,
+    /// Total [`EncodedFrame::frame_len`] of `queue` — where a byte budget would go.
+    queued_bytes: usize,
+    /// A caller inside [`Edge::submit`], or the writer thread, owns the socket.
+    busy: bool,
+    /// Torn down, or a write failed: nothing more is written and the writer exits.
+    closed: bool,
+    /// The `hoplite-writer-{from}-{to}` thread, until [`Edge::shut`] joins it.
+    writer: Option<JoinHandle<()>>,
+}
+
+impl Edge {
+    fn state(&self) -> MutexGuard<'_, EdgeState> {
+        // No code panics while holding the state, and every update leaves it valid.
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Send `frames` — one event's frames for this peer, in order — or hand them back
+    /// if the edge is closed. Written here and now if the socket is free, nothing is
+    /// queued and they are small; queued for the writer thread otherwise.
+    fn submit(&self, frames: Vec<EncodedFrame>) -> std::result::Result<(), Vec<EncodedFrame>> {
+        let bytes: usize = frames.iter().map(EncodedFrame::frame_len).sum();
+        let mut state = self.state();
+        if state.closed {
+            return Err(frames);
+        }
+        let idle = !state.busy && state.queue.is_empty();
+        if !idle || bytes > MAX_CORKED_BYTES {
+            state.queued_bytes += bytes;
+            state.queue.extend(frames);
+            if idle {
+                // Only on an idle edge is the writer thread asleep: a busy owner
+                // re-checks the queue, and whoever made it non-empty has woken it.
+                self.wake.notify_one();
+            }
+            return Ok(());
+        }
+        state.busy = true;
+        drop(state);
+        let written = self.write_now(&frames);
+        let mut state = self.state();
+        state.busy = false;
+        match written {
+            Ok(written) if written < bytes && !state.closed => {
+                let tail: Vec<u8> =
+                    frames.iter().flat_map(EncodedFrame::to_contiguous).skip(written).collect();
+                state.queued_bytes += tail.len();
+                state.queue.push_front(EncodedFrame { header: tail.into(), segments: Vec::new() });
+            }
+            Ok(_) => {}
+            Err(_) => self.close(&mut state),
+        }
+        if !state.queue.is_empty() {
+            self.wake.notify_one();
+        }
+        Ok(())
+    }
+
+    /// A caller's way to the socket: one vectored write on the calling thread, for at
+    /// most [`SEND_TIMEOUT`]. Returns how many bytes the kernel took — all of them,
+    /// unless the peer has stopped reading.
+    fn write_now(&self, frames: &[EncodedFrame]) -> std::io::Result<usize> {
+        self.stats.caller_frames.fetch_add(frames.len() as u64, Ordering::Relaxed);
+        if frames.len() >= 2 {
+            self.stats.corked_frames.fetch_add(frames.len() as u64, Ordering::Relaxed);
+            self.stats.corked_writes.fetch_add(1, Ordering::Relaxed);
+        }
+        let parts: Vec<IoSlice<'_>> =
+            frames.iter().flat_map(EncodedFrame::parts).map(|p| IoSlice::new(p)).collect();
+        match (&self.stream).write_vectored(&parts) {
+            Err(e) if is_timeout(&e) || e.kind() == ErrorKind::Interrupted => Ok(0),
+            result => result,
+        }
+    }
+
+    /// The writer thread's way to the socket, and its whole life: sleep until there is
+    /// a queue and nobody owns the socket, then drain it through a cork — flushed when
+    /// the queue goes empty, so corking never delays a burst's last frames — until
+    /// the edge is closed.
+    fn writer_loop(&self) {
+        let (mut cork, mut socket) = (Cork::new(), self);
+        let mut state = self.state();
+        while !state.closed {
+            if state.busy || state.queue.is_empty() {
+                state = self.wake.wait(state).unwrap_or_else(|e| e.into_inner());
+                continue;
+            }
+            state.busy = true;
+            while !state.closed {
+                let next = state.queue.pop_front();
+                match &next {
+                    Some(frame) => state.queued_bytes -= frame.frame_len(),
+                    None if cork.has_pending() => {}
+                    None => break,
+                }
+                drop(state);
+                self.stats.writer_frames.fetch_add(next.is_some().into(), Ordering::Relaxed);
+                let result = match next {
+                    Some(frame) => cork.push(&mut socket, frame),
+                    None => cork.flush(&mut socket),
+                };
+                state = self.state();
+                if result.is_err() {
+                    self.close(&mut state);
+                }
+            }
+            state.busy = false;
+            let (corked_frames, corked_writes) = cork.take_corked();
+            self.stats.corked_frames.fetch_add(corked_frames, Ordering::Relaxed);
+            self.stats.corked_writes.fetch_add(corked_writes, Ordering::Relaxed);
+        }
+    }
+
+    /// Stop the edge: what is queued is dropped, a write in progress — a caller's or
+    /// the writer thread's — fails at once, and the writer thread exits.
+    fn close(&self, state: &mut EdgeState) {
+        state.closed = true;
+        state.queue.clear();
+        state.queued_bytes = 0;
+        let _ = self.stream.shutdown(Shutdown::Both);
+        self.wake.notify_one();
+    }
+
+    /// [`Edge::close`] from outside, seeing the writer thread out.
+    fn shut(&self) {
+        let mut state = self.state();
+        self.close(&mut state);
+        let writer = state.writer.take();
+        drop(state);
+        if let Some(writer) = writer {
+            let _ = writer.join();
+        }
+    }
+}
+
+/// The writer thread's view of its socket: a write that times out is retried, until
+/// the peer takes something or [`Edge::close`] makes the write fail.
+impl Write for &Edge {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.write_vectored(&[IoSlice::new(buf)])
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        loop {
+            match (&self.stream).write_vectored(bufs) {
+                Err(e) if is_timeout(&e) => continue,
+                result => return result,
+            }
+        }
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// What a blocking write reports when [`SEND_TIMEOUT`] ran out before any byte went.
+fn is_timeout(e: &std::io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
 }
 
 impl TcpFabricSender {
     /// Control frames that went out batched with at least one other frame in a single
     /// vectored write, across every edge (→ the `corked_frames_per_write` metric).
     pub fn corked_frames(&self) -> u64 {
-        self.corked_frames.load(Ordering::Relaxed)
+        self.stats.corked_frames.load(Ordering::Relaxed)
     }
 
     /// Multi-frame vectored writes issued across every edge.
     pub fn corked_writes(&self) -> u64 {
-        self.corked_writes.load(Ordering::Relaxed)
+        self.stats.corked_writes.load(Ordering::Relaxed)
     }
 
-    /// Tear down every outgoing edge whose source is `from`. Writer threads exit as
-    /// their queues disconnect; the next send from `from` reconnects and greets with
-    /// a fresh [`Message::Hello`] — the restart path for an in-process node whose
-    /// incarnation just changed.
+    /// Frames handed to a socket by the thread that sent them, and by an edge's writer
+    /// thread (a caller's unwritten tail counts as one), across every edge.
+    pub fn frames_written(&self) -> (u64, u64) {
+        let stats = &self.stats;
+        (stats.caller_frames.load(Ordering::Relaxed), stats.writer_frames.load(Ordering::Relaxed))
+    }
+
+    /// Bytes queued on the `(from, to)` edge that no write has taken yet.
+    pub fn queued_bytes(&self, from: NodeId, to: NodeId) -> usize {
+        self.edges.0.lock().get(&(from.0, to.0)).map_or(0, |edge| edge.state().queued_bytes)
+    }
+
+    /// Tear down every outgoing edge whose source is `from`: the next send from `from`
+    /// reconnects and greets with a fresh [`Message::Hello`].
     pub fn drop_edges_from(&self, from: NodeId) {
-        self.edges.lock().retain(|&(f, _), _| f != from.0);
+        self.drop_edges(|edge_from, _| edge_from == from.0);
     }
 
-    /// The queue feeding `(from, to)`'s writer thread, connecting (and greeting with
-    /// [`Message::Hello`]) on first use.
-    fn edge(&self, from: NodeId, to: NodeId) -> Option<Sender<Message>> {
+    /// Forget and [`Edge::shut`] every edge `doomed(from, to)` selects.
+    fn drop_edges(&self, doomed: impl Fn(u32, u32) -> bool) {
+        let mut dropped = Vec::new();
+        self.edges.0.lock().retain(|&(from, to), edge| {
+            let keep = !doomed(from, to);
+            if !keep {
+                dropped.push(edge.clone());
+            }
+            keep
+        });
+        dropped.iter().for_each(|edge| edge.shut());
+    }
+
+    /// The `(from, to)` edge, connecting (and greeting with [`Message::Hello`]) on
+    /// first use.
+    fn edge(&self, from: NodeId, to: NodeId) -> Option<Arc<Edge>> {
         let key = (from.0, to.0);
-        if let Some(existing) = self.edges.lock().get(&key) {
+        if let Some(existing) = self.edges.0.lock().get(&key) {
             return Some(existing.clone());
         }
         let mut stream = TcpStream::connect(self.addrs[to.index()]).ok()?;
         stream.set_nodelay(true).ok()?;
+        stream.set_write_timeout(Some(SEND_TIMEOUT)).ok()?;
         let incarnation = self.incarnations.read().get(from.index()).copied().unwrap_or(0);
         write_frame_vectored(&mut stream, &Message::Hello { node: from, incarnation }).ok()?;
-        let (tx, rx) = unbounded();
-        let corked_frames = self.corked_frames.clone();
-        let corked_writes = self.corked_writes.clone();
-        thread::Builder::new()
+        let edge = Arc::new(Edge {
+            stream,
+            state: Default::default(),
+            wake: Condvar::new(),
+            stats: self.stats.clone(),
+        });
+        let on_thread = edge.clone();
+        let writer = thread::Builder::new()
             .name(format!("hoplite-writer-{}-{}", from.0, to.0))
-            .spawn(move || writer_loop(stream, rx, corked_frames, corked_writes))
+            .spawn(move || on_thread.writer_loop())
             .ok()?;
-        self.edges.lock().insert(key, tx.clone());
-        Some(tx)
-    }
-}
-
-/// Owns one edge's stream: blocks for the next frame, then drains whatever burst has
-/// queued behind it through the cork, flushing when the queue goes empty so corking
-/// never adds latency to an idle edge. Exits (closing the stream) on any write error;
-/// the edge map entry is cleaned up by the next `send` that finds the channel dead.
-fn writer_loop(
-    mut stream: TcpStream,
-    rx: Receiver<Message>,
-    corked_frames: Arc<AtomicU64>,
-    corked_writes: Arc<AtomicU64>,
-) {
-    let mut cork = Cork::new();
-    loop {
-        let Ok(msg) = rx.recv() else {
-            let _ = cork.flush(&mut stream);
-            return;
-        };
-        if cork.write(&mut stream, &msg).is_err() {
-            return;
-        }
-        loop {
-            match rx.try_recv() {
-                Ok(next) => {
-                    if cork.write(&mut stream, &next).is_err() {
-                        return;
-                    }
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    let _ = cork.flush(&mut stream);
-                    return;
-                }
-            }
-        }
-        // Queue drained: flush so the last frames of the burst are not held back.
-        if cork.flush(&mut stream).is_err() {
-            return;
-        }
-        corked_frames.fetch_add(cork.take_corked_frames(), Ordering::Relaxed);
-        corked_writes.fetch_add(cork.take_corked_writes(), Ordering::Relaxed);
+        edge.state().writer = Some(writer);
+        self.edges.0.lock().insert(key, edge.clone());
+        Some(edge)
     }
 }
 
 impl FabricSender for TcpFabricSender {
     fn send(&self, from: NodeId, to: NodeId, msg: Message) {
-        let Some(tx) = self.edge(from, to) else { return };
-        if let Err(crossbeam_channel::SendError(msg)) = tx.send(msg) {
-            // Writer thread exited (peer died or write failed). Drop the edge so a
-            // later send reconnects, and retry this message once on a fresh edge.
-            self.edges.lock().remove(&(from.0, to.0));
-            if let Some(tx) = self.edge(from, to) {
-                let _ = tx.send(msg);
+        self.send_all(from, &mut vec![(to, msg)]);
+    }
+
+    fn send_all(&self, from: NodeId, batch: &mut Vec<(NodeId, Message)>) {
+        while let Some(&(to, _)) = batch.first() {
+            // This peer's frames, in order; a message too large to frame is dropped.
+            let mut run = Vec::new();
+            batch.retain(|(peer, msg)| {
+                if *peer == to {
+                    run.extend(encode_frame_vectored(msg));
+                }
+                *peer != to
+            });
+            let Some(edge) = self.edge(from, to) else { continue };
+            if let Err(run) = edge.submit(run) {
+                // The edge is closed (peer died or a write failed). Drop it so later
+                // sends reconnect, and retry these frames once on a fresh edge.
+                self.drop_edges(|f, t| (f, t) == (from.0, to.0));
+                if let Some(edge) = self.edge(from, to) {
+                    let _ = edge.submit(run);
+                }
             }
         }
     }
@@ -331,7 +554,7 @@ impl FabricSender for TcpFabricSender {
         // cleanup never fires. Drop every edge toward the peer on the detector's
         // verdict; the next send dials a fresh connection (which reaches the peer's
         // replacement process once it rebinds).
-        self.edges.lock().retain(|&(_, t), _| t != to.0);
+        self.drop_edges(|_, edge_to| edge_to == to.0);
     }
 }
 
@@ -339,6 +562,9 @@ impl FabricSender for TcpFabricSender {
 mod tests {
     use super::*;
     use crate::fabric::Ingress;
+    use crate::framing::tests::Rng;
+    use crossbeam_channel::{unbounded, Receiver, Sender};
+    use std::sync::atomic::AtomicBool;
     use std::time::Duration as StdDuration;
 
     /// Receive the next non-Hello frame (every edge now leads with a forwarded
@@ -444,32 +670,366 @@ mod tests {
         }
     }
 
+    /// A frame of each size class the edge treats differently, each carrying `seq`
+    /// where [`seq_of`] finds it: a ~25-byte control frame, a 2 KiB inline reply (one
+    /// contiguous part, like every frame the cork holds), and a bulk block.
+    fn ack(seq: u64) -> Message {
+        Message::DirAck { shard: 0, epoch: 1, seq }
+    }
+
+    fn inline(seq: u64) -> Message {
+        let payload = Payload::from_vec(vec![seq as u8; 2048]);
+        let object = ObjectId::from_name("edge-inline");
+        Message::DirQueryReply { object, query_id: seq, result: QueryResult::Inline { payload } }
+    }
+
+    fn block(seq: u64, data: &Payload) -> Message {
+        let object = ObjectId::from_name("edge-block");
+        let total_size = u64::MAX;
+        Message::PushBlock {
+            object,
+            offset: seq,
+            total_size,
+            payload: data.clone(),
+            complete: false,
+        }
+    }
+
+    fn seq_of(msg: &Message) -> Option<u64> {
+        match msg {
+            Message::DirAck { seq, .. } => Some(*seq),
+            Message::DirQueryReply { query_id, .. } => Some(*query_id),
+            Message::PushBlock { offset, .. } => Some(*offset),
+            _ => None,
+        }
+    }
+
+    /// Receive data frames until one carries `last`; every one must carry the number
+    /// after its predecessor's, starting at `first`.
+    fn expect_in_order(rx: &Receiver<(NodeId, Message)>, first: u64, last: u64) {
+        for expected in first..=last {
+            let (_, msg) = recv_data(rx);
+            assert_eq!(seq_of(&msg), Some(expected), "out of order or lost: {msg:?}");
+        }
+    }
+
+    /// A queue sink whose reader threads the test can wedge: `deliver` first waits for
+    /// `gate`, so while the test holds it the node reads its `Hello`s and nothing else.
+    struct Gated {
+        gate: Arc<std::sync::Mutex<()>>,
+        queue: Sender<(NodeId, Message)>,
+    }
+
+    impl Ingress for Gated {
+        fn post(&self, from: NodeId, msg: Message) {
+            Ingress::post(&self.queue, from, msg);
+        }
+        fn deliver(&self, from: NodeId, msg: Message) {
+            drop(self.gate.lock().unwrap());
+            self.post(from, msg);
+        }
+    }
+
+    /// Attach a [`Gated`] sink for `node`; its gate and the queue it feeds.
+    fn gated(
+        fabric: &mut TcpFabric,
+        node: NodeId,
+    ) -> (Arc<std::sync::Mutex<()>>, Receiver<(NodeId, Message)>) {
+        let (queue, rx) = unbounded();
+        let gate = Arc::new(std::sync::Mutex::new(()));
+        fabric.attach(node, Arc::new(Gated { gate: gate.clone(), queue }));
+        (gate, rx)
+    }
+
     #[test]
     fn tcp_fabric_corks_control_bursts() {
-        // Flooding one edge with control frames from a tight loop must batch most of
-        // them into multi-frame vectored writes: the writer thread drains whatever
-        // queued behind the frame it is blocked on. Delivery stays ordered and
-        // complete, and the cork counters record the batching.
+        // One event's burst to an idle edge — a `send_all` — leaves in one vectored
+        // write on the calling thread (at most one per cork cap, by the acceptance
+        // bound), in order, and the cork counters record it.
         let mut fabric = TcpFabric::new(2).unwrap();
-        let rx = fabric.take_receiver(NodeId(1));
+        let (gate, rx) = gated(&mut fabric, NodeId(1));
         let sender = fabric.sender();
         const N: u64 = 2000;
-        for i in 0..N {
-            sender.send(NodeId(0), NodeId(1), Message::DirAck { shard: 0, epoch: 1, seq: i });
+        sender.send_all(NodeId(0), &mut (0..N).map(|i| (NodeId(1), ack(i))).collect());
+        expect_in_order(&rx, 0, N - 1);
+        assert_eq!(sender.corked_frames(), N);
+        assert!(sender.corked_writes() <= N / 64 + 1, "{} writes", sender.corked_writes());
+        // On a starved machine the one write can come back short; its tail is then
+        // the writer thread's, as a single piece.
+        let (by_callers, tails) = sender.frames_written();
+        assert!(by_callers == N && tails <= 1, "{tails} tails");
+
+        // A bare `send` to an idle edge is a complete batch of one, so a loop of them
+        // corks only behind something: here 32 MiB of blocks the wedged peer will not
+        // take, which keeps the writer thread inside a write while the sends queue up.
+        // Once the peer reads again they follow the blocks out a cork-full at a time.
+        let wedged = gate.lock().unwrap();
+        let data = Payload::from_vec(vec![7u8; 4 * 1024 * 1024]);
+        for i in 0..8 {
+            sender.send(NodeId(0), NodeId(1), block(N + i, &data));
         }
         for i in 0..N {
-            let (_, msg) = recv_data(&rx);
-            match msg {
-                Message::DirAck { seq, .. } => assert_eq!(seq, i),
-                other => panic!("unexpected message {other:?}"),
+            sender.send(NodeId(0), NodeId(1), ack(N + 8 + i));
+        }
+        drop(wedged);
+        expect_in_order(&rx, N, 2 * N + 7);
+        assert_eq!(sender.corked_frames(), 2 * N, "every queued control frame left corked");
+        assert_eq!(sender.frames_written(), (N, tails + N + 8));
+    }
+
+    #[test]
+    fn an_edge_keeps_send_order_across_both_writers() {
+        // One sender, its calls serialised by a lock but issued from three threads, as
+        // a `NodeHost`'s are: a seeded mix of control frames, inline replies, batches
+        // that interleave two peers, and the occasional 1 MiB block. Whichever thread
+        // ends up writing a frame — the caller on an idle edge, the writer thread
+        // behind a block or a backlog — each peer sees exactly the order sent.
+        const FRAMES: u64 = 120_000;
+        let mut fabric = TcpFabric::new(3).unwrap();
+        let rx = [fabric.take_receiver(NodeId(1)), fabric.take_receiver(NodeId(2))];
+        let sender = fabric.sender();
+        let data = Payload::from_vec(vec![3u8; 1024 * 1024]);
+        // The generator, and the next sequence number for each of the two peers.
+        let script = std::sync::Mutex::new((Rng(0xED6E_0001), [0u64; 2]));
+        let sent = thread::scope(|s| {
+            for _ in 0..3 {
+                s.spawn(|| loop {
+                    let mut script = script.lock().unwrap();
+                    let (rng, next) = &mut *script;
+                    if next[0] + next[1] >= FRAMES {
+                        return;
+                    }
+                    // The next frame for `peer` (0 or 1 → node 1 or 2), of `kind`.
+                    let mut frame = |peer: usize, kind: u64| {
+                        next[peer] += 1;
+                        let msg = match (next[peer] - 1, kind) {
+                            (seq, 0) => block(seq, &data),
+                            (seq, 1) => inline(seq),
+                            (seq, _) => ack(seq),
+                        };
+                        (NodeId(peer as u32 + 1), msg)
+                    };
+                    match rng.range(0, 2000) {
+                        0 => sender.send(NodeId(0), NodeId(1), frame(0, 0).1),
+                        1..=600 => {
+                            let mut batch: Vec<_> = (0..rng.range(2, 6))
+                                .map(|_| frame(usize::from(rng.range(0, 4) == 0), rng.range(1, 5)))
+                                .collect();
+                            sender.send_all(NodeId(0), &mut batch);
+                            assert!(batch.is_empty());
+                        }
+                        _ => sender.send(NodeId(0), NodeId(1), frame(0, rng.range(1, 5)).1),
+                    }
+                });
+            }
+            // Drain peer 1 while the senders run, so its edge sees both an idle
+            // socket and a backlog; peer 2 is read afterwards.
+            let mut seen = 0;
+            while let Ok((_, msg)) = rx[0].recv_timeout(StdDuration::from_secs(10)) {
+                if let Some(seq) = seq_of(&msg) {
+                    assert_eq!(seq, seen, "peer 1 out of order");
+                    seen += 1;
+                }
+                let (_, next) = &*script.lock().unwrap();
+                if next[0] + next[1] >= FRAMES && seen == next[0] {
+                    return *next;
+                }
+            }
+            panic!("peer 1 stalled after {seen} frames");
+        });
+        assert!(sent[1] > 0);
+        expect_in_order(&rx[1], 0, sent[1] - 1);
+        let (by_callers, by_writers) = sender.frames_written();
+        assert!(
+            by_callers > 0 && by_writers > 0,
+            "{by_callers} by callers, {by_writers} by writers"
+        );
+        assert!(by_callers + by_writers >= sent[0] + sent[1]);
+    }
+
+    #[test]
+    fn a_wedged_receiver_costs_its_sender_one_timeout_not_one_per_frame() {
+        // Node 1 accepts, reads the `Hello`, and stops reading. 64 MiB of control
+        // frames to it must all be accepted without the sender waiting out more than
+        // a handful of send timeouts in total: the first write the peer does not take
+        // leaves its tail on the edge, and from then on sends only enqueue.
+        const FRAMES: u64 = 32 * 1024; // of 2 KiB
+        let mut fabric = TcpFabric::new(4).unwrap();
+        let (gate, rx1) = gated(&mut fabric, NodeId(1));
+        let (rx2, rx3) = (fabric.take_receiver(NodeId(2)), fabric.take_receiver(NodeId(3)));
+        let sender = fabric.sender();
+        let wedged = gate.lock().unwrap();
+        // Time spent inside the sender, and how many frames callers had offered the
+        // socket when the backlog began.
+        let (mut in_send, mut offered) = (Duration::ZERO, None);
+        for seq in (0..FRAMES).step_by(4) {
+            // Bare sends and four-frame events alternate.
+            let mut batch: Vec<_> = (seq..seq + 4).map(|i| (NodeId(1), inline(i))).collect();
+            let started = std::time::Instant::now();
+            if seq % 8 == 0 {
+                sender.send_all(NodeId(0), &mut batch);
+            }
+            for (to, msg) in batch {
+                sender.send(NodeId(0), to, msg);
+            }
+            in_send += started.elapsed();
+            if offered.is_none() && sender.queued_bytes(NodeId(0), NodeId(1)) > 0 {
+                offered = Some(sender.frames_written().0);
             }
         }
-        assert!(
-            sender.corked_frames() > 0,
-            "a 2000-frame burst should produce at least one corked write"
-        );
-        assert!(sender.corked_writes() > 0);
-        assert!(sender.corked_frames() >= 2 * sender.corked_writes());
+        assert!(in_send < 400 * SEND_TIMEOUT, "{in_send:?} inside send for {FRAMES} frames");
+        let queued = sender.queued_bytes(NodeId(0), NodeId(1));
+        assert!(queued > 32 << 20, "the backlog waits on the edge: {queued} bytes queued");
+        // One congestion episode, one timeout: once a write was cut short no caller
+        // went near the socket again.
+        assert_eq!(Some(sender.frames_written().0), offered);
+
+        // Meanwhile the rest of the fabric is untouched: a Get's two frames between
+        // two other nodes — the query there, the inline reply back — go through.
+        let query = Message::DirQuery {
+            object: ObjectId::from_name("edge-inline"),
+            requester: NodeId(2),
+            query_id: 9,
+            exclude: Vec::new(),
+        };
+        sender.send(NodeId(2), NodeId(3), query);
+        assert!(matches!(recv_data(&rx3), (NodeId(2), Message::DirQuery { query_id: 9, .. })));
+        sender.send(NodeId(3), NodeId(2), inline(9));
+        assert_eq!(seq_of(&recv_data(&rx2).1), Some(9));
+
+        // The peer resumes: every frame arrives once and in order, the one the
+        // timeout cut in half included, and both writers took part.
+        drop(wedged);
+        expect_in_order(&rx1, 0, FRAMES - 1);
+        assert_eq!(sender.queued_bytes(NodeId(0), NodeId(1)), 0);
+        assert!(sender.frames_written().0 > 0 && sender.frames_written().1 > 0);
+    }
+
+    #[test]
+    fn two_readers_flooding_each_other_from_deliver_both_finish() {
+        // Each node answers its first frame by sending 32 MiB of control frames back
+        // from inside `deliver`, so neither reader thread reads while it writes
+        // and both sockets fill. A caller's write gives up after the send timeout and
+        // leaves the rest to the edge's queue, so both floods are accepted, both
+        // readers go back to reading, and everything arrives; a blocking write here
+        // would hold both reader threads forever.
+        const FRAMES: u64 = 16 * 1024; // of 2 KiB
+        struct Flood {
+            me: NodeId,
+            sender: TcpFabricSender,
+            flooded: AtomicBool,
+            seen: AtomicU64,
+            done: Sender<NodeId>,
+        }
+        impl Ingress for Flood {
+            fn post(&self, _: NodeId, _: Message) {
+                unreachable!("a reader thread delivers");
+            }
+            fn deliver(&self, from: NodeId, msg: Message) {
+                let Some(seq) = seq_of(&msg) else { return }; // the Hello
+                if !self.flooded.swap(true, Ordering::SeqCst) {
+                    (0..FRAMES).for_each(|i| self.sender.send(self.me, from, inline(i)));
+                }
+                if seq != KICK_OFF {
+                    assert_eq!(seq, self.seen.fetch_add(1, Ordering::SeqCst));
+                    if seq == FRAMES - 1 {
+                        self.done.send(self.me).unwrap();
+                    }
+                }
+            }
+        }
+        let mut fabric = TcpFabric::new(2).unwrap();
+        let sender = fabric.sender();
+        let (done, finished) = unbounded();
+        for me in [NodeId(0), NodeId(1)] {
+            let (sender, done, flooded) = (sender.clone(), done.clone(), AtomicBool::new(false));
+            let seen = AtomicU64::new(0);
+            fabric.attach(me, Arc::new(Flood { me, sender, flooded, seen, done }));
+        }
+        // Node 1 floods at the kick-off, node 0 at the first frame of that flood, while
+        // node 1 is still sending: each edge has one sending thread, as under a node's
+        // lock, and the two floods overlap.
+        const KICK_OFF: u64 = u64::MAX;
+        sender.send(NodeId(0), NodeId(1), ack(KICK_OFF));
+        let watchdog = StdDuration::from_secs(30);
+        let mut nodes: Vec<NodeId> = (0..2)
+            .map(|_| finished.recv_timeout(watchdog).expect("a flooding reader never read again"))
+            .collect();
+        nodes.sort();
+        assert_eq!(nodes, [NodeId(0), NodeId(1)]);
+    }
+
+    #[test]
+    fn closing_an_edge_under_a_callers_write_ends_its_writer_and_the_next_send_redials() {
+        // `peer_down` and `drop_edges_from` land while a caller sits in a write the
+        // wedged peer is not taking. The caller comes back, the edge's writer thread
+        // is joined by the teardown — seen as the handle gone, not slept for — and the
+        // next send dials a fresh connection that leads with a `Hello`. Dropping the
+        // sender is the third way an edge ends.
+        let mut fabric = TcpFabric::new(2).unwrap();
+        let (gate, rx) = gated(&mut fabric, NodeId(1));
+        let sender = fabric.sender();
+        let wedged = gate.lock().unwrap();
+        let teardowns: [fn(&TcpFabricSender); 2] =
+            [|sender| sender.peer_down(NodeId(1)), |sender| sender.drop_edges_from(NodeId(0))];
+        for (round, teardown) in teardowns.iter().enumerate() {
+            fabric.set_incarnation(NodeId(0), round as u64); // tells the dials apart
+            sender.send(NodeId(0), NodeId(1), ack(0));
+            let edge = sender.edges.0.lock().get(&(0, 1)).cloned().expect("edge is up");
+            let caught_in_write = thread::scope(|s| {
+                // Fill the socket until one write is cut short (its tail is queued) or
+                // the edge is closed under it.
+                s.spawn(|| {
+                    while sender.queued_bytes(NodeId(0), NodeId(1)) == 0 && !edge.state().closed {
+                        sender.send(NodeId(0), NodeId(1), inline(1));
+                    }
+                });
+                // A caller owns the socket, nothing is queued, and the count of frames
+                // callers have written is not moving: it is inside the write that
+                // will time out.
+                loop {
+                    let before = sender.frames_written().0;
+                    let in_write = |edge: &Edge| {
+                        let state = edge.state();
+                        state.busy && state.queue.is_empty()
+                    };
+                    if in_write(&edge) {
+                        thread::sleep(SEND_TIMEOUT / 5);
+                        if in_write(&edge) && sender.frames_written().0 == before {
+                            teardown(&sender);
+                            return true;
+                        }
+                    }
+                    if edge.state().queued_bytes > 0 {
+                        teardown(&sender);
+                        return false;
+                    }
+                }
+            });
+            assert!(caught_in_write, "round {round}: the teardown missed the caller's write");
+            let state = edge.state();
+            assert!(state.closed && state.writer.is_none(), "the writer thread was joined");
+            assert_eq!((state.queue.len(), state.queued_bytes), (0, 0));
+            assert!(sender.edges.0.lock().is_empty());
+        }
+        // What the dead connections had put in their sockets still drains, each behind
+        // its own Hello; the third connection carries its Hello, then the one frame.
+        fabric.set_incarnation(NodeId(0), 2);
+        sender.send(NodeId(0), NodeId(1), ack(77));
+        drop(wedged);
+        let mut greeted = Vec::new();
+        loop {
+            match rx.recv_timeout(StdDuration::from_secs(10)).expect("frame 77 arrives").1 {
+                Message::Hello { incarnation, .. } => greeted.push(incarnation),
+                Message::DirAck { seq: 77, .. } => break,
+                _ => {}
+            }
+        }
+        assert!(greeted.contains(&2), "the fresh connection led with its Hello: {greeted:?}");
+        // The last clone of a sender takes its edges with it, as a stopped node's does.
+        let edge = sender.edges.0.lock().get(&(0, 1)).cloned().expect("edge is up");
+        drop(sender);
+        assert!(edge.state().closed && edge.state().writer.is_none());
     }
 
     #[test]
