@@ -156,13 +156,12 @@ fn bench_framing(c: &mut Criterion) {
     // and a pointer swap. The full-stream row above is bounded below by the one
     // unavoidable copy out of the source; this shows the allocation machinery itself.
     use hoplite_core::buffer::SlabPool;
-    use hoplite_transport::framing::DEFAULT_RECV_SLAB;
     group.bench_function("recv_buffer_slab_checkout", |b| {
-        let pool = SlabPool::new();
-        let warm = pool.checkout(DEFAULT_RECV_SLAB);
+        let pool = SlabPool::for_block_size(4 * 1024 * 1024);
+        let warm = pool.checkout(pool.slab_len());
         pool.retain(warm);
         b.iter(|| {
-            let slab = pool.checkout(DEFAULT_RECV_SLAB);
+            let slab = pool.checkout(pool.slab_len());
             let len = slab.len();
             pool.retain(slab);
             len

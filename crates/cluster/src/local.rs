@@ -52,6 +52,9 @@ pub struct LocalCluster {
     cfg: HopliteConfig,
     cluster_view: ClusterView,
     fabric: Box<dyn ClusterFabric>,
+    /// The process's one pool of bulk memory: the TCP fabric's readers' and every
+    /// node's. `None` over channels, where each node keeps a private one.
+    pool: Option<SlabPool>,
 }
 
 /// Which fabric a [`LocalCluster`] should use.
@@ -72,16 +75,21 @@ impl LocalCluster {
     /// Start `n` nodes over the chosen fabric.
     pub fn with_fabric(n: usize, cfg: HopliteConfig, fabric: LocalFabric) -> Self {
         match fabric {
-            LocalFabric::Channels => Self::start(n, cfg, ChannelFabric::new(n)),
+            LocalFabric::Channels => Self::start(n, cfg, ChannelFabric::new(n), None),
             LocalFabric::Tcp => {
+                let pool = SlabPool::for_block_size(cfg.block_size);
                 let fabric = TcpFabric::new(n).expect("bind localhost listeners");
-                let fabric = fabric.with_block_size(cfg.block_size);
-                Self::start(n, cfg, fabric)
+                Self::start(n, cfg, fabric.with_pool(pool.clone()), Some(pool))
             }
         }
     }
 
-    fn start<F: Fabric + Send + 'static>(n: usize, cfg: HopliteConfig, fabric: F) -> Self {
+    fn start<F: Fabric + Send + 'static>(
+        n: usize,
+        cfg: HopliteConfig,
+        fabric: F,
+        pool: Option<SlabPool>,
+    ) -> Self {
         let cluster_view = ClusterView::of_size(n);
         let next_op = Arc::new(AtomicU64::new(1));
         let mut cluster = LocalCluster {
@@ -91,6 +99,7 @@ impl LocalCluster {
             cfg,
             cluster_view: cluster_view.clone(),
             fabric: Box::new(fabric),
+            pool,
         };
         for id in cluster_view.nodes {
             let host = cluster.spawn_node(id, false);
@@ -113,7 +122,8 @@ impl LocalCluster {
                 pipelined_put: false,
                 incarnation: self.incarnations[id.index()],
             },
-        );
+        )
+        .with_pool(self.pool.clone().unwrap_or_default());
         let (fabric_tx, next_op) = (self.fabric.dyn_sender(), self.next_op.clone());
         NodeHost::spawn(node, fabric_tx, recovering, next_op, |sink| self.fabric.attach(id, sink))
     }
@@ -273,6 +283,67 @@ mod tests {
             "bulk TCP traffic should recycle receive slabs, got {}",
             metrics.recv_slab_reuse
         );
+    }
+
+    #[test]
+    fn a_second_reduce_round_rooted_elsewhere_lands_in_the_first_rounds_slabs() {
+        // One pool per process: reduce → get-by-all → delete, then the same again with
+        // the sources — and so the root, its accumulators and every receive — on the
+        // other two nodes. Real sockets, 8 blocks of small_for_tests' 1 KiB.
+        let cluster =
+            LocalCluster::with_fabric(4, HopliteConfig::small_for_tests(), LocalFabric::Tcp);
+        let pool = cluster.pool.clone().expect("a TCP cluster has the process's pool");
+        // Delete `objects` and wait until only `pinned` slabs still have a view alive.
+        let delete = |objects: &[ObjectId], pinned: usize| {
+            objects.iter().for_each(|&object| cluster.client(0).delete(object).unwrap());
+            wait_until_stores_empty(&cluster, &[0, 1, 2, 3]);
+            wait_until("slabs to be let go", || pool.pinned_slabs() == pinned);
+        };
+        // Dial all twelve connections first: each reader thread takes a slab to read
+        // into, and keeps it.
+        for (a, b) in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)] {
+            let object = ObjectId::from_name(&format!("dial-{a}-{b}"));
+            cluster.client(a).put(object, Payload::zeros(2048)).unwrap();
+            assert_eq!(cluster.client(b).get(object).unwrap().len(), 2048);
+            delete(&[object], 0);
+        }
+        let len = 8 * 1024 / 4;
+        let sent = |node: usize| cluster.status(node).unwrap().metrics.reduce_blocks_sent;
+        for (round, holders) in [[0usize, 1], [2, 3]].into_iter().enumerate() {
+            let before = holders.map(sent);
+            let mut objects: Vec<ObjectId> =
+                holders.iter().map(|n| ObjectId::from_name(&format!("pool-{round}-{n}"))).collect();
+            for (&node, &source) in holders.iter().zip(&objects) {
+                let values: Vec<f32> = (0..len).map(|j| (node + j) as f32).collect();
+                cluster.client(node).put(source, Payload::from_f32s(&values)).unwrap();
+            }
+            let target = ObjectId::from_name(&format!("pool-{round}-sum"));
+            let spec = ReduceSpec::sum_f32();
+            cluster.client(holders[0]).reduce(target, objects.clone(), None, spec).unwrap();
+            objects.push(target);
+            let expected: Vec<f32> =
+                (0..len).map(|j| (holders[0] + holders[1] + 2 * j) as f32).collect();
+            let mut got: Vec<Payload> =
+                (0..4).map(|node| cluster.client(node).get(target).unwrap()).collect();
+            assert!(got.iter().all(|payload| payload.to_f32s() == expected));
+            // The root — a different node each round — is the holder that streamed
+            // nothing upward, and what its `get` returned is its 8 accumulators: slabs
+            // of the process's pool, pinned for as long as the caller keeps them.
+            let root = (0..2).find(|&i| sent(holders[i]) == before[i]).expect("a root");
+            let result = got.swap_remove(holders[root]);
+            drop(got);
+            delete(&objects, 8);
+            drop(result);
+            assert_eq!(pool.pinned_slabs(), 0);
+            // Everything is back, and beside the slab each reader keeps, all the pool
+            // ever held is what one round pins at once — 8 accumulators and 3 × 8
+            // received blocks: the second root's accumulators came out of the first
+            // round's slabs. Not "exactly none new in round two": a reader whose slab
+            // a block still pinned at the first round's peak had not yet needed its
+            // next one.
+            let idle = pool.idle_slabs();
+            assert!(idle <= 8 + 3 * 8, "round {round}: {idle} slabs");
+        }
     }
 
     #[test]

@@ -20,9 +20,10 @@
 //! two real payloads compare equal when their logical bytes agree regardless of how
 //! they are segmented.
 //!
-//! Bulk memory comes from one place, the [`SlabPool`]: the transport reads block
-//! frames into slabs checked out of it and the reduce engine accumulates into them, so
-//! the buffers of a deleted object are what the next object is written into.
+//! Bulk memory has one owner per process, the [`SlabPool`]: the transport reads block
+//! frames into slabs checked out of it and the reduce engine of every hosted node
+//! accumulates into them — all of one length, so the buffers of a deleted object are
+//! what the next object is written into, whichever of the two it comes from.
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -458,13 +459,18 @@ impl ProgressBuffer {
 }
 
 /// How many idle slabs a [`SlabPool`] keeps for reuse; the rest are freed when a slab
-/// is next handed back. Sized from the traffic the pool has to absorb between a delete
-/// and the next transfer: a 4-node 64 MiB broadcast frees 48 block slabs process-wide
-/// per round, a 256 MiB failover round 128.
+/// is next handed back. Sized from what a process of four nodes frees between a delete
+/// and the next transfer: a 64 MiB broadcast round 48 block slabs, a 64 MiB allreduce
+/// round about 100 (accumulators and received blocks alike), a 256 MiB failover round
+/// 128.
 pub const MAX_IDLE_SLABS: usize = 128;
 
-/// The pool bulk memory comes from: receive slabs for the transport's frame readers
-/// and accumulators for the reduce engine.
+/// What a slab carries beyond one block: room for the frame header and a trailing
+/// length prefix — and no more, because an escaped block payload pins its whole slab.
+const FRAME_SLACK: usize = 4096;
+
+/// The pool bulk memory comes from, one per process: receive slabs for the transport's
+/// frame readers and accumulators for the reduce engine of every hosted node.
 ///
 /// Slabs are `Arc<Vec<u8>>` allocations. Whoever checks one out writes it through
 /// `Arc::get_mut`, mints [`Bytes`] views of it with [`Bytes::from_arc`] and hands the
@@ -474,10 +480,14 @@ pub const MAX_IDLE_SLABS: usize = 128;
 /// refcount *is* the in-use bit. The pool keeps its handle on every pinned slab (the
 /// store accounts for those bytes) and on at most [`MAX_IDLE_SLABS`] idle ones, so the
 /// slabs of a deleted object are what the next object lands in — already mapped, no
-/// page faults. Clones share the pool; it is `Send + Sync`.
+/// page faults. A pool built [`SlabPool::for_block_size`] allocates every slab at one
+/// length, so the accumulators of a released reduce are what the next receive reads
+/// into, and the reverse. Clones share the pool; it is `Send + Sync`.
 #[derive(Clone, Default)]
 pub struct SlabPool {
     state: Arc<Mutex<PoolState>>,
+    /// The least a miss allocates (0: exactly what was asked for).
+    slab_len: usize,
 }
 
 #[derive(Default)]
@@ -487,9 +497,24 @@ struct PoolState {
 }
 
 impl SlabPool {
-    /// An empty pool.
+    /// An empty pool of no set slab length: what a node keeps when nobody hands it one.
     pub fn new() -> SlabPool {
         SlabPool::default()
+    }
+
+    /// An empty pool for a process that moves `block_size`-byte pipelining blocks.
+    pub fn for_block_size(block_size: u64) -> SlabPool {
+        Self::with_slab_len(block_size as usize + FRAME_SLACK)
+    }
+
+    /// An empty pool whose slabs are at least `slab_len` bytes.
+    pub fn with_slab_len(slab_len: usize) -> SlabPool {
+        SlabPool { slab_len, ..SlabPool::default() }
+    }
+
+    /// The length this pool allocates slabs at (longer for a longer request).
+    pub fn slab_len(&self) -> usize {
+        self.slab_len
     }
 
     fn state(&self) -> std::sync::MutexGuard<'_, PoolState> {
@@ -499,8 +524,9 @@ impl SlabPool {
 
     /// Check a writable (uniquely held) slab of at least `min_len` bytes out of the
     /// pool: an idle slab that fits, or — when none does — a fresh zeroed allocation of
-    /// exactly `min_len` bytes, which costs address space until it is first written
-    /// (the `Vec` is adopted behind the `Arc` in place, never copied).
+    /// `min_len` bytes or the pool's slab length, whichever is longer, which costs
+    /// address space until it is first written (the `Vec` is adopted behind the `Arc`
+    /// in place, never copied).
     pub fn checkout(&self, min_len: usize) -> Arc<Vec<u8>> {
         let mut state = self.state();
         let fits = |slab: &Arc<Vec<u8>>| Arc::strong_count(slab) == 1 && slab.len() >= min_len;
@@ -509,7 +535,7 @@ impl SlabPool {
             return state.slabs.swap_remove(i);
         }
         drop(state);
-        Arc::new(vec![0u8; min_len])
+        Arc::new(vec![0u8; min_len.max(self.slab_len)])
     }
 
     /// Hand a slab back. It becomes reusable once every view into it drops.
@@ -524,8 +550,8 @@ impl SlabPool {
         });
     }
 
-    /// Checkouts served from a pooled slab instead of a fresh allocation, ever (feeds
-    /// the `recv_slab_reuse` metric).
+    /// Checkouts — receive slabs and accumulators alike — served from a pooled slab
+    /// instead of a fresh allocation, ever (feeds the `recv_slab_reuse` metric).
     pub fn reuses(&self) -> u64 {
         self.state().reuses
     }
@@ -533,6 +559,11 @@ impl SlabPool {
     /// Slabs the pool holds that no view pins.
     pub fn idle_slabs(&self) -> usize {
         self.state().slabs.iter().filter(|slab| Arc::strong_count(slab) == 1).count()
+    }
+
+    /// Slabs handed back to the pool that a view still pins.
+    pub fn pinned_slabs(&self) -> usize {
+        self.state().slabs.iter().filter(|slab| Arc::strong_count(slab) > 1).count()
     }
 }
 
@@ -729,6 +760,31 @@ mod tests {
         assert_ne!(pool.clone().checkout(65).as_ptr(), ptr);
         assert_eq!(pool.clone().checkout(16).as_ptr(), ptr);
         assert_eq!(pool.reuses(), 1);
+    }
+
+    #[test]
+    fn a_sized_pool_serves_accumulators_and_receive_slabs_from_the_same_slabs() {
+        let block = 1024;
+        let pool = SlabPool::for_block_size(block as u64);
+        assert_eq!(pool.slab_len(), block + FRAME_SLACK);
+        // A receive slab, as a frame reader checks it out; idle again, it is what an
+        // accumulator-sized checkout — a block, no slack — gets.
+        let recv = pool.checkout(pool.slab_len());
+        let recv_ptr = recv.as_ptr();
+        pool.retain(recv);
+        let acc = pool.checkout(block);
+        assert_eq!(acc.as_ptr(), recv_ptr);
+        // And the reverse: a miss on an accumulator-sized request allocates at the
+        // pool's length, so the slab serves the next receive.
+        let acc2 = pool.checkout(block);
+        assert_eq!(acc2.len(), pool.slab_len());
+        let acc2_ptr = acc2.as_ptr();
+        pool.retain(acc2);
+        assert_eq!(pool.checkout(pool.slab_len()).as_ptr(), acc2_ptr);
+        assert_eq!(pool.reuses(), 2);
+        // A longer request is still honoured, at its own length.
+        assert_eq!(pool.checkout(3 * pool.slab_len()).len(), 3 * pool.slab_len());
+        drop(acc);
     }
 
     #[test]

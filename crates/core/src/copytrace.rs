@@ -5,9 +5,9 @@
 //! silently: one `to_vec()` in a hot path and throughput quietly drops by a memcpy.
 //! This module gives the invariant teeth. Every place in `hoplite-core` and
 //! `hoplite-transport` that genuinely copies payload bytes (coalescing a segmented
-//! buffer, gathering a payload into a contiguous frame, seeding a reduce accumulator)
-//! calls [`record`], and forward-path tests assert the tally stays **zero** across a
-//! full receive → append → read → re-encode hop.
+//! buffer, gathering a payload into a contiguous frame, seeding a reduce accumulator
+//! from a segmented input) calls [`record`], and forward-path tests assert the tally
+//! stays **zero** across a full receive → append → read → re-encode hop.
 //!
 //! The counters are **thread-local** so concurrently-running tests cannot pollute each
 //! other, and compile to nothing outside `debug_assertions` (release builds pay no

@@ -87,7 +87,7 @@ pub mod time;
 
 /// Convenience re-exports of the most commonly used types.
 pub mod prelude {
-    pub use crate::buffer::{Payload, ProgressBuffer};
+    pub use crate::buffer::{Payload, ProgressBuffer, SlabPool};
     pub use crate::config::HopliteConfig;
     pub use crate::detector::{
         DetectorAction, DetectorConfig, FailureDetector, GossipEntry, GossipState,

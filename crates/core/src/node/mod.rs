@@ -389,6 +389,12 @@ impl ObjectStoreNode {
         }
     }
 
+    /// Draw reduce accumulators from `pool` — the process's — not a private one.
+    pub fn with_pool(mut self, pool: SlabPool) -> Self {
+        self.ctx.pool = pool;
+        self
+    }
+
     /// This node's id.
     pub fn id(&self) -> NodeId {
         self.ctx.id
@@ -593,6 +599,10 @@ impl ObjectStoreNode {
                 self.ctx.service.handle_ack(shard as usize, from, epoch, seq, &mut confirms);
                 self.ctx.send_all(confirms, out);
             }
+            // A shard this cluster does not have: bytes off the wire must not index
+            // past the leadership view, so the frame goes, its evidence with it.
+            Message::DirSnapshotRequest { shard, .. }
+                if shard >= self.ctx.service.placement().num_shards() as u64 => {}
             Message::DirSnapshotRequest {
                 shard,
                 requester,

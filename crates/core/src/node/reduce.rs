@@ -49,9 +49,10 @@ pub(crate) enum ReduceEvent {
 ///
 /// Blocks are combined **as they arrive** (the paper's §3.4.2 pipelined reduce) and
 /// **in place**: the first input is retained as a zero-copy shared view; the second
-/// input pays the single owning copy — into a buffer checked out of the node's
-/// [`SlabPool`], so after warm-up it lands in memory that is already mapped — and
-/// every input after that folds into the same buffer via
+/// is combined with it ([`ReduceSpec::combine_from`], one pass, no seed copy unless an
+/// input is segmented) into a buffer checked out of the process's [`SlabPool`] — a
+/// slab a receive or an earlier fold has used, so after warm-up it is already mapped —
+/// and every input after that folds into the same buffer via
 /// [`ReduceSpec::combine_into`]: no per-input allocation, no per-input output copy.
 /// Emission freezes the buffer into a shared view without copying and hands it back to
 /// the pool, which reissues it once the last view (this block, the result object, a
@@ -101,18 +102,27 @@ impl BlockAccum {
                     self.state = BlockState::Shared(Payload::synthetic(len));
                 } else {
                     // The second input — or a straggler after emission (e.g. a replay
-                    // racing a repair): seed a writable accumulator from the shared
-                    // bytes, which live views may still alias, and keep going.
+                    // racing a repair): fold both into a writable accumulator — the
+                    // shared bytes may still be aliased by live views — and keep going.
                     let len = existing.len() as usize;
                     let mut buf = pool.checkout(len);
                     let acc = &mut Arc::get_mut(&mut buf).expect("checked-out buffer")[..len];
-                    copytrace::record(len);
-                    let mut at = 0;
-                    for seg in existing.segments() {
-                        acc[at..at + seg.len()].copy_from_slice(seg);
-                        at += seg.len();
-                    }
-                    if spec.combine_into(target, acc, block).is_err() {
+                    let folded = match (existing.as_bytes(), block.as_bytes()) {
+                        // One pass: read both inputs, write the accumulator.
+                        (Some(a), Some(b)) => spec.combine_from(target, acc, a, b),
+                        // A segmented input: seed the accumulator with a copy of the
+                        // retained one, then combine the arrival into it.
+                        _ => {
+                            copytrace::record(len);
+                            let mut at = 0;
+                            for seg in existing.segments() {
+                                acc[at..at + seg.len()].copy_from_slice(seg);
+                                at += seg.len();
+                            }
+                            spec.combine_into(target, acc, block)
+                        }
+                    };
+                    if folded.is_err() {
                         return false;
                     }
                     self.state = BlockState::Accum { buf, len };
@@ -534,5 +544,49 @@ impl ReduceEngine {
         ctx.store.delete(object);
         ctx.dir_unregister(object, out);
         true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The first fold of two contiguous inputs is one pass with no seed copy; a
+    /// segmented input — either side — takes the copy-then-combine path, which is on
+    /// the books. Both give the same sum, and a third input folds in place.
+    #[test]
+    fn first_fold_copies_only_for_a_segmented_input() {
+        let (spec, target) = (ReduceSpec::sum_f32(), ObjectId::from_name("fold"));
+        let values: Vec<f32> = (0..64).map(|i| i as f32).collect();
+        let flat = Payload::from_f32s(&values);
+        let bytes = flat.to_owned_vec().unwrap();
+        // Split mid-element, so the segmented arrival also exercises the carry.
+        let split = Payload::from_segments(vec![
+            Bytes::from(bytes[..101].to_vec()),
+            Bytes::from(bytes[101..].to_vec()),
+        ]);
+        let doubled: Vec<f32> = values.iter().map(|v| 2.0 * v).collect();
+        let tripled: Vec<f32> = values.iter().map(|v| 3.0 * v).collect();
+        for (first, second, copied) in
+            [(&flat, &flat, 0), (&split, &flat, bytes.len()), (&flat, &split, bytes.len())]
+        {
+            let pool = SlabPool::new();
+            let mut block = BlockAccum::default();
+            copytrace::reset();
+            assert!(block.fold(&pool, spec, target, first));
+            assert!(block.fold(&pool, spec, target, second));
+            if cfg!(debug_assertions) {
+                assert_eq!(copytrace::bytes_copied(), copied as u64);
+            }
+            assert!(matches!(block.state, BlockState::Accum { .. }));
+            assert!(block.is_ready(2));
+            assert_eq!(block.emit(&pool).unwrap().to_f32s(), doubled);
+            // A straggler after emission: the frozen view is an input like any other.
+            assert!(block.fold(&pool, spec, target, &flat));
+            assert_eq!(block.emit(&pool).unwrap().to_f32s(), tripled);
+            // A shape mismatch is refused and leaves the block as it was.
+            assert!(!block.fold(&pool, spec, target, &Payload::from_f32s(&[1.0])));
+            assert_eq!(block.emit(&pool).unwrap().to_f32s(), tripled);
+        }
     }
 }

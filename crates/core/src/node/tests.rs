@@ -799,18 +799,18 @@ fn reduce_state_is_released_after_completion() {
     }
 }
 
-/// Reduce accumulators recycle through the node's pool: a three-input fold over 8
-/// blocks checks out 8 buffers the first time and, once that reduce is released and
-/// its result deleted, the same 8 the second time — nothing is allocated per block
-/// after warm-up, and a frozen block is never reissued while a view of it is alive.
+/// Reduce accumulators recycle through the process's pool, shared by every node: a
+/// three-input fold over 8 blocks checks out 8 buffers the first time and, once that
+/// reduce is released and its result deleted, the same 8 the second time — nothing is
+/// allocated per block after warm-up, and a frozen block is never reissued while a
+/// view of it is alive.
 #[test]
 fn reduce_accumulators_are_recycled_after_release() {
     let mut tc = TestCluster::new(4);
+    let pool = SlabPool::for_block_size(1024);
+    tc.nodes = tc.nodes.drain(..).map(|node| node.with_pool(pool.clone())).collect();
     let len = 8 * 1024 / 4; // 8 blocks of small_for_tests' 1 KiB
-    let pools = |tc: &TestCluster| -> (u64, usize) {
-        let pools = tc.nodes.iter().map(|n| &n.ctx.pool);
-        (pools.clone().map(|p| p.reuses()).sum(), pools.map(|p| p.idle_slabs()).sum())
-    };
+    let pools = || (pool.reuses(), pool.idle_slabs());
     for run in 0..2u64 {
         let sources: Vec<ObjectId> =
             (0..3).map(|i| ObjectId::from_name(&format!("recycle-{run}-{i}"))).collect();
@@ -841,13 +841,13 @@ fn reduce_accumulators_are_recycled_after_release() {
         let reference: Vec<f32> = (0..len).map(|j| 6.0 + 3.0 * j as f32).collect();
         assert_eq!(result, reference, "run {run}");
         // While the result object is alive its blocks pin all 8 accumulators.
-        assert_eq!(pools(&tc), (8 * run, 0), "run {run}: reuses, idle buffers");
+        assert_eq!(pools(), (8 * run, 0), "run {run}: reuses, idle buffers");
 
         tc.replies.clear();
         tc.client(0, OpId(100 * run + 3), ClientOp::Delete { object: target });
         tc.run();
         assert!(tc.nodes.iter().all(|n| n.reduce_state_is_empty()));
-        assert_eq!(pools(&tc), (8 * run, 8), "run {run}: every accumulator came back, none new");
+        assert_eq!(pools(), (8 * run, 8), "run {run}: every accumulator came back, none new");
     }
 }
 
@@ -1193,6 +1193,41 @@ fn restart_request_from_a_believed_primary_redrives_once_and_keeps_one_view() {
     tc.nodes[0].handle_peer_failed(Time::ZERO, NodeId(2), &mut late);
     assert_eq!(tc.nodes[0].metrics().directory_redrives, 1, "no second re-drive");
     assert_eq!(tc.nodes[0].directory_primary_for(object), Some(NodeId(0)));
+}
+
+/// A `DirSnapshotRequest` for a shard the cluster does not have is dropped whole: the
+/// replica set wraps modulo the cluster size, so the requester would seem to host the
+/// shard, and the leadership view has no rank to read for it. Nothing is served, and
+/// the restart it claims is not believed either.
+#[test]
+fn a_snapshot_request_for_a_shard_out_of_range_is_dropped() {
+    let cluster = ClusterView::of_size(3);
+    let probes: Vec<ObjectId> = (0..3).map(|i| object_on_shard(&cluster, NodeId(i))).collect();
+    let mut tc = TestCluster::new(3);
+    let node = &mut tc.nodes[0];
+    let view = |n: &ObjectStoreNode| {
+        let routes: Vec<_> = probes.iter().map(|&o| n.directory_primary_for(o)).collect();
+        (n.membership().digest(), routes, n.metrics().directory_redrives)
+    };
+    let before = view(node);
+    // 3 and 5 wrap onto shards node 2 hosts (0 is where this node leads).
+    for shard in [3, 5, 6, u64::MAX] {
+        for restart in [false, true] {
+            let request = Message::DirSnapshotRequest {
+                shard,
+                requester: NodeId(2),
+                restart,
+                after: None,
+                have_epoch: 0,
+                have_seq: 0,
+                digest: vec![(NodeId(1), 4, false)],
+            };
+            let mut out = Vec::new();
+            node.handle_message(Time::ZERO, NodeId(2), request, &mut out);
+            assert!(out.is_empty(), "shard {shard} restart {restart}: {out:?}");
+            assert_eq!(view(node), before, "shard {shard} restart {restart}");
+        }
+    }
 }
 
 /// A node id outside the cluster, in any message that carries liveness evidence, is

@@ -6,8 +6,9 @@
 //! are combined by length only.
 //!
 //! The hot path is [`ReduceSpec::combine_into`]: in-place accumulation of one incoming
-//! block into a reusable accumulator, written so the per-element work is a pair of
-//! native-endian loads, one arithmetic op, and one store (`from_le_bytes` /
+//! block into a reusable accumulator ([`ReduceSpec::combine_from`] for the first fold,
+//! which has two inputs and no accumulator yet), written so the per-element work is a
+//! pair of native-endian loads, one arithmetic op, and one store (`from_le_bytes` /
 //! `to_le_bytes` over exact-width chunks compile to plain unaligned loads and stores on
 //! little-endian targets, and the loop autovectorizes). Incoming blocks may be
 //! segmented ([`Payload::Segments`]); segments whose boundaries fall mid-element are
@@ -108,6 +109,27 @@ impl ReduceSpec {
         }
         Ok(())
     }
+
+    /// Combine two contiguous blocks element-wise **into a third**:
+    /// `out[i] = op(a[i], b[i])`, one pass where seeding `out` from `a` and then
+    /// [`ReduceSpec::combine_into`] is two. The same checks: all three lengths equal
+    /// and a whole number of elements.
+    pub fn combine_from(&self, target: ObjectId, out: &mut [u8], a: &[u8], b: &[u8]) -> Result<()> {
+        if out.len() != a.len() || a.len() != b.len() {
+            return Err(HopliteError::ReduceShapeMismatch {
+                target,
+                detail: format!("length mismatch: {} vs {} into {}", a.len(), b.len(), out.len()),
+            });
+        }
+        self.check_multiple(target, out.len() as u64)?;
+        match self.dtype {
+            DType::F32 => combine_from_slices::<f32, 4>(out, a, b, self.op),
+            DType::F64 => combine_from_slices::<f64, 8>(out, a, b, self.op),
+            DType::I32 => combine_from_slices::<i32, 4>(out, a, b, self.op),
+            DType::I64 => combine_from_slices::<i64, 8>(out, a, b, self.op),
+        }
+        Ok(())
+    }
 }
 
 /// Element trait implemented for the supported numeric types.
@@ -173,6 +195,18 @@ fn combine_slices<T: Element, const W: usize>(acc: &mut [u8], block: &[u8], op: 
     debug_assert!(acc.len().is_multiple_of(W));
     for (ca, cb) in acc.chunks_exact_mut(W).zip(block.chunks_exact(W)) {
         T::from_le(ca).apply(T::from_le(cb), op).write_le(ca);
+    }
+}
+
+/// [`combine_slices`] with the result written to a third slice instead of over `a`.
+fn combine_from_slices<T: Element, const W: usize>(
+    out: &mut [u8],
+    a: &[u8],
+    b: &[u8],
+    op: ReduceOp,
+) {
+    for ((co, ca), cb) in out.chunks_exact_mut(W).zip(a.chunks_exact(W)).zip(b.chunks_exact(W)) {
+        T::from_le(ca).apply(T::from_le(cb), op).write_le(co);
     }
 }
 
@@ -342,6 +376,32 @@ mod tests {
                 assert_eq!(flat_acc, seg_acc, "{dtype:?} {op:?}");
             }
         }
+    }
+
+    #[test]
+    fn combine_from_matches_copy_then_combine_into_and_keeps_its_checks() {
+        // Different bytes on the two sides, so operand order (min / max ties, NaNs in
+        // the float views of these bytes) would show.
+        let a: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(37).wrapping_add(11)).collect();
+        let b: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(91).wrapping_add(5)).collect();
+        for dtype in [DType::F32, DType::F64, DType::I32, DType::I64] {
+            for op in [ReduceOp::Sum, ReduceOp::Min, ReduceOp::Max] {
+                let spec = ReduceSpec { op, dtype };
+                let mut two_pass = a.clone();
+                spec.combine_into(target(), &mut two_pass, &Payload::from_vec(b.clone())).unwrap();
+                let mut one_pass = vec![0xEE; 64];
+                spec.combine_from(target(), &mut one_pass, &a, &b).unwrap();
+                assert_eq!(one_pass, two_pass, "{dtype:?} {op:?}");
+            }
+        }
+        let spec = ReduceSpec::sum_f32();
+        let mut out = vec![0u8; 8];
+        // Any of the three lengths off, or a partial trailing element: an error.
+        assert!(spec.combine_from(target(), &mut out, &a[..8], &b[..4]).is_err());
+        assert!(spec.combine_from(target(), &mut out, &a[..4], &b[..8]).is_err());
+        assert!(spec.combine_from(target(), &mut out[..4], &a[..8], &b[..8]).is_err());
+        assert!(spec.combine_from(target(), &mut out[..6], &a[..6], &b[..6]).is_err());
+        spec.combine_from(target(), &mut out, &a[..8], &b[..8]).unwrap();
     }
 
     #[test]

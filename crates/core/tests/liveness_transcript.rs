@@ -22,6 +22,9 @@
 //!
 //! On a mismatch the test writes what it produced next to the system temp directory
 //! and names the first differing event of every episode that moved.
+//!
+//! Hostile frames — ones no node sends — are delivered after an episode's seeded events,
+//! so the golden's stream is untouched: each must leave every recorded hash where it was.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -382,6 +385,41 @@ fn mode_name(detector: bool) -> &'static str {
         "on"
     } else {
         "off"
+    }
+}
+
+/// Hostile frames, outside the seeded stream (the golden's events stay as they are): at
+/// the end of an episode, whatever state it left the node in, a restart-flagged
+/// `DirSnapshotRequest` for a shard the cluster does not have — one that wraps onto a
+/// shard the requester hosts included — moves nothing the transcript records and
+/// produces no effect.
+#[test]
+fn a_snapshot_request_for_a_shard_out_of_range_moves_nothing() {
+    for detector in [false, true] {
+        for episode in 0..32 {
+            let mut ep = Episode::new(detector, episode);
+            (0..EVENTS_PER_EPISODE).for_each(|_| ep.step());
+            ep.record("settled", Vec::new());
+            for shard in [NODES as u64, 2 * NODES as u64 - 1, u64::MAX] {
+                let requester = ep.peer();
+                let incarnation = ep.known_incarnation(requester) + 1;
+                let request = Message::DirSnapshotRequest {
+                    shard,
+                    requester,
+                    restart: true,
+                    after: None,
+                    have_epoch: 0,
+                    have_seq: 0,
+                    digest: ep.restart_digest(requester, incarnation),
+                };
+                let mut out = Vec::new();
+                ep.deliver(requester, request, &mut out);
+                ep.record("hostile", out);
+                let mode = mode_name(detector);
+                let n = ep.hashes.len();
+                assert_eq!(ep.hashes[n - 1], ep.hashes[n - 2], "{mode} {episode} shard {shard}");
+            }
+        }
     }
 }
 

@@ -62,15 +62,18 @@ fn run() -> std::result::Result<(), String> {
         return Err(format!("--node {} out of range for {} fabric addresses", me.0, addrs.len()));
     }
 
+    // The process's one pool of bulk memory: the fabric reads into it, the node folds.
+    let pool = SlabPool::for_block_size(cfg.block_size);
     let mut fabric = TcpFabric::bind_node(me, &addrs, incarnation)
         .map_err(|e| format!("bind fabric {}: {e}", addrs[me.index()]))?
-        .with_block_size(cfg.block_size);
+        .with_pool(pool.clone());
     let node = ObjectStoreNode::new(
         me,
         cfg,
         ClusterView::of_size(addrs.len()),
         NodeOptions { synthetic_data: false, pipelined_put: false, incarnation },
-    );
+    )
+    .with_pool(pool);
     let fabric_tx = Box::new(fabric.sender());
     let next_op = Arc::new(AtomicU64::new(1));
     let host = Arc::new(NodeHost::spawn(node, fabric_tx, recover, next_op, |sink| {

@@ -665,14 +665,10 @@ pub fn write_frame_vectored<W: std::io::Write>(w: &mut W, msg: &Message) -> std:
 
 // --------------------------------------------------------------- pooled slab reader --
 
-/// Default receive slab: [`recv_slab_for`] the default 4 MiB pipelining block.
-pub const DEFAULT_RECV_SLAB: usize = recv_slab_for(4 * 1024 * 1024);
-
-/// The receive slab for `block_size`-byte pipelining blocks: one block plus slack for
-/// the frame header and a trailing length prefix, so a full `PushBlock` frame always
-/// fits in one slab — and no more, because an escaped block payload pins its whole slab.
-pub const fn recv_slab_for(block_size: usize) -> usize {
-    block_size + 4096
+/// A pool of its own for a reader or fabric nobody handed the process's: slabs for
+/// the default pipelining block.
+pub(crate) fn default_pool() -> SlabPool {
+    SlabPool::for_block_size(hoplite_core::config::HopliteConfig::default().block_size)
 }
 
 /// Zero-copy framed reader: the receive-side twin of [`write_frame_vectored`].
@@ -683,8 +679,9 @@ pub const fn recv_slab_for(block_size: usize) -> usize {
 /// [`decode_body`] is a [`Bytes`] view of the slab, so a block payload's bytes are
 /// written exactly once (by the kernel, into the slab) and then adopted —
 /// `ProgressBuffer`/store append the very same view. Slabs come from a
-/// [`SlabPool`] — shared by every reader of a fabric ([`FrameReader::with_pool`]) —
-/// which reissues them once every view into them has dropped. Only block frames leave
+/// [`SlabPool`] — the process's, shared by every reader of a fabric and the nodes it
+/// feeds ([`FrameReader::with_pool`]) — at the pool's slab length, and the pool
+/// reissues them once every view into them has dropped. Only block frames leave
 /// views behind (the message table's `aliases_slab` mark); every other frame decodes
 /// into owned fields, so a control-heavy stream — inline objects included — stays in
 /// one warm slab.
@@ -698,7 +695,6 @@ pub struct FrameReader<R> {
     pool: SlabPool,
     /// The pool's reuse count when [`FrameReader::take_slab_reuses`] last read it.
     reuses_reported: u64,
-    slab_len: usize,
     slab: std::sync::Arc<Vec<u8>>,
     /// Start of the first unconsumed byte in `slab`.
     pos: usize,
@@ -709,22 +705,22 @@ pub struct FrameReader<R> {
 impl<R: std::io::Read> FrameReader<R> {
     /// Wrap `inner` with default (block-sized) slabs from a pool of its own.
     pub fn new(inner: R) -> FrameReader<R> {
-        FrameReader::with_pool(inner, SlabPool::new(), DEFAULT_RECV_SLAB)
+        FrameReader::with_pool(inner, default_pool())
     }
 
     /// Wrap `inner` with slabs of at least `slab_len` bytes (tests use tiny slabs to
     /// force boundary straddles; oversized frames still get a dedicated allocation).
     pub fn with_slab_len(inner: R, slab_len: usize) -> FrameReader<R> {
-        FrameReader::with_pool(inner, SlabPool::new(), slab_len.max(64))
+        FrameReader::with_pool(inner, SlabPool::with_slab_len(slab_len.max(64)))
     }
 
-    /// Wrap `inner` with slabs of at least `slab_len` bytes (a fabric passes
-    /// [`recv_slab_for`] its block size) from `pool`, which other readers may share: a
-    /// slab one of them filled is, once unpinned, read into by any.
-    pub fn with_pool(inner: R, pool: SlabPool, slab_len: usize) -> FrameReader<R> {
+    /// Wrap `inner` with slabs from `pool`, at its slab length, which other readers
+    /// and the reduce engine may share: a slab one of them filled is, once unpinned,
+    /// read into by any.
+    pub fn with_pool(inner: R, pool: SlabPool) -> FrameReader<R> {
         let reuses_reported = pool.reuses();
-        let slab = pool.checkout(slab_len);
-        FrameReader { inner, pool, reuses_reported, slab_len, slab, pos: 0, filled: 0 }
+        let slab = pool.checkout(pool.slab_len());
+        FrameReader { inner, pool, reuses_reported, slab, pos: 0, filled: 0 }
     }
 
     /// Read and decode one framed message, zero-copy for block payloads. A length
@@ -783,7 +779,7 @@ impl<R: std::io::Read> FrameReader<R> {
     fn roll(&mut self, n: usize) {
         let carry = self.filled - self.pos;
         debug_assert!(carry <= 4, "roll carry must be at most a length prefix");
-        let mut fresh = self.pool.checkout(n.max(self.slab_len));
+        let mut fresh = self.pool.checkout(n);
         {
             let dst = std::sync::Arc::get_mut(&mut fresh).expect("pool slab is uniquely held");
             dst[..carry].copy_from_slice(&self.slab[self.pos..self.filled]);
@@ -1932,10 +1928,9 @@ pub(crate) mod tests {
                 .collect()
         };
         // Default slabs: 4 MiB of address space each, of which a block touches 8 KiB.
-        let pool = SlabPool::new();
-        let reader_over = |stream: Vec<u8>| {
-            FrameReader::with_pool(std::io::Cursor::new(stream), pool.clone(), DEFAULT_RECV_SLAB)
-        };
+        let pool = default_pool();
+        let reader_over =
+            |stream: Vec<u8>| FrameReader::with_pool(std::io::Cursor::new(stream), pool.clone());
         // Read one object, returning its blocks (kept alive, as the store would) and
         // the address of the slab each one landed in.
         fn read_object<R: std::io::Read>(r: &mut FrameReader<R>) -> (Vec<Message>, Vec<*const u8>) {

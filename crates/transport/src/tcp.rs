@@ -24,8 +24,10 @@
 //! * Receives go through a [`crate::framing::FrameReader`]: frames decode in place
 //!   out of pooled slabs, so a block's payload bytes are written once by the kernel
 //!   and then adopted as shared views all the way into the store. Every reader thread
-//!   of a fabric draws from one [`SlabPool`], so the slabs of a deleted object are
-//!   what the next object is read into, whichever peer sends it.
+//!   of a fabric draws from one [`SlabPool`] — the process's, when its builder hands
+//!   one over ([`TcpFabric::with_pool`]), which the hosted nodes' reduce engines draw
+//!   accumulators from too — so the slabs of a deleted object are what the next object
+//!   is read or folded into, whichever peer sends it.
 //!
 //! Callers are usually inside a node's handler, and a stalled peer must not stall the
 //! node that talks to it, so every socket carries a send timeout (`SEND_TIMEOUT`): a
@@ -42,14 +44,13 @@ use std::sync::{Arc, Condvar, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use hoplite_core::buffer::SlabPool;
 use hoplite_core::prelude::*;
 use parking_lot::{Mutex, RwLock};
 
 use crate::fabric::{Fabric, FabricSender, IngressSink, IngressTable};
 use crate::framing::{
-    encode_frame_vectored, recv_slab_for, write_frame_vectored, Cork, EncodedFrame, FrameReader,
-    DEFAULT_RECV_SLAB, MAX_CORKED_BYTES,
+    default_pool, encode_frame_vectored, write_frame_vectored, Cork, EncodedFrame, FrameReader,
+    MAX_CORKED_BYTES,
 };
 
 /// How long an accepted connection may take to introduce itself before it is dropped.
@@ -68,10 +69,9 @@ pub struct TcpFabric {
     /// first [`Fabric::attach`].
     listeners: Vec<Option<TcpListener>>,
     incarnations: Arc<RwLock<Vec<u64>>>,
-    /// Where every reader thread's receive slabs come from and go back to.
+    /// Where every reader thread's receive slabs come from and go back to, at the
+    /// pool's slab length: the process's pool, or one of the fabric's own.
     recv_pool: SlabPool,
-    /// How large those slabs are: [`recv_slab_for`] the deployment's block size.
-    recv_slab: usize,
     stats: Arc<SendStats>,
 }
 
@@ -147,16 +147,16 @@ impl TcpFabric {
             addrs: Arc::new(addrs),
             listeners,
             incarnations: Arc::new(RwLock::new(incarnations)),
-            recv_pool: SlabPool::new(),
-            recv_slab: DEFAULT_RECV_SLAB,
+            recv_pool: default_pool(),
             stats: Arc::default(),
         }
     }
 
-    /// Size receive slabs for the deployment's pipelining block (default: the default
-    /// block, 4 MiB). Call before the first [`Fabric::attach`] starts an accept loop.
-    pub fn with_block_size(mut self, block_size: u64) -> Self {
-        self.recv_slab = recv_slab_for(block_size as usize);
+    /// Read into slabs of `pool` — the process's, sized for the deployment's block and
+    /// shared with the nodes this fabric feeds — instead of a default-block pool of
+    /// the fabric's own. Call before the first [`Fabric::attach`] starts an accept loop.
+    pub fn with_pool(mut self, pool: SlabPool) -> Self {
+        self.recv_pool = pool;
         self
     }
 
@@ -171,12 +171,6 @@ impl TcpFabric {
     /// [`TcpFabricSender::drop_edges_from`] when restarting an in-process node.
     pub fn set_incarnation(&self, node: NodeId, incarnation: u64) {
         self.incarnations.write()[node.index()] = incarnation;
-    }
-
-    /// Receive slabs served by pool reuse instead of a fresh allocation, across every
-    /// connection accepted by this fabric (→ the `recv_slab_reuse` metric).
-    pub fn recv_slab_reuses(&self) -> u64 {
-        self.recv_pool.reuses()
     }
 }
 
@@ -204,18 +198,12 @@ fn bind_with_retry(addr: SocketAddr) -> std::io::Result<TcpListener> {
 /// survivor that sees a restarted peer reconnect learns the new incarnation — to the
 /// slot's sink. The sink is looked up per frame: a restart swaps it, and a surviving
 /// connection must start feeding the new incarnation.
-fn accept_loop(
-    listener: TcpListener,
-    slot: usize,
-    ingress: IngressTable,
-    pool: SlabPool,
-    slab_len: usize,
-) {
+fn accept_loop(listener: TcpListener, slot: usize, ingress: IngressTable, pool: SlabPool) {
     for stream in listener.incoming() {
         let Ok(stream) = stream else { return };
         let _ = stream.set_read_timeout(Some(HELLO_TIMEOUT));
         let Ok(timeouts) = stream.try_clone() else { continue };
-        let mut reader = FrameReader::with_pool(stream, pool.clone(), slab_len);
+        let mut reader = FrameReader::with_pool(stream, pool.clone());
         let Ok(hello @ Message::Hello { node: from, .. }) = reader.read_message() else {
             continue;
         };
@@ -242,10 +230,9 @@ impl Fabric for TcpFabric {
         self.ingress.write()[node.index()] = Some(sink);
         if let Some(listener) = self.listeners[node.index()].take() {
             let (slot, table, pool) = (node.index(), self.ingress.clone(), self.recv_pool.clone());
-            let slab_len = self.recv_slab;
             thread::Builder::new()
                 .name(format!("hoplite-accept-{slot}"))
-                .spawn(move || accept_loop(listener, slot, table, pool, slab_len))
+                .spawn(move || accept_loop(listener, slot, table, pool))
                 .expect("spawn accept thread");
         }
     }
@@ -265,7 +252,9 @@ impl Fabric for TcpFabric {
 
     fn transport_metrics(&self) -> NodeMetrics {
         NodeMetrics {
-            recv_slab_reuse: self.recv_slab_reuses(),
+            // The pool's count: this fabric's receive slabs and, when the pool is the
+            // process's, its nodes' reduce accumulators.
+            recv_slab_reuse: self.recv_pool.reuses(),
             corked_frames_per_write: self.stats.corked_frames.load(Ordering::Relaxed),
             ..NodeMetrics::default()
         }
@@ -516,8 +505,13 @@ impl TcpFabricSender {
             .spawn(move || on_thread.writer_loop())
             .ok()?;
         edge.state().writer = Some(writer);
-        self.edges.0.lock().insert(key, edge.clone());
-        Some(edge)
+        // Another thread may have missed the map when this one did and dialed too: the
+        // first to get here wins, and the loser's edge goes, writer thread and all.
+        let winner = self.edges.0.lock().entry(key).or_insert_with(|| edge.clone()).clone();
+        if !Arc::ptr_eq(&winner, &edge) {
+            edge.shut();
+        }
+        Some(winner)
     }
 }
 
@@ -1033,6 +1027,81 @@ mod tests {
     }
 
     #[test]
+    fn two_threads_dialing_one_edge_at_once_end_up_on_one_connection() {
+        // Two threads send for one node at the same moment, neither finding an edge:
+        // both may dial, one edge must survive. Node 1 is never attached — the test is
+        // its accept loop, so it sees connections and their ends, not just frames.
+        let mut fabric = TcpFabric::new(2).unwrap();
+        let listener = fabric.listeners[1].take().unwrap();
+        let sender = fabric.sender();
+        // Per connection: every frame, its Hello first, then `None` at EOF.
+        let (events, rx) = unbounded::<(usize, Option<Message>)>();
+        thread::spawn(move || {
+            for (conn, stream) in listener.incoming().enumerate() {
+                let (events, mut reader) = (events.clone(), FrameReader::new(stream.unwrap()));
+                thread::spawn(move || {
+                    while let Ok(msg) = reader.read_message() {
+                        let _ = events.send((conn, Some(msg)));
+                    }
+                    let _ = events.send((conn, None));
+                });
+            }
+        });
+        const FRAMES: u64 = 20;
+        let (mut opened, mut ended) = (0, 0);
+        let mut next_event = move || {
+            let (conn, msg) = rx.recv_timeout(StdDuration::from_secs(10)).expect("a hung edge");
+            match msg {
+                Some(Message::Hello { .. }) => opened += 1,
+                None => ended += 1,
+                Some(_) => {}
+            }
+            (conn, msg, opened, ended)
+        };
+        for round in 0..32u32 {
+            // A fresh edge per round (a sender may name any node as the source).
+            let from = NodeId(round);
+            let start = std::sync::Barrier::new(2);
+            thread::scope(|scope| {
+                for t in 0..2u64 {
+                    let (sender, start) = (&sender, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        (0..FRAMES).for_each(|i| sender.send(from, NodeId(1), ack(1000 * t + i)));
+                    });
+                }
+            });
+            {
+                let edges = sender.edges.0.lock();
+                assert_eq!(edges.len(), 1, "round {round}: one edge in the map");
+                let state = edges[&(from.0, 1)].state();
+                assert!(!state.closed && state.writer.is_some(), "with its writer thread");
+            }
+            // Every data frame arrives on one connection, each thread's in the order
+            // it sent them: the loser of a double dial wrote its Hello and nothing else.
+            let (mut carrier, mut next) = (None, [0, 1000]);
+            while next != [FRAMES, 1000 + FRAMES] {
+                let (conn, Some(msg), ..) = next_event() else { continue };
+                let Some(seq) = seq_of(&msg) else { continue };
+                assert_eq!(*carrier.get_or_insert(conn), conn, "round {round}: two connections");
+                let thread = (seq / 1000) as usize;
+                assert_eq!(seq, next[thread], "round {round}: out of order");
+                next[thread] += 1;
+            }
+            sender.drop_edges_from(from);
+        }
+        // With every edge in the map shut, every connection ever dialed ends — the last
+        // round's has yet to: a loser's edge, which its writer thread would hold open,
+        // did not outlive the dial.
+        loop {
+            let (.., opened, ended) = next_event();
+            if ended >= 32 && ended == opened {
+                break assert!(opened <= 64);
+            }
+        }
+    }
+
+    #[test]
     fn tcp_fabric_reuses_receive_slabs() {
         // Lockstep send/consume: each payload is dropped before the next frame is
         // sent, so by the time the reader thread rolls to a new slab the previous
@@ -1057,7 +1126,7 @@ mod tests {
             drop(msg);
         }
         assert!(
-            fabric.recv_slab_reuses() > 0,
+            fabric.transport_metrics().recv_slab_reuse > 0,
             "lockstep consumption should let the reader recycle slabs"
         );
     }

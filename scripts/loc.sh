@@ -2,7 +2,8 @@
 # Line counts the ROADMAP tracks ("line count per crate is a tracked number"), as a
 # markdown report: non-test .rs lines per crate and per directory/*.rs file, the
 # workspace total, the HopliteConfig field count, and the lifecycle counts of
-# ROADMAP's transport item (unbounded queues, sleeps, thread-spawn sites).
+# ROADMAP's transport item (unbounded queues, sleeps, SlabPool construction sites,
+# thread-spawn sites).
 #
 # "Non-test" = lines of a file before its first top-level `#[cfg(test)]` that opens an
 # inline test module (one that only gates a `mod …;` declaration, like node/mod.rs's
@@ -67,4 +68,5 @@ echo "| lifecycle count (non-test, outside crates/compat) | sites |"
 echo "|---|---:|"
 echo "| \`unbounded(\` call sites | $(occurrences 'unbounded(') |"
 echo "| \`thread::sleep\` calls | $(occurrences 'thread::sleep') |"
+echo "| \`SlabPool\` construction sites (expected 6: the two process builders, \`hoplited\` and \`LocalCluster\`; the private defaults of a node, of a fabric or reader built alone, of the tiny-slab test reader; one bench) | $(($(occurrences 'SlabPool::new()') + $(occurrences 'SlabPool::for_block_size(') + $(occurrences 'SlabPool::with_slab_len('))) |"
 echo "| thread-spawn sites (\`thread::spawn\`, \`Builder::new()\`, \`spawn_scoped\`) | $(($(occurrences 'thread::spawn') + $(occurrences 'thread::Builder::new()') + $(occurrences 'spawn_scoped'))) |"
