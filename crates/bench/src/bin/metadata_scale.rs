@@ -16,7 +16,7 @@ use std::collections::VecDeque;
 use std::time::Instant;
 
 use hoplite_core::config::HopliteConfig;
-use hoplite_core::directory::DirectoryService;
+use hoplite_core::directory::{DirectoryService, ResyncFrame};
 use hoplite_core::object::{NodeId, ObjectId, ObjectStatus};
 use hoplite_core::protocol::{DirOp, Message};
 
@@ -73,22 +73,22 @@ fn route(
             );
         }
         Message::DirSnapshotChunk { shard, epoch, seq, rank, done, state } => {
-            svcs[to.0 as usize].handle_snapshot_chunk(
+            let frame = ResyncFrame::Chunk { seq, rank: rank as usize, entries: &state.entries };
+            svcs[to.0 as usize].handle_resync_frame(
                 shard as usize,
                 epoch,
-                seq,
-                rank as usize,
+                frame,
                 done,
-                &state,
                 from,
                 &mut out,
             );
         }
         Message::DirResyncDelta { shard, epoch, ops, done } => {
-            svcs[to.0 as usize].handle_resync_delta(
+            let frame = ResyncFrame::Delta { ops: &ops };
+            svcs[to.0 as usize].handle_resync_frame(
                 shard as usize,
                 epoch,
-                &ops,
+                frame,
                 done,
                 from,
                 &mut out,
@@ -174,7 +174,7 @@ fn main() {
         let next = route(&mut svcs, from, to, msg);
         queue.extend(next);
     }
-    assert!(svcs[1].pending_resyncs().is_empty(), "resync stream completed");
+    assert!(!svcs[1].is_resyncing(), "resync stream completed");
     let resync_s = resync_start.elapsed().as_secs_f64();
     let (chunks_sent, chunk_bytes, delta_resyncs) = svcs[0].take_resync_counters();
     let resync_rate = (objects + live.len()) as f64 / resync_s;
@@ -185,14 +185,12 @@ fn main() {
     );
 
     // Phase 3 — readmit the caught-up replica and re-ship whatever landed after its
-    // streams closed, then verify convergence.
+    // streams closed, then verify convergence. (The restarted node readmitted itself
+    // when its last stream completed.)
     svcs[0].on_peer_recovered(NodeId(1));
     let mut q0 = Vec::new();
     svcs[0].on_peer_readmitted(NodeId(1), &mut q0);
-    let mut q1 = Vec::new();
-    svcs[1].on_peer_readmitted(NodeId(1), &mut q1);
     queue.extend(q0.into_iter().map(|(to, m)| (NodeId(0), to, m)));
-    queue.extend(q1.into_iter().map(|(to, m)| (NodeId(1), to, m)));
     while let Some((from, to, msg)) = queue.pop_front() {
         let next = route(&mut svcs, from, to, msg);
         queue.extend(next);

@@ -25,10 +25,13 @@
 //! deterministic pattern ([`pattern_byte`]) so the controller can assert end-to-end
 //! content integrity of multi-megabyte objects with one short line each way.
 //!
-//! [`ProcessCluster`] is what `hoplitectl` uses: it reserves fabric + control ports,
-//! spawns one daemon per node with stdout/stderr teed to per-node log files, waits
-//! for every control socket to answer `ping`, and exposes `kill -9` + restart with
-//! incarnation bookkeeping that mirrors what a production supervisor would do.
+//! [`ProcessCluster`] is what `hoplitectl drill` uses: it reserves fabric + control
+//! ports, spawns one daemon per node with stdout/stderr teed to per-node log files,
+//! waits for every control socket to answer `ping`, and exposes `kill -9` + restart
+//! with incarnation bookkeeping that mirrors what a production supervisor would do.
+//! The three steps are public functions — [`reserve_ports`], [`spawn_daemon`] (the one
+//! spelling of the `hoplited` command line) and [`wait_ready`] — which `hoplitectl`'s
+//! detached `spawn` / `restart` commands call too.
 
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -58,6 +61,13 @@ pub struct DaemonSpec {
     pub log_dir: PathBuf,
     /// Optional TOML config file passed to every daemon via `--config`.
     pub config: Option<PathBuf>,
+}
+
+impl DaemonSpec {
+    /// The log file `node`'s stdout/stderr are teed to.
+    pub fn log_path(&self, node: usize) -> PathBuf {
+        self.log_dir.join(format!("node-{node}.log"))
+    }
 }
 
 /// Blocking client for one daemon's control socket.
@@ -196,10 +206,10 @@ impl ProcessCluster {
             control_addrs,
         };
         for node in 0..cluster.spec.n {
-            cluster.spawn_daemon(node, false)?;
+            cluster.launch(node, false)?;
         }
-        for node in 0..cluster.spec.n {
-            cluster.wait_ready(node, Duration::from_secs(20))?;
+        for &control in &cluster.control_addrs {
+            wait_ready(control, Duration::from_secs(20))?;
         }
         Ok(cluster)
     }
@@ -233,7 +243,7 @@ impl ProcessCluster {
 
     /// The log file `node`'s stdout/stderr are teed to.
     pub fn log_path(&self, node: usize) -> PathBuf {
-        self.spec.log_dir.join(format!("node-{node}.log"))
+        self.spec.log_path(node)
     }
 
     /// The OS pid of `node`'s daemon, if running.
@@ -241,49 +251,13 @@ impl ProcessCluster {
         self.children[node].as_ref().map(|c| c.id())
     }
 
-    fn spawn_daemon(&mut self, node: usize, recover: bool) -> io::Result<()> {
-        let fabric_list =
-            self.fabric_addrs.iter().map(|a| a.to_string()).collect::<Vec<_>>().join(",");
-        let log = File::create(self.log_path(node))?;
-        let mut cmd = Command::new(&self.spec.binary);
-        cmd.arg("--node")
-            .arg(node.to_string())
-            .arg("--fabric")
-            .arg(fabric_list)
-            .arg("--control")
-            .arg(self.control_addrs[node].to_string())
-            .arg("--incarnation")
-            .arg(self.incarnations[node].to_string())
-            .stdin(Stdio::null())
-            .stdout(Stdio::from(log.try_clone()?))
-            .stderr(Stdio::from(log));
-        if recover {
-            cmd.arg("--recover");
-        }
-        if let Some(config) = &self.spec.config {
-            cmd.arg("--config").arg(config);
-        }
-        self.children[node] = Some(cmd.spawn()?);
+    /// Spawn `node`'s daemon at its current incarnation.
+    fn launch(&mut self, node: usize, recover: bool) -> io::Result<()> {
+        let (fabric, control) = (&self.fabric_addrs, self.control_addrs[node]);
+        let incarnation = self.incarnations[node];
+        self.children[node] =
+            Some(spawn_daemon(&self.spec, fabric, control, node, incarnation, recover)?);
         Ok(())
-    }
-
-    /// Poll `node`'s control socket until it answers `ping` (or the deadline passes).
-    pub fn wait_ready(&self, node: usize, timeout: Duration) -> io::Result<()> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match ControlClient::connect(self.control_addrs[node], Duration::from_millis(250))
-                .and_then(|mut c| c.ping())
-            {
-                Ok(()) => return Ok(()),
-                Err(e) if Instant::now() >= deadline => {
-                    return Err(io::Error::new(
-                        e.kind(),
-                        format!("node {node} not ready within {timeout:?}: {e}"),
-                    ));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(100)),
-            }
-        }
     }
 
     /// A fresh control connection to `node`.
@@ -321,8 +295,8 @@ impl ProcessCluster {
     pub fn restart(&mut self, node: usize) -> io::Result<()> {
         assert!(self.children[node].is_none(), "restart requires a killed node");
         self.incarnations[node] += 1;
-        self.spawn_daemon(node, true)?;
-        self.wait_ready(node, Duration::from_secs(30))?;
+        self.launch(node, true)?;
+        wait_ready(self.control_addrs[node], Duration::from_secs(30))?;
         for other in 0..self.spec.n {
             if other != node && self.children[other].is_some() {
                 self.control(other)?.peer_recovered(NodeId(node as u32))?;
@@ -340,8 +314,8 @@ impl ProcessCluster {
     pub fn restart_undetected(&mut self, node: usize) -> io::Result<()> {
         assert!(self.children[node].is_none(), "restart requires a killed node");
         self.incarnations[node] += 1;
-        self.spawn_daemon(node, true)?;
-        self.wait_ready(node, Duration::from_secs(30))
+        self.launch(node, true)?;
+        wait_ready(self.control_addrs[node], Duration::from_secs(30))
     }
 
     /// Ask every running daemon to exit cleanly, then reap them.
@@ -373,10 +347,66 @@ impl Drop for ProcessCluster {
 /// Reserve `n` distinct localhost ports by binding and immediately releasing them.
 /// The tiny window between release and the daemon's own bind is tolerable for a
 /// test/CI harness (and the daemon retries `AddrInUse` anyway).
-fn reserve_ports(n: usize) -> io::Result<Vec<SocketAddr>> {
+pub fn reserve_ports(n: usize) -> io::Result<Vec<SocketAddr>> {
     let listeners: Vec<TcpListener> =
         (0..n).map(|_| TcpListener::bind("127.0.0.1:0")).collect::<io::Result<_>>()?;
     listeners.iter().map(|l| l.local_addr()).collect()
+}
+
+/// Launch `hoplited` as node `node` of the fleet `spec` describes, whose fabric
+/// listeners are `fabric`, with its control socket on `control`, at `incarnation`
+/// (`--recover` when `recover`: a restart, not a cold boot), its stdout and stderr
+/// written to [`DaemonSpec::log_path`]. A `Child` does not kill its process on drop,
+/// so a caller that drops it leaves the daemon running.
+pub fn spawn_daemon(
+    spec: &DaemonSpec,
+    fabric: &[SocketAddr],
+    control: SocketAddr,
+    node: usize,
+    incarnation: u64,
+    recover: bool,
+) -> io::Result<Child> {
+    let fabric_list = fabric.iter().map(|a| a.to_string()).collect::<Vec<_>>().join(",");
+    let log = File::create(spec.log_path(node))?;
+    let mut cmd = Command::new(&spec.binary);
+    cmd.arg("--node")
+        .arg(node.to_string())
+        .arg("--fabric")
+        .arg(fabric_list)
+        .arg("--control")
+        .arg(control.to_string())
+        .arg("--incarnation")
+        .arg(incarnation.to_string())
+        .stdin(Stdio::null())
+        .stdout(Stdio::from(log.try_clone()?))
+        .stderr(Stdio::from(log));
+    if recover {
+        cmd.arg("--recover");
+    }
+    if let Some(config) = &spec.config {
+        cmd.arg("--config").arg(config);
+    }
+    cmd.spawn()
+        .map_err(|e| io::Error::new(e.kind(), format!("spawn {}: {e}", spec.binary.display())))
+}
+
+/// Poll the control socket at `control` until it answers `ping` (or the deadline
+/// passes).
+pub fn wait_ready(control: SocketAddr, timeout: Duration) -> io::Result<()> {
+    let deadline = Instant::now() + timeout;
+    loop {
+        match ControlClient::connect(control, Duration::from_millis(250)).and_then(|mut c| c.ping())
+        {
+            Ok(()) => return Ok(()),
+            Err(e) if Instant::now() >= deadline => {
+                return Err(io::Error::new(
+                    e.kind(),
+                    format!("daemon at {control} not ready within {timeout:?}: {e}"),
+                ));
+            }
+            Err(_) => std::thread::sleep(Duration::from_millis(100)),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -5,9 +5,10 @@ use crate::time::Duration;
 
 /// Size thresholds and protocol parameters of a Hoplite node.
 ///
-/// Defaults mirror the paper's implementation: 4 MiB pipelining blocks, a 64 KiB
+/// Defaults mirror the paper's implementation: 4 MiB pipelining blocks and a 64 KiB
 /// small-object threshold under which objects are cached inline in the object
-/// directory, and reduce degree chosen from `{1, 2, n}` (§4).
+/// directory. (The reduce degree is chosen from `{1, 2, n}` by
+/// [`crate::reduce::DegreeModel::paper_testbed`], §4.)
 #[derive(Clone, Debug, PartialEq)]
 pub struct HopliteConfig {
     /// Pipelining block size in bytes. Transfers, reductions and worker↔store copies
@@ -16,16 +17,6 @@ pub struct HopliteConfig {
     /// Objects at or below this size are cached inline in the directory shard and
     /// served directly from location-query replies (§3.2, 64 KiB in the paper).
     pub inline_threshold: u64,
-    /// Candidate reduce-tree degrees evaluated by the degree model. `0` stands for
-    /// `n` (a star rooted at the receiver).
-    pub reduce_degrees: Vec<usize>,
-    /// Estimated one-way network latency used by the reduce degree model (the paper
-    /// measures this empirically at runtime; we expose it as a calibrated estimate
-    /// that drivers may overwrite with live measurements).
-    pub estimated_latency: Duration,
-    /// Estimated per-node network bandwidth in bytes per second used by the reduce
-    /// degree model.
-    pub estimated_bandwidth: f64,
     /// Local store capacity in bytes; additional unpinned copies are evicted LRU when
     /// the store fills up (§6 "Garbage collection").
     pub store_capacity: u64,
@@ -71,9 +62,6 @@ impl Default for HopliteConfig {
         HopliteConfig {
             block_size: 4 * 1024 * 1024,
             inline_threshold: 64 * 1024,
-            reduce_degrees: vec![1, 2, 0],
-            estimated_latency: Duration::from_micros(170),
-            estimated_bandwidth: 1.25e9, // 10 Gbps
             store_capacity: 64 * 1024 * 1024 * 1024,
             memcpy_bandwidth: 5.0e9,
             directory_shards: None,
@@ -138,7 +126,11 @@ mod tests {
         let cfg = HopliteConfig::default();
         assert_eq!(cfg.block_size, 4 * 1024 * 1024);
         assert_eq!(cfg.inline_threshold, 64 * 1024);
-        assert_eq!(cfg.reduce_degrees, vec![1, 2, 0]);
+        // The reduce degree: chosen from {1, 2, n} for a 10 Gb/s, 170 µs network.
+        use crate::reduce::{degree::DEGREE_CANDIDATES, DegreeModel};
+        assert_eq!(DEGREE_CANDIDATES, [1, 2, 0]);
+        let testbed = DegreeModel { latency: Duration::from_micros(170), bandwidth: 1.25e9 };
+        assert_eq!(DegreeModel::paper_testbed(), testbed);
     }
 
     #[test]

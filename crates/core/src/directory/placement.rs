@@ -13,7 +13,9 @@
 //! first marked *resyncing* (alive, shipped to, but not a primary candidate); once it
 //! announces catch-up it is re-admitted and becomes eligible again — so after a
 //! rolling restart the original owners end up leading their shards again, with
-//! strictly increasing epochs protecting against deposed primaries' stragglers.
+//! strictly increasing epochs protecting against deposed primaries' stragglers. The
+//! resyncing set is the only record of that state, for this node too: it is resyncing
+//! after a restart while the set holds it, until its own last stream completes.
 //! Because every node folds the same broadcast failure/recovery/re-admission notices
 //! into the same deterministic rules, survivors agree on the current primary without
 //! a coordination round; transient disagreement is absorbed by op forwarding.
@@ -97,7 +99,8 @@ pub struct PlacementView {
     placement: DirectoryPlacement,
     failed: HashSet<NodeId>,
     /// Recovered but not yet caught-up nodes: alive (shipped to) but not primary
-    /// candidates. Includes this node itself while it resyncs after a restart.
+    /// candidates. Includes this node itself while it resyncs after a restart — the
+    /// one place that is recorded.
     resyncing: HashSet<NodeId>,
     /// Per-shard primary cursor into the replica set; advances on primary failure,
     /// never rewinds on re-admission (no automatic fail-back).

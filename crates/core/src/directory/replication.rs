@@ -1,31 +1,37 @@
-//! Primary/backup replication of one directory shard (§3.5), with a sequenced,
-//! acknowledged op log and chunk-or-delta state transfer.
+//! Primary/backup replication of one directory shard (§3.5): a sequenced, acknowledged
+//! op log, and the receiving end of chunk-or-delta state transfer.
 //!
 //! The paper keeps the object directory available across node failures by
 //! replicating it; this module implements the per-replica half of that design as a
 //! pure state machine layered on [`DirectoryShard`]:
 //!
 //! * the **primary** applies every client op, emits the replies, stamps the op with a
-//!   contiguous per-shard **sequence number**, and log-ships it to its backups. It
-//!   retains the *unacked suffix* of the log; once every tracked backup has
-//!   cumulatively acked a sequence number, the prefix up to it is trimmed and the
-//!   contained ops are **confirmed** back to their origins — which is what makes the
-//!   replication guarantee independent of client re-drive;
+//!   contiguous per-shard **sequence number**, and log-ships it to its backups;
+//! * every replica keeps **one log**, a deque of `(seq, op, confirm)` split by a
+//!   durable watermark. Entries past it are the primary's *unacked suffix*; once every
+//!   tracked backup has cumulatively acked a sequence number the watermark moves past
+//!   it and the contained ops are **confirmed** back to their origins — which is what
+//!   makes the replication guarantee independent of client re-drive. Entries before
+//!   it are the acked ops, of which the newest `directory_log_retention` are kept to
+//!   serve delta resyncs; a backup's replayed ops join them as they apply;
 //! * a **backup** replays shipped ops in sequence order against its mirror shard with
 //!   replies suppressed, acking the contiguously-applied prefix. A gap in the sequence
 //!   (ops lost while the replica was down or deposed) cannot be bridged from the log
-//!   alone: the replica asks the current primary for a **resync** — an op replay from
-//!   the retained suffix when that covers the gap ([`ShardReplica::apply_delta`]), a
-//!   cursor-driven stream of bounded state chunks otherwise
-//!   ([`ShardReplica::install_chunk`]) — then replays whatever shipped ops it
-//!   buffered past the stream's consistency point and re-enters the replica set;
+//!   alone: the replica asks the current primary for a **resync**, and holds one
+//!   record of it while it is in flight ([`Resync`]: the source asked and the chunk
+//!   stream's cursor — the only copy of either). Every frame the source answers with,
+//!   an op replay from its log or a bounded state chunk, goes through
+//!   [`ShardReplica::apply_resync`], which says whether to drop it, pull the next one,
+//!   or ack: on the last frame the replica replays whatever shipped ops it buffered
+//!   past the stream's consistency point and re-enters the replica set;
 //! * on promotion the new primary bumps its **epoch**; replicated ops stamped with a
 //!   lower epoch (stragglers from a deposed primary) are rejected, and any buffered
 //!   out-of-order suffix beyond the contiguously-applied prefix is discarded —
 //!   promotion only ever builds on the acked prefix.
 //!
-//! Which replica *is* the primary is decided by the epoch-versioned placement in
-//! [`super::service`]; this module only implements the mechanics.
+//! Which replica *is* the primary, and whether the node itself is still resyncing
+//! after a restart, is decided by the epoch-versioned placement view in
+//! [`super::placement`]; this module only implements the mechanics.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -50,26 +56,65 @@ pub enum ReplayOutcome {
     /// contained contiguously-applied sequence number back to the shipper. Re-acking
     /// duplicates is what makes acks idempotent across a snapshot catch-up.
     Acked(u64),
-    /// The op arrived while a snapshot is in flight and was buffered for replay after
-    /// the snapshot installs. No ack yet.
+    /// The op arrived while a resync is in flight and was buffered for replay after
+    /// the resync completes. No ack yet.
     Buffered,
     /// The op exposes a sequence gap (or an epoch jump over lost state) that the log
-    /// alone cannot bridge: the replica buffered it and must request a snapshot from
+    /// alone cannot bridge: the replica buffered it and must request a resync from
     /// the shipper.
     NeedsResync,
     /// A deposed primary's straggler (stale epoch): discarded.
     Rejected,
 }
 
-/// One retained log entry on the primary: the op at a sequence number, plus the
-/// confirmation to emit once every tracked backup has acked past it. The op itself
-/// is retained so it can move into the delta ring when trimmed and be re-shipped to
-/// a re-admitted backup (see [`ShardReplica::delta_ops`]).
+/// A resync in flight on one replica.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Resync {
+    /// The node the last request went to (re-targeted if it dies).
+    pub source: NodeId,
+    /// While a chunk stream is installing: the highest object id installed so far. A
+    /// re-targeted request resumes from here instead of restarting the stream.
+    pub cursor: Option<ObjectId>,
+}
+
+/// One frame of a resync stream, as the receiving replica installs it.
+#[derive(Clone, Copy, Debug)]
+pub enum ResyncFrame<'a> {
+    /// Bounded shard state from a cursor-driven stream.
+    Chunk {
+        /// The stream's consistency point: the assembled state is consistent at it.
+        seq: u64,
+        /// The source's rank cursor.
+        rank: usize,
+        /// The state carried by this frame.
+        entries: &'a [SnapshotEntry],
+    },
+    /// Ops replayed from the source's log, in sequence order.
+    Delta {
+        /// `(seq, op)` pairs.
+        ops: &'a [(u64, DirOp)],
+    },
+}
+
+/// What installing one resync frame came to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ResyncStep {
+    /// No resync in flight, or a deposed source's older epoch: discarded untouched.
+    Stale,
+    /// Installed mid-stream: pull the next frame.
+    Continue,
+    /// The stream is complete: ack this sequence number. The replica is a backup again.
+    Done(u64),
+}
+
+/// One log entry: the op at a sequence number, and whether this replica applied it as
+/// primary — then its origin is sent the op's [`Message::DirConfirm`] once every
+/// tracked backup has acked past it.
 #[derive(Clone, Debug)]
 struct LogEntry {
     seq: u64,
     op: DirOp,
-    confirm: Option<(NodeId, Message)>,
+    confirm: bool,
 }
 
 /// One replica of one directory shard: the shard state machine plus its replication
@@ -82,44 +127,37 @@ pub struct ShardReplica {
     /// Highest contiguously-applied log sequence number (the acked prefix boundary on
     /// a backup; `next assigned - 1` on the primary).
     applied_seq: u64,
-    /// Primary: entries not yet acked by every tracked backup (the unacked suffix).
+    /// The log, in sequence order: the acked entries (the newest
+    /// `directory_log_retention` of them, kept so a gapped replica can be caught up by
+    /// replaying ops instead of shipping state — a promoted backup can serve deltas
+    /// too), then the primary's unacked suffix.
     log: VecDeque<LogEntry>,
+    /// The durable watermark, as a position: the first `acked` entries of `log` are
+    /// acked by every tracked backup.
+    acked: usize,
     /// Primary: cumulative ack per tracked backup. A tracked backup with no ack yet
-    /// holds the trim watermark at 0, which keeps confirms conservative during a
-    /// backup's catch-up.
+    /// holds the watermark at 0, which keeps confirms conservative during a backup's
+    /// catch-up.
     acks: BTreeMap<NodeId, u64>,
-    /// Backup: out-of-order shipments buffered while a snapshot is in flight.
+    /// Backup: out-of-order shipments buffered while a resync is in flight.
     pending: BTreeMap<u64, (u64, DirOp)>,
-    /// Backup: a snapshot has been requested and not yet installed.
-    resyncing: bool,
-    /// Bounded ring of *acked* (trimmed) `(seq, op)` pairs, contiguous with the
-    /// front of `log`, retained so a gapped replica can be caught up by replaying
-    /// ops (the delta resync path) instead of shipping state. Maintained on every
-    /// replica — a promoted backup can serve deltas too.
-    retained: VecDeque<(u64, DirOp)>,
-    /// How many acked ops to retain (from `directory_log_retention`).
-    retention: usize,
-    /// While resyncing via a chunk stream: the highest object id installed so far.
-    /// A re-targeted request after source death resumes from here.
-    resync_cursor: Option<ObjectId>,
+    /// The resync in flight, if any.
+    resync: Option<Resync>,
 }
 
 impl ShardReplica {
     /// Create an empty replica with the given starting role.
     pub fn new(shard: DirectoryShard, role: ReplicaRole) -> Self {
-        let retention = shard.config().directory_log_retention;
         ShardReplica {
             shard,
             role,
             epoch: 0,
             applied_seq: 0,
             log: VecDeque::new(),
+            acked: 0,
             acks: BTreeMap::new(),
             pending: BTreeMap::new(),
-            resyncing: false,
-            retained: VecDeque::new(),
-            retention,
-            resync_cursor: None,
+            resync: None,
         }
     }
 
@@ -138,14 +176,14 @@ impl ShardReplica {
         self.applied_seq
     }
 
-    /// Number of retained (not fully acked) log entries — the unacked suffix.
+    /// Number of log entries not yet acked by every tracked backup.
     pub fn unacked_len(&self) -> usize {
-        self.log.len()
+        self.log.len() - self.acked
     }
 
-    /// Whether this replica is waiting for a snapshot.
-    pub fn is_resyncing(&self) -> bool {
-        self.resyncing
+    /// The resync in flight, if any.
+    pub fn resync(&self) -> Option<Resync> {
+        self.resync
     }
 
     /// Read-only view of the underlying shard (introspection and tests).
@@ -153,49 +191,56 @@ impl ShardReplica {
         &self.shard
     }
 
+    /// Drop the unacked suffix and the acks gating it: only the acked prefix survives
+    /// a change of primacy.
+    fn drop_unacked(&mut self) {
+        self.log.truncate(self.acked);
+        self.acks.clear();
+    }
+
     /// Promote this replica to primary at `epoch` (the caller derives it from the
     /// shard's failover-epoch counter, which every node advances on the same
     /// failure/re-admission events — so it is strictly greater than anything a deposed
     /// predecessor shipped at). Never lowers an epoch already learned from the
     /// replication stream. Promotion builds only on the contiguously-applied (acked)
-    /// prefix: any buffered out-of-order suffix is discarded, and sequence numbering
-    /// continues from the applied prefix.
+    /// prefix: any buffered out-of-order suffix and any resync in flight are
+    /// discarded, and sequence numbering continues from the applied prefix.
     pub fn promote_to(&mut self, epoch: u64) {
         if self.role == ReplicaRole::Backup {
             self.pending.clear();
-            self.resyncing = false;
-            self.log.clear();
-            self.acks.clear();
+            self.resync = None;
+            self.drop_unacked();
         }
         self.role = ReplicaRole::Primary;
         self.epoch = self.epoch.max(epoch);
     }
 
-    /// Enter resync: this replica detected (or was told) that its state is behind the
-    /// log in a way catch-up cannot bridge. It demotes to backup and buffers shipments
-    /// until a snapshot installs.
-    pub fn begin_resync(&mut self) {
+    /// Enter a resync from `source`, or re-target the one in flight at it: this
+    /// replica's state is behind the log in a way catch-up cannot bridge. It demotes
+    /// to backup and buffers shipments until the resync completes. Returns the chunk
+    /// stream's cursor, from which the request resumes.
+    pub fn begin_resync(&mut self, source: NodeId) -> Option<ObjectId> {
         self.role = ReplicaRole::Backup;
-        self.resyncing = true;
-        self.log.clear();
-        self.acks.clear();
+        self.drop_unacked();
+        let cursor = self.resync.and_then(|r| r.cursor);
+        self.resync = Some(Resync { source, cursor });
+        cursor
     }
 
-    /// Abandon an in-flight resync with no surviving snapshot source (the whole
-    /// replica set died): the replica stays a backup over whatever state it has
-    /// (possibly a partial chunk stream — a later resync replaces it wholesale).
+    /// Abandon an in-flight resync with no surviving source (the whole replica set
+    /// died): the replica stays a backup over whatever state it has (possibly a
+    /// partial chunk stream — a later resync replaces it wholesale).
     pub fn abort_resync(&mut self) {
-        self.resyncing = false;
+        self.resync = None;
         self.pending.clear();
-        self.resync_cursor = None;
     }
 
-    /// Declare the set of backups whose acks gate log trimming (live replica-set
-    /// members, including ones still catching up). Present acks are kept; newly
-    /// tracked backups start at 0; untracked ones are dropped. Returns confirms that
-    /// became due because a laggard left the tracked set. Called on the per-op hot
-    /// path, so an unchanged set (the overwhelmingly common case) is a no-op — the
-    /// trim watermark cannot have moved without a membership change or an ack.
+    /// Declare the set of backups whose acks gate the durable watermark (live
+    /// replica-set members, including ones still catching up). Present acks are kept;
+    /// newly tracked backups start at 0; untracked ones are dropped. Returns confirms
+    /// that became due because a laggard left the tracked set. Called on the per-op
+    /// hot path, so an unchanged set (the overwhelmingly common case) is a no-op — the
+    /// watermark cannot have moved without a membership change or an ack.
     pub fn set_tracked_backups(&mut self, backups: &[NodeId]) -> Vec<(NodeId, Message)> {
         if backups.len() == self.acks.len() && backups.iter().all(|b| self.acks.contains_key(b)) {
             return Vec::new();
@@ -204,26 +249,22 @@ impl ShardReplica {
         for &b in backups {
             self.acks.entry(b).or_insert(0);
         }
-        self.collect_durable()
+        self.take_durable_confirms()
     }
 
     /// Apply a client op as the primary: mutate the shard, collect the replies it
     /// wants delivered, and assign the op its log sequence number (returned so the
-    /// caller ships `DirReplicate { seq, .. }` to the backups). `confirm` is emitted
-    /// to the op's origin once every tracked backup acks past this entry.
+    /// caller ships `DirReplicate { seq, .. }` to the backups). An op with a
+    /// [`DirOp::confirm_target`] is confirmed to it once every tracked backup acks
+    /// past this entry.
     ///
     /// Panics in debug builds if called on a backup — the service layer routes ops to
     /// the primary before applying.
-    pub fn apply_primary(
-        &mut self,
-        op: &DirOp,
-        confirm: Option<(NodeId, Message)>,
-        out: &mut Vec<(NodeId, Message)>,
-    ) -> u64 {
+    pub fn apply_primary(&mut self, op: &DirOp, out: &mut Vec<(NodeId, Message)>) -> u64 {
         debug_assert_eq!(self.role, ReplicaRole::Primary, "client ops apply on the primary");
         apply_op(&mut self.shard, op, out);
         self.applied_seq += 1;
-        self.log.push_back(LogEntry { seq: self.applied_seq, op: op.clone(), confirm });
+        self.log.push_back(LogEntry { seq: self.applied_seq, op: op.clone(), confirm: true });
         self.applied_seq
     }
 
@@ -239,7 +280,7 @@ impl ShardReplica {
             Some(acked) => *acked = (*acked).max(seq),
             None => return Vec::new(),
         }
-        self.collect_durable()
+        self.take_durable_confirms()
     }
 
     /// The sequence number through which every tracked backup has acked (equals the
@@ -249,36 +290,27 @@ impl ShardReplica {
         self.acks.values().copied().min().unwrap_or(self.applied_seq)
     }
 
-    /// Trim the fully-acked log prefix and return its confirms. The service calls
-    /// this directly when a lone replica (no tracked backups) applies an op, which
-    /// is durable immediately.
+    /// Move the durable watermark up to what every tracked backup has acked and return
+    /// the confirms it passed. The service calls this directly when a lone replica (no
+    /// tracked backups) applies an op, which is durable immediately.
     pub fn take_durable_confirms(&mut self) -> Vec<(NodeId, Message)> {
-        self.collect_durable()
-    }
-
-    fn collect_durable(&mut self) -> Vec<(NodeId, Message)> {
-        let durable_through = self.min_acked();
+        let through = self.min_acked();
         let mut confirms = Vec::new();
-        while self.log.front().map(|e| e.seq <= durable_through).unwrap_or(false) {
-            let entry = self.log.pop_front().expect("front checked");
-            self.push_retained(entry.seq, entry.op);
-            if let Some(confirm) = entry.confirm {
-                confirms.push(confirm);
+        while let Some(entry) = self.log.get(self.acked).filter(|e| e.seq <= through) {
+            if let Some((to, kind)) = entry.op.confirm_target().filter(|_| entry.confirm) {
+                confirms.push((to, Message::DirConfirm { object: entry.op.object(), kind }));
             }
+            self.acked += 1;
         }
+        self.trim_acked();
         confirms
     }
 
-    /// Feed the bounded delta ring. The ring stays contiguous with the front of
-    /// `log` on a primary (entries move log → ring as they are trimmed) and with
-    /// `applied_seq` on a backup (entries are pushed as they apply).
-    fn push_retained(&mut self, seq: u64, op: DirOp) {
-        if self.retention == 0 {
-            return;
-        }
-        self.retained.push_back((seq, op));
-        while self.retained.len() > self.retention {
-            self.retained.pop_front();
+    /// Keep only the newest `directory_log_retention` acked entries.
+    fn trim_acked(&mut self) {
+        while self.acked > self.shard.config().directory_log_retention {
+            self.log.pop_front();
+            self.acked -= 1;
         }
     }
 
@@ -289,7 +321,7 @@ impl ShardReplica {
         if epoch < self.epoch {
             return ReplayOutcome::Rejected;
         }
-        if self.resyncing {
+        if self.resync.is_some() {
             self.pending.insert(seq, (epoch, op.clone()));
             return ReplayOutcome::Buffered;
         }
@@ -308,113 +340,87 @@ impl ShardReplica {
         }
         // A gap (same epoch: shipments lost while this node was isolated; higher
         // epoch: a promoted primary whose prefix diverges from ours). The log cannot
-        // bridge it; buffer the op and ask for a snapshot.
+        // bridge it; buffer the op and ask for a resync.
         self.pending.insert(seq, (epoch, op.clone()));
         ReplayOutcome::NeedsResync
     }
 
-    /// Install one chunk of a cursor-driven resync stream. The first chunk of a
-    /// stream (no cursor yet) discards local state wholesale — including a deposed
-    /// primary's unacked suffix and the retained delta ring, which the re-baselined
-    /// sequence numbering invalidates; subsequent chunks extend the partial state and
-    /// advance the cursor. `seq` is the stream's consistency point (the source's
-    /// applied prefix when the stream opened, with entries mutated past it re-shipped
-    /// as dirty by the source). Returns `None` for a deposed source's stale-epoch
-    /// chunk (discarded), `Some(None)` for an accepted mid-stream chunk, and
-    /// `Some(Some(ack))` when `done` — the caller acks and re-enters the replica set.
-    pub fn install_chunk(
-        &mut self,
-        epoch: u64,
-        seq: u64,
-        entries: &[SnapshotEntry],
-        done: bool,
-    ) -> Option<Option<u64>> {
+    /// Install one frame of the resync in flight, chunk or delta. A frame from an
+    /// older epoch than this replica's (a deposed source's straggler), or with no
+    /// resync in flight, is [`ResyncStep::Stale`] and changes nothing.
+    ///
+    /// The first chunk of a stream (no cursor yet) discards local state wholesale —
+    /// shard and log, including a deposed primary's unacked suffix, which the
+    /// re-baselined sequence numbering invalidates; later chunks extend the partial
+    /// state and advance the cursor. A delta frame applies the ops that extend the
+    /// applied prefix and skips duplicates. The last frame (`done`) completes the
+    /// resync: a chunk stream's state is consistent at its `seq`, so buffered
+    /// shipments at or below it are already included; later ones replay on top.
+    pub fn apply_resync(&mut self, epoch: u64, frame: &ResyncFrame<'_>, done: bool) -> ResyncStep {
+        let Some(resync) = self.resync.as_mut() else { return ResyncStep::Stale };
         if epoch < self.epoch {
-            return None;
-        }
-        if self.resync_cursor.is_none() {
-            self.shard.clear();
-            self.retained.clear();
-        }
-        self.epoch = self.epoch.max(epoch);
-        self.shard.install_entries(entries);
-        if let Some(last) = entries.last() {
-            let cursor = self.resync_cursor.map_or(last.object, |c| c.max(last.object));
-            self.resync_cursor = Some(cursor);
-        }
-        if !done {
-            return Some(None);
-        }
-        // Final chunk: the assembled state is consistent at (epoch, seq); buffered
-        // shipments at or below it are already included, later ones replay on top.
-        self.role = ReplicaRole::Backup;
-        self.epoch = epoch;
-        self.applied_seq = seq;
-        self.resyncing = false;
-        self.resync_cursor = None;
-        self.log.clear();
-        self.acks.clear();
-        self.pending = self.pending.split_off(&(seq + 1));
-        self.drain_pending();
-        Some(Some(self.applied_seq))
-    }
-
-    /// Whether a replica whose contiguous prefix ends at `have_seq` (at epoch
-    /// `have_epoch`) can be caught up purely by replaying ops from the retained
-    /// suffix — the delta resync path. An epoch mismatch always falls back to state
-    /// transfer: sequence numbering is only comparable within an epoch's lineage.
-    pub fn delta_covers(&self, have_epoch: u64, have_seq: u64) -> bool {
-        if have_epoch != self.epoch {
-            return false;
-        }
-        if have_seq >= self.applied_seq {
-            return true;
-        }
-        let earliest =
-            self.retained.front().map(|(s, _)| *s).or_else(|| self.log.front().map(|e| e.seq));
-        earliest.map(|e| e <= have_seq + 1).unwrap_or(false)
-    }
-
-    /// The retained + unacked ops with sequence numbers strictly greater than
-    /// `after`, in order — the payload of a delta resync.
-    pub fn delta_ops(&self, after: u64) -> Vec<(u64, DirOp)> {
-        self.retained
-            .iter()
-            .filter(|(s, _)| *s > after)
-            .cloned()
-            .chain(self.log.iter().filter(|e| e.seq > after).map(|e| (e.seq, e.op.clone())))
-            .collect()
-    }
-
-    /// Replay one frame of a delta resync: ops extending the applied prefix are
-    /// applied in order, duplicates are skipped. Returns the sequence number to ack
-    /// when `done` and the frame was fresh; `None` for mid-stream frames and for a
-    /// deposed source's stale-epoch stragglers (discarded without applying).
-    pub fn apply_delta(&mut self, epoch: u64, ops: &[(u64, DirOp)], done: bool) -> Option<u64> {
-        if epoch < self.epoch {
-            return None;
+            return ResyncStep::Stale;
         }
         self.epoch = epoch;
-        for (seq, op) in ops {
-            if *seq == self.applied_seq + 1 {
-                self.apply_in_order(op);
+        match *frame {
+            ResyncFrame::Chunk { entries, .. } => {
+                if resync.cursor.is_none() {
+                    self.shard.clear();
+                    self.log.clear();
+                    self.acked = 0;
+                }
+                self.shard.install_entries(entries);
+                resync.cursor = resync.cursor.max(entries.last().map(|e| e.object));
+            }
+            ResyncFrame::Delta { ops } => {
+                for (seq, op) in ops {
+                    if *seq == self.applied_seq + 1 {
+                        self.apply_in_order(op);
+                    }
+                }
             }
         }
         if !done {
-            return None;
+            return ResyncStep::Continue;
+        }
+        if let ResyncFrame::Chunk { seq, .. } = *frame {
+            self.drop_unacked();
+            self.applied_seq = seq;
         }
         self.role = ReplicaRole::Backup;
-        self.resyncing = false;
-        self.resync_cursor = None;
+        self.resync = None;
         self.drain_pending();
-        Some(self.applied_seq)
+        ResyncStep::Done(self.applied_seq)
     }
 
+    /// Whether a replica whose contiguous prefix ends at `have_seq` (at epoch
+    /// `have_epoch`) can be caught up purely by replaying ops from the log — the delta
+    /// resync path. An epoch mismatch always falls back to state transfer: sequence
+    /// numbering is only comparable within an epoch's lineage.
+    pub fn delta_covers(&self, have_epoch: u64, have_seq: u64) -> bool {
+        have_epoch == self.epoch
+            && (have_seq >= self.applied_seq
+                || self.log.front().is_some_and(|e| e.seq <= have_seq + 1))
+    }
+
+    /// The logged ops with sequence numbers strictly greater than `after`, in order —
+    /// the payload of a delta resync.
+    pub fn delta_ops(&self, after: u64) -> Vec<(u64, DirOp)> {
+        self.log.iter().filter(|e| e.seq > after).map(|e| (e.seq, e.op.clone())).collect()
+    }
+
+    /// Apply a replayed op. It joins the acked entries, since a backup acks what it
+    /// applies — unless this replica still holds an unacked suffix of its own, which
+    /// it queues behind.
     fn apply_in_order(&mut self, op: &DirOp) {
-        let mut suppressed = Vec::new();
-        apply_op(&mut self.shard, op, &mut suppressed);
+        apply_op(&mut self.shard, op, &mut Vec::new());
         self.applied_seq += 1;
-        self.push_retained(self.applied_seq, op.clone());
+        let acked = self.unacked_len() == 0;
+        self.log.push_back(LogEntry { seq: self.applied_seq, op: op.clone(), confirm: false });
+        if acked {
+            self.acked += 1;
+            self.trim_acked();
+        }
     }
 
     fn drain_pending(&mut self) {
@@ -426,13 +432,6 @@ impl ShardReplica {
         }
         // Anything at or below the applied prefix is stale.
         self.pending = self.pending.split_off(&(self.applied_seq + 1));
-    }
-
-    /// The chunk-stream resume cursor, if a chunked resync is mid-flight. Included
-    /// in a re-targeted `DirSnapshotRequest` after a source death so the new source
-    /// resumes the stream instead of restarting it.
-    pub fn resync_cursor(&self) -> Option<ObjectId> {
-        self.resync_cursor
     }
 
     /// Run one bulk lease-expiry tick over the shard's timer wheel. Requery nudges
@@ -499,7 +498,7 @@ fn apply_op(shard: &mut DirectoryShard, op: &DirOp, out: &mut Vec<(NodeId, Messa
 mod tests {
     use super::*;
     use crate::config::HopliteConfig;
-    use crate::protocol::QueryResult;
+    use crate::protocol::{ConfirmKind, QueryResult};
 
     fn obj(name: &str) -> ObjectId {
         ObjectId::from_name(name)
@@ -522,17 +521,31 @@ mod tests {
         }
     }
 
+    /// The confirm a primary owes the origin of `register(name, holder)`.
+    fn confirm_of(name: &str, holder: u32) -> (NodeId, Message) {
+        let kind = ConfirmKind::Location { status: ObjectStatus::Complete };
+        (NodeId(holder), Message::DirConfirm { object: obj(name), kind })
+    }
+
     /// Transfer `source`'s whole state to `sink` as a one-chunk stream.
-    fn transfer(source: &ShardReplica, sink: &mut ShardReplica) -> Option<Option<u64>> {
+    fn transfer(source: &ShardReplica, sink: &mut ShardReplica) -> ResyncStep {
         let (entries, done) = source.shard().snapshot_range(None, u64::MAX);
         assert!(done, "an unbounded budget covers the shard in one chunk");
-        sink.install_chunk(source.epoch(), source.applied_seq(), &entries, true)
+        sink.apply_resync(source.epoch(), &chunk(source.applied_seq(), &entries), true)
+    }
+
+    fn chunk(seq: u64, entries: &[SnapshotEntry]) -> ResyncFrame<'_> {
+        ResyncFrame::Chunk { seq, rank: 0, entries }
+    }
+
+    fn cursor(replica: &ShardReplica) -> Option<ObjectId> {
+        replica.resync().and_then(|r| r.cursor)
     }
 
     /// Ship one op primary → backup and ack it back, asserting the happy path.
     fn replicate(primary: &mut ShardReplica, backup: &mut ShardReplica, op: &DirOp) {
         let mut replies = Vec::new();
-        let seq = primary.apply_primary(op, None, &mut replies);
+        let seq = primary.apply_primary(op, &mut replies);
         match backup.apply_replicated(primary.epoch(), seq, op) {
             ReplayOutcome::Acked(acked) => {
                 assert_eq!(acked, seq);
@@ -559,7 +572,7 @@ mod tests {
         ];
         let mut replies = Vec::new();
         for op in &ops {
-            let seq = primary.apply_primary(op, None, &mut replies);
+            let seq = primary.apply_primary(op, &mut replies);
             assert!(matches!(
                 backup.apply_replicated(primary.epoch(), seq, op),
                 ReplayOutcome::Acked(_)
@@ -628,7 +641,7 @@ mod tests {
         let query =
             DirOp::Query { object: obj("w"), requester: NodeId(5), query_id: 3, exclude: vec![] };
         let mut out = Vec::new();
-        let seq = primary.apply_primary(&query, None, &mut out);
+        let seq = primary.apply_primary(&query, &mut out);
         assert!(out.is_empty(), "no location yet; the query parks");
         assert!(matches!(
             backup.apply_replicated(primary.epoch(), seq, &query),
@@ -638,7 +651,7 @@ mod tests {
         backup.promote_to(1);
         backup.node_failed(NodeId(0));
         let mut replies = Vec::new();
-        backup.apply_primary(&register("w", 4), None, &mut replies);
+        backup.apply_primary(&register("w", 4), &mut replies);
         assert!(replies
             .iter()
             .any(|(to, m)| *to == NodeId(5)
@@ -649,13 +662,12 @@ mod tests {
     fn confirms_wait_for_every_tracked_backup() {
         let (mut primary, _) = pair();
         primary.set_tracked_backups(&[NodeId(1), NodeId(2)]);
-        let confirm = (NodeId(7), Message::StoreRelease { object: obj("marker") });
         let mut out = Vec::new();
-        let seq = primary.apply_primary(&register("x", 7), Some(confirm.clone()), &mut out);
+        let seq = primary.apply_primary(&register("x", 7), &mut out);
         assert_eq!(primary.unacked_len(), 1);
         assert!(primary.record_ack(NodeId(1), seq).is_empty(), "one of two backups acked");
         let confirms = primary.record_ack(NodeId(2), seq);
-        assert_eq!(confirms, vec![confirm]);
+        assert_eq!(confirms, vec![confirm_of("x", 7)]);
         assert_eq!(primary.unacked_len(), 0, "fully-acked prefix trimmed");
         // A repeated ack is idempotent.
         assert!(primary.record_ack(NodeId(2), seq).is_empty());
@@ -665,13 +677,12 @@ mod tests {
     fn losing_the_last_laggard_backup_releases_confirms() {
         let (mut primary, _) = pair();
         primary.set_tracked_backups(&[NodeId(1), NodeId(2)]);
-        let confirm = (NodeId(7), Message::StoreRelease { object: obj("m") });
         let mut out = Vec::new();
-        let seq = primary.apply_primary(&register("y", 7), Some(confirm.clone()), &mut out);
+        let seq = primary.apply_primary(&register("y", 7), &mut out);
         primary.record_ack(NodeId(1), seq);
         // Backup 2 dies before acking: re-tracking without it must release the entry.
         let confirms = primary.set_tracked_backups(&[NodeId(1)]);
-        assert_eq!(confirms, vec![confirm]);
+        assert_eq!(confirms, vec![confirm_of("y", 7)]);
     }
 
     #[test]
@@ -679,12 +690,11 @@ mod tests {
         // Replication factor 1 (or every backup dead): the lone replica is trivially
         // durable and the client must not be left waiting for a confirm.
         let (mut primary, _) = pair();
-        let confirm = (NodeId(7), Message::StoreRelease { object: obj("solo") });
         let mut out = Vec::new();
-        primary.apply_primary(&register("z", 7), Some(confirm.clone()), &mut out);
+        primary.apply_primary(&register("z", 7), &mut out);
         assert_eq!(primary.min_acked(), primary.applied_seq());
         let confirms = primary.take_durable_confirms();
-        assert_eq!(confirms, vec![confirm]);
+        assert_eq!(confirms, vec![confirm_of("z", 7)]);
     }
 
     #[test]
@@ -693,28 +703,28 @@ mod tests {
         replicate(&mut primary, &mut backup, &register("a", 1));
         // Ops 2 and 3 are applied at the primary but never reach the backup.
         let mut out = Vec::new();
-        primary.apply_primary(&register("b", 2), None, &mut out);
-        primary.apply_primary(&register("c", 3), None, &mut out);
+        primary.apply_primary(&register("b", 2), &mut out);
+        primary.apply_primary(&register("c", 3), &mut out);
         // Op 4 arrives at the backup: a gap it cannot bridge.
         let op4 = register("d", 4);
-        let seq4 = primary.apply_primary(&op4, None, &mut out);
+        let seq4 = primary.apply_primary(&op4, &mut out);
         assert_eq!(
             backup.apply_replicated(primary.epoch(), seq4, &op4),
             ReplayOutcome::NeedsResync
         );
-        backup.begin_resync();
+        backup.begin_resync(NodeId(9));
         // Op 5 ships while the snapshot is in flight: buffered.
         let op5 = register("e", 5);
-        let seq5 = primary.apply_primary(&op5, None, &mut out);
+        let seq5 = primary.apply_primary(&op5, &mut out);
         assert_eq!(backup.apply_replicated(primary.epoch(), seq5, &op5), ReplayOutcome::Buffered);
         // The state is captured at seq 5 (after op5); installing it drops the
         // buffered duplicate and the backup is fully caught up.
         assert_eq!(primary.applied_seq(), 5, "state captured after op5");
-        assert_eq!(transfer(&primary, &mut backup), Some(Some(5)));
+        assert_eq!(transfer(&primary, &mut backup), ResyncStep::Done(5));
         for name in ["a", "b", "c", "d", "e"] {
             assert_eq!(backup.locations(obj(name)).len(), 1, "object {name} present");
         }
-        assert!(!backup.is_resyncing());
+        assert_eq!(backup.resync(), None);
     }
 
     #[test]
@@ -729,12 +739,12 @@ mod tests {
         let mut out = Vec::new();
         for (i, name) in ["a", "b", "c"].iter().enumerate() {
             let op = register(name, 10 + i as u32);
-            let seq = p.apply_primary(&op, None, &mut out);
+            let seq = p.apply_primary(&op, &mut out);
             assert!(matches!(b.apply_replicated(p.epoch(), seq, &op), ReplayOutcome::Acked(_)));
             p.record_ack(NodeId(1), seq);
         }
-        p.apply_primary(&register("d", 13), None, &mut out);
-        p.apply_primary(&register("e", 14), None, &mut out);
+        p.apply_primary(&register("d", 13), &mut out);
+        p.apply_primary(&register("e", 14), &mut out);
         assert_eq!(p.unacked_len(), 2, "ops d and e are the unacked suffix");
 
         // B promotes; its prefix ends at seq 3.
@@ -744,9 +754,9 @@ mod tests {
 
         // P rejoins as a backup via state transfer from B: its old suffix is replaced
         // wholesale by B's acked prefix.
-        b.apply_primary(&register("f", 15), None, &mut out); // seq 4 under the new primacy
-        p.begin_resync();
-        assert_eq!(transfer(&b, &mut p), Some(Some(4)));
+        b.apply_primary(&register("f", 15), &mut out); // seq 4 under the new primacy
+        p.begin_resync(NodeId(9));
+        assert_eq!(transfer(&b, &mut p), ResyncStep::Done(4));
         assert_eq!(p.role(), ReplicaRole::Backup);
         assert!(p.locations(obj("d")).is_empty(), "unacked suffix discarded");
         assert!(p.locations(obj("e")).is_empty(), "unacked suffix discarded");
@@ -760,11 +770,11 @@ mod tests {
         let ops: Vec<DirOp> = (0..4).map(|i| register(&format!("o{i}"), i)).collect();
         let mut seqs = Vec::new();
         for op in &ops {
-            seqs.push(primary.apply_primary(op, None, &mut out));
+            seqs.push(primary.apply_primary(op, &mut out));
         }
-        backup.begin_resync();
+        backup.begin_resync(NodeId(9));
         let epoch = primary.epoch();
-        assert_eq!(transfer(&primary, &mut backup), Some(Some(4)));
+        assert_eq!(transfer(&primary, &mut backup), ResyncStep::Done(4));
         // Shipments delayed in flight from before the snapshot now arrive: each is a
         // duplicate of the installed prefix and re-acks the same watermark without
         // double-applying.
@@ -785,21 +795,18 @@ mod tests {
         let mut out = Vec::new();
         primary.apply_primary(
             &DirOp::Subscribe { object: obj("keep"), subscriber: NodeId(5) },
-            None,
             &mut out,
         );
         primary.apply_primary(
             &DirOp::Subscribe { object: obj("drop"), subscriber: NodeId(6) },
-            None,
             &mut out,
         );
         primary.apply_primary(
             &DirOp::Unsubscribe { object: obj("drop"), subscriber: NodeId(6) },
-            None,
             &mut out,
         );
-        backup.begin_resync();
-        transfer(&primary, &mut backup).expect("fresh stream installs");
+        backup.begin_resync(NodeId(9));
+        assert_eq!(transfer(&primary, &mut backup), ResyncStep::Done(3));
         assert_eq!(backup.shard().subscriber_count(obj("keep")), 1);
         assert_eq!(backup.shard().subscriber_count(obj("drop")), 0);
     }
@@ -809,7 +816,7 @@ mod tests {
         let (mut primary, mut backup) = pair();
         replicate(&mut primary, &mut backup, &register("x", 1));
         backup.promote_to(2);
-        assert_eq!(transfer(&primary, &mut backup), None);
+        assert_eq!(transfer(&primary, &mut backup), ResyncStep::Stale);
         assert_eq!(backup.role(), ReplicaRole::Primary, "stale snapshot cannot demote");
     }
 
@@ -821,27 +828,27 @@ mod tests {
         // The backup receives op 1, then misses 2..=4 — which a sibling replica
         // acked, so the primary trimmed them into the retained ring.
         let op1 = register("a", 1);
-        let s1 = primary.apply_primary(&op1, None, &mut out);
+        let s1 = primary.apply_primary(&op1, &mut out);
         assert!(matches!(
             backup.apply_replicated(primary.epoch(), s1, &op1),
             ReplayOutcome::Acked(1)
         ));
         for (i, name) in ["b", "c", "d"].iter().enumerate() {
-            let seq = primary.apply_primary(&register(name, 2 + i as u32), None, &mut out);
+            let seq = primary.apply_primary(&register(name, 2 + i as u32), &mut out);
             primary.record_ack(NodeId(1), seq);
         }
         assert_eq!(primary.unacked_len(), 0, "acked ops trimmed into the retained ring");
         // Op 5 arrives at the backup: a gap, but one the retained suffix bridges.
         let op5 = register("e", 5);
-        let s5 = primary.apply_primary(&op5, None, &mut out);
+        let s5 = primary.apply_primary(&op5, &mut out);
         assert_eq!(backup.apply_replicated(primary.epoch(), s5, &op5), ReplayOutcome::NeedsResync);
         assert!(primary.delta_covers(backup.epoch(), backup.applied_seq()));
-        backup.begin_resync();
+        backup.begin_resync(NodeId(9));
         let ops = primary.delta_ops(backup.applied_seq());
         assert_eq!(ops.iter().map(|(s, _)| *s).collect::<Vec<_>>(), vec![2, 3, 4, 5]);
-        let acked = backup.apply_delta(primary.epoch(), &ops, true).expect("delta completes");
-        assert_eq!(acked, 5);
-        assert!(!backup.is_resyncing());
+        let delta = ResyncFrame::Delta { ops: &ops };
+        assert_eq!(backup.apply_resync(primary.epoch(), &delta, true), ResyncStep::Done(5));
+        assert_eq!(backup.resync(), None);
         for name in ["a", "b", "c", "d", "e"] {
             assert_eq!(backup.locations(obj(name)).len(), 1, "object {name} present");
         }
@@ -854,7 +861,7 @@ mod tests {
         primary.set_tracked_backups(&[NodeId(1)]);
         let mut out = Vec::new();
         for i in 0..5u32 {
-            let seq = primary.apply_primary(&register(&format!("o{i}"), i), None, &mut out);
+            let seq = primary.apply_primary(&register(&format!("o{i}"), i), &mut out);
             primary.record_ack(NodeId(1), seq);
         }
         // The ring holds seqs 4 and 5 only: a replica at seq 3 is coverable (needs
@@ -870,31 +877,31 @@ mod tests {
         let (mut primary, mut backup) = pair();
         let mut out = Vec::new();
         for i in 0..12u32 {
-            primary.apply_primary(&register(&format!("obj-{i:02}"), i), None, &mut out);
+            primary.apply_primary(&register(&format!("obj-{i:02}"), i), &mut out);
         }
-        backup.begin_resync();
+        backup.begin_resync(NodeId(9));
         let (epoch, seq) = (primary.epoch(), primary.applied_seq());
         // Stream the shard in bounded chunks, feeding the receiver's cursor back
         // into each range request — the same loop the service runs over the wire.
         let budget = 200;
         let mut rounds = 0;
         loop {
-            let (entries, done) = primary.shard().snapshot_range(backup.resync_cursor(), budget);
+            let (entries, done) = primary.shard().snapshot_range(cursor(&backup), budget);
             assert!(entries.len() < 12, "bounded chunks, not one burst");
             rounds += 1;
-            match backup.install_chunk(epoch, seq, &entries, done) {
-                Some(Some(acked)) => {
+            match backup.apply_resync(epoch, &chunk(seq, &entries), done) {
+                ResyncStep::Done(acked) => {
                     assert_eq!(acked, seq);
                     break;
                 }
-                Some(None) => continue,
-                None => panic!("fresh chunk rejected"),
+                ResyncStep::Continue => continue,
+                ResyncStep::Stale => panic!("fresh chunk rejected"),
             }
         }
         assert!(rounds > 1, "the stream took multiple chunks");
-        assert!(!backup.is_resyncing());
+        assert_eq!(backup.resync(), None);
         assert_eq!(backup.applied_seq(), seq);
-        assert!(backup.resync_cursor().is_none(), "cursor cleared at completion");
+        assert!(cursor(&backup).is_none(), "cursor cleared at completion");
         for i in 0..12 {
             assert_eq!(backup.locations(obj(&format!("obj-{i:02}"))).len(), 1);
         }
@@ -909,18 +916,18 @@ mod tests {
             backup.apply_replicated(0, 1, &register("only-mine", 9)),
             ReplayOutcome::Acked(1)
         ));
-        primary.apply_primary(&register("live", 1), None, &mut out);
+        primary.apply_primary(&register("live", 1), &mut out);
 
         // A deposed source's chunk (stale epoch) is discarded outright.
         backup.promote_to(2);
-        assert_eq!(backup.install_chunk(1, 5, &[], true), None);
+        assert_eq!(backup.apply_resync(1, &chunk(5, &[]), true), ResyncStep::Stale);
         assert_eq!(backup.locations(obj("only-mine")).len(), 1);
 
         // A fresh stream replaces local state wholesale.
-        backup.begin_resync();
+        backup.begin_resync(NodeId(9));
         let (entries, done) = primary.shard().snapshot_range(None, u64::MAX);
         assert!(done);
-        assert_eq!(backup.install_chunk(3, 1, &entries, true), Some(Some(1)));
+        assert_eq!(backup.apply_resync(3, &chunk(1, &entries), true), ResyncStep::Done(1));
         assert_eq!(backup.role(), ReplicaRole::Backup);
         assert!(backup.locations(obj("only-mine")).is_empty(), "divergent state discarded");
         assert_eq!(backup.locations(obj("live")).len(), 1);
@@ -931,28 +938,28 @@ mod tests {
         let (mut primary, mut backup) = pair();
         let mut out = Vec::new();
         for i in 0..3u32 {
-            primary.apply_primary(&register(&format!("pre{i}"), i), None, &mut out);
+            primary.apply_primary(&register(&format!("pre{i}"), i), &mut out);
         }
-        backup.begin_resync();
+        backup.begin_resync(NodeId(9));
         let (epoch, seq) = (primary.epoch(), primary.applied_seq());
         let (first, done) = primary.shard().snapshot_range(None, 100);
         assert!(!done);
-        assert_eq!(backup.install_chunk(epoch, seq, &first, false), Some(None));
+        assert_eq!(backup.apply_resync(epoch, &chunk(seq, &first), false), ResyncStep::Continue);
         // A live op ships mid-stream: buffered (the replica is still resyncing).
         let mid = register("mid", 7);
-        let s_mid = primary.apply_primary(&mid, None, &mut out);
+        let s_mid = primary.apply_primary(&mid, &mut out);
         assert_eq!(backup.apply_replicated(epoch, s_mid, &mid), ReplayOutcome::Buffered);
         // Finish the stream; the buffered op extends the installed prefix past the
         // stream's consistency point.
         loop {
-            let (entries, done) = primary.shard().snapshot_range(backup.resync_cursor(), 100);
-            match backup.install_chunk(epoch, seq, &entries, done) {
-                Some(Some(acked)) => {
+            let (entries, done) = primary.shard().snapshot_range(cursor(&backup), 100);
+            match backup.apply_resync(epoch, &chunk(seq, &entries), done) {
+                ResyncStep::Done(acked) => {
                     assert_eq!(acked, s_mid, "buffered mid-stream op replayed");
                     break;
                 }
-                Some(None) => continue,
-                None => panic!("fresh chunk rejected"),
+                ResyncStep::Continue => continue,
+                ResyncStep::Stale => panic!("fresh chunk rejected"),
             }
         }
         assert_eq!(backup.locations(obj("mid")).len(), 1);

@@ -6,6 +6,14 @@
 //! forward elsewhere), sequenced log shipping to every live backup with acks and
 //! origin confirms, chunk-or-delta resync serving for recovering replicas, and
 //! epoch-stamped promotion when a primary dies (§3.5).
+//!
+//! On the receiving side of a resync each fact lives once. Whether a hosted shard is
+//! resyncing, from whom, and how far its chunk stream got is that replica's
+//! [`super::replication::Resync`] record; whether this node is still resyncing after a
+//! restart is the view's `resyncing ∋ me`. Every frame of every stream — chunk,
+//! delta, or the retired full snapshot — enters through
+//! [`DirectoryService::handle_resync_frame`], and every request for one leaves
+//! through one pull helper.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -14,7 +22,7 @@ use crate::object::{NodeId, ObjectId, ObjectStatus};
 use crate::protocol::{DirOp, Message, ShardSnapshot};
 
 use super::placement::{DirectoryPlacement, PlacementView};
-use super::replication::{ReplayOutcome, ReplicaRole, ShardReplica};
+use super::replication::{ReplayOutcome, ReplicaRole, ResyncFrame, ResyncStep, ShardReplica};
 use super::shard::DirectoryShard;
 
 /// The directory server half of one node: every shard replica it hosts, plus the
@@ -26,12 +34,6 @@ pub struct DirectoryService {
     /// Shard index -> this node's replica of it. `BTreeMap` so iteration order (and
     /// therefore promotion order on failure) is deterministic.
     replicas: BTreeMap<usize, ShardReplica>,
-    /// Shards awaiting a snapshot, mapped to the node the request went to (so the
-    /// request can be re-targeted if that node dies mid-transfer).
-    resync_sources: BTreeMap<usize, NodeId>,
-    /// `true` between [`DirectoryService::begin_local_resync`] and the installation
-    /// of the last outstanding snapshot.
-    local_resync: bool,
     /// Set when the local resync completes, to the shards that regained a primary
     /// with this node's own re-admission; the facade drains it with
     /// [`DirectoryService::take_readmission`], re-drives those shards and broadcasts
@@ -84,8 +86,6 @@ impl DirectoryService {
             me,
             view: PlacementView::new(placement),
             replicas,
-            resync_sources: BTreeMap::new(),
-            local_resync: false,
             readmission: None,
             streams: BTreeMap::new(),
             snapshot_chunks_sent: 0,
@@ -125,9 +125,10 @@ impl DirectoryService {
         self.replicas.get(&self.view.placement().shard_of(object)).map(|r| r.locations(object))
     }
 
-    /// Whether this node is mid-resync after a restart.
+    /// Whether this node is mid-resync after a restart: the view holds it resyncing
+    /// from [`DirectoryService::begin_local_resync`] until its last stream completes.
     pub fn is_resyncing(&self) -> bool {
-        self.local_resync
+        self.view.is_resyncing(self.me)
     }
 
     /// The live backups of `shard` in this node's view (replica-set members other
@@ -162,10 +163,7 @@ impl DirectoryService {
                 let backups = self.live_backups(shard);
                 let replica = self.replicas.get_mut(&shard).expect("primary hosts its shard");
                 out.extend(replica.set_tracked_backups(&backups));
-                let confirm = op
-                    .confirm_target()
-                    .map(|(to, kind)| (to, Message::DirConfirm { object: op.object(), kind }));
-                let seq = replica.apply_primary(&op, confirm, out);
+                let seq = replica.apply_primary(&op, out);
                 let epoch = replica.epoch();
                 if backups.is_empty() {
                     // A lone replica is trivially durable: confirm immediately.
@@ -346,15 +344,11 @@ impl DirectoryService {
         if after.is_none() {
             // A fresh stream (or a from-scratch restart of one): forget any
             // previous progress for this requester.
-            self.streams.insert(key, ChunkStream::default());
+            self.streams.remove(&key);
         }
         let stream = self.streams.entry(key).or_default();
-        stream.cursor = match (stream.cursor, after) {
-            (Some(c), Some(a)) => Some(c.max(a)),
-            (c, a) => c.or(a),
-        };
+        stream.cursor = stream.cursor.max(after);
         let dirty_backlog = std::mem::take(&mut stream.dirty);
-        let replica = self.replicas.get(&shard).expect("primary hosts its shard");
         let (entries, done) = if dirty_backlog.is_empty() {
             replica.shard().snapshot_range(after, budget)
         } else {
@@ -369,15 +363,10 @@ impl DirectoryService {
             }
             (kept, false)
         };
-        let stream = self.streams.entry(key).or_default();
-        if !dirty_backlog.is_empty() {
-            stream.dirty.extend(
-                dirty_backlog.into_iter().filter(|o| !entries.iter().any(|e| e.object == *o)),
-            );
-        }
-        if let Some(last) = entries.last() {
-            stream.cursor = Some(stream.cursor.map_or(last.object, |c| c.max(last.object)));
-        }
+        stream
+            .dirty
+            .extend(dirty_backlog.into_iter().filter(|o| !entries.iter().any(|e| e.object == *o)));
+        stream.cursor = stream.cursor.max(entries.last().map(|e| e.object));
         if done {
             self.streams.remove(&key);
         }
@@ -390,114 +379,55 @@ impl DirectoryService {
         ));
     }
 
-    /// Install one chunk of a resync stream into this node's replica of `shard`,
-    /// then either request the next chunk from the server's cursor or — on the
-    /// final chunk — adopt the source's rank cursor, ack, and complete the resync.
-    /// Returns `true` when the stream completed here; when that also completes the
-    /// node's local resync, a re-admission becomes pending — the caller checks
-    /// [`DirectoryService::take_readmission`] after this (and after
+    /// Install one frame of a resync stream into this node's replica of `shard`: a
+    /// state chunk, a delta replay, or the retired full snapshot (a done chunk).
+    /// Mid-stream, pull the next frame from whoever served this one — a forwarded
+    /// request is served by another node than it went to, and a source death
+    /// re-targets from there. On the last frame, ack the catch-up point: a chunk
+    /// stream also adopts the source's rank cursor, and a delta replay re-applies the
+    /// purges of peers that failed inside its window (a delta-served replica's view was
+    /// never behind). Returns `true` when the stream completed here; when that also
+    /// completes the node's local resync, a re-admission becomes pending — the caller
+    /// checks [`DirectoryService::take_readmission`] after this (and after
     /// [`DirectoryService::on_peer_failed`], which can also complete a resync by
-    /// abandoning a sourceless shard). Chunks for a shard with no outstanding resync
-    /// (a completed or re-targeted stream) and chunks from a source this view
-    /// considers dead are dropped: they are stragglers of an abandoned stream.
-    #[allow(clippy::too_many_arguments)] // mirrors the DirSnapshotChunk wire fields
-    pub fn handle_snapshot_chunk(
+    /// abandoning a sourceless shard). Frames for a shard with no resync in flight and
+    /// frames from a source this view considers dead are dropped: they are stragglers
+    /// of an abandoned stream.
+    pub fn handle_resync_frame(
         &mut self,
         shard: usize,
         epoch: u64,
-        seq: u64,
-        rank: usize,
-        done: bool,
-        state: &ShardSnapshot,
-        from: NodeId,
-        out: &mut Vec<(NodeId, Message)>,
-    ) -> bool {
-        self.view.note_epoch(shard, epoch);
-        if !self.resync_sources.contains_key(&shard) || !self.view.is_alive(from) {
-            return false;
-        }
-        let Some(replica) = self.replicas.get_mut(&shard) else { return false };
-        match replica.install_chunk(epoch, seq, &state.entries, done) {
-            None => false,
-            Some(None) => {
-                // Mid-stream: the chunk may have been served by a different node
-                // than the request went to (a forwarded request); track the actual
-                // server so a source death re-targets correctly, and pull the next
-                // chunk from the installed cursor.
-                self.resync_sources.insert(shard, from);
-                out.push((
-                    from,
-                    Message::DirSnapshotRequest {
-                        shard: shard as u64,
-                        requester: self.me,
-                        restart: false,
-                        after: replica.resync_cursor(),
-                        have_epoch: replica.epoch(),
-                        have_seq: replica.applied_seq(),
-                        digest: Vec::new(),
-                    },
-                ));
-                false
-            }
-            Some(Some(acked)) => {
-                self.view.set_rank(shard, rank);
-                self.resync_sources.remove(&shard);
-                out.push((from, Message::DirAck { shard: shard as u64, epoch, seq: acked }));
-                self.maybe_complete_local_resync();
-                true
-            }
-        }
-    }
-
-    /// Replay one frame of a delta resync into this node's replica of `shard`.
-    /// Returns `true` when the final frame completed the resync (acked like a final
-    /// chunk; no rank adoption — a delta-served replica's view was never behind).
-    /// Frames for a shard with no outstanding resync, or from a dead source, are
-    /// dropped.
-    pub fn handle_resync_delta(
-        &mut self,
-        shard: usize,
-        epoch: u64,
-        ops: &[(u64, DirOp)],
+        frame: ResyncFrame<'_>,
         done: bool,
         from: NodeId,
         out: &mut Vec<(NodeId, Message)>,
     ) -> bool {
         self.view.note_epoch(shard, epoch);
-        if !self.resync_sources.contains_key(&shard) || !self.view.is_alive(from) {
+        if !self.view.is_alive(from) {
             return false;
         }
         let Some(replica) = self.replicas.get_mut(&shard) else { return false };
-        let stale = epoch < replica.epoch();
-        let Some(acked) = replica.apply_delta(epoch, ops, done) else {
-            if !done && !stale {
-                // Mid-stream frame applied: pull the next one from the advanced
-                // prefix (one frame in flight at a time, like the chunk stream).
-                self.resync_sources.insert(shard, from);
-                out.push((
-                    from,
-                    Message::DirSnapshotRequest {
-                        shard: shard as u64,
-                        requester: self.me,
-                        restart: false,
-                        after: None,
-                        have_epoch: replica.epoch(),
-                        have_seq: replica.applied_seq(),
-                        digest: Vec::new(),
-                    },
-                ));
+        let acked = match replica.apply_resync(epoch, &frame, done) {
+            ResyncStep::Stale => return false,
+            ResyncStep::Continue => {
+                self.request_resync(shard, from, false, out);
+                return false;
             }
-            return false;
+            ResyncStep::Done(acked) => acked,
         };
-        // Replayed history may re-register locations held by peers that died (or
-        // restarted and are still resyncing) inside the replay window; re-apply
-        // their purges, as the source did when it observed the failures.
-        for &peer in self.view.placement().nodes() {
-            if !self.view.is_alive(peer) || self.view.is_resyncing(peer) {
-                replica.node_failed(peer);
+        match frame {
+            ResyncFrame::Chunk { rank, .. } => self.view.set_rank(shard, rank),
+            // Replayed history may re-register locations held by peers that died (or
+            // restarted and are still resyncing) inside the replay window; re-apply
+            // their purges, as the source did when it observed the failures.
+            ResyncFrame::Delta { .. } => {
+                for &peer in self.view.placement().nodes() {
+                    if !self.view.is_alive(peer) || self.view.is_resyncing(peer) {
+                        replica.node_failed(peer);
+                    }
+                }
             }
         }
-        self.resync_sources.remove(&shard);
         out.push((from, Message::DirAck { shard: shard as u64, epoch, seq: acked }));
         self.maybe_complete_local_resync();
         true
@@ -508,10 +438,9 @@ impl DirectoryService {
     /// `DirResynced`), promote wherever this node is now the shard's leader, and
     /// queue the cluster-wide `DirResynced` announcement.
     fn maybe_complete_local_resync(&mut self) {
-        if !self.local_resync || !self.resync_sources.is_empty() {
+        if !self.is_resyncing() || self.replicas.values().any(|r| r.resync().is_some()) {
             return;
         }
-        self.local_resync = false;
         let regained = self.view.on_peer_readmitted(self.me);
         self.promote_where_leader();
         self.readmission = Some(regained);
@@ -519,8 +448,8 @@ impl DirectoryService {
 
     /// Promote any hosted Backup replica for a shard this node's view says it now
     /// leads (e.g. the interim primary died while this node was still resyncing, so
-    /// eligibility only returned with the resync's completion). A replica still
-    /// waiting on a snapshot with no possible source is adopted as-is first.
+    /// eligibility only returned with the resync's completion). A replica whose
+    /// resync was abandoned for want of a source is adopted as-is.
     fn promote_where_leader(&mut self) {
         let shards: Vec<usize> = self.replicas.keys().copied().collect();
         for shard in shards {
@@ -531,9 +460,6 @@ impl DirectoryService {
             let epoch = self.view.epoch(shard);
             let replica = self.replicas.get_mut(&shard).expect("iterating hosted shards");
             if replica.role() == ReplicaRole::Backup {
-                if replica.is_resyncing() {
-                    replica.abort_resync();
-                }
                 replica.promote_to(epoch);
                 replica.set_tracked_backups(&backups);
             }
@@ -572,22 +498,21 @@ impl DirectoryService {
             }
         }
         // Re-target interrupted resyncs whose source died.
-        let stranded: Vec<usize> =
-            self.resync_sources.iter().filter(|(_, &src)| src == peer).map(|(&s, _)| s).collect();
+        let stranded: Vec<usize> = self
+            .replicas
+            .iter()
+            .filter(|(_, r)| r.resync().is_some_and(|resync| resync.source == peer))
+            .map(|(&shard, _)| shard)
+            .collect();
         for shard in stranded {
-            self.resync_sources.remove(&shard);
             match self.view.primary(shard) {
                 Some(primary) if primary != self.me => {
-                    let restart = self.local_resync;
+                    let restart = self.is_resyncing();
                     self.request_resync(shard, primary, restart, out);
                 }
-                _ => {
-                    // No surviving source: the shard's metadata is lost. Stop waiting
-                    // so the node can still finish its overall resync.
-                    if let Some(replica) = self.replicas.get_mut(&shard) {
-                        replica.abort_resync();
-                    }
-                }
+                // No surviving source: the shard's metadata is lost. Stop waiting so
+                // the node can still finish its overall resync.
+                _ => self.replicas.get_mut(&shard).expect("hosted shard").abort_resync(),
             }
         }
         // Every outstanding stream may now be installed or abandoned; if so, finish
@@ -609,16 +534,17 @@ impl DirectoryService {
     /// suffix: a caught-up peer drops the duplicates, a peer missing ops within the
     /// ring applies them, and a peer behind by more than the ring sees a sequence gap
     /// and requests a (delta) resync itself. Returns the shards that regained a
-    /// primary with this re-admission (the re-drive set).
+    /// primary with this re-admission (the re-drive set). An announcement naming this
+    /// node changes nothing: it is re-admitted only by its own resync completing.
     pub fn on_peer_readmitted(
         &mut self,
         peer: NodeId,
         out: &mut Vec<(NodeId, Message)>,
     ) -> Vec<usize> {
-        let regained = self.view.on_peer_readmitted(peer);
         if peer == self.me {
-            return regained;
+            return Vec::new();
         }
+        let regained = self.view.on_peer_readmitted(peer);
         let shards: Vec<usize> = self.replicas.keys().copied().collect();
         for shard in shards {
             if !self.view.placement().hosts(peer, shard) {
@@ -653,12 +579,15 @@ impl DirectoryService {
             self.request_resync(shard, source, true, out);
         }
         if any {
-            self.local_resync = true;
             self.view.begin_self_resync(self.me);
         }
         any
     }
 
+    /// Ask `source` for the next frame of `shard`'s resync — opening it, re-targeting
+    /// it after a source death, or pulling mid-stream — from what the replica has:
+    /// its applied prefix, and its chunk stream's cursor, from which the new source
+    /// resumes instead of restarting.
     fn request_resync(
         &mut self,
         shard: usize,
@@ -666,16 +595,8 @@ impl DirectoryService {
         restart: bool,
         out: &mut Vec<(NodeId, Message)>,
     ) {
-        let (after, have_epoch, have_seq) = match self.replicas.get_mut(&shard) {
-            Some(replica) => {
-                replica.begin_resync();
-                // A mid-flight chunk stream resumes from its cursor at the (new)
-                // source instead of restarting from scratch.
-                (replica.resync_cursor(), replica.epoch(), replica.applied_seq())
-            }
-            None => (None, 0, 0),
-        };
-        self.resync_sources.insert(shard, source);
+        let replica = self.replicas.get_mut(&shard).expect("resyncs are of hosted shards");
+        let after = replica.begin_resync(source);
         out.push((
             source,
             Message::DirSnapshotRequest {
@@ -683,8 +604,8 @@ impl DirectoryService {
                 requester: self.me,
                 restart,
                 after,
-                have_epoch,
-                have_seq,
+                have_epoch: replica.epoch(),
+                have_seq: replica.applied_seq(),
                 digest: Vec::new(),
             },
         ));
@@ -715,11 +636,6 @@ impl DirectoryService {
     /// silently). Returns how many leases were reclaimed.
     pub fn expire_leases(&mut self, out: &mut Vec<(NodeId, Message)>) -> u64 {
         self.replicas.values_mut().map(|r| r.expire_stale_leases(out)).sum()
-    }
-
-    /// Shards with an unanswered snapshot request (introspection for tests).
-    pub fn pending_resyncs(&self) -> BTreeSet<usize> {
-        self.resync_sources.keys().copied().collect()
     }
 }
 
@@ -964,7 +880,7 @@ mod tests {
         for shard in [0usize, 2] {
             let replica = restarted.replica(shard).unwrap();
             assert_eq!(replica.role(), ReplicaRole::Primary, "shard {shard} promoted");
-            assert!(!replica.is_resyncing());
+            assert_eq!(replica.resync(), None);
             let o = obj_in_shard(&restarted, shard);
             let mut ops_out = Vec::new();
             assert!(restarted.handle_op(reg(o, 5), &mut ops_out), "shard {shard} applies ops");
@@ -1036,22 +952,22 @@ mod tests {
         // Shard 0: replicas [0, 1]; node 0 also backs up shard 2 (replicas [2, 0]).
         // Node 0 dies; node 1 promotes shard 0 and accumulates state; node 0 restarts
         // and resyncs both hosted shards.
-        let mut survivor = DirectoryService::new(NodeId(1), &cfg, &ns);
-        let mut other = DirectoryService::new(NodeId(2), &cfg, &ns);
+        let mut svcs: Vec<DirectoryService> =
+            (0..3).map(|i| DirectoryService::new(NodeId(i), &cfg, &ns)).collect();
         let mut out = Vec::new();
-        survivor.on_peer_failed(NodeId(0), &mut out);
-        other.on_peer_failed(NodeId(0), &mut out);
-        let o = obj_in_shard(&survivor, 0);
-        assert!(survivor.handle_op(reg(o, 2), &mut out));
+        svcs[1].on_peer_failed(NodeId(0), &mut out);
+        svcs[2].on_peer_failed(NodeId(0), &mut out);
+        let o = obj_in_shard(&svcs[1], 0);
+        assert!(svcs[1].handle_op(reg(o, 2), &mut out));
         out.clear();
 
         // Node 0 restarts empty and begins recovery.
-        let mut restarted = DirectoryService::new(NodeId(0), &cfg, &ns);
+        svcs[0] = DirectoryService::new(NodeId(0), &cfg, &ns);
         let mut requests = Vec::new();
-        assert!(restarted.begin_local_resync(&mut requests));
-        assert!(restarted.is_resyncing());
+        assert!(svcs[0].begin_local_resync(&mut requests));
+        assert!(svcs[0].is_resyncing());
         // While resyncing, the restarted node does not believe it leads shard 0.
-        assert_ne!(restarted.primary_for(o), Some(NodeId(0)));
+        assert_ne!(svcs[0].primary_for(o), Some(NodeId(0)));
 
         // Route messages between the three services until the resync settles —
         // the stream shape (chunks, deltas, continuation requests) is the
@@ -1059,55 +975,9 @@ mod tests {
         let mut queue: Vec<(NodeId, NodeId, Message)> =
             requests.into_iter().map(|(to, m)| (NodeId(0), to, m)).collect();
         while let Some((from, to, msg)) = queue.pop() {
-            let svc = match to {
-                NodeId(0) => &mut restarted,
-                NodeId(1) => &mut survivor,
-                NodeId(2) => &mut other,
-                other => panic!("unexpected recipient {other:?}"),
-            };
-            let mut out = Vec::new();
-            match msg {
-                Message::DirSnapshotRequest {
-                    shard,
-                    requester,
-                    restart,
-                    after,
-                    have_epoch,
-                    have_seq,
-                    ..
-                } => {
-                    deliver_snapshot_request(
-                        svc,
-                        shard as usize,
-                        requester,
-                        restart,
-                        after,
-                        (have_epoch, have_seq),
-                        &mut out,
-                    );
-                }
-                Message::DirSnapshotChunk { shard, epoch, seq, rank, done, state } => {
-                    svc.handle_snapshot_chunk(
-                        shard as usize,
-                        epoch,
-                        seq,
-                        rank as usize,
-                        done,
-                        &state,
-                        from,
-                        &mut out,
-                    );
-                }
-                Message::DirResyncDelta { shard, epoch, ops, done } => {
-                    svc.handle_resync_delta(shard as usize, epoch, &ops, done, from, &mut out);
-                }
-                Message::DirAck { shard, epoch, seq } => {
-                    svc.handle_ack(shard as usize, from, epoch, seq, &mut out);
-                }
-                other => panic!("unexpected message {other:?}"),
-            }
-            queue.extend(out.into_iter().map(|(to2, m2)| (to, to2, m2)));
+            queue.extend(deliver(&mut svcs, from, to, msg));
         }
+        let restarted = &svcs[0];
         assert!(!restarted.is_resyncing(), "local resync completed");
         // The resynced replica holds the record registered while it was down.
         assert_eq!(restarted.locations(o).map(|l| l.len()), Some(1));
@@ -1115,13 +985,11 @@ mod tests {
         assert_eq!(restarted.primary_for(o), Some(NodeId(1)));
         // Survivor readmits node 0; when the survivor later dies, node 0 leads again
         // at a strictly higher epoch.
-        survivor.on_peer_readmitted(NodeId(0), &mut Vec::new());
-        restarted.on_peer_readmitted(NodeId(0), &mut Vec::new());
-        let mut out2 = Vec::new();
-        let changed = restarted.on_peer_failed(NodeId(1), &mut out2);
+        svcs[1].on_peer_readmitted(NodeId(0), &mut Vec::new());
+        let changed = svcs[0].on_peer_failed(NodeId(1), &mut Vec::new());
         assert!(changed.contains(&0), "restarted node serves as primary again");
-        assert!(restarted.is_primary_for(o));
-        assert!(restarted.replica(0).unwrap().epoch() >= 2);
+        assert!(svcs[0].is_primary_for(o));
+        assert!(svcs[0].replica(0).unwrap().epoch() >= 2);
     }
 
     #[test]
@@ -1197,21 +1065,14 @@ mod tests {
                 );
             }
             Message::DirSnapshotChunk { shard, epoch, seq, rank, done, state } => {
-                svc.handle_snapshot_chunk(
-                    shard as usize,
-                    epoch,
-                    seq,
-                    rank as usize,
-                    done,
-                    &state,
-                    from,
-                    &mut out,
-                );
+                let frame =
+                    ResyncFrame::Chunk { seq, rank: rank as usize, entries: &state.entries };
+                svc.handle_resync_frame(shard as usize, epoch, frame, done, from, &mut out);
             }
             Message::DirResyncDelta { shard, epoch, ops, done } => {
-                svc.handle_resync_delta(shard as usize, epoch, &ops, done, from, &mut out);
+                let frame = ResyncFrame::Delta { ops: &ops };
+                svc.handle_resync_frame(shard as usize, epoch, frame, done, from, &mut out);
             }
-            Message::DirConfirm { .. } => {}
             other => panic!("unroutable message in resync test: {other:?}"),
         }
         out.into_iter().map(|(to2, m2)| (to, to2, m2)).collect()
@@ -1293,7 +1154,7 @@ mod tests {
             queue.extend(deliver(&mut svcs, from, to, msg));
         }
         assert!(completed, "backup acked the replayed prefix");
-        assert!(!svcs[1].replica(0).unwrap().is_resyncing());
+        assert_eq!(svcs[1].replica(0).unwrap().resync(), None);
         for &o in &objects {
             assert_eq!(svcs[1].locations(o).map(|l| l.len()), Some(1), "record replayed");
         }
@@ -1433,7 +1294,8 @@ mod tests {
             }
             queue.extend(deliver(&mut svcs, from, to, msg));
         }
-        let cursor = svcs[1].replica(0).unwrap().resync_cursor().expect("mid-stream cursor");
+        let resync = svcs[1].replica(0).unwrap().resync().expect("stream in flight");
+        let cursor = resync.cursor.expect("mid-stream cursor");
         // The crash drops everything in flight to or from node 0.
         queue.retain(|(from, to, _)| *from != NodeId(0) && *to != NodeId(0));
         let mut q1 = Vec::new();
@@ -1471,6 +1333,93 @@ mod tests {
         // Two 3-entry chunks landed before the crash; node 2 shipped exactly the
         // remaining twelve entries and the restarted replica converged.
         assert_eq!(resumed_entries, objects.len() - 6);
+        assert!(!svcs[1].is_resyncing(), "resync completed at the new source");
+        for &o in &objects {
+            assert_eq!(svcs[1].locations(o).map(|l| l.len()), Some(1));
+        }
+    }
+
+    #[test]
+    fn delta_stream_retargets_the_new_primary_when_the_source_dies() {
+        // Three nodes, r = 3, a 256-byte frame budget: a restarted node whose gap
+        // the primary's log covers is caught up by a delta replay of one op per
+        // frame.
+        let cfg = HopliteConfig {
+            directory_replication: 3,
+            snapshot_chunk_bytes: 256,
+            ..HopliteConfig::small_for_tests()
+        };
+        let ns = nodes(3);
+        let mut svcs: Vec<DirectoryService> =
+            (0..3).map(|i| DirectoryService::new(NodeId(i), &cfg, &ns)).collect();
+        let objects: Vec<ObjectId> = (0u64..)
+            .map(|k| obj(&format!("delta-resume-{k}")))
+            .filter(|&o| svcs[0].placement().shard_of(o) == 0)
+            .take(12)
+            .collect();
+        let mut out = Vec::new();
+        for &o in &objects {
+            assert!(svcs[0].handle_op(reg(o, 2), &mut out));
+            let mut queue: Vec<_> = out.drain(..).map(|(to, m)| (NodeId(0), to, m)).collect();
+            while let Some((from, to, msg)) = queue.pop() {
+                queue.extend(deliver(&mut svcs, from, to, msg));
+            }
+        }
+        // Node 1 dies and restarts empty; survivors digest the failure. Node 0 still
+        // leads shard 0 at epoch 0, so the restarted replica's gap is a delta.
+        svcs[0].on_peer_failed(NodeId(1), &mut out);
+        svcs[2].on_peer_failed(NodeId(1), &mut out);
+        out.clear();
+        svcs[1] = DirectoryService::new(NodeId(1), &cfg, &ns);
+        let mut requests = Vec::new();
+        assert!(svcs[1].begin_local_resync(&mut requests));
+        let mut queue: Vec<(NodeId, NodeId, Message)> =
+            requests.into_iter().map(|(to, m)| (NodeId(1), to, m)).collect();
+        // Install three delta frames of shard 0 from node 0, then kill node 0.
+        let mut installed = 0;
+        while installed < 3 {
+            let (from, to, msg) = queue.pop().expect("shard 0 delta stream still in flight");
+            if let Message::DirResyncDelta { shard: 0, ref ops, done, .. } = msg {
+                assert_eq!((from, ops.len(), done), (NodeId(0), 1, false), "one op per frame");
+                installed += 1;
+            }
+            queue.extend(deliver(&mut svcs, from, to, msg));
+        }
+        assert_eq!(svcs[1].replica(0).unwrap().applied_seq(), 3);
+        queue.retain(|(from, to, _)| *from != NodeId(0) && *to != NodeId(0));
+        let mut q1 = Vec::new();
+        svcs[1].on_peer_failed(NodeId(0), &mut q1);
+        let mut q2 = Vec::new();
+        svcs[2].on_peer_failed(NodeId(0), &mut q2);
+        // The stranded stream re-targets the new primary (node 2) from the replayed
+        // prefix; there is no chunk cursor to resume from.
+        let retargeted = q1
+            .iter()
+            .find_map(|(to, m)| match m {
+                Message::DirSnapshotRequest { shard: 0, after, have_seq, .. } => {
+                    Some((*to, *after, *have_seq))
+                }
+                _ => None,
+            })
+            .expect("stranded delta stream re-targeted");
+        assert_eq!(retargeted, (NodeId(2), None, 3));
+        queue.extend(q1.into_iter().map(|(to, m)| (NodeId(1), to, m)));
+        queue.extend(q2.into_iter().map(|(to, m)| (NodeId(2), to, m)));
+        // Promotion moved node 2's epoch past the restarted replica's, so the new
+        // source serves state chunks, never a delta.
+        let mut chunks = 0;
+        while let Some((from, to, msg)) = queue.pop() {
+            if to == NodeId(0) {
+                continue;
+            }
+            match msg {
+                Message::DirSnapshotChunk { shard: 0, .. } => chunks += 1,
+                Message::DirResyncDelta { shard: 0, .. } => panic!("delta after promotion"),
+                _ => {}
+            }
+            queue.extend(deliver(&mut svcs, from, to, msg));
+        }
+        assert!(chunks > 1, "the new source streamed the shard in chunks: {chunks}");
         assert!(!svcs[1].is_resyncing(), "resync completed at the new source");
         for &o in &objects {
             assert_eq!(svcs[1].locations(o).map(|l| l.len()), Some(1));

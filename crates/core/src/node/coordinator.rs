@@ -10,6 +10,7 @@
 use crate::error::HopliteError;
 use crate::object::{NodeId, ObjectId};
 use crate::protocol::{ClientReply, Effect, Message, OpId, ReduceInstruction, ReduceParent};
+use crate::reduce::degree::DEGREE_CANDIDATES;
 use crate::reduce::{DegreeModel, ReduceInput, ReduceSpec, ReduceTreePlan};
 
 use super::reduce::ReduceEngine;
@@ -110,13 +111,11 @@ impl ReduceEngine {
                             d
                         }
                     }
-                    None => {
-                        let model = DegreeModel {
-                            latency: ctx.cfg.estimated_latency,
-                            bandwidth: ctx.cfg.estimated_bandwidth,
-                        };
-                        model.choose(&ctx.cfg.reduce_degrees, coord.num_objects, object_size)
-                    }
+                    None => DegreeModel::paper_testbed().choose(
+                        &DEGREE_CANDIDATES,
+                        coord.num_objects,
+                        object_size,
+                    ),
                 };
                 coord.plan = Some(ReduceTreePlan::new(coord.num_objects, resolved_degree.max(1)));
             }

@@ -31,8 +31,9 @@
 //! This module hosts the facade-level orchestration plus the failure-specific methods
 //! of the broadcast and reduce engines, so every §3.5 rule lives in one place.
 
+use crate::directory::ResyncFrame;
 use crate::object::{NodeId, ObjectId};
-use crate::protocol::{Effect, Message, ShardSnapshot};
+use crate::protocol::{Effect, Message};
 use crate::time::Time;
 
 use super::broadcast::BroadcastEngine;
@@ -145,58 +146,21 @@ impl ObjectStoreNode {
         self.finish_turn(out);
     }
 
-    /// Install one bounded chunk of a resync stream. Mid-stream chunks answer with a
-    /// continuation request from the installed cursor; the final chunk adopts the
-    /// shard state, log position, and the source's placement cursor (so this node's
-    /// routing cannot fail back to itself), acks the catch-up point, and — once every
-    /// hosted shard has installed — announces re-admission.
-    #[allow(clippy::too_many_arguments)] // mirrors the DirSnapshotChunk wire fields
-    pub(crate) fn handle_dir_snapshot_chunk(
+    /// Install one frame of a resync stream — a bounded state chunk, a delta replay
+    /// from the source's log, or the retired full snapshot. The directory service
+    /// pulls the next frame mid-stream; the last one acks the catch-up point and —
+    /// once every hosted shard has installed — announces re-admission.
+    pub(crate) fn handle_dir_resync_frame(
         &mut self,
         shard: usize,
         epoch: u64,
-        seq: u64,
-        rank: usize,
-        done: bool,
-        state: &ShardSnapshot,
-        from: NodeId,
-        out: &mut Vec<Effect>,
-    ) {
-        let mut replies = Vec::new();
-        let completed = self.ctx.service.handle_snapshot_chunk(
-            shard,
-            epoch,
-            seq,
-            rank,
-            done,
-            state,
-            from,
-            &mut replies,
-        );
-        if completed {
-            self.ctx.metrics.directory_resyncs += 1;
-        }
-        self.ctx.send_all(replies, out);
-        self.maybe_announce_readmission(out);
-    }
-
-    /// Replay one frame of a delta resync — the source bridged this replica's gap
-    /// from its retained log suffix instead of shipping state. The final frame
-    /// completes the resync like a final chunk (no rank adoption: a delta-served
-    /// replica's placement view was never behind).
-    pub(crate) fn handle_dir_resync_delta(
-        &mut self,
-        shard: usize,
-        epoch: u64,
-        ops: &[(u64, crate::protocol::DirOp)],
+        frame: ResyncFrame<'_>,
         done: bool,
         from: NodeId,
         out: &mut Vec<Effect>,
     ) {
         let mut replies = Vec::new();
-        let completed =
-            self.ctx.service.handle_resync_delta(shard, epoch, ops, done, from, &mut replies);
-        if completed {
+        if self.ctx.service.handle_resync_frame(shard, epoch, frame, done, from, &mut replies) {
             self.ctx.metrics.directory_resyncs += 1;
         }
         self.ctx.send_all(replies, out);

@@ -47,7 +47,7 @@ use std::collections::VecDeque;
 use crate::buffer::{Payload, SlabPool};
 use crate::config::HopliteConfig;
 use crate::detector::{DetectorAction, FailureDetector, GossipEntry, GossipState};
-use crate::directory::{DirectoryClient, DirectoryPlacement, DirectoryService};
+use crate::directory::{DirectoryClient, DirectoryPlacement, DirectoryService, ResyncFrame};
 use crate::membership::{MemberDigestEntry, MembershipView, Transition};
 use crate::metrics::NodeMetrics;
 use crate::object::{NodeId, ObjectId, ObjectStatus};
@@ -655,32 +655,23 @@ impl ObjectStoreNode {
             // The retired full-state frame (tag 23, no longer produced) is the
             // one-chunk degenerate case of the stream.
             Message::DirSnapshot { shard, epoch, seq, rank, state } => {
-                self.handle_dir_snapshot_chunk(
-                    shard as usize,
-                    epoch,
-                    seq,
-                    rank as usize,
-                    true,
-                    &state,
-                    from,
-                    out,
-                );
+                let frame =
+                    ResyncFrame::Chunk { seq, rank: rank as usize, entries: &state.entries };
+                self.handle_dir_resync_frame(shard as usize, epoch, frame, true, from, out);
             }
             Message::DirSnapshotChunk { shard, epoch, seq, rank, done, state } => {
-                self.handle_dir_snapshot_chunk(
-                    shard as usize,
-                    epoch,
-                    seq,
-                    rank as usize,
-                    done,
-                    &state,
-                    from,
-                    out,
-                );
+                let frame =
+                    ResyncFrame::Chunk { seq, rank: rank as usize, entries: &state.entries };
+                self.handle_dir_resync_frame(shard as usize, epoch, frame, done, from, out);
             }
             Message::DirResyncDelta { shard, epoch, ops, done } => {
-                self.handle_dir_resync_delta(shard as usize, epoch, &ops, done, from, out);
+                let frame = ResyncFrame::Delta { ops: &ops };
+                self.handle_dir_resync_frame(shard as usize, epoch, frame, done, from, out);
             }
+            // This node is re-admitted only by its own resync completing: an
+            // announcement naming it is dropped before it can count as evidence or
+            // hand it the shards it hosts while its replicas still wait for state.
+            Message::DirResynced { node, .. } if node == self.ctx.id => {}
             Message::DirResynced { node, incarnation } => {
                 // A late announcement from an incarnation that has already died (or
                 // an older one) is dropped: re-admitting it would hand shards to a

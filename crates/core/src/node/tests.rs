@@ -1195,6 +1195,42 @@ fn restart_request_from_a_believed_primary_redrives_once_and_keeps_one_view() {
     assert_eq!(tc.nodes[0].directory_primary_for(object), Some(NodeId(0)));
 }
 
+/// A `DirResynced` naming the receiving node is dropped unseen: a node is re-admitted
+/// only by its own resync completing. Delivered to a restarted node whose resync
+/// requests are still unanswered, it must not make the node believe it leads the
+/// shards it hosts — the next directory op it routes goes to the shard's interim
+/// primary, not into its own still-resyncing replica.
+#[test]
+fn a_resynced_announcement_naming_the_receiver_is_dropped() {
+    let mut tc = TestCluster::new(3);
+    tc.kill(1);
+    tc.run();
+    tc.restart(1, 1);
+    tc.pending.clear(); // the resync requests are still in flight
+    assert!(tc.nodes[1].directory_is_resyncing());
+
+    let forged = Message::DirResynced { node: NodeId(1), incarnation: 1 };
+    let mut out = Vec::new();
+    tc.nodes[1].handle_message(Time::ZERO, NodeId(0), forged, &mut out);
+    // Shard 1 lives on [1, 2]: while node 1 resyncs, node 2 leads it. Believing the
+    // frame, node 1 would apply this registration itself, on a backup replica.
+    let object = object_on_shard(&ClusterView::of_size(3), NodeId(1));
+    tc.client(1, OpId(1), ClientOp::Put { object, payload: Payload::from_vec(vec![1; 200]) });
+
+    assert!(out.is_empty(), "{out:?}");
+    assert!(tc.nodes[1].directory_is_resyncing(), "still resyncing");
+    assert_eq!(tc.nodes[1].directory_primary_for(object), Some(NodeId(2)));
+    let (_, effects) = tc.pending.back().expect("the put's effects");
+    assert!(
+        effects.iter().any(|e| matches!(
+            e,
+            Effect::Send { to: NodeId(2), msg: Message::DirRegister { object: o, .. } }
+                if *o == object
+        )),
+        "registration routed to the interim primary: {effects:?}"
+    );
+}
+
 /// A `DirSnapshotRequest` for a shard the cluster does not have is dropped whole: the
 /// replica set wraps modulo the cluster size, so the requester would seem to host the
 /// shard, and the leadership view has no rank to read for it. Nothing is served, and

@@ -746,9 +746,10 @@ pub enum ClientOp {
         num_objects: Option<usize>,
         /// Operator and element type.
         spec: ReduceSpec,
-        /// Force a specific tree degree instead of the runtime model's choice
-        /// (`None` = pick from [`crate::config::HopliteConfig::reduce_degrees`]; used by
-        /// the Appendix-B ablation).
+        /// Force a specific tree degree instead of the degree model's choice (`None` =
+        /// pick from [`crate::reduce::degree::DEGREE_CANDIDATES`] with
+        /// [`crate::reduce::DegreeModel::paper_testbed`]; used by the Appendix-B
+        /// ablation).
         degree: Option<usize>,
     },
     /// Delete every copy of an object cluster-wide.

@@ -10,13 +10,17 @@
 //! ```
 //!
 //! The paper restricts the candidate set to `{1, 2, n}` because those already cover the
-//! optimum across the sizes it evaluates (§4); the candidate set is configurable here so
-//! the Appendix-B ablation can sweep other degrees too.
+//! optimum across the sizes it evaluates (§4); a reduce coordinator chooses from
+//! [`DEGREE_CANDIDATES`] with [`DegreeModel::paper_testbed`]. The Appendix-B ablation
+//! sweeps other degrees by forcing one per reduce (`ClientOp::Reduce::degree`).
 
 use crate::time::Duration;
 
 /// A candidate degree: a concrete `d`, where `0` denotes `n` (star).
 pub type DegreeCandidate = usize;
+
+/// The degrees a reduce coordinator chooses from: chain, binary tree, star (§4).
+pub const DEGREE_CANDIDATES: [DegreeCandidate; 3] = [1, 2, 0];
 
 /// Network/topology parameters fed to the cost model.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -29,7 +33,8 @@ pub struct DegreeModel {
 }
 
 impl DegreeModel {
-    /// Model with the paper's testbed characteristics (10 Gbps, ~170 µs RPC latency).
+    /// Model with the paper's testbed characteristics (10 Gbps, ~170 µs RPC latency);
+    /// the one every reduce coordinator uses.
     pub fn paper_testbed() -> Self {
         DegreeModel { latency: Duration::from_micros(170), bandwidth: 1.25e9 }
     }

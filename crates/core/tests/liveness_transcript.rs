@@ -264,8 +264,8 @@ impl Episode {
             }
             4 => {
                 // Never about the node itself: its own announcement does not come
-                // back to it, and one forged onto the wire asserts in the directory
-                // service of a node that is still resyncing (ROADMAP, invariants).
+                // back to it, and one forged onto the wire is dropped unseen — the
+                // hostile case below, kept out of the golden's stream.
                 let node = self.peer();
                 let incarnation = self.incarnation_for(node, true);
                 self.deliver(node, Message::DirResynced { node, incarnation }, &mut out);
@@ -421,6 +421,39 @@ fn a_snapshot_request_for_a_shard_out_of_range_moves_nothing() {
             }
         }
     }
+}
+
+/// Hostile frames, as above: at the end of an episode, a `DirResynced` naming the node
+/// itself — at the incarnation it runs and at the next one — moves nothing the
+/// transcript records and produces no effect. Only the node's own resync completing
+/// re-admits it; on a node still resyncing, believing the frame would hand it the
+/// shards it hosts while its replicas wait for state.
+#[test]
+fn a_resynced_announcement_naming_the_node_itself_moves_nothing() {
+    let mut resyncing = 0;
+    for detector in [false, true] {
+        for episode in 0..EPISODES {
+            let mut ep = Episode::new(detector, episode);
+            (0..EVENTS_PER_EPISODE).for_each(|_| ep.step());
+            ep.record("settled", Vec::new());
+            resyncing += usize::from(ep.node.directory_is_resyncing());
+            let me = ep.me;
+            for incarnation in [ep.node.incarnation(), ep.node.incarnation() + 1] {
+                let from = ep.peer();
+                let mut out = Vec::new();
+                ep.deliver(from, Message::DirResynced { node: me, incarnation }, &mut out);
+                ep.record("hostile", out);
+                let mode = mode_name(detector);
+                let n = ep.hashes.len();
+                assert_eq!(
+                    ep.hashes[n - 1],
+                    ep.hashes[n - 2],
+                    "{mode} {episode} inc {incarnation}"
+                );
+            }
+        }
+    }
+    assert!(resyncing > 0, "no episode ended with its resync in flight");
 }
 
 #[test]

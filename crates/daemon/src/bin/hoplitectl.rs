@@ -25,15 +25,17 @@
 //! own `Hello` at the bumped incarnation. The JSON report gains `detection_ms`: the
 //! time from SIGKILL until every survivor has marked the victim dead.
 
-use std::net::{SocketAddr, TcpListener};
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
+use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use hoplite_bench::json::Json;
-use hoplite_cluster::process::{ControlClient, DaemonSpec, ProcessCluster};
+use hoplite_cluster::process::{
+    reserve_ports, spawn_daemon, wait_ready, ControlClient, DaemonSpec, ProcessCluster,
+};
 use hoplite_core::prelude::NodeId;
 use hoplite_daemon::args::Args;
 use hoplite_daemon::state::{ClusterState, NodeEntry};
@@ -88,59 +90,22 @@ fn binary_arg(args: &mut Args) -> Result<PathBuf, String> {
     }
 }
 
-/// Reserve `n` distinct localhost ports by binding and releasing them.
-fn reserve_ports(n: usize) -> Result<Vec<SocketAddr>, String> {
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0"))
-        .collect::<std::io::Result<_>>()
-        .map_err(|e| format!("reserve ports: {e}"))?;
-    listeners.iter().map(|l| l.local_addr().map_err(|e| format!("local_addr: {e}"))).collect()
-}
-
 /// Launch one detached daemon for `state.nodes[node]` and record its pid. The
-/// returned `Child` is dropped on purpose: `std::process::Child` does not kill on
-/// drop, so the daemon outlives this `hoplitectl` invocation.
+/// returned `Child` is dropped on purpose, so the daemon outlives this `hoplitectl`
+/// invocation.
 fn launch(state: &mut ClusterState, dir: &Path, node: usize, recover: bool) -> Result<(), String> {
-    let fabric_list =
-        state.nodes.iter().map(|n| n.fabric.to_string()).collect::<Vec<_>>().join(",");
-    let log = std::fs::File::create(dir.join(format!("node-{node}.log")))
-        .map_err(|e| format!("create log: {e}"))?;
+    let spec = DaemonSpec {
+        binary: state.binary.clone(),
+        n: state.nodes.len(),
+        log_dir: dir.to_path_buf(),
+        config: state.config.clone(),
+    };
+    let fabric: Vec<SocketAddr> = state.nodes.iter().map(|n| n.fabric).collect();
     let entry = &state.nodes[node];
-    let mut cmd = Command::new(&state.binary);
-    cmd.arg("--node")
-        .arg(node.to_string())
-        .arg("--fabric")
-        .arg(fabric_list)
-        .arg("--control")
-        .arg(entry.control.to_string())
-        .arg("--incarnation")
-        .arg(entry.incarnation.to_string())
-        .stdin(Stdio::null())
-        .stdout(Stdio::from(log.try_clone().map_err(|e| e.to_string())?))
-        .stderr(Stdio::from(log));
-    if recover {
-        cmd.arg("--recover");
-    }
-    if let Some(config) = &state.config {
-        cmd.arg("--config").arg(config);
-    }
-    let child = cmd.spawn().map_err(|e| format!("spawn {}: {e}", state.binary.display()))?;
+    let child = spawn_daemon(&spec, &fabric, entry.control, node, entry.incarnation, recover)
+        .map_err(|e| e.to_string())?;
     state.nodes[node].pid = child.id();
     Ok(())
-}
-
-/// Poll a control socket until it answers `ping`.
-fn wait_ready(addr: SocketAddr, what: &str, timeout: Duration) -> Result<(), String> {
-    let deadline = Instant::now() + timeout;
-    loop {
-        match ControlClient::connect(addr, Duration::from_millis(250)).and_then(|mut c| c.ping()) {
-            Ok(()) => return Ok(()),
-            Err(e) if Instant::now() >= deadline => {
-                return Err(format!("{what} not ready within {timeout:?}: {e}"));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(100)),
-        }
-    }
 }
 
 fn control(entry: &NodeEntry) -> Result<ControlClient, String> {
@@ -165,8 +130,8 @@ fn cmd_spawn(args: &mut Args) -> Result<(), String> {
         ));
     }
 
-    let fabric = reserve_ports(n)?;
-    let controls = reserve_ports(n)?;
+    let fabric = reserve_ports(n).map_err(|e| format!("reserve ports: {e}"))?;
+    let controls = reserve_ports(n).map_err(|e| format!("reserve ports: {e}"))?;
     let mut state = ClusterState {
         binary,
         config,
@@ -179,8 +144,9 @@ fn cmd_spawn(args: &mut Args) -> Result<(), String> {
     for node in 0..n {
         launch(&mut state, &dir, node, false)?;
     }
-    for node in 0..n {
-        wait_ready(state.nodes[node].control, &format!("node {node}"), Duration::from_secs(20))?;
+    for (node, entry) in state.nodes.iter().enumerate() {
+        wait_ready(entry.control, Duration::from_secs(20))
+            .map_err(|e| format!("node {node}: {e}"))?;
     }
     state.save(&dir).map_err(|e| format!("save state: {e}"))?;
     for (node, entry) in state.nodes.iter().enumerate() {
@@ -313,7 +279,8 @@ fn cmd_restart(args: &mut Args) -> Result<(), String> {
 
     state.nodes[node].incarnation += 1;
     launch(&mut state, &dir, node, true)?;
-    wait_ready(state.nodes[node].control, &format!("node {node}"), Duration::from_secs(30))?;
+    wait_ready(state.nodes[node].control, Duration::from_secs(30))
+        .map_err(|e| format!("node {node}: {e}"))?;
     state.save(&dir).map_err(|e| format!("save state: {e}"))?;
     for (other, peer) in state.nodes.iter().enumerate() {
         if other != node && peer.pid != 0 {

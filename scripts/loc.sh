@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Line counts the ROADMAP tracks ("line count per crate is a tracked number"), as a
 # markdown report: non-test .rs lines per crate and per directory/*.rs file, the
-# workspace total, the HopliteConfig field count, and the lifecycle counts of
-# ROADMAP's transport item (unbounded queues, sleeps, SlabPool construction sites,
-# thread-spawn sites).
+# "directory plane" (those plus node/failure.rs), the workspace total, the
+# HopliteConfig field count, and the lifecycle counts of ROADMAP's transport item
+# (unbounded queues, sleeps, SlabPool construction sites, thread-spawn sites).
 #
 # "Non-test" = lines of a file before its first top-level `#[cfg(test)]` that opens an
 # inline test module (one that only gates a `mod …;` declaration, like node/mod.rs's
@@ -46,6 +46,7 @@ for f in crates/core/src/directory/*.rs; do
     echo "| $(basename "$f") | $(echo "$f" | non_test) |"
 done
 echo "| **total** | $(find crates/core/src/directory -name '*.rs' | non_test) |"
+echo "| **directory plane** (the above + node/failure.rs) | $( (find crates/core/src/directory -name '*.rs'; echo crates/core/src/node/failure.rs) | non_test) |"
 echo
 echo "| liveness plane (non-test lines) | |"
 echo "|---|---:|"
