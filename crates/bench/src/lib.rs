@@ -1,8 +1,8 @@
 //! # hoplite-bench
 //!
-//! The benchmark and evaluation harness: Criterion benches (in `benches/`), the
-//! figure-regeneration binary (`experiments`), the metadata-scale drill
-//! (`metadata_scale`), and the scenario sweep (`sweep`).
+//! The evaluation harness: the figure-regeneration binary (`experiments`), the
+//! metadata-scale drill (`metadata_scale`), and the scenario sweep (`sweep`). Timed
+//! real-bytes and per-layer numbers come from the `perf/` package.
 //!
 //! The library half carries the sweep machinery the `sweep` binary and its tests
 //! share:

@@ -35,7 +35,7 @@ pub use driver::{DriverPort, NodeEvent, NodeRuntime};
 pub use faults::{FaultSchedule, ScheduleKind};
 pub use host::{HopliteClient, NodeHost, NodeStatus};
 pub use local::{LocalCluster, LocalFabric};
-pub use process::{ControlClient, DaemonSpec, ProcessCluster};
+pub use process::ControlClient;
 pub use scenarios::{ScenarioEnv, ScenarioResult};
 pub use sim_cluster::{OpHandle, SimCluster};
 pub use sweep::{run_cell, CellOutcome, Collective};

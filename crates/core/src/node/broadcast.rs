@@ -48,8 +48,6 @@ struct OutgoingTransfer {
 pub(crate) struct BroadcastEngine {
     /// In-progress local `Get`s.
     pub(crate) gets: HashMap<ObjectId, GetState>,
-    /// Map from outstanding query id to object (to validate replies).
-    queries: HashMap<u64, ObjectId>,
     /// Transfers we are serving.
     outgoing: HashMap<ObjectId, Vec<OutgoingTransfer>>,
     /// Pipelined `Put`s in progress: object -> (payload, next offset, op).
@@ -207,12 +205,10 @@ impl BroadcastEngine {
         let query_id = ctx.fresh_query_id();
         let exclude = self.gets.get(&object).map(|g| g.excluded.clone()).unwrap_or_default();
         if let Some(g) = self.gets.get_mut(&object) {
-            if let Some(old) = g.query_id.replace(query_id) {
-                self.queries.remove(&old); // abandoned query; drop its reply on arrival
-            }
+            // Replaces an abandoned query's id, so its reply is dropped on arrival.
+            g.query_id = Some(query_id);
             g.pulling_from = None;
         }
-        self.queries.insert(query_id, object);
         ctx.dir_query(object, query_id, exclude, out);
     }
 
@@ -227,13 +223,11 @@ impl BroadcastEngine {
         result: QueryResult,
         out: &mut Vec<Effect>,
     ) -> Vec<Progress> {
-        if self.queries.remove(&query_id) != Some(object) {
-            return Vec::new(); // stale reply from an abandoned query
-        }
-        let Some(get) = self.gets.get_mut(&object) else { return Vec::new() };
-        if get.query_id != Some(query_id) {
+        // Only the reply to this Get's outstanding query counts: a stale reply from an
+        // abandoned query, or one naming another object, leaves the Get waiting.
+        let Some(get) = self.gets.get_mut(&object).filter(|g| g.query_id == Some(query_id)) else {
             return Vec::new();
-        }
+        };
         get.query_id = None;
         trace!("[n{}] query reply {:?} -> {:?}", ctx.id.0, object, result);
         match result {

@@ -4,7 +4,7 @@
 use super::*;
 use crate::buffer::Payload;
 use crate::error::HopliteError;
-use crate::protocol::{ClientOp, ClientReply, Effect};
+use crate::protocol::{ClientOp, ClientReply, Effect, QueryResult};
 use crate::reduce::ReduceSpec;
 
 fn setup(n: usize) -> (Vec<ObjectStoreNode>, ClusterView) {
@@ -370,6 +370,39 @@ fn small_objects_use_inline_fast_path() {
     assert!(replies.iter().any(|(_, _, r)| matches!(r, ClientReply::GetDone { .. })));
     // The fast path serves from the directory: the creator never received a pull.
     assert_eq!(nodes[1].metrics().pulls_served, 0);
+}
+
+/// A query reply is matched to its Get by object *and* query id. A reply carrying the
+/// right id but naming another object is dropped without consuming anything, so the
+/// genuine reply that follows still completes the Get.
+#[test]
+fn a_query_reply_naming_another_object_leaves_the_get_waiting_for_its_own() {
+    let mut tc = TestCluster::new(3);
+    let object = object_on_shard(&ClusterView::of_size(3), NodeId(0));
+    tc.client(1, OpId(1), ClientOp::Put { object, payload: Payload::from_vec(vec![7; 16]) });
+    tc.run();
+    tc.client(2, OpId(2), ClientOp::Get { object });
+    let (_, effects) = tc.pending.back().expect("the get's effects");
+    let query_id = effects
+        .iter()
+        .find_map(|e| match e {
+            Effect::Send { to: NodeId(0), msg: Message::DirQuery { query_id, .. } } => {
+                Some(*query_id)
+            }
+            _ => None,
+        })
+        .expect("the get queries shard 0's primary");
+
+    let decoy = Message::DirQueryReply {
+        object: ObjectId::from_name("decoy"),
+        query_id,
+        result: QueryResult::Deleted,
+    };
+    let mut out = Vec::new();
+    tc.nodes[2].handle_message(Time::ZERO, NodeId(0), decoy, &mut out);
+    assert!(out.is_empty(), "{out:?}");
+    tc.run();
+    assert_eq!(tc.reply_payload(OpId(2)), Some(Payload::from_vec(vec![7; 16])));
 }
 
 #[test]

@@ -10,13 +10,16 @@
 //!                    [--size BYTES] [--timeout-secs 300] [--json FILE] [--detect]
 //! ```
 //!
-//! `spawn`/`status`/`kill`/`restart`/`stop` manage a long-lived deployment through
-//! the on-disk state file (`<dir>/cluster.state`); each invocation is a separate
-//! short-lived process, daemons keep running in between. `drill` is the self-contained
-//! kill -9 end-to-end exercise CI runs: it spawns its own fleet, drives broadcast +
-//! reduce waves, SIGKILLs a receiver mid-broadcast, restarts it at the next
-//! incarnation, and then proves zero location records were lost — every object of
-//! every wave readable from every node, including the restarted one.
+//! Every command acts through one supervisor, [`Fleet`], whose record is the state
+//! file `<dir>/cluster.state`. `spawn`/`status`/`kill`/`restart`/`stop` manage a
+//! long-lived deployment: each invocation is a separate short-lived process, daemons
+//! keep running in between. `drill` is the self-contained kill -9 end-to-end exercise
+//! CI runs: it spawns its own fleet, drives broadcast + reduce waves, SIGKILLs a
+//! receiver mid-broadcast, restarts it at the next incarnation, and then proves zero
+//! location records were lost — every object of every wave readable from every node,
+//! including the restarted one. Its fleet is recorded in its `--dir` while it runs
+//! (so `status` works mid-drill) and stopped however the drill ends: pass, error,
+//! panic or watchdog.
 //!
 //! With `--detect` the drill is *verdict-free*: the daemons run the SWIM gossip
 //! detector, no `peer-failed` notice is ever injected, no `peer-recovered` is sent
@@ -25,20 +28,15 @@
 //! own `Hello` at the bumped incarnation. The JSON report gains `detection_ms`: the
 //! time from SIGKILL until every survivor has marked the victim dead.
 
-use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use hoplite_bench::json::Json;
-use hoplite_cluster::process::{
-    reserve_ports, spawn_daemon, wait_ready, ControlClient, DaemonSpec, ProcessCluster,
-};
-use hoplite_core::prelude::NodeId;
+use hoplite_cluster::process::ControlClient;
 use hoplite_daemon::args::Args;
-use hoplite_daemon::state::{ClusterState, NodeEntry};
+use hoplite_daemon::fleet::{wait_until, Fleet, Status};
 
 fn main() {
     let sub = std::env::args().nth(1).unwrap_or_default();
@@ -58,9 +56,16 @@ fn main() {
     };
     if let Err(e) = result {
         eprintln!("hoplitectl {sub}: {e}");
+        // A drill watchdog that fired holds this lock while it stops the fleet, which
+        // fails the drill's requests: its exit code, 124, is the one that counts.
+        let _exit = EXIT.lock().unwrap_or_else(PoisonError::into_inner);
         std::process::exit(1);
     }
 }
+
+/// Held by whoever stops a drill's fleet from its record, and by `main` exiting on an
+/// error: whichever of `main` and the drill watchdog takes it first exits.
+static EXIT: Mutex<()> = Mutex::new(());
 
 const USAGE: &str = "usage:\n  \
     hoplitectl spawn   --nodes N --dir DIR [--binary PATH] [--config FILE]\n  \
@@ -90,28 +95,6 @@ fn binary_arg(args: &mut Args) -> Result<PathBuf, String> {
     }
 }
 
-/// Launch one detached daemon for `state.nodes[node]` and record its pid. The
-/// returned `Child` is dropped on purpose, so the daemon outlives this `hoplitectl`
-/// invocation.
-fn launch(state: &mut ClusterState, dir: &Path, node: usize, recover: bool) -> Result<(), String> {
-    let spec = DaemonSpec {
-        binary: state.binary.clone(),
-        n: state.nodes.len(),
-        log_dir: dir.to_path_buf(),
-        config: state.config.clone(),
-    };
-    let fabric: Vec<SocketAddr> = state.nodes.iter().map(|n| n.fabric).collect();
-    let entry = &state.nodes[node];
-    let child = spawn_daemon(&spec, &fabric, entry.control, node, entry.incarnation, recover)
-        .map_err(|e| e.to_string())?;
-    state.nodes[node].pid = child.id();
-    Ok(())
-}
-
-fn control(entry: &NodeEntry) -> Result<ControlClient, String> {
-    ControlClient::connect(entry.control, Duration::from_secs(5)).map_err(|e| e.to_string())
-}
-
 fn cmd_spawn(args: &mut Args) -> Result<(), String> {
     let n: usize = args.req("nodes")?;
     let dir = PathBuf::from(args.req::<String>("dir")?);
@@ -121,41 +104,14 @@ fn cmd_spawn(args: &mut Args) -> Result<(), String> {
     if n == 0 {
         return Err("--nodes must be at least 1".to_string());
     }
-    std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-    if ClusterState::path(&dir).exists() {
-        return Err(format!(
-            "{} already exists — `hoplitectl stop --dir {}` first",
-            ClusterState::path(&dir).display(),
-            dir.display()
-        ));
-    }
-
-    let fabric = reserve_ports(n).map_err(|e| format!("reserve ports: {e}"))?;
-    let controls = reserve_ports(n).map_err(|e| format!("reserve ports: {e}"))?;
-    let mut state = ClusterState {
-        binary,
-        config,
-        nodes: fabric
-            .into_iter()
-            .zip(controls)
-            .map(|(fabric, control)| NodeEntry { fabric, control, pid: 0, incarnation: 0 })
-            .collect(),
-    };
-    for node in 0..n {
-        launch(&mut state, &dir, node, false)?;
-    }
-    for (node, entry) in state.nodes.iter().enumerate() {
-        wait_ready(entry.control, Duration::from_secs(20))
-            .map_err(|e| format!("node {node}: {e}"))?;
-    }
-    state.save(&dir).map_err(|e| format!("save state: {e}"))?;
-    for (node, entry) in state.nodes.iter().enumerate() {
+    let fleet = Fleet::spawn(&dir, binary, config, n)?;
+    for (node, entry) in fleet.nodes.iter().enumerate() {
         println!(
             "node {node}: pid {} fabric {} control {}",
             entry.pid, entry.fabric, entry.control
         );
     }
-    println!("{n} daemons up; state in {}", ClusterState::path(&dir).display());
+    println!("{n} daemons up; state in {}", Fleet::path(&dir).display());
     Ok(())
 }
 
@@ -163,17 +119,8 @@ fn cmd_status(args: &mut Args) -> Result<(), String> {
     let dir = PathBuf::from(args.req::<String>("dir")?);
     let as_json = args.switch("json");
     args.finish()?;
-    let state = ClusterState::load(&dir).map_err(|e| format!("load state: {e}"))?;
-
-    let mut nodes = Vec::new();
-    for (node, entry) in state.nodes.iter().enumerate() {
-        let status = if entry.pid == 0 {
-            None
-        } else {
-            control(entry).and_then(|mut c| c.status().map_err(|e| e.to_string())).ok()
-        };
-        nodes.push((node, entry.clone(), status));
-    }
+    let fleet = Fleet::load(&dir)?;
+    let nodes: Vec<_> = fleet.nodes.iter().zip(fleet.statuses()).enumerate().collect();
 
     if as_json {
         let doc = Json::Obj(vec![
@@ -183,7 +130,7 @@ fn cmd_status(args: &mut Args) -> Result<(), String> {
                 Json::Arr(
                     nodes
                         .iter()
-                        .map(|(node, entry, status)| {
+                        .map(|(node, (entry, status))| {
                             let mut pairs = vec![
                                 ("node".into(), Json::Num(*node as f64)),
                                 ("pid".into(), Json::Num(entry.pid as f64)),
@@ -216,7 +163,7 @@ fn cmd_status(args: &mut Args) -> Result<(), String> {
         ]);
         print!("{}", doc.to_pretty_string());
     } else {
-        for (node, entry, status) in &nodes {
+        for (node, (entry, status)) in &nodes {
             match status {
                 Some(status) => println!(
                     "node {node}: up pid={} incarnation={} resyncing={} puts={} gets={} \
@@ -240,31 +187,11 @@ fn cmd_kill(args: &mut Args) -> Result<(), String> {
     let dir = PathBuf::from(args.req::<String>("dir")?);
     let node: usize = args.req("node")?;
     args.finish()?;
-    let mut state = ClusterState::load(&dir).map_err(|e| format!("load state: {e}"))?;
-    let entry = state.nodes.get(node).ok_or(format!("no node {node}"))?.clone();
-    if entry.pid == 0 {
-        return Err(format!("node {node} is already down"));
-    }
-
-    let status = Command::new("kill")
-        .args(["-9", &entry.pid.to_string()])
-        .status()
-        .map_err(|e| format!("kill: {e}"))?;
-    if !status.success() {
-        return Err(format!("kill -9 {} failed: {status}", entry.pid));
-    }
-    state.nodes[node].pid = 0;
-    state.save(&dir).map_err(|e| format!("save state: {e}"))?;
-
-    // Deliver the failure-detector verdict, stamped with the victim's incarnation.
-    for (other, peer) in state.nodes.iter().enumerate() {
-        if other != node && peer.pid != 0 {
-            control(peer)?
-                .peer_failed(NodeId(node as u32), entry.incarnation)
-                .map_err(|e| format!("peer-failed to node {other}: {e}"))?;
-        }
-    }
-    println!("node {node}: killed pid {}", entry.pid);
+    let mut fleet = Fleet::load(&dir)?;
+    let pid = fleet.nodes.get(node).map_or(0, |entry| entry.pid);
+    fleet.kill9(node)?;
+    fleet.announce_failure(node)?;
+    println!("node {node}: killed pid {pid}");
     Ok(())
 }
 
@@ -272,49 +199,19 @@ fn cmd_restart(args: &mut Args) -> Result<(), String> {
     let dir = PathBuf::from(args.req::<String>("dir")?);
     let node: usize = args.req("node")?;
     args.finish()?;
-    let mut state = ClusterState::load(&dir).map_err(|e| format!("load state: {e}"))?;
-    if state.nodes.get(node).ok_or(format!("no node {node}"))?.pid != 0 {
-        return Err(format!("node {node} is still running — kill it first"));
-    }
-
-    state.nodes[node].incarnation += 1;
-    launch(&mut state, &dir, node, true)?;
-    wait_ready(state.nodes[node].control, Duration::from_secs(30))
-        .map_err(|e| format!("node {node}: {e}"))?;
-    state.save(&dir).map_err(|e| format!("save state: {e}"))?;
-    for (other, peer) in state.nodes.iter().enumerate() {
-        if other != node && peer.pid != 0 {
-            control(peer)?
-                .peer_recovered(NodeId(node as u32))
-                .map_err(|e| format!("peer-recovered to node {other}: {e}"))?;
-        }
-    }
-    println!(
-        "node {node}: restarted as pid {} at incarnation {}",
-        state.nodes[node].pid, state.nodes[node].incarnation
-    );
+    let mut fleet = Fleet::load(&dir)?;
+    fleet.restart(node)?;
+    fleet.announce_recovery(node)?;
+    let entry = &fleet.nodes[node];
+    println!("node {node}: restarted as pid {} at incarnation {}", entry.pid, entry.incarnation);
     Ok(())
 }
 
 fn cmd_stop(args: &mut Args) -> Result<(), String> {
     let dir = PathBuf::from(args.req::<String>("dir")?);
     args.finish()?;
-    let state = ClusterState::load(&dir).map_err(|e| format!("load state: {e}"))?;
-    for (node, entry) in state.nodes.iter().enumerate() {
-        if entry.pid == 0 {
-            continue;
-        }
-        match control(entry).and_then(|mut c| c.shutdown().map_err(|e| e.to_string())) {
-            Ok(()) => println!("node {node}: stopped"),
-            Err(e) => {
-                // Unreachable control socket: fall back to SIGKILL so `stop` always
-                // leaves nothing behind.
-                let _ = Command::new("kill").args(["-9", &entry.pid.to_string()]).status();
-                println!("node {node}: control unreachable ({e}); sent SIGKILL");
-            }
-        }
-    }
-    std::fs::remove_file(ClusterState::path(&dir)).map_err(|e| format!("remove state: {e}"))?;
+    Fleet::load(&dir)?.stop()?;
+    println!("fleet in {} stopped", dir.display());
     Ok(())
 }
 
@@ -366,10 +263,13 @@ fn cmd_drill(args: &mut Args) -> Result<(), String> {
 
     // Watchdog: if the drill wedges (a lost location record shows up as a get that
     // never completes), fail loudly with a distinctive exit code instead of letting
-    // the CI job idle until its own timeout.
+    // the CI job idle until its own timeout. `process::exit` runs no destructors, so
+    // the watchdog stops the fleet recorded in the drill directory itself.
+    let watched = dir.clone();
     std::thread::spawn(move || {
         std::thread::sleep(Duration::from_secs(timeout_secs));
-        eprintln!("drill watchdog: not done after {timeout_secs}s, aborting");
+        eprintln!("drill watchdog: not done after {timeout_secs}s, stopping the fleet");
+        let _exit = stop_recorded(&watched);
         std::process::exit(124);
     });
 
@@ -394,18 +294,14 @@ fn cmd_drill(args: &mut Args) -> Result<(), String> {
     std::fs::write(&config_path, config_text).map_err(|e| format!("write config: {e}"))?;
 
     println!("drill: spawning {n} hoplited processes (binary {})", binary.display());
-    let mut cluster = ProcessCluster::spawn(DaemonSpec {
-        binary,
-        n,
-        log_dir: dir.clone(),
-        config: Some(config_path),
-    })
-    .map_err(|e| format!("spawn fleet: {e}"))?;
+    let mut fleet = Fleet::spawn(&dir, binary, Some(config_path), n)
+        .map_err(|e| format!("spawn fleet: {e}"))?;
+    let _stop = StopOnDrop(&dir);
     for node in 0..n {
         println!(
             "  node {node}: pid {} log {}",
-            cluster.pid(node).unwrap(),
-            cluster.log_path(node).display()
+            fleet.nodes[node].pid,
+            fleet.log_path(node).display()
         );
     }
 
@@ -413,28 +309,28 @@ fn cmd_drill(args: &mut Args) -> Result<(), String> {
     // whose death lands mid-broadcast while survivors' gets are in flight.
     let victim = n - 1;
     let started = Instant::now();
-    let mut killed = false;
     let mut detection_ms: Option<f64> = None;
     for index in 0..waves {
         let wave = Wave { index, size };
-        let detected =
-            run_wave(&mut cluster, wave, n, (index == kill_wave).then_some(victim), detect)?;
+        let detected = run_wave(&mut fleet, wave, (index == kill_wave).then_some(victim), detect)?;
         if index == kill_wave {
-            killed = true;
             detection_ms = detected;
-            restart_and_verify(&mut cluster, victim, n, size, index, detect)?;
+            restart_and_verify(&mut fleet, victim, size, index, detect)?;
         }
         println!("drill: wave {index} complete ({:.1}s)", started.elapsed().as_secs_f64());
     }
-    assert!(killed, "kill wave must have run");
     if detect {
         assert!(detection_ms.is_some(), "detect mode must have measured detection");
     }
 
     // Final sweep: every wave object and every reduce result, from every node.
-    verify_all(&cluster, n, size, waves - 1)?;
+    verify_all(&fleet, size, waves - 1)?;
 
-    let statuses = collect_statuses(&cluster, n)?;
+    let statuses: Vec<Status> = fleet
+        .statuses()
+        .into_iter()
+        .collect::<Option<_>>()
+        .ok_or("a node did not answer `status`")?;
     let victim_resyncs =
         statuses[victim].get("directory_resyncs").and_then(|v| v.parse::<u64>().ok()).unwrap_or(0);
     let survivor_failovers: u64 = statuses
@@ -450,13 +346,12 @@ fn cmd_drill(args: &mut Args) -> Result<(), String> {
     println!(
         "drill: victim resyncs={victim_resyncs} survivor failovers={survivor_failovers} \
          victim incarnation={}",
-        cluster.incarnation(victim)
+        fleet.nodes[victim].incarnation
     );
 
     if let Some(path) = json_path {
         let doc = drill_report(
-            &cluster,
-            n,
+            &fleet,
             waves,
             kill_wave,
             victim,
@@ -470,9 +365,29 @@ fn cmd_drill(args: &mut Args) -> Result<(), String> {
         println!("drill: report written to {}", path.display());
     }
 
-    cluster.shutdown_all();
+    fleet.stop()?;
     println!("drill: PASS — {waves} waves, kill -9 at wave {kill_wave}, zero lost objects");
     Ok(())
+}
+
+/// Stops the fleet recorded in a drill directory when dropped, so a drill that returns
+/// an error or panics leaves no daemon behind.
+struct StopOnDrop<'a>(&'a Path);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        drop(stop_recorded(self.0));
+    }
+}
+
+/// Stop the fleet recorded in `dir`, if there is one, holding [`EXIT`] throughout so
+/// the watchdog and a failing drill never stop the fleet at once. Returns the lock.
+fn stop_recorded(dir: &Path) -> MutexGuard<'static, ()> {
+    let exit = EXIT.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Ok(fleet) = Fleet::load(dir) {
+        let _ = fleet.stop();
+    }
+    exit
 }
 
 /// One wave: node 0 puts a multi-block object, every other node gets it (in
@@ -483,20 +398,20 @@ fn cmd_drill(args: &mut Args) -> Result<(), String> {
 /// own, and the returned `detection_ms` is the time from SIGKILL until every
 /// survivor reported the victim dead.
 fn run_wave(
-    cluster: &mut ProcessCluster,
+    fleet: &mut Fleet,
     wave: Wave,
-    n: usize,
     kill: Option<usize>,
     detect: bool,
 ) -> Result<Option<f64>, String> {
-    cluster
+    let n = fleet.nodes.len();
+    fleet
         .control(0)
         .and_then(|mut c| c.put(&wave.object(), wave.size, wave.seed()))
         .map_err(|e| format!("wave {}: put: {e}", wave.index))?;
 
     // Concurrent receivers: each survivor keeps retrying until the object verifies,
     // because a get that raced the kill may fail once before failover kicks in. The
-    // threads reconnect by address on their own, so the supervisor keeps `cluster`
+    // threads reconnect by address on their own, so the supervisor keeps `fleet`
     // mutably for the kill.
     let failed: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
     let in_flight = Arc::new(AtomicUsize::new(0));
@@ -506,8 +421,9 @@ fn run_wave(
         for node in 1..n {
             let failed = failed.clone();
             let in_flight = in_flight.clone();
-            let addr = cluster.control_addr(node);
-            let mut ctl = ControlClient::connect(addr, Duration::from_secs(5))
+            let addr = fleet.nodes[node].control;
+            let mut ctl = fleet
+                .control(node)
                 .map_err(|e| format!("wave {}: connect node {node}: {e}", wave.index))?;
             let is_victim = kill == Some(node);
             handles.push(scope.spawn(move || {
@@ -541,53 +457,29 @@ fn run_wave(
                 std::thread::sleep(Duration::from_millis(5));
             }
             std::thread::sleep(Duration::from_millis(30));
-            let pid = cluster.pid(victim);
-            cluster.kill9(victim).map_err(|e| format!("kill -9 node {victim}: {e}"))?;
-            println!(
-                "drill: kill -9 node {victim} (pid {}) mid-broadcast of {}",
-                pid.unwrap_or(0),
-                wave.object()
-            );
+            let pid = fleet.nodes[victim].pid;
+            fleet.kill9(victim).map_err(|e| format!("kill -9 node {victim}: {e}"))?;
+            println!("drill: kill -9 node {victim} (pid {pid}) mid-broadcast of {}", wave.object());
             if detect {
-                // Nobody tells the survivors anything. Poll their status counters
-                // (over retrying control connections: a survivor mid-redrive may be
-                // slow to accept) until each has either declared the death itself
-                // or learned it from gossip.
+                // Nobody tells the survivors anything. Poll their status counters (a
+                // survivor mid-redrive may be slow to answer) until each has either
+                // declared the death itself or learned it from gossip.
                 let kill_at = Instant::now();
-                let deadline = kill_at + Duration::from_secs(30);
-                loop {
-                    let mut all_know = true;
-                    for node in (0..n).filter(|&node| node != victim) {
-                        let status = ControlClient::connect_retrying(
-                            cluster.control_addr(node),
-                            5,
-                            Duration::from_millis(50),
-                        )
-                        .and_then(|mut c| c.status())
-                        .map_err(|e| {
-                            format!("wave {}: detect poll node {node}: {e}", wave.index)
-                        })?;
-                        let knows = ["deaths_declared", "membership_deaths_learned"]
+                let knows = |s: &Option<Status>| {
+                    s.as_ref().is_some_and(|s| {
+                        ["deaths_declared", "membership_deaths_learned"]
                             .iter()
-                            .filter_map(|key| status.get(*key)?.parse::<u64>().ok())
+                            .filter_map(|key| s.get(*key)?.parse::<u64>().ok())
                             .sum::<u64>()
-                            > 0;
-                        if !knows {
-                            all_know = false;
-                            break;
-                        }
-                    }
-                    if all_know {
-                        break;
-                    }
-                    if Instant::now() >= deadline {
-                        return Err(format!(
-                            "wave {}: survivors did not detect the kill within 30s",
-                            wave.index
-                        ));
-                    }
-                    std::thread::sleep(Duration::from_millis(50));
-                }
+                            > 0
+                    })
+                };
+                let what =
+                    format!("wave {}: every survivor to mark node {victim} dead", wave.index);
+                wait_until(&what, Duration::from_secs(30), || {
+                    let statuses = fleet.statuses();
+                    Ok(statuses.iter().enumerate().all(|(node, s)| node == victim || knows(s)))
+                })?;
                 let elapsed_ms = kill_at.elapsed().as_secs_f64() * 1000.0;
                 println!(
                     "drill: every survivor marked node {victim} dead in {elapsed_ms:.0} ms — \
@@ -595,7 +487,7 @@ fn run_wave(
                 );
                 detection_ms = Some(elapsed_ms);
             } else {
-                cluster.announce_failure(victim).map_err(|e| format!("announce failure: {e}"))?;
+                fleet.announce_failure(victim).map_err(|e| format!("announce failure: {e}"))?;
             }
         }
         for handle in handles {
@@ -610,24 +502,24 @@ fn run_wave(
 
     // Reduce leg across whoever is alive: each contributes (node+1), node 0
     // coordinates, everyone alive checks the sum.
-    let alive: Vec<usize> = (0..n).filter(|&node| cluster.pid(node).is_some()).collect();
+    let alive: Vec<usize> = fleet.running().collect();
     let mut expected = 0.0f32;
     let mut sources = Vec::new();
     for &node in &alive {
         let value = (node + 1) as f32;
-        cluster
+        fleet
             .control(node)
             .and_then(|mut c| c.put_f32(&wave.contrib(node), REDUCE_LEN, value))
             .map_err(|e| format!("wave {}: contrib node {node}: {e}", wave.index))?;
         expected += value;
         sources.push(wave.contrib(node));
     }
-    cluster
+    fleet
         .control(0)
         .and_then(|mut c| c.reduce(&wave.sum(), &sources))
         .map_err(|e| format!("wave {}: reduce: {e}", wave.index))?;
     for &node in &alive {
-        cluster
+        fleet
             .control(node)
             .and_then(|mut c| c.get_f32(&wave.sum(), REDUCE_LEN, expected))
             .map_err(|e| format!("wave {}: verify sum on node {node}: {e}", wave.index))?;
@@ -641,65 +533,44 @@ fn run_wave(
 /// mode no `peer-recovered` verdict is sent either — survivors readmit the victim
 /// when its own `Hello` at the bumped incarnation reaches them.
 fn restart_and_verify(
-    cluster: &mut ProcessCluster,
+    fleet: &mut Fleet,
     victim: usize,
-    n: usize,
     size: u64,
     through_wave: usize,
     detect: bool,
 ) -> Result<(), String> {
-    if detect {
-        cluster.restart_undetected(victim).map_err(|e| format!("restart node {victim}: {e}"))?;
-    } else {
-        cluster.restart(victim).map_err(|e| format!("restart node {victim}: {e}"))?;
+    fleet.restart(victim).map_err(|e| format!("restart node {victim}: {e}"))?;
+    if !detect {
+        fleet.announce_recovery(victim)?;
     }
-    println!("drill: node {victim} restarted at incarnation {}", cluster.incarnation(victim));
+    let incarnation = fleet.nodes[victim].incarnation;
+    println!("drill: node {victim} restarted at incarnation {incarnation}");
 
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let status = cluster
+    wait_until(&format!("node {victim} to finish its resync"), Duration::from_secs(30), || {
+        let status = fleet
             .control(victim)
             .and_then(|mut c| c.status())
             .map_err(|e| format!("status node {victim}: {e}"))?;
-        let resyncing = status.get("resyncing").map(String::as_str) == Some("true");
-        let incarnation: u64 = status
-            .get("incarnation")
-            .and_then(|v| v.parse().ok())
-            .ok_or("status missing incarnation")?;
-        if !resyncing {
-            if incarnation != cluster.incarnation(victim) {
-                return Err(format!(
-                    "node {victim} resynced at incarnation {incarnation}, expected {}",
-                    cluster.incarnation(victim)
-                ));
-            }
-            println!("drill: node {victim} resynced at incarnation {incarnation}");
-            break;
+        if status.get("incarnation") != Some(&incarnation.to_string()) {
+            return Err(format!(
+                "node {victim} reports incarnation {:?}, expected {incarnation}",
+                status.get("incarnation")
+            ));
         }
-        if Instant::now() >= deadline {
-            return Err(format!("node {victim} still resyncing after 30s"));
-        }
-        std::thread::sleep(Duration::from_millis(100));
-    }
+        Ok(status.get("resyncing").map(String::as_str) != Some("true"))
+    })?;
+    println!("drill: node {victim} resynced at incarnation {incarnation}");
 
-    verify_all(cluster, n, size, through_wave)
+    verify_all(fleet, size, through_wave)
 }
 
 /// Every wave object so far, from every running node — the "zero lost location
 /// records" check.
-fn verify_all(
-    cluster: &ProcessCluster,
-    n: usize,
-    size: u64,
-    through_wave: usize,
-) -> Result<(), String> {
+fn verify_all(fleet: &Fleet, size: u64, through_wave: usize) -> Result<(), String> {
     for index in 0..=through_wave {
         let wave = Wave { index, size };
-        for node in 0..n {
-            if cluster.pid(node).is_none() {
-                continue;
-            }
-            cluster
+        for node in fleet.running() {
+            fleet
                 .control(node)
                 .and_then(|mut c| c.get(&wave.object(), wave.size, wave.seed()))
                 .map_err(|e| format!("verify: node {node} lost {}: {e}", wave.object()))?;
@@ -708,39 +579,24 @@ fn verify_all(
     Ok(())
 }
 
-fn collect_statuses(
-    cluster: &ProcessCluster,
-    n: usize,
-) -> Result<Vec<std::collections::BTreeMap<String, String>>, String> {
-    (0..n)
-        .map(|node| {
-            cluster
-                .control(node)
-                .and_then(|mut c| c.status())
-                .map_err(|e| format!("status node {node}: {e}"))
-        })
-        .collect()
-}
-
 #[allow(clippy::too_many_arguments)]
 fn drill_report(
-    cluster: &ProcessCluster,
-    n: usize,
+    fleet: &Fleet,
     waves: usize,
     kill_wave: usize,
     victim: usize,
     size: u64,
-    statuses: &[std::collections::BTreeMap<String, String>],
+    statuses: &[Status],
     elapsed: Duration,
     detection_ms: Option<f64>,
 ) -> Json {
     let mut pairs = vec![
         ("schema".into(), Json::Str("hoplite-drill-v1".into())),
-        ("nodes".into(), Json::Num(n as f64)),
+        ("nodes".into(), Json::Num(fleet.nodes.len() as f64)),
         ("waves".into(), Json::Num(waves as f64)),
         ("kill_wave".into(), Json::Num(kill_wave as f64)),
         ("victim".into(), Json::Num(victim as f64)),
-        ("victim_incarnation".into(), Json::Num(cluster.incarnation(victim) as f64)),
+        ("victim_incarnation".into(), Json::Num(fleet.nodes[victim].incarnation as f64)),
         ("object_bytes".into(), Json::Num(size as f64)),
         ("elapsed_s".into(), Json::Num(elapsed.as_secs_f64())),
         ("detect".into(), Json::Bool(detection_ms.is_some())),

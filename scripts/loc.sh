@@ -39,6 +39,7 @@ for dir in crates/*/ crates/compat/*/ src examples tests; do
     echo "| ${dir%/} | $(echo "$files" | non_test) | $(echo "$files" | all_lines) |"
 done
 echo "| **workspace** (crates src tests examples) | $(find crates src tests examples -name '*.rs' | non_test) | $(find crates src tests examples -name '*.rs' | all_lines) |"
+echo "| **fleet supervisor** (crates/daemon + crates/cluster/src/process.rs) | $( (find crates/daemon -name '*.rs'; echo crates/cluster/src/process.rs) | non_test) | $( (find crates/daemon -name '*.rs'; echo crates/cluster/src/process.rs) | all_lines) |"
 echo
 echo "| crates/core/src/directory | non-test lines |"
 echo "|---|---:|"
@@ -69,5 +70,5 @@ echo "| lifecycle count (non-test, outside crates/compat) | sites |"
 echo "|---|---:|"
 echo "| \`unbounded(\` call sites | $(occurrences 'unbounded(') |"
 echo "| \`thread::sleep\` calls | $(occurrences 'thread::sleep') |"
-echo "| \`SlabPool\` construction sites (expected 6: the two process builders, \`hoplited\` and \`LocalCluster\`; the private defaults of a node, of a fabric or reader built alone, of the tiny-slab test reader; one bench) | $(($(occurrences 'SlabPool::new()') + $(occurrences 'SlabPool::for_block_size(') + $(occurrences 'SlabPool::with_slab_len('))) |"
+echo "| \`SlabPool\` construction sites (expected 5: the two process builders, \`hoplited\` and \`LocalCluster\`; the private defaults of a node, of a fabric or reader built alone, of the tiny-slab test reader) | $(($(occurrences 'SlabPool::new()') + $(occurrences 'SlabPool::for_block_size(') + $(occurrences 'SlabPool::with_slab_len('))) |"
 echo "| thread-spawn sites (\`thread::spawn\`, \`Builder::new()\`, \`spawn_scoped\`) | $(($(occurrences 'thread::spawn') + $(occurrences 'thread::Builder::new()') + $(occurrences 'spawn_scoped'))) |"
