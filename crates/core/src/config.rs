@@ -23,9 +23,6 @@ pub struct HopliteConfig {
     /// Memory-copy bandwidth between a worker and its local store in bytes per second
     /// (used by the simulator to model the extra copies that pipelining hides, §3.3).
     pub memcpy_bandwidth: f64,
-    /// Number of directory shards. Defaults to one shard per node (shard `i` is hosted
-    /// by node `i % num_nodes`).
-    pub directory_shards: Option<usize>,
     /// Number of replicas (primary + backups) of every directory shard (§3.5: the
     /// paper replicates the object directory so metadata survives node failures).
     /// The primary ships every op to every live backup (star fan-out).
@@ -64,7 +61,6 @@ impl Default for HopliteConfig {
             inline_threshold: 64 * 1024,
             store_capacity: 64 * 1024 * 1024 * 1024,
             memcpy_bandwidth: 5.0e9,
-            directory_shards: None,
             directory_replication: 2,
             snapshot_chunk_bytes: 256 * 1024,
             directory_inline_cache_bytes: 64 * 1024 * 1024,

@@ -1,8 +1,8 @@
 //! Shard placement and the per-node leadership view.
 //!
 //! [`DirectoryPlacement`] is the pure, cluster-wide map from objects to shards and
-//! from shards to replica sets: shard `s` lives on nodes `s % n, (s+1) % n, ...`
-//! (`directory_replication` of them).
+//! from shards to replica sets: there is one shard per node, and shard `s` lives on
+//! nodes `s, (s+1) % n, ...` (`directory_replication` of them).
 //!
 //! [`PlacementView`] is a node's *evolving* view of who leads each shard — one per
 //! node, owned by its [`super::DirectoryService`]; routing reads the same view the
@@ -29,23 +29,21 @@ use crate::object::{NodeId, ObjectId};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DirectoryPlacement {
     nodes: Vec<NodeId>,
-    num_shards: usize,
     replication: usize,
 }
 
 impl DirectoryPlacement {
-    /// Build the placement for a cluster. `num_shards` defaults to one shard per node
-    /// and `replication` is clamped to the cluster size.
-    pub fn new(nodes: Vec<NodeId>, num_shards: Option<usize>, replication: usize) -> Self {
+    /// Build the placement for a cluster: one shard per node, `replication` clamped to
+    /// the cluster size.
+    pub fn new(nodes: Vec<NodeId>, replication: usize) -> Self {
         assert!(!nodes.is_empty(), "placement needs at least one node");
-        let num_shards = num_shards.unwrap_or(nodes.len()).max(1);
         let replication = replication.clamp(1, nodes.len());
-        DirectoryPlacement { nodes, num_shards, replication }
+        DirectoryPlacement { nodes, replication }
     }
 
     /// Build the placement from a node's configuration.
     pub fn from_config(cfg: &HopliteConfig, nodes: &[NodeId]) -> Self {
-        DirectoryPlacement::new(nodes.to_vec(), cfg.directory_shards, cfg.directory_replication)
+        DirectoryPlacement::new(nodes.to_vec(), cfg.directory_replication)
     }
 
     /// Every node in the cluster, in index order.
@@ -53,9 +51,9 @@ impl DirectoryPlacement {
         &self.nodes
     }
 
-    /// Number of shards.
+    /// Number of shards: one per node.
     pub fn num_shards(&self) -> usize {
-        self.num_shards
+        self.nodes.len()
     }
 
     /// Number of replicas per shard.
@@ -66,7 +64,7 @@ impl DirectoryPlacement {
     /// The shard responsible for `object` (same hash the unreplicated seed used, so
     /// the initial primary of an object's shard is `ClusterView::shard_node`).
     pub fn shard_of(&self, object: ObjectId) -> usize {
-        DirectoryPlacement::shard_index(object, self.num_shards)
+        DirectoryPlacement::shard_index(object, self.num_shards())
     }
 
     /// The one spelling of the object → shard hash, for a given shard count.
@@ -89,7 +87,7 @@ impl DirectoryPlacement {
 
     /// Shards for which `node` is a replica.
     pub fn shards_hosted_by(&self, node: NodeId) -> Vec<usize> {
-        (0..self.num_shards).filter(|&s| self.hosts(node, s)).collect()
+        (0..self.num_shards()).filter(|&s| self.hosts(node, s)).collect()
     }
 }
 

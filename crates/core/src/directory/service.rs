@@ -690,14 +690,14 @@ mod tests {
 
     #[test]
     fn placement_matches_seed_hash_and_clamps_replication() {
-        let p = DirectoryPlacement::new(nodes(4), None, 2);
+        let p = DirectoryPlacement::new(nodes(4), 2);
         assert_eq!(p.num_shards(), 4);
         assert_eq!(p.replica_set(3), vec![NodeId(3), NodeId(0)]);
         // Replication larger than the cluster is clamped.
-        let p1 = DirectoryPlacement::new(nodes(2), None, 5);
+        let p1 = DirectoryPlacement::new(nodes(2), 5);
         assert_eq!(p1.replication(), 2);
         // The object hash is the seed's: initial primary == the old shard_node.
-        let p = DirectoryPlacement::new(nodes(7), None, 3);
+        let p = DirectoryPlacement::new(nodes(7), 3);
         let o = obj("some-object");
         let h = u64::from_le_bytes(o.0[..8].try_into().unwrap());
         assert_eq!(PlacementView::new(p).primary_for(o), Some(NodeId((h % 7) as u32)));
@@ -705,7 +705,7 @@ mod tests {
 
     #[test]
     fn view_primary_skips_failed_replicas_and_counts_epochs() {
-        let mut v = PlacementView::new(DirectoryPlacement::new(nodes(4), None, 3));
+        let mut v = PlacementView::new(DirectoryPlacement::new(nodes(4), 3));
         assert_eq!(v.primary(1), Some(NodeId(1)));
         assert_eq!(v.epoch(1), 0);
         v.on_peer_failed(NodeId(1));
@@ -722,7 +722,7 @@ mod tests {
     #[test]
     fn readmitted_node_does_not_fail_back_but_leads_again_after_the_next_failure() {
         // Shard 0 on a 3-node cluster with r = 2: replicas [0, 1].
-        let mut v = PlacementView::new(DirectoryPlacement::new(nodes(3), None, 2));
+        let mut v = PlacementView::new(DirectoryPlacement::new(nodes(3), 2));
         assert_eq!(v.primary(0), Some(NodeId(0)));
         v.on_peer_failed(NodeId(0));
         assert_eq!(v.primary(0), Some(NodeId(1)));
@@ -930,7 +930,7 @@ mod tests {
         // leaderless. When node 1 is readmitted (restarted + resynced from nothing),
         // the view must report shard 1 as regained so clients re-drive their
         // unconfirmed intents at it.
-        let mut v = PlacementView::new(DirectoryPlacement::new(nodes(3), None, 2));
+        let mut v = PlacementView::new(DirectoryPlacement::new(nodes(3), 2));
         v.on_peer_failed(NodeId(1));
         v.on_peer_failed(NodeId(2));
         assert_eq!(v.primary(1), None);

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::object::{NodeId, ObjectId};
+use crate::object::ObjectId;
 
 /// Errors surfaced by the Hoplite core API and protocol state machines.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -15,8 +15,9 @@ pub enum HopliteError {
     ObjectNotFound(ObjectId),
     /// The object was deleted while an operation was in flight.
     ObjectDeleted(ObjectId),
-    /// A reduce was requested over fewer available sources than `num_objects` and the
-    /// remaining sources can no longer be produced (too many unrecoverable failures).
+    /// A reduce asked for no inputs, or for more inputs (`num_objects`) than it lists
+    /// sources. Raised only when the reduce is submitted; nothing checks it again
+    /// while the reduce runs, however many of its sources are lost.
     NotEnoughReduceInputs {
         /// Reduce output object.
         target: ObjectId,
@@ -32,8 +33,6 @@ pub enum HopliteError {
         /// Detail message.
         detail: String,
     },
-    /// The peer node failed and the operation could not be rescheduled.
-    PeerFailed(NodeId),
     /// The local store ran out of memory and could not evict enough unpinned objects.
     OutOfMemory {
         /// Bytes requested.
@@ -46,8 +45,6 @@ pub enum HopliteError {
     /// Transport-level failure (only produced by real transports, never by the
     /// simulator).
     Transport(String),
-    /// The operation timed out.
-    Timeout(String),
 }
 
 impl fmt::Display for HopliteError {
@@ -63,13 +60,11 @@ impl fmt::Display for HopliteError {
             HopliteError::ReduceShapeMismatch { target, detail } => {
                 write!(f, "reduce {target:?} shape mismatch: {detail}")
             }
-            HopliteError::PeerFailed(node) => write!(f, "peer {node} failed"),
             HopliteError::OutOfMemory { requested, capacity } => {
                 write!(f, "out of memory: requested {requested} bytes, capacity {capacity}")
             }
             HopliteError::Protocol(msg) => write!(f, "protocol error: {msg}"),
             HopliteError::Transport(msg) => write!(f, "transport error: {msg}"),
-            HopliteError::Timeout(msg) => write!(f, "timeout: {msg}"),
         }
     }
 }
@@ -96,7 +91,8 @@ mod tests {
 
     #[test]
     fn errors_are_comparable() {
-        assert_eq!(HopliteError::PeerFailed(NodeId(1)), HopliteError::PeerFailed(NodeId(1)));
-        assert_ne!(HopliteError::PeerFailed(NodeId(1)), HopliteError::PeerFailed(NodeId(2)));
+        let (a, b) = (ObjectId::from_name("a"), ObjectId::from_name("b"));
+        assert_eq!(HopliteError::ObjectNotFound(a), HopliteError::ObjectNotFound(a));
+        assert_ne!(HopliteError::ObjectNotFound(a), HopliteError::ObjectNotFound(b));
     }
 }

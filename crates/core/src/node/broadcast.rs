@@ -19,7 +19,6 @@ use crate::buffer::Payload;
 use crate::error::HopliteError;
 use crate::object::{NodeId, ObjectId, ObjectStatus};
 use crate::protocol::{ClientReply, Effect, Message, OpId, QueryResult, TimerToken};
-use crate::time::Time;
 
 use super::{trace, NodeContext, Progress};
 
@@ -64,7 +63,6 @@ impl BroadcastEngine {
     pub(crate) fn client_put(
         &mut self,
         ctx: &mut NodeContext,
-        now: Time,
         op_id: OpId,
         object: ObjectId,
         payload: Payload,
@@ -101,7 +99,7 @@ impl BroadcastEngine {
             ctx.store.set_pinned(object, true);
             ctx.dir_register(object, ObjectStatus::Partial, size, out);
             self.pending_puts.insert(object, (payload, 0, op_id));
-            self.schedule_put_step(ctx, now, object, out);
+            self.schedule_put_step(ctx, object, out);
             Vec::new()
         } else {
             if let Err(error) = ctx.store.put_complete(object, payload, true) {
@@ -117,7 +115,6 @@ impl BroadcastEngine {
     fn schedule_put_step(
         &mut self,
         ctx: &mut NodeContext,
-        _now: Time,
         object: ObjectId,
         out: &mut Vec<Effect>,
     ) {
@@ -136,7 +133,6 @@ impl BroadcastEngine {
     pub(crate) fn advance_pipelined_put(
         &mut self,
         ctx: &mut NodeContext,
-        now: Time,
         object: ObjectId,
         out: &mut Vec<Effect>,
     ) -> Vec<Progress> {
@@ -161,7 +157,7 @@ impl BroadcastEngine {
         } else {
             self.pending_puts.insert(object, (payload, new_offset, op_id));
             out.push(Effect::LocalProgress { object, watermark: new_offset, total_size: total });
-            self.schedule_put_step(ctx, now, object, out);
+            self.schedule_put_step(ctx, object, out);
             vec![Progress::advanced(object)]
         }
     }
@@ -173,7 +169,6 @@ impl BroadcastEngine {
     pub(crate) fn client_get(
         &mut self,
         ctx: &mut NodeContext,
-        now: Time,
         op_id: OpId,
         object: ObjectId,
         out: &mut Vec<Effect>,
@@ -192,13 +187,12 @@ impl BroadcastEngine {
             // locally (pipelined put / reduce root); the reply happens on completion.
             return;
         }
-        self.issue_directory_query(ctx, now, object, out);
+        self.issue_directory_query(ctx, object, out);
     }
 
     pub(crate) fn issue_directory_query(
         &mut self,
         ctx: &mut NodeContext,
-        _now: Time,
         object: ObjectId,
         out: &mut Vec<Effect>,
     ) {
@@ -217,7 +211,6 @@ impl BroadcastEngine {
     pub(crate) fn handle_query_reply(
         &mut self,
         ctx: &mut NodeContext,
-        _now: Time,
         object: ObjectId,
         query_id: u64,
         result: QueryResult,

@@ -6,6 +6,11 @@
 //! object to the [`ReduceTreePlan`], which assigns it the next in-order slot and
 //! reports which slots' instructions changed. The failure half of coordination — slot
 //! vacation, epoch bumps, refills — lives in [`super::failure`].
+//!
+//! Coordinators sit in an ordered map keyed by target, and a coordinator's source list
+//! is the only record of what it consumes: a publication goes to every coordinator
+//! that lists the object, and a source is unsubscribed once no remaining coordinator
+//! lists it.
 
 use crate::error::HopliteError;
 use crate::object::{NodeId, ObjectId};
@@ -20,7 +25,8 @@ use super::{trace, NodeContext};
 #[derive(Debug)]
 pub(crate) struct ReduceCoordinator {
     pub(super) target: ObjectId,
-    /// Source set, used to unsubscribe on completion (and for diagnostics).
+    /// Source objects: a publication of one is offered to this reduce's plan, and on
+    /// completion the ones no other reduce here consumes are unsubscribed.
     sources: Vec<ObjectId>,
     num_objects: usize,
     spec: ReduceSpec,
@@ -76,14 +82,15 @@ impl ReduceEngine {
         // tree construction in arrival order (§3.4.2). Going through the directory
         // client journals the subscription, so it survives a shard-primary failover.
         for source in sources {
-            self.source_routing.entry(source).or_default().push(target);
             ctx.dir_subscribe(source, out);
         }
         out.push(Effect::Reply { op: op_id, reply: ClientReply::ReduceAccepted { target } });
     }
 
     /// A directory publication for a subscribed source arrived: offer it to every plan
-    /// consuming it and (re-)issue the affected instructions.
+    /// consuming it and (re-)issue the affected instructions. A completed reduce is no
+    /// longer coordinated here (torn down by `on_reduce_done`), so a late publication
+    /// for it offers nothing.
     pub(crate) fn on_dir_publish(
         &mut self,
         ctx: &mut NodeContext,
@@ -92,60 +99,75 @@ impl ReduceEngine {
         size: u64,
         out: &mut Vec<Effect>,
     ) {
-        let Some(targets) = self.source_routing.get(&object).cloned() else { return };
         trace!("[n{}] publish {:?} holder={:?} size={}", ctx.id.0, object, holder, size);
-        for target in targets {
-            // A completed reduce is no longer in the map (torn down by
-            // on_reduce_done), so a late publication for it falls through here.
-            let Some(mut coord) = self.coordinators.remove(&target) else { continue };
-            if coord.object_size.is_none() {
-                coord.object_size = Some(size);
-            }
-            if coord.plan.is_none() {
-                let object_size = coord.object_size.expect("size just set");
-                let resolved_degree = match coord.degree_override {
-                    Some(d) => {
-                        if d == 0 || d >= coord.num_objects {
-                            coord.num_objects
-                        } else {
-                            d
-                        }
-                    }
-                    None => DegreeModel::paper_testbed().choose(
-                        &DEGREE_CANDIDATES,
-                        coord.num_objects,
-                        object_size,
-                    ),
+        for coord in self.coordinators.values_mut().filter(|c| c.sources.contains(&object)) {
+            let object_size = *coord.object_size.get_or_insert(size);
+            let n = coord.num_objects;
+            let plan = coord.plan.get_or_insert_with(|| {
+                let model = DegreeModel::paper_testbed();
+                let degree = match coord.degree_override {
+                    Some(d) if d == 0 || d >= n => n,
+                    Some(d) => d,
+                    None => model.choose(&DEGREE_CANDIDATES, n, object_size),
                 };
-                coord.plan = Some(ReduceTreePlan::new(coord.num_objects, resolved_degree.max(1)));
-            }
-            let delta = coord
-                .plan
-                .as_mut()
-                .expect("plan created above")
-                .offer_input(ReduceInput { object, node: holder });
-            Self::issue_instructions(ctx, &coord, &delta.affected_slots, out);
-            self.coordinators.insert(target, coord);
+                ReduceTreePlan::new(n, degree.max(1))
+            });
+            let affected = plan.offer_input(ReduceInput { object, node: holder });
+            coord.issue_instructions(ctx, &affected, out);
         }
     }
 
-    /// Send (or re-send) the participant instructions for the given slots.
-    pub(crate) fn issue_instructions(
+    /// The root finished materializing `target`: complete the client's reduce, then
+    /// tear the whole reduce down — unsubscribe from the sources no other reduce
+    /// coordinated here still consumes, tell every participant node to release its
+    /// slots, and drop the coordinator itself. A straggling duplicate `ReduceDone`
+    /// finds no coordinator and is a no-op.
+    pub(crate) fn on_reduce_done(
+        &mut self,
         ctx: &mut NodeContext,
-        coord: &ReduceCoordinator,
+        target: ObjectId,
+        out: &mut Vec<Effect>,
+    ) {
+        let Some(coord) = self.coordinators.remove(&target) else { return };
+        if let Some(op) = coord.notify_op {
+            out.push(Effect::Reply { op, reply: ClientReply::ReduceComplete { target } });
+        }
+        for (i, source) in coord.sources.iter().enumerate() {
+            let first_listing = !coord.sources[..i].contains(source);
+            if first_listing && !self.coordinators.values().any(|c| c.sources.contains(source)) {
+                ctx.dir_unsubscribe(*source, out);
+            }
+        }
+        if let Some(plan) = &coord.plan {
+            let mut notified = Vec::new();
+            for input in (0..plan.shape().len()).filter_map(|slot| plan.assignment(slot)) {
+                if !notified.contains(&input.node) {
+                    notified.push(input.node);
+                    ctx.send(input.node, Message::ReduceRelease { target }, out);
+                }
+            }
+        }
+        trace!("[n{}] reduce {:?} complete, state released", ctx.id.0, target);
+    }
+}
+
+impl ReduceCoordinator {
+    /// Send (or re-send) the participant instructions for the given slots.
+    pub(super) fn issue_instructions(
+        &self,
+        ctx: &mut NodeContext,
         slots: &[usize],
         out: &mut Vec<Effect>,
     ) {
-        let Some(plan) = coord.plan.as_ref() else { return };
-        let Some(object_size) = coord.object_size else { return };
+        let (Some(plan), Some(object_size)) = (&self.plan, self.object_size) else { return };
         for &slot in slots {
             let Some(view) = plan.slot_view(slot) else { continue };
             let instr = ReduceInstruction {
-                target: coord.target,
+                target: self.target,
                 coordinator: ctx.id,
                 slot,
                 own_object: view.input.object,
-                spec: coord.spec,
+                spec: self.spec,
                 object_size,
                 block_size: ctx.cfg.block_size,
                 num_inputs: view.num_inputs,
@@ -174,41 +196,5 @@ impl ReduceEngine {
             );
             ctx.send(view.input.node, Message::ReduceInstruction(instr), out);
         }
-    }
-
-    /// The root finished materializing `target`: complete the client's reduce, then
-    /// tear the whole reduce down — unsubscribe from the sources, tell every
-    /// participant node to release its slots, and drop the coordinator itself. A
-    /// straggling duplicate `ReduceDone` finds no coordinator and is a no-op.
-    pub(crate) fn on_reduce_done(
-        &mut self,
-        ctx: &mut NodeContext,
-        target: ObjectId,
-        out: &mut Vec<Effect>,
-    ) {
-        let Some(coord) = self.coordinators.remove(&target) else { return };
-        if let Some(op) = coord.notify_op {
-            out.push(Effect::Reply { op, reply: ClientReply::ReduceComplete { target } });
-        }
-        for source in &coord.sources {
-            if let Some(targets) = self.source_routing.get_mut(source) {
-                targets.retain(|t| *t != target);
-                if targets.is_empty() {
-                    self.source_routing.remove(source);
-                    ctx.dir_unsubscribe(*source, out);
-                }
-            }
-        }
-        if let Some(plan) = &coord.plan {
-            let mut notified = std::collections::HashSet::new();
-            for slot in 0..plan.shape().len() {
-                if let Some(input) = plan.assignment(slot) {
-                    if notified.insert(input.node) {
-                        ctx.send(input.node, Message::ReduceRelease { target }, out);
-                    }
-                }
-            }
-        }
-        trace!("[n{}] reduce {:?} complete, state released", ctx.id.0, target);
     }
 }

@@ -45,7 +45,7 @@ impl ObjectStoreNode {
     /// re-drive directory client state, stop serving the failed node, fail over
     /// in-flight pulls, and repair reduce trees. Called by
     /// [`ObjectStoreNode::liveness`] only, once the liveness table says so.
-    pub(crate) fn peer_failed_impl(&mut self, now: Time, peer: NodeId, out: &mut Vec<Effect>) {
+    pub(crate) fn peer_failed_impl(&mut self, peer: NodeId, out: &mut Vec<Effect>) {
         if peer == self.ctx.id {
             return;
         }
@@ -78,7 +78,7 @@ impl ObjectStoreNode {
         // Broadcast receivers that were pulling from it fail over (§3.5.1).
         for object in self.broadcast.pulls_from(peer) {
             self.ctx.metrics.broadcast_failovers += 1;
-            self.broadcast.restart_get(&mut self.ctx, now, object, Some(peer), out);
+            self.broadcast.restart_get(&mut self.ctx, object, Some(peer), out);
         }
         // Reduce coordinators repair their trees (§3.5.2).
         self.reduce.on_peer_failed(&mut self.ctx, peer, out);
@@ -175,7 +175,6 @@ impl BroadcastEngine {
     pub(crate) fn restart_get(
         &mut self,
         ctx: &mut NodeContext,
-        now: Time,
         object: ObjectId,
         failed_sender: Option<NodeId>,
         out: &mut Vec<Effect>,
@@ -187,7 +186,7 @@ impl BroadcastEngine {
             }
         }
         g.pulling_from = None;
-        self.issue_directory_query(ctx, now, object, out);
+        self.issue_directory_query(ctx, object, out);
     }
 
     /// Re-issue every outstanding directory query that was addressed to a shard whose
@@ -225,7 +224,6 @@ impl BroadcastEngine {
     pub(crate) fn on_pull_error(
         &mut self,
         ctx: &mut NodeContext,
-        now: Time,
         from: NodeId,
         object: ObjectId,
         out: &mut Vec<Effect>,
@@ -233,7 +231,7 @@ impl BroadcastEngine {
         if let Some(get) = self.gets.get(&object) {
             if get.pulling_from == Some(from) {
                 ctx.metrics.broadcast_failovers += 1;
-                self.restart_get(ctx, now, object, Some(from), out);
+                self.restart_get(ctx, object, Some(from), out);
             }
         }
     }
@@ -249,14 +247,11 @@ impl ReduceEngine {
         peer: NodeId,
         out: &mut Vec<Effect>,
     ) {
-        let targets: Vec<ObjectId> = self.coordinators.keys().copied().collect();
-        for target in targets {
-            let mut coord = self.coordinators.remove(&target).expect("coordinator exists");
+        for coord in self.coordinators.values_mut() {
             if let Some(plan) = coord.plan.as_mut() {
-                let delta = plan.on_node_failed(peer);
-                ReduceEngine::issue_instructions(ctx, &coord, &delta.affected_slots, out);
+                let affected = plan.on_node_failed(peer);
+                coord.issue_instructions(ctx, &affected, out);
             }
-            self.coordinators.insert(target, coord);
         }
     }
 }

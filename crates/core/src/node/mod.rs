@@ -101,7 +101,7 @@ impl ClusterView {
     }
 
     /// The node that *initially* hosts the primary of the directory shard responsible
-    /// for `object` (§3.2: a sharded hash table, one shard per node by default). With
+    /// for `object` (§3.2: a sharded hash table, one shard per node). With
     /// replication (§3.5) the primary can move to a backup after a failure; live
     /// routing reads the node's [`crate::directory::PlacementView`], whose placement
     /// this asks, so the function stays correct for failure-free placement reasoning.
@@ -439,8 +439,8 @@ impl ObjectStoreNode {
     }
 
     /// `true` when every reduce-related map on this node is empty (participants,
-    /// coordinators, routing tables, parked early blocks). Reduce-state GC tests
-    /// assert this after completion.
+    /// coordinators, parked early blocks). Reduce-state GC tests assert this after
+    /// completion.
     pub fn reduce_state_is_empty(&self) -> bool {
         self.reduce.is_idle()
     }
@@ -478,11 +478,11 @@ impl ObjectStoreNode {
         match op {
             ClientOp::Put { object, payload } => {
                 let progress =
-                    self.broadcast.client_put(&mut self.ctx, now, op_id, object, payload, out);
+                    self.broadcast.client_put(&mut self.ctx, op_id, object, payload, out);
                 self.route_progress(progress, out);
             }
             ClientOp::Get { object } => {
-                self.broadcast.client_get(&mut self.ctx, now, op_id, object, out);
+                self.broadcast.client_get(&mut self.ctx, op_id, object, out);
             }
             ClientOp::Reduce { target, sources, num_objects, spec, degree } => {
                 self.reduce.client_reduce(
@@ -533,7 +533,7 @@ impl ObjectStoreNode {
             self.probe_timer = None;
             self.detector_tick(now, out);
         } else if let Some(object) = self.broadcast.take_put_timer(token) {
-            let progress = self.broadcast.advance_pipelined_put(&mut self.ctx, now, object, out);
+            let progress = self.broadcast.advance_pipelined_put(&mut self.ctx, object, out);
             self.route_progress(progress, out);
         }
         self.drain_self_queue(now, out);
@@ -696,14 +696,8 @@ impl ObjectStoreNode {
             }
             // Directory replies and publications addressed to this node.
             Message::DirQueryReply { object, query_id, result } => {
-                let progress = self.broadcast.handle_query_reply(
-                    &mut self.ctx,
-                    now,
-                    object,
-                    query_id,
-                    result,
-                    out,
-                );
+                let progress =
+                    self.broadcast.handle_query_reply(&mut self.ctx, object, query_id, result, out);
                 self.route_progress(progress, out);
             }
             Message::DirPublish { object, holder, status: _, size } => {
@@ -732,7 +726,7 @@ impl ObjectStoreNode {
                 self.route_progress(progress, out);
             }
             Message::PullError { object, reason: _ } => {
-                self.broadcast.on_pull_error(&mut self.ctx, now, from, object, out);
+                self.broadcast.on_pull_error(&mut self.ctx, from, object, out);
             }
             // Reduce plane.
             Message::ReduceInstruction(instr) => {
@@ -1019,7 +1013,7 @@ impl ObjectStoreNode {
                 _ => {}
             }
             if fail {
-                self.peer_failed_impl(now, node, out);
+                self.peer_failed_impl(node, out);
             }
             if recover {
                 recovered.push(node);

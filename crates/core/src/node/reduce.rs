@@ -13,8 +13,12 @@
 //! facade as [`ReduceEvent`]s: root writes advance the result object (which may have
 //! chained broadcast receivers), and epoch bumps invalidate a partially-materialized
 //! result (which must abort anyone pulling it).
+//!
+//! That state is three ordered maps — coordinators by target, participants and parked
+//! early blocks by (target, slot) — and nothing else: an advancing local object pumps
+//! every participant whose instruction names it as its own input, found by a scan.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -175,10 +179,10 @@ struct ReduceParticipant {
 
 impl ReduceParticipant {
     fn new(instr: ReduceInstruction) -> Self {
-        let num_blocks = num_blocks(instr.object_size, instr.block_size) as usize;
+        let num_blocks = instr.object_size.div_ceil(instr.block_size).max(1);
         ReduceParticipant {
             instr,
-            blocks: (0..num_blocks.max(1)).map(|_| BlockAccum::default()).collect(),
+            blocks: (0..num_blocks).map(|_| BlockAccum::default()).collect(),
             own_blocks_ingested: 0,
             next_emit_block: 0,
             root_started: false,
@@ -192,14 +196,6 @@ impl ReduceParticipant {
         self.own_blocks_ingested = 0;
         self.next_emit_block = 0;
         self.root_started = false;
-    }
-}
-
-fn num_blocks(size: u64, block: u64) -> u64 {
-    if size == 0 {
-        0
-    } else {
-        size.div_ceil(block)
     }
 }
 
@@ -227,15 +223,11 @@ const MAX_EARLY_BLOCKS: usize = 256;
 #[derive(Default)]
 pub(crate) struct ReduceEngine {
     /// Reduce coordinators keyed by target object.
-    pub(crate) coordinators: HashMap<ObjectId, ReduceCoordinator>,
-    /// Source object -> reduce targets coordinated here that consume it.
-    pub(super) source_routing: HashMap<ObjectId, Vec<ObjectId>>,
+    pub(crate) coordinators: BTreeMap<ObjectId, ReduceCoordinator>,
     /// Reduce participants keyed by (target, slot).
-    participants: HashMap<(ObjectId, usize), ReduceParticipant>,
-    /// Local object -> participant keys that use it as their own input.
-    own_object_routing: HashMap<ObjectId, Vec<(ObjectId, usize)>>,
+    participants: BTreeMap<(ObjectId, usize), ReduceParticipant>,
     /// Blocks that arrived before their slot's instruction, keyed by (target, slot).
-    early_blocks: HashMap<(ObjectId, usize), Vec<EarlyBlock>>,
+    early_blocks: BTreeMap<(ObjectId, usize), Vec<EarlyBlock>>,
 }
 
 impl ReduceEngine {
@@ -249,7 +241,6 @@ impl ReduceEngine {
         out: &mut Vec<Effect>,
     ) -> Vec<ReduceEvent> {
         let key = (instr.target, instr.slot);
-        let own_object = instr.own_object;
         trace!(
             "[n{}] got instr slot={} epoch={} own={:?} parent={:?}",
             ctx.id.0,
@@ -282,15 +273,10 @@ impl ReduceEngine {
                 }
             }
             None => {
-                let participant = ReduceParticipant::new(instr);
-                self.own_object_routing.entry(own_object).or_default().push(key);
-                self.participants.insert(key, participant);
+                let p = self.participants.entry(key).or_insert(ReduceParticipant::new(instr));
                 // Replay any child blocks that raced ahead of this instruction.
-                if let Some(early) = self.early_blocks.remove(&key) {
-                    let p = self.participants.get_mut(&key).expect("just inserted");
-                    for block in early {
-                        Self::apply_block(ctx, p, key.0, &block);
-                    }
+                for block in self.early_blocks.remove(&key).unwrap_or_default() {
+                    Self::apply_block(ctx, p, key.0, &block);
                 }
             }
         }
@@ -376,11 +362,15 @@ impl ReduceEngine {
         object: ObjectId,
         out: &mut Vec<Effect>,
     ) -> Vec<ReduceEvent> {
+        let keys: Vec<(ObjectId, usize)> = self
+            .participants
+            .iter()
+            .filter(|(_, p)| p.instr.own_object == object)
+            .map(|(key, _)| *key)
+            .collect();
         let mut events = Vec::new();
-        if let Some(keys) = self.own_object_routing.get(&object).cloned() {
-            for key in keys {
-                events.extend(self.pump_participant(ctx, key, out));
-            }
+        for key in keys {
+            events.extend(self.pump_participant(ctx, key, out));
         }
         events
     }
@@ -400,7 +390,7 @@ impl ReduceEngine {
         let spec = p.instr.spec;
         let block_size = p.instr.block_size;
         let object_size = p.instr.object_size;
-        let total_blocks = num_blocks(object_size, block_size);
+        let total_blocks = object_size.div_ceil(block_size);
 
         // 1. Fold in own-object blocks that are now below the local watermark.
         let own = p.instr.own_object;
@@ -507,26 +497,18 @@ impl ReduceEngine {
         events
     }
 
-    /// Release every participant slot, parked early block, and routing entry for a
-    /// completed reduce (the coordinator broadcasts [`Message::ReduceRelease`] once
-    /// the root reports done). Without this, long-lived serving clusters accumulate
-    /// one participant + accumulator set per reduce ever run.
+    /// Release every participant slot and parked early block of a completed reduce
+    /// (the coordinator broadcasts [`Message::ReduceRelease`] once the root reports
+    /// done). Without this, long-lived serving clusters accumulate one participant +
+    /// accumulator set per reduce ever run.
     pub(crate) fn on_release(&mut self, target: ObjectId) {
         self.participants.retain(|(t, _), _| *t != target);
         self.early_blocks.retain(|(t, _), _| *t != target);
-        self.own_object_routing.retain(|_, keys| {
-            keys.retain(|(t, _)| *t != target);
-            !keys.is_empty()
-        });
     }
 
     /// `true` when the engine holds no reduce state at all (GC tests).
     pub(crate) fn is_idle(&self) -> bool {
-        self.participants.is_empty()
-            && self.coordinators.is_empty()
-            && self.early_blocks.is_empty()
-            && self.source_routing.is_empty()
-            && self.own_object_routing.is_empty()
+        self.participants.is_empty() && self.coordinators.is_empty() && self.early_blocks.is_empty()
     }
 
     /// Drop an invalid local partial copy (used when a reduce root clears its result):

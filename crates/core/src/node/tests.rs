@@ -792,7 +792,7 @@ fn get_survives_total_copy_loss_until_recreation() {
 }
 
 /// Reduce-state GC: once a reduce completes, every node's reduce maps (participants,
-/// coordinators, routing, parked blocks) are empty and the coordinator's directory
+/// coordinators, parked blocks) are empty and the coordinator's directory
 /// subscriptions are closed.
 #[test]
 fn reduce_state_is_released_after_completion() {
@@ -830,6 +830,46 @@ fn reduce_state_is_released_after_completion() {
             "node {i} still holds directory subscriptions"
         );
     }
+}
+
+/// Two reduces coordinated on one node share a source, and the one that finishes last
+/// lists it twice: the first to finish leaves the shared source subscribed for the
+/// other, and once the last one finishes every source has been unsubscribed exactly
+/// once.
+#[test]
+fn a_shared_source_is_unsubscribed_once_after_its_last_reduce() {
+    let mut tc = TestCluster::new(5);
+    let cluster = ClusterView::of_size(5);
+    // Shards away from the coordinator, so every unsubscribe crosses the wire.
+    let [shared, own, late] = [1, 2, 3].map(|host| object_on_shard(&cluster, NodeId(host)));
+    let put = |object| ClientOp::Put { object, payload: Payload::from_f32s(&[1.0; 300]) };
+    tc.client(1, OpId(11), put(shared));
+    tc.client(2, OpId(12), put(own));
+    tc.run();
+    let reduce = |target: &str, sources| ClientOp::Reduce {
+        target: ObjectId::from_name(target),
+        sources,
+        num_objects: Some(2),
+        spec: ReduceSpec::sum_f32(),
+        degree: None,
+    };
+    tc.client(0, OpId(1), reduce("first", vec![shared, own]));
+    tc.client(0, OpId(2), reduce("second", vec![shared, late, shared]));
+    let mut unsubscribed = Vec::new();
+    let mut watch = |msg: Message| {
+        if let Message::DirUnsubscribe { object, .. } = msg {
+            unsubscribed.push(object);
+        }
+        msg
+    };
+    tc.run_reframing(&mut watch);
+    // "first" is done; "second" still waits for `late` and keeps `shared`.
+    assert_eq!(tc.nodes[0].directory_subscription_count(), 2);
+    tc.client(3, OpId(13), put(late));
+    tc.run_reframing(&mut watch);
+    assert_eq!(tc.nodes[0].directory_subscription_count(), 0);
+    assert_eq!(unsubscribed, vec![own, shared, late]);
+    assert!(tc.nodes[0].reduce_state_is_empty());
 }
 
 /// Reduce accumulators recycle through the process's pool, shared by every node: a

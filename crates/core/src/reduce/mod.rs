@@ -6,4 +6,4 @@ pub mod tree;
 
 pub use degree::DegreeModel;
 pub use op::{DType, ReduceOp, ReduceSpec};
-pub use tree::{PlanDelta, ReduceInput, ReduceTreePlan, SlotShape, SlotView, TreeShape};
+pub use tree::{ReduceInput, ReduceTreePlan, SlotShape, SlotView, TreeShape};

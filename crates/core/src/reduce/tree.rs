@@ -11,8 +11,15 @@
 //! ready object (possibly the same object recreated elsewhere by the task framework),
 //! and every ancestor of the failed slot bumps its *epoch*, which instructs it to clear
 //! its partial accumulation and its children to re-send.
+//!
+//! The plan keeps each fact once: a slot's input (`None` is a vacancy), a slot's epoch,
+//! and the ready pool of offered inputs that hold no slot yet, in arrival order. Every
+//! question is a scan of one of those — "is this object assigned", "which slot is
+//! vacant next", "which pooled inputs lived on the dead node" — and every event costs
+//! O(slots). Trees stay small (one slot per reduce input; no workload builds more than
+//! 128), so the scans are cheaper than the indexes they replace would be to keep.
 
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use crate::object::{NodeId, ObjectId};
 
@@ -23,10 +30,8 @@ pub struct SlotShape {
     pub index: usize,
     /// Parent slot, `None` for the root.
     pub parent: Option<usize>,
-    /// Child slots (at most `d`).
+    /// Child slots (at most `d`), in rank order.
     pub children: Vec<usize>,
-    /// Depth below the root (root = 0).
-    pub depth: usize,
 }
 
 /// The static shape of a reduce tree: `n` slots arranged as a balanced `d`-ary tree and
@@ -44,82 +49,9 @@ impl TreeShape {
     pub fn new(n: usize, degree: usize) -> TreeShape {
         assert!(n >= 1, "a reduce tree needs at least one slot");
         let degree = degree.max(1);
-        // Recursively build raw nodes, then renumber by in-order rank.
-        #[derive(Debug)]
-        struct Raw {
-            children: Vec<usize>,
-        }
-        let mut raw: Vec<Raw> = Vec::with_capacity(n);
-        // Returns the raw id of the subtree root for a subtree of `count` nodes.
-        fn build(raw: &mut Vec<Raw>, count: usize, degree: usize) -> usize {
-            debug_assert!(count >= 1);
-            let id = raw.len();
-            raw.push(Raw { children: Vec::new() });
-            let remaining = count - 1;
-            if remaining == 0 {
-                return id;
-            }
-            let child_count = remaining.min(degree);
-            // Distribute the remaining nodes across child subtrees as evenly as
-            // possible; earlier subtrees get the extras so that in-order ranks of the
-            // left-most subtree stay small.
-            let base = remaining / child_count;
-            let extra = remaining % child_count;
-            let mut children = Vec::with_capacity(child_count);
-            for c in 0..child_count {
-                let sz = base + usize::from(c < extra);
-                debug_assert!(sz >= 1);
-                let child = build(raw, sz, degree);
-                children.push(child);
-            }
-            raw[id].children = children;
-            id
-        }
-        let raw_root = build(&mut raw, n, degree);
-
-        // Generalized in-order traversal: first child subtree, the node, remaining
-        // child subtrees.
-        fn traverse(raw: &[Raw], node: usize, order: &mut Vec<usize>) {
-            let children = &raw[node].children;
-            if let Some(&first) = children.first() {
-                traverse(raw, first, order);
-            }
-            order.push(node);
-            for &c in children.iter().skip(1) {
-                traverse(raw, c, order);
-            }
-        }
-        let mut order = Vec::with_capacity(n);
-        traverse(&raw, raw_root, &mut order);
-        debug_assert_eq!(order.len(), n);
-        let mut rank_of = vec![usize::MAX; n];
-        for (rank, &raw_id) in order.iter().enumerate() {
-            rank_of[raw_id] = rank;
-        }
-
-        let mut slots: Vec<SlotShape> = (0..n)
-            .map(|i| SlotShape { index: i, parent: None, children: Vec::new(), depth: 0 })
-            .collect();
-        for (raw_id, node) in raw.iter().enumerate() {
-            let rank = rank_of[raw_id];
-            for &child in &node.children {
-                let crank = rank_of[child];
-                slots[crank].parent = Some(rank);
-                slots[rank].children.push(crank);
-            }
-        }
-        for s in &mut slots {
-            s.children.sort_unstable();
-        }
-        let root = rank_of[raw_root];
-        // Compute depths with an explicit stack (the tree may be a chain of length n).
-        let mut stack = vec![(root, 0usize)];
-        while let Some((slot, depth)) = stack.pop() {
-            slots[slot].depth = depth;
-            for &c in slots[slot].children.clone().iter() {
-                stack.push((c, depth + 1));
-            }
-        }
+        let mut slots = Vec::with_capacity(n);
+        let root = lay_out(&mut slots, n, degree);
+        debug_assert_eq!(slots.len(), n);
         TreeShape { slots, degree, root }
     }
 
@@ -163,11 +95,27 @@ impl TreeShape {
         }
         out
     }
+}
 
-    /// Height of the tree (maximum depth).
-    pub fn height(&self) -> usize {
-        self.slots.iter().map(|s| s.depth).max().unwrap_or(0)
+/// Append a subtree of `count` slots to `slots` in generalized in-order — its first
+/// child subtree, then its root, then the remaining child subtrees — and return the
+/// subtree root's rank. The `count - 1` descendants are spread over `min(count - 1, d)`
+/// child subtrees as evenly as possible, earlier subtrees taking the extras, so the
+/// left-most subtree's ranks stay small.
+fn lay_out(slots: &mut Vec<SlotShape>, count: usize, degree: usize) -> usize {
+    let rest = count - 1;
+    let fanout = rest.min(degree);
+    let mut sizes = (0..fanout).map(|c| rest / fanout + usize::from(c < rest % fanout));
+    let mut children: Vec<usize> =
+        sizes.next().map(|size| lay_out(slots, size, degree)).into_iter().collect();
+    let index = slots.len();
+    slots.push(SlotShape { index, parent: None, children: Vec::new() });
+    children.extend(sizes.map(|size| lay_out(slots, size, degree)));
+    for &child in &children {
+        slots[child].parent = Some(index);
     }
+    slots[index].children = children;
+    index
 }
 
 /// A ready reduce input: an object and the node that holds (or is creating) it.
@@ -180,37 +128,16 @@ pub struct ReduceInput {
 }
 
 /// Dynamic assignment state layered over a [`TreeShape`].
-///
-/// The ready pool is a FIFO over object ids plus a membership map, so offering an
-/// input, updating its holder, and popping the next pooled input are all O(1) —
-/// assigning `n` arrivals is linear instead of the O(n²) that `Vec::remove(0)` plus a
-/// linear membership scan used to cost (`tree_assignment/1024` in `BENCH_NOTES.md`).
-/// An id can appear in the FIFO more than once (re-offered after a failure); the
-/// membership map is authoritative and stale FIFO entries are skipped on pop.
 #[derive(Clone, Debug)]
 pub struct ReduceTreePlan {
     shape: TreeShape,
-    /// Slot -> assigned input.
+    /// Slot -> assigned input; `None` is a vacancy.
     assignment: Vec<Option<ReduceInput>>,
     /// Accumulation epoch per slot (bumped when the slot must clear partial results).
     epoch: Vec<u64>,
-    /// Arrival order of pooled (offered, not yet assigned) objects, as
-    /// (object, admission generation) pairs.
-    ready_queue: VecDeque<(ObjectId, u64)>,
-    /// Pooled object -> (current holder, admission generation). Membership here is
-    /// what "in the pool" means; `ready_queue` entries whose generation does not
-    /// match are stale (left behind by a failure + re-offer) and skipped on pop, so a
-    /// re-admitted object queues at the back like any fresh arrival.
-    pooled: HashMap<ObjectId, (NodeId, u64)>,
-    /// Monotonic counter feeding admission generations.
-    admissions: u64,
-    /// Unassigned slots, in in-order rank order, so refilling does not rescan the
-    /// whole assignment vector per offer.
-    vacant: BTreeSet<usize>,
-    /// Objects currently assigned to a slot.
-    assigned_objects: HashMap<ObjectId, usize>,
-    /// Objects that were offered but are currently unusable (their holder failed).
-    lost_objects: HashSet<ObjectId>,
+    /// Offered inputs that hold no slot yet, in arrival order. An input whose holder
+    /// fails leaves the pool; offered again, it queues at the back like any arrival.
+    pool: VecDeque<ReduceInput>,
 }
 
 /// The view of a slot that the coordinator turns into a participant instruction.
@@ -233,14 +160,6 @@ pub struct SlotView {
     pub is_root: bool,
 }
 
-/// Result of feeding an event into the plan: the set of slots whose instructions must
-/// be (re-)issued to participants.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PlanDelta {
-    /// Slots whose instructions changed.
-    pub affected_slots: Vec<usize>,
-}
-
 impl ReduceTreePlan {
     /// Create a plan for `num_objects` inputs using `degree` (resolved, i.e. `>= 1`).
     pub fn new(num_objects: usize, degree: usize) -> ReduceTreePlan {
@@ -250,12 +169,7 @@ impl ReduceTreePlan {
             shape,
             assignment: vec![None; n],
             epoch: vec![0; n],
-            ready_queue: VecDeque::new(),
-            pooled: HashMap::new(),
-            admissions: 0,
-            vacant: (0..n).collect(),
-            assigned_objects: HashMap::new(),
-            lost_objects: HashSet::new(),
+            pool: VecDeque::new(),
         }
     }
 
@@ -274,103 +188,46 @@ impl ReduceTreePlan {
         self.epoch[slot]
     }
 
-    /// Number of assigned slots.
-    pub fn assigned_count(&self) -> usize {
-        self.assignment.iter().filter(|a| a.is_some()).count()
-    }
-
-    /// `true` once every slot has an input.
-    pub fn fully_assigned(&self) -> bool {
-        self.assigned_count() == self.shape.len()
-    }
-
-    /// Slot that materializes the final result, with its owner (if assigned).
-    pub fn root_input(&self) -> Option<ReduceInput> {
-        self.assignment[self.shape.root()]
-    }
-
     /// Offer a ready input (an object that now has a partial or complete copy at
-    /// `node`). Returns the slots whose instructions changed. Offering an object that
-    /// is already assigned or already pooled is a no-op (duplicate directory
-    /// publications are expected).
-    pub fn offer_input(&mut self, input: ReduceInput) -> PlanDelta {
-        if self.assigned_objects.contains_key(&input.object) {
-            return PlanDelta::default();
+    /// `node`). Returns the slots whose instructions changed, in rank order. Offering
+    /// an object that is already assigned is a no-op (duplicate directory publications
+    /// are expected); offering one that is already pooled moves its holder in place.
+    pub fn offer_input(&mut self, input: ReduceInput) -> Vec<usize> {
+        if self.assignment.iter().flatten().any(|a| a.object == input.object) {
+            return Vec::new();
         }
-        self.lost_objects.remove(&input.object);
-        // Insert-or-move-holder in O(1); only a new pool admission takes a FIFO slot
-        // (an object already pooled just updates its holder in place).
-        match self.pooled.get_mut(&input.object) {
-            Some((holder, _)) => *holder = input.node,
-            None => {
-                self.admissions += 1;
-                self.pooled.insert(input.object, (input.node, self.admissions));
-                self.ready_queue.push_back((input.object, self.admissions));
-            }
+        match self.pool.iter_mut().find(|p| p.object == input.object) {
+            Some(queued) => queued.node = input.node,
+            None => self.pool.push_back(input),
         }
-        self.fill_vacancies()
+        self.refill(Vec::new())
     }
 
     /// Handle the failure of `node`: vacate every slot it owned, drop it from the ready
-    /// pool, bump ancestor epochs, and refill vacancies from the pool. Returns all
-    /// affected slots (vacated ancestors and any refills).
-    pub fn on_node_failed(&mut self, node: NodeId) -> PlanDelta {
-        let mut affected = HashSet::new();
-        // Drop pooled inputs that lived on the failed node (their FIFO entries go
-        // stale and are skipped on pop).
-        self.pooled.retain(|object, (holder, _)| {
-            if *holder == node {
-                self.lost_objects.insert(*object);
-                false
-            } else {
-                true
+    /// pool, bump ancestor epochs, and refill vacancies from the pool. Returns the
+    /// affected slots that hold an input afterwards (vacated ancestors, their children
+    /// and any refills), in rank order.
+    pub fn on_node_failed(&mut self, node: NodeId) -> Vec<usize> {
+        self.pool.retain(|input| input.node != node);
+        let mut affected = Vec::new();
+        for slot in 0..self.assignment.len() {
+            if self.assignment[slot].is_none_or(|input| input.node != node) {
+                continue;
             }
-        });
-        // Vacate slots owned by the failed node.
-        let vacated: Vec<usize> = self
-            .assignment
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, a)| match a {
-                Some(input) if input.node == node => Some(slot),
-                _ => None,
-            })
-            .collect();
-        for slot in vacated {
-            let input = self.assignment[slot].take().expect("slot was assigned");
-            self.vacant.insert(slot);
-            self.assigned_objects.remove(&input.object);
-            self.lost_objects.insert(input.object);
-            affected.insert(slot);
-            // Every ancestor clears its partial result (§3.5.2: at most log_d n nodes).
+            self.assignment[slot] = None;
+            // The vacated slot's children will point at the replacement owner once one
+            // is found.
+            affected.push(slot);
+            affected.extend(&self.shape.slot(slot).children);
+            // Every ancestor clears its partial result (§3.5.2: at most log_d n nodes),
+            // and its other children must re-send to the new parent epoch.
             for anc in self.shape.ancestors(slot) {
                 self.epoch[anc] += 1;
-                affected.insert(anc);
-                // The ancestor's other children must re-send, so their instructions
-                // change too (new parent epoch).
-                for &c in &self.shape.slot(anc).children {
-                    affected.insert(c);
-                }
-            }
-            // Children of the vacated slot will need to point at the replacement owner
-            // once one is found; include them so instructions are refreshed.
-            for &c in &self.shape.slot(slot).children {
-                affected.insert(c);
+                affected.push(anc);
+                affected.extend(&self.shape.slot(anc).children);
             }
         }
-        let refill = self.fill_vacancies();
-        affected.extend(refill.affected_slots);
-        let mut affected: Vec<usize> =
-            affected.into_iter().filter(|&s| self.assignment[s].is_some()).collect();
-        affected.sort_unstable();
-        PlanDelta { affected_slots: affected }
-    }
-
-    /// Number of inputs that are known to be unusable (holder failed and not yet
-    /// recreated). The coordinator uses this to decide whether `num_objects` can still
-    /// be satisfied from the remaining source list.
-    pub fn lost_count(&self) -> usize {
-        self.lost_objects.len()
+        self.refill(affected)
     }
 
     /// The view of a slot used to build its participant instruction. `None` if the slot
@@ -392,46 +249,24 @@ impl ReduceTreePlan {
         })
     }
 
-    /// Assign pooled inputs to vacant slots in in-order-rank order.
-    fn fill_vacancies(&mut self) -> PlanDelta {
-        let mut affected = HashSet::new();
-        while let Some(&slot) = self.vacant.first() {
-            debug_assert!(self.assignment[slot].is_none());
-            let Some(next) = self.next_pooled() else { break };
-            self.vacant.remove(&slot);
-            self.assignment[slot] = Some(next);
-            self.assigned_objects.insert(next.object, slot);
-            affected.insert(slot);
-            // The parent and the already-assigned children see a new counterpart.
-            if let Some(p) = self.shape.slot(slot).parent {
-                if self.assignment[p].is_some() {
-                    affected.insert(p);
-                }
+    /// Assign pooled inputs to vacant slots in rank order — each refill also changes
+    /// the instructions of its parent and children — then report the `affected` slots
+    /// that hold an input, in rank order, once each.
+    fn refill(&mut self, mut affected: Vec<usize>) -> Vec<usize> {
+        for slot in 0..self.assignment.len() {
+            if self.assignment[slot].is_some() {
+                continue;
             }
-            for &c in &self.shape.slot(slot).children {
-                if self.assignment[c].is_some() {
-                    affected.insert(c);
-                }
-            }
+            let Some(input) = self.pool.pop_front() else { break };
+            self.assignment[slot] = Some(input);
+            let shape = self.shape.slot(slot);
+            affected.push(slot);
+            affected.extend(shape.parent.iter().chain(&shape.children));
         }
-        let mut affected: Vec<usize> = affected.into_iter().collect();
+        affected.retain(|&slot| self.assignment[slot].is_some());
         affected.sort_unstable();
-        PlanDelta { affected_slots: affected }
-    }
-
-    fn next_pooled(&mut self) -> Option<ReduceInput> {
-        while let Some((object, generation)) = self.ready_queue.pop_front() {
-            // Stale FIFO entries (dropped by a failure, possibly re-admitted later
-            // under a newer generation) are skipped; only the live admission counts.
-            match self.pooled.get(&object) {
-                Some(&(node, live)) if live == generation => {
-                    self.pooled.remove(&object);
-                    return Some(ReduceInput { object, node });
-                }
-                _ => continue,
-            }
-        }
-        None
+        affected.dedup();
+        affected
     }
 }
 
@@ -443,6 +278,14 @@ mod tests {
         ReduceInput { object: ObjectId::from_name(&format!("obj-{i}")), node: NodeId(i) }
     }
 
+    fn assigned(plan: &ReduceTreePlan) -> usize {
+        (0..plan.shape().len()).filter(|&s| plan.assignment(s).is_some()).count()
+    }
+
+    fn vacancies(plan: &ReduceTreePlan) -> usize {
+        plan.shape().len() - assigned(plan)
+    }
+
     #[test]
     fn chain_shape_in_order() {
         // d = 1: slot k's parent is slot k + 1; the root is the last slot.
@@ -452,7 +295,7 @@ mod tests {
             assert_eq!(shape.slot(k).parent, Some(k + 1));
         }
         assert_eq!(shape.slot(4).parent, None);
-        assert_eq!(shape.height(), 4);
+        assert_eq!(shape.ancestors(0), vec![1, 2, 3, 4]);
     }
 
     #[test]
@@ -462,7 +305,7 @@ mod tests {
         let shape = TreeShape::new(6, 6);
         assert_eq!(shape.root(), 1);
         assert_eq!(shape.slot(1).children.len(), 5);
-        assert_eq!(shape.height(), 1);
+        assert!((0..6).all(|s| shape.ancestors(s).len() <= 1));
     }
 
     #[test]
@@ -502,24 +345,24 @@ mod tests {
     fn assignment_follows_arrival_order() {
         let mut plan = ReduceTreePlan::new(6, 2);
         for i in 0..6 {
-            let delta = plan.offer_input(input(i));
-            assert!(delta.affected_slots.contains(&(i as usize)));
+            let affected = plan.offer_input(input(i));
+            assert!(affected.contains(&(i as usize)));
         }
-        assert!(plan.fully_assigned());
+        assert_eq!(vacancies(&plan), 0);
         // Slot k is owned by the k-th arrival.
         for k in 0..6 {
             assert_eq!(plan.assignment(k).unwrap().node, NodeId(k as u32));
         }
-        assert_eq!(plan.root_input().unwrap().node, NodeId(3));
+        assert_eq!(plan.assignment(plan.shape().root()).unwrap().node, NodeId(3));
     }
 
     #[test]
     fn duplicate_offers_are_ignored() {
         let mut plan = ReduceTreePlan::new(3, 2);
         plan.offer_input(input(0));
-        let delta = plan.offer_input(input(0));
-        assert!(delta.affected_slots.is_empty());
-        assert_eq!(plan.assigned_count(), 1);
+        let affected = plan.offer_input(input(0));
+        assert!(affected.is_empty());
+        assert_eq!(assigned(&plan), 1);
     }
 
     #[test]
@@ -529,7 +372,7 @@ mod tests {
         for i in 0..5 {
             plan.offer_input(input(i));
         }
-        assert!(plan.fully_assigned());
+        assert_eq!(vacancies(&plan), 0);
         let assigned: Vec<NodeId> = (0..3).map(|k| plan.assignment(k).unwrap().node).collect();
         assert_eq!(assigned, vec![NodeId(0), NodeId(1), NodeId(2)]);
     }
@@ -542,17 +385,17 @@ mod tests {
             plan.offer_input(input(i));
         }
         let root_epoch_before = plan.epoch(3);
-        let delta = plan.on_node_failed(NodeId(1));
+        let affected = plan.on_node_failed(NodeId(1));
         // Slot 1 is vacated; no replacement is available yet.
         assert_eq!(plan.assignment(1), None);
         assert_eq!(plan.epoch(3), root_epoch_before + 1, "the root clears its result");
         assert_eq!(plan.epoch(5), 0, "the sibling subtree is untouched");
-        assert!(delta.affected_slots.contains(&3));
+        assert!(affected.contains(&3));
         // R7 arrives and takes the vacated slot.
-        let delta = plan.offer_input(input(7));
-        assert!(delta.affected_slots.contains(&1));
+        let affected = plan.offer_input(input(7));
+        assert!(affected.contains(&1));
         assert_eq!(plan.assignment(1).unwrap().node, NodeId(7));
-        assert!(plan.fully_assigned());
+        assert_eq!(vacancies(&plan), 0);
     }
 
     #[test]
@@ -562,13 +405,11 @@ mod tests {
             plan.offer_input(input(i));
         }
         plan.on_node_failed(NodeId(0));
-        assert_eq!(plan.lost_count(), 1);
         // The failed object is recreated on another node and rejoins the same slot.
         let rejoined = ReduceInput { object: input(0).object, node: NodeId(9) };
-        let delta = plan.offer_input(rejoined);
-        assert!(delta.affected_slots.contains(&0));
+        let affected = plan.offer_input(rejoined);
+        assert!(affected.contains(&0));
         assert_eq!(plan.assignment(0).unwrap().node, NodeId(9));
-        assert_eq!(plan.lost_count(), 0);
     }
 
     #[test]
@@ -597,7 +438,9 @@ mod tests {
         plan.offer_input(input(1));
         plan.offer_input(input(2)); // pooled, unassigned
         plan.on_node_failed(NodeId(2));
-        assert_eq!(plan.lost_count(), 1);
-        assert!(plan.fully_assigned());
+        assert_eq!(vacancies(&plan), 0);
+        // The pooled input left with its holder: a vacancy is not refilled from it.
+        plan.on_node_failed(NodeId(0));
+        assert_eq!(plan.assignment(0), None);
     }
 }

@@ -84,8 +84,10 @@ fn tree_height_extremes() {
     let mut rng = Rng::new(0xB0B);
     for _ in 0..100 {
         let n = rng.usize(2, 100);
-        assert_eq!(TreeShape::new(n, 1).height(), n - 1);
-        assert_eq!(TreeShape::new(n, n).height(), 1);
+        let tallest =
+            |shape: TreeShape| (0..n).map(|slot| shape.ancestors(slot).len()).max().unwrap_or(0);
+        assert_eq!(tallest(TreeShape::new(n, 1)), n - 1);
+        assert_eq!(tallest(TreeShape::new(n, n)), 1);
     }
 }
 
@@ -105,10 +107,9 @@ fn plan_assignment_is_injective() {
                 node: NodeId(i as u32),
             });
         }
-        assert!(plan.fully_assigned(), "n={n} extra={extra} d={d}");
         let mut seen = std::collections::HashSet::new();
         for slot in 0..n {
-            let input = plan.assignment(slot).unwrap();
+            let input = plan.assignment(slot).expect("every slot is assigned");
             assert!(seen.insert(input.object), "object assigned twice (n={n} d={d})");
             // Slot k holds the k-th arrival.
             assert_eq!(input.node, NodeId(slot as u32));

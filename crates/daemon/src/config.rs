@@ -12,7 +12,7 @@ use hoplite_core::prelude::*;
 ///
 /// `block_size`, `inline_threshold`, `store_capacity`, `snapshot_chunk_bytes`,
 /// `directory_inline_cache_bytes`, `directory_log_retention`,
-/// `directory_replication`, `directory_shards`, `directory_lease_ttl_ms`.
+/// `directory_replication`, `directory_lease_ttl_ms`. `block_size` must be positive.
 ///
 /// The SWIM failure detector is off unless `detector = true`; with it on, the knobs
 /// `detector_probe_period_ms`, `detector_ack_timeout_ms`,
@@ -37,14 +37,18 @@ pub fn parse(text: &str) -> std::result::Result<HopliteConfig, String> {
             value.parse().map_err(|e| format!("line {}: {key} = {value}: {e}", lineno + 1))
         };
         match key {
-            "block_size" => cfg.block_size = int()?,
+            "block_size" => {
+                cfg.block_size = int()?;
+                if cfg.block_size == 0 {
+                    return Err(format!("line {}: block_size must be positive", lineno + 1));
+                }
+            }
             "inline_threshold" => cfg.inline_threshold = int()?,
             "store_capacity" => cfg.store_capacity = int()?,
             "snapshot_chunk_bytes" => cfg.snapshot_chunk_bytes = int()?,
             "directory_inline_cache_bytes" => cfg.directory_inline_cache_bytes = int()?,
             "directory_log_retention" => cfg.directory_log_retention = int()? as usize,
             "directory_replication" => cfg.directory_replication = int()? as usize,
-            "directory_shards" => cfg.directory_shards = Some(int()? as usize),
             "directory_lease_ttl_ms" => cfg.directory_lease_ttl = Duration::from_millis(int()?),
             "detector" => {
                 if boolean()? {
@@ -114,8 +118,19 @@ mod tests {
         assert!(parse("block_size = banana").is_err());
         assert!(parse("no equals sign").is_err());
         // The key of a knob that no longer exists is an unknown key, not silently ignored.
-        let err = parse("pull_timeout_ms = 250").unwrap_err();
-        assert!(err.contains("unknown config key"), "{err}");
+        for retired in ["pull_timeout_ms = 250", "directory_shards = 4"] {
+            let err = parse(retired).unwrap_err();
+            assert!(err.contains("unknown config key"), "{err}");
+        }
+    }
+
+    /// A zero block size would make the first sender loop on zero-length sends and a
+    /// reduce participant divide by zero, so it never reaches a node.
+    #[test]
+    fn a_zero_block_size_is_an_error_naming_its_line() {
+        let err = parse("inline_threshold = 128\nblock_size = 0\n").unwrap_err();
+        assert!(err.starts_with("line 2:"), "{err}");
+        assert!(err.contains("block_size"), "{err}");
     }
 
     #[test]

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Line counts the ROADMAP tracks ("line count per crate is a tracked number"), as a
 # markdown report: non-test .rs lines per crate and per directory/*.rs file, the
-# "directory plane" (those plus node/failure.rs), the workspace total, the
-# HopliteConfig field count, and the lifecycle counts of ROADMAP's transport item
-# (unbounded queues, sleeps, SlabPool construction sites, thread-spawn sites).
+# "directory plane" (those plus node/failure.rs), the "reduce plane" (reduce/*.rs plus
+# node/reduce.rs and node/coordinator.rs), the workspace total, the HopliteConfig field
+# count, the core files whose non-test code names a random-state `HashMap`/`HashSet`,
+# and the lifecycle counts of ROADMAP's transport item (unbounded queues, sleeps,
+# SlabPool construction sites, thread-spawn sites).
 #
 # "Non-test" = lines of a file before its first top-level `#[cfg(test)]` that opens an
 # inline test module (one that only gates a `mod …;` declaration, like node/mod.rs's
@@ -48,6 +50,8 @@ for f in crates/core/src/directory/*.rs; do
 done
 echo "| **total** | $(find crates/core/src/directory -name '*.rs' | non_test) |"
 echo "| **directory plane** (the above + node/failure.rs) | $( (find crates/core/src/directory -name '*.rs'; echo crates/core/src/node/failure.rs) | non_test) |"
+reduce_plane="$(find crates/core/src/reduce -name '*.rs' | sort) crates/core/src/node/reduce.rs crates/core/src/node/coordinator.rs"
+echo "| **reduce plane** (reduce/*.rs + node/reduce.rs + node/coordinator.rs) | $(echo "$reduce_plane" | tr ' ' '\n' | non_test) |"
 echo
 echo "| liveness plane (non-test lines) | |"
 echo "|---|---:|"
@@ -59,6 +63,11 @@ echo "| **total** | $(echo "$liveness" | tr ' ' '\n' | non_test) |"
 echo
 fields=$(awk '/^pub struct HopliteConfig \{/ { on = 1; next } on && /^\}/ { exit } on && /^    pub / { n++ } END { print n + 0 }' crates/core/src/config.rs)
 echo "\`HopliteConfig\` fields: $fields"
+hashed=$(find crates/core/src -name '*.rs' | sort | while read -r f; do
+    if echo "$f" | non_test_text | grep -E 'Hash(Map|Set)' >/dev/null; then echo "${f#crates/core/src/}"; fi
+done)
+echo
+echo "Core files whose non-test code names \`HashMap\` or \`HashSet\`: $(echo "$hashed" | grep -c .) ($(echo $hashed | sed 's/ /, /g'))"
 
 # Lifecycle counts: occurrences in non-test code outside crates/compat (the stand-ins
 # define `unbounded`, they do not use it).
