@@ -1,7 +1,6 @@
 //! Configuration of a Hoplite deployment.
 
 use crate::detector::DetectorConfig;
-use crate::time::Duration;
 
 /// Size thresholds and protocol parameters of a Hoplite node.
 ///
@@ -43,10 +42,6 @@ pub struct HopliteConfig {
     /// for delta resync: a replica whose gap fits inside the retained suffix replays
     /// ops instead of requesting a state snapshot at all.
     pub directory_log_retention: usize,
-    /// How long a directory lease (a query answer pointing a receiver at a sender)
-    /// may go unresolved before bulk expiry reclaims it. Expiry runs on a
-    /// two-generation timer wheel, so actual lifetime is between one and two TTLs.
-    pub directory_lease_ttl: Duration,
     /// SWIM-style gossip failure detector. `None` (the default) disables it:
     /// liveness then comes only from driver verdicts (`peer-failed` notices, the
     /// simulator's fault schedule), exactly as before. `Some` arms a per-node
@@ -65,7 +60,6 @@ impl Default for HopliteConfig {
             snapshot_chunk_bytes: 256 * 1024,
             directory_inline_cache_bytes: 64 * 1024 * 1024,
             directory_log_retention: 1024,
-            directory_lease_ttl: Duration::from_secs(30),
             detector: None,
         }
     }
@@ -124,6 +118,7 @@ mod tests {
         assert_eq!(cfg.inline_threshold, 64 * 1024);
         // The reduce degree: chosen from {1, 2, n} for a 10 Gb/s, 170 µs network.
         use crate::reduce::{degree::DEGREE_CANDIDATES, DegreeModel};
+        use crate::time::Duration;
         assert_eq!(DEGREE_CANDIDATES, [1, 2, 0]);
         let testbed = DegreeModel { latency: Duration::from_micros(170), bandwidth: 1.25e9 };
         assert_eq!(DegreeModel::paper_testbed(), testbed);

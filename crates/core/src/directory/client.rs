@@ -15,7 +15,7 @@
 //! the shards whose primary just changed, instead of the full journal. All re-drives
 //! are idempotent at the shard.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::buffer::Payload;
 use crate::object::{NodeId, ObjectId, ObjectStatus};
@@ -56,15 +56,15 @@ pub struct FailoverRedrive {
 #[derive(Debug)]
 pub struct DirectoryClient {
     me: NodeId,
-    registrations: HashMap<ObjectId, Registration>,
+    registrations: BTreeMap<ObjectId, Registration>,
     /// Open subscriptions, with their confirmation state.
-    subscriptions: HashMap<ObjectId, bool>,
+    subscriptions: BTreeMap<ObjectId, bool>,
 }
 
 impl DirectoryClient {
     /// Create the client for node `me`.
     pub fn new(me: NodeId) -> Self {
-        DirectoryClient { me, registrations: HashMap::new(), subscriptions: HashMap::new() }
+        DirectoryClient { me, registrations: BTreeMap::new(), subscriptions: BTreeMap::new() }
     }
 
     /// Number of open subscriptions (GC tests).
@@ -173,8 +173,8 @@ impl DirectoryClient {
     /// The genuinely-unacked window for `shards` — the shards the leadership view
     /// reported as failed over (their primary died) or regained (a re-admission gave
     /// a leaderless shard a primary back): every journaled-but-unconfirmed intent
-    /// whose shard is in the list. Confirmed entries are already inside the promoted
-    /// backup's acked prefix and are not re-sent.
+    /// whose shard is in the list, in object order. Confirmed entries are already
+    /// inside the promoted backup's acked prefix and are not re-sent.
     pub(crate) fn redrive_for(
         &self,
         placement: &DirectoryPlacement,

@@ -13,14 +13,16 @@
 //! first marked *resyncing* (alive, shipped to, but not a primary candidate); once it
 //! announces catch-up it is re-admitted and becomes eligible again — so after a
 //! rolling restart the original owners end up leading their shards again, with
-//! strictly increasing epochs protecting against deposed primaries' stragglers. The
-//! resyncing set is the only record of that state, for this node too: it is resyncing
-//! after a restart while the set holds it, until its own last stream completes.
+//! strictly increasing epochs protecting against deposed primaries' stragglers. A
+//! peer's standing (`Failed` or `Resyncing`; absent means healthy) is kept once, in
+//! one ordered map, and is the only record of that state, for this node too: it is
+//! resyncing after a restart while the map says so, until its own last stream
+//! completes.
 //! Because every node folds the same broadcast failure/recovery/re-admission notices
 //! into the same deterministic rules, survivors agree on the current primary without
 //! a coordination round; transient disagreement is absorbed by op forwarding.
 
-use std::collections::HashSet;
+use std::collections::BTreeMap;
 
 use crate::config::HopliteConfig;
 use crate::object::{NodeId, ObjectId};
@@ -91,15 +93,22 @@ impl DirectoryPlacement {
     }
 }
 
+/// Where a peer stands in the leadership view, when it is not healthy.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Standing {
+    /// Dead: neither shipped to nor a primary candidate.
+    Failed,
+    /// Recovered but not yet caught up: alive (shipped to) but not a primary
+    /// candidate. This node itself stands here while it resyncs after a restart.
+    Resyncing,
+}
+
 /// A node's evolving, epoch-versioned view of shard leadership (see module docs).
 #[derive(Clone, Debug)]
 pub struct PlacementView {
     placement: DirectoryPlacement,
-    failed: HashSet<NodeId>,
-    /// Recovered but not yet caught-up nodes: alive (shipped to) but not primary
-    /// candidates. Includes this node itself while it resyncs after a restart — the
-    /// one place that is recorded.
-    resyncing: HashSet<NodeId>,
+    /// Every peer that is not healthy, with its standing.
+    standing: BTreeMap<NodeId, Standing>,
     /// Per-shard primary cursor into the replica set; advances on primary failure,
     /// never rewinds on re-admission (no automatic fail-back).
     rank: Vec<usize>,
@@ -115,8 +124,7 @@ impl PlacementView {
         let shards = placement.num_shards();
         PlacementView {
             placement,
-            failed: HashSet::new(),
-            resyncing: HashSet::new(),
+            standing: BTreeMap::new(),
             rank: vec![0; shards],
             epochs: vec![0; shards],
         }
@@ -129,17 +137,17 @@ impl PlacementView {
 
     /// Whether `node` is currently a primary candidate.
     fn eligible(&self, node: NodeId) -> bool {
-        !self.failed.contains(&node) && !self.resyncing.contains(&node)
+        !self.standing.contains_key(&node)
     }
 
     /// Whether `node` should receive log shipments (alive, possibly still resyncing).
     pub fn is_alive(&self, node: NodeId) -> bool {
-        !self.failed.contains(&node)
+        self.standing.get(&node) != Some(&Standing::Failed)
     }
 
     /// Whether `node` is currently marked as resyncing.
     pub fn is_resyncing(&self, node: NodeId) -> bool {
-        self.resyncing.contains(&node)
+        self.standing.get(&node) == Some(&Standing::Resyncing)
     }
 
     /// The current primary of a shard: the first eligible member scanning cyclically
@@ -191,12 +199,11 @@ impl PlacementView {
     /// Digest a peer failure. Returns the shards whose primary moved off `peer` onto
     /// a surviving replica (the client's re-drive set).
     pub fn on_peer_failed(&mut self, peer: NodeId) -> Vec<usize> {
-        if self.failed.contains(&peer) {
+        if !self.is_alive(peer) {
             return Vec::new();
         }
         let affected = self.primaries_of_shards_hosted_by(peer);
-        self.failed.insert(peer);
-        self.resyncing.remove(&peer);
+        self.standing.insert(peer, Standing::Failed);
         let mut changed = Vec::new();
         for (shard, old) in affected {
             self.epochs[shard] += 1;
@@ -219,12 +226,11 @@ impl PlacementView {
     /// Digest a peer recovery notice: the node is alive again but must resync before
     /// it can lead anything. Returns whether this was news.
     pub fn on_peer_recovered(&mut self, peer: NodeId) -> bool {
-        if self.failed.remove(&peer) {
-            self.resyncing.insert(peer);
-            true
-        } else {
-            false
+        if self.is_alive(peer) {
+            return false;
         }
+        self.standing.insert(peer, Standing::Resyncing);
+        true
     }
 
     /// Digest a catch-up announcement (a peer's, or this node's own resync
@@ -235,12 +241,11 @@ impl PlacementView {
     /// `None → Some(peer)` here, and clients must re-drive their unconfirmed intents
     /// at it just as they would after a failover.
     pub fn on_peer_readmitted(&mut self, peer: NodeId) -> Vec<usize> {
-        if !self.resyncing.contains(&peer) && !self.failed.contains(&peer) {
+        if self.eligible(peer) {
             return Vec::new();
         }
         let affected = self.primaries_of_shards_hosted_by(peer);
-        self.resyncing.remove(&peer);
-        self.failed.remove(&peer);
+        self.standing.remove(&peer);
         let mut regained = Vec::new();
         for (shard, old) in affected {
             self.epochs[shard] += 1;
@@ -253,6 +258,6 @@ impl PlacementView {
 
     /// Mark this node itself as resyncing after a restart (all shards).
     pub fn begin_self_resync(&mut self, me: NodeId) {
-        self.resyncing.insert(me);
+        self.standing.insert(me, Standing::Resyncing);
     }
 }

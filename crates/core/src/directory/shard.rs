@@ -8,35 +8,38 @@
 //!
 //! Determinism matters here: backups replay the primary's op log against their own
 //! mirror shard, so applying the same ops in the same order must produce the same
-//! state (including lease and pull-edge bookkeeping) on every replica.
+//! state and the same messages on every replica. Every collection is ordered, so the
+//! messages an op emits come out in key order too.
 //!
 //! The shard also implements the two behaviours that make Hoplite's broadcast
 //! receiver-driven (§3.4.1):
 //!
-//! * when answering a location query it *leases* the chosen sender to the requester
-//!   (recording an in-flight `receiver -> sender` edge), so each copy serves at most
-//!   one receiver at a time and later receivers are spread over earlier ones;
-//! * it tracks those edges to refuse assignments that would create cyclic fetch
-//!   dependencies after a failure (§3.5.1).
+//! * when answering a location query it *leases* the chosen sender to the requester,
+//!   so each copy serves at most one receiver at a time and later receivers are
+//!   spread over earlier ones;
+//! * it refuses assignments that would create cyclic fetch dependencies after a
+//!   failure (§3.5.1).
+//!
+//! Both read one fact: the entry's lease edges, one `receiver -> sender` edge per
+//! receiver. A holder is leased while an edge names it as the sender; answering a
+//! receiver again replaces its edge, and nothing else records a lease.
 //!
 //! Finally, objects at or below the inline threshold are cached in the shard itself
 //! and served straight from the query reply (the small-object fast path).
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::Bound::{Excluded, Unbounded};
 
 use crate::buffer::Payload;
 use crate::config::HopliteConfig;
 use crate::object::{NodeId, ObjectId, ObjectStatus};
 use crate::protocol::{Message, QueryResult, SnapshotEntry};
+use crate::time::Duration;
 
-/// One location entry for an object.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct Location {
-    status: ObjectStatus,
-    /// Receiver currently pulling from this holder, if any.
-    leased_to: Option<NodeId>,
-}
+/// How long a granted lease may stay unresolved before the shard reclaims it: the
+/// expiry wheel ticks once per this period, and a lease lives between one and two
+/// of them (see [`DirectoryShard::expire_stale_leases`]).
+pub const LEASE_TTL: Duration = Duration::from_secs(30);
 
 /// A parked synchronous query waiting for a location to appear.
 #[derive(Clone, Debug)]
@@ -50,18 +53,24 @@ struct PendingQuery {
 #[derive(Clone, Debug, Default)]
 struct Entry {
     size: Option<u64>,
-    locations: HashMap<NodeId, Location>,
-    inline: Option<Payload>,
+    locations: BTreeMap<NodeId, ObjectStatus>,
+    /// The inline-cached payload and its LRU stamp. Stamps are assigned from a logical
+    /// clock driven by replicated ops, so every replica agrees on recency order and
+    /// evicts the same victims.
+    inline: Option<(Payload, u64)>,
     pending: VecDeque<PendingQuery>,
-    subscribers: HashSet<NodeId>,
-    /// In-flight pulls: receiver -> sender. Used both for leasing and for cycle
-    /// avoidance.
-    pulls: HashMap<NodeId, NodeId>,
+    subscribers: BTreeSet<NodeId>,
+    /// Lease edges: receiver -> the sender the shard gave it. Used both for leasing
+    /// and for cycle avoidance.
+    pulls: BTreeMap<NodeId, NodeId>,
     deleted: bool,
-    /// Inline-cache LRU stamp (0 when no inline payload is cached). Stamps are
-    /// assigned from a logical clock driven by replicated ops, so every replica
-    /// agrees on recency order and evicts the same victims.
-    inline_stamp: u64,
+}
+
+impl Entry {
+    /// The receiver `holder` is leased to, if an edge names it.
+    fn lessee(&self, holder: NodeId) -> Option<NodeId> {
+        self.pulls.iter().find(|(_, sender)| **sender == holder).map(|(receiver, _)| *receiver)
+    }
 }
 
 /// A lease candidate in the expiry wheel: `(object, holder, receiver)`. Validated
@@ -133,7 +142,7 @@ impl DirectoryShard {
     pub fn locations(&self, object: ObjectId) -> Vec<(NodeId, ObjectStatus)> {
         self.entries
             .get(&object)
-            .map(|e| e.locations.iter().map(|(n, l)| (*n, l.status)).collect())
+            .map(|e| e.locations.iter().map(|(n, s)| (*n, *s)).collect())
             .unwrap_or_default()
     }
 
@@ -153,19 +162,12 @@ impl DirectoryShard {
             *entry = Entry::default();
         }
         entry.size = Some(size);
-        let loc = entry.locations.entry(holder).or_insert(Location { status, leased_to: None });
-        loc.status = status;
+        entry.locations.insert(holder, status);
         // A holder that finished its copy is no longer pulling from anyone.
         if status.is_complete() {
-            if let Some(sender) = entry.pulls.remove(&holder) {
-                if let Some(s) = entry.locations.get_mut(&sender) {
-                    if s.leased_to == Some(holder) {
-                        s.leased_to = None;
-                    }
-                }
-            }
+            entry.pulls.remove(&holder);
         }
-        for sub in entry.subscribers.iter() {
+        for sub in &entry.subscribers {
             out.push((*sub, Message::DirPublish { object, holder, status, size }));
         }
         self.drain_pending(object, out);
@@ -187,25 +189,19 @@ impl DirectoryShard {
             *entry = Entry::default();
         }
         entry.size = Some(size);
-        let old_len = entry.inline.as_ref().map(|p| p.len()).unwrap_or(0);
-        let old_stamp = entry.inline_stamp;
-        entry.inline = Some(payload);
-        entry
-            .locations
-            .insert(holder, Location { status: ObjectStatus::Complete, leased_to: None });
-        for sub in entry.subscribers.iter() {
+        entry.locations.insert(holder, ObjectStatus::Complete);
+        for sub in &entry.subscribers {
             out.push((
                 *sub,
                 Message::DirPublish { object, holder, status: ObjectStatus::Complete, size },
             ));
         }
-        if old_stamp != 0 {
-            self.inline_lru.remove(&old_stamp);
-            self.inline_bytes -= old_len;
-        }
         self.inline_clock += 1;
         let stamp = self.inline_clock;
-        self.entries.get_mut(&object).expect("entry just inserted").inline_stamp = stamp;
+        if let Some((old, old_stamp)) = entry.inline.replace((payload, stamp)) {
+            self.inline_lru.remove(&old_stamp);
+            self.inline_bytes -= old.len();
+        }
         self.inline_lru.insert(stamp, object);
         self.inline_bytes += size;
         self.enforce_inline_budget();
@@ -227,14 +223,12 @@ impl DirectoryShard {
             };
             cursor = stamp;
             let entry = self.entries.get_mut(&object).expect("LRU index tracks live entries");
-            if !entry.locations.values().any(|l| l.status.is_complete()) {
+            if !entry.locations.values().any(|s| s.is_complete()) {
                 continue;
             }
-            let len = entry.inline.as_ref().map(|p| p.len()).unwrap_or(0);
-            entry.inline = None;
-            entry.inline_stamp = 0;
+            let (payload, _) = entry.inline.take().expect("LRU index tracks inline payloads");
             self.inline_lru.remove(&stamp);
-            self.inline_bytes -= len;
+            self.inline_bytes -= payload.len();
             self.inline_evictions += 1;
         }
     }
@@ -242,15 +236,13 @@ impl DirectoryShard {
     /// Refresh an entry's inline recency stamp (called on inline query hits, which
     /// are replicated ops — so every replica refreshes identically).
     fn touch_inline(&mut self, object: ObjectId) {
-        let Some(old) = self.entries.get(&object).map(|e| e.inline_stamp) else { return };
-        if old == 0 {
+        let Some((_, stamp)) = self.entries.get_mut(&object).and_then(|e| e.inline.as_mut()) else {
             return;
-        }
+        };
         self.inline_clock += 1;
-        let stamp = self.inline_clock;
-        self.inline_lru.remove(&old);
-        self.inline_lru.insert(stamp, object);
-        self.entries.get_mut(&object).expect("entry just read").inline_stamp = stamp;
+        self.inline_lru.remove(stamp);
+        *stamp = self.inline_clock;
+        self.inline_lru.insert(*stamp, object);
     }
 
     /// Bytes of inline payloads currently cached (introspection and benches).
@@ -268,11 +260,7 @@ impl DirectoryShard {
         if let Some(entry) = self.entries.get_mut(&object) {
             entry.locations.remove(&holder);
             // Any lease the holder was granting disappears with it.
-            let receivers: Vec<NodeId> =
-                entry.pulls.iter().filter_map(|(r, s)| (*s == holder).then_some(*r)).collect();
-            for r in receivers {
-                entry.pulls.remove(&r);
-            }
+            entry.pulls.retain(|_, sender| *sender != holder);
         }
     }
 
@@ -280,10 +268,10 @@ impl DirectoryShard {
     /// otherwise parks the query until a usable location is registered.
     ///
     /// A fresh query supersedes whatever assignment the requester held before: its
-    /// previous pull edge and the matching lease are released (the requester only
-    /// re-queries after abandoning that pull, §3.5.1), and a parked duplicate with the
-    /// same correlation id is replaced rather than queued twice — which makes the
-    /// failover-aware client's re-issued queries idempotent.
+    /// lease edge is dropped (the requester only re-queries after abandoning that
+    /// pull, §3.5.1), and a parked duplicate with the same correlation id is replaced
+    /// rather than queued twice — which makes the failover-aware client's re-issued
+    /// queries idempotent.
     pub fn query(
         &mut self,
         object: ObjectId,
@@ -300,13 +288,7 @@ impl DirectoryShard {
             ));
             return;
         }
-        if let Some(old_sender) = entry.pulls.remove(&requester) {
-            if let Some(loc) = entry.locations.get_mut(&old_sender) {
-                if loc.leased_to == Some(requester) {
-                    loc.leased_to = None;
-                }
-            }
-        }
+        entry.pulls.remove(&requester);
         entry.pending.retain(|p| !(p.requester == requester && p.query_id == query_id));
         entry.pending.push_back(PendingQuery { requester, query_id, exclude });
         self.drain_pending(object, out);
@@ -322,11 +304,8 @@ impl DirectoryShard {
         let entry = self.entries.entry(object).or_default();
         entry.subscribers.insert(subscriber);
         let size = entry.size.unwrap_or(0);
-        for (holder, loc) in entry.locations.iter() {
-            out.push((
-                subscriber,
-                Message::DirPublish { object, holder: *holder, status: loc.status, size },
-            ));
+        for (&holder, &status) in &entry.locations {
+            out.push((subscriber, Message::DirPublish { object, holder, status, size }));
         }
     }
 
@@ -343,17 +322,12 @@ impl DirectoryShard {
         self.entries.get(&object).map(|e| e.subscribers.len()).unwrap_or(0)
     }
 
-    /// A receiver finished copying from `sender`: clear the lease edge so the sender is
+    /// A receiver finished copying from `sender`: drop its lease edge so the sender is
     /// available to other receivers again (§3.4.1 "adds the sender's location back").
     pub fn transfer_done(&mut self, object: ObjectId, receiver: NodeId, sender: NodeId) {
         if let Some(entry) = self.entries.get_mut(&object) {
             if entry.pulls.get(&receiver) == Some(&sender) {
                 entry.pulls.remove(&receiver);
-            }
-            if let Some(loc) = entry.locations.get_mut(&sender) {
-                if loc.leased_to == Some(receiver) {
-                    loc.leased_to = None;
-                }
             }
         }
     }
@@ -363,9 +337,10 @@ impl DirectoryShard {
     pub fn delete(&mut self, object: ObjectId, out: &mut Vec<(NodeId, Message)>) {
         let entry = self.entries.entry(object).or_default();
         entry.deleted = true;
-        let old_len = entry.inline.as_ref().map(|p| p.len()).unwrap_or(0);
-        let old_stamp = std::mem::take(&mut entry.inline_stamp);
-        entry.inline = None;
+        if let Some((payload, stamp)) = entry.inline.take() {
+            self.inline_lru.remove(&stamp);
+            self.inline_bytes -= payload.len();
+        }
         for pending in entry.pending.drain(..) {
             out.push((
                 pending.requester,
@@ -382,54 +357,37 @@ impl DirectoryShard {
         entry.locations.clear();
         entry.pulls.clear();
         entry.subscribers.clear();
-        if old_stamp != 0 {
-            self.inline_lru.remove(&old_stamp);
-            self.inline_bytes -= old_len;
-        }
     }
 
-    /// Purge all state belonging to a failed node: its locations, leases, parked
-    /// queries and subscriptions (§3.5).
+    /// Purge all state belonging to a failed node: its locations, leases in either
+    /// direction, parked queries and subscriptions (§3.5).
     pub fn node_failed(&mut self, node: NodeId) {
         for entry in self.entries.values_mut() {
             entry.locations.remove(&node);
             entry.subscribers.remove(&node);
             entry.pending.retain(|p| p.requester != node);
-            // Clear pull edges in either direction.
             entry.pulls.retain(|receiver, sender| *receiver != node && *sender != node);
-            for loc in entry.locations.values_mut() {
-                if loc.leased_to == Some(node) {
-                    loc.leased_to = None;
-                }
-            }
         }
     }
 
-    /// Serialize one entry (sorted inner collections, so snapshots of identical
-    /// shards compare equal — parked queries keep their arrival order, which is part
-    /// of the shard's semantics).
+    /// Serialize one entry. The `leased_to` column of a location is derived from the
+    /// lease edges; parked queries keep their arrival order, which is part of the
+    /// shard's semantics.
     fn entry_snapshot(object: ObjectId, e: &Entry) -> SnapshotEntry {
-        let mut locations: Vec<(NodeId, ObjectStatus, Option<NodeId>)> =
-            e.locations.iter().map(|(n, l)| (*n, l.status, l.leased_to)).collect();
-        locations.sort_by_key(|(n, _, _)| n.0);
-        let mut subscribers: Vec<NodeId> = e.subscribers.iter().copied().collect();
-        subscribers.sort_by_key(|n| n.0);
-        let mut pulls: Vec<(NodeId, NodeId)> = e.pulls.iter().map(|(r, s)| (*r, *s)).collect();
-        pulls.sort_by_key(|(r, _)| r.0);
         SnapshotEntry {
             object,
             size: e.size,
-            locations,
-            inline: e.inline.clone(),
+            locations: e.locations.iter().map(|(n, s)| (*n, *s, e.lessee(*n))).collect(),
+            inline: e.inline.as_ref().map(|(p, _)| p.clone()),
             pending: e
                 .pending
                 .iter()
                 .map(|p| (p.requester, p.query_id, p.exclude.clone()))
                 .collect(),
-            subscribers,
-            pulls,
+            subscribers: e.subscribers.iter().copied().collect(),
+            pulls: e.pulls.iter().map(|(r, s)| (*r, *s)).collect(),
             deleted: e.deleted,
-            inline_stamp: e.inline_stamp,
+            inline_stamp: e.inline.as_ref().map_or(0, |(_, stamp)| *stamp),
         }
     }
 
@@ -487,33 +445,33 @@ impl DirectoryShard {
     }
 
     /// Install (upsert) one chunk of snapshot entries, maintaining the inline-cache
-    /// accounting and re-arming lease candidates.
+    /// accounting and re-arming a lease candidate per lease edge. The `leased_to`
+    /// column is ignored: the edges are the leases.
     pub fn install_entries(&mut self, entries: &[SnapshotEntry]) {
         for se in entries {
-            if let Some(old) = self.entries.get(&se.object) {
-                if old.inline_stamp != 0 {
-                    self.inline_lru.remove(&old.inline_stamp);
-                    self.inline_bytes -= old.inline.as_ref().map(|p| p.len()).unwrap_or(0);
+            if let Some((old, stamp)) = self.entries.get(&se.object).and_then(|e| e.inline.as_ref())
+            {
+                self.inline_lru.remove(stamp);
+                self.inline_bytes -= old.len();
+            }
+            let inline = se.inline.clone().map(|payload| {
+                let mut stamp = se.inline_stamp;
+                if stamp == 0 || self.inline_lru.contains_key(&stamp) {
+                    // Defensive: stamps are unique per source, but a resumed stream
+                    // may mix sources; collisions get a fresh stamp instead of
+                    // corrupting the index.
+                    self.inline_clock += 1;
+                    stamp = self.inline_clock;
                 }
-            }
-            let mut stamp = if se.inline.is_some() { se.inline_stamp } else { 0 };
-            if se.inline.is_some() && (stamp == 0 || self.inline_lru.contains_key(&stamp)) {
-                // Defensive: stamps are unique per source, but a resumed stream may
-                // mix sources; collisions get a fresh stamp instead of corrupting
-                // the index.
-                self.inline_clock += 1;
-                stamp = self.inline_clock;
-            }
+                self.inline_bytes += payload.len();
+                self.inline_lru.insert(stamp, se.object);
+                self.inline_clock = self.inline_clock.max(stamp);
+                (payload, stamp)
+            });
             let entry = Entry {
                 size: se.size,
-                locations: se
-                    .locations
-                    .iter()
-                    .map(|(n, status, leased_to)| {
-                        (*n, Location { status: *status, leased_to: *leased_to })
-                    })
-                    .collect(),
-                inline: se.inline.clone(),
+                locations: se.locations.iter().map(|(n, status, _)| (*n, *status)).collect(),
+                inline,
                 pending: se
                     .pending
                     .iter()
@@ -526,17 +484,9 @@ impl DirectoryShard {
                 subscribers: se.subscribers.iter().copied().collect(),
                 pulls: se.pulls.iter().copied().collect(),
                 deleted: se.deleted,
-                inline_stamp: stamp,
             };
-            if let Some(p) = &se.inline {
-                self.inline_bytes += p.len();
-                self.inline_lru.insert(stamp, se.object);
-                self.inline_clock = self.inline_clock.max(stamp);
-            }
-            for (holder, _, leased_to) in &se.locations {
-                if let Some(receiver) = leased_to {
-                    self.lease_wheel_current.push((se.object, *holder, *receiver));
-                }
+            for (receiver, sender) in &entry.pulls {
+                self.lease_wheel_current.push((se.object, *sender, *receiver));
             }
             self.entries.insert(se.object, entry);
         }
@@ -544,11 +494,11 @@ impl DirectoryShard {
     }
 
     /// Advance the lease expiry wheel one generation: candidates that aged through a
-    /// full generation and are *still* leased are reclaimed (lease + pull edge
-    /// cleared) and their parked queries re-drained. Returns the number of leases
-    /// expired. Runs locally on every replica — leases are not replicated state
-    /// transitions, so replicas may transiently disagree; each one's own wheel
-    /// clears its stale leases within two ticks.
+    /// full generation and are *still* leased are reclaimed (lease edge dropped) and
+    /// their parked queries re-drained. Returns the number of leases expired. Runs
+    /// locally on every replica — leases are not replicated state transitions, so
+    /// replicas may transiently disagree; each one's own wheel clears its stale leases
+    /// within two ticks.
     pub fn expire_stale_leases(&mut self, out: &mut Vec<(NodeId, Message)>) -> u64 {
         let due = std::mem::take(&mut self.lease_wheel_prev);
         self.lease_wheel_prev = std::mem::take(&mut self.lease_wheel_current);
@@ -556,14 +506,10 @@ impl DirectoryShard {
         let mut affected: Vec<ObjectId> = Vec::new();
         for (object, holder, receiver) in due {
             let Some(entry) = self.entries.get_mut(&object) else { continue };
-            let Some(loc) = entry.locations.get_mut(&holder) else { continue };
-            if loc.leased_to != Some(receiver) {
+            if entry.pulls.get(&receiver) != Some(&holder) {
                 continue; // resolved (or re-leased) since: stale candidate
             }
-            loc.leased_to = None;
-            if entry.pulls.get(&receiver) == Some(&holder) {
-                entry.pulls.remove(&receiver);
-            }
+            entry.pulls.remove(&receiver);
             expired += 1;
             affected.push(object);
         }
@@ -613,7 +559,7 @@ impl DirectoryShard {
         lease_wheel: &mut Vec<LeaseCandidate>,
     ) -> Option<Message> {
         // Fast path: inline cache.
-        if let Some(payload) = &entry.inline {
+        if let Some((payload, _)) = &entry.inline {
             if payload.len() <= cfg.inline_threshold {
                 return Some(Message::DirQueryReply {
                     object,
@@ -624,30 +570,21 @@ impl DirectoryShard {
         }
         let size = entry.size?;
         // Candidate senders: not the requester, not excluded, not already leased, and
-        // not (transitively) depending on the requester.
-        let mut candidates: Vec<(NodeId, ObjectStatus)> = entry
+        // not (transitively) depending on the requester. Prefer complete copies, then
+        // the lowest node id (the map's order), so simulated runs are reproducible.
+        let (&holder, &status) = entry
             .locations
             .iter()
-            .filter(|(holder, loc)| {
+            .filter(|(holder, _)| {
                 **holder != q.requester
                     && !q.exclude.contains(holder)
-                    && loc.leased_to.is_none()
+                    && entry.lessee(**holder).is_none()
                     && !Self::depends_on(entry, **holder, q.requester)
             })
-            .map(|(holder, loc)| (*holder, loc.status))
-            .collect();
-        if candidates.is_empty() {
-            return None;
-        }
-        // Prefer complete copies; break ties deterministically by node id so simulated
-        // runs are reproducible.
-        candidates.sort_by_key(|(node, status)| (!status.is_complete(), node.0));
-        let (holder, status) = candidates[0];
-        // Lease the chosen sender to the requester and record the pull edge; the
-        // requester will immediately register itself as a partial location (§3.4.1).
-        if let Some(loc) = entry.locations.get_mut(&holder) {
-            loc.leased_to = Some(q.requester);
-        }
+            .min_by_key(|(_, status)| !status.is_complete())?;
+        // Lease the chosen sender to the requester (replacing any edge the requester
+        // held); the requester will immediately register itself as a partial location
+        // (§3.4.1).
         entry.pulls.insert(q.requester, holder);
         lease_wheel.push((object, holder, q.requester));
         Some(Message::DirQueryReply {
@@ -1064,6 +1001,43 @@ mod tests {
         let (whole, done) = s.snapshot_range(None, u64::MAX);
         assert!(done);
         assert_eq!(collected, whole, "chunk walk covers the exact full state");
+    }
+
+    #[test]
+    fn the_same_ops_emit_the_same_messages_in_the_same_order() {
+        let run = || {
+            let mut s = shard();
+            let mut out = Vec::new();
+            for n in 0..8 {
+                s.subscribe(obj("x"), NodeId(n), &mut out);
+            }
+            s.register(obj("x"), NodeId(9), ObjectStatus::Complete, 10, &mut out);
+            out
+        };
+        let out = run();
+        assert_eq!(out.len(), 8);
+        assert_eq!(out, run(), "two fresh shards fed the same ops sent different orders");
+    }
+
+    #[test]
+    fn put_inline_over_a_leased_holder_keeps_the_lease() {
+        // Node 0 holds a large object and is leased to node 1. Re-putting it inline
+        // (over the threshold here, so queries still pull) must not free node 0 for a
+        // second receiver while node 1 still pulls from it.
+        let mut s = shard();
+        let mut out = Vec::new();
+        s.register(obj("x"), NodeId(0), ObjectStatus::Complete, 100, &mut out);
+        s.query(obj("x"), NodeId(1), 1, vec![], &mut out);
+        s.put_inline(obj("x"), NodeId(0), Payload::from_vec(vec![1; 100]), &mut out);
+        out.clear();
+        s.query(obj("x"), NodeId(2), 2, vec![], &mut out);
+        assert!(query_reply(&out).is_empty(), "node 0 is still leased to node 1");
+        let (entries, _) = s.snapshot_range(None, u64::MAX);
+        assert_eq!(
+            entries[0].locations,
+            vec![(NodeId(0), ObjectStatus::Complete, Some(NodeId(1)))]
+        );
+        assert_eq!(entries[0].pulls, vec![(NodeId(1), NodeId(0))]);
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! function (`node/mod.rs`, which documents what each kind of evidence sets off).
 //! The SWIM detector ([`crate::detector`]) is a prober: it borrows the table to pick
 //! targets, time suspicions and fill gossip, and hands its verdicts to that same
-//! function. The directory's `PlacementView` keeps `failed` / `resyncing` — routing
-//! reads them on every op — as a projection written from the same place.
+//! function. The directory's `PlacementView` keeps one standing per unhealthy peer
+//! (`Failed` or `Resyncing`) — routing reads it on every op — as a projection
+//! written from the same place.
 //!
 //! Which claim beats which (`i`, `j` incarnations; the table holds `j`):
 //!

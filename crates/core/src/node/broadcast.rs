@@ -12,8 +12,13 @@
 //! progress back to the facade as [`Progress`] values, which the facade routes to the
 //! reduce engine (an advancing object may be a reduce input) and back here (an
 //! advancing object may have chained receivers).
+//!
+//! Every map here is keyed by object and ordered, and a pipelined put is one record
+//! (payload, offset, op and the timer of its next block). A scan that emits effects —
+//! the re-pulls and re-queries of a failover — therefore runs in object order, and a
+//! node fed the same inputs emits the same effects.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::buffer::Payload;
 use crate::error::HopliteError;
@@ -42,17 +47,26 @@ struct OutgoingTransfer {
     next_offset: u64,
 }
 
+/// One pipelined `Put` being copied block by block into the store.
+#[derive(Debug)]
+struct PipelinedPut {
+    payload: Payload,
+    /// Bytes copied so far: the offset of the next block.
+    offset: u64,
+    op: OpId,
+    /// The timer that copies the next block.
+    timer: TimerToken,
+}
+
 /// The broadcast + ingest engine. All maps are keyed by object.
 #[derive(Default)]
 pub(crate) struct BroadcastEngine {
     /// In-progress local `Get`s.
-    pub(crate) gets: HashMap<ObjectId, GetState>,
+    pub(crate) gets: BTreeMap<ObjectId, GetState>,
     /// Transfers we are serving.
-    outgoing: HashMap<ObjectId, Vec<OutgoingTransfer>>,
-    /// Pipelined `Put`s in progress: object -> (payload, next offset, op).
-    pending_puts: HashMap<ObjectId, (Payload, u64, OpId)>,
-    /// Timer token -> pipelined put object.
-    put_timers: HashMap<TimerToken, ObjectId>,
+    outgoing: BTreeMap<ObjectId, Vec<OutgoingTransfer>>,
+    /// Pipelined `Put`s in progress.
+    puts: BTreeMap<ObjectId, PipelinedPut>,
 }
 
 impl BroadcastEngine {
@@ -98,8 +112,8 @@ impl BroadcastEngine {
             }
             ctx.store.set_pinned(object, true);
             ctx.dir_register(object, ObjectStatus::Partial, size, out);
-            self.pending_puts.insert(object, (payload, 0, op_id));
-            self.schedule_put_step(ctx, object, out);
+            let timer = Self::schedule_put_step(ctx, out);
+            self.puts.insert(object, PipelinedPut { payload, offset: 0, op: op_id, timer });
             Vec::new()
         } else {
             if let Err(error) = ctx.store.put_complete(object, payload, true) {
@@ -112,21 +126,17 @@ impl BroadcastEngine {
         }
     }
 
-    fn schedule_put_step(
-        &mut self,
-        ctx: &mut NodeContext,
-        object: ObjectId,
-        out: &mut Vec<Effect>,
-    ) {
+    /// Arm the timer that copies a pipelined put's next block.
+    fn schedule_put_step(ctx: &mut NodeContext, out: &mut Vec<Effect>) -> TimerToken {
         let token = ctx.fresh_timer();
-        self.put_timers.insert(token, object);
         let step = (ctx.cfg.block_size as f64 / ctx.cfg.memcpy_bandwidth).max(0.0);
         out.push(Effect::SetTimer { token, delay: crate::time::Duration::from_secs_f64(step) });
+        token
     }
 
-    /// Claim a fired timer token if it belongs to a pipelined put.
-    pub(crate) fn take_put_timer(&mut self, token: TimerToken) -> Option<ObjectId> {
-        self.put_timers.remove(&token)
+    /// The pipelined put a fired timer token belongs to, if any.
+    pub(crate) fn put_for_timer(&self, token: TimerToken) -> Option<ObjectId> {
+        self.puts.iter().find(|(_, put)| put.timer == token).map(|(object, _)| *object)
     }
 
     /// Copy the next block of a pipelined put into the store.
@@ -136,28 +146,28 @@ impl BroadcastEngine {
         object: ObjectId,
         out: &mut Vec<Effect>,
     ) -> Vec<Progress> {
-        let Some((payload, offset, op_id)) = self.pending_puts.remove(&object) else {
+        let Some(mut put) = self.puts.remove(&object) else {
             return Vec::new();
         };
-        let total = payload.len();
-        let len = ctx.cfg.block_size.min(total - offset);
-        let block = payload.slice(offset, len);
-        if ctx.store.append(object, offset, &block).is_err() {
+        let total = put.payload.len();
+        let len = ctx.cfg.block_size.min(total - put.offset);
+        let block = put.payload.slice(put.offset, len);
+        if ctx.store.append(object, put.offset, &block).is_err() {
             // The object was deleted mid-copy; drop the put.
             out.push(Effect::Reply {
-                op: op_id,
+                op: put.op,
                 reply: ClientReply::Error { error: HopliteError::ObjectDeleted(object) },
             });
             return Vec::new();
         }
-        let new_offset = offset + len;
-        if new_offset >= total {
-            out.push(Effect::Reply { op: op_id, reply: ClientReply::PutDone { object } });
+        put.offset += len;
+        if put.offset >= total {
+            out.push(Effect::Reply { op: put.op, reply: ClientReply::PutDone { object } });
             vec![Progress::completed(object)]
         } else {
-            self.pending_puts.insert(object, (payload, new_offset, op_id));
-            out.push(Effect::LocalProgress { object, watermark: new_offset, total_size: total });
-            self.schedule_put_step(ctx, object, out);
+            out.push(Effect::LocalProgress { object, watermark: put.offset, total_size: total });
+            put.timer = Self::schedule_put_step(ctx, out);
+            self.puts.insert(object, put);
             vec![Progress::advanced(object)]
         }
     }
@@ -226,8 +236,12 @@ impl BroadcastEngine {
         match result {
             QueryResult::Inline { payload } => {
                 ctx.metrics.directory_inline_hits += 1;
-                if !ctx.store.contains(object) {
-                    let _ = ctx.store.put_complete(object, payload, false);
+                // The Get completes only on a complete copy in the store.
+                if !ctx.store.is_complete(object) {
+                    if let Err(error) = ctx.store.put_complete(object, payload, false) {
+                        self.fail_gets(object, error, out);
+                        return Vec::new();
+                    }
                 }
                 vec![Progress::completed(object)]
             }
@@ -443,7 +457,7 @@ impl BroadcastEngine {
     ) {
         ctx.store.delete(object);
         ctx.directory.forget(object);
-        self.pending_puts.remove(&object);
+        self.puts.remove(&object);
         // Anyone pulling from us can no longer be served.
         self.abort_outgoing(ctx, object, "object deleted", out);
         self.fail_gets(object, HopliteError::ObjectDeleted(object), out);

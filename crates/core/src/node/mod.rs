@@ -47,6 +47,7 @@ use std::collections::VecDeque;
 use crate::buffer::{Payload, SlabPool};
 use crate::config::HopliteConfig;
 use crate::detector::{DetectorAction, FailureDetector, GossipEntry, GossipState};
+use crate::directory::shard::LEASE_TTL;
 use crate::directory::{DirectoryClient, DirectoryPlacement, DirectoryService, ResyncFrame};
 use crate::membership::{MemberDigestEntry, MembershipView, Transition};
 use crate::metrics::NodeMetrics;
@@ -532,7 +533,7 @@ impl ObjectStoreNode {
         } else if self.probe_timer == Some(token) {
             self.probe_timer = None;
             self.detector_tick(now, out);
-        } else if let Some(object) = self.broadcast.take_put_timer(token) {
+        } else if let Some(object) = self.broadcast.put_for_timer(token) {
             let progress = self.broadcast.advance_pipelined_put(&mut self.ctx, object, out);
             self.route_progress(progress, out);
         }
@@ -893,7 +894,7 @@ impl ObjectStoreNode {
         if self.lease_timer.is_none() && self.ctx.service.has_lease_candidates() {
             let token = self.ctx.fresh_timer();
             self.lease_timer = Some(token);
-            out.push(Effect::SetTimer { token, delay: self.ctx.cfg.directory_lease_ttl });
+            out.push(Effect::SetTimer { token, delay: LEASE_TTL });
         }
     }
 

@@ -26,7 +26,7 @@ struct TestCluster {
     nodes: Vec<ObjectStoreNode>,
     pending: std::collections::VecDeque<(NodeId, Vec<Effect>)>,
     replies: Vec<(NodeId, OpId, ClientReply)>,
-    dead: std::collections::HashSet<usize>,
+    dead: std::collections::BTreeSet<usize>,
 }
 
 impl TestCluster {
@@ -1388,4 +1388,70 @@ fn out_of_range_node_ids_in_liveness_messages_are_dropped() {
             }
         }
     }
+}
+
+/// A Get whose inline reply the store cannot hold fails with the store's error; it
+/// never completes on an object the store does not have.
+#[test]
+fn an_inline_reply_that_does_not_fit_the_store_fails_the_get() {
+    let cfg = HopliteConfig { store_capacity: 200, ..HopliteConfig::small_for_tests() };
+    let mut tc = TestCluster::with_config(3, cfg);
+    let small = ObjectId::from_name("small");
+    tc.client(0, OpId(1), ClientOp::Put { object: small, payload: Payload::from_vec(vec![5; 32]) });
+    // Node 1's store is full of a pinned put, so the inline copy has no room.
+    let full = ObjectId::from_name("full");
+    tc.client(1, OpId(2), ClientOp::Put { object: full, payload: Payload::from_vec(vec![6; 200]) });
+    tc.run();
+    tc.client(1, OpId(3), ClientOp::Get { object: small });
+    tc.run();
+    let reply = tc.replies.iter().find(|(_, op, _)| *op == OpId(3)).map(|(_, _, r)| r);
+    assert!(
+        matches!(reply, Some(ClientReply::Error { error: HopliteError::OutOfMemory { .. } })),
+        "{reply:?}"
+    );
+    assert!(!tc.nodes[1].has_complete(small));
+}
+
+/// A node fed the same inputs emits the same effects: when the peer that eight Gets
+/// pull from (and that leads the shard of their unconfirmed registrations) dies, the
+/// re-driven registrations and the re-pulls come out in object order on every node.
+#[test]
+fn a_peer_failure_emits_the_same_effects_on_two_fresh_nodes() {
+    let cluster = ClusterView::of_size(4);
+    let peer = NodeId(2);
+    let objects: Vec<ObjectId> = (0..)
+        .map(|i| ObjectId::from_name(&format!("fan{i}")))
+        .filter(|&o| cluster.shard_node(o) == peer)
+        .take(8)
+        .collect();
+    let run = || {
+        let opts = NodeOptions::default();
+        let cfg = HopliteConfig::small_for_tests();
+        let mut node = ObjectStoreNode::new(NodeId(1), cfg, cluster.clone(), opts);
+        for (i, &object) in objects.iter().enumerate() {
+            let mut out = Vec::new();
+            node.handle_client(Time::ZERO, OpId(i as u64), ClientOp::Get { object }, &mut out);
+            let query_id = out
+                .iter()
+                .find_map(|e| match e {
+                    Effect::Send { msg: Message::DirQuery { query_id, .. }, .. } => Some(*query_id),
+                    _ => None,
+                })
+                .expect("the get queries the directory");
+            let location =
+                QueryResult::Location { node: peer, status: ObjectStatus::Complete, size: 4096 };
+            let reply = Message::DirQueryReply { object, query_id, result: location };
+            node.handle_message(Time::ZERO, peer, reply, &mut Vec::new());
+        }
+        let mut out = Vec::new();
+        node.handle_peer_failed(Time::ZERO, peer, &mut out);
+        out
+    };
+    let out = run();
+    let sent = |want: fn(&Message) -> bool| {
+        out.iter().filter(|e| matches!(e, Effect::Send { msg, .. } if want(msg))).count()
+    };
+    assert_eq!(sent(|m| matches!(m, Message::DirRegister { .. })), 8, "{out:?}");
+    assert_eq!(sent(|m| matches!(m, Message::DirQuery { .. })), 8, "{out:?}");
+    assert_eq!(out, run(), "two fresh nodes fed the same inputs emitted different effects");
 }

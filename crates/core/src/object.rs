@@ -126,7 +126,7 @@ pub struct ObjectMeta {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn from_name_is_deterministic() {
@@ -137,7 +137,7 @@ mod tests {
     #[test]
     fn derived_ids_are_distinct() {
         let base = ObjectId::from_name("gradient");
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for round in 0..1000u64 {
             assert!(seen.insert(base.derived(round)), "collision at round {round}");
         }

@@ -11,7 +11,7 @@
 //! (segmented when they span received blocks — see [`Payload::Segments`]). Nothing
 //! here coalesces.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::buffer::{Payload, ProgressBuffer};
 use crate::error::{HopliteError, Result};
@@ -30,7 +30,7 @@ struct StoredObject {
 /// The local object store of one node.
 #[derive(Debug)]
 pub struct LocalStore {
-    objects: HashMap<ObjectId, StoredObject>,
+    objects: BTreeMap<ObjectId, StoredObject>,
     capacity: u64,
     used: u64,
     access_counter: u64,
@@ -40,7 +40,7 @@ pub struct LocalStore {
 impl LocalStore {
     /// Create a store with `capacity` bytes of room.
     pub fn new(capacity: u64) -> Self {
-        LocalStore { objects: HashMap::new(), capacity, used: 0, access_counter: 0, evictions: 0 }
+        LocalStore { objects: BTreeMap::new(), capacity, used: 0, access_counter: 0, evictions: 0 }
     }
 
     /// Number of objects currently stored.

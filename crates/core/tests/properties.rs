@@ -107,7 +107,7 @@ fn plan_assignment_is_injective() {
                 node: NodeId(i as u32),
             });
         }
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for slot in 0..n {
             let input = plan.assignment(slot).expect("every slot is assigned");
             assert!(seen.insert(input.object), "object assigned twice (n={n} d={d})");
@@ -133,7 +133,7 @@ fn plan_failures_never_double_assign() {
                 node: NodeId(i as u32),
             });
         }
-        let mut failed = std::collections::HashSet::new();
+        let mut failed = std::collections::BTreeSet::new();
         for round in 0..num_failures {
             let f = rng.range(0, 20) as u32;
             plan.on_node_failed(NodeId(f));
@@ -144,7 +144,7 @@ fn plan_failures_never_double_assign() {
                 node: NodeId(100 + round as u32),
             });
         }
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for slot in 0..n {
             if let Some(input) = plan.assignment(slot) {
                 assert!(

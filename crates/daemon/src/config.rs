@@ -12,7 +12,7 @@ use hoplite_core::prelude::*;
 ///
 /// `block_size`, `inline_threshold`, `store_capacity`, `snapshot_chunk_bytes`,
 /// `directory_inline_cache_bytes`, `directory_log_retention`,
-/// `directory_replication`, `directory_lease_ttl_ms`. `block_size` must be positive.
+/// `directory_replication`. `block_size` must be positive.
 ///
 /// The SWIM failure detector is off unless `detector = true`; with it on, the knobs
 /// `detector_probe_period_ms`, `detector_ack_timeout_ms`,
@@ -49,7 +49,6 @@ pub fn parse(text: &str) -> std::result::Result<HopliteConfig, String> {
             "directory_inline_cache_bytes" => cfg.directory_inline_cache_bytes = int()?,
             "directory_log_retention" => cfg.directory_log_retention = int()? as usize,
             "directory_replication" => cfg.directory_replication = int()? as usize,
-            "directory_lease_ttl_ms" => cfg.directory_lease_ttl = Duration::from_millis(int()?),
             "detector" => {
                 if boolean()? {
                     cfg.detector.get_or_insert_with(DetectorConfig::default);
@@ -100,14 +99,12 @@ mod tests {
             "# drill config\n\
              block_size = 65536\n\
              inline_threshold = 128   # small objects stay inline\n\
-             directory_replication = 3\n\
-             directory_lease_ttl_ms = 250\n",
+             directory_replication = 3\n",
         )
         .unwrap();
         assert_eq!(cfg.block_size, 65536);
         assert_eq!(cfg.inline_threshold, 128);
         assert_eq!(cfg.directory_replication, 3);
-        assert_eq!(cfg.directory_lease_ttl, Duration::from_millis(250));
         // Untouched keys keep their defaults.
         assert_eq!(cfg.store_capacity, HopliteConfig::default().store_capacity);
     }
@@ -118,7 +115,9 @@ mod tests {
         assert!(parse("block_size = banana").is_err());
         assert!(parse("no equals sign").is_err());
         // The key of a knob that no longer exists is an unknown key, not silently ignored.
-        for retired in ["pull_timeout_ms = 250", "directory_shards = 4"] {
+        for retired in
+            ["pull_timeout_ms = 250", "directory_shards = 4", "directory_lease_ttl_ms = 250"]
+        {
             let err = parse(retired).unwrap_err();
             assert!(err.contains("unknown config key"), "{err}");
         }
