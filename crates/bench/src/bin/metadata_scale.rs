@@ -16,9 +16,10 @@ use std::collections::VecDeque;
 use std::time::Instant;
 
 use hoplite_core::config::HopliteConfig;
-use hoplite_core::directory::{DirectoryService, ResyncFrame};
+use hoplite_core::directory::DirectoryService;
+use hoplite_core::metrics::NodeMetrics;
 use hoplite_core::object::{NodeId, ObjectId, ObjectStatus};
-use hoplite_core::protocol::{DirOp, Message};
+use hoplite_core::protocol::Message;
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
@@ -37,70 +38,30 @@ fn peak_rss_mb() -> u64 {
     0
 }
 
-/// Route one message between the two services, returning the sends it produced.
-/// Client-facing notifications are dropped — this drill has no clients.
-fn route(
+/// Hand one frame to its receiver's service, returning the sends it produced.
+/// Client-facing notifications come back untouched and are dropped — this drill has
+/// no clients.
+fn deliver(
     svcs: &mut [DirectoryService; 2],
+    metrics: &mut [NodeMetrics; 2],
     from: NodeId,
     to: NodeId,
     msg: Message,
 ) -> Vec<(NodeId, NodeId, Message)> {
+    let at = to.0 as usize;
     let mut out = Vec::new();
-    match msg {
-        Message::DirReplicate { shard, epoch, seq, op } => {
-            svcs[to.0 as usize].handle_replicate(shard as usize, epoch, seq, &op, from, &mut out);
-        }
-        Message::DirAck { shard, epoch, seq } => {
-            svcs[to.0 as usize].handle_ack(shard as usize, from, epoch, seq, &mut out);
-        }
-        Message::DirSnapshotRequest {
-            shard,
-            requester,
-            restart,
-            after,
-            have_epoch,
-            have_seq,
-            ..
-        } => {
-            svcs[to.0 as usize].handle_snapshot_request(
-                shard as usize,
-                requester,
-                restart,
-                after,
-                have_epoch,
-                have_seq,
-                &mut out,
-            );
-        }
-        Message::DirSnapshotChunk { shard, epoch, seq, rank, done, state } => {
-            let frame = ResyncFrame::Chunk { seq, rank: rank as usize, entries: &state.entries };
-            svcs[to.0 as usize].handle_resync_frame(
-                shard as usize,
-                epoch,
-                frame,
-                done,
-                from,
-                &mut out,
-            );
-        }
-        Message::DirResyncDelta { shard, epoch, ops, done } => {
-            let frame = ResyncFrame::Delta { ops: &ops };
-            svcs[to.0 as usize].handle_resync_frame(
-                shard as usize,
-                epoch,
-                frame,
-                done,
-                from,
-                &mut out,
-            );
-        }
-        _ => {}
-    }
+    svcs[at].handle(from, msg, &mut metrics[at], &mut out);
     out.into_iter().map(|(to2, m2)| (to, to2, m2)).collect()
 }
 
-fn register_op(o: ObjectId) -> DirOp {
-    DirOp::Register { object: o, holder: NodeId(0), status: ObjectStatus::Complete, size: 1 << 20 }
+/// A registration of `o` held by node 0, as a client sends it.
+fn register(o: ObjectId) -> Message {
+    Message::DirRegister {
+        object: o,
+        holder: NodeId(0),
+        status: ObjectStatus::Complete,
+        size: 1 << 20,
+    }
 }
 
 fn main() {
@@ -113,6 +74,7 @@ fn main() {
         DirectoryService::new(NodeId(0), &cfg, &nodes),
         DirectoryService::new(NodeId(1), &cfg, &nodes),
     ];
+    let mut metrics = [NodeMetrics::default(), NodeMetrics::default()];
 
     // Phase 1 — populate: register `objects` objects at their shard primaries,
     // replicating and acking each op so the logs stay trimmed to the retention ring
@@ -124,10 +86,9 @@ fn main() {
     let mut out = Vec::new();
     for &o in &ids {
         let primary = svcs[0].primary_for(o).expect("shard has a primary");
-        assert!(svcs[primary.0 as usize].handle_op(register_op(o), &mut out));
-        queue.extend(out.drain(..).map(|(to, m)| (primary, to, m)));
+        queue.push_back((NodeId(0), primary, register(o)));
         while let Some((from, to, msg)) = queue.pop_front() {
-            let next = route(&mut svcs, from, to, msg);
+            let next = deliver(&mut svcs, &mut metrics, from, to, msg);
             queue.extend(next);
         }
     }
@@ -165,18 +126,18 @@ fn main() {
             if chunks_routed.is_multiple_of(8) {
                 let o = ObjectId::from_name(&format!("scale-live-{chunks_routed}"));
                 live.push(o);
-                let mut ops_out = Vec::new();
-                assert!(svcs[0].handle_op(register_op(o), &mut ops_out));
                 // No live backup: nothing to route, the op stays local until the
                 // stream (or the post-resync readmission re-ship) carries it over.
+                deliver(&mut svcs, &mut metrics, NodeId(0), NodeId(0), register(o));
             }
         }
-        let next = route(&mut svcs, from, to, msg);
+        let next = deliver(&mut svcs, &mut metrics, from, to, msg);
         queue.extend(next);
     }
     assert!(!svcs[1].is_resyncing(), "resync stream completed");
     let resync_s = resync_start.elapsed().as_secs_f64();
-    let (chunks_sent, chunk_bytes, delta_resyncs) = svcs[0].take_resync_counters();
+    let chunks_sent = metrics[0].snapshot_chunks_sent;
+    let (chunk_bytes, delta_resyncs) = (metrics[0].snapshot_bytes, metrics[0].delta_resyncs);
     let resync_rate = (objects + live.len()) as f64 / resync_s;
     println!(
         "metadata_scale: resync chunks={chunks_sent} bytes={chunk_bytes} \
@@ -192,7 +153,7 @@ fn main() {
     svcs[0].on_peer_readmitted(NodeId(1), &mut q0);
     queue.extend(q0.into_iter().map(|(to, m)| (NodeId(0), to, m)));
     while let Some((from, to, msg)) = queue.pop_front() {
-        let next = route(&mut svcs, from, to, msg);
+        let next = deliver(&mut svcs, &mut metrics, from, to, msg);
         queue.extend(next);
     }
 

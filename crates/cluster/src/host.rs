@@ -404,21 +404,7 @@ impl Node {
     /// Handle one thing out of `host`'s mailbox.
     fn run(&mut self, host: &Shared, event: LoopEvent) {
         let event = match event {
-            LoopEvent::Node(event) => {
-                // A failure notice or verdict names a dead peer: give the transport
-                // its cue to tear down cached connections toward it (writes into a
-                // SIGKILLed process's socket can succeed silently, so the transport
-                // cannot detect this on its own).
-                match &event {
-                    NodeEvent::PeerFailed(dead)
-                    | NodeEvent::Message {
-                        msg: Message::PeerFailureNotice { node: dead, .. },
-                        ..
-                    } => self.fabric.peer_down(*dead),
-                    _ => {}
-                }
-                event
-            }
+            LoopEvent::Node(event) => event,
             LoopEvent::Client { op_id, op, reply } => {
                 self.pending_replies.insert(op_id, reply);
                 NodeEvent::Client { op: op_id, request: op }
@@ -493,9 +479,11 @@ impl DriverPort for RealPort<'_> {
     }
 
     fn peer_down(&mut self, node: NodeId) {
-        // The node's own failure machinery (detector verdict, gossiped death,
-        // digest) declared `node` dead: tear down cached connections toward it,
-        // exactly as when a supervisor-relayed notice arrives over the fabric.
+        // The node accepted `node`'s death — whatever carried it: a supervisor verdict
+        // or notice, the detector, gossip, a digest — so tear down cached connections
+        // toward it (writes into a SIGKILLed process's socket can succeed silently, so
+        // the transport cannot detect this on its own). A stale notice about an
+        // incarnation that already restarted never gets here.
         self.fabric.peer_down(node);
     }
 }
@@ -509,6 +497,8 @@ pub(crate) mod tests {
     #[derive(Clone)]
     struct Recorder {
         sent: Arc<Mutex<Vec<(NodeId, Message, String)>>>,
+        /// Every peer the node had its transport tear down, in order.
+        downs: Arc<Mutex<Vec<NodeId>>>,
         gate: ObjectId,
         entered: Sender<()>,
         release: Receiver<()>,
@@ -524,11 +514,16 @@ pub(crate) mod tests {
                 self.release.recv().unwrap();
             }
         }
+
+        fn peer_down(&self, to: NodeId) {
+            self.downs.lock().unwrap().push(to);
+        }
     }
 
     struct Rig {
         host: NodeHost,
         sent: Arc<Mutex<Vec<(NodeId, Message, String)>>>,
+        downs: Arc<Mutex<Vec<NodeId>>>,
         entered: Receiver<()>,
         release: Sender<()>,
     }
@@ -539,8 +534,10 @@ pub(crate) mod tests {
         let (entered_tx, entered) = unbounded();
         let (release, release_rx) = unbounded();
         let sent = Arc::new(Mutex::new(Vec::new()));
+        let downs = Arc::new(Mutex::new(Vec::new()));
         let recorder = Recorder {
             sent: sent.clone(),
+            downs: downs.clone(),
             gate: ObjectId::from_name("gate"),
             entered: entered_tx,
             release: release_rx,
@@ -556,7 +553,7 @@ pub(crate) mod tests {
         wait_until("the node thread to run the warm-up", || sent.lock().unwrap().len() == 1);
         drop(host.shared.node.lock().unwrap());
         assert_eq!(sent.lock().unwrap().pop().unwrap().2, "hoplite-node-0");
-        Rig { host, sent, entered, release }
+        Rig { host, sent, downs, entered, release }
     }
 
     /// Poll `ready` until it holds, for at most ten seconds.
@@ -572,6 +569,29 @@ pub(crate) mod tests {
     /// `from`: it holds no objects.
     fn pull(from: u32, object: ObjectId) -> (NodeId, Message) {
         (NodeId(from), Message::PullRequest { object, requester: NodeId(from), offset: 0 })
+    }
+
+    #[test]
+    fn a_peer_is_torn_down_once_per_accepted_death_and_never_for_a_stale_notice() {
+        let rig = rig(2, HopliteConfig::small_for_tests(), false);
+        let peer = NodeId(1);
+        // The peer reconnects as incarnation 1: the crash of incarnation 0 it implies
+        // is the node's own verdict, with its own teardown.
+        rig.host.inject_message(peer, Message::Hello { node: peer, incarnation: 1 });
+        rig.host.status().expect("node is up");
+        let downs = || rig.downs.lock().unwrap().len();
+        let before = downs();
+        // A late notice about incarnation 0 must not tear down the live edges to 1.
+        let stale = Message::PeerFailureNotice { node: peer, incarnation: 0 };
+        rig.host.inject_message(NodeId(0), stale);
+        rig.host.status().expect("node is up");
+        assert_eq!(downs() - before, 0, "a stale notice tore down a restarted peer's edges");
+        // A fresh notice is one accepted death: one teardown.
+        let fresh = Message::PeerFailureNotice { node: peer, incarnation: 1 };
+        rig.host.inject_message(NodeId(0), fresh);
+        rig.host.status().expect("node is up");
+        assert_eq!(downs() - before, 1, "one teardown per accepted death");
+        assert_eq!(rig.downs.lock().unwrap().last(), Some(&peer));
     }
 
     #[test]

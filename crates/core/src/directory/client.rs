@@ -1,25 +1,25 @@
 //! The directory client: this node's journal of durable intent.
 //!
-//! Every node expresses its directory intent — locations it registered, inline
-//! objects it published, subscriptions it opened — through a [`DirectoryClient`],
-//! which journals it and builds the wire message; the node facade routes that
-//! message to the shard's current primary as read from the node's one
-//! [`super::PlacementView`] (owned by its [`super::DirectoryService`]).
+//! Every directory op leaves a node through one path: the node facade's `dir(op)`
+//! journals the [`DirOp`] here ([`DirectoryClient::journal`], one match over the op
+//! kinds: locations registered, inline objects published, subscriptions opened, and
+//! what withdraws them), then sends its message form to the shard's current primary
+//! as read from the node's one [`super::PlacementView`] (owned by its
+//! [`super::DirectoryService`]).
 //!
 //! With the acked replication log, the journal tracks **confirmation**: the primary
-//! sends a [`Message::DirConfirm`] once an op's log entry has been acked by every
-//! tracked backup, at which point the op is durable *inside* the replication layer —
-//! a promoted backup is guaranteed to hold it. The loss window that remains is ops
-//! still in flight to (or unconfirmed at) a dying primary, so
+//! sends a [`crate::protocol::Message::DirConfirm`] once an op's log entry has been
+//! acked by every tracked backup, at which point the op is durable *inside* the
+//! replication layer — a promoted backup is guaranteed to hold it. The loss window
+//! that remains is ops still in flight to (or unconfirmed at) a dying primary, so
 //! `DirectoryClient::redrive_for` selects exactly that genuinely-unacked window for
 //! the shards whose primary just changed, instead of the full journal. All re-drives
 //! are idempotent at the shard.
 
 use std::collections::BTreeMap;
 
-use crate::buffer::Payload;
-use crate::object::{NodeId, ObjectId, ObjectStatus};
-use crate::protocol::{ConfirmKind, Message};
+use crate::object::{ObjectId, ObjectStatus};
+use crate::protocol::{ConfirmKind, DirOp};
 
 use super::placement::DirectoryPlacement;
 
@@ -34,8 +34,8 @@ pub struct Registration {
     /// case a re-drive must re-ship the payload, not just the location.
     pub inline: bool,
     /// Whether the primary confirmed the registration as replication-durable
-    /// ([`Message::DirConfirm`]); confirmed entries are excluded from failover
-    /// re-drive.
+    /// ([`crate::protocol::Message::DirConfirm`]); confirmed entries are excluded from
+    /// failover re-drive.
     pub confirmed: bool,
 }
 
@@ -51,22 +51,17 @@ pub struct FailoverRedrive {
     pub resubscribe: Vec<ObjectId>,
 }
 
-/// Per-node journal of directory intent. Each intent method records what a failover
-/// must be able to re-drive and returns the message to send to the shard's primary.
-#[derive(Debug)]
+/// Per-node journal of directory intent: every op this node sends is journaled here
+/// first ([`DirectoryClient::journal`]), recording what a failover must be able to
+/// re-drive.
+#[derive(Debug, Default)]
 pub struct DirectoryClient {
-    me: NodeId,
     registrations: BTreeMap<ObjectId, Registration>,
     /// Open subscriptions, with their confirmation state.
     subscriptions: BTreeMap<ObjectId, bool>,
 }
 
 impl DirectoryClient {
-    /// Create the client for node `me`.
-    pub fn new(me: NodeId) -> Self {
-        DirectoryClient { me, registrations: BTreeMap::new(), subscriptions: BTreeMap::new() }
-    }
-
     /// Number of open subscriptions (GC tests).
     pub fn subscription_count(&self) -> usize {
         self.subscriptions.len()
@@ -79,61 +74,36 @@ impl DirectoryClient {
             + self.subscriptions.values().filter(|c| !**c).count()
     }
 
-    /// Register (or refresh) this node as a location of `object`.
-    pub fn register(&mut self, object: ObjectId, status: ObjectStatus, size: u64) -> Message {
-        self.registrations
-            .insert(object, Registration { status, size, inline: false, confirmed: false });
-        Message::DirRegister { object, holder: self.me, status, size }
-    }
-
-    /// Publish a small object through the inline fast path.
-    pub fn put_inline(&mut self, object: ObjectId, payload: Payload) -> Message {
-        self.registrations.insert(
-            object,
-            Registration {
-                status: ObjectStatus::Complete,
-                size: payload.len(),
-                inline: true,
-                confirmed: false,
-            },
-        );
-        Message::DirPutInline { object, holder: self.me, payload }
-    }
-
-    /// Withdraw this node's location for `object`.
-    pub fn unregister(&mut self, object: ObjectId) -> Message {
-        self.registrations.remove(&object);
-        Message::DirUnregister { object, holder: self.me }
-    }
-
-    /// Issue a synchronous location query (not journaled: the broadcast engine
-    /// tracks outstanding queries and re-issues them itself).
-    pub fn query(&self, object: ObjectId, query_id: u64, exclude: Vec<NodeId>) -> Message {
-        Message::DirQuery { object, requester: self.me, query_id, exclude }
-    }
-
-    /// Open a location subscription.
-    pub fn subscribe(&mut self, object: ObjectId) -> Message {
-        self.subscriptions.insert(object, false);
-        Message::DirSubscribe { object, subscriber: self.me }
-    }
-
-    /// Close a location subscription.
-    pub fn unsubscribe(&mut self, object: ObjectId) -> Message {
-        self.subscriptions.remove(&object);
-        Message::DirUnsubscribe { object, subscriber: self.me }
-    }
-
-    /// Report a finished transfer so the sender's lease is released.
-    pub fn transfer_done(&self, object: ObjectId, sender: NodeId) -> Message {
-        Message::DirTransferDone { object, receiver: self.me, sender }
-    }
-
-    /// Delete every copy of `object` cluster-wide.
-    pub fn delete(&mut self, object: ObjectId) -> Message {
-        self.registrations.remove(&object);
-        self.subscriptions.remove(&object);
-        Message::DirDelete { object }
+    /// Journal an op this node is about to send. A registration or inline put is
+    /// recorded unconfirmed (replacing any earlier intent for the object), a
+    /// subscription opened unconfirmed; unregister, unsubscribe and delete withdraw
+    /// what they undo. Queries are not journaled (the broadcast engine tracks
+    /// outstanding queries and re-issues them itself), nor are transfer reports.
+    pub fn journal(&mut self, op: &DirOp) {
+        let intent = |status, size, inline| Registration { status, size, inline, confirmed: false };
+        match op {
+            DirOp::Register { object, status, size, .. } => {
+                self.registrations.insert(*object, intent(*status, *size, false));
+            }
+            DirOp::PutInline { object, payload, .. } => {
+                let size = payload.len();
+                self.registrations.insert(*object, intent(ObjectStatus::Complete, size, true));
+            }
+            DirOp::Unregister { object, .. } => {
+                self.registrations.remove(object);
+            }
+            DirOp::Subscribe { object, .. } => {
+                self.subscriptions.insert(*object, false);
+            }
+            DirOp::Unsubscribe { object, .. } => {
+                self.subscriptions.remove(object);
+            }
+            DirOp::Delete { object } => {
+                self.registrations.remove(object);
+                self.subscriptions.remove(object);
+            }
+            DirOp::Query { .. } | DirOp::TransferDone { .. } => {}
+        }
     }
 
     /// The local copy of `object` is gone (delete fan-out or eviction): drop the
@@ -203,14 +173,25 @@ impl DirectoryClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::Payload;
     use crate::config::HopliteConfig;
     use crate::directory::PlacementView;
+    use crate::object::NodeId;
 
     /// A client beside the leadership view its node would route through.
-    fn client(n: u32, me: u32) -> (DirectoryClient, PlacementView) {
+    fn client(n: u32) -> (DirectoryClient, PlacementView) {
         let nodes: Vec<NodeId> = (0..n).map(NodeId).collect();
         let placement = DirectoryPlacement::from_config(&HopliteConfig::small_for_tests(), &nodes);
-        (DirectoryClient::new(NodeId(me)), PlacementView::new(placement))
+        (DirectoryClient::default(), PlacementView::new(placement))
+    }
+
+    /// The ops these tests journal, as node 0 sends them.
+    fn register(c: &mut DirectoryClient, object: ObjectId, status: ObjectStatus, size: u64) {
+        c.journal(&DirOp::Register { object, holder: NodeId(0), status, size });
+    }
+
+    fn subscribe(c: &mut DirectoryClient, object: ObjectId) {
+        c.journal(&DirOp::Subscribe { object, subscriber: NodeId(0) });
     }
 
     fn obj_with_primary(v: &PlacementView, primary: u32) -> ObjectId {
@@ -228,26 +209,94 @@ mod tests {
 
     #[test]
     fn routes_to_the_current_primary() {
-        let (mut c, mut v) = client(4, 2);
+        let (mut c, mut v) = client(4);
         let o = obj_with_primary(&v, 1);
-        let msg = c.register(o, ObjectStatus::Complete, 10);
-        assert!(matches!(msg, Message::DirRegister { holder: NodeId(2), .. }));
+        register(&mut c, o, ObjectStatus::Complete, 10);
         assert_eq!(v.primary_for(o), Some(NodeId(1)));
-        // After node 1 dies the same object routes to the next replica (node 2).
-        fail(&c, &mut v, 1);
-        assert!(matches!(c.query(o, 1, vec![]), Message::DirQuery { requester: NodeId(2), .. }));
+        // After node 1 dies the same object routes to the next replica (node 2), and
+        // the journaled registration is what the failover re-drives there.
+        let redrive = fail(&c, &mut v, 1);
         assert_eq!(v.primary_for(o), Some(NodeId(2)));
+        assert_eq!(redrive.reregister.iter().map(|r| r.0).collect::<Vec<_>>(), vec![o]);
+    }
+
+    /// Each op kind, journaled alone on a fresh client, leaves exactly its own intent:
+    /// `(registration, subscription)` per kind, before and after a prior intent of both.
+    #[test]
+    fn journal_records_each_op_kind() {
+        let o = ObjectId::from_name("journal");
+        let (me, peer) = (NodeId(0), NodeId(1));
+        let located = Registration {
+            status: ObjectStatus::Partial,
+            size: 7,
+            inline: false,
+            confirmed: false,
+        };
+        let inline = Registration {
+            status: ObjectStatus::Complete,
+            size: 16,
+            inline: true,
+            confirmed: false,
+        };
+        let cases = [
+            (
+                DirOp::Register { object: o, holder: me, status: ObjectStatus::Partial, size: 7 },
+                Some(located),
+                None,
+            ),
+            (
+                DirOp::PutInline { object: o, holder: me, payload: Payload::zeros(16) },
+                Some(inline),
+                None,
+            ),
+            (DirOp::Unregister { object: o, holder: me }, None, None),
+            (
+                DirOp::Query { object: o, requester: me, query_id: 3, exclude: vec![peer] },
+                None,
+                None,
+            ),
+            (DirOp::Subscribe { object: o, subscriber: me }, None, Some(false)),
+            (DirOp::Unsubscribe { object: o, subscriber: me }, None, None),
+            (DirOp::TransferDone { object: o, receiver: me, sender: peer }, None, None),
+            (DirOp::Delete { object: o }, None, None),
+        ];
+        for (op, registration, subscription) in cases {
+            let mut c = DirectoryClient::default();
+            c.journal(&op);
+            assert_eq!(c.registrations.get(&o).copied(), registration, "{op:?}");
+            assert_eq!(c.subscriptions.get(&o).copied(), subscription, "{op:?}");
+            // Over a confirmed registration and subscription: a new intent replaces
+            // the registration unconfirmed, a withdrawal removes what it undoes, and
+            // the rest leave both as they were.
+            let mut c = DirectoryClient::default();
+            register(&mut c, o, ObjectStatus::Complete, 9);
+            subscribe(&mut c, o);
+            c.confirm(o, ConfirmKind::Location { status: ObjectStatus::Complete });
+            c.confirm(o, ConfirmKind::Subscription);
+            let before = (c.registrations.get(&o).copied(), c.subscriptions.get(&o).copied());
+            c.journal(&op);
+            let after = (c.registrations.get(&o).copied(), c.subscriptions.get(&o).copied());
+            let expected = match op {
+                DirOp::Register { .. } | DirOp::PutInline { .. } => (registration, before.1),
+                DirOp::Subscribe { .. } => (before.0, subscription),
+                DirOp::Unregister { .. } => (None, before.1),
+                DirOp::Unsubscribe { .. } => (before.0, None),
+                DirOp::Delete { .. } => (None, None),
+                DirOp::Query { .. } | DirOp::TransferDone { .. } => before,
+            };
+            assert_eq!(after, expected, "{op:?} over confirmed intents");
+        }
     }
 
     #[test]
     fn failover_redrives_journaled_state_for_changed_shards_only() {
-        let (mut c, mut v) = client(4, 0);
+        let (mut c, mut v) = client(4);
         let on_dead = obj_with_primary(&v, 3);
         let elsewhere = obj_with_primary(&v, 1);
-        c.register(on_dead, ObjectStatus::Complete, 10);
-        c.register(elsewhere, ObjectStatus::Partial, 20);
-        c.subscribe(on_dead);
-        c.subscribe(elsewhere);
+        register(&mut c, on_dead, ObjectStatus::Complete, 10);
+        register(&mut c, elsewhere, ObjectStatus::Partial, 20);
+        subscribe(&mut c, on_dead);
+        subscribe(&mut c, elsewhere);
         let redrive = fail(&c, &mut v, 3);
         assert_eq!(redrive.changed_shards, vec![3]);
         assert_eq!(redrive.reregister.len(), 1);
@@ -259,15 +308,15 @@ mod tests {
 
     #[test]
     fn confirmed_intents_shrink_the_redrive_window() {
-        let (mut c, mut v) = client(4, 0);
+        let (mut c, mut v) = client(4);
         let confirmed = obj_with_primary(&v, 3);
         let unacked = (0u64..)
             .map(|k| ObjectId::from_name(&format!("win-{k}")))
             .find(|&o| v.primary_for(o) == Some(NodeId(3)) && o != confirmed)
             .unwrap();
-        c.register(confirmed, ObjectStatus::Complete, 10);
-        c.register(unacked, ObjectStatus::Complete, 20);
-        c.subscribe(confirmed);
+        register(&mut c, confirmed, ObjectStatus::Complete, 10);
+        register(&mut c, unacked, ObjectStatus::Complete, 20);
+        subscribe(&mut c, confirmed);
         assert_eq!(c.unconfirmed_count(), 3);
         c.confirm(confirmed, ConfirmKind::Location { status: ObjectStatus::Complete });
         c.confirm(confirmed, ConfirmKind::Subscription);
@@ -282,11 +331,11 @@ mod tests {
 
     #[test]
     fn stale_confirm_does_not_cover_an_upgraded_registration() {
-        let (mut c, mut v) = client(4, 0);
+        let (mut c, mut v) = client(4);
         let o = obj_with_primary(&v, 3);
-        c.register(o, ObjectStatus::Partial, 10);
+        register(&mut c, o, ObjectStatus::Partial, 10);
         // The registration is upgraded before the Partial confirm arrives.
-        c.register(o, ObjectStatus::Complete, 10);
+        register(&mut c, o, ObjectStatus::Complete, 10);
         c.confirm(o, ConfirmKind::Location { status: ObjectStatus::Partial });
         let redrive = fail(&c, &mut v, 3);
         assert_eq!(redrive.reregister.len(), 1, "the Complete upgrade is still unacked");
@@ -295,17 +344,17 @@ mod tests {
 
     #[test]
     fn forgotten_and_deleted_objects_are_not_redriven() {
-        let (mut c, mut v) = client(3, 0);
+        let (mut c, mut v) = client(3);
         let a = obj_with_primary(&v, 2);
-        c.put_inline(a, Payload::zeros(16));
+        c.journal(&DirOp::PutInline { object: a, holder: NodeId(0), payload: Payload::zeros(16) });
         c.forget(a);
         let b = (0u64..)
             .map(|k| ObjectId::from_name(&format!("del-{k}")))
             .find(|&o| v.primary_for(o) == Some(NodeId(2)))
             .unwrap();
-        c.register(b, ObjectStatus::Complete, 10);
-        c.subscribe(b);
-        c.delete(b);
+        register(&mut c, b, ObjectStatus::Complete, 10);
+        subscribe(&mut c, b);
+        c.journal(&DirOp::Delete { object: b });
         let redrive = fail(&c, &mut v, 2);
         assert!(redrive.reregister.is_empty());
         assert!(redrive.resubscribe.is_empty());
@@ -313,9 +362,9 @@ mod tests {
 
     #[test]
     fn exhausted_replica_set_yields_no_target() {
-        let (mut c, mut v) = client(2, 0);
+        let (mut c, mut v) = client(2);
         let o = obj_with_primary(&v, 1);
-        c.register(o, ObjectStatus::Complete, 10);
+        register(&mut c, o, ObjectStatus::Complete, 10);
         fail(&c, &mut v, 1);
         // replication = 2 on a 2-node cluster: replicas are nodes 1 and 0.
         assert_eq!(v.primary_for(o), Some(NodeId(0)));
@@ -332,9 +381,9 @@ mod tests {
         // 1 is readmitted after restarting, the shard regains a primary and the
         // client must re-drive the registration there — the re-admitted replica may
         // have resynced from nothing.
-        let (mut c, mut v) = client(3, 0);
+        let (mut c, mut v) = client(3);
         let o = obj_with_primary(&v, 1);
-        c.register(o, ObjectStatus::Complete, 10);
+        register(&mut c, o, ObjectStatus::Complete, 10);
         let first = fail(&c, &mut v, 1);
         assert_eq!(first.reregister.len(), 1, "failover to node 2 re-drives");
         let second = fail(&c, &mut v, 2);
@@ -353,7 +402,7 @@ mod tests {
 
     #[test]
     fn self_resync_routes_away_until_finished() {
-        let (_, mut v) = client(3, 0);
+        let (_, mut v) = client(3);
         let o = obj_with_primary(&v, 0);
         v.begin_self_resync(NodeId(0));
         // While resyncing, ops for shards this node owns go to the backup.

@@ -11,15 +11,25 @@
 //! resyncing, from whom, and how far its chunk stream got is that replica's
 //! [`super::replication::Resync`] record; whether this node is still resyncing after a
 //! restart is the view's `resyncing ∋ me`. Every frame of every stream — chunk,
-//! delta, or the retired full snapshot — enters through
-//! [`DirectoryService::handle_resync_frame`], and every request for one leaves
-//! through one pull helper.
+//! delta, or the retired full snapshot — becomes one [`ResyncFrame`] in one place, and
+//! every request for one leaves through one pull helper.
+//!
+//! **One way in.** Every server-side directory frame — the eight client ops (see
+//! [`DirOp`]), `DirReplicate`, `DirAck`, `DirSnapshotRequest` and the three resync
+//! frames (tags 23, 27 and 28) — enters through [`DirectoryService::handle`], which
+//! checks the shard a frame names against the cluster before indexing anything and
+//! writes each directory counter into the caller's [`NodeMetrics`] where its event
+//! happens. The node, `metadata_scale` and the tests below all drive the service
+//! through it, so the plane can be driven and replayed on its own. What a resync
+//! request implies about its requester's liveness, and `DirResynced`, stay with the
+//! node: they are liveness evidence, not directory state.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::config::HopliteConfig;
+use crate::metrics::NodeMetrics;
 use crate::object::{NodeId, ObjectId, ObjectStatus};
-use crate::protocol::{DirOp, Message, ShardSnapshot};
+use crate::protocol::{DirOp, Message, ShardSnapshot, CONTROL};
 
 use super::placement::{DirectoryPlacement, PlacementView};
 use super::replication::{ReplayOutcome, ReplicaRole, ResyncFrame, ResyncStep, ShardReplica};
@@ -43,12 +53,6 @@ pub struct DirectoryService {
     /// `(shard, requester)`: the cursor confirmed by the requester's last request
     /// plus the objects mutated behind it since (re-shipped with the next chunk).
     streams: BTreeMap<(usize, NodeId), ChunkStream>,
-    /// `DirSnapshotChunk` frames served (drained into `NodeMetrics`).
-    snapshot_chunks_sent: u64,
-    /// Bytes of shard state shipped in served chunks (drained into `NodeMetrics`).
-    snapshot_bytes: u64,
-    /// Resyncs served as op replays instead of state (drained into `NodeMetrics`).
-    delta_resyncs: u64,
 }
 
 /// Source-side bookkeeping of one chunked resync stream. Entries at or before the
@@ -88,9 +92,6 @@ impl DirectoryService {
             replicas,
             readmission: None,
             streams: BTreeMap::new(),
-            snapshot_chunks_sent: 0,
-            snapshot_bytes: 0,
-            delta_resyncs: 0,
         }
     }
 
@@ -144,11 +145,101 @@ impl DirectoryService {
             .collect()
     }
 
+    /// The shard a frame off the wire names, if this cluster has it: the one range
+    /// check in front of everything that indexes by shard.
+    pub fn shard(&self, wire: u64) -> Option<usize> {
+        usize::try_from(wire).ok().filter(|&s| s < self.view.placement().num_shards())
+    }
+
+    /// Take one server-side directory frame from `from`, appending what it produces
+    /// to `out` and counting what happened in `metrics`. The eight client ops are
+    /// applied as primary or forwarded; `DirReplicate` and `DirAck` run the
+    /// replication log; a `DirSnapshotRequest` is served or forwarded; a state chunk,
+    /// delta replay or retired full snapshot is installed. A frame naming a shard the
+    /// cluster does not have is dropped; any other message comes back untouched.
+    pub fn handle(
+        &mut self,
+        from: NodeId,
+        msg: Message,
+        metrics: &mut NodeMetrics,
+        out: &mut Vec<(NodeId, Message)>,
+    ) -> Option<Message> {
+        let msg = match DirOp::try_from(msg) {
+            Ok(op) => {
+                self.handle_op(op, metrics, out);
+                return None;
+            }
+            Err(msg) => msg,
+        };
+        if let Some((shard, epoch, frame, done)) = resync_frame(&msg) {
+            if let Some(shard) = self.shard(shard) {
+                if self.handle_resync_frame(shard, epoch, frame, done, from, out) {
+                    metrics.directory_resyncs += 1;
+                }
+            }
+            return None;
+        }
+        match msg {
+            Message::DirReplicate { shard, epoch, seq, op } => {
+                if let Some(shard) = self.shard(shard) {
+                    self.handle_replicate(shard, epoch, seq, &op, from, out);
+                }
+            }
+            Message::DirAck { shard, epoch, seq } => {
+                if let Some(shard) = self.shard(shard) {
+                    self.handle_ack(shard, from, epoch, seq, out);
+                }
+            }
+            Message::DirSnapshotRequest {
+                shard: wire,
+                requester,
+                restart,
+                after,
+                have_epoch,
+                have_seq,
+                ..
+            } => {
+                let hosted =
+                    self.shard(wire).filter(|&s| self.view.placement().hosts(requester, s));
+                if let Some(shard) = hosted {
+                    match self.view.primary(shard) {
+                        Some(primary) if primary == self.me => {
+                            let have = (have_epoch, have_seq);
+                            self.serve_resync(shard, requester, after, have, metrics, out);
+                        }
+                        Some(primary) if primary != requester => {
+                            let digest = Vec::new();
+                            let request = Message::DirSnapshotRequest {
+                                shard: wire,
+                                requester,
+                                restart,
+                                after,
+                                have_epoch,
+                                have_seq,
+                                digest,
+                            };
+                            out.push((primary, request));
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            other => return Some(other),
+        }
+        None
+    }
+
     /// Route one client directory op: apply it if this node is the shard's primary
     /// (emitting replies, log-shipping the op, and later confirming it to its
     /// origin), forward it to the believed primary otherwise. Ops for a shard whose
-    /// every replica died are dropped — that metadata is gone.
-    pub fn handle_op(&mut self, op: DirOp, out: &mut Vec<(NodeId, Message)>) -> bool {
+    /// every replica died are dropped — that metadata is gone. Returns whether the op
+    /// was applied here.
+    fn handle_op(
+        &mut self,
+        op: DirOp,
+        metrics: &mut NodeMetrics,
+        out: &mut Vec<(NodeId, Message)>,
+    ) -> bool {
         let shard = self.view.placement().shard_of(op.object());
         match self.view.primary(shard) {
             Some(primary) if primary == self.me => {
@@ -175,12 +266,19 @@ impl DirectoryService {
                         Message::DirReplicate { shard: shard as u64, epoch, seq, op: op.clone() },
                     ));
                 }
+                match op {
+                    DirOp::Query { .. } => metrics.directory_queries_served += 1,
+                    DirOp::Register { .. } | DirOp::PutInline { .. } => {
+                        metrics.directory_registrations += 1;
+                    }
+                    _ => {}
+                }
                 true
             }
             Some(primary) => {
                 // A client with a staler failure view than ours (or a scheduling race
                 // around a promotion) sent the op here; pass it along.
-                out.push((primary, op.into_message()));
+                out.push((primary, op.into()));
                 false
             }
             None => false,
@@ -190,7 +288,7 @@ impl DirectoryService {
     /// Replay an op shipped by a shard's primary into this node's backup replica. An
     /// applied op is acked straight back to the shipper; a log gap this replica
     /// cannot bridge is answered with a resync request.
-    pub fn handle_replicate(
+    fn handle_replicate(
         &mut self,
         shard: usize,
         epoch: u64,
@@ -217,7 +315,7 @@ impl DirectoryService {
 
     /// Fold a backup's cumulative ack into the shard's log, emitting any confirms
     /// that became due (acks reaching a non-primary replica are ignored).
-    pub fn handle_ack(
+    fn handle_ack(
         &mut self,
         shard: usize,
         from: NodeId,
@@ -231,62 +329,24 @@ impl DirectoryService {
         }
     }
 
-    /// Serve (or forward) a recovering replica's resync request. What the request
-    /// implies about the requester's liveness — it is up, and crashed first if it
-    /// marks a restart — has already been folded into the view by the node's evidence
-    /// function, so a restarted node asking for its shard's state back is never
-    /// mistaken for the shard's leader and left wedged.
+    /// Serve one round of a recovering replica's resync as the shard's primary. What
+    /// the request implies about the requester's liveness — it is up, and crashed
+    /// first if it marks a restart — has already been folded into the view by the
+    /// node's evidence function, so a restarted node asking for its shard's state back
+    /// is never mistaken for the shard's leader and left wedged.
     ///
-    /// Serving is **chunked and incremental**: a requester whose gap the retained
-    /// log suffix covers gets a [`Message::DirResyncDelta`] op replay; everyone else
-    /// gets exactly one bounded [`Message::DirSnapshotChunk`] per request, so chunks
-    /// interleave with live op shipments and the source is never paused for
-    /// O(objects) time.
-    #[allow(clippy::too_many_arguments)] // mirrors the DirSnapshotRequest wire fields
-    pub fn handle_snapshot_request(
-        &mut self,
-        shard: usize,
-        requester: NodeId,
-        restart: bool,
-        after: Option<ObjectId>,
-        have_epoch: u64,
-        have_seq: u64,
-        out: &mut Vec<(NodeId, Message)>,
-    ) {
-        if !self.view.placement().hosts(requester, shard) {
-            return;
-        }
-        match self.view.primary(shard) {
-            Some(primary) if primary == self.me => {
-                self.serve_resync(shard, requester, after, have_epoch, have_seq, out);
-            }
-            Some(primary) if primary != requester => {
-                out.push((
-                    primary,
-                    Message::DirSnapshotRequest {
-                        shard: shard as u64,
-                        requester,
-                        restart,
-                        after,
-                        have_epoch,
-                        have_seq,
-                        digest: Vec::new(),
-                    },
-                ));
-            }
-            _ => {}
-        }
-    }
-
-    /// Serve one resync round as the shard's primary: a delta replay when the
-    /// requester's gap is bridgeable, one bounded state chunk otherwise.
+    /// Serving is **chunked and incremental**: a requester whose gap `have` (its
+    /// epoch and applied prefix) the retained log suffix covers gets a
+    /// [`Message::DirResyncDelta`] op replay; everyone else gets exactly one bounded
+    /// [`Message::DirSnapshotChunk`] per request, so chunks interleave with live op
+    /// shipments and the source is never paused for O(objects) time.
     fn serve_resync(
         &mut self,
         shard: usize,
         requester: NodeId,
         after: Option<ObjectId>,
-        have_epoch: u64,
-        have_seq: u64,
+        (have_epoch, have_seq): (u64, u64),
+        metrics: &mut NodeMetrics,
         out: &mut Vec<(NodeId, Message)>,
     ) {
         let rank = self.view.current_rank(shard) as u64;
@@ -312,13 +372,8 @@ impl DirectoryService {
             let mut ops: Vec<(u64, DirOp)> = Vec::new();
             let mut used = 0u64;
             for (op_seq, op) in all {
-                let sz = Message::DirResyncDelta {
-                    shard: 0,
-                    epoch: 0,
-                    ops: vec![(op_seq, op.clone())],
-                    done: false,
-                }
-                .wire_size();
+                // What this op would cost as a one-op frame.
+                let sz = CONTROL + op.wire_size();
                 if !ops.is_empty() && used + sz > budget {
                     break;
                 }
@@ -327,7 +382,7 @@ impl DirectoryService {
             }
             let done = ops.len() == total;
             if done {
-                self.delta_resyncs += 1;
+                metrics.delta_resyncs += 1;
             }
             out.push((
                 requester,
@@ -371,8 +426,8 @@ impl DirectoryService {
             self.streams.remove(&key);
         }
         let state = ShardSnapshot { entries };
-        self.snapshot_chunks_sent += 1;
-        self.snapshot_bytes += state.wire_size();
+        metrics.snapshot_chunks_sent += 1;
+        metrics.snapshot_bytes += state.wire_size();
         out.push((
             requester,
             Message::DirSnapshotChunk { shard: shard as u64, epoch, seq, rank, done, state },
@@ -393,7 +448,7 @@ impl DirectoryService {
     /// abandoning a sourceless shard). Frames for a shard with no resync in flight and
     /// frames from a source this view considers dead are dropped: they are stragglers
     /// of an abandoned stream.
-    pub fn handle_resync_frame(
+    fn handle_resync_frame(
         &mut self,
         shard: usize,
         epoch: u64,
@@ -611,16 +666,6 @@ impl DirectoryService {
         ));
     }
 
-    /// Drain the resync-source counters `(chunks_sent, chunk_bytes, delta_resyncs)`
-    /// (folded into `NodeMetrics` by the node facade).
-    pub fn take_resync_counters(&mut self) -> (u64, u64, u64) {
-        (
-            std::mem::take(&mut self.snapshot_chunks_sent),
-            std::mem::take(&mut self.snapshot_bytes),
-            std::mem::take(&mut self.delta_resyncs),
-        )
-    }
-
     /// Drain the inline-eviction count across every hosted replica.
     pub fn take_inline_evictions(&mut self) -> u64 {
         self.replicas.values_mut().map(|r| r.take_inline_evictions()).sum()
@@ -639,10 +684,37 @@ impl DirectoryService {
     }
 }
 
+/// The resync-stream frame a message carries, as `(shard, epoch, frame, done)`: a state
+/// chunk (tag 27), a delta replay (tag 28), or the retired full snapshot (tag 23), the
+/// one-chunk stream it is the degenerate case of.
+pub(crate) fn resync_frame(msg: &Message) -> Option<(u64, u64, ResyncFrame<'_>, bool)> {
+    let (shard, epoch, seq, rank, done, state) = match msg {
+        Message::DirSnapshot { shard, epoch, seq, rank, state } => {
+            (shard, epoch, seq, rank, &true, state)
+        }
+        Message::DirSnapshotChunk { shard, epoch, seq, rank, done, state } => {
+            (shard, epoch, seq, rank, done, state)
+        }
+        Message::DirResyncDelta { shard, epoch, ops, done } => {
+            return Some((*shard, *epoch, ResyncFrame::Delta { ops }, *done));
+        }
+        _ => return None,
+    };
+    let frame = ResyncFrame::Chunk { seq: *seq, rank: *rank as usize, entries: &state.entries };
+    Some((*shard, *epoch, frame, *done))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::protocol::ConfirmKind;
+
+    impl DirectoryService {
+        /// Submit a client op here, as `handle` does; whether it was applied here.
+        fn submit(&mut self, op: DirOp, out: &mut Vec<(NodeId, Message)>) -> bool {
+            self.handle_op(op, &mut NodeMetrics::default(), out)
+        }
+    }
 
     fn nodes(n: u32) -> Vec<NodeId> {
         (0..n).map(NodeId).collect()
@@ -668,24 +740,92 @@ mod tests {
             .unwrap()
     }
 
-    /// Deliver a resync request the way the node does: its evidence function first
-    /// folds what the request implies about the requester into the view (a restart
-    /// request from a peer held healthy is a failure; any request is a recovery),
-    /// then the service serves it.
-    fn deliver_snapshot_request(
+    /// A fresh-stream resync request for `shard` from `requester`, which has applied
+    /// `have = (epoch, seq)`.
+    fn request(shard: u64, requester: NodeId, restart: bool, have: (u64, u64)) -> Message {
+        let (have_epoch, have_seq) = have;
+        let after = None;
+        let digest = Vec::new();
+        Message::DirSnapshotRequest {
+            shard,
+            requester,
+            restart,
+            after,
+            have_epoch,
+            have_seq,
+            digest,
+        }
+    }
+
+    /// Deliver one frame to `svc` the way the node does: a resync request is first
+    /// evidence about its requester, folded into the view (a restart request from a
+    /// peer held healthy is a failure; any request is a recovery); then the service
+    /// takes the frame.
+    fn deliver_to(
         svc: &mut DirectoryService,
-        shard: usize,
-        requester: NodeId,
-        restart: bool,
-        after: Option<ObjectId>,
-        have: (u64, u64),
+        metrics: &mut NodeMetrics,
+        from: NodeId,
+        msg: Message,
         out: &mut Vec<(NodeId, Message)>,
     ) {
-        if restart && svc.view().is_alive(requester) && !svc.view().is_resyncing(requester) {
-            svc.on_peer_failed(requester, out);
+        if let Message::DirSnapshotRequest { requester, restart, .. } = msg {
+            if restart && svc.view().is_alive(requester) && !svc.view().is_resyncing(requester) {
+                svc.on_peer_failed(requester, out);
+            }
+            svc.on_peer_recovered(requester);
         }
-        svc.on_peer_recovered(requester);
-        svc.handle_snapshot_request(shard, requester, restart, after, have.0, have.1, out);
+        if let Some(other) = svc.handle(from, msg, metrics, out) {
+            panic!("not a directory frame: {other:?}");
+        }
+    }
+
+    #[test]
+    fn frames_for_a_shard_out_of_range_are_dropped() {
+        // Four shards, r = 2: node 1 hosts shards 0 and 1. Shard 4 would wrap onto
+        // shard 0 in the replica-set arithmetic, so without the range check a restart
+        // request for it from node 0 would index past the leadership view.
+        let cfg = HopliteConfig::small_for_tests();
+        let mut svc = DirectoryService::new(NodeId(1), &cfg, &nodes(4));
+        let mut metrics = NodeMetrics::default();
+        let o = obj_in_shard(&svc, 0);
+        let op = reg(o, 2);
+        let state = ShardSnapshot::default();
+        for shard in [4, 5, u64::MAX] {
+            let frames = [
+                request(shard, NodeId(0), true, (0, 0)),
+                Message::DirReplicate { shard, epoch: 9, seq: 1, op: op.clone() },
+                Message::DirAck { shard, epoch: 9, seq: 1 },
+                Message::DirSnapshot { shard, epoch: 9, seq: 1, rank: 1, state: state.clone() },
+                Message::DirSnapshotChunk {
+                    shard,
+                    epoch: 9,
+                    seq: 1,
+                    rank: 1,
+                    done: true,
+                    state: state.clone(),
+                },
+                Message::DirResyncDelta { shard, epoch: 9, ops: vec![(1, op.clone())], done: true },
+            ];
+            for msg in frames {
+                let mut out = Vec::new();
+                assert_eq!(svc.handle(NodeId(0), msg.clone(), &mut metrics, &mut out), None);
+                assert!(out.is_empty(), "{msg:?} produced {out:?}");
+            }
+        }
+        assert_eq!(metrics, NodeMetrics::default(), "nothing counted");
+        assert_eq!((0..4).map(|s| svc.view().epoch(s)).collect::<Vec<_>>(), vec![0; 4]);
+        assert_eq!(svc.primary_for(o), Some(NodeId(0)), "no rank adopted");
+        // A frame that is not the service's comes back untouched.
+        let publish = Message::DirPublish {
+            object: o,
+            holder: NodeId(2),
+            status: ObjectStatus::Complete,
+            size: 1,
+        };
+        assert_eq!(
+            svc.handle(NodeId(0), publish.clone(), &mut metrics, &mut Vec::new()),
+            Some(publish)
+        );
     }
 
     #[test]
@@ -747,7 +887,7 @@ mod tests {
         let mut svc = DirectoryService::new(NodeId(0), &cfg, &ns);
         let o = obj_in_shard(&svc, 0);
         let mut out = Vec::new();
-        assert!(svc.handle_op(reg(o, 2), &mut out));
+        assert!(svc.submit(reg(o, 2), &mut out));
         assert_eq!(svc.locations(o).unwrap().len(), 1);
         // The op was shipped, sequenced, to the shard's backup (node 1).
         let (backup, seq) = out
@@ -777,8 +917,7 @@ mod tests {
         let mut svc = DirectoryService::new(NodeId(3), &cfg, &ns);
         let o = obj_in_shard(&svc, 1);
         let mut out = Vec::new();
-        let applied =
-            svc.handle_op(DirOp::Subscribe { object: o, subscriber: NodeId(3) }, &mut out);
+        let applied = svc.submit(DirOp::Subscribe { object: o, subscriber: NodeId(3) }, &mut out);
         assert!(!applied);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, NodeId(1));
@@ -806,7 +945,7 @@ mod tests {
         // The replicated record survived the failover, and the promoted replica now
         // answers ops itself.
         let mut out = Vec::new();
-        assert!(svc.handle_op(
+        assert!(svc.submit(
             DirOp::Query { object: o, requester: NodeId(2), query_id: 1, exclude: vec![] },
             &mut out,
         ));
@@ -833,7 +972,7 @@ mod tests {
         for (i, &o) in objects.iter().enumerate() {
             // Holders are third-party nodes, not the dying primary (a dead node's own
             // locations are purged by definition).
-            assert!(primary_svc.handle_op(reg(o, 10 + i as u32), &mut out));
+            assert!(primary_svc.submit(reg(o, 10 + i as u32), &mut out));
         }
         // Deliver the shipments to the backup (ack replies ignored — the primary is
         // about to die anyway).
@@ -883,7 +1022,7 @@ mod tests {
             assert_eq!(replica.resync(), None);
             let o = obj_in_shard(&restarted, shard);
             let mut ops_out = Vec::new();
-            assert!(restarted.handle_op(reg(o, 5), &mut ops_out), "shard {shard} applies ops");
+            assert!(restarted.submit(reg(o, 5), &mut ops_out), "shard {shard} applies ops");
         }
     }
 
@@ -892,7 +1031,7 @@ mod tests {
         // Node 0 crashes and restarts *before* the failure detector tells node 1.
         // Node 1 still believes node 0 leads shard 0, so node 0's restart snapshot
         // request must itself carry the news: with the implied failure folded in
-        // (by the node's evidence function, mirrored by `deliver_snapshot_request`)
+        // (by the node's evidence function, mirrored by `deliver_to`)
         // node 1 promotes itself and serves the snapshot — instead of silently
         // dropping the request and wedging node 0 in resync forever.
         let cfg = HopliteConfig::small_for_tests();
@@ -901,7 +1040,9 @@ mod tests {
         let o = obj_in_shard(&survivor, 0);
         assert_eq!(survivor.primary_for(o), Some(NodeId(0)), "failure not yet detected");
         let mut out = Vec::new();
-        deliver_snapshot_request(&mut survivor, 0, NodeId(0), true, None, (0, 0), &mut out);
+        let mut metrics = NodeMetrics::default();
+        let restart = request(0, NodeId(0), true, (0, 0));
+        deliver_to(&mut survivor, &mut metrics, NodeId(0), restart, &mut out);
         assert_eq!(survivor.primary_for(o), Some(NodeId(1)), "implied failure folded in");
         assert_eq!(survivor.replica(0).unwrap().role(), ReplicaRole::Primary);
         assert!(
@@ -920,7 +1061,8 @@ mod tests {
         // A *gap* catch-up request from a live backup must not depose anyone.
         let mut survivor2 = DirectoryService::new(NodeId(1), &cfg, &ns);
         let mut out2 = Vec::new();
-        deliver_snapshot_request(&mut survivor2, 1, NodeId(2), false, None, (0, 0), &mut out2);
+        let gap = request(1, NodeId(2), false, (0, 0));
+        deliver_to(&mut survivor2, &mut metrics, NodeId(2), gap, &mut out2);
         assert_eq!(survivor2.view().primary(2), Some(NodeId(2)), "live backup untouched");
     }
 
@@ -954,11 +1096,12 @@ mod tests {
         // and resyncs both hosted shards.
         let mut svcs: Vec<DirectoryService> =
             (0..3).map(|i| DirectoryService::new(NodeId(i), &cfg, &ns)).collect();
+        let mut m = vec![NodeMetrics::default(); 3];
         let mut out = Vec::new();
         svcs[1].on_peer_failed(NodeId(0), &mut out);
         svcs[2].on_peer_failed(NodeId(0), &mut out);
         let o = obj_in_shard(&svcs[1], 0);
-        assert!(svcs[1].handle_op(reg(o, 2), &mut out));
+        assert!(svcs[1].submit(reg(o, 2), &mut out));
         out.clear();
 
         // Node 0 restarts empty and begins recovery.
@@ -975,7 +1118,7 @@ mod tests {
         let mut queue: Vec<(NodeId, NodeId, Message)> =
             requests.into_iter().map(|(to, m)| (NodeId(0), to, m)).collect();
         while let Some((from, to, msg)) = queue.pop() {
-            queue.extend(deliver(&mut svcs, from, to, msg));
+            queue.extend(deliver(&mut svcs, &mut m, from, to, msg));
         }
         let restarted = &svcs[0];
         assert!(!restarted.is_resyncing(), "local resync completed");
@@ -999,7 +1142,7 @@ mod tests {
         let mut p = DirectoryService::new(NodeId(0), &cfg, &ns);
         let o = obj_in_shard(&p, 0);
         let mut out = Vec::new();
-        assert!(p.handle_op(reg(o, 1), &mut out));
+        assert!(p.submit(reg(o, 1), &mut out));
         let mut ships: Vec<NodeId> = out
             .iter()
             .filter_map(|(to, m)| matches!(m, Message::DirReplicate { .. }).then_some(*to))
@@ -1015,17 +1158,18 @@ mod tests {
         // A dead backup stops being shipped to.
         p.on_peer_failed(NodeId(2), &mut Vec::new());
         out.clear();
-        assert!(p.handle_op(reg(obj_in_shard(&p, 0), 1), &mut out));
+        assert!(p.submit(reg(obj_in_shard(&p, 0), 1), &mut out));
         assert!(!out.iter().any(|(to, _)| *to == NodeId(2)), "dead backup not shipped to");
     }
 
     // --------------------------------------------------- chunked/delta resync ----
 
-    /// Route a single message to its recipient (services indexed by node id) and
-    /// return the resulting sends as `(from, to, msg)` triples. `DirConfirm`s are
-    /// swallowed — the resync tests don't assert on client confirms.
+    /// Route a single message to its recipient (services and their metrics indexed by
+    /// node id) and return the resulting sends as `(from, to, msg)` triples.
+    /// `DirConfirm`s are swallowed — the resync tests don't assert on client confirms.
     fn deliver(
         svcs: &mut [DirectoryService],
+        metrics: &mut [NodeMetrics],
         from: NodeId,
         to: NodeId,
         msg: Message,
@@ -1036,45 +1180,9 @@ mod tests {
         ) {
             return Vec::new();
         }
-        let svc = &mut svcs[to.0 as usize];
+        let at = to.0 as usize;
         let mut out = Vec::new();
-        match msg {
-            Message::DirReplicate { shard, epoch, seq, op } => {
-                svc.handle_replicate(shard as usize, epoch, seq, &op, from, &mut out);
-            }
-            Message::DirAck { shard, epoch, seq } => {
-                svc.handle_ack(shard as usize, from, epoch, seq, &mut out);
-            }
-            Message::DirSnapshotRequest {
-                shard,
-                requester,
-                restart,
-                after,
-                have_epoch,
-                have_seq,
-                ..
-            } => {
-                deliver_snapshot_request(
-                    svc,
-                    shard as usize,
-                    requester,
-                    restart,
-                    after,
-                    (have_epoch, have_seq),
-                    &mut out,
-                );
-            }
-            Message::DirSnapshotChunk { shard, epoch, seq, rank, done, state } => {
-                let frame =
-                    ResyncFrame::Chunk { seq, rank: rank as usize, entries: &state.entries };
-                svc.handle_resync_frame(shard as usize, epoch, frame, done, from, &mut out);
-            }
-            Message::DirResyncDelta { shard, epoch, ops, done } => {
-                let frame = ResyncFrame::Delta { ops: &ops };
-                svc.handle_resync_frame(shard as usize, epoch, frame, done, from, &mut out);
-            }
-            other => panic!("unroutable message in resync test: {other:?}"),
-        }
+        deliver_to(&mut svcs[at], &mut metrics[at], from, msg, &mut out);
         out.into_iter().map(|(to2, m2)| (to, to2, m2)).collect()
     }
 
@@ -1085,6 +1193,7 @@ mod tests {
         let ns = nodes(3);
         let mut svcs: Vec<DirectoryService> =
             (0..2).map(|i| DirectoryService::new(NodeId(i), &cfg, &ns)).collect();
+        let mut m = vec![NodeMetrics::default(); 2];
         let objects: Vec<ObjectId> = (0u64..)
             .map(|k| obj(&format!("delta-{k}")))
             .filter(|&o| svcs[0].placement().shard_of(o) == 0)
@@ -1092,17 +1201,17 @@ mod tests {
             .collect();
         // Op 1 replicates normally and is acked.
         let mut out = Vec::new();
-        assert!(svcs[0].handle_op(reg(objects[0], 2), &mut out));
+        assert!(svcs[0].submit(reg(objects[0], 2), &mut out));
         let mut queue: Vec<_> = out.drain(..).map(|(to, m)| (NodeId(0), to, m)).collect();
         while let Some((from, to, msg)) = queue.pop() {
-            queue.extend(deliver(&mut svcs, from, to, msg));
+            queue.extend(deliver(&mut svcs, &mut m, from, to, msg));
         }
         // Ops 2 and 3 are applied at the primary but their shipments are lost.
-        assert!(svcs[0].handle_op(reg(objects[1], 2), &mut out));
-        assert!(svcs[0].handle_op(reg(objects[2], 2), &mut out));
+        assert!(svcs[0].submit(reg(objects[1], 2), &mut out));
+        assert!(svcs[0].submit(reg(objects[2], 2), &mut out));
         out.clear();
         // Op 4's shipment arrives and exposes the gap.
-        assert!(svcs[0].handle_op(reg(objects[3], 2), &mut out));
+        assert!(svcs[0].submit(reg(objects[3], 2), &mut out));
         let (seq4, op4) = out
             .iter()
             .find_map(|(_, m)| match m {
@@ -1127,18 +1236,10 @@ mod tests {
         // The primary's retained suffix covers the gap: it replays ops, ships no
         // state, and the backup converges and acks the full prefix.
         let mut frames = Vec::new();
-        deliver_snapshot_request(
-            &mut svcs[0],
-            0,
-            NodeId(1),
-            false,
-            None,
-            (have_epoch, have_seq),
-            &mut frames,
-        );
-        let (chunks, bytes, deltas) = svcs[0].take_resync_counters();
-        assert_eq!((chunks, bytes), (0, 0), "no state chunks shipped");
-        assert_eq!(deltas, 1, "served as a delta");
+        let gap = request(0, NodeId(1), false, (have_epoch, have_seq));
+        deliver_to(&mut svcs[0], &mut m[0], NodeId(1), gap, &mut frames);
+        assert_eq!((m[0].snapshot_chunks_sent, m[0].snapshot_bytes), (0, 0), "no state chunks");
+        assert_eq!(m[0].delta_resyncs, 1, "served as a delta");
         let mut completed = false;
         let mut queue: Vec<_> = frames.into_iter().map(|(to, m)| (NodeId(0), to, m)).collect();
         while let Some((from, to, msg)) = queue.pop() {
@@ -1151,7 +1252,7 @@ mod tests {
             if matches!(msg, Message::DirAck { shard: 0, seq: 4, .. }) && to == NodeId(0) {
                 completed = true;
             }
-            queue.extend(deliver(&mut svcs, from, to, msg));
+            queue.extend(deliver(&mut svcs, &mut m, from, to, msg));
         }
         assert!(completed, "backup acked the replayed prefix");
         assert_eq!(svcs[1].replica(0).unwrap().resync(), None);
@@ -1168,6 +1269,7 @@ mod tests {
         let ns = nodes(2);
         let mut svcs: Vec<DirectoryService> =
             (0..2).map(|i| DirectoryService::new(NodeId(i), &cfg, &ns)).collect();
+        let mut m = vec![NodeMetrics::default(); 2];
         // Node 0 dies; node 1 promotes shard 0 (epoch 1) and leads everything.
         svcs[1].on_peer_failed(NodeId(0), &mut Vec::new());
         let mut objects = Vec::new();
@@ -1181,7 +1283,7 @@ mod tests {
         }
         let mut scratch = Vec::new();
         for &o in &objects {
-            assert!(svcs[1].handle_op(reg(o, 1), &mut scratch));
+            assert!(svcs[1].submit(reg(o, 1), &mut scratch));
         }
         scratch.clear();
         // Node 0 restarts empty. Shard 0 resyncs via chunks (its epoch moved), shard
@@ -1211,10 +1313,12 @@ mod tests {
                         let object = state.entries.first().expect("chunk carries entries").object;
                         victim = Some(object);
                         let mut live = Vec::new();
-                        assert!(svcs[1].handle_op(
-                            DirOp::Subscribe { object, subscriber: NodeId(1) },
-                            &mut live,
-                        ));
+                        assert!(
+                            svcs[1].submit(
+                                DirOp::Subscribe { object, subscriber: NodeId(1) },
+                                &mut live,
+                            )
+                        );
                         queue.extend(live.into_iter().map(|(to2, m2)| (NodeId(1), to2, m2)));
                     }
                 }
@@ -1223,13 +1327,12 @@ mod tests {
                 }
                 _ => {}
             }
-            queue.extend(deliver(&mut svcs, from, to, msg));
+            queue.extend(deliver(&mut svcs, &mut m, from, to, msg));
         }
         assert!(chunks_seen >= 8, "20 entries at 3 per chunk plus a dirty flush: {chunks_seen}");
-        let (chunks, bytes, deltas) = svcs[1].take_resync_counters();
-        assert_eq!(chunks, chunks_seen);
-        assert!(bytes > 0);
-        assert_eq!(deltas, 1, "shard 1 resynced as a delta");
+        assert_eq!(m[1].snapshot_chunks_sent, chunks_seen);
+        assert!(m[1].snapshot_bytes > 0);
+        assert_eq!(m[1].delta_resyncs, 1, "shard 1 resynced as a delta");
         // The restarted node converged on every record...
         assert!(!svcs[0].is_resyncing());
         for &o in &objects {
@@ -1260,6 +1363,7 @@ mod tests {
         let ns = nodes(3);
         let mut svcs: Vec<DirectoryService> =
             (0..3).map(|i| DirectoryService::new(NodeId(i), &cfg, &ns)).collect();
+        let mut m = vec![NodeMetrics::default(); 3];
         let objects: Vec<ObjectId> = (0u64..)
             .map(|k| obj(&format!("resume-{k}")))
             .filter(|&o| svcs[0].placement().shard_of(o) == 0)
@@ -1269,10 +1373,10 @@ mod tests {
         // primary's log is fully trimmed (and nothing is retained).
         let mut out = Vec::new();
         for &o in &objects {
-            assert!(svcs[0].handle_op(reg(o, 2), &mut out));
+            assert!(svcs[0].submit(reg(o, 2), &mut out));
             let mut queue: Vec<_> = out.drain(..).map(|(to, m)| (NodeId(0), to, m)).collect();
             while let Some((from, to, msg)) = queue.pop() {
-                queue.extend(deliver(&mut svcs, from, to, msg));
+                queue.extend(deliver(&mut svcs, &mut m, from, to, msg));
             }
         }
         // Node 1 dies and restarts empty; survivors digest the failure.
@@ -1292,7 +1396,7 @@ mod tests {
             if to == NodeId(1) && matches!(msg, Message::DirSnapshotChunk { shard: 0, .. }) {
                 installed += 1;
             }
-            queue.extend(deliver(&mut svcs, from, to, msg));
+            queue.extend(deliver(&mut svcs, &mut m, from, to, msg));
         }
         let resync = svcs[1].replica(0).unwrap().resync().expect("stream in flight");
         let cursor = resync.cursor.expect("mid-stream cursor");
@@ -1328,7 +1432,7 @@ mod tests {
                     resumed_entries += 1;
                 }
             }
-            queue.extend(deliver(&mut svcs, from, to, msg));
+            queue.extend(deliver(&mut svcs, &mut m, from, to, msg));
         }
         // Two 3-entry chunks landed before the crash; node 2 shipped exactly the
         // remaining twelve entries and the restarted replica converged.
@@ -1352,6 +1456,7 @@ mod tests {
         let ns = nodes(3);
         let mut svcs: Vec<DirectoryService> =
             (0..3).map(|i| DirectoryService::new(NodeId(i), &cfg, &ns)).collect();
+        let mut m = vec![NodeMetrics::default(); 3];
         let objects: Vec<ObjectId> = (0u64..)
             .map(|k| obj(&format!("delta-resume-{k}")))
             .filter(|&o| svcs[0].placement().shard_of(o) == 0)
@@ -1359,10 +1464,10 @@ mod tests {
             .collect();
         let mut out = Vec::new();
         for &o in &objects {
-            assert!(svcs[0].handle_op(reg(o, 2), &mut out));
+            assert!(svcs[0].submit(reg(o, 2), &mut out));
             let mut queue: Vec<_> = out.drain(..).map(|(to, m)| (NodeId(0), to, m)).collect();
             while let Some((from, to, msg)) = queue.pop() {
-                queue.extend(deliver(&mut svcs, from, to, msg));
+                queue.extend(deliver(&mut svcs, &mut m, from, to, msg));
             }
         }
         // Node 1 dies and restarts empty; survivors digest the failure. Node 0 still
@@ -1383,7 +1488,7 @@ mod tests {
                 assert_eq!((from, ops.len(), done), (NodeId(0), 1, false), "one op per frame");
                 installed += 1;
             }
-            queue.extend(deliver(&mut svcs, from, to, msg));
+            queue.extend(deliver(&mut svcs, &mut m, from, to, msg));
         }
         assert_eq!(svcs[1].replica(0).unwrap().applied_seq(), 3);
         queue.retain(|(from, to, _)| *from != NodeId(0) && *to != NodeId(0));
@@ -1417,7 +1522,7 @@ mod tests {
                 Message::DirResyncDelta { shard: 0, .. } => panic!("delta after promotion"),
                 _ => {}
             }
-            queue.extend(deliver(&mut svcs, from, to, msg));
+            queue.extend(deliver(&mut svcs, &mut m, from, to, msg));
         }
         assert!(chunks > 1, "the new source streamed the shard in chunks: {chunks}");
         assert!(!svcs[1].is_resyncing(), "resync completed at the new source");

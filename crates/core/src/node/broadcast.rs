@@ -22,8 +22,9 @@ use std::collections::BTreeMap;
 
 use crate::buffer::Payload;
 use crate::error::HopliteError;
-use crate::object::{NodeId, ObjectId, ObjectStatus};
-use crate::protocol::{ClientReply, Effect, Message, OpId, QueryResult, TimerToken};
+use crate::object::ObjectStatus::{Complete, Partial};
+use crate::object::{NodeId, ObjectId};
+use crate::protocol::{ClientReply, DirOp, Effect, Message, OpId, QueryResult, TimerToken};
 
 use super::{trace, NodeContext, Progress};
 
@@ -98,7 +99,7 @@ impl BroadcastEngine {
                 out.push(Effect::Reply { op: op_id, reply: ClientReply::Error { error } });
                 return Vec::new();
             }
-            ctx.dir_put_inline(object, payload, out);
+            ctx.dir(DirOp::PutInline { object, holder: ctx.id, payload }, out);
             out.push(Effect::Reply { op: op_id, reply: ClientReply::PutDone { object } });
             return Vec::new();
         }
@@ -111,7 +112,7 @@ impl BroadcastEngine {
                 return Vec::new();
             }
             ctx.store.set_pinned(object, true);
-            ctx.dir_register(object, ObjectStatus::Partial, size, out);
+            ctx.dir(DirOp::Register { object, holder: ctx.id, status: Partial, size }, out);
             let timer = Self::schedule_put_step(ctx, out);
             self.puts.insert(object, PipelinedPut { payload, offset: 0, op: op_id, timer });
             Vec::new()
@@ -120,7 +121,7 @@ impl BroadcastEngine {
                 out.push(Effect::Reply { op: op_id, reply: ClientReply::Error { error } });
                 return Vec::new();
             }
-            ctx.dir_register(object, ObjectStatus::Complete, size, out);
+            ctx.dir(DirOp::Register { object, holder: ctx.id, status: Complete, size }, out);
             out.push(Effect::Reply { op: op_id, reply: ClientReply::PutDone { object } });
             vec![Progress::completed(object)]
         }
@@ -213,7 +214,7 @@ impl BroadcastEngine {
             g.query_id = Some(query_id);
             g.pulling_from = None;
         }
-        ctx.dir_query(object, query_id, exclude, out);
+        ctx.dir(DirOp::Query { object, requester: ctx.id, query_id, exclude }, out);
     }
 
     /// Process a directory query reply: either an inline payload, a location to pull
@@ -261,7 +262,7 @@ impl BroadcastEngine {
                 if let Some(g) = self.gets.get_mut(&object) {
                     g.pulling_from = Some(node);
                 }
-                ctx.dir_register(object, ObjectStatus::Partial, size, out);
+                ctx.dir(DirOp::Register { object, holder: ctx.id, status: Partial, size }, out);
                 ctx.send(
                     node,
                     Message::PullRequest { object, requester: ctx.id, offset: watermark },
@@ -424,10 +425,10 @@ impl BroadcastEngine {
         // pulled from (if any) so it can serve other receivers again.
         let pulled_from = self.gets.get(&object).and_then(|g| g.pulling_from);
         if !ctx.cfg.is_inline(size) {
-            ctx.dir_register(object, ObjectStatus::Complete, size, out);
+            ctx.dir(DirOp::Register { object, holder: ctx.id, status: Complete, size }, out);
         }
         if let Some(sender) = pulled_from {
-            ctx.dir_transfer_done(object, sender, out);
+            ctx.dir(DirOp::TransferDone { object, receiver: ctx.id, sender }, out);
         }
         // Wake up local clients blocked on Get.
         if let Some(get) = self.gets.remove(&object) {

@@ -14,7 +14,7 @@
 
 use crate::error::HopliteError;
 use crate::object::{NodeId, ObjectId};
-use crate::protocol::{ClientReply, Effect, Message, OpId, ReduceInstruction, ReduceParent};
+use crate::protocol::{ClientReply, DirOp, Effect, Message, OpId, ReduceInstruction, ReduceParent};
 use crate::reduce::degree::DEGREE_CANDIDATES;
 use crate::reduce::{DegreeModel, ReduceInput, ReduceSpec, ReduceTreePlan};
 
@@ -82,7 +82,7 @@ impl ReduceEngine {
         // tree construction in arrival order (§3.4.2). Going through the directory
         // client journals the subscription, so it survives a shard-primary failover.
         for source in sources {
-            ctx.dir_subscribe(source, out);
+            ctx.dir(DirOp::Subscribe { object: source, subscriber: ctx.id }, out);
         }
         out.push(Effect::Reply { op: op_id, reply: ClientReply::ReduceAccepted { target } });
     }
@@ -135,7 +135,7 @@ impl ReduceEngine {
         for (i, source) in coord.sources.iter().enumerate() {
             let first_listing = !coord.sources[..i].contains(source);
             if first_listing && !self.coordinators.values().any(|c| c.sources.contains(source)) {
-                ctx.dir_unsubscribe(*source, out);
+                ctx.dir(DirOp::Unsubscribe { object: *source, subscriber: ctx.id }, out);
             }
         }
         if let Some(plan) = &coord.plan {

@@ -31,9 +31,8 @@
 //! This module hosts the facade-level orchestration plus the failure-specific methods
 //! of the broadcast and reduce engines, so every §3.5 rule lives in one place.
 
-use crate::directory::ResyncFrame;
 use crate::object::{NodeId, ObjectId};
-use crate::protocol::{Effect, Message};
+use crate::protocol::{DirOp, Effect, Message};
 use crate::time::Time;
 
 use super::broadcast::BroadcastEngine;
@@ -91,6 +90,7 @@ impl ObjectStoreNode {
     /// deduplicates).
     pub(crate) fn redrive_shards(&mut self, shards: Vec<usize>, out: &mut Vec<Effect>) {
         let redrive = self.ctx.directory.redrive_for(self.ctx.service.placement(), shards);
+        let me = self.ctx.id;
         for (object, reg) in redrive.reregister {
             if !self.ctx.store.contains(object) {
                 // The journaled copy is gone (evicted or deleted mid-flight).
@@ -98,17 +98,16 @@ impl ObjectStoreNode {
                 continue;
             }
             self.ctx.metrics.directory_redrives += 1;
-            if reg.inline {
-                if let Some(payload) = self.ctx.store.get_complete(object) {
-                    self.ctx.dir_put_inline(object, payload, out);
-                    continue;
-                }
-            }
-            self.ctx.dir_register(object, reg.status, reg.size, out);
+            let inline = if reg.inline { self.ctx.store.get_complete(object) } else { None };
+            let op = match inline {
+                Some(payload) => DirOp::PutInline { object, holder: me, payload },
+                None => DirOp::Register { object, holder: me, status: reg.status, size: reg.size },
+            };
+            self.ctx.dir(op, out);
         }
         for object in redrive.resubscribe {
             self.ctx.metrics.directory_redrives += 1;
-            self.ctx.dir_subscribe(object, out);
+            self.ctx.dir(DirOp::Subscribe { object, subscriber: me }, out);
         }
         self.broadcast.requery_after_failover(&mut self.ctx, &redrive.changed_shards, out);
     }
@@ -144,27 +143,6 @@ impl ObjectStoreNode {
         self.ctx.send_all(requests, out);
         self.drain_self_queue(now, out);
         self.finish_turn(out);
-    }
-
-    /// Install one frame of a resync stream — a bounded state chunk, a delta replay
-    /// from the source's log, or the retired full snapshot. The directory service
-    /// pulls the next frame mid-stream; the last one acks the catch-up point and —
-    /// once every hosted shard has installed — announces re-admission.
-    pub(crate) fn handle_dir_resync_frame(
-        &mut self,
-        shard: usize,
-        epoch: u64,
-        frame: ResyncFrame<'_>,
-        done: bool,
-        from: NodeId,
-        out: &mut Vec<Effect>,
-    ) {
-        let mut replies = Vec::new();
-        if self.ctx.service.handle_resync_frame(shard, epoch, frame, done, from, &mut replies) {
-            self.ctx.metrics.directory_resyncs += 1;
-        }
-        self.ctx.send_all(replies, out);
-        self.maybe_announce_readmission(out);
     }
 }
 
@@ -215,7 +193,7 @@ impl BroadcastEngine {
         for (object, query_id) in stranded {
             ctx.metrics.directory_failovers += 1;
             let exclude = self.gets.get(&object).map(|g| g.excluded.clone()).unwrap_or_default();
-            ctx.dir_query(object, query_id, exclude, out);
+            ctx.dir(DirOp::Query { object, requester: ctx.id, query_id, exclude }, out);
         }
     }
 

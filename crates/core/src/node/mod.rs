@@ -1,7 +1,7 @@
 //! The per-node Hoplite state machine.
 //!
 //! An [`ObjectStoreNode`] is a *facade* over three layered protocol engines plus the
-//! directory shard this node hosts:
+//! directory plane (this node's journal of intent and the replicas it hosts):
 //!
 //! * [`broadcast`] — the receiver-driven broadcast engine (§3.4.1): in-progress `Get`s,
 //!   the pull protocol, outgoing block transfers, and the pipelined `Put` ingest path
@@ -30,6 +30,15 @@
 //! follows*. The SWIM detector ([`crate::detector`]) only probes: it reads the table
 //! and hands its verdicts to the same function.
 //!
+//! **The directory seam is declared once.** Every directory op leaves the node
+//! through `NodeContext::dir`, which journals it in the node's
+//! [`DirectoryClient`] and sends it to the shard's primary; every server-side
+//! directory frame enters [`DirectoryService::handle`]. What the node keeps of the
+//! directory plane is its own: the liveness evidence and digest teaching a resync
+//! request carries (folded in before the request is served), `DirResynced`, and the
+//! replies addressed to its client side (`DirConfirm`, `DirQueryReply`,
+//! `DirPublish`).
+//!
 //! The node is entirely sans-IO: the same state machine runs unchanged under the
 //! discrete-event simulator (cluster scale, synthetic payloads) and over the real
 //! in-process / TCP transports (real bytes, real reductions), driven by the shared
@@ -44,11 +53,12 @@ mod tests;
 
 use std::collections::VecDeque;
 
-use crate::buffer::{Payload, SlabPool};
+use crate::buffer::SlabPool;
 use crate::config::HopliteConfig;
 use crate::detector::{DetectorAction, FailureDetector, GossipEntry, GossipState};
+use crate::directory::service::resync_frame;
 use crate::directory::shard::LEASE_TTL;
-use crate::directory::{DirectoryClient, DirectoryPlacement, DirectoryService, ResyncFrame};
+use crate::directory::{DirectoryClient, DirectoryPlacement, DirectoryService};
 use crate::membership::{MemberDigestEntry, MembershipView, Transition};
 use crate::metrics::NodeMetrics;
 use crate::object::{NodeId, ObjectId, ObjectStatus};
@@ -138,9 +148,8 @@ pub(crate) struct NodeContext {
     /// Where this node's engines get bulk buffers (reduce accumulators) from.
     pub(crate) pool: SlabPool,
     pub(crate) metrics: NodeMetrics,
-    /// Every directory intent of this node goes through this client, which journals
-    /// what must be re-driven on failover; the `dir_*` methods route the resulting
-    /// message by `service`'s view.
+    /// This node's journal of directory intent: every op [`NodeContext::dir`] sends
+    /// is journaled here first, so a failover can re-drive what was not confirmed.
     pub(crate) directory: DirectoryClient,
     /// The directory server half: this node's shard replicas and its one leadership
     /// view. Every liveness transition is applied here, exactly once.
@@ -187,85 +196,17 @@ impl NodeContext {
         }
     }
 
-    /// Route a directory op to the current primary of `object`'s shard.
-    fn dir_send(&mut self, object: ObjectId, msg: Message, out: &mut Vec<Effect>) {
-        // `None` means every replica of the shard is dead; the op has nowhere to go
-        // and is dropped, exactly as a message to a dead node would be. The believed
-        // primary is always a replica-set member, so a transiently stale answer is
-        // corrected by one server-side forward.
-        if let Some(primary) = self.service.primary_for(object) {
-            self.send(primary, msg, out);
+    /// The one way a directory op leaves this node: journal it (what a failover must
+    /// re-drive), then send its message form to the current primary of its shard.
+    /// With every replica of the shard dead there is no primary: the op is dropped,
+    /// exactly as a message to a dead node would be. The believed primary is always a
+    /// replica-set member, so a transiently stale answer is corrected by one
+    /// server-side forward.
+    pub(crate) fn dir(&mut self, op: DirOp, out: &mut Vec<Effect>) {
+        self.directory.journal(&op);
+        if let Some(primary) = self.service.primary_for(op.object()) {
+            self.send(primary, op.into(), out);
         }
-    }
-
-    /// Register (or refresh) this node as a location of `object`.
-    pub(crate) fn dir_register(
-        &mut self,
-        object: ObjectId,
-        status: ObjectStatus,
-        size: u64,
-        out: &mut Vec<Effect>,
-    ) {
-        let msg = self.directory.register(object, status, size);
-        self.dir_send(object, msg, out);
-    }
-
-    /// Publish a small object through the directory's inline fast path.
-    pub(crate) fn dir_put_inline(
-        &mut self,
-        object: ObjectId,
-        payload: Payload,
-        out: &mut Vec<Effect>,
-    ) {
-        let msg = self.directory.put_inline(object, payload);
-        self.dir_send(object, msg, out);
-    }
-
-    /// Withdraw this node's location for `object`.
-    pub(crate) fn dir_unregister(&mut self, object: ObjectId, out: &mut Vec<Effect>) {
-        let msg = self.directory.unregister(object);
-        self.dir_send(object, msg, out);
-    }
-
-    /// Issue a synchronous location query.
-    pub(crate) fn dir_query(
-        &mut self,
-        object: ObjectId,
-        query_id: u64,
-        exclude: Vec<NodeId>,
-        out: &mut Vec<Effect>,
-    ) {
-        let msg = self.directory.query(object, query_id, exclude);
-        self.dir_send(object, msg, out);
-    }
-
-    /// Open a location subscription.
-    pub(crate) fn dir_subscribe(&mut self, object: ObjectId, out: &mut Vec<Effect>) {
-        let msg = self.directory.subscribe(object);
-        self.dir_send(object, msg, out);
-    }
-
-    /// Close a location subscription.
-    pub(crate) fn dir_unsubscribe(&mut self, object: ObjectId, out: &mut Vec<Effect>) {
-        let msg = self.directory.unsubscribe(object);
-        self.dir_send(object, msg, out);
-    }
-
-    /// Report a finished transfer so the sender's lease is released.
-    pub(crate) fn dir_transfer_done(
-        &mut self,
-        object: ObjectId,
-        sender: NodeId,
-        out: &mut Vec<Effect>,
-    ) {
-        let msg = self.directory.transfer_done(object, sender);
-        self.dir_send(object, msg, out);
-    }
-
-    /// Delete every copy of `object` cluster-wide.
-    pub(crate) fn dir_delete(&mut self, object: ObjectId, out: &mut Vec<Effect>) {
-        let msg = self.directory.delete(object);
-        self.dir_send(object, msg, out);
     }
 
     /// A fresh directory-query correlation id.
@@ -375,7 +316,7 @@ impl ObjectStoreNode {
                 store,
                 pool: SlabPool::new(),
                 metrics: NodeMetrics::default(),
-                directory: DirectoryClient::new(id),
+                directory: DirectoryClient::default(),
                 service,
                 membership,
                 next_query_id: 1,
@@ -498,7 +439,7 @@ impl ObjectStoreNode {
                 );
             }
             ClientOp::Delete { object } => {
-                self.ctx.dir_delete(object, out);
+                self.ctx.dir(DirOp::Delete { object }, out);
                 out.push(Effect::Reply {
                     op: op_id,
                     reply: crate::protocol::ClientReply::DeleteDone { object },
@@ -562,113 +503,65 @@ impl ObjectStoreNode {
     // ------------------------------------------------------------------ dispatch --
 
     fn dispatch_message(&mut self, now: Time, from: NodeId, msg: Message, out: &mut Vec<Effect>) {
-        match msg {
-            // Directory plane: this node hosts a replica of the shard responsible for
-            // the object (or forwards to the node it believes does).
-            Message::DirRegister { object, holder, status, size } => {
-                self.apply_dir_op(DirOp::Register { object, holder, status, size }, out);
+        // Directory plane, server side: every frame enters the service through one
+        // call. A resync request is first evidence about its requester — it is back
+        // up, and crashed first when it marks a restart, even if no verdict has said
+        // either yet — folded in (and its digest answered) before it is served; an
+        // implied failure re-drives the unconfirmed window ahead of the served
+        // frames. A request for a shard the cluster does not have goes, its evidence
+        // with it.
+        let mut replies = Vec::new();
+        if let &Message::DirSnapshotRequest { shard, requester, restart, ref digest, .. } = &msg {
+            if self.ctx.service.shard(shard).is_none() {
+                return;
             }
-            Message::DirPutInline { object, holder, payload } => {
-                self.apply_dir_op(DirOp::PutInline { object, holder, payload }, out);
-            }
-            Message::DirUnregister { object, holder } => {
-                self.apply_dir_op(DirOp::Unregister { object, holder }, out);
-            }
-            Message::DirQuery { object, requester, query_id, exclude } => {
-                self.apply_dir_op(DirOp::Query { object, requester, query_id, exclude }, out);
-            }
-            Message::DirSubscribe { object, subscriber } => {
-                self.apply_dir_op(DirOp::Subscribe { object, subscriber }, out);
-            }
-            Message::DirUnsubscribe { object, subscriber } => {
-                self.apply_dir_op(DirOp::Unsubscribe { object, subscriber }, out);
-            }
-            Message::DirTransferDone { object, receiver, sender } => {
-                self.apply_dir_op(DirOp::TransferDone { object, receiver, sender }, out);
-            }
-            Message::DirDelete { object } => {
-                self.apply_dir_op(DirOp::Delete { object }, out);
-            }
-            Message::DirReplicate { shard, epoch, seq, op } => {
-                let mut replies = Vec::new();
-                let shard = shard as usize;
-                self.ctx.service.handle_replicate(shard, epoch, seq, &op, from, &mut replies);
-                self.ctx.send_all(replies, out);
-            }
-            Message::DirAck { shard, epoch, seq } => {
-                let mut confirms = Vec::new();
-                self.ctx.service.handle_ack(shard as usize, from, epoch, seq, &mut confirms);
-                self.ctx.send_all(confirms, out);
-            }
-            // A shard this cluster does not have: bytes off the wire must not index
-            // past the leadership view, so the frame goes, its evidence with it.
-            Message::DirSnapshotRequest { shard, .. }
-                if shard >= self.ctx.service.placement().num_shards() as u64 => {}
-            Message::DirSnapshotRequest {
-                shard,
-                requester,
-                restart,
-                after,
-                have_epoch,
-                have_seq,
-                digest,
-            } => {
-                // A snapshot request is implicit evidence about the requester: it is
-                // back up, and — when it marks a restart — that it crashed, even if
-                // no verdict has said either yet. That is folded in before serving; an
-                // implied failure re-drives the unconfirmed window like a detected
-                // one, ahead of the served frames.
-                let mut replies = Vec::new();
-                let evidence = Evidence::SnapshotRequest {
-                    requester,
-                    restart,
-                    digest: &digest,
-                    replies: &mut replies,
-                };
-                self.liveness(now, evidence, out);
-                if !digest.is_empty() {
-                    // Having learned the requester's incarnation, teach it every
-                    // entry we know strictly newer: the deaths it slept through.
-                    // After the first round both tables agree and the reply is
-                    // skipped.
-                    let newer = self.ctx.membership.newer_than(&digest);
-                    if !newer.is_empty() {
-                        trace!(
-                            "[n{}] teaching restarted {:?} {} membership entries",
-                            self.ctx.id.0,
-                            requester,
-                            newer.len()
-                        );
-                        self.ctx.send(requester, Message::MembershipDigest { entries: newer }, out);
-                    }
+            let evidence =
+                Evidence::SnapshotRequest { requester, restart, digest, replies: &mut replies };
+            self.liveness(now, evidence, out);
+            if !digest.is_empty() {
+                // Having learned the requester's incarnation, teach it every entry we
+                // know strictly newer: the deaths it slept through. After the first
+                // round both tables agree and the reply is skipped.
+                let newer = self.ctx.membership.newer_than(digest);
+                if !newer.is_empty() {
+                    trace!(
+                        "[n{}] teaching restarted {:?} {} membership entries",
+                        self.ctx.id.0,
+                        requester,
+                        newer.len()
+                    );
+                    self.ctx.send(requester, Message::MembershipDigest { entries: newer }, out);
                 }
-                self.ctx.service.handle_snapshot_request(
-                    shard as usize,
-                    requester,
-                    restart,
-                    after,
-                    have_epoch,
-                    have_seq,
-                    &mut replies,
-                );
+            }
+        }
+        let installs_resync = resync_frame(&msg).is_some();
+        let msg = match self.ctx.service.handle(from, msg, &mut self.ctx.metrics, &mut replies) {
+            Some(msg) => msg,
+            None => {
                 self.ctx.send_all(replies, out);
+                if installs_resync {
+                    // The last frame of the last stream completes this node's resync.
+                    self.maybe_announce_readmission(out);
+                }
+                return;
             }
-            // The retired full-state frame (tag 23, no longer produced) is the
-            // one-chunk degenerate case of the stream.
-            Message::DirSnapshot { shard, epoch, seq, rank, state } => {
-                let frame =
-                    ResyncFrame::Chunk { seq, rank: rank as usize, entries: &state.entries };
-                self.handle_dir_resync_frame(shard as usize, epoch, frame, true, from, out);
-            }
-            Message::DirSnapshotChunk { shard, epoch, seq, rank, done, state } => {
-                let frame =
-                    ResyncFrame::Chunk { seq, rank: rank as usize, entries: &state.entries };
-                self.handle_dir_resync_frame(shard as usize, epoch, frame, done, from, out);
-            }
-            Message::DirResyncDelta { shard, epoch, ops, done } => {
-                let frame = ResyncFrame::Delta { ops: &ops };
-                self.handle_dir_resync_frame(shard as usize, epoch, frame, done, from, out);
-            }
+        };
+        match msg {
+            // Taken by the directory service above.
+            Message::DirRegister { .. }
+            | Message::DirPutInline { .. }
+            | Message::DirUnregister { .. }
+            | Message::DirQuery { .. }
+            | Message::DirSubscribe { .. }
+            | Message::DirUnsubscribe { .. }
+            | Message::DirTransferDone { .. }
+            | Message::DirDelete { .. }
+            | Message::DirReplicate { .. }
+            | Message::DirAck { .. }
+            | Message::DirSnapshotRequest { .. }
+            | Message::DirSnapshot { .. }
+            | Message::DirSnapshotChunk { .. }
+            | Message::DirResyncDelta { .. } => {}
             // This node is re-admitted only by its own resync completing: an
             // announcement naming it is dropped before it can count as evidence or
             // hand it the shards it hosts while its replicas still wait for state.
@@ -804,23 +697,6 @@ impl ObjectStoreNode {
         }
     }
 
-    /// Route one directory op into this node's service layer and forward whatever it
-    /// produced: query replies and publications when we applied as primary, log
-    /// shipments to backups, or the forwarded op when the primary is elsewhere.
-    fn apply_dir_op(&mut self, op: DirOp, out: &mut Vec<Effect>) {
-        let is_query = matches!(op, DirOp::Query { .. });
-        let is_registration = matches!(op, DirOp::Register { .. } | DirOp::PutInline { .. });
-        let mut replies = Vec::new();
-        if self.ctx.service.handle_op(op, &mut replies) {
-            if is_query {
-                self.ctx.metrics.directory_queries_served += 1;
-            } else if is_registration {
-                self.ctx.metrics.directory_registrations += 1;
-            }
-        }
-        self.ctx.send_all(replies, out);
-    }
-
     // ----------------------------------------------------------- progress routing --
 
     /// Route local-store progress between engines until quiescent: forwarding chained
@@ -874,14 +750,10 @@ impl ObjectStoreNode {
 
     // ------------------------------------------------------------ turn epilogue --
 
-    /// End-of-handler bookkeeping: fold the directory plane's drained counters into
+    /// End-of-handler bookkeeping: fold the directory replicas' inline evictions into
     /// the metrics block, refresh the store gauge, and lazily (re-)arm the lease
     /// expiry timer while there is expiry work to do.
     fn finish_turn(&mut self, out: &mut Vec<Effect>) {
-        let (chunks, bytes, deltas) = self.ctx.service.take_resync_counters();
-        self.ctx.metrics.snapshot_chunks_sent += chunks;
-        self.ctx.metrics.snapshot_bytes += bytes;
-        self.ctx.metrics.delta_resyncs += deltas;
         self.ctx.metrics.inline_evictions += self.ctx.service.take_inline_evictions();
         self.ctx.metrics.store_bytes_live = self.ctx.store.used();
         self.maybe_arm_expiry_timer(out);

@@ -26,7 +26,7 @@ use bytes::Bytes;
 use crate::buffer::{Payload, SlabPool};
 use crate::copytrace;
 use crate::object::{ObjectId, ObjectStatus};
-use crate::protocol::{Effect, Message, ReduceInstruction};
+use crate::protocol::{DirOp, Effect, Message, ReduceInstruction};
 use crate::reduce::ReduceSpec;
 
 use super::coordinator::ReduceCoordinator;
@@ -443,7 +443,9 @@ impl ReduceEngine {
                             ctx.opts.synthetic_data || payload.is_synthetic(),
                         );
                         if !ctx.cfg.is_inline(object_size) {
-                            ctx.dir_register(target, ObjectStatus::Partial, object_size, out);
+                            let (object, holder, size) = (target, ctx.id, object_size);
+                            let status = ObjectStatus::Partial;
+                            ctx.dir(DirOp::Register { object, holder, status, size }, out);
                         }
                     }
                 }
@@ -461,7 +463,8 @@ impl ReduceEngine {
                         // Small results go through the inline fast path like any Put.
                         if ctx.cfg.is_inline(object_size) {
                             if let Some(full) = ctx.store.get_complete(target) {
-                                ctx.dir_put_inline(target, full, out);
+                                let (object, holder) = (target, ctx.id);
+                                ctx.dir(DirOp::PutInline { object, holder, payload: full }, out);
                             }
                         }
                         trace!("[n{}] root completed {:?}", ctx.id.0, target);
@@ -524,7 +527,7 @@ impl ReduceEngine {
             return false;
         }
         ctx.store.delete(object);
-        ctx.dir_unregister(object, out);
+        ctx.dir(DirOp::Unregister { object, holder: ctx.id }, out);
         true
     }
 }

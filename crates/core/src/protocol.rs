@@ -5,12 +5,21 @@
 //! for the data plane (§4). This reproduction keeps a single message enum; drivers are
 //! free to map it onto any transport (the simulator models its size, the TCP transport
 //! frames it).
+//!
+//! A directory operation is a [`DirOp`], which carries the op docs. On the wire each op
+//! kind is one client-facing `Dir*` message; one eight-row table declares that pairing,
+//! and both conversions (`From<DirOp> for Message`, `TryFrom<Message> for DirOp`) are
+//! derived from it. [`DirOp::wire_size`] sizes an op alone, inside a `DirReplicate`,
+//! and as an entry of a `DirResyncDelta`.
 
 use crate::buffer::Payload;
 use crate::error::HopliteError;
 use crate::object::{NodeId, ObjectId, ObjectStatus};
 use crate::reduce::ReduceSpec;
 use crate::time::Duration;
+
+/// Approximate wire size in bytes of a control message's header and fixed fields.
+pub(crate) const CONTROL: u64 = 96;
 
 /// Identifier correlating a client request with its reply on one node.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -87,14 +96,20 @@ pub struct ReduceParent {
     pub epoch: u64,
 }
 
-/// One mutating directory operation, in the form the replication layer ships between
-/// replicas of a shard (§3.5: the paper replicates the object directory). Every
-/// client-facing `Dir*` message maps onto one `DirOp`; the primary applies the op and
-/// log-ships it to its backups inside [`Message::DirReplicate`], and a backup replays
-/// the identical op against its mirror shard with outbound replies suppressed.
+/// One directory operation (§3.2), in the one form every directory plane uses: a node
+/// journals it ([`crate::directory::DirectoryClient::journal`]) and sends it to the
+/// shard's primary as its `Dir*` message, the primary applies it and log-ships it to
+/// its backups inside [`Message::DirReplicate`] (§3.5: the paper replicates the object
+/// directory), and a backup replays the identical op against its mirror shard with
+/// outbound replies suppressed. Each op kind pairs with one client-facing message
+/// (`DirOp::Register` ⇄ `Message::DirRegister`, …); one eight-row table declares the
+/// pairing, and both `From<DirOp> for Message` and `TryFrom<Message> for DirOp` are
+/// derived from it.
 #[derive(Clone, Debug, PartialEq)]
 pub enum DirOp {
-    /// See [`Message::DirRegister`].
+    /// Register (or refresh) a location for an object. Sent both when a local client
+    /// creates the object via `Put` (immediately, with `Partial` status, to enable
+    /// pipelining) and when a copy finishes arriving from a remote node (§3.2).
     Register {
         /// The object.
         object: ObjectId,
@@ -105,7 +120,8 @@ pub enum DirOp {
         /// Total object size.
         size: u64,
     },
-    /// See [`Message::DirPutInline`].
+    /// Small-object fast path: ship the whole object to the directory shard, which
+    /// caches it and serves it inline from query replies (§3.2).
     PutInline {
         /// The object.
         object: ObjectId,
@@ -114,40 +130,44 @@ pub enum DirOp {
         /// Full contents.
         payload: Payload,
     },
-    /// See [`Message::DirUnregister`].
+    /// Remove one holder's location (e.g. after local eviction).
     Unregister {
         /// The object.
         object: ObjectId,
         /// The holder to remove.
         holder: NodeId,
     },
-    /// See [`Message::DirQuery`]. Queries mutate shard state (leases, pull edges,
-    /// parked entries), so they are part of the replicated log like every other op.
+    /// Synchronous location query: answered with [`Message::DirQueryReply`] as soon as
+    /// a usable location exists (which may be immediately, or later when one is
+    /// registered). Queries mutate shard state (leases, pull edges, parked entries),
+    /// so they are part of the replicated log like every other op.
     Query {
         /// The object.
         object: ObjectId,
-        /// Node asking.
+        /// Node asking (and future receiver).
         requester: NodeId,
         /// Correlation id, unique per requester.
         query_id: u64,
-        /// Nodes the requester knows to be unusable.
+        /// Nodes the requester knows to be unusable (e.g. a failed previous sender).
         exclude: Vec<NodeId>,
     },
-    /// See [`Message::DirSubscribe`].
+    /// Subscribe to location publications for an object (asynchronous query, §3.2).
     Subscribe {
         /// The object.
         object: ObjectId,
         /// Subscriber node.
         subscriber: NodeId,
     },
-    /// See [`Message::DirUnsubscribe`].
+    /// Drop a subscription (reduce coordinators unsubscribe once their reduce
+    /// completes, so long-lived clusters do not accumulate dead subscribers).
     Unsubscribe {
         /// The object.
         object: ObjectId,
         /// Subscriber node.
         subscriber: NodeId,
     },
-    /// See [`Message::DirTransferDone`].
+    /// Release the in-flight edge `receiver -> sender` once a transfer completes, so
+    /// the sender becomes eligible for other receivers again (§3.4.1).
     TransferDone {
         /// The object.
         object: ObjectId,
@@ -156,11 +176,51 @@ pub enum DirOp {
         /// The sender it copied from.
         sender: NodeId,
     },
-    /// See [`Message::DirDelete`].
+    /// Delete every copy of the object (Table 1 `Delete`).
     Delete {
         /// The object.
         object: ObjectId,
     },
+}
+
+/// Declares the pairing of each [`DirOp`] kind with its client-facing `Dir*` message
+/// once, and derives both conversions from it.
+macro_rules! dir_op_messages {
+    ($($op:ident <=> $msg:ident { $($field:ident),* };)*) => {
+        /// The client-facing message form of an op: what a node sends to the shard's
+        /// primary, and what a non-primary forwards to the one it believes in.
+        impl From<DirOp> for Message {
+            fn from(op: DirOp) -> Message {
+                match op {
+                    $(DirOp::$op { $($field),* } => Message::$msg { $($field),* },)*
+                }
+            }
+        }
+
+        /// The op a client-facing `Dir*` message carries; any other message comes back
+        /// untouched, as the error.
+        impl TryFrom<Message> for DirOp {
+            type Error = Message;
+
+            fn try_from(msg: Message) -> Result<DirOp, Message> {
+                match msg {
+                    $(Message::$msg { $($field),* } => Ok(DirOp::$op { $($field),* }),)*
+                    other => Err(other),
+                }
+            }
+        }
+    };
+}
+
+dir_op_messages! {
+    Register <=> DirRegister { object, holder, status, size };
+    PutInline <=> DirPutInline { object, holder, payload };
+    Unregister <=> DirUnregister { object, holder };
+    Query <=> DirQuery { object, requester, query_id, exclude };
+    Subscribe <=> DirSubscribe { object, subscriber };
+    Unsubscribe <=> DirUnsubscribe { object, subscriber };
+    TransferDone <=> DirTransferDone { object, receiver, sender };
+    Delete <=> DirDelete { object };
 }
 
 impl DirOp {
@@ -195,29 +255,16 @@ impl DirOp {
         }
     }
 
-    /// Reconstruct the client-facing message form (used when a backup forwards an op
-    /// it received by mistake to the shard's current primary).
-    pub fn into_message(self) -> Message {
-        match self {
-            DirOp::Register { object, holder, status, size } => {
-                Message::DirRegister { object, holder, status, size }
+    /// Approximate wire size in bytes of this op, as its own message or as one entry
+    /// of a shipment or delta replay: a control header plus an inline payload or a
+    /// query's exclusion list.
+    pub fn wire_size(&self) -> u64 {
+        CONTROL
+            + match self {
+                DirOp::PutInline { payload, .. } => payload.len(),
+                DirOp::Query { exclude, .. } => 4 * exclude.len() as u64,
+                _ => 0,
             }
-            DirOp::PutInline { object, holder, payload } => {
-                Message::DirPutInline { object, holder, payload }
-            }
-            DirOp::Unregister { object, holder } => Message::DirUnregister { object, holder },
-            DirOp::Query { object, requester, query_id, exclude } => {
-                Message::DirQuery { object, requester, query_id, exclude }
-            }
-            DirOp::Subscribe { object, subscriber } => Message::DirSubscribe { object, subscriber },
-            DirOp::Unsubscribe { object, subscriber } => {
-                Message::DirUnsubscribe { object, subscriber }
-            }
-            DirOp::TransferDone { object, receiver, sender } => {
-                Message::DirTransferDone { object, receiver, sender }
-            }
-            DirOp::Delete { object } => Message::DirDelete { object },
-        }
     }
 }
 
@@ -300,9 +347,7 @@ impl ShardSnapshot {
 #[derive(Clone, Debug, PartialEq)]
 pub enum Message {
     // ---------------------------------------------------------------- directory ----
-    /// Register (or refresh) a location for an object. Sent both when a local client
-    /// creates the object via `Put` (immediately, with `Partial` status, to enable
-    /// pipelining) and when a copy finishes arriving from a remote node (§3.2).
+    /// [`DirOp::Register`].
     DirRegister {
         /// The object.
         object: ObjectId,
@@ -313,8 +358,7 @@ pub enum Message {
         /// Total object size.
         size: u64,
     },
-    /// Small-object fast path: ship the whole object to the directory shard, which
-    /// caches it and serves it inline from query replies (§3.2).
+    /// [`DirOp::PutInline`].
     DirPutInline {
         /// The object.
         object: ObjectId,
@@ -323,15 +367,14 @@ pub enum Message {
         /// Full contents.
         payload: Payload,
     },
-    /// Remove one holder's location (e.g. after local eviction).
+    /// [`DirOp::Unregister`].
     DirUnregister {
         /// The object.
         object: ObjectId,
         /// The holder to remove.
         holder: NodeId,
     },
-    /// Synchronous location query: answered as soon as a usable location exists (which
-    /// may be immediately, or later when one is registered).
+    /// [`DirOp::Query`].
     DirQuery {
         /// The object.
         object: ObjectId,
@@ -342,7 +385,7 @@ pub enum Message {
         /// Nodes the requester knows to be unusable (e.g. a failed previous sender).
         exclude: Vec<NodeId>,
     },
-    /// Reply to [`Message::DirQuery`].
+    /// Reply to [`DirOp::Query`].
     DirQueryReply {
         /// The object.
         object: ObjectId,
@@ -351,15 +394,14 @@ pub enum Message {
         /// Chosen location / inline payload.
         result: QueryResult,
     },
-    /// Subscribe to location publications for an object (asynchronous query, §3.2).
+    /// [`DirOp::Subscribe`].
     DirSubscribe {
         /// The object.
         object: ObjectId,
         /// Subscriber node.
         subscriber: NodeId,
     },
-    /// Drop a subscription (reduce coordinators unsubscribe once their reduce
-    /// completes, so long-lived clusters do not accumulate dead subscribers).
+    /// [`DirOp::Unsubscribe`].
     DirUnsubscribe {
         /// The object.
         object: ObjectId,
@@ -377,8 +419,7 @@ pub enum Message {
         /// Total object size.
         size: u64,
     },
-    /// Release the in-flight edge `receiver -> sender` once a transfer completes, so
-    /// the sender becomes eligible for other receivers again (§3.4.1).
+    /// [`DirOp::TransferDone`].
     DirTransferDone {
         /// The object.
         object: ObjectId,
@@ -387,7 +428,7 @@ pub enum Message {
         /// The sender it copied from.
         sender: NodeId,
     },
-    /// Delete every copy of the object (Table 1 `Delete`).
+    /// [`DirOp::Delete`].
     DirDelete {
         /// The object.
         object: ObjectId,
@@ -683,7 +724,6 @@ impl Message {
     /// messages are small and fixed-size; data-plane messages are dominated by their
     /// payload.
     pub fn wire_size(&self) -> u64 {
-        const CONTROL: u64 = 96;
         match self {
             Message::PushBlock { payload, .. } => CONTROL + payload.len(),
             Message::ReduceBlock { payload, .. } => CONTROL + payload.len(),
@@ -693,11 +733,7 @@ impl Message {
             }
             Message::ReduceInstruction(instr) => CONTROL + 24 * instr.children.len() as u64,
             Message::DirQuery { exclude, .. } => CONTROL + 4 * exclude.len() as u64,
-            Message::DirReplicate { op, .. } => match op {
-                DirOp::PutInline { payload, .. } => 2 * CONTROL + payload.len(),
-                DirOp::Query { exclude, .. } => 2 * CONTROL + 4 * exclude.len() as u64,
-                _ => 2 * CONTROL,
-            },
+            Message::DirReplicate { op, .. } => CONTROL + op.wire_size(),
             Message::DirSnapshotRequest { digest, .. } => CONTROL + 13 * digest.len() as u64,
             Message::MembershipDigest { entries } => CONTROL + 13 * entries.len() as u64,
             Message::Ping { gossip, .. } => CONTROL + 13 * gossip.len() as u64,
@@ -706,15 +742,7 @@ impl Message {
             Message::DirSnapshot { state, .. } => CONTROL + state.wire_size(),
             Message::DirSnapshotChunk { state, .. } => CONTROL + state.wire_size(),
             Message::DirResyncDelta { ops, .. } => {
-                CONTROL
-                    + ops
-                        .iter()
-                        .map(|(_, op)| match op {
-                            DirOp::PutInline { payload, .. } => CONTROL + payload.len(),
-                            DirOp::Query { exclude, .. } => CONTROL + 4 * exclude.len() as u64,
-                            _ => CONTROL,
-                        })
-                        .sum::<u64>()
+                CONTROL + ops.iter().map(|(_, op)| op.wire_size()).sum::<u64>()
             }
             _ => CONTROL,
         }
@@ -882,6 +910,105 @@ mod tests {
         // here we make sure the message is cloneable/comparable.
         let copy = msg.clone();
         assert_eq!(copy, msg);
+    }
+
+    /// One op of every kind.
+    fn every_op() -> Vec<DirOp> {
+        let (object, a, b) = (ObjectId::from_name("op"), NodeId(1), NodeId(2));
+        vec![
+            DirOp::Register { object, holder: a, status: ObjectStatus::Partial, size: 9 },
+            DirOp::PutInline { object, holder: a, payload: Payload::from_vec(vec![7; 5]) },
+            DirOp::Unregister { object, holder: a },
+            DirOp::Query { object, requester: a, query_id: 4, exclude: vec![b] },
+            DirOp::Subscribe { object, subscriber: a },
+            DirOp::Unsubscribe { object, subscriber: a },
+            DirOp::TransferDone { object, receiver: a, sender: b },
+            DirOp::Delete { object },
+        ]
+    }
+
+    #[test]
+    fn every_op_survives_the_round_trip_through_its_message() {
+        for op in every_op() {
+            let msg = Message::from(op.clone());
+            assert_eq!(msg.wire_size(), op.wire_size(), "{op:?} sizes as its message");
+            assert_eq!(DirOp::try_from(msg), Ok(op));
+        }
+    }
+
+    /// Every message variant that is not one of the eight ops.
+    #[test]
+    fn every_other_message_comes_back_unchanged() {
+        use crate::detector::GossipState;
+        let (object, a) = (ObjectId::from_name("other"), NodeId(1));
+        let op = DirOp::Delete { object };
+        let state = ShardSnapshot::default();
+        let others = vec![
+            Message::DirQueryReply { object, query_id: 1, result: QueryResult::Deleted },
+            Message::DirPublish { object, holder: a, status: ObjectStatus::Complete, size: 3 },
+            Message::StoreRelease { object },
+            Message::DirReplicate { shard: 0, epoch: 1, seq: 2, op: op.clone() },
+            Message::DirAck { shard: 0, epoch: 1, seq: 2 },
+            Message::DirSnapshotRequest {
+                shard: 0,
+                requester: a,
+                restart: true,
+                after: None,
+                have_epoch: 0,
+                have_seq: 0,
+                digest: vec![(a, 1, true)],
+            },
+            Message::DirSnapshot { shard: 0, epoch: 1, seq: 2, rank: 0, state: state.clone() },
+            Message::DirSnapshotChunk { shard: 0, epoch: 1, seq: 2, rank: 0, done: true, state },
+            Message::DirResyncDelta { shard: 0, epoch: 1, ops: vec![(1, op)], done: true },
+            Message::DirResynced { node: a, incarnation: 1 },
+            Message::DirConfirm { object, kind: ConfirmKind::Inline },
+            Message::PullRequest { object, requester: a, offset: 0 },
+            Message::PullCancel { object, requester: a },
+            Message::PushBlock {
+                object,
+                offset: 0,
+                total_size: 1,
+                payload: Payload::from_vec(vec![1]),
+                complete: true,
+            },
+            Message::PullError { object, reason: "gone".into() },
+            Message::ReduceInstruction(ReduceInstruction {
+                target: object,
+                coordinator: a,
+                slot: 0,
+                own_object: object,
+                spec: ReduceSpec::sum_f32(),
+                object_size: 4,
+                block_size: 4,
+                num_inputs: 1,
+                epoch: 0,
+                parent: None,
+                children: Vec::new(),
+                is_root: true,
+                total_slots: 1,
+            }),
+            Message::ReduceBlock {
+                target: object,
+                to_slot: 0,
+                from_slot: 1,
+                parent_epoch: 0,
+                block_index: 0,
+                object_size: 4,
+                payload: Payload::from_vec(vec![0; 4]),
+            },
+            Message::ReduceDone { target: object, root: a },
+            Message::ReduceRelease { target: object },
+            Message::PeerFailureNotice { node: a, incarnation: 1 },
+            Message::MembershipDigest { entries: vec![(a, 1, false)] },
+            Message::Ping { origin: a, probe_id: 1, gossip: vec![(a, 1, GossipState::Suspect)] },
+            Message::Ack { probe_id: 1, gossip: Vec::new() },
+            Message::PingReq { target: a, probe_id: 1, gossip: Vec::new() },
+            Message::Hello { node: a, incarnation: 1 },
+        ];
+        for msg in others {
+            assert_eq!(DirOp::try_from(msg.clone()), Err(msg));
+        }
     }
 
     #[test]

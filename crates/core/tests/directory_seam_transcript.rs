@@ -1,0 +1,498 @@
+//! Directory-seam transcript: what four nodes do with directory traffic, frozen.
+//!
+//! Four [`ObjectStoreNode`]s, driven only through their public API, share a directory
+//! with replication 3, 256-byte snapshot chunks, a four-op log retention and a 256-byte
+//! inline cache. A seeded workload runs over a network that reorders and drops: inline
+//! and located puts, gets and deletes, lease-expiry timers, kills whose verdicts reach
+//! each survivor at a different step, restarts with their resync streams, retired
+//! full-snapshot frames (tag 23) — converted from in-flight chunks or injected — and
+//! directory frames naming a shard the cluster does not have. After every step, each
+//! node's emitted effects and every `NodeMetrics` counter are folded into one 16-bit
+//! hash.
+//!
+//! The stream is cut into independent episodes (four fresh nodes each, a set-up step
+//! and 64 more). `directory_seam_transcript.golden` holds one line per episode,
+//! `episode hashes` with four hex digits per step. It was written by this file run
+//! against the tree whose node spelled every directory op and frame out by hand, and
+//! is never edited: on a mismatch the test writes what it produced to
+//! `$TMPDIR/directory_seam_transcript.actual` and names the first differing step of
+//! every episode that moved.
+
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
+
+use hoplite_core::prelude::*;
+
+const GOLDEN: &str = include_str!("directory_seam_transcript.golden");
+
+const NODES: usize = 4;
+const EPISODES: u64 = 256;
+const STEPS_PER_EPISODE: usize = 64;
+
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    fn one_in(&mut self, n: u64) -> bool {
+        self.below(n) == 0
+    }
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
+fn config() -> HopliteConfig {
+    HopliteConfig {
+        directory_replication: 3,
+        snapshot_chunk_bytes: 256,
+        directory_log_retention: 4,
+        directory_inline_cache_bytes: 256,
+        ..HopliteConfig::small_for_tests()
+    }
+}
+
+/// The variant name of a message, as its `Debug` form starts.
+fn kind_of(msg: &Message) -> String {
+    let text = format!("{msg:?}");
+    text.split([' ', '{', '(']).next().unwrap_or_default().to_string()
+}
+
+/// The eight frames a client sends to a shard's primary (and a stale primary forwards).
+fn is_client_op(msg: &Message) -> bool {
+    matches!(
+        msg,
+        Message::DirRegister { .. }
+            | Message::DirPutInline { .. }
+            | Message::DirUnregister { .. }
+            | Message::DirQuery { .. }
+            | Message::DirSubscribe { .. }
+            | Message::DirUnsubscribe { .. }
+            | Message::DirTransferDone { .. }
+            | Message::DirDelete { .. }
+    )
+}
+
+/// Something on its way to a node: a frame, or a driver's verdict about a peer.
+enum Flight {
+    Msg { from: NodeId, to: NodeId, msg: Message },
+    Verdict { at: NodeId, peer: NodeId, recovered: bool },
+}
+
+/// One episode: four node slots (`None` while killed), the network, the clock and the
+/// timers each incarnation armed.
+struct Episode {
+    rng: Rng,
+    now: Time,
+    nodes: Vec<Option<ObjectStoreNode>>,
+    incarnations: Vec<u64>,
+    flight: Vec<Flight>,
+    timers: Vec<(Time, NodeId, u64, TimerToken)>,
+    objects: Vec<ObjectId>,
+    next_op: u64,
+    hashes: Vec<u16>,
+    kinds: Vec<&'static str>,
+}
+
+impl Episode {
+    fn new(episode: u64, tally: &mut BTreeMap<String, u64>) -> Episode {
+        let nodes = (0..NODES as u32)
+            .map(|i| {
+                let cluster = ClusterView::of_size(NODES);
+                Some(ObjectStoreNode::new(NodeId(i), config(), cluster, NodeOptions::default()))
+            })
+            .collect();
+        let mut ep = Episode {
+            rng: Rng(0x00D1_5EA3 ^ (episode << 12)),
+            now: Time::ZERO,
+            nodes,
+            incarnations: vec![0; NODES],
+            flight: Vec::new(),
+            timers: Vec::new(),
+            objects: Vec::new(),
+            next_op: 1,
+            hashes: Vec::new(),
+            kinds: Vec::new(),
+        };
+        // Set-up: every node puts one object, half of them inline.
+        let mut outs = ep.no_outs();
+        for (i, out) in outs.iter_mut().enumerate() {
+            let size = if (episode + i as u64).is_multiple_of(2) { 32 } else { 1500 };
+            ep.put(i, size, out);
+        }
+        ep.record("setup", outs, tally);
+        ep
+    }
+
+    fn no_outs(&self) -> Vec<Vec<Effect>> {
+        (0..NODES).map(|_| Vec::new()).collect()
+    }
+
+    fn live(&self) -> Vec<usize> {
+        (0..NODES).filter(|&i| self.nodes[i].is_some()).collect()
+    }
+
+    fn pick_live(&mut self) -> usize {
+        let live = self.live();
+        live[self.rng.below(live.len() as u64) as usize]
+    }
+
+    fn put(&mut self, i: usize, size: usize, out: &mut Vec<Effect>) {
+        let object = ObjectId::from_name(&format!("seam-{}-{}", i, self.next_op));
+        self.objects.push(object);
+        let op = OpId(self.next_op);
+        self.next_op += 1;
+        let payload = Payload::from_vec(vec![self.next_op as u8; size]);
+        let now = self.now;
+        self.node(i).handle_client(now, op, ClientOp::Put { object, payload }, out);
+    }
+
+    fn node(&mut self, i: usize) -> &mut ObjectStoreNode {
+        self.nodes[i].as_mut().expect("a live node")
+    }
+
+    fn step(&mut self, tally: &mut BTreeMap<String, u64>) {
+        self.now += Duration::from_millis(self.rng.below(4));
+        let mut outs = self.no_outs();
+        let kind = match self.rng.below(20) {
+            0..=11 => {
+                let n = 1 + self.rng.below(4);
+                (0..n).map(|_| self.deliver(&mut outs, tally)).last().unwrap()
+            }
+            12..=14 => self.client(&mut outs),
+            15 => self.fire_timer(&mut outs),
+            16 => self.kill(),
+            17 => self.restart(&mut outs),
+            18 => self.tag_23(&mut outs, tally),
+            _ => self.out_of_range(&mut outs),
+        };
+        self.record(kind, outs, tally);
+    }
+
+    /// Deliver one in-flight item — usually the oldest, sometimes any — or drop it.
+    fn deliver(
+        &mut self,
+        outs: &mut [Vec<Effect>],
+        tally: &mut BTreeMap<String, u64>,
+    ) -> &'static str {
+        if self.flight.is_empty() {
+            return "idle";
+        }
+        let at = if self.rng.one_in(4) { self.rng.below(self.flight.len() as u64) } else { 0 };
+        let now = self.now;
+        match self.flight.remove(at as usize) {
+            Flight::Msg { .. } if self.rng.one_in(10) => {
+                *tally.entry("~dropped".into()).or_default() += 1;
+                "drop"
+            }
+            Flight::Msg { to, .. } if self.nodes[to.0 as usize].is_none() => "lost",
+            Flight::Msg { from, to, msg } => {
+                *tally.entry(kind_of(&msg)).or_default() += 1;
+                let sent = is_client_op(&msg).then(|| msg.clone());
+                let out = &mut outs[to.0 as usize];
+                self.node(to.0 as usize).handle_message(now, from, msg, out);
+                let forwarded = sent.is_some_and(|m| {
+                    out.iter().any(|e| matches!(e, Effect::Send { msg, .. } if *msg == m))
+                });
+                if forwarded {
+                    *tally.entry("~forwarded".into()).or_default() += 1;
+                }
+                "msg"
+            }
+            Flight::Verdict { at, .. } if self.nodes[at.0 as usize].is_none() => "lost",
+            Flight::Verdict { at, peer, recovered } => {
+                let out = &mut outs[at.0 as usize];
+                if recovered {
+                    self.node(at.0 as usize).handle_peer_recovered(now, peer, out);
+                    "recovered"
+                } else {
+                    self.node(at.0 as usize).handle_peer_failed(now, peer, out);
+                    "failed"
+                }
+            }
+        }
+    }
+
+    fn client(&mut self, outs: &mut [Vec<Effect>]) -> &'static str {
+        let i = self.pick_live();
+        let now = self.now;
+        match self.rng.below(6) {
+            0 | 1 => {
+                self.put(i, 32, &mut outs[i]);
+                "put-inline"
+            }
+            2 => {
+                self.put(i, 1500, &mut outs[i]);
+                "put"
+            }
+            k => {
+                let object = self.objects[self.rng.below(self.objects.len() as u64) as usize];
+                let op_id = OpId(self.next_op);
+                self.next_op += 1;
+                let (op, kind) = if k == 5 {
+                    (ClientOp::Delete { object }, "delete")
+                } else {
+                    (ClientOp::Get { object }, "get")
+                };
+                self.node(i).handle_client(now, op_id, op, &mut outs[i]);
+                kind
+            }
+        }
+    }
+
+    fn fire_timer(&mut self, outs: &mut [Vec<Effect>]) -> &'static str {
+        let incarnations = &self.incarnations;
+        let nodes = &self.nodes;
+        self.timers.retain(|&(_, n, inc, _)| {
+            nodes[n.0 as usize].is_some() && incarnations[n.0 as usize] == inc
+        });
+        self.timers.sort();
+        if self.timers.is_empty() {
+            return "idle";
+        }
+        let (due, n, _, token) = self.timers.remove(0);
+        self.now = self.now.max(due);
+        let now = self.now;
+        self.node(n.0 as usize).handle_timer(now, token, &mut outs[n.0 as usize]);
+        "timer"
+    }
+
+    /// Kill a node (at most two down at once): what was on its way to it is gone, and
+    /// each survivor's verdict is one more item in flight, so survivors learn of the
+    /// death at different steps.
+    fn kill(&mut self) -> &'static str {
+        if self.live().len() <= NODES - 2 {
+            return "idle";
+        }
+        let victim = self.pick_live();
+        let dead = NodeId(victim as u32);
+        self.nodes[victim] = None;
+        self.flight.retain(|f| !matches!(f, Flight::Msg { to, .. } if *to == dead));
+        for at in self.live() {
+            self.flight.push(Flight::Verdict {
+                at: NodeId(at as u32),
+                peer: dead,
+                recovered: false,
+            });
+        }
+        "kill"
+    }
+
+    /// Restart a killed node at its next incarnation: it begins recovery at once, and
+    /// its `Hello` and the driver's recovery verdict reach each peer later.
+    fn restart(&mut self, outs: &mut [Vec<Effect>]) -> &'static str {
+        let down: Vec<usize> = (0..NODES).filter(|&i| self.nodes[i].is_none()).collect();
+        if down.is_empty() {
+            return "idle";
+        }
+        let i = down[self.rng.below(down.len() as u64) as usize];
+        self.incarnations[i] += 1;
+        let incarnation = self.incarnations[i];
+        let me = NodeId(i as u32);
+        let opts = NodeOptions { incarnation, ..NodeOptions::default() };
+        let node = ObjectStoreNode::new(me, config(), ClusterView::of_size(NODES), opts);
+        self.nodes[i] = Some(node);
+        let now = self.now;
+        self.node(i).begin_recovery(now, &mut outs[i]);
+        self.node(i).handle_started(now, &mut outs[i]);
+        for peer in (0..NODES as u32).map(NodeId).filter(|&p| p != me) {
+            let hello = Message::Hello { node: me, incarnation };
+            self.flight.push(Flight::Msg { from: me, to: peer, msg: hello });
+            self.flight.push(Flight::Verdict { at: peer, peer: me, recovered: true });
+        }
+        "restart"
+    }
+
+    /// A retired full-snapshot frame: an in-flight chunk re-sent as tag 23 (the one-chunk
+    /// stream it is the degenerate case of), or, with none in flight, an empty one for a
+    /// shard the receiver hosts, from the node it believes leads that shard and naming
+    /// that node's rank (a frame that names the receiver's own rank would hand it a
+    /// shard its replica does not lead).
+    fn tag_23(
+        &mut self,
+        outs: &mut [Vec<Effect>],
+        tally: &mut BTreeMap<String, u64>,
+    ) -> &'static str {
+        let chunk = self
+            .flight
+            .iter_mut()
+            .find(|f| matches!(f, Flight::Msg { msg: Message::DirSnapshotChunk { .. }, .. }));
+        if let Some(Flight::Msg { msg, .. }) = chunk {
+            if let Message::DirSnapshotChunk { shard, epoch, seq, rank, state, .. } = msg.clone() {
+                *msg = Message::DirSnapshot { shard, epoch, seq, rank, state };
+            }
+            *tally.entry("~tag23-converted".into()).or_default() += 1;
+            return "tag23-convert";
+        }
+        let i = self.pick_live();
+        let shard = (i as u64 + NODES as u64 - self.rng.below(3)) % NODES as u64;
+        let cluster = ClusterView::of_size(NODES);
+        let probe = (0u64..)
+            .map(|k| ObjectId::from_name(&format!("shard-probe-{k}")))
+            .find(|&o| cluster.shard_node(o) == NodeId(shard as u32))
+            .unwrap();
+        let Some(from) = self.node(i).directory_primary_for(probe) else { return "idle" };
+        if from.0 as usize == i {
+            return "idle";
+        }
+        let msg = Message::DirSnapshot {
+            shard,
+            epoch: self.rng.below(3),
+            seq: self.rng.below(8),
+            rank: (u64::from(from.0) + NODES as u64 - shard) % NODES as u64,
+            state: ShardSnapshot::default(),
+        };
+        *tally.entry("~tag23-injected".into()).or_default() += 1;
+        let now = self.now;
+        self.node(i).handle_message(now, from, msg, &mut outs[i]);
+        "tag23-inject"
+    }
+
+    /// A directory frame naming a shard the cluster does not have.
+    fn out_of_range(&mut self, outs: &mut [Vec<Effect>]) -> &'static str {
+        let i = self.pick_live();
+        let from = NodeId(((i as u64 + 1 + self.rng.below(3)) % NODES as u64) as u32);
+        let shard = [NODES as u64, NODES as u64 + 3, u64::MAX][self.rng.below(3) as usize];
+        let op = DirOp::Delete { object: self.objects[0] };
+        let msg = match self.rng.below(6) {
+            0 => Message::DirReplicate { shard, epoch: 0, seq: 1, op },
+            1 => Message::DirAck { shard, epoch: 0, seq: 1 },
+            2 => Message::DirSnapshotChunk {
+                shard,
+                epoch: 0,
+                seq: 0,
+                rank: 0,
+                done: true,
+                state: ShardSnapshot::default(),
+            },
+            3 => Message::DirResyncDelta { shard, epoch: 0, ops: vec![(1, op)], done: true },
+            4 => Message::DirSnapshot {
+                shard,
+                epoch: 0,
+                seq: 0,
+                rank: 0,
+                state: ShardSnapshot::default(),
+            },
+            _ => Message::DirSnapshotRequest {
+                shard,
+                requester: from,
+                restart: self.rng.one_in(2),
+                after: None,
+                have_epoch: 0,
+                have_seq: 0,
+                digest: Vec::new(),
+            },
+        };
+        let now = self.now;
+        self.node(i).handle_message(now, from, msg, &mut outs[i]);
+        "out-of-range"
+    }
+
+    fn record(
+        &mut self,
+        kind: &'static str,
+        outs: Vec<Vec<Effect>>,
+        tally: &mut BTreeMap<String, u64>,
+    ) {
+        *tally.entry(format!("~step:{kind}")).or_default() += 1;
+        let mut state = String::new();
+        for (i, out) in outs.into_iter().enumerate() {
+            let Some(node) = &self.nodes[i] else {
+                state.push_str("down#");
+                continue;
+            };
+            write!(state, "{out:?}|{:?}#", node.metrics().fields()).unwrap();
+            let me = NodeId(i as u32);
+            for effect in out {
+                match effect {
+                    Effect::Send { to, msg } => self.flight.push(Flight::Msg { from: me, to, msg }),
+                    Effect::SetTimer { token, delay } => {
+                        self.timers.push((self.now + delay, me, self.incarnations[i], token));
+                    }
+                    _ => {}
+                }
+            }
+        }
+        self.hashes.push(fnv1a(state.as_bytes()) as u16);
+        self.kinds.push(kind);
+    }
+}
+
+fn hex(hashes: &[u16]) -> String {
+    hashes.iter().map(|h| format!("{h:04x}")).collect()
+}
+
+fn unhex(hex: &str) -> Vec<u16> {
+    (0..hex.len()).step_by(4).map(|i| u16::from_str_radix(&hex[i..i + 4], 16).unwrap()).collect()
+}
+
+#[test]
+fn directory_seam_transcript_matches_the_hand_spelled_tree() {
+    let golden: BTreeMap<u64, Vec<u16>> = GOLDEN
+        .lines()
+        .map(|line| {
+            let mut f = line.split_whitespace();
+            (f.next().unwrap().parse().unwrap(), unhex(f.next().unwrap()))
+        })
+        .collect();
+
+    let mut tally = BTreeMap::new();
+    let mut actual = String::new();
+    let mut moved = String::new();
+    for episode in 0..EPISODES {
+        let mut ep = Episode::new(episode, &mut tally);
+        for _ in 0..STEPS_PER_EPISODE {
+            ep.step(&mut tally);
+        }
+        writeln!(actual, "{episode:03} {}", hex(&ep.hashes)).unwrap();
+        let expected = golden.get(&episode).cloned().unwrap_or_default();
+        if expected != ep.hashes {
+            let at = expected
+                .iter()
+                .zip(&ep.hashes)
+                .position(|(a, b)| a != b)
+                .unwrap_or(expected.len().min(ep.hashes.len()));
+            writeln!(
+                moved,
+                "{episode:03} first differs at step {at} ({}) after {:?}",
+                ep.kinds[at.min(ep.kinds.len() - 1)],
+                &ep.kinds[..at.min(ep.kinds.len())],
+            )
+            .unwrap();
+        }
+    }
+    eprintln!("directory seam transcript, frames delivered and steps taken by kind:");
+    for (kind, n) in &tally {
+        eprintln!("  {kind:<28} {n}");
+    }
+    for kind in [
+        "DirResyncDelta",
+        "DirSnapshotChunk",
+        "DirSnapshot",
+        "DirSnapshotRequest",
+        "DirReplicate",
+        "DirAck",
+        "DirResynced",
+        "~forwarded",
+        "~step:restart",
+        "~step:out-of-range",
+    ] {
+        assert!(tally.get(kind).copied().unwrap_or(0) > 0, "the transcript never exercised {kind}");
+    }
+    if !moved.is_empty() {
+        let path = std::env::temp_dir().join("directory_seam_transcript.actual");
+        std::fs::write(&path, &actual).unwrap();
+        panic!("directory seam transcript moved (full transcript in {}):\n{moved}", path.display());
+    }
+}

@@ -3,7 +3,8 @@
 # markdown report: non-test .rs lines per crate and per directory/*.rs file, the
 # "directory plane" (those plus node/failure.rs), the "reduce plane" (reduce/*.rs plus
 # node/reduce.rs and node/coordinator.rs), the "object plane"
-# (directory/{shard,client,placement}.rs, store.rs and node/broadcast.rs), the workspace
+# (directory/{shard,client,placement}.rs, store.rs and node/broadcast.rs), the "node
+# facade" (node/mod.rs, where every directory op and frame once was spelled out), the workspace
 # total, the HopliteConfig field count, the core files whose non-test code names a
 # random-state `HashMap`/`HashSet` (clippy's `disallowed-types` keeps it at 0), and the
 # lifecycle counts of ROADMAP's transport item (unbounded queues, sleeps,
@@ -56,6 +57,7 @@ reduce_plane="$(find crates/core/src/reduce -name '*.rs' | sort) crates/core/src
 echo "| **reduce plane** (reduce/*.rs + node/reduce.rs + node/coordinator.rs) | $(echo "$reduce_plane" | tr ' ' '\n' | non_test) |"
 object_plane="crates/core/src/directory/shard.rs crates/core/src/directory/client.rs crates/core/src/directory/placement.rs crates/core/src/store.rs crates/core/src/node/broadcast.rs"
 echo "| **object plane** (directory/{shard,client,placement}.rs + store.rs + node/broadcast.rs) | $(echo "$object_plane" | tr ' ' '\n' | non_test) |"
+echo "| **node facade** (node/mod.rs) | $(echo crates/core/src/node/mod.rs | non_test) |"
 echo
 echo "| liveness plane (non-test lines) | |"
 echo "|---|---:|"
