@@ -58,6 +58,9 @@ pub struct NodeStatus {
     pub incarnation: u64,
     /// `true` while any directory shard replica on this node is still resyncing.
     pub resyncing: bool,
+    /// Directory intents this node journaled that are not yet confirmed replicated:
+    /// 0 once every write it issued is durable on its shard's backups.
+    pub unconfirmed: usize,
     /// The node's counters.
     pub metrics: NodeMetrics,
 }
@@ -415,6 +418,7 @@ impl Node {
                     node: node.id(),
                     incarnation: node.incarnation(),
                     resyncing: node.directory_is_resyncing(),
+                    unconfirmed: node.directory_unconfirmed_count(),
                     metrics: node.metrics().clone(),
                 });
                 return;

@@ -198,7 +198,7 @@ impl LocalCluster {
 mod tests {
     use super::*;
     use crate::host::tests::wait_until;
-    use std::time::{Duration as StdDuration, Instant};
+    use std::time::Instant;
 
     /// Wait until no listed node holds object bytes any more: every delete issued so
     /// far has reached its shard primary and fanned out to the holders.
@@ -207,6 +207,15 @@ mod tests {
             nodes
                 .iter()
                 .all(|&n| cluster.status(n).is_some_and(|s| s.metrics.store_bytes_live == 0))
+        });
+    }
+
+    /// Wait until every directory write a live node issued is confirmed replicated: its
+    /// shard primary has applied it, and a primary killed next leaves backups that know
+    /// it.
+    fn wait_until_replicated(cluster: &LocalCluster) {
+        wait_until("directory writes to replicate", || {
+            (0..cluster.len()).filter_map(|n| cluster.status(n)).all(|s| s.unconfirmed == 0)
         });
     }
 
@@ -294,13 +303,16 @@ mod tests {
             LocalCluster::with_fabric(4, HopliteConfig::small_for_tests(), LocalFabric::Tcp);
         let pool = cluster.pool.clone().expect("a TCP cluster has the process's pool");
         // Delete `objects` and wait until only `pinned` slabs still have a view alive.
+        // The deletes wait for every registration to land first: one that reaches the
+        // shard after its delete revives the entry, and its holder keeps the bytes.
         let delete = |objects: &[ObjectId], pinned: usize| {
+            wait_until_replicated(&cluster);
             objects.iter().for_each(|&object| cluster.client(0).delete(object).unwrap());
             wait_until_stores_empty(&cluster, &[0, 1, 2, 3]);
             wait_until("slabs to be let go", || pool.pinned_slabs() == pinned);
         };
-        // Dial all twelve connections first: each reader thread takes a slab to read
-        // into, and keeps it.
+        // Dial all twelve connections first, so that every round runs over sockets
+        // that have carried blocks before.
         for (a, b) in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)] {
             let object = ObjectId::from_name(&format!("dial-{a}-{b}"));
             cluster.client(a).put(object, Payload::zeros(2048)).unwrap();
@@ -335,14 +347,54 @@ mod tests {
             delete(&objects, 8);
             drop(result);
             assert_eq!(pool.pinned_slabs(), 0);
-            // Everything is back, and beside the slab each reader keeps, all the pool
-            // ever held is what one round pins at once — 8 accumulators and 3 × 8
-            // received blocks: the second root's accumulators came out of the first
-            // round's slabs. Not "exactly none new in round two": a reader whose slab
-            // a block still pinned at the first round's peak had not yet needed its
-            // next one.
-            let idle = pool.idle_slabs();
-            assert!(idle <= 8 + 3 * 8, "round {round}: {idle} slabs");
+            // Everything is back, and all the pool ever held is what one round pins
+            // at once — 8 accumulators and 3 × 8 received blocks: the second root's
+            // accumulators came out of the first round's slabs.
+            assert_eq!(pool.idle_slabs(), 8 + 3 * 8, "round {round}");
+        }
+    }
+
+    #[test]
+    fn every_broadcast_round_after_the_first_is_read_into_the_last_rounds_slabs() {
+        // Twelve 8-block broadcasts over real sockets, the putter rotating so that each
+        // round's relay chain runs over different connections, with a burst of inline
+        // objects — control frames only — on every connection in between. A reader
+        // holds a pool slab only while it reads a block frame into it, so from the
+        // second round on every block received lands in a slab the previous delete
+        // freed, and after each delete the pool holds exactly one round's blocks.
+        let cluster =
+            LocalCluster::with_fabric(4, HopliteConfig::small_for_tests(), LocalFabric::Tcp);
+        let pool = cluster.pool.clone().expect("a TCP cluster has the process's pool");
+        let block = HopliteConfig::small_for_tests().block_size;
+        let received = || -> u64 {
+            (0..4).map(|n| cluster.status(n).unwrap().metrics.data_bytes_received).sum()
+        };
+        for round in 0..12usize {
+            for i in 0..16usize {
+                let tiny = ObjectId::from_name(&format!("chatter-{round}-{i}"));
+                cluster.client(i % 4).put(tiny, Payload::from_vec(vec![i as u8; 48])).unwrap();
+                cluster.client(i % 4).delete(tiny).unwrap();
+            }
+            let (reuses, bytes) = (pool.reuses(), received());
+            let putter = round % 4;
+            let object = ObjectId::from_name(&format!("relay-{round}"));
+            let data = Payload::from_vec(vec![round as u8 + 1; 8 * block as usize]);
+            cluster.client(putter).put(object, data.clone()).unwrap();
+            for step in 1..4 {
+                assert_eq!(cluster.client((putter + step) % 4).get(object).unwrap(), data);
+            }
+            let blocks = (received() - bytes) / block;
+            assert_eq!(blocks, 3 * 8, "round {round}: every receiver read each block once");
+            if round > 0 {
+                assert_eq!(pool.reuses() - reuses, blocks, "round {round}: one reuse per block");
+            }
+            // Delete once the receivers' registrations have landed: one that reaches
+            // the shard after the delete revives the entry, and its holder keeps bytes.
+            wait_until_replicated(&cluster);
+            cluster.client(putter).delete(object).unwrap();
+            wait_until_stores_empty(&cluster, &[0, 1, 2, 3]);
+            wait_until("slabs to be let go", || pool.pinned_slabs() == 0);
+            assert_eq!(pool.idle_slabs() as u64, blocks, "round {round}");
         }
     }
 
@@ -484,7 +536,7 @@ mod tests {
             assert_eq!(cluster.client(node).get(w).unwrap(), Payload::from_vec(data.clone()));
         }
         // Let the replication acks and confirms settle before the first kill.
-        std::thread::sleep(StdDuration::from_millis(200));
+        wait_until_replicated(&cluster);
         for k in 0..n {
             kill_and_settle(&mut cluster, k);
             // Live traffic while the node is down.
@@ -520,7 +572,7 @@ mod tests {
         let obj = ObjectId::from_name("tcp-restart-w");
         let data: Vec<u8> = (0..12_000u32).map(|i| (i % 249) as u8).collect();
         cluster.client(0).put(obj, Payload::from_vec(data.clone())).unwrap();
-        std::thread::sleep(StdDuration::from_millis(200));
+        wait_until_replicated(&cluster);
 
         kill_and_settle(&mut cluster, 2);
         // Traffic during the outage still works.
@@ -534,7 +586,7 @@ mod tests {
             assert_eq!(status.incarnation, 1, "restart must bump the incarnation");
             !status.resyncing
         });
-        std::thread::sleep(StdDuration::from_millis(200));
+        wait_until_replicated(&cluster);
         let got = cluster.client(2).get(obj).unwrap();
         assert_eq!(got, Payload::from_vec(data), "restarted node re-fetched over TCP");
     }
@@ -552,9 +604,9 @@ mod tests {
             .unwrap();
         let data: Vec<u8> = (0..6000u32).map(|i| (i % 251) as u8).collect();
         cluster.client(1).put(obj, Payload::from_vec(data.clone())).unwrap();
-        // Give the async log shipment a moment to reach the backup, then kill the
-        // primary (node 3 holds no copy of the object itself).
-        std::thread::sleep(StdDuration::from_millis(200));
+        // Wait for the log shipment to reach the backup, then kill the primary (node 3
+        // holds no copy of the object itself).
+        wait_until_replicated(&cluster);
         kill_and_settle(&mut cluster, 3);
         let got = cluster.client(2).get(obj).unwrap();
         assert_eq!(got, Payload::from_vec(data));

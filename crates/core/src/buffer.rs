@@ -462,7 +462,8 @@ impl ProgressBuffer {
 /// is next handed back. Sized from what a process of four nodes frees between a delete
 /// and the next transfer: a 64 MiB broadcast round 48 block slabs, a 64 MiB allreduce
 /// round about 100 (accumulators and received blocks alike), a 256 MiB failover round
-/// 128.
+/// 128. Those are all the slabs such a process has: no frame reader keeps one between
+/// frames.
 pub const MAX_IDLE_SLABS: usize = 128;
 
 /// What a slab carries beyond one block: room for the frame header and a trailing
@@ -470,7 +471,10 @@ pub const MAX_IDLE_SLABS: usize = 128;
 const FRAME_SLACK: usize = 4096;
 
 /// The pool bulk memory comes from, one per process: receive slabs for the transport's
-/// frame readers and accumulators for the reduce engine of every hosted node.
+/// frame readers and accumulators for the reduce engine of every hosted node. A reader
+/// checks a slab out for one block frame (or one frame too long for its own 64 KiB
+/// buffer) and hands it back right after decoding it, so between frames the pool's
+/// list holds every receive slab there is, pinned or idle.
 ///
 /// Slabs are `Arc<Vec<u8>>` allocations. Whoever checks one out writes it through
 /// `Arc::get_mut`, mints [`Bytes`] views of it with [`Bytes::from_arc`] and hands the

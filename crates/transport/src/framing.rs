@@ -671,45 +671,52 @@ pub(crate) fn default_pool() -> SlabPool {
     SlabPool::for_block_size(hoplite_core::config::HopliteConfig::default().block_size)
 }
 
+/// Length of a reader's own buffer, where every wait happens and every frame that
+/// neither aliases its payload nor outgrows it is read and decoded: one corked write.
+pub const HOME_LEN: usize = MAX_CORKED_BYTES;
+
+/// A length prefix and a tag: all a fill reads of a frame past the one it is reading.
+const HEAD: usize = 5;
+
 /// Zero-copy framed reader: the receive-side twin of [`write_frame_vectored`].
 ///
-/// Instead of a fresh `vec![0u8; len]` per frame (an allocation, a page-fault walk,
-/// and a kernel→user copy into cold memory every time), a `FrameReader` reads ahead
-/// into a pooled slab and decodes each frame **in place**: the body handed to
-/// [`decode_body`] is a [`Bytes`] view of the slab, so a block payload's bytes are
-/// written exactly once (by the kernel, into the slab) and then adopted —
-/// `ProgressBuffer`/store append the very same view. Slabs come from a
-/// [`SlabPool`] — the process's, shared by every reader of a fabric and the nodes it
-/// feeds ([`FrameReader::with_pool`]) — at the pool's slab length, and the pool
-/// reissues them once every view into them has dropped. Only block frames leave
-/// views behind (the message table's `aliases_slab` mark); every other frame decodes
-/// into owned fields, so a control-heavy stream — inline objects included — stays in
-/// one warm slab.
+/// A reader owns one [`HOME_LEN`] home buffer, not taken from the pool, and holds
+/// pool memory only for the one frame that needs it. Every wait happens in home, and
+/// a frame whose payload decodes into owned fields — control traffic, inline objects
+/// included — is read and decoded there, its next frame's header moved back to the
+/// start, so such a stream stays in home's first pages. A block frame (the message
+/// table's `aliases_slab` mark), or any frame longer than home, is read into a slab
+/// checked out of the [`SlabPool`] for that frame alone — the process's, shared by
+/// every reader of a fabric and the nodes it feeds ([`FrameReader::with_pool`]) — and
+/// decoded **in place**: its payload is a [`Bytes`] view of the slab, written once by
+/// the kernel and adopted as is by `ProgressBuffer` and the store. The slab goes back
+/// to the pool right after decode, pinned while the block's views live and idle once
+/// they drop, so an idle connection holds no pool memory.
 ///
-/// Read-ahead is capped so a slab roll never has to move payload bytes: a fill stops
-/// at the length prefix after the frame being read. The carry copied across a roll
-/// is therefore at most 4 length-prefix bytes — header bookkeeping, not payload,
-/// preserving the zero-payload-memcpy invariant end to end.
+/// A fill never reads past the end of the frame being read plus the next frame's
+/// length prefix and tag: the most ever carried from home into a slab is those
+/// [`HEAD`] header bytes, never payload, which keeps the zero-payload-memcpy
+/// invariant by construction.
 pub struct FrameReader<R> {
     inner: R,
     pool: SlabPool,
     /// The pool's reuse count when [`FrameReader::take_slab_reuses`] last read it.
     reuses_reported: u64,
-    slab: std::sync::Arc<Vec<u8>>,
-    /// Start of the first unconsumed byte in `slab`.
-    pos: usize,
-    /// End of valid buffered bytes in `slab`.
+    /// Never pinned: only frames that decode into owned fields are read into it.
+    home: std::sync::Arc<Vec<u8>>,
+    /// Buffered bytes at the start of `home`: between frames, at most [`HEAD`].
     filled: usize,
 }
 
 impl<R: std::io::Read> FrameReader<R> {
-    /// Wrap `inner` with default (block-sized) slabs from a pool of its own.
+    /// Wrap `inner`, reading block frames into default (block-sized) slabs from a pool
+    /// of its own.
     pub fn new(inner: R) -> FrameReader<R> {
         FrameReader::with_pool(inner, default_pool())
     }
 
-    /// Wrap `inner` with slabs of at least `slab_len` bytes (tests use tiny slabs to
-    /// force boundary straddles; oversized frames still get a dedicated allocation).
+    /// Wrap `inner`, reading block frames into slabs of at least `slab_len` bytes from
+    /// a pool of its own (a longer frame still gets a slab of its length).
     pub fn with_slab_len(inner: R, slab_len: usize) -> FrameReader<R> {
         FrameReader::with_pool(inner, SlabPool::with_slab_len(slab_len.max(64)))
     }
@@ -718,25 +725,43 @@ impl<R: std::io::Read> FrameReader<R> {
     /// and the reduce engine may share: a slab one of them filled is, once unpinned,
     /// read into by any.
     pub fn with_pool(inner: R, pool: SlabPool) -> FrameReader<R> {
-        let reuses_reported = pool.reuses();
-        let slab = pool.checkout(pool.slab_len());
-        FrameReader { inner, pool, reuses_reported, slab, pos: 0, filled: 0 }
+        let (reuses_reported, home) = (pool.reuses(), std::sync::Arc::new(vec![0; HOME_LEN]));
+        FrameReader { inner, pool, reuses_reported, home, filled: 0 }
     }
 
     /// Read and decode one framed message, zero-copy for block payloads. A length
     /// prefix above [`MAX_FRAME_BODY`] is `InvalidData` before any slab is sized for it.
     pub fn read_message(&mut self) -> std::io::Result<Message> {
-        self.need(4)?;
-        let len = u32::from_be_bytes(self.slab[self.pos..self.pos + 4].try_into().expect("4 bytes"))
-            as usize;
+        self.need(4, 1)?;
+        let len = u32::from_be_bytes(self.home[..4].try_into().expect("4 bytes")) as usize;
         if len > MAX_FRAME_BODY {
             return Err(oversized(len).into());
         }
         let total = 4 + len;
-        self.need(total)?;
-        let body = Bytes::from_arc(self.slab.clone(), self.pos + 4, self.pos + total);
-        self.pos += total;
-        Ok(decode_body(&body)?)
+        self.need(total.min(HEAD), 0)?;
+        if total <= HOME_LEN && !(len > 0 && payload_aliases_slab(self.home[4])) {
+            self.need(total, HEAD)?;
+            let msg = decode_body(&Bytes::from_arc(self.home.clone(), 4, total));
+            let home = std::sync::Arc::get_mut(&mut self.home).expect("home is never pinned");
+            home.copy_within(total..self.filled, 0);
+            self.filled -= total;
+            return Ok(msg?);
+        }
+        let mut slab = self.pool.checkout(total);
+        let buf = std::sync::Arc::get_mut(&mut slab).expect("pool slab is uniquely held");
+        let home = std::sync::Arc::get_mut(&mut self.home).expect("home is never pinned");
+        let mut at = std::mem::take(&mut self.filled);
+        buf[..at].copy_from_slice(&home[..at]);
+        while at < total {
+            use std::io::IoSliceMut;
+            let mut into =
+                [IoSliceMut::new(&mut buf[at..total]), IoSliceMut::new(&mut home[..HEAD])];
+            at += filled(self.inner.read_vectored(&mut into))?;
+        }
+        self.filled = at - total;
+        let msg = decode_body(&Bytes::from_arc(slab.clone(), 4, total));
+        self.pool.retain(slab);
+        Ok(msg?)
     }
 
     /// Slab checkouts the pool served by reuse since the last call (since
@@ -747,67 +772,24 @@ impl<R: std::io::Read> FrameReader<R> {
         total - std::mem::replace(&mut self.reuses_reported, total)
     }
 
-    /// Ensure the next `n` bytes of the stream are buffered contiguously at `pos`,
-    /// rolling to a fresh slab when the current one is full or pinned by escaped
-    /// payload views.
-    fn need(&mut self, n: usize) -> std::io::Result<()> {
-        loop {
-            if self.filled - self.pos >= n {
-                return Ok(());
-            }
-            if self.pos + n > self.slab.len() || std::sync::Arc::strong_count(&self.slab) > 1 {
-                self.roll(n);
-            }
-            let limit = self.fill_limit();
-            debug_assert!(limit > self.filled, "fill limit must admit progress");
-            let buf = std::sync::Arc::get_mut(&mut self.slab)
-                .expect("freshly rolled or unpinned slab is uniquely held");
-            let got = self.inner.read(&mut buf[self.filled..limit])?;
-            if got == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-frame",
-                ));
-            }
-            self.filled += got;
+    /// Buffer the stream's next `n` bytes (at most [`HOME_LEN`]) in home, reading at
+    /// most `ahead` bytes past them.
+    fn need(&mut self, n: usize, ahead: usize) -> std::io::Result<()> {
+        while self.filled < n {
+            let home = std::sync::Arc::get_mut(&mut self.home).expect("home is never pinned");
+            let limit = (n + ahead).min(HOME_LEN);
+            self.filled += filled(self.inner.read(&mut home[self.filled..limit]))?;
         }
+        Ok(())
     }
+}
 
-    /// Swap in a slab with room for `n` bytes, carrying the unconsumed remainder
-    /// across. The fill cap guarantees that remainder is at most 4 length-prefix
-    /// bytes (never payload), so the carry is header bookkeeping, not a data copy.
-    fn roll(&mut self, n: usize) {
-        let carry = self.filled - self.pos;
-        debug_assert!(carry <= 4, "roll carry must be at most a length prefix");
-        let mut fresh = self.pool.checkout(n);
-        {
-            let dst = std::sync::Arc::get_mut(&mut fresh).expect("pool slab is uniquely held");
-            dst[..carry].copy_from_slice(&self.slab[self.pos..self.filled]);
-        }
-        let old = std::mem::replace(&mut self.slab, fresh);
-        self.pool.retain(old);
-        self.pos = 0;
-        self.filled = carry;
-    }
-
-    /// Absolute offset a fill may read up to: the end of the frame at the cursor plus
-    /// the next length prefix, and nothing past that. What follows may be a block
-    /// whose payload will alias this slab, and a roll must never strand payload bytes
-    /// behind the cursor.
-    fn fill_limit(&self) -> usize {
-        let slab_len = self.slab.len();
-        let header_end = self.pos + 4;
-        if header_end > self.filled {
-            // Header not fully buffered: allow completing it (plus nothing more).
-            return header_end.min(slab_len);
-        }
-        let len = u32::from_be_bytes(self.slab[self.pos..header_end].try_into().expect("4 bytes"));
-        match header_end.checked_add(len as usize) {
-            Some(end) if end <= slab_len => (end + 4).min(slab_len),
-            // Frame won't fit this slab (or length is hostile): stop at the header so
-            // the roll carries only length-prefix bytes.
-            _ => header_end.min(slab_len),
-        }
+/// The bytes one read took: end of stream is an error, since a frame was asked for.
+fn filled(read: std::io::Result<usize>) -> std::io::Result<usize> {
+    use std::io::{Error, ErrorKind::UnexpectedEof};
+    match read? {
+        0 => Err(Error::new(UnexpectedEof, "connection closed mid-frame")),
+        got => Ok(got),
     }
 }
 
@@ -1846,8 +1828,8 @@ pub(crate) mod tests {
     }
 
     /// Property (seeded fuzzer): a [`FrameReader`] fed any message mix through any
-    /// read chunking — 1-byte reads, short reads mid-header, frames straddling slab
-    /// boundaries (tiny slabs force rolls constantly) — decodes exactly the messages
+    /// read chunking — 1-byte reads, short reads mid-header, reads that end inside a
+    /// slab-bound frame or spill over into the next header — decodes exactly the messages
     /// that were encoded into the byte stream. (The name predates the removal of the
     /// allocating per-frame reader it used to be compared with.)
     #[test]
@@ -1898,7 +1880,7 @@ pub(crate) mod tests {
             let got = reader.read_message().unwrap();
             assert_eq!(&got, want);
             // `got` (and its payload view into the slab) drops here, unpinning the
-            // slab so the pool can hand it out again on the next roll.
+            // slab so the pool can hand it out again for the next block.
         }
         assert!(reader.take_slab_reuses() > 0, "pool should recycle unpinned slabs");
         assert_eq!(
@@ -1932,42 +1914,46 @@ pub(crate) mod tests {
         let reader_over =
             |stream: Vec<u8>| FrameReader::with_pool(std::io::Cursor::new(stream), pool.clone());
         // Read one object, returning its blocks (kept alive, as the store would) and
-        // the address of the slab each one landed in.
+        // where each one's payload landed: the same header length puts it at the same
+        // offset of whichever slab it was read into.
         fn read_object<R: std::io::Read>(r: &mut FrameReader<R>) -> (Vec<Message>, Vec<*const u8>) {
             (0..16)
                 .map(|_| {
                     let msg = r.read_message().unwrap();
-                    assert!(matches!(msg, Message::PushBlock { .. }));
-                    (msg, r.slab.as_ptr())
+                    let Message::PushBlock { payload: Payload::Bytes(bytes), .. } = &msg else {
+                        panic!("expected a block, got {msg:?}");
+                    };
+                    let at = bytes.as_slice().as_ptr();
+                    (msg, at)
                 })
                 .unzip()
         }
         let mut a = reader_over([object("first"), object("second")].concat());
 
-        // Every block pins the slab it arrived in; the pool has nothing to offer.
+        // Every block pins the slab it was read into; the pool has nothing to offer.
         let (first, first_slabs) = read_object(&mut a);
         assert_eq!(a.take_slab_reuses(), 0);
+        assert_eq!((pool.pinned_slabs(), pool.idle_slabs()), (16, 0));
         drop(first);
 
-        // The first block lands in the slab `a` is still on (unpinned, barely used);
-        // each of the other fifteen rolls to a slab the pool recycles.
+        // Each block of the second object lands in a slab the first one freed.
         let (second, second_slabs) = read_object(&mut a);
-        assert_eq!(a.take_slab_reuses(), 15, "the second object allocates nothing");
+        assert_eq!(a.take_slab_reuses(), 16, "the second object allocates nothing");
         assert!(second_slabs.iter().all(|slab| first_slabs.contains(slab)));
         drop(second);
 
-        // `a` still holds one of the sixteen slabs as its current one; the other
-        // fifteen serve a different reader of the same pool.
+        // `a` keeps none of them between frames: all sixteen serve another reader.
         let mut b = reader_over(object("third"));
         let (_third, third_slabs) = read_object(&mut b);
-        assert_eq!(b.take_slab_reuses(), 15, "another reader allocates only the slab `a` kept");
-        assert_eq!(third_slabs.iter().filter(|slab| first_slabs.contains(slab)).count(), 15);
+        assert_eq!(b.take_slab_reuses(), 16, "another reader of the pool allocates nothing");
+        assert!(third_slabs.iter().all(|slab| first_slabs.contains(slab)));
     }
 
     #[test]
     fn inline_replies_never_pin_or_leave_the_first_slab() {
         // The small-object stream that used to retire one 4 MiB slab per 1 KiB frame:
-        // every decoded reply is kept alive, as the inline cache and the store do.
+        // every decoded reply is kept alive, as the inline cache and the store do. All
+        // of it is read in the reader's home buffer.
         let msgs: Vec<Message> = (0..256)
             .map(|query_id| Message::DirQueryReply {
                 object: ObjectId::from_name("small"),
@@ -1978,12 +1964,13 @@ pub(crate) mod tests {
         let stream: Vec<u8> = msgs.iter().flat_map(wire).collect();
         copytrace::reset();
         let mut reader = FrameReader::new(std::io::Cursor::new(stream));
-        let slab = reader.slab.as_ptr_range();
+        let home = reader.home.as_ptr_range();
         let held: Vec<Message> = msgs.iter().map(|_| reader.read_message().unwrap()).collect();
         assert_eq!(held, msgs);
-        assert_eq!(reader.slab.as_ptr_range(), slab, "the reader never left its first slab");
+        assert_eq!(reader.home.as_ptr_range(), home, "the reader never left its home buffer");
         assert_eq!(reader.take_slab_reuses(), 0);
-        assert_eq!(std::sync::Arc::strong_count(&reader.slab), 1, "no held message pins it");
+        assert_eq!(reader.pool.idle_slabs() + reader.pool.pinned_slabs(), 0, "no slab taken");
+        assert_eq!(std::sync::Arc::strong_count(&reader.home), 1, "no held message pins it");
         for msg in &held {
             let Message::DirQueryReply {
                 result: QueryResult::Inline { payload: Payload::Bytes(bytes) },
@@ -1992,7 +1979,7 @@ pub(crate) mod tests {
             else {
                 panic!("decoded wrong variant");
             };
-            assert!(!slab.contains(&bytes.as_slice().as_ptr()), "payload is an owned copy");
+            assert!(!home.contains(&bytes.as_slice().as_ptr()), "payload is an owned copy");
         }
         // The copy that buys this is on the books.
         if cfg!(debug_assertions) {
@@ -2001,14 +1988,40 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_control_stream_never_takes_a_pool_slab() {
+        // 8 MiB of 1 KiB directory writes, each decoded and dropped: all of it is read
+        // in home, whose cursor goes back to its start after every frame, so the
+        // reader never walks off a buffer and never checks one out of the pool.
+        let frame = |i: u64| Message::DirPutInline {
+            object: ObjectId::from_name(&format!("ctl-{i}")),
+            holder: NodeId(1),
+            payload: Payload::from_vec(vec![i as u8; 1024]),
+        };
+        let count = (8 << 20) / 1024 + 1;
+        let stream: Vec<u8> = (0..count).flat_map(|i| wire(&frame(i))).collect();
+        assert!(stream.len() >= 8 << 20);
+        let chunked = ChunkedReader { data: &stream, at: 0, rng: Rng(0xC0DE), max_chunk: 4096 };
+        let mut reader = FrameReader::new(chunked);
+        for i in 0..count {
+            assert_eq!(reader.read_message().unwrap(), frame(i));
+            assert!(reader.filled <= HEAD, "at most the next prefix and tag stay buffered");
+        }
+        assert_eq!(reader.take_slab_reuses(), 0);
+        assert_eq!(reader.pool.idle_slabs() + reader.pool.pinned_slabs(), 0, "no slab taken");
+    }
+
+    #[test]
     fn frame_reader_rejects_an_oversized_length_prefix_before_sizing_a_slab() {
         for len in [u32::MAX, MAX_FRAME_BODY as u32 + 1] {
             let prefix = len.to_be_bytes().to_vec();
             let mut reader = FrameReader::with_slab_len(std::io::Cursor::new(prefix), 64);
-            let slab = reader.slab.as_ptr_range();
+            let home = reader.home.as_ptr_range();
+            // Reading on would have hit the end of the stream: `InvalidData` is the
+            // bound, checked on the prefix alone.
             let err = reader.read_message().unwrap_err();
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
-            assert_eq!(reader.slab.as_ptr_range(), slab, "no slab was checked out for it");
+            assert_eq!(reader.home.as_ptr_range(), home, "the prefix was read in home");
+            assert_eq!(reader.pool.idle_slabs() + reader.pool.pinned_slabs(), 0);
         }
     }
 
@@ -2101,11 +2114,19 @@ pub(crate) mod tests {
                 let mut reader = FrameReader::with_slab_len(chunked, slab_len);
                 // Every `Ok` consumes at least a length prefix, so this terminates.
                 for _ in 0..=stream.len() {
-                    let result = reader.read_message();
-                    assert!(reader.slab.len() <= slab_len.max(MAX_FRAME_BODY + 4));
-                    if result.is_err() {
+                    let ok = reader.read_message().is_ok();
+                    // Home is where it was and unpinned, no slab outlives the message
+                    // read into it, and none was sized past the frame bound.
+                    assert_eq!(reader.home.len(), HOME_LEN);
+                    assert_eq!(std::sync::Arc::strong_count(&reader.home), 1);
+                    assert_eq!(reader.pool.pinned_slabs(), 0);
+                    while reader.pool.idle_slabs() > 0 {
+                        assert!(reader.pool.checkout(0).len() <= slab_len.max(MAX_FRAME_BODY + 4));
+                    }
+                    if !ok {
                         return;
                     }
+                    assert!(reader.filled <= HEAD);
                 }
                 panic!("reader produced more messages than the stream has bytes");
             });

@@ -21,11 +21,13 @@
 //!   scatter-gather iovecs (no staging copy) and corks bursts of small control frames
 //!   ([`crate::framing::Cork`]) into single `write_vectored` calls, flushing whenever
 //!   the queue drains.
-//! * Receives go through a [`crate::framing::FrameReader`]: frames decode in place
-//!   out of pooled slabs, so a block's payload bytes are written once by the kernel
-//!   and then adopted as shared views all the way into the store. Every reader thread
-//!   of a fabric draws from one [`SlabPool`] — the process's, when its builder hands
-//!   one over ([`TcpFabric::with_pool`]), which the hosted nodes' reduce engines draw
+//! * Receives go through a [`crate::framing::FrameReader`]: a block frame is read
+//!   into a slab checked out for it alone and decoded in place, so its payload bytes
+//!   are written once by the kernel and then adopted as shared views all the way into
+//!   the store; everything else, and every wait, stays in the reader's own 64 KiB
+//!   home buffer, which is all an idle connection holds. Every reader thread of a
+//!   fabric draws from one [`SlabPool`] — the process's, when its builder hands one
+//!   over ([`TcpFabric::with_pool`]), which the hosted nodes' reduce engines draw
 //!   accumulators from too — so the slabs of a deleted object are what the next object
 //!   is read or folded into, whichever peer sends it.
 //!
@@ -1104,8 +1106,8 @@ mod tests {
     #[test]
     fn tcp_fabric_reuses_receive_slabs() {
         // Lockstep send/consume: each payload is dropped before the next frame is
-        // sent, so by the time the reader thread rolls to a new slab the previous
-        // one is unpinned and comes back out of the pool.
+        // sent, so by the time the reader thread checks out a slab for the next block
+        // the previous one is unpinned and comes back out of the pool.
         let mut fabric = TcpFabric::new(2).unwrap();
         let rx = fabric.take_receiver(NodeId(1));
         let sender = fabric.sender();

@@ -8,7 +8,8 @@
 # total, the HopliteConfig field count, the core files whose non-test code names a
 # random-state `HashMap`/`HashSet` (clippy's `disallowed-types` keeps it at 0), and the
 # lifecycle counts of ROADMAP's transport item (unbounded queues, sleeps,
-# SlabPool construction sites, thread-spawn sites).
+# SlabPool construction sites, thread-spawn sites) and the `SlabPool::checkout` call
+# sites, i.e. the code that may hold pool memory.
 #
 # "Non-test" = lines of a file before its first top-level `#[cfg(test)]` that opens an
 # inline test module (one that only gates a `mod …;` declaration, like node/mod.rs's
@@ -87,3 +88,7 @@ echo "| \`unbounded(\` call sites | $(occurrences 'unbounded(') |"
 echo "| \`thread::sleep\` calls | $(occurrences 'thread::sleep') |"
 echo "| \`SlabPool\` construction sites (expected 5: the two process builders, \`hoplited\` and \`LocalCluster\`; the private defaults of a node, of a fabric or reader built alone, of the tiny-slab test reader) | $(($(occurrences 'SlabPool::new()') + $(occurrences 'SlabPool::for_block_size(') + $(occurrences 'SlabPool::with_slab_len('))) |"
 echo "| thread-spawn sites (\`thread::spawn\`, \`Builder::new()\`, \`spawn_scoped\`) | $(($(occurrences 'thread::spawn') + $(occurrences 'thread::Builder::new()') + $(occurrences 'spawn_scoped'))) |"
+checkouts=$(find crates src examples -name '*.rs' -not -path 'crates/compat/*' | sort | while read -r f; do
+    if echo "$f" | non_test_text | grep -qF '.checkout('; then echo "${f#crates/}"; fi
+done)
+echo "| \`SlabPool::checkout\` call sites, who may hold pool memory (expected 2: a frame reader, for one frame at a time, and \`BlockAccum::fold\`) | $(occurrences '.checkout(')${checkouts:+ ($(echo $checkouts | sed 's/ /, /g'))} |"
