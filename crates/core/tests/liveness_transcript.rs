@@ -1,78 +1,54 @@
-//! Node-level liveness transcript: what one node does with liveness evidence, frozen.
+//! Liveness transcript: what one node does with liveness evidence.
 //!
-//! One [`ObjectStoreNode`] of a 5-node cluster is fed a seeded stream of liveness
-//! events — driver failed / recovered verdicts, `PeerFailureNotice`, `Hello`,
-//! `DirResynced`, `MembershipDigest`, `Ping` / `Ack` / `PingReq` carrying gossiped
-//! alive / suspect / dead claims (about peers and about the node itself), timer fires
-//! with advancing time, and restart-flagged `DirSnapshotRequest`s — at stale, current
-//! and newer incarnations, with the SWIM detector on and off. After every event the
-//! emitted effects, `membership().digest()`, every `NodeMetrics` counter, the node's
-//! incarnation, its resyncing flag and where it routes five probe objects are folded
-//! into a 16-bit hash.
+//! Each episode feeds one [`ObjectStoreNode`] of a 5-node cluster, with the SWIM
+//! detector on or off, a set-up event and 40 seeded ones: driver verdicts,
+//! `PeerFailureNotice`, `Hello`, `DirResynced`, `MembershipDigest`, gossip-carrying
+//! `Ping` / `Ack` / `PingReq`, timer fires and restart-flagged `DirSnapshotRequest`s, at
+//! stale, current and newer incarnations. Each event hashes the effects, the membership
+//! digest, every `NodeMetrics` counter, the node's incarnation, its resyncing flag and
+//! where it routes five probe objects.
 //!
-//! The stream is cut into independent episodes (a fresh node each, 40 events) so a
-//! difference stays inside its episode. `liveness_transcript.golden` holds one line
-//! per episode, `mode episode hashes` with four hex digits per event (the first is
-//! the episode's set-up). It was written by this file run against the tree that still
-//! kept the membership view and the detector's per-peer mirror as two tables, and is
-//! never edited. Episodes in which those two tables disagreed there are listed in
-//! `liveness_transcript.diverged` as `mode episode first-event cause hashes…`: they
-//! must match the golden up to `first-event` and the listed hashes from there on
-//! (BENCH_NOTES.md, "PR 22", explains each cause).
-//!
-//! On a mismatch the test writes what it produced next to the system temp directory
-//! and names the first differing event of every episode that moved.
-//!
-//! Hostile frames — ones no node sends — are delivered after an episode's seeded events,
-//! so the golden's stream is untouched: each must leave every recorded hash where it was.
+//! The golden was written against the tree that kept the membership view and the
+//! detector's per-peer mirror as two tables; the `.diverged` file lists the episodes in
+//! which they disagreed (BENCH_NOTES.md, "PR 22", explains each cause). Hostile frames,
+//! which no node sends, follow an episode's events and must move nothing.
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
+mod support;
 
 use hoplite_core::prelude::*;
+use support::{Rng, Trace, Transcript};
 
-const GOLDEN: &str = include_str!("liveness_transcript.golden");
-const DIVERGED: &str = include_str!("liveness_transcript.diverged");
+const TRANSCRIPT: Transcript = Transcript {
+    name: "liveness_transcript",
+    golden: include_str!("liveness_transcript.golden"),
+    diverged: include_str!("liveness_transcript.diverged"),
+    key_fields: 2,
+    vocabulary:
+        "setup failed recovered notice hello resynced digest ping ack pingreq snapreq timer idle",
+    admits: support::any_divergence,
+};
 
+/// A golden key's first field, and whether the SWIM detector runs.
+const MODES: [(&str, bool); 2] = [("off", false), ("on", true)];
 const NODES: usize = 5;
 const EPISODES: u64 = 256;
 const EVENTS_PER_EPISODE: usize = 40;
 
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn node(&mut self) -> NodeId {
-        NodeId(self.below(NODES as u64) as u32)
-    }
-
-    fn one_in(&mut self, n: u64) -> bool {
-        self.below(n) == 0
-    }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
-}
-
-fn detector_config() -> DetectorConfig {
-    DetectorConfig {
-        probe_period: Duration::from_millis(100),
-        ack_timeout: Duration::from_millis(30),
-        suspicion_multiplier: 5,
-        indirect_fanout: 2,
-        gossip_budget: 4,
+/// A `DirSnapshotRequest` for a whole shard, as a (restarted) `requester` sends it.
+fn snapshot_request(
+    shard: u64,
+    requester: NodeId,
+    restart: bool,
+    digest: Vec<MemberDigestEntry>,
+) -> Message {
+    Message::DirSnapshotRequest {
+        shard,
+        requester,
+        restart,
+        after: None,
+        have_epoch: 0,
+        have_seq: 0,
+        digest,
     }
 }
 
@@ -90,17 +66,23 @@ struct Episode {
     /// the node knows, and a snapshot-request digest that teaches it something.
     contested: bool,
     detector: bool,
-    hashes: Vec<u16>,
-    kinds: Vec<&'static str>,
+    trace: Trace,
 }
 
 impl Episode {
     fn new(detector: bool, episode: u64) -> Episode {
         let mut rng = Rng(0x11FE_7A81 ^ (episode << 8) ^ u64::from(detector));
-        let me = rng.node();
-        let incarnation = rng.below(3);
+        let me = NodeId(rng.below(NODES) as u32);
+        let incarnation = rng.below(3) as u64;
+        let detector_cfg = DetectorConfig {
+            probe_period: Duration::from_millis(100),
+            ack_timeout: Duration::from_millis(30),
+            suspicion_multiplier: 5,
+            indirect_fanout: 2,
+            gossip_budget: 4,
+        };
         let cfg = HopliteConfig {
-            detector: detector.then(detector_config),
+            detector: detector.then_some(detector_cfg),
             ..HopliteConfig::small_for_tests()
         };
         let opts = NodeOptions { incarnation, ..NodeOptions::default() };
@@ -117,8 +99,7 @@ impl Episode {
             probes: probes.collect(),
             contested,
             detector,
-            hashes: Vec::new(),
-            kinds: Vec::new(),
+            trace: Trace::default(),
         };
         ep.set_up(episode, incarnation);
         ep
@@ -171,10 +152,14 @@ impl Episode {
         self.record("setup", out);
     }
 
+    fn node(&mut self) -> NodeId {
+        NodeId(self.rng.below(NODES) as u32)
+    }
+
     /// A node other than this one.
     fn peer(&mut self) -> NodeId {
         loop {
-            let p = self.rng.node();
+            let p = self.node();
             if p != self.me {
                 return p;
             }
@@ -200,7 +185,7 @@ impl Episode {
     fn gossip(&mut self) -> Vec<(NodeId, u64, GossipState)> {
         (0..self.rng.below(4))
             .map(|_| {
-                let node = self.rng.node();
+                let node = self.node();
                 let state = match self.rng.below(3) {
                     0 => GossipState::Alive,
                     1 => GossipState::Suspect,
@@ -219,7 +204,7 @@ impl Episode {
             (0..NODES as u32).map(|i| (NodeId(i), 0, true)).collect();
         digest[requester.0 as usize].1 = incarnation;
         if self.rng.one_in(4) {
-            let dead = self.rng.node();
+            let dead = self.node();
             if dead != requester {
                 digest[dead.0 as usize] = (dead, self.incarnation_for(dead, true), false);
             }
@@ -228,7 +213,7 @@ impl Episode {
     }
 
     fn step(&mut self) {
-        let advance_ms = [0, 0, 1, 7, 35, 120, 600][self.rng.below(7) as usize];
+        let advance_ms = self.rng.pick(&[0, 0, 1, 7, 35, 120, 600]).unwrap();
         self.now += Duration::from_millis(advance_ms);
         let mut out = Vec::new();
         let from = self.peer();
@@ -239,25 +224,25 @@ impl Episode {
         } else {
             &[0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 8, 10, 11, 11, 12]
         };
-        let kind = match mix[self.rng.below(mix.len() as u64) as usize] {
+        let kind = match self.rng.pick(mix).unwrap() {
             0 => {
-                let peer = self.rng.node();
+                let peer = self.node();
                 self.node.handle_peer_failed(self.now, peer, &mut out);
                 "failed"
             }
             1 => {
-                let peer = self.rng.node();
+                let peer = self.node();
                 self.node.handle_peer_recovered(self.now, peer, &mut out);
                 "recovered"
             }
             2 => {
-                let node = self.rng.node();
+                let node = self.node();
                 let incarnation = self.incarnation_for(node, true);
                 self.deliver(from, Message::PeerFailureNotice { node, incarnation }, &mut out);
                 "notice"
             }
             3 => {
-                let node = self.rng.node();
+                let node = self.node();
                 let incarnation = self.incarnation_for(node, true);
                 self.deliver(node, Message::Hello { node, incarnation }, &mut out);
                 "hello"
@@ -274,7 +259,7 @@ impl Episode {
             5 => {
                 let entries = (0..1 + self.rng.below(3))
                     .map(|_| {
-                        let node = self.rng.node();
+                        let node = self.node();
                         (node, self.incarnation_for(node, true), self.rng.one_in(2))
                     })
                     .collect();
@@ -283,21 +268,21 @@ impl Episode {
             }
             6 => {
                 let gossip = self.gossip();
-                let probe_id = self.rng.below(1000);
+                let probe_id = self.rng.below(1000) as u64;
                 self.deliver(from, Message::Ping { origin: from, probe_id, gossip }, &mut out);
                 "ping"
             }
             8 => {
                 let gossip = self.gossip();
                 let probe_id =
-                    if self.rng.one_in(3) { self.rng.below(50) } else { self.last_probe_id };
+                    if self.rng.one_in(3) { self.rng.below(50) as u64 } else { self.last_probe_id };
                 self.deliver(from, Message::Ack { probe_id, gossip }, &mut out);
                 "ack"
             }
             10 => {
                 let gossip = self.gossip();
-                let target = self.rng.node();
-                let probe_id = self.rng.below(1000);
+                let target = self.node();
+                let probe_id = self.rng.below(1000) as u64;
                 self.deliver(from, Message::PingReq { target, probe_id, gossip }, &mut out);
                 "pingreq"
             }
@@ -313,18 +298,14 @@ impl Episode {
                 } else {
                     self.restart_digest(requester, incarnation)
                 };
-                let request = Message::DirSnapshotRequest {
-                    // A shard the requester hosts: its own, or its predecessor's.
-                    shard: (u64::from(requester.0) + NODES as u64 - self.rng.below(2))
-                        % NODES as u64,
+                // A shard the requester hosts: its own, or its predecessor's.
+                let shard = ((requester.0 as usize + NODES - self.rng.below(2)) % NODES) as u64;
+                let restart = !self.rng.one_in(4);
+                self.deliver(
                     requester,
-                    restart: !self.rng.one_in(4),
-                    after: None,
-                    have_epoch: 0,
-                    have_seq: 0,
-                    digest,
-                };
-                self.deliver(requester, request, &mut out);
+                    snapshot_request(shard, requester, restart, digest),
+                    &mut out,
+                );
                 "snapreq"
             }
             _ => {
@@ -367,89 +348,45 @@ impl Episode {
             self.node.incarnation(),
             self.node.directory_is_resyncing(),
         );
-        self.hashes.push(fnv1a(state.as_bytes()) as u16);
-        self.kinds.push(kind);
-    }
-}
-
-fn hex(hashes: &[u16]) -> String {
-    hashes.iter().map(|h| format!("{h:04x}")).collect()
-}
-
-fn unhex(hex: &str) -> Vec<u16> {
-    (0..hex.len()).step_by(4).map(|i| u16::from_str_radix(&hex[i..i + 4], 16).unwrap()).collect()
-}
-
-fn mode_name(detector: bool) -> &'static str {
-    if detector {
-        "on"
-    } else {
-        "off"
+        self.trace.record(kind, &state);
     }
 }
 
 /// Hostile frames, outside the seeded stream (the golden's events stay as they are): at
-/// the end of an episode, whatever state it left the node in, a restart-flagged
-/// `DirSnapshotRequest` for a shard the cluster does not have — one that wraps onto a
-/// shard the requester hosts included — moves nothing the transcript records and
-/// produces no effect.
+/// the end of every episode, whatever state it left the node in, each moves nothing the
+/// transcript records and produces no effect.
+///
+/// * A restart-flagged `DirSnapshotRequest` for a shard the cluster does not have — one
+///   that wraps onto a shard the requester hosts included.
+/// * A `DirResynced` naming the node itself, at the incarnation it runs and at the next
+///   one. Only the node's own resync completing re-admits it; on a node still
+///   resyncing, believing the frame would hand it the shards it hosts while its
+///   replicas wait for state.
 #[test]
-fn a_snapshot_request_for_a_shard_out_of_range_moves_nothing() {
-    for detector in [false, true] {
-        for episode in 0..32 {
-            let mut ep = Episode::new(detector, episode);
-            (0..EVENTS_PER_EPISODE).for_each(|_| ep.step());
-            ep.record("settled", Vec::new());
-            for shard in [NODES as u64, 2 * NODES as u64 - 1, u64::MAX] {
-                let requester = ep.peer();
-                let incarnation = ep.known_incarnation(requester) + 1;
-                let request = Message::DirSnapshotRequest {
-                    shard,
-                    requester,
-                    restart: true,
-                    after: None,
-                    have_epoch: 0,
-                    have_seq: 0,
-                    digest: ep.restart_digest(requester, incarnation),
-                };
-                let mut out = Vec::new();
-                ep.deliver(requester, request, &mut out);
-                ep.record("hostile", out);
-                let mode = mode_name(detector);
-                let n = ep.hashes.len();
-                assert_eq!(ep.hashes[n - 1], ep.hashes[n - 2], "{mode} {episode} shard {shard}");
-            }
-        }
-    }
-}
-
-/// Hostile frames, as above: at the end of an episode, a `DirResynced` naming the node
-/// itself — at the incarnation it runs and at the next one — moves nothing the
-/// transcript records and produces no effect. Only the node's own resync completing
-/// re-admits it; on a node still resyncing, believing the frame would hand it the
-/// shards it hosts while its replicas wait for state.
-#[test]
-fn a_resynced_announcement_naming_the_node_itself_moves_nothing() {
+fn hostile_frames_move_nothing() {
     let mut resyncing = 0;
-    for detector in [false, true] {
+    for (mode, detector) in MODES {
         for episode in 0..EPISODES {
             let mut ep = Episode::new(detector, episode);
             (0..EVENTS_PER_EPISODE).for_each(|_| ep.step());
             ep.record("settled", Vec::new());
             resyncing += usize::from(ep.node.directory_is_resyncing());
-            let me = ep.me;
+            let mut hostile = Vec::new();
+            for shard in [NODES as u64, 2 * NODES as u64 - 1, u64::MAX] {
+                let requester = ep.peer();
+                let incarnation = ep.known_incarnation(requester) + 1;
+                let digest = ep.restart_digest(requester, incarnation);
+                hostile.push((requester, snapshot_request(shard, requester, true, digest)));
+            }
             for incarnation in [ep.node.incarnation(), ep.node.incarnation() + 1] {
-                let from = ep.peer();
+                hostile.push((ep.peer(), Message::DirResynced { node: ep.me, incarnation }));
+            }
+            for (from, msg) in hostile {
+                let what = format!("{mode} {episode:03}: {msg:?}");
                 let mut out = Vec::new();
-                ep.deliver(from, Message::DirResynced { node: me, incarnation }, &mut out);
+                ep.deliver(from, msg, &mut out);
                 ep.record("hostile", out);
-                let mode = mode_name(detector);
-                let n = ep.hashes.len();
-                assert_eq!(
-                    ep.hashes[n - 1],
-                    ep.hashes[n - 2],
-                    "{mode} {episode} inc {incarnation}"
-                );
+                ep.trace.assert_unmoved(what);
             }
         }
     }
@@ -458,61 +395,12 @@ fn a_resynced_announcement_naming_the_node_itself_moves_nothing() {
 
 #[test]
 fn liveness_transcript_matches_the_two_table_tree() {
-    let mut golden: BTreeMap<(String, u64), Vec<u16>> = BTreeMap::new();
-    for line in GOLDEN.lines() {
-        let mut f = line.split_whitespace();
-        let key = (f.next().unwrap().to_string(), f.next().unwrap().parse().unwrap());
-        golden.insert(key, unhex(f.next().unwrap()));
-    }
-    let mut diverged: BTreeMap<(String, u64), (usize, Vec<u16>)> = BTreeMap::new();
-    for line in DIVERGED.lines().filter(|l| !l.starts_with('#') && !l.trim().is_empty()) {
-        let mut f = line.split_whitespace();
-        let key = (f.next().unwrap().to_string(), f.next().unwrap().parse().unwrap());
-        let first: usize = f.next().unwrap().parse().unwrap();
-        let _cause = f.next().unwrap();
-        diverged.insert(key, (first, unhex(f.next().unwrap())));
-    }
-
-    let mut actual = String::new();
-    let mut moved = String::new();
-    let mut events = 0;
-    for detector in [false, true] {
-        for episode in 0..EPISODES {
+    let episodes = MODES.into_iter().flat_map(|(mode, detector)| {
+        (0..EPISODES).map(move |episode| {
             let mut ep = Episode::new(detector, episode);
-            for _ in 0..EVENTS_PER_EPISODE {
-                ep.step();
-            }
-            events += EVENTS_PER_EPISODE;
-            let mode = mode_name(detector);
-            writeln!(actual, "{mode} {episode:03} {}", hex(&ep.hashes)).unwrap();
-
-            let key = (mode.to_string(), episode);
-            let mut expected = golden.get(&key).cloned().unwrap_or_default();
-            if let Some((first, tail)) = diverged.get(&key) {
-                expected.truncate(*first);
-                expected.extend_from_slice(tail);
-            }
-            if expected != ep.hashes {
-                let at = expected
-                    .iter()
-                    .zip(&ep.hashes)
-                    .position(|(a, b)| a != b)
-                    .unwrap_or(expected.len().min(ep.hashes.len()));
-                writeln!(
-                    moved,
-                    "{mode} {episode:03} first differs at event {at} ({}) after {:?}; from there: {}",
-                    ep.kinds[at.min(ep.kinds.len() - 1)],
-                    &ep.kinds[..at.min(ep.kinds.len())],
-                    hex(&ep.hashes[at.min(ep.hashes.len())..]),
-                )
-                .unwrap();
-            }
-        }
-    }
-    assert!(events >= 2 * 10_000, "the stream covers at least 10 000 events per mode");
-    if !moved.is_empty() {
-        let path = std::env::temp_dir().join("liveness_transcript.actual");
-        std::fs::write(&path, &actual).unwrap();
-        panic!("liveness transcript moved (full transcript in {}):\n{moved}", path.display());
-    }
+            (0..EVENTS_PER_EPISODE).for_each(|_| ep.step());
+            (format!("{mode} {episode:03}"), ep.trace)
+        })
+    });
+    TRANSCRIPT.check(episodes);
 }

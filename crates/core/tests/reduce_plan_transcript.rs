@@ -1,63 +1,35 @@
-//! Reduce-plan transcript: what the dynamic reduce tree does with arrivals and
-//! failures, frozen.
+//! Reduce-plan transcript: what the dynamic reduce tree does with arrivals and failures.
 //!
-//! For every `n` in 1..=128 and every degree `d` in {1, 2, 3, n}, one seeded episode
-//! builds a [`ReduceTreePlan`] and records its shape's parent and children lists. It
-//! then offers a seeded number of fresh objects (none up to all of the slots and a few
-//! more), and after that runs 40 seeded steps, each one plan call:
+//! For every `n` in 1..=128 and degree `d` in {1, 2, 3, n}, an episode builds a
+//! [`ReduceTreePlan`], offers it a seeded number of fresh objects, then takes 40 seeded
+//! steps, each one plan call: a fresh offer, a duplicate offer, a holder move, a node
+//! failure, or a re-offer of a lost object on a new holder. Each step hashes the
+//! affected-slot list the call returned and every slot's (assignment, epoch); the set-up
+//! step hashes the shape's links and the fresh offers.
 //!
-//! * a fresh offer;
-//! * a duplicate offer of an object already offered, on the node that holds it;
-//! * a holder move: a pooled object offered again on another node (an assigned one,
-//!   when nothing is pooled, which the plan must ignore);
-//! * a node failure;
-//! * a re-offer of a lost object (its holder failed) on a new holder.
-//!
-//! After every step the affected-slot list the call returned and every slot's
-//! (assignment, epoch) are folded into a 16-bit hash; the first hash of an episode
-//! covers the shape and the whole run of fresh offers before the steps.
-//!
-//! `reduce_plan_transcript.golden` holds one line per episode, `n d hashes` with four
-//! hex digits per hash. It was written by this file run against the plan that kept its
-//! ready pool as a generation-stamped FIFO beside a membership map, an object → slot
-//! index, a vacancy set and a loss ledger, and is never edited. On a mismatch the test
-//! writes what it produced next to the system temp directory and names the first
-//! differing step of every episode that moved.
+//! The golden was written against the plan that kept its ready pool as a
+//! generation-stamped FIFO beside a membership map, an object → slot index, a vacancy
+//! set and a loss ledger.
 
-use std::collections::BTreeMap;
+mod support;
+
 use std::fmt::Write as _;
 
 use hoplite_core::object::{NodeId, ObjectId};
 use hoplite_core::reduce::{ReduceInput, ReduceTreePlan, TreeShape};
+use support::{Rng, Trace, Transcript};
 
-const GOLDEN: &str = include_str!("reduce_plan_transcript.golden");
+const TRANSCRIPT: Transcript = Transcript {
+    name: "reduce_plan_transcript",
+    golden: include_str!("reduce_plan_transcript.golden"),
+    diverged: "",
+    key_fields: 2,
+    vocabulary: "setup fresh duplicate move failed reoffer",
+    admits: support::any_divergence,
+};
 
 const MAX_SLOTS: usize = 128;
 const STEPS_PER_EPISODE: usize = 40;
-
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-
-    fn pick<T: Copy>(&mut self, items: &[T]) -> Option<T> {
-        (!items.is_empty()).then(|| items[self.below(items.len())])
-    }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
-}
 
 /// Where an offered object stands, as far as the episode knows.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -74,8 +46,7 @@ struct Episode {
     plan: ReduceTreePlan,
     objects: Vec<(ObjectId, Fate)>,
     nodes: u32,
-    hashes: Vec<u16>,
-    kinds: Vec<&'static str>,
+    trace: Trace,
 }
 
 impl Episode {
@@ -90,8 +61,7 @@ impl Episode {
             plan: ReduceTreePlan::new(n, d),
             objects: Vec::new(),
             nodes,
-            hashes: Vec::new(),
-            kinds: Vec::new(),
+            trace: Trace::default(),
         };
         let shape: &TreeShape = ep.plan.shape();
         let links: Vec<(Option<usize>, Vec<usize>)> =
@@ -201,60 +171,16 @@ impl Episode {
             let input = self.plan.assignment(slot).map(|a| (self.index_of(a.object), a.node.0));
             write!(state, "|{input:?}@{}", self.plan.epoch(slot)).unwrap();
         }
-        self.hashes.push(fnv1a(state.as_bytes()) as u16);
-        self.kinds.push(kind);
+        self.trace.record(kind, &state);
     }
-}
-
-fn hex(hashes: &[u16]) -> String {
-    hashes.iter().map(|h| format!("{h:04x}")).collect()
-}
-
-fn unhex(hex: &str) -> Vec<u16> {
-    (0..hex.len()).step_by(4).map(|i| u16::from_str_radix(&hex[i..i + 4], 16).unwrap()).collect()
 }
 
 #[test]
 fn reduce_plan_transcript_matches_the_indexed_plan() {
-    let mut golden: BTreeMap<(usize, usize), Vec<u16>> = BTreeMap::new();
-    for line in GOLDEN.lines() {
-        let mut f = line.split_whitespace();
-        let key = (f.next().unwrap().parse().unwrap(), f.next().unwrap().parse().unwrap());
-        golden.insert(key, unhex(f.next().unwrap()));
-    }
-
-    let mut actual = String::new();
-    let mut moved = String::new();
-    let mut steps = 0;
-    for n in 1..=MAX_SLOTS {
-        for d in [1, 2, 3, n] {
-            let mut ep = Episode::new(n, d);
-            for _ in 0..STEPS_PER_EPISODE {
-                ep.step();
-            }
-            steps += STEPS_PER_EPISODE;
-            writeln!(actual, "{n} {d} {}", hex(&ep.hashes)).unwrap();
-            let expected = golden.get(&(n, d)).cloned().unwrap_or_default();
-            if expected != ep.hashes {
-                let at = expected
-                    .iter()
-                    .zip(&ep.hashes)
-                    .position(|(a, b)| a != b)
-                    .unwrap_or(expected.len().min(ep.hashes.len()));
-                writeln!(
-                    moved,
-                    "n={n} d={d} first differs at step {at} ({}) after {:?}",
-                    ep.kinds[at.min(ep.kinds.len() - 1)],
-                    &ep.kinds[..at.min(ep.kinds.len())],
-                )
-                .unwrap();
-            }
-        }
-    }
-    assert!(steps >= 20_000, "the transcript covers at least 20 000 steps");
-    if !moved.is_empty() {
-        let path = std::env::temp_dir().join("reduce_plan_transcript.actual");
-        std::fs::write(&path, &actual).unwrap();
-        panic!("reduce plan transcript moved (full transcript in {}):\n{moved}", path.display());
-    }
+    let episodes = (1..=MAX_SLOTS).flat_map(|n| [1, 2, 3, n].map(|d| (n, d))).map(|(n, d)| {
+        let mut ep = Episode::new(n, d);
+        (0..STEPS_PER_EPISODE).for_each(|_| ep.step());
+        (format!("{n} {d}"), ep.trace)
+    });
+    TRANSCRIPT.check(episodes);
 }

@@ -1,39 +1,20 @@
-//! Shard transcript: what one directory shard does with a seeded stream of ops, frozen.
+//! Shard transcript: what one directory shard does with a seeded stream of ops.
 //!
-//! Each of 256 seeded episodes drives a fresh [`DirectoryShard`] over six nodes and four
-//! objects, with a 64-byte inline-cache budget and a 32-byte inline threshold, through
-//! 48 ops drawn from every call that mutates a shard:
+//! Each of 256 episodes drives a fresh [`DirectoryShard`] (six nodes, four objects, a
+//! 64-byte inline cache, a 32-byte inline threshold) through 48 ops drawn from every
+//! call that mutates a shard, an expiry tick, a chunked resync round trip and a re-ship
+//! of a few entries over themselves. Each op hashes its output as a sorted multiset,
+//! what it returned, the shard's counters and the full snapshot.
 //!
-//! * `register` (partial or complete), `put_inline` (payloads up to 48 bytes, so some
-//!   are over the threshold), `unregister`;
-//! * `query` with a seeded exclude list, a fresh query id or the requester's last one;
-//! * `subscribe`, `unsubscribe`, `delete`, `node_failed`;
-//! * `transfer_done` for a pull the shard granted earlier in the episode (or a random
-//!   pair when it granted none);
-//! * an expiry tick, `expire_stale_leases`;
-//! * a resync round trip: `snapshot_range` in 200-byte chunks, `clear`, then
-//!   `install_entries` of every chunk into the same shard;
-//! * a re-ship: `snapshot_entries_for` of a few objects installed over themselves.
-//!
-//! After every op the op's output as a sorted multiset, what the op returned, the
-//! shard's counters and the full snapshot are folded into a 16-bit hash.
-//!
-//! `shard_transcript.golden` holds one line per episode, `episode split cause hashes`.
-//! `split` is the first op after which the snapshot's `leased_to` column and its pull
-//! edges stopped naming the same leases (`-` when they never did) and `cause` what that
-//! op was: `answered-twice` when the op gave a location to a requester the two copies
-//! now disagree on (it already held a pull on that object, from an earlier answer to
-//! another of its queries), `inline-over-lease` for a `put_inline`, `other` for
-//! anything else. The golden was
-//! written by this file run against the shard that kept a lease both as
-//! `Location::leased_to` and as a pull edge, and is never edited.
-//!
-//! `shard_transcript.diverged` lists the episodes allowed to differ, as
-//! `episode first cause hashes…`: from op `first` on, the episode must produce the
-//! listed hashes instead. Only an episode whose golden line names a split can be
-//! listed, and only from that split with that cause. On a mismatch the test writes
-//! what it produced to the system temp directory and names the first differing op of
-//! every episode that moved.
+//! The golden was written against the shard that kept a lease both as
+//! `Location::leased_to` and as a pull edge. Its notes, `split cause`, name the first op
+//! after which the two copies named different leases (`- -` if never) and what it was:
+//! `answered-twice` (a location given to a requester already pulling that object, on an
+//! earlier answer to another of its queries), `inline-over-lease` (a `put_inline`) or
+//! `other`. An episode may be listed in the `.diverged` file only from its split, for
+//! its cause.
+
+mod support;
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -43,34 +24,22 @@ use hoplite_core::config::HopliteConfig;
 use hoplite_core::directory::DirectoryShard;
 use hoplite_core::object::{NodeId, ObjectId, ObjectStatus};
 use hoplite_core::protocol::{Message, QueryResult, SnapshotEntry};
+use support::{Rng, Trace, Transcript};
 
-const GOLDEN: &str = include_str!("shard_transcript.golden");
-const DIVERGED: &str = include_str!("shard_transcript.diverged");
+const TRANSCRIPT: Transcript = Transcript {
+    name: "shard_transcript",
+    golden: include_str!("shard_transcript.golden"),
+    diverged: include_str!("shard_transcript.diverged"),
+    key_fields: 1,
+    vocabulary: "register put_inline unregister query subscribe unsubscribe transfer_done delete \
+        node_failed expire resync reship",
+    admits: |notes, first, cause| notes == [first.to_string().as_str(), cause],
+};
 
 const EPISODES: u64 = 256;
 const OPS_PER_EPISODE: usize = 48;
 const NODES: u32 = 6;
 const OBJECTS: usize = 4;
-
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
-}
 
 /// `Debug` of a payload prints only its length; the transcript wants the bytes too.
 fn payload_text(p: &Payload) -> String {
@@ -100,9 +69,6 @@ fn split_receivers(e: &SnapshotEntry) -> Vec<NodeId> {
     only_leased.chain(only_pulled).map(|(r, _)| *r).collect()
 }
 
-/// Where an episode's two lease copies first disagreed: `(op, cause)`.
-type Split = Option<(usize, String)>;
-
 struct Episode {
     rng: Rng,
     shard: DirectoryShard,
@@ -112,8 +78,8 @@ struct Episode {
     /// Each requester's last query id.
     last_query: BTreeMap<u32, u64>,
     next_query: u64,
-    hashes: Vec<u16>,
-    kinds: Vec<&'static str>,
+    trace: Trace,
+    /// Where the episode's two lease copies first disagreed: `(op, cause)`.
     split: Option<(usize, &'static str)>,
 }
 
@@ -131,8 +97,7 @@ impl Episode {
             granted: Vec::new(),
             last_query: BTreeMap::new(),
             next_query: 1,
-            hashes: Vec::new(),
-            kinds: Vec::new(),
+            trace: Trace::default(),
             split: None,
         }
     }
@@ -142,7 +107,7 @@ impl Episode {
     }
 
     fn object(&mut self) -> ObjectId {
-        self.objects[self.rng.below(OBJECTS)]
+        self.rng.pick(&self.objects).unwrap()
     }
 
     fn size_of(&self, object: ObjectId) -> u64 {
@@ -155,11 +120,8 @@ impl Episode {
         let kind = match self.rng.below(20) {
             0..=3 => {
                 let (object, holder) = (self.object(), self.node());
-                let status = if self.rng.below(2) == 0 {
-                    ObjectStatus::Partial
-                } else {
-                    ObjectStatus::Complete
-                };
+                let status =
+                    if self.rng.one_in(2) { ObjectStatus::Partial } else { ObjectStatus::Complete };
                 let size = self.size_of(object);
                 self.shard.register(object, holder, status, size, &mut out);
                 "register"
@@ -167,7 +129,7 @@ impl Episode {
             4 | 5 => {
                 let (object, holder) = (self.object(), self.node());
                 let len = 1 + self.rng.below(48);
-                let byte = self.hashes.len() as u8;
+                let byte = self.trace.steps() as u8;
                 self.shard.put_inline(object, holder, Payload::from_vec(vec![byte; len]), &mut out);
                 "put_inline"
             }
@@ -179,9 +141,9 @@ impl Episode {
             7..=9 => {
                 let (object, requester) = (self.object(), self.node());
                 let exclude: Vec<NodeId> =
-                    (0..NODES).filter(|_| self.rng.below(6) == 0).map(NodeId).collect();
+                    (0..NODES).filter(|_| self.rng.one_in(6)).map(NodeId).collect();
                 let query_id = match self.last_query.get(&requester.0) {
-                    Some(&last) if self.rng.below(4) == 0 => last,
+                    Some(&last) if self.rng.one_in(4) => last,
                     _ => {
                         self.next_query += 1;
                         self.next_query
@@ -245,7 +207,7 @@ impl Episode {
             }
             _ => {
                 let ids: Vec<ObjectId> =
-                    self.objects.clone().into_iter().filter(|_| self.rng.below(2) == 0).collect();
+                    self.objects.clone().into_iter().filter(|_| self.rng.one_in(2)).collect();
                 let entries = self.shard.snapshot_entries_for(ids);
                 write!(returned, "{}", entries.len()).unwrap();
                 self.shard.install_entries(&entries);
@@ -284,7 +246,7 @@ impl Episode {
             } else {
                 "other"
             };
-            self.split = Some((self.hashes.len(), cause));
+            self.split = Some((self.trace.steps(), cause));
         }
         let mut state = format!(
             "{kind}|{sent:?}|{returned}|{} {} {} {}",
@@ -296,80 +258,19 @@ impl Episode {
         for e in &snapshot {
             write!(state, "|{}", entry_text(e)).unwrap();
         }
-        self.hashes.push(fnv1a(state.as_bytes()) as u16);
-        self.kinds.push(kind);
+        self.trace.record(kind, &state);
     }
-}
-
-fn hex(hashes: &[u16]) -> String {
-    hashes.iter().map(|h| format!("{h:04x}")).collect()
-}
-
-fn unhex(hex: &str) -> Vec<u16> {
-    (0..hex.len()).step_by(4).map(|i| u16::from_str_radix(&hex[i..i + 4], 16).unwrap()).collect()
 }
 
 #[test]
 fn shard_transcript_matches_the_two_copy_lease_shard() {
-    let mut golden: BTreeMap<u64, (Split, Vec<u16>)> = BTreeMap::new();
-    for line in GOLDEN.lines() {
-        let f: Vec<&str> = line.split_whitespace().collect();
-        let split = (f[1] != "-").then(|| (f[1].parse().unwrap(), f[2].to_string()));
-        golden.insert(f[0].parse().unwrap(), (split, unhex(f[3])));
-    }
-    let mut diverged: BTreeMap<u64, (usize, String, Vec<u16>)> = BTreeMap::new();
-    for line in DIVERGED.lines().filter(|l| !l.starts_with('#') && !l.trim().is_empty()) {
-        let f: Vec<&str> = line.split_whitespace().collect();
-        diverged
-            .insert(f[0].parse().unwrap(), (f[1].parse().unwrap(), f[2].to_string(), unhex(f[3])));
-    }
-
-    let mut actual = String::new();
-    let mut moved = String::new();
-    let mut ops = 0;
-    for episode in 0..EPISODES {
+    let episodes = (0..EPISODES).map(|episode| {
         let mut ep = Episode::new(episode);
-        for _ in 0..OPS_PER_EPISODE {
-            ep.step();
-        }
-        ops += OPS_PER_EPISODE;
-        let (split, cause) = match ep.split {
-            Some((at, cause)) => (at.to_string(), cause),
-            None => ("-".to_string(), "-"),
-        };
-        writeln!(actual, "{episode:03} {split} {cause} {}", hex(&ep.hashes)).unwrap();
-
-        let (golden_split, mut expected) = golden.get(&episode).cloned().unwrap_or_default();
-        if let Some((first, cause, tail)) = diverged.get(&episode) {
-            assert_eq!(
-                golden_split.as_ref(),
-                Some(&(*first, cause.clone())),
-                "episode {episode:03} is listed as diverged, but not from the op and cause \
-                 where the golden's lease copies split"
-            );
-            expected.truncate(*first);
-            expected.extend_from_slice(tail);
-        }
-        if expected != ep.hashes {
-            let at = expected
-                .iter()
-                .zip(&ep.hashes)
-                .position(|(a, b)| a != b)
-                .unwrap_or(expected.len().min(ep.hashes.len()));
-            writeln!(
-                moved,
-                "{episode:03} first differs at op {at} ({}) after {:?}; from there: {}",
-                ep.kinds[at.min(ep.kinds.len() - 1)],
-                &ep.kinds[..at.min(ep.kinds.len())],
-                hex(&ep.hashes[at.min(ep.hashes.len())..]),
-            )
-            .unwrap();
-        }
-    }
-    assert!(ops >= 256 * 40, "the transcript covers at least 256 episodes of 40 ops");
-    if !moved.is_empty() {
-        let path = std::env::temp_dir().join("shard_transcript.actual");
-        std::fs::write(&path, &actual).unwrap();
-        panic!("shard transcript moved (full transcript in {}):\n{moved}", path.display());
-    }
+        (0..OPS_PER_EPISODE).for_each(|_| ep.step());
+        let (split, cause) =
+            ep.split.map_or(("-".into(), "-"), |(at, cause)| (at.to_string(), cause));
+        ep.trace.notes = vec![split, cause.to_string()];
+        (format!("{episode:03}"), ep.trace)
+    });
+    TRANSCRIPT.check(episodes);
 }

@@ -4,12 +4,14 @@
 # "directory plane" (those plus node/failure.rs), the "reduce plane" (reduce/*.rs plus
 # node/reduce.rs and node/coordinator.rs), the "object plane"
 # (directory/{shard,client,placement}.rs, store.rs and node/broadcast.rs), the "node
-# facade" (node/mod.rs, where every directory op and frame once was spelled out), the workspace
-# total, the HopliteConfig field count, the core files whose non-test code names a
-# random-state `HashMap`/`HashSet` (clippy's `disallowed-types` keeps it at 0), and the
-# lifecycle counts of ROADMAP's transport item (unbounded queues, sleeps,
-# SlabPool construction sites, thread-spawn sites) and the `SlabPool::checkout` call
-# sites, i.e. the code that may hold pool memory.
+# facade" (node/mod.rs, where every directory op and frame once was spelled out), the
+# workspace total, the "behaviour pins" (every line of the four transcript tests and of
+# the harness they share, crates/core/tests/support/; its self-test counted apart), the
+# HopliteConfig field count, the core files whose non-test code names a random-state
+# `HashMap`/`HashSet` (clippy's `disallowed-types` keeps it at 0), and the lifecycle
+# counts of ROADMAP's transport item (unbounded queues, sleeps, SlabPool construction
+# sites, thread-spawn sites) and the `SlabPool::checkout` call sites, i.e. the code that
+# may hold pool memory.
 #
 # "Non-test" = lines of a file before its first top-level `#[cfg(test)]` that opens an
 # inline test module (one that only gates a `mod …;` declaration, like node/mod.rs's
@@ -67,6 +69,12 @@ for f in $liveness; do
     echo "| ${f#crates/core/src/} | $(echo "$f" | non_test) |"
 done
 echo "| **total** | $(echo "$liveness" | tr ' ' '\n' | non_test) |"
+echo
+pins=$(find crates/core/tests -name '*_transcript.rs' | sort; find crates/core/tests/support -name '*.rs' | sort)
+echo "| behaviour pins (all lines) | |"
+echo "|---|---:|"
+echo "| **behaviour pins** (crates/core/tests/*_transcript.rs + tests/support/) | $(echo "$pins" | all_lines) |"
+echo "| transcript harness self-test (tests/transcript_harness.rs) | $(echo crates/core/tests/transcript_harness.rs | all_lines) |"
 echo
 fields=$(awk '/^pub struct HopliteConfig \{/ { on = 1; next } on && /^\}/ { exit } on && /^    pub / { n++ } END { print n + 0 }' crates/core/src/config.rs)
 echo "\`HopliteConfig\` fields: $fields"
