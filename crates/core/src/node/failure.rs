@@ -53,25 +53,7 @@ impl ObjectStoreNode {
         // connections to the dead peer must tear them down. Idempotent at the
         // driver; drivers without per-peer state ignore it.
         out.push(Effect::PeerDown { node: peer });
-        // Service side first: every hosted replica purges the dead node, this node
-        // promotes itself wherever it just became the shard's leader (at the shard's
-        // failover epoch), confirms gated by the dead backup's ack are released, and
-        // an interrupted resync sourced from the dead node is re-targeted — all
-        // before any client re-drive below can loop back into the service.
-        let mut service_msgs = Vec::new();
-        let failed_over = self.ctx.service.on_peer_failed(peer, &mut service_msgs);
-        self.ctx.send_all(service_msgs, out);
-        if !failed_over.is_empty() {
-            trace!("[n{}] shards {:?} failed over off {:?}", self.ctx.id.0, failed_over, peer);
-        }
-        // The failure may also have completed this node's own resync (its last
-        // outstanding resync source died): announce re-admission if so.
-        self.maybe_announce_readmission(out);
-        // Client side: re-drive at the new primaries the genuinely-unacked window —
-        // journaled intents the dead primary never confirmed as replication-durable.
-        // Everything confirmed is already inside the promoted backup's acked prefix.
-        // Every re-driven op is idempotent at the shard.
-        self.redrive_shards(failed_over, out);
+        self.fail_over_directory(peer, None, out);
         // Stop serving transfers destined to the dead node.
         self.broadcast.drop_transfers_to(peer);
         // Broadcast receivers that were pulling from it fail over (§3.5.1).
@@ -81,6 +63,38 @@ impl ObjectStoreNode {
         }
         // Reduce coordinators repair their trees (§3.5.2).
         self.reduce.on_peer_failed(&mut self.ctx, peer, out);
+    }
+
+    /// The directory side of `peer`'s failure, and the node's one call into
+    /// [`DirectoryService::on_peer_failed`](crate::directory::DirectoryService::on_peer_failed),
+    /// whether a verdict or a restart request implied the failure.
+    /// Service side first: every hosted replica purges the dead node, this node
+    /// promotes itself wherever it just became the shard's leader (at the shard's
+    /// failover epoch), confirms gated by the dead backup's ack are released, and an
+    /// interrupted resync sourced from the dead node is re-targeted — all before any
+    /// client re-drive below can loop back into the service. The service's messages
+    /// go out at once, or into `replies` when a snapshot request implied the failure
+    /// (they then leave with what serves it). The failure may also have completed this
+    /// node's own resync (its last outstanding resync source died): re-admission is
+    /// announced here. Last, the client side re-drives
+    /// at the new primaries the genuinely-unacked window — journaled intents the dead
+    /// primary never confirmed as replication-durable. Everything confirmed is already
+    /// inside the promoted backup's acked prefix, and every re-driven op is idempotent
+    /// at the shard.
+    pub(crate) fn fail_over_directory(
+        &mut self,
+        peer: NodeId,
+        replies: Option<&mut Vec<(NodeId, Message)>>,
+        out: &mut Vec<Effect>,
+    ) {
+        let mut msgs = Vec::new();
+        let failed_over = self.ctx.service.on_peer_failed(peer, replies.unwrap_or(&mut msgs));
+        self.ctx.send_all(msgs, out);
+        if !failed_over.is_empty() {
+            trace!("[n{}] shards {:?} failed over off {:?}", self.ctx.id.0, failed_over, peer);
+        }
+        self.maybe_announce_readmission(out);
+        self.redrive_shards(failed_over, out);
     }
 
     /// Re-send the genuinely-unacked window at the new primaries of `shards` — the

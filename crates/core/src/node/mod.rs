@@ -800,7 +800,7 @@ impl ObjectStoreNode {
     /// | `Digest` | alive / dead per entry | `Died` → `membership_deaths_learned`, fail; `Restarted` of a dead peer → recover, after every fail of the digest; `Restarted` of a peer believed alive → nothing: hearsay of a newer incarnation is a refuted suspicion, not a crash |
     /// | `Gossip` | as carried; none when no detector runs | as `Digest`, entry by entry; `Suspected` → `suspicions_raised`; a suspect / dead claim about this node at its incarnation or later → it refutes, bumping past the claim (`refutations_sent`) |
     /// | `Verdicts` | suspect / dead, as the detector decided | `Suspected` → `suspicions_raised`; `Died` → `deaths_declared`, fail |
-    /// | `SnapshotRequest` | alive / dead per digest entry | nothing from the digest (table only). `restart` from a peer the placement view holds healthy → directory-only failover: `service.on_peer_failed`, its messages into the request's `replies`, and the re-drive. Then recover the requester, always |
+    /// | `SnapshotRequest` | alive / dead per digest entry | nothing from the digest (table only). `restart` from a peer the placement view holds healthy → directory-only failover ([`ObjectStoreNode::fail_over_directory`]: its messages into the request's `replies`, a re-admission it completed announced, and the re-drive). Then recover the requester, always |
     fn liveness(
         &mut self,
         now: Time,
@@ -837,8 +837,7 @@ impl ObjectStoreNode {
         if let Evidence::SnapshotRequest { requester, restart: true, replies, .. } = &mut evidence {
             let view = self.ctx.service.view();
             if view.is_alive(*requester) && !view.is_resyncing(*requester) {
-                let failed_over = self.ctx.service.on_peer_failed(*requester, replies);
-                self.redrive_shards(failed_over, out);
+                self.fail_over_directory(*requester, Some(replies), out);
             }
         }
 

@@ -1268,6 +1268,54 @@ fn restart_request_from_a_believed_primary_redrives_once_and_keeps_one_view() {
     assert_eq!(tc.nodes[0].directory_primary_for(object), Some(NodeId(0)));
 }
 
+/// A restart-mode `DirSnapshotRequest` from the node a restarted node is resyncing
+/// from implies that source's failure, and with it the end of the receiver's own
+/// resync: no other node can serve either hosted shard, so both are abandoned. The
+/// receiver is then re-admitted and must announce it at once, as a verdict about the
+/// same failure would make it, not leave it pending until some later event.
+#[test]
+fn a_restart_request_that_ends_the_receivers_own_resync_announces_its_readmission() {
+    let mut tc = TestCluster::new(2);
+    tc.kill(1);
+    tc.run();
+    tc.restart(1, 1);
+    tc.pending.clear(); // node 1's resync requests to node 0 are lost
+    assert!(tc.nodes[1].directory_is_resyncing());
+
+    // Node 0 crashed and restarted too: its own restart request is the first news.
+    let request = Message::DirSnapshotRequest {
+        shard: 0,
+        requester: NodeId(0),
+        restart: true,
+        after: None,
+        have_epoch: 0,
+        have_seq: 0,
+        digest: Vec::new(),
+    };
+    let mut out = Vec::new();
+    tc.nodes[1].handle_message(Time::ZERO, NodeId(0), request, &mut out);
+
+    assert!(!tc.nodes[1].directory_is_resyncing(), "both stranded resyncs were abandoned");
+    let announced = out.iter().filter(|e| {
+        matches!(
+            e,
+            Effect::Send {
+                to: NodeId(0),
+                msg: Message::DirResynced { node: NodeId(1), incarnation: 1 }
+            }
+        )
+    });
+    assert_eq!(announced.count(), 1, "re-admission announced once: {out:?}");
+    // Announced exactly once: a later failure verdict about the same node finds
+    // nothing pending.
+    let mut late = Vec::new();
+    tc.nodes[1].handle_peer_failed(Time::ZERO, NodeId(0), &mut late);
+    assert!(
+        !late.iter().any(|e| matches!(e, Effect::Send { msg: Message::DirResynced { .. }, .. })),
+        "{late:?}"
+    );
+}
+
 /// A `DirResynced` naming the receiving node is dropped unseen: a node is re-admitted
 /// only by its own resync completing. Delivered to a restarted node whose resync
 /// requests are still unanswered, it must not make the node believe it leads the

@@ -9,7 +9,8 @@
 //! transcript's own, handed back to [`Transcript::admits`]. A `.diverged` file lists
 //! the episodes allowed to differ, `<key fields…> <first> <cause> <hashes>`: such an
 //! episode matches its golden line before step `first` and the listed hashes from
-//! there on. A `.diverged` line whose key is not in the golden, whose hashes do not
+//! there on. An episode that moved for more than one reason joins their causes with
+//! `+`, in the order they took effect. A `.diverged` line whose key is not in the golden, whose hashes do not
 //! differ from the golden's at `first`, or that the transcript does not admit, fails
 //! the run.
 //!
@@ -98,6 +99,12 @@ impl Trace {
     }
 }
 
+/// The first step at which `b` differs from `a`: past the shorter one's end if one
+/// is a prefix of the other.
+fn first_difference(a: &[u16], b: &[u16]) -> usize {
+    a.iter().zip(b).position(|(a, b)| a != b).unwrap_or(a.len().min(b.len()))
+}
+
 /// Read a golden or `.diverged` file into `key → (notes, hashes)`, the key being a
 /// line's first `key_fields` fields. A key repeats only on identical lines.
 fn read(text: &str, key_fields: usize) -> BTreeMap<String, (Vec<&str>, Vec<u16>)> {
@@ -143,14 +150,14 @@ impl Transcript<'_> {
         }
     }
 
-    /// The hashes each golden episode must produce: its golden line, amended by its
-    /// `.diverged` line if it has one. A `.diverged` line that may not stand is a
-    /// problem, and leaves its golden line as it was.
-    fn expected(&self, problems: &mut Vec<String>) -> BTreeMap<String, Vec<u16>> {
+    /// Each golden episode's hashes, and what it must produce: its golden line,
+    /// amended by its `.diverged` line if it has one. A `.diverged` line that may not
+    /// stand is a problem, and leaves its golden line as it was.
+    fn expected(&self, problems: &mut Vec<String>) -> BTreeMap<String, (Vec<u16>, Vec<u16>)> {
         let name = self.name;
         let golden = read(self.golden, self.key_fields);
-        let mut expected: BTreeMap<String, Vec<u16>> =
-            golden.iter().map(|(key, (_, hashes))| (key.clone(), hashes.clone())).collect();
+        let mut expected: BTreeMap<String, (Vec<u16>, Vec<u16>)> =
+            golden.iter().map(|(key, (_, h))| (key.clone(), (h.clone(), h.clone()))).collect();
         for (key, (notes, tail)) in read(self.diverged, self.key_fields) {
             let (first, cause) = match notes[..] {
                 [first, cause] => (first.parse().expect("`first` is a step index"), cause),
@@ -171,9 +178,9 @@ impl Transcript<'_> {
                      from step {first} for {cause}"
                 ));
             } else {
-                let hashes = expected.get_mut(&key).expect("a golden key");
-                hashes.truncate(first);
-                hashes.extend(tail);
+                let (_, want) = expected.get_mut(&key).expect("a golden key");
+                want.truncate(first);
+                want.extend(tail);
             }
         }
         expected
@@ -198,21 +205,21 @@ impl Transcript<'_> {
             for (fact, n) in trace.counts {
                 *tally.entry(fact).or_default() += n;
             }
-            let Some(want) = expected.get(&key) else {
+            let Some((golden, want)) = expected.get(&key) else {
                 problems.push(format!("{key}: ran, but the golden has no such episode"));
                 continue;
             };
             ran.insert(key.clone());
             if *want != hashes {
-                let at = want.iter().zip(&hashes).position(|(a, b)| a != b);
-                let at = at.unwrap_or(want.len().min(hashes.len()));
+                let at = first_difference(want, &hashes);
+                let from = first_difference(golden, &hashes);
                 let kinds: Vec<&str> = trace.steps.iter().map(|&(kind, _)| kind).collect();
                 problems.push(format!(
                     "{key}: first differs at step {at} ({}) after {:?}; \
-                     as a .diverged line: {key} {at} <cause> {}",
+                     as a .diverged line: {key} {from} <cause> {}",
                     kinds.get(at).unwrap_or(&"the episode's end"),
                     &kinds[..at],
-                    hex(&hashes[at..]),
+                    hex(&hashes[from..]),
                 ));
             }
         }
