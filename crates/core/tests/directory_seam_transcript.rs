@@ -1,17 +1,8 @@
-//! Directory-seam transcript: what four nodes do with directory traffic.
-//!
-//! Each of 256 episodes drives four [`ObjectStoreNode`]s, through their public API only,
-//! over a network that reorders and drops. They share a directory with replication 3,
-//! 256-byte snapshot chunks, a four-op log retention and a 256-byte inline cache. A
-//! set-up step and 64 seeded steps deliver, put (inline or located), get, delete, fire
-//! lease-expiry timers, kill (each survivor's verdict arriving at its own step),
-//! restart, send retired full-snapshot frames (tag 23) and frames for a shard the
-//! cluster does not have. Each step hashes every node's effects and `NodeMetrics`. The
-//! run also counts each frame kind delivered and each client op a stale primary
-//! forwarded.
-//!
-//! The golden was written against the tree whose node spelled every directory op and
-//! frame out by hand.
+//! Directory-seam transcript: what four [`ObjectStoreNode`]s sharing a directory do with
+//! its traffic over a lossy, reordering network, through kills with staggered verdicts,
+//! restarts, retired tag-23 frames and frames for shards the cluster does not have: 256
+//! seeded episodes of 64 steps. The golden was written against the tree whose node
+//! spelled every directory op and frame out by hand.
 
 mod support;
 
@@ -332,6 +323,8 @@ impl Episode {
         "out-of-range"
     }
 
+    /// Fold every node's effects and `NodeMetrics` into the next hash, and put what the
+    /// nodes sent and armed in flight.
     fn record(&mut self, kind: &'static str, outs: Vec<Vec<Effect>>) {
         let mut state = String::new();
         for (i, out) in outs.into_iter().enumerate() {

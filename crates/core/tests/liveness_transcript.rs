@@ -1,17 +1,10 @@
-//! Liveness transcript: what one node does with liveness evidence.
-//!
-//! Each episode feeds one [`ObjectStoreNode`] of a 5-node cluster, with the SWIM
-//! detector on or off, a set-up event and 40 seeded ones: driver verdicts,
-//! `PeerFailureNotice`, `Hello`, `DirResynced`, `MembershipDigest`, gossip-carrying
-//! `Ping` / `Ack` / `PingReq`, timer fires and restart-flagged `DirSnapshotRequest`s, at
-//! stale, current and newer incarnations. Each event hashes the effects, the membership
-//! digest, every `NodeMetrics` counter, the node's incarnation, its resyncing flag and
-//! where it routes five probe objects.
-//!
-//! The golden was written against the tree that kept the membership view and the
-//! detector's per-peer mirror as two tables; the `.diverged` file lists the episodes in
-//! which they disagreed (BENCH_NOTES.md, "PR 22", explains each cause). Hostile frames,
-//! which no node sends, follow an episode's events and must move nothing.
+//! Liveness transcript: what one [`ObjectStoreNode`] of five does with liveness evidence
+//! (verdicts, notices, `Hello`, `DirResynced`, digests, gossip, timers, restart
+//! requests, at stale, current and newer incarnations), with the SWIM detector on and
+//! off: 512 seeded episodes of 40 events. The golden was written against the tree that
+//! kept the membership view and the detector's per-peer mirror as two tables; the
+//! `.diverged` file lists the episodes that moved since, each with its cause. Hostile
+//! frames, which no node sends, follow each episode's events and must move nothing.
 
 mod support;
 
@@ -327,6 +320,8 @@ impl Episode {
         self.node.handle_message(self.now, from, msg, out);
     }
 
+    /// Fold the effects, the membership digest, every `NodeMetrics` counter, the node's
+    /// incarnation, its resyncing flag and where it routes the probes into the next hash.
     fn record(&mut self, kind: &'static str, out: Vec<Effect>) {
         for effect in &out {
             match effect {

@@ -1,13 +1,6 @@
-//! Reduce-plan transcript: what the dynamic reduce tree does with arrivals and failures.
-//!
-//! For every `n` in 1..=128 and degree `d` in {1, 2, 3, n}, an episode builds a
-//! [`ReduceTreePlan`], offers it a seeded number of fresh objects, then takes 40 seeded
-//! steps, each one plan call: a fresh offer, a duplicate offer, a holder move, a node
-//! failure, or a re-offer of a lost object on a new holder. Each step hashes the
-//! affected-slot list the call returned and every slot's (assignment, epoch); the set-up
-//! step hashes the shape's links and the fresh offers.
-//!
-//! The golden was written against the plan that kept its ready pool as a
+//! Reduce-plan transcript: what the dynamic reduce tree does with arrivals and failures,
+//! one seeded episode of 40 plan calls for every `n` in 1..=128 and degree `d` in
+//! {1, 2, 3, n}. The golden was written against the plan that kept its ready pool as a
 //! generation-stamped FIFO beside a membership map, an object → slot index, a vacancy
 //! set and a loss ledger.
 

@@ -1,18 +1,10 @@
-//! Shard transcript: what one directory shard does with a seeded stream of ops.
-//!
-//! Each of 256 episodes drives a fresh [`DirectoryShard`] (six nodes, four objects, a
-//! 64-byte inline cache, a 32-byte inline threshold) through 48 ops drawn from every
-//! call that mutates a shard, an expiry tick, a chunked resync round trip and a re-ship
-//! of a few entries over themselves. Each op hashes its output as a sorted multiset,
-//! what it returned, the shard's counters and the full snapshot.
-//!
-//! The golden was written against the shard that kept a lease both as
-//! `Location::leased_to` and as a pull edge. Its notes, `split cause`, name the first op
-//! after which the two copies named different leases (`- -` if never) and what it was:
-//! `answered-twice` (a location given to a requester already pulling that object, on an
-//! earlier answer to another of its queries), `inline-over-lease` (a `put_inline`) or
-//! `other`. An episode may be listed in the `.diverged` file only from its split, for
-//! its cause.
+//! Shard transcript: what one [`DirectoryShard`] does with 256 seeded episodes of 48
+//! ops drawn from every call that mutates it. The golden was written against the shard
+//! that kept a lease both as `Location::leased_to` and as a pull edge. Its notes,
+//! `split cause`, name the first op after which those two copies disagreed (`- -` if
+//! never) and what it was: `answered-twice` (a location given to a requester already
+//! pulling that object), `inline-over-lease` (a `put_inline`) or `other`. An episode may
+//! be listed in the `.diverged` file only from its split, for its cause.
 
 mod support;
 
@@ -79,8 +71,6 @@ struct Episode {
     last_query: BTreeMap<u32, u64>,
     next_query: u64,
     trace: Trace,
-    /// Where the episode's two lease copies first disagreed: `(op, cause)`.
-    split: Option<(usize, &'static str)>,
 }
 
 impl Episode {
@@ -98,7 +88,6 @@ impl Episode {
             last_query: BTreeMap::new(),
             next_query: 1,
             trace: Trace::default(),
-            split: None,
         }
     }
 
@@ -217,10 +206,11 @@ impl Episode {
         self.record(kind, out, returned);
     }
 
+    /// Fold the op's output as a sorted multiset, what it returned, the shard's counters
+    /// and its full snapshot into the next hash.
     fn record(&mut self, kind: &'static str, out: Vec<(NodeId, Message)>, returned: String) {
         let mut sent: Vec<String> = out.iter().map(|(to, m)| message_text(*to, m)).collect();
         sent.sort();
-        let mut answered: Vec<(ObjectId, NodeId)> = Vec::new();
         for (to, m) in &out {
             if let Message::DirQueryReply {
                 object,
@@ -229,24 +219,14 @@ impl Episode {
             } = m
             {
                 self.granted.push((*object, *to, *node));
-                answered.push((*object, *to));
             }
         }
         let (snapshot, done) = self.shard.snapshot_range(None, u64::MAX);
         assert!(done);
-        let split: Vec<(ObjectId, NodeId)> = snapshot
-            .iter()
-            .flat_map(|e| split_receivers(e).into_iter().map(move |r| (e.object, r)))
-            .collect();
-        if self.split.is_none() && !split.is_empty() {
-            let cause = if split.iter().any(|s| answered.contains(s)) {
-                "answered-twice"
-            } else if kind == "put_inline" {
-                "inline-over-lease"
-            } else {
-                "other"
-            };
-            self.split = Some((self.trace.steps(), cause));
+        // The golden's tree kept each lease twice and could let the copies split; the
+        // `leased_to` column is now derived from the pull edges and never may.
+        for e in &snapshot {
+            assert!(split_receivers(e).is_empty(), "lease copies split after {kind}: {e:?}");
         }
         let mut state = format!(
             "{kind}|{sent:?}|{returned}|{} {} {} {}",
@@ -267,9 +247,6 @@ fn shard_transcript_matches_the_two_copy_lease_shard() {
     let episodes = (0..EPISODES).map(|episode| {
         let mut ep = Episode::new(episode);
         (0..OPS_PER_EPISODE).for_each(|_| ep.step());
-        let (split, cause) =
-            ep.split.map_or(("-".into(), "-"), |(at, cause)| (at.to_string(), cause));
-        ep.trace.notes = vec![split, cause.to_string()];
         (format!("{episode:03}"), ep.trace)
     });
     TRANSCRIPT.check(episodes);

@@ -5,18 +5,19 @@
 //! every episode with its golden line.
 //!
 //! A golden (`<name>.golden`, never edited) holds one line per episode,
-//! `<key fields…> [note fields…] <hashes>`, four hex digits per step. Notes are the
-//! transcript's own, handed back to [`Transcript::admits`]. A `.diverged` file lists
-//! the episodes allowed to differ, `<key fields…> <first> <cause> <hashes>`: such an
-//! episode matches its golden line before step `first` and the listed hashes from
-//! there on. An episode that moved for more than one reason joins their causes with
-//! `+`, in the order they took effect. A `.diverged` line whose key is not in the golden, whose hashes do not
-//! differ from the golden's at `first`, or that the transcript does not admit, fails
-//! the run.
+//! `<key fields…> [note fields…] <hashes>`, four hex digits per step. Notes describe
+//! the golden's own tree; the harness hands them to [`Transcript::admits`]. A
+//! `.diverged` file lists the episodes allowed to differ,
+//! `<key fields…> <first> <cause> <hashes>`: such an episode matches its golden line
+//! before step `first` and the listed hashes from there on. An episode that moved for
+//! several reasons joins their causes with `+`, in the order they took effect. A
+//! `.diverged` line whose key is not in the golden, whose hashes do not differ from the
+//! golden's at `first`, or that the transcript does not admit, fails the run.
 //!
-//! On a failure the run's own transcript is written to `$TMPDIR/<name>.actual` in the
-//! golden's layout, and the report names, for every episode that moved, the first
-//! differing step, its kind, the kinds before it and the `.diverged` line listing it.
+//! On a failure the run's own transcript, `<key fields…> <hashes>` per episode, is
+//! written to `$TMPDIR/<name>.actual`, and the report names, for every episode that
+//! moved, the first differing step, its kind, the kinds before it and the `.diverged`
+//! line listing it.
 
 // Every test binary compiles this module, and each calls a different part of it.
 #![allow(dead_code)]
@@ -62,12 +63,11 @@ fn unhex(hex: &str) -> Vec<u16> {
     (0..hex.len()).step_by(4).map(|i| u16::from_str_radix(&hex[i..i + 4], 16).unwrap()).collect()
 }
 
-/// What one episode did: `(kind, hash)` per step, the notes its golden line carries
-/// and how often each step kind and counted fact occurred.
+/// What one episode did: `(kind, hash)` per step, and how often each step kind and
+/// counted fact occurred.
 #[derive(Default)]
 pub struct Trace {
     steps: Vec<(&'static str, u16)>,
-    pub notes: Vec<String>,
     counts: BTreeMap<String, u64>,
 }
 
@@ -200,8 +200,7 @@ impl Transcript<'_> {
         let mut ran = BTreeSet::new();
         for (key, trace) in episodes {
             let hashes: Vec<u16> = trace.steps.iter().map(|&(_, hash)| hash).collect();
-            let notes: String = trace.notes.iter().map(|n| format!(" {n}")).collect();
-            writeln!(actual, "{key}{notes} {}", hex(&hashes)).unwrap();
+            writeln!(actual, "{key} {}", hex(&hashes)).unwrap();
             for (fact, n) in trace.counts {
                 *tally.entry(fact).or_default() += n;
             }

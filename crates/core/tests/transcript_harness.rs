@@ -1,6 +1,7 @@
 //! Self-test of the transcript harness (`support/mod.rs`) on a toy transcript: a
-//! moved step is reported where it moved, a `.diverged` line must name a real
-//! divergence, and a run must exercise every kind it declares.
+//! moved step is reported where it moved, with the `.diverged` line that would list
+//! it; a `.diverged` line must name a real divergence; and a run must exercise every
+//! kind it declares.
 
 mod support;
 
@@ -43,6 +44,15 @@ fn line_of<'a>(golden: &'a str, key: &str) -> (&'a str, Vec<&'a str>) {
     (line, (0..hex.len()).step_by(4).map(|i| &hex[i..i + 4]).collect())
 }
 
+/// A hash word other than `word`.
+fn other(word: &str) -> &'static str {
+    if word == "0000" {
+        "ffff"
+    } else {
+        "0000"
+    }
+}
+
 #[test]
 fn a_golden_altered_at_step_k_is_reported_at_step_k_with_its_kind() {
     let name = "transcript_harness_altered";
@@ -51,9 +61,8 @@ fn a_golden_altered_at_step_k_is_reported_at_step_k_with_its_kind() {
 
     for k in [0, 4, STEPS - 1] {
         let (line, mut hashes) = line_of(&golden, "002");
-        let moved = if hashes[k] == "0000" { "ffff" } else { "0000" };
         let tail = hashes[k..].concat();
-        hashes[k] = moved;
+        hashes[k] = other(hashes[k]);
         let altered = golden.replace(line, &format!("002 {}", hashes.concat()));
         let report = toy(name, &altered, "").compare(episodes()).unwrap_err();
         let before: Vec<&str> = (0..k).map(|i| KINDS[i % 3]).collect();
@@ -89,8 +98,7 @@ fn a_diverged_line_must_name_a_golden_episode_that_differs_at_first() {
     assert!(report.contains(&expected), "{report}");
 
     // A line that does differ stands only where the transcript admits it.
-    let moved = if hashes[2] == "0000" { "ffff" } else { "0000" };
-    let refused = format!("001 2 refused {moved}{}", hashes[3..].concat());
+    let refused = format!("001 2 refused {}{}", other(hashes[2]), hashes[3..].concat());
     let admits = |_: &[&str], _, cause: &str| cause != "refused";
     let report =
         Transcript { admits, ..toy(name, &golden, &refused) }.compare(episodes()).unwrap_err();
@@ -106,4 +114,26 @@ fn a_run_missing_a_declared_kind_fails() {
     let report =
         Transcript { vocabulary, ..toy(name, &golden, "") }.compare(episodes()).unwrap_err();
     assert_eq!(report.lines().nth(1), Some("the run never exercised never-drawn"), "{report}");
+}
+
+#[test]
+fn a_listed_episode_that_moves_again_is_relisted_from_its_first_divergence() {
+    let name = "transcript_harness_relisted";
+    let golden = golden(name);
+    let (line, mut hashes) = line_of(&golden, "003");
+    let run = hashes.clone();
+    hashes[1] = other(hashes[1]);
+    let altered = golden.replace(line, &format!("003 {}", hashes.concat()));
+    // Listed from step 1, but with a tail that is off at step 5.
+    let mut tail = run[1..].to_vec();
+    tail[4] = other(tail[4]);
+    let diverged = format!("003 1 first-cause {}", tail.concat());
+    let report = toy(name, &altered, &diverged).compare(episodes()).unwrap_err();
+    let before = ["draw", "fold", "skip", "draw", "fold"];
+    let relisted = format!(
+        "003: first differs at step 5 (skip) after {before:?}; \
+         as a .diverged line: 003 1 <cause> {}",
+        run[1..].concat()
+    );
+    assert!(report.contains(&relisted), "{report}");
 }
