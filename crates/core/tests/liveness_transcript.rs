@@ -348,17 +348,10 @@ impl Episode {
 }
 
 /// Hostile frames, outside the seeded stream (the golden's events stay as they are): at
-/// the end of every episode, whatever state it left the node in, each moves nothing the
-/// transcript records and produces no effect.
-///
-/// * A restart-flagged `DirSnapshotRequest` for a shard the cluster does not have — one
-///   that wraps onto a shard the requester hosts included.
-/// * A `DirResynced` naming the node itself, at the incarnation it runs and at the next
-///   one. Only the node's own resync completing re-admits it; on a node still
-///   resyncing, believing the frame would hand it the shards it hosts while its
-///   replicas wait for state.
-#[test]
-fn hostile_frames_move_nothing() {
+/// the end of every episode, whatever state it left the node in, each frame `hostile`
+/// builds moves nothing the transcript records and produces no effect. Returns how many
+/// episodes ended with the node's resync in flight.
+fn deliver_hostile_frames(hostile: impl Fn(&mut Episode) -> Vec<(NodeId, Message)>) -> usize {
     let mut resyncing = 0;
     for (mode, detector) in MODES {
         for episode in 0..EPISODES {
@@ -366,17 +359,7 @@ fn hostile_frames_move_nothing() {
             (0..EVENTS_PER_EPISODE).for_each(|_| ep.step());
             ep.record("settled", Vec::new());
             resyncing += usize::from(ep.node.directory_is_resyncing());
-            let mut hostile = Vec::new();
-            for shard in [NODES as u64, 2 * NODES as u64 - 1, u64::MAX] {
-                let requester = ep.peer();
-                let incarnation = ep.known_incarnation(requester) + 1;
-                let digest = ep.restart_digest(requester, incarnation);
-                hostile.push((requester, snapshot_request(shard, requester, true, digest)));
-            }
-            for incarnation in [ep.node.incarnation(), ep.node.incarnation() + 1] {
-                hostile.push((ep.peer(), Message::DirResynced { node: ep.me, incarnation }));
-            }
-            for (from, msg) in hostile {
+            for (from, msg) in hostile(&mut ep) {
                 let what = format!("{mode} {episode:03}: {msg:?}");
                 let mut out = Vec::new();
                 ep.deliver(from, msg, &mut out);
@@ -385,6 +368,38 @@ fn hostile_frames_move_nothing() {
             }
         }
     }
+    resyncing
+}
+
+/// A restart-flagged `DirSnapshotRequest` for a shard the cluster does not have — one
+/// that wraps onto a shard the requester hosts included — moves nothing.
+#[test]
+fn a_snapshot_request_for_a_shard_out_of_range_moves_nothing() {
+    deliver_hostile_frames(|ep| {
+        [NODES as u64, 2 * NODES as u64 - 1, u64::MAX]
+            .into_iter()
+            .map(|shard| {
+                let requester = ep.peer();
+                let incarnation = ep.known_incarnation(requester) + 1;
+                let digest = ep.restart_digest(requester, incarnation);
+                (requester, snapshot_request(shard, requester, true, digest))
+            })
+            .collect()
+    });
+}
+
+/// A `DirResynced` naming the node itself, at the incarnation it runs and at the next
+/// one, moves nothing. Only the node's own resync completing re-admits it; on a node
+/// still resyncing, believing the frame would hand it the shards it hosts while its
+/// replicas wait for state.
+#[test]
+fn a_resynced_announcement_naming_the_node_itself_moves_nothing() {
+    let resyncing = deliver_hostile_frames(|ep| {
+        [ep.node.incarnation(), ep.node.incarnation() + 1]
+            .into_iter()
+            .map(|incarnation| (ep.peer(), Message::DirResynced { node: ep.me, incarnation }))
+            .collect()
+    });
     assert!(resyncing > 0, "no episode ended with its resync in flight");
 }
 
