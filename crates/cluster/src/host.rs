@@ -110,9 +110,12 @@ impl HopliteClient {
         .map(|_| ())
     }
 
-    /// Fetch an object (Table 1 `Get`): blocks until a complete copy is local. An
-    /// object larger than one block comes back as [`Payload::Segments`] — the blocks
-    /// as received, not copied; [`Payload::to_owned_vec`] makes one flat buffer.
+    /// Fetch an object (Table 1 `Get`): blocks until a complete copy is local, or, for
+    /// an object at or below the inline threshold, until the directory's reply carries
+    /// it. An inline object is handed to the caller and not kept in the local store,
+    /// so every such Get asks the directory again (§3.2). An object larger than one
+    /// block comes back as [`Payload::Segments`] — the blocks as received, not copied;
+    /// [`Payload::to_owned_vec`] makes one flat buffer.
     pub fn get(&self, object: ObjectId) -> Result<Payload> {
         match Self::wait(self.submit(ClientOp::Get { object }), |r| {
             matches!(r, ClientReply::GetDone { .. })
@@ -798,5 +801,50 @@ pub(crate) mod tests {
             Err(HopliteError::Transport(why)) => assert_eq!(why, "node shut down"),
             other => panic!("expected a transport error, got {other:?}"),
         }
+    }
+
+    /// A frame off the wire can name any node. A raw peer's query that names requester
+    /// 99 in a two-node cluster is answered into the void — the transport drops a send
+    /// outside its address table — and the node keeps serving. A handler that panics
+    /// under the node lock strands every later caller, so the exchange runs on its own
+    /// thread under a deadline.
+    #[test]
+    fn a_query_naming_a_node_outside_the_cluster_leaves_the_node_serving() {
+        use hoplite_transport::fabric::Fabric;
+        use hoplite_transport::framing::write_frame_vectored;
+        use hoplite_transport::tcp::TcpFabric;
+
+        let (done, finished) = unbounded();
+        let exchange = thread::spawn(move || {
+            let mut fabric = TcpFabric::new(2).unwrap();
+            let cluster = ClusterView::of_size(2);
+            let cfg = HopliteConfig::small_for_tests();
+            let node = ObjectStoreNode::new(NodeId(0), cfg, cluster.clone(), Default::default());
+            let (sender, addr) = (Box::new(fabric.sender()), fabric.addresses()[0]);
+            let next_op = Arc::new(AtomicU64::new(1));
+            let host = NodeHost::spawn(node, sender, false, next_op, |sink| {
+                fabric.attach(NodeId(0), sink)
+            });
+            // An inline object of a shard node 0 leads, so node 0 answers the query.
+            let object = (0..)
+                .map(|i| ObjectId::from_name(&format!("hostile-{i}")))
+                .find(|&o| cluster.shard_node(o) == NodeId(0))
+                .unwrap();
+            let payload = Payload::from_vec(vec![7; 32]);
+            host.client().put(object, payload.clone()).unwrap();
+            let mut peer = std::net::TcpStream::connect(addr).unwrap();
+            let hello = Message::Hello { node: NodeId(1), incarnation: 0 };
+            let query =
+                Message::DirQuery { object, requester: NodeId(99), query_id: 1, exclude: vec![] };
+            write_frame_vectored(&mut peer, &hello).unwrap();
+            write_frame_vectored(&mut peer, &query).unwrap();
+            wait_until("the hostile query to be served", || {
+                host.status().expect("node is up").metrics.directory_queries_served == 1
+            });
+            assert_eq!(host.client().get(object).unwrap(), payload);
+            done.send(()).unwrap();
+        });
+        finished.recv_timeout(StdDuration::from_secs(30)).expect("node 0 kept serving");
+        exchange.join().expect("the exchange finished");
     }
 }

@@ -34,9 +34,9 @@ pub struct HopliteConfig {
     /// single entry alone is larger than it (entries are indivisible).
     pub snapshot_chunk_bytes: u64,
     /// Byte budget for inline small-object payloads cached in each directory shard.
-    /// When the budget is exceeded the least-recently-used inline payloads are
-    /// dropped (the location records stay; the object is then served via the normal
-    /// pull path). Entries whose only copy is the inline payload are never evicted.
+    /// When the budget is exceeded inline payloads are dropped oldest put first (the
+    /// location records stay; the object is then served via the normal pull path).
+    /// Entries whose only copy is the inline payload are never evicted.
     pub directory_inline_cache_bytes: u64,
     /// How many *acked* (already trimmed) replication-log ops each replica retains
     /// for delta resync: a replica whose gap fits inside the retained suffix replays

@@ -231,9 +231,11 @@ impl DirectoryService {
 
     /// Route one client directory op: apply it if this node is the shard's primary
     /// (emitting replies, log-shipping the op, and later confirming it to its
-    /// origin), forward it to the believed primary otherwise. Ops for a shard whose
-    /// every replica died are dropped — that metadata is gone. Returns whether the op
-    /// was applied here.
+    /// origin), forward it to the believed primary otherwise. A query the shard
+    /// answers without changing ([`DirectoryShard::read`]: an inline hit or a
+    /// tombstone) is a read: the primary replies and logs, ships and marks nothing.
+    /// Ops for a shard whose every replica died are dropped — that metadata is gone.
+    /// Returns whether the op was applied here.
     fn handle_op(
         &mut self,
         op: DirOp,
@@ -243,6 +245,14 @@ impl DirectoryService {
         let shard = self.view.placement().shard_of(op.object());
         match self.view.primary(shard) {
             Some(primary) if primary == self.me => {
+                if let DirOp::Query { object, requester, query_id, .. } = op {
+                    let replica = self.replicas.get(&shard).expect("primary hosts its shard");
+                    if let Some(reply) = replica.shard().read(object, requester, query_id) {
+                        metrics.directory_queries_served += 1;
+                        out.push((requester, reply));
+                        return true;
+                    }
+                }
                 // Entries already streamed to a mid-resync requester go stale when
                 // a later op touches them; mark them for re-shipment.
                 let object = op.object();
@@ -707,7 +717,7 @@ pub(crate) fn resync_frame(msg: &Message) -> Option<(u64, u64, ResyncFrame<'_>, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::ConfirmKind;
+    use crate::protocol::{ConfirmKind, QueryResult};
 
     impl DirectoryService {
         /// Submit a client op here, as `handle` does; whether it was applied here.
@@ -1528,6 +1538,144 @@ mod tests {
         assert!(!svcs[1].is_resyncing(), "resync completed at the new source");
         for &o in &objects {
             assert_eq!(svcs[1].locations(o).map(|l| l.len()), Some(1));
+        }
+    }
+
+    /// Shard 0 of a three-node cluster as its two replicas: node 0 leads it, node 1
+    /// backs it up.
+    fn leader_and_backup() -> Vec<DirectoryService> {
+        let cfg =
+            HopliteConfig { directory_inline_cache_bytes: 64, ..HopliteConfig::small_for_tests() };
+        (0..2).map(|i| DirectoryService::new(NodeId(i), &cfg, &nodes(3))).collect()
+    }
+
+    /// Hand `op` to node 0 and run the log shipping it causes until quiescent; what
+    /// node 0 emitted for `op` itself.
+    fn run_op(
+        svcs: &mut [DirectoryService],
+        metrics: &mut [NodeMetrics],
+        op: DirOp,
+    ) -> Vec<(NodeId, Message)> {
+        let mut sent = Vec::new();
+        deliver_to(&mut svcs[0], &mut metrics[0], NodeId(2), op.into(), &mut sent);
+        let mut queue: Vec<_> = sent.iter().map(|(to, m)| (NodeId(0), *to, m.clone())).collect();
+        while let Some((from, to, msg)) = queue.pop() {
+            if matches!(msg, Message::DirReplicate { .. } | Message::DirAck { .. }) {
+                queue.extend(deliver(svcs, metrics, from, to, msg));
+            }
+        }
+        sent
+    }
+
+    /// A replica's applied sequence and its log.
+    fn log_of(svc: &DirectoryService) -> (u64, Vec<(u64, DirOp)>) {
+        let replica = svc.replica(0).expect("hosts shard 0");
+        (replica.applied_seq(), replica.delta_ops(0))
+    }
+
+    fn query(object: ObjectId, requester: u32, query_id: u64) -> DirOp {
+        DirOp::Query { object, requester: NodeId(requester), query_id, exclude: vec![] }
+    }
+
+    fn shipped(sent: &[(NodeId, Message)]) -> usize {
+        sent.iter().filter(|(_, m)| matches!(m, Message::DirReplicate { .. })).count()
+    }
+
+    #[test]
+    fn an_inline_hit_or_a_tombstone_at_the_primary_emits_its_reply_and_nothing_else() {
+        let (mut svcs, mut metrics) = (leader_and_backup(), vec![NodeMetrics::default(); 2]);
+        let o = obj_in_shard(&svcs[0], 0);
+        let payload = crate::buffer::Payload::from_vec(vec![3; 16]);
+        let put = DirOp::PutInline { object: o, holder: NodeId(1), payload: payload.clone() };
+        assert_eq!(shipped(&run_op(&mut svcs, &mut metrics, put)), 1);
+        let logs = [log_of(&svcs[0]), log_of(&svcs[1])];
+        let result = QueryResult::Inline { payload };
+        let reply = Message::DirQueryReply { object: o, query_id: 7, result };
+        assert_eq!(run_op(&mut svcs, &mut metrics, query(o, 2, 7)), vec![(NodeId(2), reply)]);
+        assert_eq!([log_of(&svcs[0]), log_of(&svcs[1])], logs, "a read is logged nowhere");
+        assert_eq!(metrics[0].directory_queries_served, 1, "a read is still served");
+
+        run_op(&mut svcs, &mut metrics, DirOp::Delete { object: o });
+        let logs = [log_of(&svcs[0]), log_of(&svcs[1])];
+        let result = QueryResult::Deleted;
+        let reply = Message::DirQueryReply { object: o, query_id: 8, result };
+        assert_eq!(run_op(&mut svcs, &mut metrics, query(o, 2, 8)), vec![(NodeId(2), reply)]);
+        assert_eq!([log_of(&svcs[0]), log_of(&svcs[1])], logs, "a read is logged nowhere");
+        assert_eq!(metrics[0].directory_queries_served, 2);
+    }
+
+    #[test]
+    fn a_query_that_changes_the_shard_is_still_logged_and_shipped() {
+        let (mut svcs, mut metrics) = (leader_and_backup(), vec![NodeMetrics::default(); 2]);
+        let o = obj_in_shard(&svcs[0], 0);
+        let mut ships = |svcs: &mut [DirectoryService], op| {
+            let seq = log_of(&svcs[0]).0;
+            let sent = run_op(svcs, &mut metrics, op);
+            assert_eq!(log_of(&svcs[0]).0, log_of(&svcs[1]).0, "the backup applied it too");
+            (shipped(&sent), log_of(&svcs[0]).0 - seq)
+        };
+        // A location answer leases node 1 to node 2.
+        ships(&mut svcs, reg(o, 1));
+        assert_eq!(ships(&mut svcs, query(o, 2, 1)), (1, 1), "a location query");
+        // Node 2 still holds that lease when the object turns inline: its query drops
+        // the edge, so it is a write; the next one is a read.
+        let payload = crate::buffer::Payload::from_vec(vec![4; 16]);
+        ships(&mut svcs, DirOp::PutInline { object: o, holder: NodeId(1), payload });
+        assert_eq!(ships(&mut svcs, query(o, 2, 2)), (1, 1), "a lease-holding requester");
+        assert_eq!(ships(&mut svcs, query(o, 2, 3)), (0, 0), "the read after it");
+        // A query for an id never put parks; a second one joins it.
+        let p = (0u64..)
+            .map(|k| obj(&format!("parked-{k}")))
+            .find(|&p| svcs[0].placement().shard_of(p) == 0)
+            .unwrap();
+        assert_eq!(ships(&mut svcs, query(p, 2, 4)), (1, 1), "an id never put");
+        assert_eq!(ships(&mut svcs, query(p, 0, 5)), (1, 1), "a query parked behind another");
+    }
+
+    /// Reads leave replicas identical: a seeded mix of inline puts, queries,
+    /// registrations and deletes through the primary leaves the backup's shard equal
+    /// to the primary's after every op, inline stamps and evictions included.
+    #[test]
+    fn seeded_ops_leave_the_primary_and_its_backup_equal_after_every_step() {
+        for seed in 1..=8u64 {
+            let (mut svcs, mut metrics) = (leader_and_backup(), vec![NodeMetrics::default(); 2]);
+            let objects: Vec<ObjectId> = (0u64..)
+                .map(|k| obj(&format!("equal-{k}")))
+                .filter(|&o| svcs[0].placement().shard_of(o) == 0)
+                .take(4)
+                .collect();
+            let mut state = seed;
+            let mut draw = |n: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % n
+            };
+            let mut reads = 0;
+            for step in 0..200 {
+                let object = objects[draw(4) as usize];
+                let node = NodeId(draw(3) as u32);
+                let op = match draw(8) {
+                    0 | 1 => {
+                        let payload = vec![step as u8; 1 + draw(32) as usize];
+                        let payload = crate::buffer::Payload::from_vec(payload);
+                        DirOp::PutInline { object, holder: node, payload }
+                    }
+                    2..=4 => query(object, node.0, step),
+                    5 | 6 => {
+                        let status =
+                            [ObjectStatus::Partial, ObjectStatus::Complete][draw(2) as usize];
+                        DirOp::Register { object, holder: node, status, size: 100 }
+                    }
+                    _ => DirOp::Delete { object },
+                };
+                let sent = run_op(&mut svcs, &mut metrics, op.clone());
+                reads += usize::from(matches!(op, DirOp::Query { .. }) && shipped(&sent) == 0);
+                let [primary, backup] = [&svcs[0], &svcs[1]]
+                    .map(|svc| svc.replica(0).unwrap().shard().snapshot_range(None, u64::MAX));
+                assert_eq!(primary, backup, "seed {seed} step {step}: {op:?}");
+            }
+            assert!(reads > 0, "seed {seed} drew no read");
         }
     }
 }

@@ -54,9 +54,10 @@ struct PendingQuery {
 struct Entry {
     size: Option<u64>,
     locations: BTreeMap<NodeId, ObjectStatus>,
-    /// The inline-cached payload and its LRU stamp. Stamps are assigned from a logical
-    /// clock driven by replicated ops, so every replica agrees on recency order and
-    /// evicts the same victims.
+    /// The inline-cached payload and its put-order stamp. Stamps are assigned from a
+    /// logical clock that only puts (and resync installs) advance — a query is a read
+    /// and stamps nothing — so every replica agrees on the order and evicts the same
+    /// victims.
     inline: Option<(Payload, u64)>,
     pending: VecDeque<PendingQuery>,
     subscribers: BTreeSet<NodeId>,
@@ -87,10 +88,10 @@ pub struct DirectoryShard {
     shard_id: usize,
     cfg: HopliteConfig,
     entries: BTreeMap<ObjectId, Entry>,
-    /// Logical clock for inline-cache recency stamps.
+    /// Logical clock for inline-cache put-order stamps.
     inline_clock: u64,
-    /// Recency index: stamp -> object, for every entry with an inline payload.
-    inline_lru: BTreeMap<u64, ObjectId>,
+    /// Put-order index: stamp -> object, for every entry with an inline payload.
+    inline_order: BTreeMap<u64, ObjectId>,
     /// Total bytes of inline payloads currently cached.
     inline_bytes: u64,
     /// Inline payloads evicted to stay under `directory_inline_cache_bytes`.
@@ -110,7 +111,7 @@ impl DirectoryShard {
             cfg,
             entries: BTreeMap::new(),
             inline_clock: 0,
-            inline_lru: BTreeMap::new(),
+            inline_order: BTreeMap::new(),
             inline_bytes: 0,
             inline_evictions: 0,
             lease_wheel_current: Vec::new(),
@@ -174,8 +175,8 @@ impl DirectoryShard {
     }
 
     /// Cache a small object inline (§3.2 fast path) and answer parked queries. The
-    /// inline cache is bounded: when `directory_inline_cache_bytes` is exceeded the
-    /// least-recently-used payloads are dropped (their location records stay).
+    /// inline cache is bounded: when `directory_inline_cache_bytes` is exceeded
+    /// payloads are dropped oldest put first (their location records stay).
     pub fn put_inline(
         &mut self,
         object: ObjectId,
@@ -199,16 +200,16 @@ impl DirectoryShard {
         self.inline_clock += 1;
         let stamp = self.inline_clock;
         if let Some((old, old_stamp)) = entry.inline.replace((payload, stamp)) {
-            self.inline_lru.remove(&old_stamp);
+            self.inline_order.remove(&old_stamp);
             self.inline_bytes -= old.len();
         }
-        self.inline_lru.insert(stamp, object);
+        self.inline_order.insert(stamp, object);
         self.inline_bytes += size;
         self.enforce_inline_budget();
         self.drain_pending(object, out);
     }
 
-    /// Evict least-recently-used inline payloads until the cache fits its budget.
+    /// Evict inline payloads, oldest put first, until the cache fits its budget.
     /// An entry whose inline payload is the only complete copy of the object is
     /// never evicted (dropping it would lose the last copy); such entries are
     /// skipped and the budget may be exceeded until a pull-servable copy appears.
@@ -217,32 +218,20 @@ impl DirectoryShard {
         let mut cursor = 0u64;
         while self.inline_bytes > budget {
             let Some((&stamp, &object)) =
-                self.inline_lru.range((Excluded(cursor), Unbounded)).next()
+                self.inline_order.range((Excluded(cursor), Unbounded)).next()
             else {
                 break;
             };
             cursor = stamp;
-            let entry = self.entries.get_mut(&object).expect("LRU index tracks live entries");
+            let entry = self.entries.get_mut(&object).expect("the order index tracks live entries");
             if !entry.locations.values().any(|s| s.is_complete()) {
                 continue;
             }
-            let (payload, _) = entry.inline.take().expect("LRU index tracks inline payloads");
-            self.inline_lru.remove(&stamp);
+            let (payload, _) = entry.inline.take().expect("the order index tracks inline payloads");
+            self.inline_order.remove(&stamp);
             self.inline_bytes -= payload.len();
             self.inline_evictions += 1;
         }
-    }
-
-    /// Refresh an entry's inline recency stamp (called on inline query hits, which
-    /// are replicated ops — so every replica refreshes identically).
-    fn touch_inline(&mut self, object: ObjectId) {
-        let Some((_, stamp)) = self.entries.get_mut(&object).and_then(|e| e.inline.as_mut()) else {
-            return;
-        };
-        self.inline_clock += 1;
-        self.inline_lru.remove(stamp);
-        *stamp = self.inline_clock;
-        self.inline_lru.insert(*stamp, object);
     }
 
     /// Bytes of inline payloads currently cached (introspection and benches).
@@ -280,18 +269,35 @@ impl DirectoryShard {
         exclude: Vec<NodeId>,
         out: &mut Vec<(NodeId, Message)>,
     ) {
-        let entry = self.entries.entry(object).or_default();
-        if entry.deleted {
-            out.push((
-                requester,
-                Message::DirQueryReply { object, query_id, result: QueryResult::Deleted },
-            ));
+        if let Some(reply) = self.read(object, requester, query_id) {
+            out.push((requester, reply));
             return;
         }
+        let entry = self.entries.entry(object).or_default();
         entry.pulls.remove(&requester);
         entry.pending.retain(|p| !(p.requester == requester && p.query_id == query_id));
         entry.pending.push_back(PendingQuery { requester, query_id, exclude });
         self.drain_pending(object, out);
+    }
+
+    /// The reply to a query that the entry answers as it stands, if answering it
+    /// changes nothing: the entry is a tombstone, or it holds an inline payload, the
+    /// requester holds no lease edge and no query is parked on it. Such a query is a
+    /// read — the primary answers it without logging it, and [`DirectoryShard::query`]
+    /// takes the same branch, so a replica replaying a logged query agrees.
+    pub fn read(&self, object: ObjectId, requester: NodeId, query_id: u64) -> Option<Message> {
+        let entry = self.entries.get(&object)?;
+        let result = if entry.deleted {
+            QueryResult::Deleted
+        } else {
+            let (payload, _) = entry.inline.as_ref()?;
+            let untouched = entry.pending.is_empty() && !entry.pulls.contains_key(&requester);
+            if !untouched || payload.len() > self.cfg.inline_threshold {
+                return None;
+            }
+            QueryResult::Inline { payload: payload.clone() }
+        };
+        Some(Message::DirQueryReply { object, query_id, result })
     }
 
     /// Subscribe to location publications; current locations are published right away.
@@ -338,7 +344,7 @@ impl DirectoryShard {
         let entry = self.entries.entry(object).or_default();
         entry.deleted = true;
         if let Some((payload, stamp)) = entry.inline.take() {
-            self.inline_lru.remove(&stamp);
+            self.inline_order.remove(&stamp);
             self.inline_bytes -= payload.len();
         }
         for pending in entry.pending.drain(..) {
@@ -438,7 +444,7 @@ impl DirectoryShard {
     /// stay monotonic across re-baselines.
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.inline_lru.clear();
+        self.inline_order.clear();
         self.inline_bytes = 0;
         self.lease_wheel_current.clear();
         self.lease_wheel_prev.clear();
@@ -451,12 +457,12 @@ impl DirectoryShard {
         for se in entries {
             if let Some((old, stamp)) = self.entries.get(&se.object).and_then(|e| e.inline.as_ref())
             {
-                self.inline_lru.remove(stamp);
+                self.inline_order.remove(stamp);
                 self.inline_bytes -= old.len();
             }
             let inline = se.inline.clone().map(|payload| {
                 let mut stamp = se.inline_stamp;
-                if stamp == 0 || self.inline_lru.contains_key(&stamp) {
+                if stamp == 0 || self.inline_order.contains_key(&stamp) {
                     // Defensive: stamps are unique per source, but a resumed stream
                     // may mix sources; collisions get a fresh stamp instead of
                     // corrupting the index.
@@ -464,7 +470,7 @@ impl DirectoryShard {
                     stamp = self.inline_clock;
                 }
                 self.inline_bytes += payload.len();
-                self.inline_lru.insert(stamp, se.object);
+                self.inline_order.insert(stamp, se.object);
                 self.inline_clock = self.inline_clock.max(stamp);
                 (payload, stamp)
             });
@@ -530,24 +536,16 @@ impl DirectoryShard {
     fn drain_pending(&mut self, object: ObjectId, out: &mut Vec<(NodeId, Message)>) {
         let Some(entry) = self.entries.get_mut(&object) else { return };
         let mut still_waiting = VecDeque::new();
-        let mut inline_hit = false;
         while let Some(q) = entry.pending.pop_front() {
             if let Some(reply) =
                 Self::try_answer(&self.cfg, object, entry, &q, &mut self.lease_wheel_current)
             {
-                inline_hit |= matches!(
-                    &reply,
-                    Message::DirQueryReply { result: QueryResult::Inline { .. }, .. }
-                );
                 out.push((q.requester, reply));
             } else {
                 still_waiting.push_back(q);
             }
         }
         entry.pending = still_waiting;
-        if inline_hit {
-            self.touch_inline(object);
-        }
     }
 
     /// Try to answer a single query against the current entry state.
@@ -881,7 +879,7 @@ mod tests {
     }
 
     #[test]
-    fn inline_hit_refreshes_recency() {
+    fn inline_eviction_follows_put_order() {
         let mut s = DirectoryShard::new(
             0,
             HopliteConfig {
@@ -891,21 +889,24 @@ mod tests {
             },
         );
         let mut out = Vec::new();
-        s.put_inline(obj("a"), NodeId(0), Payload::from_vec(vec![1; 32]), &mut out);
-        s.put_inline(obj("b"), NodeId(1), Payload::from_vec(vec![2; 32]), &mut out);
-        // Touch "a": it becomes the hottest, so the next eviction takes "b".
-        s.query(obj("a"), NodeId(5), 1, vec![], &mut out);
-        s.put_inline(obj("c"), NodeId(2), Payload::from_vec(vec![3; 32]), &mut out);
+        let mut served_inline = |s: &mut DirectoryShard, name: &str| {
+            out.clear();
+            s.query(obj(name), NodeId(7), 1, vec![], &mut out);
+            matches!(&query_reply(&out)[0].1, QueryResult::Inline { .. })
+        };
+        s.put_inline(obj("a"), NodeId(0), Payload::from_vec(vec![1; 32]), &mut Vec::new());
+        s.put_inline(obj("b"), NodeId(1), Payload::from_vec(vec![2; 32]), &mut Vec::new());
+        // Reading "a" leaves it the oldest put, so the next put evicts it.
+        assert!(served_inline(&mut s, "a"));
+        s.put_inline(obj("c"), NodeId(2), Payload::from_vec(vec![3; 32]), &mut Vec::new());
         assert_eq!(s.take_inline_evictions(), 1);
-        out.clear();
-        s.query(obj("a"), NodeId(6), 2, vec![], &mut out);
-        assert!(matches!(&query_reply(&out)[0].1, QueryResult::Inline { .. }), "a stayed hot");
-        out.clear();
-        s.query(obj("b"), NodeId(7), 3, vec![], &mut out);
-        assert!(
-            matches!(&query_reply(&out)[0].1, QueryResult::Location { .. }),
-            "b was the LRU victim"
-        );
+        assert!(!served_inline(&mut s, "a"), "a read saved \"a\" from eviction");
+        // Re-putting "b" makes it the newest, so the next put evicts "c".
+        s.put_inline(obj("b"), NodeId(1), Payload::from_vec(vec![2; 32]), &mut Vec::new());
+        s.put_inline(obj("d"), NodeId(3), Payload::from_vec(vec![4; 32]), &mut Vec::new());
+        assert_eq!(s.take_inline_evictions(), 1);
+        assert!(served_inline(&mut s, "b"), "the re-put kept \"b\"");
+        assert!(!served_inline(&mut s, "c"));
     }
 
     #[test]

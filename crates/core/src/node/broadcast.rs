@@ -226,25 +226,26 @@ impl BroadcastEngine {
         query_id: u64,
         result: QueryResult,
         out: &mut Vec<Effect>,
-    ) -> Vec<Progress> {
+    ) {
         // Only the reply to this Get's outstanding query counts: a stale reply from an
         // abandoned query, or one naming another object, leaves the Get waiting.
         let Some(get) = self.gets.get_mut(&object).filter(|g| g.query_id == Some(query_id)) else {
-            return Vec::new();
+            return;
         };
         get.query_id = None;
         trace!("[n{}] query reply {:?} -> {:?}", ctx.id.0, object, result);
         match result {
             QueryResult::Inline { payload } => {
+                // The payload goes to the waiting ops and nowhere else: a copy in the
+                // store would be one the directory never hears of, so no delete could
+                // release it. A later Get queries again (§3.2).
                 ctx.metrics.directory_inline_hits += 1;
-                // The Get completes only on a complete copy in the store.
-                if !ctx.store.is_complete(object) {
-                    if let Err(error) = ctx.store.put_complete(object, payload, false) {
-                        self.fail_gets(object, error, out);
-                        return Vec::new();
-                    }
+                let get = self.gets.remove(&object).expect("the get this reply answers");
+                for op in get.waiting_ops {
+                    ctx.metrics.gets_completed += 1;
+                    let reply = ClientReply::GetDone { object, payload: payload.clone() };
+                    out.push(Effect::Reply { op, reply });
                 }
-                vec![Progress::completed(object)]
             }
             QueryResult::Location { node, status: _, size } => {
                 if !ctx.store.contains(object) {
@@ -252,7 +253,7 @@ impl BroadcastEngine {
                         ctx.store.begin_receive(object, size, ctx.opts.synthetic_data)
                     {
                         self.fail_gets(object, error, out);
-                        return Vec::new();
+                        return;
                     }
                 }
                 // Register ourselves as a partial location right away so later
@@ -268,11 +269,9 @@ impl BroadcastEngine {
                     Message::PullRequest { object, requester: ctx.id, offset: watermark },
                     out,
                 );
-                Vec::new()
             }
             QueryResult::Deleted => {
                 self.fail_gets(object, HopliteError::ObjectDeleted(object), out);
-                Vec::new()
             }
         }
     }
@@ -410,8 +409,9 @@ impl BroadcastEngine {
     }
 
     /// Bookkeeping common to every way an object can become locally complete: a
-    /// finished pull, a finished pipelined put, the inline fast path, or a reduce root
-    /// materializing its result.
+    /// finished pull, a finished pipelined put, or a reduce root materializing its
+    /// result. (An inline reply never gets here: it completes its Gets and leaves no
+    /// local copy.)
     pub(crate) fn on_object_complete(
         &mut self,
         ctx: &mut NodeContext,

@@ -590,9 +590,7 @@ impl ObjectStoreNode {
             }
             // Directory replies and publications addressed to this node.
             Message::DirQueryReply { object, query_id, result } => {
-                let progress =
-                    self.broadcast.handle_query_reply(&mut self.ctx, object, query_id, result, out);
-                self.route_progress(progress, out);
+                self.broadcast.handle_query_reply(&mut self.ctx, object, query_id, result, out);
             }
             Message::DirPublish { object, holder, status: _, size } => {
                 self.reduce.on_dir_publish(&mut self.ctx, object, holder, size, out);

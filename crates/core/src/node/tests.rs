@@ -1438,26 +1438,74 @@ fn out_of_range_node_ids_in_liveness_messages_are_dropped() {
     }
 }
 
-/// A Get whose inline reply the store cannot hold fails with the store's error; it
-/// never completes on an object the store does not have.
+/// An inline reply goes to the Get, not to the store: a Get at a node whose store is
+/// full of a pinned put still completes, and the store gains nothing.
 #[test]
-fn an_inline_reply_that_does_not_fit_the_store_fails_the_get() {
+fn an_inline_reply_completes_the_get_and_leaves_the_store_as_it_was() {
     let cfg = HopliteConfig { store_capacity: 200, ..HopliteConfig::small_for_tests() };
     let mut tc = TestCluster::with_config(3, cfg);
     let small = ObjectId::from_name("small");
     tc.client(0, OpId(1), ClientOp::Put { object: small, payload: Payload::from_vec(vec![5; 32]) });
-    // Node 1's store is full of a pinned put, so the inline copy has no room.
+    // Node 1's store is full of a pinned put: an inline copy would not fit.
     let full = ObjectId::from_name("full");
     tc.client(1, OpId(2), ClientOp::Put { object: full, payload: Payload::from_vec(vec![6; 200]) });
     tc.run();
     tc.client(1, OpId(3), ClientOp::Get { object: small });
     tc.run();
-    let reply = tc.replies.iter().find(|(_, op, _)| *op == OpId(3)).map(|(_, _, r)| r);
+    assert_eq!(tc.reply_payload(OpId(3)), Some(Payload::from_vec(vec![5; 32])));
+    assert!(!tc.nodes[1].store().contains(small));
+    assert_eq!(tc.nodes[1].store().used(), 200, "the store holds the pinned put alone");
+}
+
+/// A reader keeps no copy of an inline object, so nothing outlives a delete: a Get at
+/// the reader after the delete fails, and after a re-put with new bytes it reads them.
+#[test]
+fn an_inline_get_leaves_no_copy_for_a_delete_to_miss() {
+    let mut tc = TestCluster::new(3);
+    let small = ObjectId::from_name("small");
+    let put = |byte| ClientOp::Put { object: small, payload: Payload::from_vec(vec![byte; 32]) };
+    tc.client(0, OpId(1), put(1));
+    tc.run();
+    tc.client(1, OpId(2), ClientOp::Get { object: small });
+    tc.run();
+    assert_eq!(tc.reply_payload(OpId(2)), Some(Payload::from_vec(vec![1; 32])));
+    tc.client(0, OpId(3), ClientOp::Delete { object: small });
+    tc.run();
+    tc.client(1, OpId(4), ClientOp::Get { object: small });
+    tc.run();
+    let reply = tc.replies.iter().find(|(_, op, _)| *op == OpId(4)).map(|(_, _, r)| r);
     assert!(
-        matches!(reply, Some(ClientReply::Error { error: HopliteError::OutOfMemory { .. } })),
-        "{reply:?}"
+        matches!(reply, Some(ClientReply::Error { error: HopliteError::ObjectDeleted(_) })),
+        "a Get after the delete: {reply:?}"
     );
-    assert!(!tc.nodes[1].has_complete(small));
+    tc.client(0, OpId(5), put(2));
+    tc.run();
+    tc.client(1, OpId(6), ClientOp::Get { object: small });
+    tc.run();
+    assert_eq!(tc.reply_payload(OpId(6)), Some(Payload::from_vec(vec![2; 32])));
+    assert!(!tc.nodes[1].store().contains(small));
+}
+
+/// An inline Get costs the shard's primary one query and one reply: it ships no
+/// `DirReplicate`, and the reader registers nothing.
+#[test]
+fn an_inline_get_ships_no_replicate() {
+    let mut tc = TestCluster::new(3);
+    let small = ObjectId::from_name("small");
+    tc.client(0, OpId(1), ClientOp::Put { object: small, payload: Payload::from_vec(vec![1; 32]) });
+    tc.run();
+    let total = |tc: &TestCluster, count: fn(&NodeMetrics) -> u64| -> u64 {
+        tc.nodes.iter().map(|n| count(n.metrics())).sum()
+    };
+    let replicates = total(&tc, |m| m.directory_replicates_sent);
+    let sent = total(&tc, |m| m.messages_sent);
+    tc.client(1, OpId(2), ClientOp::Get { object: small });
+    tc.run();
+    assert_eq!(tc.reply_payload(OpId(2)), Some(Payload::from_vec(vec![1; 32])));
+    assert_eq!(total(&tc, |m| m.directory_replicates_sent), replicates);
+    assert_eq!(total(&tc, |m| m.directory_queries_served), 1);
+    let extra = if tc.nodes[1].is_directory_primary_for(small) { 0 } else { 2 };
+    assert_eq!(total(&tc, |m| m.messages_sent) - sent, extra, "the query and its reply");
 }
 
 /// A node fed the same inputs emits the same effects: when the peer that eight Gets

@@ -306,8 +306,8 @@ pub struct SnapshotEntry {
     pub pulls: Vec<(NodeId, NodeId)>,
     /// Whether the object is tombstoned.
     pub deleted: bool,
-    /// Inline-cache LRU stamp (0 when no inline payload is cached). Shipped so a
-    /// resynced replica inherits the source's recency order and future replicated
+    /// Inline-cache put-order stamp (0 when no inline payload is cached). Shipped so
+    /// a resynced replica inherits the source's put order and future replicated
     /// evictions pick the same victims on every replica.
     pub inline_stamp: u64,
 }

@@ -2,7 +2,8 @@
 //! its traffic over a lossy, reordering network, through kills with staggered verdicts,
 //! restarts, retired tag-23 frames and frames for shards the cluster does not have: 256
 //! seeded episodes of 64 steps. The golden was written against the tree whose node
-//! spelled every directory op and frame out by hand.
+//! spelled every directory op and frame out by hand; the `.diverged` file lists the
+//! episodes that moved since, with their causes.
 
 mod support;
 
@@ -14,7 +15,7 @@ use support::{Rng, Trace, Transcript};
 const TRANSCRIPT: Transcript = Transcript {
     name: "directory_seam_transcript",
     golden: include_str!("directory_seam_transcript.golden"),
-    diverged: "",
+    diverged: include_str!("directory_seam_transcript.diverged"),
     key_fields: 1,
     vocabulary: "setup msg drop lost failed recovered put-inline put get delete timer kill \
         restart tag23-convert tag23-inject out-of-range idle DirResyncDelta DirSnapshotChunk \

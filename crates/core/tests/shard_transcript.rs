@@ -4,7 +4,9 @@
 //! `split cause`, name the first op after which those two copies disagreed (`- -` if
 //! never) and what it was: `answered-twice` (a location given to a requester already
 //! pulling that object), `inline-over-lease` (a `put_inline`) or `other`. An episode may
-//! be listed in the `.diverged` file only from its split, for its cause.
+//! be listed in the `.diverged` file from its split, for its cause. Since inline recency
+//! became put order (a query no longer restamps an inline payload), an episode may also
+//! move from any op for `put-order-recency`.
 
 mod support;
 
@@ -25,7 +27,14 @@ const TRANSCRIPT: Transcript = Transcript {
     key_fields: 1,
     vocabulary: "register put_inline unregister query subscribe unsubscribe transfer_done delete \
         node_failed expire resync reship",
-    admits: |notes, first, cause| notes == [first.to_string().as_str(), cause],
+    admits: |notes, first, cause| {
+        let split: Option<usize> = notes[0].parse().ok();
+        cause.split('+').enumerate().all(|(i, cause)| {
+            cause == "put-order-recency"
+                || (notes[1] == cause
+                    && split.is_some_and(|s| if i == 0 { s == first } else { s > first }))
+        })
+    },
 };
 
 const EPISODES: u64 = 256;

@@ -484,13 +484,14 @@ impl TcpFabricSender {
     }
 
     /// The `(from, to)` edge, connecting (and greeting with [`Message::Hello`]) on
-    /// first use.
+    /// first use. `None` for a peer outside the address table: a frame off the wire
+    /// can name any node, and a send to one that does not exist is dropped.
     fn edge(&self, from: NodeId, to: NodeId) -> Option<Arc<Edge>> {
         let key = (from.0, to.0);
         if let Some(existing) = self.edges.0.lock().get(&key) {
             return Some(existing.clone());
         }
-        let mut stream = TcpStream::connect(self.addrs[to.index()]).ok()?;
+        let mut stream = TcpStream::connect(self.addrs.get(to.index())?).ok()?;
         stream.set_nodelay(true).ok()?;
         stream.set_write_timeout(Some(SEND_TIMEOUT)).ok()?;
         let incarnation = self.incarnations.read().get(from.index()).copied().unwrap_or(0);
@@ -524,7 +525,8 @@ impl FabricSender for TcpFabricSender {
 
     fn send_all(&self, from: NodeId, batch: &mut Vec<(NodeId, Message)>) {
         while let Some(&(to, _)) = batch.first() {
-            // This peer's frames, in order; a message too large to frame is dropped.
+            // This peer's frames, in order; a message too large to frame, or for a
+            // peer outside the address table, is dropped.
             let mut run = Vec::new();
             batch.retain(|(peer, msg)| {
                 if *peer == to {
@@ -599,6 +601,19 @@ mod tests {
             }
             other => panic!("unexpected message {other:?}"),
         }
+    }
+
+    /// A frame off the wire can name any node: a send to one outside the address table
+    /// is dropped, and the sender keeps working.
+    #[test]
+    fn a_send_to_a_node_outside_the_address_table_is_dropped() {
+        let mut fabric = TcpFabric::new(2).unwrap();
+        let rx = fabric.take_receiver(NodeId(1));
+        let sender = fabric.sender();
+        let delete = |name| Message::DirDelete { object: ObjectId::from_name(name) };
+        sender.send(NodeId(0), NodeId(99), delete("nowhere"));
+        sender.send(NodeId(0), NodeId(1), delete("somewhere"));
+        assert_eq!(recv_data(&rx), (NodeId(0), delete("somewhere")));
     }
 
     #[test]
