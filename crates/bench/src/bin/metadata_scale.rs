@@ -137,11 +137,11 @@ fn main() {
     assert!(!svcs[1].is_resyncing(), "resync stream completed");
     let resync_s = resync_start.elapsed().as_secs_f64();
     let chunks_sent = metrics[0].snapshot_chunks_sent;
-    let (chunk_bytes, delta_resyncs) = (metrics[0].snapshot_bytes, metrics[0].delta_resyncs);
+    let chunk_bytes = metrics[0].snapshot_bytes;
     let resync_rate = (objects + live.len()) as f64 / resync_s;
     println!(
         "metadata_scale: resync chunks={chunks_sent} bytes={chunk_bytes} \
-         max_frame={max_frame} budget={budget} deltas={delta_resyncs} \
+         max_frame={max_frame} budget={budget} \
          time={resync_s:.2}s rate={resync_rate:.0} entries/s"
     );
 

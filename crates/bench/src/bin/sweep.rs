@@ -7,9 +7,9 @@
 //!
 //! sweep --check BASELINE [--against FRESH] [--tolerance 15%] [--matrix ci|full]
 //!     Compare a fresh run (from --against, or executed in-process) to the committed
-//!     baseline. Exit 1 on any regression: lost convergence, missing cell, or a
+//!     baseline. Exit 1 on any regression: lost convergence, missing cell, a
 //!     deterministic metric (completion_s, data_bytes_sent) off by more than the
-//!     tolerance.
+//!     tolerance, or a protocol count (failovers, redrives, resyncs) off at all.
 //!
 //! sweep --summarize FILE
 //!     Render the one-line-per-cell table from an existing document.
@@ -108,7 +108,7 @@ fn real_main() -> Result<ExitCode, String> {
         }
         if report.regressions.is_empty() {
             println!(
-                "sweep check: {} cells within {:.1}% of {baseline_path}",
+                "sweep check: {} cells within {:.1}% of {baseline_path}, protocol counts exact",
                 report.compared,
                 args.tolerance * 100.0
             );

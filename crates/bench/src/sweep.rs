@@ -7,7 +7,8 @@
 //! metrics (`completion_s`, `data_bytes_sent`, message/event counts) are fully
 //! deterministic — the simulator's only randomness is seeded per cell — so
 //! [`check`] can gate CI on them with a tolerance that only real behavioural changes
-//! can trip. Wall-clock time is recorded per cell for humans but never checked.
+//! can trip, and on the protocol counts (`failovers`, `redrives`, `resyncs`) with
+//! none. Wall-clock time is recorded per cell for humans but never checked.
 
 use std::time::Instant;
 
@@ -187,11 +188,17 @@ fn cells_of(doc: &Json) -> Result<Vec<&Json>, String> {
         .ok_or_else(|| "missing `cells` array".to_string())
 }
 
+/// Protocol counts a converged cell must reproduce exactly: how often the cluster
+/// failed over, re-drove directory intents and resynced a replica. They are counts
+/// of deterministic protocol events, so any change is a change of behaviour.
+const EXACT_COUNTS: [&str; 3] = ["failovers", "redrives", "resyncs"];
+
 /// Compare a fresh sweep against a committed baseline.
 ///
-/// Gated per cell: convergence must not regress, and the deterministic simulated
+/// Gated per cell: convergence must not regress, the deterministic simulated
 /// metrics `completion_s` and `data_bytes_sent` must stay within `tolerance`
-/// (relative, e.g. `0.15`) of the baseline. Cells present only in the baseline are
+/// (relative, e.g. `0.15`) of the baseline, and the protocol counts `failovers`,
+/// `redrives` and `resyncs` must equal it. Cells present only in the baseline are
 /// regressions (coverage shrank); cells only in the fresh run are notes.
 pub fn check(baseline: &Json, fresh: &Json, tolerance: f64) -> Result<CheckReport, String> {
     let base_cells = cells_of(baseline)?;
@@ -236,6 +243,13 @@ pub fn check(baseline: &Json, fresh: &Json, tolerance: f64) -> Result<CheckRepor
                     (fv - bv) / scale * 100.0,
                     tolerance * 100.0
                 ));
+            }
+        }
+        for field in EXACT_COUNTS {
+            let (bv, fv) =
+                (b.get(field).and_then(Json::as_f64), f.get(field).and_then(Json::as_f64));
+            if bv != fv {
+                report.regressions.push(format!("{id}: {field} moved {bv:?} -> {fv:?} (exact)"));
             }
         }
     }
@@ -315,20 +329,26 @@ mod tests {
     }
 
     fn tiny_doc(completion: f64, converged: bool) -> Json {
+        counted_doc(completion, converged, Some(2.0))
+    }
+
+    /// A one-cell document; `resyncs: None` leaves that count out.
+    fn counted_doc(completion: f64, converged: bool, resyncs: Option<f64>) -> Json {
+        let mut cell = vec![
+            ("id".into(), Json::Str("uniform8/none/broadcast/s0".into())),
+            ("nodes".into(), Json::Num(8.0)),
+            ("converged".into(), Json::Bool(converged)),
+            ("failure".into(), Json::Null),
+            ("completion_s".into(), Json::Num(completion)),
+            ("data_bytes_sent".into(), Json::Num(1e8)),
+            ("failovers".into(), Json::Num(3.0)),
+            ("redrives".into(), Json::Num(1.0)),
+        ];
+        cell.extend(resyncs.map(|n| ("resyncs".into(), Json::Num(n))));
         Json::Obj(vec![
             ("schema".into(), Json::Str(SCHEMA.into())),
             ("matrix".into(), Json::Str("test".into())),
-            (
-                "cells".into(),
-                Json::Arr(vec![Json::Obj(vec![
-                    ("id".into(), Json::Str("uniform8/none/broadcast/s0".into())),
-                    ("nodes".into(), Json::Num(8.0)),
-                    ("converged".into(), Json::Bool(converged)),
-                    ("failure".into(), Json::Null),
-                    ("completion_s".into(), Json::Num(completion)),
-                    ("data_bytes_sent".into(), Json::Num(1e8)),
-                ])]),
-            ),
+            ("cells".into(), Json::Arr(vec![Json::Obj(cell)])),
         ])
     }
 
@@ -341,6 +361,20 @@ mod tests {
         let bad = check(&base, &tiny_doc(0.130, true), 0.15).unwrap();
         assert_eq!(bad.regressions.len(), 1, "{:?}", bad.regressions);
         assert!(bad.regressions[0].contains("completion_s"));
+    }
+
+    #[test]
+    fn check_requires_the_protocol_counts_to_match_exactly() {
+        let base = tiny_doc(0.100, true);
+        let same = check(&base, &tiny_doc(0.100, true), 0.15).unwrap();
+        assert!(same.regressions.is_empty(), "{:?}", same.regressions);
+        // One more resync fails the gate, with no tolerance, although every gated
+        // time and byte metric is unchanged; so does a count the fresh run lost.
+        for fresh in [Some(3.0), None] {
+            let bad = check(&base, &counted_doc(0.100, true, fresh), 0.15).unwrap();
+            assert_eq!(bad.regressions.len(), 1, "{:?}", bad.regressions);
+            assert!(bad.regressions[0].contains("resyncs"), "{:?}", bad.regressions);
+        }
     }
 
     #[test]

@@ -30,6 +30,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 use std::thread::{self, JoinHandle};
@@ -246,8 +247,7 @@ impl NodeHost {
     /// before this returns, and whatever a leaked reader thread or an old client
     /// delivers afterwards is dropped on arrival. Idempotent.
     pub fn shutdown(&mut self) {
-        *self.shared.mailbox() = Mailbox { stopped: true, ..Mailbox::default() };
-        self.shared.wake.notify_one();
+        self.shared.stop();
         // Waits for at most the one handler in flight: a stopped mailbox is empty.
         drop(self.shared.node.lock().map(|mut node| node.take()));
         if let Some(handle) = self.handle.take() {
@@ -290,6 +290,13 @@ impl Shared {
         self.mailbox.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// Stop taking events: drop every queued one, closing its caller's reply channel,
+    /// and every timer, and wake the node thread so it exits.
+    fn stop(&self) {
+        *self.mailbox() = Mailbox { stopped: true, ..Mailbox::default() };
+        self.wake.notify_one();
+    }
+
     /// Append `event`; its sequence number, or `None` (event dropped) once stopped.
     fn enqueue(&self, event: LoopEvent) -> Option<u64> {
         let mut mailbox = self.mailbox();
@@ -329,13 +336,12 @@ impl Shared {
     /// Run the mailbox on this thread, up to event number `upto`, if the node is free.
     /// If it is not, whoever holds it re-checks the mailbox after unlocking — as this
     /// does — so an event left behind by a thread that lost the `try_lock` is never
-    /// stranded.
+    /// stranded. A node whose handler panicked has stopped: there is nothing to run.
     fn drain(&self, upto: u64) {
         loop {
             let mut guard = match self.node.try_lock() {
                 Ok(guard) => guard,
-                Err(TryLockError::WouldBlock) => return,
-                Err(TryLockError::Poisoned(_)) => panic!("a handler of this node panicked"),
+                Err(TryLockError::WouldBlock | TryLockError::Poisoned(_)) => return,
             };
             let Some(node) = guard.as_mut() else { return };
             while let Some(event) = self.pop(upto) {
@@ -360,7 +366,7 @@ impl Shared {
         const IDLE_SLICE: StdDuration = StdDuration::from_secs(3600); // no timer armed
         loop {
             {
-                let mut guard = self.node.lock().expect("a handler of this node panicked");
+                let Ok(mut guard) = self.node.lock() else { return };
                 let Some(node) = guard.as_mut() else { return };
                 while let Some(event) = self.pop(u64::MAX) {
                     node.run(self, event);
@@ -407,8 +413,19 @@ struct Node {
 }
 
 impl Node {
-    /// Handle one thing out of `host`'s mailbox.
+    /// Handle one thing out of `host`'s mailbox. A handler that panics leaves the node
+    /// in no state to run again: the host stops, and every caller waiting on it — an
+    /// event still queued, or an op the node holds — gets its reply channel closed
+    /// instead of waiting forever. The panic then goes on up and poisons the lock.
     fn run(&mut self, host: &Shared, event: LoopEvent) {
+        if let Err(panic) = panic::catch_unwind(AssertUnwindSafe(|| self.handle(host, event))) {
+            host.stop();
+            self.pending_replies.clear();
+            panic::resume_unwind(panic);
+        }
+    }
+
+    fn handle(&mut self, host: &Shared, event: LoopEvent) {
         let event = match event {
             LoopEvent::Node(event) => event,
             LoopEvent::Client { op_id, op, reply } => {
@@ -801,6 +818,55 @@ pub(crate) mod tests {
             Err(HopliteError::Transport(why)) => assert_eq!(why, "node shut down"),
             other => panic!("expected a transport error, got {other:?}"),
         }
+    }
+
+    /// A handler that panics while a caller waits behind it: the fabric sender parks
+    /// in `send`, a `get` from another thread queues behind the busy node, and then
+    /// the send panics. The node stops, so the queued `get` fails instead of waiting
+    /// for a reply nobody will produce, and later callers fail at once.
+    #[test]
+    fn a_caller_queued_behind_a_panicking_handler_gets_an_error() {
+        struct Panicking {
+            entered: Sender<()>,
+            release: Receiver<()>,
+        }
+        impl FabricSender for Panicking {
+            fn send(&self, _: NodeId, _: NodeId, _: Message) {
+                self.entered.send(()).unwrap();
+                self.release.recv().unwrap();
+                panic!("the fabric sender panics");
+            }
+        }
+
+        let (entered_tx, entered) = unbounded();
+        let (release, release_rx) = unbounded();
+        let sender = Box::new(Panicking { entered: entered_tx, release: release_rx });
+        let node = ObjectStoreNode::new(
+            NodeId(0),
+            HopliteConfig::small_for_tests(),
+            ClusterView::of_size(2),
+            NodeOptions::default(),
+        );
+        let host = NodeHost::spawn(node, sender, false, Arc::new(AtomicU64::new(1)), |_| {});
+        let shared = host.shared.clone();
+        let handler = thread::spawn(move || {
+            let (from, msg) = pull(1, ObjectId::from_name("first"));
+            shared.deliver(from, msg);
+        });
+        entered.recv_timeout(StdDuration::from_secs(10)).expect("the handler sends");
+        let (got, result) = unbounded();
+        let client = host.client();
+        thread::spawn(move || got.send(client.get(ObjectId::from_name("queued"))).unwrap());
+        wait_until("the get to queue", || host.shared.mailbox().queue.len() == 1);
+        release.send(()).unwrap();
+        // The node thread may have run the frame instead; either way its handler panics.
+        let _ = handler.join();
+        match result.recv_timeout(StdDuration::from_secs(10)) {
+            Ok(Err(HopliteError::Transport(why))) => assert_eq!(why, "node shut down"),
+            other => panic!("the queued get should fail, got {other:?}"),
+        }
+        assert!(host.status().is_none(), "a stopped node answers no status");
+        assert!(host.client().delete(ObjectId::from_name("later")).is_err());
     }
 
     /// A frame off the wire can name any node. A raw peer's query that names requester

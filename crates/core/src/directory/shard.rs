@@ -439,15 +439,13 @@ impl DirectoryShard {
             .collect()
     }
 
-    /// Drop all shard state (the first chunk of a fresh resync stream starts from a
-    /// clean slate). The inline clock and eviction counter survive — the clock must
-    /// stay monotonic across re-baselines.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.inline_order.clear();
-        self.inline_bytes = 0;
-        self.lease_wheel_current.clear();
-        self.lease_wheel_prev.clear();
+    /// An empty shard with this one's id, configuration and inline clock: what a
+    /// resync stream installs into. The clock must stay monotonic across re-baselines.
+    pub fn empty_like(&self) -> DirectoryShard {
+        DirectoryShard {
+            inline_clock: self.inline_clock,
+            ..Self::new(self.shard_id, self.cfg.clone())
+        }
     }
 
     /// Install (upsert) one chunk of snapshot entries, maintaining the inline-cache

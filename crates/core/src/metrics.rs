@@ -80,9 +80,6 @@ node_metrics! {
     snapshot_chunks_sent,
     /// Bytes of shard state shipped in resync chunks served by this node.
     snapshot_bytes,
-    /// Resyncs this node served as a *delta* — the requester's gap was bridgeable
-    /// from the retained log suffix, so ops were replayed instead of state shipped.
-    delta_resyncs,
     /// Inline small-object payloads evicted from this node's directory shards to
     /// keep the inline cache under `directory_inline_cache_bytes`.
     inline_evictions,
@@ -127,7 +124,7 @@ mod tests {
         let b = NodeMetrics {
             messages_sent: 3,
             gets_completed: 1,
-            delta_resyncs: 4,
+            snapshot_chunks_sent: 4,
             recv_slab_reuse: 7,
             ..Default::default()
         };
@@ -135,7 +132,7 @@ mod tests {
         assert_eq!(a.messages_sent, 5);
         assert_eq!(a.data_bytes_sent, 10);
         assert_eq!(a.gets_completed, 1);
-        assert_eq!(a.delta_resyncs, 4);
+        assert_eq!(a.snapshot_chunks_sent, 4);
         assert_eq!(a.recv_slab_reuse, 7);
     }
 }

@@ -23,9 +23,9 @@
 //! * **Recovery (§3.5)** — a restarted node rejoins its replica sets through a state
 //!   transfer orchestrated here: demote every hosted replica, request a resync of
 //!   each shard from the current primary ([`ObjectStoreNode::begin_recovery`]),
-//!   install the chunk stream (or replay the delta) it answers with plus the buffered
-//!   log tail, then broadcast `DirResynced` so the survivors re-admit the node as a
-//!   primary candidate. An interrupted transfer (the source dies mid-resync) is
+//!   install the chunk stream it answers with plus the buffered log tail, then
+//!   broadcast `DirResynced` so the survivors re-admit the node as a primary
+//!   candidate. An interrupted transfer (the source dies mid-resync) is
 //!   re-targeted at the next primary.
 //!
 //! This module hosts the facade-level orchestration plus the failure-specific methods

@@ -1227,8 +1227,6 @@ fn restart_request_from_a_believed_primary_redrives_once_and_keeps_one_view() {
         requester: NodeId(2),
         restart: true,
         after: None,
-        have_epoch: 0,
-        have_seq: 0,
         digest: Vec::new(),
     };
     let mut out = Vec::new();
@@ -1250,10 +1248,7 @@ fn restart_request_from_a_believed_primary_redrives_once_and_keeps_one_view() {
         })
         .collect();
     assert!(
-        sent_to_2.iter().any(|m| matches!(
-            m,
-            Message::DirSnapshotChunk { shard: 2, .. } | Message::DirResyncDelta { shard: 2, .. }
-        )),
+        sent_to_2.iter().any(|m| matches!(m, Message::DirSnapshotChunk { shard: 2, .. })),
         "the restarted node was served: {sent_to_2:?}"
     );
     assert!(
@@ -1288,8 +1283,6 @@ fn a_restart_request_that_ends_the_receivers_own_resync_announces_its_readmissio
         requester: NodeId(0),
         restart: true,
         after: None,
-        have_epoch: 0,
-        have_seq: 0,
         digest: Vec::new(),
     };
     let mut out = Vec::new();
@@ -1375,8 +1368,6 @@ fn a_snapshot_request_for_a_shard_out_of_range_is_dropped() {
                 requester: NodeId(2),
                 restart,
                 after: None,
-                have_epoch: 0,
-                have_seq: 0,
                 digest: vec![(NodeId(1), 4, false)],
             };
             let mut out = Vec::new();

@@ -9,8 +9,7 @@
 //! A directory operation is a [`DirOp`], which carries the op docs. On the wire each op
 //! kind is one client-facing `Dir*` message; one eight-row table declares that pairing,
 //! and both conversions (`From<DirOp> for Message`, `TryFrom<Message> for DirOp`) are
-//! derived from it. [`DirOp::wire_size`] sizes an op alone, inside a `DirReplicate`,
-//! and as an entry of a `DirResyncDelta`.
+//! derived from it. [`DirOp::wire_size`] sizes an op alone and inside a `DirReplicate`.
 
 use crate::buffer::Payload;
 use crate::error::HopliteError;
@@ -255,9 +254,8 @@ impl DirOp {
         }
     }
 
-    /// Approximate wire size in bytes of this op, as its own message or as one entry
-    /// of a shipment or delta replay: a control header plus an inline payload or a
-    /// query's exclusion list.
+    /// Approximate wire size in bytes of this op, as its own message or inside a
+    /// shipment: a control header plus an inline payload or a query's exclusion list.
     pub fn wire_size(&self) -> u64 {
         CONTROL
             + match self {
@@ -468,9 +466,9 @@ pub enum Message {
         /// Highest contiguously-applied sequence number.
         seq: u64,
     },
-    /// Recovering (or gap-detecting) replica → believed primary: please send me a full
-    /// state snapshot of `shard` so I can be re-admitted as a backup. Forwarded to the
-    /// current primary when it lands elsewhere.
+    /// Recovering (or gap-detecting) replica → believed primary: please send me the
+    /// next [`Message::DirSnapshotChunk`] of `shard`'s state so I can be re-admitted as
+    /// a backup. Forwarded to the current primary when it lands elsewhere.
     DirSnapshotRequest {
         /// Shard index.
         shard: u64,
@@ -489,13 +487,6 @@ pub enum Message {
         /// including `o` has been installed). A resumed stream survives source
         /// death: the re-targeted request carries the cursor to the new source.
         after: Option<ObjectId>,
-        /// The requester's current replica epoch, for delta eligibility.
-        have_epoch: u64,
-        /// The requester's contiguously-applied log position. When the source's
-        /// retained log suffix covers `(have_seq, applied_seq]` (and the request is
-        /// not a restart), it replays ops as [`Message::DirResyncDelta`] instead of
-        /// shipping state at all.
-        have_seq: u64,
         /// The requester's membership digest (`(node, incarnation, alive)` per
         /// cluster node), carried on restart requests so the resync source can
         /// teach the requester deaths it slept through: the source merges the
@@ -543,10 +534,10 @@ pub enum Message {
         /// `snapshot_chunk_bytes` unless a single entry alone exceeds the bound.
         state: ShardSnapshot,
     },
-    /// Primary → gap-detected replica: a replay of the retained op-log suffix
-    /// `(have_seq, applied_seq]` instead of a state transfer — the cheap resync
-    /// path when the gap is bridgeable. Split across multiple frames when larger
-    /// than the chunk bound; the last one is flagged `done`.
+    /// Retired: a replay of a source's retained op log, once sent instead of a chunk
+    /// stream to a replica whose gap that log covered. Nothing sends it any more and
+    /// a receiver drops it; the tag stays on the wire format until a protocol version
+    /// can retire it.
     DirResyncDelta {
         /// Shard index.
         shard: u64,
@@ -741,9 +732,6 @@ impl Message {
             Message::PingReq { gossip, .. } => CONTROL + 13 * gossip.len() as u64,
             Message::DirSnapshot { state, .. } => CONTROL + state.wire_size(),
             Message::DirSnapshotChunk { state, .. } => CONTROL + state.wire_size(),
-            Message::DirResyncDelta { ops, .. } => {
-                CONTROL + ops.iter().map(|(_, op)| op.wire_size()).sum::<u64>()
-            }
             _ => CONTROL,
         }
     }
@@ -954,8 +942,6 @@ mod tests {
                 requester: a,
                 restart: true,
                 after: None,
-                have_epoch: 0,
-                have_seq: 0,
                 digest: vec![(a, 1, true)],
             },
             Message::DirSnapshot { shard: 0, epoch: 1, seq: 2, rank: 0, state: state.clone() },

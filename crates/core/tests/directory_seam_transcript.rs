@@ -18,7 +18,7 @@ const TRANSCRIPT: Transcript = Transcript {
     diverged: include_str!("directory_seam_transcript.diverged"),
     key_fields: 1,
     vocabulary: "setup msg drop lost failed recovered put-inline put get delete timer kill \
-        restart tag23-convert tag23-inject out-of-range idle DirResyncDelta DirSnapshotChunk \
+        restart tag23-convert tag23-inject out-of-range idle DirSnapshotChunk \
         DirSnapshot DirSnapshotRequest DirReplicate DirAck DirResynced forwarded",
     admits: support::any_divergence,
 };
@@ -31,7 +31,6 @@ fn config() -> HopliteConfig {
     HopliteConfig {
         directory_replication: 3,
         snapshot_chunk_bytes: 256,
-        directory_log_retention: 4,
         directory_inline_cache_bytes: 256,
         ..HopliteConfig::small_for_tests()
     }
@@ -314,8 +313,6 @@ impl Episode {
                 requester: from,
                 restart: self.rng.one_in(2),
                 after: None,
-                have_epoch: 0,
-                have_seq: 0,
                 digest: Vec::new(),
             },
         };

@@ -34,15 +34,7 @@ fn snapshot_request(
     restart: bool,
     digest: Vec<MemberDigestEntry>,
 ) -> Message {
-    Message::DirSnapshotRequest {
-        shard,
-        requester,
-        restart,
-        after: None,
-        have_epoch: 0,
-        have_seq: 0,
-        digest,
-    }
+    Message::DirSnapshotRequest { shard, requester, restart, after: None, digest }
 }
 
 /// One episode: a node, its clock, the timers it armed and the last probe it sent.

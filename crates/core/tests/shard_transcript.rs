@@ -197,7 +197,7 @@ impl Episode {
                         break;
                     }
                 }
-                self.shard.clear();
+                self.shard = self.shard.empty_like();
                 for chunk in &chunks {
                     self.shard.install_entries(chunk);
                 }

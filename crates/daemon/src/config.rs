@@ -11,8 +11,8 @@ use hoplite_core::prelude::*;
 /// [`HopliteConfig::default`]. Supported keys:
 ///
 /// `block_size`, `inline_threshold`, `store_capacity`, `snapshot_chunk_bytes`,
-/// `directory_inline_cache_bytes`, `directory_log_retention`,
-/// `directory_replication`. `block_size` must be positive.
+/// `directory_inline_cache_bytes`, `directory_replication`. `block_size` must be
+/// positive.
 ///
 /// The SWIM failure detector is off unless `detector = true`; with it on, the knobs
 /// `detector_probe_period_ms`, `detector_ack_timeout_ms`,
@@ -47,7 +47,6 @@ pub fn parse(text: &str) -> std::result::Result<HopliteConfig, String> {
             "store_capacity" => cfg.store_capacity = int()?,
             "snapshot_chunk_bytes" => cfg.snapshot_chunk_bytes = int()?,
             "directory_inline_cache_bytes" => cfg.directory_inline_cache_bytes = int()?,
-            "directory_log_retention" => cfg.directory_log_retention = int()? as usize,
             "directory_replication" => cfg.directory_replication = int()? as usize,
             "detector" => {
                 if boolean()? {
@@ -121,6 +120,8 @@ mod tests {
             let err = parse(retired).unwrap_err();
             assert!(err.contains("unknown config key"), "{err}");
         }
+        let err = parse("block_size = 1024\ndirectory_log_retention = 4\n").unwrap_err();
+        assert_eq!(err, "line 2: unknown config key `directory_log_retention`");
     }
 
     /// A zero block size would make the first sender loop on zero-length sends and a

@@ -608,7 +608,7 @@ wire_enum!(Message as "frame tag", min 1, marks by payload_aliases_slab, {
     19 => DirReplicate { shard, epoch, seq, op },
     20 => ReduceRelease { target },
     21 => DirAck { shard, epoch, seq },
-    22 => DirSnapshotRequest { shard, requester, restart, after, have_epoch, have_seq, digest },
+    22 => DirSnapshotRequest { shard, requester, restart, after, digest },
     23 => DirSnapshot { shard, epoch, seq, rank, state },
     24 => DirResynced { node, incarnation },
     25 => DirConfirm { object, kind },
@@ -1151,8 +1151,6 @@ pub(crate) mod tests {
             requester: NodeId(4),
             restart: true,
             after: None,
-            have_epoch: 2,
-            have_seq: 41,
             digest: vec![(NodeId(0), 1, true), (NodeId(2), 2, false)],
         });
         roundtrip(Message::DirSnapshotRequest {
@@ -1160,8 +1158,6 @@ pub(crate) mod tests {
             requester: NodeId(5),
             restart: false,
             after: Some(obj),
-            have_epoch: 0,
-            have_seq: 0,
             digest: vec![],
         });
         roundtrip(Message::DirResynced { node: NodeId(9), incarnation: 1 });
@@ -1535,8 +1531,6 @@ pub(crate) mod tests {
                     requester: self.node(),
                     restart: self.range(0, 2) == 1,
                     after: (self.range(0, 2) == 1).then(|| self.object()),
-                    have_epoch: self.next_u64(),
-                    have_seq: self.next_u64(),
                     digest: self.digest(),
                 },
                 22 => Message::DirSnapshot {
@@ -1615,7 +1609,7 @@ pub(crate) mod tests {
     /// split into `DirSnapshotChunk` frames at *arbitrary* boundaries — empty chunks,
     /// single-entry chunks, everything in one chunk — round-trips each frame and
     /// reassembles to exactly the original entries, regardless of where the cuts
-    /// fall. Same for a replication-log suffix split across `DirResyncDelta` frames.
+    /// fall.
     #[test]
     fn fuzz_chunk_boundary_splits_reassemble_exactly() {
         let mut rng = Rng(0xC4_0B0B);
@@ -1652,32 +1646,6 @@ pub(crate) mod tests {
                 reassembled.extend(state.entries);
             }
             assert_eq!(reassembled, entries, "case {case}: splits must reassemble");
-
-            // Delta frames: a log suffix cut at a random boundary per frame.
-            let ops: Vec<(u64, hoplite_core::DirOp)> =
-                (0..rng.range(0, 12)).map(|seq| (seq, rng.dir_op())).collect();
-            let mut replayed = Vec::new();
-            let mut at = 0usize;
-            while at < ops.len() || replayed.is_empty() {
-                let cut = at + rng.range(0, (ops.len() - at) as u64 + 1) as usize;
-                let msg = Message::DirResyncDelta {
-                    shard: rng.next_u64(),
-                    epoch: rng.next_u64(),
-                    ops: ops[at..cut].to_vec(),
-                    done: cut == ops.len(),
-                };
-                let decoded = decode_body(&Bytes::from(body(&msg))).unwrap();
-                assert_eq!(decoded, msg, "case {case}: delta roundtrip");
-                let Message::DirResyncDelta { ops: frame_ops, done, .. } = decoded else {
-                    unreachable!()
-                };
-                replayed.extend(frame_ops);
-                at = cut;
-                if done {
-                    break;
-                }
-            }
-            assert_eq!(replayed, ops, "case {case}: delta splits must reassemble");
         }
     }
 

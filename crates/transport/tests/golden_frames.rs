@@ -315,8 +315,6 @@ fn golden_messages() -> Vec<(String, Message)> {
             requester: NodeId(4),
             restart: true,
             after: None,
-            have_epoch: 2,
-            have_seq: 41,
             digest: vec![(NodeId(0), 1, true), (NodeId(2), 2, false)],
         },
     );
@@ -327,8 +325,6 @@ fn golden_messages() -> Vec<(String, Message)> {
             requester: NodeId(5),
             restart: false,
             after: Some(obj("cursor")),
-            have_epoch: 0,
-            have_seq: 0,
             digest: vec![],
         },
     );
