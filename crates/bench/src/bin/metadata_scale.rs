@@ -1,12 +1,15 @@
 //! Metadata-plane scale drill: register `METADATA_SCALE_OBJECTS` objects (default
 //! 1M) through a replicated two-node directory, then kill and restart the backup and
-//! replay the entire chunked resync stream with live registrations interleaved.
+//! replay the entire chunked resync stream with live registrations interleaved. The
+//! source ships the restarted node every live op from its stream's first chunk on,
+//! and the drill routes those shipments; `replayed=` counts the live ops that landed
+//! behind a stream's served cursor, which its last chunk must replay.
 //!
 //! Asserts, exiting nonzero on violation:
 //! - every resync frame respects the configured chunk budget (single oversized
 //!   entries excepted — none occur here);
-//! - the restarted replica converges: sampled pre-kill records, every interleaved
-//!   live record, and the full entry count are present;
+//! - the restarted replica converges: each of its shards equals the source's, entry
+//!   for entry, compared one chunk budget at a time;
 //! - peak RSS (`VmHWM`) stays under `METADATA_SCALE_RSS_MB` (default 4096).
 //!
 //! CI runs this as the `metadata-scale` smoke step; BENCH_NOTES snapshots the
@@ -77,8 +80,8 @@ fn main() {
     let mut metrics = [NodeMetrics::default(), NodeMetrics::default()];
 
     // Phase 1 — populate: register `objects` objects at their shard primaries,
-    // replicating and acking each op so the logs stay trimmed to the retention ring
-    // (bounded memory is part of what this drill measures).
+    // replicating and acking each op so the primaries' logs stay empty (bounded memory
+    // is part of what this drill measures).
     let ids: Vec<ObjectId> =
         (0..objects as u64).map(|i| ObjectId::from_name(&format!("scale-{i}"))).collect();
     let populate_start = Instant::now();
@@ -102,6 +105,8 @@ fn main() {
     // Phase 2 — kill the backup node and restart it as a fresh process; it must
     // catch up through the cursor-driven chunk stream while live registrations keep
     // landing at the surviving node (which serves both roles without pausing).
+    // `served` is, per shard, the last object id the source has served so far, while
+    // that shard's stream is open.
     svcs[0].on_peer_failed(NodeId(1), &mut out);
     out.clear();
     svcs[1] = DirectoryService::new(NodeId(1), &cfg, &nodes);
@@ -113,6 +118,8 @@ fn main() {
     let mut max_frame = 0u64;
     let mut oversized = 0u64;
     let mut live: Vec<ObjectId> = Vec::new();
+    let mut served: Vec<Option<Option<ObjectId>>> = vec![Some(None); nodes.len()];
+    let mut replayed = 0u64;
     while let Some((from, to, msg)) = queue.pop_front() {
         if let Message::DirSnapshotChunk { ref state, .. } = msg {
             chunks_routed += 1;
@@ -126,12 +133,21 @@ fn main() {
             if chunks_routed.is_multiple_of(8) {
                 let o = ObjectId::from_name(&format!("scale-live-{chunks_routed}"));
                 live.push(o);
-                // No live backup: nothing to route, the op stays local until the
-                // stream (or the post-resync readmission re-ship) carries it over.
-                deliver(&mut svcs, &mut metrics, NodeId(0), NodeId(0), register(o));
+                let shard = svcs[0].placement().shard_of(o);
+                replayed += u64::from(served[shard].flatten().is_some_and(|last| o <= last));
+                queue.extend(deliver(&mut svcs, &mut metrics, NodeId(0), NodeId(0), register(o)));
             }
         }
         let next = deliver(&mut svcs, &mut metrics, from, to, msg);
+        for (_, _, msg) in &next {
+            if let Message::DirSnapshotChunk { shard, done, ref state, .. } = *msg {
+                let stream = &mut served[shard as usize];
+                *stream = match (done, *stream) {
+                    (false, Some(last)) => Some(last.max(state.entries.last().map(|e| e.object))),
+                    _ => None,
+                };
+            }
+        }
         queue.extend(next);
     }
     assert!(!svcs[1].is_resyncing(), "resync stream completed");
@@ -141,31 +157,27 @@ fn main() {
     let resync_rate = (objects + live.len()) as f64 / resync_s;
     println!(
         "metadata_scale: resync chunks={chunks_sent} bytes={chunk_bytes} \
-         max_frame={max_frame} budget={budget} \
+         max_frame={max_frame} budget={budget} replayed={replayed} \
          time={resync_s:.2}s rate={resync_rate:.0} entries/s"
     );
 
-    // Phase 3 — readmit the caught-up replica and re-ship whatever landed after its
-    // streams closed, then verify convergence. (The restarted node readmitted itself
-    // when its last stream completed.)
-    svcs[0].on_peer_recovered(NodeId(1));
-    let mut q0 = Vec::new();
-    svcs[0].on_peer_readmitted(NodeId(1), &mut q0);
-    queue.extend(q0.into_iter().map(|(to, m)| (NodeId(0), to, m)));
-    while let Some((from, to, msg)) = queue.pop_front() {
-        let next = deliver(&mut svcs, &mut metrics, from, to, msg);
-        queue.extend(next);
-    }
-
+    // Phase 3 — the restarted replica's shards must equal the source's, entry for
+    // entry. (It readmitted itself when its last stream completed.)
     let mut failures = 0u64;
-    // Sampled pre-kill records plus every interleaved live record must be present
-    // at the restarted replica.
-    let sample_stride = (objects / 1024).max(1);
-    for &o in ids.iter().step_by(sample_stride).chain(live.iter()) {
-        let present = svcs[1].locations(o).map(|l| !l.is_empty()).unwrap_or(false);
-        if !present {
-            eprintln!("metadata_scale: FAIL record {o:?} missing at restarted replica");
-            failures += 1;
+    for shard in 0..nodes.len() {
+        let [source, restarted] = [0, 1].map(|i| svcs[i].replica(shard).expect("hosted").shard());
+        let mut after = None;
+        loop {
+            let chunk = source.snapshot_range(after, budget);
+            if restarted.snapshot_range(after, budget) != chunk {
+                eprintln!("metadata_scale: FAIL shard {shard} differs after {after:?}");
+                failures += 1;
+                break;
+            }
+            after = chunk.0.last().map(|e| e.object);
+            if chunk.1 {
+                break;
+            }
         }
     }
     if oversized > 0 {
@@ -186,7 +198,8 @@ fn main() {
     if failures > 0 {
         std::process::exit(1);
     }
-    println!("metadata_scale: OK ({} live ops interleaved, {} records sampled)", live.len(), {
-        ids.len().div_ceil(sample_stride)
-    });
+    println!(
+        "metadata_scale: OK ({} live ops interleaved, {replayed} replayed, shards equal)",
+        live.len()
+    );
 }

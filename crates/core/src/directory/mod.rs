@@ -8,7 +8,7 @@
 //! | Layer | Module | Responsibility |
 //! |---|---|---|
 //! | shard | [`shard`] | One shard as a pure, deterministic state machine (leases, pull-edge cycle avoidance, parked queries, inline cache), plus bounded, cursor-resumable state slices for transfer |
-//! | replication | [`replication`] | Primary/backup replicas of a shard: sequenced op-log shipping with cumulative acks, origin confirms once an entry is acked by every live backup, epoch-stamped promotion, one log per replica (the acked ops re-shipped to a re-admitted peer, then the unacked suffix), and one record of an in-flight resync and one sink for its chunk stream, for replicas with gaps |
+//! | replication | [`replication`] | Primary/backup replicas of a shard: sequenced op-log shipping with cumulative acks, origin confirms once an entry is acked by every live backup, epoch-stamped promotion, a log that is only the primary's unacked suffix, and one record of an in-flight resync, one sink for its chunk stream and one catch-up rule closing it, for replicas with gaps |
 //! | placement | [`placement`] | The static object → shard → replica-set map, and the epoch-versioned leadership view over it (per-shard rank cursor + failover epochs) — **one per node** |
 //! | service | [`service`] | Owns the node's view and replicas: op routing (apply as primary / forward), star log shipping to every live backup, chunked resync serving, promotion when a primary dies; every liveness transition is applied here, once, and returns the shards to re-drive |
 //! | client | [`client`] | The journal of this node's durable intent (registrations, subscriptions, their confirmation state): builds each op's message and selects the genuinely-unacked window to re-drive for the shards the service reports changed |

@@ -7,24 +7,26 @@
 //!
 //! * the **primary** applies every client op, emits the replies, stamps the op with a
 //!   contiguous per-shard **sequence number**, and log-ships it to its backups;
-//! * every replica keeps **one log**, a deque of `(seq, op, confirm)` split by a
-//!   durable watermark. Entries past it are the primary's *unacked suffix*; once every
-//!   tracked backup has cumulatively acked a sequence number the watermark moves past
-//!   it and the contained ops are **confirmed** back to their origins — which is what
-//!   makes the replication guarantee independent of client re-drive. Entries before
-//!   it are the acked ops, of which the newest `LOG_RETENTION` are kept to re-ship
-//!   to a re-admitted peer; a backup's replayed ops join them as they apply;
+//! * the primary keeps **one log**, its *unacked suffix*: a deque of `(seq, op)`. Once
+//!   every tracked backup has cumulatively acked a sequence number the entries up to it
+//!   leave the log and the contained ops are **confirmed** back to their origins —
+//!   which is what makes the replication guarantee independent of client re-drive. A
+//!   backup keeps no log;
 //! * a **backup** replays shipped ops in sequence order against its mirror shard with
 //!   replies suppressed, acking the contiguously-applied prefix. A gap in the sequence
-//!   (ops lost while the replica was down or deposed) cannot be bridged from the log
+//!   (ops lost while the replica was down or deposed) cannot be bridged from shipments
 //!   alone: the replica asks the current primary for a **resync**, and holds one
-//!   record of it while it is in flight ([`Resync`]: the source asked and the chunk
-//!   stream's cursor — the only copy of either). Every bounded state chunk the source
-//!   answers with goes through [`ShardReplica::apply_resync`], which says whether to
-//!   drop it, pull the next one, or ack. Chunks build a staged shard beside the
-//!   replica's own, which keeps its applied prefix until the last chunk swaps the
-//!   staged one in; the replica then replays whatever shipped ops it buffered past the
-//!   stream's consistency point and re-enters the replica set;
+//!   record of it while it is in flight ([`Resync`]: the source asked, and how far the
+//!   chunk stream got). Every bounded state chunk the source answers with goes through
+//!   [`ShardReplica::apply_resync`], which says whether to drop it, pull the next one,
+//!   or ack. Chunks build a staged shard beside the replica's own, which keeps its
+//!   applied prefix until the last chunk swaps the staged one in;
+//! * **one catch-up rule** closes a stream. The source ships the requester every op
+//!   from the first chunk it serves, and each chunk is consistent at the `seq` it
+//!   carries. So the last chunk replays each buffered op onto the staged entries whose
+//!   chunk was served before that op, and then whatever was buffered past its own
+//!   `seq`. A shipment missing from the stream's window, or a chunk from another
+//!   primacy, starts the stream over from its first chunk;
 //! * on promotion the new primary bumps its **epoch**; replicated ops stamped with a
 //!   lower epoch (stragglers from a deposed primary) are rejected, and any buffered
 //!   out-of-order suffix beyond the contiguously-applied prefix is discarded —
@@ -40,11 +42,6 @@ use crate::object::{NodeId, ObjectId, ObjectStatus};
 use crate::protocol::{DirOp, Message, SnapshotEntry};
 
 use super::shard::DirectoryShard;
-
-/// How many acked ops a replica keeps behind its durable watermark: the suffix a
-/// primary re-ships to a peer on its re-admission, covering the ops applied after that
-/// peer's last chunk and before its `DirResynced`.
-const LOG_RETENTION: usize = 1024;
 
 /// The role a replica currently plays for its shard.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -78,8 +75,9 @@ pub enum ReplayOutcome {
 pub struct Resync {
     /// The node the last request went to (re-targeted if it dies).
     pub source: NodeId,
-    /// While a chunk stream is installing: the highest object id installed so far. A
-    /// re-targeted request resumes from here instead of restarting the stream.
+    /// While a chunk stream is installing: the highest object id installed so far,
+    /// from which the next pull continues. `None` until the first chunk, and again
+    /// when the stream starts over.
     pub cursor: Option<ObjectId>,
 }
 
@@ -100,20 +98,23 @@ pub struct ResyncFrame<'a> {
 pub enum ResyncStep {
     /// No resync in flight, or a deposed source's older epoch: discarded untouched.
     Stale,
-    /// Installed mid-stream: pull the next frame.
+    /// Pull the next frame from the stream's cursor: mid-stream, or from the first
+    /// chunk when the stream starts over.
     Continue,
     /// The stream is complete: ack this sequence number. The replica is a backup again.
     Done(u64),
 }
 
-/// One log entry: the op at a sequence number, and whether this replica applied it as
-/// primary — then its origin is sent the op's [`Message::DirConfirm`] once every
-/// tracked backup has acked past it.
-#[derive(Clone, Debug)]
-struct LogEntry {
-    seq: u64,
-    op: DirOp,
-    confirm: bool,
+/// What the chunk stream in flight has installed so far.
+#[derive(Debug)]
+struct Staged {
+    /// The epoch its chunks were served at: a chunk from another starts it over.
+    epoch: u64,
+    /// The first chunk's `seq`: every op past it is shipped to this replica.
+    first_seq: u64,
+    /// Each installed chunk's last object id and its `seq`, in stream order.
+    chunks: Vec<(ObjectId, u64)>,
+    shard: DirectoryShard,
 }
 
 /// One replica of one directory shard: the shard state machine plus its replication
@@ -126,24 +127,21 @@ pub struct ShardReplica {
     /// Highest contiguously-applied log sequence number (the acked prefix boundary on
     /// a backup; `next assigned - 1` on the primary).
     applied_seq: u64,
-    /// The log, in sequence order: the acked entries (the newest [`LOG_RETENTION`] of
-    /// them, re-shipped to a re-admitted peer — a promoted backup re-ships them too),
-    /// then the primary's unacked suffix.
-    log: VecDeque<LogEntry>,
-    /// The durable watermark, as a position: the first `acked` entries of `log` are
-    /// acked by every tracked backup.
-    acked: usize,
+    /// The primary's unacked suffix, in sequence order. A backup's is empty: its only
+    /// ways in, [`ShardReplica::begin_resync`] and a completed stream, both clear it,
+    /// and a replayed op is not logged.
+    log: VecDeque<(u64, DirOp)>,
     /// Primary: cumulative ack per tracked backup. A tracked backup with no ack yet
     /// holds the watermark at 0, which keeps confirms conservative during a backup's
     /// catch-up.
     acks: BTreeMap<NodeId, u64>,
     /// Backup: out-of-order shipments buffered while a resync is in flight.
     pending: BTreeMap<u64, (u64, DirOp)>,
-    /// The resync in flight, if any.
-    resync: Option<Resync>,
-    /// The state the resync in flight has installed so far. `shard` keeps the applied
+    /// The source of the resync in flight, if any.
+    resync: Option<NodeId>,
+    /// What the resync in flight has installed so far. `shard` keeps the applied
     /// prefix — what a promotion mid-stream builds on — until the last chunk.
-    staged: Option<DirectoryShard>,
+    staged: Option<Staged>,
 }
 
 impl ShardReplica {
@@ -155,7 +153,6 @@ impl ShardReplica {
             epoch: 0,
             applied_seq: 0,
             log: VecDeque::new(),
-            acked: 0,
             acks: BTreeMap::new(),
             pending: BTreeMap::new(),
             resync: None,
@@ -180,12 +177,13 @@ impl ShardReplica {
 
     /// Number of log entries not yet acked by every tracked backup.
     pub fn unacked_len(&self) -> usize {
-        self.log.len() - self.acked
+        self.log.len()
     }
 
     /// The resync in flight, if any.
     pub fn resync(&self) -> Option<Resync> {
-        self.resync
+        let cursor = self.staged.as_ref().and_then(|s| s.chunks.last()).map(|&(last, _)| last);
+        self.resync.map(|source| Resync { source, cursor })
     }
 
     /// Read-only view of the underlying shard (introspection and tests).
@@ -193,45 +191,37 @@ impl ShardReplica {
         &self.shard
     }
 
-    /// Drop the unacked suffix and the acks gating it: only the acked prefix survives
-    /// a change of primacy.
-    fn drop_unacked(&mut self) {
-        self.log.truncate(self.acked);
-        self.acks.clear();
-    }
-
     /// Promote this replica to primary at `epoch` (the caller derives it from the
     /// shard's failover-epoch counter, which every node advances on the same
     /// failure/re-admission events — so it is strictly greater than anything a deposed
     /// predecessor shipped at). Never lowers an epoch already learned from the
-    /// replication stream. Promotion builds only on the contiguously-applied (acked)
-    /// prefix: any buffered out-of-order suffix and any resync in flight, with the
-    /// state it staged, are discarded, and sequence numbering continues from the
-    /// applied prefix.
+    /// replication stream. Promotion builds only on the contiguously-applied prefix: any
+    /// buffered out-of-order suffix and any resync in flight, with the state it staged,
+    /// are discarded, and sequence numbering continues from the applied prefix.
     pub fn promote_to(&mut self, epoch: u64) {
         if self.role == ReplicaRole::Backup {
             self.abort_resync();
-            self.drop_unacked();
         }
         self.role = ReplicaRole::Primary;
         self.epoch = self.epoch.max(epoch);
     }
 
-    /// Enter a resync from `source`, or re-target the one in flight at it: this
-    /// replica's state is behind the log in a way catch-up cannot bridge. It demotes
-    /// to backup and buffers shipments until the resync completes. Returns the chunk
-    /// stream's cursor, from which the request resumes.
+    /// Enter a resync from `source`, or pull the next chunk of the one in flight from
+    /// it: this replica's state is behind the log in a way shipments cannot bridge. It
+    /// demotes to backup, dropping any unacked suffix and the acks gating it, and
+    /// buffers shipments until the resync completes. Returns the chunk stream's cursor,
+    /// from which the request continues.
     pub fn begin_resync(&mut self, source: NodeId) -> Option<ObjectId> {
         self.role = ReplicaRole::Backup;
-        self.drop_unacked();
-        let cursor = self.resync.and_then(|r| r.cursor);
-        self.resync = Some(Resync { source, cursor });
-        cursor
+        self.log.clear();
+        self.acks.clear();
+        self.resync = Some(source);
+        self.resync().and_then(|r| r.cursor)
     }
 
-    /// Abandon an in-flight resync with no surviving source (the whole replica set
-    /// died): the replica stays a backup over its applied prefix, and the state the
-    /// stream staged is dropped.
+    /// Abandon an in-flight resync: its source died, so the stream starts over at the
+    /// next one, or the whole replica set died. The replica stays a backup over its
+    /// applied prefix, and the state the stream staged is dropped.
     pub fn abort_resync(&mut self) {
         self.resync = None;
         self.staged = None;
@@ -267,7 +257,7 @@ impl ShardReplica {
         debug_assert_eq!(self.role, ReplicaRole::Primary, "client ops apply on the primary");
         apply_op(&mut self.shard, op, out);
         self.applied_seq += 1;
-        self.log.push_back(LogEntry { seq: self.applied_seq, op: op.clone(), confirm: true });
+        self.log.push_back((self.applied_seq, op.clone()));
         self.applied_seq
     }
 
@@ -293,28 +283,19 @@ impl ShardReplica {
         self.acks.values().copied().min().unwrap_or(self.applied_seq)
     }
 
-    /// Move the durable watermark up to what every tracked backup has acked and return
-    /// the confirms it passed. The service calls this directly when a lone replica (no
-    /// tracked backups) applies an op, which is durable immediately.
+    /// Drop the log entries every tracked backup has acked and return their confirms.
+    /// The service calls this directly when a lone replica (no tracked backups) applies
+    /// an op, which is durable immediately.
     pub fn take_durable_confirms(&mut self) -> Vec<(NodeId, Message)> {
         let through = self.min_acked();
         let mut confirms = Vec::new();
-        while let Some(entry) = self.log.get(self.acked).filter(|e| e.seq <= through) {
-            if let Some((to, kind)) = entry.op.confirm_target().filter(|_| entry.confirm) {
-                confirms.push((to, Message::DirConfirm { object: entry.op.object(), kind }));
+        while self.log.front().is_some_and(|(seq, _)| *seq <= through) {
+            let (_, op) = self.log.pop_front().expect("the front entry was just checked");
+            if let Some((to, kind)) = op.confirm_target() {
+                confirms.push((to, Message::DirConfirm { object: op.object(), kind }));
             }
-            self.acked += 1;
         }
-        self.trim_acked();
         confirms
-    }
-
-    /// Keep only the newest [`LOG_RETENTION`] acked entries.
-    fn trim_acked(&mut self) {
-        while self.acked > LOG_RETENTION {
-            self.log.pop_front();
-            self.acked -= 1;
-        }
     }
 
     /// Replay an op shipped by the shard's primary. See [`ReplayOutcome`] for what the
@@ -342,7 +323,7 @@ impl ShardReplica {
             return ReplayOutcome::Acked(self.applied_seq);
         }
         // A gap (same epoch: shipments lost while this node was isolated; higher
-        // epoch: a promoted primary whose prefix diverges from ours). The log cannot
+        // epoch: a promoted primary whose prefix diverges from ours). Shipments cannot
         // bridge it; buffer the op and ask for a resync.
         self.pending.insert(seq, (epoch, op.clone()));
         ReplayOutcome::NeedsResync
@@ -352,27 +333,42 @@ impl ShardReplica {
     /// this replica's (a deposed source's straggler), or with no resync in flight, is
     /// [`ResyncStep::Stale`] and changes nothing.
     ///
-    /// Chunks install into a staged shard and advance the cursor; the replica's own
-    /// shard, log and applied prefix stay as they are until the last chunk (`done`),
-    /// which replaces them wholesale — a deposed primary's unacked suffix included,
-    /// since the re-baselined sequence numbering invalidates it. The stream's state is
-    /// consistent at its `seq`, so buffered shipments at or below it are already
-    /// included; later ones replay on top.
+    /// Chunks install into a staged shard; the replica's own shard, log and applied
+    /// prefix stay as they are until the last chunk (`done`) replays what the chunks
+    /// missed ([`ShardReplica::replay_missed`]) and replaces them wholesale — a deposed
+    /// primary's unacked suffix included, since the re-baselined sequence numbering
+    /// invalidates it. Shipments buffered past the last chunk's `seq` replay on top. A
+    /// chunk from a newer epoch than the staged ones starts the stream over: seqs of
+    /// two primacies do not compare, and a deposed primary's chunks may hold its
+    /// unacked suffix.
     pub fn apply_resync(&mut self, epoch: u64, frame: &ResyncFrame<'_>, done: bool) -> ResyncStep {
-        let Some(resync) = self.resync.as_mut() else { return ResyncStep::Stale };
-        if epoch < self.epoch {
+        if self.resync.is_none() || epoch < self.epoch {
             return ResyncStep::Stale;
         }
         self.epoch = epoch;
-        let staged = self.staged.get_or_insert_with(|| self.shard.empty_like());
-        staged.install_entries(frame.entries);
-        resync.cursor = resync.cursor.max(frame.entries.last().map(|e| e.object));
+        if self.staged.as_ref().is_some_and(|s| s.epoch != epoch) {
+            self.staged = None;
+            return ResyncStep::Continue;
+        }
+        let staged = self.staged.get_or_insert_with(|| Staged {
+            epoch,
+            first_seq: frame.seq,
+            chunks: Vec::new(),
+            shard: self.shard.empty_like(),
+        });
+        staged.shard.install_entries(frame.entries);
+        if let Some(last) = frame.entries.last() {
+            staged.chunks.push((last.object, frame.seq));
+        }
         if !done {
             return ResyncStep::Continue;
         }
-        self.shard = self.staged.take().expect("a chunk was just staged");
+        let staged = self.staged.take().expect("a chunk was just staged");
+        let Some(shard) = self.replay_missed(staged, frame.seq) else {
+            return ResyncStep::Continue;
+        };
+        self.shard = shard;
         self.log.clear();
-        self.acked = 0;
         self.applied_seq = frame.seq;
         self.role = ReplicaRole::Backup;
         self.resync = None;
@@ -380,24 +376,31 @@ impl ShardReplica {
         ResyncStep::Done(self.applied_seq)
     }
 
-    /// Every logged op, in sequence order: the retained acked entries, then the
-    /// unacked suffix — what a primary re-ships to a re-admitted peer.
-    pub fn logged_ops(&self) -> Vec<(u64, DirOp)> {
-        self.log.iter().map(|e| (e.seq, e.op.clone())).collect()
+    /// The catch-up rule: the staged shard with every op its chunks missed applied, or
+    /// `None` when a shipment the stream needs never arrived. Every op in the window
+    /// `(first chunk's seq, last chunk's seq]` must be buffered at the stream's epoch;
+    /// each applies iff its seq is above the `seq` of the chunk that covered its object
+    /// (an object past the last chunk's last entry counts as covered by the last chunk).
+    fn replay_missed(&self, staged: Staged, last_seq: u64) -> Option<DirectoryShard> {
+        let Staged { epoch, first_seq, chunks, mut shard } = staged;
+        let window = (first_seq..last_seq).map(|seq| seq + 1);
+        if !window.clone().all(|seq| self.pending.get(&seq).is_some_and(|(e, _)| *e == epoch)) {
+            return None;
+        }
+        for seq in window {
+            let (_, op) = &self.pending[&seq];
+            let covering = chunks.partition_point(|&(last, _)| last < op.object());
+            if seq > chunks.get(covering).map_or(last_seq, |&(_, chunk_seq)| chunk_seq) {
+                apply_op(&mut shard, op, &mut Vec::new());
+            }
+        }
+        Some(shard)
     }
 
-    /// Apply a replayed op. It joins the acked entries, since a backup acks what it
-    /// applies — unless this replica still holds an unacked suffix of its own, which
-    /// it queues behind.
+    /// Apply a replayed op. A backup logs nothing: it acks what it applies.
     fn apply_in_order(&mut self, op: &DirOp) {
         apply_op(&mut self.shard, op, &mut Vec::new());
         self.applied_seq += 1;
-        let acked = self.unacked_len() == 0;
-        self.log.push_back(LogEntry { seq: self.applied_seq, op: op.clone(), confirm: false });
-        if acked {
-            self.acked += 1;
-            self.trim_acked();
-        }
     }
 
     fn drain_pending(&mut self) {
@@ -418,7 +421,8 @@ impl ShardReplica {
     /// they reconverge within two ticks. Returns how many leases were reclaimed.
     pub fn expire_stale_leases(&mut self, out: &mut Vec<(NodeId, Message)>) -> u64 {
         let mut suppressed = Vec::new();
-        let staged = self.staged.as_mut().map_or(0, |s| s.expire_stale_leases(&mut suppressed));
+        let staged =
+            self.staged.as_mut().map_or(0, |s| s.shard.expire_stale_leases(&mut suppressed));
         let out = if self.role == ReplicaRole::Primary { out } else { &mut suppressed };
         staged + self.shard.expire_stale_leases(out)
     }
@@ -427,13 +431,13 @@ impl ShardReplica {
     /// (drives lazy re-arming of the expiry timer; may over-approximate).
     pub fn has_lease_candidates(&self) -> bool {
         self.shard.has_lease_candidates()
-            || self.staged.as_ref().is_some_and(DirectoryShard::has_lease_candidates)
+            || self.staged.as_ref().is_some_and(|s| s.shard.has_lease_candidates())
     }
 
     /// Drain the shard's (and a staged one's) count of inline payloads evicted by the
     /// cache budget.
     pub fn take_inline_evictions(&mut self) -> u64 {
-        let staged = self.staged.as_mut().map_or(0, DirectoryShard::take_inline_evictions);
+        let staged = self.staged.as_mut().map_or(0, |s| s.shard.take_inline_evictions());
         staged + self.shard.take_inline_evictions()
     }
 
@@ -444,7 +448,7 @@ impl ShardReplica {
     pub fn node_failed(&mut self, node: NodeId) {
         self.shard.node_failed(node);
         if let Some(staged) = self.staged.as_mut() {
-            staged.node_failed(node);
+            staged.shard.node_failed(node);
         }
     }
 
@@ -803,41 +807,67 @@ mod tests {
     }
 
     #[test]
-    fn the_log_keeps_the_newest_acked_ops_and_the_unacked_suffix() {
-        let (mut primary, mut behind) = pair();
-        let mut at_edge = ShardReplica::new(
-            DirectoryShard::new(0, HopliteConfig::small_for_tests()),
-            ReplicaRole::Backup,
-        );
+    fn a_primary_logs_only_its_unacked_suffix_and_a_backup_logs_nothing() {
+        let (mut primary, mut backup) = pair();
         primary.set_tracked_backups(&[NodeId(1)]);
-        let acked = LOG_RETENTION as u64 + 10;
-        let ops: Vec<DirOp> = (0..acked + 3).map(|i| register(&format!("o{i}"), 1)).collect();
         let mut out = Vec::new();
-        for (i, op) in ops.iter().enumerate() {
-            let seq = primary.apply_primary(op, &mut out);
-            if (i as u64) < acked {
+        for i in 0..5u32 {
+            let op = register(&format!("o{i}"), 1);
+            let seq = primary.apply_primary(&op, &mut out);
+            assert_eq!(backup.apply_replicated(0, seq, &op), ReplayOutcome::Acked(seq));
+            if i < 3 {
                 primary.record_ack(NodeId(1), seq);
             }
         }
-        // The newest LOG_RETENTION acked ops, then the three unacked ones.
-        let first = acked - LOG_RETENTION as u64 + 1;
-        let logged = primary.logged_ops();
-        assert_eq!(
-            logged.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
-            (first..=acked + 3).collect::<Vec<_>>()
-        );
-        assert_eq!(primary.unacked_len(), 3);
-        // Re-shipped, the log catches up a peer at the window's edge; a peer behind it
-        // sees a gap at the first op and needs a resync.
-        for (i, op) in ops.iter().enumerate().take(first as usize - 1) {
-            at_edge.apply_replicated(0, i as u64 + 1, op);
+        assert_eq!(primary.unacked_len(), 2, "the three acked ops left the log");
+        assert_eq!(backup.unacked_len(), 0, "a replayed op is not logged");
+        // A resync leaves a backup's log empty too, and a promoted backup logs only
+        // what it applies as primary from then on.
+        backup.begin_resync(NodeId(9));
+        assert_eq!(transfer(&primary, &mut backup), ResyncStep::Done(5));
+        assert_eq!(backup.unacked_len(), 0);
+        backup.promote_to(1);
+        assert_eq!(backup.unacked_len(), 0);
+        backup.set_tracked_backups(&[NodeId(0)]);
+        backup.apply_primary(&register("p", 1), &mut out);
+        assert_eq!(backup.unacked_len(), 1);
+    }
+
+    #[test]
+    fn a_chunk_from_a_new_primacy_starts_the_stream_over() {
+        let (mut primary, mut backup) = pair();
+        let mut out = Vec::new();
+        for i in 0..12u32 {
+            primary.apply_primary(&register(&format!("obj-{i:02}"), i), &mut out);
         }
-        behind.apply_replicated(0, 1, &ops[0]);
-        let (seq, op) = &logged[0];
-        assert_eq!(behind.apply_replicated(0, *seq, op), ReplayOutcome::NeedsResync);
-        for (seq, op) in &logged {
-            assert_eq!(at_edge.apply_replicated(0, *seq, op), ReplayOutcome::Acked(*seq));
+        backup.begin_resync(NodeId(9));
+        let (first, _) = primary.shard().snapshot_range(None, 200);
+        assert_eq!(backup.apply_resync(0, &chunk(12, &first), false), ResyncStep::Continue);
+        assert!(cursor(&backup).is_some());
+        // The next pull is answered at epoch 1 (the source died and its successor,
+        // standing in here with the same state, promoted): the staged chunk is dropped.
+        primary.promote_to(1);
+        let (next, done) = primary.shard().snapshot_range(cursor(&backup), 200);
+        assert_eq!(backup.apply_resync(1, &chunk(12, &next), done), ResyncStep::Continue);
+        assert_eq!(cursor(&backup), None, "the stream starts over from its first chunk");
+        assert!(backup.resync().is_some());
+        loop {
+            let (entries, done) = primary.shard().snapshot_range(cursor(&backup), 200);
+            match backup.apply_resync(1, &chunk(12, &entries), done) {
+                ResyncStep::Done(acked) => {
+                    assert_eq!(acked, 12);
+                    break;
+                }
+                ResyncStep::Continue => assert!(!done, "a one-epoch stream does not restart"),
+                ResyncStep::Stale => panic!("fresh chunk rejected"),
+            }
         }
+        assert_eq!(backup.shard().snapshot_range(None, u64::MAX), transfer_state(&primary));
+    }
+
+    /// A replica's whole shard as one snapshot.
+    fn transfer_state(replica: &ShardReplica) -> (Vec<SnapshotEntry>, bool) {
+        replica.shard().snapshot_range(None, u64::MAX)
     }
 
     #[test]
@@ -917,13 +947,13 @@ mod tests {
         let mid = register("mid", 7);
         let s_mid = primary.apply_primary(&mid, &mut out);
         assert_eq!(backup.apply_replicated(epoch, s_mid, &mid), ReplayOutcome::Buffered);
-        // Finish the stream; the buffered op extends the installed prefix past the
-        // stream's consistency point.
+        // Finish the stream, each chunk consistent at the seq it is served at: the
+        // buffered op is replayed where the chunk covering "mid" was served before it.
         loop {
             let (entries, done) = primary.shard().snapshot_range(cursor(&backup), 100);
-            match backup.apply_resync(epoch, &chunk(seq, &entries), done) {
+            match backup.apply_resync(epoch, &chunk(primary.applied_seq(), &entries), done) {
                 ResyncStep::Done(acked) => {
-                    assert_eq!(acked, s_mid, "buffered mid-stream op replayed");
+                    assert_eq!(acked, s_mid, "the stream ends consistent after the op");
                     break;
                 }
                 ResyncStep::Continue => continue,
@@ -931,5 +961,6 @@ mod tests {
             }
         }
         assert_eq!(backup.locations(obj("mid")).len(), 1);
+        assert_eq!(transfer_state(&backup), transfer_state(&primary));
     }
 }

@@ -12,7 +12,10 @@
 //! [`super::replication::Resync`] record; whether this node is still resyncing after a
 //! restart is the view's `resyncing ∋ me`. Every frame of every stream — a chunk, or
 //! the retired full snapshot — becomes one [`ResyncFrame`] in one place, and every
-//! request for one leaves through one pull helper.
+//! request for one leaves through one pull helper. The serving side keeps no state
+//! per stream: serving a chunk makes its requester a live backup in the view, shipped
+//! every op from then on, and the requester's last chunk replays what each chunk
+//! missed (the catch-up rule in [`super::replication`]).
 //!
 //! **One way in.** Every server-side directory frame — the eight client ops (see
 //! [`DirOp`]), `DirReplicate`, `DirAck`, `DirSnapshotRequest` and the resync frames
@@ -25,7 +28,7 @@
 //! liveness, and `DirResynced`, stay with the node: they are liveness evidence, not
 //! directory state.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::config::HopliteConfig;
 use crate::metrics::NodeMetrics;
@@ -50,24 +53,6 @@ pub struct DirectoryService {
     /// [`DirectoryService::take_readmission`], re-drives those shards and broadcasts
     /// `DirResynced`.
     readmission: Option<Vec<usize>>,
-    /// Source-side state of chunked resync streams this node is serving, keyed by
-    /// `(shard, requester)`: the cursor confirmed by the requester's last request
-    /// plus the objects mutated behind it since (re-shipped with the next chunk).
-    streams: BTreeMap<(usize, NodeId), ChunkStream>,
-}
-
-/// Source-side bookkeeping of one chunked resync stream. Entries at or before the
-/// requester-confirmed cursor that a later op mutates are tracked here and
-/// re-shipped, so the assembled state at the receiver converges to the source's
-/// even though the source never pauses op processing. (Failure purges need no
-/// tracking: the receiver applies the same deterministic purge to its staged
-/// state when the failure notice reaches it.)
-#[derive(Debug, Default)]
-struct ChunkStream {
-    /// Highest object id shipped so far (entries at or before it are "behind" the
-    /// stream and must be re-shipped if mutated).
-    cursor: Option<ObjectId>,
-    dirty: BTreeSet<ObjectId>,
 }
 
 impl DirectoryService {
@@ -87,13 +72,7 @@ impl DirectoryService {
                 (shard, ShardReplica::new(DirectoryShard::new(shard, cfg.clone()), role))
             })
             .collect();
-        DirectoryService {
-            me,
-            view: PlacementView::new(placement),
-            replicas,
-            readmission: None,
-            streams: BTreeMap::new(),
-        }
+        DirectoryService { me, view: PlacementView::new(placement), replicas, readmission: None }
     }
 
     /// The static placement in effect.
@@ -245,14 +224,6 @@ impl DirectoryService {
                         return true;
                     }
                 }
-                // Entries already streamed to a mid-resync requester go stale when
-                // a later op touches them; mark them for re-shipment.
-                let object = op.object();
-                for ((s, _), stream) in self.streams.iter_mut() {
-                    if *s == shard && stream.cursor.is_some_and(|c| object <= c) {
-                        stream.dirty.insert(object);
-                    }
-                }
                 let backups = self.live_backups(shard);
                 let replica = self.replicas.get_mut(&shard).expect("primary hosts its shard");
                 out.extend(replica.set_tracked_backups(&backups));
@@ -338,8 +309,12 @@ impl DirectoryService {
     /// is never mistaken for the shard's leader and left wedged.
     ///
     /// Serving is **chunked and incremental**: every request gets exactly one bounded
-    /// [`Message::DirSnapshotChunk`], so chunks interleave with live op shipments and
-    /// the source is never paused for O(objects) time.
+    /// [`Message::DirSnapshotChunk`], consistent at the `seq` it carries, so chunks
+    /// interleave with live op shipments and the source is never paused for O(objects)
+    /// time. From its first chunk on, the requester is a live backup in this view and
+    /// is shipped every op, which its last chunk replays where an earlier chunk missed
+    /// it. On the node path the requester's liveness evidence has already made it one;
+    /// this makes the rule hold for every caller of [`DirectoryService::handle`].
     fn serve_resync(
         &mut self,
         shard: usize,
@@ -348,46 +323,12 @@ impl DirectoryService {
         metrics: &mut NodeMetrics,
         out: &mut Vec<(NodeId, Message)>,
     ) {
+        self.view.on_peer_recovered(requester);
         let rank = self.view.current_rank(shard) as u64;
-        let key = (shard, requester);
         let replica = self.replicas.get(&shard).expect("primary hosts its shard");
         let budget = replica.shard().config().snapshot_chunk_bytes.max(1);
-        let epoch = replica.epoch();
-        let seq = replica.applied_seq();
-
-        // Serve exactly one bounded chunk per request. Entries mutated behind the
-        // requester's cursor since they were shipped are flushed first (in their own
-        // chunks when they do not fit); fresh range entries advance the cursor; `done`
-        // only once the range is exhausted and no dirty backlog remains.
-        if after.is_none() {
-            // A fresh stream (or a from-scratch restart of one): forget any
-            // previous progress for this requester.
-            self.streams.remove(&key);
-        }
-        let stream = self.streams.entry(key).or_default();
-        stream.cursor = stream.cursor.max(after);
-        let dirty_backlog = std::mem::take(&mut stream.dirty);
-        let (entries, done) = if dirty_backlog.is_empty() {
-            replica.shard().snapshot_range(after, budget)
-        } else {
-            let mut kept = Vec::new();
-            let mut used = 0u64;
-            for entry in replica.shard().snapshot_entries_for(dirty_backlog.iter().copied()) {
-                let sz = entry.wire_size();
-                if kept.is_empty() || used + sz <= budget {
-                    used += sz;
-                    kept.push(entry);
-                }
-            }
-            (kept, false)
-        };
-        stream
-            .dirty
-            .extend(dirty_backlog.into_iter().filter(|o| !entries.iter().any(|e| e.object == *o)));
-        stream.cursor = stream.cursor.max(entries.last().map(|e| e.object));
-        if done {
-            self.streams.remove(&key);
-        }
+        let (epoch, seq) = (replica.epoch(), replica.applied_seq());
+        let (entries, done) = replica.shard().snapshot_range(after, budget);
         let state = ShardSnapshot { entries };
         metrics.snapshot_chunks_sent += 1;
         metrics.snapshot_bytes += state.wire_size();
@@ -398,12 +339,13 @@ impl DirectoryService {
     }
 
     /// Install one frame of a resync stream into this node's replica of `shard`: a
-    /// state chunk, or the retired full snapshot (a done chunk). Mid-stream, pull the
-    /// next frame from whoever served this one — a forwarded request is served by
-    /// another node than it went to, and a source death re-targets from there. On the
-    /// last frame, adopt the source's rank cursor and ack the catch-up point. Returns
-    /// `true` when the stream completed here; when that also completes the node's
-    /// local resync, a re-admission becomes pending — the caller checks
+    /// state chunk, or the retired full snapshot (a done chunk). Mid-stream, or when
+    /// the stream starts over, pull the next frame from whoever served this one — a
+    /// forwarded request is served by another node than it went to, and a source death
+    /// re-targets from there. On the last frame, adopt the source's rank cursor and ack
+    /// the catch-up point. Returns `true` when the stream completed here; when that
+    /// also completes the node's local resync, a re-admission becomes pending — the
+    /// caller checks
     /// [`DirectoryService::take_readmission`] after this (and after
     /// [`DirectoryService::on_peer_failed`], which can also complete a resync by
     /// abandoning a sourceless shard). Frames for a shard with no resync in flight and
@@ -484,8 +426,6 @@ impl DirectoryService {
     /// the shards whose primary moved off `peer` onto a survivor (the re-drive set).
     pub fn on_peer_failed(&mut self, peer: NodeId, out: &mut Vec<(NodeId, Message)>) -> Vec<usize> {
         let changed = self.view.on_peer_failed(peer);
-        // Chunk streams this node was serving to the dead peer are abandoned.
-        self.streams.retain(|(_, requester), _| *requester != peer);
         let shards: Vec<usize> = self.replicas.keys().copied().collect();
         for shard in shards {
             let backups = self.live_backups(shard);
@@ -501,7 +441,10 @@ impl DirectoryService {
                 replica.set_tracked_backups(&backups);
             }
         }
-        // Re-target interrupted resyncs whose source died.
+        // Re-target interrupted resyncs whose source died. The stream starts over at
+        // the new source: seqs of two primacies do not compare. With no surviving
+        // source the shard's metadata is lost; stop waiting so the node can still
+        // finish its overall resync.
         let stranded: Vec<usize> = self
             .replicas
             .iter()
@@ -509,14 +452,10 @@ impl DirectoryService {
             .map(|(&shard, _)| shard)
             .collect();
         for shard in stranded {
-            match self.view.primary(shard) {
-                Some(primary) if primary != self.me => {
-                    let restart = self.is_resyncing();
-                    self.request_resync(shard, primary, restart, out);
-                }
-                // No surviving source: the shard's metadata is lost. Stop waiting so
-                // the node can still finish its overall resync.
-                _ => self.replicas.get_mut(&shard).expect("hosted shard").abort_resync(),
+            self.replicas.get_mut(&shard).expect("hosted shard").abort_resync();
+            if let Some(primary) = self.view.primary(shard).filter(|&p| p != self.me) {
+                let restart = self.is_resyncing();
+                self.request_resync(shard, primary, restart, out);
             }
         }
         // Every outstanding stream may now be installed or abandoned; if so, finish
@@ -532,40 +471,16 @@ impl DirectoryService {
         self.view.on_peer_recovered(peer);
     }
 
-    /// Digest a peer's catch-up announcement (full replica again). Ops applied after
-    /// the peer's catch-up stream closed but before this announcement were never
-    /// shipped (the peer was not yet tracked), so a primary re-ships its retained
-    /// log: a caught-up peer drops the duplicates, a peer missing ops within it
-    /// applies them, and a peer behind by more than it sees a sequence gap and
-    /// requests a resync itself. Returns the shards that regained a
-    /// primary with this re-admission (the re-drive set). An announcement naming this
-    /// node changes nothing: it is re-admitted only by its own resync completing.
-    pub fn on_peer_readmitted(
-        &mut self,
-        peer: NodeId,
-        out: &mut Vec<(NodeId, Message)>,
-    ) -> Vec<usize> {
+    /// Digest a peer's catch-up announcement (full replica again). Returns the shards
+    /// that regained a primary with this re-admission (the re-drive set). Nothing is
+    /// re-shipped: a primary shipped the peer every op from its stream's first chunk
+    /// on. An announcement naming this node changes nothing: it is re-admitted only by
+    /// its own resync completing.
+    pub fn on_peer_readmitted(&mut self, peer: NodeId) -> Vec<usize> {
         if peer == self.me {
             return Vec::new();
         }
-        let regained = self.view.on_peer_readmitted(peer);
-        let shards: Vec<usize> = self.replicas.keys().copied().collect();
-        for shard in shards {
-            if !self.view.placement().hosts(peer, shard) {
-                continue;
-            }
-            let backups = self.live_backups(shard);
-            let replica = self.replicas.get_mut(&shard).expect("iterating hosted shards");
-            if replica.role() != ReplicaRole::Primary {
-                continue;
-            }
-            out.extend(replica.set_tracked_backups(&backups));
-            let epoch = replica.epoch();
-            for (seq, op) in replica.logged_ops() {
-                out.push((peer, Message::DirReplicate { shard: shard as u64, epoch, seq, op }));
-            }
-        }
-        regained
+        self.view.on_peer_readmitted(peer)
     }
 
     /// Start recovery after a restart: demote every hosted replica, mark this node
@@ -589,8 +504,8 @@ impl DirectoryService {
     }
 
     /// Ask `source` for the next chunk of `shard`'s resync — opening it, re-targeting
-    /// it after a source death, or pulling mid-stream — from the replica's chunk
-    /// stream cursor, from which the new source resumes instead of restarting.
+    /// it after a source death, starting it over, or pulling mid-stream — from the
+    /// replica's chunk stream cursor.
     fn request_resync(
         &mut self,
         shard: usize,
@@ -1050,7 +965,7 @@ mod tests {
         assert_eq!(restarted.primary_for(o), Some(NodeId(1)));
         // Survivor readmits node 0; when the survivor later dies, node 0 leads again
         // at a strictly higher epoch.
-        svcs[1].on_peer_readmitted(NodeId(0), &mut Vec::new());
+        svcs[1].on_peer_readmitted(NodeId(0));
         let changed = svcs[0].on_peer_failed(NodeId(1), &mut Vec::new());
         assert!(changed.contains(&0), "restarted node serves as primary again");
         assert!(svcs[0].is_primary_for(o));
@@ -1232,7 +1147,7 @@ mod tests {
     }
 
     #[test]
-    fn chunked_resync_streams_bounded_chunks_and_reships_dirty_entries() {
+    fn chunked_resync_streams_bounded_chunks_and_replays_what_they_missed() {
         // Two nodes, r = 2: shard 0 replicas [0, 1], shard 1 replicas [1, 0]. A tiny
         // chunk budget forces a long stream so live mutations can land mid-flight.
         let cfg = HopliteConfig { snapshot_chunk_bytes: 256, ..HopliteConfig::small_for_tests() };
@@ -1263,8 +1178,10 @@ mod tests {
         let mut queue: Vec<(NodeId, NodeId, Message)> =
             requests.into_iter().map(|(to, m)| (NodeId(0), to, m)).collect();
         let mut victim: Option<ObjectId> = None;
-        let mut chunks_seen = 0u64;
+        let (mut chunks_seen, mut fresh_requests) = (0u64, 0);
         while let Some((from, to, msg)) = queue.pop() {
+            fresh_requests +=
+                usize::from(matches!(msg, Message::DirSnapshotRequest { after: None, .. }));
             if let Message::DirSnapshotChunk { state, done, .. } = &msg {
                 chunks_seen += 1;
                 assert!(
@@ -1275,20 +1192,24 @@ mod tests {
                 );
                 if victim.is_none() {
                     // First chunk in flight: mutate one of its entries at the
-                    // source while the stream is still running. The entry went
-                    // stale behind the cursor, so it must be re-shipped.
+                    // source while the stream is still running, and deliver the
+                    // shipment at once. The chunk already carries the entry, so only
+                    // the buffered op, replayed by the last chunk, brings the change.
                     assert!(!done, "20 objects cannot fit one 256-byte chunk");
                     let object = state.entries.first().expect("chunk carries entries").object;
                     victim = Some(object);
                     let mut live = Vec::new();
                     assert!(svcs[1]
                         .submit(DirOp::Subscribe { object, subscriber: NodeId(1) }, &mut live,));
-                    queue.extend(live.into_iter().map(|(to2, m2)| (NodeId(1), to2, m2)));
+                    for (to2, m2) in live {
+                        assert!(deliver(&mut svcs, &mut m, NodeId(1), to2, m2).is_empty());
+                    }
                 }
             }
             queue.extend(deliver(&mut svcs, &mut m, from, to, msg));
         }
-        assert!(chunks_seen >= 8, "20 entries at 3 per chunk plus a dirty flush: {chunks_seen}");
+        assert_eq!(chunks_seen, 14, "two shards of 20 entries at 3 per chunk");
+        assert_eq!(fresh_requests, 2, "neither stream started over");
         assert_eq!(m[1].snapshot_chunks_sent, chunks_seen);
         assert!(m[1].snapshot_bytes > 0);
         assert_eq!(m[0].directory_resyncs, 2, "both shards resynced by chunks");
@@ -1297,20 +1218,91 @@ mod tests {
         for &o in &objects {
             assert_eq!(svcs[0].locations(o).map(|l| l.len()), Some(1));
         }
-        // ...including the mutation that landed mid-stream: the subscription exists
-        // only in the re-shipped copy of the entry (the buffered live shipment was
-        // superseded by the stream's final sequence number).
+        // ...including the mutation that landed mid-stream behind the cursor: the
+        // last chunk replayed the buffered shipment onto the staged entry.
         let victim = victim.expect("a chunk was served");
         let shard = svcs[0].placement().shard_of(victim);
         assert_eq!(
             svcs[0].replica(shard).unwrap().shard().subscriber_count(victim),
             1,
-            "stale streamed entry was re-shipped with its new subscriber"
+            "the shipped op was replayed onto the entry its chunk had carried"
         );
     }
 
+    /// A frame in flight: `(from, to, msg)`.
+    type Flight = (NodeId, NodeId, Message);
+
+    /// Node 1 restarted empty and resyncs shard 0 from node 0, which holds `objects`:
+    /// two nodes, r = 2, a 256-byte chunk budget. Returns the services, their metrics
+    /// and node 1's requests.
+    fn restarted_behind(
+        objects: &[ObjectId],
+    ) -> (Vec<DirectoryService>, Vec<NodeMetrics>, Vec<Flight>) {
+        let cfg = HopliteConfig { snapshot_chunk_bytes: 256, ..HopliteConfig::small_for_tests() };
+        let ns = nodes(2);
+        let mut svcs: Vec<DirectoryService> =
+            (0..2).map(|i| DirectoryService::new(NodeId(i), &cfg, &ns)).collect();
+        svcs[0].on_peer_failed(NodeId(1), &mut Vec::new());
+        for &o in objects {
+            assert!(svcs[0].submit(reg(o, 0), &mut Vec::new()));
+        }
+        svcs[1] = DirectoryService::new(NodeId(1), &cfg, &ns);
+        let mut out = Vec::new();
+        assert!(svcs[1].begin_local_resync(&mut out));
+        let queue = out.into_iter().map(|(to, m)| (NodeId(1), to, m)).collect();
+        (svcs, vec![NodeMetrics::default(); 2], queue)
+    }
+
+    /// Whether `a` and `b` hold `shard` identically, entry for entry.
+    fn same_shard(a: &DirectoryService, b: &DirectoryService, shard: usize) -> bool {
+        let [a, b] =
+            [a, b].map(|s| s.replica(shard).unwrap().shard().snapshot_range(None, u64::MAX));
+        a == b
+    }
+
     #[test]
-    fn chunk_stream_resumes_from_the_cursor_when_the_source_dies() {
+    fn a_lost_mid_stream_shipment_starts_the_stream_over() {
+        let probe = DirectoryService::new(NodeId(0), &HopliteConfig::small_for_tests(), &nodes(2));
+        let objects: Vec<ObjectId> = (0u64..)
+            .map(|k| obj(&format!("lost-{k}")))
+            .filter(|&o| probe.placement().shard_of(o) == 0)
+            .take(20)
+            .collect();
+        let (mut svcs, mut m, mut queue) = restarted_behind(&objects);
+        // Once node 1 has installed shard 0's first chunk, node 0 applies an op on an
+        // entry that chunk carried, and its shipment to node 1 is lost.
+        let mut victim = None;
+        let mut fresh_requests = 0;
+        while let Some((from, to, msg)) = queue.pop() {
+            if let Message::DirSnapshotRequest { shard: 0, after: None, .. } = msg {
+                fresh_requests += 1;
+            }
+            let installs_first = victim.is_none()
+                && matches!(&msg, Message::DirSnapshotChunk { shard: 0, done: false, .. });
+            queue.extend(deliver(&mut svcs, &mut m, from, to, msg));
+            if installs_first {
+                let cursor = svcs[1].replica(0).unwrap().resync().unwrap().cursor;
+                let object = objects.iter().copied().filter(|&o| Some(o) <= cursor).min();
+                victim = object;
+                let op = DirOp::Subscribe { object: object.unwrap(), subscriber: NodeId(0) };
+                let mut live = Vec::new();
+                assert!(svcs[0].submit(op, &mut live));
+                let lost = live.iter().filter(|(to, m)| {
+                    *to == NodeId(1) && matches!(m, Message::DirReplicate { .. })
+                });
+                assert_eq!(lost.count(), 1, "the op was shipped to the requester: {live:?}");
+            }
+        }
+        assert_eq!(fresh_requests, 2, "the last chunk found the shipment missing and restarted");
+        assert!(!svcs[1].is_resyncing());
+        assert_eq!(svcs[1].replica(0).unwrap().resync(), None);
+        let victim = victim.expect("a first chunk was installed");
+        assert_eq!(svcs[1].replica(0).unwrap().shard().subscriber_count(victim), 1);
+        assert!(same_shard(&svcs[0], &svcs[1], 0));
+    }
+
+    #[test]
+    fn a_stream_cut_by_its_sources_death_starts_over_at_the_new_primacy() {
         // Three nodes, r = 3, a 256-byte chunk budget: a restarted node is served a
         // multi-chunk stream.
         let cfg = HopliteConfig {
@@ -1356,16 +1348,16 @@ mod tests {
             queue.extend(deliver(&mut svcs, &mut m, from, to, msg));
         }
         let resync = svcs[1].replica(0).unwrap().resync().expect("stream in flight");
-        let cursor = resync.cursor.expect("mid-stream cursor");
+        assert!(resync.cursor.is_some(), "two chunks staged");
         // The crash drops everything in flight to or from node 0.
         queue.retain(|(from, to, _)| *from != NodeId(0) && *to != NodeId(0));
         let mut q1 = Vec::new();
         svcs[1].on_peer_failed(NodeId(0), &mut q1);
         let mut q2 = Vec::new();
         svcs[2].on_peer_failed(NodeId(0), &mut q2);
-        // The stranded stream re-targets the new primary (node 2) and asks it to
-        // resume from the installed cursor, not from scratch.
-        let resumed_after = q1
+        // The stranded stream re-targets the new primary (node 2) and starts over: the
+        // staged chunks came from another primacy, whose seqs do not compare.
+        let restarted_after = q1
             .iter()
             .find_map(|(to, m)| match m {
                 Message::DirSnapshotRequest { shard: 0, after, .. } => {
@@ -1375,36 +1367,35 @@ mod tests {
                 _ => None,
             })
             .expect("stranded resync re-targeted");
-        assert_eq!(resumed_after, Some(cursor), "resume from the cursor");
+        assert_eq!(restarted_after, None, "the stream starts over from its first chunk");
+        assert_eq!(svcs[1].replica(0).unwrap().resync().unwrap().cursor, None);
         queue.extend(q1.into_iter().map(|(to, m)| (NodeId(1), to, m)));
         queue.extend(q2.into_iter().map(|(to, m)| (NodeId(2), to, m)));
-        let mut resumed_entries = 0;
+        let mut restreamed = 0;
         while let Some((from, to, msg)) = queue.pop() {
             if to == NodeId(0) {
                 continue;
             }
-            if let Message::DirSnapshotChunk { shard: 0, ref state, .. } = msg {
-                for e in &state.entries {
-                    assert!(e.object > cursor, "already-installed prefix re-shipped");
-                    resumed_entries += 1;
-                }
+            if let Message::DirSnapshotChunk { shard: 0, epoch, ref state, .. } = msg {
+                assert!(epoch > 0, "only the new primacy serves");
+                restreamed += state.entries.len();
             }
             queue.extend(deliver(&mut svcs, &mut m, from, to, msg));
         }
-        // Two 3-entry chunks landed before the crash; node 2 shipped exactly the
-        // remaining twelve entries and the restarted replica converged.
-        assert_eq!(resumed_entries, objects.len() - 6);
+        // Node 2 shipped all eighteen entries and the restarted replica converged.
+        assert_eq!(restreamed, objects.len());
         assert!(!svcs[1].is_resyncing(), "resync completed at the new source");
         for &o in &objects {
             assert_eq!(svcs[1].locations(o).map(|l| l.len()), Some(1));
         }
+        assert!(same_shard(&svcs[1], &svcs[2], 0));
     }
 
     #[test]
-    fn an_op_applied_after_an_untracked_requesters_last_chunk_reaches_it_on_readmission() {
+    fn an_op_applied_after_the_requesters_last_chunk_reaches_it_by_shipping() {
         // Two nodes, r = 2: node 0 leads both shards once node 1 dies. Node 1 restarts
         // and resyncs from node 0, whose view still holds it failed — no recovery
-        // notice has arrived — so node 0 tracks no backup and ships nothing.
+        // notice has arrived, and the frames go straight to `handle`.
         let cfg = HopliteConfig::small_for_tests();
         let ns = nodes(2);
         let mut svcs: Vec<DirectoryService> =
@@ -1425,33 +1416,103 @@ mod tests {
         assert!(!svcs[1].is_resyncing(), "both chunk streams installed");
         assert_eq!(svcs[1].locations(o).map(|l| l.len()), Some(1));
 
-        // An op lands at node 0 after the final chunk: with no tracked backup it is
-        // applied, confirmed and shipped to no one.
+        // Serving the stream made node 1 a live backup in node 0's view, so an op
+        // landing after the final chunk is shipped to it and gates the confirm.
         let late = (0u64..)
             .map(|k| obj(&format!("late-{k}")))
             .find(|&l| svcs[0].placement().shard_of(l) == 0)
             .unwrap();
         let mut out = Vec::new();
         assert!(svcs[0].submit(reg(late, 0), &mut out));
-        assert!(!out.iter().any(|(_, m)| matches!(m, Message::DirReplicate { .. })), "{out:?}");
-        assert_eq!(svcs[1].locations(late), Some(vec![]), "not at the requester yet");
-
-        // Node 1's re-admission: node 0 re-ships its retained log, and the op lands.
-        svcs[0].on_peer_recovered(NodeId(1));
-        let mut reship = Vec::new();
-        svcs[0].on_peer_readmitted(NodeId(1), &mut reship);
+        assert!(!out.iter().any(|(_, m)| matches!(m, Message::DirConfirm { .. })), "{out:?}");
         let mut acks = Vec::new();
-        for (to, msg) in reship {
+        for (to, msg) in out {
             assert_eq!(to, NodeId(1));
             assert_eq!(svcs[1].handle(NodeId(0), msg, &mut metrics, &mut acks), None);
         }
-        assert_eq!(svcs[1].locations(late).map(|l| l.len()), Some(1), "re-shipped op applied");
+        assert_eq!(svcs[1].locations(late).map(|l| l.len()), Some(1), "shipped op applied");
         let seq = svcs[0].replica(0).unwrap().applied_seq();
         assert!(
             acks.iter().any(|(to, m)| *to == NodeId(0)
                 && matches!(m, Message::DirAck { shard: 0, seq: s, .. } if *s == seq)),
             "the requester acks the primary's whole log: {acks:?}"
         );
+        // Its re-admission re-ships nothing.
+        assert_eq!(svcs[0].on_peer_readmitted(NodeId(1)), Vec::<usize>::new());
+    }
+
+    /// The catch-up rule converges under interleaved ops, lost shipments and ops that
+    /// name ids the shard never held. Node 1 restarts empty and resyncs both shards
+    /// from node 0 in 200-byte chunks while node 0 applies 60 random ops on 30
+    /// registered ids and 10 unknown ones; on odd seeds one in nine shipments to node 1
+    /// is lost. Every seed must finish its streams within a step bound, with no resync
+    /// left in flight and node 1's shards equal to node 0's, entry for entry. Inline
+    /// puts are left out: a resynced replica's inline put-order stamps can differ from
+    /// its source's, which entry equality would report.
+    #[test]
+    fn seeded_streams_with_live_ops_and_lost_shipments_converge() {
+        const STEP_BOUND: usize = 20_000;
+        for seed in 1..=400u64 {
+            let cfg =
+                HopliteConfig { snapshot_chunk_bytes: 200, ..HopliteConfig::small_for_tests() };
+            // The last ten ids are never registered.
+            let ids: Vec<ObjectId> = (0..40).map(|k| obj(&format!("conv-{k}"))).collect();
+            let mut svcs: Vec<DirectoryService> =
+                (0..2).map(|i| DirectoryService::new(NodeId(i), &cfg, &nodes(2))).collect();
+            let mut m = vec![NodeMetrics::default(); 2];
+            svcs[0].on_peer_failed(NodeId(1), &mut Vec::new());
+            for &o in &ids[..30] {
+                assert!(svcs[0].submit(reg(o, 0), &mut Vec::new()));
+            }
+            svcs[1] = DirectoryService::new(NodeId(1), &cfg, &nodes(2));
+            let mut out = Vec::new();
+            assert!(svcs[1].begin_local_resync(&mut out));
+            let mut queue: Vec<_> = out.into_iter().map(|(to, m)| (NodeId(1), to, m)).collect();
+            let mut state = seed;
+            let mut draw = |n: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % n
+            };
+            let (mut ops, mut steps) = (0, 0);
+            while ops < 60 || !queue.is_empty() {
+                steps += 1;
+                assert!(steps <= STEP_BOUND, "seed {seed}: streams unfinished after {steps} steps");
+                if ops < 60 && (queue.is_empty() || draw(3) == 0) {
+                    ops += 1;
+                    let object = ids[draw(40) as usize];
+                    let node = NodeId(draw(2) as u32);
+                    let op = match draw(7) {
+                        0 => reg(object, node.0),
+                        1 => DirOp::Unregister { object, holder: node },
+                        2 => query(object, node.0, draw(4)),
+                        3 => DirOp::Subscribe { object, subscriber: node },
+                        4 => DirOp::Unsubscribe { object, subscriber: node },
+                        5 => DirOp::TransferDone { object, receiver: node, sender: NodeId(0) },
+                        _ => DirOp::Delete { object },
+                    };
+                    let mut live = Vec::new();
+                    assert!(svcs[0].submit(op, &mut live));
+                    // Only the shipments travel (the rest are client replies). The last
+                    // op's is never lost, so a gap behind it always shows.
+                    let lossy = seed % 2 == 1 && ops < 60;
+                    for (to, msg) in live {
+                        if matches!(msg, Message::DirReplicate { .. }) && !(lossy && draw(9) == 0) {
+                            queue.push((NodeId(0), to, msg));
+                        }
+                    }
+                    continue;
+                }
+                let (from, to, msg) = queue.remove(draw(queue.len() as u64) as usize);
+                queue.extend(deliver(&mut svcs, &mut m, from, to, msg));
+            }
+            assert!(!svcs[1].is_resyncing(), "seed {seed}");
+            for shard in 0..2 {
+                assert_eq!(svcs[1].replica(shard).unwrap().resync(), None, "seed {seed}");
+                assert!(same_shard(&svcs[0], &svcs[1], shard), "seed {seed} shard {shard}");
+            }
+        }
     }
 
     /// Shard 0 of a three-node cluster as its two replicas: node 0 leads it, node 1
@@ -1480,10 +1541,10 @@ mod tests {
         sent
     }
 
-    /// A replica's applied sequence and its log.
-    fn log_of(svc: &DirectoryService) -> (u64, Vec<(u64, DirOp)>) {
+    /// A replica's applied sequence and the length of its log.
+    fn log_of(svc: &DirectoryService) -> (u64, usize) {
         let replica = svc.replica(0).expect("hosts shard 0");
-        (replica.applied_seq(), replica.logged_ops())
+        (replica.applied_seq(), replica.unacked_len())
     }
 
     fn query(object: ObjectId, requester: u32, query_id: u64) -> DirOp {

@@ -426,19 +426,6 @@ impl DirectoryShard {
         (out, true)
     }
 
-    /// Serialize the entries for a specific set of objects (the resync source uses
-    /// this to re-ship entries mutated behind a stream's cursor). Unknown ids are
-    /// skipped — entries are never removed, only tombstoned, so an id the source
-    /// does not know was never shipped either.
-    pub fn snapshot_entries_for<I: IntoIterator<Item = ObjectId>>(
-        &self,
-        ids: I,
-    ) -> Vec<SnapshotEntry> {
-        ids.into_iter()
-            .filter_map(|o| self.entries.get(&o).map(|e| Self::entry_snapshot(o, e)))
-            .collect()
-    }
-
     /// An empty shard with this one's id, configuration and inline clock: what a
     /// resync stream installs into. The clock must stay monotonic across re-baselines.
     pub fn empty_like(&self) -> DirectoryShard {
@@ -461,9 +448,9 @@ impl DirectoryShard {
             let inline = se.inline.clone().map(|payload| {
                 let mut stamp = se.inline_stamp;
                 if stamp == 0 || self.inline_order.contains_key(&stamp) {
-                    // Defensive: stamps are unique per source, but a resumed stream
-                    // may mix sources; collisions get a fresh stamp instead of
-                    // corrupting the index.
+                    // Defensive: stamps are unique per source and a stream has one
+                    // source, but a stray frame may collide; a collision gets a fresh
+                    // stamp instead of corrupting the index.
                     self.inline_clock += 1;
                     stamp = self.inline_clock;
                 }

@@ -576,10 +576,9 @@ impl ObjectStoreNode {
                     return;
                 }
                 trace!("[n{}] peer {:?} re-admitted to its replica sets", self.ctx.id.0, node);
-                // A primary re-ships its retained log suffix to the re-admitted peer.
-                let mut replies = Vec::new();
-                let regained = self.ctx.service.on_peer_readmitted(node, &mut replies);
-                self.ctx.send_all(replies, out);
+                // Nothing to re-ship: a primary shipped the peer every op from the
+                // first chunk of its stream on.
+                let regained = self.ctx.service.on_peer_readmitted(node);
                 // A shard that was leaderless while the peer was out regains its
                 // primary with this re-admission: re-drive the unconfirmed window
                 // there just as after a failover.

@@ -452,9 +452,9 @@ pub enum Message {
         op: DirOp,
     },
     /// Backup replica → primary: cumulative acknowledgement that this replica has
-    /// applied the primary's log through `seq`. The primary trims its retained log
-    /// prefix once every tracked backup has acked it and then confirms the contained
-    /// ops to their origins ([`Message::DirConfirm`]).
+    /// applied the primary's log through `seq`. Once every tracked backup has acked an
+    /// entry the primary drops it from its log and confirms the contained op to its
+    /// origin ([`Message::DirConfirm`]).
     DirAck {
         /// Shard index.
         shard: u64,

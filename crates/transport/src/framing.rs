@@ -1619,7 +1619,7 @@ pub(crate) mod tests {
                 (0..total).flat_map(|_| rng.snapshot().entries).collect();
 
             // Cut the entry list at random boundaries (possibly producing empty
-            // chunks — a dirty-only stream with nothing fitting does exactly that).
+            // chunks, which the wire format allows).
             let mut chunks: Vec<Vec<SnapshotEntry>> = Vec::new();
             let mut rest = entries.as_slice();
             while !rest.is_empty() {
