@@ -129,11 +129,10 @@ impl SimActor for HopliteActor {
         self.drive(NodeEvent::Timer(TimerToken(token)), ctx);
     }
 
-    fn on_peer_failed(&mut self, peer: usize, ctx: &mut SimContext<'_, Message>) {
-        self.drive(NodeEvent::PeerFailed(NodeId(peer as u32)), ctx);
-    }
-
-    fn on_peer_recovered(&mut self, peer: usize, ctx: &mut SimContext<'_, Message>) {
-        self.drive(NodeEvent::PeerRecovered(NodeId(peer as u32)), ctx);
+    /// The verdict reaches the node as the frame a supervisor relays, from the node
+    /// itself: a `PeerFailureNotice` naming the incarnation that died.
+    fn on_peer_failed(&mut self, peer: usize, incarnation: u64, ctx: &mut SimContext<'_, Message>) {
+        let msg = Message::PeerFailureNotice { node: NodeId(peer as u32), incarnation };
+        self.drive(NodeEvent::Message { from: self.id, msg }, ctx);
     }
 }

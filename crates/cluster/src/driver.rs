@@ -15,6 +15,12 @@
 use hoplite_core::prelude::*;
 
 /// Everything that can happen to a node, in driver-neutral vocabulary.
+///
+/// A failure verdict is not an event of its own: a driver delivers it as a
+/// [`NodeEvent::Message`] carrying [`Message::PeerFailureNotice`], naming the
+/// incarnation that died, from the node itself. No event says a peer recovered: a
+/// restarted peer's own traffic (its restart-flagged snapshot requests, its `Hello`,
+/// its `DirResynced`) readmits it.
 #[derive(Clone, Debug)]
 pub enum NodeEvent {
     /// A local client submitted an operation.
@@ -33,10 +39,6 @@ pub enum NodeEvent {
     },
     /// A timer armed via [`DriverPort::set_timer`] fired.
     Timer(TimerToken),
-    /// The failure detector declared a peer dead.
-    PeerFailed(NodeId),
-    /// The failure detector declared a previously-dead peer recovered.
-    PeerRecovered(NodeId),
     /// This node itself was just restarted with empty state: begin directory
     /// recovery (snapshot requests + log catch-up + `DirResynced` announcement).
     /// Backends deliver this exactly once, as the first event of a restarted node.
@@ -101,12 +103,6 @@ impl NodeRuntime {
                 self.node.handle_message(now, from, msg, &mut self.effects)
             }
             NodeEvent::Timer(token) => self.node.handle_timer(now, token, &mut self.effects),
-            NodeEvent::PeerFailed(peer) => {
-                self.node.handle_peer_failed(now, peer, &mut self.effects)
-            }
-            NodeEvent::PeerRecovered(peer) => {
-                self.node.handle_peer_recovered(now, peer, &mut self.effects)
-            }
             NodeEvent::Restarted => self.node.begin_recovery(now, &mut self.effects),
             NodeEvent::Started => self.node.handle_started(now, &mut self.effects),
         }

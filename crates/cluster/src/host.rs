@@ -43,7 +43,7 @@ use hoplite_transport::fabric::{FabricSender, Ingress, IngressSink};
 use crate::driver::{DriverPort, NodeEvent, NodeRuntime};
 
 /// Everything a node's mailbox can carry. `Node` is what the runtime takes as is: a
-/// frame, a verdict, a fired timer, the start-up events.
+/// frame (a verdict among them), a fired timer, the start-up events.
 enum LoopEvent {
     Node(NodeEvent),
     Client { op_id: OpId, op: ClientOp, reply: Sender<ClientReply> },
@@ -227,20 +227,11 @@ impl NodeHost {
     }
 
     /// Inject a protocol message as if it arrived over the fabric from `from`.
-    /// Control servers use this to deliver incarnation-stamped
-    /// [`Message::PeerFailureNotice`]s the supervisor relays.
+    /// Failure verdicts arrive this way, as [`Message::PeerFailureNotice`]s naming
+    /// the incarnation that died: the ones `LocalCluster::kill_node` sends and the
+    /// ones a control server relays from its supervisor.
     pub fn inject_message(&self, from: NodeId, msg: Message) {
         self.shared.call(LoopEvent::Node(NodeEvent::Message { from, msg }));
-    }
-
-    /// Deliver a failure-detector verdict: `peer` is dead.
-    pub fn notify_peer_failed(&self, peer: NodeId) {
-        self.shared.call(LoopEvent::Node(NodeEvent::PeerFailed(peer)));
-    }
-
-    /// Deliver a failure-detector verdict: `peer` is back.
-    pub fn notify_peer_recovered(&self, peer: NodeId) {
-        self.shared.call(LoopEvent::Node(NodeEvent::PeerRecovered(peer)));
     }
 
     /// Stop the node: its runtime (store, slab pool, pending replies) is dropped

@@ -157,13 +157,18 @@ impl LocalCluster {
     }
 
     /// Kill a node — its store and every other piece of its state are dropped before
-    /// this returns — and notify every other node, as a real failure detector (socket
-    /// liveness in the paper, §5.5) eventually would.
+    /// this returns — and send every other node a `PeerFailureNotice` naming the
+    /// incarnation that died, as a real failure detector (socket liveness in the
+    /// paper, §5.5) eventually would.
     pub fn kill_node(&mut self, node: usize) {
         self.nodes[node].shutdown();
+        let notice = Message::PeerFailureNotice {
+            node: NodeId(node as u32),
+            incarnation: self.incarnations[node],
+        };
         for (i, other) in self.nodes.iter().enumerate() {
             if i != node {
-                other.notify_peer_failed(NodeId(node as u32));
+                other.inject_message(other.id(), notice.clone());
             }
         }
     }
@@ -171,9 +176,10 @@ impl LocalCluster {
     /// Restart a previously-killed node as a fresh process at the next incarnation:
     /// a new host attached to the fabric, an empty store, and empty directory
     /// replicas. The node immediately begins directory recovery (snapshot requests +
-    /// log catch-up) and announces `DirResynced` once caught up; every other node
-    /// receives a recovery notice. Clients bound to the old incarnation error out —
-    /// call [`LocalCluster::client`] again for a fresh handle.
+    /// log catch-up) and announces `DirResynced` once caught up; nobody announces its
+    /// recovery, so the other nodes readmit it from that traffic (and, over TCP, its
+    /// `Hello`). Clients bound to the old incarnation error out — call
+    /// [`LocalCluster::client`] again for a fresh handle.
     ///
     /// Works over both fabrics: both swap the node's ingress sink (live TCP connections
     /// feed the new host from their next frame), and the TCP fabric advertises the new
@@ -186,11 +192,6 @@ impl LocalCluster {
         self.incarnations[node] += 1;
         self.fabric.note_restart(id, self.incarnations[node]);
         self.nodes[node] = self.spawn_node(id, true);
-        for (i, other) in self.nodes.iter().enumerate() {
-            if i != node {
-                other.notify_peer_recovered(id);
-            }
-        }
     }
 }
 
@@ -559,6 +560,43 @@ mod tests {
         for node in 0..n {
             assert_eq!(cluster.client(node).get(w).unwrap().len(), data.len() as u64);
         }
+    }
+
+    #[test]
+    fn a_restarted_node_is_readmitted_over_channels_by_its_own_traffic() {
+        // The channels fabric has no `Hello`, and nothing announces a restart: node 2's
+        // restart requests and its `DirResynced` alone readmit it. When node 1, the
+        // other replica of shard 1, dies next, the survivors route shard 1 to node 2.
+        let n = 4;
+        let mut cluster = LocalCluster::new(n, HopliteConfig::small_for_tests());
+        let shard_1 = |name: &str| {
+            (0u64..)
+                .map(|k| ObjectId::from_name(&format!("{name}-{k}")))
+                .find(|&o| ClusterView::of_size(n).shard_node(o).index() == 1)
+                .unwrap()
+        };
+        kill_and_settle(&mut cluster, 2);
+        cluster.restart_node(2);
+        wait_until("node 2 to resync", || cluster.status(2).is_some_and(|s| !s.resyncing));
+        kill_and_settle(&mut cluster, 1);
+
+        let served = |cluster: &LocalCluster| {
+            let metrics = cluster.status(2).expect("node 2 answers").metrics;
+            (metrics.directory_registrations, metrics.directory_queries_served)
+        };
+        let queried = served(&cluster).1;
+        for (putter, getter) in [(0, 3), (3, 0)] {
+            let obj = shard_1(&format!("readmitted-{putter}"));
+            let data: Vec<u8> = (0..5000u32).map(|i| ((i + putter as u32) % 251) as u8).collect();
+            let registered = served(&cluster).0;
+            cluster.client(putter).put(obj, Payload::from_vec(data.clone())).unwrap();
+            // The registration reaches node 2 only if the putter routes shard 1 there;
+            // waiting on it first turns a misrouted shard into a timeout, not a hung get.
+            wait_until("node 2 to take the registration", || served(&cluster).0 > registered);
+            let got = cluster.client(getter).get(obj).unwrap();
+            assert_eq!(got, Payload::from_vec(data), "node {getter} got node {putter}'s put");
+        }
+        assert!(served(&cluster).1 >= queried + 2, "both gets were answered by node 2");
     }
 
     #[test]

@@ -16,8 +16,7 @@
 //! | `put-f32 <name> <len> <value>` | `ok` — stores `len` f32s all equal to `value` |
 //! | `reduce <target> <src,src,...>` | `ok` — sum-reduces the sources into `target` |
 //! | `get-f32 <name> <len> <expected>` | `ok` — fetches and checks every element ≈ `expected` |
-//! | `peer-failed <id> <incarnation>` | `ok` — failure-detector verdict for the hosted node |
-//! | `peer-recovered <id>` | `ok` |
+//! | `peer-failed <id> <incarnation>` | `ok` — failure verdict for the hosted node: `<id>`'s `<incarnation>` died |
 //! | `shutdown` | `ok` — then the daemon exits cleanly |
 //!
 //! Payload bytes are never shipped over the control socket: `put`/`get` agree on a
@@ -117,14 +116,10 @@ impl ControlClient {
         self.request(&format!("get-f32 {name} {len} {expected}")).map(|_| ())
     }
 
-    /// Failure-detector verdict: `node` (at `incarnation`) is dead.
+    /// Failure-detector verdict: `node`'s `incarnation` is dead. There is no verdict
+    /// that a node is back: its own `Hello` and resync traffic readmit it.
     pub fn peer_failed(&mut self, node: NodeId, incarnation: u64) -> io::Result<()> {
         self.request(&format!("peer-failed {} {incarnation}", node.0)).map(|_| ())
-    }
-
-    /// Failure-detector verdict: `node` is back.
-    pub fn peer_recovered(&mut self, node: NodeId) -> io::Result<()> {
-        self.request(&format!("peer-recovered {}", node.0)).map(|_| ())
     }
 
     /// Ask the daemon to exit cleanly.

@@ -257,4 +257,30 @@ mod tests {
         // well under that; allow generous slack for latency terms.
         assert!(elapsed < 0.15, "reduce took {elapsed:.3}s");
     }
+
+    /// A node restarted inside the detection delay (0.74 s) is not killed by the late
+    /// verdict about the process that died: the verdict names incarnation 0, the
+    /// survivors already hold incarnation 1, and drop it as stale. So when node 1, the
+    /// other replica of shard 1, dies later, the survivors route shard 1 to node 2.
+    #[test]
+    fn a_late_failure_verdict_spares_a_node_restarted_inside_the_detection_delay() {
+        let shard_1 = (0..)
+            .map(|i| ObjectId::from_name(&format!("shard-1-probe-{i}")))
+            .find(|&o| ClusterView::of_size(4).shard_node(o) == NodeId(1))
+            .unwrap();
+        for restart_after_s in [0.1, 0.3, 0.6] {
+            let mut cluster = SimCluster::paper_testbed(4);
+            cluster.fail_node_at(SimTime::from_secs_f64(1.0), 2);
+            cluster.restart_node_at(SimTime::from_secs_f64(1.0 + restart_after_s), 2);
+            cluster.fail_node_at(SimTime::from_secs_f64(10.0), 1);
+            cluster.run();
+            for viewer in [0, 3] {
+                assert_eq!(
+                    cluster.directory_primary(viewer, shard_1),
+                    Some(NodeId(2)),
+                    "node {viewer}, node 2 restarted {restart_after_s} s after its death"
+                );
+            }
+        }
+    }
 }

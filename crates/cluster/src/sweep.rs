@@ -81,8 +81,8 @@ const START_S: f64 = 1.0;
 /// Simulated-time budget per cell after the workload start. A cell that has not
 /// completed by then is reported as a named non-convergence, never a hang.
 const DEADLINE_S: f64 = 120.0;
-/// How long after its restart a killed receiver re-issues its fetch (covers directory
-/// resync and the recovery notice fan-out).
+/// How long after its restart a killed receiver re-issues its fetch (covers its
+/// directory resync and the `DirResynced` that readmits it everywhere).
 const REFETCH_AFTER_RESTART_S: f64 = 2.0;
 
 /// Run one cell: generate the seeded `kind` schedule for `topo`, execute `collective`

@@ -39,8 +39,9 @@ pub struct HopliteConfig {
     /// Entries whose only copy is the inline payload are never evicted.
     pub directory_inline_cache_bytes: u64,
     /// SWIM-style gossip failure detector. `None` (the default) disables it:
-    /// liveness then comes only from driver verdicts (`peer-failed` notices, the
-    /// simulator's fault schedule), exactly as before. `Some` arms a per-node
+    /// liveness then comes only from driver verdicts (`PeerFailureNotice`s from a
+    /// supervisor, `LocalCluster` or the simulator's fault schedule) and from the
+    /// peers' own traffic, exactly as before. `Some` arms a per-node
     /// probe/suspect/refute loop — see [`crate::detector`].
     pub detector: Option<DetectorConfig>,
 }

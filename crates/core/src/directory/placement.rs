@@ -223,8 +223,8 @@ impl PlacementView {
         changed
     }
 
-    /// Digest a peer recovery notice: the node is alive again but must resync before
-    /// it can lead anything. Returns whether this was news.
+    /// A peer is back (its own traffic says so, at a newer incarnation): alive again,
+    /// but it must resync before it can lead anything. Returns whether this was news.
     pub fn on_peer_recovered(&mut self, peer: NodeId) -> bool {
         if self.is_alive(peer) {
             return false;

@@ -465,8 +465,8 @@ impl DirectoryService {
         changed
     }
 
-    /// Digest a peer recovery notice (alive again, resyncing — shipped to, not yet a
-    /// primary candidate).
+    /// A peer is back (alive again, resyncing — shipped to, not yet a primary
+    /// candidate).
     pub fn on_peer_recovered(&mut self, peer: NodeId) {
         self.view.on_peer_recovered(peer);
     }

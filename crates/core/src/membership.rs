@@ -32,6 +32,12 @@
 //! ([`MembershipView::refute`]); a node is the sole authority on itself; and a node
 //! id outside the cluster is rejected by the table's one accessor.
 //!
+//! Every claim names its incarnation, whoever makes it. A driver's or supervisor's
+//! failure verdict is a `PeerFailureNotice` naming the incarnation that died, so a
+//! verdict that arrives after the restart is stale; and no driver says a node is
+//! back: the restarted process says so itself, at the incarnation it runs, in its
+//! restart-flagged snapshot requests, its `Hello` and its `DirResynced`.
+//!
 //! A restarted node knows nothing about failures it slept through, so rejoin messages
 //! carry a **digest** (`(node, incarnation, alive)` triples); the resync source
 //! answers with every entry it knows *strictly newer* ([`MembershipView::newer_than`]).
@@ -272,8 +278,8 @@ mod tests {
 
     #[test]
     fn driver_recovery_bumps_once() {
-        // A driver's recovery verdict carries no incarnation: the node claims the one
-        // after the dead one, mirroring the `+1` the restarting side assigns itself.
+        // A restarted process runs at the incarnation after the dead one (the `+1` it
+        // assigns itself), and its own traffic claims that incarnation alive.
         let mut view = MembershipView::new(NodeId(0), 4, 0);
         view.claim(NodeId(3), 0, Dead, T);
         assert_eq!(view.claim(NodeId(3), 1, Alive, T), Transition::Restarted { was_alive: false });

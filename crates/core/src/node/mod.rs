@@ -22,8 +22,8 @@
 //! **Liveness has one table and one writer.** What this node believes about each
 //! peer — incarnation, alive / suspect / dead — is `NodeContext::membership`
 //! ([`crate::membership`]) and nothing else. Every piece of evidence, whatever
-//! carried it (a driver verdict, `PeerFailureNotice`, `Hello`, `DirResynced`, a
-//! digest, gossip, the detector's own verdict, a restart-flagged snapshot request),
+//! carried it (`PeerFailureNotice`, `Hello`, `DirResynced`, a digest, gossip, the
+//! detector's own verdict, a restart-flagged snapshot request),
 //! enters through `ObjectStoreNode::liveness`, which is the only code that writes
 //! the table, runs the §3.5 failure rules, or marks a peer failed / resyncing in the
 //! directory's placement view; its doc comment is the table of *evidence → what
@@ -246,11 +246,8 @@ impl Progress {
 /// claims it makes and what a transition sets off (the table on
 /// [`ObjectStoreNode::liveness`]).
 enum Evidence<'a> {
-    /// The driver's verdict that a peer failed (no incarnation on the event).
-    DriverFailed(NodeId),
-    /// The driver's verdict that a failed peer is back (no incarnation either).
-    DriverRecovered(NodeId),
-    /// `PeerFailureNotice { node, incarnation }`.
+    /// `PeerFailureNotice { node, incarnation }`: a verdict naming the incarnation that
+    /// died, relayed by a driver or a supervisor.
     FailureNotice(NodeId, u64),
     /// `Hello { node, incarnation }` from a (re)connecting peer.
     Hello(NodeId, u64),
@@ -480,24 +477,6 @@ impl ObjectStoreNode {
         }
         self.drain_self_queue(now, out);
         self.finish_turn(out);
-    }
-
-    /// A peer node failed (detected by the driver: socket liveness in real deployments,
-    /// an explicit event in the simulator). The event carries no incarnation, so it
-    /// applies to the highest incarnation this node knows; duplicates are absorbed by
-    /// the liveness table. See [`failure`] for the adaptation rules.
-    pub fn handle_peer_failed(&mut self, now: Time, peer: NodeId, out: &mut Vec<Effect>) {
-        self.liveness(now, Evidence::DriverFailed(peer), out);
-        self.drain_self_queue(now, out);
-        self.finish_turn(out);
-    }
-
-    /// A previously-failed peer came back. It is folded into the placement view as
-    /// *resyncing*: alive (log shipments resume to it) but not a primary candidate
-    /// until it announces catch-up with [`Message::DirResynced`]. The restarted node
-    /// itself drives the state transfer — see [`ObjectStoreNode::begin_recovery`].
-    pub fn handle_peer_recovered(&mut self, now: Time, peer: NodeId, out: &mut Vec<Effect>) {
-        self.liveness(now, Evidence::DriverRecovered(peer), out);
     }
 
     // ------------------------------------------------------------------ dispatch --
@@ -789,8 +768,6 @@ impl ObjectStoreNode {
     ///
     /// | evidence | claims | what follows |
     /// |---|---|---|
-    /// | `DriverFailed` | dead, at the incarnation held | `Died` → fail |
-    /// | `DriverRecovered` | alive at held + 1, if held dead (the `+1` the restarting side assigns itself) | recover, always — its own snapshot request may have revived the peer first |
     /// | `FailureNotice` | dead | `Died` → fail; `Stale` → `stale_failure_notices_dropped` |
     /// | `Hello` | alive | `Restarted` → recover, after fail if the old incarnation was believed alive: the peer itself says it restarted, so its crash was slept through |
     /// | `Resynced` | alive | as `Hello`; `Stale` → `stale_failure_notices_dropped`, and the caller drops the announcement |
@@ -805,15 +782,7 @@ impl ObjectStoreNode {
         out: &mut Vec<Effect>,
     ) -> Transition {
         use GossipState::{Alive, Dead};
-        let table = &self.ctx.membership;
         let claims: Vec<GossipEntry> = match evidence {
-            Evidence::DriverFailed(peer) => {
-                table.get(peer).map(|(inc, _)| (peer, inc, Dead)).into_iter().collect()
-            }
-            Evidence::DriverRecovered(peer) => match table.get(peer) {
-                Some((inc, Dead)) => vec![(peer, inc + 1, Alive)],
-                _ => Vec::new(),
-            },
             Evidence::FailureNotice(node, inc) => vec![(node, inc, Dead)],
             Evidence::Hello(node, inc) | Evidence::Resynced(node, inc) => vec![(node, inc, Alive)],
             Evidence::Digest(entries) | Evidence::SnapshotRequest { digest: entries, .. } => {
@@ -891,11 +860,9 @@ impl ObjectStoreNode {
                 self.recover(&mut recovered);
             }
         }
-        if let Evidence::DriverRecovered(peer) | Evidence::SnapshotRequest { requester: peer, .. } =
-            evidence
-        {
-            if !recovered.contains(&peer) {
-                recovered.push(peer);
+        if let Evidence::SnapshotRequest { requester, .. } = evidence {
+            if !recovered.contains(&requester) {
+                recovered.push(requester);
             }
         }
         self.recover(&mut recovered);

@@ -57,14 +57,14 @@ impl TestCluster {
         self.pending.push_back((NodeId(node as u32), out));
     }
 
-    /// Kill `node`: drop its queued traffic and notify every survivor.
+    /// Kill `node`: drop its queued traffic and send every survivor a failure notice
+    /// naming the incarnation that died.
     fn kill(&mut self, node: usize) {
         self.dead.insert(node);
-        for (i, n) in self.nodes.iter_mut().enumerate() {
+        let incarnation = self.nodes[node].incarnation();
+        for i in 0..self.nodes.len() {
             if !self.dead.contains(&i) {
-                let mut out = Vec::new();
-                n.handle_peer_failed(Time::ZERO, NodeId(node as u32), &mut out);
-                self.pending.push_back((NodeId(i as u32), out));
+                self.failure_notice(i, node, incarnation);
             }
         }
     }
@@ -127,17 +127,6 @@ impl TestCluster {
         let mut out = Vec::new();
         self.nodes[node].begin_recovery(Time::ZERO, &mut out);
         self.pending.push_back((NodeId(node as u32), out));
-    }
-
-    /// Deliver the detector's recovery notice for `node` to every live peer.
-    fn notify_recovered(&mut self, node: usize) {
-        for (i, n) in self.nodes.iter_mut().enumerate() {
-            if !self.dead.contains(&i) && i != node {
-                let mut out = Vec::new();
-                n.handle_peer_recovered(Time::ZERO, NodeId(node as u32), &mut out);
-                self.pending.push_back((NodeId(i as u32), out));
-            }
-        }
     }
 
     /// Deliver a wire-level failure notice to one node.
@@ -1045,7 +1034,6 @@ fn stale_failure_notice_cannot_repark_restarted_node() {
     tc.kill(2);
     tc.run();
     tc.restart(2, 1);
-    tc.notify_recovered(2);
     tc.run();
     assert!(!tc.nodes[2].directory_is_resyncing(), "node 2 readmitted");
     assert!(tc.nodes[0].membership().is_alive(NodeId(2)));
@@ -1090,7 +1078,6 @@ fn newer_incarnation_failure_notice_supersedes() {
     // Node 2 restarts as incarnation 1 and is readmitted; a notice for the new
     // incarnation supersedes the old knowledge and applies again.
     tc.restart(2, 1);
-    tc.notify_recovered(2);
     tc.run();
     assert!(tc.nodes[0].membership().is_alive(NodeId(2)));
     tc.dead.insert(2);
@@ -1256,9 +1243,10 @@ fn restart_request_from_a_believed_primary_redrives_once_and_keeps_one_view() {
         "nothing re-driven at the restarted node: {sent_to_2:?}"
     );
 
-    // The detector's own verdict, arriving later, finds nothing left to do.
-    let mut late = Vec::new();
-    tc.nodes[0].handle_peer_failed(Time::ZERO, NodeId(2), &mut late);
+    // The verdict about the incarnation that died, arriving later, finds nothing left
+    // to do.
+    tc.failure_notice(0, 2, 0);
+    tc.pending.clear();
     assert_eq!(tc.nodes[0].metrics().directory_redrives, 1, "no second re-drive");
     assert_eq!(tc.nodes[0].directory_primary_for(object), Some(NodeId(0)));
 }
@@ -1301,8 +1289,8 @@ fn a_restart_request_that_ends_the_receivers_own_resync_announces_its_readmissio
     assert_eq!(announced.count(), 1, "re-admission announced once: {out:?}");
     // Announced exactly once: a later failure verdict about the same node finds
     // nothing pending.
-    let mut late = Vec::new();
-    tc.nodes[1].handle_peer_failed(Time::ZERO, NodeId(0), &mut late);
+    tc.failure_notice(1, 0, 0);
+    let (_, late) = tc.pending.pop_back().expect("the notice's effects");
     assert!(
         !late.iter().any(|e| matches!(e, Effect::Send { msg: Message::DirResynced { .. }, .. })),
         "{late:?}"
@@ -1531,7 +1519,8 @@ fn a_peer_failure_emits_the_same_effects_on_two_fresh_nodes() {
             node.handle_message(Time::ZERO, peer, reply, &mut Vec::new());
         }
         let mut out = Vec::new();
-        node.handle_peer_failed(Time::ZERO, peer, &mut out);
+        let notice = Message::PeerFailureNotice { node: peer, incarnation: 0 };
+        node.handle_message(Time::ZERO, peer, notice, &mut out);
         out
     };
     let out = run();

@@ -42,10 +42,13 @@ fn kind_of(msg: &Message) -> String {
     text.split([' ', '{', '(']).next().unwrap_or_default().to_string()
 }
 
-/// Something on its way to a node: a frame, or a driver's verdict about a peer.
+/// Something on its way to a node: a frame, a driver's failure verdict about a peer,
+/// or the place of the recovery verdict no driver sends any more. That place delivers
+/// nothing; it stays in flight so the stream of draws stays the golden's.
 enum Flight {
     Msg { from: NodeId, to: NodeId, msg: Message },
-    Verdict { at: NodeId, peer: NodeId, recovered: bool },
+    Verdict { at: NodeId, peer: NodeId },
+    Unannounced,
 }
 
 /// One episode: four node slots (`None` while killed), the network, the clock and the
@@ -156,16 +159,16 @@ impl Episode {
                 "msg"
             }
             Flight::Verdict { at, .. } if self.nodes[at.0 as usize].is_none() => "lost",
-            Flight::Verdict { at, peer, recovered } => {
-                let out = &mut outs[at.0 as usize];
-                if recovered {
-                    self.node(at.0 as usize).handle_peer_recovered(now, peer, out);
-                    "recovered"
-                } else {
-                    self.node(at.0 as usize).handle_peer_failed(now, peer, out);
-                    "failed"
-                }
+            Flight::Verdict { at, peer } => {
+                // A `PeerFailureNotice` at the incarnation the node holds: the claim the
+                // golden's tree made for a verdict that named none.
+                let node = self.node(at.0 as usize);
+                let incarnation = node.membership().incarnation_of(peer);
+                let notice = Message::PeerFailureNotice { node: peer, incarnation };
+                node.handle_message(now, at, notice, &mut outs[at.0 as usize]);
+                "failed"
             }
+            Flight::Unannounced => "recovered",
         }
     }
 
@@ -225,17 +228,13 @@ impl Episode {
         self.nodes[victim] = None;
         self.flight.retain(|f| !matches!(f, Flight::Msg { to, .. } if *to == dead));
         for at in self.live() {
-            self.flight.push(Flight::Verdict {
-                at: NodeId(at as u32),
-                peer: dead,
-                recovered: false,
-            });
+            self.flight.push(Flight::Verdict { at: NodeId(at as u32), peer: dead });
         }
         "kill"
     }
 
     /// Restart a killed node at its next incarnation: it begins recovery at once, and
-    /// its `Hello` and the driver's recovery verdict reach each peer later.
+    /// its `Hello` reaches each peer later. No driver announces the recovery.
     fn restart(&mut self, outs: &mut [Vec<Effect>]) -> &'static str {
         let down: Vec<usize> = (0..NODES).filter(|&i| self.nodes[i].is_none()).collect();
         let Some(i) = self.rng.pick(&down) else { return "idle" };
@@ -251,7 +250,7 @@ impl Episode {
         for peer in (0..NODES as u32).map(NodeId).filter(|&p| p != me) {
             let hello = Message::Hello { node: me, incarnation };
             self.flight.push(Flight::Msg { from: me, to: peer, msg: hello });
-            self.flight.push(Flight::Verdict { at: peer, peer: me, recovered: true });
+            self.flight.push(Flight::Unannounced);
         }
         "restart"
     }

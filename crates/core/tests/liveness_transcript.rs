@@ -211,13 +211,18 @@ impl Episode {
         };
         let kind = match self.rng.pick(mix).unwrap() {
             0 => {
-                let peer = self.node();
-                self.node.handle_peer_failed(self.now, peer, &mut out);
+                // A driver's verdict, at the incarnation the node holds: the claim the
+                // golden's tree made for a verdict that named none.
+                let node = self.node();
+                let incarnation = self.known_incarnation(node);
+                let me = self.me;
+                self.deliver(me, Message::PeerFailureNotice { node, incarnation }, &mut out);
                 "failed"
             }
             1 => {
-                let peer = self.node();
-                self.node.handle_peer_recovered(self.now, peer, &mut out);
+                // A peer came back, and no driver says so: the node hears nothing. The
+                // step keeps its draw so the stream stays the golden's.
+                self.node();
                 "recovered"
             }
             2 => {

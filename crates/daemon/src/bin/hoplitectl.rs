@@ -4,7 +4,7 @@
 //! hoplitectl spawn   --nodes 5 --dir /tmp/hoplite [--binary PATH] [--config FILE]
 //! hoplitectl status  --dir /tmp/hoplite [--json]
 //! hoplitectl kill    --dir /tmp/hoplite --node 3        # kill -9 + failure verdicts
-//! hoplitectl restart --dir /tmp/hoplite --node 3        # next incarnation, --recover
+//! hoplitectl restart --dir /tmp/hoplite --node 3        # next incarnation, --recover, no verdict
 //! hoplitectl stop    --dir /tmp/hoplite
 //! hoplitectl drill   --nodes 5 --dir /tmp/drill [--waves 6] [--kill-wave 2]
 //!                    [--size BYTES] [--timeout-secs 300] [--json FILE] [--detect]
@@ -22,11 +22,12 @@
 //! panic or watchdog.
 //!
 //! With `--detect` the drill is *verdict-free*: the daemons run the SWIM gossip
-//! detector, no `peer-failed` notice is ever injected, no `peer-recovered` is sent
-//! after the restart — survivors must notice the victim's silence themselves
-//! (probe → indirect ping-req → suspect → dead) and learn of its comeback from its
-//! own `Hello` at the bumped incarnation. The JSON report gains `detection_ms`: the
-//! time from SIGKILL until every survivor has marked the victim dead.
+//! detector and no `peer-failed` notice is ever injected — survivors must notice the
+//! victim's silence themselves (probe → indirect ping-req → suspect → dead). In both
+//! modes nothing announces the restart: survivors learn of the comeback from the
+//! victim's own `Hello` and resync traffic at the bumped incarnation. The JSON report
+//! gains `detection_ms`: the time from SIGKILL until every survivor has marked the
+//! victim dead.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -201,7 +202,6 @@ fn cmd_restart(args: &mut Args) -> Result<(), String> {
     args.finish()?;
     let mut fleet = Fleet::load(&dir)?;
     fleet.restart(node)?;
-    fleet.announce_recovery(node)?;
     let entry = &fleet.nodes[node];
     println!("node {node}: restarted as pid {} at incarnation {}", entry.pid, entry.incarnation);
     Ok(())
@@ -315,7 +315,7 @@ fn cmd_drill(args: &mut Args) -> Result<(), String> {
         let detected = run_wave(&mut fleet, wave, (index == kill_wave).then_some(victim), detect)?;
         if index == kill_wave {
             detection_ms = detected;
-            restart_and_verify(&mut fleet, victim, size, index, detect)?;
+            restart_and_verify(&mut fleet, victim, size, index)?;
         }
         println!("drill: wave {index} complete ({:.1}s)", started.elapsed().as_secs_f64());
     }
@@ -529,20 +529,16 @@ fn run_wave(
 
 /// Restart the victim at the next incarnation, wait out its directory resync, and
 /// prove no location record was lost: the restarted node must be able to get every
-/// object broadcast so far, and every survivor must still see them too. In `detect`
-/// mode no `peer-recovered` verdict is sent either — survivors readmit the victim
-/// when its own `Hello` at the bumped incarnation reaches them.
+/// object broadcast so far, and every survivor must still see them too. Nothing
+/// announces the restart: survivors readmit the victim from its own traffic at the
+/// bumped incarnation (its `Hello`, its restart requests, its `DirResynced`).
 fn restart_and_verify(
     fleet: &mut Fleet,
     victim: usize,
     size: u64,
     through_wave: usize,
-    detect: bool,
 ) -> Result<(), String> {
     fleet.restart(victim).map_err(|e| format!("restart node {victim}: {e}"))?;
-    if !detect {
-        fleet.announce_recovery(victim)?;
-    }
     let incarnation = fleet.nodes[victim].incarnation;
     println!("drill: node {victim} restarted at incarnation {incarnation}");
 

@@ -17,7 +17,9 @@
 //! replicas, immediate resync (snapshot requests + log catch-up) before announcing
 //! itself readmitted. `--incarnation` is the monotonically-bumped process number the
 //! supervisor assigns; it rides on `Hello`, failure notices and `DirResynced`, so
-//! stale news about a dead predecessor can never re-park the new process.
+//! stale news about a dead predecessor can never re-park the new process. Nothing
+//! announces a restart to the other daemons: they readmit the new process from its
+//! `Hello`, its restart-flagged snapshot requests and its `DirResynced`.
 //!
 //! Logs go to stderr (the supervisor tees them to a per-node file); set
 //! `HOPLITE_TRACE=1` for protocol-level traces.
@@ -230,11 +232,6 @@ fn handle(line: &str, host: &NodeHost) -> std::result::Result<String, String> {
             // Incarnation-stamped verdict: inject the protocol-level notice so the
             // node can drop it as stale if that peer already restarted.
             host.inject_message(host.id(), Message::PeerFailureNotice { node, incarnation });
-            Ok(String::new())
-        }
-        "peer-recovered" => {
-            let node = NodeId(parse(arg("node id")?)?);
-            host.notify_peer_recovered(node);
             Ok(String::new())
         }
         other => Err(format!("unknown command `{other}`")),

@@ -162,22 +162,9 @@ impl Fleet {
     /// every other running daemon, as the deployment's failure detector would.
     pub fn announce_failure(&self, node: usize) -> Result<(), String> {
         let incarnation = self.nodes[node].incarnation;
-        self.tell_others(node, |c| c.peer_failed(NodeId(node as u32), incarnation))
-    }
-
-    /// Deliver the verdict that `node` is back to every other running daemon.
-    pub fn announce_recovery(&self, node: usize) -> Result<(), String> {
-        self.tell_others(node, |c| c.peer_recovered(NodeId(node as u32)))
-    }
-
-    fn tell_others(
-        &self,
-        node: usize,
-        verdict: impl Fn(&mut ControlClient) -> io::Result<()>,
-    ) -> Result<(), String> {
         for other in self.running().filter(|&other| other != node) {
             self.control(other)
-                .and_then(|mut c| verdict(&mut c))
+                .and_then(|mut c| c.peer_failed(NodeId(node as u32), incarnation))
                 .map_err(|e| format!("verdict about node {node} to node {other}: {e}"))?;
         }
         Ok(())
@@ -185,8 +172,8 @@ impl Fleet {
 
     /// Start the killed `node` at the next incarnation with `--recover` and wait until
     /// it answers `ping`. It rebinds its ports, resyncs its directory replicas and
-    /// announces itself; survivors learn of it from that traffic, or sooner from
-    /// [`Fleet::announce_recovery`].
+    /// announces itself; survivors learn of it from that traffic, and from nothing
+    /// else.
     pub fn restart(&mut self, node: usize) -> Result<(), String> {
         if self.pid(node)? != 0 {
             return Err(format!("node {node} is still running — kill it first"));

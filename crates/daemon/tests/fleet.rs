@@ -67,7 +67,6 @@ fn one_supervisor_spawns_kills_restarts_and_stops_real_daemons() {
 
     fleet.restart(2).expect("restart node 2");
     assert!(fleet.restart(2).is_err(), "node 2 is running again");
-    fleet.announce_recovery(2).expect("recovery verdict to the survivors");
     assert_eq!(fleet.nodes[2].incarnation, 1);
     wait_until("node 2 to resync at incarnation 1", Duration::from_secs(30), || {
         let statuses = fleet.statuses();

@@ -10,7 +10,8 @@
 //!   `n` receivers is uplink-bound, a node pulling `n` objects is downlink-bound;
 //! * **propagation / RPC latency** — small control messages pay latency but do not
 //!   contend for NIC bandwidth;
-//! * **failure and recovery** with a configurable detection delay.
+//! * **failure and recovery**: a failure is announced after a configurable detection
+//!   delay, naming the incarnation that died; a recovery is not announced.
 //!
 //! It is generic over the actor type: the Hoplite data plane (`hoplite-cluster`) and
 //! every baseline system (`hoplite-baselines`) run on the *same* simulated network, so

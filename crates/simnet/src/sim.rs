@@ -5,7 +5,8 @@
 //! implementing [`SimActor`]; they communicate only through [`SimContext::send`], which
 //! routes messages through the NIC bandwidth model of [`crate::nic`].
 //!
-//! The engine supports node failure and recovery with a configurable detection delay,
+//! The engine supports node failure, announced to the survivors after a configurable
+//! detection delay and naming the incarnation that died, and unannounced recovery,
 //! external calls injected at chosen times (used by experiment scenarios to issue
 //! client operations), and deterministic execution: ties in the event queue are broken
 //! by insertion order, and the only randomness is the seeded per-message fault draw of
@@ -40,11 +41,16 @@ pub trait SimActor: Sized {
     /// A timer armed via [`SimContext::set_timer`] fired.
     fn on_timer(&mut self, _token: u64, _ctx: &mut SimContext<'_, Self::Msg>) {}
 
-    /// Another node was declared failed (after the detection delay).
-    fn on_peer_failed(&mut self, _peer: usize, _ctx: &mut SimContext<'_, Self::Msg>) {}
-
-    /// A previously-failed node was declared recovered.
-    fn on_peer_recovered(&mut self, _peer: usize, _ctx: &mut SimContext<'_, Self::Msg>) {}
+    /// Another node was declared failed (after the detection delay). `incarnation` is
+    /// the one that died: how many times `peer` had been recovered when it failed. No
+    /// recovery is ever declared: a recovered node's own traffic announces it.
+    fn on_peer_failed(
+        &mut self,
+        _peer: usize,
+        _incarnation: u64,
+        _ctx: &mut SimContext<'_, Self::Msg>,
+    ) {
+    }
 }
 
 /// Actions an actor can take during a callback.
@@ -95,10 +101,8 @@ enum EventKind<A: SimActor> {
     NodeFail { node: usize },
     /// Bring a node back (empty).
     NodeRecover { node: usize },
-    /// Tell `node` that `peer` failed.
-    PeerFailedNotice { node: usize, peer: usize },
-    /// Tell `node` that `peer` recovered.
-    PeerRecoveredNotice { node: usize, peer: usize },
+    /// Tell `node` that `peer`'s `incarnation` failed.
+    PeerFailedNotice { node: usize, peer: usize, incarnation: u64 },
     /// Run an injected closure against `node`'s actor.
     External { node: usize, call: ExternalCall<A> },
 }
@@ -185,6 +189,8 @@ pub struct Simulation<A: SimActor> {
     /// Group of each node, padded to the cluster size (empty without `cfg.uplinks`).
     group_of: Vec<usize>,
     alive: Vec<bool>,
+    /// Times each node has been recovered: the incarnation it runs.
+    incarnations: Vec<u64>,
     queue: BinaryHeap<Event<A>>,
     now: SimTime,
     seq: u64,
@@ -217,6 +223,7 @@ impl<A: SimActor> Simulation<A> {
             uplinks,
             group_of,
             alive: vec![true; n],
+            incarnations: vec![0; n],
             queue: BinaryHeap::new(),
             now: SimTime::ZERO,
             seq: 0,
@@ -461,12 +468,12 @@ impl<A: SimActor> Simulation<A> {
                 self.alive[node] = false;
                 self.nics[node].reset();
                 let notice_at = self.now + self.cfg.failure_detection_delay;
+                let incarnation = self.incarnations[node];
                 for other in 0..self.actors.len() {
                     if other != node && self.alive[other] {
-                        self.push(
-                            notice_at,
-                            EventKind::PeerFailedNotice { node: other, peer: node },
-                        );
+                        let notice =
+                            EventKind::PeerFailedNotice { node: other, peer: node, incarnation };
+                        self.push(notice_at, notice);
                     }
                 }
             }
@@ -475,6 +482,7 @@ impl<A: SimActor> Simulation<A> {
                     return;
                 }
                 self.alive[node] = true;
+                self.incarnations[node] += 1;
                 self.nics[node].reset();
                 let mut actions = Vec::new();
                 {
@@ -482,35 +490,15 @@ impl<A: SimActor> Simulation<A> {
                     self.actors[node].on_start(&mut ctx);
                 }
                 self.apply_actions(node, actions);
-                let notice_at = self.now + self.cfg.failure_detection_delay;
-                for other in 0..self.actors.len() {
-                    if other != node && self.alive[other] {
-                        self.push(
-                            notice_at,
-                            EventKind::PeerRecoveredNotice { node: other, peer: node },
-                        );
-                    }
-                }
             }
-            EventKind::PeerFailedNotice { node, peer } => {
+            EventKind::PeerFailedNotice { node, peer, incarnation } => {
                 if !self.alive[node] {
                     return;
                 }
                 let mut actions = Vec::new();
                 {
                     let mut ctx = SimContext { node, now: self.now, actions: &mut actions };
-                    self.actors[node].on_peer_failed(peer, &mut ctx);
-                }
-                self.apply_actions(node, actions);
-            }
-            EventKind::PeerRecoveredNotice { node, peer } => {
-                if !self.alive[node] {
-                    return;
-                }
-                let mut actions = Vec::new();
-                {
-                    let mut ctx = SimContext { node, now: self.now, actions: &mut actions };
-                    self.actors[node].on_peer_recovered(peer, &mut ctx);
+                    self.actors[node].on_peer_failed(peer, incarnation, &mut ctx);
                 }
                 self.apply_actions(node, actions);
             }
@@ -596,7 +584,7 @@ mod tests {
         n: usize,
         size: u64,
         received_at: Option<SimTime>,
-        peers_failed: Vec<usize>,
+        peers_failed: Vec<(usize, u64)>,
     }
 
     impl SimActor for Flood {
@@ -611,8 +599,13 @@ mod tests {
         fn on_message(&mut self, _from: usize, _msg: u64, ctx: &mut SimContext<'_, u64>) {
             self.received_at = Some(ctx.now());
         }
-        fn on_peer_failed(&mut self, peer: usize, _ctx: &mut SimContext<'_, u64>) {
-            self.peers_failed.push(peer);
+        fn on_peer_failed(
+            &mut self,
+            peer: usize,
+            incarnation: u64,
+            _ctx: &mut SimContext<'_, u64>,
+        ) {
+            self.peers_failed.push((peer, incarnation));
         }
     }
 
@@ -665,8 +658,8 @@ mod tests {
         sim.fail_node_at(SimTime::from_secs_f64(1.0), 2);
         sim.run_to_completion();
         assert!(!sim.is_alive(2));
-        assert_eq!(sim.actor(0).peers_failed, vec![2]);
-        assert_eq!(sim.actor(1).peers_failed, vec![2]);
+        assert_eq!(sim.actor(0).peers_failed, vec![(2, 0)]);
+        assert_eq!(sim.actor(1).peers_failed, vec![(2, 0)]);
         assert!(sim.now().as_secs_f64() >= 1.5);
     }
 
@@ -720,6 +713,22 @@ mod tests {
         assert!(sim.is_alive(0));
         // on_start ran again for node 0 after recovery, so receivers saw a second send.
         assert!(sim.stats().messages_delivered >= 4);
+    }
+
+    #[test]
+    fn a_failure_notice_names_the_incarnation_that_died() {
+        let cfg = NetworkConfig {
+            failure_detection_delay: SimDuration::from_millis(500),
+            ..NetworkConfig::paper_testbed()
+        };
+        let mut sim = Simulation::new(cfg, flood(3, 64));
+        sim.fail_node_at(SimTime::from_secs_f64(0.1), 2);
+        // Back before the first notice lands: that notice still names incarnation 0.
+        sim.recover_node_at(SimTime::from_secs_f64(0.2), 2);
+        sim.fail_node_at(SimTime::from_secs_f64(1.0), 2);
+        sim.run_to_completion();
+        assert_eq!(sim.actor(0).peers_failed, vec![(2, 0), (2, 1)]);
+        assert_eq!(sim.actor(1).peers_failed, vec![(2, 0), (2, 1)]);
     }
 
     #[test]
