@@ -258,6 +258,57 @@ mod tests {
         assert!(elapsed < 0.15, "reduce took {elapsed:.3}s");
     }
 
+    /// Six 64 MiB sources on nodes 1–6 (1 MiB blocks), then a reduce of them at `degree`
+    /// and a Get of its result, both submitted at node 0 at 0.5 s. With
+    /// `kill = Some((node, share))`, `node` dies `share` of the failure-free reduce time
+    /// in, and its source is put again on node 7 one second after the death. Returns
+    /// the cluster, run to the end, and the Get.
+    fn reduce_behind_a_get(degree: usize, kill: Option<(usize, f64)>) -> (SimCluster, OpHandle) {
+        let start = SimTime::from_secs_f64(0.5);
+        let killed_at = kill.map(|(node, share)| {
+            let (cluster, get) = reduce_behind_a_get(degree, None);
+            let took = cluster.done_time(get).expect("failure-free reduce") - start;
+            (node, start + SimDuration::from_secs_f64(share * took.as_secs_f64()))
+        });
+        let cfg = HopliteConfig { block_size: MB, ..HopliteConfig::paper_testbed() };
+        let mut cluster = SimCluster::new(8, cfg, NetworkConfig::paper_testbed());
+        let sources: Vec<ObjectId> =
+            (1..=6).map(|i| ObjectId::from_name(&format!("d17-src-{i}"))).collect();
+        let put = |i: usize| ClientOp::Put {
+            object: sources[i - 1],
+            payload: Payload::synthetic(64 * MB),
+        };
+        for node in 1..=6 {
+            cluster.submit_at(SimTime::ZERO, node, put(node));
+        }
+        let target = ObjectId::from_name("d17-sum");
+        let (spec, degree) = (ReduceSpec::sum_f32(), Some(degree));
+        let reduce =
+            ClientOp::Reduce { target, sources: sources.clone(), num_objects: None, spec, degree };
+        cluster.submit_at(start, 0, reduce);
+        let get = cluster.submit_at(start, 0, ClientOp::Get { object: target });
+        if let Some((node, at)) = killed_at {
+            cluster.fail_node_at(at, node);
+            cluster.submit_at(at + SimDuration::from_secs(1), 7, put(node));
+        }
+        cluster.run();
+        (cluster, get)
+    }
+
+    /// A Get chained behind a reduce root completes after a repair resets that root.
+    /// The reset root aborts its pullers; the Get drops it as its source but does not
+    /// exclude it: it is alive, and the result's only holder once it refills.
+    #[test]
+    fn a_get_behind_a_reduce_root_completes_after_a_repair_resets_the_root() {
+        for (degree, victim, share) in [(1, 2, 0.3), (1, 5, 0.6), (2, 2, 0.6), (2, 6, 0.3)] {
+            let (cluster, get) = reduce_behind_a_get(degree, Some((victim, share)));
+            let case = format!("degree {degree}, node {victim} killed {share} in");
+            assert!(cluster.done_time(get).is_some(), "{case}: the Get never completed");
+            assert!(!cluster.failed(get), "{case}");
+            assert!(cluster.node_has_complete(0, ObjectId::from_name("d17-sum")), "{case}");
+        }
+    }
+
     /// A node restarted inside the detection delay (0.74 s) is not killed by the late
     /// verdict about the process that died: the verdict names incarnation 0, the
     /// survivors already hold incarnation 1, and drop it as stale. So when node 1, the

@@ -461,8 +461,10 @@ impl ProgressBuffer {
 /// How many idle slabs a [`SlabPool`] keeps for reuse; the rest are freed when a slab
 /// is next handed back. Sized from what a process of four nodes frees between a delete
 /// and the next transfer: a 64 MiB broadcast round 48 block slabs, a 64 MiB allreduce
-/// round about 100 (accumulators and received blocks alike), a 256 MiB failover round
-/// 128. Those are all the slabs such a process has: no frame reader keeps one between
+/// round about 100 (accumulators and received blocks alike) while its middle slots
+/// pinned their accumulators until release, and no more since a participant lets go of
+/// each block as it sends it ([`crate::reduce::tree`]), a 256 MiB failover round 128.
+/// Those are all the slabs such a process has: no frame reader keeps one between
 /// frames.
 pub const MAX_IDLE_SLABS: usize = 128;
 

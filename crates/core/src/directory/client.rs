@@ -74,6 +74,12 @@ impl DirectoryClient {
             + self.subscriptions.values().filter(|c| !**c).count()
     }
 
+    /// Whether a registration of `object` is on record: sent, and neither withdrawn
+    /// nor forgotten since.
+    pub fn is_registered(&self, object: ObjectId) -> bool {
+        self.registrations.contains_key(&object)
+    }
+
     /// Journal an op this node is about to send. A registration or inline put is
     /// recorded unconfirmed (replacing any earlier intent for the object), a
     /// subscription opened unconfirmed; unregister, unsubscribe and delete withdraw

@@ -1,6 +1,6 @@
 //! The node's one liveness table.
 //!
-//! Everything §3.5 does — a receiver re-pulls, a reduce tree re-parents, a directory
+//! Everything §3.5 does — a receiver re-pulls, a reduce tree restarts, a directory
 //! backup takes over — starts from one fact: *node k, incarnation i, is dead / is
 //! back*. A node holds that fact here and nowhere else: per peer, the highest
 //! **incarnation** heard of (bumped each time the process restarts) and what is

@@ -302,6 +302,12 @@ impl BroadcastEngine {
         out: &mut Vec<Effect>,
     ) {
         if !ctx.store.contains(object) {
+            // A copy this node listed and lost without a word (an eviction): take it
+            // off the list, or a requester — which never excludes a live sender —
+            // would be pointed back here.
+            if ctx.directory.is_registered(object) {
+                ctx.dir(DirOp::Unregister { object, holder: ctx.id }, out);
+            }
             ctx.send(
                 requester,
                 Message::PullError { object, reason: "object not in store".to_string() },

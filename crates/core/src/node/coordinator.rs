@@ -5,7 +5,7 @@
 //! to every source object's directory shard; each location publication offers that
 //! object to the [`ReduceTreePlan`], which assigns it the next in-order slot and
 //! reports which slots' instructions changed. The failure half of coordination — slot
-//! vacation, epoch bumps, refills — lives in [`super::failure`].
+//! vacation, the epoch bump, refills — lives in [`super::failure`].
 //!
 //! Coordinators sit in an ordered map keyed by target, and a coordinator's source list
 //! is the only record of what it consumes: a publication goes to every coordinator
@@ -172,10 +172,10 @@ impl ReduceCoordinator {
                 block_size: ctx.cfg.block_size,
                 num_inputs: view.num_inputs,
                 epoch: view.epoch,
-                parent: view.parent.map(|(pslot, pinput, pepoch)| ReduceParent {
-                    slot: pslot,
-                    node: pinput.node,
-                    epoch: pepoch,
+                parent: view.parent.map(|(slot, input)| ReduceParent {
+                    slot,
+                    node: input.node,
+                    epoch: view.epoch,
                 }),
                 children: view
                     .children

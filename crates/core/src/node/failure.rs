@@ -8,10 +8,8 @@
 //!   current watermark. The directory shard refuses assignments that would create
 //!   cyclic fetch dependencies among the survivors.
 //! * **Reduce (§3.5.2)** — the coordinator vacates every slot the failed node owned,
-//!   bumps the accumulation epoch of the slot's ancestors (at most `log_d n` of them),
-//!   and refills vacancies from the ready pool. Participants receiving a higher epoch
-//!   clear their partial accumulation; participants whose parent changed re-send their
-//!   finalized blocks from the start (re-parenting).
+//!   refills vacancies from the ready pool and restarts the whole tree at a new epoch
+//!   (the rule, and its price, is stated once in [`crate::reduce::tree`]).
 //!
 //! * **Directory (§3.5)** — the directory is replicated behind a sequenced, acked op
 //!   log; when a shard primary dies, a surviving backup is promoted (at the shard's
@@ -211,8 +209,10 @@ impl BroadcastEngine {
         }
     }
 
-    /// The sender reported it cannot serve our pull (evicted, deleted, or reset): fail
-    /// over exactly as if the sender had died.
+    /// The sender reported it cannot serve our pull (evicted, deleted, or reset): drop
+    /// it as the current source and re-query. It is not excluded — exclusion follows
+    /// death verdicts only — because a live sender may hold the object again soon: a
+    /// reduce root that a repair reset is the result's only holder once it refills.
     pub(crate) fn on_pull_error(
         &mut self,
         ctx: &mut NodeContext,
@@ -223,7 +223,7 @@ impl BroadcastEngine {
         if let Some(get) = self.gets.get(&object) {
             if get.pulling_from == Some(from) {
                 ctx.metrics.broadcast_failovers += 1;
-                self.restart_get(ctx, object, Some(from), out);
+                self.restart_get(ctx, object, None, out);
             }
         }
     }
@@ -231,8 +231,7 @@ impl BroadcastEngine {
 
 impl ReduceEngine {
     /// Repair every coordinated reduce tree after `peer` failed: vacate its slots,
-    /// bump ancestor epochs, refill from the ready pool, and re-issue the affected
-    /// instructions (§3.5.2).
+    /// refill from the ready pool, and re-instruct every slot at the new epoch.
     pub(crate) fn on_peer_failed(
         &mut self,
         ctx: &mut NodeContext,

@@ -10,7 +10,7 @@
 //!   d-ary trees from arrival order, and the per-slot participant that accumulates and
 //!   streams partially-reduced blocks;
 //! * [`failure`] — the failure-adaptation rules (§3.5): broadcast re-pull after sender
-//!   loss and reduce-tree re-parenting with epoch bumps.
+//!   loss and the reduce-tree restart at a new epoch.
 //!
 //! Each engine owns its state and talks to the world exclusively through the shared
 //! [`NodeContext`] (identity, config, local store, metrics, loopback queue), emitting

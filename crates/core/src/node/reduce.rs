@@ -58,9 +58,11 @@ pub(crate) enum ReduceEvent {
 /// slab a receive or an earlier fold has used, so after warm-up it is already mapped —
 /// and every input after that folds into the same buffer via
 /// [`ReduceSpec::combine_into`]: no per-input allocation, no per-input output copy.
-/// Emission freezes the buffer into a shared view without copying and hands it back to
-/// the pool, which reissues it once the last view (this block, the result object, a
-/// frame in flight) has dropped.
+/// Emission hands the block over and leaves it empty — a participant keeps nothing of
+/// a block that has left it, since a repair restarts every slot from its own source
+/// (see [`crate::reduce::tree`]). It freezes the buffer into a shared view without
+/// copying and hands the buffer back to the pool, which reissues it once the last view
+/// (the result object, a frame in flight) has dropped.
 #[derive(Debug, Default)]
 struct BlockAccum {
     state: BlockState,
@@ -74,8 +76,7 @@ enum BlockState {
     #[default]
     Empty,
     /// One shared view: the only input so far (a leaf that only ever sees one input
-    /// never copies at all; synthetic inputs stay here), or an accumulator frozen at
-    /// emission, so re-sends after a parent change are refcount bumps.
+    /// never copies at all; synthetic inputs stay here).
     Shared(Payload),
     /// Two or more real inputs folded in place into the first `len` bytes of a pooled
     /// buffer this block holds the only handle to.
@@ -105,8 +106,7 @@ impl BlockAccum {
                     let len = existing.len();
                     self.state = BlockState::Shared(Payload::synthetic(len));
                 } else {
-                    // The second input — or a straggler after emission (e.g. a replay
-                    // racing a repair): fold both into a writable accumulator — the
+                    // The second input: fold both into a writable accumulator — the
                     // shared bytes may still be aliased by live views — and keep going.
                     let len = existing.len() as usize;
                     let mut buf = pool.checkout(len);
@@ -148,17 +148,17 @@ impl BlockAccum {
         self.inputs_applied >= num_inputs && !matches!(self.state, BlockState::Empty)
     }
 
-    /// The finalized payload for emission. Freezes an in-place accumulator into a
-    /// shared view of its buffer (no copy), so this and every later call are cheap.
-    fn emit(&mut self, pool: &SlabPool) -> Option<Payload> {
-        if let BlockState::Accum { buf, len } = &self.state {
-            let frozen = Payload::Bytes(Bytes::from_arc(buf.clone(), 0, *len));
-            pool.retain(buf.clone());
-            self.state = BlockState::Shared(frozen);
-        }
-        match &self.state {
-            BlockState::Shared(p) => Some(p.clone()),
-            BlockState::Empty | BlockState::Accum { .. } => None,
+    /// Hand the finalized payload over for emission, leaving the block empty. An
+    /// in-place accumulator is frozen into a shared view of its buffer (no copy), and
+    /// the buffer goes back to the pool.
+    fn take(&mut self, pool: &SlabPool) -> Option<Payload> {
+        match std::mem::take(self).state {
+            BlockState::Empty => None,
+            BlockState::Shared(p) => Some(p),
+            BlockState::Accum { buf, len } => {
+                pool.retain(buf.clone());
+                Some(Payload::Bytes(Bytes::from_arc(buf, 0, len)))
+            }
         }
     }
 }
@@ -188,23 +188,13 @@ impl ReduceParticipant {
             root_started: false,
         }
     }
-
-    fn reset(&mut self) {
-        for b in &mut self.blocks {
-            *b = BlockAccum::default();
-        }
-        self.own_blocks_ingested = 0;
-        self.next_emit_block = 0;
-        self.root_started = false;
-    }
 }
 
-/// A reduce block that arrived before this node learned it owns the destination
-/// slot. Children start streaming as soon as they know their parent's identity, and
-/// nothing orders a child's first block after the parent's own instruction (the two
-/// race on different links, or through the loopback queue when the slots are
-/// co-located), so early blocks are parked here and replayed once the instruction
-/// arrives.
+/// A reduce block that arrived before this node learned it owns the destination slot
+/// at the block's epoch. Children start streaming as soon as they know their parent,
+/// and nothing orders a child's first block after the parent's own instruction (the
+/// two race on different links, or through the loopback queue when the slots are
+/// co-located), so early blocks are parked here and replayed once it arrives.
 #[derive(Debug)]
 struct EarlyBlock {
     from_slot: usize,
@@ -251,34 +241,29 @@ impl ReduceEngine {
         );
         let mut events = Vec::new();
         match self.participants.get_mut(&key) {
-            Some(existing) => {
-                let epoch_bumped = instr.epoch > existing.instr.epoch;
-                let parent_changed = existing.instr.parent != instr.parent;
-                let previous_root_started = existing.root_started;
-                existing.instr = instr;
-                if epoch_bumped {
-                    ctx.metrics.reduce_resets += 1;
-                    existing.reset();
-                    // The root clears the partially-materialized result object too.
-                    if previous_root_started {
-                        let target = key.0;
-                        if self.invalidate_local_object(ctx, target, out) {
-                            events.push(ReduceEvent::Invalidate { object: target });
-                        }
-                    }
-                } else if parent_changed {
-                    // Same accumulated data, new (or restarted) parent: re-send our
-                    // finalized blocks from the start.
-                    existing.next_emit_block = 0;
+            // A new epoch restarts the slot from its own source. (Within an epoch a
+            // parent only changes from none to some, before anything was sent.)
+            Some(existing) if instr.epoch > existing.instr.epoch => {
+                ctx.metrics.reduce_resets += 1;
+                let root_started = existing.root_started;
+                *existing = ReduceParticipant::new(instr);
+                // The root clears the partially-materialized result object too.
+                if root_started && self.invalidate_local_object(ctx, key.0, out) {
+                    events.push(ReduceEvent::Invalidate { object: key.0 });
                 }
             }
-            None => {
-                let p = self.participants.entry(key).or_insert(ReduceParticipant::new(instr));
-                // Replay any child blocks that raced ahead of this instruction.
-                for block in self.early_blocks.remove(&key).unwrap_or_default() {
-                    Self::apply_block(ctx, p, key.0, &block);
-                }
-            }
+            Some(existing) => existing.instr = instr,
+            None => drop(self.participants.insert(key, ReduceParticipant::new(instr))),
+        }
+        // Replay the child blocks that raced ahead of this instruction; one from a
+        // still newer epoch waits for that epoch's instruction.
+        let p = self.participants.get_mut(&key).expect("just instructed");
+        let parked = self.early_blocks.remove(&key).unwrap_or_default();
+        let (later, now): (Vec<_>, Vec<_>) =
+            parked.into_iter().partition(|block| block.parent_epoch > p.instr.epoch);
+        now.iter().for_each(|block| Self::apply_block(ctx, p, key.0, block));
+        if !later.is_empty() {
+            self.early_blocks.insert(key, later);
         }
         events.extend(self.pump_participant(ctx, key, out));
         events
@@ -332,9 +317,10 @@ impl ReduceEngine {
     ) -> Vec<ReduceEvent> {
         let key = (target, to_slot);
         let block = EarlyBlock { from_slot, parent_epoch, block_index, object_size, payload };
-        let Some(p) = self.participants.get_mut(&key) else {
-            // The sender learned about this slot's assignment before we did (its
-            // instruction and our instruction race on independent links). Park the
+        let Some(p) = self.participants.get_mut(&key).filter(|p| parent_epoch <= p.instr.epoch)
+        else {
+            // The sender learned about this slot's assignment (or new epoch) before we
+            // did: its instruction and ours race on independent links. Park the
             // block; it is replayed when our instruction arrives.
             trace!(
                 "[n{}] parking early block target={:?} to_slot={} from_slot={} idx={}",
@@ -415,22 +401,19 @@ impl ReduceEngine {
             p.own_blocks_ingested = block_idx + 1;
         }
 
-        // 2. Emit finalized blocks in order.
+        // 2. Emit finalized blocks in order, letting go of each as it leaves.
         loop {
             let p = self.participants.get_mut(&key).expect("participant exists");
             let idx = p.next_emit_block;
-            if idx >= total_blocks {
+            let ReduceInstruction { is_root, parent, slot, coordinator, .. } = p.instr;
+            if idx >= total_blocks
+                || !p.blocks[idx as usize].is_ready(p.instr.num_inputs)
+                || (!is_root && parent.is_none())
+            {
                 break;
             }
-            let num_inputs = p.instr.num_inputs;
-            if !p.blocks[idx as usize].is_ready(num_inputs) {
-                break;
-            }
-            let payload = p.blocks[idx as usize].emit(&ctx.pool).expect("ready block has data");
-            let is_root = p.instr.is_root;
-            let parent = p.instr.parent;
-            let slot = p.instr.slot;
-            let coordinator = p.instr.coordinator;
+            let payload = p.blocks[idx as usize].take(&ctx.pool).expect("ready block has data");
+            p.next_emit_block = idx + 1;
             if is_root {
                 // Materialize the result object locally, registering it as a partial
                 // location right away so a following broadcast can start (§3.3).
@@ -451,8 +434,6 @@ impl ReduceEngine {
                 }
                 let offset = idx * block_size;
                 if ctx.store.append(target, offset, &payload).is_ok() {
-                    let p = self.participants.get_mut(&key).expect("participant exists");
-                    p.next_emit_block = idx + 1;
                     let watermark = ctx.store.watermark(target).unwrap_or(0);
                     out.push(Effect::LocalProgress {
                         object: target,
@@ -476,8 +457,7 @@ impl ReduceEngine {
                 } else {
                     break;
                 }
-            } else {
-                let Some(parent) = parent else { break };
+            } else if let Some(parent) = parent {
                 ctx.metrics.reduce_blocks_sent += 1;
                 ctx.metrics.data_bytes_sent += payload.len();
                 ctx.send(
@@ -493,8 +473,6 @@ impl ReduceEngine {
                     },
                     out,
                 );
-                let p = self.participants.get_mut(&key).expect("participant exists");
-                p.next_emit_block = idx + 1;
             }
         }
         events
@@ -536,9 +514,18 @@ impl ReduceEngine {
 mod tests {
     use super::*;
 
+    impl ReduceEngine {
+        /// Blocks the participants here hold: folded, not yet emitted.
+        pub(crate) fn held_blocks(&self) -> usize {
+            let blocks = self.participants.values().flat_map(|p| &p.blocks);
+            blocks.filter(|b| !matches!(b.state, BlockState::Empty)).count()
+        }
+    }
+
     /// The first fold of two contiguous inputs is one pass with no seed copy; a
     /// segmented input — either side — takes the copy-then-combine path, which is on
-    /// the books. Both give the same sum, and a third input folds in place.
+    /// the books. Both give the same sum, a third input folds in place, and emission
+    /// leaves the block empty.
     #[test]
     fn first_fold_copies_only_for_a_segmented_input() {
         let (spec, target) = (ReduceSpec::sum_f32(), ObjectId::from_name("fold"));
@@ -550,7 +537,6 @@ mod tests {
             Bytes::from(bytes[..101].to_vec()),
             Bytes::from(bytes[101..].to_vec()),
         ]);
-        let doubled: Vec<f32> = values.iter().map(|v| 2.0 * v).collect();
         let tripled: Vec<f32> = values.iter().map(|v| 3.0 * v).collect();
         for (first, second, copied) in
             [(&flat, &flat, 0), (&split, &flat, bytes.len()), (&flat, &split, bytes.len())]
@@ -565,13 +551,18 @@ mod tests {
             }
             assert!(matches!(block.state, BlockState::Accum { .. }));
             assert!(block.is_ready(2));
-            assert_eq!(block.emit(&pool).unwrap().to_f32s(), doubled);
-            // A straggler after emission: the frozen view is an input like any other.
-            assert!(block.fold(&pool, spec, target, &flat));
-            assert_eq!(block.emit(&pool).unwrap().to_f32s(), tripled);
             // A shape mismatch is refused and leaves the block as it was.
             assert!(!block.fold(&pool, spec, target, &Payload::from_f32s(&[1.0])));
-            assert_eq!(block.emit(&pool).unwrap().to_f32s(), tripled);
+            assert!(block.fold(&pool, spec, target, &flat));
+            assert_eq!(block.inputs_applied, 3);
+            let emitted = block.take(&pool).unwrap();
+            assert_eq!(emitted.to_f32s(), tripled);
+            assert!(matches!(block.state, BlockState::Empty) && block.inputs_applied == 0);
+            assert_eq!(block.take(&pool), None);
+            // The pool holds the buffer, pinned by the emitted view until it drops.
+            assert_eq!((pool.pinned_slabs(), pool.idle_slabs()), (1, 0));
+            drop(emitted);
+            assert_eq!((pool.pinned_slabs(), pool.idle_slabs()), (0, 1));
         }
     }
 }

@@ -77,30 +77,43 @@ impl TestCluster {
     /// Deliver until quiescent, passing every message through `reframe` on the wire.
     fn run_reframing(&mut self, mut reframe: impl FnMut(Message) -> Message) {
         let mut steps = 0;
-        while let Some((from, batch)) = self.pending.pop_front() {
-            if self.dead.contains(&from.index()) {
-                continue; // effects of a node that died before they were applied
-            }
-            for effect in batch {
-                match effect {
-                    Effect::Send { to, msg } => {
-                        if self.dead.contains(&to.index()) {
-                            continue; // dropped on the floor, like a real network
-                        }
-                        let mut out = Vec::new();
-                        let msg = reframe(msg);
-                        self.nodes[to.index()].handle_message(Time::ZERO, from, msg, &mut out);
-                        self.pending.push_back((to, out));
-                    }
-                    Effect::Reply { op, reply } => self.replies.push((from, op, reply)),
-                    Effect::SetTimer { .. }
-                    | Effect::LocalProgress { .. }
-                    | Effect::PeerDown { .. } => {}
-                }
-            }
+        while self.step(&mut reframe).is_some() {
             steps += 1;
             assert!(steps < 200_000, "message storm");
         }
+    }
+
+    /// Deliver the next queued batch of effects, passing every message through
+    /// `reframe`. Returns the messages delivered, as `(from, to, message)`, or `None`
+    /// when nothing is queued.
+    fn step(
+        &mut self,
+        reframe: &mut impl FnMut(Message) -> Message,
+    ) -> Option<Vec<(NodeId, NodeId, Message)>> {
+        let (from, batch) = self.pending.pop_front()?;
+        let mut delivered = Vec::new();
+        if self.dead.contains(&from.index()) {
+            return Some(delivered); // effects of a node that died before they were applied
+        }
+        for effect in batch {
+            match effect {
+                Effect::Send { to, msg } => {
+                    if self.dead.contains(&to.index()) {
+                        continue; // dropped on the floor, like a real network
+                    }
+                    let mut out = Vec::new();
+                    let msg = reframe(msg);
+                    self.nodes[to.index()].handle_message(Time::ZERO, from, msg.clone(), &mut out);
+                    self.pending.push_back((to, out));
+                    delivered.push((from, to, msg));
+                }
+                Effect::Reply { op, reply } => self.replies.push((from, op, reply)),
+                Effect::SetTimer { .. }
+                | Effect::LocalProgress { .. }
+                | Effect::PeerDown { .. } => {}
+            }
+        }
+        Some(delivered)
     }
 
     fn reply_payload(&self, op: OpId) -> Option<Payload> {
@@ -727,6 +740,106 @@ fn reduce_reparents_after_participant_failure() {
     // At least one survivor cleared a partial accumulation (epoch bump observed).
     let resets: u64 = tc.nodes.iter().map(|n| n.metrics().reduce_resets).sum();
     assert!(resets >= 1, "some participant reset its accumulation");
+}
+
+/// §3.5.2 on real bytes, mid-stream: in a 4-input chain over 8 blocks, the owner of a
+/// middle slot dies after it has forwarded a block. Every surviving participant
+/// restarts from its own source at the new epoch, the lost input is put again on a
+/// spare node, and a Get of the result issued before the death returns the exact sum.
+/// A non-root participant that has sent its last block holds none of them.
+#[test]
+fn reduce_restarts_mid_stream_after_a_middle_slot_dies() {
+    let mut tc = TestCluster::new(7);
+    let len = 8 * 1024 / 4; // 8 blocks of small_for_tests' 1 KiB
+    let input = |i: usize| -> Vec<f32> { (0..len).map(|j| ((i + 1) * (j % 7)) as f32).collect() };
+    let sum: Vec<f32> = (0..len).map(|j| (10 * (j % 7)) as f32).collect();
+    // Shards away from nodes 1..=4, so a death takes a participant and nothing else.
+    let cluster = ClusterView::of_size(7);
+    let mut away = (0..)
+        .map(|k| ObjectId::from_name(&format!("mid-{k}")))
+        .filter(|&o| !(1..=4).contains(&cluster.shard_node(o).index()));
+    let sources: Vec<ObjectId> = away.by_ref().take(4).collect();
+    let target = away.next().unwrap();
+    for (i, &object) in sources.iter().enumerate() {
+        let payload = Payload::from_f32s(&input(i));
+        tc.client(i + 1, OpId(10 + i as u64), ClientOp::Put { object, payload });
+    }
+    tc.run();
+    let spec = ReduceSpec::sum_f32();
+    let reduce = ClientOp::Reduce {
+        target,
+        sources: sources.clone(),
+        num_objects: None,
+        spec,
+        degree: Some(1),
+    };
+    tc.client(0, OpId(1), reduce);
+    tc.client(0, OpId(2), ClientOp::Get { object: target });
+
+    // Step by step until slot 1 (a middle slot of the chain) has forwarded a block.
+    let mut reframe = |msg| msg;
+    let (mut slots, mut victim) = (std::collections::BTreeMap::new(), None);
+    while victim.is_none() {
+        for (_, to, msg) in tc.step(&mut reframe).expect("the reduce is under way") {
+            match msg {
+                Message::ReduceInstruction(instr) => drop(slots.insert(instr.slot, to)),
+                Message::ReduceBlock { from_slot: 1, .. } => victim = Some(slots[&1]),
+                _ => {}
+            }
+        }
+    }
+    let victim: NodeId = victim.unwrap();
+    assert!(tc.nodes.iter().all(|n| !n.has_complete(target)), "the root is not done yet");
+    tc.kill(victim.index());
+    let lost = sources[victim.index() - 1];
+    let payload = Payload::from_f32s(&input(victim.index() - 1));
+    tc.client(5, OpId(20), ClientOp::Put { object: lost, payload });
+
+    // On to the end. A non-root participant that has sent its last block at the new
+    // epoch holds none: each block left it as it was sent.
+    let (mut steps, mut last_blocks_sent) = (0, 0);
+    while let Some(delivered) = tc.step(&mut reframe) {
+        steps += 1;
+        assert!(steps < 200_000, "message storm");
+        for (from, _, msg) in delivered {
+            if let Message::ReduceBlock { block_index: 7, parent_epoch: 1, .. } = msg {
+                last_blocks_sent += 1;
+                assert_eq!(tc.nodes[from.index()].reduce.held_blocks(), 0, "{from:?}");
+            }
+        }
+    }
+    assert_eq!(last_blocks_sent, 3, "slots 0, 1 and 2 each sent their last block");
+    assert_eq!(tc.reply_payload(OpId(2)), Some(Payload::from_f32s(&sum)));
+    for node in slots.values().filter(|&&n| n != victim) {
+        let resets = tc.nodes[node.index()].metrics().reduce_resets;
+        assert!(resets >= 1, "surviving participant {node:?} did not restart");
+    }
+}
+
+/// A Get pointed at a copy its holder evicted moves on to the next copy. The holder,
+/// which listed the copy and lost it without a word, answers the pull with an error
+/// and takes the listing back; the Get, which does not exclude a live sender, is not
+/// pointed back at it.
+#[test]
+fn a_get_pointed_at_an_evicted_copy_moves_on_to_the_next() {
+    let cfg = HopliteConfig { store_capacity: 3000, ..HopliteConfig::small_for_tests() };
+    let mut tc = TestCluster::with_config(4, cfg);
+    let (evicted, evicter) = (ObjectId::from_name("evicted"), ObjectId::from_name("evicter"));
+    let data = vec![3u8; 2000];
+    let put = |object, data| ClientOp::Put { object, payload: Payload::from_vec(data) };
+    tc.client(2, OpId(1), put(evicted, data.clone()));
+    tc.run();
+    tc.client(1, OpId(2), ClientOp::Get { object: evicted });
+    tc.run();
+    // Node 1's received copy is unpinned: its own put evicts it, and the directory
+    // still lists it ahead of node 2's.
+    tc.client(1, OpId(3), put(evicter, vec![4; 2000]));
+    tc.run();
+    assert!(!tc.nodes[1].store().contains(evicted));
+    tc.client(3, OpId(4), ClientOp::Get { object: evicted });
+    tc.run();
+    assert_eq!(tc.reply_payload(OpId(4)), Some(Payload::from_vec(data)));
+    assert_eq!(tc.nodes[3].metrics().broadcast_failovers, 1, "one pull hit the evicted copy");
 }
 
 /// A Get whose only copy disappears with a failed node parks (rather than erroring or

@@ -7,12 +7,16 @@
 //! the `k`-th object to become ready takes slot `k`, which lets early arrivals start
 //! streaming into their parent before later participants even exist.
 //!
-//! Failure handling follows §3.5.2: a failed slot is vacated and refilled by the next
-//! ready object (possibly the same object recreated elsewhere by the task framework),
-//! and every ancestor of the failed slot bumps its *epoch*, which instructs it to clear
-//! its partial accumulation and its children to re-send.
+//! Failure handling follows §3.5.2 in what it vacates: a failed slot is vacated and
+//! refilled by the next ready object (possibly the same object recreated elsewhere by
+//! the task framework). What it restarts is the whole tree: a failure that vacates a
+//! slot bumps the plan's one *epoch*, every assigned slot is re-instructed, and every
+//! participant clears its accumulation and streams again from its own source. A
+//! participant keeps no block once the block has left it (to its parent, or into the
+//! root's result), so there is no partial sum to re-send; the price is that a repair
+//! re-streams every source, where the paper's Fig. 5b leaves the sibling subtree be.
 //!
-//! The plan keeps each fact once: a slot's input (`None` is a vacancy), a slot's epoch,
+//! The plan keeps each fact once: a slot's input (`None` is a vacancy), the epoch,
 //! and the ready pool of offered inputs that hold no slot yet, in arrival order. Every
 //! question is a scan of one of those — "is this object assigned", "which slot is
 //! vacant next", "which pooled inputs lived on the dead node" — and every event costs
@@ -133,8 +137,8 @@ pub struct ReduceTreePlan {
     shape: TreeShape,
     /// Slot -> assigned input; `None` is a vacancy.
     assignment: Vec<Option<ReduceInput>>,
-    /// Accumulation epoch per slot (bumped when the slot must clear partial results).
-    epoch: Vec<u64>,
+    /// Accumulation epoch of every slot, bumped by each failure that vacates a slot.
+    epoch: u64,
     /// Offered inputs that hold no slot yet, in arrival order. An input whose holder
     /// fails leaves the pool; offered again, it queues at the back like any arrival.
     pool: VecDeque<ReduceInput>,
@@ -147,13 +151,13 @@ pub struct SlotView {
     pub slot: usize,
     /// Input assigned to this slot.
     pub input: ReduceInput,
-    /// This slot's accumulation epoch.
+    /// The plan's accumulation epoch, which is also the parent's.
     pub epoch: u64,
     /// Total number of inputs this slot combines: its own object plus one stream per
     /// child slot (whether or not those child slots are assigned yet).
     pub num_inputs: usize,
-    /// Parent slot owner, its slot index, and its current epoch; `None` for the root.
-    pub parent: Option<(usize, ReduceInput, u64)>,
+    /// Parent slot index and owner; `None` for the root or while the parent is vacant.
+    pub parent: Option<(usize, ReduceInput)>,
     /// Currently-assigned children (slot, input).
     pub children: Vec<(usize, ReduceInput)>,
     /// `true` when this slot is the tree root (it materializes the reduce result).
@@ -165,12 +169,7 @@ impl ReduceTreePlan {
     pub fn new(num_objects: usize, degree: usize) -> ReduceTreePlan {
         let shape = TreeShape::new(num_objects, degree);
         let n = shape.len();
-        ReduceTreePlan {
-            shape,
-            assignment: vec![None; n],
-            epoch: vec![0; n],
-            pool: VecDeque::new(),
-        }
+        ReduceTreePlan { shape, assignment: vec![None; n], epoch: 0, pool: VecDeque::new() }
     }
 
     /// The underlying static shape.
@@ -183,9 +182,9 @@ impl ReduceTreePlan {
         self.assignment[slot]
     }
 
-    /// Current epoch of a slot.
-    pub fn epoch(&self, slot: usize) -> u64 {
-        self.epoch[slot]
+    /// The epoch every slot accumulates at.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
     }
 
     /// Offer a ready input (an object that now has a partial or complete copy at
@@ -203,31 +202,19 @@ impl ReduceTreePlan {
         self.refill(Vec::new())
     }
 
-    /// Handle the failure of `node`: vacate every slot it owned, drop it from the ready
-    /// pool, bump ancestor epochs, and refill vacancies from the pool. Returns the
-    /// affected slots that hold an input afterwards (vacated ancestors, their children
-    /// and any refills), in rank order.
+    /// Handle the failure of `node`: drop it from the ready pool and vacate every slot
+    /// it owned. If that vacated a slot, bump the epoch, refill vacancies from the pool
+    /// and return every slot that holds an input (all of them restart); otherwise
+    /// nothing changed for any slot and the result is empty.
     pub fn on_node_failed(&mut self, node: NodeId) -> Vec<usize> {
         self.pool.retain(|input| input.node != node);
-        let mut affected = Vec::new();
-        for slot in 0..self.assignment.len() {
-            if self.assignment[slot].is_none_or(|input| input.node != node) {
-                continue;
-            }
-            self.assignment[slot] = None;
-            // The vacated slot's children will point at the replacement owner once one
-            // is found.
-            affected.push(slot);
-            affected.extend(&self.shape.slot(slot).children);
-            // Every ancestor clears its partial result (§3.5.2: at most log_d n nodes),
-            // and its other children must re-send to the new parent epoch.
-            for anc in self.shape.ancestors(slot) {
-                self.epoch[anc] += 1;
-                affected.push(anc);
-                affected.extend(&self.shape.slot(anc).children);
-            }
+        let owned = |a: &Option<ReduceInput>| a.is_some_and(|input| input.node == node);
+        if !self.assignment.iter().any(owned) {
+            return Vec::new();
         }
-        self.refill(affected)
+        self.assignment.iter_mut().filter(|a| owned(a)).for_each(|a| *a = None);
+        self.epoch += 1;
+        self.refill((0..self.assignment.len()).collect())
     }
 
     /// The view of a slot used to build its participant instruction. `None` if the slot
@@ -235,13 +222,13 @@ impl ReduceTreePlan {
     pub fn slot_view(&self, slot: usize) -> Option<SlotView> {
         let input = self.assignment[slot]?;
         let shape = self.shape.slot(slot);
-        let parent = shape.parent.and_then(|p| self.assignment[p].map(|pi| (p, pi, self.epoch[p])));
+        let parent = shape.parent.and_then(|p| self.assignment[p].map(|pi| (p, pi)));
         let children =
             shape.children.iter().filter_map(|&c| self.assignment[c].map(|ci| (c, ci))).collect();
         Some(SlotView {
             slot,
             input,
-            epoch: self.epoch[slot],
+            epoch: self.epoch,
             num_inputs: shape.children.len() + 1,
             parent,
             children,
@@ -378,23 +365,33 @@ mod tests {
     }
 
     #[test]
-    fn failure_vacates_bumps_ancestors_and_refills() {
-        // Mirror of Figure 5b: R2 (slot 1) fails, R7 replaces it, ancestors clear.
+    fn failure_vacates_bumps_every_epoch_and_refills() {
+        // Figure 5b's failure: R2 (slot 1) fails and R7 replaces it. The whole tree
+        // restarts, the sibling subtree (slots 4, 5) included.
         let mut plan = ReduceTreePlan::new(6, 2);
         for i in 0..6 {
             plan.offer_input(input(i));
         }
-        let root_epoch_before = plan.epoch(3);
+        plan.offer_input(input(8)); // pooled
+                                    // A node that holds no slot and no pooled input changes nothing.
+        assert!(plan.on_node_failed(NodeId(9)).is_empty());
+        assert_eq!(plan.epoch(), 0);
         let affected = plan.on_node_failed(NodeId(1));
-        // Slot 1 is vacated; no replacement is available yet.
-        assert_eq!(plan.assignment(1), None);
-        assert_eq!(plan.epoch(3), root_epoch_before + 1, "the root clears its result");
-        assert_eq!(plan.epoch(5), 0, "the sibling subtree is untouched");
-        assert!(affected.contains(&3));
-        // R7 arrives and takes the vacated slot.
+        // Slot 1 is refilled from the pool at once; every slot is re-instructed.
+        assert_eq!(plan.assignment(1).unwrap().node, NodeId(8));
+        assert_eq!(plan.epoch(), 1, "every slot clears its accumulation");
+        assert_eq!(affected, (0..6).collect::<Vec<_>>());
+        assert!((0..6).all(|s| plan.slot_view(s).unwrap().epoch == 1));
+        // The next failure leaves slot 3, the root, vacant: the other five restart.
+        let affected = plan.on_node_failed(NodeId(3));
+        assert_eq!(plan.assignment(3), None);
+        assert_eq!(plan.epoch(), 2);
+        assert_eq!(affected, vec![0, 1, 2, 4, 5]);
+        // R7 arrives and takes the vacated slot; an arrival bumps nothing.
         let affected = plan.offer_input(input(7));
-        assert!(affected.contains(&1));
-        assert_eq!(plan.assignment(1).unwrap().node, NodeId(7));
+        assert_eq!(affected, vec![1, 3, 5]);
+        assert_eq!(plan.assignment(3).unwrap().node, NodeId(7));
+        assert_eq!(plan.epoch(), 2);
         assert_eq!(vacancies(&plan), 0);
     }
 
@@ -422,6 +419,7 @@ mod tests {
         assert_eq!(v.num_inputs, 3);
         assert!(!v.is_root);
         assert_eq!(v.parent.unwrap().0, 3);
+        assert_eq!(v.epoch, plan.epoch());
         assert_eq!(v.children.len(), 2);
         let root = plan.slot_view(3).unwrap();
         assert!(root.is_root);
@@ -437,8 +435,8 @@ mod tests {
         plan.offer_input(input(0));
         plan.offer_input(input(1));
         plan.offer_input(input(2)); // pooled, unassigned
-        plan.on_node_failed(NodeId(2));
-        assert_eq!(vacancies(&plan), 0);
+        assert!(plan.on_node_failed(NodeId(2)).is_empty(), "no slot changed");
+        assert_eq!((vacancies(&plan), plan.epoch()), (0, 0));
         // The pooled input left with its holder: a vacancy is not refilled from it.
         plan.on_node_failed(NodeId(0));
         assert_eq!(plan.assignment(0), None);

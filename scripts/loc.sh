@@ -97,6 +97,6 @@ echo "| \`thread::sleep\` calls | $(occurrences 'thread::sleep') |"
 echo "| \`SlabPool\` construction sites (expected 5: the two process builders, \`hoplited\` and \`LocalCluster\`; the private defaults of a node, of a fabric or reader built alone, of the tiny-slab test reader) | $(($(occurrences 'SlabPool::new()') + $(occurrences 'SlabPool::for_block_size(') + $(occurrences 'SlabPool::with_slab_len('))) |"
 echo "| thread-spawn sites (\`thread::spawn\`, \`Builder::new()\`, \`spawn_scoped\`) | $(($(occurrences 'thread::spawn') + $(occurrences 'thread::Builder::new()') + $(occurrences 'spawn_scoped'))) |"
 checkouts=$(find crates src examples -name '*.rs' -not -path 'crates/compat/*' | sort | while read -r f; do
-    if echo "$f" | non_test_text | grep -qF '.checkout('; then echo "${f#crates/}"; fi
+    if echo "$f" | non_test_text | grep -F '.checkout(' >/dev/null; then echo "${f#crates/}"; fi
 done)
 echo "| \`SlabPool::checkout\` call sites, who may hold pool memory (expected 2: a frame reader, for one frame at a time, and \`BlockAccum::fold\`) | $(occurrences '.checkout(')${checkouts:+ ($(echo $checkouts | sed 's/ /, /g'))} |"
