@@ -200,6 +200,13 @@ const EXACT_COUNTS: [&str; 3] = ["failovers", "redrives", "resyncs"];
 /// (relative, e.g. `0.15`) of the baseline, and the protocol counts `failovers`,
 /// `redrives` and `resyncs` must equal it. Cells present only in the baseline are
 /// regressions (coverage shrank); cells only in the fresh run are notes.
+///
+/// The `loss` cells reshuffle whenever a protocol change adds or removes any frame,
+/// even one no collective waits on: the loss model draws once per message, so every
+/// later draw lands on another message and the cell's losses, and with them its
+/// `completion_s`, move by up to ±90 %. Such a change is judged on the `loss` cells in
+/// aggregate over `--matrix full` (the geometric mean of the per-cell ratios, and how
+/// many cells moved each way), with every other schedule held to this check.
 pub fn check(baseline: &Json, fresh: &Json, tolerance: f64) -> Result<CheckReport, String> {
     let base_cells = cells_of(baseline)?;
     let fresh_cells = cells_of(fresh)?;

@@ -524,9 +524,9 @@ mod tests {
         // Real-byte counterpart of the simulated rolling-restart scenario: every node
         // is killed and restarted in sequence with live traffic in each window. The
         // long-lived object stays fetchable throughout (its location records survive
-        // each primary failover via the acked log), fresh objects created mid-window
-        // resolve even when their shard primary is the dying node (unacked-window
-        // re-drive), and each restarted node comes back as a working replica that
+        // each primary failover via the replicated op stream), fresh objects created
+        // mid-window resolve even when their shard primary is the dying node
+        // (unconfirmed-window re-drive), and each restarted node comes back as a working replica that
         // serves Gets again.
         let n = 4;
         let mut cluster = LocalCluster::new(n, HopliteConfig::small_for_tests());
@@ -536,7 +536,7 @@ mod tests {
         for node in 1..n {
             assert_eq!(cluster.client(node).get(w).unwrap(), Payload::from_vec(data.clone()));
         }
-        // Let the replication acks and confirms settle before the first kill.
+        // Let the backups' confirms settle before the first kill.
         wait_until_replicated(&cluster);
         for k in 0..n {
             kill_and_settle(&mut cluster, k);

@@ -346,7 +346,7 @@ pub struct RollingRestartResult {
     pub reduce_ok: bool,
     /// Total directory snapshots installed by restarted nodes.
     pub resyncs: u64,
-    /// Total journaled intents re-driven after failovers (the unacked windows).
+    /// Total journaled intents re-driven after failovers (the unconfirmed windows).
     pub redrives: u64,
 }
 
@@ -354,7 +354,7 @@ pub struct RollingRestartResult {
 /// (the §3.5 availability story completed: replication for failover, snapshot +
 /// acked-log resync for fail-back). A long-lived object `W` is broadcast everywhere
 /// up front; each kill window also runs a fresh broadcast wave (exercising the
-/// unacked-window re-drive when the wave's shard primary is the dying node), one
+/// unconfirmed-window re-drive when the wave's shard primary is the dying node), one
 /// window runs a reduce, and every restarted node re-fetches `W` (restoring its
 /// purged location record). At the end the cluster must agree that the original
 /// owners lead their shards again and that `W`'s location records are complete.
@@ -395,7 +395,7 @@ pub fn rolling_restart_collectives(
         // Live traffic inside the kill window: a fresh broadcast wave between two
         // surviving nodes. When the dying node primaries the wave object's shard,
         // the putter's unconfirmed registration and the getter's outstanding query
-        // are exactly the unacked window the failover re-drives.
+        // are exactly the unconfirmed window the failover re-drives.
         let wave_at = SimTime::from_secs_f64(t_k.as_secs_f64() + 0.1);
         let putter = (k + 1) % n;
         let getter = (k + 2) % n;
@@ -930,9 +930,9 @@ mod tests {
     #[test]
     fn acked_prefix_survives_primary_kill_without_client_redrive() {
         // The replication guarantee is client-independent: once registrations are
-        // confirmed (acked by the backup), killing the primary must preserve them at
-        // the promoted backup with the clients having *nothing* to re-drive — the
-        // `directory_redrives` metric stays zero cluster-wide.
+        // confirmed (by the backup that applied them), killing the primary must keep
+        // them at the promoted backup with the clients having *nothing* to re-drive —
+        // the `directory_redrives` metric stays zero cluster-wide.
         let env = ScenarioEnv::paper_testbed();
         let n = 6;
         let mut cluster = SimCluster::new(n, env.hoplite.clone(), env.network.clone());

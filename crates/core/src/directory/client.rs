@@ -7,24 +7,29 @@
 //! as read from the node's one [`super::PlacementView`] (owned by its
 //! [`super::DirectoryService`]).
 //!
-//! With the acked replication log, the journal tracks **confirmation**: the primary
-//! sends a [`crate::protocol::Message::DirConfirm`] once an op's log entry has been
-//! acked by every tracked backup, at which point the op is durable *inside* the
-//! replication layer — a promoted backup is guaranteed to hold it. The loss window
-//! that remains is ops still in flight to (or unconfirmed at) a dying primary, so
-//! `DirectoryClient::redrive_for` selects exactly that genuinely-unacked window for
-//! the shards whose primary just changed, instead of the full journal. All re-drives
-//! are idempotent at the shard.
+//! The journal tracks **confirmation**. Each entry waits on the replicas fixed when it
+//! is journaled or re-driven ([`super::PlacementView::confirmers`]): the shard's
+//! replica set minus the primary it is sent to, filtered by this node's liveness view
+//! — the set that primary ships to when the two views agree — or that primary alone
+//! when the set is empty. Each of them sends a
+//! [`crate::protocol::Message::DirConfirm`] once it holds the op, and the entry is
+//! confirmed when all of them have: the op is then durable *inside* the replication
+//! layer, and a promoted backup is guaranteed to hold it. An entry can wait on a
+//! replica that will never confirm it (one that died, or one the primary did not ship
+//! to because the views disagreed), so every liveness transition that re-routes a
+//! shard — moves its primary or changes its live backups — re-drives the shard's
+//! unconfirmed entries ([`DirectoryClient::redrive_for`]), re-journaled against the new
+//! view. All re-drives are idempotent at the shard.
 
 use std::collections::BTreeMap;
 
-use crate::object::{ObjectId, ObjectStatus};
+use crate::object::{NodeId, ObjectId, ObjectStatus};
 use crate::protocol::{ConfirmKind, DirOp};
 
-use super::placement::DirectoryPlacement;
+use super::placement::{DirectoryPlacement, PlacementView, Rerouted};
 
 /// The journaled intent of one registration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Registration {
     /// Last status this node registered for the object.
     pub status: ObjectStatus,
@@ -33,21 +38,22 @@ pub struct Registration {
     /// Whether the object went through the inline (small-object) fast path, in which
     /// case a re-drive must re-ship the payload, not just the location.
     pub inline: bool,
-    /// Whether the primary confirmed the registration as replication-durable
-    /// ([`crate::protocol::Message::DirConfirm`]); confirmed entries are excluded from
-    /// failover re-drive.
-    pub confirmed: bool,
+    /// The replicas that have not yet confirmed the registration
+    /// ([`crate::protocol::Message::DirConfirm`]); empty once it is
+    /// replication-durable, which excludes it from failover re-drive.
+    pub waiting: Vec<NodeId>,
 }
 
-/// State to re-drive at the new primaries after a failover, computed by
+/// State to re-drive after a liveness transition, computed by
 /// `DirectoryClient::redrive_for`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FailoverRedrive {
-    /// Shards whose primary changed (failover) or came back (re-admission).
+    /// Shards whose primary changed (failover) or came back (re-admission): queries
+    /// outstanding there are re-issued.
     pub changed_shards: Vec<usize>,
-    /// Unconfirmed registrations to re-send (the genuinely-unacked window).
+    /// Unconfirmed registrations to re-send in every re-routed shard.
     pub reregister: Vec<(ObjectId, Registration)>,
-    /// Unconfirmed subscriptions to re-open in those shards.
+    /// Unconfirmed subscriptions to re-open in every re-routed shard.
     pub resubscribe: Vec<ObjectId>,
 }
 
@@ -57,8 +63,8 @@ pub struct FailoverRedrive {
 #[derive(Debug, Default)]
 pub struct DirectoryClient {
     registrations: BTreeMap<ObjectId, Registration>,
-    /// Open subscriptions, with their confirmation state.
-    subscriptions: BTreeMap<ObjectId, bool>,
+    /// Open subscriptions, each with the replicas that have not yet confirmed it.
+    subscriptions: BTreeMap<ObjectId, Vec<NodeId>>,
 }
 
 impl DirectoryClient {
@@ -70,8 +76,8 @@ impl DirectoryClient {
     /// Number of journaled-but-unconfirmed intents (registrations + subscriptions):
     /// the window a failover would re-drive.
     pub fn unconfirmed_count(&self) -> usize {
-        self.registrations.values().filter(|r| !r.confirmed).count()
-            + self.subscriptions.values().filter(|c| !**c).count()
+        self.registrations.values().filter(|r| !r.waiting.is_empty()).count()
+            + self.subscriptions.values().filter(|w| !w.is_empty()).count()
     }
 
     /// Whether a registration of `object` is on record: sent, and neither withdrawn
@@ -80,13 +86,16 @@ impl DirectoryClient {
         self.registrations.contains_key(&object)
     }
 
-    /// Journal an op this node is about to send. A registration or inline put is
-    /// recorded unconfirmed (replacing any earlier intent for the object), a
-    /// subscription opened unconfirmed; unregister, unsubscribe and delete withdraw
-    /// what they undo. Queries are not journaled (the broadcast engine tracks
-    /// outstanding queries and re-issues them itself), nor are transfer reports.
-    pub fn journal(&mut self, op: &DirOp) {
-        let intent = |status, size, inline| Registration { status, size, inline, confirmed: false };
+    /// Journal an op this node is about to send to the current primary of its shard
+    /// in `view`. A registration or inline put is recorded waiting on that shard's
+    /// confirmers (replacing any earlier intent for the object), a subscription opened
+    /// likewise; unregister, unsubscribe and delete withdraw what they undo. Queries
+    /// are not journaled (the broadcast engine tracks outstanding queries and
+    /// re-issues them itself), nor are transfer reports.
+    pub fn journal(&mut self, op: &DirOp, view: &PlacementView) {
+        let waiting = || view.confirmers(view.placement().shard_of(op.object()));
+        let intent =
+            |status, size, inline| Registration { status, size, inline, waiting: waiting() };
         match op {
             DirOp::Register { object, status, size, .. } => {
                 self.registrations.insert(*object, intent(*status, *size, false));
@@ -99,7 +108,7 @@ impl DirectoryClient {
                 self.registrations.remove(object);
             }
             DirOp::Subscribe { object, .. } => {
-                self.subscriptions.insert(*object, false);
+                self.subscriptions.insert(*object, waiting());
             }
             DirOp::Unsubscribe { object, .. } => {
                 self.subscriptions.remove(object);
@@ -118,61 +127,55 @@ impl DirectoryClient {
         self.registrations.remove(&object);
     }
 
-    /// Fold a primary's durability confirmation into the journal. The confirm names
-    /// what it covers, so an ack for a superseded intent (e.g. a `Partial`
-    /// registration later upgraded to `Complete`) does not mark the newer intent
-    /// confirmed.
-    pub fn confirm(&mut self, object: ObjectId, kind: ConfirmKind) {
-        match kind {
-            ConfirmKind::Location { status } => {
-                if let Some(r) = self.registrations.get_mut(&object) {
-                    if !r.inline && r.status == status {
-                        r.confirmed = true;
-                    }
-                }
-            }
+    /// Fold replica `from`'s confirmation into the journal: the entry stops waiting on
+    /// it. The confirm names what it covers, so one for a superseded intent (e.g. a
+    /// `Partial` registration later upgraded to `Complete`) does not count for the
+    /// newer intent.
+    pub fn confirm(&mut self, from: NodeId, object: ObjectId, kind: ConfirmKind) {
+        let waiting = match kind {
+            ConfirmKind::Location { status } => self
+                .registrations
+                .get_mut(&object)
+                .filter(|r| !r.inline && r.status == status)
+                .map(|r| &mut r.waiting),
             ConfirmKind::Inline => {
-                if let Some(r) = self.registrations.get_mut(&object) {
-                    if r.inline {
-                        r.confirmed = true;
-                    }
-                }
+                self.registrations.get_mut(&object).filter(|r| r.inline).map(|r| &mut r.waiting)
             }
-            ConfirmKind::Subscription => {
-                if let Some(c) = self.subscriptions.get_mut(&object) {
-                    *c = true;
-                }
-            }
+            ConfirmKind::Subscription => self.subscriptions.get_mut(&object),
+        };
+        if let Some(waiting) = waiting {
+            waiting.retain(|&n| n != from);
         }
     }
 
-    /// The genuinely-unacked window for `shards` — the shards the leadership view
-    /// reported as failed over (their primary died) or regained (a re-admission gave
-    /// a leaderless shard a primary back): every journaled-but-unconfirmed intent
-    /// whose shard is in the list, in object order. Confirmed entries are already
-    /// inside the promoted backup's acked prefix and are not re-sent.
+    /// The unconfirmed entries of the shards a liveness transition re-routed, in
+    /// object order. Confirmed entries are already held by every replica they waited
+    /// on and are not re-sent.
     pub(crate) fn redrive_for(
         &self,
         placement: &DirectoryPlacement,
-        changed_shards: Vec<usize>,
+        rerouted: Rerouted,
     ) -> FailoverRedrive {
-        if changed_shards.is_empty() {
+        if rerouted.is_empty() {
             return FailoverRedrive::default();
         }
-        let in_changed = |o: &ObjectId| changed_shards.contains(&placement.shard_of(*o));
+        let in_rerouted = |o: &ObjectId| {
+            let shard = placement.shard_of(*o);
+            rerouted.moved.contains(&shard) || rerouted.backups.contains(&shard)
+        };
         let reregister = self
             .registrations
             .iter()
-            .filter(|(o, r)| !r.confirmed && in_changed(o))
-            .map(|(o, r)| (*o, *r))
+            .filter(|(o, r)| !r.waiting.is_empty() && in_rerouted(o))
+            .map(|(o, r)| (*o, r.clone()))
             .collect();
         let resubscribe = self
             .subscriptions
             .iter()
-            .filter(|(o, confirmed)| !**confirmed && in_changed(o))
+            .filter(|(o, waiting)| !waiting.is_empty() && in_rerouted(o))
             .map(|(o, _)| *o)
             .collect();
-        FailoverRedrive { changed_shards, reregister, resubscribe }
+        FailoverRedrive { changed_shards: rerouted.moved, reregister, resubscribe }
     }
 }
 
@@ -186,18 +189,37 @@ mod tests {
 
     /// A client beside the leadership view its node would route through.
     fn client(n: u32) -> (DirectoryClient, PlacementView) {
+        replicated(n, HopliteConfig::small_for_tests().directory_replication)
+    }
+
+    fn replicated(n: u32, replication: usize) -> (DirectoryClient, PlacementView) {
         let nodes: Vec<NodeId> = (0..n).map(NodeId).collect();
-        let placement = DirectoryPlacement::from_config(&HopliteConfig::small_for_tests(), &nodes);
-        (DirectoryClient::default(), PlacementView::new(placement))
+        (
+            DirectoryClient::default(),
+            PlacementView::new(DirectoryPlacement::new(nodes, replication)),
+        )
     }
 
     /// The ops these tests journal, as node 0 sends them.
-    fn register(c: &mut DirectoryClient, object: ObjectId, status: ObjectStatus, size: u64) {
-        c.journal(&DirOp::Register { object, holder: NodeId(0), status, size });
+    fn register(
+        c: &mut DirectoryClient,
+        v: &PlacementView,
+        object: ObjectId,
+        status: ObjectStatus,
+        size: u64,
+    ) {
+        c.journal(&DirOp::Register { object, holder: NodeId(0), status, size }, v);
     }
 
-    fn subscribe(c: &mut DirectoryClient, object: ObjectId) {
-        c.journal(&DirOp::Subscribe { object, subscriber: NodeId(0) });
+    fn subscribe(c: &mut DirectoryClient, v: &PlacementView, object: ObjectId) {
+        c.journal(&DirOp::Subscribe { object, subscriber: NodeId(0) }, v);
+    }
+
+    /// Every replica `object`'s entries wait on in `v` confirms `kind`.
+    fn confirm(c: &mut DirectoryClient, v: &PlacementView, object: ObjectId, kind: ConfirmKind) {
+        for from in v.confirmers(v.placement().shard_of(object)) {
+            c.confirm(from, object, kind);
+        }
     }
 
     fn obj_with_primary(v: &PlacementView, primary: u32) -> ObjectId {
@@ -217,7 +239,7 @@ mod tests {
     fn routes_to_the_current_primary() {
         let (mut c, mut v) = client(4);
         let o = obj_with_primary(&v, 1);
-        register(&mut c, o, ObjectStatus::Complete, 10);
+        register(&mut c, &v, o, ObjectStatus::Complete, 10);
         assert_eq!(v.primary_for(o), Some(NodeId(1)));
         // After node 1 dies the same object routes to the next replica (node 2), and
         // the journaled registration is what the failover re-drives there.
@@ -232,17 +254,20 @@ mod tests {
     fn journal_records_each_op_kind() {
         let o = ObjectId::from_name("journal");
         let (me, peer) = (NodeId(0), NodeId(1));
+        let (_, v) = client(4);
+        let waiting = v.confirmers(v.placement().shard_of(o));
+        assert_eq!(waiting.len(), 1, "r = 2: the live backup");
         let located = Registration {
             status: ObjectStatus::Partial,
             size: 7,
             inline: false,
-            confirmed: false,
+            waiting: waiting.clone(),
         };
         let inline = Registration {
             status: ObjectStatus::Complete,
             size: 16,
             inline: true,
-            confirmed: false,
+            waiting: waiting.clone(),
         };
         let cases = [
             (
@@ -261,29 +286,31 @@ mod tests {
                 None,
                 None,
             ),
-            (DirOp::Subscribe { object: o, subscriber: me }, None, Some(false)),
+            (DirOp::Subscribe { object: o, subscriber: me }, None, Some(waiting.clone())),
             (DirOp::Unsubscribe { object: o, subscriber: me }, None, None),
             (DirOp::TransferDone { object: o, receiver: me, sender: peer }, None, None),
             (DirOp::Delete { object: o }, None, None),
         ];
         for (op, registration, subscription) in cases {
             let mut c = DirectoryClient::default();
-            c.journal(&op);
-            assert_eq!(c.registrations.get(&o).copied(), registration, "{op:?}");
-            assert_eq!(c.subscriptions.get(&o).copied(), subscription, "{op:?}");
+            c.journal(&op, &v);
+            assert_eq!(c.registrations.get(&o).cloned(), registration, "{op:?}");
+            assert_eq!(c.subscriptions.get(&o).cloned(), subscription, "{op:?}");
             // Over a confirmed registration and subscription: a new intent replaces
             // the registration unconfirmed, a withdrawal removes what it undoes, and
             // the rest leave both as they were.
             let mut c = DirectoryClient::default();
-            register(&mut c, o, ObjectStatus::Complete, 9);
-            subscribe(&mut c, o);
-            c.confirm(o, ConfirmKind::Location { status: ObjectStatus::Complete });
-            c.confirm(o, ConfirmKind::Subscription);
-            let before = (c.registrations.get(&o).copied(), c.subscriptions.get(&o).copied());
-            c.journal(&op);
-            let after = (c.registrations.get(&o).copied(), c.subscriptions.get(&o).copied());
+            register(&mut c, &v, o, ObjectStatus::Complete, 9);
+            subscribe(&mut c, &v, o);
+            confirm(&mut c, &v, o, ConfirmKind::Location { status: ObjectStatus::Complete });
+            confirm(&mut c, &v, o, ConfirmKind::Subscription);
+            let before = (c.registrations.get(&o).cloned(), c.subscriptions.get(&o).cloned());
+            c.journal(&op, &v);
+            let after = (c.registrations.get(&o).cloned(), c.subscriptions.get(&o).cloned());
             let expected = match op {
-                DirOp::Register { .. } | DirOp::PutInline { .. } => (registration, before.1),
+                DirOp::Register { .. } | DirOp::PutInline { .. } => {
+                    (registration, before.1.clone())
+                }
                 DirOp::Subscribe { .. } => (before.0, subscription),
                 DirOp::Unregister { .. } => (None, before.1),
                 DirOp::Unsubscribe { .. } => (before.0, None),
@@ -299,10 +326,10 @@ mod tests {
         let (mut c, mut v) = client(4);
         let on_dead = obj_with_primary(&v, 3);
         let elsewhere = obj_with_primary(&v, 1);
-        register(&mut c, on_dead, ObjectStatus::Complete, 10);
-        register(&mut c, elsewhere, ObjectStatus::Partial, 20);
-        subscribe(&mut c, on_dead);
-        subscribe(&mut c, elsewhere);
+        register(&mut c, &v, on_dead, ObjectStatus::Complete, 10);
+        register(&mut c, &v, elsewhere, ObjectStatus::Partial, 20);
+        subscribe(&mut c, &v, on_dead);
+        subscribe(&mut c, &v, elsewhere);
         let redrive = fail(&c, &mut v, 3);
         assert_eq!(redrive.changed_shards, vec![3]);
         assert_eq!(redrive.reregister.len(), 1);
@@ -320,16 +347,16 @@ mod tests {
             .map(|k| ObjectId::from_name(&format!("win-{k}")))
             .find(|&o| v.primary_for(o) == Some(NodeId(3)) && o != confirmed)
             .unwrap();
-        register(&mut c, confirmed, ObjectStatus::Complete, 10);
-        register(&mut c, unacked, ObjectStatus::Complete, 20);
-        subscribe(&mut c, confirmed);
+        register(&mut c, &v, confirmed, ObjectStatus::Complete, 10);
+        register(&mut c, &v, unacked, ObjectStatus::Complete, 20);
+        subscribe(&mut c, &v, confirmed);
         assert_eq!(c.unconfirmed_count(), 3);
-        c.confirm(confirmed, ConfirmKind::Location { status: ObjectStatus::Complete });
-        c.confirm(confirmed, ConfirmKind::Subscription);
+        confirm(&mut c, &v, confirmed, ConfirmKind::Location { status: ObjectStatus::Complete });
+        confirm(&mut c, &v, confirmed, ConfirmKind::Subscription);
         assert_eq!(c.unconfirmed_count(), 1);
         let redrive = fail(&c, &mut v, 3);
-        // Only the genuinely-unacked registration is re-driven; the confirmed
-        // registration and subscription live in the promoted backup's acked prefix.
+        // Only the unconfirmed registration is re-driven; the confirmed registration
+        // and subscription are held by the promoted backup, which confirmed them.
         assert_eq!(redrive.reregister.len(), 1);
         assert_eq!(redrive.reregister[0].0, unacked);
         assert!(redrive.resubscribe.is_empty());
@@ -339,10 +366,10 @@ mod tests {
     fn stale_confirm_does_not_cover_an_upgraded_registration() {
         let (mut c, mut v) = client(4);
         let o = obj_with_primary(&v, 3);
-        register(&mut c, o, ObjectStatus::Partial, 10);
+        register(&mut c, &v, o, ObjectStatus::Partial, 10);
         // The registration is upgraded before the Partial confirm arrives.
-        register(&mut c, o, ObjectStatus::Complete, 10);
-        c.confirm(o, ConfirmKind::Location { status: ObjectStatus::Partial });
+        register(&mut c, &v, o, ObjectStatus::Complete, 10);
+        confirm(&mut c, &v, o, ConfirmKind::Location { status: ObjectStatus::Partial });
         let redrive = fail(&c, &mut v, 3);
         assert_eq!(redrive.reregister.len(), 1, "the Complete upgrade is still unacked");
         assert_eq!(redrive.reregister[0].1.status, ObjectStatus::Complete);
@@ -352,15 +379,16 @@ mod tests {
     fn forgotten_and_deleted_objects_are_not_redriven() {
         let (mut c, mut v) = client(3);
         let a = obj_with_primary(&v, 2);
-        c.journal(&DirOp::PutInline { object: a, holder: NodeId(0), payload: Payload::zeros(16) });
+        let payload = Payload::zeros(16);
+        c.journal(&DirOp::PutInline { object: a, holder: NodeId(0), payload }, &v);
         c.forget(a);
         let b = (0u64..)
             .map(|k| ObjectId::from_name(&format!("del-{k}")))
             .find(|&o| v.primary_for(o) == Some(NodeId(2)))
             .unwrap();
-        register(&mut c, b, ObjectStatus::Complete, 10);
-        subscribe(&mut c, b);
-        c.journal(&DirOp::Delete { object: b });
+        register(&mut c, &v, b, ObjectStatus::Complete, 10);
+        subscribe(&mut c, &v, b);
+        c.journal(&DirOp::Delete { object: b }, &v);
         let redrive = fail(&c, &mut v, 2);
         assert!(redrive.reregister.is_empty());
         assert!(redrive.resubscribe.is_empty());
@@ -370,7 +398,7 @@ mod tests {
     fn exhausted_replica_set_yields_no_target() {
         let (mut c, mut v) = client(2);
         let o = obj_with_primary(&v, 1);
-        register(&mut c, o, ObjectStatus::Complete, 10);
+        register(&mut c, &v, o, ObjectStatus::Complete, 10);
         fail(&c, &mut v, 1);
         // replication = 2 on a 2-node cluster: replicas are nodes 1 and 0.
         assert_eq!(v.primary_for(o), Some(NodeId(0)));
@@ -389,7 +417,7 @@ mod tests {
         // have resynced from nothing.
         let (mut c, mut v) = client(3);
         let o = obj_with_primary(&v, 1);
-        register(&mut c, o, ObjectStatus::Complete, 10);
+        register(&mut c, &v, o, ObjectStatus::Complete, 10);
         let first = fail(&c, &mut v, 1);
         assert_eq!(first.reregister.len(), 1, "failover to node 2 re-drives");
         let second = fail(&c, &mut v, 2);
@@ -400,10 +428,55 @@ mod tests {
         assert_eq!(v.primary_for(o), None);
         v.on_peer_recovered(NodeId(1));
         let regained = v.on_peer_readmitted(NodeId(1));
-        let redrive = c.redrive_for(v.placement(), regained);
+        let redrive = c.redrive_for(v.placement(), Rerouted::moved(regained));
         assert_eq!(redrive.reregister.len(), 1, "regained shard re-drives the window");
         assert_eq!(redrive.reregister[0].0, o);
         assert_eq!(v.primary_for(o), Some(NodeId(1)));
+    }
+
+    #[test]
+    fn an_entry_waits_on_every_replica_its_primary_ships_to() {
+        // r = 3 on four nodes: an op sent to the primary waits on both backups.
+        let (mut c, v) = replicated(4, 3);
+        let o = obj_with_primary(&v, 1);
+        register(&mut c, &v, o, ObjectStatus::Complete, 10);
+        assert_eq!(c.registrations[&o].waiting, vec![NodeId(2), NodeId(3)]);
+        let kind = ConfirmKind::Location { status: ObjectStatus::Complete };
+        // Neither the primary nor a node outside the set counts.
+        c.confirm(NodeId(1), o, kind);
+        c.confirm(NodeId(0), o, kind);
+        c.confirm(NodeId(2), o, kind);
+        assert_eq!(c.unconfirmed_count(), 1, "one of two backups confirmed");
+        c.confirm(NodeId(3), o, kind);
+        assert_eq!(c.unconfirmed_count(), 0);
+        // With every backup dead, the primary alone confirms.
+        let (mut c, mut v) = replicated(4, 3);
+        v.on_peer_failed(NodeId(2));
+        v.on_peer_failed(NodeId(3));
+        subscribe(&mut c, &v, o);
+        assert_eq!(c.subscriptions[&o], vec![NodeId(1)]);
+        c.confirm(NodeId(1), o, ConfirmKind::Subscription);
+        assert_eq!(c.unconfirmed_count(), 0);
+    }
+
+    #[test]
+    fn a_backup_that_dies_or_returns_reroutes_the_shards_it_backs_up() {
+        let (mut c, mut v) = client(4);
+        // Shard 1 lives on [1, 2]: node 2 is its backup.
+        let o = obj_with_primary(&v, 1);
+        register(&mut c, &v, o, ObjectStatus::Complete, 10);
+        let redrive = fail(&c, &mut v, 2);
+        assert!(redrive.changed_shards.iter().all(|&s| s != 1), "the primary did not move");
+        assert_eq!(redrive.reregister.iter().map(|r| r.0).collect::<Vec<_>>(), vec![o]);
+        // Re-journaled against the new view, it waits on the lone primary; the
+        // backup's return re-routes the shard again.
+        register(&mut c, &v, o, ObjectStatus::Complete, 10);
+        assert_eq!(c.registrations[&o].waiting, vec![NodeId(1)]);
+        let rerouted = v.on_peer_recovered(NodeId(2));
+        assert_eq!(rerouted, Rerouted { moved: vec![], backups: vec![1, 2] });
+        let redrive = c.redrive_for(v.placement(), rerouted);
+        assert_eq!(redrive.reregister.iter().map(|r| r.0).collect::<Vec<_>>(), vec![o]);
+        assert!(redrive.changed_shards.is_empty(), "no query is re-issued");
     }
 
     #[test]

@@ -8,19 +8,19 @@
 //! | Layer | Module | Responsibility |
 //! |---|---|---|
 //! | shard | [`shard`] | One shard as a pure, deterministic state machine (leases, pull-edge cycle avoidance, parked queries, inline cache), plus bounded, cursor-resumable state slices for transfer |
-//! | replication | [`replication`] | Primary/backup replicas of a shard: sequenced op-log shipping with cumulative acks, origin confirms once an entry is acked by every live backup, epoch-stamped promotion, a log that is only the primary's unacked suffix, and one record of an in-flight resync, one sink for its chunk stream and one catch-up rule closing it, for replicas with gaps |
+//! | replication | [`replication`] | Primary/backup replicas of a shard: sequenced op shipping, each op confirmed to its origin by the backups that apply it (or by a primary with none), epoch-stamped promotion, no log and no acks, and one record of an in-flight resync, one sink for its chunk stream and one catch-up rule closing it, for replicas with gaps |
 //! | placement | [`placement`] | The static object → shard → replica-set map, and the epoch-versioned leadership view over it (per-shard rank cursor + failover epochs) — **one per node** |
 //! | service | [`service`] | Owns the node's view and replicas: op routing (apply as primary / forward), star log shipping to every live backup, chunked resync serving, promotion when a primary dies; every liveness transition is applied here, once, and returns the shards to re-drive |
-//! | client | [`client`] | The journal of this node's durable intent (registrations, subscriptions, their confirmation state): builds each op's message and selects the genuinely-unacked window to re-drive for the shards the service reports changed |
+//! | client | [`client`] | The journal of this node's durable intent (registrations, subscriptions, and the replicas each still waits on to confirm it): builds each op's message and selects the unconfirmed entries to re-drive in the shards a liveness transition re-routed |
 //!
 //! Shard state flows through the system exactly once on the happy path: a client op
 //! is routed (by the node's view) to the shard's primary, the primary applies it and
-//! log-ships the op (with a sequence number) to every live backup, the backups ack the
-//! applied prefix, and the primary confirms the op to its origin once every one of
-//! them acked — at which point the op is durable with no client participation. Because
-//! the shard is deterministic the backups converge to the same state — including
-//! leases and parked queries, so a promoted backup can answer a query that parked on
-//! its predecessor. A restarted or lagging replica rejoins through one state-transfer
+//! ships the op (with a sequence number) to every live backup, and each backup applies
+//! it and confirms it straight to the op's origin, whose journal counts it durable once
+//! every replica it waits on has confirmed — at which point the op is durable with no
+//! client participation. Because the shard is deterministic the backups converge to the
+//! same state — including leases and parked queries, so a promoted backup can answer a
+//! query that parked on its predecessor. A restarted or lagging replica rejoins through one state-transfer
 //! path — a chunk stream — and a cluster-wide `DirResynced` re-admission announcement,
 //! so placement is no longer failure-monotonic: after a rolling restart the original
 //! owners lead their shards again.
@@ -32,7 +32,7 @@ pub mod service;
 pub mod shard;
 
 pub use client::{DirectoryClient, FailoverRedrive, Registration};
-pub use placement::{DirectoryPlacement, PlacementView};
+pub use placement::{DirectoryPlacement, PlacementView, Rerouted};
 pub use replication::{ReplayOutcome, ReplicaRole, Resync, ResyncFrame, ResyncStep, ShardReplica};
 pub use service::DirectoryService;
 pub use shard::DirectoryShard;

@@ -93,6 +93,40 @@ impl DirectoryPlacement {
     }
 }
 
+/// The shards a liveness transition re-routed. An op sent to one of them before the
+/// transition may be confirmed by other replicas than the ones its journal entry waits
+/// on, so the client re-drives its unconfirmed entries there.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Rerouted {
+    /// Shards whose primary moved onto a live replica: a failover, or a leaderless
+    /// shard regaining one. Queries outstanding there are re-issued too.
+    pub moved: Vec<usize>,
+    /// Shards that kept their primary but whose live backups changed: one died or
+    /// came back.
+    pub backups: Vec<usize>,
+}
+
+impl Rerouted {
+    /// The shards whose primary moved, and nothing else.
+    pub fn moved(moved: Vec<usize>) -> Self {
+        Rerouted { moved, backups: Vec::new() }
+    }
+
+    /// Whether no shard was re-routed.
+    pub fn is_empty(&self) -> bool {
+        self.moved.is_empty() && self.backups.is_empty()
+    }
+
+    /// Fold `other` in.
+    pub fn merge(&mut self, other: Rerouted) {
+        self.moved.extend(other.moved);
+        self.backups.extend(other.backups);
+    }
+}
+
+/// A shard's primary and the live backups it ships to.
+type Route = (Option<NodeId>, Vec<NodeId>);
+
 /// Where a peer stands in the leadership view, when it is not healthy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Standing {
@@ -187,27 +221,67 @@ impl PlacementView {
         self.rank[shard]
     }
 
-    /// The shards `peer` hosts, each with its current primary (the "before" picture a
-    /// liveness transition compares against).
-    fn primaries_of_shards_hosted_by(&self, peer: NodeId) -> Vec<(usize, Option<NodeId>)> {
-        (0..self.placement.num_shards())
-            .filter(|&s| self.placement.hosts(peer, s))
-            .map(|s| (s, self.primary(s)))
-            .collect()
+    /// The replicas `primary` ships `shard`'s ops to: every other member of its replica
+    /// set that is alive (resyncing members included, since they are catching up on
+    /// the same stream).
+    pub fn live_backups(&self, shard: usize, primary: NodeId) -> Vec<NodeId> {
+        let members = self.placement.replica_set(shard);
+        members.into_iter().filter(|&n| n != primary && self.is_alive(n)).collect()
     }
 
-    /// Digest a peer failure. Returns the shards whose primary moved off `peer` onto
-    /// a surviving replica (the client's re-drive set).
-    pub fn on_peer_failed(&mut self, peer: NodeId) -> Vec<usize> {
-        if !self.is_alive(peer) {
-            return Vec::new();
+    /// The replicas that confirm an op sent to `shard`'s current primary: the live
+    /// backups it ships to, or the primary alone when it has none. With no primary,
+    /// the whole replica set, so the op stays unconfirmed until one returns.
+    pub fn confirmers(&self, shard: usize) -> Vec<NodeId> {
+        let Some(primary) = self.primary(shard) else { return self.placement.replica_set(shard) };
+        let backups = self.live_backups(shard, primary);
+        if backups.is_empty() {
+            vec![primary]
+        } else {
+            backups
         }
-        let affected = self.primaries_of_shards_hosted_by(peer);
+    }
+
+    /// `shard`'s current primary and the live backups it ships to.
+    fn route(&self, shard: usize) -> Route {
+        let primary = self.primary(shard);
+        (primary, primary.map_or_else(Vec::new, |p| self.live_backups(shard, p)))
+    }
+
+    /// The shards `peer` hosts, each with its route (the "before" picture a liveness
+    /// transition compares against).
+    fn routes_of_shards_hosted_by(&self, peer: NodeId) -> Vec<(usize, Route)> {
+        let hosted = (0..self.placement.num_shards()).filter(|&s| self.placement.hosts(peer, s));
+        hosted.map(|s| (s, self.route(s))).collect()
+    }
+
+    /// The shards among `before` whose route changed and that still have a primary.
+    fn rerouted(&self, before: Vec<(usize, Route)>) -> Rerouted {
+        let mut rerouted = Rerouted::default();
+        for (shard, old) in before {
+            let now = self.route(shard);
+            if now.0.is_some() && now.0 != old.0 {
+                rerouted.moved.push(shard);
+            } else if now.0.is_some() && now != old {
+                rerouted.backups.push(shard);
+            }
+        }
+        rerouted
+    }
+
+    /// Digest a peer failure. Returns the shards it re-routed: those whose primary
+    /// moved off `peer` onto a surviving replica, and those that lost `peer` as a live
+    /// backup.
+    pub fn on_peer_failed(&mut self, peer: NodeId) -> Rerouted {
+        if !self.is_alive(peer) {
+            return Rerouted::default();
+        }
+        let before = self.routes_of_shards_hosted_by(peer);
         self.standing.insert(peer, Standing::Failed);
-        let mut changed = Vec::new();
-        for (shard, old) in affected {
+        for (shard, (old, _)) in &before {
+            let shard = *shard;
             self.epochs[shard] += 1;
-            if old != Some(peer) {
+            if *old != Some(peer) {
                 continue;
             }
             // Advance the cursor past the dead primary so a later re-admission does
@@ -217,20 +291,21 @@ impl PlacementView {
                 if let Some(pos) = members.iter().position(|&n| n == new_primary) {
                     self.rank[shard] = pos;
                 }
-                changed.push(shard);
             }
         }
-        changed
+        self.rerouted(before)
     }
 
     /// A peer is back (its own traffic says so, at a newer incarnation): alive again,
-    /// but it must resync before it can lead anything. Returns whether this was news.
-    pub fn on_peer_recovered(&mut self, peer: NodeId) -> bool {
+    /// shipped to, but it must resync before it can lead anything. Returns the shards
+    /// that gained it as a live backup; empty when it was not news.
+    pub fn on_peer_recovered(&mut self, peer: NodeId) -> Rerouted {
         if self.is_alive(peer) {
-            return false;
+            return Rerouted::default();
         }
+        let before = self.routes_of_shards_hosted_by(peer);
         self.standing.insert(peer, Standing::Resyncing);
-        true
+        self.rerouted(before)
     }
 
     /// Digest a catch-up announcement (a peer's, or this node's own resync
@@ -244,10 +319,10 @@ impl PlacementView {
         if self.eligible(peer) {
             return Vec::new();
         }
-        let affected = self.primaries_of_shards_hosted_by(peer);
+        let affected = self.routes_of_shards_hosted_by(peer);
         self.standing.remove(&peer);
         let mut regained = Vec::new();
-        for (shard, old) in affected {
+        for (shard, (old, _)) in affected {
             self.epochs[shard] += 1;
             if old.is_none() && self.primary(shard).is_some() {
                 regained.push(shard);

@@ -1,42 +1,45 @@
-//! Primary/backup replication of one directory shard (§3.5): a sequenced, acknowledged
-//! op log, and the receiving end of chunked state transfer.
+//! Primary/backup replication of one directory shard (§3.5): a sequenced op stream
+//! confirmed by the replicas that apply it, and the receiving end of chunked state
+//! transfer.
 //!
 //! The paper keeps the object directory available across node failures by
 //! replicating it; this module implements the per-replica half of that design as a
 //! pure state machine layered on [`DirectoryShard`]:
 //!
 //! * the **primary** applies every client op, emits the replies, stamps the op with a
-//!   contiguous per-shard **sequence number**, and log-ships it to its backups;
-//! * the primary keeps **one log**, its *unacked suffix*: a deque of `(seq, op)`. Once
-//!   every tracked backup has cumulatively acked a sequence number the entries up to it
-//!   leave the log and the contained ops are **confirmed** back to their origins —
-//!   which is what makes the replication guarantee independent of client re-drive. A
-//!   backup keeps no log;
+//!   contiguous per-shard **sequence number**, and ships it to its live backups. It
+//!   keeps no log and no acks: nothing comes back to it;
 //! * a **backup** replays shipped ops in sequence order against its mirror shard with
-//!   replies suppressed, acking the contiguously-applied prefix. A gap in the sequence
-//!   (ops lost while the replica was down or deposed) cannot be bridged from shipments
-//!   alone: the replica asks the current primary for a **resync**, and holds one
-//!   record of it while it is in flight ([`Resync`]: the source asked, and how far the
-//!   chunk stream got). Every bounded state chunk the source answers with goes through
-//!   [`ShardReplica::apply_resync`], which says whether to drop it, pull the next one,
-//!   or ack. Chunks build a staged shard beside the replica's own, which keeps its
-//!   applied prefix until the last chunk swaps the staged one in;
+//!   replies suppressed, and **confirms** each op it holds to the op's origin
+//!   ([`DirOp::confirm_target`]) itself, whether it applies the op on arrival or
+//!   replays it from its buffered shipments when a resync stream ends. The origin's
+//!   journal counts the op durable once every replica it waits on has confirmed (see
+//!   [`super::client`]); a primary with no live backup confirms at once. A gap in the
+//!   sequence (ops lost while the replica was down or deposed) cannot be bridged from
+//!   shipments alone: the replica asks the current primary for a **resync**, and holds
+//!   one record of it while it is in flight ([`Resync`]: the source asked, and how far
+//!   the chunk stream got). Every bounded state chunk the source answers with goes
+//!   through [`ShardReplica::apply_resync`], which says whether to drop it, pull the
+//!   next one, or stop. Chunks build a staged shard beside the replica's own, which
+//!   keeps its applied prefix until the last chunk swaps the staged one in;
 //! * **one catch-up rule** closes a stream. The source ships the requester every op
 //!   from the first chunk it serves, and each chunk is consistent at the `seq` it
 //!   carries. So the last chunk replays each buffered op onto the staged entries whose
 //!   chunk was served before that op, and then whatever was buffered past its own
-//!   `seq`. A shipment missing from the stream's window, or a chunk from another
-//!   primacy, starts the stream over from its first chunk;
+//!   `seq`; every buffered op the replica now holds is confirmed. A shipment missing
+//!   from the stream's window, or a chunk from another primacy, starts the stream over
+//!   from its first chunk;
 //! * on promotion the new primary bumps its **epoch**; replicated ops stamped with a
 //!   lower epoch (stragglers from a deposed primary) are rejected, and any buffered
 //!   out-of-order suffix beyond the contiguously-applied prefix is discarded —
-//!   promotion only ever builds on the acked prefix.
+//!   promotion only ever builds on the applied prefix, which holds every op this
+//!   replica confirmed.
 //!
 //! Which replica *is* the primary, and whether the node itself is still resyncing
 //! after a restart, is decided by the epoch-versioned placement view in
 //! [`super::placement`]; this module only implements the mechanics.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use crate::object::{NodeId, ObjectId, ObjectStatus};
 use crate::protocol::{DirOp, Message, SnapshotEntry};
@@ -46,21 +49,21 @@ use super::shard::DirectoryShard;
 /// The role a replica currently plays for its shard.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReplicaRole {
-    /// Applies client ops, sends replies, ships the sequenced op log to backups.
+    /// Applies client ops, sends replies, ships the sequenced ops to backups.
     Primary,
-    /// Mirrors the primary by replaying its op log in order; replies are suppressed.
+    /// Mirrors the primary by replaying its ops in order; replies are suppressed, and
+    /// each op is confirmed to its origin.
     Backup,
 }
 
 /// What a backup should do after replaying one shipped op.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReplayOutcome {
-    /// The op was applied (or was an already-applied duplicate): acknowledge the
-    /// contained contiguously-applied sequence number back to the shipper. Re-acking
-    /// duplicates is what makes acks idempotent across a snapshot catch-up.
-    Acked(u64),
+    /// The op was applied (or was an already-applied duplicate) and confirmed; the
+    /// replica's contiguously-applied prefix now ends at this sequence number.
+    Applied(u64),
     /// The op arrived while a resync is in flight and was buffered for replay after
-    /// the resync completes. No ack yet.
+    /// the resync completes. No confirm yet.
     Buffered,
     /// The op exposes a sequence gap (or an epoch jump over lost state) that the log
     /// alone cannot bridge: the replica buffered it and must request a resync from
@@ -101,7 +104,8 @@ pub enum ResyncStep {
     /// Pull the next frame from the stream's cursor: mid-stream, or from the first
     /// chunk when the stream starts over.
     Continue,
-    /// The stream is complete: ack this sequence number. The replica is a backup again.
+    /// The stream is complete and its ops confirmed: the replica is a backup again,
+    /// its applied prefix ending at this sequence number.
     Done(u64),
 }
 
@@ -118,23 +122,15 @@ struct Staged {
 }
 
 /// One replica of one directory shard: the shard state machine plus its replication
-/// role, promotion epoch, and the sequenced/acked log machinery.
+/// role, promotion epoch and applied prefix.
 #[derive(Debug)]
 pub struct ShardReplica {
     shard: DirectoryShard,
     role: ReplicaRole,
     epoch: u64,
-    /// Highest contiguously-applied log sequence number (the acked prefix boundary on
-    /// a backup; `next assigned - 1` on the primary).
+    /// Highest contiguously-applied sequence number (`next assigned - 1` on the
+    /// primary).
     applied_seq: u64,
-    /// The primary's unacked suffix, in sequence order. A backup's is empty: its only
-    /// ways in, [`ShardReplica::begin_resync`] and a completed stream, both clear it,
-    /// and a replayed op is not logged.
-    log: VecDeque<(u64, DirOp)>,
-    /// Primary: cumulative ack per tracked backup. A tracked backup with no ack yet
-    /// holds the watermark at 0, which keeps confirms conservative during a backup's
-    /// catch-up.
-    acks: BTreeMap<NodeId, u64>,
     /// Backup: out-of-order shipments buffered while a resync is in flight.
     pending: BTreeMap<u64, (u64, DirOp)>,
     /// The source of the resync in flight, if any.
@@ -152,8 +148,6 @@ impl ShardReplica {
             role,
             epoch: 0,
             applied_seq: 0,
-            log: VecDeque::new(),
-            acks: BTreeMap::new(),
             pending: BTreeMap::new(),
             resync: None,
             staged: None,
@@ -170,14 +164,9 @@ impl ShardReplica {
         self.epoch
     }
 
-    /// Highest contiguously-applied log sequence number.
+    /// Highest contiguously-applied sequence number.
     pub fn applied_seq(&self) -> u64 {
         self.applied_seq
-    }
-
-    /// Number of log entries not yet acked by every tracked backup.
-    pub fn unacked_len(&self) -> usize {
-        self.log.len()
     }
 
     /// The resync in flight, if any.
@@ -207,14 +196,11 @@ impl ShardReplica {
     }
 
     /// Enter a resync from `source`, or pull the next chunk of the one in flight from
-    /// it: this replica's state is behind the log in a way shipments cannot bridge. It
-    /// demotes to backup, dropping any unacked suffix and the acks gating it, and
-    /// buffers shipments until the resync completes. Returns the chunk stream's cursor,
-    /// from which the request continues.
+    /// it: this replica's state is behind the stream in a way shipments cannot bridge.
+    /// It demotes to backup and buffers shipments until the resync completes. Returns
+    /// the chunk stream's cursor, from which the request continues.
     pub fn begin_resync(&mut self, source: NodeId) -> Option<ObjectId> {
         self.role = ReplicaRole::Backup;
-        self.log.clear();
-        self.acks.clear();
         self.resync = Some(source);
         self.resync().and_then(|r| r.cursor)
     }
@@ -228,28 +214,10 @@ impl ShardReplica {
         self.pending.clear();
     }
 
-    /// Declare the set of backups whose acks gate the durable watermark (live
-    /// replica-set members, including ones still catching up). Present acks are kept;
-    /// newly tracked backups start at 0; untracked ones are dropped. Returns confirms
-    /// that became due because a laggard left the tracked set. Called on the per-op
-    /// hot path, so an unchanged set (the overwhelmingly common case) is a no-op — the
-    /// watermark cannot have moved without a membership change or an ack.
-    pub fn set_tracked_backups(&mut self, backups: &[NodeId]) -> Vec<(NodeId, Message)> {
-        if backups.len() == self.acks.len() && backups.iter().all(|b| self.acks.contains_key(b)) {
-            return Vec::new();
-        }
-        self.acks.retain(|n, _| backups.contains(n));
-        for &b in backups {
-            self.acks.entry(b).or_insert(0);
-        }
-        self.take_durable_confirms()
-    }
-
     /// Apply a client op as the primary: mutate the shard, collect the replies it
-    /// wants delivered, and assign the op its log sequence number (returned so the
-    /// caller ships `DirReplicate { seq, .. }` to the backups). An op with a
-    /// [`DirOp::confirm_target`] is confirmed to it once every tracked backup acks
-    /// past this entry.
+    /// wants delivered, and assign the op its sequence number (returned so the caller
+    /// ships `DirReplicate { seq, .. }` to the backups, or confirms the op itself when
+    /// there are none).
     ///
     /// Panics in debug builds if called on a backup — the service layer routes ops to
     /// the primary before applying.
@@ -257,51 +225,20 @@ impl ShardReplica {
         debug_assert_eq!(self.role, ReplicaRole::Primary, "client ops apply on the primary");
         apply_op(&mut self.shard, op, out);
         self.applied_seq += 1;
-        self.log.push_back((self.applied_seq, op.clone()));
         self.applied_seq
     }
 
-    /// Record a backup's cumulative ack and return the confirms whose entries became
-    /// fully acked. Acks from an older epoch (a backup that has not yet learned of a
-    /// promotion) are still valid — sequence numbers only restart through a snapshot,
-    /// which re-baselines the acker — but acks from untracked nodes are ignored.
-    pub fn record_ack(&mut self, backup: NodeId, seq: u64) -> Vec<(NodeId, Message)> {
-        if self.role != ReplicaRole::Primary {
-            return Vec::new();
-        }
-        match self.acks.get_mut(&backup) {
-            Some(acked) => *acked = (*acked).max(seq),
-            None => return Vec::new(),
-        }
-        self.take_durable_confirms()
-    }
-
-    /// The sequence number through which every tracked backup has acked (equals the
-    /// applied prefix when no backups are tracked — a lone replica is trivially
-    /// durable).
-    pub fn min_acked(&self) -> u64 {
-        self.acks.values().copied().min().unwrap_or(self.applied_seq)
-    }
-
-    /// Drop the log entries every tracked backup has acked and return their confirms.
-    /// The service calls this directly when a lone replica (no tracked backups) applies
-    /// an op, which is durable immediately.
-    pub fn take_durable_confirms(&mut self) -> Vec<(NodeId, Message)> {
-        let through = self.min_acked();
-        let mut confirms = Vec::new();
-        while self.log.front().is_some_and(|(seq, _)| *seq <= through) {
-            let (_, op) = self.log.pop_front().expect("the front entry was just checked");
-            if let Some((to, kind)) = op.confirm_target() {
-                confirms.push((to, Message::DirConfirm { object: op.object(), kind }));
-            }
-        }
-        confirms
-    }
-
-    /// Replay an op shipped by the shard's primary. See [`ReplayOutcome`] for what the
-    /// caller must do with the result. Replies are discarded: only the primary talks
-    /// to clients.
-    pub fn apply_replicated(&mut self, epoch: u64, seq: u64, op: &DirOp) -> ReplayOutcome {
+    /// Replay an op shipped by the shard's primary, appending to `confirms` the
+    /// confirm of every op it left applied. See [`ReplayOutcome`] for what the caller
+    /// must do with the result. Replies are discarded: only the primary talks to
+    /// clients.
+    pub fn apply_replicated(
+        &mut self,
+        epoch: u64,
+        seq: u64,
+        op: &DirOp,
+        confirms: &mut Vec<(NodeId, Message)>,
+    ) -> ReplayOutcome {
         if epoch < self.epoch {
             return ReplayOutcome::Rejected;
         }
@@ -310,17 +247,18 @@ impl ShardReplica {
             return ReplayOutcome::Buffered;
         }
         if seq <= self.applied_seq && epoch == self.epoch {
-            // Duplicate of something already in the applied prefix: re-ack so the
-            // primary's bookkeeping converges even if the original ack was lost.
-            return ReplayOutcome::Acked(self.applied_seq);
+            // Duplicate of something already in the applied prefix, which holds it:
+            // confirm it again, in case this replica's first confirm never went out.
+            confirms.extend(confirm_of(op));
+            return ReplayOutcome::Applied(self.applied_seq);
         }
         if seq == self.applied_seq + 1 {
             // The happy path — including a seamless epoch handover, where the promoted
             // primary continues the sequence right where this replica's prefix ends.
             self.epoch = epoch;
-            self.apply_in_order(op);
-            self.drain_pending();
-            return ReplayOutcome::Acked(self.applied_seq);
+            self.apply_in_order(op, confirms);
+            self.drain_pending(confirms);
+            return ReplayOutcome::Applied(self.applied_seq);
         }
         // A gap (same epoch: shipments lost while this node was isolated; higher
         // epoch: a promoted primary whose prefix diverges from ours). Shipments cannot
@@ -333,15 +271,22 @@ impl ShardReplica {
     /// this replica's (a deposed source's straggler), or with no resync in flight, is
     /// [`ResyncStep::Stale`] and changes nothing.
     ///
-    /// Chunks install into a staged shard; the replica's own shard, log and applied
-    /// prefix stay as they are until the last chunk (`done`) replays what the chunks
-    /// missed ([`ShardReplica::replay_missed`]) and replaces them wholesale — a deposed
-    /// primary's unacked suffix included, since the re-baselined sequence numbering
-    /// invalidates it. Shipments buffered past the last chunk's `seq` replay on top. A
+    /// Chunks install into a staged shard; the replica's own shard and applied prefix
+    /// stay as they are until the last chunk (`done`) replays what the chunks missed
+    /// ([`ShardReplica::replay_missed`]) and replaces them wholesale — a deposed
+    /// primary's unshipped suffix included, since the re-baselined sequence numbering
+    /// invalidates it. Shipments buffered past the last chunk's `seq` replay on top,
+    /// and every buffered op the replica then holds is confirmed into `confirms`. A
     /// chunk from a newer epoch than the staged ones starts the stream over: seqs of
-    /// two primacies do not compare, and a deposed primary's chunks may hold its
-    /// unacked suffix.
-    pub fn apply_resync(&mut self, epoch: u64, frame: &ResyncFrame<'_>, done: bool) -> ResyncStep {
+    /// two primacies do not compare, and a deposed primary's chunks may hold ops no
+    /// backup applied.
+    pub fn apply_resync(
+        &mut self,
+        epoch: u64,
+        frame: &ResyncFrame<'_>,
+        done: bool,
+        confirms: &mut Vec<(NodeId, Message)>,
+    ) -> ResyncStep {
         if self.resync.is_none() || epoch < self.epoch {
             return ResyncStep::Stale;
         }
@@ -367,12 +312,15 @@ impl ShardReplica {
         let Some(shard) = self.replay_missed(staged, frame.seq) else {
             return ResyncStep::Continue;
         };
+        // Every op buffered at the stream's epoch up to its last chunk is now held: the
+        // chunks carried it, or the catch-up rule just replayed it.
+        let held = self.pending.range(..=frame.seq).filter(|(_, (e, _))| *e == epoch);
+        confirms.extend(held.filter_map(|(_, (_, op))| confirm_of(op)));
         self.shard = shard;
-        self.log.clear();
         self.applied_seq = frame.seq;
         self.role = ReplicaRole::Backup;
         self.resync = None;
-        self.drain_pending();
+        self.drain_pending(confirms);
         ResyncStep::Done(self.applied_seq)
     }
 
@@ -397,17 +345,18 @@ impl ShardReplica {
         Some(shard)
     }
 
-    /// Apply a replayed op. A backup logs nothing: it acks what it applies.
-    fn apply_in_order(&mut self, op: &DirOp) {
+    /// Apply a replayed op and confirm it.
+    fn apply_in_order(&mut self, op: &DirOp, confirms: &mut Vec<(NodeId, Message)>) {
         apply_op(&mut self.shard, op, &mut Vec::new());
         self.applied_seq += 1;
+        confirms.extend(confirm_of(op));
     }
 
-    fn drain_pending(&mut self) {
+    fn drain_pending(&mut self, confirms: &mut Vec<(NodeId, Message)>) {
         while let Some((epoch, op)) = self.pending.remove(&(self.applied_seq + 1)) {
             if epoch >= self.epoch {
                 self.epoch = epoch;
-                self.apply_in_order(&op);
+                self.apply_in_order(&op, confirms);
             }
         }
         // Anything at or below the applied prefix is stale.
@@ -456,6 +405,12 @@ impl ShardReplica {
     pub fn locations(&self, object: ObjectId) -> Vec<(NodeId, ObjectStatus)> {
         self.shard.locations(object)
     }
+}
+
+/// The confirm an op's origin is owed once a replica holds it, if the op has one.
+pub(crate) fn confirm_of(op: &DirOp) -> Option<(NodeId, Message)> {
+    let (to, kind) = op.confirm_target()?;
+    Some((to, Message::DirConfirm { object: op.object(), kind }))
 }
 
 /// Dispatch one op into a shard.
@@ -507,7 +462,7 @@ mod tests {
         }
     }
 
-    /// The confirm a primary owes the origin of `register(name, holder)`.
+    /// The confirm a replica owes the origin of `register(name, holder)`.
     fn confirm_of(name: &str, holder: u32) -> (NodeId, Message) {
         let kind = ConfirmKind::Location { status: ObjectStatus::Complete };
         (NodeId(holder), Message::DirConfirm { object: obj(name), kind })
@@ -517,7 +472,7 @@ mod tests {
     fn transfer(source: &ShardReplica, sink: &mut ShardReplica) -> ResyncStep {
         let (entries, done) = source.shard().snapshot_range(None, u64::MAX);
         assert!(done, "an unbounded budget covers the shard in one chunk");
-        sink.apply_resync(source.epoch(), &chunk(source.applied_seq(), &entries), true)
+        sink.apply_resync(source.epoch(), &chunk(source.applied_seq(), &entries), true, &mut vec![])
     }
 
     fn chunk(seq: u64, entries: &[SnapshotEntry]) -> ResyncFrame<'_> {
@@ -528,23 +483,22 @@ mod tests {
         replica.resync().and_then(|r| r.cursor)
     }
 
-    /// Ship one op primary → backup and ack it back, asserting the happy path.
+    /// Ship one op primary → backup, asserting the happy path.
     fn replicate(primary: &mut ShardReplica, backup: &mut ShardReplica, op: &DirOp) {
         let mut replies = Vec::new();
         let seq = primary.apply_primary(op, &mut replies);
-        match backup.apply_replicated(primary.epoch(), seq, op) {
-            ReplayOutcome::Acked(acked) => {
-                assert_eq!(acked, seq);
-                primary.record_ack(NodeId(99), acked);
-            }
-            other => panic!("expected ack, got {other:?}"),
-        }
+        let outcome = backup.apply_replicated(primary.epoch(), seq, op, &mut replies);
+        assert_eq!(outcome, ReplayOutcome::Applied(seq));
+    }
+
+    /// Replay a shipped op on `backup`, dropping its confirms.
+    fn replay(backup: &mut ShardReplica, epoch: u64, seq: u64, op: &DirOp) -> ReplayOutcome {
+        backup.apply_replicated(epoch, seq, op, &mut Vec::new())
     }
 
     #[test]
     fn backup_mirrors_the_primary_through_the_op_log() {
         let (mut primary, mut backup) = pair();
-        primary.set_tracked_backups(&[NodeId(99)]);
         let ops = vec![
             register("a", 1),
             DirOp::Query { object: obj("a"), requester: NodeId(2), query_id: 7, exclude: vec![] },
@@ -560,8 +514,8 @@ mod tests {
         for op in &ops {
             let seq = primary.apply_primary(op, &mut replies);
             assert!(matches!(
-                backup.apply_replicated(primary.epoch(), seq, op),
-                ReplayOutcome::Acked(_)
+                replay(&mut backup, primary.epoch(), seq, op),
+                ReplayOutcome::Applied(_)
             ));
         }
         // The primary answered the query; the backup replayed it silently but holds
@@ -595,7 +549,7 @@ mod tests {
 
         // A straggler shipped by the deposed primary (epoch 0) must be rejected.
         let stale = DirOp::Delete { object: obj("x") };
-        assert_eq!(backup.apply_replicated(0, 2, &stale), ReplayOutcome::Rejected);
+        assert_eq!(replay(&mut backup, 0, 2, &stale), ReplayOutcome::Rejected);
         assert_eq!(backup.locations(obj("x")).len(), 1, "stale delete was not applied");
 
         // Promotion is idempotent and never lowers an epoch.
@@ -610,11 +564,11 @@ mod tests {
         // counts both failures), so B's straggler is recognizably stale.
         let cfg = HopliteConfig::small_for_tests();
         let mut c = ShardReplica::new(DirectoryShard::new(0, cfg), ReplicaRole::Backup);
-        assert!(matches!(c.apply_replicated(0, 1, &register("x", 3)), ReplayOutcome::Acked(1)));
+        assert_eq!(replay(&mut c, 0, 1, &register("x", 3)), ReplayOutcome::Applied(1));
         c.promote_to(2);
         assert_eq!(c.epoch(), 2);
         let straggler = DirOp::Delete { object: obj("x") };
-        assert_eq!(c.apply_replicated(1, 2, &straggler), ReplayOutcome::Rejected);
+        assert_eq!(replay(&mut c, 1, 2, &straggler), ReplayOutcome::Rejected);
         assert_eq!(c.locations(obj("x")).len(), 1);
     }
 
@@ -629,10 +583,7 @@ mod tests {
         let mut out = Vec::new();
         let seq = primary.apply_primary(&query, &mut out);
         assert!(out.is_empty(), "no location yet; the query parks");
-        assert!(matches!(
-            backup.apply_replicated(primary.epoch(), seq, &query),
-            ReplayOutcome::Acked(_)
-        ));
+        assert_eq!(replay(&mut backup, primary.epoch(), seq, &query), ReplayOutcome::Applied(1));
 
         backup.promote_to(1);
         backup.node_failed(NodeId(0));
@@ -645,42 +596,72 @@ mod tests {
     }
 
     #[test]
-    fn confirms_wait_for_every_tracked_backup() {
-        let (mut primary, _) = pair();
-        primary.set_tracked_backups(&[NodeId(1), NodeId(2)]);
+    fn a_backup_confirms_each_op_it_holds() {
+        let (mut primary, mut backup) = pair();
         let mut out = Vec::new();
-        let seq = primary.apply_primary(&register("x", 7), &mut out);
-        assert_eq!(primary.unacked_len(), 1);
-        assert!(primary.record_ack(NodeId(1), seq).is_empty(), "one of two backups acked");
-        let confirms = primary.record_ack(NodeId(2), seq);
+        let query =
+            DirOp::Query { object: obj("x"), requester: NodeId(5), query_id: 1, exclude: vec![] };
+        let s1 = primary.apply_primary(&register("x", 7), &mut out);
+        let s2 = primary.apply_primary(&query, &mut out);
+        assert!(out.iter().all(|(_, m)| !matches!(m, Message::DirConfirm { .. })), "{out:?}");
+        // The backup confirms the registration to its origin; a query has none.
+        let mut confirms = Vec::new();
+        backup.apply_replicated(0, s1, &register("x", 7), &mut confirms);
+        backup.apply_replicated(0, s2, &query, &mut confirms);
         assert_eq!(confirms, vec![confirm_of("x", 7)]);
-        assert_eq!(primary.unacked_len(), 0, "fully-acked prefix trimmed");
-        // A repeated ack is idempotent.
-        assert!(primary.record_ack(NodeId(2), seq).is_empty());
+        // A duplicate of an op it holds is confirmed again, and not re-applied.
+        confirms.clear();
+        let outcome = backup.apply_replicated(0, s1, &register("x", 7), &mut confirms);
+        assert_eq!(outcome, ReplayOutcome::Applied(2));
+        assert_eq!(confirms, vec![confirm_of("x", 7)]);
+        // Out of order, it confirms nothing until it holds the op.
+        let (mut primary, mut backup) = pair();
+        let (a, b) = (register("a", 1), register("b", 2));
+        let (sa, sb) = (primary.apply_primary(&a, &mut out), primary.apply_primary(&b, &mut out));
+        confirms.clear();
+        assert_eq!(backup.apply_replicated(0, sb, &b, &mut confirms), ReplayOutcome::NeedsResync);
+        assert!(confirms.is_empty());
+        backup.abort_resync();
+        assert_eq!(backup.apply_replicated(0, sa, &a, &mut confirms), ReplayOutcome::Applied(1));
+        assert_eq!(confirms, vec![confirm_of("a", 1)]);
     }
 
     #[test]
-    fn losing_the_last_laggard_backup_releases_confirms() {
-        let (mut primary, _) = pair();
-        primary.set_tracked_backups(&[NodeId(1), NodeId(2)]);
+    fn the_ops_a_stream_replays_at_its_end_are_confirmed() {
+        let (mut primary, mut backup) = pair();
         let mut out = Vec::new();
-        let seq = primary.apply_primary(&register("y", 7), &mut out);
-        primary.record_ack(NodeId(1), seq);
-        // Backup 2 dies before acking: re-tracking without it must release the entry.
-        let confirms = primary.set_tracked_backups(&[NodeId(1)]);
-        assert_eq!(confirms, vec![confirm_of("y", 7)]);
-    }
-
-    #[test]
-    fn untracked_primary_confirms_immediately() {
-        // Replication factor 1 (or every backup dead): the lone replica is trivially
-        // durable and the client must not be left waiting for a confirm.
-        let (mut primary, _) = pair();
-        let mut out = Vec::new();
-        primary.apply_primary(&register("z", 7), &mut out);
-        assert_eq!(primary.min_acked(), primary.applied_seq());
-        let confirms = primary.take_durable_confirms();
-        assert_eq!(confirms, vec![confirm_of("z", 7)]);
+        for i in 0..3u32 {
+            primary.apply_primary(&register(&format!("pre{i}"), i), &mut out);
+        }
+        backup.begin_resync(NodeId(9));
+        let (first, done) = primary.shard().snapshot_range(None, 100);
+        assert!(!done);
+        let mut confirms = Vec::new();
+        let step = backup.apply_resync(0, &chunk(3, &first), false, &mut confirms);
+        assert_eq!(step, ResyncStep::Continue);
+        // Two ops ship mid-stream and are buffered unconfirmed; the last chunk is
+        // served between them.
+        let mut rest = None;
+        for (name, holder) in [("mid", 7), ("late", 8)] {
+            let op = register(name, holder);
+            let seq = primary.apply_primary(&op, &mut out);
+            assert_eq!(
+                backup.apply_replicated(0, seq, &op, &mut confirms),
+                ReplayOutcome::Buffered
+            );
+            rest = rest.or_else(|| Some(primary.shard().snapshot_range(cursor(&backup), u64::MAX)));
+        }
+        assert!(confirms.is_empty());
+        // The last chunk is served at seq 4, after "mid" and before "late": the replica
+        // holds both when the stream ends, and confirms both.
+        let (rest, done) = rest.expect("the last chunk was served");
+        assert!(done);
+        assert_eq!(
+            backup.apply_resync(0, &chunk(4, &rest), true, &mut confirms),
+            ResyncStep::Done(5)
+        );
+        assert_eq!(confirms, vec![confirm_of("mid", 7), confirm_of("late", 8)]);
+        assert_eq!(transfer_state(&backup), transfer_state(&primary));
     }
 
     #[test]
@@ -694,15 +675,12 @@ mod tests {
         // Op 4 arrives at the backup: a gap it cannot bridge.
         let op4 = register("d", 4);
         let seq4 = primary.apply_primary(&op4, &mut out);
-        assert_eq!(
-            backup.apply_replicated(primary.epoch(), seq4, &op4),
-            ReplayOutcome::NeedsResync
-        );
+        assert_eq!(replay(&mut backup, primary.epoch(), seq4, &op4), ReplayOutcome::NeedsResync);
         backup.begin_resync(NodeId(9));
         // Op 5 ships while the snapshot is in flight: buffered.
         let op5 = register("e", 5);
         let seq5 = primary.apply_primary(&op5, &mut out);
-        assert_eq!(backup.apply_replicated(primary.epoch(), seq5, &op5), ReplayOutcome::Buffered);
+        assert_eq!(replay(&mut backup, primary.epoch(), seq5, &op5), ReplayOutcome::Buffered);
         // The state is captured at seq 5 (after op5); installing it drops the
         // buffered duplicate and the backup is fully caught up.
         assert_eq!(primary.applied_seq(), 5, "state captured after op5");
@@ -715,23 +693,20 @@ mod tests {
 
     #[test]
     fn deposed_primary_unacked_suffix_is_discarded_on_promotion_and_resync() {
-        // P applies ops 1..=5; the backup B only ever receives 1..=3 and acks them.
-        // P's unacked suffix is ops 4 and 5. P is deposed (declared failed), B
-        // promotes on the acked prefix, and when P later rejoins via snapshot its
+        // P applies ops 1..=5; the backup B only ever receives 1..=3 and confirms them.
+        // Ops 4 and 5 are P's unconfirmed suffix. P is deposed (declared failed), B
+        // promotes on its applied prefix, and when P later rejoins via snapshot its
         // suffix is gone — exactly the contract: promotion and re-admission only
-        // consider the acked prefix.
+        // consider what the backup applied.
         let (mut p, mut b) = pair();
-        p.set_tracked_backups(&[NodeId(1)]);
         let mut out = Vec::new();
         for (i, name) in ["a", "b", "c"].iter().enumerate() {
             let op = register(name, 10 + i as u32);
             let seq = p.apply_primary(&op, &mut out);
-            assert!(matches!(b.apply_replicated(p.epoch(), seq, &op), ReplayOutcome::Acked(_)));
-            p.record_ack(NodeId(1), seq);
+            assert_eq!(replay(&mut b, p.epoch(), seq, &op), ReplayOutcome::Applied(seq));
         }
         p.apply_primary(&register("d", 13), &mut out);
         p.apply_primary(&register("e", 14), &mut out);
-        assert_eq!(p.unacked_len(), 2, "ops d and e are the unacked suffix");
 
         // B promotes; its prefix ends at seq 3.
         b.promote_to(1);
@@ -739,7 +714,7 @@ mod tests {
         assert!(b.locations(obj("d")).is_empty());
 
         // P rejoins as a backup via state transfer from B: its old suffix is replaced
-        // wholesale by B's acked prefix.
+        // wholesale by B's applied prefix.
         b.apply_primary(&register("f", 15), &mut out); // seq 4 under the new primacy
         p.begin_resync(NodeId(9));
         assert_eq!(transfer(&b, &mut p), ResyncStep::Done(4));
@@ -762,10 +737,15 @@ mod tests {
         let epoch = primary.epoch();
         assert_eq!(transfer(&primary, &mut backup), ResyncStep::Done(4));
         // Shipments delayed in flight from before the snapshot now arrive: each is a
-        // duplicate of the installed prefix and re-acks the same watermark without
-        // double-applying.
-        for (op, s) in ops.iter().zip(&seqs) {
-            assert_eq!(backup.apply_replicated(epoch, *s, op), ReplayOutcome::Acked(4));
+        // duplicate of the installed prefix, confirmed again at the same watermark
+        // without double-applying.
+        for (i, (op, s)) in ops.iter().zip(&seqs).enumerate() {
+            let mut confirms = Vec::new();
+            assert_eq!(
+                backup.apply_replicated(epoch, *s, op, &mut confirms),
+                ReplayOutcome::Applied(4)
+            );
+            assert_eq!(confirms, vec![confirm_of(&format!("o{i}"), i as u32)]);
         }
         for i in 0..4 {
             assert_eq!(backup.locations(obj(&format!("o{i}"))).len(), 1);
@@ -807,33 +787,6 @@ mod tests {
     }
 
     #[test]
-    fn a_primary_logs_only_its_unacked_suffix_and_a_backup_logs_nothing() {
-        let (mut primary, mut backup) = pair();
-        primary.set_tracked_backups(&[NodeId(1)]);
-        let mut out = Vec::new();
-        for i in 0..5u32 {
-            let op = register(&format!("o{i}"), 1);
-            let seq = primary.apply_primary(&op, &mut out);
-            assert_eq!(backup.apply_replicated(0, seq, &op), ReplayOutcome::Acked(seq));
-            if i < 3 {
-                primary.record_ack(NodeId(1), seq);
-            }
-        }
-        assert_eq!(primary.unacked_len(), 2, "the three acked ops left the log");
-        assert_eq!(backup.unacked_len(), 0, "a replayed op is not logged");
-        // A resync leaves a backup's log empty too, and a promoted backup logs only
-        // what it applies as primary from then on.
-        backup.begin_resync(NodeId(9));
-        assert_eq!(transfer(&primary, &mut backup), ResyncStep::Done(5));
-        assert_eq!(backup.unacked_len(), 0);
-        backup.promote_to(1);
-        assert_eq!(backup.unacked_len(), 0);
-        backup.set_tracked_backups(&[NodeId(0)]);
-        backup.apply_primary(&register("p", 1), &mut out);
-        assert_eq!(backup.unacked_len(), 1);
-    }
-
-    #[test]
     fn a_chunk_from_a_new_primacy_starts_the_stream_over() {
         let (mut primary, mut backup) = pair();
         let mut out = Vec::new();
@@ -842,18 +795,22 @@ mod tests {
         }
         backup.begin_resync(NodeId(9));
         let (first, _) = primary.shard().snapshot_range(None, 200);
-        assert_eq!(backup.apply_resync(0, &chunk(12, &first), false), ResyncStep::Continue);
+        let step = backup.apply_resync(0, &chunk(12, &first), false, &mut vec![]);
+        assert_eq!(step, ResyncStep::Continue);
         assert!(cursor(&backup).is_some());
         // The next pull is answered at epoch 1 (the source died and its successor,
         // standing in here with the same state, promoted): the staged chunk is dropped.
         primary.promote_to(1);
         let (next, done) = primary.shard().snapshot_range(cursor(&backup), 200);
-        assert_eq!(backup.apply_resync(1, &chunk(12, &next), done), ResyncStep::Continue);
+        assert_eq!(
+            backup.apply_resync(1, &chunk(12, &next), done, &mut vec![]),
+            ResyncStep::Continue
+        );
         assert_eq!(cursor(&backup), None, "the stream starts over from its first chunk");
         assert!(backup.resync().is_some());
         loop {
             let (entries, done) = primary.shard().snapshot_range(cursor(&backup), 200);
-            match backup.apply_resync(1, &chunk(12, &entries), done) {
+            match backup.apply_resync(1, &chunk(12, &entries), done, &mut vec![]) {
                 ResyncStep::Done(acked) => {
                     assert_eq!(acked, 12);
                     break;
@@ -887,7 +844,7 @@ mod tests {
             let (entries, done) = primary.shard().snapshot_range(cursor(&backup), budget);
             assert!(entries.len() < 12, "bounded chunks, not one burst");
             rounds += 1;
-            match backup.apply_resync(epoch, &chunk(seq, &entries), done) {
+            match backup.apply_resync(epoch, &chunk(seq, &entries), done, &mut vec![]) {
                 ResyncStep::Done(acked) => {
                     assert_eq!(acked, seq);
                     break;
@@ -910,22 +867,22 @@ mod tests {
         let (mut primary, mut backup) = pair();
         let mut out = Vec::new();
         // Divergent histories: the backup applied an op the primary never had.
-        assert!(matches!(
-            backup.apply_replicated(0, 1, &register("only-mine", 9)),
-            ReplayOutcome::Acked(1)
-        ));
+        assert_eq!(replay(&mut backup, 0, 1, &register("only-mine", 9)), ReplayOutcome::Applied(1));
         primary.apply_primary(&register("live", 1), &mut out);
 
         // A deposed source's chunk (stale epoch) is discarded outright.
         backup.promote_to(2);
-        assert_eq!(backup.apply_resync(1, &chunk(5, &[]), true), ResyncStep::Stale);
+        assert_eq!(backup.apply_resync(1, &chunk(5, &[]), true, &mut vec![]), ResyncStep::Stale);
         assert_eq!(backup.locations(obj("only-mine")).len(), 1);
 
         // A fresh stream replaces local state wholesale.
         backup.begin_resync(NodeId(9));
         let (entries, done) = primary.shard().snapshot_range(None, u64::MAX);
         assert!(done);
-        assert_eq!(backup.apply_resync(3, &chunk(1, &entries), true), ResyncStep::Done(1));
+        assert_eq!(
+            backup.apply_resync(3, &chunk(1, &entries), true, &mut vec![]),
+            ResyncStep::Done(1)
+        );
         assert_eq!(backup.role(), ReplicaRole::Backup);
         assert!(backup.locations(obj("only-mine")).is_empty(), "divergent state discarded");
         assert_eq!(backup.locations(obj("live")).len(), 1);
@@ -942,16 +899,18 @@ mod tests {
         let (epoch, seq) = (primary.epoch(), primary.applied_seq());
         let (first, done) = primary.shard().snapshot_range(None, 100);
         assert!(!done);
-        assert_eq!(backup.apply_resync(epoch, &chunk(seq, &first), false), ResyncStep::Continue);
+        let step = backup.apply_resync(epoch, &chunk(seq, &first), false, &mut vec![]);
+        assert_eq!(step, ResyncStep::Continue);
         // A live op ships mid-stream: buffered (the replica is still resyncing).
         let mid = register("mid", 7);
         let s_mid = primary.apply_primary(&mid, &mut out);
-        assert_eq!(backup.apply_replicated(epoch, s_mid, &mid), ReplayOutcome::Buffered);
+        assert_eq!(replay(&mut backup, epoch, s_mid, &mid), ReplayOutcome::Buffered);
         // Finish the stream, each chunk consistent at the seq it is served at: the
         // buffered op is replayed where the chunk covering "mid" was served before it.
         loop {
             let (entries, done) = primary.shard().snapshot_range(cursor(&backup), 100);
-            match backup.apply_resync(epoch, &chunk(primary.applied_seq(), &entries), done) {
+            let frame = chunk(primary.applied_seq(), &entries);
+            match backup.apply_resync(epoch, &frame, done, &mut vec![]) {
                 ResyncStep::Done(acked) => {
                     assert_eq!(acked, s_mid, "the stream ends consistent after the op");
                     break;

@@ -3,9 +3,14 @@
 //! [`DirectoryService`] is the server half living inside each node: the shard
 //! replicas this node hosts, the node's one [`PlacementView`] (routing reads it,
 //! liveness transitions mutate it, nothing mirrors it), op routing (apply as primary /
-//! forward elsewhere), sequenced log shipping to every live backup with acks and
-//! origin confirms, chunked resync serving for recovering replicas, and
-//! epoch-stamped promotion when a primary dies (§3.5).
+//! forward elsewhere), sequenced shipping to every live backup, chunked resync serving
+//! for recovering replicas, and epoch-stamped promotion when a primary dies (§3.5).
+//!
+//! **Who confirms.** A backup confirms each shipped op it applies straight to the op's
+//! origin, on arrival or when the resync stream it was buffered behind ends; a primary
+//! confirms an op itself only when it ships it to no live backup. Nothing goes back to
+//! the primary: `DirAck`, like tag 28, is a frame nothing sends, dropped on arrival.
+//! What the origin waits on is its journal's business ([`super::client`]).
 //!
 //! On the receiving side of a resync each fact lives once. Whether a hosted shard is
 //! resyncing, from whom, and how far its chunk stream got is that replica's
@@ -18,8 +23,8 @@
 //! missed (the catch-up rule in [`super::replication`]).
 //!
 //! **One way in.** Every server-side directory frame — the eight client ops (see
-//! [`DirOp`]), `DirReplicate`, `DirAck`, `DirSnapshotRequest` and the resync frames
-//! (tags 23 and 27, and tag 28, which nothing sends and which is dropped) — enters
+//! [`DirOp`]), `DirReplicate`, `DirSnapshotRequest`, the resync frames (tags 23 and
+//! 27), and `DirAck` and tag 28, which nothing sends and which are dropped — enters
 //! through [`DirectoryService::handle`], which checks the shard a frame names against
 //! the cluster before indexing anything and writes each directory counter into the
 //! caller's [`NodeMetrics`] where its event happens. The node, `metadata_scale` and
@@ -35,8 +40,10 @@ use crate::metrics::NodeMetrics;
 use crate::object::{NodeId, ObjectId, ObjectStatus};
 use crate::protocol::{DirOp, Message, ShardSnapshot};
 
-use super::placement::{DirectoryPlacement, PlacementView};
-use super::replication::{ReplayOutcome, ReplicaRole, ResyncFrame, ResyncStep, ShardReplica};
+use super::placement::{DirectoryPlacement, PlacementView, Rerouted};
+use super::replication::{
+    confirm_of, ReplayOutcome, ReplicaRole, ResyncFrame, ResyncStep, ShardReplica,
+};
 use super::shard::DirectoryShard;
 
 /// The directory server half of one node: every shard replica it hosts, plus the
@@ -112,19 +119,6 @@ impl DirectoryService {
         self.view.is_resyncing(self.me)
     }
 
-    /// The live backups of `shard` in this node's view (replica-set members other
-    /// than this node that are not failed — resyncing members included, since they
-    /// are catching up on the same log). Every one of them is shipped to, and every
-    /// one's ack gates durability.
-    fn live_backups(&self, shard: usize) -> Vec<NodeId> {
-        self.view
-            .placement()
-            .replica_set(shard)
-            .into_iter()
-            .filter(|&n| n != self.me && self.view.is_alive(n))
-            .collect()
-    }
-
     /// The shard a frame off the wire names, if this cluster has it: the one range
     /// check in front of everything that indexes by shard.
     pub fn shard(&self, wire: u64) -> Option<usize> {
@@ -133,9 +127,9 @@ impl DirectoryService {
 
     /// Take one server-side directory frame from `from`, appending what it produces
     /// to `out` and counting what happened in `metrics`. The eight client ops are
-    /// applied as primary or forwarded; `DirReplicate` and `DirAck` run the
-    /// replication log; a `DirSnapshotRequest` is served or forwarded; a state chunk or
-    /// retired full snapshot is installed, and a retired `DirResyncDelta` dropped. A
+    /// applied as primary or forwarded; a `DirReplicate` is applied and confirmed; a
+    /// `DirSnapshotRequest` is served or forwarded; a state chunk or retired full
+    /// snapshot is installed, and a retired `DirAck` or `DirResyncDelta` dropped. A
     /// frame naming a shard the cluster does not have is dropped; any other message
     /// comes back untouched.
     pub fn handle(
@@ -166,11 +160,6 @@ impl DirectoryService {
                     self.handle_replicate(shard, epoch, seq, &op, from, out);
                 }
             }
-            Message::DirAck { shard, epoch, seq } => {
-                if let Some(shard) = self.shard(shard) {
-                    self.handle_ack(shard, from, epoch, seq, out);
-                }
-            }
             Message::DirSnapshotRequest { shard: wire, requester, restart, after, .. } => {
                 let hosted =
                     self.shard(wire).filter(|&s| self.view.placement().hosts(requester, s));
@@ -194,17 +183,18 @@ impl DirectoryService {
                     }
                 }
             }
-            Message::DirResyncDelta { .. } => {}
+            Message::DirAck { .. } | Message::DirResyncDelta { .. } => {}
             other => return Some(other),
         }
         None
     }
 
     /// Route one client directory op: apply it if this node is the shard's primary
-    /// (emitting replies, log-shipping the op, and later confirming it to its
-    /// origin), forward it to the believed primary otherwise. A query the shard
-    /// answers without changing ([`DirectoryShard::read`]: an inline hit or a
-    /// tombstone) is a read: the primary replies and logs, ships and marks nothing.
+    /// (emitting replies, and shipping the op to every live backup, which confirm it
+    /// to its origin — or confirming it at once when there is none), forward it to the
+    /// believed primary otherwise. A query the shard answers without changing
+    /// ([`DirectoryShard::read`]: an inline hit or a tombstone) is a read: the primary
+    /// replies and sequences, ships and marks nothing.
     /// Ops for a shard whose every replica died are dropped — that metadata is gone.
     /// Returns whether the op was applied here.
     fn handle_op(
@@ -224,14 +214,13 @@ impl DirectoryService {
                         return true;
                     }
                 }
-                let backups = self.live_backups(shard);
+                let backups = self.view.live_backups(shard, self.me);
                 let replica = self.replicas.get_mut(&shard).expect("primary hosts its shard");
-                out.extend(replica.set_tracked_backups(&backups));
                 let seq = replica.apply_primary(&op, out);
                 let epoch = replica.epoch();
                 if backups.is_empty() {
                     // A lone replica is trivially durable: confirm immediately.
-                    out.extend(replica.take_durable_confirms());
+                    out.extend(confirm_of(&op));
                 }
                 for backup in backups {
                     out.push((
@@ -259,8 +248,8 @@ impl DirectoryService {
     }
 
     /// Replay an op shipped by a shard's primary into this node's backup replica. An
-    /// applied op is acked straight back to the shipper; a log gap this replica
-    /// cannot bridge is answered with a resync request.
+    /// applied op is confirmed straight to its origin; a gap this replica cannot
+    /// bridge is answered with a resync request. Returns whether the op was applied.
     fn handle_replicate(
         &mut self,
         shard: usize,
@@ -272,33 +261,13 @@ impl DirectoryService {
     ) -> bool {
         self.view.note_epoch(shard, epoch);
         let Some(replica) = self.replicas.get_mut(&shard) else { return false };
-        match replica.apply_replicated(epoch, seq, op) {
-            ReplayOutcome::Acked(acked) => {
-                let epoch = replica.epoch();
-                out.push((from, Message::DirAck { shard: shard as u64, epoch, seq: acked }));
-                true
-            }
+        match replica.apply_replicated(epoch, seq, op, out) {
+            ReplayOutcome::Applied(_) => true,
             ReplayOutcome::NeedsResync => {
                 self.request_resync(shard, from, false, out);
                 false
             }
             ReplayOutcome::Buffered | ReplayOutcome::Rejected => false,
-        }
-    }
-
-    /// Fold a backup's cumulative ack into the shard's log, emitting any confirms
-    /// that became due (acks reaching a non-primary replica are ignored).
-    fn handle_ack(
-        &mut self,
-        shard: usize,
-        from: NodeId,
-        epoch: u64,
-        seq: u64,
-        out: &mut Vec<(NodeId, Message)>,
-    ) {
-        self.view.note_epoch(shard, epoch);
-        if let Some(replica) = self.replicas.get_mut(&shard) {
-            out.extend(replica.record_ack(from, seq));
         }
     }
 
@@ -342,10 +311,10 @@ impl DirectoryService {
     /// state chunk, or the retired full snapshot (a done chunk). Mid-stream, or when
     /// the stream starts over, pull the next frame from whoever served this one — a
     /// forwarded request is served by another node than it went to, and a source death
-    /// re-targets from there. On the last frame, adopt the source's rank cursor and ack
-    /// the catch-up point. Returns `true` when the stream completed here; when that
-    /// also completes the node's local resync, a re-admission becomes pending — the
-    /// caller checks
+    /// re-targets from there. On the last frame, confirm every buffered op the replica
+    /// now holds and adopt the source's rank cursor; nothing goes back to the source.
+    /// Returns `true` when the stream completed here; when that also completes the
+    /// node's local resync, a re-admission becomes pending — the caller checks
     /// [`DirectoryService::take_readmission`] after this (and after
     /// [`DirectoryService::on_peer_failed`], which can also complete a resync by
     /// abandoning a sourceless shard). Frames for a shard with no resync in flight and
@@ -365,16 +334,15 @@ impl DirectoryService {
             return false;
         }
         let Some(replica) = self.replicas.get_mut(&shard) else { return false };
-        let acked = match replica.apply_resync(epoch, &frame, done) {
+        match replica.apply_resync(epoch, &frame, done, out) {
             ResyncStep::Stale => return false,
             ResyncStep::Continue => {
                 self.request_resync(shard, from, false, out);
                 return false;
             }
-            ResyncStep::Done(acked) => acked,
-        };
+            ResyncStep::Done(_) => {}
+        }
         self.view.set_rank(shard, frame.rank);
-        out.push((from, Message::DirAck { shard: shard as u64, epoch, seq: acked }));
         self.maybe_complete_local_resync();
         true
     }
@@ -402,12 +370,10 @@ impl DirectoryService {
             if self.view.primary(shard) != Some(self.me) {
                 continue;
             }
-            let backups = self.live_backups(shard);
             let epoch = self.view.epoch(shard);
             let replica = self.replicas.get_mut(&shard).expect("iterating hosted shards");
             if replica.role() == ReplicaRole::Backup {
                 replica.promote_to(epoch);
-                replica.set_tracked_backups(&backups);
             }
         }
     }
@@ -420,25 +386,20 @@ impl DirectoryService {
     }
 
     /// Digest a peer failure: update the leadership view, purge the dead node from
-    /// every hosted replica, release confirms its pending ack was gating, promote
-    /// this node's replicas wherever it just became the shard's leader, and
-    /// re-target any in-flight resync that was sourced from the dead node. Returns
-    /// the shards whose primary moved off `peer` onto a survivor (the re-drive set).
-    pub fn on_peer_failed(&mut self, peer: NodeId, out: &mut Vec<(NodeId, Message)>) -> Vec<usize> {
+    /// every hosted replica, promote this node's replicas wherever it just became the
+    /// shard's leader, and re-target any in-flight resync that was sourced from the
+    /// dead node. Returns the shards the failure re-routed (the re-drive set): their
+    /// primary moved off `peer` onto a survivor, or they lost it as a live backup.
+    pub fn on_peer_failed(&mut self, peer: NodeId, out: &mut Vec<(NodeId, Message)>) -> Rerouted {
         let changed = self.view.on_peer_failed(peer);
         let shards: Vec<usize> = self.replicas.keys().copied().collect();
         for shard in shards {
-            let backups = self.live_backups(shard);
             let epoch = self.view.epoch(shard);
             let leads = self.view.primary(shard) == Some(self.me);
             let replica = self.replicas.get_mut(&shard).expect("iterating hosted shards");
             replica.node_failed(peer);
-            if replica.role() == ReplicaRole::Primary {
-                // The dead node no longer gates durability.
-                out.extend(replica.set_tracked_backups(&backups));
-            } else if leads {
+            if replica.role() == ReplicaRole::Backup && leads {
                 replica.promote_to(epoch);
-                replica.set_tracked_backups(&backups);
             }
         }
         // Re-target interrupted resyncs whose source died. The stream starts over at
@@ -466,9 +427,10 @@ impl DirectoryService {
     }
 
     /// A peer is back (alive again, resyncing — shipped to, not yet a primary
-    /// candidate).
-    pub fn on_peer_recovered(&mut self, peer: NodeId) {
-        self.view.on_peer_recovered(peer);
+    /// candidate). Returns the shards that gained it as a live backup (the re-drive
+    /// set).
+    pub fn on_peer_recovered(&mut self, peer: NodeId) -> Rerouted {
+        self.view.on_peer_recovered(peer)
     }
 
     /// Digest a peer's catch-up announcement (full replica again). Returns the shards
@@ -740,15 +702,39 @@ mod tests {
             .expect("log shipment");
         assert_eq!(backup, NodeId(1));
         assert_eq!(seq, 1);
-        // No confirm yet: the backup has not acked.
-        assert!(!out.iter().any(|(_, m)| matches!(m, Message::DirConfirm { .. })));
-        out.clear();
-        svc.handle_ack(0, NodeId(1), 0, seq, &mut out);
-        assert!(
-            out.iter().any(|(to, m)| *to == NodeId(2)
-                && matches!(m, Message::DirConfirm { kind: ConfirmKind::Location { .. }, .. })),
-            "origin confirmed once the backup acked: {out:?}"
+        // The primary confirms nothing: it has a live backup.
+        assert!(!out.iter().any(|(_, m)| matches!(m, Message::DirConfirm { .. })), "{out:?}");
+        // The backup applies the shipment and confirms it to the origin (node 2)
+        // itself; nothing goes back to the primary.
+        let mut backup_svc = DirectoryService::new(NodeId(1), &cfg, &ns);
+        let mut sent = Vec::new();
+        for (_, msg) in out {
+            let mut metrics = NodeMetrics::default();
+            assert_eq!(backup_svc.handle(NodeId(0), msg, &mut metrics, &mut sent), None);
+        }
+        let kind = ConfirmKind::Location { status: ObjectStatus::Complete };
+        assert_eq!(sent, vec![(NodeId(2), Message::DirConfirm { object: o, kind })]);
+        assert_eq!(backup_svc.locations(o).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn a_primary_with_no_live_backup_confirms_at_once() {
+        let cfg = HopliteConfig::small_for_tests();
+        let kind = ConfirmKind::Location { status: ObjectStatus::Complete };
+        // r = 2 with the backup dead, and r = 1: the lone replica confirms itself.
+        let lone = DirectoryService::new(
+            NodeId(0),
+            &HopliteConfig { directory_replication: 1, ..cfg.clone() },
+            &nodes(2),
         );
+        let mut orphaned = DirectoryService::new(NodeId(0), &cfg, &nodes(2));
+        orphaned.on_peer_failed(NodeId(1), &mut Vec::new());
+        for mut svc in [lone, orphaned] {
+            let o = obj_in_shard(&svc, 0);
+            let mut out = Vec::new();
+            assert!(svc.submit(reg(o, 1), &mut out));
+            assert_eq!(out, vec![(NodeId(1), Message::DirConfirm { object: o, kind })]);
+        }
     }
 
     #[test]
@@ -772,15 +758,16 @@ mod tests {
         // Node 1 backs up shard 0 (replica set [0, 1]).
         let mut svc = DirectoryService::new(NodeId(1), &cfg, &ns);
         let o = obj_in_shard(&svc, 0);
-        // Replicated state arrives from the primary before it dies, and is acked.
+        // Replicated state arrives from the primary before it dies, and is confirmed
+        // to its origin (node 2), not acked to the primary.
         let mut out = Vec::new();
         assert!(svc.handle_replicate(0, 0, 1, &reg(o, 2), NodeId(0), &mut out));
-        assert!(out
-            .iter()
-            .any(|(to, m)| *to == NodeId(0) && matches!(m, Message::DirAck { seq: 1, .. })));
+        let kind = ConfirmKind::Location { status: ObjectStatus::Complete };
+        assert_eq!(out, vec![(NodeId(2), Message::DirConfirm { object: o, kind })]);
         out.clear();
         let changed = svc.on_peer_failed(NodeId(0), &mut out);
-        assert_eq!(changed, vec![0], "shard 0 failed over (shard 2 only lost its backup)");
+        assert_eq!(changed.moved, vec![0], "shard 0 failed over");
+        assert_eq!(changed.backups, vec![2], "shard 2 only lost its backup");
         assert_eq!(svc.primary_for(o), Some(NodeId(1)));
         assert_eq!(svc.replica(0).unwrap().epoch(), 1, "promotion at the failover epoch");
         // The replicated record survived the failover, and the promoted replica now
@@ -894,7 +881,7 @@ mod tests {
         // The detector's own notices, arriving later, are harmless: the failure is
         // a no-op for an already-resyncing peer's shards' leadership.
         let changed = survivor.on_peer_failed(NodeId(0), &mut out);
-        assert!(changed.is_empty(), "already failed over");
+        assert!(changed.moved.is_empty(), "already failed over");
         // A *gap* catch-up request from a live backup must not depose anyone.
         let mut survivor2 = DirectoryService::new(NodeId(1), &cfg, &ns);
         let mut out2 = Vec::new();
@@ -967,7 +954,7 @@ mod tests {
         // at a strictly higher epoch.
         svcs[1].on_peer_readmitted(NodeId(0));
         let changed = svcs[0].on_peer_failed(NodeId(1), &mut Vec::new());
-        assert!(changed.contains(&0), "restarted node serves as primary again");
+        assert!(changed.moved.contains(&0), "restarted node serves as primary again");
         assert!(svcs[0].is_primary_for(o));
         assert!(svcs[0].replica(0).unwrap().epoch() >= 2);
     }
@@ -986,12 +973,19 @@ mod tests {
             .collect();
         ships.sort_by_key(|n| n.0);
         assert_eq!(ships, vec![NodeId(1), NodeId(2)], "star ships to every live backup");
-        // Both acks gate the confirm: one of two is not durable yet.
-        out.clear();
-        p.handle_ack(0, NodeId(1), 0, 1, &mut out);
-        assert!(out.is_empty(), "one of two backups acked: {out:?}");
-        p.handle_ack(0, NodeId(2), 0, 1, &mut out);
-        assert!(out.iter().any(|(_, m)| matches!(m, Message::DirConfirm { .. })), "{out:?}");
+        // Each backup confirms to the origin (node 1) itself; the primary confirms
+        // nothing while it ships.
+        assert!(!out.iter().any(|(_, m)| matches!(m, Message::DirConfirm { .. })), "{out:?}");
+        let kind = ConfirmKind::Location { status: ObjectStatus::Complete };
+        for backup in [1, 2] {
+            let mut svc = DirectoryService::new(NodeId(backup), &cfg, &ns);
+            let mut sent = Vec::new();
+            for (_, msg) in out.iter().filter(|(to, _)| *to == NodeId(backup)) {
+                let mut metrics = NodeMetrics::default();
+                assert_eq!(svc.handle(NodeId(0), msg.clone(), &mut metrics, &mut sent), None);
+            }
+            assert_eq!(sent, vec![(NodeId(1), Message::DirConfirm { object: o, kind })]);
+        }
         // A dead backup stops being shipped to.
         p.on_peer_failed(NodeId(2), &mut Vec::new());
         out.clear();
@@ -1069,19 +1063,21 @@ mod tests {
             ),
             "the gap opens a fresh chunk stream: {requests:?}"
         );
-        // The primary streams the shard's state; the backup installs it, drops the
-        // buffered op 4 the last chunk already covers, and acks the full prefix.
-        let mut acked = None;
+        // The primary streams the shard's state; the backup installs it, holds the
+        // buffered op 4 the last chunk already covers, and confirms it — and nothing
+        // else: ops 2 and 3 never reached it.
+        let mut confirmed = Vec::new();
         let mut queue: Vec<_> = requests.into_iter().map(|(to, m)| (NodeId(1), to, m)).collect();
         while let Some((from, to, msg)) = queue.pop() {
-            if let Message::DirAck { shard: 0, seq, .. } = msg {
-                acked = acked.max(Some(seq));
+            assert!(!matches!(msg, Message::DirAck { .. }), "nothing is acked");
+            if let Message::DirConfirm { object, .. } = msg {
+                confirmed.push((from, object));
             }
             queue.extend(deliver(&mut svcs, &mut m, from, to, msg));
         }
         assert!(m[0].snapshot_chunks_sent >= 1, "caught up by state chunks");
         assert_eq!(m[1].directory_resyncs, 1, "one stream installed");
-        assert_eq!(acked, Some(4), "backup acked the full prefix");
+        assert_eq!(confirmed, vec![(NodeId(1), objects[3])], "the backup confirmed op 4");
         assert_eq!(svcs[1].replica(0).unwrap().resync(), None);
         assert_eq!(svcs[1].replica(0).unwrap().applied_seq(), 4);
         for &o in &objects {
@@ -1302,6 +1298,48 @@ mod tests {
     }
 
     #[test]
+    fn a_resyncing_backup_confirms_the_ops_it_replays_when_its_stream_ends() {
+        let probe = DirectoryService::new(NodeId(0), &HopliteConfig::small_for_tests(), &nodes(2));
+        let objects: Vec<ObjectId> = (0u64..)
+            .map(|k| obj(&format!("replayed-{k}")))
+            .filter(|&o| probe.placement().shard_of(o) == 0)
+            .take(20)
+            .collect();
+        let (mut svcs, mut m, mut queue) = restarted_behind(&objects);
+        // Once node 1 has installed shard 0's first chunk, node 2 subscribes to an entry
+        // that chunk carried, through node 0; the shipment reaches node 1 mid-stream.
+        let mut live = None;
+        let mut confirms = Vec::new();
+        while let Some((from, to, msg)) = queue.pop() {
+            if let Message::DirConfirm { object, kind } = msg {
+                confirms.push((from, to, object, kind));
+                continue;
+            }
+            let installs_first = live.is_none()
+                && matches!(&msg, Message::DirSnapshotChunk { shard: 0, done: false, .. });
+            queue.extend(deliver(&mut svcs, &mut m, from, to, msg));
+            if installs_first {
+                let cursor = svcs[1].replica(0).unwrap().resync().unwrap().cursor;
+                let object = objects.iter().copied().filter(|&o| Some(o) <= cursor).min();
+                let op = DirOp::Subscribe { object: object.unwrap(), subscriber: NodeId(2) };
+                let mut sent = Vec::new();
+                assert!(svcs[0].submit(op, &mut sent));
+                assert!(!sent.iter().any(|(_, m)| matches!(m, Message::DirConfirm { .. })));
+                for (to, msg) in sent {
+                    assert!(deliver(&mut svcs, &mut m, NodeId(0), to, msg).is_empty(), "buffered");
+                }
+                live = object;
+            }
+        }
+        assert!(!svcs[1].is_resyncing());
+        // The last chunk replayed the subscription, and node 1 confirmed it to node 2.
+        let live = live.expect("a first chunk was installed");
+        assert_eq!(svcs[1].replica(0).unwrap().shard().subscriber_count(live), 1);
+        let kind = ConfirmKind::Subscription;
+        assert_eq!(confirms, vec![(NodeId(1), NodeId(2), live, kind)]);
+    }
+
+    #[test]
     fn a_stream_cut_by_its_sources_death_starts_over_at_the_new_primacy() {
         // Three nodes, r = 3, a 256-byte chunk budget: a restarted node is served a
         // multi-chunk stream.
@@ -1417,7 +1455,7 @@ mod tests {
         assert_eq!(svcs[1].locations(o).map(|l| l.len()), Some(1));
 
         // Serving the stream made node 1 a live backup in node 0's view, so an op
-        // landing after the final chunk is shipped to it and gates the confirm.
+        // landing after the final chunk is shipped to it, and node 1 confirms it.
         let late = (0u64..)
             .map(|k| obj(&format!("late-{k}")))
             .find(|&l| svcs[0].placement().shard_of(l) == 0)
@@ -1425,17 +1463,17 @@ mod tests {
         let mut out = Vec::new();
         assert!(svcs[0].submit(reg(late, 0), &mut out));
         assert!(!out.iter().any(|(_, m)| matches!(m, Message::DirConfirm { .. })), "{out:?}");
-        let mut acks = Vec::new();
+        let mut confirms = Vec::new();
         for (to, msg) in out {
             assert_eq!(to, NodeId(1));
-            assert_eq!(svcs[1].handle(NodeId(0), msg, &mut metrics, &mut acks), None);
+            assert_eq!(svcs[1].handle(NodeId(0), msg, &mut metrics, &mut confirms), None);
         }
         assert_eq!(svcs[1].locations(late).map(|l| l.len()), Some(1), "shipped op applied");
-        let seq = svcs[0].replica(0).unwrap().applied_seq();
-        assert!(
-            acks.iter().any(|(to, m)| *to == NodeId(0)
-                && matches!(m, Message::DirAck { shard: 0, seq: s, .. } if *s == seq)),
-            "the requester acks the primary's whole log: {acks:?}"
+        let kind = ConfirmKind::Location { status: ObjectStatus::Complete };
+        assert_eq!(
+            confirms,
+            vec![(NodeId(0), Message::DirConfirm { object: late, kind })],
+            "the requester confirms the op to its origin, and acks nothing"
         );
         // Its re-admission re-ships nothing.
         assert_eq!(svcs[0].on_peer_readmitted(NodeId(1)), Vec::<usize>::new());
@@ -1534,17 +1572,16 @@ mod tests {
         deliver_to(&mut svcs[0], &mut metrics[0], NodeId(2), op.into(), &mut sent);
         let mut queue: Vec<_> = sent.iter().map(|(to, m)| (NodeId(0), *to, m.clone())).collect();
         while let Some((from, to, msg)) = queue.pop() {
-            if matches!(msg, Message::DirReplicate { .. } | Message::DirAck { .. }) {
+            if matches!(msg, Message::DirReplicate { .. }) {
                 queue.extend(deliver(svcs, metrics, from, to, msg));
             }
         }
         sent
     }
 
-    /// A replica's applied sequence and the length of its log.
-    fn log_of(svc: &DirectoryService) -> (u64, usize) {
-        let replica = svc.replica(0).expect("hosts shard 0");
-        (replica.applied_seq(), replica.unacked_len())
+    /// A replica's applied sequence number.
+    fn log_of(svc: &DirectoryService) -> u64 {
+        svc.replica(0).expect("hosts shard 0").applied_seq()
     }
 
     fn query(object: ObjectId, requester: u32, query_id: u64) -> DirOp {
@@ -1583,10 +1620,10 @@ mod tests {
         let (mut svcs, mut metrics) = (leader_and_backup(), vec![NodeMetrics::default(); 2]);
         let o = obj_in_shard(&svcs[0], 0);
         let mut ships = |svcs: &mut [DirectoryService], op| {
-            let seq = log_of(&svcs[0]).0;
+            let seq = log_of(&svcs[0]);
             let sent = run_op(svcs, &mut metrics, op);
-            assert_eq!(log_of(&svcs[0]).0, log_of(&svcs[1]).0, "the backup applied it too");
-            (shipped(&sent), log_of(&svcs[0]).0 - seq)
+            assert_eq!(log_of(&svcs[0]), log_of(&svcs[1]), "the backup applied it too");
+            (shipped(&sent), log_of(&svcs[0]) - seq)
         };
         // A location answer leases node 1 to node 2.
         ships(&mut svcs, reg(o, 1));

@@ -11,13 +11,14 @@
 //!   refills vacancies from the ready pool and restarts the whole tree at a new epoch
 //!   (the rule, and its price, is stated once in [`crate::reduce::tree`]).
 //!
-//! * **Directory (§3.5)** — the directory is replicated behind a sequenced, acked op
-//!   log; when a shard primary dies, a surviving backup is promoted (at the shard's
-//!   failover epoch, derived from the shared event stream) and every client
-//!   re-drives at the new primary only the *genuinely-unacked window*: journaled
-//!   intents the old primary never confirmed as replication-durable, plus its
-//!   outstanding location queries. Confirmed intents already live in the promoted
-//!   backup's acked prefix.
+//! * **Directory (§3.5)** — the directory is replicated by shipping sequenced ops to
+//!   every live backup, each of which confirms what it applies to the op's origin;
+//!   when a shard primary dies, a surviving backup is promoted (at the shard's
+//!   failover epoch, derived from the shared event stream) and every client re-drives
+//!   there only its *unconfirmed window*: journaled intents some replica they waited
+//!   on never confirmed, plus its outstanding location queries. A backup's death or
+//!   return re-drives its shards' unconfirmed window too, since it changes who
+//!   confirms. Confirmed intents are already held by every replica they waited on.
 //! * **Recovery (§3.5)** — a restarted node rejoins its replica sets through a state
 //!   transfer orchestrated here: demote every hosted replica, request a resync of
 //!   each shard from the current primary ([`ObjectStoreNode::begin_recovery`]),
@@ -29,6 +30,7 @@
 //! This module hosts the facade-level orchestration plus the failure-specific methods
 //! of the broadcast and reduce engines, so every §3.5 rule lives in one place.
 
+use crate::directory::Rerouted;
 use crate::object::{NodeId, ObjectId};
 use crate::protocol::{DirOp, Effect, Message};
 use crate::time::Time;
@@ -51,7 +53,8 @@ impl ObjectStoreNode {
         // connections to the dead peer must tear them down. Idempotent at the
         // driver; drivers without per-peer state ignore it.
         out.push(Effect::PeerDown { node: peer });
-        self.fail_over_directory(peer, None, out);
+        let rerouted = self.fail_over_directory(peer, None, out);
+        self.redrive_shards(rerouted, out);
         // Stop serving transfers destined to the dead node.
         self.broadcast.drop_transfers_to(peer);
         // Broadcast receivers that were pulling from it fail over (§3.5.1).
@@ -66,42 +69,39 @@ impl ObjectStoreNode {
     /// The directory side of `peer`'s failure, and the node's one call into
     /// [`DirectoryService::on_peer_failed`](crate::directory::DirectoryService::on_peer_failed),
     /// whether a verdict or a restart request implied the failure.
-    /// Service side first: every hosted replica purges the dead node, this node
-    /// promotes itself wherever it just became the shard's leader (at the shard's
-    /// failover epoch), confirms gated by the dead backup's ack are released, and an
-    /// interrupted resync sourced from the dead node is re-targeted — all before any
-    /// client re-drive below can loop back into the service. The service's messages
+    /// Every hosted replica purges the dead node, this node promotes itself wherever it
+    /// just became the shard's leader (at the shard's failover epoch), and an
+    /// interrupted resync sourced from the dead node is re-targeted — all before the
+    /// caller's client re-drive can loop back into the service. The service's messages
     /// go out at once, or into `replies` when a snapshot request implied the failure
     /// (they then leave with what serves it). The failure may also have completed this
     /// node's own resync (its last outstanding resync source died): re-admission is
-    /// announced here. Last, the client side re-drives
-    /// at the new primaries the genuinely-unacked window — journaled intents the dead
-    /// primary never confirmed as replication-durable. Everything confirmed is already
-    /// inside the promoted backup's acked prefix, and every re-driven op is idempotent
-    /// at the shard.
+    /// announced here. Returns the shards the failure re-routed, for the caller to
+    /// re-drive ([`ObjectStoreNode::redrive_shards`]).
     pub(crate) fn fail_over_directory(
         &mut self,
         peer: NodeId,
         replies: Option<&mut Vec<(NodeId, Message)>>,
         out: &mut Vec<Effect>,
-    ) {
+    ) -> Rerouted {
         let mut msgs = Vec::new();
-        let failed_over = self.ctx.service.on_peer_failed(peer, replies.unwrap_or(&mut msgs));
+        let rerouted = self.ctx.service.on_peer_failed(peer, replies.unwrap_or(&mut msgs));
         self.ctx.send_all(msgs, out);
-        if !failed_over.is_empty() {
-            trace!("[n{}] shards {:?} failed over off {:?}", self.ctx.id.0, failed_over, peer);
+        if !rerouted.moved.is_empty() {
+            trace!("[n{}] shards {:?} failed over off {:?}", self.ctx.id.0, rerouted.moved, peer);
         }
         self.maybe_announce_readmission(out);
-        self.redrive_shards(failed_over, out);
+        rerouted
     }
 
-    /// Re-send the genuinely-unacked window at the new primaries of `shards` — the
-    /// list a liveness transition of the directory service returned: shards that
-    /// failed over, or that a re-admission gave a primary back. Outstanding location
-    /// queries for those shards are re-issued too (same correlation id; the shard
-    /// deduplicates).
-    pub(crate) fn redrive_shards(&mut self, shards: Vec<usize>, out: &mut Vec<Effect>) {
-        let redrive = self.ctx.directory.redrive_for(self.ctx.service.placement(), shards);
+    /// Re-send the unconfirmed window of the shards a liveness transition of the
+    /// directory service re-routed: shards that failed over, that a re-admission gave
+    /// a primary back, or whose live backups changed. Each re-sent entry is
+    /// re-journaled against the view as it now stands, and every re-driven op is
+    /// idempotent at the shard. Outstanding location queries for the shards whose
+    /// primary moved are re-issued too (same correlation id; the shard deduplicates).
+    pub(crate) fn redrive_shards(&mut self, rerouted: Rerouted, out: &mut Vec<Effect>) {
+        let redrive = self.ctx.directory.redrive_for(self.ctx.service.placement(), rerouted);
         let me = self.ctx.id;
         for (object, reg) in redrive.reregister {
             if !self.ctx.store.contains(object) {
@@ -131,7 +131,7 @@ impl ObjectStoreNode {
     pub(crate) fn maybe_announce_readmission(&mut self, out: &mut Vec<Effect>) {
         let Some(regained) = self.ctx.service.take_readmission() else { return };
         trace!("[n{}] resync complete; announcing re-admission", self.ctx.id.0);
-        self.redrive_shards(regained, out);
+        self.redrive_shards(Rerouted::moved(regained), out);
         let me = self.ctx.id;
         let incarnation = self.ctx.membership.self_incarnation();
         let peers: Vec<NodeId> =

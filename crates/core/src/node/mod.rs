@@ -58,7 +58,7 @@ use crate::config::HopliteConfig;
 use crate::detector::{DetectorAction, FailureDetector, GossipEntry, GossipState};
 use crate::directory::service::resync_frame;
 use crate::directory::shard::LEASE_TTL;
-use crate::directory::{DirectoryClient, DirectoryPlacement, DirectoryService};
+use crate::directory::{DirectoryClient, DirectoryPlacement, DirectoryService, Rerouted};
 use crate::membership::{MemberDigestEntry, MembershipView, Transition};
 use crate::metrics::NodeMetrics;
 use crate::object::{NodeId, ObjectId, ObjectStatus};
@@ -203,7 +203,7 @@ impl NodeContext {
     /// replica-set member, so a transiently stale answer is corrected by one
     /// server-side forward.
     pub(crate) fn dir(&mut self, op: DirOp, out: &mut Vec<Effect>) {
-        self.directory.journal(&op);
+        self.directory.journal(&op, self.service.view());
         if let Some(primary) = self.service.primary_for(op.object()) {
             self.send(primary, op.into(), out);
         }
@@ -561,10 +561,10 @@ impl ObjectStoreNode {
                 // A shard that was leaderless while the peer was out regains its
                 // primary with this re-admission: re-drive the unconfirmed window
                 // there just as after a failover.
-                self.redrive_shards(regained, out);
+                self.redrive_shards(Rerouted::moved(regained), out);
             }
             Message::DirConfirm { object, kind } => {
-                self.ctx.directory.confirm(object, kind);
+                self.ctx.directory.confirm(from, object, kind);
             }
             // Directory replies and publications addressed to this node.
             Message::DirQueryReply { object, query_id, result } => {
@@ -763,8 +763,9 @@ impl ObjectStoreNode {
     /// [`Transition`] it caused sets off the follow-ups of its row. **fail** is
     /// [`ObjectStoreNode::peer_failed_impl`] (the §3.5 rules: transport teardown,
     /// directory failover and re-drive, broadcast re-pull, reduce repair);
-    /// **recover** marks the peer resyncing in the placement view. Nothing else calls
-    /// either, or writes the table. Returns the last claim's transition.
+    /// **recover** marks the peer resyncing in the placement view and re-drives the
+    /// shards that gained it as a live backup. Nothing else calls either, or writes the
+    /// table. Returns the last claim's transition.
     ///
     /// | evidence | claims | what follows |
     /// |---|---|---|
@@ -774,7 +775,7 @@ impl ObjectStoreNode {
     /// | `Digest` | alive / dead per entry | `Died` → `membership_deaths_learned`, fail; `Restarted` of a dead peer → recover, after every fail of the digest; `Restarted` of a peer believed alive → nothing: hearsay of a newer incarnation is a refuted suspicion, not a crash |
     /// | `Gossip` | as carried; none when no detector runs | as `Digest`, entry by entry; `Suspected` → `suspicions_raised`; a suspect / dead claim about this node at its incarnation or later → it refutes, bumping past the claim (`refutations_sent`) |
     /// | `Verdicts` | suspect / dead, as the detector decided | `Suspected` → `suspicions_raised`; `Died` → `deaths_declared`, fail |
-    /// | `SnapshotRequest` | alive / dead per digest entry | nothing from the digest (table only). `restart` from a peer the placement view holds healthy → directory-only failover ([`ObjectStoreNode::fail_over_directory`]: its messages into the request's `replies`, a re-admission it completed announced, and the re-drive). Then recover the requester, always |
+    /// | `SnapshotRequest` | alive / dead per digest entry | nothing from the digest (table only). `restart` from a peer the placement view holds healthy → directory-only failover ([`ObjectStoreNode::fail_over_directory`]: its messages into the request's `replies`, a re-admission it completed announced). Then recover the requester, always, re-driving the failover's shards with the recovery's |
     fn liveness(
         &mut self,
         now: Time,
@@ -800,10 +801,13 @@ impl ObjectStoreNode {
         let gossip = matches!(evidence, Evidence::Gossip(_));
         let table_only = matches!(evidence, Evidence::SnapshotRequest { .. });
 
+        // An implied failure is re-driven with the requester's recovery below, once:
+        // the net change of who confirms.
+        let mut implied = Rerouted::default();
         if let Evidence::SnapshotRequest { requester, restart: true, replies, .. } = &mut evidence {
             let view = self.ctx.service.view();
             if view.is_alive(*requester) && !view.is_resyncing(*requester) {
-                self.fail_over_directory(*requester, Some(replies), out);
+                implied = self.fail_over_directory(*requester, Some(replies), out);
             }
         }
 
@@ -857,7 +861,7 @@ impl ObjectStoreNode {
                 recovered.push(node);
             }
             if gossip {
-                self.recover(&mut recovered);
+                self.recover(&mut recovered, Rerouted::default(), out);
             }
         }
         if let Evidence::SnapshotRequest { requester, .. } = evidence {
@@ -865,16 +869,18 @@ impl ObjectStoreNode {
                 recovered.push(requester);
             }
         }
-        self.recover(&mut recovered);
+        self.recover(&mut recovered, implied, out);
         last
     }
 
     /// Mark each of `peers` alive-but-resyncing in the placement view (shipped to, not
-    /// yet a primary candidate). Idempotent.
-    fn recover(&mut self, peers: &mut Vec<NodeId>) {
+    /// yet a primary candidate), and re-drive the shards that gained them as live
+    /// backups, together with `rerouted`. Idempotent.
+    fn recover(&mut self, peers: &mut Vec<NodeId>, mut rerouted: Rerouted, out: &mut Vec<Effect>) {
         for peer in peers.drain(..) {
-            self.ctx.service.on_peer_recovered(peer);
+            rerouted.merge(self.ctx.service.on_peer_recovered(peer));
         }
+        self.redrive_shards(rerouted, out);
     }
 
     // --------------------------------------------------------- failure detector --

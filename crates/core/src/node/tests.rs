@@ -1356,12 +1356,15 @@ fn restart_request_from_a_believed_primary_redrives_once_and_keeps_one_view() {
         "nothing re-driven at the restarted node: {sent_to_2:?}"
     );
 
-    // The verdict about the incarnation that died, arriving later, finds nothing left
-    // to do.
+    // The verdict about the incarnation that died, arriving later, moves no primary.
+    // It does drop node 2 as the live backup the re-driven registration waits on, so
+    // that entry is re-driven once more, and node 0, now a lone primary, confirms it.
+    assert_eq!(tc.nodes[0].directory_unconfirmed_count(), 1, "waiting on node 2");
     tc.failure_notice(0, 2, 0);
     tc.pending.clear();
-    assert_eq!(tc.nodes[0].metrics().directory_redrives, 1, "no second re-drive");
+    assert_eq!(tc.nodes[0].metrics().directory_redrives, 2, "the backup change re-drives");
     assert_eq!(tc.nodes[0].directory_primary_for(object), Some(NodeId(0)));
+    assert_eq!(tc.nodes[0].directory_unconfirmed_count(), 0, "confirmed by the lone primary");
 }
 
 /// A restart-mode `DirSnapshotRequest` from the node a restarted node is resyncing
@@ -1643,4 +1646,84 @@ fn a_peer_failure_emits_the_same_effects_on_two_fresh_nodes() {
     assert_eq!(sent(|m| matches!(m, Message::DirRegister { .. })), 8, "{out:?}");
     assert_eq!(sent(|m| matches!(m, Message::DirQuery { .. })), 8, "{out:?}");
     assert_eq!(out, run(), "two fresh nodes fed the same inputs emitted different effects");
+}
+
+/// Put a 32-byte (inline) object at `origin` whose shard lives on `shard_host`, and
+/// deliver only the op itself to the shard's primary.
+fn send_inline_put(tc: &mut TestCluster, origin: usize, shard_host: u32) -> ObjectId {
+    let object = object_on_shard(&ClusterView::of_size(tc.nodes.len()), NodeId(shard_host));
+    let payload = Payload::from_vec(vec![5; 32]);
+    tc.client(origin, OpId(1), ClientOp::Put { object, payload });
+    let op = tc.step(&mut |m| m).expect("the put's effects");
+    assert!(matches!(op[..], [(_, _, Message::DirPutInline { .. })]), "{op:?}");
+    object
+}
+
+/// Deliver until quiescent, returning every frame delivered.
+fn frames_until_quiescent(tc: &mut TestCluster) -> Vec<(NodeId, NodeId, Message)> {
+    std::iter::from_fn(|| tc.step(&mut |m| m)).flatten().collect()
+}
+
+/// At r = 2 a remote inline Put costs the op, one ship and one confirm: the backup
+/// that applies the op confirms it to the origin, and nothing goes back to the primary.
+#[test]
+fn a_remote_inline_put_is_shipped_once_and_confirmed_by_its_backup() {
+    let mut tc = TestCluster::new(3);
+    // Shard 0 lives on [0, 1]; node 2 puts.
+    let object = send_inline_put(&mut tc, 2, 0);
+    let frames: Vec<(NodeId, NodeId, &str)> = frames_until_quiescent(&mut tc)
+        .iter()
+        .map(|(from, to, msg)| {
+            let kind = match msg {
+                Message::DirReplicate { .. } => "DirReplicate",
+                Message::DirConfirm { object: o, .. } if *o == object => "DirConfirm",
+                other => panic!("unexpected frame {other:?}"),
+            };
+            (*from, *to, kind)
+        })
+        .collect();
+    assert_eq!(
+        frames,
+        vec![(NodeId(0), NodeId(1), "DirReplicate"), (NodeId(1), NodeId(2), "DirConfirm")]
+    );
+    assert_eq!(tc.nodes[2].directory_unconfirmed_count(), 0);
+}
+
+/// At r = 3 the origin's entry waits on both backups: the first confirm leaves it
+/// unconfirmed, the second confirms it.
+#[test]
+fn an_r3_entry_stays_unconfirmed_until_both_backups_confirm() {
+    let cfg = HopliteConfig { directory_replication: 3, ..HopliteConfig::small_for_tests() };
+    let mut tc = TestCluster::with_config(4, cfg);
+    // Shard 0 lives on [0, 1, 2]; node 3 puts.
+    send_inline_put(&mut tc, 3, 0);
+    let mut confirmers = Vec::new();
+    while let Some(frames) = tc.step(&mut |m| m) {
+        for (from, to, msg) in frames {
+            if matches!(msg, Message::DirConfirm { .. }) {
+                assert_eq!(to, NodeId(3));
+                confirmers.push(from);
+                let unconfirmed = tc.nodes[3].directory_unconfirmed_count();
+                assert_eq!(unconfirmed, usize::from(confirmers.len() < 2), "after {confirmers:?}");
+            }
+        }
+    }
+    confirmers.sort_by_key(|n| n.0);
+    assert_eq!(confirmers, vec![NodeId(1), NodeId(2)], "each backup confirmed once");
+}
+
+/// A death verdict for a shard's only backup re-drives the entries waiting on it, and
+/// the primary, alone now, confirms them at once.
+#[test]
+fn a_death_verdict_for_the_only_backup_redrives_and_the_lone_primary_confirms() {
+    let mut tc = TestCluster::new(3);
+    // Shard 0 lives on [0, 1]; node 2 puts, and node 1 dies before the ship reaches it.
+    send_inline_put(&mut tc, 2, 0);
+    tc.kill(1);
+    let frames = frames_until_quiescent(&mut tc);
+    assert_eq!(tc.nodes[2].metrics().directory_redrives, 1, "the waiting entry re-driven");
+    assert_eq!(tc.nodes[2].directory_unconfirmed_count(), 0, "{frames:?}");
+    let confirms: Vec<_> =
+        frames.iter().filter(|(.., m)| matches!(m, Message::DirConfirm { .. })).collect();
+    assert!(matches!(confirms[..], [(NodeId(0), NodeId(2), _)]), "{confirms:?}");
 }

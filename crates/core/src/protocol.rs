@@ -224,8 +224,8 @@ dir_op_messages! {
 
 impl DirOp {
     /// The node that originated this op (and therefore journals it for failover
-    /// re-drive), for the op kinds the primary acknowledges back to their origin once
-    /// the op is replication-durable. Ops that remove journal state (unregister,
+    /// re-drive), for the op kinds each replica that holds the op confirms back to
+    /// their origin. Ops that remove journal state (unregister,
     /// unsubscribe, delete) and queries (re-driven through their own path) have no
     /// durability acknowledgement.
     pub fn confirm_target(&self) -> Option<(NodeId, ConfirmKind)> {
@@ -266,20 +266,20 @@ impl DirOp {
     }
 }
 
-/// What a [`Message::DirConfirm`] acknowledges as replication-durable: the primary
-/// sends one to an op's origin once every tracked backup has acked the op's log
-/// sequence number, which lets the origin's [`crate::directory::DirectoryClient`]
-/// shrink its failover re-drive set to the genuinely-unacked window.
+/// What a [`Message::DirConfirm`] acknowledges: each backup that applies an op sends
+/// one to the op's origin (a primary with no live backup sends it itself), and once
+/// every replica the origin's [`crate::directory::DirectoryClient`] entry waits on has
+/// confirmed, the op is replication-durable and leaves the failover re-drive set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ConfirmKind {
-    /// A `Register` with this status reached the acked prefix.
+    /// A `Register` with this status is held by the confirming replica.
     Location {
         /// The status that was registered.
         status: ObjectStatus,
     },
-    /// An inline `PutInline` reached the acked prefix.
+    /// An inline `PutInline` is held by the confirming replica.
     Inline,
-    /// A `Subscribe` reached the acked prefix.
+    /// A `Subscribe` is held by the confirming replica.
     Subscription,
 }
 
@@ -439,8 +439,8 @@ pub enum Message {
     /// Primary replica → backup replica: apply one directory op to your mirror of
     /// `shard`. Stamped with the primary's promotion epoch and a per-shard log
     /// sequence number; backups reject ops from a lower epoch than they have seen
-    /// (a deposed primary's stragglers), apply in sequence order, and acknowledge the
-    /// applied prefix with [`Message::DirAck`].
+    /// (a deposed primary's stragglers), apply in sequence order, and confirm each
+    /// applied op to its origin with [`Message::DirConfirm`].
     DirReplicate {
         /// Shard index the op belongs to.
         shard: u64,
@@ -451,10 +451,10 @@ pub enum Message {
         /// The op to replay.
         op: DirOp,
     },
-    /// Backup replica → primary: cumulative acknowledgement that this replica has
-    /// applied the primary's log through `seq`. Once every tracked backup has acked an
-    /// entry the primary drops it from its log and confirms the contained op to its
-    /// origin ([`Message::DirConfirm`]).
+    /// Retired: the cumulative acknowledgement a backup once sent its primary, which
+    /// then confirmed the op to its origin. Nothing sends it since the backups confirm
+    /// to the origin themselves, and a node drops one on receipt; it keeps its codec
+    /// row until a protocol version in `Hello` can retire it.
     DirAck {
         /// Shard index.
         shard: u64,
@@ -560,8 +560,8 @@ pub enum Message {
         /// must not re-admit a node that crashed again after sending it.
         incarnation: u64,
     },
-    /// Primary → op origin: the op identified by `(object, kind)` has been replicated
-    /// to every tracked backup and is durable without any client re-drive.
+    /// Replica → op origin: this replica holds the op identified by `(object, kind)`:
+    /// a backup that applied it, or a primary that shipped it to no live backup.
     DirConfirm {
         /// The object the confirmed op concerned.
         object: ObjectId,

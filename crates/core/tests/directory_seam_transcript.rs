@@ -19,7 +19,7 @@ const TRANSCRIPT: Transcript = Transcript {
     key_fields: 1,
     vocabulary: "setup msg drop lost failed recovered put-inline put get delete timer kill \
         restart tag23-convert tag23-inject out-of-range idle DirSnapshotChunk \
-        DirSnapshot DirSnapshotRequest DirReplicate DirAck DirResynced forwarded",
+        DirSnapshot DirSnapshotRequest DirReplicate DirConfirm DirResynced forwarded",
     admits: support::any_divergence,
 };
 
