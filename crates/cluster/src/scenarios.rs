@@ -610,10 +610,14 @@ pub fn partition_suspicion_refuted(
 }
 
 /// Directory microbenchmark (§5.1.1): latency of fetching a small (inline-cached)
-/// object from another node, which is one location query round trip.
+/// object from another node, which is one location query round trip to a shard the
+/// getter does not lead.
 pub fn directory_fetch_latency(env: &ScenarioEnv, size: u64) -> ScenarioResult {
     let mut cluster = env.cluster(2);
-    let obj = ObjectId::from_name("dir-small");
+    let obj = (0u64..)
+        .map(|k| ObjectId::from_name(&format!("dir-small-{k}")))
+        .find(|&o| ClusterView::of_size(2).shard_node(o).index() != 1)
+        .unwrap();
     cluster.submit_at(
         SimTime::ZERO,
         0,

@@ -63,16 +63,26 @@ impl DirectoryPlacement {
         self.replication
     }
 
-    /// The shard responsible for `object` (same hash the unreplicated seed used, so
-    /// the initial primary of an object's shard is `ClusterView::shard_node`).
+    /// The shard responsible for `object`: [`DirectoryPlacement::shard_index`], so the
+    /// initial primary of an object's shard is `ClusterView::shard_node`.
     pub fn shard_of(&self, object: ObjectId) -> usize {
         DirectoryPlacement::shard_index(object, self.num_shards())
     }
 
-    /// The one spelling of the object → shard hash, for a given shard count.
+    /// The one spelling of the object → shard hash, for a given shard count. Both
+    /// words of the id go through a splitmix64 finalizer, so every bit of it moves
+    /// the shard, and a multiply-shift maps the mixed word onto `0..num_shards`
+    /// (Lemire, "Fast Random Integer Generation in an Interval", 2019): ids that
+    /// differ anywhere land on independent shards.
     pub fn shard_index(object: ObjectId, num_shards: usize) -> usize {
-        let h = u64::from_le_bytes(object.0[..8].try_into().expect("object id width"));
-        (h % num_shards as u64) as usize
+        fn mix(mut z: u64) -> u64 {
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        let word = |i: usize| u64::from_le_bytes(object.0[i..i + 8].try_into().expect("id width"));
+        let h = mix(word(0) ^ mix(word(8)));
+        ((u128::from(h) * num_shards as u128) >> 64) as usize
     }
 
     /// The replica set of a shard, initial-candidate order: the node owning the shard

@@ -632,18 +632,75 @@ mod tests {
     }
 
     #[test]
-    fn placement_matches_seed_hash_and_clamps_replication() {
+    fn placement_mixes_the_whole_id_and_clamps_replication() {
         let p = DirectoryPlacement::new(nodes(4), 2);
         assert_eq!(p.num_shards(), 4);
         assert_eq!(p.replica_set(3), vec![NodeId(3), NodeId(0)]);
         // Replication larger than the cluster is clamped.
         let p1 = DirectoryPlacement::new(nodes(2), 5);
         assert_eq!(p1.replication(), 2);
-        // The object hash is the seed's: initial primary == the old shard_node.
+        // The object hash: both id words through the splitmix64 finalizer, then a
+        // multiply-shift onto the shards; the initial primary is that shard's node.
+        let splitmix = |mut z: u64| {
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
         let p = DirectoryPlacement::new(nodes(7), 3);
-        let o = obj("some-object");
-        let h = u64::from_le_bytes(o.0[..8].try_into().unwrap());
-        assert_eq!(PlacementView::new(p).primary_for(o), Some(NodeId((h % 7) as u32)));
+        for name in ["some-object", "grad-0", "grad-8"] {
+            let o = obj(name);
+            let lo = u64::from_le_bytes(o.0[..8].try_into().unwrap());
+            let hi = u64::from_le_bytes(o.0[8..].try_into().unwrap());
+            let shard = ((splitmix(lo ^ splitmix(hi)) as u128 * 7) >> 64) as u32;
+            let view = PlacementView::new(p.clone());
+            assert_eq!(view.primary_for(o), Some(NodeId(shard)), "{name}");
+        }
+    }
+
+    /// Five-name families `mid-{k}-{0..3}` and `mid-{k}-sum` (a reduce's sources and
+    /// its result) fall on shards as independent draws would: the number of the 2 000
+    /// families whose five shards all avoid nodes 1–4 is within 2σ of its binomial
+    /// mean. A hash reading only the low bits of each byte put none there.
+    #[test]
+    fn name_families_spread_over_shards_as_independent_draws() {
+        const FAMILIES: u32 = 2000;
+        for n in [7usize, 8] {
+            let clear = (0..FAMILIES)
+                .filter(|k| {
+                    let names = (0..4).map(|i| format!("mid-{k}-{i}"));
+                    names.chain([format!("mid-{k}-sum")]).all(|name| {
+                        !(1..=4).contains(&DirectoryPlacement::shard_index(obj(&name), n))
+                    })
+                })
+                .count() as f64;
+            let p = ((n - 4) as f64 / n as f64).powi(5);
+            let (mean, sigma) = (FAMILIES as f64 * p, (FAMILIES as f64 * p * (1.0 - p)).sqrt());
+            assert!(
+                (clear - mean).abs() <= 2.0 * sigma,
+                "n = {n}: {clear} vs {mean:.1} ± {sigma:.1}"
+            );
+        }
+    }
+
+    /// Flipping one high bit of one byte of a name (`grad-{i}0` ↔ `grad-{i}8`) moves
+    /// its shard for about (n − 1)/n of names at n = 8, as an independent draw would.
+    #[test]
+    fn a_high_bit_of_one_byte_moves_the_shard() {
+        const NAMES: u32 = 2000;
+        let n = 8;
+        let moved = (0..NAMES)
+            .filter(|i| {
+                let name = format!("grad-{i}0");
+                let flipped = format!("grad-{i}8");
+                assert_eq!(name.as_bytes()[name.len() - 1] ^ 0x08, b'8');
+                DirectoryPlacement::shard_index(obj(&name), n)
+                    != DirectoryPlacement::shard_index(obj(&flipped), n)
+            })
+            .count() as f64;
+        let share = moved / NAMES as f64;
+        let expected = (n - 1) as f64 / n as f64;
+        let sigma = (expected * (1.0 - expected) / NAMES as f64).sqrt();
+        assert!((share - expected).abs() <= 3.0 * sigma, "{share:.3} vs {expected:.3}");
     }
 
     #[test]
@@ -1483,8 +1540,10 @@ mod tests {
     /// name ids the shard never held. Node 1 restarts empty and resyncs both shards
     /// from node 0 in 200-byte chunks while node 0 applies 60 random ops on 30
     /// registered ids and 10 unknown ones; on odd seeds one in nine shipments to node 1
-    /// is lost. Every seed must finish its streams within a step bound, with no resync
-    /// left in flight and node 1's shards equal to node 0's, entry for entry. Inline
+    /// is lost, but never the shipment of a shard's last op, so a gap on either shard
+    /// always shows behind it. Every seed must finish its streams within a step bound,
+    /// with no resync left in flight and node 1's shards equal to node 0's, entry for
+    /// entry. Inline
     /// puts are left out: a resynced replica's inline put-order stamps can differ from
     /// its source's, which entry equality would report.
     #[test]
@@ -1513,15 +1572,11 @@ mod tests {
                 state ^= state << 17;
                 state % n
             };
-            let (mut ops, mut steps) = (0, 0);
-            while ops < 60 || !queue.is_empty() {
-                steps += 1;
-                assert!(steps <= STEP_BOUND, "seed {seed}: streams unfinished after {steps} steps");
-                if ops < 60 && (queue.is_empty() || draw(3) == 0) {
-                    ops += 1;
+            let script: Vec<DirOp> = (0..60)
+                .map(|_| {
                     let object = ids[draw(40) as usize];
                     let node = NodeId(draw(2) as u32);
-                    let op = match draw(7) {
+                    match draw(7) {
                         0 => reg(object, node.0),
                         1 => DirOp::Unregister { object, holder: node },
                         2 => query(object, node.0, draw(4)),
@@ -1529,12 +1584,24 @@ mod tests {
                         4 => DirOp::Unsubscribe { object, subscriber: node },
                         5 => DirOp::TransferDone { object, receiver: node, sender: NodeId(0) },
                         _ => DirOp::Delete { object },
-                    };
+                    }
+                })
+                .collect();
+            let shard_of = |op: &DirOp| svcs[0].placement().shard_of(op.object());
+            let tails: Vec<usize> =
+                (0..2).filter_map(|s| script.iter().rposition(|op| shard_of(op) == s)).collect();
+            let (mut ops, mut steps) = (0, 0);
+            while ops < 60 || !queue.is_empty() {
+                steps += 1;
+                assert!(steps <= STEP_BOUND, "seed {seed}: streams unfinished after {steps} steps");
+                if ops < 60 && (queue.is_empty() || draw(3) == 0) {
+                    let op = script[ops].clone();
+                    // Only the shipments travel (the rest are client replies). A shard's
+                    // last op's is never lost, so a gap behind it always shows.
+                    let lossy = seed % 2 == 1 && !tails.contains(&ops);
+                    ops += 1;
                     let mut live = Vec::new();
                     assert!(svcs[0].submit(op, &mut live));
-                    // Only the shipments travel (the rest are client replies). The last
-                    // op's is never lost, so a gap behind it always shows.
-                    let lossy = seed % 2 == 1 && ops < 60;
                     for (to, msg) in live {
                         if matches!(msg, Message::DirReplicate { .. }) && !(lossy && draw(9) == 0) {
                             queue.push((NodeId(0), to, msg));

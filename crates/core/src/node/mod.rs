@@ -112,7 +112,8 @@ impl ClusterView {
     }
 
     /// The node that *initially* hosts the primary of the directory shard responsible
-    /// for `object` (§3.2: a sharded hash table, one shard per node). With
+    /// for `object` (§3.2: a sharded hash table, one shard per node, placed by
+    /// [`DirectoryPlacement::shard_index`], which reads the whole id). With
     /// replication (§3.5) the primary can move to a backup after a failure; live
     /// routing reads the node's [`crate::directory::PlacementView`], whose placement
     /// this asks, so the function stays correct for failure-free placement reasoning.

@@ -580,7 +580,10 @@ pub enum Message {
         /// Byte offset to start from.
         offset: u64,
     },
-    /// Cancel an in-flight pull (receiver found a better source or is shutting down).
+    /// Unsent: a receiver's cancel of an in-flight pull. Nothing constructs it outside
+    /// tests (a receiver that moves to another source or stops pulling sends nothing),
+    /// and a node that receives one cancels the pull it names; it keeps its codec row
+    /// until a protocol version in `Hello` can retire it.
     PullCancel {
         /// The object.
         object: ObjectId,

@@ -1,9 +1,10 @@
 //! Directory-seam transcript: what four [`ObjectStoreNode`]s sharing a directory do with
 //! its traffic over a lossy, reordering network, through kills with staggered verdicts,
 //! restarts, retired tag-23 frames and frames for shards the cluster does not have: 256
-//! seeded episodes of 64 steps. The golden was written against the tree whose node
-//! spelled every directory op and frame out by hand; the `.diverged` file lists the
-//! episodes that moved since, with their causes.
+//! seeded episodes of 64 steps. Each step hashes the nodes' effects and the counters
+//! `TRANSCRIPT` lists. The golden was written by the tree that places objects with the
+//! whole-id hash and has the backups confirm directory writes; the `.diverged` file
+//! lists the episodes that moved since, with their causes.
 
 mod support;
 
@@ -17,10 +18,14 @@ const TRANSCRIPT: Transcript = Transcript {
     golden: include_str!("directory_seam_transcript.golden"),
     diverged: include_str!("directory_seam_transcript.diverged"),
     key_fields: 1,
-    vocabulary: "setup msg drop lost failed recovered put-inline put get delete timer kill \
-        restart tag23-convert tag23-inject out-of-range idle DirSnapshotChunk \
-        DirSnapshot DirSnapshotRequest DirReplicate DirConfirm DirResynced forwarded",
-    admits: support::any_divergence,
+    vocabulary: "setup msg drop lost failed put-inline put get delete timer kill restart \
+        tag23-convert tag23-inject out-of-range idle DirSnapshotChunk DirSnapshot \
+        DirSnapshotRequest DirReplicate DirConfirm DirResynced forwarded",
+    counters: "messages_sent data_bytes_sent data_bytes_received objects_put gets_completed \
+        pulls_served broadcast_failovers directory_failovers directory_redrives \
+        directory_resyncs directory_queries_served directory_registrations \
+        directory_inline_hits directory_replicates_sent snapshot_chunks_sent snapshot_bytes \
+        leases_expired stale_failure_notices_dropped membership_deaths_learned store_bytes_live",
 };
 
 const NODES: usize = 4;
@@ -42,13 +47,10 @@ fn kind_of(msg: &Message) -> String {
     text.split([' ', '{', '(']).next().unwrap_or_default().to_string()
 }
 
-/// Something on its way to a node: a frame, a driver's failure verdict about a peer,
-/// or the place of the recovery verdict no driver sends any more. That place delivers
-/// nothing; it stays in flight so the stream of draws stays the golden's.
+/// Something on its way to a node: a frame, or a driver's failure verdict about a peer.
 enum Flight {
     Msg { from: NodeId, to: NodeId, msg: Message },
     Verdict { at: NodeId, peer: NodeId },
-    Unannounced,
 }
 
 /// One episode: four node slots (`None` while killed), the network, the clock and the
@@ -160,15 +162,14 @@ impl Episode {
             }
             Flight::Verdict { at, .. } if self.nodes[at.0 as usize].is_none() => "lost",
             Flight::Verdict { at, peer } => {
-                // A `PeerFailureNotice` at the incarnation the node holds: the claim the
-                // golden's tree made for a verdict that named none.
+                // A driver's verdict: a `PeerFailureNotice` at the incarnation the node
+                // holds.
                 let node = self.node(at.0 as usize);
                 let incarnation = node.membership().incarnation_of(peer);
                 let notice = Message::PeerFailureNotice { node: peer, incarnation };
                 node.handle_message(now, at, notice, &mut outs[at.0 as usize]);
                 "failed"
             }
-            Flight::Unannounced => "recovered",
         }
     }
 
@@ -250,7 +251,6 @@ impl Episode {
         for peer in (0..NODES as u32).map(NodeId).filter(|&p| p != me) {
             let hello = Message::Hello { node: me, incarnation };
             self.flight.push(Flight::Msg { from: me, to: peer, msg: hello });
-            self.flight.push(Flight::Unannounced);
         }
         "restart"
     }
@@ -320,8 +320,8 @@ impl Episode {
         "out-of-range"
     }
 
-    /// Fold every node's effects and `NodeMetrics` into the next hash, and put what the
-    /// nodes sent and armed in flight.
+    /// Fold every node's effects and listed counters into the next hash, and put what
+    /// the nodes sent and armed in flight.
     fn record(&mut self, kind: &'static str, outs: Vec<Vec<Effect>>) {
         let mut state = String::new();
         for (i, out) in outs.into_iter().enumerate() {
@@ -329,7 +329,8 @@ impl Episode {
                 state.push_str("down#");
                 continue;
             };
-            write!(state, "{out:?}|{:?}#", node.metrics().fields()).unwrap();
+            let counters = TRANSCRIPT.counters(&node.metrics().fields(), &mut self.trace);
+            write!(state, "{out:?}|{counters}#").unwrap();
             let me = NodeId(i as u32);
             for effect in out {
                 match effect {
@@ -346,7 +347,7 @@ impl Episode {
 }
 
 #[test]
-fn directory_seam_transcript_matches_the_hand_spelled_tree() {
+fn directory_seam_transcript_matches_its_golden() {
     let episodes = (0..EPISODES).map(|episode| {
         let mut ep = Episode::new(episode);
         (0..STEPS_PER_EPISODE).for_each(|_| ep.step());

@@ -1,8 +1,10 @@
 //! Liveness transcript: what one [`ObjectStoreNode`] of five does with liveness evidence
 //! (verdicts, notices, `Hello`, `DirResynced`, digests, gossip, timers, restart
 //! requests, at stale, current and newer incarnations), with the SWIM detector on and
-//! off: 512 seeded episodes of 40 events. The golden was written against the tree that
-//! kept the membership view and the detector's per-peer mirror as two tables; the
+//! off: 512 seeded episodes of 40 events. Each event hashes the node's effects, its
+//! membership digest, the counters `TRANSCRIPT` lists, its incarnation, its resyncing
+//! flag and its routes. The golden was written by the tree whose every verdict is a
+//! frame naming an incarnation and that places objects with the whole-id hash; the
 //! `.diverged` file lists the episodes that moved since, each with its cause. Hostile
 //! frames, which no node sends, follow each episode's events and must move nothing.
 
@@ -16,9 +18,13 @@ const TRANSCRIPT: Transcript = Transcript {
     golden: include_str!("liveness_transcript.golden"),
     diverged: include_str!("liveness_transcript.diverged"),
     key_fields: 2,
-    vocabulary:
-        "setup failed recovered notice hello resynced digest ping ack pingreq snapreq timer idle",
-    admits: support::any_divergence,
+    vocabulary: "setup failed notice hello resynced digest ping ack pingreq snapreq timer idle",
+    counters: "messages_sent objects_put broadcast_failovers directory_failovers \
+        directory_redrives directory_queries_served directory_registrations \
+        directory_replicates_sent snapshot_chunks_sent snapshot_bytes \
+        stale_failure_notices_dropped membership_deaths_learned probes_sent indirect_probes \
+        suspicions_raised refutations_sent deaths_declared gossip_entries_piggybacked \
+        store_bytes_live",
 };
 
 /// A golden key's first field, and whether the SWIM detector runs.
@@ -46,10 +52,6 @@ struct Episode {
     timers: Vec<(Time, TimerToken)>,
     last_probe_id: u64,
     probes: Vec<ObjectId>,
-    /// Whether this episode may carry the two kinds of news the old detector mirror
-    /// never agreed with the view about: a suspicion naming a newer incarnation than
-    /// the node knows, and a snapshot-request digest that teaches it something.
-    contested: bool,
     detector: bool,
     trace: Trace,
 }
@@ -73,7 +75,6 @@ impl Episode {
         let opts = NodeOptions { incarnation, ..NodeOptions::default() };
         let node = ObjectStoreNode::new(me, cfg, ClusterView::of_size(NODES), opts);
         let probes = (0..NODES).map(|i| ObjectId::from_name(&format!("probe-{episode}-{i}")));
-        let contested = !detector || rng.one_in(5);
         let mut ep = Episode {
             rng,
             me,
@@ -82,7 +83,6 @@ impl Episode {
             timers: Vec::new(),
             last_probe_id: 0,
             probes: probes.collect(),
-            contested,
             detector,
             trace: Trace::default(),
         };
@@ -157,9 +157,9 @@ impl Episode {
 
     /// An incarnation for a claim about `node`: stale, current or newer than what the
     /// node knows.
-    fn incarnation_for(&mut self, node: NodeId, allow_newer: bool) -> u64 {
+    fn incarnation_for(&mut self, node: NodeId) -> u64 {
         let known = self.known_incarnation(node);
-        match self.rng.below(if allow_newer { 6 } else { 4 }) {
+        match self.rng.below(6) {
             0 => known.saturating_sub(1),
             1..=3 => known,
             4 => known + 1,
@@ -176,8 +176,7 @@ impl Episode {
                     1 => GossipState::Suspect,
                     _ => GossipState::Dead,
                 };
-                let allow_newer = self.contested || state != GossipState::Suspect;
-                (node, self.incarnation_for(node, allow_newer), state)
+                (node, self.incarnation_for(node), state)
             })
             .collect()
     }
@@ -191,7 +190,7 @@ impl Episode {
         if self.rng.one_in(4) {
             let dead = self.node();
             if dead != requester {
-                digest[dead.0 as usize] = (dead, self.incarnation_for(dead, true), false);
+                digest[dead.0 as usize] = (dead, self.incarnation_for(dead), false);
             }
         }
         digest
@@ -205,35 +204,28 @@ impl Episode {
         // Gossip frames and timers carry the detector's work, so they dominate the
         // stream when it is on and are a small share of it when it is off.
         let mix: &[u8] = if self.detector {
-            &[0, 1, 2, 3, 4, 5, 6, 6, 8, 8, 10, 11, 12, 12, 12, 12]
+            &[0, 2, 3, 4, 5, 6, 6, 8, 8, 10, 11, 12, 12, 12, 12]
         } else {
-            &[0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 8, 10, 11, 11, 12]
+            &[0, 0, 2, 2, 3, 3, 4, 4, 5, 5, 6, 8, 10, 11, 11, 12]
         };
         let kind = match self.rng.pick(mix).unwrap() {
             0 => {
-                // A driver's verdict, at the incarnation the node holds: the claim the
-                // golden's tree made for a verdict that named none.
+                // A driver's verdict, at the incarnation the node holds.
                 let node = self.node();
                 let incarnation = self.known_incarnation(node);
                 let me = self.me;
                 self.deliver(me, Message::PeerFailureNotice { node, incarnation }, &mut out);
                 "failed"
             }
-            1 => {
-                // A peer came back, and no driver says so: the node hears nothing. The
-                // step keeps its draw so the stream stays the golden's.
-                self.node();
-                "recovered"
-            }
             2 => {
                 let node = self.node();
-                let incarnation = self.incarnation_for(node, true);
+                let incarnation = self.incarnation_for(node);
                 self.deliver(from, Message::PeerFailureNotice { node, incarnation }, &mut out);
                 "notice"
             }
             3 => {
                 let node = self.node();
-                let incarnation = self.incarnation_for(node, true);
+                let incarnation = self.incarnation_for(node);
                 self.deliver(node, Message::Hello { node, incarnation }, &mut out);
                 "hello"
             }
@@ -242,7 +234,7 @@ impl Episode {
                 // back to it, and one forged onto the wire is dropped unseen — the
                 // hostile case below, kept out of the golden's stream.
                 let node = self.peer();
-                let incarnation = self.incarnation_for(node, true);
+                let incarnation = self.incarnation_for(node);
                 self.deliver(node, Message::DirResynced { node, incarnation }, &mut out);
                 "resynced"
             }
@@ -250,7 +242,7 @@ impl Episode {
                 let entries = (0..1 + self.rng.below(3))
                     .map(|_| {
                         let node = self.node();
-                        (node, self.incarnation_for(node, true), self.rng.one_in(2))
+                        (node, self.incarnation_for(node), self.rng.one_in(2))
                     })
                     .collect();
                 self.deliver(from, Message::MembershipDigest { entries }, &mut out);
@@ -278,12 +270,8 @@ impl Episode {
             }
             11 => {
                 let requester = self.peer();
-                let incarnation = if self.contested {
-                    self.incarnation_for(requester, true)
-                } else {
-                    self.known_incarnation(requester)
-                };
-                let digest = if !self.contested || self.rng.one_in(3) {
+                let incarnation = self.incarnation_for(requester);
+                let digest = if self.rng.one_in(3) {
                     Vec::new()
                 } else {
                     self.restart_digest(requester, incarnation)
@@ -317,7 +305,7 @@ impl Episode {
         self.node.handle_message(self.now, from, msg, out);
     }
 
-    /// Fold the effects, the membership digest, every `NodeMetrics` counter, the node's
+    /// Fold the effects, the membership digest, the listed counters, the node's
     /// incarnation, its resyncing flag and where it routes the probes into the next hash.
     fn record(&mut self, kind: &'static str, out: Vec<Effect>) {
         for effect in &out {
@@ -333,10 +321,10 @@ impl Episode {
         }
         let routes: Vec<Option<NodeId>> =
             self.probes.iter().map(|&o| self.node.directory_primary_for(o)).collect();
+        let counters = TRANSCRIPT.counters(&self.node.metrics().fields(), &mut self.trace);
         let state = format!(
-            "{out:?}|{:?}|{:?}|{}|{}|{routes:?}",
+            "{out:?}|{:?}|{counters}|{}|{}|{routes:?}",
             self.node.membership().digest(),
-            self.node.metrics().fields(),
             self.node.incarnation(),
             self.node.directory_is_resyncing(),
         );
@@ -401,7 +389,7 @@ fn a_resynced_announcement_naming_the_node_itself_moves_nothing() {
 }
 
 #[test]
-fn liveness_transcript_matches_the_two_table_tree() {
+fn liveness_transcript_matches_its_golden() {
     let episodes = MODES.into_iter().flat_map(|(mode, detector)| {
         (0..EPISODES).map(move |episode| {
             let mut ep = Episode::new(detector, episode);

@@ -21,7 +21,7 @@ const TRANSCRIPT: Transcript = Transcript {
     diverged: "",
     key_fields: 2,
     vocabulary: "setup fresh duplicate move failed reoffer",
-    admits: support::any_divergence,
+    counters: "",
 };
 
 const MAX_SLOTS: usize = 128;

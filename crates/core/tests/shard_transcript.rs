@@ -1,12 +1,7 @@
 //! Shard transcript: what one [`DirectoryShard`] does with 256 seeded episodes of 48
-//! ops drawn from every call that mutates it. The golden was written against the shard
-//! that kept a lease both as `Location::leased_to` and as a pull edge. Its notes,
-//! `split cause`, name the first op after which those two copies disagreed (`- -` if
-//! never) and what it was: `answered-twice` (a location given to a requester already
-//! pulling that object), `inline-over-lease` (a `put_inline`) or `other`. An episode may
-//! be listed in the `.diverged` file from its split, for its cause. Since inline recency
-//! became put order (a query no longer restamps an inline payload), an episode may also
-//! move from any op for `put-order-recency`.
+//! ops drawn from every call that mutates it. The golden was written by the shard that
+//! keeps a lease once, as a pull edge, and stamps an inline payload at its put; the
+//! `.diverged` file lists the episodes that moved since, with their causes.
 
 mod support;
 
@@ -27,14 +22,7 @@ const TRANSCRIPT: Transcript = Transcript {
     key_fields: 1,
     vocabulary: "register put_inline unregister query subscribe unsubscribe transfer_done delete \
         node_failed expire resync reship",
-    admits: |notes, first, cause| {
-        let split: Option<usize> = notes[0].parse().ok();
-        cause.split('+').enumerate().all(|(i, cause)| {
-            cause == "put-order-recency"
-                || (notes[1] == cause
-                    && split.is_some_and(|s| if i == 0 { s == first } else { s > first }))
-        })
-    },
+    counters: "",
 };
 
 const EPISODES: u64 = 256;
@@ -236,8 +224,8 @@ impl Episode {
         }
         let (snapshot, done) = self.shard.snapshot_range(None, u64::MAX);
         assert!(done);
-        // The golden's tree kept each lease twice and could let the copies split; the
-        // `leased_to` column is now derived from the pull edges and never may.
+        // A snapshot's `leased_to` column is derived from the pull edges, so the two
+        // never name different leases.
         for e in &snapshot {
             assert!(split_receivers(e).is_empty(), "lease copies split after {kind}: {e:?}");
         }
@@ -256,7 +244,7 @@ impl Episode {
 }
 
 #[test]
-fn shard_transcript_matches_the_two_copy_lease_shard() {
+fn shard_transcript_matches_its_golden() {
     let episodes = (0..EPISODES).map(|episode| {
         let mut ep = Episode::new(episode);
         (0..OPS_PER_EPISODE).for_each(|_| ep.step());

@@ -5,14 +5,17 @@
 //! every episode with its golden line.
 //!
 //! A golden (`<name>.golden`, never edited) holds one line per episode,
-//! `<key fields…> [note fields…] <hashes>`, four hex digits per step. Notes describe
-//! the golden's own tree; the harness hands them to [`Transcript::admits`]. A
-//! `.diverged` file lists the episodes allowed to differ,
-//! `<key fields…> <first> <cause> <hashes>`: such an episode matches its golden line
-//! before step `first` and the listed hashes from there on. An episode that moved for
-//! several reasons joins their causes with `+`, in the order they took effect. A
-//! `.diverged` line whose key is not in the golden, whose hashes do not differ from the
-//! golden's at `first`, or that the transcript does not admit, fails the run.
+//! `<key fields…> <hashes>`, four hex digits per step. A `.diverged` file lists the
+//! episodes allowed to differ, `<key fields…> <first> <cause> <hashes>`: such an
+//! episode matches its golden line before step `first` and the listed hashes from
+//! there on. An episode that moved for several reasons joins their causes with `+`, in
+//! the order they took effect. A `.diverged` line whose key is not in the golden, or
+//! whose hashes do not differ from the golden's at `first`, fails the run.
+//!
+//! A transcript that hashes a node's counters hashes only those it lists, by name and
+//! value ([`Transcript::counters`]), so a counter outside its list can come or go
+//! without moving an episode; a run in which an unlisted counter moves from zero fails
+//! and names it.
 //!
 //! On a failure the run's own transcript, `<key fields…> <hashes>` per episode, is
 //! written to `$TMPDIR/<name>.actual`, and the report names, for every episode that
@@ -63,12 +66,13 @@ fn unhex(hex: &str) -> Vec<u16> {
     (0..hex.len()).step_by(4).map(|i| u16::from_str_radix(&hex[i..i + 4], 16).unwrap()).collect()
 }
 
-/// What one episode did: `(kind, hash)` per step, and how often each step kind and
-/// counted fact occurred.
+/// What one episode did: `(kind, hash)` per step, how often each step kind and
+/// counted fact occurred, and the counters that moved outside the transcript's list.
 #[derive(Default)]
 pub struct Trace {
     steps: Vec<(&'static str, u16)>,
     counts: BTreeMap<String, u64>,
+    unlisted: BTreeSet<&'static str>,
 }
 
 impl Trace {
@@ -106,7 +110,8 @@ fn first_difference(a: &[u16], b: &[u16]) -> usize {
 }
 
 /// Read a golden or `.diverged` file into `key → (notes, hashes)`, the key being a
-/// line's first `key_fields` fields. A key repeats only on identical lines.
+/// line's first `key_fields` fields and the notes the fields between it and the hashes
+/// (a `.diverged` line's `first` and `cause`). A key repeats only on identical lines.
 fn read(text: &str, key_fields: usize) -> BTreeMap<String, (Vec<&str>, Vec<u16>)> {
     let mut lines = BTreeMap::new();
     for line in text.lines().filter(|l| !l.trim().is_empty() && !l.starts_with('#')) {
@@ -118,11 +123,6 @@ fn read(text: &str, key_fields: usize) -> BTreeMap<String, (Vec<&str>, Vec<u16>)
         assert!(seen.is_none_or(|seen| seen == parsed), "{line}: key repeated");
     }
     lines
-}
-
-/// A `.diverged` rule that admits any line the harness itself accepts.
-pub fn any_divergence(_notes: &[&str], _first: usize, _cause: &str) -> bool {
-    true
 }
 
 /// One behaviour pin: its files, how its lines are keyed and what its run must cover.
@@ -137,12 +137,30 @@ pub struct Transcript<'a> {
     /// Every step kind the episodes can draw and every fact they count, separated by
     /// whitespace: each must occur at least once across the run.
     pub vocabulary: &'a str,
-    /// Whether a `.diverged` line from step `first` for `cause` may stand, given the
-    /// notes of the golden line it amends.
-    pub admits: fn(notes: &[&str], first: usize, cause: &str) -> bool,
+    /// The node counters the episodes hash, by name, separated by whitespace: every
+    /// counter they can move.
+    pub counters: &'a str,
 }
 
 impl Transcript<'_> {
+    /// The listed counters of `fields` (a node's `NodeMetrics::fields()`), as
+    /// `name=value` text for a step's state. A counter not listed that has moved from
+    /// zero is noted in `trace`, and fails the run.
+    pub fn counters(&self, fields: &[(&'static str, u64)], trace: &mut Trace) -> String {
+        let listed: Vec<&str> = self.counters.split_whitespace().collect();
+        let unlisted =
+            fields.iter().filter(|&&(name, value)| value != 0 && !listed.contains(&name));
+        trace.unlisted.extend(unlisted.map(|&(name, _)| name));
+        let mut text = String::new();
+        for name in listed {
+            let Some((_, value)) = fields.iter().find(|&&(field, _)| field == name) else {
+                panic!("{}: lists the counter {name}, which the node does not have", self.name)
+            };
+            write!(text, "{name}={value},").unwrap();
+        }
+        text
+    }
+
     /// Run every `(key, trace)` episode against the golden; panic with the report.
     pub fn check(&self, episodes: impl IntoIterator<Item = (String, Trace)>) {
         if let Err(report) = self.compare(episodes) {
@@ -159,11 +177,11 @@ impl Transcript<'_> {
         let mut expected: BTreeMap<String, (Vec<u16>, Vec<u16>)> =
             golden.iter().map(|(key, (_, h))| (key.clone(), (h.clone(), h.clone()))).collect();
         for (key, (notes, tail)) in read(self.diverged, self.key_fields) {
-            let (first, cause) = match notes[..] {
-                [first, cause] => (first.parse().expect("`first` is a step index"), cause),
+            let first: usize = match notes[..] {
+                [first, _cause] => first.parse().expect("`first` is a step index"),
                 _ => panic!("{name}.diverged {key}: not `<key…> <first> <cause> <hashes>`"),
             };
-            let Some((notes, hashes)) = golden.get(&key) else {
+            let Some((_, hashes)) = golden.get(&key) else {
                 problems.push(format!("{key}: listed in {name}.diverged but not in the golden"));
                 continue;
             };
@@ -171,11 +189,6 @@ impl Transcript<'_> {
                 problems.push(format!(
                     "{key}: listed in {name}.diverged from step {first}, \
                      where it does not differ from the golden"
-                ));
-            } else if !(self.admits)(notes, first, cause) {
-                problems.push(format!(
-                    "{key}: the golden's notes {notes:?} do not admit a divergence \
-                     from step {first} for {cause}"
                 ));
             } else {
                 let (_, want) = expected.get_mut(&key).expect("a golden key");
@@ -198,7 +211,9 @@ impl Transcript<'_> {
         let mut actual = String::new();
         let mut tally: BTreeMap<String, u64> = BTreeMap::new();
         let mut ran = BTreeSet::new();
+        let mut unlisted = BTreeSet::new();
         for (key, trace) in episodes {
+            unlisted.extend(trace.unlisted);
             let hashes: Vec<u16> = trace.steps.iter().map(|&(_, hash)| hash).collect();
             writeln!(actual, "{key} {}", hex(&hashes)).unwrap();
             for (fact, n) in trace.counts {
@@ -233,6 +248,9 @@ impl Transcript<'_> {
             if !tally.contains_key(kind) {
                 problems.push(format!("the run never exercised {kind}"));
             }
+        }
+        for counter in unlisted {
+            problems.push(format!("the counter {counter} moved, but `counters` does not list it"));
         }
         if problems.is_empty() {
             return Ok(());

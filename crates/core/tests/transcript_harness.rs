@@ -1,7 +1,8 @@
 //! Self-test of the transcript harness (`support/mod.rs`) on a toy transcript: a
 //! moved step is reported where it moved, with the `.diverged` line that would list
-//! it; a `.diverged` line must name a real divergence; and a run must exercise every
-//! kind it declares.
+//! it; a `.diverged` line must name a real divergence; a run must exercise every kind
+//! it declares; and a counter the transcript does not list moves nothing, or fails the
+//! run by name if it moves.
 
 mod support;
 
@@ -10,15 +11,25 @@ use support::{Rng, Trace, Transcript};
 const KINDS: [&str; 3] = ["draw", "fold", "skip"];
 const STEPS: usize = 10;
 
-/// Four toy episodes of ten steps; step `i` is of kind `KINDS[i % 3]` and folds a
-/// seeded running sum.
+/// The running sums of toy episode `episode`, one per step: each step folds a seeded
+/// draw.
+fn sums(episode: u64) -> Vec<usize> {
+    let mut rng = Rng(episode);
+    let mut sum = 0;
+    (0..STEPS)
+        .map(|_| {
+            sum += rng.below(1000);
+            sum
+        })
+        .collect()
+}
+
+/// Four toy episodes of ten steps; step `i` is of kind `KINDS[i % 3]` and records the
+/// running sum.
 fn episodes() -> impl Iterator<Item = (String, Trace)> {
     (0..4u64).map(|episode| {
-        let mut rng = Rng(episode);
         let mut trace = Trace::default();
-        let mut sum = 0;
-        for i in 0..STEPS {
-            sum += rng.below(1000);
+        for (i, sum) in sums(episode).into_iter().enumerate() {
             trace.record(KINDS[i % 3], &sum.to_string());
         }
         (format!("{episode:03}"), trace)
@@ -26,13 +37,17 @@ fn episodes() -> impl Iterator<Item = (String, Trace)> {
 }
 
 fn toy<'a>(name: &'a str, golden: &'a str, diverged: &'a str) -> Transcript<'a> {
-    let admits = support::any_divergence;
-    Transcript { name, golden, diverged, key_fields: 1, vocabulary: "draw fold skip", admits }
+    let vocabulary = "draw fold skip";
+    Transcript { name, golden, diverged, key_fields: 1, vocabulary, counters: "sent" }
 }
 
 /// The toy's golden: the `.actual` file a run against an empty golden leaves.
 fn golden(name: &str) -> String {
-    let report = toy(name, "", "").compare(episodes()).unwrap_err();
+    golden_of(name, episodes())
+}
+
+fn golden_of(name: &str, episodes: impl Iterator<Item = (String, Trace)>) -> String {
+    let report = toy(name, "", "").compare(episodes).unwrap_err();
     assert!(report.contains("000: ran, but the golden has no such episode"), "{report}");
     std::fs::read_to_string(std::env::temp_dir().join(format!("{name}.actual"))).unwrap()
 }
@@ -96,14 +111,47 @@ fn a_diverged_line_must_name_a_golden_episode_that_differs_at_first() {
     let report = toy(name, &golden, &stale).compare(episodes()).unwrap_err();
     let expected = format!("001: {listed} from step 2, where it does not differ from the golden");
     assert!(report.contains(&expected), "{report}");
+}
 
-    // A line that does differ stands only where the transcript admits it.
-    let refused = format!("001 2 refused {}{}", other(hashes[2]), hashes[3..].concat());
-    let admits = |_: &[&str], _, cause: &str| cause != "refused";
-    let report =
-        Transcript { admits, ..toy(name, &golden, &refused) }.compare(episodes()).unwrap_err();
-    let expected = "001: the golden's notes [] do not admit a divergence from step 2 for refused";
-    assert!(report.contains(expected), "{report}");
+/// The toy episodes again, each step also hashing the node counters `fields` gives
+/// for its running sum, through the transcript's counter list.
+fn counted_episodes<'a>(
+    transcript: &'a Transcript<'a>,
+    fields: impl Fn(usize) -> Vec<(&'static str, u64)> + 'a,
+) -> impl Iterator<Item = (String, Trace)> + 'a {
+    (0..4u64).map(move |episode| {
+        let mut trace = Trace::default();
+        for (i, sum) in sums(episode).into_iter().enumerate() {
+            let counters = transcript.counters(&fields(sum), &mut trace);
+            trace.record(KINDS[i % 3], &format!("{sum}|{counters}"));
+        }
+        (format!("{episode:03}"), trace)
+    })
+}
+
+#[test]
+fn a_counter_outside_the_list_moves_nothing_unless_it_moves_and_then_fails_by_name() {
+    let name = "transcript_harness_counters";
+    let counted = toy(name, "", "");
+    let golden = golden_of(name, counted_episodes(&counted, |sum| vec![("sent", sum as u64)]));
+    let transcript = toy(name, &golden, "");
+
+    // Adding (or retiring) a counter the transcript does not list moves no episode
+    // while it stays at zero.
+    let added = |sum| vec![("sent", sum as u64), ("retired", 0)];
+    transcript.compare(counted_episodes(&transcript, added)).unwrap();
+
+    // One that moves fails the run and is named.
+    let moving = |sum| vec![("sent", sum as u64), ("stray", 1)];
+    let report = transcript.compare(counted_episodes(&transcript, moving)).unwrap_err();
+    let expected = "the counter stray moved, but `counters` does not list it";
+    assert_eq!(report.lines().nth(1), Some(expected), "{report}");
+
+    // A listed counter is hashed by value.
+    let report = transcript
+        .compare(counted_episodes(&transcript, |sum| vec![("sent", sum as u64 + 1)]))
+        .unwrap_err();
+    assert!(report.contains("000: first differs at step 0 (draw)"), "{report}");
 }
 
 #[test]

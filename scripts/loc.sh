@@ -6,7 +6,8 @@
 # (directory/{shard,client,placement}.rs, store.rs and node/broadcast.rs), the "node
 # facade" (node/mod.rs, where every directory op and frame once was spelled out), the
 # workspace total, the "behaviour pins" (every line of the four transcript tests and of
-# the harness they share, crates/core/tests/support/; its self-test counted apart), the
+# the harness they share, crates/core/tests/support/; its self-test counted apart; and
+# per transcript, its episodes and those pinned only by `.diverged` lines), the
 # HopliteConfig field count, the core files whose non-test code names a random-state
 # `HashMap`/`HashSet` (clippy's `disallowed-types` keeps it at 0), and the lifecycle
 # counts of ROADMAP's transport item (unbounded queues, sleeps, SlabPool construction
@@ -75,6 +76,19 @@ echo "| behaviour pins (all lines) | |"
 echo "|---|---:|"
 echo "| **behaviour pins** (crates/core/tests/*_transcript.rs + tests/support/) | $(echo "$pins" | all_lines) |"
 echo "| transcript harness self-test (tests/transcript_harness.rs) | $(echo crates/core/tests/transcript_harness.rs | all_lines) |"
+echo
+echo "| transcript | episodes | pinned only by \`.diverged\` lines |"
+echo "|---|---:|---:|"
+episode_lines() { grep -cv -e '^#' -e '^[[:space:]]*$' "$1" || true; } # lines naming an episode
+episodes=0 overlaid=0
+for golden in crates/core/tests/*_transcript.golden; do
+    diverged="${golden%.golden}.diverged"
+    e=$(episode_lines "$golden") o=0
+    [ -f "$diverged" ] && o=$(episode_lines "$diverged")
+    episodes=$((episodes + e)) overlaid=$((overlaid + o))
+    echo "| $(basename "${golden%.golden}") | $e | $o |"
+done
+echo "| **total** | $episodes | $overlaid |"
 echo
 fields=$(awk '/^pub struct HopliteConfig \{/ { on = 1; next } on && /^\}/ { exit } on && /^    pub / { n++ } END { print n + 0 }' crates/core/src/config.rs)
 echo "\`HopliteConfig\` fields: $fields"
