@@ -19,10 +19,12 @@ use std::collections::VecDeque;
 use std::time::Instant;
 
 use hoplite_core::config::HopliteConfig;
+use hoplite_core::detector::GossipState;
 use hoplite_core::directory::DirectoryService;
 use hoplite_core::metrics::NodeMetrics;
 use hoplite_core::object::{NodeId, ObjectId, ObjectStatus};
 use hoplite_core::protocol::Message;
+use hoplite_core::time::Time;
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
@@ -74,8 +76,8 @@ fn main() {
     let budget = cfg.snapshot_chunk_bytes;
     let nodes = vec![NodeId(0), NodeId(1)];
     let mut svcs = [
-        DirectoryService::new(NodeId(0), &cfg, &nodes),
-        DirectoryService::new(NodeId(1), &cfg, &nodes),
+        DirectoryService::new(NodeId(0), &cfg, &nodes, 0),
+        DirectoryService::new(NodeId(1), &cfg, &nodes, 0),
     ];
     let mut metrics = [NodeMetrics::default(), NodeMetrics::default()];
 
@@ -106,12 +108,15 @@ fn main() {
     // catch up through the cursor-driven chunk stream while live registrations keep
     // landing at the surviving node (which serves both roles without pausing).
     // `served` is, per shard, the last object id the source has served so far, while
-    // that shard's stream is open.
-    svcs[0].on_peer_failed(NodeId(1), &mut out);
+    // that shard's stream is open. Liveness enters the surviving node's service as the
+    // node states it: incarnation 0 of node 1 died, and incarnation 1 (named in its
+    // restart requests' digests) is up.
+    svcs[0].liveness(&[(NodeId(1), 0, GossipState::Dead)], None, Time::ZERO, &mut out);
     out.clear();
-    svcs[1] = DirectoryService::new(NodeId(1), &cfg, &nodes);
+    svcs[1] = DirectoryService::new(NodeId(1), &cfg, &nodes, 1);
     let resync_start = Instant::now();
     assert!(svcs[1].begin_local_resync(&mut out), "restart requests resync");
+    svcs[0].liveness(&[(NodeId(1), 1, GossipState::Alive)], None, Time::ZERO, &mut Vec::new());
     queue.extend(out.drain(..).map(|(to, m)| (NodeId(1), to, m)));
 
     let mut chunks_routed = 0u64;

@@ -62,6 +62,14 @@ pub struct NodeStatus {
     /// Directory intents this node journaled that are not yet confirmed replicated:
     /// 0 once every write it issued is durable on its shard's backups.
     pub unconfirmed: usize,
+    /// What this node believes of every node, by id, itself included: the incarnation
+    /// it holds, alive / suspect / dead, and whether that incarnation is readmitted (a
+    /// primary candidate once alive; an alive one not readmitted is resyncing).
+    pub peers: Vec<(u64, GossipState, bool)>,
+    /// The primary this node believes each directory shard has, by shard (`None`
+    /// while every replica is dead or resyncing). Nodes that disagree here route one
+    /// shard's ops to two primaries.
+    pub primaries: Vec<Option<NodeId>>,
     /// The node's counters.
     pub metrics: NodeMetrics,
 }
@@ -430,6 +438,8 @@ impl Node {
                     incarnation: node.incarnation(),
                     resyncing: node.directory_is_resyncing(),
                     unconfirmed: node.directory_unconfirmed_count(),
+                    peers: node.membership().entries().map(|(_, i, s, r)| (i, s, r)).collect(),
+                    primaries: node.directory_primaries(),
                     metrics: node.metrics().clone(),
                 });
                 return;

@@ -10,7 +10,7 @@
 //! | request | reply |
 //! |---|---|
 //! | `ping` | `ok pong` |
-//! | `status` | `ok node=0 incarnation=1 resyncing=false <counter>=<value>...` |
+//! | `status` | `ok node=0 incarnation=1 resyncing=false peers=<peer>,... primaries=<primary>,... <counter>=<value>...`: per node id `<incarnation>:<alive\|suspect\|dead>:<readmitted 0\|1>`, per shard its believed primary or `-` |
 //! | `put <name> <size> <seed>` | `ok` — stores `size` pattern bytes derived from `seed` |
 //! | `get <name> <size> <seed>` | `ok` — fetches and verifies the pattern, `err mismatch` otherwise |
 //! | `put-f32 <name> <len> <value>` | `ok` — stores `len` f32s all equal to `value` |
@@ -82,7 +82,7 @@ impl ControlClient {
     }
 
     /// Status snapshot as `key → value` pairs (`node`, `incarnation`, `resyncing`,
-    /// plus every [`NodeMetrics`] counter).
+    /// `peers`, `primaries`, plus every [`NodeMetrics`] counter).
     pub fn status(&mut self) -> io::Result<BTreeMap<String, String>> {
         let reply = self.request("status")?;
         Ok(reply

@@ -814,6 +814,63 @@ pub fn backup_resync_under_load(
     }
 }
 
+/// Outcome of [`healed_partition_probe`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct HealedPartitionResult {
+    /// Objects whose shard primary the four nodes name differently two suspicion
+    /// windows after the heal (at 11 s).
+    pub disagreeing: usize,
+    /// `Get`s completed by the end of the run.
+    pub gets_done: usize,
+    /// `Get`s submitted: every object, from each node but its putter (51).
+    pub gets: usize,
+}
+
+/// ROADMAP item 2's probe (D13): a partition longer than the suspicion window, then a
+/// heal. Four nodes run the SWIM detector at its defaults (200 ms probes, 60 ms ack
+/// timeout, a 3 s suspicion window). With `cut`, node 0 is alone from 0.5 s to 5.0 s,
+/// so each side declares the other dead. Node 2 puts one 1 KiB object at 0.1 s; at
+/// 4.0 s node 0 puts 8 more and nodes 1–3 put 8 between them, all inline; agreement
+/// on every object's shard primary is read at 11 s, two suspicion windows after the
+/// heal; at 12 s every node Gets every object it did not put, and the run goes on to
+/// 40 s. `seed` names the objects, and so places them.
+pub fn healed_partition_probe(env: &ScenarioEnv, cut: bool, seed: u64) -> HealedPartitionResult {
+    const N: usize = 4;
+    let mut hoplite = env.hoplite.clone();
+    hoplite.detector = Some(DetectorConfig::default());
+    let mut cluster = SimCluster::new(N, hoplite, env.network.clone());
+    let at = SimTime::from_secs_f64;
+    let putters =
+        std::iter::once((0.1, 2)).chain((0..16).map(|i| (4.0, if i < 8 { 0 } else { 1 + i % 3 })));
+    let mut objects = Vec::new();
+    for (i, (when, putter)) in putters.enumerate() {
+        let object = ObjectId::from_name(&format!("healed-{seed}-{i}"));
+        let payload = Payload::synthetic(1024);
+        cluster.submit_at(at(when), putter, ClientOp::Put { object, payload });
+        objects.push((object, putter));
+    }
+    if cut {
+        cluster.partition_between(at(0.5), at(5.0), (0..N).map(|node| node == 0).collect());
+    }
+    let mut gets = Vec::new();
+    for &(object, putter) in &objects {
+        for node in (0..N).filter(|&node| node != putter) {
+            gets.push(cluster.submit_at(at(12.0), node, ClientOp::Get { object }));
+        }
+    }
+    cluster.run_until(at(11.0));
+    let disagreeing = objects
+        .iter()
+        .filter(|&&(object, _)| {
+            let primary = |viewer| cluster.directory_primary(viewer, object);
+            (1..N).any(|viewer| primary(viewer) != primary(0))
+        })
+        .count();
+    cluster.run_until(at(40.0));
+    let gets_done = gets.iter().filter(|&&h| cluster.done_time(h).is_some()).count();
+    HealedPartitionResult { disagreeing, gets_done, gets: gets.len() }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1018,6 +1075,21 @@ mod tests {
             r.snapshot_chunks_sent,
             r.chunk_budget
         );
+    }
+
+    #[test]
+    fn the_healed_partition_probe_without_a_cut_agrees_and_completes_every_get() {
+        let r = healed_partition_probe(&ScenarioEnv::paper_testbed(), false, 0);
+        assert_eq!((r.disagreeing, r.gets_done, r.gets), (0, 51, 51));
+    }
+
+    /// ROADMAP item 2's acceptance: the partition heals into one view, and every Get
+    /// completes. Fails until D13 is fixed.
+    #[test]
+    #[ignore = "D13, ROADMAP item 2"]
+    fn a_partition_longer_than_the_suspicion_window_heals_into_one_view() {
+        let r = healed_partition_probe(&ScenarioEnv::paper_testbed(), true, 0);
+        assert_eq!((r.disagreeing, r.gets_done), (0, r.gets), "{r:?}");
     }
 
     #[test]

@@ -184,54 +184,66 @@ mod tests {
     use super::*;
     use crate::buffer::Payload;
     use crate::config::HopliteConfig;
-    use crate::directory::PlacementView;
+    use crate::detector::GossipState::{self, Alive, Dead};
+    use crate::directory::DirectoryService;
     use crate::object::NodeId;
+    use crate::protocol::Message;
+    use crate::time::Time;
 
-    /// A client beside the leadership view its node would route through.
-    fn client(n: u32) -> (DirectoryClient, PlacementView) {
+    /// A client beside the directory service its node (node 0) would route through.
+    fn client(n: u32) -> (DirectoryClient, DirectoryService) {
         replicated(n, HopliteConfig::small_for_tests().directory_replication)
     }
 
-    fn replicated(n: u32, replication: usize) -> (DirectoryClient, PlacementView) {
+    fn replicated(n: u32, replication: usize) -> (DirectoryClient, DirectoryService) {
         let nodes: Vec<NodeId> = (0..n).map(NodeId).collect();
-        (
-            DirectoryClient::default(),
-            PlacementView::new(DirectoryPlacement::new(nodes, replication)),
-        )
+        let cfg = HopliteConfig {
+            directory_replication: replication,
+            ..HopliteConfig::small_for_tests()
+        };
+        (DirectoryClient::default(), DirectoryService::new(NodeId(0), &cfg, &nodes, 0))
     }
 
     /// The ops these tests journal, as node 0 sends them.
     fn register(
         c: &mut DirectoryClient,
-        v: &PlacementView,
+        v: &DirectoryService,
         object: ObjectId,
         status: ObjectStatus,
         size: u64,
     ) {
-        c.journal(&DirOp::Register { object, holder: NodeId(0), status, size }, v);
+        c.journal(&DirOp::Register { object, holder: NodeId(0), status, size }, v.view());
     }
 
-    fn subscribe(c: &mut DirectoryClient, v: &PlacementView, object: ObjectId) {
-        c.journal(&DirOp::Subscribe { object, subscriber: NodeId(0) }, v);
+    fn subscribe(c: &mut DirectoryClient, v: &DirectoryService, object: ObjectId) {
+        c.journal(&DirOp::Subscribe { object, subscriber: NodeId(0) }, v.view());
     }
 
     /// Every replica `object`'s entries wait on in `v` confirms `kind`.
-    fn confirm(c: &mut DirectoryClient, v: &PlacementView, object: ObjectId, kind: ConfirmKind) {
-        for from in v.confirmers(v.placement().shard_of(object)) {
+    fn confirm(c: &mut DirectoryClient, v: &DirectoryService, object: ObjectId, kind: ConfirmKind) {
+        for from in v.view().confirmers(v.placement().shard_of(object)) {
             c.confirm(from, object, kind);
         }
     }
 
-    fn obj_with_primary(v: &PlacementView, primary: u32) -> ObjectId {
+    fn obj_with_primary(v: &DirectoryService, primary: u32) -> ObjectId {
         (0u64..)
             .map(|k| ObjectId::from_name(&format!("cli-{k}")))
             .find(|&o| v.primary_for(o) == Some(NodeId(primary)))
             .unwrap()
     }
 
-    /// What the facade does on a peer failure: one view transition, one re-drive set.
-    fn fail(c: &DirectoryClient, v: &mut PlacementView, peer: u32) -> FailoverRedrive {
-        let changed = v.on_peer_failed(NodeId(peer));
+    /// One claim about `peer` through the service's liveness entry point, at its held
+    /// incarnation plus `ahead`: the net route change.
+    fn claim(v: &mut DirectoryService, peer: u32, ahead: u64, state: GossipState) -> Rerouted {
+        let peer = NodeId(peer);
+        let incarnation = v.view().table().incarnation_of(peer) + ahead;
+        v.liveness(&[(peer, incarnation, state)], None, Time::ZERO, &mut Vec::new()).rerouted
+    }
+
+    /// What the facade does on a verdict about `peer`: one claim, one re-drive set.
+    fn fail(c: &DirectoryClient, v: &mut DirectoryService, peer: u32) -> FailoverRedrive {
+        let changed = claim(v, peer, 0, Dead);
         c.redrive_for(v.placement(), changed)
     }
 
@@ -255,7 +267,7 @@ mod tests {
         let o = ObjectId::from_name("journal");
         let (me, peer) = (NodeId(0), NodeId(1));
         let (_, v) = client(4);
-        let waiting = v.confirmers(v.placement().shard_of(o));
+        let waiting = v.view().confirmers(v.placement().shard_of(o));
         assert_eq!(waiting.len(), 1, "r = 2: the live backup");
         let located = Registration {
             status: ObjectStatus::Partial,
@@ -293,7 +305,7 @@ mod tests {
         ];
         for (op, registration, subscription) in cases {
             let mut c = DirectoryClient::default();
-            c.journal(&op, &v);
+            c.journal(&op, v.view());
             assert_eq!(c.registrations.get(&o).cloned(), registration, "{op:?}");
             assert_eq!(c.subscriptions.get(&o).cloned(), subscription, "{op:?}");
             // Over a confirmed registration and subscription: a new intent replaces
@@ -305,7 +317,7 @@ mod tests {
             confirm(&mut c, &v, o, ConfirmKind::Location { status: ObjectStatus::Complete });
             confirm(&mut c, &v, o, ConfirmKind::Subscription);
             let before = (c.registrations.get(&o).cloned(), c.subscriptions.get(&o).cloned());
-            c.journal(&op, &v);
+            c.journal(&op, v.view());
             let after = (c.registrations.get(&o).cloned(), c.subscriptions.get(&o).cloned());
             let expected = match op {
                 DirOp::Register { .. } | DirOp::PutInline { .. } => {
@@ -380,7 +392,7 @@ mod tests {
         let (mut c, mut v) = client(3);
         let a = obj_with_primary(&v, 2);
         let payload = Payload::zeros(16);
-        c.journal(&DirOp::PutInline { object: a, holder: NodeId(0), payload }, &v);
+        c.journal(&DirOp::PutInline { object: a, holder: NodeId(0), payload }, v.view());
         c.forget(a);
         let b = (0u64..)
             .map(|k| ObjectId::from_name(&format!("del-{k}")))
@@ -388,7 +400,7 @@ mod tests {
             .unwrap();
         register(&mut c, &v, b, ObjectStatus::Complete, 10);
         subscribe(&mut c, &v, b);
-        c.journal(&DirOp::Delete { object: b }, &v);
+        c.journal(&DirOp::Delete { object: b }, v.view());
         let redrive = fail(&c, &mut v, 2);
         assert!(redrive.reregister.is_empty());
         assert!(redrive.resubscribe.is_empty());
@@ -396,16 +408,17 @@ mod tests {
 
     #[test]
     fn exhausted_replica_set_yields_no_target() {
-        let (mut c, mut v) = client(2);
+        let (mut c, mut v) = client(3);
         let o = obj_with_primary(&v, 1);
         register(&mut c, &v, o, ObjectStatus::Complete, 10);
         fail(&c, &mut v, 1);
-        // replication = 2 on a 2-node cluster: replicas are nodes 1 and 0.
-        assert_eq!(v.primary_for(o), Some(NodeId(0)));
-        // The last replica dies: no target, so nothing is re-driven anywhere.
-        let redrive = fail(&c, &mut v, 0);
+        // replication = 2 on a 3-node cluster: the shard's replicas are nodes 1 and 2.
+        assert_eq!(v.primary_for(o), Some(NodeId(2)));
+        // The last replica dies: no target, so the shard is re-driven nowhere.
+        let redrive = fail(&c, &mut v, 2);
+        assert!(redrive.reregister.is_empty(), "{redrive:?}");
         assert_eq!(v.primary_for(o), None);
-        assert_eq!(redrive, FailoverRedrive::default());
+        assert!(!redrive.changed_shards.contains(&v.placement().shard_of(o)));
     }
 
     #[test]
@@ -426,9 +439,12 @@ mod tests {
         assert!(!second.changed_shards.contains(&v.placement().shard_of(o)));
         assert!(second.reregister.is_empty(), "nothing to re-drive at a dead shard");
         assert_eq!(v.primary_for(o), None);
-        v.on_peer_recovered(NodeId(1));
-        let regained = v.on_peer_readmitted(NodeId(1));
-        let redrive = c.redrive_for(v.placement(), Rerouted::moved(regained));
+        claim(&mut v, 1, 1, Alive);
+        let incarnation = v.view().table().incarnation_of(NodeId(1));
+        let back = [(NodeId(1), incarnation, Alive)];
+        let readmit = Some((NodeId(1), incarnation));
+        let regained = v.liveness(&back, readmit, Time::ZERO, &mut Vec::new()).rerouted;
+        let redrive = c.redrive_for(v.placement(), regained);
         assert_eq!(redrive.reregister.len(), 1, "regained shard re-drives the window");
         assert_eq!(redrive.reregister[0].0, o);
         assert_eq!(v.primary_for(o), Some(NodeId(1)));
@@ -451,8 +467,8 @@ mod tests {
         assert_eq!(c.unconfirmed_count(), 0);
         // With every backup dead, the primary alone confirms.
         let (mut c, mut v) = replicated(4, 3);
-        v.on_peer_failed(NodeId(2));
-        v.on_peer_failed(NodeId(3));
+        claim(&mut v, 2, 0, Dead);
+        claim(&mut v, 3, 0, Dead);
         subscribe(&mut c, &v, o);
         assert_eq!(c.subscriptions[&o], vec![NodeId(1)]);
         c.confirm(NodeId(1), o, ConfirmKind::Subscription);
@@ -472,7 +488,7 @@ mod tests {
         // backup's return re-routes the shard again.
         register(&mut c, &v, o, ObjectStatus::Complete, 10);
         assert_eq!(c.registrations[&o].waiting, vec![NodeId(1)]);
-        let rerouted = v.on_peer_recovered(NodeId(2));
+        let rerouted = claim(&mut v, 2, 1, Alive);
         assert_eq!(rerouted, Rerouted { moved: vec![], backups: vec![1, 2] });
         let redrive = c.redrive_for(v.placement(), rerouted);
         assert_eq!(redrive.reregister.iter().map(|r| r.0).collect::<Vec<_>>(), vec![o]);
@@ -483,12 +499,25 @@ mod tests {
     fn self_resync_routes_away_until_finished() {
         let (_, mut v) = client(3);
         let o = obj_with_primary(&v, 0);
-        v.begin_self_resync(NodeId(0));
+        let mut requests = Vec::new();
+        assert!(v.begin_local_resync(&mut requests));
         // While resyncing, ops for shards this node owns go to the backup.
         assert_eq!(v.primary_for(o), Some(NodeId(1)));
-        assert!(v.on_peer_readmitted(NodeId(0)).is_empty(), "the shard was never leaderless");
+        // Each source answers with one empty last chunk: the resync completes.
+        for (source, request) in requests {
+            let Message::DirSnapshotRequest { shard, .. } = request else { panic!("{request:?}") };
+            let state = crate::protocol::ShardSnapshot::default();
+            let chunk =
+                Message::DirSnapshotChunk { shard, epoch: 0, seq: 0, rank: 0, done: true, state };
+            let mut metrics = crate::metrics::NodeMetrics::default();
+            assert_eq!(v.handle(source, chunk, &mut metrics, &mut Vec::new()), None);
+        }
         // The cursor did not move, so once re-admitted the node routes to itself
-        // again only where the cursor still points at it.
+        // again where the cursor still points at it, and that is a route change to
+        // re-drive.
+        let readmission = v.take_readmission().expect("the resync completed");
+        let shard = v.placement().shard_of(o);
+        assert_eq!(readmission, Rerouted { moved: vec![shard], backups: vec![] });
         assert_eq!(v.primary_for(o), Some(NodeId(0)));
     }
 }

@@ -9,8 +9,8 @@
 //! |---|---|---|
 //! | shard | [`shard`] | One shard as a pure, deterministic state machine (leases, pull-edge cycle avoidance, parked queries, inline cache), plus bounded, cursor-resumable state slices for transfer |
 //! | replication | [`replication`] | Primary/backup replicas of a shard: sequenced op shipping, each op confirmed to its origin by the backups that apply it (or by a primary with none), epoch-stamped promotion, no log and no acks, and one record of an in-flight resync, one sink for its chunk stream and one catch-up rule closing it, for replicas with gaps |
-//! | placement | [`placement`] | The static object → shard → replica-set map, and the epoch-versioned leadership view over it (per-shard rank cursor + failover epochs) — **one per node** |
-//! | service | [`service`] | Owns the node's view and replicas: op routing (apply as primary / forward), star log shipping to every live backup, chunked resync serving, promotion when a primary dies; every liveness transition is applied here, once, and returns the shards to re-drive |
+//! | placement | [`placement`] | The static object → shard → replica-set map, and the epoch-versioned leadership view over it (the node's liveness table, which every standing is read from, plus per-shard rank cursor + failover epochs) — **one per node** |
+//! | service | [`service`] | Owns the node's view and replicas: op routing (apply as primary / forward), star log shipping to every live backup, chunked resync serving, promotion when a primary dies; every piece of liveness evidence enters here, once, and the net route change comes back to re-drive |
 //! | client | [`client`] | The journal of this node's durable intent (registrations, subscriptions, and the replicas each still waits on to confirm it): builds each op's message and selects the unconfirmed entries to re-drive in the shards a liveness transition re-routed |
 //!
 //! Shard state flows through the system exactly once on the happy path: a client op

@@ -6,25 +6,22 @@
 //!
 //! [`PlacementView`] is a node's *evolving* view of who leads each shard — one per
 //! node, owned by its [`super::DirectoryService`]; routing reads the same view the
-//! server half mutates. It is **epoch-versioned** rather than failure-monotonic: each
-//! shard carries a primary *rank cursor* that advances (cyclically) when the current
-//! primary fails and never rewinds, plus a *failover epoch* counter bumped on every
-//! failure **and** every re-admission of a replica-set member. A node that recovers is
-//! first marked *resyncing* (alive, shipped to, but not a primary candidate); once it
-//! announces catch-up it is re-admitted and becomes eligible again — so after a
-//! rolling restart the original owners end up leading their shards again, with
-//! strictly increasing epochs protecting against deposed primaries' stragglers. A
-//! peer's standing (`Failed` or `Resyncing`; absent means healthy) is kept once, in
-//! one ordered map, and is the only record of that state, for this node too: it is
-//! resyncing after a restart while the map says so, until its own last stream
-//! completes.
-//! Because every node folds the same broadcast failure/recovery/re-admission notices
-//! into the same deterministic rules, survivors agree on the current primary without
-//! a coordination round; transient disagreement is absorbed by op forwarding.
-
-use std::collections::BTreeMap;
+//! server half mutates. It owns the node's one liveness table
+//! ([`crate::membership::MembershipView`]) and reads every peer's standing from it on
+//! every routed op: a dead peer is neither shipped to nor a primary candidate, an alive
+//! peer not yet readmitted (resyncing after a restart, this node included) is shipped
+//! to but does not lead, and a readmitted one is a candidate. Besides the table the
+//! view keeps only leadership facts: per shard a primary *rank cursor* that advances
+//! (cyclically) when the current primary dies and never rewinds, plus a *failover
+//! epoch* counter bumped on every death **and** every readmission of a replica-set
+//! member. So after a rolling restart the original owners end up leading their shards
+//! again, with strictly increasing epochs protecting against deposed primaries'
+//! stragglers. Because every node folds the same liveness facts into the same
+//! deterministic rules, survivors agree on the current primary without a coordination
+//! round; transient disagreement is absorbed by op forwarding.
 
 use crate::config::HopliteConfig;
+use crate::membership::MembershipView;
 use crate::object::{NodeId, ObjectId};
 
 /// The static map from objects to shards and shards to replica sets.
@@ -103,9 +100,9 @@ impl DirectoryPlacement {
     }
 }
 
-/// The shards a liveness transition re-routed. An op sent to one of them before the
-/// transition may be confirmed by other replicas than the ones its journal entry waits
-/// on, so the client re-drives its unconfirmed entries there.
+/// The shards a liveness change re-routed. An op sent to one of them before the change
+/// may be confirmed by other replicas than the ones its journal entry waits on, so the
+/// client re-drives its unconfirmed entries there.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Rerouted {
     /// Shards whose primary moved onto a live replica: a failover, or a leaderless
@@ -117,61 +114,37 @@ pub struct Rerouted {
 }
 
 impl Rerouted {
-    /// The shards whose primary moved, and nothing else.
-    pub fn moved(moved: Vec<usize>) -> Self {
-        Rerouted { moved, backups: Vec::new() }
-    }
-
     /// Whether no shard was re-routed.
     pub fn is_empty(&self) -> bool {
         self.moved.is_empty() && self.backups.is_empty()
     }
-
-    /// Fold `other` in.
-    pub fn merge(&mut self, other: Rerouted) {
-        self.moved.extend(other.moved);
-        self.backups.extend(other.backups);
-    }
 }
 
 /// A shard's primary and the live backups it ships to.
-type Route = (Option<NodeId>, Vec<NodeId>);
-
-/// Where a peer stands in the leadership view, when it is not healthy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Standing {
-    /// Dead: neither shipped to nor a primary candidate.
-    Failed,
-    /// Recovered but not yet caught up: alive (shipped to) but not a primary
-    /// candidate. This node itself stands here while it resyncs after a restart.
-    Resyncing,
-}
+pub(crate) type Route = (Option<NodeId>, Vec<NodeId>);
 
 /// A node's evolving, epoch-versioned view of shard leadership (see module docs).
 #[derive(Clone, Debug)]
 pub struct PlacementView {
     placement: DirectoryPlacement,
-    /// Every peer that is not healthy, with its standing.
-    standing: BTreeMap<NodeId, Standing>,
+    /// The node's one liveness table. Only the directory service's liveness entry
+    /// point writes it.
+    pub(super) table: MembershipView,
     /// Per-shard primary cursor into the replica set; advances on primary failure,
     /// never rewinds on re-admission (no automatic fail-back).
     rank: Vec<usize>,
-    /// Per-shard failover epoch: counts failures and re-admissions of replica-set
+    /// Per-shard failover epoch: counts deaths and readmissions of replica-set
     /// members, raised further by epochs observed on the wire. Promotions stamp
     /// themselves with this counter.
     epochs: Vec<u64>,
 }
 
 impl PlacementView {
-    /// A fresh view over a placement: rank cursors at the shard owners, epochs at 0.
-    pub fn new(placement: DirectoryPlacement) -> Self {
+    /// A fresh view over a placement and a liveness table: rank cursors at the shard
+    /// owners, epochs at 0.
+    pub fn new(placement: DirectoryPlacement, table: MembershipView) -> Self {
         let shards = placement.num_shards();
-        PlacementView {
-            placement,
-            standing: BTreeMap::new(),
-            rank: vec![0; shards],
-            epochs: vec![0; shards],
-        }
+        PlacementView { placement, table, rank: vec![0; shards], epochs: vec![0; shards] }
     }
 
     /// The static placement underneath.
@@ -179,27 +152,39 @@ impl PlacementView {
         &self.placement
     }
 
-    /// Whether `node` is currently a primary candidate.
-    fn eligible(&self, node: NodeId) -> bool {
-        !self.standing.contains_key(&node)
+    /// The node's liveness table, which every standing is read from.
+    pub fn table(&self) -> &MembershipView {
+        &self.table
     }
 
     /// Whether `node` should receive log shipments (alive, possibly still resyncing).
     pub fn is_alive(&self, node: NodeId) -> bool {
-        self.standing.get(&node) != Some(&Standing::Failed)
+        self.table.is_alive(node)
     }
 
-    /// Whether `node` is currently marked as resyncing.
+    /// Whether `node` is alive but not yet readmitted: shipped to, not a candidate.
     pub fn is_resyncing(&self, node: NodeId) -> bool {
-        self.standing.get(&node) == Some(&Standing::Resyncing)
+        self.table.is_alive(node) && !self.table.is_readmitted(node)
     }
 
-    /// The current primary of a shard: the first eligible member scanning cyclically
-    /// from the rank cursor. `None` when every replica is dead or resyncing.
+    /// The `i`-th member of `shard`'s replica set, in initial-candidate order.
+    fn member(&self, shard: usize, i: usize) -> NodeId {
+        let nodes = self.placement.nodes();
+        nodes[(shard + i) % nodes.len()]
+    }
+
+    /// The position in `shard`'s replica set of the first member, scanning cyclically
+    /// from its rank cursor, for which `candidate` holds.
+    fn scan(&self, shard: usize, candidate: impl Fn(NodeId) -> bool) -> Option<usize> {
+        let r = self.placement.replication();
+        (0..r).map(|i| (self.rank[shard] + i) % r).find(|&i| candidate(self.member(shard, i)))
+    }
+
+    /// The current primary of a shard: the first readmitted member scanning cyclically
+    /// from the rank cursor. `None` when every replica is dead or resyncing. Runs on
+    /// every routed op: one table index per member, no allocation.
     pub fn primary(&self, shard: usize) -> Option<NodeId> {
-        let members = self.placement.replica_set(shard);
-        let r = members.len();
-        (0..r).map(|i| members[(self.rank[shard] + i) % r]).find(|&n| self.eligible(n))
+        self.scan(shard, |n| self.table.is_readmitted(n)).map(|i| self.member(shard, i))
     }
 
     /// The current primary of the shard responsible for `object`.
@@ -252,97 +237,62 @@ impl PlacementView {
         }
     }
 
-    /// `shard`'s current primary and the live backups it ships to.
-    fn route(&self, shard: usize) -> Route {
-        let primary = self.primary(shard);
-        (primary, primary.map_or_else(Vec::new, |p| self.live_backups(shard, p)))
+    /// Every shard's current primary and the live backups it ships to, by shard.
+    pub(crate) fn routes(&self) -> Vec<Route> {
+        (0..self.placement.num_shards())
+            .map(|shard| {
+                let primary = self.primary(shard);
+                (primary, primary.map_or_else(Vec::new, |p| self.live_backups(shard, p)))
+            })
+            .collect()
     }
 
-    /// The shards `peer` hosts, each with its route (the "before" picture a liveness
-    /// transition compares against).
-    fn routes_of_shards_hosted_by(&self, peer: NodeId) -> Vec<(usize, Route)> {
-        let hosted = (0..self.placement.num_shards()).filter(|&s| self.placement.hosts(peer, s));
-        hosted.map(|s| (s, self.route(s))).collect()
-    }
-
-    /// The shards among `before` whose route changed and that still have a primary.
-    fn rerouted(&self, before: Vec<(usize, Route)>) -> Rerouted {
-        let mut rerouted = Rerouted::default();
-        for (shard, old) in before {
-            let now = self.route(shard);
-            if now.0.is_some() && now.0 != old.0 {
-                rerouted.moved.push(shard);
-            } else if now.0.is_some() && now != old {
-                rerouted.backups.push(shard);
-            }
-        }
-        rerouted
-    }
-
-    /// Digest a peer failure. Returns the shards it re-routed: those whose primary
-    /// moved off `peer` onto a surviving replica, and those that lost `peer` as a live
-    /// backup.
-    pub fn on_peer_failed(&mut self, peer: NodeId) -> Rerouted {
-        if !self.is_alive(peer) {
-            return Rerouted::default();
-        }
-        let before = self.routes_of_shards_hosted_by(peer);
-        self.standing.insert(peer, Standing::Failed);
-        for (shard, (old, _)) in &before {
-            let shard = *shard;
-            self.epochs[shard] += 1;
-            if *old != Some(peer) {
-                continue;
-            }
-            // Advance the cursor past the dead primary so a later re-admission does
-            // not fail back to it.
-            if let Some(new_primary) = self.primary(shard) {
-                let members = self.placement.replica_set(shard);
-                if let Some(pos) = members.iter().position(|&n| n == new_primary) {
+    /// Fold the deaths of `departed` (one entry per death, in the order they were
+    /// claimed) into leadership, the table already saying so: each death bumps the
+    /// epoch of every shard the peer hosts, and a shard it led (`before`, the routes
+    /// before the claims) moves its rank cursor onto the first candidate past it, so a
+    /// later readmission does not fail back to it.
+    pub(crate) fn depart(&mut self, before: &[Route], departed: &[NodeId]) {
+        for &peer in departed {
+            for shard in self.placement.shards_hosted_by(peer) {
+                self.epochs[shard] += 1;
+                if before[shard].0 != Some(peer) {
+                    continue;
+                }
+                let next =
+                    self.scan(shard, |n| self.table.is_readmitted(n) && !departed.contains(&n));
+                if let Some(pos) = next {
                     self.rank[shard] = pos;
                 }
             }
         }
-        self.rerouted(before)
     }
 
-    /// A peer is back (its own traffic says so, at a newer incarnation): alive again,
-    /// shipped to, but it must resync before it can lead anything. Returns the shards
-    /// that gained it as a live backup; empty when it was not news.
-    pub fn on_peer_recovered(&mut self, peer: NodeId) -> Rerouted {
-        if self.is_alive(peer) {
-            return Rerouted::default();
-        }
-        let before = self.routes_of_shards_hosted_by(peer);
-        self.standing.insert(peer, Standing::Resyncing);
-        self.rerouted(before)
-    }
-
-    /// Digest a catch-up announcement (a peer's, or this node's own resync
-    /// completing): the node is a full replica again. Bumps the failover epoch of
-    /// every shard it hosts (re-admission is a leadership-relevant event, exactly like
-    /// a failure). Returns the shards that regained a primary with this re-admission —
-    /// a shard whose every other replica died while `peer` was out goes
-    /// `None → Some(peer)` here, and clients must re-drive their unconfirmed intents
-    /// at it just as they would after a failover.
-    pub fn on_peer_readmitted(&mut self, peer: NodeId) -> Vec<usize> {
-        if self.eligible(peer) {
-            return Vec::new();
-        }
-        let affected = self.routes_of_shards_hosted_by(peer);
-        self.standing.remove(&peer);
-        let mut regained = Vec::new();
-        for (shard, (old, _)) in affected {
+    /// Fold a readmission of `peer` into leadership: a leadership-relevant event,
+    /// exactly like a death, so every shard it hosts bumps its epoch.
+    pub(crate) fn readmitted(&mut self, peer: NodeId) {
+        for shard in self.placement.shards_hosted_by(peer) {
             self.epochs[shard] += 1;
-            if old.is_none() && self.primary(shard).is_some() {
-                regained.push(shard);
+        }
+    }
+
+    /// The net route change from `before`: each shard that has a primary and whose
+    /// primary moved, or whose primary died meanwhile, is `moved`; one that kept its
+    /// primary but whose live backups changed, or one of which died meanwhile (a death
+    /// and a return are a change even when the node id is the same), is `backups`.
+    pub(crate) fn rerouted(&self, before: &[Route], departed: &[NodeId]) -> Rerouted {
+        let mut rerouted = Rerouted::default();
+        for (shard, (now, old)) in self.routes().into_iter().zip(before).enumerate() {
+            let died = |n: &NodeId| departed.contains(n);
+            if now.0.is_none() {
+                continue;
+            }
+            if now.0 != old.0 || old.0.as_ref().is_some_and(died) {
+                rerouted.moved.push(shard);
+            } else if now.1 != old.1 || old.1.iter().any(died) {
+                rerouted.backups.push(shard);
             }
         }
-        regained
-    }
-
-    /// Mark this node itself as resyncing after a restart (all shards).
-    pub fn begin_self_resync(&mut self, me: NodeId) {
-        self.standing.insert(me, Standing::Resyncing);
+        rerouted
     }
 }

@@ -1,10 +1,14 @@
 //! The per-node directory service.
 //!
 //! [`DirectoryService`] is the server half living inside each node: the shard
-//! replicas this node hosts, the node's one [`PlacementView`] (routing reads it,
-//! liveness transitions mutate it, nothing mirrors it), op routing (apply as primary /
-//! forward elsewhere), sequenced shipping to every live backup, chunked resync serving
-//! for recovering replicas, and epoch-stamped promotion when a primary dies (§3.5).
+//! replicas this node hosts, the node's one [`PlacementView`] and the liveness table
+//! inside it (routing reads them, nothing mirrors them), op routing (apply as primary
+//! / forward elsewhere), sequenced shipping to every live backup, chunked resync
+//! serving for recovering replicas, and epoch-stamped promotion when a primary dies
+//! (§3.5). Liveness enters through one call, [`DirectoryService::liveness`], which
+//! reconciles the directory once per piece of evidence; nothing else writes it, so a
+//! resync request is served only to a requester the table holds alive, and no frame
+//! revives a dead incarnation.
 //!
 //! **Who confirms.** A backup confirms each shipped op it applies straight to the op's
 //! origin, on arrival or when the resync stream it was buffered behind ends; a primary
@@ -15,12 +19,12 @@
 //! On the receiving side of a resync each fact lives once. Whether a hosted shard is
 //! resyncing, from whom, and how far its chunk stream got is that replica's
 //! [`super::replication::Resync`] record; whether this node is still resyncing after a
-//! restart is the view's `resyncing ∋ me`. Every frame of every stream — a chunk, or
-//! the retired full snapshot — becomes one [`ResyncFrame`] in one place, and every
-//! request for one leaves through one pull helper. The serving side keeps no state
-//! per stream: serving a chunk makes its requester a live backup in the view, shipped
-//! every op from then on, and the requester's last chunk replays what each chunk
-//! missed (the catch-up rule in [`super::replication`]).
+//! restart is its own table entry, alive but not readmitted. Every frame of every
+//! stream — a chunk, or the retired full snapshot — becomes one [`ResyncFrame`] in one
+//! place, and every request for one leaves through one pull helper. The serving side
+//! keeps no state per stream: a requester it serves is alive in its table, so a live
+//! backup shipped every op from its first chunk on, and the requester's last chunk
+//! replays what each chunk missed (the catch-up rule in [`super::replication`]).
 //!
 //! **One way in.** Every server-side directory frame — the eight client ops (see
 //! [`DirOp`]), `DirReplicate`, `DirSnapshotRequest`, the resync frames (tags 23 and
@@ -29,18 +33,20 @@
 //! the cluster before indexing anything and writes each directory counter into the
 //! caller's [`NodeMetrics`] where its event happens. The node, `metadata_scale` and
 //! the tests below all drive the service through it, so the plane can be driven and
-//! replayed on its own. What a resync request implies about its requester's
-//! liveness, and `DirResynced`, stay with the node: they are liveness evidence, not
-//! directory state.
+//! replayed on its own. What a resync request or a `DirResynced` claims about
+//! liveness the node reads off the frame and hands to [`DirectoryService::liveness`].
 
 use std::collections::BTreeMap;
 
 use crate::config::HopliteConfig;
+use crate::detector::GossipEntry;
+use crate::membership::{MemberDigestEntry, MembershipView, Transition};
 use crate::metrics::NodeMetrics;
 use crate::object::{NodeId, ObjectId, ObjectStatus};
 use crate::protocol::{DirOp, Message, ShardSnapshot};
+use crate::time::Time;
 
-use super::placement::{DirectoryPlacement, PlacementView, Rerouted};
+use super::placement::{DirectoryPlacement, PlacementView, Rerouted, Route};
 use super::replication::{
     confirm_of, ReplayOutcome, ReplicaRole, ResyncFrame, ResyncStep, ShardReplica,
 };
@@ -55,17 +61,27 @@ pub struct DirectoryService {
     /// Shard index -> this node's replica of it. `BTreeMap` so iteration order (and
     /// therefore promotion order on failure) is deterministic.
     replicas: BTreeMap<usize, ShardReplica>,
-    /// Set when the local resync completes, to the shards that regained a primary
-    /// with this node's own re-admission; the facade drains it with
-    /// [`DirectoryService::take_readmission`], re-drives those shards and broadcasts
-    /// `DirResynced`.
-    readmission: Option<Vec<usize>>,
+    /// Set when the local resync completes, to what this node's own readmission
+    /// re-routed that no liveness change re-drove; the facade drains it with
+    /// [`DirectoryService::take_readmission`] and broadcasts `DirResynced`.
+    readmission: Option<Rerouted>,
+}
+
+/// What one piece of liveness evidence did, net ([`DirectoryService::liveness`]).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Reconciled {
+    /// Each claim's transition, in claim order.
+    pub transitions: Vec<Transition>,
+    /// One entry per death claimed, in order: the §3.5 failure rules run once each.
+    pub departed: Vec<NodeId>,
+    /// The net route change, to re-drive once.
+    pub rerouted: Rerouted,
 }
 
 impl DirectoryService {
-    /// Create the service for node `me`, instantiating a replica for every shard the
-    /// placement assigns it.
-    pub fn new(me: NodeId, cfg: &HopliteConfig, nodes: &[NodeId]) -> Self {
+    /// Create the service for node `me`, running at `incarnation` (0 on cold boot),
+    /// instantiating a replica for every shard the placement assigns it.
+    pub fn new(me: NodeId, cfg: &HopliteConfig, nodes: &[NodeId], incarnation: u64) -> Self {
         let placement = DirectoryPlacement::from_config(cfg, nodes);
         let replicas = placement
             .shards_hosted_by(me)
@@ -79,7 +95,9 @@ impl DirectoryService {
                 (shard, ShardReplica::new(DirectoryShard::new(shard, cfg.clone()), role))
             })
             .collect();
-        DirectoryService { me, view: PlacementView::new(placement), replicas, readmission: None }
+        let table = MembershipView::new(me, nodes.len(), incarnation);
+        let view = PlacementView::new(placement, table);
+        DirectoryService { me, view, replicas, readmission: None }
     }
 
     /// The static placement in effect.
@@ -113,8 +131,9 @@ impl DirectoryService {
         self.replicas.get(&self.view.placement().shard_of(object)).map(|r| r.locations(object))
     }
 
-    /// Whether this node is mid-resync after a restart: the view holds it resyncing
-    /// from [`DirectoryService::begin_local_resync`] until its last stream completes.
+    /// Whether this node is mid-resync after a restart: its own table entry is not
+    /// readmitted from [`DirectoryService::begin_local_resync`] until its last stream
+    /// completes.
     pub fn is_resyncing(&self) -> bool {
         self.view.is_resyncing(self.me)
     }
@@ -165,11 +184,11 @@ impl DirectoryService {
                     self.shard(wire).filter(|&s| self.view.placement().hosts(requester, s));
                 if let Some(shard) = hosted {
                     match self.view.primary(shard) {
-                        Some(primary) if primary == self.me => {
+                        Some(primary) if primary == self.me && self.view.is_alive(requester) => {
                             self.serve_resync(shard, requester, after, metrics, out);
                         }
-                        Some(primary) if primary != requester => {
-                            let digest = Vec::new();
+                        Some(primary) if primary != self.me && primary != requester => {
+                            let digest = self.digest_if(restart);
                             let request = Message::DirSnapshotRequest {
                                 shard: wire,
                                 requester,
@@ -271,19 +290,18 @@ impl DirectoryService {
         }
     }
 
-    /// Serve one round of a recovering replica's resync as the shard's primary. What
-    /// the request implies about the requester's liveness — it is up, and crashed
-    /// first if it marks a restart — has already been folded into the view by the
-    /// node's evidence function, so a restarted node asking for its shard's state back
-    /// is never mistaken for the shard's leader and left wedged.
+    /// Serve one round of a resync to `requester`, which the table holds alive, as the
+    /// shard's primary. What the request claims about liveness — the requester's
+    /// incarnation, and the crash of the one before it when it marks a restart — has
+    /// already entered through [`DirectoryService::liveness`], so a restarted node
+    /// asking for its shard's state back is never mistaken for the shard's leader and
+    /// left wedged.
     ///
     /// Serving is **chunked and incremental**: every request gets exactly one bounded
     /// [`Message::DirSnapshotChunk`], consistent at the `seq` it carries, so chunks
     /// interleave with live op shipments and the source is never paused for O(objects)
-    /// time. From its first chunk on, the requester is a live backup in this view and
-    /// is shipped every op, which its last chunk replays where an earlier chunk missed
-    /// it. On the node path the requester's liveness evidence has already made it one;
-    /// this makes the rule hold for every caller of [`DirectoryService::handle`].
+    /// time. The requester, alive, is a live backup in this view and is shipped every
+    /// op, which its last chunk replays where an earlier chunk missed it.
     fn serve_resync(
         &mut self,
         shard: usize,
@@ -292,7 +310,6 @@ impl DirectoryService {
         metrics: &mut NodeMetrics,
         out: &mut Vec<(NodeId, Message)>,
     ) {
-        self.view.on_peer_recovered(requester);
         let rank = self.view.current_rank(shard) as u64;
         let replica = self.replicas.get(&shard).expect("primary hosts its shard");
         let budget = replica.shard().config().snapshot_chunk_bytes.max(1);
@@ -316,8 +333,8 @@ impl DirectoryService {
     /// Returns `true` when the stream completed here; when that also completes the
     /// node's local resync, a re-admission becomes pending — the caller checks
     /// [`DirectoryService::take_readmission`] after this (and after
-    /// [`DirectoryService::on_peer_failed`], which can also complete a resync by
-    /// abandoning a sourceless shard). Frames for a shard with no resync in flight and
+    /// [`DirectoryService::liveness`], which can also complete a resync by abandoning
+    /// a sourceless shard). Frames for a shard with no resync in flight and
     /// frames from a source this view considers dead are dropped: they are stragglers
     /// of an abandoned stream.
     fn handle_resync_frame(
@@ -343,21 +360,26 @@ impl DirectoryService {
             ResyncStep::Done(_) => {}
         }
         self.view.set_rank(shard, frame.rank);
-        self.maybe_complete_local_resync();
+        let routes = self.view.routes();
+        self.maybe_complete_local_resync(&routes);
         true
     }
 
     /// If the last outstanding stream was just installed or abandoned, finish the
-    /// local resync: become eligible again (the same epoch bump every peer applies on
-    /// `DirResynced`), promote wherever this node is now the shard's leader, and
-    /// queue the cluster-wide `DirResynced` announcement.
-    fn maybe_complete_local_resync(&mut self) {
+    /// local resync: readmit this node in its own table (the same epoch bump every
+    /// peer applies on `DirResynced`), promote wherever this node is now the shard's
+    /// leader, and queue the cluster-wide `DirResynced` announcement. Returns whether
+    /// it did.
+    fn maybe_complete_local_resync(&mut self, routes: &[Route]) -> bool {
         if !self.is_resyncing() || self.replicas.values().any(|r| r.resync().is_some()) {
-            return;
+            return false;
         }
-        let regained = self.view.on_peer_readmitted(self.me);
+        let incarnation = self.view.table().self_incarnation();
+        self.set_readmitted(self.me, incarnation, true);
+        self.view.readmitted(self.me);
         self.promote_where_leader();
-        self.readmission = Some(regained);
+        self.readmission = Some(self.view.rerouted(routes, &[]));
+        true
     }
 
     /// Promote any hosted Backup replica for a shard this node's view says it now
@@ -379,37 +401,63 @@ impl DirectoryService {
     }
 
     /// Take the pending re-admission, if the local resync just completed: the shards
-    /// that regained a primary with it. The facade re-drives those and broadcasts
-    /// `DirResynced` to every peer exactly once.
-    pub fn take_readmission(&mut self) -> Option<Vec<usize>> {
+    /// it re-routed that no liveness change has re-driven yet. The facade re-drives
+    /// those and broadcasts `DirResynced` to every peer exactly once.
+    pub fn take_readmission(&mut self) -> Option<Rerouted> {
         self.readmission.take()
     }
 
-    /// Digest a peer failure: update the leadership view, purge the dead node from
-    /// every hosted replica, promote this node's replicas wherever it just became the
-    /// shard's leader, and re-target any in-flight resync that was sourced from the
-    /// dead node. Returns the shards the failure re-routed (the re-drive set): their
-    /// primary moved off `peer` onto a survivor, or they lost it as a live backup.
-    pub fn on_peer_failed(&mut self, peer: NodeId, out: &mut Vec<(NodeId, Message)>) -> Rerouted {
-        let changed = self.view.on_peer_failed(peer);
-        let shards: Vec<usize> = self.replicas.keys().copied().collect();
-        for shard in shards {
-            let epoch = self.view.epoch(shard);
-            let leads = self.view.primary(shard) == Some(self.me);
-            let replica = self.replicas.get_mut(&shard).expect("iterating hosted shards");
-            replica.node_failed(peer);
-            if replica.role() == ReplicaRole::Backup && leads {
-                replica.promote_to(epoch);
-            }
+    /// The one way liveness enters the service: every claim of one piece of evidence,
+    /// applied to the table in order ([`MembershipView::claim`]), then `readmit`, a
+    /// `DirResynced`'s `(node, incarnation)`, which readmits only that incarnation
+    /// alive once the claims are in. Then the directory reconciles once, from the
+    /// table before and after: each death (one `Died` per death, in claim order) bumps
+    /// the epochs of the shards its node hosts, moves the rank cursor off those it led,
+    /// is purged from every hosted replica, promotes this node where it now leads and
+    /// re-targets the resyncs it was the source of (abandoning a sourceless one, which
+    /// can finish this node's own resync); each readmission bumps its node's shards'
+    /// epochs; and the net route change comes back, to re-drive once.
+    pub fn liveness(
+        &mut self,
+        claims: &[GossipEntry],
+        readmit: Option<(NodeId, u64)>,
+        now: Time,
+        out: &mut Vec<(NodeId, Message)>,
+    ) -> Reconciled {
+        let before = self.view.table().clone();
+        let mut departed = Vec::new();
+        let transitions: Vec<Transition> = claims
+            .iter()
+            .map(|&(node, incarnation, state)| {
+                let transition = self.view.table.claim(node, incarnation, state, now);
+                if transition == Transition::Died {
+                    departed.push(node);
+                }
+                transition
+            })
+            .collect();
+        let readmitted = readmit
+            .filter(|&(node, _)| node != self.me)
+            .is_some_and(|(node, incarnation)| self.set_readmitted(node, incarnation, true));
+        if departed.is_empty() && !readmitted && !transitions.iter().any(|t| t.changed()) {
+            return Reconciled { transitions, ..Reconciled::default() };
         }
-        // Re-target interrupted resyncs whose source died. The stream starts over at
-        // the new source: seqs of two primacies do not compare. With no surviving
-        // source the shard's metadata is lost; stop waiting so the node can still
-        // finish its overall resync.
+        // The routes as they stood before the claims.
+        let after = std::mem::replace(&mut self.view.table, before);
+        let routes = self.view.routes();
+        let before = std::mem::replace(&mut self.view.table, after);
+        self.view.depart(&routes, &departed);
+        for replica in self.replicas.values_mut() {
+            departed.iter().for_each(|&peer| replica.node_failed(peer));
+        }
+        self.promote_where_leader();
+        // A stream whose source died starts over at the new source (seqs of two
+        // primacies do not compare); with none left, the shard's metadata is lost and
+        // the stream is abandoned, so the node can still finish its own resync.
         let stranded: Vec<usize> = self
             .replicas
             .iter()
-            .filter(|(_, r)| r.resync().is_some_and(|resync| resync.source == peer))
+            .filter(|(_, r)| r.resync().is_some_and(|resync| departed.contains(&resync.source)))
             .map(|(&shard, _)| shard)
             .collect();
         for shard in stranded {
@@ -419,36 +467,37 @@ impl DirectoryService {
                 self.request_resync(shard, primary, restart, out);
             }
         }
-        // Every outstanding stream may now be installed or abandoned; if so, finish
-        // the local resync (which also promotes wherever this node became leader and
-        // queues the re-admission announcement).
-        self.maybe_complete_local_resync();
-        changed
-    }
-
-    /// A peer is back (alive again, resyncing — shipped to, not yet a primary
-    /// candidate). Returns the shards that gained it as a live backup (the re-drive
-    /// set).
-    pub fn on_peer_recovered(&mut self, peer: NodeId) -> Rerouted {
-        self.view.on_peer_recovered(peer)
-    }
-
-    /// Digest a peer's catch-up announcement (full replica again). Returns the shards
-    /// that regained a primary with this re-admission (the re-drive set). Nothing is
-    /// re-shipped: a primary shipped the peer every op from its stream's first chunk
-    /// on. An announcement naming this node changes nothing: it is re-admitted only by
-    /// its own resync completing.
-    pub fn on_peer_readmitted(&mut self, peer: NodeId) -> Vec<usize> {
-        if peer == self.me {
-            return Vec::new();
+        // This node's own readmission, if that finished its resync, is in the net
+        // change: the announcement stays queued, with nothing left to re-drive.
+        if self.maybe_complete_local_resync(&routes) {
+            self.readmission = Some(Rerouted::default());
         }
-        self.view.on_peer_readmitted(peer)
+        for peer in self.view.placement().nodes().to_vec() {
+            let table = self.view.table();
+            let back = !before.is_readmitted(peer) || departed.contains(&peer);
+            if peer != self.me && table.is_readmitted(peer) && back {
+                self.view.readmitted(peer);
+            }
+        }
+        let rerouted = self.view.rerouted(&routes, &departed);
+        Reconciled { transitions, departed, rerouted }
     }
 
-    /// Start recovery after a restart: demote every hosted replica, mark this node
-    /// resyncing, and request a snapshot of each hosted shard from another replica.
-    /// Returns `false` when there is nothing to resync from (single-replica shards
-    /// only), in which case the node proceeds as a cold-started primary.
+    /// Refute a suspicion or death claimed about this node at `evidence_incarnation`
+    /// or later ([`MembershipView::refute`]); the new incarnation.
+    pub fn refute(&mut self, evidence_incarnation: u64) -> u64 {
+        self.view.table.refute(evidence_incarnation)
+    }
+
+    /// The one write of readmission into the table ([`MembershipView::readmit`]).
+    fn set_readmitted(&mut self, node: NodeId, incarnation: u64, readmitted: bool) -> bool {
+        self.view.table.readmit(node, incarnation, readmitted)
+    }
+
+    /// Start recovery after a restart: request a snapshot of each hosted shard from
+    /// another replica, and stand not readmitted in this node's own table until the
+    /// last stream completes. Returns `false` when there is nothing to resync from
+    /// (single-replica shards only): the node stays readmitted, a cold-started primary.
     pub fn begin_local_resync(&mut self, out: &mut Vec<(NodeId, Message)>) -> bool {
         let shards: Vec<usize> = self.replicas.keys().copied().collect();
         let mut any = false;
@@ -460,14 +509,16 @@ impl DirectoryService {
             self.request_resync(shard, source, true, out);
         }
         if any {
-            self.view.begin_self_resync(self.me);
+            let incarnation = self.view.table().self_incarnation();
+            self.set_readmitted(self.me, incarnation, false);
         }
         any
     }
 
     /// Ask `source` for the next chunk of `shard`'s resync — opening it, re-targeting
     /// it after a source death, starting it over, or pulling mid-stream — from the
-    /// replica's chunk stream cursor.
+    /// replica's chunk stream cursor. A restart-flagged request carries this node's
+    /// digest, so the source can teach it the deaths it slept through.
     fn request_resync(
         &mut self,
         shard: usize,
@@ -475,12 +526,22 @@ impl DirectoryService {
         restart: bool,
         out: &mut Vec<(NodeId, Message)>,
     ) {
+        let digest = self.digest_if(restart);
         let replica = self.replicas.get_mut(&shard).expect("resyncs are of hosted shards");
         let after = replica.begin_resync(source);
-        let (requester, digest) = (self.me, Vec::new());
+        let requester = self.me;
         let request =
             Message::DirSnapshotRequest { shard: shard as u64, requester, restart, after, digest };
         out.push((source, request));
+    }
+
+    /// The table's digest for a restart-flagged resync request, empty for any other.
+    fn digest_if(&self, restart: bool) -> Vec<MemberDigestEntry> {
+        if restart {
+            self.view.table().digest()
+        } else {
+            Vec::new()
+        }
     }
 
     /// Drain the inline-eviction count across every hosted replica.
@@ -521,12 +582,36 @@ pub(crate) fn resync_frame(msg: &Message) -> Option<(u64, u64, ResyncFrame<'_>, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detector::GossipState::{Alive, Dead};
     use crate::protocol::{ConfirmKind, QueryResult};
 
+    const T: Time = Time::ZERO;
+
+    /// Liveness, stated through the one claim entry point as the node states it.
     impl DirectoryService {
         /// Submit a client op here, as `handle` does; whether it was applied here.
         fn submit(&mut self, op: DirOp, out: &mut Vec<(NodeId, Message)>) -> bool {
             self.handle_op(op, &mut NodeMetrics::default(), out)
+        }
+
+        /// `peer`'s current incarnation died (a verdict naming it).
+        fn fail(&mut self, peer: NodeId, out: &mut Vec<(NodeId, Message)>) -> Rerouted {
+            let incarnation = self.view().table().incarnation_of(peer);
+            self.liveness(&[(peer, incarnation, Dead)], None, T, out).rerouted
+        }
+
+        /// `peer` is up at the incarnation after the one held: back from the dead and
+        /// resyncing, as a restarted node's requests say.
+        fn recover(&mut self, peer: NodeId) -> Rerouted {
+            let incarnation = self.view().table().incarnation_of(peer) + 1;
+            self.liveness(&[(peer, incarnation, Alive)], None, T, &mut Vec::new()).rerouted
+        }
+
+        /// `peer`'s current incarnation announced its resync complete (`DirResynced`).
+        fn readmit(&mut self, peer: NodeId) -> Rerouted {
+            let incarnation = self.view().table().incarnation_of(peer);
+            let claim = [(peer, incarnation, Alive)];
+            self.liveness(&claim, Some((peer, incarnation)), T, &mut Vec::new()).rerouted
         }
     }
 
@@ -560,10 +645,9 @@ mod tests {
         Message::DirSnapshotRequest { shard, requester, restart, after, digest }
     }
 
-    /// Deliver one frame to `svc` the way the node does: a resync request is first
-    /// evidence about its requester, folded into the view (a restart request from a
-    /// peer held healthy is a failure; any request is a recovery); then the service
-    /// takes the frame.
+    /// Deliver one frame to `svc` the way the node does: a resync request's digest is
+    /// first evidence, claimed through the one entry point (with, on a restart, the
+    /// crash of the requester's last incarnation); then the service takes the frame.
     fn deliver_to(
         svc: &mut DirectoryService,
         metrics: &mut NodeMetrics,
@@ -571,11 +655,9 @@ mod tests {
         msg: Message,
         out: &mut Vec<(NodeId, Message)>,
     ) {
-        if let Message::DirSnapshotRequest { requester, restart, .. } = msg {
-            if restart && svc.view().is_alive(requester) && !svc.view().is_resyncing(requester) {
-                svc.on_peer_failed(requester, out);
-            }
-            svc.on_peer_recovered(requester);
+        if let Message::DirSnapshotRequest { requester, restart, ref digest, .. } = msg {
+            let claims = svc.view().table().digest_claims(digest, restart.then_some(requester));
+            svc.liveness(&claims, None, T, out);
         }
         if let Some(other) = svc.handle(from, msg, metrics, out) {
             panic!("not a directory frame: {other:?}");
@@ -588,7 +670,7 @@ mod tests {
         // shard 0 in the replica-set arithmetic, so without the range check a restart
         // request for it from node 0 would index past the leadership view.
         let cfg = HopliteConfig::small_for_tests();
-        let mut svc = DirectoryService::new(NodeId(1), &cfg, &nodes(4));
+        let mut svc = DirectoryService::new(NodeId(1), &cfg, &nodes(4), 0);
         let mut metrics = NodeMetrics::default();
         let o = obj_in_shard(&svc, 0);
         let op = reg(o, 2);
@@ -652,7 +734,7 @@ mod tests {
             let lo = u64::from_le_bytes(o.0[..8].try_into().unwrap());
             let hi = u64::from_le_bytes(o.0[8..].try_into().unwrap());
             let shard = ((splitmix(lo ^ splitmix(hi)) as u128 * 7) >> 64) as u32;
-            let view = PlacementView::new(p.clone());
+            let view = PlacementView::new(p.clone(), MembershipView::new(NodeId(0), 7, 0));
             assert_eq!(view.primary_for(o), Some(NodeId(shard)), "{name}");
         }
     }
@@ -705,46 +787,48 @@ mod tests {
 
     #[test]
     fn view_primary_skips_failed_replicas_and_counts_epochs() {
-        let mut v = PlacementView::new(DirectoryPlacement::new(nodes(4), 3));
-        assert_eq!(v.primary(1), Some(NodeId(1)));
-        assert_eq!(v.epoch(1), 0);
-        v.on_peer_failed(NodeId(1));
-        assert_eq!(v.primary(1), Some(NodeId(2)));
-        assert_eq!(v.epoch(1), 1);
-        v.on_peer_failed(NodeId(2));
-        assert_eq!(v.primary(1), Some(NodeId(3)));
-        assert_eq!(v.epoch(1), 2);
-        v.on_peer_failed(NodeId(3));
-        assert_eq!(v.primary(1), None, "all replicas dead");
-        assert_eq!(v.epoch(1), 3);
+        // Node 0's view of shard 1 (replicas [1, 2, 3]), which it does not host.
+        let cfg = HopliteConfig { directory_replication: 3, ..HopliteConfig::small_for_tests() };
+        let mut svc = DirectoryService::new(NodeId(0), &cfg, &nodes(4), 0);
+        let v = |svc: &DirectoryService| (svc.view().primary(1), svc.view().epoch(1));
+        assert_eq!(v(&svc), (Some(NodeId(1)), 0));
+        svc.fail(NodeId(1), &mut Vec::new());
+        assert_eq!(v(&svc), (Some(NodeId(2)), 1));
+        svc.fail(NodeId(2), &mut Vec::new());
+        assert_eq!(v(&svc), (Some(NodeId(3)), 2));
+        svc.fail(NodeId(3), &mut Vec::new());
+        assert_eq!(v(&svc), (None, 3), "all replicas dead");
     }
 
     #[test]
     fn readmitted_node_does_not_fail_back_but_leads_again_after_the_next_failure() {
-        // Shard 0 on a 3-node cluster with r = 2: replicas [0, 1].
-        let mut v = PlacementView::new(DirectoryPlacement::new(nodes(3), 2));
-        assert_eq!(v.primary(0), Some(NodeId(0)));
-        v.on_peer_failed(NodeId(0));
-        assert_eq!(v.primary(0), Some(NodeId(1)));
+        // Node 2's view of shard 0 on a 3-node cluster with r = 2: replicas [0, 1].
+        let cfg = HopliteConfig::small_for_tests();
+        let mut svc = DirectoryService::new(NodeId(2), &cfg, &nodes(3), 0);
+        assert_eq!(svc.view().primary(0), Some(NodeId(0)));
+        svc.fail(NodeId(0), &mut Vec::new());
+        assert_eq!(svc.view().primary(0), Some(NodeId(1)));
         // Node 0 recovers: still not a candidate while resyncing.
-        v.on_peer_recovered(NodeId(0));
-        assert_eq!(v.primary(0), Some(NodeId(1)));
+        svc.recover(NodeId(0));
+        assert!(svc.view().is_resyncing(NodeId(0)));
+        assert_eq!(svc.view().primary(0), Some(NodeId(1)));
         // Re-admission: eligible again, but the cursor does not rewind — no fail-back.
-        v.on_peer_readmitted(NodeId(0));
-        assert_eq!(v.primary(0), Some(NodeId(1)), "no automatic fail-back");
-        let e = v.epoch(0);
+        svc.readmit(NodeId(0));
+        assert!(!svc.view().is_resyncing(NodeId(0)));
+        assert_eq!(svc.view().primary(0), Some(NodeId(1)), "no automatic fail-back");
+        let e = svc.view().epoch(0);
         // When the interim primary dies, leadership cycles back to the restarted node
         // with a strictly higher epoch.
-        v.on_peer_failed(NodeId(1));
-        assert_eq!(v.primary(0), Some(NodeId(0)), "restarted node leads again");
-        assert!(v.epoch(0) > e);
+        svc.fail(NodeId(1), &mut Vec::new());
+        assert_eq!(svc.view().primary(0), Some(NodeId(0)), "restarted node leads again");
+        assert!(svc.view().epoch(0) > e);
     }
 
     #[test]
     fn service_applies_as_primary_ships_the_sequenced_log_and_confirms() {
         let cfg = HopliteConfig::small_for_tests();
         let ns = nodes(4);
-        let mut svc = DirectoryService::new(NodeId(0), &cfg, &ns);
+        let mut svc = DirectoryService::new(NodeId(0), &cfg, &ns, 0);
         let o = obj_in_shard(&svc, 0);
         let mut out = Vec::new();
         assert!(svc.submit(reg(o, 2), &mut out));
@@ -763,7 +847,7 @@ mod tests {
         assert!(!out.iter().any(|(_, m)| matches!(m, Message::DirConfirm { .. })), "{out:?}");
         // The backup applies the shipment and confirms it to the origin (node 2)
         // itself; nothing goes back to the primary.
-        let mut backup_svc = DirectoryService::new(NodeId(1), &cfg, &ns);
+        let mut backup_svc = DirectoryService::new(NodeId(1), &cfg, &ns, 0);
         let mut sent = Vec::new();
         for (_, msg) in out {
             let mut metrics = NodeMetrics::default();
@@ -783,9 +867,10 @@ mod tests {
             NodeId(0),
             &HopliteConfig { directory_replication: 1, ..cfg.clone() },
             &nodes(2),
+            0,
         );
-        let mut orphaned = DirectoryService::new(NodeId(0), &cfg, &nodes(2));
-        orphaned.on_peer_failed(NodeId(1), &mut Vec::new());
+        let mut orphaned = DirectoryService::new(NodeId(0), &cfg, &nodes(2), 0);
+        orphaned.fail(NodeId(1), &mut Vec::new());
         for mut svc in [lone, orphaned] {
             let o = obj_in_shard(&svc, 0);
             let mut out = Vec::new();
@@ -798,7 +883,7 @@ mod tests {
     fn non_primary_forwards_to_the_believed_primary() {
         let cfg = HopliteConfig::small_for_tests();
         let ns = nodes(4);
-        let mut svc = DirectoryService::new(NodeId(3), &cfg, &ns);
+        let mut svc = DirectoryService::new(NodeId(3), &cfg, &ns, 0);
         let o = obj_in_shard(&svc, 1);
         let mut out = Vec::new();
         let applied = svc.submit(DirOp::Subscribe { object: o, subscriber: NodeId(3) }, &mut out);
@@ -813,7 +898,7 @@ mod tests {
         let cfg = HopliteConfig::small_for_tests();
         let ns = nodes(3);
         // Node 1 backs up shard 0 (replica set [0, 1]).
-        let mut svc = DirectoryService::new(NodeId(1), &cfg, &ns);
+        let mut svc = DirectoryService::new(NodeId(1), &cfg, &ns, 0);
         let o = obj_in_shard(&svc, 0);
         // Replicated state arrives from the primary before it dies, and is confirmed
         // to its origin (node 2), not acked to the primary.
@@ -822,7 +907,7 @@ mod tests {
         let kind = ConfirmKind::Location { status: ObjectStatus::Complete };
         assert_eq!(out, vec![(NodeId(2), Message::DirConfirm { object: o, kind })]);
         out.clear();
-        let changed = svc.on_peer_failed(NodeId(0), &mut out);
+        let changed = svc.fail(NodeId(0), &mut out);
         assert_eq!(changed.moved, vec![0], "shard 0 failed over");
         assert_eq!(changed.backups, vec![2], "shard 2 only lost its backup");
         assert_eq!(svc.primary_for(o), Some(NodeId(1)));
@@ -845,8 +930,8 @@ mod tests {
         // of any kind.
         let cfg = HopliteConfig::small_for_tests();
         let ns = nodes(3);
-        let mut primary_svc = DirectoryService::new(NodeId(0), &cfg, &ns);
-        let mut backup_svc = DirectoryService::new(NodeId(1), &cfg, &ns);
+        let mut primary_svc = DirectoryService::new(NodeId(0), &cfg, &ns, 0);
+        let mut backup_svc = DirectoryService::new(NodeId(1), &cfg, &ns, 0);
         // Five distinct objects, all in shard 0.
         let objects: Vec<ObjectId> = (0u64..)
             .map(|k| obj(&format!("gagged-{k}")))
@@ -869,7 +954,7 @@ mod tests {
             }
         }
         // The primary dies. Nobody re-drives anything.
-        backup_svc.on_peer_failed(NodeId(0), &mut Vec::new());
+        backup_svc.fail(NodeId(0), &mut Vec::new());
         for &o in &objects {
             assert_eq!(
                 backup_svc.locations(o).map(|l| l.len()),
@@ -888,17 +973,20 @@ mod tests {
         // replicas must be *promoted*, not left as Backups the cluster routes to.
         let cfg = HopliteConfig::small_for_tests();
         let ns = nodes(3);
-        let mut restarted = DirectoryService::new(NodeId(0), &cfg, &ns);
+        let mut restarted = DirectoryService::new(NodeId(0), &cfg, &ns, 1);
         let mut requests = Vec::new();
         assert!(restarted.begin_local_resync(&mut requests));
         let mut out = Vec::new();
-        restarted.on_peer_failed(NodeId(1), &mut out); // shard 0's source
+        restarted.fail(NodeId(1), &mut out); // shard 0's source
         assert!(restarted.is_resyncing(), "shard 2's snapshot still outstanding");
         assert!(restarted.take_readmission().is_none());
-        restarted.on_peer_failed(NodeId(2), &mut out); // shard 2's source
+        let rerouted = restarted.fail(NodeId(2), &mut out); // shard 2's source
         assert!(!restarted.is_resyncing(), "no sources left: resync completes");
-        let regained = restarted.take_readmission().expect("DirResynced must be broadcast");
-        assert_eq!(regained, vec![0, 2], "both leaderless shards regained a primary: this node");
+        // The one net route change covers the readmission: both hosted shards now have
+        // this node as primary, shard 0 leaderless before, shard 2 led by the dead node.
+        assert_eq!(rerouted.moved, vec![0, 2], "both hosted shards re-routed to this node");
+        let pending = restarted.take_readmission().expect("DirResynced must be broadcast");
+        assert!(pending.is_empty(), "re-driven once, by the liveness change");
         assert!(restarted.take_readmission().is_none(), "announced exactly once");
         // Both hosted shards are now led — and *servable* — by node 0.
         for shard in [0usize, 2] {
@@ -915,18 +1003,26 @@ mod tests {
     fn restart_request_from_a_believed_primary_is_served_not_dropped() {
         // Node 0 crashes and restarts *before* the failure detector tells node 1.
         // Node 1 still believes node 0 leads shard 0, so node 0's restart snapshot
-        // request must itself carry the news: with the implied failure folded in
-        // (by the node's evidence function, mirrored by `deliver_to`)
-        // node 1 promotes itself and serves the snapshot — instead of silently
-        // dropping the request and wedging node 0 in resync forever.
+        // request must itself carry the news: its digest names incarnation 1, and with
+        // the crash of incarnation 0 that implies claimed (by the node's evidence
+        // function, mirrored by `deliver_to`) node 1 promotes itself and serves the
+        // snapshot — instead of silently dropping the request and wedging node 0 in
+        // resync forever.
         let cfg = HopliteConfig::small_for_tests();
         let ns = nodes(3);
-        let mut survivor = DirectoryService::new(NodeId(1), &cfg, &ns);
+        let mut survivor = DirectoryService::new(NodeId(1), &cfg, &ns, 0);
         let o = obj_in_shard(&survivor, 0);
         assert_eq!(survivor.primary_for(o), Some(NodeId(0)), "failure not yet detected");
+        let mut requests = Vec::new();
+        assert!(DirectoryService::new(NodeId(0), &cfg, &ns, 1).begin_local_resync(&mut requests));
+        let restart = requests
+            .into_iter()
+            .find_map(|(_, m)| {
+                matches!(m, Message::DirSnapshotRequest { shard: 0, .. }).then_some(m)
+            })
+            .expect("a restart request for shard 0");
         let mut out = Vec::new();
         let mut metrics = NodeMetrics::default();
-        let restart = request(0, NodeId(0), true);
         deliver_to(&mut survivor, &mut metrics, NodeId(0), restart, &mut out);
         assert_eq!(survivor.primary_for(o), Some(NodeId(1)), "implied failure folded in");
         assert_eq!(survivor.replica(0).unwrap().role(), ReplicaRole::Primary);
@@ -935,12 +1031,13 @@ mod tests {
                 && matches!(m, Message::DirSnapshotChunk { shard: 0, done: true, .. })),
             "resync served to the restarted node: {out:?}"
         );
-        // The detector's own notices, arriving later, are harmless: the failure is
-        // a no-op for an already-resyncing peer's shards' leadership.
-        let changed = survivor.on_peer_failed(NodeId(0), &mut out);
-        assert!(changed.moved.is_empty(), "already failed over");
+        // The detector's own verdict about incarnation 0, arriving later, is stale.
+        let verdict = [(NodeId(0), 0, Dead)];
+        let late = survivor.liveness(&verdict, None, T, &mut out);
+        assert_eq!(late.transitions, vec![Transition::Stale]);
+        assert_eq!(late.rerouted, Rerouted::default(), "already failed over");
         // A *gap* catch-up request from a live backup must not depose anyone.
-        let mut survivor2 = DirectoryService::new(NodeId(1), &cfg, &ns);
+        let mut survivor2 = DirectoryService::new(NodeId(1), &cfg, &ns, 0);
         let mut out2 = Vec::new();
         let gap = request(1, NodeId(2), false);
         deliver_to(&mut survivor2, &mut metrics, NodeId(2), gap, &mut out2);
@@ -949,23 +1046,24 @@ mod tests {
 
     #[test]
     fn readmission_returns_the_leaderless_shards_for_redrive() {
-        // Shard 1 replicas [1, 2] on a 3-node cluster. Both die; the shard is
-        // leaderless. When node 1 is readmitted (restarted + resynced from nothing),
-        // the view must report shard 1 as regained so clients re-drive their
-        // unconfirmed intents at it.
-        let mut v = PlacementView::new(DirectoryPlacement::new(nodes(3), 2));
-        v.on_peer_failed(NodeId(1));
-        v.on_peer_failed(NodeId(2));
-        assert_eq!(v.primary(1), None);
-        let e = v.epoch(1);
-        v.on_peer_recovered(NodeId(1));
-        assert_eq!(v.primary(1), None, "resyncing nodes do not lead");
-        let regained = v.on_peer_readmitted(NodeId(1));
-        assert_eq!(regained, vec![1], "shard 1 went leaderless -> led");
-        assert_eq!(v.primary(1), Some(NodeId(1)));
-        assert!(v.epoch(1) > e);
+        // Node 0's view of shard 1, replicas [1, 2] on a 3-node cluster. Both die; the
+        // shard is leaderless. When node 1 is readmitted (restarted + resynced from
+        // nothing), the net route change must name shard 1 as moved so clients
+        // re-drive their unconfirmed intents at it.
+        let cfg = HopliteConfig::small_for_tests();
+        let mut svc = DirectoryService::new(NodeId(0), &cfg, &nodes(3), 0);
+        svc.fail(NodeId(1), &mut Vec::new());
+        svc.fail(NodeId(2), &mut Vec::new());
+        assert_eq!(svc.view().primary(1), None);
+        let e = svc.view().epoch(1);
+        svc.recover(NodeId(1));
+        assert_eq!(svc.view().primary(1), None, "resyncing nodes do not lead");
+        let regained = svc.readmit(NodeId(1));
+        assert_eq!(regained, Rerouted { moved: vec![1], backups: vec![] }, "leaderless -> led");
+        assert_eq!(svc.view().primary(1), Some(NodeId(1)));
+        assert!(svc.view().epoch(1) > e);
         // A readmission that does not change any primary regains nothing.
-        assert_eq!(v.on_peer_readmitted(NodeId(1)), Vec::<usize>::new());
+        assert_eq!(svc.readmit(NodeId(1)), Rerouted::default());
     }
 
     #[test]
@@ -976,17 +1074,17 @@ mod tests {
         // Node 0 dies; node 1 promotes shard 0 and accumulates state; node 0 restarts
         // and resyncs both hosted shards.
         let mut svcs: Vec<DirectoryService> =
-            (0..3).map(|i| DirectoryService::new(NodeId(i), &cfg, &ns)).collect();
+            (0..3).map(|i| DirectoryService::new(NodeId(i), &cfg, &ns, 0)).collect();
         let mut m = vec![NodeMetrics::default(); 3];
         let mut out = Vec::new();
-        svcs[1].on_peer_failed(NodeId(0), &mut out);
-        svcs[2].on_peer_failed(NodeId(0), &mut out);
+        svcs[1].fail(NodeId(0), &mut out);
+        svcs[2].fail(NodeId(0), &mut out);
         let o = obj_in_shard(&svcs[1], 0);
         assert!(svcs[1].submit(reg(o, 2), &mut out));
         out.clear();
 
         // Node 0 restarts empty and begins recovery.
-        svcs[0] = DirectoryService::new(NodeId(0), &cfg, &ns);
+        svcs[0] = DirectoryService::new(NodeId(0), &cfg, &ns, 1);
         let mut requests = Vec::new();
         assert!(svcs[0].begin_local_resync(&mut requests));
         assert!(svcs[0].is_resyncing());
@@ -1009,8 +1107,8 @@ mod tests {
         assert_eq!(restarted.primary_for(o), Some(NodeId(1)));
         // Survivor readmits node 0; when the survivor later dies, node 0 leads again
         // at a strictly higher epoch.
-        svcs[1].on_peer_readmitted(NodeId(0));
-        let changed = svcs[0].on_peer_failed(NodeId(1), &mut Vec::new());
+        svcs[1].readmit(NodeId(0));
+        let changed = svcs[0].fail(NodeId(1), &mut Vec::new());
         assert!(changed.moved.contains(&0), "restarted node serves as primary again");
         assert!(svcs[0].is_primary_for(o));
         assert!(svcs[0].replica(0).unwrap().epoch() >= 2);
@@ -1020,7 +1118,7 @@ mod tests {
     fn r3_primary_ships_every_op_to_every_live_backup() {
         let cfg = HopliteConfig { directory_replication: 3, ..HopliteConfig::small_for_tests() };
         let ns = nodes(3);
-        let mut p = DirectoryService::new(NodeId(0), &cfg, &ns);
+        let mut p = DirectoryService::new(NodeId(0), &cfg, &ns, 0);
         let o = obj_in_shard(&p, 0);
         let mut out = Vec::new();
         assert!(p.submit(reg(o, 1), &mut out));
@@ -1035,7 +1133,7 @@ mod tests {
         assert!(!out.iter().any(|(_, m)| matches!(m, Message::DirConfirm { .. })), "{out:?}");
         let kind = ConfirmKind::Location { status: ObjectStatus::Complete };
         for backup in [1, 2] {
-            let mut svc = DirectoryService::new(NodeId(backup), &cfg, &ns);
+            let mut svc = DirectoryService::new(NodeId(backup), &cfg, &ns, 0);
             let mut sent = Vec::new();
             for (_, msg) in out.iter().filter(|(to, _)| *to == NodeId(backup)) {
                 let mut metrics = NodeMetrics::default();
@@ -1044,7 +1142,7 @@ mod tests {
             assert_eq!(sent, vec![(NodeId(1), Message::DirConfirm { object: o, kind })]);
         }
         // A dead backup stops being shipped to.
-        p.on_peer_failed(NodeId(2), &mut Vec::new());
+        p.fail(NodeId(2), &mut Vec::new());
         out.clear();
         assert!(p.submit(reg(obj_in_shard(&p, 0), 1), &mut out));
         assert!(!out.iter().any(|(to, _)| *to == NodeId(2)), "dead backup not shipped to");
@@ -1080,7 +1178,7 @@ mod tests {
         let cfg = HopliteConfig::small_for_tests();
         let ns = nodes(3);
         let mut svcs: Vec<DirectoryService> =
-            (0..2).map(|i| DirectoryService::new(NodeId(i), &cfg, &ns)).collect();
+            (0..2).map(|i| DirectoryService::new(NodeId(i), &cfg, &ns, 0)).collect();
         let mut m = vec![NodeMetrics::default(); 2];
         let objects: Vec<ObjectId> = (0u64..)
             .map(|k| obj(&format!("gap-{k}")))
@@ -1149,7 +1247,7 @@ mod tests {
         let cfg = HopliteConfig { snapshot_chunk_bytes: 64, ..HopliteConfig::small_for_tests() };
         let ns = nodes(3);
         let mut svcs: Vec<DirectoryService> =
-            (0..2).map(|i| DirectoryService::new(NodeId(i), &cfg, &ns)).collect();
+            (0..2).map(|i| DirectoryService::new(NodeId(i), &cfg, &ns, 0)).collect();
         let mut m = vec![NodeMetrics::default(); 2];
         let objects: Vec<ObjectId> = (0u64..)
             .map(|k| obj(&format!("mid-{k}")))
@@ -1189,7 +1287,7 @@ mod tests {
         for (from, to, msg) in deliver(&mut svcs, &mut m, *from, *to, msg.clone()) {
             deliver(&mut svcs, &mut m, from, to, msg);
         }
-        svcs[1].on_peer_failed(NodeId(0), &mut Vec::new());
+        svcs[1].fail(NodeId(0), &mut Vec::new());
         let replica = svcs[1].replica(0).unwrap();
         assert_eq!(replica.role(), ReplicaRole::Primary);
         assert_eq!(replica.resync(), None);
@@ -1206,10 +1304,10 @@ mod tests {
         let cfg = HopliteConfig { snapshot_chunk_bytes: 256, ..HopliteConfig::small_for_tests() };
         let ns = nodes(2);
         let mut svcs: Vec<DirectoryService> =
-            (0..2).map(|i| DirectoryService::new(NodeId(i), &cfg, &ns)).collect();
+            (0..2).map(|i| DirectoryService::new(NodeId(i), &cfg, &ns, 0)).collect();
         let mut m = vec![NodeMetrics::default(); 2];
         // Node 0 dies; node 1 promotes shard 0 (epoch 1) and leads everything.
-        svcs[1].on_peer_failed(NodeId(0), &mut Vec::new());
+        svcs[1].fail(NodeId(0), &mut Vec::new());
         let mut objects = Vec::new();
         for shard in 0..2usize {
             objects.extend(
@@ -1225,7 +1323,7 @@ mod tests {
         }
         scratch.clear();
         // Node 0 restarts empty and resyncs both shards it hosts by chunks.
-        svcs[0] = DirectoryService::new(NodeId(0), &cfg, &ns);
+        svcs[0] = DirectoryService::new(NodeId(0), &cfg, &ns, 1);
         let mut requests = Vec::new();
         assert!(svcs[0].begin_local_resync(&mut requests));
         let mut queue: Vec<(NodeId, NodeId, Message)> =
@@ -1294,12 +1392,12 @@ mod tests {
         let cfg = HopliteConfig { snapshot_chunk_bytes: 256, ..HopliteConfig::small_for_tests() };
         let ns = nodes(2);
         let mut svcs: Vec<DirectoryService> =
-            (0..2).map(|i| DirectoryService::new(NodeId(i), &cfg, &ns)).collect();
-        svcs[0].on_peer_failed(NodeId(1), &mut Vec::new());
+            (0..2).map(|i| DirectoryService::new(NodeId(i), &cfg, &ns, 0)).collect();
+        svcs[0].fail(NodeId(1), &mut Vec::new());
         for &o in objects {
             assert!(svcs[0].submit(reg(o, 0), &mut Vec::new()));
         }
-        svcs[1] = DirectoryService::new(NodeId(1), &cfg, &ns);
+        svcs[1] = DirectoryService::new(NodeId(1), &cfg, &ns, 1);
         let mut out = Vec::new();
         assert!(svcs[1].begin_local_resync(&mut out));
         let queue = out.into_iter().map(|(to, m)| (NodeId(1), to, m)).collect();
@@ -1315,7 +1413,8 @@ mod tests {
 
     #[test]
     fn a_lost_mid_stream_shipment_starts_the_stream_over() {
-        let probe = DirectoryService::new(NodeId(0), &HopliteConfig::small_for_tests(), &nodes(2));
+        let probe =
+            DirectoryService::new(NodeId(0), &HopliteConfig::small_for_tests(), &nodes(2), 0);
         let objects: Vec<ObjectId> = (0u64..)
             .map(|k| obj(&format!("lost-{k}")))
             .filter(|&o| probe.placement().shard_of(o) == 0)
@@ -1356,7 +1455,8 @@ mod tests {
 
     #[test]
     fn a_resyncing_backup_confirms_the_ops_it_replays_when_its_stream_ends() {
-        let probe = DirectoryService::new(NodeId(0), &HopliteConfig::small_for_tests(), &nodes(2));
+        let probe =
+            DirectoryService::new(NodeId(0), &HopliteConfig::small_for_tests(), &nodes(2), 0);
         let objects: Vec<ObjectId> = (0u64..)
             .map(|k| obj(&format!("replayed-{k}")))
             .filter(|&o| probe.placement().shard_of(o) == 0)
@@ -1407,7 +1507,7 @@ mod tests {
         };
         let ns = nodes(3);
         let mut svcs: Vec<DirectoryService> =
-            (0..3).map(|i| DirectoryService::new(NodeId(i), &cfg, &ns)).collect();
+            (0..3).map(|i| DirectoryService::new(NodeId(i), &cfg, &ns, 0)).collect();
         let mut m = vec![NodeMetrics::default(); 3];
         let objects: Vec<ObjectId> = (0u64..)
             .map(|k| obj(&format!("resume-{k}")))
@@ -1424,10 +1524,10 @@ mod tests {
             }
         }
         // Node 1 dies and restarts empty; survivors digest the failure.
-        svcs[0].on_peer_failed(NodeId(1), &mut out);
-        svcs[2].on_peer_failed(NodeId(1), &mut out);
+        svcs[0].fail(NodeId(1), &mut out);
+        svcs[2].fail(NodeId(1), &mut out);
         out.clear();
-        svcs[1] = DirectoryService::new(NodeId(1), &cfg, &ns);
+        svcs[1] = DirectoryService::new(NodeId(1), &cfg, &ns, 1);
         let mut requests = Vec::new();
         assert!(svcs[1].begin_local_resync(&mut requests));
         // Run the resync until two chunks of shard 0 (served by node 0, the
@@ -1447,9 +1547,9 @@ mod tests {
         // The crash drops everything in flight to or from node 0.
         queue.retain(|(from, to, _)| *from != NodeId(0) && *to != NodeId(0));
         let mut q1 = Vec::new();
-        svcs[1].on_peer_failed(NodeId(0), &mut q1);
+        svcs[1].fail(NodeId(0), &mut q1);
         let mut q2 = Vec::new();
-        svcs[2].on_peer_failed(NodeId(0), &mut q2);
+        svcs[2].fail(NodeId(0), &mut q2);
         // The stranded stream re-targets the new primary (node 2) and starts over: the
         // staged chunks came from another primacy, whose seqs do not compare.
         let restarted_after = q1
@@ -1489,19 +1589,27 @@ mod tests {
     #[test]
     fn an_op_applied_after_the_requesters_last_chunk_reaches_it_by_shipping() {
         // Two nodes, r = 2: node 0 leads both shards once node 1 dies. Node 1 restarts
-        // and resyncs from node 0, whose view still holds it failed — no recovery
-        // notice has arrived, and the frames go straight to `handle`.
+        // and resyncs from node 0. Node 0's table learns of incarnation 1 once, as its
+        // node reads the first request's digest, and then the frames go straight to
+        // `handle`, which writes no liveness.
         let cfg = HopliteConfig::small_for_tests();
         let ns = nodes(2);
         let mut svcs: Vec<DirectoryService> =
-            (0..2).map(|i| DirectoryService::new(NodeId(i), &cfg, &ns)).collect();
+            (0..2).map(|i| DirectoryService::new(NodeId(i), &cfg, &ns, 0)).collect();
         let mut metrics = NodeMetrics::default();
-        svcs[0].on_peer_failed(NodeId(1), &mut Vec::new());
+        svcs[0].fail(NodeId(1), &mut Vec::new());
         let o = obj_in_shard(&svcs[0], 0);
         assert!(svcs[0].submit(reg(o, 0), &mut Vec::new()));
-        svcs[1] = DirectoryService::new(NodeId(1), &cfg, &ns);
+        svcs[1] = DirectoryService::new(NodeId(1), &cfg, &ns, 1);
         let mut out = Vec::new();
         assert!(svcs[1].begin_local_resync(&mut out));
+        // While the table holds node 1 dead, its request is not served.
+        for (_, msg) in out.clone() {
+            let mut sent = Vec::new();
+            assert_eq!(svcs[0].handle(NodeId(1), msg, &mut metrics, &mut sent), None);
+            assert!(sent.is_empty(), "served a requester the table holds dead: {sent:?}");
+        }
+        svcs[0].recover(NodeId(1));
         let mut queue: Vec<_> = out.into_iter().map(|(to, m)| (NodeId(1), to, m)).collect();
         while let Some((from, to, msg)) = queue.pop() {
             let mut sent = Vec::new();
@@ -1511,8 +1619,8 @@ mod tests {
         assert!(!svcs[1].is_resyncing(), "both chunk streams installed");
         assert_eq!(svcs[1].locations(o).map(|l| l.len()), Some(1));
 
-        // Serving the stream made node 1 a live backup in node 0's view, so an op
-        // landing after the final chunk is shipped to it, and node 1 confirms it.
+        // Node 1 is alive in node 0's table, so a live backup: an op landing after the
+        // final chunk is shipped to it, and node 1 confirms it.
         let late = (0u64..)
             .map(|k| obj(&format!("late-{k}")))
             .find(|&l| svcs[0].placement().shard_of(l) == 0)
@@ -1532,8 +1640,8 @@ mod tests {
             vec![(NodeId(0), Message::DirConfirm { object: late, kind })],
             "the requester confirms the op to its origin, and acks nothing"
         );
-        // Its re-admission re-ships nothing.
-        assert_eq!(svcs[0].on_peer_readmitted(NodeId(1)), Vec::<usize>::new());
+        // Its re-admission re-ships and re-routes nothing.
+        assert_eq!(svcs[0].readmit(NodeId(1)), Rerouted::default());
     }
 
     /// The catch-up rule converges under interleaved ops, lost shipments and ops that
@@ -1555,13 +1663,13 @@ mod tests {
             // The last ten ids are never registered.
             let ids: Vec<ObjectId> = (0..40).map(|k| obj(&format!("conv-{k}"))).collect();
             let mut svcs: Vec<DirectoryService> =
-                (0..2).map(|i| DirectoryService::new(NodeId(i), &cfg, &nodes(2))).collect();
+                (0..2).map(|i| DirectoryService::new(NodeId(i), &cfg, &nodes(2), 0)).collect();
             let mut m = vec![NodeMetrics::default(); 2];
-            svcs[0].on_peer_failed(NodeId(1), &mut Vec::new());
+            svcs[0].fail(NodeId(1), &mut Vec::new());
             for &o in &ids[..30] {
                 assert!(svcs[0].submit(reg(o, 0), &mut Vec::new()));
             }
-            svcs[1] = DirectoryService::new(NodeId(1), &cfg, &nodes(2));
+            svcs[1] = DirectoryService::new(NodeId(1), &cfg, &nodes(2), 1);
             let mut out = Vec::new();
             assert!(svcs[1].begin_local_resync(&mut out));
             let mut queue: Vec<_> = out.into_iter().map(|(to, m)| (NodeId(1), to, m)).collect();
@@ -1625,7 +1733,7 @@ mod tests {
     fn leader_and_backup() -> Vec<DirectoryService> {
         let cfg =
             HopliteConfig { directory_inline_cache_bytes: 64, ..HopliteConfig::small_for_tests() };
-        (0..2).map(|i| DirectoryService::new(NodeId(i), &cfg, &nodes(3))).collect()
+        (0..2).map(|i| DirectoryService::new(NodeId(i), &cfg, &nodes(3), 0)).collect()
     }
 
     /// Hand `op` to node 0 and run the log shipping it causes until quiescent; what

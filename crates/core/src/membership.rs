@@ -3,18 +3,22 @@
 //! Everything §3.5 does — a receiver re-pulls, a reduce tree restarts, a directory
 //! backup takes over — starts from one fact: *node k, incarnation i, is dead / is
 //! back*. A node holds that fact here and nowhere else: per peer, the highest
-//! **incarnation** heard of (bumped each time the process restarts) and what is
-//! believed about it — [`GossipState::Alive`], `Suspect` (with the time the suspicion
-//! started) or `Dead`, the same three states gossip carries on the wire.
+//! **incarnation** heard of (bumped each time the process restarts), what is believed
+//! about it — [`GossipState::Alive`], `Suspect` (with the time the suspicion started)
+//! or `Dead`, the states gossip carries on the wire — and whether that incarnation is
+//! **readmitted**, caught up with the directory replicas it hosts. Dead is failed;
+//! alive and not readmitted is resyncing (shipped to, not a primary candidate), as is
+//! this node itself from the start of its post-restart resync to its last stream;
+//! alive and readmitted is healthy. An incarnation back from the dead is readmitted
+//! only by its `DirResynced`; a newer one heard of while the old one was believed
+//! alive (a refuted suspicion) keeps the old one's readmission.
 //!
-//! **One table, one writer.** The only way in is [`MembershipView::claim`], the
-//! override policy written once, and its only caller is the node's evidence
-//! function (`node/mod.rs`, which documents what each kind of evidence sets off).
-//! The SWIM detector ([`crate::detector`]) is a prober: it borrows the table to pick
-//! targets, time suspicions and fill gossip, and hands its verdicts to that same
-//! function. The directory's `PlacementView` keeps one standing per unhealthy peer
-//! (`Failed` or `Resyncing`) — routing reads it on every op — as a projection
-//! written from the same place.
+//! **One table, three writes** — [`MembershipView::claim`] (the override policy,
+//! written once), [`MembershipView::refute`] and [`MembershipView::readmit`] — all
+//! made by the directory service's one liveness entry point; the table lives in its
+//! `PlacementView`, which routes by it on every op. The SWIM detector
+//! ([`crate::detector`]) is a prober: it borrows the table to pick targets, time
+//! suspicions and fill gossip, and hands its verdicts to the node's evidence function.
 //!
 //! Which claim beats which (`i`, `j` incarnations; the table holds `j`):
 //!
@@ -36,13 +40,16 @@
 //! failure verdict is a `PeerFailureNotice` naming the incarnation that died, so a
 //! verdict that arrives after the restart is stale; and no driver says a node is
 //! back: the restarted process says so itself, at the incarnation it runs, in its
-//! restart-flagged snapshot requests, its `Hello` and its `DirResynced`.
+//! restart-flagged snapshot requests, its `Hello` and its `DirResynced`. When such a
+//! message names a newer incarnation of a peer still believed alive, the crash was
+//! slept through, and its death is claimed first ([`MembershipView::digest_claims`]).
 //!
 //! A restarted node knows nothing about failures it slept through, so rejoin messages
 //! carry a **digest** (`(node, incarnation, alive)` triples); the resync source
 //! answers with every entry it knows *strictly newer* ([`MembershipView::newer_than`]).
 
-use crate::detector::GossipState;
+use crate::detector::GossipState::Dead;
+use crate::detector::{GossipEntry, GossipState};
 use crate::object::NodeId;
 use crate::time::Time;
 
@@ -66,13 +73,9 @@ pub enum Transition {
     Suspected,
     /// An alive or suspected peer is dead: run the failure rules.
     Died,
-    /// A strictly newer incarnation is alive. `was_alive` tells whether the previous
-    /// one was still believed alive — the caller decides, by where the claim came
-    /// from, whether that means a suspicion refuted or a crash slept through.
-    Restarted {
-        /// Whether the superseded incarnation was believed alive (or only suspected).
-        was_alive: bool,
-    },
+    /// A strictly newer incarnation is alive: back from the dead, not yet readmitted,
+    /// or a suspicion refuted, keeping its readmission.
+    Restarted,
 }
 
 impl Transition {
@@ -82,27 +85,35 @@ impl Transition {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Member {
     incarnation: u64,
     state: GossipState,
     /// When the suspicion started; meaningful only while `state` is `Suspect`.
     since: Time,
+    /// Whether this incarnation has caught up with the directory replicas it hosts
+    /// (always `false` while `state` is `Dead`).
+    readmitted: bool,
 }
 
 /// The liveness table owned by one node. Indexed by `NodeId`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MembershipView {
     me: NodeId,
     entries: Vec<Member>,
 }
 
 impl MembershipView {
-    /// A fresh table: every node alive at incarnation 0, except this node itself,
-    /// which starts at `self_incarnation` (0 on cold boot, `k+1` after the k-th
-    /// process restart — assigned by whoever restarts the process).
+    /// A fresh table: every node alive and readmitted at incarnation 0, except this
+    /// node itself, which starts at `self_incarnation` (0 on cold boot, `k+1` after the
+    /// k-th process restart — assigned by whoever restarts the process).
     pub fn new(me: NodeId, n: usize, self_incarnation: u64) -> MembershipView {
-        let alive = Member { incarnation: 0, state: GossipState::Alive, since: Time::ZERO };
+        let alive = Member {
+            incarnation: 0,
+            state: GossipState::Alive,
+            since: Time::ZERO,
+            readmitted: true,
+        };
         let mut entries = vec![alive; n];
         if let Some(e) = entries.get_mut(me.0 as usize) {
             e.incarnation = self_incarnation;
@@ -142,6 +153,43 @@ impl MembershipView {
         self.get(node).is_some_and(|(_, state)| state != GossipState::Dead)
     }
 
+    /// Whether `node` is alive and readmitted: a directory primary candidate. One
+    /// index into the table, on every routed op.
+    pub fn is_readmitted(&self, node: NodeId) -> bool {
+        self.entries.get(node.0 as usize).is_some_and(|e| e.readmitted)
+    }
+
+    /// The claims a digest makes, in its order: each entry's node alive or dead at its
+    /// incarnation. An entry in which `sender` says it is alive at a newer incarnation
+    /// than one the table still believes alive follows that one's death: it crashed
+    /// unseen.
+    pub fn digest_claims(
+        &self,
+        digest: &[MemberDigestEntry],
+        sender: Option<NodeId>,
+    ) -> Vec<GossipEntry> {
+        let mut claims = Vec::with_capacity(digest.len() + 1);
+        for &(node, incarnation, alive) in digest {
+            let crashed = self.get(node).filter(|&(held, state)| {
+                alive
+                    && sender == Some(node)
+                    && node != self.me
+                    && held < incarnation
+                    && state != Dead
+            });
+            claims.extend(crashed.map(|(held, _)| (node, held, Dead)));
+            claims.push((node, incarnation, if alive { GossipState::Alive } else { Dead }));
+        }
+        claims
+    }
+
+    /// Every entry, in id order: `(node, incarnation, state, readmitted)`.
+    pub fn entries(&self) -> impl Iterator<Item = (NodeId, u64, GossipState, bool)> + '_ {
+        let entry =
+            |(i, e): (usize, &Member)| (NodeId(i as u32), e.incarnation, e.state, e.readmitted);
+        self.entries.iter().enumerate().map(entry)
+    }
+
     /// Every peer in its suspicion window, in id order: `(node, incarnation, since)`.
     pub fn suspects(&self) -> impl Iterator<Item = (NodeId, u64, Time)> + '_ {
         self.entries
@@ -170,7 +218,7 @@ impl MembershipView {
         let newer = incarnation > e.incarnation;
         let same = incarnation == e.incarnation;
         let transition = match (state, e.state) {
-            (Alive, held) if newer => Transition::Restarted { was_alive: held != Dead },
+            (Alive, _) if newer => Transition::Restarted,
             (Alive, Alive | Suspect) if same => return Transition::Known,
             (Suspect, Alive) if newer || same => Transition::Suspected,
             (Dead, Alive | Suspect) if newer || same => Transition::Died,
@@ -178,8 +226,29 @@ impl MembershipView {
             (Suspect, Suspect) | (Dead, Dead) if same => return Transition::Known,
             _ => return Transition::Stale,
         };
-        *e = Member { incarnation, state, since: now };
+        // An incarnation back from the dead must resync before it is readmitted; a
+        // newer one of a peer believed alive (a refuted suspicion) keeps its standing.
+        let readmitted = state != Dead && e.state != Dead && e.readmitted;
+        *e = Member { incarnation, state, since: now, readmitted };
         transition
+    }
+
+    /// Record whether `node`'s incarnation `incarnation` is readmitted: caught up with
+    /// the replicas it hosts (`true`, on its `DirResynced` or this node's own last
+    /// stream), or resyncing them (`false`, this node itself from the start of its
+    /// post-restart resync). Applies only while the table holds `node` alive at
+    /// exactly `incarnation`, so no message readmits a dead or superseded incarnation.
+    /// Returns whether the entry changed.
+    pub fn readmit(&mut self, node: NodeId, incarnation: u64, readmitted: bool) -> bool {
+        let Some(e) = self.entries.get_mut(node.0 as usize) else { return false };
+        if e.incarnation != incarnation
+            || e.state == GossipState::Dead
+            || e.readmitted == readmitted
+        {
+            return false;
+        }
+        e.readmitted = readmitted;
+        true
     }
 
     /// Refute a suspicion (or premature death claim) about this node itself: bump
@@ -240,7 +309,7 @@ mod tests {
         let mut view = MembershipView::new(NodeId(0), 4, 0);
         // Node 2 died at incarnation 0, restarted as incarnation 1.
         assert_eq!(view.claim(NodeId(2), 0, Dead, T), Transition::Died);
-        assert_eq!(view.claim(NodeId(2), 1, Alive, T), Transition::Restarted { was_alive: false });
+        assert_eq!(view.claim(NodeId(2), 1, Alive, T), Transition::Restarted);
         // A late notice about the dead incarnation 0 must not re-kill it.
         assert_eq!(view.claim(NodeId(2), 0, Dead, T), Transition::Stale);
         assert!(view.is_alive(NodeId(2)));
@@ -273,7 +342,7 @@ mod tests {
         assert_eq!(view.claim(NodeId(1), 2, Suspect, T), Transition::Stale);
         assert_eq!(view.claim(NodeId(1), 5, Suspect, T), Transition::Stale);
         assert_eq!(view.get(NodeId(1)), Some((2, Dead)));
-        assert_eq!(view.claim(NodeId(1), 3, Alive, T), Transition::Restarted { was_alive: false });
+        assert_eq!(view.claim(NodeId(1), 3, Alive, T), Transition::Restarted);
     }
 
     #[test]
@@ -282,7 +351,7 @@ mod tests {
         // assigns itself), and its own traffic claims that incarnation alive.
         let mut view = MembershipView::new(NodeId(0), 4, 0);
         view.claim(NodeId(3), 0, Dead, T);
-        assert_eq!(view.claim(NodeId(3), 1, Alive, T), Transition::Restarted { was_alive: false });
+        assert_eq!(view.claim(NodeId(3), 1, Alive, T), Transition::Restarted);
         // Late duplicates are absorbed.
         assert_eq!(view.claim(NodeId(3), 1, Alive, T), Transition::Known);
         assert_eq!(view.incarnation_of(NodeId(3)), 1);
@@ -320,7 +389,7 @@ mod tests {
         // Peers arbitrate the resulting alive claim as a supersession.
         let mut peer = MembershipView::new(NodeId(0), 4, 0);
         peer.claim(NodeId(1), 1, Dead, T);
-        assert_eq!(peer.claim(NodeId(1), 8, Alive, T), Transition::Restarted { was_alive: false });
+        assert_eq!(peer.claim(NodeId(1), 8, Alive, T), Transition::Restarted);
     }
 
     #[test]
@@ -363,7 +432,44 @@ mod tests {
         let t2 = t1 + crate::time::Duration::from_millis(5);
         assert_eq!(view.claim(NodeId(2), 2, Suspect, t2), Transition::Updated);
         assert_eq!(view.suspects().next(), Some((NodeId(2), 2, t2)));
-        assert_eq!(view.claim(NodeId(2), 3, Alive, T), Transition::Restarted { was_alive: true });
+        assert_eq!(view.claim(NodeId(2), 3, Alive, T), Transition::Restarted);
+        assert!(view.is_readmitted(NodeId(2)), "a refuted suspicion keeps its readmission");
         assert_eq!(view.suspects().count(), 0);
+    }
+
+    #[test]
+    fn readmission_belongs_to_one_live_incarnation() {
+        let mut view = MembershipView::new(NodeId(0), 4, 0);
+        assert!(view.is_readmitted(NodeId(2)), "a fresh table holds every node healthy");
+        view.claim(NodeId(2), 0, Dead, T);
+        assert!(!view.readmit(NodeId(2), 0, true), "no message readmits the dead");
+        assert_eq!(view.claim(NodeId(2), 1, Alive, T), Transition::Restarted);
+        assert!(!view.is_readmitted(NodeId(2)), "back from the dead: resyncing");
+        assert!(!view.readmit(NodeId(2), 0, true), "nor a superseded incarnation");
+        assert!(view.readmit(NodeId(2), 1, true));
+        assert!(!view.readmit(NodeId(2), 1, true), "already readmitted");
+        assert!(view.is_readmitted(NodeId(2)));
+        // This node stands not readmitted while it resyncs its own replicas.
+        assert!(view.readmit(NodeId(0), 0, false));
+        assert!(!view.is_readmitted(NodeId(0)) && view.is_alive(NodeId(0)));
+    }
+
+    #[test]
+    fn a_senders_own_newer_incarnation_claims_the_crash_it_slept_through() {
+        let mut view = MembershipView::new(NodeId(0), 4, 0);
+        view.claim(NodeId(3), 0, Dead, T);
+        let digest = [(NodeId(1), 2, true), (NodeId(2), 1, true), (NodeId(3), 1, true)];
+        // Node 1 speaks for itself: incarnation 0, believed alive, died unseen. What
+        // it says of node 2 is hearsay, and node 3's old incarnation is already dead.
+        assert_eq!(
+            view.digest_claims(&digest, Some(NodeId(1))),
+            vec![
+                (NodeId(1), 0, Dead),
+                (NodeId(1), 2, Alive),
+                (NodeId(2), 1, Alive),
+                (NodeId(3), 1, Alive)
+            ]
+        );
+        assert_eq!(view.digest_claims(&digest, None).len(), 3, "hearsay claims no crash");
     }
 }

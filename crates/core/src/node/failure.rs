@@ -20,10 +20,10 @@
 //!   return re-drives its shards' unconfirmed window too, since it changes who
 //!   confirms. Confirmed intents are already held by every replica they waited on.
 //! * **Recovery (§3.5)** — a restarted node rejoins its replica sets through a state
-//!   transfer orchestrated here: demote every hosted replica, request a resync of
-//!   each shard from the current primary ([`ObjectStoreNode::begin_recovery`]),
-//!   install the chunk stream it answers with plus the buffered log tail, then
-//!   broadcast `DirResynced` so the survivors re-admit the node as a primary
+//!   transfer orchestrated here: it stands not readmitted in its own table, requests
+//!   a resync of each shard from another replica ([`ObjectStoreNode::begin_recovery`]),
+//!   installs the chunk stream it answers with plus the buffered log tail, then
+//!   broadcasts `DirResynced` so the survivors readmit the node as a primary
 //!   candidate. An interrupted transfer (the source dies mid-resync) is
 //!   re-targeted at the next primary.
 //!
@@ -40,63 +40,46 @@ use super::reduce::ReduceEngine;
 use super::{trace, NodeContext, ObjectStoreNode};
 
 impl ObjectStoreNode {
-    /// Facade-level handling of a peer failure: promote and purge directory replicas,
-    /// re-drive directory client state, stop serving the failed node, fail over
-    /// in-flight pulls, and repair reduce trees. Called by
-    /// [`ObjectStoreNode::liveness`] only, once the liveness table says so.
-    pub(crate) fn peer_failed_impl(&mut self, peer: NodeId, out: &mut Vec<Effect>) {
-        if peer == self.ctx.id {
-            return;
-        }
-        // Tell the driver first: whatever sourced this verdict (a supervisor
-        // notice, the gossip detector, a digest), transports holding real
-        // connections to the dead peer must tear them down. Idempotent at the
-        // driver; drivers without per-peer state ignore it.
-        out.push(Effect::PeerDown { node: peer });
-        let rerouted = self.fail_over_directory(peer, None, out);
-        self.redrive_shards(rerouted, out);
-        // Stop serving transfers destined to the dead node.
-        self.broadcast.drop_transfers_to(peer);
-        // Broadcast receivers that were pulling from it fail over (§3.5.1).
-        for object in self.broadcast.pulls_from(peer) {
-            self.ctx.metrics.broadcast_failovers += 1;
-            self.broadcast.restart_get(&mut self.ctx, object, Some(peer), out);
-        }
-        // Reduce coordinators repair their trees (§3.5.2).
-        self.reduce.on_peer_failed(&mut self.ctx, peer, out);
-    }
-
-    /// The directory side of `peer`'s failure, and the node's one call into
-    /// [`DirectoryService::on_peer_failed`](crate::directory::DirectoryService::on_peer_failed),
-    /// whether a verdict or a restart request implied the failure.
-    /// Every hosted replica purges the dead node, this node promotes itself wherever it
-    /// just became the shard's leader (at the shard's failover epoch), and an
-    /// interrupted resync sourced from the dead node is re-targeted — all before the
-    /// caller's client re-drive can loop back into the service. The service's messages
-    /// go out at once, or into `replies` when a snapshot request implied the failure
-    /// (they then leave with what serves it). The failure may also have completed this
-    /// node's own resync (its last outstanding resync source died): re-admission is
-    /// announced here. Returns the shards the failure re-routed, for the caller to
-    /// re-drive ([`ObjectStoreNode::redrive_shards`]).
-    pub(crate) fn fail_over_directory(
+    /// What follows one piece of liveness evidence once the directory service has
+    /// reconciled it: tell the driver of each death (a transport tears its connections
+    /// down), send the service's messages, re-drive the net route change once, announce
+    /// a readmission it completed, then run each death's §3.5 rules on the data plane.
+    pub(crate) fn apply_liveness(
         &mut self,
-        peer: NodeId,
-        replies: Option<&mut Vec<(NodeId, Message)>>,
+        departed: Vec<NodeId>,
+        rerouted: Rerouted,
+        msgs: Vec<(NodeId, Message)>,
         out: &mut Vec<Effect>,
-    ) -> Rerouted {
-        let mut msgs = Vec::new();
-        let rerouted = self.ctx.service.on_peer_failed(peer, replies.unwrap_or(&mut msgs));
+    ) {
+        for &peer in &departed {
+            out.push(Effect::PeerDown { node: peer });
+        }
         self.ctx.send_all(msgs, out);
         if !rerouted.moved.is_empty() {
-            trace!("[n{}] shards {:?} failed over off {:?}", self.ctx.id.0, rerouted.moved, peer);
+            trace!(
+                "[n{}] shards {:?} failed over off {:?}",
+                self.ctx.id.0,
+                rerouted.moved,
+                departed
+            );
         }
+        self.redrive_shards(rerouted, out);
         self.maybe_announce_readmission(out);
-        rerouted
+        for peer in departed {
+            self.broadcast.drop_transfers_to(peer);
+            // Broadcast receivers that were pulling from it fail over (§3.5.1).
+            for object in self.broadcast.pulls_from(peer) {
+                self.ctx.metrics.broadcast_failovers += 1;
+                self.broadcast.restart_get(&mut self.ctx, object, Some(peer), out);
+            }
+            // Reduce coordinators repair their trees (§3.5.2).
+            self.reduce.on_peer_failed(&mut self.ctx, peer, out);
+        }
     }
 
-    /// Re-send the unconfirmed window of the shards a liveness transition of the
-    /// directory service re-routed: shards that failed over, that a re-admission gave
-    /// a primary back, or whose live backups changed. Each re-sent entry is
+    /// Re-send the unconfirmed window of the shards a liveness change of the directory
+    /// service re-routed: shards that failed over, that a re-admission gave a primary
+    /// back, or whose live backups changed. Each re-sent entry is
     /// re-journaled against the view as it now stands, and every re-driven op is
     /// idempotent at the shard. Outstanding location queries for the shards whose
     /// primary moved are re-issued too (same correlation id; the shard deduplicates).
@@ -127,13 +110,14 @@ impl ObjectStoreNode {
     /// If the directory service just completed this node's resync (last stream
     /// installed, or the last sourceless shard abandoned), re-drive the unconfirmed
     /// window of any shard this node itself just gave a primary back to (to
-    /// ourselves, via loopback), and broadcast `DirResynced` to every peer.
+    /// ourselves, via loopback) that no liveness change re-drove already, and
+    /// broadcast `DirResynced` to every peer.
     pub(crate) fn maybe_announce_readmission(&mut self, out: &mut Vec<Effect>) {
         let Some(regained) = self.ctx.service.take_readmission() else { return };
         trace!("[n{}] resync complete; announcing re-admission", self.ctx.id.0);
-        self.redrive_shards(Rerouted::moved(regained), out);
+        self.redrive_shards(regained, out);
         let me = self.ctx.id;
-        let incarnation = self.ctx.membership.self_incarnation();
+        let incarnation = self.incarnation();
         let peers: Vec<NodeId> =
             self.ctx.service.placement().nodes().iter().copied().filter(|&n| n != me).collect();
         for peer in peers {
@@ -141,8 +125,8 @@ impl ObjectStoreNode {
         }
     }
 
-    /// Begin recovery after a process restart: demote every hosted directory replica,
-    /// route this node's own directory traffic away from itself, and request a resync
+    /// Begin recovery after a process restart: stand not readmitted in this node's own
+    /// table, so its directory traffic routes away from itself, and request a resync
     /// of each hosted shard from the believed current primary. The driver calls this
     /// exactly once on a node it restarted (never on cold boot). When the last stream
     /// installs, [`ObjectStoreNode::maybe_announce_readmission`] announces

@@ -20,24 +20,25 @@
 //! broadcast forwarding path and any reduce participants consuming it).
 //!
 //! **Liveness has one table and one writer.** What this node believes about each
-//! peer — incarnation, alive / suspect / dead — is `NodeContext::membership`
-//! ([`crate::membership`]) and nothing else. Every piece of evidence, whatever
-//! carried it (`PeerFailureNotice`, `Hello`, `DirResynced`, a digest, gossip, the
-//! detector's own verdict, a restart-flagged snapshot request),
-//! enters through `ObjectStoreNode::liveness`, which is the only code that writes
-//! the table, runs the §3.5 failure rules, or marks a peer failed / resyncing in the
-//! directory's placement view; its doc comment is the table of *evidence → what
-//! follows*. The SWIM detector ([`crate::detector`]) only probes: it reads the table
-//! and hands its verdicts to the same function.
+//! peer — incarnation, alive / suspect / dead, readmitted or not — is one
+//! [`crate::membership::MembershipView`], kept inside the directory's placement view,
+//! which routes by it, and nothing else. Every piece of evidence, whatever carried it
+//! (`PeerFailureNotice`, `Hello`, `DirResynced`, a digest, gossip, the detector's own
+//! verdict, a restart-flagged snapshot request), enters through
+//! `ObjectStoreNode::liveness`, which reads off the claims it makes, hands them to the
+//! directory service's one liveness entry point, and runs the §3.5 failure rules once
+//! per death that reports; its doc comment is the table of *evidence → claims*. The
+//! SWIM detector ([`crate::detector`]) only probes: it reads the table and hands its
+//! verdicts to the same function.
 //!
 //! **The directory seam is declared once.** Every directory op leaves the node
 //! through `NodeContext::dir`, which journals it in the node's
 //! [`DirectoryClient`] and sends it to the shard's primary; every server-side
 //! directory frame enters [`DirectoryService::handle`]. What the node keeps of the
-//! directory plane is its own: the liveness evidence and digest teaching a resync
-//! request carries (folded in before the request is served), `DirResynced`, and the
-//! replies addressed to its client side (`DirConfirm`, `DirQueryReply`,
-//! `DirPublish`).
+//! directory plane is its own: the liveness evidence a resync request or a
+//! `DirResynced` carries (folded in before the request is served), the digest teaching
+//! a restarted requester, and the replies addressed to its client side (`DirConfirm`,
+//! `DirQueryReply`, `DirPublish`).
 //!
 //! The node is entirely sans-IO: the same state machine runs unchanged under the
 //! discrete-event simulator (cluster scale, synthetic payloads) and over the real
@@ -58,7 +59,7 @@ use crate::config::HopliteConfig;
 use crate::detector::{DetectorAction, FailureDetector, GossipEntry, GossipState};
 use crate::directory::service::resync_frame;
 use crate::directory::shard::LEASE_TTL;
-use crate::directory::{DirectoryClient, DirectoryPlacement, DirectoryService, Rerouted};
+use crate::directory::{DirectoryClient, DirectoryPlacement, DirectoryService};
 use crate::membership::{MemberDigestEntry, MembershipView, Transition};
 use crate::metrics::NodeMetrics;
 use crate::object::{NodeId, ObjectId, ObjectStatus};
@@ -139,7 +140,8 @@ pub struct NodeOptions {
 
 /// Shared, engine-agnostic node state: identity, configuration, the local object
 /// store, the directory plane (this node's journal of intent and its service half,
-/// which owns the one leadership view), metrics, and the loopback message queue.
+/// which owns the one leadership view and the liveness table in it), metrics, and the
+/// loopback message queue.
 /// Engines receive `&mut NodeContext` with every call and emit [`Effect`]s through it.
 pub(crate) struct NodeContext {
     pub(crate) id: NodeId,
@@ -153,12 +155,9 @@ pub(crate) struct NodeContext {
     /// is journaled here first, so a failover can re-drive what was not confirmed.
     pub(crate) directory: DirectoryClient,
     /// The directory server half: this node's shard replicas and its one leadership
-    /// view. Every liveness transition is applied here, exactly once.
+    /// view, which holds the node's one liveness table. Every piece of liveness
+    /// evidence is applied here, exactly once.
     pub(crate) service: DirectoryService,
-    /// The node's one liveness table: per peer, the highest incarnation heard of and
-    /// whether it is alive, suspected or dead. Written only by
-    /// [`ObjectStoreNode::liveness`]; also produces the digest carried at rejoin.
-    pub(crate) membership: MembershipView,
     next_query_id: u64,
     next_timer: u64,
     /// Messages this node sent to itself, processed at the end of each handler.
@@ -169,15 +168,7 @@ impl NodeContext {
     /// Send a message, short-circuiting messages addressed to this node through the
     /// internal loopback queue (drained at the end of every public handler) so drivers
     /// never have to route loopback traffic.
-    pub(crate) fn send(&mut self, to: NodeId, mut msg: Message, out: &mut Vec<Effect>) {
-        // Restart-mode snapshot requests advertise this node's membership view, so
-        // the resync source can teach it deaths it slept through. Stamped here so
-        // every construction site inside the directory service is covered.
-        if let Message::DirSnapshotRequest { restart: true, digest, .. } = &mut msg {
-            if digest.is_empty() {
-                *digest = self.membership.digest();
-            }
-        }
+    pub(crate) fn send(&mut self, to: NodeId, msg: Message, out: &mut Vec<Effect>) {
         if to == self.id {
             self.self_queue.push_back(msg);
         } else {
@@ -243,9 +234,9 @@ impl Progress {
     }
 }
 
-/// One piece of liveness evidence, named by what carried it: the carrier decides which
-/// claims it makes and what a transition sets off (the table on
-/// [`ObjectStoreNode::liveness`]).
+/// One piece of liveness evidence, named by what carried it (the table of the claims
+/// each makes is on [`ObjectStoreNode::liveness`]).
+#[derive(Clone, Copy)]
 enum Evidence<'a> {
     /// `PeerFailureNotice { node, incarnation }`: a verdict naming the incarnation that
     /// died, relayed by a driver or a supervisor.
@@ -260,16 +251,9 @@ enum Evidence<'a> {
     Gossip(&'a [GossipEntry]),
     /// Suspicions and deaths this node's own detector just reached.
     Verdicts(&'a [GossipEntry]),
-    /// A `DirSnapshotRequest`: the requester is up, crashed first if `restart`, and
-    /// `digest` is what it knows (empty on a forwarded or gap-catch-up request).
-    /// Directory-service messages of an implied failure join `replies`, which the
-    /// caller sends behind the re-drive, with the frames that serve the request.
-    SnapshotRequest {
-        requester: NodeId,
-        restart: bool,
-        digest: &'a [MemberDigestEntry],
-        replies: &'a mut Vec<(NodeId, Message)>,
-    },
+    /// A `DirSnapshotRequest`: `digest` is what its sender knows (empty on a gap
+    /// catch-up request), its requester's own entry the incarnation it restarted at.
+    SnapshotRequest { requester: NodeId, restart: bool, digest: &'a [MemberDigestEntry] },
 }
 
 /// The Hoplite state machine for one node: the directory plane (in the shared
@@ -296,9 +280,8 @@ pub struct ObjectStoreNode {
 impl ObjectStoreNode {
     /// Create a node.
     pub fn new(id: NodeId, cfg: HopliteConfig, cluster: ClusterView, opts: NodeOptions) -> Self {
-        let service = DirectoryService::new(id, &cfg, &cluster.nodes);
+        let service = DirectoryService::new(id, &cfg, &cluster.nodes, opts.incarnation);
         let store = LocalStore::new(cfg.store_capacity);
-        let membership = MembershipView::new(id, cluster.len(), opts.incarnation);
         // Deterministic per (node, incarnation): ring shuffles and relay picks
         // replay identically under the simulator.
         let detector_seed = (u64::from(id.0) << 32) ^ opts.incarnation;
@@ -316,7 +299,6 @@ impl ObjectStoreNode {
                 metrics: NodeMetrics::default(),
                 directory: DirectoryClient::default(),
                 service,
-                membership,
                 next_query_id: 1,
                 next_timer: 1,
                 self_queue: VecDeque::new(),
@@ -366,6 +348,13 @@ impl ObjectStoreNode {
         self.ctx.service.primary_for(object)
     }
 
+    /// The primary this node believes each directory shard has, by shard (`None` while
+    /// every replica of the shard is dead or resyncing).
+    pub fn directory_primaries(&self) -> Vec<Option<NodeId>> {
+        let view = self.ctx.service.view();
+        (0..view.placement().num_shards()).map(|shard| view.primary(shard)).collect()
+    }
+
     /// Whether this node currently acts as the primary for `object`'s shard.
     pub fn is_directory_primary_for(&self, object: ObjectId) -> bool {
         self.ctx.service.is_primary_for(object)
@@ -397,12 +386,12 @@ impl ObjectStoreNode {
 
     /// This process's incarnation number (0 on cold boot, bumped per restart).
     pub fn incarnation(&self) -> u64 {
-        self.ctx.membership.self_incarnation()
+        self.membership().self_incarnation()
     }
 
-    /// Read access to the incarnation-numbered membership view.
+    /// Read access to the node's one liveness table.
     pub fn membership(&self) -> &MembershipView {
-        &self.ctx.membership
+        self.ctx.service.view().table()
     }
 
     /// Journaled directory intents not yet confirmed as replication-durable — the
@@ -484,25 +473,20 @@ impl ObjectStoreNode {
 
     fn dispatch_message(&mut self, now: Time, from: NodeId, msg: Message, out: &mut Vec<Effect>) {
         // Directory plane, server side: every frame enters the service through one
-        // call. A resync request is first evidence about its requester — it is back
-        // up, and crashed first when it marks a restart, even if no verdict has said
-        // either yet — folded in (and its digest answered) before it is served; an
-        // implied failure re-drives the unconfirmed window ahead of the served
-        // frames. A request for a shard the cluster does not have goes, its evidence
-        // with it.
-        let mut replies = Vec::new();
+        // call. A resync request is first evidence — its digest, and the crash of the
+        // requester's last incarnation when it marks a restart, even if no verdict
+        // has said so yet — folded in (and its digest answered) before it is served.
+        // A request for a shard the cluster does not have goes, its evidence with it.
         if let &Message::DirSnapshotRequest { shard, requester, restart, ref digest, .. } = &msg {
             if self.ctx.service.shard(shard).is_none() {
                 return;
             }
-            let evidence =
-                Evidence::SnapshotRequest { requester, restart, digest, replies: &mut replies };
-            self.liveness(now, evidence, out);
+            self.liveness(now, Evidence::SnapshotRequest { requester, restart, digest }, out);
             if !digest.is_empty() {
                 // Having learned the requester's incarnation, teach it every entry we
                 // know strictly newer: the deaths it slept through. After the first
                 // round both tables agree and the reply is skipped.
-                let newer = self.ctx.membership.newer_than(digest);
+                let newer = self.membership().newer_than(digest);
                 if !newer.is_empty() {
                     trace!(
                         "[n{}] teaching restarted {:?} {} membership entries",
@@ -515,6 +499,7 @@ impl ObjectStoreNode {
             }
         }
         let installs_resync = resync_frame(&msg).is_some();
+        let mut replies = Vec::new();
         let msg = match self.ctx.service.handle(from, msg, &mut self.ctx.metrics, &mut replies) {
             Some(msg) => msg,
             None => {
@@ -547,22 +532,7 @@ impl ObjectStoreNode {
             // hand it the shards it hosts while its replicas still wait for state.
             Message::DirResynced { node, .. } if node == self.ctx.id => {}
             Message::DirResynced { node, incarnation } => {
-                // A late announcement from an incarnation that has already died (or
-                // an older one) is dropped: re-admitting it would hand shards to a
-                // dead process.
-                if self.liveness(now, Evidence::Resynced(node, incarnation), out)
-                    == Transition::Stale
-                {
-                    return;
-                }
-                trace!("[n{}] peer {:?} re-admitted to its replica sets", self.ctx.id.0, node);
-                // Nothing to re-ship: a primary shipped the peer every op from the
-                // first chunk of its stream on.
-                let regained = self.ctx.service.on_peer_readmitted(node);
-                // A shard that was leaderless while the peer was out regains its
-                // primary with this re-admission: re-drive the unconfirmed window
-                // there just as after a failover.
-                self.redrive_shards(Rerouted::moved(regained), out);
+                self.liveness(now, Evidence::Resynced(node, incarnation), out);
             }
             Message::DirConfirm { object, kind } => {
                 self.ctx.directory.confirm(from, object, kind);
@@ -758,96 +728,82 @@ impl ObjectStoreNode {
 
     // ------------------------------------------------------------------ liveness --
 
-    /// The one way liveness evidence enters the node. Each claim the evidence makes
-    /// is arbitrated by the liveness table ([`MembershipView::claim`]); a claim that
-    /// changed the table is queued for gossip (when a detector runs); and the
-    /// [`Transition`] it caused sets off the follow-ups of its row. **fail** is
-    /// [`ObjectStoreNode::peer_failed_impl`] (the §3.5 rules: transport teardown,
-    /// directory failover and re-drive, broadcast re-pull, reduce repair);
-    /// **recover** marks the peer resyncing in the placement view and re-drives the
-    /// shards that gained it as a live backup. Nothing else calls either, or writes the
-    /// table. Returns the last claim's transition.
+    /// The one way liveness evidence enters the node: it reads off the claims the
+    /// evidence makes, refutes what gossip claims against this node itself (when a
+    /// detector runs), and hands the rest to [`DirectoryService::liveness`], which
+    /// applies them to the table and reconciles the directory once. A claim that
+    /// changed the table is gossiped and counted; each death runs the §3.5 failure
+    /// rules once and the net route change is re-driven once
+    /// ([`ObjectStoreNode::apply_liveness`]). A peer that speaks for itself at a newer
+    /// incarnation than one believed alive crashed unseen: that death is claimed first.
     ///
-    /// | evidence | claims | what follows |
-    /// |---|---|---|
-    /// | `FailureNotice` | dead | `Died` → fail; `Stale` → `stale_failure_notices_dropped` |
-    /// | `Hello` | alive | `Restarted` → recover, after fail if the old incarnation was believed alive: the peer itself says it restarted, so its crash was slept through |
-    /// | `Resynced` | alive | as `Hello`; `Stale` → `stale_failure_notices_dropped`, and the caller drops the announcement |
-    /// | `Digest` | alive / dead per entry | `Died` → `membership_deaths_learned`, fail; `Restarted` of a dead peer → recover, after every fail of the digest; `Restarted` of a peer believed alive → nothing: hearsay of a newer incarnation is a refuted suspicion, not a crash |
-    /// | `Gossip` | as carried; none when no detector runs | as `Digest`, entry by entry; `Suspected` → `suspicions_raised`; a suspect / dead claim about this node at its incarnation or later → it refutes, bumping past the claim (`refutations_sent`) |
-    /// | `Verdicts` | suspect / dead, as the detector decided | `Suspected` → `suspicions_raised`; `Died` → `deaths_declared`, fail |
-    /// | `SnapshotRequest` | alive / dead per digest entry | nothing from the digest (table only). `restart` from a peer the placement view holds healthy → directory-only failover ([`ObjectStoreNode::fail_over_directory`]: its messages into the request's `replies`, a re-admission it completed announced). Then recover the requester, always, re-driving the failover's shards with the recovery's |
-    fn liveness(
-        &mut self,
-        now: Time,
-        mut evidence: Evidence<'_>,
-        out: &mut Vec<Effect>,
-    ) -> Transition {
+    /// | evidence | claims (counted) |
+    /// |---|---|
+    /// | `FailureNotice` | dead (`Stale` → `stale_failure_notices_dropped`) |
+    /// | `Hello` | alive |
+    /// | `Resynced` | alive, and readmits that incarnation (`Stale` → `stale_failure_notices_dropped`) |
+    /// | `Digest`, `SnapshotRequest` | alive / dead per entry, a restart request's own entry as its `Hello` (a third party's `Died` → `membership_deaths_learned`) |
+    /// | `Gossip` | as a digest, when a detector runs; one against this node at its incarnation or later is refuted instead (`refutations_sent`) |
+    /// | `Verdicts` | suspect / dead, as the detector decided (`Died` → `deaths_declared`) |
+    ///
+    /// Any `Suspected` counts `suspicions_raised`.
+    fn liveness(&mut self, now: Time, evidence: Evidence<'_>, out: &mut Vec<Effect>) {
         use GossipState::{Alive, Dead};
-        let claims: Vec<GossipEntry> = match evidence {
+        let table = self.membership();
+        let mut readmit = None;
+        let mut claims: Vec<GossipEntry> = match evidence {
             Evidence::FailureNotice(node, inc) => vec![(node, inc, Dead)],
-            Evidence::Hello(node, inc) | Evidence::Resynced(node, inc) => vec![(node, inc, Alive)],
-            Evidence::Digest(entries) | Evidence::SnapshotRequest { digest: entries, .. } => {
-                entries
-                    .iter()
-                    .map(|&(n, inc, alive)| (n, inc, if alive { Alive } else { Dead }))
-                    .collect()
+            Evidence::Hello(node, inc) | Evidence::Resynced(node, inc) => {
+                if let Evidence::Resynced(..) = evidence {
+                    readmit = Some((node, inc));
+                }
+                table.digest_claims(&[(node, inc, true)], Some(node))
+            }
+            Evidence::Digest(entries) => table.digest_claims(entries, None),
+            Evidence::SnapshotRequest { requester, restart, digest } => {
+                table.digest_claims(digest, restart.then_some(requester))
             }
             Evidence::Gossip(entries) if self.detector.is_some() => entries.to_vec(),
             Evidence::Gossip(_) => Vec::new(),
             Evidence::Verdicts(entries) => entries.to_vec(),
         };
-        let slept_through = matches!(evidence, Evidence::Hello(..) | Evidence::Resynced(..));
-        let hearsay = matches!(evidence, Evidence::Digest(_) | Evidence::Gossip(_));
-        let gossip = matches!(evidence, Evidence::Gossip(_));
-        let table_only = matches!(evidence, Evidence::SnapshotRequest { .. });
-
-        // An implied failure is re-driven with the requester's recovery below, once:
-        // the net change of who confirms.
-        let mut implied = Rerouted::default();
-        if let Evidence::SnapshotRequest { requester, restart: true, replies, .. } = &mut evidence {
-            let view = self.ctx.service.view();
-            if view.is_alive(*requester) && !view.is_resyncing(*requester) {
-                implied = self.fail_over_directory(*requester, Some(replies), out);
-            }
-        }
-
-        let mut recovered = Vec::new();
-        let mut last = Transition::Known;
-        for (node, incarnation, state) in claims {
-            if gossip && node == self.ctx.id && state != Alive {
-                if incarnation >= self.ctx.membership.self_incarnation() {
-                    let bumped = self.ctx.membership.refute(incarnation);
+        if let Evidence::Gossip(_) = evidence {
+            claims.retain(|&(node, incarnation, state)| {
+                if node != self.ctx.id || state == Alive {
+                    return true;
+                }
+                if incarnation >= self.membership().self_incarnation() {
+                    let bumped = self.ctx.service.refute(incarnation);
                     self.ctx.metrics.refutations_sent += 1;
                     trace!(
                         "[n{}] refuted {state:?} claim about self: now inc {bumped}",
                         self.ctx.id.0
                     );
                 }
-                continue;
-            }
-            last = self.ctx.membership.claim(node, incarnation, state, now);
-            if !last.changed() {
-                if last == Transition::Stale
+                false
+            });
+        }
+        let mut msgs = Vec::new();
+        let change = self.ctx.service.liveness(&claims, readmit, now, &mut msgs);
+        for (&(node, incarnation, state), &transition) in claims.iter().zip(&change.transitions) {
+            if !transition.changed() {
+                if transition == Transition::Stale
                     && matches!(evidence, Evidence::FailureNotice(..) | Evidence::Resynced(..))
                 {
                     self.ctx.metrics.stale_failure_notices_dropped += 1;
                 }
                 continue;
             }
-            trace!("[n{}] {node:?} inc {incarnation} {state:?}: {last:?}", self.ctx.id.0);
+            trace!("[n{}] {node:?} inc {incarnation} {state:?}: {transition:?}", self.ctx.id.0);
             if let Some(det) = self.detector.as_mut() {
                 det.disseminate(node);
             }
-            let (fail, recover) = match last {
-                _ if table_only => (false, false),
-                Transition::Died => (true, false),
-                Transition::Restarted { was_alive } => {
-                    (was_alive && slept_through, !was_alive || slept_through)
-                }
-                _ => (false, false),
+            let hearsay = match evidence {
+                Evidence::Digest(_) | Evidence::Gossip(_) => true,
+                Evidence::SnapshotRequest { requester, .. } => node != requester,
+                _ => false,
             };
-            match last {
+            match transition {
                 Transition::Died if hearsay => self.ctx.metrics.membership_deaths_learned += 1,
                 Transition::Died if matches!(evidence, Evidence::Verdicts(_)) => {
                     self.ctx.metrics.deaths_declared += 1;
@@ -855,33 +811,8 @@ impl ObjectStoreNode {
                 Transition::Suspected => self.ctx.metrics.suspicions_raised += 1,
                 _ => {}
             }
-            if fail {
-                self.peer_failed_impl(node, out);
-            }
-            if recover {
-                recovered.push(node);
-            }
-            if gossip {
-                self.recover(&mut recovered, Rerouted::default(), out);
-            }
         }
-        if let Evidence::SnapshotRequest { requester, .. } = evidence {
-            if !recovered.contains(&requester) {
-                recovered.push(requester);
-            }
-        }
-        self.recover(&mut recovered, implied, out);
-        last
-    }
-
-    /// Mark each of `peers` alive-but-resyncing in the placement view (shipped to, not
-    /// yet a primary candidate), and re-drive the shards that gained them as live
-    /// backups, together with `rerouted`. Idempotent.
-    fn recover(&mut self, peers: &mut Vec<NodeId>, mut rerouted: Rerouted, out: &mut Vec<Effect>) {
-        for peer in peers.drain(..) {
-            rerouted.merge(self.ctx.service.on_peer_recovered(peer));
-        }
-        self.redrive_shards(rerouted, out);
+        self.apply_liveness(change.departed, change.rerouted, msgs, out);
     }
 
     // --------------------------------------------------------- failure detector --
@@ -895,7 +826,7 @@ impl ObjectStoreNode {
         }
         // Floor of 1ms so a deadline that just passed cannot spin a zero-delay
         // timer loop; the detector's periods are orders of magnitude larger.
-        let wake = det.next_wake(&self.ctx.membership);
+        let wake = det.next_wake(self.ctx.service.view().table());
         let delay = wake.duration_since(now).max(Duration::from_millis(1));
         let token = self.ctx.fresh_timer();
         self.probe_timer = Some(token);
@@ -911,7 +842,7 @@ impl ObjectStoreNode {
     fn detector_tick(&mut self, now: Time, out: &mut Vec<Effect>) {
         let Some(det) = self.detector.as_mut() else { return };
         let mut actions = Vec::new();
-        det.tick(&self.ctx.membership, now, &mut actions);
+        det.tick(self.ctx.service.view().table(), now, &mut actions);
         let verdicts: Vec<GossipEntry> = actions
             .iter()
             .filter_map(|action| match *action {
@@ -950,7 +881,7 @@ impl ObjectStoreNode {
     /// The gossip to carry on a probe frame to `dest` (none without a detector).
     fn piggyback(&mut self, dest: NodeId) -> Vec<GossipEntry> {
         let Some(det) = self.detector.as_mut() else { return Vec::new() };
-        let gossip = det.piggyback(&self.ctx.membership, dest);
+        let gossip = det.piggyback(self.ctx.service.view().table(), dest);
         self.ctx.metrics.gossip_entries_piggybacked += gossip.len() as u64;
         gossip
     }

@@ -1302,11 +1302,19 @@ fn tag_23_full_snapshot_frame_completes_a_resync_like_a_one_chunk_stream() {
     );
 }
 
+/// The digest a restarted `node` at `incarnation` sends in its restart requests: every
+/// other node alive at incarnation 0, as a fresh process believes.
+fn restart_digest(n: u32, node: u32, incarnation: u64) -> Vec<(NodeId, u64, bool)> {
+    (0..n).map(|i| (NodeId(i), if i == node { incarnation } else { 0 }, true)).collect()
+}
+
 /// A restart-mode `DirSnapshotRequest` from a peer this node still believes a healthy
-/// primary is the first news of its crash. The implied failure is applied once — to
-/// the node's one leadership view — so it produces exactly one failover re-drive, and
-/// the re-driven op (routed by that view, to this node itself) is applied by the
-/// replica the same view just promoted instead of being forwarded to the old primary.
+/// primary is the first news of its crash: its digest names the incarnation it
+/// restarted at, so the one it had before died unseen. That death runs the full
+/// failure rules once — on the node's one table, which routing reads — so it produces
+/// exactly one failover re-drive, and the re-driven op (routed by that view, to this
+/// node itself) is applied by the replica the same view just promoted instead of being
+/// forwarded to the old primary.
 #[test]
 fn restart_request_from_a_believed_primary_redrives_once_and_keeps_one_view() {
     let mut tc = TestCluster::new(3);
@@ -1327,11 +1335,12 @@ fn restart_request_from_a_believed_primary_redrives_once_and_keeps_one_view() {
         requester: NodeId(2),
         restart: true,
         after: None,
-        digest: Vec::new(),
+        digest: restart_digest(3, 2, 1),
     };
     let mut out = Vec::new();
     tc.nodes[0].handle_message(Time::ZERO, NodeId(2), request, &mut out);
 
+    assert!(out.contains(&Effect::PeerDown { node: NodeId(2) }), "the full failure rules ran");
     assert_eq!(tc.nodes[0].metrics().directory_redrives, 1, "one failover re-drive");
     assert_eq!(tc.nodes[0].directory_primary_for(object), Some(NodeId(0)), "routing moved");
     assert!(tc.nodes[0].is_directory_primary_for(object), "and the service leads there");
@@ -1356,15 +1365,96 @@ fn restart_request_from_a_believed_primary_redrives_once_and_keeps_one_view() {
         "nothing re-driven at the restarted node: {sent_to_2:?}"
     );
 
-    // The verdict about the incarnation that died, arriving later, moves no primary.
-    // It does drop node 2 as the live backup the re-driven registration waits on, so
-    // that entry is re-driven once more, and node 0, now a lone primary, confirms it.
+    // The re-driven registration waits on the restarted node, a live backup resyncing
+    // at incarnation 1. The verdict about incarnation 0, arriving later, is stale: it
+    // moves no primary, re-drives nothing and fails nothing over again.
     assert_eq!(tc.nodes[0].directory_unconfirmed_count(), 1, "waiting on node 2");
+    assert_eq!(tc.nodes[0].membership().get(NodeId(2)), Some((1, GossipState::Alive)));
     tc.failure_notice(0, 2, 0);
-    tc.pending.clear();
-    assert_eq!(tc.nodes[0].metrics().directory_redrives, 2, "the backup change re-drives");
+    let (_, late) = tc.pending.pop_back().expect("the notice's effects");
+    assert!(late.is_empty(), "{late:?}");
+    assert_eq!(tc.nodes[0].metrics().stale_failure_notices_dropped, 1);
+    assert_eq!(tc.nodes[0].metrics().directory_redrives, 1, "nothing re-driven again");
     assert_eq!(tc.nodes[0].directory_primary_for(object), Some(NodeId(0)));
-    assert_eq!(tc.nodes[0].directory_unconfirmed_count(), 0, "confirmed by the lone primary");
+}
+
+/// A restart request whose digest reports a third node's death (D7): the death runs
+/// the full §3.5 failure rules once, as any other `Died` does. Routing moves off the
+/// dead node and the driver is told to tear its connections down; the verdict about
+/// the same incarnation, arriving later, is already known and moves nothing.
+#[test]
+fn a_death_in_a_restart_requests_digest_runs_the_failure_rules_once() {
+    let mut tc = TestCluster::new(4);
+    let cluster = ClusterView::of_size(4);
+    let probe = object_on_shard(&cluster, NodeId(3));
+    assert_eq!(tc.nodes[0].directory_primary_for(probe), Some(NodeId(3)));
+    // Node 1 restarted at incarnation 1 and heard, before asking node 0 for shard 0,
+    // that node 3 died at incarnation 0.
+    let mut digest = restart_digest(4, 1, 1);
+    digest[3] = (NodeId(3), 0, false);
+    let request = Message::DirSnapshotRequest {
+        shard: 0,
+        requester: NodeId(1),
+        restart: true,
+        after: None,
+        digest,
+    };
+    let mut out = Vec::new();
+    tc.nodes[0].handle_message(Time::ZERO, NodeId(1), request, &mut out);
+    tc.failure_notice(0, 3, 0);
+    let (_, late) = tc.pending.pop_back().expect("the verdict's effects");
+    out.extend(late);
+
+    assert!(!tc.nodes[0].membership().is_alive(NodeId(3)));
+    assert_eq!(tc.nodes[0].directory_primary_for(probe), Some(NodeId(0)), "shard 3 failed over");
+    let downs = out.iter().filter(|e| **e == Effect::PeerDown { node: NodeId(3) }).count();
+    assert_eq!(downs, 1, "the failure rules ran once: {out:?}");
+    assert_eq!(tc.nodes[0].metrics().membership_deaths_learned, 1);
+    assert_eq!(tc.nodes[0].metrics().stale_failure_notices_dropped, 0, "the verdict was known");
+}
+
+/// One failure both completes a restarted node's resync and kills the interim primary
+/// of the shard whose stream it was the source of (D8). The shard is left with no
+/// source, so its stream is abandoned, the node readmits itself and leads the shard.
+/// The net route change — interim primary to this node — re-drives the node's
+/// unconfirmed registration there exactly once, and the node, a lone primary, applies
+/// and confirms it.
+#[test]
+fn a_death_that_ends_a_resync_and_kills_the_interim_primary_redrives_its_shard_once() {
+    let mut tc = TestCluster::new(3);
+    tc.kill(1);
+    tc.run();
+    // Node 1 restarts; its request for shard 1 ([1, 2]) to node 2 is lost, and shard
+    // 0's stream from node 0 completes.
+    tc.restart(1, 1);
+    let drop_sends_to_2 = |tc: &mut TestCluster| {
+        let (from, batch) = tc.pending.pop_back().expect("node 1's effects");
+        let kept = batch.into_iter().filter(|e| !matches!(e, Effect::Send { to: NodeId(2), .. }));
+        tc.pending.push_back((from, kept.collect()));
+    };
+    drop_sends_to_2(&mut tc);
+    tc.run();
+    assert!(tc.nodes[1].directory_is_resyncing(), "shard 1's stream is still open");
+    // While it resyncs, node 1 registers an object on shard 1 at the interim primary,
+    // node 2, and the registration is lost.
+    let object = object_on_shard(&ClusterView::of_size(3), NodeId(1));
+    tc.client(1, OpId(1), ClientOp::Put { object, payload: Payload::from_vec(vec![5; 200]) });
+    drop_sends_to_2(&mut tc);
+    tc.run();
+    assert_eq!(tc.nodes[1].directory_unconfirmed_count(), 1);
+    assert_eq!(tc.nodes[1].metrics().directory_redrives, 0);
+
+    tc.kill(2);
+    tc.run();
+    assert!(!tc.nodes[1].directory_is_resyncing(), "the sourceless stream was abandoned");
+    assert_eq!(tc.nodes[1].directory_primary_for(object), Some(NodeId(1)));
+    assert_eq!(tc.nodes[1].metrics().directory_redrives, 1, "re-driven once");
+    assert_eq!(
+        tc.nodes[1].directory_locations(object),
+        Some(vec![(NodeId(1), ObjectStatus::Complete)]),
+        "applied by the readmitted node itself"
+    );
+    assert_eq!(tc.nodes[1].directory_unconfirmed_count(), 0, "confirmed by the lone primary");
 }
 
 /// A restart-mode `DirSnapshotRequest` from the node a restarted node is resyncing
@@ -1387,7 +1477,7 @@ fn a_restart_request_that_ends_the_receivers_own_resync_announces_its_readmissio
         requester: NodeId(0),
         restart: true,
         after: None,
-        digest: Vec::new(),
+        digest: restart_digest(2, 0, 1),
     };
     let mut out = Vec::new();
     tc.nodes[1].handle_message(Time::ZERO, NodeId(0), request, &mut out);

@@ -139,20 +139,14 @@ fn cmd_status(args: &mut Args) -> Result<(), String> {
                                 ("incarnation".into(), Json::Num(entry.incarnation as f64)),
                             ];
                             if let Some(status) = status {
-                                pairs.push((
-                                    "resyncing".into(),
-                                    Json::Bool(
-                                        status.get("resyncing").map(String::as_str) == Some("true"),
-                                    ),
-                                ));
+                                for key in ["resyncing", "peers", "primaries"] {
+                                    let value = status.get(key).map_or("", String::as_str);
+                                    pairs.push((key.into(), status_value(key, value)));
+                                }
                                 let metrics: Vec<(String, Json)> = status
                                     .iter()
-                                    .filter(|(k, _)| {
-                                        !matches!(k.as_str(), "node" | "incarnation" | "resyncing")
-                                    })
-                                    .map(|(k, v)| {
-                                        (k.clone(), Json::Num(v.parse::<f64>().unwrap_or(-1.0)))
-                                    })
+                                    .filter(|(k, _)| !VIEW_KEYS.contains(&k.as_str()))
+                                    .map(|(k, v)| (k.clone(), status_value(k, v)))
                                     .collect();
                                 pairs.push(("metrics".into(), Json::Obj(metrics)));
                             }
@@ -167,11 +161,12 @@ fn cmd_status(args: &mut Args) -> Result<(), String> {
         for (node, (entry, status)) in &nodes {
             match status {
                 Some(status) => println!(
-                    "node {node}: up pid={} incarnation={} resyncing={} puts={} gets={} \
-                     failovers={} resyncs={}",
+                    "node {node}: up pid={} incarnation={} resyncing={} primaries={} puts={} \
+                     gets={} failovers={} resyncs={}",
                     entry.pid,
                     entry.incarnation,
                     status.get("resyncing").map(String::as_str).unwrap_or("?"),
+                    status.get("primaries").map(String::as_str).unwrap_or("?"),
                     status.get("objects_put").map(String::as_str).unwrap_or("?"),
                     status.get("gets_completed").map(String::as_str).unwrap_or("?"),
                     status.get("broadcast_failovers").map(String::as_str).unwrap_or("?"),
@@ -325,6 +320,16 @@ fn cmd_drill(args: &mut Args) -> Result<(), String> {
 
     // Final sweep: every wave object and every reduce result, from every node.
     verify_all(&fleet, size, waves - 1)?;
+    // At quiescence every node names the same primary for every shard: a split view
+    // routes one shard's writes to two primaries.
+    wait_until("every node to name the same primary per shard", Duration::from_secs(10), || {
+        let views: Vec<Option<String>> = fleet
+            .statuses()
+            .into_iter()
+            .map(|status| status.and_then(|s| s.get("primaries").cloned()))
+            .collect();
+        Ok(views.iter().all(|view| view.is_some() && *view == views[0]))
+    })?;
 
     let statuses: Vec<Status> = fleet
         .statuses()
@@ -575,6 +580,37 @@ fn verify_all(fleet: &Fleet, size: u64, through_wave: usize) -> Result<(), Strin
     Ok(())
 }
 
+/// The `status` keys that are not counters.
+const VIEW_KEYS: [&str; 5] = ["node", "incarnation", "resyncing", "peers", "primaries"];
+
+/// One `status` value as JSON: `peers` one `{incarnation, state, readmitted}` object
+/// per node, `primaries` one node id (or `null`) per shard, `true` / `false` a bool,
+/// anything else a number.
+fn status_value(key: &str, value: &str) -> Json {
+    let list = || value.split(',').filter(|item| !item.is_empty());
+    let num = |v: &str| v.parse::<f64>().map_or(Json::Null, Json::Num);
+    match (key, value) {
+        ("peers", _) => Json::Arr(
+            list()
+                .map(|peer| {
+                    let mut fields = peer.split(':');
+                    let mut next = || fields.next().unwrap_or_default();
+                    let (incarnation, state, readmitted) = (next(), next(), next());
+                    Json::Obj(vec![
+                        ("incarnation".into(), num(incarnation)),
+                        ("state".into(), Json::Str(state.into())),
+                        ("readmitted".into(), Json::Bool(readmitted == "1")),
+                    ])
+                })
+                .collect(),
+        ),
+        ("primaries", _) => Json::Arr(list().map(num).collect()),
+        (_, "true") => Json::Bool(true),
+        (_, "false") => Json::Bool(false),
+        (_, other) => Json::Num(other.parse().unwrap_or(-1.0)),
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn drill_report(
     fleet: &Fleet,
@@ -610,17 +646,9 @@ fn drill_report(
                 .map(|(node, status)| {
                     let mut pairs = vec![("node".into(), Json::Num(node as f64))];
                     for (k, v) in status {
-                        if k == "node" {
-                            continue;
+                        if k != "node" {
+                            pairs.push((k.clone(), status_value(k, v)));
                         }
-                        pairs.push((
-                            k.clone(),
-                            match v.as_str() {
-                                "true" => Json::Bool(true),
-                                "false" => Json::Bool(false),
-                                other => Json::Num(other.parse().unwrap_or(-1.0)),
-                            },
-                        ));
                     }
                     Json::Obj(pairs)
                 })

@@ -156,6 +156,18 @@ fn handle(line: &str, host: &NodeHost) -> std::result::Result<String, String> {
                 "node={} incarnation={} resyncing={}",
                 status.node.0, status.incarnation, status.resyncing
             );
+            let peers = status.peers.iter().map(|&(incarnation, state, readmitted)| {
+                let state = match state {
+                    GossipState::Alive => "alive",
+                    GossipState::Suspect => "suspect",
+                    GossipState::Dead => "dead",
+                };
+                format!("{incarnation}:{state}:{}", u8::from(readmitted))
+            });
+            out.push_str(&format!(" peers={}", peers.collect::<Vec<_>>().join(",")));
+            let primaries =
+                status.primaries.iter().map(|p| p.map_or("-".into(), |p| p.0.to_string()));
+            out.push_str(&format!(" primaries={}", primaries.collect::<Vec<_>>().join(",")));
             for (name, value) in status.metrics.fields() {
                 out.push_str(&format!(" {name}={value}"));
             }

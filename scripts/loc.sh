@@ -12,7 +12,12 @@
 # `HashMap`/`HashSet` (clippy's `disallowed-types` keeps it at 0), and the lifecycle
 # counts of ROADMAP's transport item (unbounded queues, sleeps, SlabPool construction
 # sites, thread-spawn sites) and the `SlabPool::checkout` call sites, i.e. the code that
-# may hold pool memory.
+# may hold pool memory, and the non-test call sites that write the liveness table (its
+# three writers, `claim`, `refute` and `readmit`, each called through the placement
+# view's `table` field: one site each is "one writer").
+#
+# With a git revision as its argument (scripts/loc.sh BASE) it also prints the liveness
+# plane and the directory plane at BASE beside the working tree's.
 #
 # "Non-test" = lines of a file before its first top-level `#[cfg(test)]` that opens an
 # inline test module (one that only gates a `mod …;` declaration, like node/mod.rs's
@@ -20,6 +25,7 @@
 # skipping `tests.rs` files and `tests/` directories. Run from anywhere: scripts/loc.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
+base="${1:-}"
 
 non_test_text() { # the non-test text of the .rs files given on stdin
     local f
@@ -70,6 +76,26 @@ for f in $liveness; do
     echo "| ${f#crates/core/src/} | $(echo "$f" | non_test) |"
 done
 echo "| **total** | $(echo "$liveness" | tr ' ' '\n' | non_test) |"
+echo
+writes() { # <method>: non-test call sites of the liveness table's writer <method>
+    find crates/core/src -name '*.rs' | sort | non_test_text | grep -oF -- "table.$1(" | wc -l | tr -d ' '
+}
+echo "Liveness-table writes (non-test call sites): claim $(writes claim), refute $(writes refute), readmit $(writes readmit)"
+if [ -n "$base" ]; then
+    planes() { # the liveness plane and the directory plane of the tree in the cwd
+        echo "$(echo "$liveness" | tr ' ' '\n' | non_test) $( (find crates/core/src/directory -name '*.rs'; echo crates/core/src/node/failure.rs) | non_test)"
+    }
+    tmp=$(mktemp -d)
+    trap 'rm -rf "$tmp"' EXIT
+    git archive "$base" crates/core/src | tar -x -C "$tmp"
+    read -r live_before dir_before < <(cd "$tmp" && planes)
+    read -r live_now dir_now < <(planes)
+    echo
+    echo "| plane (non-test lines) | $base | working tree |"
+    echo "|---|---:|---:|"
+    echo "| liveness | $live_before | $live_now |"
+    echo "| directory | $dir_before | $dir_now |"
+fi
 echo
 pins=$(find crates/core/tests -name '*_transcript.rs' | sort; find crates/core/tests/support -name '*.rs' | sort)
 echo "| behaviour pins (all lines) | |"
