@@ -442,7 +442,7 @@ mod tests {
         claim(&mut v, 1, 1, Alive);
         let incarnation = v.view().table().incarnation_of(NodeId(1));
         let back = [(NodeId(1), incarnation, Alive)];
-        let readmit = Some((NodeId(1), incarnation));
+        let readmit = Some((NodeId(1), incarnation, true));
         let regained = v.liveness(&back, readmit, Time::ZERO, &mut Vec::new()).rerouted;
         let redrive = c.redrive_for(v.placement(), regained);
         assert_eq!(redrive.reregister.len(), 1, "regained shard re-drives the window");

@@ -82,16 +82,20 @@ impl DirectoryPlacement {
         ((u128::from(h) * num_shards as u128) >> 64) as usize
     }
 
-    /// The replica set of a shard, initial-candidate order: the node owning the shard
-    /// first, then its successors on the ring.
+    /// The `i`-th member of `shard`'s replica set, in initial-candidate order: the node
+    /// owning the shard first, then its successors on the ring.
+    pub fn member(&self, shard: usize, i: usize) -> NodeId {
+        self.nodes[(shard + i) % self.nodes.len()]
+    }
+
+    /// The replica set of a shard, in initial-candidate order.
     pub fn replica_set(&self, shard: usize) -> Vec<NodeId> {
-        let n = self.nodes.len();
-        (0..self.replication).map(|i| self.nodes[(shard + i) % n]).collect()
+        (0..self.replication).map(|i| self.member(shard, i)).collect()
     }
 
     /// Whether `node` hosts a replica of `shard`.
     pub fn hosts(&self, node: NodeId, shard: usize) -> bool {
-        self.replica_set(shard).contains(&node)
+        (0..self.replication).any(|i| self.member(shard, i) == node)
     }
 
     /// Shards for which `node` is a replica.
@@ -167,24 +171,18 @@ impl PlacementView {
         self.table.is_alive(node) && !self.table.is_readmitted(node)
     }
 
-    /// The `i`-th member of `shard`'s replica set, in initial-candidate order.
-    fn member(&self, shard: usize, i: usize) -> NodeId {
-        let nodes = self.placement.nodes();
-        nodes[(shard + i) % nodes.len()]
-    }
-
     /// The position in `shard`'s replica set of the first member, scanning cyclically
     /// from its rank cursor, for which `candidate` holds.
     fn scan(&self, shard: usize, candidate: impl Fn(NodeId) -> bool) -> Option<usize> {
-        let r = self.placement.replication();
-        (0..r).map(|i| (self.rank[shard] + i) % r).find(|&i| candidate(self.member(shard, i)))
+        let (r, placement) = (self.placement.replication(), &self.placement);
+        (0..r).map(|i| (self.rank[shard] + i) % r).find(|&i| candidate(placement.member(shard, i)))
     }
 
     /// The current primary of a shard: the first readmitted member scanning cyclically
     /// from the rank cursor. `None` when every replica is dead or resyncing. Runs on
     /// every routed op: one table index per member, no allocation.
     pub fn primary(&self, shard: usize) -> Option<NodeId> {
-        self.scan(shard, |n| self.table.is_readmitted(n)).map(|i| self.member(shard, i))
+        self.scan(shard, |n| self.table.is_readmitted(n)).map(|i| self.placement.member(shard, i))
     }
 
     /// The current primary of the shard responsible for `object`.
@@ -247,21 +245,22 @@ impl PlacementView {
             .collect()
     }
 
-    /// Fold the deaths of `departed` (one entry per death, in the order they were
-    /// claimed) into leadership, the table already saying so: each death bumps the
-    /// epoch of every shard the peer hosts, and a shard it led (`before`, the routes
-    /// before the claims) moves its rank cursor onto the first candidate past it, so a
-    /// later readmission does not fail back to it.
-    pub(crate) fn depart(&mut self, before: &[Route], departed: &[NodeId]) {
-        for &peer in departed {
+    /// Fold the deaths of `departed` (one entry per death, in claim order) into
+    /// leadership as if each were told alone, so survivors that batch the same deaths
+    /// differently agree: each bumps the epochs of the shards its peer hosts, and where
+    /// the peer led just before (first from the cursor of the members readmitted in
+    /// `before`, the table before the evidence, less the deaths ahead of it) the cursor
+    /// moves to the next such member, so a later readmission does not fail back to it.
+    pub(crate) fn depart(&mut self, before: &MembershipView, departed: &[NodeId]) {
+        for (k, &peer) in departed.iter().enumerate() {
+            let candidate = |n: NodeId| before.is_readmitted(n) && !departed[..k].contains(&n);
             for shard in self.placement.shards_hosted_by(peer) {
                 self.epochs[shard] += 1;
-                if before[shard].0 != Some(peer) {
+                let led = self.scan(shard, candidate).map(|i| self.placement.member(shard, i));
+                if led != Some(peer) {
                     continue;
                 }
-                let next =
-                    self.scan(shard, |n| self.table.is_readmitted(n) && !departed.contains(&n));
-                if let Some(pos) = next {
+                if let Some(pos) = self.scan(shard, |n| n != peer && candidate(n)) {
                     self.rank[shard] = pos;
                 }
             }

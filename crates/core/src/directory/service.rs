@@ -46,7 +46,7 @@ use crate::object::{NodeId, ObjectId, ObjectStatus};
 use crate::protocol::{DirOp, Message, ShardSnapshot};
 use crate::time::Time;
 
-use super::placement::{DirectoryPlacement, PlacementView, Rerouted, Route};
+use super::placement::{DirectoryPlacement, PlacementView, Rerouted};
 use super::replication::{
     confirm_of, ReplayOutcome, ReplicaRole, ResyncFrame, ResyncStep, ShardReplica,
 };
@@ -360,17 +360,19 @@ impl DirectoryService {
             ResyncStep::Done(_) => {}
         }
         self.view.set_rank(shard, frame.rank);
-        let routes = self.view.routes();
-        self.maybe_complete_local_resync(&routes);
+        let before = self.is_resyncing().then(|| self.view.routes());
+        if let Some(before) = before.filter(|_| self.maybe_complete_local_resync()) {
+            self.readmission = Some(self.view.rerouted(&before, &[]));
+        }
         true
     }
 
     /// If the last outstanding stream was just installed or abandoned, finish the
     /// local resync: readmit this node in its own table (the same epoch bump every
-    /// peer applies on `DirResynced`), promote wherever this node is now the shard's
-    /// leader, and queue the cluster-wide `DirResynced` announcement. Returns whether
-    /// it did.
-    fn maybe_complete_local_resync(&mut self, routes: &[Route]) -> bool {
+    /// peer applies on `DirResynced`) and promote wherever this node is now the
+    /// shard's leader. Returns whether it did; the caller queues the cluster-wide
+    /// `DirResynced` announcement with what the readmission re-routed.
+    fn maybe_complete_local_resync(&mut self) -> bool {
         if !self.is_resyncing() || self.replicas.values().any(|r| r.resync().is_some()) {
             return false;
         }
@@ -378,7 +380,6 @@ impl DirectoryService {
         self.set_readmitted(self.me, incarnation, true);
         self.view.readmitted(self.me);
         self.promote_where_leader();
-        self.readmission = Some(self.view.rerouted(routes, &[]));
         true
     }
 
@@ -407,46 +408,52 @@ impl DirectoryService {
         self.readmission.take()
     }
 
-    /// The one way liveness enters the service: every claim of one piece of evidence,
-    /// applied to the table in order ([`MembershipView::claim`]), then `readmit`, a
-    /// `DirResynced`'s `(node, incarnation)`, which readmits only that incarnation
-    /// alive once the claims are in. Then the directory reconciles once, from the
-    /// table before and after: each death (one `Died` per death, in claim order) bumps
-    /// the epochs of the shards its node hosts, moves the rank cursor off those it led,
-    /// is purged from every hosted replica, promotes this node where it now leads and
-    /// re-targets the resyncs it was the source of (abandoning a sourceless one, which
-    /// can finish this node's own resync); each readmission bumps its node's shards'
+    /// The one way liveness enters the service: one piece of evidence's claims, applied
+    /// in order ([`MembershipView::claim`]), then its `standing`, `(node, incarnation,
+    /// readmitted)`: a `DirResynced` readmits its incarnation; a restart request
+    /// un-readmits its requester's, and one held readmitted (its restart came as
+    /// gossip) crashed unseen, a death like any other. The directory then reconciles
+    /// once from the table before and after: each death (in claim order, an unseen
+    /// crash last) bumps its node's shards' epochs, moves the rank cursor off those it
+    /// led, is purged from every hosted replica, promotes this node where it now leads
+    /// and re-targets the resyncs it sourced (abandoning a sourceless one, which can
+    /// finish this node's own resync); each readmission bumps its node's shards'
     /// epochs; and the net route change comes back, to re-drive once.
     pub fn liveness(
         &mut self,
         claims: &[GossipEntry],
-        readmit: Option<(NodeId, u64)>,
+        standing: Option<(NodeId, u64, bool)>,
         now: Time,
         out: &mut Vec<(NodeId, Message)>,
     ) -> Reconciled {
-        let before = self.view.table().clone();
+        if claims.is_empty() && standing.is_none() {
+            return Reconciled::default();
+        }
+        let mut table = self.view.table().clone();
         let mut departed = Vec::new();
         let transitions: Vec<Transition> = claims
             .iter()
             .map(|&(node, incarnation, state)| {
-                let transition = self.view.table.claim(node, incarnation, state, now);
+                let transition = table.claim(node, incarnation, state, now);
                 if transition == Transition::Died {
                     departed.push(node);
                 }
                 transition
             })
             .collect();
-        let readmitted = readmit
-            .filter(|&(node, _)| node != self.me)
-            .is_some_and(|(node, incarnation)| self.set_readmitted(node, incarnation, true));
-        if departed.is_empty() && !readmitted && !transitions.iter().any(|t| t.changed()) {
+        let claimed = transitions.iter().any(|t| t.changed());
+        if !claimed && standing.is_none() {
             return Reconciled { transitions, ..Reconciled::default() };
         }
-        // The routes as they stood before the claims.
-        let after = std::mem::replace(&mut self.view.table, before);
+        // The routes as they stood before the evidence.
         let routes = self.view.routes();
-        let before = std::mem::replace(&mut self.view.table, after);
-        self.view.depart(&routes, &departed);
+        let before = std::mem::replace(&mut self.view.table, table);
+        if let Some((node, incarnation, readmitted)) = standing.filter(|s| s.0 != self.me) {
+            if self.set_readmitted(node, incarnation, readmitted) && !readmitted {
+                departed.push(node);
+            }
+        }
+        self.view.depart(&before, &departed);
         for replica in self.replicas.values_mut() {
             departed.iter().for_each(|&peer| replica.node_failed(peer));
         }
@@ -454,12 +461,10 @@ impl DirectoryService {
         // A stream whose source died starts over at the new source (seqs of two
         // primacies do not compare); with none left, the shard's metadata is lost and
         // the stream is abandoned, so the node can still finish its own resync.
-        let stranded: Vec<usize> = self
-            .replicas
-            .iter()
-            .filter(|(_, r)| r.resync().is_some_and(|resync| departed.contains(&resync.source)))
-            .map(|(&shard, _)| shard)
-            .collect();
+        let sourced = |(&shard, r): (&usize, &ShardReplica)| {
+            r.resync().filter(|resync| departed.contains(&resync.source)).map(|_| shard)
+        };
+        let stranded: Vec<usize> = self.replicas.iter().filter_map(sourced).collect();
         for shard in stranded {
             self.replicas.get_mut(&shard).expect("hosted shard").abort_resync();
             if let Some(primary) = self.view.primary(shard).filter(|&p| p != self.me) {
@@ -468,14 +473,13 @@ impl DirectoryService {
             }
         }
         // This node's own readmission, if that finished its resync, is in the net
-        // change: the announcement stays queued, with nothing left to re-drive.
-        if self.maybe_complete_local_resync(&routes) {
+        // change: the announcement is queued with nothing left to re-drive.
+        if self.maybe_complete_local_resync() {
             self.readmission = Some(Rerouted::default());
         }
         for peer in self.view.placement().nodes().to_vec() {
-            let table = self.view.table();
             let back = !before.is_readmitted(peer) || departed.contains(&peer);
-            if peer != self.me && table.is_readmitted(peer) && back {
+            if peer != self.me && self.view.table().is_readmitted(peer) && back {
                 self.view.readmitted(peer);
             }
         }
@@ -611,7 +615,7 @@ mod tests {
         fn readmit(&mut self, peer: NodeId) -> Rerouted {
             let incarnation = self.view().table().incarnation_of(peer);
             let claim = [(peer, incarnation, Alive)];
-            self.liveness(&claim, Some((peer, incarnation)), T, &mut Vec::new()).rerouted
+            self.liveness(&claim, Some((peer, incarnation, true)), T, &mut Vec::new()).rerouted
         }
     }
 
@@ -647,7 +651,8 @@ mod tests {
 
     /// Deliver one frame to `svc` the way the node does: a resync request's digest is
     /// first evidence, claimed through the one entry point (with, on a restart, the
-    /// crash of the requester's last incarnation); then the service takes the frame.
+    /// crash of the requester's last incarnation, and that incarnation not readmitted);
+    /// then the service takes the frame.
     fn deliver_to(
         svc: &mut DirectoryService,
         metrics: &mut NodeMetrics,
@@ -657,7 +662,10 @@ mod tests {
     ) {
         if let Message::DirSnapshotRequest { requester, restart, ref digest, .. } = msg {
             let claims = svc.view().table().digest_claims(digest, restart.then_some(requester));
-            svc.liveness(&claims, None, T, out);
+            let own =
+                digest.iter().find(|&&(node, _, alive)| restart && node == requester && alive);
+            let standing = own.map(|&(node, incarnation, _)| (node, incarnation, false));
+            svc.liveness(&claims, standing, T, out);
         }
         if let Some(other) = svc.handle(from, msg, metrics, out) {
             panic!("not a directory frame: {other:?}");
@@ -798,6 +806,34 @@ mod tests {
         assert_eq!(v(&svc), (Some(NodeId(3)), 2));
         svc.fail(NodeId(3), &mut Vec::new());
         assert_eq!(v(&svc), (None, 3), "all replicas dead");
+    }
+
+    /// Two deaths on one shard's replica set fold into leadership as if each had been
+    /// told alone, so a survivor that hears them in one digest and one that hears them
+    /// in two verdicts move their rank cursors alike, and after both nodes return
+    /// they name the same primary: the first member to have led since, with no
+    /// fail-back to the one that died first.
+    #[test]
+    fn deaths_heard_together_or_apart_move_the_rank_cursor_alike() {
+        // Node 1's view of shard 2 on a 3-node cluster with r = 2: replicas [2, 0].
+        let cfg = HopliteConfig::small_for_tests();
+        let mut apart = DirectoryService::new(NodeId(1), &cfg, &nodes(3), 0);
+        let mut together = DirectoryService::new(NodeId(1), &cfg, &nodes(3), 0);
+        apart.fail(NodeId(2), &mut Vec::new());
+        assert_eq!(apart.view().primary(2), Some(NodeId(0)));
+        apart.fail(NodeId(0), &mut Vec::new());
+        let deaths = [(NodeId(2), 0, Dead), (NodeId(0), 0, Dead)];
+        let both = together.liveness(&deaths, None, T, &mut Vec::new());
+        assert_eq!(both.departed, vec![NodeId(2), NodeId(0)]);
+        for svc in [&mut apart, &mut together] {
+            assert_eq!(svc.view().primary(2), None);
+            svc.recover(NodeId(0));
+            svc.recover(NodeId(2));
+            svc.readmit(NodeId(0));
+            svc.readmit(NodeId(2));
+        }
+        let views = [&apart, &together].map(|s| (s.view().primary(2), s.view().epoch(2)));
+        assert_eq!(views, [(Some(NodeId(0)), 4); 2], "the interim primary keeps the shard");
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! this node itself from the start of its post-restart resync to its last stream;
 //! alive and readmitted is healthy. An incarnation back from the dead is readmitted
 //! only by its `DirResynced`; a newer one heard of while the old one was believed
-//! alive (a refuted suspicion) keeps the old one's readmission.
+//! alive (a refuted suspicion) keeps the old one's readmission, until its own
+//! restart-flagged resync request says it is not caught up: then it restarted, and
+//! the crash was slept through.
 //!
 //! **One table, three writes** — [`MembershipView::claim`] (the override policy,
 //! written once), [`MembershipView::refute`] and [`MembershipView::readmit`] — all
@@ -42,7 +44,9 @@
 //! back: the restarted process says so itself, at the incarnation it runs, in its
 //! restart-flagged snapshot requests, its `Hello` and its `DirResynced`. When such a
 //! message names a newer incarnation of a peer still believed alive, the crash was
-//! slept through, and its death is claimed first ([`MembershipView::digest_claims`]).
+//! slept through, and its death is claimed first ([`MembershipView::digest_claims`]);
+//! a restart request naming the incarnation held, while the table holds it
+//! readmitted, is the same crash, which the service reads off the readmission.
 //!
 //! A restarted node knows nothing about failures it slept through, so rejoin messages
 //! carry a **digest** (`(node, incarnation, alive)` triples); the resync source

@@ -742,7 +742,7 @@ impl ObjectStoreNode {
     /// | `FailureNotice` | dead (`Stale` → `stale_failure_notices_dropped`) |
     /// | `Hello` | alive |
     /// | `Resynced` | alive, and readmits that incarnation (`Stale` → `stale_failure_notices_dropped`) |
-    /// | `Digest`, `SnapshotRequest` | alive / dead per entry, a restart request's own entry as its `Hello` (a third party's `Died` → `membership_deaths_learned`) |
+    /// | `Digest`, `SnapshotRequest` | alive / dead per entry, a restart request's own entry as its `Hello`, and that incarnation not readmitted — a crash slept through if it was (a third party's `Died` → `membership_deaths_learned`) |
     /// | `Gossip` | as a digest, when a detector runs; one against this node at its incarnation or later is refuted instead (`refutations_sent`) |
     /// | `Verdicts` | suspect / dead, as the detector decided (`Died` → `deaths_declared`) |
     ///
@@ -750,17 +750,22 @@ impl ObjectStoreNode {
     fn liveness(&mut self, now: Time, evidence: Evidence<'_>, out: &mut Vec<Effect>) {
         use GossipState::{Alive, Dead};
         let table = self.membership();
-        let mut readmit = None;
+        let mut standing = None;
         let mut claims: Vec<GossipEntry> = match evidence {
             Evidence::FailureNotice(node, inc) => vec![(node, inc, Dead)],
             Evidence::Hello(node, inc) | Evidence::Resynced(node, inc) => {
                 if let Evidence::Resynced(..) = evidence {
-                    readmit = Some((node, inc));
+                    standing = Some((node, inc, true));
                 }
                 table.digest_claims(&[(node, inc, true)], Some(node))
             }
             Evidence::Digest(entries) => table.digest_claims(entries, None),
             Evidence::SnapshotRequest { requester, restart, digest } => {
+                if restart {
+                    // The incarnation a restart request comes from is not caught up.
+                    let own = digest.iter().find(|&&(node, _, alive)| node == requester && alive);
+                    standing = own.map(|&(node, inc, _)| (node, inc, false));
+                }
                 table.digest_claims(digest, restart.then_some(requester))
             }
             Evidence::Gossip(entries) if self.detector.is_some() => entries.to_vec(),
@@ -784,7 +789,7 @@ impl ObjectStoreNode {
             });
         }
         let mut msgs = Vec::new();
-        let change = self.ctx.service.liveness(&claims, readmit, now, &mut msgs);
+        let change = self.ctx.service.liveness(&claims, standing, now, &mut msgs);
         for (&(node, incarnation, state), &transition) in claims.iter().zip(&change.transitions) {
             if !transition.changed() {
                 if transition == Transition::Stale

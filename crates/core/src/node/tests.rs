@@ -1378,6 +1378,66 @@ fn restart_request_from_a_believed_primary_redrives_once_and_keeps_one_view() {
     assert_eq!(tc.nodes[0].directory_primary_for(object), Some(NodeId(0)));
 }
 
+/// A restarted node's new incarnation can reach a survivor as gossip first: hearsay
+/// of a newer incarnation of a peer believed alive, which keeps its readmission as a
+/// refuted suspicion would. Its restart request then names the incarnation the table
+/// already holds, and still says that incarnation is not caught up, so the crash was
+/// slept through: the full failure rules run once, routing moves off the restarted
+/// node and its request is served, instead of being dropped as addressed to the
+/// shard's own primary. The next pull of the same stream fails nothing over again.
+#[test]
+fn a_restart_request_after_gossip_of_its_incarnation_runs_the_failure_rules() {
+    use crate::detector::DetectorConfig;
+    let detector = Some(DetectorConfig::default());
+    let mut tc =
+        TestCluster::with_config(3, HopliteConfig { detector, ..HopliteConfig::small_for_tests() });
+    // Shard 2 lives on [2, 0]: node 0 backs it up.
+    let object = object_on_shard(&ClusterView::of_size(3), NodeId(2));
+    let gossip = vec![(NodeId(2), 1, GossipState::Alive)];
+    let mut out = Vec::new();
+    tc.nodes[0].handle_message(
+        Time::ZERO,
+        NodeId(1),
+        Message::Ack { probe_id: 9, gossip },
+        &mut out,
+    );
+    assert!(tc.nodes[0]
+        .membership()
+        .entries()
+        .any(|e| e == (NodeId(2), 1, GossipState::Alive, true)));
+    assert_eq!(tc.nodes[0].directory_primary_for(object), Some(NodeId(2)));
+
+    let request = |after| Message::DirSnapshotRequest {
+        shard: 2,
+        requester: NodeId(2),
+        restart: true,
+        after,
+        digest: restart_digest(3, 2, 1),
+    };
+    let mut out = Vec::new();
+    tc.nodes[0].handle_message(Time::ZERO, NodeId(2), request(None), &mut out);
+    assert!(out.contains(&Effect::PeerDown { node: NodeId(2) }), "the full failure rules ran");
+    assert_eq!(tc.nodes[0].directory_primary_for(object), Some(NodeId(0)), "routing moved");
+    assert!(tc.nodes[0]
+        .membership()
+        .entries()
+        .any(|e| e == (NodeId(2), 1, GossipState::Alive, false)));
+    let served = |out: &[Effect]| {
+        out.iter().any(|e| {
+            matches!(
+                e,
+                Effect::Send { to: NodeId(2), msg: Message::DirSnapshotChunk { shard: 2, .. } }
+            )
+        })
+    };
+    assert!(served(&out), "the restarted node was served: {out:?}");
+
+    let mut out = Vec::new();
+    tc.nodes[0].handle_message(Time::ZERO, NodeId(2), request(Some(object)), &mut out);
+    assert!(!out.iter().any(|e| matches!(e, Effect::PeerDown { .. })), "{out:?}");
+    assert!(served(&out), "the next pull is served too: {out:?}");
+}
+
 /// A restart request whose digest reports a third node's death (D7): the death runs
 /// the full §3.5 failure rules once, as any other `Died` does. Routing moves off the
 /// dead node and the driver is told to tear its connections down; the verdict about
