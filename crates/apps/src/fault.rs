@@ -156,11 +156,36 @@ pub struct TimelinePoint {
     pub event: &'static str,
 }
 
-fn detection_delay(system: CommSystem) -> f64 {
-    match system {
+/// `steps` queries or iterations around one worker failure at `fail_at` and its
+/// rejoin at `rejoin_at`: the step that observes the failure pays the detection delay
+/// on top of `normal` before the schedule adapts, the steps until the rejoin take
+/// `degraded`, and the rest `normal`.
+fn failure_timeline(
+    system: CommSystem,
+    steps: usize,
+    fail_at: usize,
+    rejoin_at: usize,
+    normal: f64,
+    degraded: f64,
+) -> Vec<TimelinePoint> {
+    let detection = match system {
         CommSystem::Hoplite => HOPLITE_FAILURE_DETECTION_S,
         _ => RAY_FAILURE_DETECTION_S,
-    }
+    };
+    (0..steps)
+        .map(|i| {
+            let (latency_s, event) = if i == fail_at {
+                (normal + detection, "failure")
+            } else if i > fail_at && i < rejoin_at {
+                (degraded, "")
+            } else if i == rejoin_at {
+                (normal, "rejoin")
+            } else {
+                (normal, "")
+            };
+            TimelinePoint { index: i, latency_s, event }
+        })
+        .collect()
 }
 
 /// Per-query serving latency around a worker failure and rejoin (Figure 12a): `queries`
@@ -180,24 +205,8 @@ pub fn serving_failure_timeline(
             + comm.gather(replicas, SERVING_RESULT_BYTES)
             + SERVING_OVERHEAD_S
     };
-    let normal = query_latency(nodes);
-    let degraded = query_latency(nodes - 1);
-    (0..queries)
-        .map(|i| {
-            let (latency, event) = if i == fail_at {
-                // The query that observes the failure pays the detection delay before
-                // the schedule adapts.
-                (normal + detection_delay(system), "failure")
-            } else if i > fail_at && i < rejoin_at {
-                (degraded, "")
-            } else if i == rejoin_at {
-                (normal, "rejoin")
-            } else {
-                (normal, "")
-            };
-            TimelinePoint { index: i, latency_s: latency, event }
-        })
-        .collect()
+    let (normal, degraded) = (query_latency(nodes), query_latency(nodes - 1));
+    failure_timeline(system, queries, fail_at, rejoin_at, normal, degraded)
 }
 
 /// Per-iteration async-SGD latency around a worker failure and rejoin (Figure 12b).
@@ -222,22 +231,8 @@ pub fn async_sgd_failure_timeline(
             + comm.reduce(group, model.size_bytes)
             + comm.broadcast(group, model.size_bytes)
     };
-    let normal = iteration_latency(workers);
-    let degraded = iteration_latency(workers - 1);
-    (0..iterations)
-        .map(|i| {
-            let (latency, event) = if i == fail_at {
-                (normal + detection_delay(system), "failure")
-            } else if i > fail_at && i < rejoin_at {
-                (degraded, "")
-            } else if i == rejoin_at {
-                (normal, "rejoin")
-            } else {
-                (normal, "")
-            };
-            TimelinePoint { index: i, latency_s: latency, event }
-        })
-        .collect()
+    let (normal, degraded) = (iteration_latency(workers), iteration_latency(workers - 1));
+    failure_timeline(system, iterations, fail_at, rejoin_at, normal, degraded)
 }
 
 /// The comparison shown in Figure 12: Ray vs Ray+Hoplite.

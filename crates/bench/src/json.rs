@@ -78,12 +78,22 @@ impl Json {
     /// Serialize with two-space indentation and a trailing newline.
     pub fn to_pretty_string(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, 0);
+        self.write(&mut out, Some(0));
         out.push('\n');
         out
     }
 
-    fn write(&self, out: &mut String, depth: usize) {
+    /// Serialize on one line, with no whitespace between tokens and no trailing
+    /// newline, so a line-oriented protocol can carry the document as one reply.
+    pub fn to_line_string(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, None);
+        out
+    }
+
+    /// Write at indentation `depth`, or on one line with `None`.
+    fn write(&self, out: &mut String, depth: Option<usize>) {
+        let inner = depth.map(|d| d + 1);
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -105,12 +115,10 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('\n');
-                    indent(out, depth + 1);
-                    item.write(out, depth + 1);
+                    newline(out, inner);
+                    item.write(out, inner);
                 }
-                out.push('\n');
-                indent(out, depth);
+                newline(out, depth);
                 out.push(']');
             }
             Json::Obj(pairs) => {
@@ -123,14 +131,12 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('\n');
-                    indent(out, depth + 1);
+                    newline(out, inner);
                     write_escaped(out, k);
-                    out.push_str(": ");
-                    v.write(out, depth + 1);
+                    out.push_str(if depth.is_some() { ": " } else { ":" });
+                    v.write(out, inner);
                 }
-                out.push('\n');
-                indent(out, depth);
+                newline(out, depth);
                 out.push('}');
             }
         }
@@ -149,9 +155,13 @@ impl Json {
     }
 }
 
-fn indent(out: &mut String, depth: usize) {
-    for _ in 0..depth {
-        out.push_str("  ");
+/// Break the line and indent to `depth`; nothing when writing on one line (`None`).
+fn newline(out: &mut String, depth: Option<usize>) {
+    if let Some(depth) = depth {
+        out.push('\n');
+        for _ in 0..depth {
+            out.push_str("  ");
+        }
     }
 }
 
@@ -346,6 +356,23 @@ mod tests {
         let text = doc.to_pretty_string();
         let back = Json::parse(&text).expect("parses");
         assert_eq!(back, doc);
+    }
+
+    #[test]
+    fn one_line_and_pretty_writers_spell_the_same_document() {
+        let doc = obj(vec![
+            ("peers", Json::Arr(vec![obj(vec![("state", Json::Str("a\nb".into()))])])),
+            ("primaries", Json::Arr(vec![Json::Num(0.0), Json::Null])),
+            ("empty", Json::Obj(vec![])),
+        ]);
+        let line = doc.to_line_string();
+        assert_eq!(line, r#"{"peers":[{"state":"a\nb"}],"primaries":[0,null],"empty":{}}"#);
+        assert_eq!(
+            doc.to_pretty_string(),
+            "{\n  \"peers\": [\n    {\n      \"state\": \"a\\nb\"\n    }\n  ],\n  \
+             \"primaries\": [\n    0,\n    null\n  ],\n  \"empty\": {}\n}\n"
+        );
+        assert_eq!(Json::parse(&line).unwrap(), doc);
     }
 
     #[test]

@@ -23,8 +23,9 @@ pub struct Completion {
 ///
 /// The actor keeps the ingredients to rebuild its node: when the simulator recovers
 /// a failed node it calls [`SimActor::on_start`] again, and the actor models a real
-/// process restart — a fresh, empty [`ObjectStoreNode`] that immediately begins
-/// directory recovery (snapshot requests, log catch-up, `DirResynced` announcement).
+/// process restart — a fresh, empty [`ObjectStoreNode`] at the next incarnation,
+/// which [`NodeEvent::Started`] puts into directory recovery (snapshot requests,
+/// catch-up, `DirResynced` announcement).
 pub struct HopliteActor {
     id: NodeId,
     cfg: HopliteConfig,
@@ -98,26 +99,21 @@ impl SimActor for HopliteActor {
     type Msg = Message;
 
     fn on_start(&mut self, ctx: &mut SimContext<'_, Message>) {
-        if !self.booted {
-            // Cold boot: the node constructed in `new` is already current. Arm
-            // self-driven machinery (the SWIM probe timer, when configured).
-            self.booted = true;
-            self.drive(NodeEvent::Started, ctx);
-            return;
+        if self.booted {
+            // Recovery restart: model a fresh process — empty store, empty directory
+            // replicas — at the next incarnation, so it resyncs before leading any
+            // shard again and stale failure notices about the old one cannot re-park
+            // it. A cold boot keeps the node constructed in `new`.
+            self.opts.incarnation += 1;
+            let node = ObjectStoreNode::new(
+                self.id,
+                self.cfg.clone(),
+                self.cluster.clone(),
+                self.opts.clone(),
+            );
+            self.runtime = NodeRuntime::new(node);
         }
-        // Recovery restart: model a fresh process — empty store, empty directory
-        // replicas — that must resync before leading any shard again. The new
-        // process runs at the next incarnation, so stale failure notices about the
-        // old one cannot re-park it.
-        self.opts.incarnation += 1;
-        let node = ObjectStoreNode::new(
-            self.id,
-            self.cfg.clone(),
-            self.cluster.clone(),
-            self.opts.clone(),
-        );
-        self.runtime = NodeRuntime::new(node);
-        self.drive(NodeEvent::Restarted, ctx);
+        self.booted = true;
         self.drive(NodeEvent::Started, ctx);
     }
 

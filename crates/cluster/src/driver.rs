@@ -39,14 +39,11 @@ pub enum NodeEvent {
     },
     /// A timer armed via [`DriverPort::set_timer`] fired.
     Timer(TimerToken),
-    /// This node itself was just restarted with empty state: begin directory
-    /// recovery (snapshot requests + log catch-up + `DirResynced` announcement).
-    /// Backends deliver this exactly once, as the first event of a restarted node.
-    Restarted,
-    /// This node's event loop is live (cold boot, or right after
-    /// [`NodeEvent::Restarted`] on a restart): arm self-driven machinery — today
-    /// the SWIM failure detector's probe timer, when one is configured. Backends
-    /// deliver this once per process lifetime, before any other traffic.
+    /// This process's event loop is live. Backends deliver this once per process
+    /// lifetime, before any other traffic. A node built at an incarnation above 0 is a
+    /// restart: it first begins directory recovery (restart-flagged snapshot requests,
+    /// catch-up, `DirResynced`). Then every node arms its self-driven machinery, today
+    /// the SWIM failure detector's probe timer when one is configured.
     Started,
 }
 
@@ -103,8 +100,12 @@ impl NodeRuntime {
                 self.node.handle_message(now, from, msg, &mut self.effects)
             }
             NodeEvent::Timer(token) => self.node.handle_timer(now, token, &mut self.effects),
-            NodeEvent::Restarted => self.node.begin_recovery(now, &mut self.effects),
-            NodeEvent::Started => self.node.handle_started(now, &mut self.effects),
+            NodeEvent::Started => {
+                if self.node.incarnation() > 0 {
+                    self.node.begin_recovery(now, &mut self.effects);
+                }
+                self.node.handle_started(now, &mut self.effects)
+            }
         }
         for effect in self.effects.drain(..) {
             match effect {
@@ -247,6 +248,26 @@ mod tests {
         assert_eq!(got, Payload::from_vec(data));
         // Local progress advisories were surfaced to the receiving port.
         assert!(!port1.progress.is_empty());
+    }
+
+    #[test]
+    fn a_node_above_incarnation_0_recovers_on_started_alone() {
+        let restart_requests = |incarnation: u64| {
+            let opts = NodeOptions { incarnation, ..NodeOptions::default() };
+            let mut rt = runtime_of(4, 1, opts);
+            let mut port = RecordingPort::default();
+            rt.handle(Time::ZERO, NodeEvent::Started, &mut port);
+            let sent = port.sent.into_iter().filter(|(_, msg)| {
+                matches!(
+                    msg,
+                    Message::DirSnapshotRequest { requester: NodeId(1), restart: true, .. }
+                )
+            });
+            (sent.count(), rt.node().directory_is_resyncing())
+        };
+        let (requests, resyncing) = restart_requests(1);
+        assert!(requests >= 1 && resyncing, "{requests} restart requests, resyncing {resyncing}");
+        assert_eq!(restart_requests(0), (0, false), "a cold boot is not a restart");
     }
 
     #[test]

@@ -168,28 +168,23 @@ pub struct NodeHost {
 }
 
 impl NodeHost {
-    /// Host `node`. `recovering` selects whether it starts cold or as a restarted
-    /// process that must resync its directory replicas before leading again.
-    /// `next_op` is the op-id source shared by every client of this process (clusters
-    /// share one across all their hosts). `attach` is handed the node's ingress sink
-    /// before the node handles its first event — pass it to
+    /// Host `node`; one built at an incarnation above 0 starts as a restarted process
+    /// that resyncs its directory replicas before leading again. `next_op` is the
+    /// op-id source shared by every client of this process (clusters share one across
+    /// all their hosts). `attach` is handed the node's ingress sink before the node
+    /// handles its first event — pass it to
     /// [`Fabric::attach`](hoplite_transport::fabric::Fabric::attach) — so no answer to
     /// what the node says at start-up finds the fabric with nowhere to put it.
     pub fn spawn(
         node: ObjectStoreNode,
         fabric_tx: Box<dyn FabricSender>,
-        recovering: bool,
         next_op: Arc<AtomicU64>,
         attach: impl FnOnce(IngressSink),
     ) -> NodeHost {
         let id = node.id();
-        // First in every mailbox, ahead of any traffic: a restarted node requests
-        // directory snapshots so it can be re-admitted to its replica sets, and cold
-        // boot or restart alike arms the self-driven machinery (the SWIM probe timer,
-        // when a detector is configured).
-        let restarted = recovering.then_some(NodeEvent::Restarted);
-        let queue = restarted.into_iter().chain([NodeEvent::Started]).map(LoopEvent::Node);
-        let mailbox = Mailbox { queue: queue.collect(), ..Mailbox::default() };
+        // First in every mailbox, ahead of any traffic.
+        let queue = [LoopEvent::Node(NodeEvent::Started)].into();
+        let mailbox = Mailbox { queue, ..Mailbox::default() };
         let node = Node {
             runtime: NodeRuntime::new(node),
             fabric: fabric_tx,
@@ -570,7 +565,7 @@ pub(crate) mod tests {
         let opts = NodeOptions { synthetic_data: false, pipelined_put, incarnation: 0 };
         let node = ObjectStoreNode::new(NodeId(0), cfg, ClusterView::of_size(n), opts);
         let next_op = Arc::new(AtomicU64::new(1));
-        let host = NodeHost::spawn(node, Box::new(recorder), false, next_op, |_| {});
+        let host = NodeHost::spawn(node, Box::new(recorder), next_op, |_| {});
         // Only the node thread runs a posted frame: once it has, and has let go of
         // the node, it has noted that no timer is armed and sleeps on no deadline.
         let (from, msg) = pull(1, ObjectId::from_name("warm-up"));
@@ -768,7 +763,7 @@ pub(crate) mod tests {
         let opts = NodeOptions { synthetic_data: false, pipelined_put: false, incarnation: 0 };
         let node = ObjectStoreNode::new(NodeId(0), HopliteConfig::small_for_tests(), view, opts);
         let next_op = Arc::new(AtomicU64::new(1));
-        let host = NodeHost::spawn(node, Box::new(fabric), false, next_op, |_| {});
+        let host = NodeHost::spawn(node, Box::new(fabric), next_op, |_| {});
         // As in `rig`: once the node thread has run a posted frame and let go of the
         // node it is asleep, and the next caller finds the node free.
         let (from, msg) = pull(1, ObjectId::from_name("warm-up"));
@@ -848,7 +843,7 @@ pub(crate) mod tests {
             ClusterView::of_size(2),
             NodeOptions::default(),
         );
-        let host = NodeHost::spawn(node, sender, false, Arc::new(AtomicU64::new(1)), |_| {});
+        let host = NodeHost::spawn(node, sender, Arc::new(AtomicU64::new(1)), |_| {});
         let shared = host.shared.clone();
         let handler = thread::spawn(move || {
             let (from, msg) = pull(1, ObjectId::from_name("first"));
@@ -889,9 +884,8 @@ pub(crate) mod tests {
             let node = ObjectStoreNode::new(NodeId(0), cfg, cluster.clone(), Default::default());
             let (sender, addr) = (Box::new(fabric.sender()), fabric.addresses()[0]);
             let next_op = Arc::new(AtomicU64::new(1));
-            let host = NodeHost::spawn(node, sender, false, next_op, |sink| {
-                fabric.attach(NodeId(0), sink)
-            });
+            let host =
+                NodeHost::spawn(node, sender, next_op, |sink| fabric.attach(NodeId(0), sink));
             // An inline object of a shard node 0 leads, so node 0 answers the query.
             let object = (0..)
                 .map(|i| ObjectId::from_name(&format!("hostile-{i}")))

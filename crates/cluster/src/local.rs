@@ -102,17 +102,15 @@ impl LocalCluster {
             pool,
         };
         for id in cluster_view.nodes {
-            let host = cluster.spawn_node(id, false);
+            let host = cluster.spawn_node(id);
             cluster.nodes.push(host);
         }
         cluster
     }
 
-    /// Spawn the host for one node and make it the fabric's sink for that node
-    /// (replacing a killed predecessor's). `recovering` selects whether the node
-    /// starts cold or as a restarted process that must resync its directory replicas
-    /// before leading again.
-    fn spawn_node(&mut self, id: NodeId, recovering: bool) -> NodeHost {
+    /// Spawn the host for one node at its recorded incarnation (above 0 for a restart)
+    /// and make it the fabric's sink for that node (replacing a killed predecessor's).
+    fn spawn_node(&mut self, id: NodeId) -> NodeHost {
         let node = ObjectStoreNode::new(
             id,
             self.cfg.clone(),
@@ -125,7 +123,7 @@ impl LocalCluster {
         )
         .with_pool(self.pool.clone().unwrap_or_default());
         let (fabric_tx, next_op) = (self.fabric.dyn_sender(), self.next_op.clone());
-        NodeHost::spawn(node, fabric_tx, recovering, next_op, |sink| self.fabric.attach(id, sink))
+        NodeHost::spawn(node, fabric_tx, next_op, |sink| self.fabric.attach(id, sink))
     }
 
     /// Number of nodes.
@@ -191,7 +189,7 @@ impl LocalCluster {
         let id = NodeId(node as u32);
         self.incarnations[node] += 1;
         self.fabric.note_restart(id, self.incarnations[node]);
-        self.nodes[node] = self.spawn_node(id, true);
+        self.nodes[node] = self.spawn_node(id);
     }
 }
 

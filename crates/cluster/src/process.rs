@@ -10,7 +10,7 @@
 //! | request | reply |
 //! |---|---|
 //! | `ping` | `ok pong` |
-//! | `status` | `ok node=0 incarnation=1 resyncing=false peers=<peer>,... primaries=<primary>,... <counter>=<value>...`: per node id `<incarnation>:<alive\|suspect\|dead>:<readmitted 0\|1>`, per shard its believed primary or `-` |
+//! | `status` | `ok {"node":0,"incarnation":1,"resyncing":false,"unconfirmed":0,"peers":[...],"primaries":[...],"metrics":{...}}`: the node's status as one JSON object on one line (`hoplite_daemon::status` renders it) |
 //! | `put <name> <size> <seed>` | `ok` — stores `size` pattern bytes derived from `seed` |
 //! | `get <name> <size> <seed>` | `ok` — fetches and verifies the pattern, `err mismatch` otherwise |
 //! | `put-f32 <name> <len> <value>` | `ok` — stores `len` f32s all equal to `value` |
@@ -28,7 +28,6 @@
 //! is one supervisor, `hoplite_daemon::fleet::Fleet`, which both `hoplitectl drill`
 //! and the detached `hoplitectl` commands use.
 
-use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -81,14 +80,9 @@ impl ControlClient {
         self.request("ping").map(|_| ())
     }
 
-    /// Status snapshot as `key → value` pairs (`node`, `incarnation`, `resyncing`,
-    /// `peers`, `primaries`, plus every [`NodeMetrics`] counter).
-    pub fn status(&mut self) -> io::Result<BTreeMap<String, String>> {
-        let reply = self.request("status")?;
-        Ok(reply
-            .split_whitespace()
-            .filter_map(|pair| pair.split_once('=').map(|(k, v)| (k.to_string(), v.to_string())))
-            .collect())
+    /// Status snapshot: the reply line, one JSON object, as the daemon wrote it.
+    pub fn status(&mut self) -> io::Result<String> {
+        self.request("status")
     }
 
     /// Store `size` pattern bytes under `name`.

@@ -161,10 +161,35 @@ pub fn reduce_latency(
     degree: Option<usize>,
     interval_s: f64,
 ) -> ScenarioResult {
+    reduce_then_get(env, "reduce", n, size, degree, interval_s, 1)
+}
+
+/// AllReduce latency (Figures 7, 8, 14): a `Reduce` followed by every node `Get`ting the
+/// result (§3.4.3), which is exactly how Hoplite expresses allreduce.
+pub fn allreduce_latency(
+    env: &ScenarioEnv,
+    n: usize,
+    size: u64,
+    interval_s: f64,
+) -> ScenarioResult {
+    reduce_then_get(env, "allreduce", n, size, None, interval_s, n)
+}
+
+/// Every node `Put`s `{name}-{i}`, node 0 reduces them into `{name}-result`, and nodes
+/// `0..getters` `Get` the result; the latency runs to the last `Get`.
+fn reduce_then_get(
+    env: &ScenarioEnv,
+    name: &str,
+    n: usize,
+    size: u64,
+    degree: Option<usize>,
+    interval_s: f64,
+    getters: usize,
+) -> ScenarioResult {
     assert!(n >= 2);
     let mut cluster = env.cluster(n);
-    let sources: Vec<ObjectId> = (0..n).map(|i| object("reduce", i)).collect();
-    let target = ObjectId::from_name("reduce-result");
+    let sources: Vec<ObjectId> = (0..n).map(|i| object(name, i)).collect();
+    let target = ObjectId::from_name(&format!("{name}-result"));
     let start = if interval_s == 0.0 {
         for (i, &src) in sources.iter().enumerate() {
             cluster.submit_at(
@@ -197,65 +222,12 @@ pub fn reduce_latency(
             degree,
         },
     );
-    let get = cluster.submit_at(start, 0, ClientOp::Get { object: target });
-    cluster.run();
-    let done = cluster.done_time(get).expect("reduce result fetched");
-    result(&cluster, (done - start).as_secs_f64())
-}
-
-/// AllReduce latency (Figures 7, 8, 14): a `Reduce` followed by every node `Get`ting the
-/// result (§3.4.3), which is exactly how Hoplite expresses allreduce.
-pub fn allreduce_latency(
-    env: &ScenarioEnv,
-    n: usize,
-    size: u64,
-    interval_s: f64,
-) -> ScenarioResult {
-    assert!(n >= 2);
-    let mut cluster = env.cluster(n);
-    let sources: Vec<ObjectId> = (0..n).map(|i| object("allreduce", i)).collect();
-    let target = ObjectId::from_name("allreduce-result");
-    let start = if interval_s == 0.0 {
-        for (i, &src) in sources.iter().enumerate() {
-            cluster.submit_at(
-                SimTime::ZERO,
-                i,
-                ClientOp::Put { object: src, payload: Payload::synthetic(size) },
-            );
-        }
-        settle(&mut cluster)
-    } else {
-        let start = SimTime::from_secs_f64(SETTLE);
-        for (i, &src) in sources.iter().enumerate() {
-            let at = SimTime::from_secs_f64(start.as_secs_f64() + i as f64 * interval_s);
-            cluster.submit_at(
-                at,
-                i,
-                ClientOp::Put { object: src, payload: Payload::synthetic(size) },
-            );
-        }
-        start
-    };
-    cluster.submit_at(
-        start,
-        0,
-        ClientOp::Reduce {
-            target,
-            sources,
-            num_objects: None,
-            spec: ReduceSpec::sum_f32(),
-            degree: None,
-        },
-    );
-    let gets: Vec<OpHandle> = (0..n)
+    let gets: Vec<OpHandle> = (0..getters)
         .map(|node| cluster.submit_at(start, node, ClientOp::Get { object: target }))
         .collect();
     cluster.run();
-    let last = gets
-        .iter()
-        .map(|&h| cluster.done_time(h).expect("allreduce receiver finished"))
-        .max()
-        .unwrap();
+    let last =
+        gets.iter().map(|&h| cluster.done_time(h).expect("reduce result fetched")).max().unwrap();
     result(&cluster, (last - start).as_secs_f64())
 }
 
@@ -1090,6 +1062,65 @@ mod tests {
     fn a_partition_longer_than_the_suspicion_window_heals_into_one_view() {
         let r = healed_partition_probe(&ScenarioEnv::paper_testbed(), true, 0);
         assert_eq!((r.disagreeing, r.gets_done), (0, r.gets), "{r:?}");
+    }
+
+    /// D21's run: four nodes on the 100 ms / 40 ms / ×30 detector; node 3 is cut off
+    /// from 0.8 s to 1.3 s, long enough to be suspected, and refutes (incarnation
+    /// 0 → 1). With `kill` it is killed at 5 s and restarted at 12 s. Each of nodes
+    /// 0–2 puts one object at 0.1 s. Returns, at 40 s, node 3's incarnation, whether
+    /// it is still resyncing, and what each survivor holds of it.
+    fn refuted_then_restarted(kill: bool) -> (u64, bool, Vec<(u64, GossipState, bool)>) {
+        const N: usize = 4;
+        let mut hoplite = HopliteConfig::paper_testbed();
+        hoplite.detector = Some(DetectorConfig {
+            probe_period: Duration::from_millis(100),
+            ack_timeout: Duration::from_millis(40),
+            suspicion_multiplier: 30,
+            ..DetectorConfig::default()
+        });
+        let mut cluster = SimCluster::new(N, hoplite, ScenarioEnv::paper_testbed().network);
+        let at = SimTime::from_secs_f64;
+        for putter in 0..N - 1 {
+            let object = ObjectId::from_name(&format!("d21-{putter}"));
+            let payload = Payload::synthetic(1024);
+            cluster.submit_at(at(0.1), putter, ClientOp::Put { object, payload });
+        }
+        cluster.partition_between(at(0.8), at(1.3), (0..N).map(|node| node == 3).collect());
+        if kill {
+            cluster.fail_node_at(at(5.0), 3);
+            cluster.restart_node_at(at(12.0), 3);
+        }
+        cluster.run_until(at(40.0));
+        let held = (0..N - 1)
+            .map(|survivor| {
+                let (_, incarnation, state, readmitted) =
+                    cluster.node(survivor).membership().entries().nth(3).unwrap();
+                (incarnation, state, readmitted)
+            })
+            .collect();
+        (cluster.node(3).incarnation(), cluster.node(3).directory_is_resyncing(), held)
+    }
+
+    #[test]
+    fn a_refuted_suspicion_without_a_restart_stays_healthy() {
+        let (incarnation, resyncing, held) = refuted_then_restarted(false);
+        assert_eq!((incarnation, resyncing), (1, false));
+        assert_eq!(held, vec![(1, GossipState::Alive, true); 3]);
+    }
+
+    /// D21: a refutation bumps only the table's entry, while every driver restarts a
+    /// node at its own record + 1 and stamps its kill verdict with that record. So the
+    /// three verdicts name incarnation 0 and are dropped as stale, and the restart at
+    /// incarnation 1 loses every claim to `Dead{1}`, refutes to 2 and stays resyncing.
+    /// The healthy outcome: the restarted process resynced, and every survivor holds
+    /// it alive and readmitted at its own incarnation. Fails until item 2's one rejoin
+    /// path.
+    #[test]
+    #[ignore = "D21, ROADMAP item 2"]
+    fn a_restart_after_a_refutation_is_readmitted_everywhere() {
+        let (incarnation, resyncing, held) = refuted_then_restarted(true);
+        assert!(!resyncing, "node 3 still resyncing at incarnation {incarnation}: {held:?}");
+        assert_eq!(held, vec![(incarnation, GossipState::Alive, true); 3]);
     }
 
     #[test]

@@ -138,6 +138,11 @@ impl SimCluster {
         total
     }
 
+    /// The node hosted at `node` (its liveness table, its resync state).
+    pub fn node(&self, node: usize) -> &ObjectStoreNode {
+        self.sim.actor(node).node()
+    }
+
     /// Metrics of a single node.
     pub fn node_metrics(&self, node: usize) -> NodeMetrics {
         self.sim.actor(node).node().metrics().clone()

@@ -84,10 +84,10 @@ mod tests {
 
     #[test]
     fn options_switches_and_leftovers() {
-        let mut a = args(&["--node", "3", "--recover", "--fabric", "a:1,b:2"]);
+        let mut a = args(&["--node", "3", "--detect", "--fabric", "a:1,b:2"]);
         assert_eq!(a.req::<u32>("node").unwrap(), 3);
-        assert!(a.switch("recover"));
-        assert!(!a.switch("recover"), "switch consumed");
+        assert!(a.switch("detect"));
+        assert!(!a.switch("detect"), "switch consumed");
         assert_eq!(a.opt("fabric").unwrap().as_deref(), Some("a:1,b:2"));
         a.finish().unwrap();
 

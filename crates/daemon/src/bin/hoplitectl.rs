@@ -4,28 +4,33 @@
 //! hoplitectl spawn   --nodes 5 --dir /tmp/hoplite [--binary PATH] [--config FILE]
 //! hoplitectl status  --dir /tmp/hoplite [--json]
 //! hoplitectl kill    --dir /tmp/hoplite --node 3        # kill -9 + failure verdicts
-//! hoplitectl restart --dir /tmp/hoplite --node 3        # next incarnation, --recover, no verdict
+//! hoplitectl restart --dir /tmp/hoplite --node 3        # next incarnation, no verdict
 //! hoplitectl stop    --dir /tmp/hoplite
-//! hoplitectl drill   --nodes 5 --dir /tmp/drill [--waves 6] [--kill-wave 2]
-//!                    [--size BYTES] [--timeout-secs 300] [--json FILE] [--detect]
+//! hoplitectl drill   --nodes 5 --dir /tmp/drill [--waves 6] [--size BYTES]
+//!                    [--timeout-secs 300] [--json FILE] [--detect]
 //! ```
+//!
+//! `status --json` prints, per node, its record (`node`, `pid`, `up`, the recorded
+//! `incarnation`) and `status`: the object the daemon's `status` reply carries
+//! (`hoplite_daemon::status`), or `null` for a node that is down.
 //!
 //! Every command acts through one supervisor, [`Fleet`], whose record is the state
 //! file `<dir>/cluster.state`. `spawn`/`status`/`kill`/`restart`/`stop` manage a
 //! long-lived deployment: each invocation is a separate short-lived process, daemons
 //! keep running in between. `drill` is the self-contained kill -9 end-to-end exercise
 //! CI runs: it spawns its own fleet, drives broadcast + reduce waves, SIGKILLs a
-//! receiver mid-broadcast, restarts it at the next incarnation, and then proves zero
-//! location records were lost — every object of every wave readable from every node,
-//! including the restarted one. Its fleet is recorded in its `--dir` while it runs
-//! (so `status` works mid-drill) and stopped however the drill ends: pass, error,
-//! panic or watchdog.
+//! receiver mid-broadcast of the third wave, restarts it at the next incarnation,
+//! and then proves zero location records were lost — every object of every wave
+//! readable from every node, including the restarted one. Its fleet is recorded in
+//! its `--dir` while it runs (so `status` works mid-drill) and stopped however the
+//! drill ends: pass, error, panic or watchdog.
 //!
 //! With `--detect` the drill is *verdict-free*: the daemons run the SWIM gossip
 //! detector and no `peer-failed` notice is ever injected — survivors must notice the
 //! victim's silence themselves (probe → indirect ping-req → suspect → dead). In both
 //! modes nothing announces the restart: survivors learn of the comeback from the
 //! victim's own `Hello` and resync traffic at the bumped incarnation. The JSON report
+//! (`--json`) embeds every node's status object in `node_status`; with `--detect` it
 //! gains `detection_ms`: the time from SIGKILL until every survivor has marked the
 //! victim dead.
 
@@ -37,7 +42,8 @@ use std::time::{Duration, Instant};
 use hoplite_bench::json::Json;
 use hoplite_cluster::process::ControlClient;
 use hoplite_daemon::args::Args;
-use hoplite_daemon::fleet::{wait_until, Fleet, Status};
+use hoplite_daemon::fleet::{wait_until, Fleet, NodeEntry};
+use hoplite_daemon::status::counter;
 
 fn main() {
     let sub = std::env::args().nth(1).unwrap_or_default();
@@ -74,8 +80,8 @@ const USAGE: &str = "usage:\n  \
     hoplitectl kill    --dir DIR --node I\n  \
     hoplitectl restart --dir DIR --node I\n  \
     hoplitectl stop    --dir DIR\n  \
-    hoplitectl drill   --nodes N --dir DIR [--binary PATH] [--waves W] [--kill-wave K]\n                     \
-    [--size BYTES] [--timeout-secs S] [--json FILE] [--detect]\n";
+    hoplitectl drill   --nodes N --dir DIR [--binary PATH] [--waves W] [--size BYTES]\n                     \
+    [--timeout-secs S] [--json FILE] [--detect]\n";
 
 /// The `hoplited` binary that ships next to this `hoplitectl`.
 fn sibling_hoplited() -> Result<PathBuf, String> {
@@ -124,37 +130,18 @@ fn cmd_status(args: &mut Args) -> Result<(), String> {
     let nodes: Vec<_> = fleet.nodes.iter().zip(fleet.statuses()).enumerate().collect();
 
     if as_json {
+        let node = |(node, (entry, status)): &(usize, (&NodeEntry, Option<Json>))| {
+            Json::Obj(vec![
+                ("node".into(), Json::Num(*node as f64)),
+                ("pid".into(), Json::Num(entry.pid as f64)),
+                ("up".into(), Json::Bool(status.is_some())),
+                ("incarnation".into(), Json::Num(entry.incarnation as f64)),
+                ("status".into(), status.clone().unwrap_or(Json::Null)),
+            ])
+        };
         let doc = Json::Obj(vec![
-            ("schema".into(), Json::Str("hoplite-ctl-status-v1".into())),
-            (
-                "nodes".into(),
-                Json::Arr(
-                    nodes
-                        .iter()
-                        .map(|(node, (entry, status))| {
-                            let mut pairs = vec![
-                                ("node".into(), Json::Num(*node as f64)),
-                                ("pid".into(), Json::Num(entry.pid as f64)),
-                                ("up".into(), Json::Bool(status.is_some())),
-                                ("incarnation".into(), Json::Num(entry.incarnation as f64)),
-                            ];
-                            if let Some(status) = status {
-                                for key in ["resyncing", "peers", "primaries"] {
-                                    let value = status.get(key).map_or("", String::as_str);
-                                    pairs.push((key.into(), status_value(key, value)));
-                                }
-                                let metrics: Vec<(String, Json)> = status
-                                    .iter()
-                                    .filter(|(k, _)| !VIEW_KEYS.contains(&k.as_str()))
-                                    .map(|(k, v)| (k.clone(), status_value(k, v)))
-                                    .collect();
-                                pairs.push(("metrics".into(), Json::Obj(metrics)));
-                            }
-                            Json::Obj(pairs)
-                        })
-                        .collect(),
-                ),
-            ),
+            ("schema".into(), Json::Str("hoplite-ctl-status-v2".into())),
+            ("nodes".into(), Json::Arr(nodes.iter().map(node).collect())),
         ]);
         print!("{}", doc.to_pretty_string());
     } else {
@@ -165,12 +152,12 @@ fn cmd_status(args: &mut Args) -> Result<(), String> {
                      gets={} failovers={} resyncs={}",
                     entry.pid,
                     entry.incarnation,
-                    status.get("resyncing").map(String::as_str).unwrap_or("?"),
-                    status.get("primaries").map(String::as_str).unwrap_or("?"),
-                    status.get("objects_put").map(String::as_str).unwrap_or("?"),
-                    status.get("gets_completed").map(String::as_str).unwrap_or("?"),
-                    status.get("broadcast_failovers").map(String::as_str).unwrap_or("?"),
-                    status.get("directory_resyncs").map(String::as_str).unwrap_or("?"),
+                    status.get("resyncing").map_or("?".into(), Json::to_line_string),
+                    status.get("primaries").map_or("?".into(), Json::to_line_string),
+                    counter(status, "objects_put"),
+                    counter(status, "gets_completed"),
+                    counter(status, "broadcast_failovers"),
+                    counter(status, "directory_resyncs"),
                 ),
                 None => println!("node {node}: down (last incarnation {})", entry.incarnation),
             }
@@ -238,12 +225,15 @@ impl Wave {
 
 const REDUCE_LEN: usize = 4096;
 
+/// The wave whose broadcast the victim is killed in: two full waves before it, the
+/// restart and at least one more after it.
+const KILL_WAVE: usize = 2;
+
 fn cmd_drill(args: &mut Args) -> Result<(), String> {
     let n: usize = args.opt_or("nodes", 5)?;
     let dir = PathBuf::from(args.req::<String>("dir")?);
     let binary = binary_arg(args)?;
     let waves: usize = args.opt_or("waves", 6)?;
-    let kill_wave: usize = args.opt_or("kill-wave", 2)?;
     let size: u64 = args.opt_or("size", 1 << 20)?;
     let timeout_secs: u64 = args.opt_or("timeout-secs", 300)?;
     let json_path = args.opt("json")?.map(PathBuf::from);
@@ -252,8 +242,8 @@ fn cmd_drill(args: &mut Args) -> Result<(), String> {
     if n < 3 {
         return Err("--nodes must be at least 3 (source + victim + a survivor)".to_string());
     }
-    if kill_wave >= waves {
-        return Err(format!("--kill-wave {kill_wave} must be below --waves {waves}"));
+    if waves <= KILL_WAVE {
+        return Err(format!("--waves must be above {KILL_WAVE}, the wave the victim dies in"));
     }
 
     // Watchdog: if the drill wedges (a lost location record shows up as a get that
@@ -307,8 +297,8 @@ fn cmd_drill(args: &mut Args) -> Result<(), String> {
     let mut detection_ms: Option<f64> = None;
     for index in 0..waves {
         let wave = Wave { index, size };
-        let detected = run_wave(&mut fleet, wave, (index == kill_wave).then_some(victim), detect)?;
-        if index == kill_wave {
+        let detected = run_wave(&mut fleet, wave, (index == KILL_WAVE).then_some(victim), detect)?;
+        if index == KILL_WAVE {
             detection_ms = detected;
             restart_and_verify(&mut fleet, victim, size, index)?;
         }
@@ -323,30 +313,23 @@ fn cmd_drill(args: &mut Args) -> Result<(), String> {
     // At quiescence every node names the same primary for every shard: a split view
     // routes one shard's writes to two primaries.
     wait_until("every node to name the same primary per shard", Duration::from_secs(10), || {
-        let views: Vec<Option<String>> = fleet
-            .statuses()
-            .into_iter()
-            .map(|status| status.and_then(|s| s.get("primaries").cloned()))
-            .collect();
+        let statuses = fleet.statuses();
+        let views: Vec<Option<&Json>> =
+            statuses.iter().map(|status| status.as_ref()?.get("primaries")).collect();
         Ok(views.iter().all(|view| view.is_some() && *view == views[0]))
     })?;
 
-    let statuses: Vec<Status> = fleet
+    let statuses: Vec<Json> = fleet
         .statuses()
         .into_iter()
         .collect::<Option<_>>()
         .ok_or("a node did not answer `status`")?;
-    let victim_resyncs =
-        statuses[victim].get("directory_resyncs").and_then(|v| v.parse::<u64>().ok()).unwrap_or(0);
+    let victim_resyncs = counter(&statuses[victim], "directory_resyncs");
     let survivor_failovers: u64 = statuses
         .iter()
         .enumerate()
         .filter(|(node, _)| *node != victim)
-        .filter_map(|(_, s)| {
-            let b = s.get("broadcast_failovers")?.parse::<u64>().ok()?;
-            let d = s.get("directory_failovers")?.parse::<u64>().ok()?;
-            Some(b + d)
-        })
+        .map(|(_, s)| counter(s, "broadcast_failovers") + counter(s, "directory_failovers"))
         .sum();
     println!(
         "drill: victim resyncs={victim_resyncs} survivor failovers={survivor_failovers} \
@@ -355,23 +338,15 @@ fn cmd_drill(args: &mut Args) -> Result<(), String> {
     );
 
     if let Some(path) = json_path {
-        let doc = drill_report(
-            &fleet,
-            waves,
-            kill_wave,
-            victim,
-            size,
-            &statuses,
-            started.elapsed(),
-            detection_ms,
-        );
+        let doc =
+            drill_report(&fleet, waves, victim, size, statuses, started.elapsed(), detection_ms);
         std::fs::write(&path, doc.to_pretty_string())
             .map_err(|e| format!("write {}: {e}", path.display()))?;
         println!("drill: report written to {}", path.display());
     }
 
     fleet.stop()?;
-    println!("drill: PASS — {waves} waves, kill -9 at wave {kill_wave}, zero lost objects");
+    println!("drill: PASS — {waves} waves, kill -9 at wave {KILL_WAVE}, zero lost objects");
     Ok(())
 }
 
@@ -470,13 +445,9 @@ fn run_wave(
                 // survivor mid-redrive may be slow to answer) until each has either
                 // declared the death itself or learned it from gossip.
                 let kill_at = Instant::now();
-                let knows = |s: &Option<Status>| {
+                let knows = |s: &Option<Json>| {
                     s.as_ref().is_some_and(|s| {
-                        ["deaths_declared", "membership_deaths_learned"]
-                            .iter()
-                            .filter_map(|key| s.get(*key)?.parse::<u64>().ok())
-                            .sum::<u64>()
-                            > 0
+                        counter(s, "deaths_declared") + counter(s, "membership_deaths_learned") > 0
                     })
                 };
                 let what =
@@ -548,17 +519,14 @@ fn restart_and_verify(
     println!("drill: node {victim} restarted at incarnation {incarnation}");
 
     wait_until(&format!("node {victim} to finish its resync"), Duration::from_secs(30), || {
-        let status = fleet
-            .control(victim)
-            .and_then(|mut c| c.status())
-            .map_err(|e| format!("status node {victim}: {e}"))?;
-        if status.get("incarnation") != Some(&incarnation.to_string()) {
+        let status = fleet.status(victim)?;
+        let reported = status.get("incarnation").and_then(Json::as_u64);
+        if reported != Some(incarnation) {
             return Err(format!(
-                "node {victim} reports incarnation {:?}, expected {incarnation}",
-                status.get("incarnation")
+                "node {victim} reports incarnation {reported:?}, expected {incarnation}"
             ));
         }
-        Ok(status.get("resyncing").map(String::as_str) != Some("true"))
+        Ok(status.get("resyncing").and_then(Json::as_bool) != Some(true))
     })?;
     println!("drill: node {victim} resynced at incarnation {incarnation}");
 
@@ -580,53 +548,22 @@ fn verify_all(fleet: &Fleet, size: u64, through_wave: usize) -> Result<(), Strin
     Ok(())
 }
 
-/// The `status` keys that are not counters.
-const VIEW_KEYS: [&str; 5] = ["node", "incarnation", "resyncing", "peers", "primaries"];
-
-/// One `status` value as JSON: `peers` one `{incarnation, state, readmitted}` object
-/// per node, `primaries` one node id (or `null`) per shard, `true` / `false` a bool,
-/// anything else a number.
-fn status_value(key: &str, value: &str) -> Json {
-    let list = || value.split(',').filter(|item| !item.is_empty());
-    let num = |v: &str| v.parse::<f64>().map_or(Json::Null, Json::Num);
-    match (key, value) {
-        ("peers", _) => Json::Arr(
-            list()
-                .map(|peer| {
-                    let mut fields = peer.split(':');
-                    let mut next = || fields.next().unwrap_or_default();
-                    let (incarnation, state, readmitted) = (next(), next(), next());
-                    Json::Obj(vec![
-                        ("incarnation".into(), num(incarnation)),
-                        ("state".into(), Json::Str(state.into())),
-                        ("readmitted".into(), Json::Bool(readmitted == "1")),
-                    ])
-                })
-                .collect(),
-        ),
-        ("primaries", _) => Json::Arr(list().map(num).collect()),
-        (_, "true") => Json::Bool(true),
-        (_, "false") => Json::Bool(false),
-        (_, other) => Json::Num(other.parse().unwrap_or(-1.0)),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
+/// The drill's JSON report; `node_status` holds each node's status object as it
+/// answered.
 fn drill_report(
     fleet: &Fleet,
     waves: usize,
-    kill_wave: usize,
     victim: usize,
     size: u64,
-    statuses: &[Status],
+    statuses: Vec<Json>,
     elapsed: Duration,
     detection_ms: Option<f64>,
 ) -> Json {
     let mut pairs = vec![
-        ("schema".into(), Json::Str("hoplite-drill-v1".into())),
+        ("schema".into(), Json::Str("hoplite-drill-v2".into())),
         ("nodes".into(), Json::Num(fleet.nodes.len() as f64)),
         ("waves".into(), Json::Num(waves as f64)),
-        ("kill_wave".into(), Json::Num(kill_wave as f64)),
+        ("kill_wave".into(), Json::Num(KILL_WAVE as f64)),
         ("victim".into(), Json::Num(victim as f64)),
         ("victim_incarnation".into(), Json::Num(fleet.nodes[victim].incarnation as f64)),
         ("object_bytes".into(), Json::Num(size as f64)),
@@ -637,23 +574,6 @@ fn drill_report(
     if let Some(ms) = detection_ms {
         pairs.push(("detection_ms".into(), Json::Num(ms)));
     }
-    pairs.push((
-        "node_status".into(),
-        Json::Arr(
-            statuses
-                .iter()
-                .enumerate()
-                .map(|(node, status)| {
-                    let mut pairs = vec![("node".into(), Json::Num(node as f64))];
-                    for (k, v) in status {
-                        if k != "node" {
-                            pairs.push((k.clone(), status_value(k, v)));
-                        }
-                    }
-                    Json::Obj(pairs)
-                })
-                .collect(),
-        ),
-    ));
+    pairs.push(("node_status".into(), Json::Arr(statuses)));
     Json::Obj(pairs)
 }

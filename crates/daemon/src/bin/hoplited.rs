@@ -10,16 +10,17 @@
 //! hoplited --node 2 \
 //!          --fabric 127.0.0.1:4000,127.0.0.1:4001,127.0.0.1:4002 \
 //!          --control 127.0.0.1:5002 \
-//!          [--incarnation 1] [--recover] [--config hoplite.toml]
+//!          [--incarnation 1] [--config hoplite.toml]
 //! ```
 //!
-//! `--recover` starts the node as a restarted process: empty store, empty directory
-//! replicas, immediate resync (snapshot requests + log catch-up) before announcing
-//! itself readmitted. `--incarnation` is the monotonically-bumped process number the
-//! supervisor assigns; it rides on `Hello`, failure notices and `DirResynced`, so
-//! stale news about a dead predecessor can never re-park the new process. Nothing
-//! announces a restart to the other daemons: they readmit the new process from its
-//! `Hello`, its restart-flagged snapshot requests and its `DirResynced`.
+//! `--incarnation` is the monotonically-bumped process number the supervisor assigns
+//! (0 for a cold boot); it rides on `Hello`, failure notices and `DirResynced`, so
+//! stale news about a dead predecessor can never re-park the new process. A process
+//! above incarnation 0 is a restart: empty store, empty directory replicas, and an
+//! immediate resync (restart-flagged snapshot requests + catch-up) before it
+//! announces itself readmitted. Nothing announces a restart to the other daemons:
+//! they readmit the new process from its `Hello`, its restart-flagged snapshot
+//! requests and its `DirResynced`.
 //!
 //! Logs go to stderr (the supervisor tees them to a per-node file); set
 //! `HOPLITE_TRACE=1` for protocol-level traces.
@@ -32,7 +33,7 @@ use std::sync::Arc;
 use hoplite_cluster::host::NodeHost;
 use hoplite_cluster::process::pattern_byte;
 use hoplite_core::prelude::*;
-use hoplite_daemon::{args::Args, config};
+use hoplite_daemon::{args::Args, config, status};
 use hoplite_transport::fabric::Fabric;
 use hoplite_transport::tcp::TcpFabric;
 
@@ -49,7 +50,6 @@ fn run() -> std::result::Result<(), String> {
     let fabric_list: String = args.req("fabric")?;
     let control: SocketAddr = args.req("control")?;
     let incarnation: u64 = args.opt_or("incarnation", 0)?;
-    let recover = args.switch("recover");
     let cfg = match args.opt("config")? {
         Some(path) => config::load(std::path::Path::new(&path))?,
         None => HopliteConfig::default(),
@@ -78,19 +78,16 @@ fn run() -> std::result::Result<(), String> {
     .with_pool(pool);
     let fabric_tx = Box::new(fabric.sender());
     let next_op = Arc::new(AtomicU64::new(1));
-    let host = Arc::new(NodeHost::spawn(node, fabric_tx, recover, next_op, |sink| {
-        fabric.attach(me, sink)
-    }));
+    let host = Arc::new(NodeHost::spawn(node, fabric_tx, next_op, |sink| fabric.attach(me, sink)));
 
     let listener =
         TcpListener::bind(control).map_err(|e| format!("bind control {control}: {e}"))?;
     eprintln!(
-        "hoplited node {} up: fabric {}, control {}, incarnation {}, recover {}",
+        "hoplited node {} up: fabric {}, control {}, incarnation {}",
         me.0,
         fabric.addresses()[me.index()],
         control,
-        incarnation,
-        recover
+        incarnation
     );
 
     let (shutdown_tx, shutdown_rx) = std::sync::mpsc::channel::<()>();
@@ -151,27 +148,7 @@ fn handle(line: &str, host: &NodeHost) -> std::result::Result<String, String> {
         "ping" => Ok("pong".to_string()),
         "shutdown" => Ok(String::new()),
         "status" => {
-            let status = host.status().ok_or("node loop is gone")?;
-            let mut out = format!(
-                "node={} incarnation={} resyncing={}",
-                status.node.0, status.incarnation, status.resyncing
-            );
-            let peers = status.peers.iter().map(|&(incarnation, state, readmitted)| {
-                let state = match state {
-                    GossipState::Alive => "alive",
-                    GossipState::Suspect => "suspect",
-                    GossipState::Dead => "dead",
-                };
-                format!("{incarnation}:{state}:{}", u8::from(readmitted))
-            });
-            out.push_str(&format!(" peers={}", peers.collect::<Vec<_>>().join(",")));
-            let primaries =
-                status.primaries.iter().map(|p| p.map_or("-".into(), |p| p.0.to_string()));
-            out.push_str(&format!(" primaries={}", primaries.collect::<Vec<_>>().join(",")));
-            for (name, value) in status.metrics.fields() {
-                out.push_str(&format!(" {name}={value}"));
-            }
-            Ok(out)
+            Ok(status::to_json(&host.status().ok_or("node loop is gone")?).to_line_string())
         }
         "put" => {
             let name = arg("name")?;

@@ -1,7 +1,8 @@
 //! The one supervisor of a `hoplited` fleet, and the record it keeps.
 //!
-//! [`Fleet`] launches, kills, restarts, queries and stops daemons, one method per
-//! action, and saves itself to `<dir>/cluster.state` after every change. So separate
+//! [`Fleet`] launches, kills, restarts, queries (each daemon's status, the one JSON
+//! object [`crate::status`] renders) and stops daemons, one method per action, and
+//! saves itself to `<dir>/cluster.state` after every change. So separate
 //! `hoplitectl` invocations, `hoplitectl status` during a drill, and a drill's watchdog
 //! all pick the fleet up with [`Fleet::load`]. The format is deliberately
 //! line-oriented and human-readable:
@@ -16,7 +17,6 @@
 //! Each `node` line is: id, fabric address, control address, pid (0 = down),
 //! incarnation. Daemons log to `<dir>/node-<i>.log`.
 
-use std::collections::BTreeMap;
 use std::fs::File;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -24,6 +24,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
+use hoplite_bench::json::Json;
 use hoplite_cluster::process::ControlClient;
 use hoplite_core::prelude::NodeId;
 
@@ -44,10 +45,6 @@ pub struct NodeEntry {
     /// The incarnation the daemon (last) ran at.
     pub incarnation: u64,
 }
-
-/// A daemon's `status` reply as `key → value` pairs (`node`, `incarnation`,
-/// `resyncing`, plus every node counter).
-pub type Status = BTreeMap<String, String>;
 
 /// A fleet of `hoplited` processes: the deployment's on-disk record and the only
 /// code that acts on its daemons.
@@ -94,7 +91,7 @@ impl Fleet {
             .collect();
         let mut fleet = Fleet { dir: dir.to_path_buf(), binary, config, nodes };
         let up = (0..n)
-            .try_for_each(|node| fleet.launch(node, false))
+            .try_for_each(|node| fleet.launch(node))
             .and_then(|()| (0..n).try_for_each(|node| fleet.wait_ready(node)));
         match up {
             Ok(()) => Ok(fleet),
@@ -170,26 +167,33 @@ impl Fleet {
         Ok(())
     }
 
-    /// Start the killed `node` at the next incarnation with `--recover` and wait until
-    /// it answers `ping`. It rebinds its ports, resyncs its directory replicas and
-    /// announces itself; survivors learn of it from that traffic, and from nothing
-    /// else.
+    /// Start the killed `node` at the next incarnation, which makes it a restart, and
+    /// wait until it answers `ping`. It rebinds its ports, resyncs its directory
+    /// replicas and announces itself; survivors learn of it from that traffic, and
+    /// from nothing else.
     pub fn restart(&mut self, node: usize) -> Result<(), String> {
         if self.pid(node)? != 0 {
             return Err(format!("node {node} is still running — kill it first"));
         }
         self.nodes[node].incarnation += 1;
-        self.launch(node, true)?;
+        self.launch(node)?;
         self.wait_ready(node)
     }
 
-    /// Each node's `status` reply; `None` for a node that is down or does not answer.
-    pub fn statuses(&self) -> Vec<Option<Status>> {
+    /// `node`'s status: its `status` reply, the one JSON object
+    /// [`crate::status::to_json`] renders.
+    pub fn status(&self, node: usize) -> Result<Json, String> {
+        let line = self.control(node).and_then(|mut c| c.status());
+        line.map_err(|e| e.to_string())
+            .and_then(|line| Json::parse(&line))
+            .map_err(|e| format!("status of node {node}: {e}"))
+    }
+
+    /// Each node's status; `None` for a node that is down or does not answer.
+    pub fn statuses(&self) -> Vec<Option<Json>> {
+        let up = |node: usize| self.nodes[node].pid != 0;
         (0..self.nodes.len())
-            .map(|node| {
-                let up = self.nodes[node].pid != 0;
-                up.then(|| self.control(node).and_then(|mut c| c.status()).ok()).flatten()
-            })
+            .map(|node| up(node).then(|| self.status(node).ok()).flatten())
             .collect()
     }
 
@@ -210,10 +214,10 @@ impl Fleet {
         self.nodes.get(node).map(|entry| entry.pid).ok_or(format!("no node {node}"))
     }
 
-    /// Launch `node` at its recorded incarnation (`--recover` for a restart, not a cold
-    /// boot) and save its pid: the one spelling of the `hoplited` command line. The
-    /// daemon outlives this process unless stopped.
-    fn launch(&mut self, node: usize, recover: bool) -> Result<(), String> {
+    /// Launch `node` at its recorded incarnation (above 0 for a restart) and save its
+    /// pid: the one spelling of the `hoplited` command line. The daemon outlives this
+    /// process unless stopped.
+    fn launch(&mut self, node: usize) -> Result<(), String> {
         let fabric = self.nodes.iter().map(|e| e.fabric.to_string()).collect::<Vec<_>>();
         let entry = &self.nodes[node];
         let (stdout, stderr) = File::create(self.log_path(node))
@@ -226,9 +230,6 @@ impl Fleet {
             .stdin(Stdio::null())
             .stdout(stdout)
             .stderr(stderr);
-        if recover {
-            cmd.arg("--recover");
-        }
         if let Some(config) = &self.config {
             cmd.arg("--config").arg(config);
         }

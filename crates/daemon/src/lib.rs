@@ -6,11 +6,11 @@
 //! drill).
 //!
 //! The library half carries what the binaries and the tests share: flag parsing
-//! ([`args`]), the flat-TOML config loader ([`config`]), and the fleet supervisor
-//! ([`fleet`]). A [`fleet::Fleet`] is both the on-disk record that lets separate
-//! `hoplitectl` invocations manage the same running fleet and the only code that
-//! launches, kills, restarts and stops daemons: the kill -9 drill and the detached
-//! commands go through it alike.
+//! ([`args`]), the flat-TOML config loader ([`config`]), a node's status as one JSON
+//! object ([`status`]), and the fleet supervisor ([`fleet`]). A [`fleet::Fleet`] is
+//! both the on-disk record that lets separate `hoplitectl` invocations manage the
+//! same running fleet and the only code that launches, kills, restarts and stops
+//! daemons: the kill -9 drill and the detached commands go through it alike.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -18,3 +18,4 @@
 pub mod args;
 pub mod config;
 pub mod fleet;
+pub mod status;

@@ -7,6 +7,7 @@ use std::path::PathBuf;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
+use hoplite_bench::json::Json;
 use hoplite_daemon::fleet::{wait_until, Fleet};
 
 /// A scratch deployment directory whose fleet is stopped however the test ends: on
@@ -71,7 +72,10 @@ fn one_supervisor_spawns_kills_restarts_and_stops_real_daemons() {
     wait_until("node 2 to resync at incarnation 1", Duration::from_secs(30), || {
         let statuses = fleet.statuses();
         let node2 = statuses[2].as_ref();
-        Ok(node2.is_some_and(|s| s["incarnation"] == "1" && s["resyncing"] == "false"))
+        Ok(node2.is_some_and(|s| {
+            s.get("incarnation").and_then(Json::as_u64) == Some(1)
+                && s.get("resyncing").and_then(Json::as_bool) == Some(false)
+        }))
     })
     .unwrap();
 
