@@ -275,7 +275,7 @@ mod tests {
         let r = rolling_restart_demo(6, 8 * MB);
         assert!(r.all_traffic_completed, "waves, re-fetches and the reduce all completed");
         assert!(r.metadata_intact, "zero lost location records");
-        assert!(r.primaries_restored >= r.n - 1, "original owners lead their shards again");
+        assert_eq!(r.primaries_restored, r.n, "original owners lead their shards again");
         assert!(r.resyncs >= r.n as u64, "every restart went through snapshot resync");
     }
 

@@ -100,11 +100,11 @@ impl SimActor for HopliteActor {
 
     fn on_start(&mut self, ctx: &mut SimContext<'_, Message>) {
         if self.booted {
-            // Recovery restart: model a fresh process — empty store, empty directory
-            // replicas — at the next incarnation, so it resyncs before leading any
-            // shard again and stale failure notices about the old one cannot re-park
-            // it. A cold boot keeps the node constructed in `new`.
-            self.opts.incarnation += 1;
+            // Recovery restart: a fresh process — empty store, empty directory replicas —
+            // above the incarnation it died at, so it resyncs before leading any shard
+            // again and stale failure notices about the old one cannot re-park it. A
+            // cold boot keeps the node constructed in `new`.
+            self.opts.incarnation = self.runtime.node().incarnation() + 1;
             let node = ObjectStoreNode::new(
                 self.id,
                 self.cfg.clone(),
@@ -123,6 +123,11 @@ impl SimActor for HopliteActor {
 
     fn on_timer(&mut self, token: u64, ctx: &mut SimContext<'_, Message>) {
         self.drive(NodeEvent::Timer(TimerToken(token)), ctx);
+    }
+
+    /// The node's own incarnation, refutations included.
+    fn incarnation(&self, _recoveries: u64) -> u64 {
+        self.runtime.node().incarnation()
     }
 
     /// The verdict reaches the node as the frame a supervisor relays, from the node

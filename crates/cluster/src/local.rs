@@ -159,6 +159,9 @@ impl LocalCluster {
     /// incarnation that died, as a real failure detector (socket liveness in the
     /// paper, §5.5) eventually would.
     pub fn kill_node(&mut self, node: usize) {
+        if let Some(status) = self.nodes[node].status() {
+            self.incarnations[node] = status.incarnation;
+        }
         self.nodes[node].shutdown();
         let notice = Message::PeerFailureNotice {
             node: NodeId(node as u32),
@@ -171,7 +174,8 @@ impl LocalCluster {
         }
     }
 
-    /// Restart a previously-killed node as a fresh process at the next incarnation:
+    /// Restart a previously-killed node as a fresh process at the incarnation after the
+    /// one it died at:
     /// a new host attached to the fabric, an empty store, and empty directory
     /// replicas. The node immediately begins directory recovery (snapshot requests +
     /// log catch-up) and announces `DirResynced` once caught up; nobody announces its

@@ -945,17 +945,9 @@ mod tests {
         // knows all of them.
         let expected: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
         assert_eq!(r.holders, expected, "W's location records are complete");
-        // Killing node j's backup *after* node j cycles leadership of shard j back to
-        // j — so after the full 0..n sweep every shard except the wrap-around one
-        // (shard n-1, whose backup node 0 died before its owner) is led by its
-        // original killed-and-restarted owner again. The wrap shard is led by node 0,
-        // itself a restarted node, so every final primary went through kill → restart
-        // → resync → re-admission.
-        assert!(
-            r.primaries_restored >= n - 1,
-            "restarted nodes serve as primaries again ({} of {n} shards)",
-            r.primaries_restored
-        );
+        // A readmitted owner takes its shard back, so after the full 0..n sweep every
+        // shard is led by its original killed-and-restarted owner again.
+        assert_eq!(r.primaries_restored, n, "restarted nodes serve as primaries again");
         // Each restarted node resynced both replicas it hosts (r = 2).
         assert!(r.resyncs >= n as u64, "snapshot-based resync ran, got {}", r.resyncs);
     }
@@ -1108,15 +1100,11 @@ mod tests {
         assert_eq!(held, vec![(1, GossipState::Alive, true); 3]);
     }
 
-    /// D21: a refutation bumps only the table's entry, while every driver restarts a
-    /// node at its own record + 1 and stamps its kill verdict with that record. So the
-    /// three verdicts name incarnation 0 and are dropped as stale, and the restart at
-    /// incarnation 1 loses every claim to `Dead{1}`, refutes to 2 and stays resyncing.
-    /// The healthy outcome: the restarted process resynced, and every survivor holds
-    /// it alive and readmitted at its own incarnation. Fails until item 2's one rejoin
-    /// path.
+    /// D21's run: a refutation moves the node's own incarnation, so its kill verdicts
+    /// name that one and its restart goes above it, and a node that refutes its own
+    /// death resyncs as a restart does. The restarted process resynced, and every
+    /// survivor holds it alive and readmitted at its own incarnation.
     #[test]
-    #[ignore = "D21, ROADMAP item 2"]
     fn a_restart_after_a_refutation_is_readmitted_everywhere() {
         let (incarnation, resyncing, held) = refuted_then_restarted(true);
         assert!(!resyncing, "node 3 still resyncing at incarnation {incarnation}: {held:?}");

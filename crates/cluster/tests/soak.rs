@@ -136,11 +136,7 @@ fn soak_rolling_restart_seeds() {
             assert!(r.reduce_ok, "seed {seed}: mid-sequence reduce completed");
             let expected: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
             assert_eq!(r.holders, expected, "seed {seed}: zero lost location records");
-            assert!(
-                r.primaries_restored >= n - 1,
-                "seed {seed}: original owners lead again ({} of {n})",
-                r.primaries_restored
-            );
+            assert_eq!(r.primaries_restored, n, "seed {seed}: original owners lead again");
             assert!(r.resyncs >= n as u64, "seed {seed}: snapshot resync ran per restart");
         });
     }

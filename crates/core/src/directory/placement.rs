@@ -4,21 +4,22 @@
 //! from shards to replica sets: there is one shard per node, and shard `s` lives on
 //! nodes `s, (s+1) % n, ...` (`directory_replication` of them).
 //!
-//! [`PlacementView`] is a node's *evolving* view of who leads each shard — one per
-//! node, owned by its [`super::DirectoryService`]; routing reads the same view the
-//! server half mutates. It owns the node's one liveness table
-//! ([`crate::membership::MembershipView`]) and reads every peer's standing from it on
-//! every routed op: a dead peer is neither shipped to nor a primary candidate, an alive
-//! peer not yet readmitted (resyncing after a restart, this node included) is shipped
-//! to but does not lead, and a readmitted one is a candidate. Besides the table the
-//! view keeps only leadership facts: per shard a primary *rank cursor* that advances
-//! (cyclically) when the current primary dies and never rewinds, plus a *failover
-//! epoch* counter bumped on every death **and** every readmission of a replica-set
-//! member. So after a rolling restart the original owners end up leading their shards
-//! again, with strictly increasing epochs protecting against deposed primaries'
-//! stragglers. Because every node folds the same liveness facts into the same
-//! deterministic rules, survivors agree on the current primary without a coordination
-//! round; transient disagreement is absorbed by op forwarding.
+//! [`PlacementView`] is a node's view of who leads each shard — one per node, owned by
+//! its [`super::DirectoryService`]; routing reads the same view the server half
+//! reconciles against. It holds the placement and the node's one liveness table
+//! ([`crate::membership::MembershipView`]) and nothing else: leadership is a function
+//! of the table, read on every routed op. A dead peer is neither shipped to nor a
+//! primary candidate, an alive peer not yet readmitted (resyncing after a restart,
+//! this node included) is shipped to but does not lead, and a readmitted one is a
+//! candidate. A shard's **primary** is the first readmitted member of its replica set,
+//! in placement order, so a restarted owner leads its shard again from its
+//! readmission on (fail-back). A shard's **epoch** is a strictly monotone function of
+//! its members' table entries ([`PlacementView::epoch`]): every death, restart,
+//! refutation and readmission of a member raises it, so a promotion stamped with it
+//! is above what the primary it replaces shipped at. Two views that hold the same
+//! table route alike and name the same epochs, whatever order or batching brought
+//! the claims; survivors agree on the current primary without a coordination round,
+//! and transient disagreement is absorbed by op forwarding.
 
 use crate::config::HopliteConfig;
 use crate::membership::MembershipView;
@@ -127,28 +128,20 @@ impl Rerouted {
 /// A shard's primary and the live backups it ships to.
 pub(crate) type Route = (Option<NodeId>, Vec<NodeId>);
 
-/// A node's evolving, epoch-versioned view of shard leadership (see module docs).
+/// A node's view of shard leadership, derived from its liveness table (see module
+/// docs).
 #[derive(Clone, Debug)]
 pub struct PlacementView {
     placement: DirectoryPlacement,
     /// The node's one liveness table. Only the directory service's liveness entry
     /// point writes it.
     pub(super) table: MembershipView,
-    /// Per-shard primary cursor into the replica set; advances on primary failure,
-    /// never rewinds on re-admission (no automatic fail-back).
-    rank: Vec<usize>,
-    /// Per-shard failover epoch: counts deaths and readmissions of replica-set
-    /// members, raised further by epochs observed on the wire. Promotions stamp
-    /// themselves with this counter.
-    epochs: Vec<u64>,
 }
 
 impl PlacementView {
-    /// A fresh view over a placement and a liveness table: rank cursors at the shard
-    /// owners, epochs at 0.
+    /// A view over a placement and a liveness table.
     pub fn new(placement: DirectoryPlacement, table: MembershipView) -> Self {
-        let shards = placement.num_shards();
-        PlacementView { placement, table, rank: vec![0; shards], epochs: vec![0; shards] }
+        PlacementView { placement, table }
     }
 
     /// The static placement underneath.
@@ -171,18 +164,16 @@ impl PlacementView {
         self.table.is_alive(node) && !self.table.is_readmitted(node)
     }
 
-    /// The position in `shard`'s replica set of the first member, scanning cyclically
-    /// from its rank cursor, for which `candidate` holds.
-    fn scan(&self, shard: usize, candidate: impl Fn(NodeId) -> bool) -> Option<usize> {
-        let (r, placement) = (self.placement.replication(), &self.placement);
-        (0..r).map(|i| (self.rank[shard] + i) % r).find(|&i| candidate(placement.member(shard, i)))
+    /// The members of `shard`'s replica set, in placement order.
+    fn members(&self, shard: usize) -> impl Iterator<Item = NodeId> + '_ {
+        (0..self.placement.replication()).map(move |i| self.placement.member(shard, i))
     }
 
-    /// The current primary of a shard: the first readmitted member scanning cyclically
-    /// from the rank cursor. `None` when every replica is dead or resyncing. Runs on
-    /// every routed op: one table index per member, no allocation.
+    /// The current primary of a shard: its first readmitted member, in placement
+    /// order. `None` when every replica is dead or resyncing. Runs on every routed op:
+    /// one table index per member, no allocation.
     pub fn primary(&self, shard: usize) -> Option<NodeId> {
-        self.scan(shard, |n| self.table.is_readmitted(n)).map(|i| self.placement.member(shard, i))
+        self.members(shard).find(|&n| self.table.is_readmitted(n))
     }
 
     /// The current primary of the shard responsible for `object`.
@@ -190,28 +181,21 @@ impl PlacementView {
         self.primary(self.placement.shard_of(object))
     }
 
-    /// The shard's current failover epoch.
+    /// The shard's epoch: over its members, `3·incarnation` plus 0 while resyncing, 1
+    /// while readmitted and 2 once dead, less the replication (a fresh cluster is at 0).
+    /// An entry only moves up that order, so every change raises the epoch — except a
+    /// restart request naming an incarnation gossip brought in readmitted, which
+    /// [`super::ShardReplica::promote_to`]'s rule covers.
     pub fn epoch(&self, shard: usize) -> u64 {
-        self.epochs[shard]
-    }
-
-    /// Fold an epoch observed on the wire (a shipment, ack, or resync frame) into the
-    /// counter, so a node that missed events can still promote above them.
-    pub fn note_epoch(&mut self, shard: usize, epoch: u64) {
-        if let Some(e) = self.epochs.get_mut(shard) {
-            *e = (*e).max(epoch);
-        }
-    }
-
-    /// Adopt an authoritative rank cursor learned from a completed chunk stream, so
-    /// a restarted node's routing agrees with the survivors' (no fail-back to itself).
-    pub fn set_rank(&mut self, shard: usize, rank: usize) {
-        self.rank[shard] = rank % self.placement.replication();
-    }
-
-    /// This shard's rank cursor.
-    pub fn current_rank(&self, shard: usize) -> usize {
-        self.rank[shard]
+        let standing = |n: NodeId| match (self.table.is_alive(n), self.table.is_readmitted(n)) {
+            (true, false) => 0,
+            (true, true) => 1,
+            (false, _) => 2,
+        };
+        let term =
+            |n: NodeId| self.table.incarnation_of(n).saturating_mul(3).saturating_add(standing(n));
+        let sum = self.members(shard).fold(0u64, |sum, n| sum.saturating_add(term(n)));
+        sum.saturating_sub(self.placement.replication() as u64)
     }
 
     /// The replicas `primary` ships `shard`'s ops to: every other member of its replica
@@ -243,36 +227,6 @@ impl PlacementView {
                 (primary, primary.map_or_else(Vec::new, |p| self.live_backups(shard, p)))
             })
             .collect()
-    }
-
-    /// Fold the deaths of `departed` (one entry per death, in claim order) into
-    /// leadership as if each were told alone, so survivors that batch the same deaths
-    /// differently agree: each bumps the epochs of the shards its peer hosts, and where
-    /// the peer led just before (first from the cursor of the members readmitted in
-    /// `before`, the table before the evidence, less the deaths ahead of it) the cursor
-    /// moves to the next such member, so a later readmission does not fail back to it.
-    pub(crate) fn depart(&mut self, before: &MembershipView, departed: &[NodeId]) {
-        for (k, &peer) in departed.iter().enumerate() {
-            let candidate = |n: NodeId| before.is_readmitted(n) && !departed[..k].contains(&n);
-            for shard in self.placement.shards_hosted_by(peer) {
-                self.epochs[shard] += 1;
-                let led = self.scan(shard, candidate).map(|i| self.placement.member(shard, i));
-                if led != Some(peer) {
-                    continue;
-                }
-                if let Some(pos) = self.scan(shard, |n| n != peer && candidate(n)) {
-                    self.rank[shard] = pos;
-                }
-            }
-        }
-    }
-
-    /// Fold a readmission of `peer` into leadership: a leadership-relevant event,
-    /// exactly like a death, so every shard it hosts bumps its epoch.
-    pub(crate) fn readmitted(&mut self, peer: NodeId) {
-        for shard in self.placement.shards_hosted_by(peer) {
-            self.epochs[shard] += 1;
-        }
     }
 
     /// The net route change from `before`: each shard that has a primary and whose

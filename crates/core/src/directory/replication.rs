@@ -29,15 +29,17 @@
 //!   `seq`; every buffered op the replica now holds is confirmed. A shipment missing
 //!   from the stream's window, or a chunk from another primacy, starts the stream over
 //!   from its first chunk;
-//! * on promotion the new primary bumps its **epoch**; replicated ops stamped with a
-//!   lower epoch (stragglers from a deposed primary) are rejected, and any buffered
-//!   out-of-order suffix beyond the contiguously-applied prefix is discarded —
-//!   promotion only ever builds on the applied prefix, which holds every op this
-//!   replica confirmed.
+//! * a replica is promoted at its view's **epoch**, only above every epoch it applied;
+//!   replicated ops stamped with a lower epoch (stragglers from a deposed primary) are
+//!   rejected, and any buffered out-of-order suffix beyond the contiguously-applied
+//!   prefix is discarded — promotion only ever builds on the applied prefix, which
+//!   holds every op this replica confirmed. A primary that a higher-epoch shipment
+//!   reaches is **deposed**: it resyncs from the shipper, whose stream need not hold
+//!   what it sequenced since, and those ops' origins re-drive them.
 //!
 //! Which replica *is* the primary, and whether the node itself is still resyncing
-//! after a restart, is decided by the epoch-versioned placement view in
-//! [`super::placement`]; this module only implements the mechanics.
+//! after a restart, is decided by the placement view in [`super::placement`], a
+//! function of the liveness table; this module only implements the mechanics.
 
 use std::collections::BTreeMap;
 
@@ -90,8 +92,6 @@ pub struct Resync {
 pub struct ResyncFrame<'a> {
     /// The stream's consistency point: the assembled state is consistent at it.
     pub seq: u64,
-    /// The source's rank cursor.
-    pub rank: usize,
     /// The state carried by this chunk.
     pub entries: &'a [SnapshotEntry],
 }
@@ -180,19 +180,22 @@ impl ShardReplica {
         &self.shard
     }
 
-    /// Promote this replica to primary at `epoch` (the caller derives it from the
-    /// shard's failover-epoch counter, which every node advances on the same
-    /// failure/re-admission events — so it is strictly greater than anything a deposed
-    /// predecessor shipped at). Never lowers an epoch already learned from the
-    /// replication stream. Promotion builds only on the contiguously-applied prefix: any
-    /// buffered out-of-order suffix and any resync in flight, with the state it staged,
-    /// are discarded, and sequence numbering continues from the applied prefix.
+    /// Promote this replica to primary at `epoch`, its view of the shard's, if that is
+    /// strictly above every epoch it applied, so it never shares one with a primary it
+    /// followed; otherwise a fresher view sequences there, and it waits as a backup.
+    /// Promotion builds only on the contiguously-applied prefix: a buffered suffix and
+    /// a resync in flight, with what it staged, are discarded.
     pub fn promote_to(&mut self, epoch: u64) {
-        if self.role == ReplicaRole::Backup {
+        if epoch > self.epoch {
             self.abort_resync();
+            self.role = ReplicaRole::Primary;
+            self.epoch = epoch;
         }
-        self.role = ReplicaRole::Primary;
-        self.epoch = self.epoch.max(epoch);
+    }
+
+    /// Stop sequencing, at the applied prefix and epoch: the view names another primary.
+    pub fn demote(&mut self) {
+        self.role = ReplicaRole::Backup;
     }
 
     /// Enter a resync from `source`, or pull the next chunk of the one in flight from
@@ -239,11 +242,18 @@ impl ShardReplica {
         op: &DirOp,
         confirms: &mut Vec<(NodeId, Message)>,
     ) -> ReplayOutcome {
-        if epoch < self.epoch {
+        if epoch < self.epoch || (self.role == ReplicaRole::Primary && epoch == self.epoch) {
             return ReplayOutcome::Rejected;
         }
+        if self.role == ReplicaRole::Primary {
+            // Deposed: start over from the shipper's state, at its epoch.
+            self.role = ReplicaRole::Backup;
+            self.epoch = epoch;
+            self.buffer(seq, epoch, op);
+            return ReplayOutcome::NeedsResync;
+        }
         if self.resync.is_some() {
-            self.pending.insert(seq, (epoch, op.clone()));
+            self.buffer(seq, epoch, op);
             return ReplayOutcome::Buffered;
         }
         if seq <= self.applied_seq && epoch == self.epoch {
@@ -263,7 +273,7 @@ impl ShardReplica {
         // A gap (same epoch: shipments lost while this node was isolated; higher
         // epoch: a promoted primary whose prefix diverges from ours). Shipments cannot
         // bridge it; buffer the op and ask for a resync.
-        self.pending.insert(seq, (epoch, op.clone()));
+        self.buffer(seq, epoch, op);
         ReplayOutcome::NeedsResync
     }
 
@@ -343,6 +353,15 @@ impl ShardReplica {
             }
         }
         Some(shard)
+    }
+
+    /// Buffer a shipment for replay after the resync. At a seq two primaries both
+    /// shipped, the higher epoch's op stays: the other is a deposed one's straggler.
+    fn buffer(&mut self, seq: u64, epoch: u64, op: &DirOp) {
+        let slot = self.pending.entry(seq).or_insert_with(|| (epoch, op.clone()));
+        if slot.0 < epoch {
+            *slot = (epoch, op.clone());
+        }
     }
 
     /// Apply a replayed op and confirm it.
@@ -476,7 +495,7 @@ mod tests {
     }
 
     fn chunk(seq: u64, entries: &[SnapshotEntry]) -> ResyncFrame<'_> {
-        ResyncFrame { seq, rank: 0, entries }
+        ResyncFrame { seq, entries }
     }
 
     fn cursor(replica: &ShardReplica) -> Option<ObjectId> {
@@ -542,7 +561,7 @@ mod tests {
         let (mut primary, mut backup) = pair();
         replicate(&mut primary, &mut backup, &register("x", 0));
 
-        // The primary dies; the backup is promoted at the shard's failover epoch.
+        // The primary dies; the backup is promoted at the shard's epoch.
         backup.promote_to(1);
         assert_eq!(backup.role(), ReplicaRole::Primary);
         assert_eq!(backup.epoch(), 1);
@@ -552,9 +571,44 @@ mod tests {
         assert_eq!(replay(&mut backup, 0, 2, &stale), ReplayOutcome::Rejected);
         assert_eq!(backup.locations(obj("x")).len(), 1, "stale delete was not applied");
 
-        // Promotion is idempotent and never lowers an epoch.
+        // A promotion at an epoch the replica already applied changes nothing.
         backup.promote_to(1);
-        assert_eq!(backup.epoch(), 1);
+        assert_eq!((backup.role(), backup.epoch()), (ReplicaRole::Primary, 1));
+    }
+
+    #[test]
+    fn a_primary_deposed_by_a_higher_epoch_stops_sequencing_and_resyncs() {
+        // A primary at epoch 0 sequenced "mine" at seq 2; a fresher primary, built on
+        // the base at seq 1, ships its own seq 2 at epoch 3. The old primary must not
+        // take that op as a duplicate of its own: it is deposed, buffers the op and
+        // asks the shipper for its state.
+        let (mut old, mut other) = pair();
+        replicate(&mut old, &mut other, &register("base", 1));
+        let mut out = Vec::new();
+        old.apply_primary(&register("mine", 2), &mut out);
+        other.promote_to(3);
+        let theirs = register("theirs", 3);
+        let seq = other.apply_primary(&theirs, &mut out);
+        assert_eq!(seq, 2);
+        // An equal or lower epoch is a straggler to a primary, not a deposal.
+        assert_eq!(replay(&mut old, 0, 2, &theirs), ReplayOutcome::Rejected);
+        assert_eq!(old.role(), ReplicaRole::Primary);
+        assert_eq!(replay(&mut old, 3, seq, &theirs), ReplayOutcome::NeedsResync);
+        assert_eq!((old.role(), old.epoch()), (ReplicaRole::Backup, 3));
+        // Its view cannot promote it back at the epoch that deposed it.
+        old.promote_to(3);
+        assert_eq!(old.role(), ReplicaRole::Backup);
+        // The resync replaces its suffix with the shipper's and confirms the buffered op.
+        old.begin_resync(NodeId(9));
+        let (entries, _) = other.shard().snapshot_range(None, u64::MAX);
+        let mut confirms = Vec::new();
+        assert_eq!(
+            old.apply_resync(3, &chunk(seq, &entries), true, &mut confirms),
+            ResyncStep::Done(2)
+        );
+        assert_eq!(confirms, vec![confirm_of("theirs", 3)]);
+        assert!(old.locations(obj("mine")).is_empty(), "its own suffix is gone");
+        assert_eq!(old.locations(obj("theirs")).len(), 1);
     }
 
     #[test]

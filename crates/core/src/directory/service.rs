@@ -4,11 +4,20 @@
 //! replicas this node hosts, the node's one [`PlacementView`] and the liveness table
 //! inside it (routing reads them, nothing mirrors them), op routing (apply as primary
 //! / forward elsewhere), sequenced shipping to every live backup, chunked resync
-//! serving for recovering replicas, and epoch-stamped promotion when a primary dies
-//! (§3.5). Liveness enters through one call, [`DirectoryService::liveness`], which
-//! reconciles the directory once per piece of evidence; nothing else writes it, so a
-//! resync request is served only to a requester the table holds alive, and no frame
-//! revives a dead incarnation.
+//! serving for recovering replicas, and epoch-stamped promotion and demotion wherever
+//! the view's primary moves: off a dead one (§3.5), and back onto a readmitted owner
+//! (fail-back). Liveness enters through one call, [`DirectoryService::liveness`],
+//! which reconciles the directory once per piece of evidence; nothing else writes it,
+//! so a resync request is served only to a requester the table holds alive, and no
+//! frame revives a dead incarnation.
+//!
+//! **One sequencer per (shard, epoch).** Leadership moves wherever the table does, so
+//! a readmitted owner takes its shard back while the interim primary may not have
+//! heard its `DirResynced`. A replica is promoted only above every epoch it applied,
+//! every reconcile demotes one whose view names another primary, and a primary that a
+//! higher-epoch shipment reaches resyncs from the shipper ([`super::replication`]). A
+//! node whose view names itself while its replica does not sequence drops the shard's
+//! ops and resync requests; their origins re-drive once their views move.
 //!
 //! **Who confirms.** A backup confirms each shipped op it applies straight to the op's
 //! origin, on arrival or when the resync stream it was buffered behind ends; a primary
@@ -184,7 +193,11 @@ impl DirectoryService {
                     self.shard(wire).filter(|&s| self.view.placement().hosts(requester, s));
                 if let Some(shard) = hosted {
                     match self.view.primary(shard) {
-                        Some(primary) if primary == self.me && self.view.is_alive(requester) => {
+                        Some(primary)
+                            if primary == self.me
+                                && self.sequences(shard)
+                                && self.view.is_alive(requester) =>
+                        {
                             self.serve_resync(shard, requester, after, metrics, out);
                         }
                         Some(primary) if primary != self.me && primary != requester => {
@@ -214,7 +227,8 @@ impl DirectoryService {
     /// believed primary otherwise. A query the shard answers without changing
     /// ([`DirectoryShard::read`]: an inline hit or a tombstone) is a read: the primary
     /// replies and sequences, ships and marks nothing.
-    /// Ops for a shard whose every replica died are dropped — that metadata is gone.
+    /// Ops for a shard whose every replica died are dropped — that metadata is gone —
+    /// and so are ops this node leads in its view while its replica does not sequence.
     /// Returns whether the op was applied here.
     fn handle_op(
         &mut self,
@@ -224,7 +238,7 @@ impl DirectoryService {
     ) -> bool {
         let shard = self.view.placement().shard_of(op.object());
         match self.view.primary(shard) {
-            Some(primary) if primary == self.me => {
+            Some(primary) if primary == self.me && self.sequences(shard) => {
                 if let DirOp::Query { object, requester, query_id, .. } = op {
                     let replica = self.replicas.get(&shard).expect("primary hosts its shard");
                     if let Some(reply) = replica.shard().read(object, requester, query_id) {
@@ -256,13 +270,13 @@ impl DirectoryService {
                 }
                 true
             }
-            Some(primary) => {
+            Some(primary) if primary != self.me => {
                 // A client with a staler failure view than ours (or a scheduling race
                 // around a promotion) sent the op here; pass it along.
                 out.push((primary, op.into()));
                 false
             }
-            None => false,
+            _ => false,
         }
     }
 
@@ -278,7 +292,6 @@ impl DirectoryService {
         from: NodeId,
         out: &mut Vec<(NodeId, Message)>,
     ) -> bool {
-        self.view.note_epoch(shard, epoch);
         let Some(replica) = self.replicas.get_mut(&shard) else { return false };
         match replica.apply_replicated(epoch, seq, op, out) {
             ReplayOutcome::Applied(_) => true,
@@ -310,7 +323,6 @@ impl DirectoryService {
         metrics: &mut NodeMetrics,
         out: &mut Vec<(NodeId, Message)>,
     ) {
-        let rank = self.view.current_rank(shard) as u64;
         let replica = self.replicas.get(&shard).expect("primary hosts its shard");
         let budget = replica.shard().config().snapshot_chunk_bytes.max(1);
         let (epoch, seq) = (replica.epoch(), replica.applied_seq());
@@ -320,7 +332,7 @@ impl DirectoryService {
         metrics.snapshot_bytes += state.wire_size();
         out.push((
             requester,
-            Message::DirSnapshotChunk { shard: shard as u64, epoch, seq, rank, done, state },
+            Message::DirSnapshotChunk { shard: shard as u64, epoch, seq, rank: 0, done, state },
         ));
     }
 
@@ -329,7 +341,7 @@ impl DirectoryService {
     /// the stream starts over, pull the next frame from whoever served this one — a
     /// forwarded request is served by another node than it went to, and a source death
     /// re-targets from there. On the last frame, confirm every buffered op the replica
-    /// now holds and adopt the source's rank cursor; nothing goes back to the source.
+    /// now holds; nothing goes back to the source, and the frame's `rank` is not read.
     /// Returns `true` when the stream completed here; when that also completes the
     /// node's local resync, a re-admission becomes pending — the caller checks
     /// [`DirectoryService::take_readmission`] after this (and after
@@ -346,7 +358,6 @@ impl DirectoryService {
         from: NodeId,
         out: &mut Vec<(NodeId, Message)>,
     ) -> bool {
-        self.view.note_epoch(shard, epoch);
         if !self.view.is_alive(from) {
             return false;
         }
@@ -359,7 +370,6 @@ impl DirectoryService {
             }
             ResyncStep::Done(_) => {}
         }
-        self.view.set_rank(shard, frame.rank);
         let before = self.is_resyncing().then(|| self.view.routes());
         if let Some(before) = before.filter(|_| self.maybe_complete_local_resync()) {
             self.readmission = Some(self.view.rerouted(&before, &[]));
@@ -368,37 +378,38 @@ impl DirectoryService {
     }
 
     /// If the last outstanding stream was just installed or abandoned, finish the
-    /// local resync: readmit this node in its own table (the same epoch bump every
-    /// peer applies on `DirResynced`) and promote wherever this node is now the
-    /// shard's leader. Returns whether it did; the caller queues the cluster-wide
-    /// `DirResynced` announcement with what the readmission re-routed.
+    /// local resync: readmit this node in its own table, as every peer does on
+    /// `DirResynced`, and take back the shards it now leads. Returns whether it did;
+    /// the caller queues the cluster-wide `DirResynced` announcement with what the
+    /// readmission re-routed.
     fn maybe_complete_local_resync(&mut self) -> bool {
         if !self.is_resyncing() || self.replicas.values().any(|r| r.resync().is_some()) {
             return false;
         }
         let incarnation = self.view.table().self_incarnation();
         self.set_readmitted(self.me, incarnation, true);
-        self.view.readmitted(self.me);
-        self.promote_where_leader();
+        self.reconcile_roles();
         true
     }
 
-    /// Promote any hosted Backup replica for a shard this node's view says it now
-    /// leads (e.g. the interim primary died while this node was still resyncing, so
-    /// eligibility only returned with the resync's completion). A replica whose
-    /// resync was abandoned for want of a source is adopted as-is.
-    fn promote_where_leader(&mut self) {
-        let shards: Vec<usize> = self.replicas.keys().copied().collect();
-        for shard in shards {
-            if self.view.primary(shard) != Some(self.me) {
-                continue;
-            }
-            let epoch = self.view.epoch(shard);
-            let replica = self.replicas.get_mut(&shard).expect("iterating hosted shards");
-            if replica.role() == ReplicaRole::Backup {
-                replica.promote_to(epoch);
+    /// Give every hosted replica the role the view names: promote a backup of a shard
+    /// this node now leads, at the shard's epoch ([`ShardReplica::promote_to`]), and
+    /// demote a primary of one it does not. A replica whose resync was abandoned for
+    /// want of a source is adopted as-is.
+    fn reconcile_roles(&mut self) {
+        for (&shard, replica) in self.replicas.iter_mut() {
+            match (self.view.primary(shard) == Some(self.me), replica.role()) {
+                (true, ReplicaRole::Backup) => replica.promote_to(self.view.epoch(shard)),
+                (false, ReplicaRole::Primary) => replica.demote(),
+                _ => {}
             }
         }
+    }
+
+    /// Whether this node's replica of `shard` sequences its ops: not when a fresher
+    /// primary deposed it, or the view is not yet above the epochs it applied.
+    fn sequences(&self, shard: usize) -> bool {
+        self.replicas.get(&shard).is_some_and(|r| r.role() == ReplicaRole::Primary)
     }
 
     /// Take the pending re-admission, if the local resync just completed: the shards
@@ -413,12 +424,11 @@ impl DirectoryService {
     /// readmitted)`: a `DirResynced` readmits its incarnation; a restart request
     /// un-readmits its requester's, and one held readmitted (its restart came as
     /// gossip) crashed unseen, a death like any other. The directory then reconciles
-    /// once from the table before and after: each death (in claim order, an unseen
-    /// crash last) bumps its node's shards' epochs, moves the rank cursor off those it
-    /// led, is purged from every hosted replica, promotes this node where it now leads
-    /// and re-targets the resyncs it sourced (abandoning a sourceless one, which can
-    /// finish this node's own resync); each readmission bumps its node's shards'
-    /// epochs; and the net route change comes back, to re-drive once.
+    /// once against the table after: each death (in claim order, an unseen crash last)
+    /// is purged from every hosted replica and re-targets the resyncs it sourced
+    /// (abandoning a sourceless one, which can finish this node's own resync); every
+    /// hosted replica takes the role the view now names; and the net route change
+    /// from the table before comes back, to re-drive once.
     pub fn liveness(
         &mut self,
         claims: &[GossipEntry],
@@ -447,17 +457,16 @@ impl DirectoryService {
         }
         // The routes as they stood before the evidence.
         let routes = self.view.routes();
-        let before = std::mem::replace(&mut self.view.table, table);
+        self.view.table = table;
         if let Some((node, incarnation, readmitted)) = standing.filter(|s| s.0 != self.me) {
             if self.set_readmitted(node, incarnation, readmitted) && !readmitted {
                 departed.push(node);
             }
         }
-        self.view.depart(&before, &departed);
         for replica in self.replicas.values_mut() {
             departed.iter().for_each(|&peer| replica.node_failed(peer));
         }
-        self.promote_where_leader();
+        self.reconcile_roles();
         // A stream whose source died starts over at the new source (seqs of two
         // primacies do not compare); with none left, the shard's metadata is lost and
         // the stream is abandoned, so the node can still finish its own resync.
@@ -476,12 +485,6 @@ impl DirectoryService {
         // change: the announcement is queued with nothing left to re-drive.
         if self.maybe_complete_local_resync() {
             self.readmission = Some(Rerouted::default());
-        }
-        for peer in self.view.placement().nodes().to_vec() {
-            let back = !before.is_readmitted(peer) || departed.contains(&peer);
-            if peer != self.me && self.view.table().is_readmitted(peer) && back {
-                self.view.readmitted(peer);
-            }
         }
         let rerouted = self.view.rerouted(&routes, &departed);
         Reconciled { transitions, departed, rerouted }
@@ -570,16 +573,14 @@ impl DirectoryService {
 /// chunk (tag 27), or the retired full snapshot (tag 23), the one-chunk stream it is the
 /// degenerate case of.
 pub(crate) fn resync_frame(msg: &Message) -> Option<(u64, u64, ResyncFrame<'_>, bool)> {
-    let (shard, epoch, seq, rank, done, state) = match msg {
-        Message::DirSnapshot { shard, epoch, seq, rank, state } => {
-            (shard, epoch, seq, rank, &true, state)
-        }
-        Message::DirSnapshotChunk { shard, epoch, seq, rank, done, state } => {
-            (shard, epoch, seq, rank, done, state)
+    let (shard, epoch, seq, done, state) = match msg {
+        Message::DirSnapshot { shard, epoch, seq, state, .. } => (shard, epoch, seq, &true, state),
+        Message::DirSnapshotChunk { shard, epoch, seq, done, state, .. } => {
+            (shard, epoch, seq, done, state)
         }
         _ => return None,
     };
-    let frame = ResyncFrame { seq: *seq, rank: *rank as usize, entries: &state.entries };
+    let frame = ResyncFrame { seq: *seq, entries: &state.entries };
     Some((*shard, *epoch, frame, *done))
 }
 
@@ -649,10 +650,11 @@ mod tests {
         Message::DirSnapshotRequest { shard, requester, restart, after, digest }
     }
 
-    /// Deliver one frame to `svc` the way the node does: a resync request's digest is
-    /// first evidence, claimed through the one entry point (with, on a restart, the
-    /// crash of the requester's last incarnation, and that incarnation not readmitted);
-    /// then the service takes the frame.
+    /// Deliver one frame to `svc` the way the node does: a `DirResynced` readmits the
+    /// incarnation it names; a resync request's digest is first evidence, claimed
+    /// through the one entry point (with, on a restart, the crash of the requester's
+    /// last incarnation, and that incarnation not readmitted); then the service takes
+    /// the frame.
     fn deliver_to(
         svc: &mut DirectoryService,
         metrics: &mut NodeMetrics,
@@ -660,6 +662,11 @@ mod tests {
         msg: Message,
         out: &mut Vec<(NodeId, Message)>,
     ) {
+        if let Message::DirResynced { node, incarnation } = msg {
+            let claim = [(node, incarnation, Alive)];
+            svc.liveness(&claim, Some((node, incarnation, true)), T, out);
+            return;
+        }
         if let Message::DirSnapshotRequest { requester, restart, ref digest, .. } = msg {
             let claims = svc.view().table().digest_claims(digest, restart.then_some(requester));
             let own =
@@ -707,7 +714,7 @@ mod tests {
         }
         assert_eq!(metrics, NodeMetrics::default(), "nothing counted");
         assert_eq!((0..4).map(|s| svc.view().epoch(s)).collect::<Vec<_>>(), vec![0; 4]);
-        assert_eq!(svc.primary_for(o), Some(NodeId(0)), "no rank adopted");
+        assert_eq!(svc.primary_for(o), Some(NodeId(0)), "leadership unmoved");
         // A frame that is not the service's comes back untouched.
         let publish = Message::DirPublish {
             object: o,
@@ -808,56 +815,140 @@ mod tests {
         assert_eq!(v(&svc), (None, 3), "all replicas dead");
     }
 
-    /// Two deaths on one shard's replica set fold into leadership as if each had been
-    /// told alone, so a survivor that hears them in one digest and one that hears them
-    /// in two verdicts move their rank cursors alike, and after both nodes return
-    /// they name the same primary: the first member to have led since, with no
-    /// fail-back to the one that died first.
-    #[test]
-    fn deaths_heard_together_or_apart_move_the_rank_cursor_alike() {
-        // Node 1's view of shard 2 on a 3-node cluster with r = 2: replicas [2, 0].
-        let cfg = HopliteConfig::small_for_tests();
-        let mut apart = DirectoryService::new(NodeId(1), &cfg, &nodes(3), 0);
-        let mut together = DirectoryService::new(NodeId(1), &cfg, &nodes(3), 0);
-        apart.fail(NodeId(2), &mut Vec::new());
-        assert_eq!(apart.view().primary(2), Some(NodeId(0)));
-        apart.fail(NodeId(0), &mut Vec::new());
-        let deaths = [(NodeId(2), 0, Dead), (NodeId(0), 0, Dead)];
-        let both = together.liveness(&deaths, None, T, &mut Vec::new());
-        assert_eq!(both.departed, vec![NodeId(2), NodeId(0)]);
-        for svc in [&mut apart, &mut together] {
-            assert_eq!(svc.view().primary(2), None);
-            svc.recover(NodeId(0));
-            svc.recover(NodeId(2));
-            svc.readmit(NodeId(0));
-            svc.readmit(NodeId(2));
+    /// One piece of liveness evidence: its claims and its standing.
+    type Evidence = (Vec<GossipEntry>, Option<(NodeId, u64, bool)>);
+
+    /// A splitmix64 step.
+    fn draw(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A seeded history of one peer's life, as the evidence a viewer hears of it, in
+    /// order: deaths, restarts, refutations, readmissions and crashes slept through.
+    fn peer_history(rng: &mut u64, peer: NodeId, events: u64) -> Vec<Evidence> {
+        let (mut incarnation, mut alive, mut readmitted) = (0u64, true, true);
+        let mut history = Vec::new();
+        for _ in 0..events {
+            let evidence = match (alive, readmitted, draw(rng) % 3) {
+                (false, _, _) => {
+                    incarnation += 1;
+                    (alive, readmitted) = (true, false);
+                    (vec![(peer, incarnation, Alive)], Some((peer, incarnation, false)))
+                }
+                (true, false, 0) => {
+                    readmitted = true;
+                    (vec![(peer, incarnation, Alive)], Some((peer, incarnation, true)))
+                }
+                (true, _, 0 | 1) => {
+                    alive = false;
+                    (vec![(peer, incarnation, Dead)], None)
+                }
+                (true, true, _) => {
+                    incarnation += 1;
+                    (vec![(peer, incarnation, Alive)], None)
+                }
+                (true, false, _) => {
+                    let claims = vec![(peer, incarnation, Dead), (peer, incarnation + 1, Alive)];
+                    incarnation += 1;
+                    (claims, Some((peer, incarnation, false)))
+                }
+            };
+            history.push(evidence);
         }
-        let views = [&apart, &together].map(|s| (s.view().primary(2), s.view().epoch(2)));
-        assert_eq!(views, [(Some(NodeId(0)), 4); 2], "the interim primary keeps the shard");
+        history
+    }
+
+    fn epochs_of(svc: &DirectoryService) -> Vec<u64> {
+        (0..svc.placement().num_shards()).map(|s| svc.view().epoch(s)).collect()
+    }
+
+    /// Hear the peers' histories at node 0: interleaved at random, each in its own
+    /// order, and runs of consecutive evidence batched at random into one call (a
+    /// standing only ever last in its batch). Every change to a member's entry must
+    /// strictly raise its shard's epoch.
+    fn hear(histories: &[Vec<Evidence>], rng: &mut u64, cfg: &HopliteConfig) -> DirectoryService {
+        let n = histories.len() as u32 + 1;
+        let mut svc = DirectoryService::new(NodeId(0), cfg, &nodes(n), 0);
+        let entries = |svc: &DirectoryService| svc.view().table().entries().collect::<Vec<_>>();
+        let mut next = vec![0; histories.len()];
+        let mut batch: Evidence = (Vec::new(), None);
+        loop {
+            let open: Vec<usize> =
+                (0..histories.len()).filter(|&p| next[p] < histories[p].len()).collect();
+            if let Some(&p) = open.get((draw(rng) % open.len().max(1) as u64) as usize) {
+                let (claims, standing) = &histories[p][next[p]];
+                next[p] += 1;
+                batch.0.extend_from_slice(claims);
+                batch.1 = *standing;
+                if batch.1.is_none() && open.len() > 1 && draw(rng).is_multiple_of(2) {
+                    continue;
+                }
+            }
+            let (table, epochs) = (entries(&svc), epochs_of(&svc));
+            let (claims, standing) = std::mem::take(&mut batch);
+            svc.liveness(&claims, standing, T, &mut Vec::new());
+            let after = entries(&svc);
+            for (shard, (&before, now)) in epochs.iter().zip(epochs_of(&svc)).enumerate() {
+                let members = svc.placement().replica_set(shard);
+                let moved = members.iter().any(|m| table[m.index()] != after[m.index()]);
+                assert!(!moved || now > before, "shard {shard}: {claims:?} {standing:?}");
+                assert_eq!(now, before.max(now), "shard {shard}'s epoch fell");
+            }
+            if open.is_empty() {
+                return svc;
+            }
+        }
+    }
+
+    /// Leadership is a function of the table: 1 200 seeded histories at n = 4–8 and
+    /// r = 2 and 3, each heard by two views in different interleavings and batchings,
+    /// route alike and name the same epochs. A rank cursor moved by deaths in the
+    /// order heard, or an epoch counting the events heard, fails this.
+    #[test]
+    fn two_views_holding_one_table_route_alike_in_any_order() {
+        let mut rng = 51;
+        for case in 0..1200u64 {
+            let n = 4 + (case % 5) as u32;
+            let directory_replication = 2 + (case / 5 % 2) as usize;
+            let cfg = HopliteConfig { directory_replication, ..HopliteConfig::small_for_tests() };
+            let histories: Vec<Vec<Evidence>> = (1..n)
+                .map(|p| {
+                    let events = draw(&mut rng) % 6;
+                    peer_history(&mut rng, NodeId(p), events)
+                })
+                .collect();
+            let [a, b] = [0, 1].map(|_| hear(&histories, &mut rng, &cfg));
+            assert_eq!(a.view().table(), b.view().table(), "case {case}");
+            assert_eq!(a.view().routes(), b.view().routes(), "case {case}: {histories:?}");
+            assert_eq!(epochs_of(&a), epochs_of(&b), "case {case}: {histories:?}");
+        }
     }
 
     #[test]
-    fn readmitted_node_does_not_fail_back_but_leads_again_after_the_next_failure() {
+    fn a_readmitted_owner_fails_back_at_a_strictly_higher_epoch() {
         // Node 2's view of shard 0 on a 3-node cluster with r = 2: replicas [0, 1].
         let cfg = HopliteConfig::small_for_tests();
         let mut svc = DirectoryService::new(NodeId(2), &cfg, &nodes(3), 0);
-        assert_eq!(svc.view().primary(0), Some(NodeId(0)));
+        let v = |svc: &DirectoryService| (svc.view().primary(0), svc.view().epoch(0));
+        assert_eq!(v(&svc), (Some(NodeId(0)), 0));
         svc.fail(NodeId(0), &mut Vec::new());
-        assert_eq!(svc.view().primary(0), Some(NodeId(1)));
+        assert_eq!(v(&svc), (Some(NodeId(1)), 1));
         // Node 0 recovers: still not a candidate while resyncing.
         svc.recover(NodeId(0));
         assert!(svc.view().is_resyncing(NodeId(0)));
-        assert_eq!(svc.view().primary(0), Some(NodeId(1)));
-        // Re-admission: eligible again, but the cursor does not rewind — no fail-back.
-        svc.readmit(NodeId(0));
+        assert_eq!(v(&svc), (Some(NodeId(1)), 2));
+        // Re-admission: the owner leads its shard again, above every epoch before.
+        let back = svc.readmit(NodeId(0));
         assert!(!svc.view().is_resyncing(NodeId(0)));
-        assert_eq!(svc.view().primary(0), Some(NodeId(1)), "no automatic fail-back");
-        let e = svc.view().epoch(0);
-        // When the interim primary dies, leadership cycles back to the restarted node
-        // with a strictly higher epoch.
-        svc.fail(NodeId(1), &mut Vec::new());
-        assert_eq!(svc.view().primary(0), Some(NodeId(0)), "restarted node leads again");
-        assert!(svc.view().epoch(0) > e);
+        assert_eq!(back.moved, vec![0], "shard 0 fails back: {back:?}");
+        assert_eq!(v(&svc), (Some(NodeId(0)), 3));
+        // When the owner dies again, the backup leads at a higher epoch still.
+        svc.fail(NodeId(0), &mut Vec::new());
+        assert_eq!(v(&svc), (Some(NodeId(1)), 4));
     }
 
     #[test]
@@ -947,7 +1038,7 @@ mod tests {
         assert_eq!(changed.moved, vec![0], "shard 0 failed over");
         assert_eq!(changed.backups, vec![2], "shard 2 only lost its backup");
         assert_eq!(svc.primary_for(o), Some(NodeId(1)));
-        assert_eq!(svc.replica(0).unwrap().epoch(), 1, "promotion at the failover epoch");
+        assert_eq!(svc.replica(0).unwrap().epoch(), 1, "promotion at the shard's epoch");
         // The replicated record survived the failover, and the promoted replica now
         // answers ops itself.
         let mut out = Vec::new();
@@ -1139,15 +1230,22 @@ mod tests {
         assert!(!restarted.is_resyncing(), "local resync completed");
         // The resynced replica holds the record registered while it was down.
         assert_eq!(restarted.locations(o).map(|l| l.len()), Some(1));
-        // It adopted the survivor's rank cursor: no fail-back to itself.
-        assert_eq!(restarted.primary_for(o), Some(NodeId(1)));
-        // Survivor readmits node 0; when the survivor later dies, node 0 leads again
-        // at a strictly higher epoch.
-        svcs[1].readmit(NodeId(0));
-        let changed = svcs[0].fail(NodeId(1), &mut Vec::new());
-        assert!(changed.moved.contains(&0), "restarted node serves as primary again");
-        assert!(svcs[0].is_primary_for(o));
-        assert!(svcs[0].replica(0).unwrap().epoch() >= 2);
+        // It takes its shard back at once, strictly above the survivor's epoch.
+        let epoch = |svc: &DirectoryService| svc.replica(0).map(|r| (r.role(), r.epoch()));
+        let (Some((ReplicaRole::Primary, interim)), Some((ReplicaRole::Primary, back))) =
+            (epoch(&svcs[1]), epoch(restarted))
+        else {
+            panic!("both still sequence until the survivor hears the rejoiner")
+        };
+        assert!(restarted.is_primary_for(o));
+        assert!(back > interim, "fail-back at {back}, above {interim}");
+        // The rejoiner's `DirResynced` hands the shard back at the survivor, whose
+        // replica stops sequencing in the same reconcile.
+        let changed = svcs[1].readmit(NodeId(0));
+        assert!(changed.moved.contains(&0), "{changed:?}");
+        assert_eq!(svcs[1].primary_for(o), Some(NodeId(0)));
+        assert_eq!(epoch(&svcs[1]), Some((ReplicaRole::Backup, interim)));
+        assert_eq!(svcs[1].view().epoch(0), back, "both views name one epoch");
     }
 
     #[test]
@@ -1188,7 +1286,8 @@ mod tests {
 
     /// Route a single message to its recipient (services and their metrics indexed by
     /// node id) and return the resulting sends as `(from, to, msg)` triples.
-    /// `DirConfirm`s are swallowed — the resync tests don't assert on client confirms.
+    /// What goes to clients (`DirConfirm`s and replies) is swallowed — the resync tests
+    /// don't assert on it.
     fn deliver(
         svcs: &mut [DirectoryService],
         metrics: &mut [NodeMetrics],
@@ -1198,7 +1297,10 @@ mod tests {
     ) -> Vec<(NodeId, NodeId, Message)> {
         if matches!(
             msg,
-            Message::DirConfirm { .. } | Message::DirPublish { .. } | Message::DirQueryReply { .. }
+            Message::DirConfirm { .. }
+                | Message::DirPublish { .. }
+                | Message::DirQueryReply { .. }
+                | Message::StoreRelease { .. }
         ) {
             return Vec::new();
         }
@@ -1676,8 +1778,10 @@ mod tests {
             vec![(NodeId(0), Message::DirConfirm { object: late, kind })],
             "the requester confirms the op to its origin, and acks nothing"
         );
-        // Its re-admission re-ships and re-routes nothing.
-        assert_eq!(svcs[0].readmit(NodeId(1)), Rerouted::default());
+        // Its re-admission re-ships nothing and hands shard 1 back to its owner.
+        let back = svcs[0].readmit(NodeId(1));
+        assert_eq!(back, Rerouted { moved: vec![1], backups: vec![] });
+        assert_eq!(svcs[0].replica(1).map(|r| r.role()), Some(ReplicaRole::Backup));
     }
 
     /// The catch-up rule converges under interleaved ops, lost shipments and ops that
@@ -1685,11 +1789,17 @@ mod tests {
     /// from node 0 in 200-byte chunks while node 0 applies 60 random ops on 30
     /// registered ids and 10 unknown ones; on odd seeds one in nine shipments to node 1
     /// is lost, but never the shipment of a shard's last op, so a gap on either shard
-    /// always shows behind it. Every seed must finish its streams within a step bound,
-    /// with no resync left in flight and node 1's shards equal to node 0's, entry for
-    /// entry. Inline
-    /// puts are left out: a resynced replica's inline put-order stamps can differ from
-    /// its source's, which entry equality would report.
+    /// always shows behind it. Frames between two nodes arrive in the order sent, as
+    /// every transport delivers them, and the two directions interleave at random.
+    /// Node 1's completed resync is announced to node 0 as its node does
+    /// (`DirResynced`), which hands shard 1 back to it: node 0 forwards the script's
+    /// later shard-1 ops there, and a shipment of node 0's that reached node 1 after
+    /// its promotion is a straggler it rejects, which the op's origin would re-drive.
+    /// So a last op per shard, at the end, exposes any suffix a demoted node 0 holds.
+    /// Every seed must finish its streams within a step bound, with no resync left in
+    /// flight and node 1's shards equal to node 0's, entry for entry. Inline puts are
+    /// left out: a resynced replica's inline put-order stamps can differ from its
+    /// source's, which entry equality would report.
     #[test]
     fn seeded_streams_with_live_ops_and_lost_shipments_converge() {
         const STEP_BOUND: usize = 20_000;
@@ -1716,7 +1826,7 @@ mod tests {
                 state ^= state << 17;
                 state % n
             };
-            let script: Vec<DirOp> = (0..60)
+            let mut script: Vec<DirOp> = (0..60)
                 .map(|_| {
                     let object = ids[draw(40) as usize];
                     let node = NodeId(draw(2) as u32);
@@ -1732,29 +1842,45 @@ mod tests {
                 })
                 .collect();
             let shard_of = |op: &DirOp| svcs[0].placement().shard_of(op.object());
-            let tails: Vec<usize> =
-                (0..2).filter_map(|s| script.iter().rposition(|op| shard_of(op) == s)).collect();
+            let tail = |shard: usize| {
+                (0u64..).map(|k| reg(obj(&format!("tail-{k}")), 0)).find(|op| shard_of(op) == shard)
+            };
+            script.extend((0..2).filter_map(tail));
             let (mut ops, mut steps) = (0, 0);
-            while ops < 60 || !queue.is_empty() {
+            while ops < script.len() || !queue.is_empty() {
                 steps += 1;
                 assert!(steps <= STEP_BOUND, "seed {seed}: streams unfinished after {steps} steps");
-                if ops < 60 && (queue.is_empty() || draw(3) == 0) {
+                let tails = ops >= 60 && queue.is_empty();
+                if ops < 60 && (queue.is_empty() || draw(3) == 0) || tails {
                     let op = script[ops].clone();
-                    // Only the shipments travel (the rest are client replies). A shard's
-                    // last op's is never lost, so a gap behind it always shows.
-                    let lossy = seed % 2 == 1 && !tails.contains(&ops);
+                    // Only the shipments and forwarded ops travel (the rest are client
+                    // replies). The last ops' are never lost, so a gap always shows.
+                    let lossy = seed % 2 == 1 && ops < 60;
                     ops += 1;
                     let mut live = Vec::new();
-                    assert!(svcs[0].submit(op, &mut live));
+                    svcs[0].submit(op, &mut live);
                     for (to, msg) in live {
-                        if matches!(msg, Message::DirReplicate { .. }) && !(lossy && draw(9) == 0) {
+                        let shipped = matches!(msg, Message::DirReplicate { .. });
+                        if DirOp::try_from(msg.clone()).is_ok()
+                            || shipped && !(lossy && draw(9) == 0)
+                        {
                             queue.push((NodeId(0), to, msg));
                         }
                     }
                     continue;
                 }
-                let (from, to, msg) = queue.remove(draw(queue.len() as u64) as usize);
+                // The oldest frame between a random pair of nodes.
+                let (from, to, _) = queue[draw(queue.len() as u64) as usize];
+                let next = queue.iter().position(|q| (q.0, q.1) == (from, to)).expect("queued");
+                let (from, to, msg) = queue.remove(next);
                 queue.extend(deliver(&mut svcs, &mut m, from, to, msg));
+                if svcs[1].take_readmission().is_some() {
+                    queue.push((
+                        NodeId(1),
+                        NodeId(0),
+                        Message::DirResynced { node: NodeId(1), incarnation: 1 },
+                    ));
+                }
             }
             assert!(!svcs[1].is_resyncing(), "seed {seed}");
             for shard in 0..2 {

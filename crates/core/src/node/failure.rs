@@ -13,8 +13,8 @@
 //!
 //! * **Directory (§3.5)** — the directory is replicated by shipping sequenced ops to
 //!   every live backup, each of which confirms what it applies to the op's origin;
-//!   when a shard primary dies, a surviving backup is promoted (at the shard's
-//!   failover epoch, derived from the shared event stream) and every client re-drives
+//!   when a shard primary dies, a surviving backup is promoted (at the shard's epoch,
+//!   a function of its members' liveness-table entries) and every client re-drives
 //!   there only its *unconfirmed window*: journaled intents some replica they waited
 //!   on never confirmed, plus its outstanding location queries. A backup's death or
 //!   return re-drives its shards' unconfirmed window too, since it changes who
@@ -24,7 +24,8 @@
 //!   a resync of each shard from another replica ([`ObjectStoreNode::begin_recovery`]),
 //!   installs the chunk stream it answers with plus the buffered log tail, then
 //!   broadcasts `DirResynced` so the survivors readmit the node as a primary
-//!   candidate. An interrupted transfer (the source dies mid-resync) is
+//!   candidate; it takes back the shards it owns, and the interim primaries hand
+//!   them over. An interrupted transfer (the source dies mid-resync) is
 //!   re-targeted at the next primary.
 //!
 //! This module hosts the facade-level orchestration plus the failure-specific methods

@@ -743,7 +743,7 @@ impl ObjectStoreNode {
     /// | `Hello` | alive |
     /// | `Resynced` | alive, and readmits that incarnation (`Stale` → `stale_failure_notices_dropped`) |
     /// | `Digest`, `SnapshotRequest` | alive / dead per entry, a restart request's own entry as its `Hello`, and that incarnation not readmitted — a crash slept through if it was (a third party's `Died` → `membership_deaths_learned`) |
-    /// | `Gossip` | as a digest, when a detector runs; one against this node at its incarnation or later is refuted instead (`refutations_sent`) |
+    /// | `Gossip` | as a digest, when a detector runs; one against this node at its incarnation or later is refuted instead (`refutations_sent`), and a refuted death resyncs as a restart does |
     /// | `Verdicts` | suspect / dead, as the detector decided (`Died` → `deaths_declared`) |
     ///
     /// Any `Suspected` counts `suspicions_raised`.
@@ -772,6 +772,7 @@ impl ObjectStoreNode {
             Evidence::Gossip(_) => Vec::new(),
             Evidence::Verdicts(entries) => entries.to_vec(),
         };
+        let mut declared_dead = false;
         if let Evidence::Gossip(_) = evidence {
             claims.retain(|&(node, incarnation, state)| {
                 if node != self.ctx.id || state == Alive {
@@ -779,6 +780,7 @@ impl ObjectStoreNode {
                 }
                 if incarnation >= self.membership().self_incarnation() {
                     let bumped = self.ctx.service.refute(incarnation);
+                    declared_dead |= state == Dead;
                     self.ctx.metrics.refutations_sent += 1;
                     trace!(
                         "[n{}] refuted {state:?} claim about self: now inc {bumped}",
@@ -790,6 +792,10 @@ impl ObjectStoreNode {
         }
         let mut msgs = Vec::new();
         let change = self.ctx.service.liveness(&claims, standing, now, &mut msgs);
+        if declared_dead {
+            // Peers purged it and stopped shipping to it: it rejoins as a restart does.
+            self.ctx.service.begin_local_resync(&mut msgs);
+        }
         for (&(node, incarnation, state), &transition) in claims.iter().zip(&change.transitions) {
             if !transition.changed() {
                 if transition == Transition::Stale

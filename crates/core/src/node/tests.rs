@@ -131,12 +131,8 @@ impl TestCluster {
         self.dead.remove(&node);
         let cluster = ClusterView::of_size(self.nodes.len());
         let opts = NodeOptions { incarnation, ..Default::default() };
-        self.nodes[node] = ObjectStoreNode::new(
-            NodeId(node as u32),
-            HopliteConfig::small_for_tests(),
-            cluster,
-            opts,
-        );
+        let cfg = self.nodes[node].config().clone();
+        self.nodes[node] = ObjectStoreNode::new(NodeId(node as u32), cfg, cluster, opts);
         let mut out = Vec::new();
         self.nodes[node].begin_recovery(Time::ZERO, &mut out);
         self.pending.push_back((NodeId(node as u32), out));
@@ -1601,7 +1597,7 @@ fn a_resynced_announcement_naming_the_receiver_is_dropped() {
 
 /// A `DirSnapshotRequest` for a shard the cluster does not have is dropped whole: the
 /// replica set wraps modulo the cluster size, so the requester would seem to host the
-/// shard, and the leadership view has no rank to read for it. Nothing is served, and
+/// shard, which the leadership view does not have. Nothing is served, and
 /// the restart it claims is not believed either.
 #[test]
 fn a_snapshot_request_for_a_shard_out_of_range_is_dropped() {
@@ -1876,4 +1872,146 @@ fn a_death_verdict_for_the_only_backup_redrives_and_the_lone_primary_confirms() 
     let confirms: Vec<_> =
         frames.iter().filter(|(.., m)| matches!(m, Message::DirConfirm { .. })).collect();
     assert!(matches!(confirms[..], [(NodeId(0), NodeId(2), _)]), "{confirms:?}");
+}
+
+/// Fail-back handoff under a late `DirResynced`, r = 2 and r = 3, 100 seeds each. Four
+/// nodes register on shard 0, its owner node 0 dies, node 1 leads the shard while
+/// node 0 is down and more is registered, and node 0 restarts, resyncs and takes the
+/// shard back. Its `DirResynced` to node 1 — the interim primary — and, per seed, to
+/// each other node is held back while puts of shard-0 objects at every node hit both
+/// the old primary and the rejoiner; node 0's later frames to node 1 overtake the
+/// held one. In one seed of four nothing is held and nothing put after the rejoin, so
+/// node 1 hands the shard back on the `DirResynced` alone. Every other pair of nodes
+/// delivers in order, the pairs interleaving at random. At quiescence, with the held
+/// frames delivered: no debug assertion fired,
+/// every node names one primary and one epoch per shard and exactly that node's
+/// replica sequences it, every journal drained, and every replica of shard 0 holds
+/// every registration made.
+#[test]
+fn a_fail_back_under_a_late_resynced_keeps_one_sequencer() {
+    const N: usize = 4;
+    for directory_replication in [2, 3] {
+        for seed in 1..=100u64 {
+            let cfg = HopliteConfig { directory_replication, ..HopliteConfig::small_for_tests() };
+            let mut tc = TestCluster::with_config(N, cfg.clone());
+            let mut rng = seed * 0x9E37_79B9 + directory_replication as u64;
+            let mut draw = move |n: usize| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                (rng % n as u64) as usize
+            };
+            let names = (0..).map(|k| ObjectId::from_name(&format!("handoff-{k}")));
+            let mut objects = names.filter(|&o| ClusterView::of_size(N).shard_node(o) == NodeId(0));
+            let mut puts = Vec::new();
+            let mut put = |tc: &mut TestCluster, node: usize| {
+                let object = objects.next().expect("endless names");
+                let op = OpId(puts.len() as u64 + 1);
+                tc.client(
+                    node,
+                    op,
+                    ClientOp::Put { object, payload: Payload::from_vec(vec![7; 200]) },
+                );
+                puts.push((object, NodeId(node as u32)));
+            };
+            for node in 1..N {
+                put(&mut tc, node);
+            }
+            tc.run();
+            tc.kill(0);
+            tc.run();
+            for node in 1..N {
+                put(&mut tc, node);
+            }
+            tc.run();
+            tc.restart(0, 1);
+
+            // Per-message delivery: each pair in order, except the held frames.
+            let mut queue: Vec<(NodeId, NodeId, Message)> = Vec::new();
+            let mut held = Vec::new();
+            let handback = seed % 4 == 0;
+            let hold: Vec<bool> = (0..N).map(|n| !handback && (n == 1 || draw(2) == 0)).collect();
+            let mut late_puts = if handback { 0 } else { 2 * N };
+            loop {
+                while let Some((from, batch)) = tc.pending.pop_front() {
+                    for effect in batch {
+                        if let Effect::Send { to, msg } = effect {
+                            let late =
+                                matches!(msg, Message::DirResynced { .. }) && hold[to.index()];
+                            if late {
+                                held.push((from, to, msg));
+                            } else if !tc.dead.contains(&to.index()) {
+                                queue.push((from, to, msg));
+                            }
+                        }
+                    }
+                }
+                let resynced = !tc.nodes[0].directory_is_resyncing();
+                if resynced && late_puts > 0 && (queue.is_empty() || draw(3) == 0) {
+                    late_puts -= 1;
+                    put(&mut tc, draw(N));
+                    continue;
+                }
+                if queue.is_empty() {
+                    if held.is_empty() {
+                        break;
+                    }
+                    queue.append(&mut held);
+                    continue;
+                }
+                let (from, to, _) = queue[draw(queue.len())];
+                let next = queue.iter().position(|q| (q.0, q.1) == (from, to)).expect("queued");
+                let (from, to, msg) = queue.remove(next);
+                let mut out = Vec::new();
+                tc.nodes[to.index()].handle_message(Time::ZERO, from, msg, &mut out);
+                tc.pending.push_back((to, out));
+            }
+
+            let ctx = format!("r = {directory_replication}, seed {seed}");
+            for shard in 0..N {
+                let named: Vec<_> = tc
+                    .nodes
+                    .iter()
+                    .map(|n| {
+                        (n.ctx.service.view().primary(shard), n.ctx.service.view().epoch(shard))
+                    })
+                    .collect();
+                assert!(named.iter().all(|v| *v == named[0]), "{ctx}: shard {shard} {named:?}");
+                let sequencers: Vec<NodeId> = tc
+                    .nodes
+                    .iter()
+                    .filter(|n| {
+                        n.ctx
+                            .service
+                            .replica(shard)
+                            .is_some_and(|r| r.role() == crate::directory::ReplicaRole::Primary)
+                    })
+                    .map(|n| n.id())
+                    .collect();
+                assert_eq!(
+                    sequencers,
+                    named[0].0.into_iter().collect::<Vec<_>>(),
+                    "{ctx}: shard {shard}"
+                );
+            }
+            assert_eq!(tc.nodes[0].directory_primaries()[0], Some(NodeId(0)), "{ctx}: fail-back");
+            for node in &tc.nodes {
+                assert_eq!(
+                    node.directory_unconfirmed_count(),
+                    0,
+                    "{ctx}: n{} journal",
+                    node.id().0
+                );
+                assert!(!node.directory_is_resyncing(), "{ctx}");
+            }
+            for member in 0..directory_replication {
+                let replica = tc.nodes[member].ctx.service.replica(0).expect("a member");
+                assert_eq!(replica.resync(), None, "{ctx}: n{member}");
+                for &(object, holder) in &puts {
+                    let held = replica.locations(object).iter().any(|&(h, _)| h == holder);
+                    assert!(held, "{ctx}: n{member} lost {object:?} at {holder:?}");
+                }
+            }
+        }
+    }
 }

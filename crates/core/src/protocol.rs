@@ -458,10 +458,7 @@ pub enum Message {
     DirAck {
         /// Shard index.
         shard: u64,
-        /// The acker's current epoch. Informational: receivers fold it into their
-        /// failover-epoch counter. Acks themselves stay valid across promotions —
-        /// sequence numbers only re-baseline through a snapshot, which also resets
-        /// the acker's cumulative position.
+        /// The acker's current epoch.
         epoch: u64,
         /// Highest contiguously-applied sequence number.
         seq: u64,
@@ -506,7 +503,7 @@ pub enum Message {
         epoch: u64,
         /// Log sequence number the snapshot includes (catch-up replays from here).
         seq: u64,
-        /// The shard's current primary rank in the replica set.
+        /// Written 0, ignored on receipt, kept until `Hello` carries a protocol version.
         rank: u64,
         /// The shard state itself.
         state: ShardSnapshot,
@@ -526,7 +523,7 @@ pub enum Message {
         /// Log sequence number this chunk's entries are consistent at. Only
         /// meaningful for installation on the final (`done`) chunk.
         seq: u64,
-        /// The source's current placement cursor for the shard (adopted at `done`).
+        /// Written 0 and ignored on receipt, as [`Message::DirSnapshot`]'s.
         rank: u64,
         /// `true` on the final chunk of the stream.
         done: bool,
@@ -550,8 +547,8 @@ pub enum Message {
         done: bool,
     },
     /// Broadcast by a recovered node once every shard it hosts has installed its
-    /// snapshot and caught up: the node is re-admitted as a primary candidate (the
-    /// epoch-versioned placement bumps the affected shards' failover epochs).
+    /// snapshot and caught up: the node is re-admitted as a primary candidate, and
+    /// takes back the shards it owns (their epochs rise with its table entry).
     DirResynced {
         /// The node that finished resyncing.
         node: NodeId,

@@ -137,12 +137,14 @@ impl Fleet {
     /// `kill -9` `node`'s daemon — no shutdown handshake, no flush, like a crashed
     /// machine — and wait until its control socket refuses connections. A process's
     /// sockets close when it exits, zombie or not, so a restart right after never
-    /// races the dead process for its ports.
+    /// races the dead process for its ports. The record takes its incarnation first.
     pub fn kill9(&mut self, node: usize) -> Result<(), String> {
         let pid = self.pid(node)?;
         if pid == 0 {
             return Err(format!("node {node} is already down"));
         }
+        let incarnation = self.status(node).ok().and_then(|s| s.get("incarnation")?.as_u64());
+        self.nodes[node].incarnation = incarnation.unwrap_or(self.nodes[node].incarnation);
         let status = Command::new("kill")
             .args(["-9", &pid.to_string()])
             .status()

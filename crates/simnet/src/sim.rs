@@ -41,9 +41,15 @@ pub trait SimActor: Sized {
     /// A timer armed via [`SimContext::set_timer`] fired.
     fn on_timer(&mut self, _token: u64, _ctx: &mut SimContext<'_, Self::Msg>) {}
 
+    /// The incarnation a failure verdict about this node names: by default `recoveries`,
+    /// its restarts; an actor whose incarnation also moves on its own names that.
+    fn incarnation(&self, recoveries: u64) -> u64 {
+        recoveries
+    }
+
     /// Another node was declared failed (after the detection delay). `incarnation` is
-    /// the one that died: how many times `peer` had been recovered when it failed. No
-    /// recovery is ever declared: a recovered node's own traffic announces it.
+    /// the one that died ([`SimActor::incarnation`] when it failed). No recovery is
+    /// ever declared: a recovered node's own traffic announces it.
     fn on_peer_failed(
         &mut self,
         _peer: usize,
@@ -189,8 +195,8 @@ pub struct Simulation<A: SimActor> {
     /// Group of each node, padded to the cluster size (empty without `cfg.uplinks`).
     group_of: Vec<usize>,
     alive: Vec<bool>,
-    /// Times each node has been recovered: the incarnation it runs.
-    incarnations: Vec<u64>,
+    /// Times each node has been recovered.
+    recoveries: Vec<u64>,
     queue: BinaryHeap<Event<A>>,
     now: SimTime,
     seq: u64,
@@ -223,7 +229,7 @@ impl<A: SimActor> Simulation<A> {
             uplinks,
             group_of,
             alive: vec![true; n],
-            incarnations: vec![0; n],
+            recoveries: vec![0; n],
             queue: BinaryHeap::new(),
             now: SimTime::ZERO,
             seq: 0,
@@ -468,7 +474,7 @@ impl<A: SimActor> Simulation<A> {
                 self.alive[node] = false;
                 self.nics[node].reset();
                 let notice_at = self.now + self.cfg.failure_detection_delay;
-                let incarnation = self.incarnations[node];
+                let incarnation = self.actors[node].incarnation(self.recoveries[node]);
                 for other in 0..self.actors.len() {
                     if other != node && self.alive[other] {
                         let notice =
@@ -482,7 +488,7 @@ impl<A: SimActor> Simulation<A> {
                     return;
                 }
                 self.alive[node] = true;
-                self.incarnations[node] += 1;
+                self.recoveries[node] += 1;
                 self.nics[node].reset();
                 let mut actions = Vec::new();
                 {

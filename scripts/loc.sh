@@ -8,7 +8,7 @@
 # workspace total, the "behaviour pins" (every line of the four transcript tests and of
 # the harness they share, crates/core/tests/support/; its self-test counted apart; and
 # per transcript, its episodes and those pinned only by `.diverged` lines), the
-# HopliteConfig field count, the core files whose non-test code names a random-state
+# HopliteConfig and PlacementView field counts, the core files whose non-test code names a random-state
 # `HashMap`/`HashSet` (clippy's `disallowed-types` keeps it at 0), and the lifecycle
 # counts of ROADMAP's transport item (unbounded queues, sleeps, SlabPool construction
 # sites, thread-spawn sites) and the `SlabPool::checkout` call sites, i.e. the code that
@@ -117,7 +117,8 @@ done
 echo "| **total** | $episodes | $overlaid |"
 echo
 fields=$(awk '/^pub struct HopliteConfig \{/ { on = 1; next } on && /^\}/ { exit } on && /^    pub / { n++ } END { print n + 0 }' crates/core/src/config.rs)
-echo "\`HopliteConfig\` fields: $fields"
+view_fields=$(awk '/^pub struct PlacementView \{/ { on = 1; next } on && /^\}/ { exit } on && /^    (pub(\([a-z]+\))? )?[a-z_]+: / { n++ } END { print n + 0 }' crates/core/src/directory/placement.rs)
+echo "\`HopliteConfig\` fields: $fields; \`PlacementView\` fields: $view_fields"
 hashed=$(find crates/core/src -name '*.rs' | sort | while read -r f; do
     if echo "$f" | non_test_text | grep -E 'Hash(Map|Set)' >/dev/null; then echo "${f#crates/core/src/}"; fi
 done)
