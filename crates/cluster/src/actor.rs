@@ -126,7 +126,7 @@ impl SimActor for HopliteActor {
     }
 
     /// The node's own incarnation, refutations included.
-    fn incarnation(&self, _recoveries: u64) -> u64 {
+    fn incarnation(&self) -> u64 {
         self.runtime.node().incarnation()
     }
 

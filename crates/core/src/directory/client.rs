@@ -512,9 +512,8 @@ mod tests {
             let mut metrics = crate::metrics::NodeMetrics::default();
             assert_eq!(v.handle(source, chunk, &mut metrics, &mut Vec::new()), None);
         }
-        // The cursor did not move, so once re-admitted the node routes to itself
-        // again where the cursor still points at it, and that is a route change to
-        // re-drive.
+        // Once readmitted, the node leads the shards it owns again, and that is a
+        // route change to re-drive.
         let readmission = v.take_readmission().expect("the resync completed");
         let shard = v.placement().shard_of(o);
         assert_eq!(readmission, Rerouted { moved: vec![shard], backups: vec![] });

@@ -184,8 +184,8 @@ impl PlacementView {
     /// The shard's epoch: over its members, `3·incarnation` plus 0 while resyncing, 1
     /// while readmitted and 2 once dead, less the replication (a fresh cluster is at 0).
     /// An entry only moves up that order, so every change raises the epoch — except a
-    /// restart request naming an incarnation gossip brought in readmitted, which
-    /// [`super::ShardReplica::promote_to`]'s rule covers.
+    /// restart request naming an incarnation gossip brought in readmitted, which lowers
+    /// it by one, to above every epoch held before the gossip raised it by three.
     pub fn epoch(&self, shard: usize) -> u64 {
         let standing = |n: NodeId| match (self.table.is_alive(n), self.table.is_readmitted(n)) {
             (true, false) => 0,

@@ -193,13 +193,6 @@ impl DirectoryService {
                     self.shard(wire).filter(|&s| self.view.placement().hosts(requester, s));
                 if let Some(shard) = hosted {
                     match self.view.primary(shard) {
-                        Some(primary)
-                            if primary == self.me
-                                && self.sequences(shard)
-                                && self.view.is_alive(requester) =>
-                        {
-                            self.serve_resync(shard, requester, after, metrics, out);
-                        }
                         Some(primary) if primary != self.me && primary != requester => {
                             let digest = self.digest_if(restart);
                             let request = Message::DirSnapshotRequest {
@@ -210,6 +203,10 @@ impl DirectoryService {
                                 digest,
                             };
                             out.push((primary, request));
+                        }
+                        // The view's primary, or a replica kept through this node's resync.
+                        _ if self.sequences(shard) && self.view.is_alive(requester) => {
+                            self.serve_resync(shard, requester, after, metrics, out);
                         }
                         _ => {}
                     }
@@ -394,13 +391,16 @@ impl DirectoryService {
 
     /// Give every hosted replica the role the view names: promote a backup of a shard
     /// this node now leads, at the shard's epoch ([`ShardReplica::promote_to`]), and
-    /// demote a primary of one it does not. A replica whose resync was abandoned for
-    /// want of a source is adopted as-is.
+    /// demote a primary of one another node leads. A replica whose resync was
+    /// abandoned for want of a source, or a primary the view names no one in place of,
+    /// is kept as it is.
     fn reconcile_roles(&mut self) {
         for (&shard, replica) in self.replicas.iter_mut() {
-            match (self.view.primary(shard) == Some(self.me), replica.role()) {
-                (true, ReplicaRole::Backup) => replica.promote_to(self.view.epoch(shard)),
-                (false, ReplicaRole::Primary) => replica.demote(),
+            match (self.view.primary(shard), replica.role()) {
+                (Some(p), ReplicaRole::Backup) if p == self.me => {
+                    replica.promote_to(self.view.epoch(shard));
+                }
+                (Some(p), ReplicaRole::Primary) if p != self.me => replica.demote(),
                 _ => {}
             }
         }
@@ -501,16 +501,19 @@ impl DirectoryService {
         self.view.table.readmit(node, incarnation, readmitted)
     }
 
-    /// Start recovery after a restart: request a snapshot of each hosted shard from
-    /// another replica, and stand not readmitted in this node's own table until the
-    /// last stream completes. Returns `false` when there is nothing to resync from
-    /// (single-replica shards only): the node stays readmitted, a cold-started primary.
+    /// Start recovery after a restart or a refuted death: request a snapshot of each
+    /// hosted shard from its first other readmitted member, or else its first other
+    /// live one, and stand not readmitted in this node's own table until the last
+    /// stream completes. A shard with no other live member is kept as it is. Returns
+    /// `false` when there is nothing to resync from: the node stays readmitted.
     pub fn begin_local_resync(&mut self, out: &mut Vec<(NodeId, Message)>) -> bool {
         let shards: Vec<usize> = self.replicas.keys().copied().collect();
         let mut any = false;
         for shard in shards {
-            let source =
-                self.view.placement().replica_set(shard).into_iter().find(|&n| n != self.me);
+            let table = self.view.table();
+            let source = (self.view.placement().replica_set(shard).into_iter())
+                .filter(|&n| n != self.me && table.is_alive(n))
+                .min_by_key(|&n| !table.is_readmitted(n));
             let Some(source) = source else { continue };
             any = true;
             self.request_resync(shard, source, true, out);
@@ -828,30 +831,39 @@ mod tests {
     }
 
     /// A seeded history of one peer's life, as the evidence a viewer hears of it, in
-    /// order: deaths, restarts, refutations, readmissions and crashes slept through.
+    /// order: deaths, restarts, refutations (gossip of a newer incarnation, which
+    /// keeps the readmission), readmissions, and crashes slept through — heard from
+    /// the restarted node itself, or as gossip its restart request then follows.
     fn peer_history(rng: &mut u64, peer: NodeId, events: u64) -> Vec<Evidence> {
-        let (mut incarnation, mut alive, mut readmitted) = (0u64, true, true);
+        // The peer's incarnation, and whether it is alive, readmitted, and readmitted
+        // only because gossip of it kept the readmission of the one before.
+        let (mut incarnation, mut alive, mut readmitted, mut kept) = (0u64, true, true, false);
         let mut history = Vec::new();
         for _ in 0..events {
-            let evidence = match (alive, readmitted, draw(rng) % 3) {
-                (false, _, _) => {
+            let evidence = match (alive, readmitted, kept, draw(rng) % 4) {
+                (false, ..) => {
                     incarnation += 1;
                     (alive, readmitted) = (true, false);
                     (vec![(peer, incarnation, Alive)], Some((peer, incarnation, false)))
                 }
-                (true, false, 0) => {
-                    readmitted = true;
-                    (vec![(peer, incarnation, Alive)], Some((peer, incarnation, true)))
-                }
-                (true, _, 0 | 1) => {
-                    alive = false;
+                (true, _, _, 0) => {
+                    (alive, kept) = (false, false);
                     (vec![(peer, incarnation, Dead)], None)
                 }
-                (true, true, _) => {
+                (true, false, _, 1) | (true, true, true, 1) => {
+                    (readmitted, kept) = (true, false);
+                    (vec![(peer, incarnation, Alive)], Some((peer, incarnation, true)))
+                }
+                (true, true, true, 2) => {
+                    (readmitted, kept) = (false, false);
+                    (vec![(peer, incarnation, Alive)], Some((peer, incarnation, false)))
+                }
+                (true, true, _, _) => {
                     incarnation += 1;
+                    kept = true;
                     (vec![(peer, incarnation, Alive)], None)
                 }
-                (true, false, _) => {
+                (true, false, ..) => {
                     let claims = vec![(peer, incarnation, Dead), (peer, incarnation + 1, Alive)];
                     incarnation += 1;
                     (claims, Some((peer, incarnation, false)))
@@ -869,11 +881,17 @@ mod tests {
     /// Hear the peers' histories at node 0: interleaved at random, each in its own
     /// order, and runs of consecutive evidence batched at random into one call (a
     /// standing only ever last in its batch). Every change to a member's entry must
-    /// strictly raise its shard's epoch.
+    /// strictly raise its shard's epoch, but one: a restart request naming the
+    /// incarnation gossip brought in readmitted (a crash slept through) lowers that
+    /// member's term by one, and the epoch must stay above every epoch the view held
+    /// before that incarnation arrived, so a promotion there goes above anything the
+    /// crashed incarnation's predecessor led at in this view.
     fn hear(histories: &[Vec<Evidence>], rng: &mut u64, cfg: &HopliteConfig) -> DirectoryService {
         let n = histories.len() as u32 + 1;
         let mut svc = DirectoryService::new(NodeId(0), cfg, &nodes(n), 0);
         let entries = |svc: &DirectoryService| svc.view().table().entries().collect::<Vec<_>>();
+        // (peer, incarnation) -> every shard's epoch before gossip kept it readmitted.
+        let mut kept = BTreeMap::new();
         let mut next = vec![0; histories.len()];
         let mut batch: Evidence = (Vec::new(), None);
         loop {
@@ -892,11 +910,27 @@ mod tests {
             let (claims, standing) = std::mem::take(&mut batch);
             svc.liveness(&claims, standing, T, &mut Vec::new());
             let after = entries(&svc);
+            for (&(node, held, _, was), &(_, now, state, is)) in table.iter().zip(&after) {
+                if was && is && now > held && state != Dead {
+                    kept.insert((node, now), epochs.clone());
+                }
+            }
             for (shard, (&before, now)) in epochs.iter().zip(epochs_of(&svc)).enumerate() {
                 let members = svc.placement().replica_set(shard);
                 let moved = members.iter().any(|m| table[m.index()] != after[m.index()]);
-                assert!(!moved || now > before, "shard {shard}: {claims:?} {standing:?}");
-                assert_eq!(now, before.max(now), "shard {shard}'s epoch fell");
+                let slept = members.iter().find_map(|m| {
+                    let ((_, held, _, was), (_, now, state, is)) =
+                        (table[m.index()], after[m.index()]);
+                    (was && !is && held == now && state != Dead).then(|| kept[&(*m, now)][shard])
+                });
+                let ctx = format!("shard {shard}: {claims:?} {standing:?}");
+                match slept {
+                    Some(floor) => assert!(now > floor, "{ctx}: {now} vs {floor}"),
+                    None => {
+                        assert!(!moved || now > before, "{ctx}");
+                        assert_eq!(now, before.max(now), "{ctx}: the epoch fell");
+                    }
+                }
             }
             if open.is_empty() {
                 return svc;

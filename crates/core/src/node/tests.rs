@@ -18,6 +18,23 @@ fn setup(n: usize) -> (Vec<ObjectStoreNode>, ClusterView) {
     (nodes, cluster)
 }
 
+/// Every node names one primary and one epoch for each shard, and exactly that node's
+/// replica sequences it.
+fn assert_one_sequencer_per_shard(nodes: &[ObjectStoreNode], ctx: &str) {
+    for shard in 0..nodes.len() {
+        let view = |n: &ObjectStoreNode| n.ctx.service.view().clone();
+        let named: Vec<_> =
+            nodes.iter().map(|n| (view(n).primary(shard), view(n).epoch(shard))).collect();
+        assert!(named.iter().all(|v| *v == named[0]), "{ctx}: shard {shard} {named:?}");
+        let sequences = |n: &&ObjectStoreNode| {
+            let replica = n.ctx.service.replica(shard);
+            replica.is_some_and(|r| r.role() == crate::directory::ReplicaRole::Primary)
+        };
+        let sequencers: Vec<NodeId> = nodes.iter().filter(sequences).map(|n| n.id()).collect();
+        assert_eq!(sequencers, named[0].0.into_iter().collect::<Vec<_>>(), "{ctx}: shard {shard}");
+    }
+}
+
 /// A hand-driven test cluster: delivers effects FIFO (preserving the per-link ordering
 /// that real transports and the simulator provide) and supports killing nodes
 /// mid-run — messages to and from dead nodes are dropped and every survivor gets a
@@ -1434,6 +1451,119 @@ fn a_restart_request_after_gossip_of_its_incarnation_runs_the_failure_rules() {
     assert!(served(&out), "the next pull is served too: {out:?}");
 }
 
+/// The one change that lowers a shard's epoch — a restart request naming the
+/// incarnation gossip brought in readmitted, which un-readmits it (by one) — still
+/// leaves each shard one sequencer. Node 2 (n = 3, r = 2; shard 2 on [2, 0]) crashes
+/// unseen and nodes 0 and 1 hear gossip of it alive at incarnation 1 before its
+/// restart requests arrive; a put for shard 2 meanwhile goes to the dead process. The
+/// restart requests fail shard 2 over to node 0, which sequences the re-driven put;
+/// node 2 resyncs, takes the shard back, and sequences the next puts. At quiescence
+/// every node names one primary and epoch per shard and exactly that node's replica
+/// sequences it, every journal drained, and both replicas of shard 2 hold every put.
+#[test]
+fn a_restart_request_after_gossip_of_its_incarnation_keeps_one_sequencer_per_shard() {
+    use crate::detector::DetectorConfig;
+    let detector = Some(DetectorConfig::default());
+    let mut tc =
+        TestCluster::with_config(3, HopliteConfig { detector, ..HopliteConfig::small_for_tests() });
+    let cluster = ClusterView::of_size(3);
+    let on_shard_2: Vec<ObjectId> = (0..)
+        .map(|i| ObjectId::from_name(&format!("slept-{i}")))
+        .filter(|&o| cluster.shard_node(o) == NodeId(2))
+        .take(3)
+        .collect();
+    let put = |tc: &mut TestCluster, node: usize, i: usize| {
+        let request = ClientOp::Put { object: on_shard_2[i], payload: Payload::zeros(16) };
+        tc.client(node, OpId(i as u64), request);
+        tc.run();
+    };
+    put(&mut tc, 0, 0);
+    tc.dead.insert(2);
+    for (to, from) in [(0, 1), (1, 0)] {
+        let gossip = vec![(NodeId(2), 1, GossipState::Alive)];
+        let ack = Message::Ack { probe_id: 1, gossip };
+        let mut out = Vec::new();
+        tc.nodes[to].handle_message(Time::ZERO, NodeId(from), ack, &mut out);
+        tc.pending.push_back((NodeId(to as u32), out));
+    }
+    tc.run();
+    assert_eq!(tc.nodes[1].directory_primaries()[2], Some(NodeId(2)), "gossip kept it primary");
+    put(&mut tc, 1, 1);
+    assert_eq!(tc.nodes[1].directory_unconfirmed_count(), 1, "the put went to the dead process");
+
+    tc.restart(2, 1);
+    tc.run();
+    assert!(!tc.nodes[2].directory_is_resyncing());
+    put(&mut tc, 0, 2);
+    assert_one_sequencer_per_shard(&tc.nodes, "after the rejoin");
+    assert_eq!(tc.nodes[0].directory_primaries()[2], Some(NodeId(2)), "node 2 leads again");
+    for node in &tc.nodes {
+        assert_eq!(node.directory_unconfirmed_count(), 0, "n{} journal", node.id().0);
+    }
+    for member in [2, 0] {
+        for (object, holder) in on_shard_2.iter().zip([0, 1, 0]) {
+            let held = tc.nodes[member].directory_locations(*object).expect("a replica");
+            assert!(held.iter().any(|&(h, _)| h == NodeId(holder)), "n{member}: {object:?}");
+        }
+    }
+}
+
+/// A node that refutes a gossiped death resyncs as a restarted one does, from live
+/// members only. Node 0 (n = 4, r = 2) hosts shard 0 on [0, 1] and shard 3 on [3, 0];
+/// node 1 is dead when node 0 hears itself claimed dead. Shard 0 has no live member to
+/// resync from, so node 0 keeps it as it is, still sequencing, and resyncs shard 3
+/// alone; asking dead node 1 for shard 0 would leave node 0 resyncing for good. Node 1
+/// restarts meanwhile and asks node 0 for shard 0 while node 0 still resyncs: the kept
+/// replica serves it, though no view names a primary for shard 0 until one of them is
+/// readmitted. Both finish, are readmitted everywhere, and node 0 leads shard 0 and
+/// sequences its next put.
+#[test]
+fn a_node_refuting_its_death_with_a_shards_next_member_dead_resyncs_and_is_readmitted() {
+    use crate::detector::DetectorConfig;
+    let detector = Some(DetectorConfig::default());
+    let mut tc =
+        TestCluster::with_config(4, HopliteConfig { detector, ..HopliteConfig::small_for_tests() });
+    let object = object_on_shard(&ClusterView::of_size(4), NodeId(0));
+    tc.client(2, OpId(1), ClientOp::Put { object, payload: Payload::from_vec(vec![7; 16]) });
+    tc.run();
+    tc.kill(1);
+    tc.run();
+    let gossip = vec![(NodeId(0), 0, GossipState::Dead)];
+    let mut out = Vec::new();
+    tc.nodes[0].handle_message(
+        Time::ZERO,
+        NodeId(2),
+        Message::Ack { probe_id: 9, gossip },
+        &mut out,
+    );
+    tc.pending.push_back((NodeId(0), out));
+    tc.restart(1, 1);
+    tc.run();
+    assert_eq!(tc.nodes[0].incarnation(), 1, "the death was refuted");
+    for i in 0..4 {
+        assert!(!tc.nodes[i].directory_is_resyncing(), "node {i} finished its resync");
+        let held: Vec<_> = tc.nodes[i].membership().entries().take(2).collect();
+        let both =
+            [(NodeId(0), 1, GossipState::Alive, true), (NodeId(1), 1, GossipState::Alive, true)];
+        assert_eq!(held, both, "node {i}");
+        assert_eq!(tc.nodes[i].directory_primary_for(object), Some(NodeId(0)), "node {i}");
+    }
+    let other = (0..)
+        .map(|k| ObjectId::from_name(&format!("after-the-refutation-{k}")))
+        .find(|&o| ClusterView::of_size(4).shard_node(o) == NodeId(0))
+        .expect("some name hashes to shard 0");
+    tc.client(3, OpId(2), ClientOp::Put { object: other, payload: Payload::from_vec(vec![8; 16]) });
+    tc.run();
+    for i in 0..4 {
+        assert_eq!(tc.nodes[i].directory_unconfirmed_count(), 0, "node {i}");
+    }
+    let holders = |i: usize, o| tc.nodes[i].directory_locations(o).unwrap();
+    for o in [object, other] {
+        assert_eq!(holders(1, o), holders(0, o), "node 1 holds shard 0 as node 0 does");
+        assert!(!holders(0, o).is_empty());
+    }
+}
+
 /// A restart request whose digest reports a third node's death (D7): the death runs
 /// the full §3.5 failure rules once, as any other `Died` does. Routing moves off the
 /// dead node and the driver is told to tear its connections down; the verdict about
@@ -1968,32 +2098,7 @@ fn a_fail_back_under_a_late_resynced_keeps_one_sequencer() {
             }
 
             let ctx = format!("r = {directory_replication}, seed {seed}");
-            for shard in 0..N {
-                let named: Vec<_> = tc
-                    .nodes
-                    .iter()
-                    .map(|n| {
-                        (n.ctx.service.view().primary(shard), n.ctx.service.view().epoch(shard))
-                    })
-                    .collect();
-                assert!(named.iter().all(|v| *v == named[0]), "{ctx}: shard {shard} {named:?}");
-                let sequencers: Vec<NodeId> = tc
-                    .nodes
-                    .iter()
-                    .filter(|n| {
-                        n.ctx
-                            .service
-                            .replica(shard)
-                            .is_some_and(|r| r.role() == crate::directory::ReplicaRole::Primary)
-                    })
-                    .map(|n| n.id())
-                    .collect();
-                assert_eq!(
-                    sequencers,
-                    named[0].0.into_iter().collect::<Vec<_>>(),
-                    "{ctx}: shard {shard}"
-                );
-            }
+            assert_one_sequencer_per_shard(&tc.nodes, &ctx);
             assert_eq!(tc.nodes[0].directory_primaries()[0], Some(NodeId(0)), "{ctx}: fail-back");
             for node in &tc.nodes {
                 assert_eq!(

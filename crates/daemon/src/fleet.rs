@@ -143,8 +143,11 @@ impl Fleet {
         if pid == 0 {
             return Err(format!("node {node} is already down"));
         }
-        let incarnation = self.status(node).ok().and_then(|s| s.get("incarnation")?.as_u64());
-        self.nodes[node].incarnation = incarnation.unwrap_or(self.nodes[node].incarnation);
+        // A refutation may have moved the incarnation past the record's.
+        match self.status(node).map(|s| s.get("incarnation").and_then(Json::as_u64)) {
+            Ok(Some(incarnation)) => self.nodes[node].incarnation = incarnation,
+            read => eprintln!("warning: node {node}'s incarnation unread before kill: {read:?}"),
+        }
         let status = Command::new("kill")
             .args(["-9", &pid.to_string()])
             .status()

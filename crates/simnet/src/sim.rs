@@ -41,10 +41,10 @@ pub trait SimActor: Sized {
     /// A timer armed via [`SimContext::set_timer`] fired.
     fn on_timer(&mut self, _token: u64, _ctx: &mut SimContext<'_, Self::Msg>) {}
 
-    /// The incarnation a failure verdict about this node names: by default `recoveries`,
-    /// its restarts; an actor whose incarnation also moves on its own names that.
-    fn incarnation(&self, recoveries: u64) -> u64 {
-        recoveries
+    /// The incarnation a failure verdict about this node names: the actor's own. The
+    /// default, 0, suits an actor that never reads the verdict's incarnation.
+    fn incarnation(&self) -> u64 {
+        0
     }
 
     /// Another node was declared failed (after the detection delay). `incarnation` is
@@ -195,8 +195,6 @@ pub struct Simulation<A: SimActor> {
     /// Group of each node, padded to the cluster size (empty without `cfg.uplinks`).
     group_of: Vec<usize>,
     alive: Vec<bool>,
-    /// Times each node has been recovered.
-    recoveries: Vec<u64>,
     queue: BinaryHeap<Event<A>>,
     now: SimTime,
     seq: u64,
@@ -229,7 +227,6 @@ impl<A: SimActor> Simulation<A> {
             uplinks,
             group_of,
             alive: vec![true; n],
-            recoveries: vec![0; n],
             queue: BinaryHeap::new(),
             now: SimTime::ZERO,
             seq: 0,
@@ -474,7 +471,7 @@ impl<A: SimActor> Simulation<A> {
                 self.alive[node] = false;
                 self.nics[node].reset();
                 let notice_at = self.now + self.cfg.failure_detection_delay;
-                let incarnation = self.actors[node].incarnation(self.recoveries[node]);
+                let incarnation = self.actors[node].incarnation();
                 for other in 0..self.actors.len() {
                     if other != node && self.alive[other] {
                         let notice =
@@ -488,7 +485,6 @@ impl<A: SimActor> Simulation<A> {
                     return;
                 }
                 self.alive[node] = true;
-                self.recoveries[node] += 1;
                 self.nics[node].reset();
                 let mut actions = Vec::new();
                 {
@@ -591,11 +587,14 @@ mod tests {
         size: u64,
         received_at: Option<SimTime>,
         peers_failed: Vec<(usize, u64)>,
+        /// Times `on_start` ran: the first start, then one per recovery.
+        starts: u64,
     }
 
     impl SimActor for Flood {
         type Msg = u64;
         fn on_start(&mut self, ctx: &mut SimContext<'_, u64>) {
+            self.starts += 1;
             if self.me == 0 {
                 for to in 1..self.n {
                     ctx.send(to, 42, self.size);
@@ -613,11 +612,15 @@ mod tests {
         ) {
             self.peers_failed.push((peer, incarnation));
         }
+        /// Its recoveries so far.
+        fn incarnation(&self) -> u64 {
+            self.starts.saturating_sub(1)
+        }
     }
 
     fn flood(n: usize, size: u64) -> Vec<Flood> {
         (0..n)
-            .map(|me| Flood { me, n, size, received_at: None, peers_failed: Vec::new() })
+            .map(|me| Flood { me, n, size, received_at: None, peers_failed: Vec::new(), starts: 0 })
             .collect()
     }
 
